@@ -2,8 +2,7 @@ type t = { component : int array; count : int }
 
 (* Iterative Tarjan (explicit stack, so deep chains don't blow the call
    stack). *)
-let tarjan chain =
-  let n = Chain.size chain in
+let tarjan_adjacency ~size:n ~successors =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -11,7 +10,6 @@ let tarjan chain =
   let component = Array.make n (-1) in
   let next_index = ref 0 in
   let count = ref 0 in
-  let successors i = List.map fst (Chain.successors chain i) in
   let strongconnect v =
     (* frames: (vertex, remaining successors) *)
     let frames = ref [ (v, ref (successors v)) ] in
@@ -63,6 +61,10 @@ let tarjan chain =
     if index.(v) = -1 then strongconnect v
   done;
   { component; count = !count }
+
+let tarjan chain =
+  tarjan_adjacency ~size:(Chain.size chain) ~successors:(fun i ->
+      List.map fst (Chain.successors chain i))
 
 let members t id =
   let out = ref [] in

@@ -9,10 +9,16 @@ type t = {
   count : int;
 }
 
+val tarjan_adjacency : size:int -> successors:(int -> int list) -> t
+(** Tarjan's algorithm over the graph on vertices [0 .. size-1] whose
+    edges leave [v] towards [successors v].  Component ids are assigned
+    in reverse topological order: edges go from higher ids to lower or
+    equal ids.  Iterative, so the depth of the graph is bounded by the
+    heap, not the call stack. *)
+
 val tarjan : Chain.t -> t
-(** Tarjan's algorithm over the positive-probability edge relation.
-    Component ids are assigned in reverse topological order: edges go
-    from higher ids to lower or equal ids. *)
+(** {!tarjan_adjacency} over the chain's positive-probability edge
+    relation. *)
 
 val members : t -> int -> int list
 (** States of one component, ascending. *)

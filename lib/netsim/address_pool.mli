@@ -3,6 +3,9 @@
 
 type t
 
+val default_size : int
+(** 65024, the size of the link-local range. *)
+
 val create : ?size:int -> unit -> t
 (** Default size is {!Zeroconf-like} 65024; smaller pools are useful in
     tests to provoke collisions. *)

@@ -1,18 +1,37 @@
 (* One aggregate-mode configuration run, sampling reply delays straight
-   from F_X with the DRM's period-boundary semantics (Sec. 3.1). *)
-let aggregate_trial ~(delay : Dist.Distribution.t) ~pool ~rng
+   from F_X with the DRM's period-boundary semantics (Sec. 3.1).
+   Occupancy is revealed one candidate at a time (the .mli says why the
+   law is exact), so a trial's work is O(attempts), not O(occupied). *)
+let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
     ~(config : Newcomer.config) =
   let n = config.Newcomer.probes and r = config.Newcomer.listen in
   let step_cost = r +. config.Newcomer.probe_cost in
   let probes = ref 0 and restarts = ref 0 in
   let cost = ref 0. and time = ref 0. in
-  let failed = Hashtbl.create 8 in
+  (* candidate -> occupied, for every candidate revealed so far *)
+  let revealed = Hashtbl.create 8 in
+  let seen_occupied = ref 0 in
+  let is_occupied candidate =
+    match Hashtbl.find_opt revealed candidate with
+    | Some busy -> busy
+    | None ->
+        let seen = Hashtbl.length revealed in
+        let busy =
+          Numerics.Rng.int rng (size - seen) < occupied - !seen_occupied
+        in
+        Hashtbl.add revealed candidate busy;
+        if busy then incr seen_occupied;
+        busy
+  in
+  (* every occupied candidate but an accepted one drew a defence, so
+     "failed" is "revealed occupied" while the trial runs *)
+  let failed candidate = Hashtbl.find_opt revealed candidate = Some true in
   let draw_candidate () =
-    let c = ref (Address_pool.random_candidate pool ~rng) in
+    let c = ref (Numerics.Rng.int rng size) in
     if config.Newcomer.avoid_failed then begin
       let guard = ref 0 in
-      while Hashtbl.mem failed !c && !guard < 10_000 do
-        c := Address_pool.random_candidate pool ~rng;
+      while failed !c && !guard < 10_000 do
+        c := Numerics.Rng.int rng size;
         incr guard
       done
     end;
@@ -25,7 +44,7 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~pool ~rng
   in
   let rec attempt () =
     let candidate = draw_candidate () in
-    if not (Address_pool.is_occupied pool candidate) then begin
+    if not (is_occupied candidate) then begin
       (* nobody answers: all n probes go out, then the address is kept *)
       probes := !probes + n;
       cost := !cost +. (float_of_int n *. step_cost);
@@ -61,7 +80,6 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~pool ~rng
           +.
           if config.Newcomer.immediate_abort then !first_arrival
           else float_of_int k *. r;
-        Hashtbl.replace failed candidate ();
         incr restarts;
         let delay = rate_limit_delay () in
         time := !time +. delay;
@@ -87,12 +105,14 @@ let occupy_pool pool ~occupied ~rng =
   done;
   !addresses
 
-let run_aggregate ~delay ~occupied ?pool_size ~config ~trials ~rng () =
+let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
+    ~config ~trials ~rng () =
   if trials < 1 then invalid_arg "Scenario.run_aggregate: trials < 1";
+  if pool_size < 1 then invalid_arg "Scenario.run_aggregate: pool_size < 1";
+  if occupied < 0 || occupied >= pool_size then
+    invalid_arg "Scenario.run_aggregate: occupied outside [0, pool size)";
   Array.init trials (fun _ ->
-      let pool = Address_pool.create ?size:pool_size () in
-      ignore (occupy_pool pool ~occupied ~rng);
-      aggregate_trial ~delay ~pool ~rng ~config)
+      aggregate_trial ~delay ~size:pool_size ~occupied ~rng ~config)
 
 let detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
     ~config ~rng ~tracer () =

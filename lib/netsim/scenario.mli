@@ -16,7 +16,22 @@ val run_aggregate :
   config:Newcomer.config -> trials:int -> rng:Numerics.Rng.t -> unit ->
   Metrics.outcome array
 (** Occupancy is [occupied / pool_size] (defaults to the real 65024
-    space), so [q] matches {!Zeroconf.Params.q_of_hosts}. *)
+    space), so [q] matches {!Zeroconf.Params.q_of_hosts}.
+
+    No pool is built: each trial reveals occupancy lazily, one candidate
+    at a time.  After [seen] distinct candidates, [k] of them occupied,
+    a fresh candidate is occupied iff
+    [Rng.int rng (pool_size - seen) < occupied - k] — an exact integer
+    Bernoulli with probability [(occupied - k) / (pool_size - seen)],
+    which is the conditional law of the next address of a uniformly
+    random [occupied]-subset given what was revealed.  The revealed
+    answers therefore have the same joint law as filling a pool with
+    [occupied] uniform hosts up front, while a trial costs
+    O(attempts) instead of O(occupied).  A candidate drawn again (a
+    restart or an [avoid_failed] redraw) reuses its stored answer.
+
+    Raises [Invalid_argument] when [trials < 1], [pool_size < 1] or
+    [occupied] is outside [\[0, pool_size)]. *)
 
 val run_detailed :
   loss:float -> one_way:Dist.Distribution.t ->

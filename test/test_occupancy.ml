@@ -1,0 +1,337 @@
+(* The aggregate runner's lazily revealed occupancy, validated against an
+   eager reference sampler and on pools small enough to reason about
+   exactly.
+
+   [eager_run] below is the aggregate trial as it was before the lazy
+   rewrite: it fills a real Address_pool with [occupied] uniformly
+   random hosts, then draws candidates from it.  Both samplers must have
+   the same law; on small, high-occupancy pools (where collisions and
+   restarts are common) their collision rates, probe-count histograms
+   and mean costs are compared with two-sample tests at a fixed
+   significance level. *)
+
+module Scenario = Netsim.Scenario
+module Newcomer = Netsim.Newcomer
+module Metrics = Netsim.Metrics
+module Pool = Netsim.Address_pool
+module Rng = Numerics.Rng
+module Stats = Numerics.Stats
+
+(* ---------------- eager reference sampler ---------------- *)
+
+let eager_trial ~(delay : Dist.Distribution.t) ~pool ~rng
+    ~(config : Newcomer.config) =
+  let n = config.Newcomer.probes and r = config.Newcomer.listen in
+  let step_cost = r +. config.Newcomer.probe_cost in
+  let probes = ref 0 and restarts = ref 0 in
+  let cost = ref 0. and time = ref 0. in
+  let failed = Hashtbl.create 8 in
+  let draw_candidate () =
+    let c = ref (Pool.random_candidate pool ~rng) in
+    if config.Newcomer.avoid_failed then begin
+      let guard = ref 0 in
+      while Hashtbl.mem failed !c && !guard < 10_000 do
+        c := Pool.random_candidate pool ~rng;
+        incr guard
+      done
+    end;
+    !c
+  in
+  let rate_limit_delay () =
+    match config.Newcomer.rate_limit with
+    | Some (threshold, delay) when !restarts >= threshold -> delay
+    | Some _ | None -> 0.
+  in
+  let rec attempt () =
+    let candidate = draw_candidate () in
+    if not (Pool.is_occupied pool candidate) then begin
+      probes := !probes + n;
+      cost := !cost +. (float_of_int n *. step_cost);
+      time := !time +. (float_of_int n *. r);
+      (candidate, false)
+    end
+    else begin
+      let first_arrival = ref infinity in
+      for i = 1 to n do
+        match delay.sample rng with
+        | None -> ()
+        | Some x ->
+            let arrival = (float_of_int (i - 1) *. r) +. x in
+            if arrival < !first_arrival then first_arrival := arrival
+      done;
+      if !first_arrival > float_of_int n *. r then begin
+        probes := !probes + n;
+        cost :=
+          !cost +. (float_of_int n *. step_cost) +. config.Newcomer.error_cost;
+        time := !time +. (float_of_int n *. r);
+        (candidate, true)
+      end
+      else begin
+        let k = int_of_float (Float.ceil (!first_arrival /. r)) in
+        let k = max 1 (min n k) in
+        probes := !probes + k;
+        cost := !cost +. (float_of_int k *. step_cost);
+        time :=
+          !time
+          +.
+          if config.Newcomer.immediate_abort then !first_arrival
+          else float_of_int k *. r;
+        Hashtbl.replace failed candidate ();
+        incr restarts;
+        let delay = rate_limit_delay () in
+        time := !time +. delay;
+        cost := !cost +. delay;
+        attempt ()
+      end
+    end
+  in
+  let address, collided = attempt () in
+  { Metrics.address;
+    collided;
+    probes_sent = !probes;
+    restarts = !restarts;
+    config_time = !time;
+    cost = !cost }
+
+let eager_run ~delay ~occupied ~pool_size ~config ~trials ~rng =
+  Array.init trials (fun _ ->
+      let pool = Pool.create ~size:pool_size () in
+      for _ = 1 to occupied do
+        ignore (Pool.claim_random_free pool ~rng)
+      done;
+      eager_trial ~delay ~pool ~rng ~config)
+
+(* ---------------- two-sample tests ---------------- *)
+
+let alpha = 0.001
+let z_crit = Stats.normal_quantile (1. -. (alpha /. 2.))
+
+let count p xs = Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 xs
+
+(* pooled two-proportion z statistic *)
+let proportion_z ~x1 ~n1 ~x2 ~n2 =
+  let p1 = float_of_int x1 /. float_of_int n1
+  and p2 = float_of_int x2 /. float_of_int n2 in
+  let p = float_of_int (x1 + x2) /. float_of_int (n1 + n2) in
+  let se =
+    Float.sqrt (p *. (1. -. p) *. ((1. /. float_of_int n1) +. (1. /. float_of_int n2)))
+  in
+  if se = 0. then 0. else (p1 -. p2) /. se
+
+(* Welch z statistic for a difference in means *)
+let mean_z a b =
+  let sa = Stats.summarize a and sb = Stats.summarize b in
+  let se =
+    Float.sqrt
+      ((sa.Stats.variance /. float_of_int sa.Stats.n)
+      +. (sb.Stats.variance /. float_of_int sb.Stats.n))
+  in
+  if se = 0. then 0. else (sa.Stats.mean -. sb.Stats.mean) /. se
+
+(* Chi-square homogeneity test of two integer samples.  Categories are
+   taken in ascending order and merged until each bin holds at least 10
+   pooled observations (a short tail joins the last full bin).  Returns
+   (statistic, degrees of freedom). *)
+let chi_square a b =
+  let hi = Array.fold_left max (Array.fold_left max 0 a) b in
+  let tally xs =
+    let c = Array.make (hi + 1) 0 in
+    Array.iter (fun x -> c.(x) <- c.(x) + 1) xs;
+    c
+  in
+  let ca = tally a and cb = tally b in
+  let bins = ref [] and acc_a = ref 0 and acc_b = ref 0 in
+  for v = 0 to hi do
+    acc_a := !acc_a + ca.(v);
+    acc_b := !acc_b + cb.(v);
+    if !acc_a + !acc_b >= 10 then begin
+      bins := (!acc_a, !acc_b) :: !bins;
+      acc_a := 0;
+      acc_b := 0
+    end
+  done;
+  let bins =
+    match !bins with
+    | (xa, xb) :: rest when !acc_a + !acc_b > 0 ->
+        (xa + !acc_a, xb + !acc_b) :: rest
+    | bins -> bins
+  in
+  let na = float_of_int (Array.length a) and nb = float_of_int (Array.length b) in
+  let total = na +. nb in
+  let stat =
+    List.fold_left
+      (fun s (xa, xb) ->
+        let col = float_of_int (xa + xb) in
+        let ea = na *. col /. total and eb = nb *. col /. total in
+        let term o e = ((float_of_int o -. e) ** 2.) /. e in
+        s +. term xa ea +. term xb eb)
+      0. bins
+  in
+  (stat, List.length bins - 1)
+
+(* upper-alpha quantile of chi-square(df), Wilson-Hilferty *)
+let chi_square_crit df =
+  let k = float_of_int df in
+  let z = Stats.normal_quantile (1. -. alpha) in
+  let h = 2. /. (9. *. k) in
+  k *. ((1. -. h +. (z *. Float.sqrt h)) ** 3.)
+
+(* ---------------- eager vs lazy ---------------- *)
+
+let delay = Dist.Families.shifted_exponential ~mass:0.6 ~rate:2. ~delay:0.5 ()
+let trials = 40_000
+
+let drm = Newcomer.drm_config ~n:2 ~r:0.8 ~probe_cost:1. ~error_cost:100.
+
+(* the draft's behaviour: immediate abort, blacklisting of failed
+   addresses, rate limit after a few conflicts *)
+let draft =
+  { drm with
+    Newcomer.immediate_abort = true;
+    avoid_failed = true;
+    rate_limit = Some (3, 5.) }
+
+let compare_samplers ~pool_size ~occupied ~config ~seed () =
+  let lazy_ =
+    Scenario.run_aggregate ~delay ~occupied ~pool_size ~config ~trials
+      ~rng:(Rng.create seed) ()
+  and eager =
+    eager_run ~delay ~occupied ~pool_size ~config ~trials
+      ~rng:(Rng.create (seed + 1_000_003))
+  in
+  let collided (o : Metrics.outcome) = o.Metrics.collided in
+  let x1 = count collided lazy_ and x2 = count collided eager in
+  let z = proportion_z ~x1 ~n1:trials ~x2 ~n2:trials in
+  Alcotest.(check bool)
+    (Printf.sprintf "collision rate %d vs %d of %d: |z| = %.2f < %.2f" x1 x2
+       trials (Float.abs z) z_crit)
+    true
+    (Float.abs z < z_crit);
+  (* collisions must be common, or the comparison says nothing *)
+  Alcotest.(check bool) "collisions are common" true (x2 > trials / 100);
+  let probes xs = Array.map (fun (o : Metrics.outcome) -> o.Metrics.probes_sent) xs in
+  let stat, df = chi_square (probes lazy_) (probes eager) in
+  let crit = chi_square_crit df in
+  Alcotest.(check bool)
+    (Printf.sprintf "probes_sent chi2 = %.2f < %.2f (df %d)" stat crit df)
+    true
+    (df >= 2 && stat < crit);
+  let costs xs = Array.map (fun (o : Metrics.outcome) -> o.Metrics.cost) xs in
+  let z = mean_z (costs lazy_) (costs eager) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean cost: |z| = %.2f < %.2f" (Float.abs z) z_crit)
+    true
+    (Float.abs z < z_crit)
+
+(* ---------------- exact small pools ---------------- *)
+
+let check_rate name ~trials ~expected successes =
+  let p = float_of_int successes /. float_of_int trials in
+  (* 4.5 binomial standard errors *)
+  let tol = 4.5 *. Float.sqrt (expected *. (1. -. expected) /. float_of_int trials) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s = %.4f within %.4f of %.4f" name p tol expected)
+    true
+    (Float.abs (p -. expected) < tol)
+
+let test_half_occupied_first_candidate () =
+  (* pool {0, 1} with one host: the first candidate is occupied with
+     probability exactly 1/2, and an occupied first candidate shows up
+     as a restart or a collision *)
+  let trials = 20_000 in
+  let outcomes =
+    Scenario.run_aggregate ~delay ~occupied:1 ~pool_size:2 ~config:drm ~trials
+      ~rng:(Rng.create 11) ()
+  in
+  check_rate "P(first occupied)" ~trials ~expected:0.5
+    (count
+       (fun (o : Metrics.outcome) -> o.Metrics.restarts > 0 || o.Metrics.collided)
+       outcomes)
+
+(* One probe, answered half of the time: on pool {0, 1} with one host an
+   attempt accepts the free address (1/2), collides on the occupied one
+   (1/4) or restarts (1/4). *)
+let coin_reply = Dist.Families.deterministic ~mass:0.5 ~delay:0.1 ()
+let one_probe = Newcomer.drm_config ~n:1 ~r:1. ~probe_cost:1. ~error_cost:100.
+
+let test_revealed_answer_is_reused () =
+  (* a redraw of the occupied address must find it occupied again, so
+     the trial ends in a collision with probability (1/4) / (3/4) *)
+  let trials = 30_000 in
+  let outcomes =
+    Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
+      ~config:one_probe ~trials ~rng:(Rng.create 12) ()
+  in
+  check_rate "collision rate" ~trials ~expected:(1. /. 3.)
+    (count (fun (o : Metrics.outcome) -> o.Metrics.collided) outcomes)
+
+let test_avoid_failed_never_retries () =
+  (* with blacklisting, a defended address is never drawn again: at most
+     one restart, after which the free address is accepted *)
+  let trials = 30_000 in
+  let outcomes =
+    Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
+      ~config:{ one_probe with Newcomer.avoid_failed = true }
+      ~trials ~rng:(Rng.create 13) ()
+  in
+  Array.iter
+    (fun (o : Metrics.outcome) ->
+      Alcotest.(check bool) "at most one restart" true (o.Metrics.restarts <= 1);
+      if o.Metrics.restarts = 1 then
+        Alcotest.(check bool) "free after a restart" false o.Metrics.collided)
+    outcomes;
+  check_rate "collision rate" ~trials ~expected:0.25
+    (count (fun (o : Metrics.outcome) -> o.Metrics.collided) outcomes)
+
+(* ---------------- input validation ---------------- *)
+
+let run_invalid ~occupied ?pool_size () =
+  ignore
+    (Scenario.run_aggregate ~delay ~occupied ?pool_size ~config:drm ~trials:1
+       ~rng:(Rng.create 0) ())
+
+let test_rejects_negative_occupied () =
+  Alcotest.check_raises "occupied < 0"
+    (Invalid_argument "Scenario.run_aggregate: occupied outside [0, pool size)")
+    (run_invalid ~occupied:(-1) ~pool_size:16)
+
+let test_rejects_full_pool () =
+  Alcotest.check_raises "occupied = pool_size"
+    (Invalid_argument "Scenario.run_aggregate: occupied outside [0, pool size)")
+    (run_invalid ~occupied:16 ~pool_size:16);
+  Alcotest.check_raises "occupied = default size"
+    (Invalid_argument "Scenario.run_aggregate: occupied outside [0, pool size)")
+    (run_invalid ~occupied:Pool.default_size)
+
+let test_rejects_empty_pool () =
+  Alcotest.check_raises "pool_size = 0"
+    (Invalid_argument "Scenario.run_aggregate: pool_size < 1")
+    (run_invalid ~occupied:0 ~pool_size:0)
+
+let () =
+  let case pool_size occupied (label, config) seed =
+    let name = Printf.sprintf "%d pool, %d occupied, %s" pool_size occupied label in
+    Alcotest.test_case name `Quick
+      (compare_samplers ~pool_size ~occupied ~config ~seed)
+  in
+  Alcotest.run "occupancy"
+    [ ( "eager vs lazy",
+        [ case 256 60 ("drm", drm) 1;
+          case 256 200 ("drm", drm) 2;
+          case 256 60 ("draft", draft) 3;
+          case 256 200 ("draft", draft) 4;
+          (* a tiny pool, where revealing one address visibly shifts the
+             odds of the next *)
+          case 4 2 ("drm", drm) 5;
+          case 4 2 ("draft", draft) 6 ] );
+      ( "exact",
+        [ Alcotest.test_case "first candidate half occupied" `Quick
+            test_half_occupied_first_candidate;
+          Alcotest.test_case "revealed answer reused" `Quick
+            test_revealed_answer_is_reused;
+          Alcotest.test_case "avoid_failed never retries" `Quick
+            test_avoid_failed_never_retries ] );
+      ( "validation",
+        [ Alcotest.test_case "occupied < 0" `Quick test_rejects_negative_occupied;
+          Alcotest.test_case "occupied >= pool size" `Quick test_rejects_full_pool;
+          Alcotest.test_case "pool_size < 1" `Quick test_rejects_empty_pool ] ) ]

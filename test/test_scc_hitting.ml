@@ -58,18 +58,16 @@ let test_members () =
     (Dtmc.Scc.members scc id)
 
 let test_tarjan_deep_chain_no_stack_overflow () =
-  (* 20k-state forward chain would blow a recursive implementation *)
+  (* a 20k-deep forward path would blow a recursive implementation; the
+     adjacency entry point runs Tarjan's core without materializing the
+     dense n x n transition matrices a Chain.t of this size needs *)
   let n = 20_000 in
-  let b = Dtmc.Builder.create () in
-  for i = 0 to n - 2 do
-    Dtmc.Builder.add_edge b
-      ~src:(string_of_int i)
-      ~dst:(string_of_int (i + 1))
-      ~prob:1.
-  done;
-  let chain, _ = Dtmc.Builder.build b in
-  let scc = Dtmc.Scc.tarjan chain in
-  Alcotest.(check int) "all singleton components" n scc.Dtmc.Scc.count
+  let successors i = if i < n - 1 then [ i + 1 ] else [] in
+  let scc = Dtmc.Scc.tarjan_adjacency ~size:n ~successors in
+  Alcotest.(check int) "all singleton components" n scc.Dtmc.Scc.count;
+  (* reverse topological ids: the sink gets 0, the source n - 1 *)
+  Alcotest.(check int) "sink first" 0 scc.Dtmc.Scc.component.(n - 1);
+  Alcotest.(check int) "source last" (n - 1) scc.Dtmc.Scc.component.(0)
 
 (* ---------------- hitting times ---------------- *)
 
