@@ -51,9 +51,10 @@ let solve ?(stages = 64) ?candidates (p : Params.t) ~refinement () =
   let num_states = stages + 1 in
   (* per-candidate, per-occupancy transition data *)
   let outcome_terms c =
-    let pis = Probes.pi_all p ~n:c.n ~r:c.r in
-    let pi_n = pis.(c.n) in
-    let sum_pi = Numerics.Safe_float.sum (Array.sub pis 0 c.n) in
+    let k = Kernel.create p ~r:c.r in
+    Kernel.advance_to k ~n:c.n;
+    let pi_n = Kernel.pi k in
+    let sum_pi = Kernel.sum_pi k in
     let step = c.r +. p.Params.probe_cost in
     let clean_cost = float_of_int c.n *. step in
     let abort_prob_given_occupied = 1. -. pi_n in

@@ -38,9 +38,10 @@ let analyze ?(max_attempts = 10_000) (p : Params.t) refinement ~n ~r =
   validate_refinement refinement;
   if n < 1 then invalid_arg "Attempts.analyze: n < 1";
   if r < 0. then invalid_arg "Attempts.analyze: negative r";
-  let pis = Probes.pi_all p ~n ~r in
-  let pi_n = pis.(n) in
-  let sum_pi = SF.sum (Array.sub pis 0 n) in
+  let k = Kernel.create p ~r in
+  Kernel.advance_to k ~n;
+  let pi_n = Kernel.pi k in
+  let sum_pi = Kernel.sum_pi k in
   let step_cost = r +. p.Params.probe_cost in
   let nf = float_of_int n in
   (* per-attempt conditional expectations, given occupancy prob q_i:

@@ -11,13 +11,14 @@ type result = {
 let error_cost_for_stationarity (p : Params.t) ~n ~r =
   if n < 1 then invalid_arg "Calibrate.error_cost_for_stationarity: n < 1";
   if r <= 0. then invalid_arg "Calibrate.error_cost_for_stationarity: r <= 0";
-  let g r =
-    let pis = Probes.pi_all p ~n ~r in
-    (float_of_int n *. (1. -. p.q))
-    +. (p.q *. Numerics.Safe_float.sum (Array.sub pis 0 n))
+  let at r =
+    let k = Kernel.create p ~r in
+    Kernel.advance_to k ~n;
+    k
   in
-  let b r = p.q *. Probes.pi p ~n ~r in
-  let d r = 1. -. (p.q *. (1. -. Probes.pi p ~n ~r)) in
+  let g r = (float_of_int n *. (1. -. p.q)) +. (p.q *. Kernel.sum_pi (at r)) in
+  let b r = p.q *. Kernel.pi (at r) in
+  let d r = 1. -. (p.q *. (1. -. Kernel.pi (at r))) in
   let a r = (r +. p.probe_cost) *. g r in
   let da = Numerics.Derivative.richardson ~f:a r in
   let db = Numerics.Derivative.richardson ~f:b r in

@@ -4,19 +4,12 @@ let check name n r =
   if n < 1 then invalid_arg (name ^ ": n must be >= 1");
   if r < 0. then invalid_arg (name ^ ": negative listening period")
 
+(* Eq. 3 lives in [Kernel]: a point value is a cursor advanced to n *)
 let mean (p : Params.t) ~n ~r =
   check "Cost.mean" n r;
-  let pis = Probes.pi_all p ~n ~r in
-  let sum_pi =
-    SF.sum_prefix pis n (* pi_0 .. pi_{n-1}, no copy *)
-  in
-  let pi_n = pis.(n) in
-  let numerator =
-    ((r +. p.probe_cost)
-     *. ((float_of_int n *. (1. -. p.q)) +. (p.q *. sum_pi)))
-    +. (p.q *. p.error_cost *. pi_n)
-  in
-  SF.div numerator (1. -. (p.q *. (1. -. pi_n)))
+  let k = Kernel.create p ~r in
+  Kernel.advance_to k ~n;
+  Kernel.cost k
 
 let mean_log (p : Params.t) ~n ~r =
   check "Cost.mean_log" n r;

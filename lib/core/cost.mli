@@ -11,7 +11,8 @@
     [r -> inf]. *)
 
 val mean : Params.t -> n:int -> r:float -> float
-(** [C(n, r)].  Requires [n >= 1], [r >= 0]. *)
+(** [C(n, r)], read off a {!Kernel} cursor advanced to [n].  Requires
+    [n >= 1], [r >= 0]. *)
 
 val mean_log : Params.t -> n:int -> r:float -> Numerics.Logspace.t
 (** Log-domain evaluation of Eq. 3; agrees with {!mean} in double

@@ -1,96 +1,36 @@
-(* Streaming evaluation kernel for the n-sweeps behind Figs. 3-6.
+(* The single implementation of Eqs. 1, 3 and 4.
 
-   Every quantity the optimizers scan over n — Eq. 3's mean cost and
-   Eq. 4's error probability — depends on n only through the telescoped
-   no-answer products pi_n = prod_{i<=n} S(ir)/S(0), their prefix sum
-   sum_{i<n} pi_i, and the log-space twin of pi_n.  All three obey O(1)
-   recurrences in n, so a scan to n_max needs one survival evaluation
-   per step instead of the O(n) rebuild that calling [Cost.mean] /
-   [Reliability.error_probability] point-by-point performs.
-
-   Bit-identity contract: the recurrences below replicate, operation by
-   operation, the loops in [Probes.pi_all] / [Probes.pi] /
-   [Probes.log_pi] and the element order of [Numerics.Safe_float.sum],
-   and the readers replicate the closed-form expressions in [Cost.mean]
-   and [Reliability].  A kernel-swept value is therefore the same float,
-   bit for bit, as the direct call — the golden CLI and figure outputs
-   cannot move.  [test/test_kernel.ml] and the bench smoke target hold
-   this contract. *)
-
-(* Per-domain survival memo.  Dense r-grids revisit the same abscissae
-   i*r (lattices r = k*d in particular), and [s 0.] is re-evaluated by
-   every cursor; caching survival values turns those repeats into table
-   hits.  The table lives in domain-local storage so cursors running on
-   the [Exec.Pool] domains never share state — no locks, no
-   cross-domain traffic, and identical values whatever the job count
-   (the memo can only change speed, never results, because survival
-   closures are pure).  Keys: the distribution record by physical
-   identity, then the float abscissa.  Capacity is a backstop, not an
-   eviction policy: overflow drops the table wholesale. *)
+   Every quantity the paper derives from the no-answer probabilities —
+   Eq. 3's mean cost and Eq. 4's error probability — depends on n only
+   through the telescoped no-answer products pi_n = prod_{i<=n} S(ir)/S(0),
+   their prefix sum sum_{i<n} pi_i, and the log-space twin of pi_n.  All
+   three obey O(1) recurrences in n, so a scan to n_max needs one
+   survival evaluation per step, and a point read ([Cost.mean],
+   [Reliability]) is a cursor advanced to n and read once.  Because
+   every reader goes through this file, a swept value and a point value
+   are the same float by construction. *)
 module SF = Numerics.Safe_float
-
-module Memo = struct
-  (* monomorphic float keys: skips the polymorphic-compare dispatch on
-     the [find] hot path *)
-  module Tbl = Hashtbl.Make (struct
-    type t = float
-
-    let equal (a : float) b = a = b
-    let hash (x : float) = Hashtbl.hash x
-  end)
-
-  type entry = { dist : Dist.Distribution.t; table : float Tbl.t }
-
-  let max_dists = 8
-  let max_points = 1 lsl 20
-
-  let key : entry list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [])
-
-  let survival (dist : Dist.Distribution.t) =
-    let entries = Domain.DLS.get key in
-    let entry =
-      match List.find_opt (fun e -> e.dist == dist) !entries with
-      | Some e -> e
-      | None ->
-          let e = { dist; table = Tbl.create 1024 } in
-          if List.length !entries >= max_dists then entries := [ e ]
-          else entries := e :: !entries;
-          e
-    in
-    let s = dist.survival in
-    fun t ->
-      try Tbl.find entry.table t
-      with Not_found ->
-        let v = s t in
-        if Tbl.length entry.table >= max_points then Tbl.reset entry.table;
-        Tbl.add entry.table t v;
-        v
-end
 
 type t = {
   params : Params.t;
   r : float;
-  survival : float -> float;
   s0 : float;
   mutable n : int;
   mutable ratio : float;
   mutable pi : float;
   mutable log_pi : float;
-  (* Neumaier running state for sum_{i < n} pi_i; reading the sum as
-     [sum +. comp] matches [Safe_float.sum] on the prefix array. *)
+  (* Neumaier running state for sum_{i < n} pi_i, read as [sum +. comp]:
+     the element order and operations of [Safe_float.sum] on the prefix
+     array pi_0 .. pi_(n-1). *)
   mutable sum : float;
   mutable comp : float;
 }
 
-let create ?(memo = true) (p : Params.t) ~r =
+let create (p : Params.t) ~r =
   if r < 0. then invalid_arg "Kernel.create: negative listening period";
-  let survival = if memo then Memo.survival p.delay else p.delay.survival in
-  let s0 = survival 0. in
   { params = p;
     r;
-    survival;
-    s0;
+    s0 = p.delay.survival 0.;
     n = 0;
     ratio = 1.;
     pi = 1.;
@@ -98,6 +38,7 @@ let create ?(memo = true) (p : Params.t) ~r =
     sum = 0.;
     comp = 0. }
 
+let copy k = { k with n = k.n }
 let n k = k.n
 let r k = k.r
 let params k = k.params
@@ -114,10 +55,9 @@ let advance k =
   else k.comp <- k.comp +. ((x -. t) +. k.sum);
   k.sum <- t;
   let i = k.n + 1 in
-  let s_ir = k.survival (float_of_int i *. k.r) in
-  (* [si] divides unguarded exactly as [Probes.log_pi] does; the ratio
-     carries the [Probes.pi_all] guard (identical quotient when the
-     guard does not fire) *)
+  let s_ir = k.params.delay.survival (float_of_int i *. k.r) in
+  (* the ratio guards S(0) = 0 (a reply certain at time 0); the log
+     twin divides unguarded *)
   let si = SF.div s_ir k.s0 in
   k.ratio <- (if k.s0 <= 0. then 0. else si);
   k.pi <- k.pi *. k.ratio;
@@ -138,7 +78,7 @@ let advance_to k ~n =
 let require_step name k =
   if k.n < 1 then invalid_arg (name ^ ": n must be >= 1 (advance first)")
 
-(* Eq. 3, exactly as [Cost.mean] assembles it *)
+(* Eq. 3 *)
 let cost k =
   require_step "Kernel.cost" k;
   let p = k.params in
@@ -151,15 +91,16 @@ let cost k =
   in
   SF.div numerator (1. -. (p.q *. (1. -. pi_n)))
 
-(* Eq. 4, exactly as [Reliability.error_probability] *)
+(* Eq. 4 *)
+let error_of_pi (p : Params.t) pi_n =
+  SF.clamp_probability (SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))))
+
 let error_probability k =
   require_step "Kernel.error_probability" k;
-  let p = k.params in
-  let pi_n = k.pi in
-  SF.clamp_probability
-    (SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))))
+  error_of_pi k.params k.pi
 
-(* deep-tail twin, exactly as [Reliability.log10_error_probability] *)
+(* Eq. 4 in the log domain: pi_n may underflow, but the denominator
+   stays near 1 - q, so it is evaluated with the rounded pi_n *)
 let log10_error k =
   require_step "Kernel.log10_error" k;
   let p = k.params in
@@ -167,18 +108,3 @@ let log10_error k =
   let pi_n = SF.exp log_pi in
   let denom = 1. -. (p.q *. (1. -. pi_n)) in
   SF.div (SF.log p.q +. log_pi -. SF.log denom) (SF.log 10.)
-
-let one_shot name ?memo read (p : Params.t) ~n ~r =
-  if n < 1 then invalid_arg (name ^ ": n must be >= 1");
-  if r < 0. then invalid_arg (name ^ ": negative listening period");
-  let k = create ?memo p ~r in
-  advance_to k ~n;
-  read k
-
-let cost_at ?memo p ~n ~r = one_shot "Kernel.cost_at" ?memo cost p ~n ~r
-
-let error_probability_at ?memo p ~n ~r =
-  one_shot "Kernel.error_probability_at" ?memo error_probability p ~n ~r
-
-let log10_error_at ?memo p ~n ~r =
-  one_shot "Kernel.log10_error_at" ?memo log10_error p ~n ~r

@@ -1,4 +1,4 @@
-(** Streaming n-sweep evaluation kernel.
+(** Streaming evaluation of Eqs. 1, 3 and 4.
 
     For a fixed scenario and listening period [(p, r)], a cursor of
     type {!t} maintains the recurrences
@@ -9,34 +9,28 @@
 
     so that after [n] calls to {!advance} it can emit Eq. 3's mean cost,
     Eq. 4's error probability, and the log10 error in O(1) — one
-    survival evaluation per step, against the O(n) rebuild that the
-    point-wise [Cost.mean] / [Reliability] calls pay.  The optimizers'
-    n-scans ({!Optimize.optimal_n}, the Fig. 4 envelope,
-    {!Optimize.global_optimum}) and the figure builders run on cursors.
+    survival evaluation per step.
 
-    {b Bit-identity.}  The recurrences replicate the exact operation
-    sequences of [Probes.pi_all]/[pi]/[log_pi] and
-    [Numerics.Safe_float.sum], and the readers replicate [Cost.mean]
-    and [Reliability] verbatim, so every emitted float equals the
-    direct computation bit for bit — golden outputs cannot move.
-
-    {b Survival memo.}  Cursors share a per-domain memo of survival
-    evaluations keyed on the distribution (physical identity) and the
-    abscissa [i * r], so dense r-grids that revisit the same points
-    (e.g. lattices [r = k d]) hit the cache.  The table lives in
-    [Domain.DLS]: domains of an [Exec.Pool] never share it, which keeps
-    the kernel lock-free and its results independent of the job count.
-    Pass [~memo:false] to bypass the table (identical values either
-    way). *)
+    This module is the only implementation of these quantities.  The
+    optimizers' n-scans ({!Optimize.optimal_n}, the Fig. 4 envelope)
+    read a cursor step by step; the point-wise closed forms
+    ({!Cost.mean}, {!Reliability.error_probability},
+    {!Reliability.log10_error_probability}) create a cursor, advance it
+    to [n] and read it once.  A swept value therefore equals the point
+    value bit for bit by construction.  The independent oracles for
+    Eq. 1 are {!Probes.no_answer_literal}, the DTMC of {!Drm} and the
+    Monte-Carlo simulator. *)
 
 type t
 (** A streaming cursor: scenario, listening period, and the recurrence
     state at the current probe count [n]. *)
 
-val create : ?memo:bool -> Params.t -> r:float -> t
-(** Cursor at [n = 0] ([pi_0 = 1], empty prefix sum).  [memo] (default
-    [true]) routes survival evaluations through the per-domain memo
-    table.  Raises [Invalid_argument] on a negative [r]. *)
+val create : Params.t -> r:float -> t
+(** Cursor at [n = 0] ([pi_0 = 1], empty prefix sum).  Raises
+    [Invalid_argument] on a negative [r]. *)
+
+val copy : t -> t
+(** An independent cursor at the same state: a snapshot. *)
 
 val advance : t -> unit
 (** Step [n] to [n + 1]: folds [pi_n] into the prefix sum and performs
@@ -61,33 +55,30 @@ val ratio : t -> float
     [1.] at [n = 0]; equals [Probes.no_answer ~i:n]. *)
 
 val pi : t -> float
-(** [pi_n(r)]; equals [Probes.pi ~n] bit for bit. *)
+(** [pi_n(r) = prod_(i=0..n) p_i(r)]. *)
 
 val log_pi : t -> float
-(** [log pi_n(r)]; equals [Probes.log_pi ~n] bit for bit. *)
+(** [log pi_n(r)], accumulated in the log domain so it stays finite far
+    past float underflow of [pi_n]. *)
 
 val sum_pi : t -> float
-(** [pi_0 + ... + pi_(n-1)], compensated; equals
-    [Safe_float.sum_prefix (Probes.pi_all ~n) n] bit for bit. *)
+(** [pi_0 + ... + pi_(n-1)], compensated: equals
+    [Safe_float.sum [| pi_0; ...; pi_(n-1) |]] bit for bit. *)
 
 val cost : t -> float
-(** Eq. 3 at the cursor; equals [Cost.mean ~n] bit for bit.  Raises
-    [Invalid_argument] at [n = 0]. *)
+(** Eq. 3's [C(n, r)] at the cursor.  Raises [Invalid_argument] at
+    [n = 0]. *)
 
 val error_probability : t -> float
-(** Eq. 4 at the cursor; equals [Reliability.error_probability ~n] bit
-    for bit.  Raises [Invalid_argument] at [n = 0]. *)
-
-val log10_error : t -> float
-(** Equals [Reliability.log10_error_probability ~n] bit for bit.
+(** Eq. 4's [E(n, r)] at the cursor: [error_of_pi (params k) (pi k)].
     Raises [Invalid_argument] at [n = 0]. *)
 
-(** {1 One-shot reads}
+val log10_error : t -> float
+(** [log10 E(n, r)] from {!log_pi}, finite far below float underflow
+    of [E].  Raises [Invalid_argument] at [n = 0]. *)
 
-    Convenience wrappers building a cursor, advancing to [n] and
-    reading once — drop-in replacements for the direct calls that still
-    benefit from the survival memo across calls. *)
-
-val cost_at : ?memo:bool -> Params.t -> n:int -> r:float -> float
-val error_probability_at : ?memo:bool -> Params.t -> n:int -> r:float -> float
-val log10_error_at : ?memo:bool -> Params.t -> n:int -> r:float -> float
+val error_of_pi : Params.t -> float -> float
+(** Eq. 4 as a function of the no-answer product:
+    [q pi / (1 - q (1 - pi))], clamped to [[0, 1]].  The cursor reads
+    it at [pi_n(r)]; {!Reliability.error_bound} at the [r -> inf]
+    limit. *)

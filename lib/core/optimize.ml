@@ -24,7 +24,7 @@ let default_r_hi (p : Params.t) ~n =
 
 let optimal_r ?r_hi ?(samples = 512) (p : Params.t) ~n =
   if n < 1 then invalid_arg "Optimize.optimal_r: n must be >= 1";
-  let f r = Kernel.cost_at p ~n ~r in
+  let f r = Cost.mean p ~n ~r in
   let rec search hi attempts =
     let result = Numerics.Minimize.grid_then_brent ~samples ~f 0. hi in
     if result.x >= 0.95 *. hi && attempts < 60 then search (hi *. 2.) (attempts + 1)
@@ -44,8 +44,8 @@ let optimal_n_scan ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
      former O(n) rebuild per candidate. *)
   let k = Kernel.create p ~r in
   Kernel.advance k;
-  let best_n = ref 1 and best_cost = ref (Kernel.cost k) in
-  let best_pi = ref (Kernel.pi k) and best_log_pi = ref (Kernel.log_pi k) in
+  let best = ref (Kernel.copy k) in
+  let best_cost = ref (Kernel.cost k) in
   (* While i*r is below the round-trip delay, p_i(r) = 1 and the cost
      rises linearly in n on a plateau at height ~ qE; the first n whose
      horizon can see a reply is where the descent can start.  Below that
@@ -66,26 +66,18 @@ let optimal_n_scan ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
   while (not !at_end) && !misses < patience && Kernel.n k <= n_max do
     let c = Kernel.cost k in
     if c < !best_cost then begin
-      best_n := Kernel.n k;
+      best := Kernel.copy k;
       best_cost := c;
-      best_pi := Kernel.pi k;
-      best_log_pi := Kernel.log_pi k;
       misses := 0
     end else incr misses;
     if Kernel.n k < n_max then Kernel.advance k else at_end := true
   done;
-  (* Eq. 4 readings for the winner, from the pi / log-pi snapshots taken
-     at its step — the same expressions as [Reliability], bit for bit. *)
-  let error_prob =
-    SF.clamp_probability
-      (SF.div (p.q *. !best_pi) (1. -. (p.q *. (1. -. !best_pi))))
-  in
-  let log10_error =
-    let pi_n = SF.exp !best_log_pi in
-    let denom = 1. -. (p.q *. (1. -. pi_n)) in
-    SF.div (SF.log p.q +. !best_log_pi -. SF.log denom) (SF.log 10.)
-  in
-  { n = !best_n; cost = !best_cost; error_prob; log10_error }
+  (* the winner's Eq. 4 readings come off its snapshot *)
+  let best = !best in
+  { n = Kernel.n best;
+    cost = !best_cost;
+    error_prob = Kernel.error_probability best;
+    log10_error = Kernel.log10_error best }
 
 let optimal_n ?n_max ?patience (p : Params.t) ~r =
   let scan = optimal_n_scan ?n_max ?patience p ~r in
@@ -113,7 +105,7 @@ let log10_error_under_optimal_n ?n_max (p : Params.t) ~r =
 let global_optimum ?(n_max = 4096) ?(patience = 8) (p : Params.t) =
   let evaluate n =
     let { Numerics.Minimize.x = r; fx = cost; _ } = optimal_r p ~n in
-    { n; r; cost; error_prob = Kernel.error_probability_at p ~n ~r }
+    { n; r; cost; error_prob = Reliability.error_probability p ~n ~r }
   in
   let best = ref (evaluate 1) in
   let misses = ref 0 in

@@ -27,43 +27,6 @@ let no_answer_literal (p : Params.t) ~i ~r =
   done;
   !acc
 
-(* The loops below inline [no_answer] with the survival closure and
-   [s 0.] hoisted: both are loop-invariant, and [s 0.] in particular
-   re-evaluates the distribution's CDF at every call. *)
-let pi_all (p : Params.t) ~n ~r =
-  check_args "Probes.pi_all" n r;
-  let s = p.delay.survival in
-  let s0 = s 0. in
-  let out = Array.make (n + 1) 1. in
-  for i = 1 to n do
-    let ratio = if s0 <= 0. then 0. else SF.div (s (float_of_int i *. r)) s0 in
-    out.(i) <- out.(i - 1) *. ratio
-  done;
-  out
-
-let pi (p : Params.t) ~n ~r =
-  check_args "Probes.pi" n r;
-  let s = p.delay.survival in
-  let s0 = s 0. in
-  let acc = ref 1. in
-  for i = 1 to n do
-    let ratio = if s0 <= 0. then 0. else SF.div (s (float_of_int i *. r)) s0 in
-    acc := !acc *. ratio
-  done;
-  !acc
-
-let log_pi (p : Params.t) ~n ~r =
-  check_args "Probes.log_pi" n r;
-  let s = p.delay.survival in
-  let s0 = s 0. in
-  let acc = ref 0. in
-  for i = 1 to n do
-    (* log p_i = log S(ir) - log S(0); S(0) = 1 for delay >= 0 *)
-    let si = SF.div (s (float_of_int i *. r)) s0 in
-    acc := !acc +. (if si <= 0. then neg_infinity else SF.log si)
-  done;
-  !acc
-
 let pi_limit (p : Params.t) ~n =
   if n < 0 then invalid_arg "Probes.pi_limit: negative n";
   SF.pow (Dist.Distribution.loss_probability p.delay) (float_of_int n)

@@ -10,7 +10,8 @@
     [P(i, r) = S(i r) / S(0)].  Both the literal product (as printed in
     the paper) and the telescoped form are provided; they agree up to
     rounding (a property test asserts this), but the telescoped form is
-    faster and immune to the cancellation in [F(jr) - F((j-1) r)]. *)
+    faster and immune to the cancellation in [F(jr) - F((j-1) r)].  The
+    products [pi_n(r)] and their logs are read off a {!Kernel} cursor. *)
 
 val no_answer : Params.t -> i:int -> r:float -> float
 (** [p_i(r)], telescoped form.  [p_0(r) = 1] by convention.  Requires
@@ -19,17 +20,6 @@ val no_answer : Params.t -> i:int -> r:float -> float
 val no_answer_literal : Params.t -> i:int -> r:float -> float
 (** [p_i(r)] evaluated exactly as Eq. 1 is written — conditional CDF
     increments — kept for the ablation study and cross-validation. *)
-
-val pi : Params.t -> n:int -> r:float -> float
-(** [pi_n(r) = prod_(i=0..n) p_i(r)]. *)
-
-val pi_all : Params.t -> n:int -> r:float -> float array
-(** All prefix products [pi_0(r) .. pi_n(r)] in one pass ([n + 1]
-    entries). *)
-
-val log_pi : Params.t -> n:int -> r:float -> float
-(** Natural log of [pi_n(r)], computed in the log domain so it stays
-    finite far past float underflow. *)
 
 val pi_limit : Params.t -> n:int -> float
 (** [lim_(r -> inf) pi_n(r) = (1 - l)^n] (Sec. 4.2). *)

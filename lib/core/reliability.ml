@@ -1,27 +1,23 @@
-module SF = Numerics.Safe_float
-
 let check name n r =
   if n < 1 then invalid_arg (name ^ ": n must be >= 1");
   if r < 0. then invalid_arg (name ^ ": negative listening period")
 
-let error_probability (p : Params.t) ~n ~r =
-  check "Reliability.error_probability" n r;
-  let pi_n = Probes.pi p ~n ~r in
-  SF.clamp_probability
-    (SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))))
+(* Eq. 4 lives in [Kernel]: a point value is a cursor advanced to n *)
+let at (p : Params.t) ~n ~r =
+  let k = Kernel.create p ~r in
+  Kernel.advance_to k ~n;
+  k
 
-let log10_error_probability (p : Params.t) ~n ~r =
+let error_probability p ~n ~r =
+  check "Reliability.error_probability" n r;
+  Kernel.error_probability (at p ~n ~r)
+
+let log10_error_probability p ~n ~r =
   check "Reliability.log10_error_probability" n r;
-  let log_pi = Probes.log_pi p ~n ~r in
-  (* denominator 1 - q(1 - pi_n): pi_n may underflow but the denominator
-     stays near 1 - q, so evaluate it with the clamped pi_n *)
-  let pi_n = SF.exp log_pi in
-  let denom = 1. -. (p.q *. (1. -. pi_n)) in
-  SF.div (SF.log p.q +. log_pi -. SF.log denom) (SF.log 10.)
+  Kernel.log10_error (at p ~n ~r)
 
 let reliability p ~n ~r = 1. -. error_probability p ~n ~r
 
-let error_bound (p : Params.t) ~n =
+let error_bound p ~n =
   if n < 1 then invalid_arg "Reliability.error_bound: n must be >= 1";
-  let floor_pi = Probes.pi_limit p ~n in
-  SF.div (p.q *. floor_pi) (1. -. (p.q *. (1. -. floor_pi)))
+  Kernel.error_of_pi p (Probes.pi_limit p ~n)

@@ -14,7 +14,8 @@
     [ok]. *)
 
 val error_probability : Params.t -> n:int -> r:float -> float
-(** [E(n, r)].  Requires [n >= 1], [r >= 0]. *)
+(** [E(n, r)], read off a {!Kernel} cursor advanced to [n].  Requires
+    [n >= 1], [r >= 0]. *)
 
 val log10_error_probability : Params.t -> n:int -> r:float -> float
 (** Base-10 log of [E(n, r)], computed in the log domain: the

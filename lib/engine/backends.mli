@@ -1,13 +1,14 @@
 (** The four evaluation routes, each behind the {!Backend.S} contract.
 
     {ul
-    {- {!Analytic} — the paper's closed forms: [Cost.mean] (Eq. 3),
-       [Reliability] (Eq. 4 and its log10), [Latency] (mean
+    {- {!Analytic} — the paper's closed forms point by point:
+       [Cost.mean] (Eq. 3), [Reliability] (Eq. 4 and its log10), both
+       one-shot {!Zeroconf.Kernel} reads, and [Latency] (mean
        configuration time).  Exact; no variance route.}
     {- {!Kernel} — streaming n-scan cursors ({!Zeroconf.Kernel}): the
        same three quantities bit-identical to the closed forms, O(1)
-       amortized per probe count, survival memo shared per domain.
-       The cheapest route for points and sweeps.}
+       amortized per probe count.  The cheapest route for points and
+       sweeps.}
     {- {!Dtmc} — builds the Sec. 4.1 DRM ({!Zeroconf.Drm}) and solves
        [(I - Q)^-1] per point: the independent linear-algebra route,
        and the only one for the cost variance.  Refuses probe counts

@@ -1,18 +1,11 @@
-type entry = { answer : Answer.t; stored_at : float }
-
 type t = {
-  table : (string, entry) Hashtbl.t;
+  table : (string, Answer.t) Hashtbl.t;
   capacity : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-type stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  stored_since : float option;
-}
+type stats = { hits : int; misses : int; entries : int }
 
 let create ?(capacity = 4096) () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
@@ -20,12 +13,12 @@ let create ?(capacity = 4096) () =
 
 let lookup t (plan : Plan.t) =
   match Hashtbl.find_opt t.table (Plan.key plan) with
-  | Some e ->
+  | Some answer ->
       t.hits <- t.hits + 1;
       (* the stored answer keeps the original run's provenance; only
          the cached flag distinguishes a hit, so values round-trip
          byte-identically *)
-      Some { e.answer with Answer.cached = true }
+      Some { answer with Answer.cached = true }
   | None ->
       t.misses <- t.misses + 1;
       None
@@ -38,23 +31,10 @@ let store t (plan : Plan.t) (answer : Answer.t) =
     Hashtbl.length t.table >= t.capacity
     && not (Hashtbl.mem t.table (Plan.key plan))
   then Hashtbl.reset t.table;
-  Hashtbl.replace t.table (Plan.key plan)
-    { answer = { answer with Answer.cached = false };
-      stored_at = Unix.gettimeofday () }
+  Hashtbl.replace t.table (Plan.key plan) { answer with Answer.cached = false }
 
-let stats t =
-  let stored_since =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match acc with
-        | None -> Some e.stored_at
-        | Some s -> Some (Float.min s e.stored_at))
-      t.table None
-  in
-  { hits = t.hits;
-    misses = t.misses;
-    entries = Hashtbl.length t.table;
-    stored_since }
+let stats (t : t) =
+  { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.table }
 
 let clear t =
   Hashtbl.reset t.table;

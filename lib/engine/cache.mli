@@ -9,9 +9,7 @@
 
     A cache is single-domain state: the {!Executor} consults it before
     fanning work out over the pool and stores after results settle, so
-    no locking is needed and worker domains never touch it.  Insertion
-    timestamps ({!stats}' [stored_since]) are observability only — no
-    computed value depends on the clock. *)
+    no locking is needed and worker domains never touch it. *)
 
 type t
 
@@ -19,9 +17,6 @@ type stats = {
   hits : int;        (** Lookups served from the table. *)
   misses : int;      (** Lookups that fell through to a backend. *)
   entries : int;     (** Live entries. *)
-  stored_since : float option;
-      (** Earliest insertion time (epoch seconds) among live entries;
-          [None] when empty.  Observability only. *)
 }
 
 val create : ?capacity:int -> unit -> t

@@ -3,9 +3,9 @@
    Planning is separated from execution so that the executor and the
    answer cache see one canonical object per request.  The key is
    structural — two queries asking for the same quantity, on the same
-   scenario, over the same points, at the same accuracy, through the
-   same route, compile to the same key even when built independently —
-   which is what makes the cache deterministic and shardable. *)
+   interned scenario, over the same points, at the same accuracy,
+   through the same route, compile to the same key even when built
+   independently — which is what makes the cache deterministic. *)
 
 type route = Kernel | Analytic | Dtmc | Mc
 
@@ -35,53 +35,24 @@ type t = {
 
 (* Scenarios are records holding closures (the delay distribution), so
    no structural equality exists.  Interning assigns each physically
-   distinct Params.t a small id and a structural fingerprint computed
-   once: the scalar fields plus the survival function probed at fixed
-   abscissae, printed as hex floats.  Two scenarios that agree on the
-   fingerprint are numerically indistinguishable to every backend read
-   at those probes; physically equal scenarios always share an entry,
-   so the common case (preset reuse) costs one list walk.
+   distinct Params.t a small id; only physically equal scenarios share
+   one, because two distinct records can agree on every printed field
+   and every sampled survival value and still differ between samples.
+   The common case (preset reuse) costs one list walk.
 
    The table is only ever touched from the domain that compiles plans
    (the executor compiles before fanning out over the pool), so it
    needs no lock and stays out of the R3 concurrency rule. *)
 
-let probe_abscissae = [| 0.; 0.25; 0.5; 1.; 2.; 4. |]
+let interned : (Zeroconf.Params.t * int) list ref = ref []
 
-let fingerprint (p : Zeroconf.Params.t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b p.name;
-  Printf.bprintf b "|q=%h|c=%h|E=%h|F=%s|l=%h" p.q p.probe_cost p.error_cost
-    p.delay.Dist.Distribution.name p.delay.Dist.Distribution.mass;
-  Array.iter
-    (fun t -> Printf.bprintf b "|s%h=%h" t (p.delay.Dist.Distribution.survival t))
-    probe_abscissae;
-  Buffer.contents b
-
-type intern_entry = {
-  params : Zeroconf.Params.t;
-  id : int;
-  fp : string;
-}
-
-let interned : intern_entry list ref = ref []
-
-let intern (p : Zeroconf.Params.t) =
-  match List.find_opt (fun e -> e.params == p) !interned with
-  | Some e -> e
+let scenario_id (p : Zeroconf.Params.t) =
+  match List.assq_opt p !interned with
+  | Some id -> id
   | None ->
-      let fp = fingerprint p in
-      (* distinct records with identical fingerprints share the id, so
-         the key (and the cache) treat them as the same scenario *)
-      let e =
-        match List.find_opt (fun e -> String.equal e.fp fp) !interned with
-        | Some twin -> { twin with params = p }
-        | None -> { params = p; id = List.length !interned; fp }
-      in
-      interned := e :: !interned;
-      e
-
-let scenario_id p = (intern p).id
+      let id = List.length !interned in
+      interned := (p, id) :: !interned;
+      id
 
 (* -- the structural key --------------------------------------------- *)
 
@@ -98,16 +69,15 @@ let add_domain b (d : Query.domain) =
 let add_accuracy b (a : Query.accuracy) =
   match a with
   | Query.Exact -> Buffer.add_string b "exact"
-  | Query.Within tol -> Printf.bprintf b "within:%h" tol
   | Query.Sampled { trials; seed } -> Printf.bprintf b "sampled:%d:%d" trials seed
 
-let key_of ~route ~fp (q : Query.t) =
+let key_of ~route ~scenario_id (q : Query.t) =
   let b = Buffer.create 512 in
   Buffer.add_string b (Query.quantity_name q.quantity);
   Buffer.add_char b '|';
   Buffer.add_string b (route_name route);
   Buffer.add_char b '|';
-  Buffer.add_string b fp;
+  Printf.bprintf b "#%d" scenario_id;
   Buffer.add_char b '|';
   add_domain b q.domain;
   Buffer.add_char b '|';
@@ -116,17 +86,17 @@ let key_of ~route ~fp (q : Query.t) =
 
 let make ~route (q : Query.t) =
   Query.validate q;
-  let entry = intern q.scenario in
+  let scenario_id = scenario_id q.scenario in
   { query = q;
     route;
-    scenario_id = entry.id;
+    scenario_id;
     points = Query.points q;
     (* computed on demand: the key is only read when a cache is in
        play, and rendering a long domain in %h hex is a measurable
        share of compile time on cache-off batch sweeps.  Forced only
        from the caller's domain (executor partition, cache), never
        from pool workers. *)
-    key = lazy (key_of ~route ~fp:entry.fp q) }
+    key = lazy (key_of ~route ~scenario_id q) }
 
 let key t = Lazy.force t.key
 let size t = Array.length t.points

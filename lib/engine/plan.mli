@@ -24,9 +24,9 @@ val route_of_name : string -> route option
 type t = private {
   query : Query.t;        (** The originating request, untouched. *)
   route : route;          (** Where the executor will send it. *)
-  scenario_id : int;      (** Interning id: plans with equal ids share a
-                              numerically identical scenario, which is
-                              what batch execution groups on. *)
+  scenario_id : int;      (** Interning id: plans with equal ids share
+                              one physical scenario, which is what
+                              batch execution groups on. *)
   points : (int * float) array;
       (** The domain flattened to [(n, r)] pairs, in sweep order —
           same as {!Query.points} of [query]. *)
@@ -41,13 +41,12 @@ val make : route:route -> Query.t -> t
     Prefer {!Planner.plan}, which picks the route for you. *)
 
 val scenario_id : Zeroconf.Params.t -> int
-(** Intern a scenario directly.  Physically equal scenarios always map
-    to the same id; distinct values whose structural fingerprint
-    (scalar fields plus survival-function probes at fixed abscissae)
-    agrees also share an id. *)
+(** Intern a scenario directly.  Physically equal scenarios map to the
+    same id and distinct values never do: scenarios hold closures, so
+    physical identity is the only exact equality available. *)
 
 val key : t -> string
-(** The structural key: quantity, route, scenario fingerprint, every
+(** The structural key: quantity, route, interned scenario id, every
     domain point (floats in hex, so no precision is lost), and the
     accuracy demand.  Two queries that would produce bitwise identical
     answers through the same route compile to equal keys; anything

@@ -21,7 +21,7 @@ let route (q : Query.t) =
   let candidates =
     match q.accuracy with
     | Query.Sampled _ -> [ (Plan.Mc, (module Backends.Mc : Backend.S)) ]
-    | Query.Exact | Query.Within _ -> exact_order
+    | Query.Exact -> exact_order
   in
   match
     List.find_opt (fun (_, (module B : Backend.S)) -> B.supports q) candidates

@@ -1,10 +1,9 @@
 (** The compile stage: query in, plan out.
 
     Route selection picks the cheapest backend that meets the accuracy
-    demand.  Deterministic demands ([Exact] / [Within]) try, in order,
-    {!Backends.Kernel} (O(1) amortized per point, survival memo), then
-    {!Backends.Analytic} (covers latency), then {!Backends.Dtmc}
-    (covers the cost variance).  [Sampled] demands route to
+    demand.  [Exact] demands try, in order, {!Backends.Kernel} (O(1)
+    amortized per point), then {!Backends.Analytic} (covers latency),
+    then {!Backends.Dtmc} (covers the cost variance).  [Sampled] demands route to
     {!Backends.Mc}.  The first backend whose [supports] accepts the
     query wins.
 

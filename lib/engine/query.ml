@@ -10,7 +10,7 @@ type domain =
   | N_sweep of { ns : int array; r : float }
   | R_sweep of { n : int; rs : float array }
 
-type accuracy = Exact | Within of float | Sampled of { trials : int; seed : int }
+type accuracy = Exact | Sampled of { trials : int; seed : int }
 
 type t = {
   quantity : quantity;
@@ -44,8 +44,6 @@ let validate t =
   match t.accuracy with
   | Sampled { trials; _ } when trials < 1 ->
       invalid_arg (Printf.sprintf "Query: trials = %d < 1" trials)
-  | Within tol when not (Float.is_finite tol && tol > 0.) ->
-      invalid_arg (Printf.sprintf "Query: tolerance = %g not positive" tol)
   | _ -> ()
 
 let make quantity scenario domain accuracy =
@@ -103,7 +101,6 @@ let pp ppf t =
   in
   let accuracy ppf = function
     | Exact -> Format.pp_print_string ppf "exact"
-    | Within tol -> Format.fprintf ppf "within %g" tol
     | Sampled { trials; seed } ->
         Format.fprintf ppf "sampled (%d trials, seed %d)" trials seed
   in

@@ -28,10 +28,6 @@ type domain =
 type accuracy =
   | Exact
       (** Full float precision: only the deterministic routes qualify. *)
-  | Within of float
-      (** Relative error at most this bound; the deterministic routes
-          meet any bound, so this mainly documents intent and lets the
-          planner keep cheap routes first. *)
   | Sampled of { trials : int; seed : int }
       (** Statistical estimate with a confidence interval — routes the
           query to Monte Carlo. *)

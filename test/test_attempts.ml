@@ -46,7 +46,11 @@ let test_mean_attempts_geometric () =
   let n = 3 and r = 1. in
   let a = A.analyze crowded refinement ~n ~r in
   let q = float_of_int occupied /. float_of_int pool in
-  let pi_n = Zeroconf.Probes.pi crowded ~n ~r in
+  let pi_n =
+    let k = Zeroconf.Kernel.create crowded ~r in
+    Zeroconf.Kernel.advance_to k ~n;
+    Zeroconf.Kernel.pi k
+  in
   check_rel "geometric mean attempts" (1. /. (1. -. (q *. (1. -. pi_n))))
     a.A.mean_attempts
 

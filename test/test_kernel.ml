@@ -1,16 +1,82 @@
-(* The kernel's contract is bit-identity with the direct evaluation
-   paths: a streamed cost/error must be the same float the point-wise
-   [Cost.mean] / [Reliability] calls produce, at every job count, and a
-   full optimal-n scan must spend O(n_max) survival evaluations. *)
+(* The kernel is the only implementation of Eqs. 1, 3 and 4: the
+   point-wise [Cost.mean] / [Reliability] calls are one-shot cursor
+   reads.  To keep an independent check, this file carries the
+   point-wise loops the cursor replaced, verbatim, as an executable
+   reference: a streamed or one-shot cost/error must be the same float
+   the reference produces, at every job count, and a full optimal-n
+   scan must spend O(n_max) survival evaluations. *)
 
 module K = Zeroconf.Kernel
 module O = Zeroconf.Optimize
 module Params = Zeroconf.Params
+module SF = Numerics.Safe_float
 
 let fig2 = Params.figure2
 
 (* ------------------------------------------------------------------ *)
-(* unit: cursor state mirrors the Probes prefix quantities             *)
+(* the former point-wise Eq. 1/3/4 evaluation, verbatim                *)
+
+module Reference = struct
+  let pi_all (p : Params.t) ~n ~r =
+    let s = p.delay.survival in
+    let s0 = s 0. in
+    let out = Array.make (n + 1) 1. in
+    for i = 1 to n do
+      let ratio = if s0 <= 0. then 0. else SF.div (s (float_of_int i *. r)) s0 in
+      out.(i) <- out.(i - 1) *. ratio
+    done;
+    out
+
+  let pi (p : Params.t) ~n ~r =
+    let s = p.delay.survival in
+    let s0 = s 0. in
+    let acc = ref 1. in
+    for i = 1 to n do
+      let ratio = if s0 <= 0. then 0. else SF.div (s (float_of_int i *. r)) s0 in
+      acc := !acc *. ratio
+    done;
+    !acc
+
+  let log_pi (p : Params.t) ~n ~r =
+    let s = p.delay.survival in
+    let s0 = s 0. in
+    let acc = ref 0. in
+    for i = 1 to n do
+      (* log p_i = log S(ir) - log S(0); S(0) = 1 for delay >= 0 *)
+      let si = SF.div (s (float_of_int i *. r)) s0 in
+      acc := !acc +. (if si <= 0. then neg_infinity else SF.log si)
+    done;
+    !acc
+
+  let cost (p : Params.t) ~n ~r =
+    let pis = pi_all p ~n ~r in
+    let sum_pi =
+      SF.sum_prefix pis n (* pi_0 .. pi_{n-1}, no copy *)
+    in
+    let pi_n = pis.(n) in
+    let numerator =
+      ((r +. p.probe_cost)
+       *. ((float_of_int n *. (1. -. p.q)) +. (p.q *. sum_pi)))
+      +. (p.q *. p.error_cost *. pi_n)
+    in
+    SF.div numerator (1. -. (p.q *. (1. -. pi_n)))
+
+  let error_probability (p : Params.t) ~n ~r =
+    let pi_n = pi p ~n ~r in
+    SF.clamp_probability
+      (SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))))
+
+  let log10_error_probability (p : Params.t) ~n ~r =
+    let log_pi = log_pi p ~n ~r in
+    (* denominator 1 - q(1 - pi_n): pi_n may underflow but the denominator
+       stays near 1 - q, so evaluate it with the clamped pi_n *)
+    let pi_n = SF.exp log_pi in
+    let denom = 1. -. (p.q *. (1. -. pi_n)) in
+    SF.div (SF.log p.q +. log_pi -. SF.log denom) (SF.log 10.)
+end
+
+(* ------------------------------------------------------------------ *)
+(* unit: cursor state mirrors the reference prefix quantities         *)
 
 let test_cursor_matches_probes () =
   let r = 1.3 in
@@ -23,15 +89,14 @@ let test_cursor_matches_probes () =
     Alcotest.(check (float 0.)) "ratio = no_answer"
       (Zeroconf.Probes.no_answer fig2 ~i:n ~r)
       (K.ratio k);
-    Alcotest.(check (float 0.)) "pi = Probes.pi"
-      (Zeroconf.Probes.pi fig2 ~n ~r) (K.pi k);
-    Alcotest.(check (float 0.)) "log_pi = Probes.log_pi"
-      (Zeroconf.Probes.log_pi fig2 ~n ~r)
+    Alcotest.(check (float 0.)) "pi = reference pi"
+      (Reference.pi fig2 ~n ~r) (K.pi k);
+    Alcotest.(check (float 0.)) "log_pi = reference log_pi"
+      (Reference.log_pi fig2 ~n ~r)
       (K.log_pi k);
-    let pis = Zeroconf.Probes.pi_all fig2 ~n ~r in
+    let pis = Reference.pi_all fig2 ~n ~r in
     Alcotest.(check (float 0.)) "sum_pi = compensated prefix sum"
-      (Numerics.Safe_float.sum_prefix pis n)
-      (K.sum_pi k)
+      (SF.sum_prefix pis n) (K.sum_pi k)
   done
 
 let test_readers_match_direct () =
@@ -40,12 +105,12 @@ let test_readers_match_direct () =
       let k = K.create fig2 ~r in
       for n = 1 to 16 do
         K.advance k;
-        Alcotest.(check (float 0.)) "cost" (Zeroconf.Cost.mean fig2 ~n ~r) (K.cost k);
+        Alcotest.(check (float 0.)) "cost" (Reference.cost fig2 ~n ~r) (K.cost k);
         Alcotest.(check (float 0.)) "error"
-          (Zeroconf.Reliability.error_probability fig2 ~n ~r)
+          (Reference.error_probability fig2 ~n ~r)
           (K.error_probability k);
         Alcotest.(check (float 0.)) "log10 error"
-          (Zeroconf.Reliability.log10_error_probability fig2 ~n ~r)
+          (Reference.log10_error_probability fig2 ~n ~r)
           (K.log10_error k)
       done)
     [ 0.; 0.05; 0.5; 1.; 2.; 6. ]
@@ -63,11 +128,14 @@ let test_guards () =
       K.advance_to k ~n:3;
       K.advance_to k ~n:2);
   Alcotest.check_raises "one-shot n = 0"
-    (Invalid_argument "Kernel.cost_at: n must be >= 1") (fun () ->
-      ignore (K.cost_at fig2 ~n:0 ~r:1.))
+    (Invalid_argument "Cost.mean: n must be >= 1") (fun () ->
+      ignore (Zeroconf.Cost.mean fig2 ~n:0 ~r:1.));
+  Alcotest.check_raises "one-shot negative r"
+    (Invalid_argument "Reliability.error_probability: negative listening period")
+    (fun () -> ignore (Zeroconf.Reliability.error_probability fig2 ~n:1 ~r:(-1.)))
 
 (* ------------------------------------------------------------------ *)
-(* the old optimal_n algorithm, verbatim, as an executable reference   *)
+(* the old optimal_n algorithm, verbatim over the reference cost      *)
 
 let optimal_n_direct ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
   let first_useful =
@@ -78,11 +146,11 @@ let optimal_n_direct ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
     in
     if r = 0. then n_max else find 1
   in
-  let best_n = ref 1 and best_cost = ref (Zeroconf.Cost.mean p ~n:1 ~r) in
+  let best_n = ref 1 and best_cost = ref (Reference.cost p ~n:1 ~r) in
   let misses = ref 0 in
   let n = ref (max 1 first_useful) in
   while !misses < patience && !n <= n_max do
-    let c = Zeroconf.Cost.mean p ~n:!n ~r in
+    let c = Reference.cost p ~n:!n ~r in
     if c < !best_cost then begin
       best_n := !n;
       best_cost := c;
@@ -110,10 +178,10 @@ let test_scan_error_fields () =
       let scan = O.optimal_n_scan fig2 ~r in
       let n = scan.O.n in
       Alcotest.(check (float 0.)) "error_prob"
-        (Zeroconf.Reliability.error_probability fig2 ~n ~r)
+        (Reference.error_probability fig2 ~n ~r)
         scan.O.error_prob;
       Alcotest.(check (float 0.)) "log10_error"
-        (Zeroconf.Reliability.log10_error_probability fig2 ~n ~r)
+        (Reference.log10_error_probability fig2 ~n ~r)
         scan.O.log10_error)
     (Numerics.Grid.linspace 0.3 6. 20)
 
@@ -139,18 +207,15 @@ let test_optimal_n_is_linear_in_n_max () =
   let n_max = 512 in
   (* patience = n_max forces the scan all the way to n_max *)
   ignore (O.optimal_n ~n_max ~patience:n_max p ~r:0.5);
-  let first_pass = !count in
+  let evals = !count in
   Alcotest.(check bool)
     (Printf.sprintf "scan to %d costs <= %d evaluations (got %d)" n_max
-       (n_max + 2) first_pass)
+       (n_max + 2) evals)
     true
-    (first_pass > 0 && first_pass <= n_max + 2);
-  (* the per-domain memo absorbs a repeat of the same scan entirely *)
-  ignore (O.optimal_n ~n_max ~patience:n_max p ~r:0.5);
-  Alcotest.(check int) "second identical scan is all memo hits" first_pass !count
+    (evals > 0 && evals <= n_max + 2)
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: kernel sweeps vs direct evaluation on random scenarios      *)
+(* qcheck: kernel sweeps vs the reference on random scenarios         *)
 
 let scenario_gen =
   QCheck.Gen.(
@@ -169,7 +234,7 @@ let agree ?(rtol = 1e-12) a b =
   || Numerics.Safe_float.approx_eq ~rtol a b
 
 (* stream one cursor to n_max, checking every power-of-two checkpoint
-   plus n_max itself against the direct path *)
+   plus n_max itself against the reference *)
 let prop_swept_values_agree =
   QCheck.Test.make ~name:"kernel sweep = direct Cost.mean / Reliability (<= 1e-12)"
     ~count:60
@@ -184,10 +249,10 @@ let prop_swept_values_agree =
           checkpoint := 2 * !checkpoint;
           ok :=
             !ok
-            && agree (Zeroconf.Cost.mean p ~n ~r) (K.cost k)
-            && agree (Zeroconf.Reliability.error_probability p ~n ~r)
+            && agree (Reference.cost p ~n ~r) (K.cost k)
+            && agree (Reference.error_probability p ~n ~r)
                  (K.error_probability k)
-            && agree (Zeroconf.Reliability.log10_error_probability p ~n ~r)
+            && agree (Reference.log10_error_probability p ~n ~r)
                  (K.log10_error k)
         end
       done;
@@ -197,12 +262,11 @@ let prop_one_shots_agree =
   QCheck.Test.make ~name:"one-shot reads = direct (bit-identical)" ~count:200
     QCheck.(triple (make scenario_gen) (int_range 1 64) (float_range 0. 8.))
     (fun (p, n, r) ->
-      K.cost_at p ~n ~r = Zeroconf.Cost.mean p ~n ~r
-      && K.error_probability_at p ~n ~r
-         = Zeroconf.Reliability.error_probability p ~n ~r
-      && K.log10_error_at p ~n ~r
-         = Zeroconf.Reliability.log10_error_probability p ~n ~r
-      && K.cost_at ~memo:false p ~n ~r = K.cost_at p ~n ~r)
+      Zeroconf.Cost.mean p ~n ~r = Reference.cost p ~n ~r
+      && Zeroconf.Reliability.error_probability p ~n ~r
+         = Reference.error_probability p ~n ~r
+      && Zeroconf.Reliability.log10_error_probability p ~n ~r
+         = Reference.log10_error_probability p ~n ~r)
 
 let prop_optimal_n_matches_reference =
   QCheck.Test.make ~name:"kernel optimal_n = historical algorithm (exact)"
@@ -223,8 +287,10 @@ let job_counts = [ 1; 2; 8 ]
 let test_sweeps_bit_identical_across_jobs () =
   let grid = Numerics.Grid.linspace 0.05 6. 61 in
   let serial_sweep = O.optimal_n_sweep ~pool:(Exec.Pool.create 1) fig2 grid in
-  let serial_costs = Array.map (fun r -> K.cost_at fig2 ~n:4 ~r) grid in
-  let serial_errors = Array.map (fun r -> K.log10_error_at fig2 ~n:4 ~r) grid in
+  let cost r = Zeroconf.Cost.mean fig2 ~n:4 ~r in
+  let log10_error r = Zeroconf.Reliability.log10_error_probability fig2 ~n:4 ~r in
+  let serial_costs = Array.map cost grid in
+  let serial_errors = Array.map log10_error grid in
   List.iter
     (fun jobs ->
       with_pool jobs (fun pool ->
@@ -235,13 +301,11 @@ let test_sweeps_bit_identical_across_jobs () =
           Alcotest.(check bool)
             (Printf.sprintf "kernel cost sweep at jobs = %d" jobs)
             true
-            (serial_costs
-            = Exec.Parallel.map ~pool (fun r -> K.cost_at fig2 ~n:4 ~r) grid);
+            (serial_costs = Exec.Parallel.map ~pool cost grid);
           Alcotest.(check bool)
             (Printf.sprintf "kernel error sweep at jobs = %d" jobs)
             true
-            (serial_errors
-            = Exec.Parallel.map ~pool (fun r -> K.log10_error_at fig2 ~n:4 ~r) grid)))
+            (serial_errors = Exec.Parallel.map ~pool log10_error grid)))
     job_counts
 
 let prop_parallel_scan_agrees =

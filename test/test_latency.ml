@@ -109,7 +109,11 @@ let test_exceeds_draft_threshold () =
   let p_restart = L.exceeds d 8. in
   (* q (1 - pi_n) up to re-restarts, which are O(q^2) *)
   let q = fig2.Params.q in
-  let pi_n = Zeroconf.Probes.pi fig2 ~n:4 ~r:2. in
+  let pi_n =
+    let k = Zeroconf.Kernel.create fig2 ~r:2. in
+    Zeroconf.Kernel.advance_to k ~n:4;
+    Zeroconf.Kernel.pi k
+  in
   Alcotest.(check bool)
     (Printf.sprintf "P(>8s) = %.4g ~ q(1 - pi_4) = %.4g" p_restart
        (q *. (1. -. pi_n)))

@@ -70,10 +70,9 @@ let r2_scoped () =
     ~source:"let draw rng = Numerics.Rng.float rng\n" []
 
 let r2_cache_timestamps () =
-  (* the cache's insertion timestamps DO trip the wall-clock rule — the
-     shipped allow.sexp carries the one reviewed waiver, so the rule
-     stays loud for any new clock read in the file *)
-  check_hits "cache timestamps are caught by R2, waiver lives in allow.sexp"
+  (* a clock read in the cache trips the wall-clock rule; a waiver for
+     it would live in allow.sexp and cover that one file only *)
+  check_hits "cache timestamps are caught by R2"
     ~path:"lib/engine/cache.ml"
     ~source:"let stamp () = Unix.gettimeofday ()\n"
     [ ("R2", 1, "Unix.gettimeofday") ];
@@ -200,6 +199,24 @@ let allowlist_stale () =
     "an entry matching nothing is reported stale" 1
     (List.length (Allowlist.unused allow_entries []))
 
+let stale_entries_fail_the_gate () =
+  let live =
+    [ Finding.v ~rule:"R3" ~file:"lib/core/kernel.ml" ~line:46 ~col:4
+        ~ident:"Domain.DLS.get" ~message:"" ~hint:"" ]
+  in
+  let clean = Allowlist.verdict allow_entries live in
+  Alcotest.(check int) "the finding is waived" 1 clean.Allowlist.waived;
+  Alcotest.(check int) "every finding waived, no stale entry: exit 0" 0
+    (Allowlist.exit_code clean);
+  let stale = Allowlist.verdict allow_entries [] in
+  Alcotest.(check int) "the unmatched entry is reported" 1
+    (List.length stale.Allowlist.stale);
+  Alcotest.(check int) "a stale entry alone: exit 1" 1
+    (Allowlist.exit_code stale);
+  let fresh = Allowlist.verdict [] live in
+  Alcotest.(check int) "an unwaived finding: exit 1" 1
+    (Allowlist.exit_code fresh)
+
 (* -- the shipped allowlist itself stays well-formed ---------------- *)
 
 let shipped_allowlist () =
@@ -234,5 +251,7 @@ let () =
         [ Alcotest.test_case "permits" `Quick allowlist_permits;
           Alcotest.test_case "why is mandatory" `Quick allowlist_requires_why;
           Alcotest.test_case "stale detection" `Quick allowlist_stale;
+          Alcotest.test_case "stale entries fail the gate" `Quick
+            stale_entries_fail_the_gate;
           Alcotest.test_case "shipped allow.sexp" `Quick shipped_allowlist ] )
     ]

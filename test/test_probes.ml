@@ -6,6 +6,15 @@ let check_close ?(tol = 1e-12) msg expected actual =
 
 let fig2 = Params.figure2
 
+(* pi_n(r) and log pi_n(r) are read off a kernel cursor *)
+let cursor p ~n ~r =
+  let k = Zeroconf.Kernel.create p ~r in
+  Zeroconf.Kernel.advance_to k ~n;
+  k
+
+let pi p ~n ~r = Zeroconf.Kernel.pi (cursor p ~n ~r)
+let log_pi p ~n ~r = Zeroconf.Kernel.log_pi (cursor p ~n ~r)
+
 let test_p0_is_one () =
   check_close "p_0 = 1 by convention" 1. (P.no_answer fig2 ~i:0 ~r:2.);
   check_close "literal agrees" 1. (P.no_answer_literal fig2 ~i:0 ~r:2.)
@@ -31,27 +40,28 @@ let test_decreasing_in_i () =
 
 let test_pi_prefix_products () =
   let r = 1.3 and n = 5 in
-  let all = P.pi_all fig2 ~n ~r in
-  Alcotest.(check int) "length" (n + 1) (Array.length all);
-  check_close "pi_0" 1. all.(0);
+  let k = Zeroconf.Kernel.create fig2 ~r in
+  check_close "pi_0" 1. (Zeroconf.Kernel.pi k);
   for i = 1 to n do
+    let prev = Zeroconf.Kernel.pi k in
+    Zeroconf.Kernel.advance k;
     check_close
       (Printf.sprintf "pi_%d = pi_%d * p_%d" i (i - 1) i)
-      (all.(i - 1) *. P.no_answer fig2 ~i ~r)
-      all.(i)
+      (prev *. P.no_answer fig2 ~i ~r)
+      (Zeroconf.Kernel.pi k)
   done;
-  check_close "pi agrees with pi_all" all.(n) (P.pi fig2 ~n ~r)
+  check_close "a fresh cursor agrees" (Zeroconf.Kernel.pi k) (pi fig2 ~n ~r)
 
 let test_log_pi_consistent () =
   let r = 1.2 and n = 4 in
   check_close ~tol:1e-9 "log pi matches pi"
-    (log (P.pi fig2 ~n ~r))
-    (P.log_pi fig2 ~n ~r)
+    (log (pi fig2 ~n ~r))
+    (log_pi fig2 ~n ~r)
 
 let test_log_pi_survives_underflow () =
   (* with 30 probes at r = 3 the plain product underflows towards 0 but
      log_pi stays informative *)
-  let lp = P.log_pi fig2 ~n:30 ~r:3. in
+  let lp = log_pi fig2 ~n:30 ~r:3. in
   Alcotest.(check bool) "deeply negative but finite" true
     (Float.is_finite lp && lp < -100.)
 
@@ -64,8 +74,8 @@ let test_guards () =
     (Invalid_argument "Probes.no_answer: negative probe index") (fun () ->
       ignore (P.no_answer fig2 ~i:(-1) ~r:1.));
   Alcotest.check_raises "negative r"
-    (Invalid_argument "Probes.pi: negative listening period") (fun () ->
-      ignore (P.pi fig2 ~n:2 ~r:(-1.)))
+    (Invalid_argument "Probes.no_answer: negative listening period") (fun () ->
+      ignore (P.no_answer fig2 ~i:2 ~r:(-1.)))
 
 (* The headline property: the paper's literal Eq. 1 product telescopes
    to the survival ratio.  Check across random scenarios. *)
@@ -92,7 +102,7 @@ let prop_literal_equals_telescoped =
 let prop_pi_is_probability =
   QCheck.Test.make ~name:"pi_n(r) lies in [0, 1]" ~count:300
     QCheck.(triple (make scenario_gen) (int_range 1 10) (float_range 0. 8.))
-    (fun (p, n, r) -> Numerics.Safe_float.is_probability (P.pi p ~n ~r))
+    (fun (p, n, r) -> Numerics.Safe_float.is_probability (pi p ~n ~r))
 
 let prop_pi_decreasing_in_r =
   QCheck.Test.make ~name:"pi_n is non-increasing in r" ~count:300
@@ -100,19 +110,19 @@ let prop_pi_decreasing_in_r =
               (float_range 0.01 4.))
     (fun (p, n, r1, r2) ->
       let lo = Float.min r1 r2 and hi = Float.max r1 r2 in
-      P.pi p ~n ~r:hi <= P.pi p ~n ~r:lo +. 1e-12)
+      pi p ~n ~r:hi <= pi p ~n ~r:lo +. 1e-12)
 
 let prop_pi_at_zero_is_one =
   QCheck.Test.make ~name:"pi_n(0) = 1 (no time to hear a reply)" ~count:100
     QCheck.(pair (make scenario_gen) (int_range 1 10))
-    (fun (p, n) -> P.pi p ~n ~r:0. = 1.)
+    (fun (p, n) -> pi p ~n ~r:0. = 1.)
 
 let prop_pi_approaches_loss_floor =
   QCheck.Test.make ~name:"pi_n(r) -> (1-l)^n for large r" ~count:100
     QCheck.(pair (make scenario_gen) (int_range 1 5))
     (fun (p, n) ->
       let floor = P.pi_limit p ~n in
-      let at_large = P.pi p ~n ~r:1e4 in
+      let at_large = pi p ~n ~r:1e4 in
       Numerics.Safe_float.approx_eq ~rtol:1e-3 ~atol:1e-15 at_large floor)
 
 let () =

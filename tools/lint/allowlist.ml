@@ -63,7 +63,7 @@ let permits entries (f : Finding.t) =
       && ident_matches ~allowed:e.ident ~found:f.ident)
     entries
 
-(* Entries that covered no finding this run: surfaced as a warning so
+(* Entries that covered no finding this run: they fail the gate so
    the allowlist shrinks as the code improves instead of fossilising. *)
 let unused entries findings =
   List.filter
@@ -76,3 +76,19 @@ let unused entries findings =
              && ident_matches ~allowed:e.ident ~found:f.ident)
            findings))
     entries
+
+type verdict = {
+  fresh : Finding.t list;  (** findings no entry waives *)
+  waived : int;            (** findings some entry waives *)
+  stale : entry list;      (** entries that waive nothing *)
+}
+
+let verdict entries findings =
+  let fresh = List.filter (fun f -> not (permits entries f)) findings in
+  { fresh;
+    waived = List.length findings - List.length fresh;
+    stale = unused entries findings }
+
+(* the gate passes only when every finding is waived and every waiver
+   still covers a finding *)
+let exit_code v = if v.fresh = [] && v.stale = [] then 0 else 1

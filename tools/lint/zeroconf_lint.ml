@@ -6,7 +6,8 @@
    resolved from the current directory, which must be the repo root),
    applies the R1-R5 rule catalogue from [Rules], subtracts the reviewed
    exceptions in the allowlist, and exits 1 when any new finding
-   remains.  [--json] emits a machine-readable report on stdout. *)
+   remains or any allowlist entry matches nothing.  [--json] emits a
+   machine-readable report on stdout. *)
 
 open Lint_core
 
@@ -42,10 +43,8 @@ let () =
         exit 2
   in
   let files = Rules.collect roots in
-  let all = Rules.lint_files files in
-  let fresh = List.filter (fun f -> not (Allowlist.permits allow f)) all in
-  let waived = List.length all - List.length fresh in
-  let stale = Allowlist.unused allow all in
+  let v = Allowlist.verdict allow (Rules.lint_files files) in
+  let { Allowlist.fresh; waived; stale } = v in
   if !json then begin
     let items = List.map Finding.to_json fresh in
     Printf.printf
@@ -64,4 +63,4 @@ let () =
     Printf.printf "zeroconf-lint: %d file(s), %d finding(s), %d waived\n"
       (List.length files) (List.length fresh) waived
   end;
-  exit (if fresh = [] then 0 else 1)
+  exit (Allowlist.exit_code v)
