@@ -578,11 +578,18 @@ let quantity_conv name =
             latency)"
            name)
 
-let pp_answer_value ppf (v : Engine.Answer.value) =
+(* The CLI's one rendering of an answer value: %.10g for an exact
+   value, the mean and its 95% interval at %.6g for a sampled one. *)
+let add_answer_value b (v : Engine.Answer.value) =
   match v with
-  | Engine.Answer.Scalar x -> Format.fprintf ppf "%.10g" x
+  | Engine.Answer.Scalar x -> Printf.bprintf b "%.10g" x
   | Engine.Answer.Interval { mean; ci_lo; ci_hi } ->
-      Format.fprintf ppf "%.6g [%.6g, %.6g]" mean ci_lo ci_hi
+      Printf.bprintf b "%.6g [%.6g, %.6g]" mean ci_lo ci_hi
+
+let pp_answer_value ppf v =
+  let b = Buffer.create 32 in
+  add_answer_value b v;
+  Format.pp_print_string ppf (Buffer.contents b)
 
 let print_provenance (a : Engine.Answer.t) =
   Format.printf "backend = %s, evals = %d, wall = %.3f ms%s@."
@@ -631,6 +638,7 @@ let query_cmd =
   in
   let run p n r quantity backend trials seed r_sweep n_max no_cache =
     if no_cache then Engine.Cache.set_enabled false;
+    let backend = Option.map String.lowercase_ascii backend in
     match quantity_conv quantity with
     | `Error _ as e -> e
     | `Ok qty -> (
@@ -755,6 +763,9 @@ let parse_batch_line lineno line =
     | None -> line
   in
   let fail msg = failwith (Printf.sprintf "line %d: %s" lineno msg) in
+  (* the query and grid constructors reject bad values with
+     Invalid_argument; report those against the line too *)
+  let checked f = try f () with Invalid_argument msg -> fail msg in
   let tokens =
     String.split_on_char ' ' (String.trim line)
     |> List.concat_map (String.split_on_char '\t')
@@ -812,10 +823,11 @@ let parse_batch_line lineno line =
               | [ lo; hi; points ] ->
                   rs :=
                     Some
-                      (Numerics.Grid.linspace (float_of key lo)
-                         (float_of key hi) (int_of key points))
+                      (checked (fun () ->
+                           Numerics.Grid.linspace (float_of key lo)
+                             (float_of key hi) (int_of key points)))
               | _ -> fail "rs expects LO:HI:POINTS")
-          | "backend" -> backend := Some value
+          | "backend" -> backend := Some (String.lowercase_ascii value)
           | "trials" -> trials := int_of key value
           | "seed" -> seed := int_of key value
           | _ -> fail (Printf.sprintf "unknown key %s" key))
@@ -826,6 +838,7 @@ let parse_batch_line lineno line =
         else Engine.Query.Exact
       in
       let query =
+        checked @@ fun () ->
         match (!ns, !rs) with
         | Some _, Some _ -> fail "ns and rs are mutually exclusive"
         | Some ns, None ->
@@ -835,6 +848,56 @@ let parse_batch_line lineno line =
         | None, None -> Engine.Query.point ~accuracy qty !scenario ~n:!n ~r:!r
       in
       Some (query, !backend)
+
+(* Batch output: one line per answered point,
+   "QUANTITY SCENARIO n=N r=R VALUE", then a "# backend=B evals=E
+   cached=C" trailer per query.  Every line goes into one buffer, which
+   is written to stdout whenever it passes [spill_bytes] and once at the
+   end; stdout is never flushed per line (exit flushes it).  The line
+   prefix is built once per query and the " r=R " text once per run of
+   equal r (compared by bits, so -0 and 0 stay apart): an n-sweep
+   renders its r once. *)
+let spill_bytes = 65_536
+
+let emit_batch ~stats plans answers =
+  let b = Buffer.create 4096 in
+  let r_bits = ref (Int64.bits_of_float 0.) and r_text = ref " r=0 " in
+  Array.iteri
+    (fun i (pl : Engine.Plan.t) ->
+      let a = answers.(i) in
+      let q = pl.Engine.Plan.query in
+      let prefix =
+        Engine.Query.quantity_name q.Engine.Query.quantity ^ " "
+        ^ q.Engine.Query.scenario.Zeroconf.Params.name ^ " n="
+      in
+      Array.iter
+        (fun (pt : Engine.Answer.point) ->
+          let r = pt.Engine.Answer.r in
+          let bits = Int64.bits_of_float r in
+          if not (Int64.equal bits !r_bits) then begin
+            r_bits := bits;
+            r_text := Printf.sprintf " r=%g " r
+          end;
+          Buffer.add_string b prefix;
+          Buffer.add_string b (string_of_int pt.Engine.Answer.n);
+          Buffer.add_string b !r_text;
+          add_answer_value b pt.Engine.Answer.value;
+          Buffer.add_char b '\n';
+          if Buffer.length b >= spill_bytes then begin
+            Buffer.output_buffer stdout b;
+            Buffer.clear b
+          end)
+        a.Engine.Answer.points;
+      Printf.bprintf b "# backend=%s evals=%d cached=%b\n"
+        a.Engine.Answer.backend a.Engine.Answer.evals a.Engine.Answer.cached)
+    plans;
+  if stats then begin
+    Buffer.add_string b
+      (Format.asprintf "# cache: %a" Engine.Cache.pp_stats
+         (Engine.Cache.stats Engine.Cache.default));
+    Buffer.add_char b '\n'
+  end;
+  Buffer.output_buffer stdout b
 
 let batch_cmd =
   let file =
@@ -889,29 +952,7 @@ let batch_cmd =
         | exception Engine.Planner.Unsupported msg -> `Error (false, msg)
         | exception Invalid_argument msg -> `Error (false, msg)
         | plans ->
-            let answers = Engine.Executor.run_batch plans in
-            Array.iteri
-              (fun i (pl : Engine.Plan.t) ->
-                let a = answers.(i) in
-                let q = pl.Engine.Plan.query in
-                Array.iter
-                  (fun (pt : Engine.Answer.point) ->
-                    Output.Emit.print_line
-                      (Format.asprintf "%s %s n=%d r=%g %a"
-                         (Engine.Query.quantity_name q.Engine.Query.quantity)
-                         q.Engine.Query.scenario.Zeroconf.Params.name
-                         pt.Engine.Answer.n pt.Engine.Answer.r pp_answer_value
-                         pt.Engine.Answer.value))
-                  a.Engine.Answer.points;
-                Output.Emit.print_line
-                  (Printf.sprintf "# backend=%s evals=%d cached=%b"
-                     a.Engine.Answer.backend a.Engine.Answer.evals
-                     a.Engine.Answer.cached))
-              plans;
-            if stats then
-              Output.Emit.print_line
-                (Format.asprintf "# cache: %a" Engine.Cache.pp_stats
-                   (Engine.Cache.stats Engine.Cache.default));
+            emit_batch ~stats plans (Engine.Executor.run_batch plans);
             `Ok ())
   in
   Cmd.v

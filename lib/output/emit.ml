@@ -1,5 +1,4 @@
 let print_string = Stdlib.print_string
-let print_line s = Stdlib.print_endline s
 
 let prerr_line s =
   Stdlib.prerr_endline s
