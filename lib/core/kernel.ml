@@ -11,11 +11,12 @@
    are the same float by construction. *)
 module SF = Numerics.Safe_float
 
-type t = {
-  params : Params.t;
+(* The recurrence state is an all-float record, which OCaml stores
+   flat: [advance] overwrites its fields in place instead of boxing a
+   fresh float per field and step. *)
+type state = {
   r : float;
   s0 : float;
-  mutable n : int;
   mutable ratio : float;
   mutable pi : float;
   mutable log_pi : float;
@@ -26,46 +27,53 @@ type t = {
   mutable comp : float;
 }
 
+type t = { params : Params.t; mutable n : int; st : state }
+
 let create (p : Params.t) ~r =
   if r < 0. then invalid_arg "Kernel.create: negative listening period";
   { params = p;
-    r;
-    s0 = p.delay.survival 0.;
     n = 0;
-    ratio = 1.;
-    pi = 1.;
-    log_pi = 0.;
-    sum = 0.;
-    comp = 0. }
+    st =
+      { r;
+        s0 = p.delay.survival 0.;
+        ratio = 1.;
+        pi = 1.;
+        log_pi = 0.;
+        sum = 0.;
+        comp = 0. } }
 
-let copy k = { k with n = k.n }
+(* the float state is copied too: a snapshot must not move with the
+   cursor it was taken from *)
+let copy k = { k with st = { k.st with r = k.st.r } }
 let n k = k.n
-let r k = k.r
+let r k = k.st.r
 let params k = k.params
-let ratio k = k.ratio
-let pi k = k.pi
-let log_pi k = k.log_pi
-let sum_pi k = k.sum +. k.comp
+let ratio k = k.st.ratio
+let pi k = k.st.pi
+let log_pi k = k.st.log_pi
+let sum_pi k = k.st.sum +. k.st.comp
 
 let advance k =
+  let st = k.st in
   (* pi_n joins the prefix sum before the step to n + 1 *)
-  let x = k.pi in
-  let t = k.sum +. x in
-  if Float.abs k.sum >= Float.abs x then k.comp <- k.comp +. ((k.sum -. t) +. x)
-  else k.comp <- k.comp +. ((x -. t) +. k.sum);
-  k.sum <- t;
+  let x = st.pi in
+  let t = st.sum +. x in
+  if Float.abs st.sum >= Float.abs x then
+    st.comp <- st.comp +. ((st.sum -. t) +. x)
+  else st.comp <- st.comp +. ((x -. t) +. st.sum);
+  st.sum <- t;
   let i = k.n + 1 in
-  let s_ir = k.params.delay.survival (float_of_int i *. k.r) in
+  let s_ir = k.params.delay.survival (float_of_int i *. st.r) in
   (* the ratio guards S(0) = 0 (a reply certain at time 0); the log
      twin divides unguarded *)
-  let si = SF.div s_ir k.s0 in
-  k.ratio <- (if k.s0 <= 0. then 0. else si);
-  k.pi <- k.pi *. k.ratio;
+  let si = SF.div s_ir st.s0 in
+  st.ratio <- (if st.s0 <= 0. then 0. else si);
+  st.pi <- st.pi *. st.ratio;
   (* [si = 1.] skips the transcendental on the pre-round-trip plateau;
      IEEE guarantees [log 1. = +0.], so the sum is unchanged bit for
      bit *)
-  k.log_pi <-
-    (k.log_pi
+  st.log_pi <-
+    (st.log_pi
     +. (if si <= 0. then neg_infinity else if si = 1. then 0. else SF.log si));
   k.n <- i
 
@@ -81,11 +89,11 @@ let require_step name k =
 (* Eq. 3 *)
 let cost k =
   require_step "Kernel.cost" k;
-  let p = k.params in
-  let sum_pi = k.sum +. k.comp in
-  let pi_n = k.pi in
+  let p = k.params and st = k.st in
+  let sum_pi = st.sum +. st.comp in
+  let pi_n = st.pi in
   let numerator =
-    ((k.r +. p.probe_cost)
+    ((st.r +. p.probe_cost)
      *. ((float_of_int k.n *. (1. -. p.q)) +. (p.q *. sum_pi)))
     +. (p.q *. p.error_cost *. pi_n)
   in
@@ -97,14 +105,14 @@ let error_of_pi (p : Params.t) pi_n =
 
 let error_probability k =
   require_step "Kernel.error_probability" k;
-  error_of_pi k.params k.pi
+  error_of_pi k.params k.st.pi
 
 (* Eq. 4 in the log domain: pi_n may underflow, but the denominator
    stays near 1 - q, so it is evaluated with the rounded pi_n *)
 let log10_error k =
   require_step "Kernel.log10_error" k;
   let p = k.params in
-  let log_pi = k.log_pi in
+  let log_pi = k.st.log_pi in
   let pi_n = SF.exp log_pi in
   let denom = 1. -. (p.q *. (1. -. pi_n)) in
   SF.div (SF.log p.q +. log_pi -. SF.log denom) (SF.log 10.)

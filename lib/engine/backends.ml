@@ -123,181 +123,151 @@ module Kernel = struct
     | Query.Log10_error -> Zeroconf.Kernel.log10_error k
     | _ -> invalid_arg "Backends.Kernel: unsupported quantity"
 
-  (* A column's stops live in parallel unboxed arrays (ns/pis/qis), not
-     per-stop tuples: the batch path is only a win if its bookkeeping
-     allocates less than the cursor work it saves, and 50k boxed stops
-     cost more than the scan itself on point-dense batches. *)
-  type column = {
-    pl0 : Plan.t;          (* first plan of the column: scenario + r *)
-    r : float;
-    mutable fill : int;    (* next free stop slot during the fill pass *)
-    ns : int array;
-    pis : int array;
-    qis : int array;
-  }
+  (* Column ids, keyed by (scenario id, bits of r): bits, so -0 and 0
+     are two columns.  Monomorphic hash and equality; the polymorphic
+     ones walk the key generically and cost more than a one-stop
+     column's scan. *)
+  module Column_key = struct
+    type t = { sid : int; bits : int64 }
+
+    let equal a b = a.sid = b.sid && Int64.equal a.bits b.bits
+
+    (* fold the exponent bits into the low ones the table indexes by *)
+    let hash k =
+      let x = Int64.to_int k.bits lxor k.sid in
+      let x = (x lxor (x lsr 32)) * 0x2545F4914F6CDD1D in
+      (x lxor (x lsr 29)) land max_int
+  end
+
+  module Columns = Hashtbl.Make (Column_key)
 
   (* One streaming cursor per (scenario, r) column, amortized across
      every plan in the batch.  The cursor state at n does not depend on
      where reads happen, so merging plans' stops onto a shared scan is
      bitwise identical to running each plan alone; columns fan out over
-     the pool.  Advances between consecutive stops are attributed to
-     the plan owning the later stop, so per-plan evals sum to the scan
-     work actually done. *)
+     the pool.
+
+     Stops are numbered in batch order (stop = first.(pi) + qi) and
+     kept in flat per-stop arrays: plan, n and column.  A stable
+     counting sort by column gives each column one segment of [order];
+     a segment out of n order is stable-sorted by n, so every column
+     scans its stops in (n, pi, qi) order.  Advances between
+     consecutive stops are charged to the later one, so per-plan evals
+     sum to the scan work actually done.  A column writes only its own
+     stops' value and work slots, so the result does not depend on the
+     job count. *)
   let eval_batch ?pool (plans : Plan.t array) =
     check_batch ~name:"Kernel" ~route:Plan.Kernel ~supports plans;
-    (* pass 1: assign column indices in first-appearance order, count
-       stops per column, and remember each stop's column in a flat
-       array so pass 2 never re-hashes *)
-    let tbl = Hashtbl.create 32 in
-    let reps = ref [] in
-    let ncols = ref 0 in
-    let counts = ref (Array.make 16 0) in
-    let total =
-      Array.fold_left
-        (fun acc (pl : Plan.t) -> acc + Array.length pl.points)
-        0 plans
-    in
-    let stop_col = Array.make total 0 in
-    let slot = ref 0 in
-    Array.iter
-      (fun (pl : Plan.t) ->
-        (* consecutive points of a plan usually share a column (an
-           n-sweep is one), so skip the table when the bits repeat *)
-        let last_bits = ref 0L and last_c = ref (-1) in
-        Array.iter
-          (fun (_n, r) ->
-            let bits = Int64.bits_of_float r in
-            let c =
-              if !last_c >= 0 && Int64.equal bits !last_bits then !last_c
-              else begin
-                let c =
-                  let key = (pl.scenario_id, bits) in
-                  match Hashtbl.find_opt tbl key with
-                  | Some c -> c
-                  | None ->
-                      let c = !ncols in
-                      incr ncols;
-                      Hashtbl.add tbl key c;
-                      reps := (pl, r) :: !reps;
-                      if c >= Array.length !counts then begin
-                        let bigger = Array.make (2 * c) 0 in
-                        Array.blit !counts 0 bigger 0 (Array.length !counts);
-                        counts := bigger
-                      end;
-                      c
-                in
-                last_bits := bits;
-                last_c := c;
-                c
-              end
-            in
-            !counts.(c) <- !counts.(c) + 1;
-            stop_col.(!slot) <- c;
-            incr slot)
-          pl.points)
-      plans;
-    let reps = Array.of_list (List.rev !reps) in
-    let cols =
-      Array.init !ncols (fun c ->
-          let size = !counts.(c) in
-          let pl0, r = reps.(c) in
-          { pl0; r; fill = 0; ns = Array.make size 0;
-            pis = Array.make size 0; qis = Array.make size 0 })
-    in
-    (* pass 2: fill; flat slot order is ascending (pi, qi), so each
-       column's stop arrays come out sorted by batch position *)
-    let slot = ref 0 in
+    let nplans = Array.length plans in
+    let first = Array.make (nplans + 1) 0 in
+    (* runs of bit-equal r within a plan bound the column count *)
+    let runs = ref 0 in
     Array.iteri
       (fun pi (pl : Plan.t) ->
+        first.(pi + 1) <- first.(pi) + Array.length pl.points;
+        let last = ref 0L in
         Array.iteri
-          (fun qi (n, _r) ->
-            let col = cols.(stop_col.(!slot)) in
-            incr slot;
-            let j = col.fill in
-            col.fill <- j + 1;
-            col.ns.(j) <- n;
-            col.pis.(j) <- pi;
-            col.qis.(j) <- qi)
+          (fun qi (_n, r) ->
+            let bits = Int64.bits_of_float r in
+            if qi = 0 || not (Int64.equal bits !last) then incr runs;
+            last := bits)
           pl.points)
       plans;
-    let run_column (col : column) =
-      let size = Array.length col.ns in
-      (* scan permutation: ascending n, ties by fill order — i.e. by
-         (n, pi, qi), purely so the scan is deterministic; tied stops
-         read the same cursor state.  r-sweep batches fill each column
-         already ascending; merged n-sweep columns are a few ascending
-         runs, where a stable counting sort by n beats comparison
-         sorting the interleave.  (Comparison sort stays as the
-         fallback for columns whose n range dwarfs their stop count.) *)
-      let ns = col.ns in
-      let sorted = ref true in
-      for j = 1 to size - 1 do
-        if ns.(j) < ns.(j - 1) then sorted := false
-      done;
-      let idx =
-        if !sorted then Array.init size Fun.id
-        else
-          let max_n = Array.fold_left Int.max 0 ns in
-          if max_n > (16 * size) + 1024 then begin
-            let idx = Array.init size Fun.id in
-            Array.sort
-              (fun a b ->
-                let c = Int.compare ns.(a) ns.(b) in
-                if c <> 0 then c else Int.compare a b)
-              idx;
-            idx
-          end
-          else begin
-            let buckets = Array.make (max_n + 1) 0 in
-            Array.iter (fun n -> buckets.(n) <- buckets.(n) + 1) ns;
-            let acc = ref 0 in
-            for n = 0 to max_n do
-              let c = buckets.(n) in
-              buckets.(n) <- !acc;
-              acc := !acc + c
-            done;
-            let idx = Array.make size 0 in
-            Array.iteri
-              (fun j n ->
-                idx.(buckets.(n)) <- j;
-                buckets.(n) <- buckets.(n) + 1)
-              ns;
-            idx
-          end
-      in
-      let k = Zeroconf.Kernel.create col.pl0.query.Query.scenario ~r:col.r in
-      let at = ref 0 in
-      let vals = Array.make size 0. in
-      let works = Array.make size 0 in
-      Array.iter
-        (fun i ->
-          let n = ns.(i) in
-          Zeroconf.Kernel.advance_to k ~n;
-          vals.(i) <- read plans.(col.pis.(i)).Plan.query k;
-          works.(i) <- max 0 (n - !at);
-          at := max !at n)
-        idx;
-      (vals, works)
-    in
-    let results, wall_ns =
-      time_ns (fun () -> Exec.Parallel.map ?pool run_column cols)
-    in
-    let values =
-      Array.map (fun (pl : Plan.t) -> Array.make (Array.length pl.points) 0.) plans
-    in
-    let evals = Array.make (Array.length plans) 0 in
+    let total = first.(nplans) in
+    let stop_plan = Array.make total 0 in
+    let stop_n = Array.make total 0 in
+    let stop_col = Array.make total 0 in
+    let table = Columns.create !runs in
+    (* each column's first stop, which gives its scenario and r *)
+    let col_first = ref (Array.make (Int.min !runs 1024) 0) in
+    let ncols = ref 0 in
     Array.iteri
-      (fun c (vals, works) ->
-        let col = cols.(c) in
-        for j = 0 to Array.length col.ns - 1 do
-          values.(col.pis.(j)).(col.qis.(j)) <- vals.(j);
-          evals.(col.pis.(j)) <- evals.(col.pis.(j)) + works.(j)
-        done)
-      results;
+      (fun pi (pl : Plan.t) ->
+        let s0 = first.(pi) in
+        let last = ref 0L and c = ref (-1) in
+        Array.iteri
+          (fun qi (n, r) ->
+            let s = s0 + qi in
+            let bits = Int64.bits_of_float r in
+            if !c < 0 || not (Int64.equal bits !last) then begin
+              let key = { Column_key.sid = pl.scenario_id; bits } in
+              (c :=
+                 match Columns.find_opt table key with
+                 | Some c -> c
+                 | None ->
+                     let c = !ncols in
+                     if c = Array.length !col_first then begin
+                       let bigger = Array.make (2 * c) 0 in
+                       Array.blit !col_first 0 bigger 0 c;
+                       col_first := bigger
+                     end;
+                     !col_first.(c) <- s;
+                     incr ncols;
+                     Columns.add table key c;
+                     c);
+              last := bits
+            end;
+            stop_plan.(s) <- pi;
+            stop_n.(s) <- n;
+            stop_col.(s) <- !c)
+          pl.points)
+      plans;
+    let ncols = !ncols and col_first = !col_first in
+    (* stable counting sort by column: seg.(c) .. seg.(c + 1) - 1 *)
+    let seg = Array.make (ncols + 1) 0 in
+    Array.iter (fun c -> seg.(c + 1) <- seg.(c + 1) + 1) stop_col;
+    for c = 1 to ncols do
+      seg.(c) <- seg.(c) + seg.(c - 1)
+    done;
+    let order = Array.make total 0 in
+    let fill = Array.sub seg 0 ncols in
+    Array.iteri
+      (fun s c ->
+        order.(fill.(c)) <- s;
+        fill.(c) <- fill.(c) + 1)
+      stop_col;
+    let values = Array.make total 0. in
+    let works = Array.make total 0 in
+    let run_column c =
+      let lo = seg.(c) and hi = seg.(c + 1) in
+      let sorted = ref true in
+      for j = lo + 1 to hi - 1 do
+        if stop_n.(order.(j)) < stop_n.(order.(j - 1)) then sorted := false
+      done;
+      if not !sorted then begin
+        let part = Array.sub order lo (hi - lo) in
+        Array.stable_sort (fun a b -> Int.compare stop_n.(a) stop_n.(b)) part;
+        Array.blit part 0 order lo (hi - lo)
+      end;
+      let s0 = col_first.(c) in
+      let pl0 = plans.(stop_plan.(s0)) in
+      let r = snd pl0.points.(s0 - first.(stop_plan.(s0))) in
+      let k = Zeroconf.Kernel.create pl0.query.Query.scenario ~r in
+      for j = lo to hi - 1 do
+        let s = order.(j) in
+        let n = stop_n.(s) in
+        works.(s) <- n - Zeroconf.Kernel.n k;
+        Zeroconf.Kernel.advance_to k ~n;
+        values.(s) <- read plans.(stop_plan.(s)).Plan.query k
+      done
+    in
+    let (), wall_ns =
+      time_ns (fun () ->
+          Exec.Parallel.iter_chunks ?pool (Array.iter run_column)
+            (Array.init ncols Fun.id))
+    in
     Array.mapi
       (fun pi (pl : Plan.t) ->
-        answer ~backend:name ~evals:evals.(pi) ~wall_ns
-          (scalar_points pl.points values.(pi)))
+        let s0 = first.(pi) in
+        let evals = ref 0 in
+        let points =
+          Array.mapi
+            (fun qi (n, r) ->
+              evals := !evals + works.(s0 + qi);
+              { Answer.n; r; value = Answer.Scalar values.(s0 + qi) })
+            pl.points
+        in
+        answer ~backend:name ~evals:!evals ~wall_ns points)
       plans
 
   let eval ?pool (q : Query.t) =
