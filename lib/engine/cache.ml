@@ -24,20 +24,22 @@ let lookup t (plan : Plan.t) =
       None
 
 let store t (plan : Plan.t) (answer : Answer.t) =
-  (* capacity backstop: a wholesale reset is deterministic and keeps
-     the table bounded without an eviction order to maintain; workloads
-     here are sweeps that either fit or don't *)
+  (* capacity backstop: emptying the table wholesale is deterministic
+     and keeps it bounded without an eviction order to maintain;
+     workloads here are sweeps that either fit or don't.  [clear], not
+     [reset]: [reset] shrinks the bucket array to its initial size, and
+     it would grow back step by step after every wrap of a long batch *)
   if
     Hashtbl.length t.table >= t.capacity
     && not (Hashtbl.mem t.table (Plan.key plan))
-  then Hashtbl.reset t.table;
+  then Hashtbl.clear t.table;
   Hashtbl.replace t.table (Plan.key plan) { answer with Answer.cached = false }
 
 let stats (t : t) =
   { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.table }
 
 let clear t =
-  Hashtbl.reset t.table;
+  Hashtbl.clear t.table;
   t.hits <- 0;
   t.misses <- 0
 

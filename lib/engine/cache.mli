@@ -21,7 +21,7 @@ type stats = {
 
 val create : ?capacity:int -> unit -> t
 (** An empty cache.  When a store would push the table past
-    [capacity] (default 4096 entries), the table is reset wholesale —
+    [capacity] (default 4096 entries), the table is emptied wholesale —
     a deterministic backstop with no eviction order to maintain. *)
 
 val lookup : t -> Plan.t -> Answer.t option

@@ -15,7 +15,7 @@ let run_batch ?pool ?cache (plans : Plan.t array) =
      first occurrence is evaluated; the rest replay its stored answer
      below, counted as hits.  Without a cache the backends still
      amortize duplicates (shared cursor stops cost zero extra work). *)
-  let seen = Hashtbl.create 64 in
+  let seen = Hashtbl.create (Array.length plans) in
   Array.iteri
     (fun i pl ->
       match cache with

@@ -56,28 +56,61 @@ let scenario_id (p : Zeroconf.Params.t) =
 
 (* -- the structural key --------------------------------------------- *)
 
+(* Ints as decimal digits and floats as the 16 hex digits of their IEEE
+   bits: both exact and injective (-0 and 0 differ), and no Printf. *)
+let add_int = Output.Num_text.add_int
+
+let hex_digits = "0123456789abcdef"
+
+let add_float b x =
+  let bits = Int64.bits_of_float x in
+  for i = 15 downto 0 do
+    Buffer.add_char b
+      hex_digits.[Int64.to_int (Int64.shift_right_logical bits (4 * i)) land 15]
+  done
+
 let add_domain b (d : Query.domain) =
   match d with
-  | Query.Point { n; r } -> Printf.bprintf b "P:%d:%h" n r
+  | Query.Point { n; r } ->
+      Buffer.add_string b "P:";
+      add_int b n;
+      Buffer.add_char b ':';
+      add_float b r
   | Query.N_sweep { ns; r } ->
-      Printf.bprintf b "N:%h:" r;
-      Array.iter (fun n -> Printf.bprintf b "%d," n) ns
+      Buffer.add_string b "N:";
+      add_float b r;
+      Buffer.add_char b ':';
+      Array.iter
+        (fun n ->
+          add_int b n;
+          Buffer.add_char b ',')
+        ns
   | Query.R_sweep { n; rs } ->
-      Printf.bprintf b "R:%d:" n;
-      Array.iter (fun r -> Printf.bprintf b "%h," r) rs
+      Buffer.add_string b "R:";
+      add_int b n;
+      Buffer.add_char b ':';
+      Array.iter
+        (fun r ->
+          add_float b r;
+          Buffer.add_char b ',')
+        rs
 
 let add_accuracy b (a : Query.accuracy) =
   match a with
   | Query.Exact -> Buffer.add_string b "exact"
-  | Query.Sampled { trials; seed } -> Printf.bprintf b "sampled:%d:%d" trials seed
+  | Query.Sampled { trials; seed } ->
+      Buffer.add_string b "sampled:";
+      add_int b trials;
+      Buffer.add_char b ':';
+      add_int b seed
 
 let key_of ~route ~scenario_id (q : Query.t) =
-  let b = Buffer.create 512 in
+  let b = Buffer.create 64 in
   Buffer.add_string b (Query.quantity_name q.quantity);
   Buffer.add_char b '|';
   Buffer.add_string b (route_name route);
-  Buffer.add_char b '|';
-  Printf.bprintf b "#%d" scenario_id;
+  Buffer.add_string b "|#";
+  add_int b scenario_id;
   Buffer.add_char b '|';
   add_domain b q.domain;
   Buffer.add_char b '|';
@@ -92,8 +125,8 @@ let make ~route (q : Query.t) =
     scenario_id;
     points = Query.points q;
     (* computed on demand: the key is only read when a cache is in
-       play, and rendering a long domain in %h hex is a measurable
-       share of compile time on cache-off batch sweeps.  Forced only
+       play, and rendering a long domain is a measurable share of
+       compile time on cache-off batch sweeps.  Forced only
        from the caller's domain (executor partition, cache), never
        from pool workers. *)
     key = lazy (key_of ~route ~scenario_id q) }

@@ -47,8 +47,10 @@ val scenario_id : Zeroconf.Params.t -> int
 
 val key : t -> string
 (** The structural key: quantity, route, interned scenario id, every
-    domain point (floats in hex, so no precision is lost), and the
-    accuracy demand.  Two queries that would produce bitwise identical
+    domain point, and the accuracy demand.  Ints are written in
+    decimal and floats as the 16 hex digits of their IEEE bits, so no
+    precision is lost and [-0.] and [0.] differ; no [Printf] is
+    involved.  Two queries that would produce bitwise identical
     answers through the same route compile to equal keys; anything
     that could change a single output bit — including the route, since
     a forced backend may answer differently — changes the key. *)

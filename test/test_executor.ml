@@ -258,6 +258,51 @@ let test_singleton_batch_matches_scalar_provenance () =
   Alcotest.(check string) "backend" scalar.A.backend batch.(0).A.backend;
   Alcotest.(check int) "evals" scalar.A.evals batch.(0).A.evals
 
+(* -- Plan.key injectivity ---------------------------------------- *)
+
+let key ?(route = Engine.Plan.Kernel) q = Engine.Plan.key (Engine.Plan.make ~route q)
+
+let keys_differ what a b =
+  if String.equal a b then Alcotest.failf "%s: both keys are %s" what a
+
+let test_key_injective () =
+  let point r = Q.point Q.Mean_cost fig2 ~n:4 ~r in
+  keys_differ "r = 0 vs r = -0" (key (point 0.)) (key (point (-0.)));
+  let x = 0.75 in
+  Alcotest.(check string) "%g cannot tell x from its successor"
+    (Printf.sprintf "%g" x)
+    (Printf.sprintf "%g" (Float.succ x));
+  keys_differ "x vs succ x" (key (point x)) (key (point (Float.succ x)));
+  keys_differ "n-sweeps differing in one n"
+    (key (Q.n_sweep Q.Mean_cost fig2 ~ns:[| 1; 2; 3; 10 |] ~r:2.))
+    (key (Q.n_sweep Q.Mean_cost fig2 ~ns:[| 1; 2; 3; 11 |] ~r:2.));
+  keys_differ "r-sweeps differing in one r"
+    (key (Q.r_sweep Q.Mean_cost fig2 ~n:3 ~rs:[| 0.5; 1.; 1.5 |]))
+    (key (Q.r_sweep Q.Mean_cost fig2 ~n:3 ~rs:[| 0.5; Float.succ 1.; 1.5 |]));
+  let sampled seed = Q.Sampled { trials = 100; seed } in
+  let accurate accuracy = Q.point ~accuracy Q.Mean_cost fig2 ~n:4 ~r:2. in
+  keys_differ "exact vs sampled"
+    (key ~route:Engine.Plan.Mc (accurate Q.Exact))
+    (key ~route:Engine.Plan.Mc (accurate (sampled 1)));
+  keys_differ "seed 1 vs seed -1"
+    (key ~route:Engine.Plan.Mc (accurate (sampled 1)))
+    (key ~route:Engine.Plan.Mc (accurate (sampled (-1))));
+  let routes = Engine.Plan.[ Kernel; Analytic; Dtmc; Mc ] in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j then
+            keys_differ
+              (Engine.Plan.route_name a ^ " vs " ^ Engine.Plan.route_name b)
+              (key ~route:a (point 2.))
+              (key ~route:b (point 2.)))
+        routes)
+    routes;
+  Alcotest.(check string) "equal queries built apart"
+    (key (Q.r_sweep Q.Error_probability fig2 ~n:3 ~rs:[| 0.; 0.5; 1. |]))
+    (key (Q.r_sweep Q.Error_probability fig2 ~n:3 ~rs:[| 0.; 0.5; 1. |]))
+
 let () =
   Alcotest.run "executor"
     [ ( "batch equivalence",
@@ -273,4 +318,6 @@ let () =
           Alcotest.test_case "near-twin scenarios apart in one batch" `Quick
             test_near_twins_apart_in_batch;
           Alcotest.test_case "singleton batch = scalar provenance" `Quick
-            test_singleton_batch_matches_scalar_provenance ] ) ]
+            test_singleton_batch_matches_scalar_provenance ] );
+      ( "plan key",
+        [ Alcotest.test_case "injective" `Quick test_key_injective ] ) ]

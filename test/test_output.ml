@@ -278,6 +278,74 @@ let test_heatmap_validation () =
     Alcotest.fail "accepted mismatched ticks"
   with Invalid_argument _ -> ()
 
+(* ---------------- numbers to text ---------------- *)
+
+module Num_text = Output.Num_text
+
+(* ties at the printed precision (exact in binary), values just around
+   them, and the special values *)
+let special_floats =
+  [ 0.; -0.; infinity; neg_infinity; nan; Float.neg nan;
+    Int64.float_of_bits 1L; Int64.float_of_bits (-9223372036854775807L);
+    Float.min_float; max_float; -.max_float; Float.epsilon; 1.; -1.;
+    0.125; 0.375; 2.5; 1.005; 2.675; 1234565.; 1234575.; -1234565.;
+    1234567885.; 1234567895.; 12345678905.; 12345678915.; 1e21; 1e-5;
+    123456.5; 0.0001; 0.00001; 99999.95; 999999.5 ]
+
+let random_floats n =
+  let rng = Numerics.Rng.create 20031 in
+  List.init n (fun _ -> Int64.float_of_bits (Numerics.Rng.uint64 rng))
+
+(* every conversion the repo renders through Num_text, against the
+   Printf spelling it replaces *)
+let float_specs =
+  [ ("%g", Num_text.general ~digits:6, Printf.sprintf "%g");
+    ("%.6g", Num_text.general ~digits:6, Printf.sprintf "%.6g");
+    ("%.9g", Num_text.general ~digits:9, Printf.sprintf "%.9g");
+    ("%.10g", Num_text.general ~digits:10, Printf.sprintf "%.10g");
+    ("%.2f", Num_text.fixed ~decimals:2, Printf.sprintf "%.2f") ]
+
+let test_num_text_floats () =
+  let xs =
+    special_floats
+    @ List.concat_map (fun x -> [ Float.pred x; Float.succ x ]) special_floats
+    @ random_floats 20_000
+  in
+  List.iter
+    (fun (name, ours, printf) ->
+      List.iter
+        (fun x ->
+          let expected = printf x and got = ours x in
+          if not (String.equal expected got) then
+            Alcotest.failf "%s of %h: Printf %S, Num_text %S" name x expected
+              got)
+        xs)
+    float_specs
+
+let test_num_text_ints () =
+  let rng = Numerics.Rng.create 4242 in
+  let ints =
+    [ 0; -1; 1; 9; 10; -10; 99; 100; min_int; max_int; min_int + 1;
+      max_int - 1 ]
+    @ List.init 2001 (fun i -> i - 1000)
+    @ List.init 20_000 (fun _ -> Int64.to_int (Numerics.Rng.uint64 rng))
+  in
+  let b = Buffer.create 32 in
+  List.iter
+    (fun n ->
+      Buffer.clear b;
+      Num_text.add_int b n;
+      Alcotest.(check string) "add_int" (string_of_int n) (Buffer.contents b))
+    ints
+
+let test_num_text_guards () =
+  Alcotest.check_raises "negative digits"
+    (Invalid_argument "Num_text.general: negative precision") (fun () ->
+      ignore (Num_text.general ~digits:(-1) : float -> string));
+  Alcotest.check_raises "negative decimals"
+    (Invalid_argument "Num_text.fixed: negative precision") (fun () ->
+      ignore (Num_text.fixed ~decimals:(-1) : float -> string))
+
 let () =
   Alcotest.run "output"
     [ ( "heatmap",
@@ -306,6 +374,10 @@ let () =
       ( "table",
         [ Alcotest.test_case "text" `Quick test_table_text_alignment;
           Alcotest.test_case "markdown" `Quick test_table_markdown ] );
+      ( "num_text",
+        [ Alcotest.test_case "floats = Printf" `Quick test_num_text_floats;
+          Alcotest.test_case "add_int = string_of_int" `Quick test_num_text_ints;
+          Alcotest.test_case "guards" `Quick test_num_text_guards ] );
       ( "csv",
         [ Alcotest.test_case "quoting" `Quick test_csv_quoting;
           Alcotest.test_case "series join" `Quick test_csv_series_join;
