@@ -578,13 +578,21 @@ let quantity_conv name =
             latency)"
            name)
 
+let g6 = Output.Num_text.general ~digits:6
+let g10 = Output.Num_text.general ~digits:10
+
 (* The CLI's one rendering of an answer value: %.10g for an exact
    value, the mean and its 95% interval at %.6g for a sampled one. *)
 let add_answer_value b (v : Engine.Answer.value) =
   match v with
-  | Engine.Answer.Scalar x -> Printf.bprintf b "%.10g" x
+  | Engine.Answer.Scalar x -> Buffer.add_string b (g10 x)
   | Engine.Answer.Interval { mean; ci_lo; ci_hi } ->
-      Printf.bprintf b "%.6g [%.6g, %.6g]" mean ci_lo ci_hi
+      Buffer.add_string b (g6 mean);
+      Buffer.add_string b " [";
+      Buffer.add_string b (g6 ci_lo);
+      Buffer.add_string b ", ";
+      Buffer.add_string b (g6 ci_hi);
+      Buffer.add_char b ']'
 
 let pp_answer_value ppf v =
   let b = Buffer.create 32 in
@@ -754,7 +762,8 @@ let crosscheck_cmd =
 
 (* One query per line: QUANTITY [key=value ...].  Keys: scenario=NAME,
    n=INT, r=FLOAT, ns=LO:HI (inclusive int range), rs=LO:HI:POINTS
-   (linear grid), backend=NAME, trials=INT, seed=INT.  '#' starts a
+   (linear grid), backend=NAME, trials=INT, seed=INT.  Each key may
+   appear once, and ns excludes n and rs, rs excludes r.  '#' starts a
    comment; blank lines are skipped. *)
 let parse_batch_line lineno line =
   let line =
@@ -795,6 +804,7 @@ let parse_batch_line lineno line =
         | Some x -> x
         | None -> fail (Printf.sprintf "%s=%s is not a number" key v)
       in
+      let given = ref [] in
       List.iter
         (fun tok ->
           let key, value =
@@ -804,6 +814,9 @@ let parse_batch_line lineno line =
                   String.sub tok (i + 1) (String.length tok - i - 1) )
             | None -> fail (Printf.sprintf "expected key=value, got %s" tok)
           in
+          if List.mem key !given then
+            fail (Printf.sprintf "key %s given twice" key);
+          given := key :: !given;
           match key with
           | "scenario" -> (
               match List.assoc_opt value Zeroconf.Params.presets with
@@ -832,6 +845,12 @@ let parse_batch_line lineno line =
           | "seed" -> seed := int_of key value
           | _ -> fail (Printf.sprintf "unknown key %s" key))
         rest;
+      (* a key that would be ignored is an error, not a silent default *)
+      List.iter
+        (fun (a, b) ->
+          if List.mem a !given && List.mem b !given then
+            fail (Printf.sprintf "%s and %s are mutually exclusive" a b))
+        [ ("ns", "rs"); ("n", "ns"); ("r", "rs") ];
       let accuracy =
         if !backend = Some "mc" then
           Engine.Query.Sampled { trials = !trials; seed = !seed }
@@ -840,9 +859,7 @@ let parse_batch_line lineno line =
       let query =
         checked @@ fun () ->
         match (!ns, !rs) with
-        | Some _, Some _ -> fail "ns and rs are mutually exclusive"
-        | Some ns, None ->
-            Engine.Query.n_sweep ~accuracy qty !scenario ~ns ~r:!r
+        | Some ns, _ -> Engine.Query.n_sweep ~accuracy qty !scenario ~ns ~r:!r
         | None, Some rs ->
             Engine.Query.r_sweep ~accuracy qty !scenario ~n:!n ~rs
         | None, None -> Engine.Query.point ~accuracy qty !scenario ~n:!n ~r:!r
@@ -856,7 +873,8 @@ let parse_batch_line lineno line =
    end; stdout is never flushed per line (exit flushes it).  The line
    prefix is built once per query and the " r=R " text once per run of
    equal r (compared by bits, so -0 and 0 stay apart): an n-sweep
-   renders its r once. *)
+   renders its r once.  Numbers become text through Output.Num_text,
+   never through Printf. *)
 let spill_bytes = 65_536
 
 let emit_batch ~stats plans answers =
@@ -876,10 +894,10 @@ let emit_batch ~stats plans answers =
           let bits = Int64.bits_of_float r in
           if not (Int64.equal bits !r_bits) then begin
             r_bits := bits;
-            r_text := Printf.sprintf " r=%g " r
+            r_text := " r=" ^ g6 r ^ " "
           end;
           Buffer.add_string b prefix;
-          Buffer.add_string b (string_of_int pt.Engine.Answer.n);
+          Output.Num_text.add_int b pt.Engine.Answer.n;
           Buffer.add_string b !r_text;
           add_answer_value b pt.Engine.Answer.value;
           Buffer.add_char b '\n';
@@ -888,8 +906,13 @@ let emit_batch ~stats plans answers =
             Buffer.clear b
           end)
         a.Engine.Answer.points;
-      Printf.bprintf b "# backend=%s evals=%d cached=%b\n"
-        a.Engine.Answer.backend a.Engine.Answer.evals a.Engine.Answer.cached)
+      Buffer.add_string b "# backend=";
+      Buffer.add_string b a.Engine.Answer.backend;
+      Buffer.add_string b " evals=";
+      Output.Num_text.add_int b a.Engine.Answer.evals;
+      Buffer.add_string b " cached=";
+      Buffer.add_string b (string_of_bool a.Engine.Answer.cached);
+      Buffer.add_char b '\n')
     plans;
   if stats then begin
     Buffer.add_string b
