@@ -36,14 +36,12 @@ let write_series ~path ~x_label series =
           then invalid_arg "Csv.write_series: mismatched grids")
         rest;
       let header = x_label :: List.map fst series in
+      let cell = Num_text.general ~digits:9 in
       let rows =
         Array.to_list
           (Array.mapi
              (fun i x ->
-               Printf.sprintf "%.9g" x
-               :: List.map
-                    (fun (_, pts) -> Printf.sprintf "%.9g" (snd pts.(i)))
-                    series)
+               cell x :: List.map (fun (_, pts) -> cell (snd pts.(i))) series)
              xs)
       in
       write ~path ~header rows

@@ -30,13 +30,15 @@ let line t ?(stroke = "#000") ?(stroke_width = 1.) ?dash (x1, y1) (x2, y2) =
        {|<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="%.2f"%s/>|}
        x1 y1 x2 y2 stroke stroke_width (dash_attr dash))
 
+let coord = Num_text.fixed ~decimals:2
+
 let polyline t ?(stroke = "#000") ?(stroke_width = 1.5) ?dash points =
   match points with
   | [] | [ _ ] -> ()
   | _ ->
       let coords =
         String.concat " "
-          (List.map (fun (x, y) -> Printf.sprintf "%.2f,%.2f" x y) points)
+          (List.map (fun (x, y) -> coord x ^ "," ^ coord y) points)
       in
       push t
         (Printf.sprintf
