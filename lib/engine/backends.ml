@@ -178,8 +178,9 @@ module Kernel = struct
     let stop_n = Array.make total 0 in
     let stop_col = Array.make total 0 in
     let table = Columns.create !runs in
-    (* each column's first stop, which gives its scenario and r *)
-    let col_first = ref (Array.make (Int.min !runs 1024) 0) in
+    (* each column's first stop, which gives its scenario and r; a
+       column starts at a run, so there are at most [runs] of them *)
+    let col_first = Array.make !runs 0 in
     let ncols = ref 0 in
     Array.iteri
       (fun pi (pl : Plan.t) ->
@@ -196,12 +197,7 @@ module Kernel = struct
                  | Some c -> c
                  | None ->
                      let c = !ncols in
-                     if c = Array.length !col_first then begin
-                       let bigger = Array.make (2 * c) 0 in
-                       Array.blit !col_first 0 bigger 0 c;
-                       col_first := bigger
-                     end;
-                     !col_first.(c) <- s;
+                     col_first.(c) <- s;
                      incr ncols;
                      Columns.add table key c;
                      c);
@@ -212,7 +208,7 @@ module Kernel = struct
             stop_col.(s) <- !c)
           pl.points)
       plans;
-    let ncols = !ncols and col_first = !col_first in
+    let ncols = !ncols in
     (* stable counting sort by column: seg.(c) .. seg.(c + 1) - 1 *)
     let seg = Array.make (ncols + 1) 0 in
     Array.iter (fun c -> seg.(c + 1) <- seg.(c + 1) + 1) stop_col;
