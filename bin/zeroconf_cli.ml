@@ -984,6 +984,22 @@ let batch_cmd =
              rest grouped per backend so shared work amortizes.")
     Term.(ret (const run $ Cli_common.jobs_term $ file $ no_cache_term $ stats))
 
+(* ------------------------------------------------------------------ *)
+(* Paper reproduction                                                  *)
+
+let reproduce_cmd =
+  let run jobs =
+    Cli_common.with_jobs jobs @@ fun () ->
+    Reproduce.reproduce_all ();
+    `Ok ()
+  in
+  Cmd.v
+    (Cmd.info "reproduce"
+       ~doc:"Print every paper artifact (Figs. 2-6, Secs. 4.4, 4.5 and 6) \
+             and the validation and extension experiments, next to the \
+             paper's own numbers.")
+    Term.(ret (const run $ Cli_common.jobs_term))
+
 let () =
   let info =
     Cmd.info "zeroconf_cli" ~version:"1.0.0"
@@ -996,4 +1012,4 @@ let () =
             calibrate_cmd; simulate_cmd; curve_cmd; latency_cmd; refine_cmd;
             pareto_cmd; maintenance_cmd; export_cmd; workload_cmd; adaptive_cmd;
             report_cmd; fit_cmd; check_cmd; query_cmd; crosscheck_cmd;
-            batch_cmd ]))
+            batch_cmd; reproduce_cmd ]))
