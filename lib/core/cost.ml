@@ -11,35 +11,6 @@ let mean (p : Params.t) ~n ~r =
   Kernel.advance_to k ~n;
   Kernel.cost k
 
-let mean_log (p : Params.t) ~n ~r =
-  check "Cost.mean_log" n r;
-  let module L = Numerics.Logspace in
-  let q = L.of_float p.q in
-  let one_minus_q = L.of_float (1. -. p.q) in
-  (* pi_i in log space, using the same telescoped survival ratios; the
-     survival closure and S(0) are loop-invariant, and the prefix sum
-     accumulates in place in the fold order of [L.sum] *)
-  let s = p.delay.survival in
-  let s0 = s 0. in
-  let log_pi = ref 0. in
-  let sum_acc = ref L.zero in
-  for i = 1 to n do
-    sum_acc := L.add !sum_acc (L.of_log !log_pi);
-    let ratio = SF.div (s (float_of_int i *. r)) s0 in
-    log_pi := !log_pi +. (if ratio <= 0. then neg_infinity else SF.log ratio)
-  done;
-  let pi_n = L.of_log !log_pi in
-  let sum_pi = !sum_acc in
-  let r_plus_c = L.of_float (r +. p.probe_cost) in
-  let n_term = L.mul (L.of_float (float_of_int n)) one_minus_q in
-  let numerator =
-    L.add
-      (L.mul r_plus_c (L.add n_term (L.mul q sum_pi)))
-      (L.mul (L.mul q (L.of_float p.error_cost)) pi_n)
-  in
-  let denominator = L.sub L.one (L.mul q (L.sub L.one pi_n)) in
-  L.div numerator denominator
-
 let asymptote (p : Params.t) ~n ~r =
   check "Cost.asymptote" n r;
   let l = p.delay.mass in

@@ -14,11 +14,6 @@ val mean : Params.t -> n:int -> r:float -> float
 (** [C(n, r)], read off a {!Kernel} cursor advanced to [n].  Requires
     [n >= 1], [r >= 0]. *)
 
-val mean_log : Params.t -> n:int -> r:float -> Numerics.Logspace.t
-(** Log-domain evaluation of Eq. 3; agrees with {!mean} in double
-    range and continues to work when [q E pi_n(r)] overflows or
-    underflows doubles (ablation A1). *)
-
 val asymptote : Params.t -> n:int -> r:float -> float
 (** [A_n(r)]: the linear function [C_n] approaches for large [r]
     (Sec. 4.2).  Defined for defective delay distributions ([l < 1])

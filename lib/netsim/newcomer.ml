@@ -1,7 +1,6 @@
 type config = {
   probes : int;
   listen : float;
-  listen_jitter : (float * float) option;
   probe_cost : float;
   error_cost : float;
   immediate_abort : bool;
@@ -13,7 +12,6 @@ type config = {
 let default_config =
   { probes = 4;
     listen = 2.;
-    listen_jitter = None;
     probe_cost = 0.;
     error_cost = 0.;
     immediate_abort = true;
@@ -24,7 +22,6 @@ let default_config =
 let drm_config ~n ~r ~probe_cost ~error_cost =
   { probes = n;
     listen = r;
-    listen_jitter = None;
     probe_cost;
     error_cost;
     immediate_abort = false;
@@ -118,12 +115,8 @@ and send_probe t ~epoch ~k =
   if epoch = t.epoch && not t.finished then begin
     t.probes_sent <- t.probes_sent + 1;
     (* the draft randomizes the inter-probe spacing (PROBE_MIN..PROBE_MAX);
-       the paper's model fixes it at r *)
-    let listen =
-      match t.config.listen_jitter with
-      | None -> t.config.listen
-      | Some (lo, hi) -> Numerics.Rng.uniform t.rng ~lo ~hi
-    in
+       the paper's model, and this simulator, fix it at r *)
+    let listen = t.config.listen in
     t.cost <- t.cost +. listen +. t.config.probe_cost;
     Link.broadcast t.link ~sender:t.station
       (Packet.Arp_probe { sender = t.station; address = t.candidate });

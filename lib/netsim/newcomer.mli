@@ -12,11 +12,6 @@
 type config = {
   probes : int;          (** [n]. *)
   listen : float;        (** [r], seconds per listening period. *)
-  listen_jitter : (float * float) option;
-      (** When set, each listening period is drawn uniformly from
-          [(lo, hi)] instead of being exactly [listen] — the draft's
-          PROBE_MIN..PROBE_MAX randomization that the paper's model
-          fixes at [r]. *)
   probe_cost : float;    (** [c], postage per probe. *)
   error_cost : float;    (** [E], charged on accepting a collision. *)
   immediate_abort : bool;

@@ -18,9 +18,7 @@ let routes_agree (p : Params.t) ~n ~r =
   let eq4 = Zeroconf.Reliability.error_probability p ~n ~r in
   let drm = Zeroconf.Drm.build p ~n ~r in
   let label = Printf.sprintf "%s n=%d r=%g" p.Params.name n r in
-  (* cost: closed form = log-space = matrix = attempts decomposition *)
-  check_rel (label ^ " logspace") eq3
-    (Numerics.Logspace.to_float (Zeroconf.Cost.mean_log p ~n ~r));
+  (* cost: closed form = matrix = attempts decomposition *)
   check_rel (label ^ " matrix") eq3 (Zeroconf.Drm.mean_cost drm);
   (if p.Params.q > 0. then begin
      (* attempts needs an integer host count: snap q to hosts/pool *)
@@ -88,8 +86,12 @@ let test_randomized_scenarios () =
   done
 
 let test_phase_type_delay_consistency () =
-  (* a structured PH delay flows through every route too *)
-  let delay = Dist.Phase_type.hyperexponential ~mass:0.9 [ (0.6, 8.); (0.4, 1.5) ] in
+  (* a two-branch hyperexponential delay flows through every route too *)
+  let delay =
+    Dist.Families.mixture
+      [ (0.6, Dist.Families.exponential ~mass:0.9 ~rate:8. ());
+        (0.4, Dist.Families.exponential ~mass:0.9 ~rate:1.5 ()) ]
+  in
   let p = Params.v ~name:"ph" ~delay ~q:0.2 ~probe_cost:1. ~error_cost:500. in
   routes_agree p ~n:3 ~r:1.
 

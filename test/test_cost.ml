@@ -60,24 +60,6 @@ let test_asymptote_non_defective_limit () =
   in
   check_rel "continuity at l = 1" expected (Cost.asymptote p ~n ~r)
 
-let test_mean_log_agrees_in_range () =
-  List.iter
-    (fun (n, r) ->
-      check_rel
-        (Printf.sprintf "log path n=%d r=%g" n r)
-        (Cost.mean fig2 ~n ~r)
-        (Numerics.Logspace.to_float (Cost.mean_log fig2 ~n ~r)))
-    [ (1, 0.5); (3, 2.); (4, 2.); (8, 0.7); (5, 30.) ]
-
-let test_mean_log_beyond_double_range () =
-  (* E = 1e308 * 1e40 overflows doubles; the log path keeps going *)
-  let extreme = Params.with_costs ~error_cost:1e300 fig2 in
-  let v = Cost.mean_log extreme ~n:1 ~r:0.1 in
-  (* C_1(0.1) ~ qE since pi_1 = 1 below the round trip *)
-  check_rel "log magnitude"
-    (log (extreme.Params.q *. 1e300) )
-    (Numerics.Logspace.log_abs v)
-
 let test_derivative_sign_structure () =
   (* C_n falls to the minimum then rises: derivative negative before
      r_opt, positive after (figure2, n = 4, r_opt ~ 1.24) *)
@@ -115,14 +97,6 @@ let prop_eq3_matches_matrix_solution =
         (Cost.mean p ~n ~r)
         (Zeroconf.Drm.mean_cost drm))
 
-let prop_float_matches_logspace =
-  QCheck.Test.make ~name:"float and log-space evaluation agree" ~count:300
-    QCheck.(triple (make scenario_gen) (int_range 1 8) (float_range 0. 6.))
-    (fun (p, n, r) ->
-      Numerics.Safe_float.approx_eq ~rtol:1e-7 ~atol:1e-9
-        (Cost.mean p ~n ~r)
-        (Numerics.Logspace.to_float (Cost.mean_log p ~n ~r)))
-
 let prop_cost_at_least_free_run =
   QCheck.Test.make ~name:"cost >= n (r + c) (1 - q): the free-run floor"
     ~count:300
@@ -156,15 +130,11 @@ let () =
           Alcotest.test_case "linear" `Quick test_asymptote_linear;
           Alcotest.test_case "l = 1 continuity" `Quick
             test_asymptote_non_defective_limit ] );
-      ( "log-space path",
-        [ Alcotest.test_case "agrees in range" `Quick test_mean_log_agrees_in_range;
-          Alcotest.test_case "beyond double range" `Quick
-            test_mean_log_beyond_double_range ] );
       ( "shape",
         [ Alcotest.test_case "derivative signs" `Quick test_derivative_sign_structure;
           Alcotest.test_case "guards" `Quick test_guards ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_eq3_matches_matrix_solution; prop_float_matches_logspace;
-            prop_cost_at_least_free_run; prop_cost_increasing_in_error_cost;
-            prop_cost_increasing_in_postage ] ) ]
+          [ prop_eq3_matches_matrix_solution; prop_cost_at_least_free_run;
+            prop_cost_increasing_in_error_cost; prop_cost_increasing_in_postage ]
+      ) ]

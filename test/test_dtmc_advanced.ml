@@ -8,98 +8,6 @@ let check_close ?(tol = 1e-9) msg expected actual =
 let chain_of arrays labels =
   C.create ~states:(Ss.of_labels labels) (M.of_arrays arrays)
 
-(* ---------------- transient analysis ---------------- *)
-
-let flip = chain_of [| [| 0.5; 0.5 |]; [| 0.5; 0.5 |] |] [ "h"; "t" ]
-
-let test_distribution_after () =
-  let pi = Dtmc.Transient.distribution_after flip ~k:5 [| 1.; 0. |] in
-  check_close "mixes immediately" 0.5 pi.(0);
-  let pi0 = Dtmc.Transient.distribution_after flip ~k:0 [| 1.; 0. |] in
-  check_close "k = 0 is identity" 1. pi0.(0)
-
-let test_k_step_probability () =
-  let c = chain_of [| [| 0.; 1. |]; [| 1.; 0. |] |] [ "a"; "b" ] in
-  check_close "period 2: back after 2" 1.
-    (Dtmc.Transient.k_step_probability c ~k:2 ~from:0 ~to_:0);
-  check_close "period 2: away after 3" 1.
-    (Dtmc.Transient.k_step_probability c ~k:3 ~from:0 ~to_:1)
-
-let test_absorption_cdf_geometric () =
-  (* leave with prob 0.5 each step: P(absorbed by k) = 1 - 0.5^k *)
-  let c = chain_of [| [| 0.5; 0.5 |]; [| 0.; 1. |] |] [ "s"; "a" ] in
-  let cdf = Dtmc.Transient.absorption_cdf c ~from:0 ~horizon:6 in
-  Array.iteri
-    (fun k v ->
-      check_close (Printf.sprintf "cdf at %d" k) (1. -. (0.5 ** float_of_int k)) v)
-    cdf
-
-let test_expected_reward_within () =
-  (* pay 1 per step while unabsorbed; by horizon h the expected spend is
-     sum_{k<h} P(still transient at step k) = sum 0.5^k *)
-  let c = chain_of [| [| 0.5; 0.5 |]; [| 0.; 1. |] |] [ "s"; "a" ] in
-  let costs = M.create ~rows:2 ~cols:2 in
-  M.set costs 0 0 1.;
-  M.set costs 0 1 1.;
-  let r = Dtmc.Reward.create ~transition_rewards:costs c in
-  let expected h =
-    let acc = ref 0. in
-    for k = 0 to h - 1 do
-      acc := !acc +. (0.5 ** float_of_int k)
-    done;
-    !acc
-  in
-  List.iter
-    (fun h ->
-      check_close
-        (Printf.sprintf "horizon %d" h)
-        (expected h)
-        (Dtmc.Transient.expected_reward_within r ~from:0 ~horizon:h))
-    [ 0; 1; 2; 5; 20 ]
-
-(* ---------------- stationary distributions ---------------- *)
-
-let test_gth_two_state () =
-  (* a -> b at 0.2, b -> a at 0.4: pi = (2/3, 1/3) *)
-  let c = chain_of [| [| 0.8; 0.2 |]; [| 0.4; 0.6 |] |] [ "a"; "b" ] in
-  let pi = Dtmc.Stationary.gth c in
-  check_close "pi_a" (2. /. 3.) pi.(0);
-  check_close "pi_b" (1. /. 3.) pi.(1);
-  Alcotest.(check bool) "verified stationary" true (Dtmc.Stationary.is_stationary c pi)
-
-let test_gth_matches_power_iteration () =
-  let c =
-    chain_of
-      [| [| 0.5; 0.3; 0.2 |]; [| 0.1; 0.8; 0.1 |]; [| 0.3; 0.3; 0.4 |] |]
-      [ "x"; "y"; "z" ]
-  in
-  let gth = Dtmc.Stationary.gth c in
-  let power = Dtmc.Stationary.power_iteration c in
-  Alcotest.(check bool) "agree" true
-    (Numerics.Vector.approx_eq ~rtol:1e-8 ~atol:1e-10 gth power)
-
-let test_gth_birth_death () =
-  (* random walk on 0..3 with reflecting ends; detailed balance gives a
-     closed form to compare against *)
-  let up = 0.3 and down = 0.2 in
-  let n = 4 in
-  let m = M.create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    let u = if i < n - 1 then up else 0. in
-    let d = if i > 0 then down else 0. in
-    if u > 0. then M.set m i (i + 1) u;
-    if d > 0. then M.set m i (i - 1) d;
-    M.set m i i (1. -. u -. d)
-  done;
-  let c = C.create ~states:(Ss.of_labels [ "0"; "1"; "2"; "3" ]) m in
-  let pi = Dtmc.Stationary.gth c in
-  let ratio = up /. down in
-  let unnorm = Array.init n (fun i -> ratio ** float_of_int i) in
-  let total = Numerics.Safe_float.sum unnorm in
-  Array.iteri
-    (fun i u -> check_close (Printf.sprintf "pi_%d" i) (u /. total) pi.(i))
-    unnorm
-
 (* ---------------- reachability ---------------- *)
 
 (* diamond: s -> l (0.3) / r (0.7); l -> goal; r -> trap *)
@@ -148,46 +56,6 @@ let test_bounded_reachability () =
   check_close "horizon 0 from non-target" 0. v0.(0);
   check_close "horizon 0 from target" 1. v0.(1)
 
-(* ---------------- sparse matrices ---------------- *)
-
-let test_sparse_roundtrip () =
-  let dense =
-    M.of_arrays [| [| 0.; 1.; 0. |]; [| 2.; 0.; 3. |]; [| 0.; 0.; 0. |] |]
-  in
-  let s = Dtmc.Sparse.of_matrix dense in
-  Alcotest.(check int) "nnz" 3 (Dtmc.Sparse.nnz s);
-  Alcotest.(check bool) "roundtrip" true
-    (M.approx_eq dense (Dtmc.Sparse.to_matrix s));
-  check_close "get hit" 3. (Dtmc.Sparse.get s 1 2);
-  check_close "get miss" 0. (Dtmc.Sparse.get s 2 0)
-
-let test_sparse_of_rows_sums_duplicates () =
-  let s = Dtmc.Sparse.of_rows ~rows:2 ~cols:2 [ (0, 1, 1.); (0, 1, 2.) ] in
-  check_close "summed" 3. (Dtmc.Sparse.get s 0 1);
-  Alcotest.(check int) "single entry" 1 (Dtmc.Sparse.nnz s)
-
-let test_sparse_mul_vec_matches_dense () =
-  let dense =
-    M.of_arrays [| [| 0.5; 0.; 0.5 |]; [| 0.1; 0.2; 0.7 |]; [| 0.; 0.; 1. |] |]
-  in
-  let s = Dtmc.Sparse.of_matrix dense in
-  let v = [| 1.; 2.; 3. |] in
-  Alcotest.(check bool) "mul_vec" true
-    (Numerics.Vector.approx_eq (M.mul_vec dense v) (Dtmc.Sparse.mul_vec s v));
-  Alcotest.(check bool) "vec_mul" true
-    (Numerics.Vector.approx_eq (M.vec_mul v dense) (Dtmc.Sparse.vec_mul v s))
-
-let test_sparse_jacobi_matches_lu () =
-  (* (I - Q) x = b with substochastic Q from the ruin chain *)
-  let q =
-    M.of_arrays [| [| 0.; 0.5; 0. |]; [| 0.5; 0.; 0.5 |]; [| 0.; 0.5; 0. |] |]
-  in
-  let b = [| 1.; 1.; 1. |] in
-  let lu = Numerics.Lu.solve (M.sub (M.identity 3) q) b in
-  let jacobi = Dtmc.Sparse.jacobi_solve (Dtmc.Sparse.of_matrix q) b in
-  Alcotest.(check bool) "agree" true
-    (Numerics.Vector.approx_eq ~rtol:1e-8 ~atol:1e-10 lu jacobi)
-
 (* ---------------- simulation ---------------- *)
 
 let test_simulate_ruin () =
@@ -225,25 +93,11 @@ let test_simulate_path_structure () =
 
 let () =
   Alcotest.run "dtmc_advanced"
-    [ ( "transient",
-        [ Alcotest.test_case "distribution_after" `Quick test_distribution_after;
-          Alcotest.test_case "k-step" `Quick test_k_step_probability;
-          Alcotest.test_case "absorption cdf" `Quick test_absorption_cdf_geometric;
-          Alcotest.test_case "finite-horizon reward" `Quick test_expected_reward_within ] );
-      ( "stationary",
-        [ Alcotest.test_case "two-state" `Quick test_gth_two_state;
-          Alcotest.test_case "gth vs power" `Quick test_gth_matches_power_iteration;
-          Alcotest.test_case "birth-death" `Quick test_gth_birth_death ] );
-      ( "reachability",
+    [ ( "reachability",
         [ Alcotest.test_case "probabilities" `Quick test_reachability_prob;
           Alcotest.test_case "qualitative" `Quick test_reachability_qualitative;
           Alcotest.test_case "vs absorption" `Quick test_reachability_vs_absorption;
           Alcotest.test_case "bounded" `Quick test_bounded_reachability ] );
-      ( "sparse",
-        [ Alcotest.test_case "roundtrip" `Quick test_sparse_roundtrip;
-          Alcotest.test_case "duplicate triples" `Quick test_sparse_of_rows_sums_duplicates;
-          Alcotest.test_case "mul matches dense" `Quick test_sparse_mul_vec_matches_dense;
-          Alcotest.test_case "jacobi vs lu" `Quick test_sparse_jacobi_matches_lu ] );
       ( "simulation",
         [ Alcotest.test_case "ruin" `Quick test_simulate_ruin;
           Alcotest.test_case "reward" `Quick test_simulate_reward_matches_analytic;

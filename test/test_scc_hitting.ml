@@ -8,67 +8,6 @@ let chain_of arrays labels =
 let check_close ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
 
-(* two communicating pairs, one transient bridge:
-   t -> a1 | b1; {a1, a2} cycle; {b1, b2} cycle *)
-let two_cycles =
-  chain_of
-    [| [| 0.; 0.5; 0.; 0.5; 0. |];
-       [| 0.; 0.; 1.; 0.; 0. |];
-       [| 0.; 1.; 0.; 0.; 0. |];
-       [| 0.; 0.; 0.; 0.; 1. |];
-       [| 0.; 0.; 0.; 1.; 0. |] |]
-    [ "t"; "a1"; "a2"; "b1"; "b2" ]
-
-let test_tarjan_components () =
-  let scc = Dtmc.Scc.tarjan two_cycles in
-  Alcotest.(check int) "three components" 3 scc.Dtmc.Scc.count;
-  (* a1/a2 together, b1/b2 together, t alone *)
-  Alcotest.(check int) "a-pair together" scc.Dtmc.Scc.component.(1)
-    scc.Dtmc.Scc.component.(2);
-  Alcotest.(check int) "b-pair together" scc.Dtmc.Scc.component.(3)
-    scc.Dtmc.Scc.component.(4);
-  Alcotest.(check bool) "t separate" true
-    (scc.Dtmc.Scc.component.(0) <> scc.Dtmc.Scc.component.(1)
-    && scc.Dtmc.Scc.component.(0) <> scc.Dtmc.Scc.component.(3))
-
-let test_bottom_components () =
-  let bsccs = Dtmc.Scc.bottom_components two_cycles in
-  Alcotest.(check int) "two BSCCs" 2 (List.length bsccs);
-  let sorted = List.sort compare bsccs in
-  Alcotest.(check (list (list int))) "the two cycles" [ [ 1; 2 ]; [ 3; 4 ] ] sorted
-
-let test_bsccs_of_absorbing_chain_are_singletons () =
-  let drm = Zeroconf.Drm.build Zeroconf.Params.figure2 ~n:4 ~r:2. in
-  let bsccs = Dtmc.Scc.bottom_components drm.Zeroconf.Drm.chain in
-  let sorted = List.sort compare bsccs in
-  Alcotest.(check (list (list int))) "error and ok"
-    [ [ drm.Zeroconf.Drm.error ]; [ drm.Zeroconf.Drm.ok ] ]
-    sorted
-
-let test_irreducibility () =
-  let cycle = chain_of [| [| 0.; 1. |]; [| 1.; 0. |] |] [ "a"; "b" ] in
-  Alcotest.(check bool) "cycle irreducible" true (Dtmc.Scc.is_irreducible cycle);
-  Alcotest.(check bool) "two_cycles reducible" false
-    (Dtmc.Scc.is_irreducible two_cycles)
-
-let test_members () =
-  let scc = Dtmc.Scc.tarjan two_cycles in
-  let id = scc.Dtmc.Scc.component.(1) in
-  Alcotest.(check (list int)) "members ascending" [ 1; 2 ]
-    (Dtmc.Scc.members scc id)
-
-let test_tarjan_deep_chain_no_stack_overflow () =
-  (* a 20k-deep forward path would blow a recursive implementation; the
-     adjacency entry point runs Tarjan's core without materializing the
-     dense n x n transition matrices a Chain.t of this size needs *)
-  let n = 20_000 in
-  let successors i = if i < n - 1 then [ i + 1 ] else [] in
-  let scc = Dtmc.Scc.tarjan_adjacency ~size:n ~successors in
-  Alcotest.(check int) "all singleton components" n scc.Dtmc.Scc.count;
-  (* reverse topological ids: the sink gets 0, the source n - 1 *)
-  Alcotest.(check int) "sink first" 0 scc.Dtmc.Scc.component.(n - 1);
-  Alcotest.(check int) "source last" (n - 1) scc.Dtmc.Scc.component.(0)
-
 (* ---------------- hitting times ---------------- *)
 
 let test_hitting_on_cycle () =
@@ -136,16 +75,7 @@ let test_hitting_guards () =
 
 let () =
   Alcotest.run "scc_hitting"
-    [ ( "tarjan",
-        [ Alcotest.test_case "components" `Quick test_tarjan_components;
-          Alcotest.test_case "bottom components" `Quick test_bottom_components;
-          Alcotest.test_case "absorbing singletons" `Quick
-            test_bsccs_of_absorbing_chain_are_singletons;
-          Alcotest.test_case "irreducibility" `Quick test_irreducibility;
-          Alcotest.test_case "members" `Quick test_members;
-          Alcotest.test_case "deep chain (iterative)" `Quick
-            test_tarjan_deep_chain_no_stack_overflow ] );
-      ( "hitting",
+    [ ( "hitting",
         [ Alcotest.test_case "cycle" `Quick test_hitting_on_cycle;
           Alcotest.test_case "geometric" `Quick test_hitting_geometric;
           Alcotest.test_case "infinite when avoidable" `Quick
