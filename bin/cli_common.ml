@@ -12,20 +12,21 @@ let jobs_term =
         ~doc:"Worker domains for parallel sweeps (default: \
               $(b,ZEROCONF_JOBS) if set, else 1).")
 
-let check_jobs = function
-  | Some jobs when jobs < 1 ->
-      Some (Printf.sprintf "option '--jobs': %d is not a positive integer" jobs)
-  | _ -> None
-
-let apply_jobs = function
-  | Some jobs -> Exec.Pool.set_jobs jobs
-  | None -> if Sys.getenv_opt "ZEROCONF_JOBS" = None then Exec.Pool.set_jobs 1
-
 (* [with_jobs jobs k] validates and applies the worker count, then runs
-   [k]; returns a [`Error] for cmdliner's [Term.ret] on a bad count. *)
+   [k]; returns a [`Error] for cmdliner's [Term.ret] on a bad count,
+   from the flag or from a malformed ZEROCONF_JOBS. *)
 let with_jobs jobs k =
-  match check_jobs jobs with
-  | Some msg -> `Error (false, msg)
-  | None ->
-      apply_jobs jobs;
+  match jobs with
+  | Some jobs when jobs < 1 ->
+      `Error
+        (false, Printf.sprintf "option '--jobs': %d is not a positive integer" jobs)
+  | Some jobs ->
+      Exec.Pool.set_jobs jobs;
       k ()
+  | None -> (
+      match Exec.Pool.env_jobs () with
+      | Error msg -> `Error (false, msg)
+      | Ok None ->
+          Exec.Pool.set_jobs 1;
+          k ()
+      | Ok (Some _) -> k ())

@@ -112,19 +112,25 @@ let the_pool = ref None
 
 let env_jobs () =
   match Sys.getenv_opt "ZEROCONF_JOBS" with
-  | None -> None
+  | None -> Ok None
   | Some text -> (
       match int_of_string_opt (String.trim text) with
-      | Some jobs when jobs >= 1 -> Some jobs
-      | Some _ | None -> None)
+      | Some jobs when jobs >= 1 -> Ok (Some jobs)
+      | Some _ | None ->
+          Error
+            (Printf.sprintf
+               "environment variable 'ZEROCONF_JOBS': '%s' is not a positive \
+                integer"
+               text))
 
 let default_jobs () =
   match !requested_jobs with
   | Some jobs -> jobs
   | None -> (
       match env_jobs () with
-      | Some jobs -> jobs
-      | None -> Domain.recommended_domain_count ())
+      | Ok (Some jobs) -> jobs
+      | Ok None -> Domain.recommended_domain_count ()
+      | Error msg -> invalid_arg ("Pool.default_jobs: " ^ msg))
 
 let set_jobs jobs =
   if jobs < 1 then invalid_arg "Pool.set_jobs: jobs < 1";

@@ -42,8 +42,14 @@ val shutdown : t -> unit
     else the [ZEROCONF_JOBS] environment variable, else
     [Domain.recommended_domain_count ()]. *)
 
+val env_jobs : unit -> (int option, string) result
+(** [ZEROCONF_JOBS], parsed: [Ok None] when unset, [Ok (Some jobs)] for
+    a positive integer (surrounding blanks allowed, so [" 2 "] reads
+    as 2), and [Error message] for anything else. *)
+
 val default_jobs : unit -> int
-(** The job count the next {!get} will use. *)
+(** The job count the next {!get} will use.  Raises [Invalid_argument]
+    if it would come from a malformed [ZEROCONF_JOBS]. *)
 
 val set_jobs : int -> unit
 (** Pin the default job count (the [--jobs] CLI flag lands here).
