@@ -33,7 +33,7 @@ let r1_scoped () =
        let f x = SF.div (SF.log x) (SF.exp x)\n"
     [];
   check_hits "non-probability modules are out of R1 scope"
-    ~path:"lib/numerics/integrate.ml" ~source:"let f x = log x /. exp x\n" []
+    ~path:"lib/numerics/grid.ml" ~source:"let f x = log x /. exp x\n" []
 
 let r1_engine_pipeline () =
   (* the engine's plan/executor/cache joined the probability path when
@@ -130,7 +130,7 @@ let r4_scoped () =
 (* -- R5: interface discipline -------------------------------------- *)
 
 let r5_obj () =
-  check_hits "Obj.magic is never sanctioned" ~path:"lib/dtmc/sparse.ml"
+  check_hits "Obj.magic is never sanctioned" ~path:"lib/dtmc/chain.ml"
     ~source:"let f x = Obj.magic x\n"
     [ ("R5", 1, "Obj.magic") ]
 
@@ -144,6 +144,47 @@ let r5_missing_mli () =
     "only the interface-less lib module is flagged"
     [ ("R5", "lib/core/orphan.ml") ]
     (List.map (fun (f : Finding.t) -> (f.rule, f.file)) fs)
+
+(* -- R6: every lib module has a product caller ---------------------- *)
+
+let wrappers = [ ("lib/numerics", "Numerics"); ("lib/core", "Zeroconf") ]
+
+let unreached sources =
+  List.map
+    (fun (f : Finding.t) -> (f.rule, f.file, f.ident))
+    (Rules.unreached_findings ~wrappers sources)
+
+let r6_unreached () =
+  Alcotest.(check (list (triple string string string)))
+    "a lib module no bin/ source reaches is flagged, its .mli is not"
+    [ ("R6", "lib/numerics/orphan.ml", "Numerics.Orphan") ]
+    (unreached
+       [ ("bin/main.ml", "let g = Numerics.Grid.linspace 0. 1. 3\n");
+         ("lib/numerics/grid.ml", "let linspace a b n = [| a; b |]\n");
+         ("lib/numerics/orphan.ml", "let x = 1\n");
+         ("lib/numerics/orphan.mli", "val x : int\n") ]);
+  Alcotest.(check (list (triple string string string)))
+    "bench/ is no root" [ ("R6", "lib/numerics/grid.ml", "Numerics.Grid") ]
+    (unreached
+       [ ("bin/main.ml", "let () = ()\n");
+         ("bench/main.ml", "let g = Numerics.Grid.linspace\n");
+         ("lib/numerics/grid.ml", "let linspace = ()\n") ]);
+  Alcotest.(check (list (triple string string string)))
+    "without a bin/ source nothing is flagged" []
+    (unreached [ ("lib/numerics/orphan.ml", "let x = 1\n") ])
+
+let r6_reached () =
+  Alcotest.(check (list (triple string string string)))
+    "an alias, an open and a bare same-library name all reach" []
+    (unreached
+       [ ("bin/main.ml",
+          "module M = Numerics.Matrix\n\
+           open Zeroconf\n\
+           let c = Cost.mean\n");
+         ("lib/numerics/matrix.ml", "let create = Vector.create\n");
+         ("lib/numerics/vector.ml", "let create () = [||]\n");
+         ("lib/core/cost.ml", "let mean (p : Params.t) = p\n");
+         ("lib/core/params.ml", "type t = float\n") ])
 
 (* -- E0: parse failures are findings, not crashes ------------------ *)
 
@@ -246,6 +287,9 @@ let () =
           Alcotest.test_case "R4 scoping" `Quick r4_scoped;
           Alcotest.test_case "R5 Obj" `Quick r5_obj;
           Alcotest.test_case "R5 missing mli" `Quick r5_missing_mli;
+          Alcotest.test_case "R6 unreached module" `Quick r6_unreached;
+          Alcotest.test_case "R6 alias, open and same-library name" `Quick
+            r6_reached;
           Alcotest.test_case "E0 parse error" `Quick e0_parse_error ] );
       ( "allowlist",
         [ Alcotest.test_case "permits" `Quick allowlist_permits;

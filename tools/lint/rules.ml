@@ -12,8 +12,8 @@
    The catalogue:
    - R1 float hygiene: no raw [log]/[exp]/[**]/[/.] in the
      probability-carrying modules — those must spell the operation
-     through [Numerics.Safe_float] / [Numerics.Logspace] so every
-     NaN-capable primitive on the Eq. 3/4 path has one audit point.
+     through [Numerics.Safe_float] so every NaN-capable primitive on
+     the Eq. 3/4 path has one audit point.
    - R2 determinism: no [Random.*] anywhere (RNG only via
      [Numerics.Rng]); no wall-clock reads outside [bench/].
    - R3 concurrency containment: [Domain]/[Atomic]/[Mutex]/[Condition]/
@@ -21,7 +21,9 @@
    - R4 I/O containment: no stdout/stderr writes inside [lib/] except
      [lib/output/].
    - R5 interface discipline: every [lib] module has an [.mli]; no
-     [Obj.magic] family anywhere. *)
+     [Obj.magic] family anywhere.
+   - R6 product callers: every [lib] module is reached, through module
+     paths, from some [bin/] source. *)
 
 (* -- path classification ------------------------------------------- *)
 
@@ -45,8 +47,8 @@ let in_bench path = starts_with ~prefix:"bench/" path
 (* The probability-carrying modules: everything that assembles Eq. 1-4
    quantities (pi_i, Eq. 3 cost, Eq. 4 error probability) out of raw
    floats.  Extend this list as new modules join that path; the
-   numerics substrate itself (Safe_float, Logspace) is the sanctioned
-   home of the primitives and is deliberately absent. *)
+   numerics substrate itself (Safe_float) is the sanctioned home of
+   the primitives and is deliberately absent. *)
 let probability_modules =
   [ "lib/core/probes.ml";
     "lib/core/cost.ml";
@@ -102,8 +104,7 @@ let check_ident ~path ident : (string * string * string) option =
       ( "R1",
         Printf.sprintf
           "raw float primitive `%s` in a probability-carrying module" ident,
-        "spell it via Numerics.Safe_float.{log,exp,pow,div} or \
-         Numerics.Logspace" )
+        "spell it via Numerics.Safe_float.{log,exp,pow,div}" )
   else if head ident = "Random" then
     Some
       ( "R2",
@@ -237,8 +238,182 @@ let missing_mli_findings files =
       else None)
     files
 
-let lint_files files =
-  let ast_findings =
-    List.concat_map (fun f -> lint_source ~path:f (read_file f)) files
+(* -- R6, tree level: every lib module has a product caller ---------- *)
+
+(* The module paths a source mentions (values, constructors, fields,
+   types, module expressions and types), and the paths it opens.  An
+   open counts for the whole file: over-approximating what a file
+   reaches can hide an unreached module, never invent one.  Sources
+   that do not parse mention nothing; E0 reports them. *)
+let module_paths ~path source =
+  let paths = ref [] and opens = ref [] in
+  let add { Location.txt; _ } = paths := Longident.flatten txt :: !paths in
+  let open Ast_iterator in
+  let expr this (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_ident l | Pexp_construct (l, _) | Pexp_field (_, l)
+    | Pexp_setfield (_, l, _) | Pexp_new l ->
+        add l
+    | Pexp_record (fields, _) -> List.iter (fun (l, _) -> add l) fields
+    | _ -> ());
+    default_iterator.expr this e
   in
-  List.sort Finding.compare (ast_findings @ missing_mli_findings files)
+  let pat this (p : Parsetree.pattern) =
+    (match p.ppat_desc with
+    | Ppat_construct (l, _) | Ppat_type l -> add l
+    | Ppat_record (fields, _) -> List.iter (fun (l, _) -> add l) fields
+    | _ -> ());
+    default_iterator.pat this p
+  in
+  let typ this (t : Parsetree.core_type) =
+    (match t.ptyp_desc with
+    | Ptyp_constr (l, _) | Ptyp_class (l, _) -> add l
+    | _ -> ());
+    default_iterator.typ this t
+  in
+  let module_expr this (m : Parsetree.module_expr) =
+    (match m.pmod_desc with Pmod_ident l -> add l | _ -> ());
+    default_iterator.module_expr this m
+  in
+  let module_type this (m : Parsetree.module_type) =
+    (match m.pmty_desc with Pmty_ident l | Pmty_alias l -> add l | _ -> ());
+    default_iterator.module_type this m
+  in
+  let open_declaration this (o : Parsetree.open_declaration) =
+    (match o.popen_expr.pmod_desc with
+    | Pmod_ident { txt; _ } -> opens := Longident.flatten txt :: !opens
+    | _ -> ());
+    default_iterator.open_declaration this o
+  in
+  let open_description this (o : Parsetree.open_description) =
+    add o.popen_expr;
+    opens := Longident.flatten o.popen_expr.txt :: !opens;
+    default_iterator.open_description this o
+  in
+  let it =
+    { default_iterator with
+      expr; pat; typ; module_expr; module_type; open_declaration;
+      open_description }
+  in
+  let lexbuf = Lexing.from_string source in
+  Location.init lexbuf path;
+  (try
+     if Filename.check_suffix path ".mli" then
+       it.signature it (Parse.interface lexbuf)
+     else it.structure it (Parse.implementation lexbuf)
+   with _ -> ());
+  (!paths, !opens)
+
+(* The library wrapper module of each lib/ directory among [files], from
+   the [(name ...)] of its [(library ...)] stanza in [dir/dune]. *)
+let library_wrappers files =
+  let dirs =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun f -> if in_lib f then Some (Filename.dirname f) else None)
+         files)
+  in
+  List.filter_map
+    (fun dir ->
+      let dune = Filename.concat dir "dune" in
+      if not (Sys.file_exists dune) then None
+      else
+        List.find_map
+          (function
+            | Lint_sexp.List (Lint_sexp.Atom "library" :: fields) ->
+                List.find_map
+                  (function
+                    | Lint_sexp.List [ Lint_sexp.Atom "name"; Lint_sexp.Atom n ]
+                      ->
+                        Some (dir, String.capitalize_ascii n)
+                    | _ -> None)
+                  fields
+            | _ -> None)
+          (Lint_sexp.parse_string (read_file dune)))
+    dirs
+
+(* [unreached_findings ~wrappers sources] flags every lib module (a
+   lib/ .ml file in a directory listed in [wrappers] as (dir, wrapper
+   module)) that no bin/ source reaches, directly or through other lib
+   modules.  A path [W.M...] names module M of the library wrapped as W;
+   a bare [M...] names M of the file's own library or of a library the
+   file opens.  [sources] are (path, contents) pairs.  Without a bin/
+   source there is no root to measure from, and nothing is flagged. *)
+let unreached_findings ~wrappers sources =
+  let sources = List.map (fun (f, src) -> (normalize f, src)) sources in
+  let module_of f =
+    match List.assoc_opt (Filename.dirname f) wrappers with
+    | Some w when in_lib f ->
+        let base = Filename.remove_extension (Filename.basename f) in
+        Some (w, String.capitalize_ascii base)
+    | _ -> None
+  in
+  let modules =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (f, _) ->
+           if Filename.check_suffix f ".ml" then module_of f else None)
+         sources)
+  in
+  let is_wrapper w = List.exists (fun (_, w') -> w' = w) wrappers in
+  let references (f, src) =
+    let paths, opens = module_paths ~path:f src in
+    let scopes =
+      Option.to_list (Option.map fst (module_of f))
+      @ List.filter_map
+          (function [ w ] when is_wrapper w -> Some w | _ -> None)
+          opens
+    in
+    List.filter_map
+      (function
+        | w :: m :: _ when List.mem (w, m) modules -> Some (w, m)
+        | m :: _ ->
+            List.find_map
+              (fun w -> if List.mem (w, m) modules then Some (w, m) else None)
+              scopes
+        | [] -> None)
+      paths
+  in
+  let edges =
+    List.filter_map
+      (fun ((f, _) as source) ->
+        Option.map (fun node -> (node, references source)) (module_of f))
+      sources
+  in
+  let reached = Hashtbl.create 64 in
+  let rec visit node =
+    if not (Hashtbl.mem reached node) then begin
+      Hashtbl.add reached node ();
+      List.iter
+        (fun (from, targets) -> if from = node then List.iter visit targets)
+        edges
+    end
+  in
+  match List.filter (fun (f, _) -> starts_with ~prefix:"bin/" f) sources with
+  | [] -> []
+  | bin ->
+      List.iter visit (List.concat_map references bin);
+      List.filter_map
+        (fun (f, _) ->
+          match module_of f with
+          | Some ((w, m) as node)
+            when Filename.check_suffix f ".ml" && not (Hashtbl.mem reached node)
+            ->
+              Some
+                (Finding.v ~rule:"R6" ~file:f ~line:0 ~col:0
+                   ~ident:(w ^ "." ^ m)
+                   ~message:"lib module that no bin/ executable reaches"
+                   ~hint:"give it a product caller in bin/, or delete it \
+                          with its tests")
+          | _ -> None)
+        sources
+
+let lint_files files =
+  let sources = List.map (fun f -> (f, read_file f)) files in
+  let ast_findings =
+    List.concat_map (fun (path, source) -> lint_source ~path source) sources
+  in
+  List.sort Finding.compare
+    (ast_findings
+    @ missing_mli_findings files
+    @ unreached_findings ~wrappers:(library_wrappers files) sources)

@@ -4,7 +4,7 @@
 
    Scans every .ml/.mli under the given paths (default: lib bin bench,
    resolved from the current directory, which must be the repo root),
-   applies the R1-R5 rule catalogue from [Rules], subtracts the reviewed
+   applies the R1-R6 rule catalogue from [Rules], subtracts the reviewed
    exceptions in the allowlist, and exits 1 when any new finding
    remains or any allowlist entry matches nothing.  [--json] emits a
    machine-readable report on stdout. *)
