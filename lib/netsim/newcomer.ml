@@ -116,11 +116,11 @@ and send_probe t ~epoch ~k =
     t.probes_sent <- t.probes_sent + 1;
     (* the draft randomizes the inter-probe spacing (PROBE_MIN..PROBE_MAX);
        the paper's model, and this simulator, fix it at r *)
-    let listen = t.config.listen in
-    t.cost <- t.cost +. listen +. t.config.probe_cost;
+    t.cost <- t.cost +. t.config.listen +. t.config.probe_cost;
     Link.broadcast t.link ~sender:t.station
       (Packet.Arp_probe { sender = t.station; address = t.candidate });
-    Engine.schedule t.engine ~after:listen (fun () -> period_end t ~epoch ~k)
+    Engine.schedule t.engine ~after:t.config.listen (fun () ->
+        period_end t ~epoch ~k)
   end
 
 and period_end t ~epoch ~k =

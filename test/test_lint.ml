@@ -175,7 +175,9 @@ let r6_unreached () =
 
 let r6_reached () =
   Alcotest.(check (list (triple string string string)))
-    "an alias, an open and a bare same-library name all reach" []
+    "an alias, an open, a bare same-library name and a package type all \
+     reach"
+    []
     (unreached
        [ ("bin/main.ml",
           "module M = Numerics.Matrix\n\
@@ -183,8 +185,12 @@ let r6_reached () =
            let c = Cost.mean\n");
          ("lib/numerics/matrix.ml", "let create = Vector.create\n");
          ("lib/numerics/vector.ml", "let create () = [||]\n");
-         ("lib/core/cost.ml", "let mean (p : Params.t) = p\n");
-         ("lib/core/params.ml", "type t = float\n") ])
+         ("lib/core/cost.ml",
+          "let mean (p : Params.t) = p\n\
+           let run (module B : Backend.S) = B.name\n");
+         ("lib/core/params.ml", "type t = float\n");
+         ("lib/core/backend.ml", "module type S = sig val name : string end\n")
+       ])
 
 (* -- E0: parse failures are findings, not crashes ------------------ *)
 
@@ -288,7 +294,7 @@ let () =
           Alcotest.test_case "R5 Obj" `Quick r5_obj;
           Alcotest.test_case "R5 missing mli" `Quick r5_missing_mli;
           Alcotest.test_case "R6 unreached module" `Quick r6_unreached;
-          Alcotest.test_case "R6 alias, open and same-library name" `Quick
+          Alcotest.test_case "R6 alias, open, same-library name, package" `Quick
             r6_reached;
           Alcotest.test_case "E0 parse error" `Quick e0_parse_error ] );
       ( "allowlist",

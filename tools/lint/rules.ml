@@ -240,11 +240,11 @@ let missing_mli_findings files =
 
 (* -- R6, tree level: every lib module has a product caller ---------- *)
 
-(* The module paths a source mentions (values, constructors, fields,
-   types, module expressions and types), and the paths it opens.  An
-   open counts for the whole file: over-approximating what a file
-   reaches can hide an unreached module, never invent one.  Sources
-   that do not parse mention nothing; E0 reports them. *)
+(* The module paths an implementation mentions (values, constructors,
+   fields, types, module expressions and types), and the paths it
+   opens.  An open counts for the whole file: over-approximating what a
+   file reaches can hide an unreached module, never invent one.  A
+   source that does not parse mentions nothing; E0 reports it. *)
 let module_paths ~path source =
   let paths = ref [] and opens = ref [] in
   let add { Location.txt; _ } = paths := Longident.flatten txt :: !paths in
@@ -252,7 +252,7 @@ let module_paths ~path source =
   let expr this (e : Parsetree.expression) =
     (match e.pexp_desc with
     | Pexp_ident l | Pexp_construct (l, _) | Pexp_field (_, l)
-    | Pexp_setfield (_, l, _) | Pexp_new l ->
+    | Pexp_setfield (_, l, _) ->
         add l
     | Pexp_record (fields, _) -> List.iter (fun (l, _) -> add l) fields
     | _ -> ());
@@ -260,14 +260,14 @@ let module_paths ~path source =
   in
   let pat this (p : Parsetree.pattern) =
     (match p.ppat_desc with
-    | Ppat_construct (l, _) | Ppat_type l -> add l
+    | Ppat_construct (l, _) -> add l
     | Ppat_record (fields, _) -> List.iter (fun (l, _) -> add l) fields
     | _ -> ());
     default_iterator.pat this p
   in
   let typ this (t : Parsetree.core_type) =
     (match t.ptyp_desc with
-    | Ptyp_constr (l, _) | Ptyp_class (l, _) -> add l
+    | Ptyp_constr (l, _) | Ptyp_package (l, _) -> add l
     | _ -> ());
     default_iterator.typ this t
   in
@@ -285,23 +285,13 @@ let module_paths ~path source =
     | _ -> ());
     default_iterator.open_declaration this o
   in
-  let open_description this (o : Parsetree.open_description) =
-    add o.popen_expr;
-    opens := Longident.flatten o.popen_expr.txt :: !opens;
-    default_iterator.open_description this o
-  in
   let it =
     { default_iterator with
-      expr; pat; typ; module_expr; module_type; open_declaration;
-      open_description }
+      expr; pat; typ; module_expr; module_type; open_declaration }
   in
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf path;
-  (try
-     if Filename.check_suffix path ".mli" then
-       it.signature it (Parse.interface lexbuf)
-     else it.structure it (Parse.implementation lexbuf)
-   with _ -> ());
+  (try it.structure it (Parse.implementation lexbuf) with _ -> ());
   (!paths, !opens)
 
 (* The library wrapper module of each lib/ directory among [files], from
@@ -334,13 +324,20 @@ let library_wrappers files =
 
 (* [unreached_findings ~wrappers sources] flags every lib module (a
    lib/ .ml file in a directory listed in [wrappers] as (dir, wrapper
-   module)) that no bin/ source reaches, directly or through other lib
-   modules.  A path [W.M...] names module M of the library wrapped as W;
-   a bare [M...] names M of the file's own library or of a library the
-   file opens.  [sources] are (path, contents) pairs.  Without a bin/
-   source there is no root to measure from, and nothing is flagged. *)
+   module)) that no bin/ implementation reaches, directly or through
+   other lib modules.  A path [W.M...] names module M of the library
+   wrapped as W; a bare [M...] names M of the file's own library or of
+   a library the file opens.  [sources] are (path, contents) pairs; an
+   .mli adds nothing its .ml does not.  Without a bin/ source there is
+   no root to measure from, and nothing is flagged. *)
 let unreached_findings ~wrappers sources =
-  let sources = List.map (fun (f, src) -> (normalize f, src)) sources in
+  let sources =
+    List.filter_map
+      (fun (f, src) ->
+        let f = normalize f in
+        if Filename.check_suffix f ".ml" then Some (f, src) else None)
+      sources
+  in
   let module_of f =
     match List.assoc_opt (Filename.dirname f) wrappers with
     | Some w when in_lib f ->
@@ -348,13 +345,7 @@ let unreached_findings ~wrappers sources =
         Some (w, String.capitalize_ascii base)
     | _ -> None
   in
-  let modules =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (f, _) ->
-           if Filename.check_suffix f ".ml" then module_of f else None)
-         sources)
-  in
+  let modules = List.filter_map (fun (f, _) -> module_of f) sources in
   let is_wrapper w = List.exists (fun (_, w') -> w' = w) wrappers in
   let references (f, src) =
     let paths, opens = module_paths ~path:f src in
@@ -396,9 +387,7 @@ let unreached_findings ~wrappers sources =
       List.filter_map
         (fun (f, _) ->
           match module_of f with
-          | Some ((w, m) as node)
-            when Filename.check_suffix f ".ml" && not (Hashtbl.mem reached node)
-            ->
+          | Some ((w, m) as node) when not (Hashtbl.mem reached node) ->
               Some
                 (Finding.v ~rule:"R6" ~file:f ~line:0 ~col:0
                    ~ident:(w ^ "." ^ m)
