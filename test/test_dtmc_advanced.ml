@@ -8,6 +8,49 @@ let check_close ?(tol = 1e-9) msg expected actual =
 let chain_of arrays labels =
   C.create ~states:(Ss.of_labels labels) (M.of_arrays arrays)
 
+(* ---------------- stationary distributions ---------------- *)
+
+let test_gth_two_state () =
+  (* a -> b at 0.2, b -> a at 0.4: pi = (2/3, 1/3) *)
+  let c = chain_of [| [| 0.8; 0.2 |]; [| 0.4; 0.6 |] |] [ "a"; "b" ] in
+  let pi = Dtmc.Stationary.gth c in
+  check_close "pi_a" (2. /. 3.) pi.(0);
+  check_close "pi_b" (1. /. 3.) pi.(1);
+  Alcotest.(check bool) "verified stationary" true (Dtmc.Stationary.is_stationary c pi)
+
+let test_gth_matches_power_iteration () =
+  let c =
+    chain_of
+      [| [| 0.5; 0.3; 0.2 |]; [| 0.1; 0.8; 0.1 |]; [| 0.3; 0.3; 0.4 |] |]
+      [ "x"; "y"; "z" ]
+  in
+  let gth = Dtmc.Stationary.gth c in
+  let power = Dtmc.Stationary.power_iteration c in
+  Alcotest.(check bool) "agree" true
+    (Numerics.Vector.approx_eq ~rtol:1e-8 ~atol:1e-10 gth power)
+
+let test_gth_birth_death () =
+  (* random walk on 0..3 with reflecting ends; detailed balance gives a
+     closed form to compare against *)
+  let up = 0.3 and down = 0.2 in
+  let n = 4 in
+  let m = M.create ~rows:n ~cols:n in
+  for i = 0 to n - 1 do
+    let u = if i < n - 1 then up else 0. in
+    let d = if i > 0 then down else 0. in
+    if u > 0. then M.set m i (i + 1) u;
+    if d > 0. then M.set m i (i - 1) d;
+    M.set m i i (1. -. u -. d)
+  done;
+  let c = C.create ~states:(Ss.of_labels [ "0"; "1"; "2"; "3" ]) m in
+  let pi = Dtmc.Stationary.gth c in
+  let ratio = up /. down in
+  let unnorm = Array.init n (fun i -> ratio ** float_of_int i) in
+  let total = Numerics.Safe_float.sum unnorm in
+  Array.iteri
+    (fun i u -> check_close (Printf.sprintf "pi_%d" i) (u /. total) pi.(i))
+    unnorm
+
 (* ---------------- reachability ---------------- *)
 
 (* diamond: s -> l (0.3) / r (0.7); l -> goal; r -> trap *)
@@ -93,7 +136,11 @@ let test_simulate_path_structure () =
 
 let () =
   Alcotest.run "dtmc_advanced"
-    [ ( "reachability",
+    [ ( "stationary",
+        [ Alcotest.test_case "two-state" `Quick test_gth_two_state;
+          Alcotest.test_case "gth vs power" `Quick test_gth_matches_power_iteration;
+          Alcotest.test_case "birth-death" `Quick test_gth_birth_death ] );
+      ( "reachability",
         [ Alcotest.test_case "probabilities" `Quick test_reachability_prob;
           Alcotest.test_case "qualitative" `Quick test_reachability_qualitative;
           Alcotest.test_case "vs absorption" `Quick test_reachability_vs_absorption;
