@@ -87,6 +87,14 @@ let r_term =
   Arg.(value & opt float 2.
        & info [ "r"; "r-period" ] ~docv:"R" ~doc:"Listening period in seconds.")
 
+(* A grid size taken from the user is checked against the query
+   engine's bound before the grid is allocated, so a huge size fails
+   with this message instead of exhausting memory. *)
+let check_size what k =
+  if k > Engine.Query.max_points then
+    invalid_arg
+      (Printf.sprintf "%s: more than %d points" what Engine.Query.max_points)
+
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
 
@@ -222,24 +230,28 @@ let curve_cmd =
   in
   let r_max = Arg.(value & opt float 4. & info [ "r-max" ] ~doc:"Upper r bound.") in
   let run p n points r_max =
-    let grid = Numerics.Grid.linspace 0.01 r_max points in
-    let table =
-      Output.Table.create
-        ~columns:
-          [ ("r", Output.Table.Right); ("C(n,r)", Output.Table.Right);
-            ("log10 E(n,r)", Output.Table.Right) ]
-    in
-    Array.iter
-      (fun r ->
-        Output.Table.add_row table
-          [ Printf.sprintf "%.4g" r;
-            Printf.sprintf "%.6g" (Zeroconf.Cost.mean p ~n ~r);
-            Printf.sprintf "%.3f" (Zeroconf.Reliability.log10_error_probability p ~n ~r) ])
-      grid;
-    print_string (Output.Table.to_text table)
+    match check_size (Printf.sprintf "--points %d" points) points with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | () ->
+        let grid = Numerics.Grid.linspace 0.01 r_max points in
+        let table =
+          Output.Table.create
+            ~columns:
+              [ ("r", Output.Table.Right); ("C(n,r)", Output.Table.Right);
+                ("log10 E(n,r)", Output.Table.Right) ]
+        in
+        Array.iter
+          (fun r ->
+            Output.Table.add_row table
+              [ Printf.sprintf "%.4g" r;
+                Printf.sprintf "%.6g" (Zeroconf.Cost.mean p ~n ~r);
+                Printf.sprintf "%.3f" (Zeroconf.Reliability.log10_error_probability p ~n ~r) ])
+          grid;
+        print_string (Output.Table.to_text table);
+        `Ok ()
   in
   Cmd.v (Cmd.info "curve" ~doc:"Tabulate C_n(r) and E(n, r) over an r grid.")
-    Term.(const run $ scenario_term $ n_term $ points $ r_max)
+    Term.(ret (const run $ scenario_term $ n_term $ points $ r_max))
 
 let latency_cmd =
   let run p n r =
@@ -578,20 +590,20 @@ let quantity_conv name =
             latency)"
            name)
 
-let g6 = Output.Num_text.general ~digits:6
-let g10 = Output.Num_text.general ~digits:10
+let add_g6 = Output.Num_text.add_general ~digits:6
+let add_g10 = Output.Num_text.add_general ~digits:10
 
 (* The CLI's one rendering of an answer value: %.10g for an exact
    value, the mean and its 95% interval at %.6g for a sampled one. *)
 let add_answer_value b (v : Engine.Answer.value) =
   match v with
-  | Engine.Answer.Scalar x -> Buffer.add_string b (g10 x)
+  | Engine.Answer.Scalar x -> add_g10 b x
   | Engine.Answer.Interval { mean; ci_lo; ci_hi } ->
-      Buffer.add_string b (g6 mean);
+      add_g6 b mean;
       Buffer.add_string b " [";
-      Buffer.add_string b (g6 ci_lo);
+      add_g6 b ci_lo;
       Buffer.add_string b ", ";
-      Buffer.add_string b (g6 ci_hi);
+      add_g6 b ci_hi;
       Buffer.add_char b ']'
 
 let pp_answer_value ppf v =
@@ -659,9 +671,12 @@ let query_cmd =
           let q =
             match (r_sweep, n_max) with
             | Some (lo, hi, points), _ ->
+                check_size (Printf.sprintf "--sweep-r %g,%g,%d" lo hi points)
+                  points;
                 Engine.Query.r_sweep ~accuracy qty p ~n
                   ~rs:(Numerics.Grid.linspace lo hi points)
             | None, Some n_max ->
+                check_size (Printf.sprintf "--sweep-n %d" n_max) n_max;
                 Engine.Query.n_sweep ~accuracy qty p
                   ~ns:(Array.init n_max (fun i -> i + 1))
                   ~r
@@ -829,11 +844,16 @@ let parse_batch_line lineno line =
               | [ lo; hi ] ->
                   let lo = int_of key lo and hi = int_of key hi in
                   if hi < lo then fail "ns range is empty";
-                  ns := Some (Array.init (hi - lo + 1) (fun i -> lo + i))
+                  (* past max_int, hi - lo + 1 wraps to a negative int *)
+                  let size = hi - lo + 1 in
+                  checked (fun () ->
+                      check_size tok (if size > 0 then size else max_int));
+                  ns := Some (Array.init size (fun i -> lo + i))
               | _ -> fail "ns expects LO:HI")
           | "rs" -> (
               match String.split_on_char ':' value with
               | [ lo; hi; points ] ->
+                  checked (fun () -> check_size tok (int_of key points));
                   rs :=
                     Some
                       (checked (fun () ->
@@ -872,14 +892,15 @@ let parse_batch_line lineno line =
    is written to stdout whenever it passes [spill_bytes] and once at the
    end; stdout is never flushed per line (exit flushes it).  The line
    prefix is built once per query and the " r=R " text once per run of
-   equal r (compared by bits, so -0 and 0 stay apart): an n-sweep
-   renders its r once.  Numbers become text through Output.Num_text,
-   never through Printf. *)
+   equal r (compared by bits, so -0 and 0 stay apart) in a buffer of
+   its own: an n-sweep renders its r once.  Numbers are appended
+   through Output.Num_text, never through Printf. *)
 let spill_bytes = 65_536
 
 let emit_batch ~stats plans answers =
   let b = Buffer.create 4096 in
-  let r_bits = ref (Int64.bits_of_float 0.) and r_text = ref " r=0 " in
+  let r_bits = ref (Int64.bits_of_float 0.) and r_text = Buffer.create 32 in
+  Buffer.add_string r_text " r=0 ";
   Array.iteri
     (fun i (pl : Engine.Plan.t) ->
       let a = answers.(i) in
@@ -894,11 +915,14 @@ let emit_batch ~stats plans answers =
           let bits = Int64.bits_of_float r in
           if not (Int64.equal bits !r_bits) then begin
             r_bits := bits;
-            r_text := " r=" ^ g6 r ^ " "
+            Buffer.clear r_text;
+            Buffer.add_string r_text " r=";
+            add_g6 r_text r;
+            Buffer.add_char r_text ' '
           end;
           Buffer.add_string b prefix;
           Output.Num_text.add_int b pt.Engine.Answer.n;
-          Buffer.add_string b !r_text;
+          Buffer.add_buffer b r_text;
           add_answer_value b pt.Engine.Answer.value;
           Buffer.add_char b '\n';
           if Buffer.length b >= spill_bytes then begin

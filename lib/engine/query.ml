@@ -28,6 +28,14 @@ let check_r r =
   if not (Float.is_finite r && r >= 0.) then
     invalid_arg (Printf.sprintf "Query: r = %g not non-negative and finite" r)
 
+let max_points = 1_048_576
+
+let size t =
+  match t.domain with
+  | Point _ -> 1
+  | N_sweep { ns; _ } -> Array.length ns
+  | R_sweep { rs; _ } -> Array.length rs
+
 let validate t =
   (match t.domain with
   | Point { n; r } ->
@@ -41,6 +49,9 @@ let validate t =
       check_n n;
       if Array.length rs = 0 then invalid_arg "Query: empty r sweep";
       Array.iter check_r rs);
+  if size t > max_points then
+    invalid_arg
+      (Printf.sprintf "Query: %d points > max_points = %d" (size t) max_points);
   match t.accuracy with
   | Sampled { trials; _ } when trials < 1 ->
       invalid_arg (Printf.sprintf "Query: trials = %d < 1" trials)
@@ -59,12 +70,6 @@ let n_sweep ?(accuracy = Exact) quantity scenario ~ns ~r =
 
 let r_sweep ?(accuracy = Exact) quantity scenario ~n ~rs =
   make quantity scenario (R_sweep { n; rs }) accuracy
-
-let size t =
-  match t.domain with
-  | Point _ -> 1
-  | N_sweep { ns; _ } -> Array.length ns
-  | R_sweep { rs; _ } -> Array.length rs
 
 let points t =
   match t.domain with

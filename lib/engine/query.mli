@@ -48,12 +48,19 @@ val n_sweep :
 val r_sweep :
   ?accuracy:accuracy -> quantity -> Zeroconf.Params.t -> n:int -> rs:float array -> t
 
+val max_points : int
+(** The most points one query may hold: [1_048_576], 256 times the
+    largest sweep the library runs itself ([Optimize]'s [n_max = 4096]).
+    Front ends check a requested sweep size against it before they
+    allocate the sweep's grid. *)
+
 val validate : t -> unit
 (** Raises [Invalid_argument] unless every probe count is at least 1,
     every listening period is non-negative and finite ([r = 0] is the
     paper's boundary case, where [C_n(0) = n c + q E]), sweeps are
-    non-empty, and [Sampled] demands at least one trial.  The smart
-    constructors above call this. *)
+    non-empty and hold at most {!max_points} points, and [Sampled]
+    demands at least one trial.  The smart constructors above call
+    this. *)
 
 val size : t -> int
 (** Number of evaluation points in the domain. *)

@@ -1,24 +1,37 @@
-let quote field =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') field then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' field) ^ "\""
-  else field
+let add_field b field =
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') field then begin
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        if c = '"' then Buffer.add_char b '"';
+        Buffer.add_char b c)
+      field;
+    Buffer.add_char b '"'
+  end
+  else Buffer.add_string b field
 
-let write ~path ~header rows =
+let add_row b row =
+  List.iteri
+    (fun i field ->
+      if i > 0 then Buffer.add_char b ',';
+      add_field b field)
+    row;
+  Buffer.add_char b '\n'
+
+(* the whole file is built in memory and written at once *)
+let save path b =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let emit row =
-        output_string oc (String.concat "," (List.map quote row));
-        output_char oc '\n'
-      in
-      emit header;
-      List.iter
-        (fun row ->
-          if List.length row <> List.length header then
-            invalid_arg "Csv.write: row width mismatch";
-          emit row)
-        rows)
+    (fun () -> Buffer.output_buffer oc b)
+
+let write ~path ~header rows =
+  let width = List.length header in
+  if List.exists (fun row -> List.length row <> width) rows then
+    invalid_arg "Csv.write: row width mismatch";
+  let b = Buffer.create 4096 in
+  List.iter (add_row b) (header :: rows);
+  save path b
 
 let write_series ~path ~x_label series =
   match series with
@@ -35,13 +48,18 @@ let write_series ~path ~x_label series =
                     pts xs)
           then invalid_arg "Csv.write_series: mismatched grids")
         rest;
-      let header = x_label :: List.map fst series in
-      let cell = Num_text.general ~digits:9 in
-      let rows =
-        Array.to_list
-          (Array.mapi
-             (fun i x ->
-               cell x :: List.map (fun (_, pts) -> cell (snd pts.(i))) series)
-             xs)
-      in
-      write ~path ~header rows
+      let b = Buffer.create 4096 in
+      add_row b (x_label :: List.map fst series);
+      (* numeric cells never need quoting: they go straight in *)
+      let cell = Num_text.add_general ~digits:9 in
+      Array.iteri
+        (fun i x ->
+          cell b x;
+          List.iter
+            (fun (_, pts) ->
+              Buffer.add_char b ',';
+              cell b (snd pts.(i)))
+            series;
+          Buffer.add_char b '\n')
+        xs;
+      save path b

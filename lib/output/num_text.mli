@@ -1,23 +1,47 @@
 (** The one place numbers become output text.
 
     The renderings are the bytes [Printf] produces for the same
-    conversion: {!general} and {!fixed} call the runtime primitive
-    [caml_format_float], which [Printf]'s [%g] and [%f] also end in, but
-    with a conversion spec built once per precision instead of on every
-    call.  {!add_int} writes decimal digits without going through a
-    string. *)
+    conversion.  {!add_general} and {!add_fixed} append them straight
+    into a [Buffer.t]; {!general} and {!fixed} return them as strings
+    and are built on the same two functions.
+
+    Most values take an exact fast path: [|x|] is scaled by an exact
+    power of ten [10^s] ([|s| <= 22]) to an integer below [2^34], which
+    is rounded once, and its digits are laid out by C's rules.  The
+    scaled value is off by at most [2^-20], so its rounding equals that
+    of the exact decimal value unless its fraction lies within [1e-5]
+    of a half.  Every other value (a fraction within that margin, a
+    scale beyond [10^22] either way, a non-finite value, a precision of
+    0 or above 10) goes to the runtime primitive
+    [caml_format_float], which [Printf]'s [%g] and [%f] also end in,
+    with a conversion spec built once per precision.  {!add_int} writes
+    decimal digits without going through a string. *)
 
 val add_int : Buffer.t -> int -> unit
 (** Append [string_of_int n]: optional ['-'], then the decimal digits,
     for every [int] including [min_int]. *)
 
+val add_general : digits:int -> Buffer.t -> float -> unit
+(** [add_general ~digits b x] appends [Printf.sprintf "%.<digits>g" x];
+    [%g] is [~digits:6].  The fast path covers [1 <= digits <= 10] and
+    decimal exponents from about [digits - 23] to [digits + 21] (a zero
+    of either sign too).  Apply it to [~digits] once and keep the
+    resulting function: that is where the fallback's spec is built.
+    Raises [Invalid_argument] on a negative [digits]. *)
+
+val add_fixed : decimals:int -> Buffer.t -> float -> unit
+(** [add_fixed ~decimals b x] appends [Printf.sprintf "%.<decimals>f" x].
+    The fast path covers [decimals <= 10] and [|x| 10^decimals < 10^10];
+    a negative value keeps its sign even when it prints as zero
+    ([-0.001] at two decimals is ["-0.00"]).  Apply it to [~decimals]
+    once, as {!add_general}.  Raises [Invalid_argument] on a negative
+    [decimals]. *)
+
 val general : digits:int -> float -> string
-(** [general ~digits] is [Printf.sprintf "%.<digits>g"]; [%g] is
-    [general ~digits:6].  Apply it to [~digits] once and keep the
-    resulting function: that is where the spec is built.  Raises
-    [Invalid_argument] on a negative [digits]. *)
+(** [general ~digits x] is the text {!add_general} appends, as a
+    string.  Apply it to [~digits] once and keep the resulting
+    function. *)
 
 val fixed : decimals:int -> float -> string
-(** [fixed ~decimals] is [Printf.sprintf "%.<decimals>f"], built the
-    same way as {!general}.  Raises [Invalid_argument] on a negative
-    [decimals]. *)
+(** [fixed ~decimals x] is the text {!add_fixed} appends, as a
+    string. *)

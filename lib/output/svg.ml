@@ -8,58 +8,109 @@ let width t = t.width
 let height t = t.height
 let push t e = t.elements <- e :: t.elements
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
+let add_escaped b s =
   String.iter
     (function
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | '&' -> Buffer.add_string b "&amp;"
+      | '<' -> Buffer.add_string b "&lt;"
+      | '>' -> Buffer.add_string b "&gt;"
+      | '"' -> Buffer.add_string b "&quot;"
+      | c -> Buffer.add_char b c)
+    s
 
-let dash_attr = function
-  | None -> ""
-  | Some d -> Printf.sprintf {| stroke-dasharray="%s"|} d
+(* Every element is built in one buffer: its numbers are appended by
+   Num_text at two decimals, the [%.2f] of every coordinate, size and
+   stroke width. *)
+let add_coord = Num_text.add_fixed ~decimals:2
+
+let element t build =
+  let b = Buffer.create 128 in
+  build b;
+  push t (Buffer.contents b)
+
+(* [ name="v"] with [v] at two decimals *)
+let num_attr b name v =
+  Buffer.add_char b ' ';
+  Buffer.add_string b name;
+  Buffer.add_string b "=\"";
+  add_coord b v;
+  Buffer.add_char b '"'
+
+let str_attr b name v =
+  Buffer.add_char b ' ';
+  Buffer.add_string b name;
+  Buffer.add_string b "=\"";
+  Buffer.add_string b v;
+  Buffer.add_char b '"'
+
+(* stroke, stroke-width and the optional dash pattern, then the tag's
+   end *)
+let add_stroke_end b stroke stroke_width dash =
+  str_attr b "stroke" stroke;
+  num_attr b "stroke-width" stroke_width;
+  Option.iter (str_attr b "stroke-dasharray") dash;
+  Buffer.add_string b "/>"
 
 let line t ?(stroke = "#000") ?(stroke_width = 1.) ?dash (x1, y1) (x2, y2) =
-  push t
-    (Printf.sprintf
-       {|<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="%.2f"%s/>|}
-       x1 y1 x2 y2 stroke stroke_width (dash_attr dash))
-
-let coord = Num_text.fixed ~decimals:2
+  element t @@ fun b ->
+  Buffer.add_string b "<line";
+  num_attr b "x1" x1;
+  num_attr b "y1" y1;
+  num_attr b "x2" x2;
+  num_attr b "y2" y2;
+  add_stroke_end b stroke stroke_width dash
 
 let polyline t ?(stroke = "#000") ?(stroke_width = 1.5) ?dash points =
   match points with
   | [] | [ _ ] -> ()
   | _ ->
-      let coords =
-        String.concat " "
-          (List.map (fun (x, y) -> coord x ^ "," ^ coord y) points)
-      in
-      push t
-        (Printf.sprintf
-           {|<polyline points="%s" fill="none" stroke="%s" stroke-width="%.2f"%s/>|}
-           coords stroke stroke_width (dash_attr dash))
+      element t @@ fun b ->
+      Buffer.add_string b "<polyline points=\"";
+      List.iteri
+        (fun i (x, y) ->
+          if i > 0 then Buffer.add_char b ' ';
+          add_coord b x;
+          Buffer.add_char b ',';
+          add_coord b y)
+        points;
+      Buffer.add_char b '"';
+      str_attr b "fill" "none";
+      add_stroke_end b stroke stroke_width dash
 
 let rect t ?(fill = "none") ?(stroke = "none") (x, y) (w, h) =
-  push t
-    (Printf.sprintf
-       {|<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" stroke="%s"/>|}
-       x y w h fill stroke)
+  element t @@ fun b ->
+  Buffer.add_string b "<rect";
+  num_attr b "x" x;
+  num_attr b "y" y;
+  num_attr b "width" w;
+  num_attr b "height" h;
+  str_attr b "fill" fill;
+  str_attr b "stroke" stroke;
+  Buffer.add_string b "/>"
 
 let circle t ?(fill = "#000") (cx, cy) r =
-  push t
-    (Printf.sprintf {|<circle cx="%.2f" cy="%.2f" r="%.2f" fill="%s"/>|} cx cy r fill)
+  element t @@ fun b ->
+  Buffer.add_string b "<circle";
+  num_attr b "cx" cx;
+  num_attr b "cy" cy;
+  num_attr b "r" r;
+  str_attr b "fill" fill;
+  Buffer.add_string b "/>"
 
 let text t ?(size = 11) ?(anchor = "start") ?(fill = "#333") ~x ~y s =
-  push t
-    (Printf.sprintf
-       {|<text x="%.2f" y="%.2f" font-size="%d" font-family="sans-serif" text-anchor="%s" fill="%s">%s</text>|}
-       x y size anchor fill (escape s))
+  element t @@ fun b ->
+  Buffer.add_string b "<text";
+  num_attr b "x" x;
+  num_attr b "y" y;
+  Buffer.add_string b " font-size=\"";
+  Num_text.add_int b size;
+  Buffer.add_char b '"';
+  str_attr b "font-family" "sans-serif";
+  str_attr b "text-anchor" anchor;
+  str_attr b "fill" fill;
+  Buffer.add_char b '>';
+  add_escaped b s;
+  Buffer.add_string b "</text>"
 
 let to_string t =
   Printf.sprintf

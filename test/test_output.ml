@@ -296,31 +296,112 @@ let random_floats n =
   let rng = Numerics.Rng.create 20031 in
   List.init n (fun _ -> Int64.float_of_bits (Numerics.Rng.uint64 rng))
 
-(* every conversion the repo renders through Num_text, against the
-   Printf spelling it replaces *)
+let with_neighbours xs =
+  List.concat_map (fun x -> [ Float.pred x; x; Float.succ x ]) xs
+
+let both_signs xs = List.concat_map (fun x -> [ x; -.x ]) xs
+
+(* draws inside the fast path's reach: mantissa in [1, 10), decimal
+   exponent -13..31 (the %.10g reach), both signs *)
+let fast_range_floats n =
+  let rng = Numerics.Rng.create 614 in
+  both_signs
+    (List.init n (fun _ ->
+         let m = 1. +. (9. *. Numerics.Rng.float rng) in
+         m *. (10. ** float_of_int (Numerics.Rng.int rng 45 - 13))))
+
+(* decimal ties (k + 1/2) 10^-j as the nearest double, and the doubles
+   either side: the fast path must hand these to the fallback, which
+   decides them on the exact binary value *)
+let tie_floats =
+  with_neighbours
+    (List.concat_map
+       (fun j ->
+         List.map
+           (fun k -> (float_of_int k +. 0.5) /. (10. ** float_of_int j))
+           ([ 0; 1; 2; 4; 9; 12; 99; 123; 999; 4999; 12345; 99999 ]
+           @ [ 123456; 999999; 1234567; 9999999; 123456789; 999999999 ]))
+       (List.init 12 Fun.id))
+
+(* powers of ten and their neighbours, where the decimal exponent's
+   estimate takes its correction step *)
+let decade_floats =
+  both_signs
+    (with_neighbours (List.init 51 (fun k -> 10. ** float_of_int (k - 20))))
+
+(* values that round up to the next decade at some precision p:
+   (10 - 5 10^-p) 10^k, e.g. 9.9999999995e+k at p = 10 *)
+let carry_floats =
+  both_signs
+    (with_neighbours
+       (List.concat_map
+          (fun p ->
+            List.map
+              (fun k ->
+                (10. -. (5. /. (10. ** float_of_int p)))
+                *. (10. ** float_of_int k))
+              (List.init 47 (fun k -> k - 16)))
+          (List.init 10 (fun p -> p + 1))))
+
+(* subnormals, and small negatives that print as a signed zero *)
+let tiny_floats =
+  both_signs
+    [ Int64.float_of_bits 1L; Int64.float_of_bits 0xFFFFFFFFFFFFFL;
+      Float.min_float /. 3.; 1e-310; 4.9e-324; 0.001; 0.004; 0.0049; 0.005;
+      0.0051; 1e-300 ]
+
+(* every conversion Num_text offers at every precision from 0 to 17:
+   the fast path covers 1..10 (%g) and 0..10 (%f), the fallback the
+   rest *)
 let float_specs =
-  [ ("%g", Num_text.general ~digits:6, Printf.sprintf "%g");
-    ("%.6g", Num_text.general ~digits:6, Printf.sprintf "%.6g");
-    ("%.9g", Num_text.general ~digits:9, Printf.sprintf "%.9g");
-    ("%.10g", Num_text.general ~digits:10, Printf.sprintf "%.10g");
-    ("%.2f", Num_text.fixed ~decimals:2, Printf.sprintf "%.2f") ]
+  List.concat_map
+    (fun p ->
+      [ ( Printf.sprintf "%%.%dg" p,
+          Num_text.add_general ~digits:p,
+          Printf.sprintf "%.*g" p );
+        ( Printf.sprintf "%%.%df" p,
+          Num_text.add_fixed ~decimals:p,
+          Printf.sprintf "%.*f" p ) ])
+    (List.init 18 Fun.id)
 
 let test_num_text_floats () =
-  let xs =
+  let random = random_floats 20_000 in
+  let xs random =
     special_floats
     @ List.concat_map (fun x -> [ Float.pred x; Float.succ x ]) special_floats
-    @ random_floats 20_000
+    @ random @ fast_range_floats 2_000 @ tie_floats @ decade_floats
+    @ carry_floats @ tiny_floats
   in
+  (* the specs the repo renders with take all the random bit patterns,
+     the others the first thousand: each costs a microsecond or more
+     through Printf, and a %f of a huge one is hundreds of digits *)
+  let xs_in_use = xs random
+  and xs_other = xs (List.filteri (fun i _ -> i < 1_000) random) in
+  let in_use = [ "%.6g"; "%.9g"; "%.10g"; "%.2f" ] in
+  let b = Buffer.create 64 in
   List.iter
-    (fun (name, ours, printf) ->
+    (fun (name, add, printf) ->
+      let xs = if List.mem name in_use then xs_in_use else xs_other in
       List.iter
         (fun x ->
-          let expected = printf x and got = ours x in
+          (* appended after existing text, as every caller does *)
+          Buffer.clear b;
+          Buffer.add_char b '|';
+          add b x;
+          let expected = "|" ^ printf x and got = Buffer.contents b in
           if not (String.equal expected got) then
             Alcotest.failf "%s of %h: Printf %S, Num_text %S" name x expected
               got)
         xs)
-    float_specs
+    float_specs;
+  (* the string forms are the appended text *)
+  List.iter
+    (fun x ->
+      Alcotest.(check string) "general" (Printf.sprintf "%.10g" x)
+        (Num_text.general ~digits:10 x);
+      Alcotest.(check string) "fixed" (Printf.sprintf "%.2f" x)
+        (Num_text.fixed ~decimals:2 x))
+    special_floats
 
 let test_num_text_ints () =
   let rng = Numerics.Rng.create 4242 in
