@@ -10,6 +10,9 @@ type outcome = {
   cost : float;         (** Accumulated abstract cost (paper's metric). *)
 }
 
+type interval = { mean : float; ci_lo : float; ci_hi : float }
+(** A sample estimate and its 95% confidence interval. *)
+
 type aggregate = {
   trials : int;
   collisions : int;
@@ -22,7 +25,28 @@ type aggregate = {
   mean_restarts : float;
 }
 
+(** {1 One statistic at a time}
+
+    Each reads its fields straight from the outcomes, without copying
+    them into a float array, and each equals the matching
+    {!aggregate} fields bit for bit: the same compensated sums in the
+    same order as {!Numerics.Stats.summarize}.  All raise
+    [Invalid_argument] on an empty array. *)
+
+val cost_interval : outcome array -> interval
+(** Mean cost with its normal-approximation interval: [cost]'s mean
+    and [cost_ci]. *)
+
+val collision_interval : outcome array -> interval
+(** Collision rate with its Wilson interval: [collision_rate] and
+    [collision_ci]. *)
+
+val config_time_interval : outcome array -> interval
+(** Mean configuration time with its normal-approximation interval:
+    [config_time]'s mean and {!Numerics.Stats.summary_ci} of it. *)
+
 val aggregate : outcome array -> aggregate
-(** Raises [Invalid_argument] on an empty array. *)
+(** Every statistic at once.  Raises [Invalid_argument] on an empty
+    array. *)
 
 val pp_aggregate : Format.formatter -> aggregate -> unit

@@ -1,55 +1,70 @@
+(* The candidates a trial has revealed, each stored as
+   [candidate lsl 1 lor busy].  A trial reveals a handful, so a linear
+   scan beats hashing; one buffer serves every trial of a run. *)
+type revealed = { mutable slots : int array; mutable len : int }
+
+(* 1 revealed occupied, 0 revealed free, -1 not revealed yet *)
+let rec find slots len candidate i =
+  if i >= len then -1
+  else
+    let s = slots.(i) in
+    if s lsr 1 = candidate then s land 1 else find slots len candidate (i + 1)
+
+let reveal rv candidate busy =
+  if rv.len = Array.length rv.slots then begin
+    let grown = Array.make (2 * rv.len) 0 in
+    Array.blit rv.slots 0 grown 0 rv.len;
+    rv.slots <- grown
+  end;
+  rv.slots.(rv.len) <- (candidate lsl 1) lor Bool.to_int busy;
+  rv.len <- rv.len + 1
+
 (* One aggregate-mode configuration run, sampling reply delays straight
    from F_X with the DRM's period-boundary semantics (Sec. 3.1).
    Occupancy is revealed one candidate at a time (the .mli says why the
-   law is exact), so a trial's work is O(attempts), not O(occupied). *)
+   law is exact), so a trial's work is O(attempts), not O(occupied).
+   Attempts run in a loop over plain local refs, and the only values a
+   trial allocates are its outcome and the sampler's draws. *)
 let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
-    ~(config : Newcomer.config) =
+    ~(config : Newcomer.config) ~revealed =
   let n = config.Newcomer.probes and r = config.Newcomer.listen in
   let step_cost = r +. config.Newcomer.probe_cost in
   let probes = ref 0 and restarts = ref 0 in
   let cost = ref 0. and time = ref 0. in
-  (* candidate -> occupied, for every candidate revealed so far *)
-  let revealed = Hashtbl.create 8 in
+  revealed.len <- 0;
   let seen_occupied = ref 0 in
-  let is_occupied candidate =
-    match Hashtbl.find_opt revealed candidate with
-    | Some busy -> busy
-    | None ->
-        let seen = Hashtbl.length revealed in
-        let busy =
-          Numerics.Rng.int rng (size - seen) < occupied - !seen_occupied
-        in
-        Hashtbl.add revealed candidate busy;
-        if busy then incr seen_occupied;
-        busy
-  in
-  (* every occupied candidate but an accepted one drew a defence, so
-     "failed" is "revealed occupied" while the trial runs *)
-  let failed candidate = Hashtbl.find_opt revealed candidate = Some true in
-  let draw_candidate () =
-    let c = ref (Numerics.Rng.int rng size) in
+  let address = ref (-1) and collided = ref false in
+  while !address < 0 do
+    let candidate = ref (Numerics.Rng.int rng size) in
+    (* every occupied candidate but an accepted one drew a defence, so
+       "failed" is "revealed occupied" while the trial runs *)
     if config.Newcomer.avoid_failed then begin
       let guard = ref 0 in
-      while failed !c && !guard < 10_000 do
-        c := Numerics.Rng.int rng size;
+      while find revealed.slots revealed.len !candidate 0 = 1 && !guard < 10_000
+      do
+        candidate := Numerics.Rng.int rng size;
         incr guard
       done
     end;
-    !c
-  in
-  let rate_limit_delay () =
-    match config.Newcomer.rate_limit with
-    | Some (threshold, delay) when !restarts >= threshold -> delay
-    | Some _ | None -> 0.
-  in
-  let rec attempt () =
-    let candidate = draw_candidate () in
-    if not (is_occupied candidate) then begin
+    let candidate = !candidate in
+    let busy =
+      match find revealed.slots revealed.len candidate 0 with
+      | -1 ->
+          let busy =
+            Numerics.Rng.int rng (size - revealed.len)
+            < occupied - !seen_occupied
+          in
+          reveal revealed candidate busy;
+          if busy then incr seen_occupied;
+          busy
+      | state -> state = 1
+    in
+    if not busy then begin
       (* nobody answers: all n probes go out, then the address is kept *)
       probes := !probes + n;
       cost := !cost +. (float_of_int n *. step_cost);
       time := !time +. (float_of_int n *. r);
-      (candidate, false)
+      address := candidate
     end
     else begin
       (* the owner may answer any of the n probes; probe i goes out at
@@ -67,7 +82,8 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
         probes := !probes + n;
         cost := !cost +. (float_of_int n *. step_cost) +. config.Newcomer.error_cost;
         time := !time +. (float_of_int n *. r);
-        (candidate, true)
+        address := candidate;
+        collided := true
       end
       else begin
         (* reply lands in period k: k probes were sent, attempt aborts *)
@@ -81,16 +97,18 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
           if config.Newcomer.immediate_abort then !first_arrival
           else float_of_int k *. r;
         incr restarts;
-        let delay = rate_limit_delay () in
+        let delay =
+          match config.Newcomer.rate_limit with
+          | Some (threshold, delay) when !restarts >= threshold -> delay
+          | Some _ | None -> 0.
+        in
         time := !time +. delay;
-        cost := !cost +. delay;
-        attempt ()
+        cost := !cost +. delay
       end
     end
-  in
-  let address, collided = attempt () in
-  { Metrics.address;
-    collided;
+  done;
+  { Metrics.address = !address;
+    collided = !collided;
     probes_sent = !probes;
     restarts = !restarts;
     config_time = !time;
@@ -111,8 +129,9 @@ let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
   if pool_size < 1 then invalid_arg "Scenario.run_aggregate: pool_size < 1";
   if occupied < 0 || occupied >= pool_size then
     invalid_arg "Scenario.run_aggregate: occupied outside [0, pool size)";
+  let revealed = { slots = Array.make 16 0; len = 0 } in
   Array.init trials (fun _ ->
-      aggregate_trial ~delay ~size:pool_size ~occupied ~rng ~config)
+      aggregate_trial ~delay ~size:pool_size ~occupied ~rng ~config ~revealed)
 
 let detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
     ~config ~rng ~tracer () =

@@ -65,6 +65,17 @@ let sum_prefix xs n =
 
 let sum xs = sum_prefix xs (Array.length xs)
 
+let sum_by f xs =
+  let s = ref 0. and comp = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    let x = f xs.(i) in
+    let t = !s +. x in
+    if Float.abs !s >= Float.abs x then comp := !comp +. ((!s -. t) +. x)
+    else comp := !comp +. ((x -. t) +. !s);
+    s := t
+  done;
+  !s +. !comp
+
 let sum_list xs =
   let s = ref 0. and comp = ref 0. in
   List.iter

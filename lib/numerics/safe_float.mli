@@ -72,6 +72,11 @@ val sum_prefix : float array -> int -> float
     for bit.  Raises [Invalid_argument] when [n] is negative or exceeds
     the array length. *)
 
+val sum_by : ('a -> float) -> 'a array -> float
+(** [sum_by f xs] is the compensated sum of [f xs.(0) .. f xs.(n - 1)],
+    without building the mapped array; equal to [sum (Array.map f xs)]
+    bit for bit. *)
+
 val sum_list : float list -> float
 (** Compensated sum over a list. *)
 

@@ -54,13 +54,14 @@ let normal_quantile p =
     *. q
     /. (((((b.(0) *. r +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4)) *. r +. 1.)
 
-let mean_ci ?(confidence = 0.95) xs =
-  let s = summarize xs in
+let summary_ci ?(confidence = 0.95) s =
   if s.n < 2 then (s.mean, s.mean)
   else
     let z = normal_quantile (0.5 +. (confidence /. 2.)) in
     let half = z *. s.std /. sqrt (float_of_int s.n) in
     (s.mean -. half, s.mean +. half)
+
+let mean_ci ?confidence xs = summary_ci ?confidence (summarize xs)
 
 let proportion_ci ?(confidence = 0.95) ~successes trials =
   if trials <= 0 then invalid_arg "Stats.proportion_ci: trials <= 0";

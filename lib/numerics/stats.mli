@@ -13,9 +13,13 @@ type summary = {
 val summarize : float array -> summary
 (** Raises [Invalid_argument] on an empty array. *)
 
+val summary_ci : ?confidence:float -> summary -> float * float
+(** Normal-approximation confidence interval for the mean of a
+    summarized sample (default [confidence = 0.95]).  Returns
+    [(lo, hi)]; [(mean, mean)] when [n < 2]. *)
+
 val mean_ci : ?confidence:float -> float array -> float * float
-(** Normal-approximation confidence interval for the mean
-    (default [confidence = 0.95]).  Returns [(lo, hi)]. *)
+(** [summary_ci] of [summarize xs]. *)
 
 val proportion_ci : ?confidence:float -> successes:int -> int -> float * float
 (** Wilson score interval for a binomial proportion — well-behaved even

@@ -101,6 +101,138 @@ let eager_run ~delay ~occupied ~pool_size ~config ~trials ~rng =
       done;
       eager_trial ~delay ~pool ~rng ~config)
 
+(* ---------------- reference lazy sampler ---------------- *)
+
+(* The lazy trial as it was first written: revealed candidates in a
+   Hashtbl made per trial, attempts as closures.  The runner's lean
+   loop must draw the same numbers in the same order, so its outcomes
+   are bitwise these. *)
+let reference_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
+    ~(config : Newcomer.config) =
+  let n = config.Newcomer.probes and r = config.Newcomer.listen in
+  let step_cost = r +. config.Newcomer.probe_cost in
+  let probes = ref 0 and restarts = ref 0 in
+  let cost = ref 0. and time = ref 0. in
+  let revealed = Hashtbl.create 8 in
+  let seen_occupied = ref 0 in
+  let is_occupied candidate =
+    match Hashtbl.find_opt revealed candidate with
+    | Some busy -> busy
+    | None ->
+        let seen = Hashtbl.length revealed in
+        let busy = Rng.int rng (size - seen) < occupied - !seen_occupied in
+        Hashtbl.add revealed candidate busy;
+        if busy then incr seen_occupied;
+        busy
+  in
+  let failed candidate = Hashtbl.find_opt revealed candidate = Some true in
+  let draw_candidate () =
+    let c = ref (Rng.int rng size) in
+    if config.Newcomer.avoid_failed then begin
+      let guard = ref 0 in
+      while failed !c && !guard < 10_000 do
+        c := Rng.int rng size;
+        incr guard
+      done
+    end;
+    !c
+  in
+  let rate_limit_delay () =
+    match config.Newcomer.rate_limit with
+    | Some (threshold, delay) when !restarts >= threshold -> delay
+    | Some _ | None -> 0.
+  in
+  let rec attempt () =
+    let candidate = draw_candidate () in
+    if not (is_occupied candidate) then begin
+      probes := !probes + n;
+      cost := !cost +. (float_of_int n *. step_cost);
+      time := !time +. (float_of_int n *. r);
+      (candidate, false)
+    end
+    else begin
+      let first_arrival = ref infinity in
+      for i = 1 to n do
+        match delay.sample rng with
+        | None -> ()
+        | Some x ->
+            let arrival = (float_of_int (i - 1) *. r) +. x in
+            if arrival < !first_arrival then first_arrival := arrival
+      done;
+      if !first_arrival > float_of_int n *. r then begin
+        probes := !probes + n;
+        cost :=
+          !cost +. (float_of_int n *. step_cost) +. config.Newcomer.error_cost;
+        time := !time +. (float_of_int n *. r);
+        (candidate, true)
+      end
+      else begin
+        let k = int_of_float (Float.ceil (!first_arrival /. r)) in
+        let k = max 1 (min n k) in
+        probes := !probes + k;
+        cost := !cost +. (float_of_int k *. step_cost);
+        time :=
+          !time
+          +.
+          if config.Newcomer.immediate_abort then !first_arrival
+          else float_of_int k *. r;
+        incr restarts;
+        let delay = rate_limit_delay () in
+        time := !time +. delay;
+        cost := !cost +. delay;
+        attempt ()
+      end
+    end
+  in
+  let address, collided = attempt () in
+  { Metrics.address;
+    collided;
+    probes_sent = !probes;
+    restarts = !restarts;
+    config_time = !time;
+    cost = !cost }
+
+let outcome_bits (o : Metrics.outcome) =
+  ( o.Metrics.address,
+    o.Metrics.collided,
+    o.Metrics.probes_sent,
+    o.Metrics.restarts,
+    Int64.bits_of_float o.Metrics.config_time,
+    Int64.bits_of_float o.Metrics.cost )
+
+(* [Metrics.aggregate] as it was first written, over copied arrays *)
+let reference_aggregate outcomes =
+  let trials = Array.length outcomes in
+  let collisions =
+    Array.fold_left
+      (fun acc (o : Metrics.outcome) -> if o.Metrics.collided then acc + 1 else acc)
+      0 outcomes
+  in
+  let costs = Array.map (fun (o : Metrics.outcome) -> o.Metrics.cost) outcomes in
+  let times = Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) outcomes in
+  let mean_ci xs =
+    let s = Stats.summarize xs in
+    if s.Stats.n < 2 then (s.Stats.mean, s.Stats.mean)
+    else
+      let half =
+        Stats.normal_quantile 0.975 *. s.Stats.std /. sqrt (float_of_int s.Stats.n)
+      in
+      (s.Stats.mean -. half, s.Stats.mean +. half)
+  in
+  { Metrics.trials;
+    collisions;
+    collision_rate = float_of_int collisions /. float_of_int trials;
+    collision_ci = Stats.proportion_ci ~successes:collisions trials;
+    cost = Stats.summarize costs;
+    cost_ci = mean_ci costs;
+    config_time = Stats.summarize times;
+    mean_probes =
+      Numerics.Safe_float.mean
+        (Array.map (fun (o : Metrics.outcome) -> float_of_int o.Metrics.probes_sent) outcomes);
+    mean_restarts =
+      Numerics.Safe_float.mean
+        (Array.map (fun (o : Metrics.outcome) -> float_of_int o.Metrics.restarts) outcomes) }
+
 (* ---------------- two-sample tests ---------------- *)
 
 let alpha = 0.001
@@ -223,6 +355,101 @@ let compare_samplers ~pool_size ~occupied ~config ~seed () =
     true
     (Float.abs z < z_crit)
 
+(* ---------------- lean loop vs reference ---------------- *)
+
+let paper = Newcomer.drm_config ~n:3 ~r:1. ~probe_cost:1. ~error_cost:100.
+
+let semantics =
+  [ ("paper", paper);
+    ("immediate_abort", { paper with Newcomer.immediate_abort = true });
+    ("avoid_failed", { paper with Newcomer.avoid_failed = true });
+    ("rate_limit", { paper with Newcomer.rate_limit = Some (2, 5.) }) ]
+
+(* (label, reply law, pool size, occupied): every preset's law at its
+   own occupancy, and the test law on crowded 256-address pools *)
+let settings =
+  List.map
+    (fun (name, (p : Zeroconf.Params.t)) ->
+      (name, p.Zeroconf.Params.delay, Pool.default_size, 1000))
+    Zeroconf.Params.presets
+  @ [ ("256 pool, 60 hosts", delay, 256, 60);
+      ("256 pool, 200 hosts", delay, 256, 200) ]
+
+let reference_run ~delay ~pool_size ~occupied ~config ~trials ~seed =
+  let rng = Rng.create seed in
+  Array.init trials (fun _ ->
+      reference_trial ~delay ~size:pool_size ~occupied ~rng ~config)
+
+let lean_run ~delay ~pool_size ~occupied ~config ~trials ~seed =
+  Scenario.run_aggregate ~delay ~occupied ~pool_size ~config ~trials
+    ~rng:(Rng.create seed) ()
+
+let test_lean_equals_reference (label, delay, pool_size, occupied) () =
+  List.iter
+    (fun (sem, config) ->
+      List.iter
+        (fun seed ->
+          let reference =
+            reference_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed
+          and lean = lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed in
+          if Array.map outcome_bits lean <> Array.map outcome_bits reference then
+            Alcotest.failf "%s, %s, seed %d: outcomes differ from the reference"
+              label sem seed)
+        [ 1; 2; 3 ])
+    semantics
+
+let summary_bits (s : Stats.summary) =
+  ( s.Stats.n,
+    List.map Int64.bits_of_float
+      [ s.Stats.mean; s.Stats.variance; s.Stats.std; s.Stats.min; s.Stats.max ] )
+
+let pair_bits (lo, hi) = (Int64.bits_of_float lo, Int64.bits_of_float hi)
+
+let interval_bits (i : Metrics.interval) =
+  List.map Int64.bits_of_float [ i.Metrics.mean; i.Metrics.ci_lo; i.Metrics.ci_hi ]
+
+let test_metrics_equal_reference () =
+  List.iter
+    (fun ((label, delay, pool_size, occupied), (sem, config)) ->
+      let outcomes =
+        lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed:7
+      in
+      let old = reference_aggregate outcomes and now = Metrics.aggregate outcomes in
+      let same what a b =
+        if a <> b then Alcotest.failf "%s, %s: %s differs" label sem what
+      in
+      same "trials" old.Metrics.trials now.Metrics.trials;
+      same "collisions" old.Metrics.collisions now.Metrics.collisions;
+      same "collision_rate"
+        (Int64.bits_of_float old.Metrics.collision_rate)
+        (Int64.bits_of_float now.Metrics.collision_rate);
+      same "collision_ci" (pair_bits old.Metrics.collision_ci)
+        (pair_bits now.Metrics.collision_ci);
+      same "cost" (summary_bits old.Metrics.cost) (summary_bits now.Metrics.cost);
+      same "cost_ci" (pair_bits old.Metrics.cost_ci) (pair_bits now.Metrics.cost_ci);
+      same "config_time" (summary_bits old.Metrics.config_time)
+        (summary_bits now.Metrics.config_time);
+      same "mean_probes"
+        (Int64.bits_of_float old.Metrics.mean_probes)
+        (Int64.bits_of_float now.Metrics.mean_probes);
+      same "mean_restarts"
+        (Int64.bits_of_float old.Metrics.mean_restarts)
+        (Int64.bits_of_float now.Metrics.mean_restarts);
+      let interval mean ci = interval_bits { Metrics.mean; ci_lo = fst ci; ci_hi = snd ci } in
+      same "cost_interval"
+        (interval old.Metrics.cost.Stats.mean old.Metrics.cost_ci)
+        (interval_bits (Metrics.cost_interval outcomes));
+      same "collision_interval"
+        (interval old.Metrics.collision_rate old.Metrics.collision_ci)
+        (interval_bits (Metrics.collision_interval outcomes));
+      let times =
+        Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) outcomes
+      in
+      same "config_time_interval"
+        (interval old.Metrics.config_time.Stats.mean (Stats.mean_ci times))
+        (interval_bits (Metrics.config_time_interval outcomes)))
+    (List.concat_map (fun s -> List.map (fun c -> (s, c)) semantics) settings)
+
 (* ---------------- exact small pools ---------------- *)
 
 let check_rate name ~trials ~expected successes =
@@ -324,6 +551,14 @@ let () =
              odds of the next *)
           case 4 2 ("drm", drm) 5;
           case 4 2 ("draft", draft) 6 ] );
+      ( "lean loop",
+        List.map
+          (fun ((label, _, _, _) as setting) ->
+            Alcotest.test_case ("= reference: " ^ label) `Quick
+              (test_lean_equals_reference setting))
+          settings
+        @ [ Alcotest.test_case "metrics = reference aggregate" `Quick
+              test_metrics_equal_reference ] );
       ( "exact",
         [ Alcotest.test_case "first candidate half occupied" `Quick
             test_half_occupied_first_candidate;

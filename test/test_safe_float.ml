@@ -57,6 +57,21 @@ let test_sum_compensated () =
   check_float "empty sum" 0. (Sf.sum [||]);
   check_float "list version" 2. (Sf.sum_list [ 1.; 1e16; 1.; -1e16 ])
 
+let test_sum_by () =
+  (* the same compensated sum as mapping first, bit for bit *)
+  let rng = Numerics.Rng.create 3 in
+  let xs =
+    Array.init 1_000 (fun i ->
+        Numerics.Rng.float rng *. (10. ** float_of_int ((i mod 40) - 20)))
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check int64) "sum_by f = sum (map f)"
+        (Int64.bits_of_float (Sf.sum (Array.map f xs)))
+        (Int64.bits_of_float (Sf.sum_by f xs)))
+    [ Fun.id; (fun x -> (x -. 0.5) ** 2.); (fun x -> -.x *. 1e16) ];
+  check_float "empty" 0. (Sf.sum_by Fun.id [||])
+
 let test_dot () =
   check_float "orthogonal" 0. (Sf.dot [| 1.; 0. |] [| 0.; 1. |]);
   check_float "simple" 11. (Sf.dot [| 1.; 2. |] [| 3.; 4. |]);
@@ -114,6 +129,7 @@ let () =
           Alcotest.test_case "log_diff_exp" `Quick test_log_diff_exp ] );
       ( "reductions",
         [ Alcotest.test_case "sum" `Quick test_sum_compensated;
+          Alcotest.test_case "sum_by" `Quick test_sum_by;
           Alcotest.test_case "dot" `Quick test_dot;
           Alcotest.test_case "mean" `Quick test_mean ] );
       ("predicates", [ Alcotest.test_case "predicates" `Quick test_predicates ]);
