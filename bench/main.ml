@@ -155,13 +155,40 @@ let smoke () =
         [ (1, 0.5); (4, 2.); (8, 0.7) ])
     Zeroconf.Params.presets;
   print_endline "smoke ok: planner routes bit-identical to direct evaluation";
+  (* cost and error share one Monte-Carlo run per preset, and each
+     shared answer equals, bit for bit, that quantity's Monte-Carlo
+     run alone *)
+  let value_bits (pt : A.point) =
+    match pt.A.value with
+    | A.Scalar x -> [ Int64.bits_of_float x ]
+    | A.Interval { mean; ci_lo; ci_hi } ->
+        List.map Int64.bits_of_float [ mean; ci_lo; ci_hi ]
+  in
+  let sampled = Q.Sampled { trials = 500; seed = Engine.Crosscheck.default_seed } in
   List.iter
     (fun (name, p) ->
-      let rep = Engine.Crosscheck.run ~trials:500 (Q.point Q.Mean_cost p ~n:4 ~r:2.) in
-      assert (List.length rep.Engine.Crosscheck.answers = 4);
-      assert (rep.Engine.Crosscheck.max_rel_divergence <= 1e-9);
-      Printf.printf "smoke ok: crosscheck %s (max divergence %.2e)\n" name
-        rep.Engine.Crosscheck.max_rel_divergence)
+      let queries =
+        List.map
+          (fun qty -> Q.point qty p ~n:4 ~r:2.)
+          [ Q.Mean_cost; Q.Error_probability ]
+      in
+      List.iter2
+        (fun (q : Q.t) (rep : Engine.Crosscheck.report) ->
+          assert (List.length rep.Engine.Crosscheck.answers = 4);
+          assert (rep.Engine.Crosscheck.max_rel_divergence <= 1e-9);
+          let mc = List.nth rep.Engine.Crosscheck.answers 3 in
+          let solo =
+            Engine.Executor.eval ~cache:(Engine.Cache.create ()) ~backend:"mc"
+              { q with Q.accuracy = sampled }
+          in
+          assert (mc.A.backend = "mc");
+          assert (Array.map value_bits mc.A.points
+                  = Array.map value_bits solo.A.points);
+          Printf.printf "smoke ok: crosscheck %s %s (max divergence %.2e)\n"
+            name (Q.quantity_name q.Q.quantity)
+            rep.Engine.Crosscheck.max_rel_divergence)
+        queries
+        (Engine.Crosscheck.run ~trials:500 queries))
     Zeroconf.Params.presets;
   (* batched execution: values bitwise equal to scalar evaluation at
      any pool size, and a warm cache serves the whole workload without

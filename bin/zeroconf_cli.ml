@@ -47,34 +47,43 @@ let scenario_term =
   in
   let build jobs preset loss rate rtt hosts probe_cost error_cost =
     Cli_common.with_jobs jobs @@ fun () ->
-    match List.assoc_opt preset Zeroconf.Params.presets with
-    | None ->
+    match (List.assoc_opt preset Zeroconf.Params.presets, hosts) with
+    | None, _ ->
         `Error
           (false,
            Printf.sprintf "unknown scenario %s (try %s)" preset
              (String.concat ", " (List.map fst Zeroconf.Params.presets)))
-    | Some base ->
-        let p = base in
-        let p =
-          match hosts with
-          | Some m -> Zeroconf.Params.with_q p (Zeroconf.Params.q_of_hosts m)
-          | None -> p
-        in
-        let p = Zeroconf.Params.with_costs ?probe_cost ?error_cost p in
-        let p =
+    | Some _, Some m when m < 0 || m >= Zeroconf.Params.address_space_size ->
+        `Error
+          (false,
+           Printf.sprintf "option '--hosts': %d outside [0, %d)" m
+             Zeroconf.Params.address_space_size)
+    | Some base, _ -> (
+        (* the scenario constructors reject out-of-range overrides
+           (a loss outside [0, 1), a negative cost or rate) *)
+        match
+          let p =
+            match hosts with
+            | Some m -> Zeroconf.Params.with_q base (Zeroconf.Params.q_of_hosts m)
+            | None -> base
+          in
+          let p = Zeroconf.Params.with_costs ?probe_cost ?error_cost p in
           match (loss, rate, rtt) with
           | None, None, None -> p
           | _ ->
               (* rebuild the shifted-exponential F_X around overrides,
                  defaulting unspecified pieces to the figure2 values *)
-              let loss = Option.value ~default:(Zeroconf.Params.loss_probability p) loss in
+              let loss =
+                Option.value ~default:(Zeroconf.Params.loss_probability p) loss
+              in
               let rate = Option.value ~default:10. rate in
               let rtt = Option.value ~default:1. rtt in
               Zeroconf.Params.with_delay p
                 (Dist.Families.shifted_exponential ~mass:(1. -. loss) ~rate
                    ~delay:rtt ())
-        in
-        `Ok p
+        with
+        | p -> `Ok p
+        | exception Invalid_argument msg -> `Error (false, msg))
   in
   Term.(ret (const build $ Cli_common.jobs_term $ preset $ loss $ rate $ rtt
              $ hosts $ probe_cost $ error_cost))
@@ -94,6 +103,19 @@ let check_size what k =
   if k > Engine.Query.max_points then
     invalid_arg
       (Printf.sprintf "%s: more than %d points" what Engine.Query.max_points)
+
+(* Option values a command needs in range, checked before it prints
+   anything; the message names the option. *)
+let check_positive option k =
+  if k < 1 then
+    invalid_arg
+      (Printf.sprintf "option '%s': %d is not a positive integer" option k)
+
+let check_period option r =
+  if not (Float.is_finite r && r >= 0.) then
+    invalid_arg
+      (Printf.sprintf "option '%s': %g is not a non-negative finite number"
+         option r)
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -193,7 +215,17 @@ let simulate_cmd =
     Arg.(value & opt int 1024
          & info [ "pool" ] ~doc:"Address-pool size for the simulation.")
   in
-  let run p n r trials seed detailed hosts pool =
+  let check n r trials hosts pool =
+    check_positive "-n" n;
+    check_period "-r" r;
+    check_positive "--trials" trials;
+    check_positive "--pool" pool;
+    if hosts < 0 || hosts >= pool then
+      invalid_arg
+        (Printf.sprintf "option '--sim-hosts': %d outside [0, %d) (--pool)"
+           hosts pool)
+  in
+  let simulate p n r trials seed detailed hosts pool =
     let rng = Numerics.Rng.create seed in
     let config =
       Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
@@ -219,10 +251,15 @@ let simulate_cmd =
       (Zeroconf.Reliability.error_probability p_ref ~n ~r)
       q_sim
   in
+  let run p n r trials seed detailed hosts pool =
+    match check n r trials hosts pool with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | () -> `Ok (simulate p n r trials seed detailed hosts pool)
+  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte-Carlo the protocol and compare to the model.")
-    Term.(const run $ scenario_term $ n_term $ r_term $ trials $ seed $ detailed
-          $ hosts_small $ pool)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ trials $ seed
+               $ detailed $ hosts_small $ pool))
 
 let curve_cmd =
   let points =
@@ -729,44 +766,54 @@ let crosscheck_cmd =
           | `Ok q -> `Ok [ q ]
           | `Error _ as e -> e)
     in
+    let reports quantities =
+      check_positive "-n" n;
+      check_period "-r" r;
+      check_positive "--trials" trials;
+      Engine.Crosscheck.run ~trials ~seed
+        (List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities)
+    in
     match quantities with
     | `Error _ as e -> e
-    | `Ok quantities ->
-        List.iter
-          (fun qty ->
-            let q = Engine.Query.point qty p ~n ~r in
-            let rep = Engine.Crosscheck.run ~trials ~seed q in
-            Format.printf "crosscheck: %a@." Engine.Query.pp q;
-            let table =
-              Output.Table.create
-                ~columns:
-                  [ ("backend", Output.Table.Left);
-                    ("value", Output.Table.Right);
-                    ("evals", Output.Table.Right);
-                    ("wall (ms)", Output.Table.Right) ]
-            in
+    | `Ok quantities -> (
+        match reports quantities with
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | reports ->
             List.iter
-              (fun (a : Engine.Answer.t) ->
-                Output.Table.add_row table
-                  [ a.Engine.Answer.backend;
-                    Format.asprintf "%a" pp_answer_value
-                      a.Engine.Answer.points.(0).Engine.Answer.value;
-                    string_of_int a.Engine.Answer.evals;
-                    Printf.sprintf "%.3f"
-                      (Int64.to_float a.Engine.Answer.wall_ns /. 1e6) ])
-              rep.Engine.Crosscheck.answers;
-            print_string (Output.Table.to_text table);
-            Format.printf
-              "max relative divergence (analytic/kernel/dtmc) = %.3g@."
-              rep.Engine.Crosscheck.max_rel_divergence;
-            (match rep.Engine.Crosscheck.mc_covered with
-            | Some covered ->
-                Format.printf "monte carlo inside its 95%% CI: %b@." covered
-            | None ->
-                Format.printf "monte carlo: not applicable to this quantity@.");
-            Format.printf "@.")
-          quantities;
-        `Ok ()
+              (fun (rep : Engine.Crosscheck.report) ->
+                Format.printf "crosscheck: %a@." Engine.Query.pp
+                  rep.Engine.Crosscheck.query;
+                let table =
+                  Output.Table.create
+                    ~columns:
+                      [ ("backend", Output.Table.Left);
+                        ("value", Output.Table.Right);
+                        ("evals", Output.Table.Right);
+                        ("wall (ms)", Output.Table.Right) ]
+                in
+                List.iter
+                  (fun (a : Engine.Answer.t) ->
+                    Output.Table.add_row table
+                      [ a.Engine.Answer.backend;
+                        Format.asprintf "%a" pp_answer_value
+                          a.Engine.Answer.points.(0).Engine.Answer.value;
+                        string_of_int a.Engine.Answer.evals;
+                        Printf.sprintf "%.3f"
+                          (Int64.to_float a.Engine.Answer.wall_ns /. 1e6) ])
+                  rep.Engine.Crosscheck.answers;
+                print_string (Output.Table.to_text table);
+                Format.printf
+                  "max relative divergence (analytic/kernel/dtmc) = %.3g@."
+                  rep.Engine.Crosscheck.max_rel_divergence;
+                (match rep.Engine.Crosscheck.mc_covered with
+                | Some covered ->
+                    Format.printf "monte carlo inside its 95%% CI: %b@." covered
+                | None ->
+                    Format.printf
+                      "monte carlo: not applicable to this quantity@.");
+                Format.printf "@.")
+              reports;
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "crosscheck"

@@ -25,7 +25,9 @@ let check_batch ~name ~route ~supports (plans : Plan.t array) =
     plans
 
 (* Index every output point of every plan by a grouping key; groups keep
-   first-appearance order so batch execution is deterministic. *)
+   first-appearance order so batch execution is deterministic.  A group
+   is its first point, as (plan, point index), and every (plan index,
+   point index) that reads it. *)
 let group_points ~key (plans : Plan.t array) =
   let tbl = Hashtbl.create 32 in
   let order = ref [] in
@@ -36,7 +38,7 @@ let group_points ~key (plans : Plan.t array) =
       let last = ref None in
       Array.iteri
         (fun qi (n, r) ->
-          let k = key pl n r in
+          let k = key pl qi n r in
           let g =
             match !last with
             | Some (lk, g) when lk = k -> g
@@ -47,19 +49,17 @@ let group_points ~key (plans : Plan.t array) =
                   | None ->
                       let g = ref [] in
                       Hashtbl.add tbl k g;
-                      order := (pl, n, r, g) :: !order;
+                      order := (pl, qi, g) :: !order;
                       g
                 in
                 last := Some (k, g);
                 g
           in
-          g := (pi, qi, n) :: !g)
+          g := (pi, qi) :: !g)
         pl.points)
     plans;
   Array.of_list
-    (List.rev_map
-       (fun (pl, n, r, g) -> (pl, n, r, Array.of_list (List.rev !g)))
-       !order)
+    (List.rev_map (fun (pl, qi, g) -> (pl, qi, Array.of_list (List.rev !g))) !order)
 
 module Analytic = struct
   let name = "analytic"
@@ -300,13 +300,14 @@ module Dtmc = struct
   let eval_batch ?pool (plans : Plan.t array) =
     check_batch ~name:"Dtmc" ~route:Plan.Dtmc ~supports plans;
     let builds =
-      group_points plans ~key:(fun (pl : Plan.t) n r ->
+      group_points plans ~key:(fun (pl : Plan.t) _qi n r ->
           (pl.scenario_id, n, Int64.bits_of_float r))
     in
-    let run_build ((pl0 : Plan.t), n, r, readers) =
+    let run_build ((pl0 : Plan.t), qi0, readers) =
+      let n, r = pl0.points.(qi0) in
       let drm = Zeroconf.Drm.build pl0.query.Query.scenario ~n ~r in
       Array.mapi
-        (fun i (pi, qi, _n) ->
+        (fun i (pi, qi) ->
           ( pi,
             qi,
             value_of drm plans.(pi).Plan.query.Query.quantity,
@@ -351,63 +352,67 @@ module Mc = struct
     let m = int_of_float (Float.round (p.q *. float_of_int size)) in
     max 0 (min (size - 1) m)
 
-  let eval1 (q : Query.t) ~trials ~seed index n r =
-    let p = q.scenario in
-    (* independent deterministic stream per sweep point, so sweeps can
-       fan out over the pool without sharing an rng *)
-    let rng = Numerics.Rng.create (seed + (7919 * index)) in
-    let config =
-      Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.probe_cost
-        ~error_cost:p.error_cost
-    in
-    let outcomes =
-      Netsim.Scenario.run_aggregate ~delay:p.delay ~occupied:(occupied_of p)
-        ~config ~trials ~rng ()
-    in
-    match q.quantity with
-    | Query.Mean_cost ->
-        let agg = Netsim.Metrics.aggregate outcomes in
-        let ci_lo, ci_hi = agg.Netsim.Metrics.cost_ci in
-        Answer.Interval
-          { mean = agg.Netsim.Metrics.cost.Numerics.Stats.mean; ci_lo; ci_hi }
-    | Query.Error_probability ->
-        let agg = Netsim.Metrics.aggregate outcomes in
-        let ci_lo, ci_hi = agg.Netsim.Metrics.collision_ci in
-        Answer.Interval { mean = agg.Netsim.Metrics.collision_rate; ci_lo; ci_hi }
-    | Query.Latency_mean ->
-        let times =
-          Array.map
-            (fun (o : Netsim.Metrics.outcome) -> o.Netsim.Metrics.config_time)
-            outcomes
-        in
-        let mean = (Numerics.Stats.summarize times).Numerics.Stats.mean in
-        let ci_lo, ci_hi = Numerics.Stats.mean_ci times in
-        Answer.Interval { mean; ci_lo; ci_hi }
-    | _ -> invalid_arg "Backends.Mc: unsupported quantity"
-
   let accuracy_of (pl : Plan.t) =
     match pl.query.Query.accuracy with
     | Query.Sampled { trials; seed } -> (trials, seed)
     | _ -> assert false (* supports demands Sampled *)
 
-  (* Statistical plans keep their own seed streams: batching groups the
-     trial work for the scheduler but never mixes rngs, so a batch is
-     bitwise the same as evaluating each plan alone. *)
+  (* The trials of point [index] of a plan: an independent
+     deterministic stream per sweep point, so sweeps can fan out over
+     the pool without sharing an rng. *)
+  let run_stream (pl : Plan.t) index =
+    let p = pl.query.Query.scenario in
+    let trials, seed = accuracy_of pl in
+    let n, r = pl.points.(index) in
+    let rng = Numerics.Rng.create (seed + (7919 * index)) in
+    let config =
+      Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.probe_cost
+        ~error_cost:p.error_cost
+    in
+    Netsim.Scenario.run_aggregate ~delay:p.delay ~occupied:(occupied_of p)
+      ~config ~trials ~rng ()
+
+  let read outcomes (q : Query.t) =
+    let { Netsim.Metrics.mean; ci_lo; ci_hi } =
+      match q.quantity with
+      | Query.Mean_cost -> Netsim.Metrics.cost_interval outcomes
+      | Query.Error_probability -> Netsim.Metrics.collision_interval outcomes
+      | Query.Latency_mean -> Netsim.Metrics.config_time_interval outcomes
+      | _ -> invalid_arg "Backends.Mc: unsupported quantity"
+    in
+    Answer.Interval { mean; ci_lo; ci_hi }
+
+  (* One run per sampling stream in the whole batch: points that agree
+     on scenario (interned, so physically the same), n, the bits of r,
+     trials, seed and stream index draw the same outcomes, so they
+     share one run and each reads its own quantity from it.  A stream
+     is never merged with another, so a batch is bitwise the same as
+     evaluating each plan alone.  An answer's evals stay trials x
+     points: the sample size it rests on, shared or not. *)
   let eval_batch ?pool (plans : Plan.t array) =
     check_batch ~name:"Mc" ~route:Plan.Mc ~supports plans;
-    let groups =
-      Array.map
-        (fun (pl : Plan.t) ->
+    let streams =
+      group_points plans ~key:(fun (pl : Plan.t) qi n r ->
           let trials, seed = accuracy_of pl in
-          Array.mapi (fun i (n, r) -> (pl.query, trials, seed, i, n, r)) pl.points)
+          (pl.scenario_id, n, Int64.bits_of_float r, trials, seed, qi))
+    in
+    let run ((pl0 : Plan.t), index, readers) =
+      let outcomes = run_stream pl0 index in
+      Array.map
+        (fun (pi, qi) -> (pi, qi, read outcomes plans.(pi).Plan.query))
+        readers
+    in
+    let results, wall_ns =
+      time_ns (fun () -> Exec.Parallel.map ?pool run streams)
+    in
+    let values =
+      Array.map
+        (fun (pl : Plan.t) -> Array.make (Array.length pl.points) (Answer.Scalar 0.))
         plans
     in
-    let values, wall_ns =
-      time_ns (fun () ->
-          Exec.Parallel.map_groups ?pool
-            (fun (q, trials, seed, i, n, r) -> eval1 q ~trials ~seed i n r)
-            groups)
-    in
+    Array.iter
+      (Array.iter (fun (pi, qi, v) -> values.(pi).(qi) <- v))
+      results;
     Array.mapi
       (fun pi (pl : Plan.t) ->
         let trials, _ = accuracy_of pl in

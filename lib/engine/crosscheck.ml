@@ -15,27 +15,7 @@ let rel_divergence a b =
     let denom = Float.max (Float.abs a) (Float.abs b) in
     if denom = 0. then 0. else Float.abs (a -. b) /. denom
 
-let run ?pool ?(trials = default_trials) ?(seed = default_seed) (q : Query.t) =
-  Query.validate q;
-  let exact_q = { q with accuracy = Query.Exact } in
-  (* each route forced by name through the executor: plan keys include
-     the route, so the answer cache keeps the three exact runs apart
-     while still serving repeat crosschecks out of the table *)
-  let exact_answers =
-    List.filter_map
-      (fun (module B : Backend.S) ->
-        if B.supports exact_q then
-          Some (Executor.eval ?pool ~backend:B.name exact_q)
-        else None)
-      [ (module Backends.Analytic); (module Backends.Kernel);
-        (module Backends.Dtmc) ]
-  in
-  let mc_q = { q with accuracy = Query.Sampled { trials; seed } } in
-  let mc_answer =
-    if Backends.Mc.supports mc_q then
-      Some (Executor.eval ?pool ~backend:Backends.Mc.name mc_q)
-    else None
-  in
+let report (q : Query.t) exact_answers mc_answer =
   let size = Query.size q in
   let max_rel = ref 0. in
   List.iteri
@@ -54,7 +34,7 @@ let run ?pool ?(trials = default_trials) ?(seed = default_seed) (q : Query.t) =
     exact_answers;
   let mc_covered =
     match (mc_answer, exact_answers) with
-    | Some mc, reference :: _ ->
+    | Some (mc : Answer.t), (reference : Answer.t) :: _ ->
         let ok = ref true in
         for k = 0 to size - 1 do
           let x = Answer.scalar reference.points.(k) in
@@ -75,3 +55,57 @@ let run ?pool ?(trials = default_trials) ?(seed = default_seed) (q : Query.t) =
     answers = exact_answers @ Option.to_list mc_answer;
     max_rel_divergence = !max_rel;
     mc_covered }
+
+let exact_routes : (module Backend.S) list =
+  [ (module Backends.Analytic); (module Backends.Kernel); (module Backends.Dtmc) ]
+
+let run ?pool ?(trials = default_trials) ?(seed = default_seed) queries =
+  (* every query is checked before any route runs *)
+  let mc_queries =
+    List.map
+      (fun (q : Query.t) ->
+        Query.validate q;
+        let mc_q = { q with accuracy = Query.Sampled { trials; seed } } in
+        Query.validate mc_q;
+        mc_q)
+      queries
+  in
+  (* every Monte-Carlo plan in one batch, so queries that sample the
+     same stream (cost and error at one point) share one run *)
+  let mc_answers =
+    Executor.run_batch ?pool
+      (Array.of_list
+         (List.filter_map
+            (fun q ->
+              if Backends.Mc.supports q then
+                Some (Planner.plan ~backend:Backends.Mc.name q)
+              else None)
+            mc_queries))
+  in
+  let next_mc = ref 0 in
+  List.map2
+    (fun (q : Query.t) mc_q ->
+      (* each exact route forced by name, query by query: plan keys
+         include the route, so the answer cache keeps the three exact
+         runs apart, and each report's evals are its own scan (one
+         batch would charge a shared kernel scan or DTMC build to its
+         first reader only) *)
+      let exact_q = { q with accuracy = Query.Exact } in
+      let exact_answers =
+        List.filter_map
+          (fun (module B : Backend.S) ->
+            if B.supports exact_q then
+              Some (Executor.eval ?pool ~backend:B.name exact_q)
+            else None)
+          exact_routes
+      in
+      let mc_answer =
+        if Backends.Mc.supports mc_q then begin
+          let a = mc_answers.(!next_mc) in
+          incr next_mc;
+          Some a
+        end
+        else None
+      in
+      report q exact_answers mc_answer)
+    queries mc_queries

@@ -1,5 +1,5 @@
-(** Multi-route agreement: run one query on every backend that can
-    answer it and quantify how far the routes drift apart.
+(** Multi-route agreement: run queries on every backend that can
+    answer them and quantify how far the routes drift apart.
 
     This generalizes the repository's historical three-way validation
     table to {e any} query: the deterministic routes must agree to
@@ -33,6 +33,13 @@ val default_seed : int
 val rel_divergence : float -> float -> float
 (** The pairwise metric used for {!report.max_rel_divergence}. *)
 
-val run : ?pool:Exec.Pool.t -> ?trials:int -> ?seed:int -> Query.t -> report
-(** Evaluate [q] (its accuracy demand is ignored: deterministic routes
-    run [Exact], Monte Carlo runs [Sampled] with [trials]/[seed]). *)
+val run :
+  ?pool:Exec.Pool.t -> ?trials:int -> ?seed:int -> Query.t list -> report list
+(** One report per query, in order.  Each query's accuracy demand is
+    ignored: deterministic routes run [Exact], Monte Carlo runs
+    [Sampled] with [trials]/[seed].  Every Monte-Carlo plan of the list
+    goes to one {!Executor.run_batch}, so queries on the same sampling
+    stream (e.g. cost and error at one point) share one run; the exact
+    routes run query by query, so each report's [evals] are its own.
+    Raises [Invalid_argument] before evaluating anything if a query,
+    or its Monte-Carlo form, is invalid (e.g. [trials < 1]). *)

@@ -105,22 +105,88 @@ let mc_friendly =
     ~q:(Zeroconf.Params.q_of_hosts 19_507)
     ~probe_cost:1. ~error_cost:100.
 
-let check_covered p ~n ~r qty =
-  let rep =
+let check_covered p ~n ~r =
+  let quantities = [ Q.Mean_cost; Q.Error_probability; Q.Latency_mean ] in
+  let reports =
     Engine.Crosscheck.run ~trials:20_000 ~seed:Engine.Crosscheck.default_seed
-      (Q.point qty p ~n ~r)
+      (List.map (fun qty -> Q.point qty p ~n ~r) quantities)
   in
-  Alcotest.(check (option bool))
-    (Printf.sprintf "%s covered at (%d, %g) on %s" (Q.quantity_name qty) n r
-       p.Zeroconf.Params.name)
-    (Some true) rep.Engine.Crosscheck.mc_covered
+  List.iter2
+    (fun qty (rep : Engine.Crosscheck.report) ->
+      Alcotest.(check (option bool))
+        (Printf.sprintf "%s covered at (%d, %g) on %s" (Q.quantity_name qty) n
+           r p.Zeroconf.Params.name)
+        (Some true) rep.Engine.Crosscheck.mc_covered)
+    quantities reports
 
 let test_mc_within_ci () =
+  check_covered Zeroconf.Params.figure2 ~n:4 ~r:2.;
+  check_covered mc_friendly ~n:4 ~r:1.
+
+(* ------------------------------------------------------------------ *)
+(* Monte Carlo shares one run per sampling stream, never more          *)
+
+let value_bits (pt : A.point) =
+  match pt.A.value with
+  | A.Scalar x -> [ Int64.bits_of_float x ]
+  | A.Interval { mean; ci_lo; ci_hi } ->
+      List.map Int64.bits_of_float [ mean; ci_lo; ci_hi ]
+
+let mc_plan ?(trials = 2_000) ?(seed = 5) q =
+  Engine.Plan.make ~route:Engine.Plan.Mc
+    { q with Q.accuracy = Q.Sampled { trials; seed } }
+
+(* the batch answers every plan exactly as it answers that plan alone,
+   at one and at two jobs *)
+let check_shared label plans =
+  let module Mc = Engine.Backends.Mc in
+  let pool1 = Exec.Pool.create 1 and pool2 = Exec.Pool.create 2 in
+  let alone = Array.map (fun pl -> (Mc.eval_batch ~pool:pool1 [| pl |]).(0)) plans in
   List.iter
-    (fun qty ->
-      check_covered Zeroconf.Params.figure2 ~n:4 ~r:2. qty;
-      check_covered mc_friendly ~n:4 ~r:1. qty)
-    [ Q.Mean_cost; Q.Error_probability; Q.Latency_mean ]
+    (fun (jobs, pool) ->
+      let batch = Mc.eval_batch ~pool plans in
+      Array.iteri
+        (fun i (b : A.t) ->
+          let a = alone.(i) in
+          if Array.map value_bits b.A.points <> Array.map value_bits a.A.points
+          then
+            Alcotest.failf "%s: plan %d differs from its solo run at -j %d"
+              label i jobs;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: plan %d evals = trials x points" label i)
+            a.A.evals b.A.evals)
+        batch)
+    [ (1, pool1); (2, pool2) ];
+  Exec.Pool.shutdown pool1;
+  Exec.Pool.shutdown pool2
+
+let test_mc_shared_streams () =
+  (* one probe, so collisions are common and error rates tell streams
+     apart *)
+  let p = mc_friendly in
+  let at qty = Q.point qty p ~n:1 ~r:1. in
+  let rs = [| 0.5; 1.; 1.5 |] in
+  check_shared "one point"
+    (Array.map (fun qty -> mc_plan (at qty))
+       [| Q.Mean_cost; Q.Error_probability; Q.Latency_mean |]);
+  check_shared "r-sweep pair"
+    [| mc_plan (Q.r_sweep Q.Mean_cost p ~n:1 ~rs);
+       mc_plan (Q.r_sweep Q.Error_probability p ~n:1 ~rs) |];
+  (* near-twins that must not share: another seed, another trial
+     count, the same point at stream index 1 (the sweep's r = 1),
+     another n, another scenario, and an equal but physically distinct
+     one *)
+  let twin = Zeroconf.Params.with_q p p.Zeroconf.Params.q in
+  let other = Zeroconf.Params.with_q Zeroconf.Params.figure2 p.Zeroconf.Params.q in
+  check_shared "near-twins"
+    [| mc_plan (at Q.Error_probability);
+       mc_plan ~seed:6 (at Q.Error_probability);
+       mc_plan ~trials:1_000 (at Q.Error_probability);
+       mc_plan (Q.r_sweep Q.Error_probability p ~n:1 ~rs);
+       mc_plan (Q.point Q.Error_probability p ~n:2 ~r:1.);
+       mc_plan (Q.point Q.Error_probability other ~n:1 ~r:1.);
+       mc_plan (Q.point Q.Error_probability twin ~n:1 ~r:1.);
+       mc_plan (at Q.Mean_cost) |]
 
 (* ------------------------------------------------------------------ *)
 (* Planner routing and provenance                                      *)
@@ -233,17 +299,17 @@ let test_r_zero_boundary () =
 (* the acceptance-criteria crosscheck, as a regression test *)
 let test_crosscheck_acceptance () =
   List.iter
-    (fun qty ->
-      let rep =
-        Engine.Crosscheck.run (Q.point qty Zeroconf.Params.figure2 ~n:4 ~r:2.)
-      in
+    (fun (rep : Engine.Crosscheck.report) ->
       Alcotest.(check int) "three deterministic routes + mc" 4
         (List.length rep.Engine.Crosscheck.answers);
       Alcotest.(check bool) "divergence <= 1e-9" true
         (rep.Engine.Crosscheck.max_rel_divergence <= 1e-9);
       Alcotest.(check (option bool)) "mc covered" (Some true)
         rep.Engine.Crosscheck.mc_covered)
-    [ Q.Mean_cost; Q.Error_probability ]
+    (Engine.Crosscheck.run
+       (List.map
+          (fun qty -> Q.point qty Zeroconf.Params.figure2 ~n:4 ~r:2.)
+          [ Q.Mean_cost; Q.Error_probability ]))
 
 let () =
   Alcotest.run "engine"
@@ -258,7 +324,9 @@ let () =
             test_dtmc_agreement;
           Alcotest.test_case "mc inside its CI" `Slow test_mc_within_ci;
           Alcotest.test_case "crosscheck acceptance point" `Quick
-            test_crosscheck_acceptance ] );
+            test_crosscheck_acceptance;
+          Alcotest.test_case "mc shares a run per sampling stream" `Quick
+            test_mc_shared_streams ] );
       ( "planner",
         [ Alcotest.test_case "routing" `Quick test_planner_routing;
           Alcotest.test_case "provenance" `Quick test_provenance;
