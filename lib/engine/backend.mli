@@ -20,12 +20,13 @@ module type S = sig
   (** Answer a batch of plans, all routed to this backend, amortizing
       shared work across them: the kernel streams one cursor per
       [(scenario, r)] column, the DTMC route builds each distinct
-      matrix once, Monte Carlo keeps every plan on its own seed
-      stream.  Answers come back in plan order, and every point is
-      bitwise identical to evaluating the plans one by one — batching
-      changes cost, never values.  Each answer's [evals] counts the
-      work its plan triggered, so evals summed over the batch equal
-      the work actually done; [wall_ns] is the whole batch's wall
-      time.  Raises [Invalid_argument] on a plan routed elsewhere or
+      matrix once, Monte Carlo runs each sampling stream once for
+      every quantity that reads it.  Answers come back in plan order,
+      and every point is bitwise identical to evaluating the plans one
+      by one — batching changes cost, never values.  Each exact
+      answer's [evals] counts the work its plan triggered, so evals
+      summed over the batch equal the work actually done; a Monte-Carlo
+      answer's [evals] is its sample size, trials x points, shared run
+      or not.  [wall_ns] is the whole batch's wall time.  Raises [Invalid_argument] on a plan routed elsewhere or
       not supported. *)
 end

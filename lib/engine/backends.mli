@@ -21,9 +21,10 @@
 
     Every route implements [eval_batch]: the kernel amortizes one
     streaming cursor per [(scenario, r)] column across the batch, the
-    DTMC route builds each distinct matrix once, the analytic and
-    Monte-Carlo routes flatten the batch into one balanced fan-out
-    (Monte Carlo keeping each plan's seed stream intact).  Batched
+    DTMC route builds each distinct matrix once, the analytic route
+    flattens the batch into one balanced fan-out, and Monte Carlo runs
+    each sampling stream (scenario, n, r, trials, seed and the point's
+    stream index) once, however many quantities read it.  Batched
     values are bitwise identical to scalar evaluation. *)
 
 module Analytic : Backend.S
