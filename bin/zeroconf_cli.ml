@@ -766,7 +766,7 @@ let crosscheck_cmd =
           | `Ok q -> `Ok [ q ]
           | `Error _ as e -> e)
     in
-    let reports quantities =
+    let crosscheck quantities =
       check_positive "-n" n;
       check_period "-r" r;
       check_positive "--trials" trials;
@@ -776,7 +776,7 @@ let crosscheck_cmd =
     match quantities with
     | `Error _ as e -> e
     | `Ok quantities -> (
-        match reports quantities with
+        match crosscheck quantities with
         | exception Invalid_argument msg -> `Error (false, msg)
         | reports ->
             List.iter

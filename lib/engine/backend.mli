@@ -27,6 +27,6 @@ module type S = sig
       answer's [evals] counts the work its plan triggered, so evals
       summed over the batch equal the work actually done; a Monte-Carlo
       answer's [evals] is its sample size, trials x points, shared run
-      or not.  [wall_ns] is the whole batch's wall time.  Raises [Invalid_argument] on a plan routed elsewhere or
-      not supported. *)
+      or not.  [wall_ns] is the whole batch's wall time.  Raises
+      [Invalid_argument] on a plan routed elsewhere or not supported. *)
 end

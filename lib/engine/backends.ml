@@ -59,7 +59,9 @@ let group_points ~key (plans : Plan.t array) =
         pl.points)
     plans;
   Array.of_list
-    (List.rev_map (fun (pl, qi, g) -> (pl, qi, Array.of_list (List.rev !g))) !order)
+    (List.rev_map
+       (fun (pl, qi, g) -> (pl, qi, Array.of_list (List.rev !g)))
+       !order)
 
 module Analytic = struct
   let name = "analytic"
@@ -407,7 +409,8 @@ module Mc = struct
     in
     let values =
       Array.map
-        (fun (pl : Plan.t) -> Array.make (Array.length pl.points) (Answer.Scalar 0.))
+        (fun (pl : Plan.t) ->
+          Array.make (Array.length pl.points) (Answer.Scalar 0.))
         plans
     in
     Array.iter

@@ -57,14 +57,15 @@ let report (q : Query.t) exact_answers mc_answer =
     mc_covered }
 
 let exact_routes : (module Backend.S) list =
-  [ (module Backends.Analytic); (module Backends.Kernel); (module Backends.Dtmc) ]
+  [ (module Backends.Analytic); (module Backends.Kernel);
+    (module Backends.Dtmc) ]
 
 let run ?pool ?(trials = default_trials) ?(seed = default_seed) queries =
-  (* every query is checked before any route runs *)
+  (* every query, at the Monte-Carlo accuracy, is checked before any
+     route runs *)
   let mc_queries =
     List.map
       (fun (q : Query.t) ->
-        Query.validate q;
         let mc_q = { q with accuracy = Query.Sampled { trials; seed } } in
         Query.validate mc_q;
         mc_q)

@@ -21,44 +21,16 @@ type aggregate = {
   mean_restarts : float;
 }
 
-let trials_of name outcomes =
-  let trials = Array.length outcomes in
-  if trials = 0 then invalid_arg ("Metrics." ^ name ^ ": no outcomes");
-  trials
-
-(* [Stats.summarize] of one float field, read in place instead of from
-   a copied array: the same Neumaier order for the mean and for the
-   (x -. mean) ** 2. deviations, so every figure is bit-identical. *)
-let summarize_field field outcomes : Numerics.Stats.summary =
-  let n = Array.length outcomes in
-  let mean = Numerics.Safe_float.sum_by field outcomes /. float_of_int n in
-  let variance =
-    if n < 2 then 0.
-    else
-      Numerics.Safe_float.sum_by (fun o -> (field o -. mean) ** 2.) outcomes
-      /. float_of_int (n - 1)
-  in
-  let lo = ref (field outcomes.(0)) and hi = ref (field outcomes.(0)) in
-  for i = 0 to n - 1 do
-    let x = field outcomes.(i) in
-    lo := Float.min !lo x;
-    hi := Float.max !hi x
-  done;
-  { n; mean; variance; std = sqrt variance; min = !lo; max = !hi }
-
 let cost_of (o : outcome) = o.cost
 let config_time_of (o : outcome) = o.config_time
 
-let mean_interval name field outcomes =
-  ignore (trials_of name outcomes);
-  let s = summarize_field field outcomes in
+let mean_interval field outcomes =
+  let s = Numerics.Stats.summarize_by field outcomes in
   let ci_lo, ci_hi = Numerics.Stats.summary_ci s in
   { mean = s.Numerics.Stats.mean; ci_lo; ci_hi }
 
-let cost_interval outcomes = mean_interval "cost_interval" cost_of outcomes
-
-let config_time_interval outcomes =
-  mean_interval "config_time_interval" config_time_of outcomes
+let cost_interval outcomes = mean_interval cost_of outcomes
+let config_time_interval outcomes = mean_interval config_time_of outcomes
 
 let count_collisions outcomes =
   Array.fold_left
@@ -66,15 +38,18 @@ let count_collisions outcomes =
     0 outcomes
 
 let collision_interval outcomes =
-  let trials = trials_of "collision_interval" outcomes in
+  let trials = Array.length outcomes in
   let collisions = count_collisions outcomes in
-  let ci_lo, ci_hi = Numerics.Stats.proportion_ci ~successes:collisions trials in
+  let ci_lo, ci_hi =
+    Numerics.Stats.proportion_ci ~successes:collisions trials
+  in
   { mean = float_of_int collisions /. float_of_int trials; ci_lo; ci_hi }
 
 let aggregate outcomes =
-  let trials = trials_of "aggregate" outcomes in
+  let trials = Array.length outcomes in
+  if trials = 0 then invalid_arg "Metrics.aggregate: no outcomes";
   let collisions = count_collisions outcomes in
-  let cost = summarize_field cost_of outcomes in
+  let cost = Numerics.Stats.summarize_by cost_of outcomes in
   let mean_of count =
     Numerics.Safe_float.sum_by (fun o -> float_of_int (count o)) outcomes
     /. float_of_int trials
@@ -85,7 +60,7 @@ let aggregate outcomes =
     collision_ci = Numerics.Stats.proportion_ci ~successes:collisions trials;
     cost;
     cost_ci = Numerics.Stats.summary_ci cost;
-    config_time = summarize_field config_time_of outcomes;
+    config_time = Numerics.Stats.summarize_by config_time_of outcomes;
     mean_probes = mean_of (fun (o : outcome) -> o.probes_sent);
     mean_restarts = mean_of (fun (o : outcome) -> o.restarts) }
 

@@ -27,11 +27,10 @@ type aggregate = {
 
 (** {1 One statistic at a time}
 
-    Each reads its fields straight from the outcomes, without copying
-    them into a float array, and each equals the matching
-    {!aggregate} fields bit for bit: the same compensated sums in the
-    same order as {!Numerics.Stats.summarize}.  All raise
-    [Invalid_argument] on an empty array. *)
+    Each reads its fields straight from the outcomes
+    ({!Numerics.Stats.summarize_by}), without copying them into a
+    float array, and each equals the matching {!aggregate} fields bit
+    for bit.  All raise [Invalid_argument] on an empty array. *)
 
 val cost_interval : outcome array -> interval
 (** Mean cost with its normal-approximation interval: [cost]'s mean

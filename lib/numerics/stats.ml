@@ -7,22 +7,25 @@ type summary = {
   max : float;
 }
 
-let summarize xs =
+let summarize_by f xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
-  let mean = Safe_float.mean xs in
+  let mean = Safe_float.sum_by f xs /. float_of_int n in
   let variance =
     if n < 2 then 0.
     else
-      Safe_float.sum (Array.map (fun x -> (x -. mean) ** 2.) xs)
+      Safe_float.sum_by (fun x -> (f x -. mean) ** 2.) xs
       /. float_of_int (n - 1)
   in
+  let x0 = f xs.(0) in
   { n;
     mean;
     variance;
     std = sqrt variance;
-    min = Array.fold_left Float.min xs.(0) xs;
-    max = Array.fold_left Float.max xs.(0) xs }
+    min = Array.fold_left (fun m x -> Float.min m (f x)) x0 xs;
+    max = Array.fold_left (fun m x -> Float.max m (f x)) x0 xs }
+
+let summarize xs = summarize_by Fun.id xs
 
 (* Inverse standard-normal CDF: Peter Acklam's rational approximation. *)
 let normal_quantile p =

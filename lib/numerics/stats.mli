@@ -13,6 +13,10 @@ type summary = {
 val summarize : float array -> summary
 (** Raises [Invalid_argument] on an empty array. *)
 
+val summarize_by : ('a -> float) -> 'a array -> summary
+(** [summarize_by f xs] is [summarize (Array.map f xs)], bit for bit,
+    without building the mapped array. *)
+
 val summary_ci : ?confidence:float -> summary -> float * float
 (** Normal-approximation confidence interval for the mean of a
     summarized sample (default [confidence = 0.95]).  Returns

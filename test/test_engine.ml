@@ -141,7 +141,9 @@ let mc_plan ?(trials = 2_000) ?(seed = 5) q =
 let check_shared label plans =
   let module Mc = Engine.Backends.Mc in
   let pool1 = Exec.Pool.create 1 and pool2 = Exec.Pool.create 2 in
-  let alone = Array.map (fun pl -> (Mc.eval_batch ~pool:pool1 [| pl |]).(0)) plans in
+  let alone =
+    Array.map (fun pl -> (Mc.eval_batch ~pool:pool1 [| pl |]).(0)) plans
+  in
   List.iter
     (fun (jobs, pool) ->
       let batch = Mc.eval_batch ~pool plans in
@@ -177,7 +179,9 @@ let test_mc_shared_streams () =
      another n, another scenario, and an equal but physically distinct
      one *)
   let twin = Zeroconf.Params.with_q p p.Zeroconf.Params.q in
-  let other = Zeroconf.Params.with_q Zeroconf.Params.figure2 p.Zeroconf.Params.q in
+  let other =
+    Zeroconf.Params.with_q Zeroconf.Params.figure2 p.Zeroconf.Params.q
+  in
   check_shared "near-twins"
     [| mc_plan (at Q.Error_probability);
        mc_plan ~seed:6 (at Q.Error_probability);

@@ -200,7 +200,33 @@ let outcome_bits (o : Metrics.outcome) =
     Int64.bits_of_float o.Metrics.config_time,
     Int64.bits_of_float o.Metrics.cost )
 
-(* [Metrics.aggregate] as it was first written, over copied arrays *)
+(* [Stats.summarize] and [Metrics.aggregate] as they were first written,
+   over copied arrays *)
+let reference_summarize xs =
+  let n = Array.length xs in
+  let mean = Numerics.Safe_float.mean xs in
+  let variance =
+    if n < 2 then 0.
+    else
+      Numerics.Safe_float.sum (Array.map (fun x -> (x -. mean) ** 2.) xs)
+      /. float_of_int (n - 1)
+  in
+  { Stats.n;
+    mean;
+    variance;
+    std = sqrt variance;
+    min = Array.fold_left Float.min xs.(0) xs;
+    max = Array.fold_left Float.max xs.(0) xs }
+
+let reference_mean_ci xs =
+  let s = reference_summarize xs in
+  if s.Stats.n < 2 then (s.Stats.mean, s.Stats.mean)
+  else
+    let half =
+      Stats.normal_quantile 0.975 *. s.Stats.std /. sqrt (float_of_int s.Stats.n)
+    in
+    (s.Stats.mean -. half, s.Stats.mean +. half)
+
 let reference_aggregate outcomes =
   let trials = Array.length outcomes in
   let collisions =
@@ -210,22 +236,13 @@ let reference_aggregate outcomes =
   in
   let costs = Array.map (fun (o : Metrics.outcome) -> o.Metrics.cost) outcomes in
   let times = Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) outcomes in
-  let mean_ci xs =
-    let s = Stats.summarize xs in
-    if s.Stats.n < 2 then (s.Stats.mean, s.Stats.mean)
-    else
-      let half =
-        Stats.normal_quantile 0.975 *. s.Stats.std /. sqrt (float_of_int s.Stats.n)
-      in
-      (s.Stats.mean -. half, s.Stats.mean +. half)
-  in
   { Metrics.trials;
     collisions;
     collision_rate = float_of_int collisions /. float_of_int trials;
     collision_ci = Stats.proportion_ci ~successes:collisions trials;
-    cost = Stats.summarize costs;
-    cost_ci = mean_ci costs;
-    config_time = Stats.summarize times;
+    cost = reference_summarize costs;
+    cost_ci = reference_mean_ci costs;
+    config_time = reference_summarize times;
     mean_probes =
       Numerics.Safe_float.mean
         (Array.map (fun (o : Metrics.outcome) -> float_of_int o.Metrics.probes_sent) outcomes);
@@ -446,7 +463,7 @@ let test_metrics_equal_reference () =
         Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) outcomes
       in
       same "config_time_interval"
-        (interval old.Metrics.config_time.Stats.mean (Stats.mean_ci times))
+        (interval old.Metrics.config_time.Stats.mean (reference_mean_ci times))
         (interval_bits (Metrics.config_time_interval outcomes)))
     (List.concat_map (fun s -> List.map (fun c -> (s, c)) semantics) settings)
 
