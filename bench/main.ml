@@ -1,9 +1,10 @@
 (* Smoke gate for the multicore and kernel paths, run by
    `dune build @bench-smoke`: every serial/parallel artifact pair at
    tiny sizes (on a 2-domain pool even when the host defaults to 1),
-   the kernel scans against a point-wise rebuild, and the planner and
-   batch routes against direct evaluation.  The paper-reproduction
-   report is `zeroconf_cli reproduce`; timing lives in perfbench/.
+   the kernel scans against a point-wise rebuild, the planner and
+   batch routes against direct evaluation, and the batch front end's
+   cost against the executor's.  The paper-reproduction report is
+   `zeroconf_cli reproduce`; absolute timing lives in perfbench/.
 
    Usage: main.exe --smoke *)
 
@@ -236,8 +237,67 @@ let smoke () =
   assert (s.Engine.Cache.misses = Array.length workload);
   print_endline "smoke ok: warm cache serves the workload with zero backend evals"
 
+(* The batch front end (parse and plan) may cost at most what the
+   engine's [Executor.run_batch] costs on the plans it hands over:
+   20k distinct point lines in the benchmark's [points] format, each
+   stage timed in process at its best of 3 runs.  The gate is on the
+   ratio alone, never on an absolute time, so it holds on any host. *)
+let front_end_lines = 20_000
+and front_end_runs = 3
+and front_end_max_ratio = 1.
+
+let point_lines () =
+  let rng = Numerics.Rng.create 2003 in
+  let quantities = [| Engine.Query.Mean_cost; Engine.Query.Error_probability;
+                      Engine.Query.Log10_error |]
+  and presets = Array.of_list Zeroconf.Params.presets in
+  Array.init front_end_lines (fun _ ->
+      let q = quantities.(Numerics.Rng.int rng (Array.length quantities)) in
+      let name, _ = presets.(Numerics.Rng.int rng (Array.length presets)) in
+      let n = 1 + Numerics.Rng.int rng 16 in
+      Printf.sprintf "%s scenario=%s n=%d r=%.17g"
+        (Engine.Query.quantity_name q) name n
+        (Numerics.Rng.uniform rng ~lo:0.05 ~hi:6.))
+
+let front_end_gate () =
+  let lines = point_lines () in
+  let front = ref Int64.max_int and exec = ref Int64.max_int in
+  for _ = 1 to front_end_runs do
+    let next = ref 0 in
+    let next_line () =
+      if !next = Array.length lines then None
+      else begin
+        incr next;
+        Some lines.(!next - 1)
+      end
+    in
+    let t0 = Monotonic_clock.now () in
+    let plans = Batch_input.plans next_line in
+    let t1 = Monotonic_clock.now () in
+    ignore
+      (Engine.Executor.run_batch ~pool:serial_pool
+         ~cache:(Engine.Cache.create ()) plans);
+    let t2 = Monotonic_clock.now () in
+    assert (Array.length plans = front_end_lines);
+    front := min !front (Int64.sub t1 t0);
+    exec := min !exec (Int64.sub t2 t1)
+  done;
+  let ratio = Int64.to_float !front /. Int64.to_float !exec in
+  if ratio > front_end_max_ratio then
+    failwith
+      (Printf.sprintf
+         "batch front end at %.2fx Executor.run_batch on %d point lines \
+          (gate %gx)"
+         ratio front_end_lines front_end_max_ratio);
+  Printf.printf
+    "smoke ok: batch front end at %.2fx Executor.run_batch (gate %gx)\n" ratio
+    front_end_max_ratio
+
 let () =
-  if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then smoke ()
+  if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then begin
+    smoke ();
+    front_end_gate ()
+  end
   else begin
     prerr_endline
       "usage: main.exe --smoke  (the reproduction report is `zeroconf_cli \

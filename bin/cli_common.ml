@@ -1,9 +1,11 @@
-(* Shared --jobs/-j/ZEROCONF_JOBS plumbing for the zeroconf executables.
+(* Shared plumbing for the zeroconf executables: --jobs/-j/ZEROCONF_JOBS
+   and the sweep-size check.
 
-   Folded into every subcommand's term; the default pins jobs = 1
-   (serial) unless ZEROCONF_JOBS is set, keeping the golden CLI and
-   figure outputs byte-identical — parallel results are bit-identical
-   anyway, this just avoids spawning domains nobody asked for. *)
+   The jobs option is folded into every subcommand's term; the default
+   pins jobs = 1 (serial) unless ZEROCONF_JOBS is set, keeping the
+   golden CLI and figure outputs byte-identical — parallel results are
+   bit-identical anyway, this just avoids spawning domains nobody asked
+   for. *)
 
 let jobs_term =
   Cmdliner.Arg.(
@@ -30,3 +32,11 @@ let with_jobs jobs k =
           Exec.Pool.set_jobs 1;
           k ()
       | Ok (Some _) -> k ())
+
+(* A grid size taken from the user is checked against the query
+   engine's bound before the grid is allocated, so a huge size fails
+   with this message instead of exhausting memory. *)
+let check_size what k =
+  if k > Engine.Query.max_points then
+    invalid_arg
+      (Printf.sprintf "%s: more than %d points" what Engine.Query.max_points)

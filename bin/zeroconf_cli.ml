@@ -96,14 +96,6 @@ let r_term =
   Arg.(value & opt float 2.
        & info [ "r"; "r-period" ] ~docv:"R" ~doc:"Listening period in seconds.")
 
-(* A grid size taken from the user is checked against the query
-   engine's bound before the grid is allocated, so a huge size fails
-   with this message instead of exhausting memory. *)
-let check_size what k =
-  if k > Engine.Query.max_points then
-    invalid_arg
-      (Printf.sprintf "%s: more than %d points" what Engine.Query.max_points)
-
 (* Option values a command needs in range, checked before it prints
    anything; the message names the option. *)
 let check_positive option k =
@@ -267,7 +259,9 @@ let curve_cmd =
   in
   let r_max = Arg.(value & opt float 4. & info [ "r-max" ] ~doc:"Upper r bound.") in
   let run p n points r_max =
-    match check_size (Printf.sprintf "--points %d" points) points with
+    match
+      Cli_common.check_size (Printf.sprintf "--points %d" points) points
+    with
     | exception Invalid_argument msg -> `Error (false, msg)
     | () ->
         let grid = Numerics.Grid.linspace 0.01 r_max points in
@@ -708,12 +702,15 @@ let query_cmd =
           let q =
             match (r_sweep, n_max) with
             | Some (lo, hi, points), _ ->
-                check_size (Printf.sprintf "--sweep-r %g,%g,%d" lo hi points)
+                Cli_common.check_size
+                  (Printf.sprintf "--sweep-r %g,%g,%d" lo hi points)
                   points;
                 Engine.Query.r_sweep ~accuracy qty p ~n
                   ~rs:(Numerics.Grid.linspace lo hi points)
             | None, Some n_max ->
-                check_size (Printf.sprintf "--sweep-n %d" n_max) n_max;
+                Cli_common.check_size
+                  (Printf.sprintf "--sweep-n %d" n_max)
+                  n_max;
                 Engine.Query.n_sweep ~accuracy qty p
                   ~ns:(Array.init n_max (fun i -> i + 1))
                   ~r
@@ -822,125 +819,15 @@ let crosscheck_cmd =
     Term.(ret (const run $ scenario_term $ n_term $ r_term $ quantity $ trials
                $ seed $ no_cache_term))
 
-(* One query per line: QUANTITY [key=value ...].  Keys: scenario=NAME,
-   n=INT, r=FLOAT, ns=LO:HI (inclusive int range), rs=LO:HI:POINTS
-   (linear grid), backend=NAME, trials=INT, seed=INT.  Each key may
-   appear once, and ns excludes n and rs, rs excludes r.  '#' starts a
-   comment; blank lines are skipped. *)
-let parse_batch_line lineno line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let fail msg = failwith (Printf.sprintf "line %d: %s" lineno msg) in
-  (* the query and grid constructors reject bad values with
-     Invalid_argument; report those against the line too *)
-  let checked f = try f () with Invalid_argument msg -> fail msg in
-  let tokens =
-    String.split_on_char ' ' (String.trim line)
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun s -> s <> "")
-  in
-  match tokens with
-  | [] -> None
-  | qname :: rest ->
-      let qty =
-        match Engine.Query.quantity_of_name qname with
-        | Some q -> q
-        | None -> fail (Printf.sprintf "unknown quantity %s" qname)
-      in
-      let scenario = ref Zeroconf.Params.figure2 in
-      let n = ref 4 and r = ref 2. in
-      let ns = ref None and rs = ref None in
-      let backend = ref None in
-      let trials = ref Engine.Crosscheck.default_trials in
-      let seed = ref Engine.Crosscheck.default_seed in
-      let int_of key v =
-        match int_of_string_opt v with
-        | Some i -> i
-        | None -> fail (Printf.sprintf "%s=%s is not an integer" key v)
-      in
-      let float_of key v =
-        match float_of_string_opt v with
-        | Some x -> x
-        | None -> fail (Printf.sprintf "%s=%s is not a number" key v)
-      in
-      let given = ref [] in
-      List.iter
-        (fun tok ->
-          let key, value =
-            match String.index_opt tok '=' with
-            | Some i ->
-                ( String.sub tok 0 i,
-                  String.sub tok (i + 1) (String.length tok - i - 1) )
-            | None -> fail (Printf.sprintf "expected key=value, got %s" tok)
-          in
-          if List.mem key !given then
-            fail (Printf.sprintf "key %s given twice" key);
-          given := key :: !given;
-          match key with
-          | "scenario" -> (
-              match List.assoc_opt value Zeroconf.Params.presets with
-              | Some p -> scenario := p
-              | None -> fail (Printf.sprintf "unknown scenario %s" value))
-          | "n" -> n := int_of key value
-          | "r" -> r := float_of key value
-          | "ns" -> (
-              match String.split_on_char ':' value with
-              | [ lo; hi ] ->
-                  let lo = int_of key lo and hi = int_of key hi in
-                  if hi < lo then fail "ns range is empty";
-                  (* past max_int, hi - lo + 1 wraps to a negative int *)
-                  let size = hi - lo + 1 in
-                  checked (fun () ->
-                      check_size tok (if size > 0 then size else max_int));
-                  ns := Some (Array.init size (fun i -> lo + i))
-              | _ -> fail "ns expects LO:HI")
-          | "rs" -> (
-              match String.split_on_char ':' value with
-              | [ lo; hi; points ] ->
-                  checked (fun () -> check_size tok (int_of key points));
-                  rs :=
-                    Some
-                      (checked (fun () ->
-                           Numerics.Grid.linspace (float_of key lo)
-                             (float_of key hi) (int_of key points)))
-              | _ -> fail "rs expects LO:HI:POINTS")
-          | "backend" -> backend := Some (String.lowercase_ascii value)
-          | "trials" -> trials := int_of key value
-          | "seed" -> seed := int_of key value
-          | _ -> fail (Printf.sprintf "unknown key %s" key))
-        rest;
-      (* a key that would be ignored is an error, not a silent default *)
-      List.iter
-        (fun (a, b) ->
-          if List.mem a !given && List.mem b !given then
-            fail (Printf.sprintf "%s and %s are mutually exclusive" a b))
-        [ ("ns", "rs"); ("n", "ns"); ("r", "rs") ];
-      let accuracy =
-        if !backend = Some "mc" then
-          Engine.Query.Sampled { trials = !trials; seed = !seed }
-        else Engine.Query.Exact
-      in
-      let query =
-        checked @@ fun () ->
-        match (!ns, !rs) with
-        | Some ns, _ -> Engine.Query.n_sweep ~accuracy qty !scenario ~ns ~r:!r
-        | None, Some rs ->
-            Engine.Query.r_sweep ~accuracy qty !scenario ~n:!n ~rs
-        | None, None -> Engine.Query.point ~accuracy qty !scenario ~n:!n ~r:!r
-      in
-      Some (query, !backend)
-
 (* Batch output: one line per answered point,
    "QUANTITY SCENARIO n=N r=R VALUE", then a "# backend=B evals=E
    cached=C" trailer per query.  Every line goes into one buffer, which
    is written to stdout whenever it passes [spill_bytes] and once at the
-   end; stdout is never flushed per line (exit flushes it).  The line
-   prefix is built once per query and the " r=R " text once per run of
-   equal r (compared by bits, so -0 and 0 stay apart) in a buffer of
-   its own: an n-sweep renders its r once.  Numbers are appended
+   end; stdout is never flushed per line (exit flushes it).  The
+   "QUANTITY SCENARIO n=" prefix is built once per run of equal
+   (quantity, scenario) pairs and the " r=R " text once per run of
+   equal r (compared by bits, so -0 and 0 stay apart), each in a buffer
+   of its own: an n-sweep renders its r once.  Numbers are appended
    through Output.Num_text, never through Printf. *)
 let spill_bytes = 65_536
 
@@ -948,14 +835,26 @@ let emit_batch ~stats plans answers =
   let b = Buffer.create 4096 in
   let r_bits = ref (Int64.bits_of_float 0.) and r_text = Buffer.create 32 in
   Buffer.add_string r_text " r=0 ";
+  (* the prefix's scenario by interned id; -1 before the first plan *)
+  let prefix_quantity = ref Engine.Query.Mean_cost
+  and prefix_scenario = ref (-1)
+  and prefix = Buffer.create 64 in
   Array.iteri
     (fun i (pl : Engine.Plan.t) ->
       let a = answers.(i) in
       let q = pl.Engine.Plan.query in
-      let prefix =
-        Engine.Query.quantity_name q.Engine.Query.quantity ^ " "
-        ^ q.Engine.Query.scenario.Zeroconf.Params.name ^ " n="
-      in
+      if q.Engine.Query.quantity <> !prefix_quantity
+         || pl.Engine.Plan.scenario_id <> !prefix_scenario
+      then begin
+        prefix_quantity := q.Engine.Query.quantity;
+        prefix_scenario := pl.Engine.Plan.scenario_id;
+        Buffer.clear prefix;
+        Buffer.add_string prefix
+          (Engine.Query.quantity_name q.Engine.Query.quantity);
+        Buffer.add_char prefix ' ';
+        Buffer.add_string prefix q.Engine.Query.scenario.Zeroconf.Params.name;
+        Buffer.add_string prefix " n="
+      end;
       Array.iter
         (fun (pt : Engine.Answer.point) ->
           let r = pt.Engine.Answer.r in
@@ -967,7 +866,7 @@ let emit_batch ~stats plans answers =
             add_g6 r_text r;
             Buffer.add_char r_text ' '
           end;
-          Buffer.add_string b prefix;
+          Buffer.add_buffer b prefix;
           Output.Num_text.add_int b pt.Engine.Answer.n;
           Buffer.add_buffer b r_text;
           add_answer_value b pt.Engine.Answer.value;
@@ -981,9 +880,9 @@ let emit_batch ~stats plans answers =
       Buffer.add_string b a.Engine.Answer.backend;
       Buffer.add_string b " evals=";
       Output.Num_text.add_int b a.Engine.Answer.evals;
-      Buffer.add_string b " cached=";
-      Buffer.add_string b (string_of_bool a.Engine.Answer.cached);
-      Buffer.add_char b '\n')
+      Buffer.add_string b
+        (if a.Engine.Answer.cached then " cached=true\n"
+         else " cached=false\n"))
     plans;
   if stats then begin
     Buffer.add_string b
@@ -1000,7 +899,9 @@ let batch_cmd =
              ~doc:"File with one query per line ('-' reads standard input). \
                    Grammar: QUANTITY [scenario=NAME] [n=INT] [r=FLOAT] \
                    [ns=LO:HI] [rs=LO:HI:POINTS] [backend=B] [trials=T] \
-                   [seed=S].  '#' starts a comment.")
+                   [seed=S].  Each key may appear once; ns excludes n and \
+                   rs, rs excludes r, and trials and seed need backend=mc. \
+                   '#' starts a comment.")
   in
   let stats =
     Arg.(value & flag
@@ -1011,43 +912,15 @@ let batch_cmd =
   let run jobs file no_cache stats =
     Cli_common.with_jobs jobs @@ fun () ->
     if no_cache then Engine.Cache.set_enabled false;
-    let read_lines ic =
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines
-    in
-    let lines =
-      if file = "-" then read_lines stdin
-      else begin
-        let ic = open_in file in
-        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_lines ic)
-      end
-    in
+    let read ic = Batch_input.plans (fun () -> In_channel.input_line ic) in
     match
-      List.concat
-        (List.mapi
-           (fun i line ->
-             Option.to_list (parse_batch_line (i + 1) line))
-           lines)
+      if file = "-" then read stdin else In_channel.with_open_text file read
     with
-    | exception Failure msg -> `Error (false, msg)
-    | [] -> `Error (false, "no queries in the input")
-    | requests -> (
-        match
-          Array.of_list
-            (List.map
-               (fun (q, backend) -> Engine.Planner.plan ?backend q)
-               requests)
-        with
-        | exception Engine.Planner.Unsupported msg -> `Error (false, msg)
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | plans ->
-            emit_batch ~stats plans (Engine.Executor.run_batch plans);
-            `Ok ())
+    | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
+    | [||] -> `Error (false, "no queries in the input")
+    | plans ->
+        emit_batch ~stats plans (Engine.Executor.run_batch plans);
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "batch"

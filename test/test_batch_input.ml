@@ -1,0 +1,332 @@
+(* The batch front end's one-pass parser, checked against the
+   list-based parser it replaced.
+
+   [reference_parse] below is [zeroconf_cli batch]'s line parser as it
+   was before the rewrite, kept verbatim but for one rule added with
+   it: trials= and seed= need backend=mc.  On random lines built from
+   the key table plus noise (repeated keys, tabs, a trailing '\r',
+   comments, unknown keys, a missing '=', bad and hex numbers, sweep
+   edge cases), both must return the same query or fail with the same
+   message. *)
+
+module Q = Engine.Query
+
+(* ---------------- reference parser ---------------- *)
+
+let check_size what k =
+  if k > Q.max_points then
+    invalid_arg (Printf.sprintf "%s: more than %d points" what Q.max_points)
+
+let reference_parse lineno line =
+  let line =
+    match String.index_opt line '#' with
+    | Some i -> String.sub line 0 i
+    | None -> line
+  in
+  let fail msg = failwith (Printf.sprintf "line %d: %s" lineno msg) in
+  let checked f = try f () with Invalid_argument msg -> fail msg in
+  let tokens =
+    String.split_on_char ' ' (String.trim line)
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter (fun s -> s <> "")
+  in
+  match tokens with
+  | [] -> None
+  | qname :: rest ->
+      let qty =
+        match Q.quantity_of_name qname with
+        | Some q -> q
+        | None -> fail (Printf.sprintf "unknown quantity %s" qname)
+      in
+      let scenario = ref Zeroconf.Params.figure2 in
+      let n = ref 4 and r = ref 2. in
+      let ns = ref None and rs = ref None in
+      let backend = ref None in
+      let trials = ref Engine.Crosscheck.default_trials in
+      let seed = ref Engine.Crosscheck.default_seed in
+      let int_of key v =
+        match int_of_string_opt v with
+        | Some i -> i
+        | None -> fail (Printf.sprintf "%s=%s is not an integer" key v)
+      in
+      let float_of key v =
+        match float_of_string_opt v with
+        | Some x -> x
+        | None -> fail (Printf.sprintf "%s=%s is not a number" key v)
+      in
+      let given = ref [] in
+      List.iter
+        (fun tok ->
+          let key, value =
+            match String.index_opt tok '=' with
+            | Some i ->
+                ( String.sub tok 0 i,
+                  String.sub tok (i + 1) (String.length tok - i - 1) )
+            | None -> fail (Printf.sprintf "expected key=value, got %s" tok)
+          in
+          if List.mem key !given then
+            fail (Printf.sprintf "key %s given twice" key);
+          given := key :: !given;
+          match key with
+          | "scenario" -> (
+              match List.assoc_opt value Zeroconf.Params.presets with
+              | Some p -> scenario := p
+              | None -> fail (Printf.sprintf "unknown scenario %s" value))
+          | "n" -> n := int_of key value
+          | "r" -> r := float_of key value
+          | "ns" -> (
+              match String.split_on_char ':' value with
+              | [ lo; hi ] ->
+                  let lo = int_of key lo and hi = int_of key hi in
+                  if hi < lo then fail "ns range is empty";
+                  let size = hi - lo + 1 in
+                  checked (fun () ->
+                      check_size tok (if size > 0 then size else max_int));
+                  ns := Some (Array.init size (fun i -> lo + i))
+              | _ -> fail "ns expects LO:HI")
+          | "rs" -> (
+              match String.split_on_char ':' value with
+              | [ lo; hi; points ] ->
+                  checked (fun () -> check_size tok (int_of key points));
+                  rs :=
+                    Some
+                      (checked (fun () ->
+                           Numerics.Grid.linspace (float_of key lo)
+                             (float_of key hi) (int_of key points)))
+              | _ -> fail "rs expects LO:HI:POINTS")
+          | "backend" -> backend := Some (String.lowercase_ascii value)
+          | "trials" -> trials := int_of key value
+          | "seed" -> seed := int_of key value
+          | _ -> fail (Printf.sprintf "unknown key %s" key))
+        rest;
+      List.iter
+        (fun (a, b) ->
+          if List.mem a !given && List.mem b !given then
+            fail (Printf.sprintf "%s and %s are mutually exclusive" a b))
+        [ ("ns", "rs"); ("n", "ns"); ("r", "rs") ];
+      (* the one rule added with the rewrite *)
+      if (List.mem "trials" !given || List.mem "seed" !given)
+         && !backend <> Some "mc"
+      then fail "trials and seed need backend=mc";
+      let accuracy =
+        if !backend = Some "mc" then Q.Sampled { trials = !trials; seed = !seed }
+        else Q.Exact
+      in
+      let query =
+        checked @@ fun () ->
+        match (!ns, !rs) with
+        | Some ns, _ -> Q.n_sweep ~accuracy qty !scenario ~ns ~r:!r
+        | None, Some rs -> Q.r_sweep ~accuracy qty !scenario ~n:!n ~rs
+        | None, None -> Q.point ~accuracy qty !scenario ~n:!n ~r:!r
+      in
+      Some (query, !backend)
+
+(* ---------------- comparison ---------------- *)
+
+let bits = Int64.bits_of_float
+
+let same_domain (a : Q.domain) (b : Q.domain) =
+  match (a, b) with
+  | Q.Point a, Q.Point b -> a.n = b.n && bits a.r = bits b.r
+  | Q.N_sweep a, Q.N_sweep b -> a.ns = b.ns && bits a.r = bits b.r
+  | Q.R_sweep a, Q.R_sweep b ->
+      a.n = b.n && Array.map bits a.rs = Array.map bits b.rs
+  | _ -> false
+
+let same_query (a : Q.t) (b : Q.t) =
+  a.Q.quantity = b.Q.quantity
+  && a.Q.scenario == b.Q.scenario
+  && same_domain a.Q.domain b.Q.domain
+  && a.Q.accuracy = b.Q.accuracy
+
+let outcome parse lineno line =
+  match parse lineno line with
+  | r -> Ok r
+  | exception e -> Error (Printexc.to_string e)
+
+let show = function
+  | Error msg -> "raised " ^ msg
+  | Ok None -> "None"
+  | Ok (Some (q, backend)) ->
+      Format.asprintf "%a, backend %s" Q.pp q
+        (Option.value backend ~default:"-")
+
+let agree a b =
+  match (a, b) with
+  | Error a, Error b -> a = b
+  | Ok None, Ok None -> true
+  | Ok (Some (qa, ba)), Ok (Some (qb, bb)) -> ba = bb && same_query qa qb
+  | _ -> false
+
+(* ---------------- random lines ---------------- *)
+
+let quantity_gen =
+  QCheck.Gen.oneofl
+    [ "mean-cost"; "cost"; "error-probability"; "error"; "log10-error";
+      "cost-variance"; "variance"; "latency-mean"; "latency"; "bogus"; "Cost" ]
+
+let int_text =
+  QCheck.Gen.oneofl
+    [ "3"; "1"; "0"; "-1"; "+4"; "0x10"; "1_0"; "007"; "abc"; ""; "2.5";
+      "99999999999999999999"; "4\r" ]
+
+let float_text =
+  QCheck.Gen.oneofl
+    [ "2"; "0.5"; "0"; "-0"; "1e3"; "1.5e-2"; "0x1p-2"; "0x1.8p1"; "nan";
+      "inf"; "-1"; "1_0.5"; "abc"; ""; "0.30000000000000004"; "2.\r" ]
+
+let ns_text =
+  QCheck.Gen.(
+    oneof
+      [ map2 (Printf.sprintf "%s:%s") int_text int_text;
+        oneofl
+          [ "1:5"; "5:1"; "2"; "1:2:3"; ":"; "1:100000000000"; "-3:2";
+            "0x1:0x3"; "a:b"; "1:4611686018427387903";
+            "-4611686018427387904:4611686018427387903" ] ])
+
+let rs_text =
+  QCheck.Gen.(
+    oneof
+      [ map3 (Printf.sprintf "%s:%s:%s") float_text float_text int_text;
+        oneofl
+          [ "0:1:5"; "0:1:1"; "1:1:1"; "0:1:0"; "0:1"; "0:1:2:3";
+            "0:1:2000000"; "1:-0:3"; "0x0p0:1:3"; "::"; "a:b:3"; "a:b:x" ] ])
+
+let value_gen = function
+  | "scenario" ->
+      QCheck.Gen.oneofl
+        [ "figure2"; "wireless-worst-case"; "wired-worst-case";
+          "realistic-ethernet"; "figure"; "Figure2"; "" ]
+  | "n" | "trials" | "seed" -> int_text
+  | "r" -> float_text
+  | "ns" -> ns_text
+  | "rs" -> rs_text
+  | "backend" ->
+      QCheck.Gen.oneofl [ "mc"; "MC"; "kernel"; "dtmc"; "analytic"; "foo"; "" ]
+  | _ -> QCheck.Gen.oneofl [ "1"; ""; "=" ]
+
+let token_gen =
+  QCheck.Gen.(
+    frequency
+      [ ( 8,
+          let* key =
+            oneofl
+              [ "scenario"; "n"; "r"; "ns"; "rs"; "backend"; "trials"; "seed" ]
+          in
+          map (fun v -> key ^ "=" ^ v) (value_gen key) );
+        ( 1,
+          oneofl
+            [ "foo=1"; "novalue"; "=5"; "=="; "n==3"; "N=3"; "scenario";
+              "r=1\r"; "\rn=3"; "n=3\012" ] ) ])
+
+let sep_gen = QCheck.Gen.oneofl [ " "; "  "; "\t"; " \t "; "\t\t" ]
+
+let line_gen =
+  QCheck.Gen.(
+    let* lead = oneofl [ ""; ""; " "; "\t"; "\012"; "\r" ] in
+    let* qname = quantity_gen in
+    let* tokens = list_size (int_range 0 5) token_gen in
+    let* seps = list_repeat (List.length tokens) sep_gen in
+    let* tail = oneofl [ ""; ""; " "; "\r"; " \r"; "\t\r"; "\012" ] in
+    let* comment = oneofl [ ""; ""; "# note"; "#"; " # n=5 r=1"; "#\r" ] in
+    let body =
+      String.concat "" (List.map2 (fun sep tok -> sep ^ tok) seps tokens)
+    in
+    let* blank = frequency [ (9, return false); (1, return true) ] in
+    return
+      (if blank then lead ^ tail ^ comment
+       else lead ^ qname ^ body ^ tail ^ comment))
+
+let prop_agree =
+  QCheck.Test.make ~name:"one-pass parser = reference parser" ~count:3000
+    (QCheck.make ~print:String.escaped line_gen)
+    (fun line ->
+      let expected = outcome reference_parse 7 line
+      and got = outcome Batch_input.parse_line 7 line in
+      agree expected got
+      || QCheck.Test.fail_reportf "reference: %s@.one-pass: %s" (show expected)
+           (show got))
+
+(* ---------------- fixed cases ---------------- *)
+
+let failure_of f =
+  match f () with
+  | _ -> Alcotest.fail "expected a Failure"
+  | exception Failure msg -> msg
+
+let test_crlf () =
+  match Batch_input.parse_line 1 "mean-cost n=3 r=0.5\r" with
+  | Some ({ Q.domain = Q.Point { n = 3; r }; _ }, None) ->
+      Alcotest.(check (float 0.)) "r" 0.5 r
+  | _ -> Alcotest.fail "a CRLF line parses like its LF twin"
+
+let test_sampling_keys () =
+  Alcotest.(check string) "trials without mc"
+    "line 4: trials and seed need backend=mc"
+    (failure_of (fun () -> Batch_input.parse_line 4 "cost trials=10"));
+  Alcotest.(check string) "seed beside another backend"
+    "line 2: trials and seed need backend=mc"
+    (failure_of (fun () ->
+         Batch_input.parse_line 2 "cost seed=1 backend=dtmc"));
+  match Batch_input.parse_line 1 "cost trials=10 seed=3 backend=MC" with
+  | Some ({ Q.accuracy = Q.Sampled { trials = 10; seed = 3 }; _ }, Some "mc") ->
+      ()
+  | _ -> Alcotest.fail "backend=MC takes trials and seed"
+
+let lines_of list =
+  let rest = ref list in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | l :: tl ->
+        rest := tl;
+        Some l
+
+let test_planner_errors () =
+  let plan_one line = Batch_input.plans (lines_of [ "cost"; ""; line ]) in
+  Alcotest.(check string) "forced backend that cannot answer"
+    "line 3: dtmc cannot answer: latency-mean of figure2 at (n = 4, r = 2), \
+     exact"
+    (failure_of (fun () -> plan_one "latency backend=dtmc"));
+  Alcotest.(check string) "unknown backend" "line 3: unknown backend foo"
+    (failure_of (fun () -> plan_one "cost backend=foo"))
+
+let test_plans_stream () =
+  let plans =
+    Batch_input.plans
+      (lines_of [ "# header"; ""; "cost n=2"; "error ns=1:3 r=1"; "  " ])
+  in
+  Alcotest.(check int) "blank and comment lines skipped" 2 (Array.length plans);
+  Alcotest.(check int) "points" 4
+    (Array.fold_left (fun k p -> k + Engine.Plan.size p) 0 plans);
+  (* the first failing line wins, whichever stage it fails in *)
+  Alcotest.(check string) "planner error before a later parse error"
+    "line 2: unknown backend foo"
+    (failure_of (fun () ->
+         Batch_input.plans
+           (lines_of [ "cost"; "cost backend=foo"; "cost r=-1" ])));
+  Alcotest.(check int) "empty input" 0
+    (Array.length (Batch_input.plans (lines_of [ "# nothing" ])))
+
+let test_growth () =
+  let lines = List.init 200 (fun i -> Printf.sprintf "cost n=%d" (i + 1)) in
+  let plans = Batch_input.plans (lines_of lines) in
+  Alcotest.(check (list int)) "every line, in order"
+    (List.init 200 (fun i -> i + 1))
+    (Array.to_list
+       (Array.map
+          (fun (p : Engine.Plan.t) -> fst p.Engine.Plan.points.(0))
+          plans))
+
+let () =
+  Alcotest.run "batch_input"
+    [ ( "parser",
+        [ QCheck_alcotest.to_alcotest prop_agree;
+          Alcotest.test_case "CRLF line" `Quick test_crlf;
+          Alcotest.test_case "trials and seed need backend=mc" `Quick
+            test_sampling_keys ] );
+      ( "planning",
+        [ Alcotest.test_case "planner errors name their line" `Quick
+            test_planner_errors;
+          Alcotest.test_case "streamed lines" `Quick test_plans_stream;
+          Alcotest.test_case "plan array growth" `Quick test_growth ] ) ]
