@@ -145,9 +145,9 @@ let keys =
   let row ?(excludes = -1) ?(sampling = false) name set =
     { name; set; excludes; sampling }
   in
-  [| row "ns" set_ns ~excludes:3;
-     row "n" set_n ~excludes:0;
-     row "r" set_r ~excludes:3;
+  [| row "ns" set_ns ~excludes:3 (* rs *);
+     row "n" set_n ~excludes:0 (* ns *);
+     row "r" set_r ~excludes:3 (* rs *);
      row "rs" set_rs;
      row "scenario" set_scenario;
      row "backend" set_backend;
