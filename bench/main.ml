@@ -2,8 +2,9 @@
    `dune build @bench-smoke`: every serial/parallel artifact pair at
    tiny sizes (on a 2-domain pool even when the host defaults to 1),
    the kernel scans against a point-wise rebuild, the planner and
-   batch routes against direct evaluation, and the batch front end's
-   cost against the executor's.  The paper-reproduction report is
+   batch routes against direct evaluation, the batch front end's cost
+   against the executor's, and the kernel backend's cost against a bare
+   cursor scan.  The paper-reproduction report is
    `zeroconf_cli reproduce`; absolute timing lives in perfbench/.
 
    Usage: main.exe --smoke *)
@@ -144,7 +145,7 @@ let smoke () =
   let module Q = Engine.Query in
   let module A = Engine.Answer in
   let planner_value qty p ~n ~r =
-    A.scalar (Engine.Executor.eval (Q.point qty p ~n ~r)).A.points.(0)
+    A.scalar (Engine.Executor.eval (Q.point qty p ~n ~r)) 0
   in
   List.iter
     (fun (_, p) ->
@@ -156,15 +157,21 @@ let smoke () =
         [ (1, 0.5); (4, 2.); (8, 0.7) ])
     Zeroconf.Params.presets;
   print_endline "smoke ok: planner routes bit-identical to direct evaluation";
+  (* an answer's points and values as IEEE bits, so [=] on them is
+     bitwise: -0 and 0 differ, and a NaN equals itself *)
+  let answer_bits (a : A.t) =
+    let bits = Int64.bits_of_float in
+    ( Array.map (fun (n, r) -> (n, bits r)) a.A.points,
+      match a.A.values with
+      | A.Scalars v -> Array.map (fun x -> [ bits x ]) v
+      | A.Intervals v ->
+          Array.map
+            (fun { A.mean; ci_lo; ci_hi } -> List.map bits [ mean; ci_lo; ci_hi ])
+            v )
+  in
   (* cost and error share one Monte-Carlo run per preset, and each
      shared answer equals, bit for bit, that quantity's Monte-Carlo
      run alone *)
-  let value_bits (pt : A.point) =
-    match pt.A.value with
-    | A.Scalar x -> [ Int64.bits_of_float x ]
-    | A.Interval { mean; ci_lo; ci_hi } ->
-        List.map Int64.bits_of_float [ mean; ci_lo; ci_hi ]
-  in
   let sampled = Q.Sampled { trials = 500; seed = Engine.Crosscheck.default_seed } in
   List.iter
     (fun (name, p) ->
@@ -183,8 +190,7 @@ let smoke () =
               { q with Q.accuracy = sampled }
           in
           assert (mc.A.backend = "mc");
-          assert (Array.map value_bits mc.A.points
-                  = Array.map value_bits solo.A.points);
+          assert (answer_bits mc = answer_bits solo);
           Printf.printf "smoke ok: crosscheck %s %s (max divergence %.2e)\n"
             name (Q.quantity_name q.Q.quantity)
             rep.Engine.Crosscheck.max_rel_divergence)
@@ -214,7 +220,7 @@ let smoke () =
       workload
   in
   Array.iter2
-    (fun (a : A.t) (b : A.t) -> assert (a.A.points = b.A.points))
+    (fun a b -> assert (answer_bits a = answer_bits b))
     batched scalar;
   let pool2 = Exec.Pool.create 2 in
   let batched_par =
@@ -223,14 +229,14 @@ let smoke () =
   in
   Exec.Pool.shutdown pool2;
   Array.iter2
-    (fun (a : A.t) (b : A.t) -> assert (a.A.points = b.A.points))
+    (fun a b -> assert (answer_bits a = answer_bits b))
     batched batched_par;
   print_endline "smoke ok: batched evaluation bit-identical to scalar";
   let warm = Engine.Executor.eval_batch ~cache:cold workload in
   Array.iter2
     (fun (w : A.t) (c : A.t) ->
       assert w.A.cached;
-      assert (w.A.points = c.A.points))
+      assert (answer_bits w = answer_bits c))
     warm batched;
   let s = Engine.Cache.stats cold in
   assert (s.Engine.Cache.hits = Array.length workload);
@@ -293,10 +299,84 @@ let front_end_gate () =
     "smoke ok: batch front end at %.2fx Executor.run_batch (gate %gx)\n" ratio
     front_end_max_ratio
 
+(* The kernel backend may cost at most twice a bare cursor scan of the
+   same columns into float arrays: 200 n-sweeps ns=1:512, each at its
+   own r, across the four presets and the three kernel quantities, each
+   side timed in process at its best of 5 runs.  What the backend adds
+   to the scan is bookkeeping (runs, columns, answers); the gate is on
+   the ratio alone, never on an absolute time. *)
+let kernel_sweeps = 200
+and kernel_sweep_n = 512
+and kernel_runs = 5
+and kernel_max_ratio = 2.
+
+let kernel_gate () =
+  let module Q = Engine.Query in
+  let presets = Array.of_list Zeroconf.Params.presets
+  and quantities = [| Q.Mean_cost; Q.Error_probability; Q.Log10_error |] in
+  let ns = Array.init kernel_sweep_n (fun i -> i + 1) in
+  let plans =
+    Array.init kernel_sweeps (fun i ->
+        let _, p = presets.(i mod Array.length presets) in
+        let qty = quantities.(i / Array.length presets mod 3) in
+        let r = 0.05 +. (6. *. float_of_int i /. float_of_int kernel_sweeps) in
+        Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep qty p ~ns ~r))
+  in
+  let scan (pl : Engine.Plan.t) =
+    let q = pl.Engine.Plan.query in
+    let k = Zeroconf.Kernel.create q.Q.scenario ~r:(snd pl.Engine.Plan.points.(0)) in
+    let v = Array.create_float kernel_sweep_n in
+    for i = 0 to kernel_sweep_n - 1 do
+      Zeroconf.Kernel.advance k;
+      v.(i) <-
+        (match q.Q.quantity with
+        | Q.Mean_cost -> Zeroconf.Kernel.cost k
+        | Q.Error_probability -> Zeroconf.Kernel.error_probability k
+        | _ -> Zeroconf.Kernel.log10_error k)
+    done;
+    v
+  in
+  let time f =
+    let best = ref Int64.max_int and out = ref None in
+    for _ = 1 to kernel_runs do
+      let t0 = Monotonic_clock.now () in
+      let x = f () in
+      let t1 = Monotonic_clock.now () in
+      best := min !best (Int64.sub t1 t0);
+      out := Some x
+    done;
+    (Option.get !out, Int64.to_float !best)
+  in
+  let bare, bare_ns = time (fun () -> Array.map scan plans) in
+  let answers, kernel_ns =
+    time (fun () -> Engine.Backends.Kernel.eval_batch ~pool:serial_pool plans)
+  in
+  Array.iteri
+    (fun i (a : Engine.Answer.t) ->
+      match a.Engine.Answer.values with
+      | Engine.Answer.Scalars v ->
+          assert (
+            Array.for_all2
+              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+              v bare.(i))
+      | Engine.Answer.Intervals _ -> assert false)
+    answers;
+  let ratio = kernel_ns /. bare_ns in
+  if ratio > kernel_max_ratio then
+    failwith
+      (Printf.sprintf
+         "Backends.Kernel.eval_batch at %.2fx a bare cursor scan of %d sweeps \
+          (gate %gx)"
+         ratio kernel_sweeps kernel_max_ratio);
+  Printf.printf
+    "smoke ok: Backends.Kernel.eval_batch at %.2fx a bare cursor scan (gate %gx)\n"
+    ratio kernel_max_ratio
+
 let () =
   if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then begin
     smoke ();
-    front_end_gate ()
+    front_end_gate ();
+    kernel_gate ()
   end
   else begin
     prerr_endline

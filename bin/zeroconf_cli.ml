@@ -626,16 +626,17 @@ let add_g10 = Output.Num_text.add_general ~digits:10
 
 (* The CLI's one rendering of an answer value: %.10g for an exact
    value, the mean and its 95% interval at %.6g for a sampled one. *)
-let add_answer_value b (v : Engine.Answer.value) =
-  match v with
+let add_interval b { Engine.Answer.mean; ci_lo; ci_hi } =
+  add_g6 b mean;
+  Buffer.add_string b " [";
+  add_g6 b ci_lo;
+  Buffer.add_string b ", ";
+  add_g6 b ci_hi;
+  Buffer.add_char b ']'
+
+let add_answer_value b = function
   | Engine.Answer.Scalar x -> add_g10 b x
-  | Engine.Answer.Interval { mean; ci_lo; ci_hi } ->
-      add_g6 b mean;
-      Buffer.add_string b " [";
-      add_g6 b ci_lo;
-      Buffer.add_string b ", ";
-      add_g6 b ci_hi;
-      Buffer.add_char b ']'
+  | Engine.Answer.Interval iv -> add_interval b iv
 
 let pp_answer_value ppf v =
   let b = Buffer.create 32 in
@@ -722,10 +723,10 @@ let query_cmd =
             Format.printf "%s of %s@."
               (Engine.Query.quantity_name qty)
               p.Zeroconf.Params.name;
-            Array.iter
-              (fun (pt : Engine.Answer.point) ->
-                Format.printf "  n = %-4d r = %-8g %a@." pt.Engine.Answer.n
-                  pt.Engine.Answer.r pp_answer_value pt.Engine.Answer.value)
+            Array.iteri
+              (fun k (n, r) ->
+                Format.printf "  n = %-4d r = %-8g %a@." n r pp_answer_value
+                  (Engine.Answer.value a k))
               a.Engine.Answer.points;
             print_provenance a;
             `Ok ()
@@ -793,7 +794,7 @@ let crosscheck_cmd =
                     Output.Table.add_row table
                       [ a.Engine.Answer.backend;
                         Format.asprintf "%a" pp_answer_value
-                          a.Engine.Answer.points.(0).Engine.Answer.value;
+                          (Engine.Answer.value a 0);
                         string_of_int a.Engine.Answer.evals;
                         Printf.sprintf "%.3f"
                           (Int64.to_float a.Engine.Answer.wall_ns /. 1e6) ])
@@ -855,9 +856,14 @@ let emit_batch ~stats plans answers =
         Buffer.add_string prefix q.Engine.Query.scenario.Zeroconf.Params.name;
         Buffer.add_string prefix " n="
       end;
-      Array.iter
-        (fun (pt : Engine.Answer.point) ->
-          let r = pt.Engine.Answer.r in
+      (* one match per answer; the loop reads the flat values *)
+      let add_value =
+        match a.Engine.Answer.values with
+        | Engine.Answer.Scalars v -> fun k -> add_g10 b v.(k)
+        | Engine.Answer.Intervals v -> fun k -> add_interval b v.(k)
+      in
+      Array.iteri
+        (fun k (n, r) ->
           let bits = Int64.bits_of_float r in
           if not (Int64.equal bits !r_bits) then begin
             r_bits := bits;
@@ -867,9 +873,9 @@ let emit_batch ~stats plans answers =
             Buffer.add_char r_text ' '
           end;
           Buffer.add_buffer b prefix;
-          Output.Num_text.add_int b pt.Engine.Answer.n;
+          Output.Num_text.add_int b n;
           Buffer.add_buffer b r_text;
-          add_answer_value b pt.Engine.Answer.value;
+          add_value k;
           Buffer.add_char b '\n';
           if Buffer.length b >= spill_bytes then begin
             Buffer.output_buffer stdout b;

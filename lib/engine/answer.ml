@@ -1,24 +1,30 @@
-type value =
-  | Scalar of float
-  | Interval of { mean : float; ci_lo : float; ci_hi : float }
-
-type point = { n : int; r : float; value : value }
+type interval = { mean : float; ci_lo : float; ci_hi : float }
+type values = Scalars of float array | Intervals of interval array
+type value = Scalar of float | Interval of interval
 
 type t = {
   backend : string;
   evals : int;
   wall_ns : int64;
   cached : bool;
-  points : point array;
+  points : (int * float) array;
+  values : values;
 }
 
-let scalar pt =
-  match pt.value with Scalar x -> x | Interval { mean; _ } -> mean
+let size t = Array.length t.points
 
-let ci pt =
-  match pt.value with
-  | Scalar _ -> None
-  | Interval { ci_lo; ci_hi; _ } -> Some (ci_lo, ci_hi)
+let scalar t k =
+  match t.values with Scalars v -> v.(k) | Intervals v -> v.(k).mean
+
+let ci t k =
+  match t.values with
+  | Scalars _ -> None
+  | Intervals v -> Some (v.(k).ci_lo, v.(k).ci_hi)
+
+let value t k =
+  match t.values with
+  | Scalars v -> Scalar v.(k)
+  | Intervals v -> Interval v.(k)
 
 let pp_value ppf = function
   | Scalar x -> Format.fprintf ppf "%.17g" x
@@ -26,10 +32,8 @@ let pp_value ppf = function
       Format.fprintf ppf "%.6g [%.6g, %.6g]" mean ci_lo ci_hi
 
 let pp ppf t =
-  Format.fprintf ppf "%s: %d point%s, %d evals, %.3f ms" t.backend
-    (Array.length t.points)
-    (if Array.length t.points = 1 then "" else "s")
+  Format.fprintf ppf "%s: %d point%s, %d evals, %.3f ms" t.backend (size t)
+    (if size t = 1 then "" else "s")
     t.evals
     (Int64.to_float t.wall_ns /. 1e6);
-  if Array.length t.points = 1 then
-    Format.fprintf ppf " -> %a" pp_value t.points.(0).value
+  if size t = 1 then Format.fprintf ppf " -> %a" pp_value (value t 0)

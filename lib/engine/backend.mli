@@ -22,11 +22,16 @@ module type S = sig
       [(scenario, r)] column, the DTMC route builds each distinct
       matrix once, Monte Carlo runs each sampling stream once for
       every quantity that reads it.  Answers come back in plan order,
-      and every point is bitwise identical to evaluating the plans one
-      by one — batching changes cost, never values.  Each exact
-      answer's [evals] counts the work its plan triggered, so evals
-      summed over the batch equal the work actually done; a Monte-Carlo
-      answer's [evals] is its sample size, trials x points, shared run
-      or not.  [wall_ns] is the whole batch's wall time.  Raises
-      [Invalid_argument] on a plan routed elsewhere or not supported. *)
+      and every value is bitwise identical to evaluating the plans one
+      by one — batching changes cost, never values.  Each answer's
+      [points] is its plan's {!Plan.points} array, shared; its values
+      are flat: [Scalars] from the exact routes, [Intervals] from
+      Monte Carlo.  Each exact answer's [evals] counts the work its
+      plan triggered, so evals summed over the batch equal the work
+      actually done; a Monte-Carlo answer's [evals] is its sample size,
+      trials x points, shared run or not.  [wall_ns] is the backend's
+      timed evaluation of the whole batch (for the kernel, the column
+      scans), the same in every answer of the batch.  Raises
+      [Invalid_argument] on a plan routed elsewhere or not
+      supported. *)
 end

@@ -4,11 +4,8 @@ let time_ns f =
   let t1 = Unix.gettimeofday () in
   (x, Int64.of_float (Float.max 0. ((t1 -. t0) *. 1e9)))
 
-let answer ~backend ~evals ~wall_ns points =
-  { Answer.backend; evals; wall_ns; cached = false; points }
-
-let scalar_points pts values =
-  Array.map2 (fun (n, r) v -> { Answer.n; r; value = Answer.Scalar v }) pts values
+let answer ~backend ~evals ~wall_ns (pl : Plan.t) values =
+  { Answer.backend; evals; wall_ns; cached = false; points = pl.points; values }
 
 let not_sampled (q : Query.t) =
   match q.accuracy with Query.Sampled _ -> false | _ -> true
@@ -99,8 +96,8 @@ module Analytic = struct
     in
     Array.mapi
       (fun pi (pl : Plan.t) ->
-        answer ~backend:name ~evals:(Array.length pl.points) ~wall_ns
-          (scalar_points pl.points values.(pi)))
+        answer ~backend:name ~evals:(Array.length pl.points) ~wall_ns pl
+          (Answer.Scalars values.(pi)))
       plans
 
   let eval ?pool (q : Query.t) =
@@ -143,129 +140,175 @@ module Kernel = struct
 
   module Columns = Hashtbl.Make (Column_key)
 
+  (* A stop of a several-run column, packed into one int: its run in
+     the high bits, its index in the plan in the low [qi_bits].  A plan
+     has at most [Query.max_points] points, so the index fits. *)
+  let qi_bits = 20
+  let qi_mask = (1 lsl qi_bits) - 1
+  let () = assert (Query.max_points <= 1 lsl qi_bits)
+
+  let nondecreasing (pts : (int * float) array) lo hi =
+    let ok = ref true in
+    for qi = lo + 1 to hi - 1 do
+      if fst pts.(qi) < fst pts.(qi - 1) then ok := false
+    done;
+    !ok
+
   (* One streaming cursor per (scenario, r) column, amortized across
      every plan in the batch.  The cursor state at n does not depend on
      where reads happen, so merging plans' stops onto a shared scan is
      bitwise identical to running each plan alone; columns fan out over
      the pool.
 
-     Stops are numbered in batch order (stop = first.(pi) + qi) and
-     kept in flat per-stop arrays: plan, n and column.  A stable
-     counting sort by column gives each column one segment of [order];
-     a segment out of n order is stable-sorted by n, so every column
-     scans its stops in (n, pi, qi) order.  Advances between
-     consecutive stops are charged to the later one, so per-plan evals
-     sum to the scan work actually done.  A column writes only its own
-     stops' value and work slots, so the result does not depend on the
-     job count. *)
+     The batch is indexed by runs: maximal runs of bit-equal r within
+     a plan, numbered in batch order, each in one column.  The column
+     table is probed once per run, and a stable counting sort by column
+     lists each column's runs in batch order.  A column of one run with
+     nondecreasing n (every point, every ascending n-sweep) scans
+     straight into its plan's value array.  Any other column gathers
+     its stops, packed as above, in batch order, stable-sorts them by n
+     if they are out of order, and so scans in (n, pi, qi) order.  An
+     advance between consecutive stops is charged to the later stop's
+     run, so per-plan evals sum to the scan work actually done.  A
+     column writes only its own stops' value slots and its own runs'
+     work slots, so the result does not depend on the job count. *)
   let eval_batch ?pool (plans : Plan.t array) =
     check_batch ~name:"Kernel" ~route:Plan.Kernel ~supports plans;
-    let nplans = Array.length plans in
-    let first = Array.make (nplans + 1) 0 in
-    (* runs of bit-equal r within a plan bound the column count *)
-    let runs = ref 0 in
-    Array.iteri
-      (fun pi (pl : Plan.t) ->
-        first.(pi + 1) <- first.(pi) + Array.length pl.points;
-        let last = ref 0L in
-        Array.iteri
-          (fun qi (_n, r) ->
-            let bits = Int64.bits_of_float r in
-            if qi = 0 || not (Int64.equal bits !last) then incr runs;
-            last := bits)
-          pl.points)
+    let same_r (pts : (int * float) array) a b =
+      Int64.equal (Int64.bits_of_float (snd pts.(a)))
+        (Int64.bits_of_float (snd pts.(b)))
+    in
+    let nruns = ref 0 in
+    Array.iter
+      (fun (pl : Plan.t) ->
+        for qi = 0 to Array.length pl.points - 1 do
+          if qi = 0 || not (same_r pl.points (qi - 1) qi) then incr nruns
+        done)
       plans;
-    let total = first.(nplans) in
-    let stop_plan = Array.make total 0 in
-    let stop_n = Array.make total 0 in
-    let stop_col = Array.make total 0 in
-    let table = Columns.create !runs in
-    (* each column's first stop, which gives its scenario and r; a
-       column starts at a run, so there are at most [runs] of them *)
-    let col_first = Array.make !runs 0 in
-    let ncols = ref 0 in
+    let nruns = !nruns in
+    let run_plan = Array.make nruns 0
+    and run_lo = Array.make nruns 0
+    and run_hi = Array.make nruns 0
+    and run_col = Array.make nruns 0 in
+    let table = Columns.create nruns in
+    let ncols = ref 0 and t = ref 0 in
     Array.iteri
       (fun pi (pl : Plan.t) ->
-        let s0 = first.(pi) in
-        let last = ref 0L and c = ref (-1) in
-        Array.iteri
-          (fun qi (n, r) ->
-            let s = s0 + qi in
-            let bits = Int64.bits_of_float r in
-            if !c < 0 || not (Int64.equal bits !last) then begin
-              let key = { Column_key.sid = pl.scenario_id; bits } in
-              (c :=
-                 match Columns.find_opt table key with
-                 | Some c -> c
-                 | None ->
-                     let c = !ncols in
-                     col_first.(c) <- s;
-                     incr ncols;
-                     Columns.add table key c;
-                     c);
-              last := bits
-            end;
-            stop_plan.(s) <- pi;
-            stop_n.(s) <- n;
-            stop_col.(s) <- !c)
-          pl.points)
+        let pts = pl.points in
+        let len = Array.length pts in
+        let lo = ref 0 in
+        while !lo < len do
+          let hi = ref (!lo + 1) in
+          while !hi < len && same_r pts !lo !hi do
+            incr hi
+          done;
+          let key =
+            { Column_key.sid = pl.scenario_id;
+              bits = Int64.bits_of_float (snd pts.(!lo)) }
+          in
+          let c =
+            match Columns.find_opt table key with
+            | Some c -> c
+            | None ->
+                let c = !ncols in
+                incr ncols;
+                Columns.add table key c;
+                c
+          in
+          run_plan.(!t) <- pi;
+          run_lo.(!t) <- !lo;
+          run_hi.(!t) <- !hi;
+          run_col.(!t) <- c;
+          incr t;
+          lo := !hi
+        done)
       plans;
     let ncols = !ncols in
-    (* stable counting sort by column: seg.(c) .. seg.(c + 1) - 1 *)
+    (* stable counting sort of runs by column: seg.(c) .. seg.(c + 1) - 1 *)
     let seg = Array.make (ncols + 1) 0 in
-    Array.iter (fun c -> seg.(c + 1) <- seg.(c + 1) + 1) stop_col;
+    Array.iter (fun c -> seg.(c + 1) <- seg.(c + 1) + 1) run_col;
     for c = 1 to ncols do
       seg.(c) <- seg.(c) + seg.(c - 1)
     done;
-    let order = Array.make total 0 in
+    let order = Array.make nruns 0 in
     let fill = Array.sub seg 0 ncols in
     Array.iteri
-      (fun s c ->
-        order.(fill.(c)) <- s;
+      (fun t c ->
+        order.(fill.(c)) <- t;
         fill.(c) <- fill.(c) + 1)
-      stop_col;
-    let values = Array.make total 0. in
-    let works = Array.make total 0 in
+      run_col;
+    let values =
+      Array.map
+        (fun (pl : Plan.t) -> Array.create_float (Array.length pl.points))
+        plans
+    in
+    let run_work = Array.make nruns 0 in
     let run_column c =
       let lo = seg.(c) and hi = seg.(c + 1) in
-      let sorted = ref true in
-      for j = lo + 1 to hi - 1 do
-        if stop_n.(order.(j)) < stop_n.(order.(j - 1)) then sorted := false
-      done;
-      if not !sorted then begin
-        let part = Array.sub order lo (hi - lo) in
-        Array.stable_sort (fun a b -> Int.compare stop_n.(a) stop_n.(b)) part;
-        Array.blit part 0 order lo (hi - lo)
-      end;
-      let s0 = col_first.(c) in
-      let pl0 = plans.(stop_plan.(s0)) in
-      let r = snd pl0.points.(s0 - first.(stop_plan.(s0))) in
-      let k = Zeroconf.Kernel.create pl0.query.Query.scenario ~r in
-      for j = lo to hi - 1 do
-        let s = order.(j) in
-        let n = stop_n.(s) in
-        works.(s) <- n - Zeroconf.Kernel.n k;
-        Zeroconf.Kernel.advance_to k ~n;
-        values.(s) <- read plans.(stop_plan.(s)).Plan.query k
-      done
+      (* the column's first run gives its scenario and r *)
+      let t0 = order.(lo) in
+      let pl0 = plans.(run_plan.(t0)) in
+      let k =
+        Zeroconf.Kernel.create pl0.query.Query.scenario
+          ~r:(snd pl0.points.(run_lo.(t0)))
+      in
+      if hi - lo = 1 && nondecreasing pl0.points run_lo.(t0) run_hi.(t0)
+      then begin
+        let q = pl0.query and pts = pl0.points
+        and v = values.(run_plan.(t0)) in
+        for qi = run_lo.(t0) to run_hi.(t0) - 1 do
+          Zeroconf.Kernel.advance_to k ~n:(fst pts.(qi));
+          v.(qi) <- read q k
+        done;
+        run_work.(t0) <- Zeroconf.Kernel.n k
+      end
+      else begin
+        let m = ref 0 in
+        for j = lo to hi - 1 do
+          let t = order.(j) in
+          m := !m + run_hi.(t) - run_lo.(t)
+        done;
+        let stops = Array.make !m 0 and s = ref 0 in
+        for j = lo to hi - 1 do
+          let t = order.(j) in
+          for qi = run_lo.(t) to run_hi.(t) - 1 do
+            stops.(!s) <- (t lsl qi_bits) lor qi;
+            incr s
+          done
+        done;
+        let n_of stop =
+          fst plans.(run_plan.(stop lsr qi_bits)).Plan.points.(stop land qi_mask)
+        in
+        let sorted = ref true in
+        for j = 1 to !m - 1 do
+          if n_of stops.(j) < n_of stops.(j - 1) then sorted := false
+        done;
+        if not !sorted then
+          Array.stable_sort (fun a b -> Int.compare (n_of a) (n_of b)) stops;
+        Array.iter
+          (fun stop ->
+            let t = stop lsr qi_bits and qi = stop land qi_mask in
+            let pi = run_plan.(t) in
+            let n = fst plans.(pi).Plan.points.(qi) in
+            run_work.(t) <- run_work.(t) + n - Zeroconf.Kernel.n k;
+            Zeroconf.Kernel.advance_to k ~n;
+            values.(pi).(qi) <- read plans.(pi).Plan.query k)
+          stops
+      end
     in
     let (), wall_ns =
       time_ns (fun () ->
           Exec.Parallel.iter_chunks ?pool (Array.iter run_column)
             (Array.init ncols Fun.id))
     in
+    let evals = Array.make (Array.length plans) 0 in
+    Array.iteri
+      (fun t w -> evals.(run_plan.(t)) <- evals.(run_plan.(t)) + w)
+      run_work;
     Array.mapi
-      (fun pi (pl : Plan.t) ->
-        let s0 = first.(pi) in
-        let evals = ref 0 in
-        let points =
-          Array.mapi
-            (fun qi (n, r) ->
-              evals := !evals + works.(s0 + qi);
-              { Answer.n; r; value = Answer.Scalar values.(s0 + qi) })
-            pl.points
-        in
-        answer ~backend:name ~evals:!evals ~wall_ns points)
+      (fun pi pl ->
+        answer ~backend:name ~evals:evals.(pi) ~wall_ns pl
+          (Answer.Scalars values.(pi)))
       plans
 
   let eval ?pool (q : Query.t) =
@@ -330,8 +373,8 @@ module Dtmc = struct
       results;
     Array.mapi
       (fun pi (pl : Plan.t) ->
-        answer ~backend:name ~evals:evals.(pi) ~wall_ns
-          (scalar_points pl.points values.(pi)))
+        answer ~backend:name ~evals:evals.(pi) ~wall_ns pl
+          (Answer.Scalars values.(pi)))
       plans
 
   let eval ?pool (q : Query.t) =
@@ -382,7 +425,7 @@ module Mc = struct
       | Query.Latency_mean -> Netsim.Metrics.config_time_interval outcomes
       | _ -> invalid_arg "Backends.Mc: unsupported quantity"
     in
-    Answer.Interval { mean; ci_lo; ci_hi }
+    { Answer.mean; ci_lo; ci_hi }
 
   (* One run per sampling stream in the whole batch: points that agree
      on scenario (interned, so physically the same), n, the bits of r,
@@ -407,10 +450,9 @@ module Mc = struct
     let results, wall_ns =
       time_ns (fun () -> Exec.Parallel.map ?pool run streams)
     in
+    let unset = { Answer.mean = 0.; ci_lo = 0.; ci_hi = 0. } in
     let values =
-      Array.map
-        (fun (pl : Plan.t) ->
-          Array.make (Array.length pl.points) (Answer.Scalar 0.))
+      Array.map (fun (pl : Plan.t) -> Array.make (Array.length pl.points) unset)
         plans
     in
     Array.iter
@@ -419,14 +461,9 @@ module Mc = struct
     Array.mapi
       (fun pi (pl : Plan.t) ->
         let trials, _ = accuracy_of pl in
-        let points =
-          Array.map2
-            (fun (n, r) value -> { Answer.n; r; value })
-            pl.points values.(pi)
-        in
         answer ~backend:name
           ~evals:(trials * Array.length pl.points)
-          ~wall_ns points)
+          ~wall_ns pl (Answer.Intervals values.(pi)))
       plans
 
   let eval ?pool (q : Query.t) =

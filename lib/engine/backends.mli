@@ -20,7 +20,9 @@
        {!Zeroconf.Params.q_of_hosts}.}}
 
     Every route implements [eval_batch]: the kernel amortizes one
-    streaming cursor per [(scenario, r)] column across the batch, the
+    streaming cursor per [(scenario, r)] column across the batch,
+    indexed by runs of equal [r] within each plan and writing each
+    column's values straight into flat float arrays, the
     DTMC route builds each distinct matrix once, the analytic route
     flattens the batch into one balanced fan-out, and Monte Carlo runs
     each sampling stream (scenario, n, r, trials, seed and the point's

@@ -26,9 +26,7 @@ let report (q : Query.t) exact_answers mc_answer =
             for k = 0 to size - 1 do
               max_rel :=
                 Float.max !max_rel
-                  (rel_divergence
-                     (Answer.scalar a.points.(k))
-                     (Answer.scalar b.points.(k)))
+                  (rel_divergence (Answer.scalar a k) (Answer.scalar b k))
             done)
         exact_answers)
     exact_answers;
@@ -37,8 +35,8 @@ let report (q : Query.t) exact_answers mc_answer =
     | Some (mc : Answer.t), (reference : Answer.t) :: _ ->
         let ok = ref true in
         for k = 0 to size - 1 do
-          let x = Answer.scalar reference.points.(k) in
-          match Answer.ci mc.points.(k) with
+          let x = Answer.scalar reference k in
+          match Answer.ci mc k with
           | Some (lo, hi) ->
               (* the Wilson lower bound at 0 successes is ~0 up to fp
                  noise; a hair of slack keeps exact-zero references in *)

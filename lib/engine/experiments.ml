@@ -27,7 +27,7 @@ let r_grid ~points ~lo ~hi = Numerics.Grid.linspace lo hi points
 let sweep f grid = Exec.Parallel.map_sweep f grid
 
 let series_points (a : Answer.t) =
-  Array.map (fun (pt : Answer.point) -> (pt.r, Answer.scalar pt)) a.points
+  Array.mapi (fun k (_n, r) -> (r, Answer.scalar a k)) a.points
 
 let series_batch quantity p ~label grid ns =
   let queries =
@@ -138,7 +138,7 @@ let cost_landscape ?scenario ?(n_max = 10) ?(r_points = 24) ?(r_lo = 0.25)
   in
   let columns =
     Array.map
-      (fun a -> Array.map (fun pt -> log10 (Answer.scalar pt)) a.Answer.points)
+      (fun a -> Array.init (Answer.size a) (fun k -> log10 (Answer.scalar a k)))
       answers
   in
   { ns;

@@ -21,8 +21,7 @@ let enumerate ?(n_max = 12) ?(r_points = 200) ?(r_max = 8.)
       (fun j _r ->
         let costs = answers.(j) and errors = answers.(j + Array.length grid) in
         Array.init n_max (fun i ->
-            ( Answer.scalar costs.Answer.points.(i),
-              Answer.scalar errors.Answer.points.(i) )))
+            (Answer.scalar costs i, Answer.scalar errors i)))
       grid
   in
   List.concat_map

@@ -23,14 +23,16 @@ let copy t = { state = t.state }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  (* rejection sampling on the top bits to avoid modulo bias *)
+  (* rejection sampling on the top 63 bits (non-negative) to avoid
+     modulo bias; a loop, not a closure, so a draw allocates only the
+     generator's state *)
   let b = Int64.of_int bound in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (uint64 t) 1 (* 63 bits, non-negative *) in
-    let max_fair = Int64.sub Int64.max_int (Int64.rem Int64.max_int b) in
-    if raw >= max_fair then draw () else Int64.to_int (Int64.rem raw b)
-  in
-  draw ()
+  let max_fair = Int64.sub Int64.max_int (Int64.rem Int64.max_int b) in
+  let raw = ref (Int64.shift_right_logical (uint64 t) 1) in
+  while !raw >= max_fair do
+    raw := Int64.shift_right_logical (uint64 t) 1
+  done;
+  Int64.to_int (Int64.rem !raw b)
 
 let float t =
   (* top 53 bits -> [0, 1) *)

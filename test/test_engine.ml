@@ -7,7 +7,7 @@ module Q = Engine.Query
 module A = Engine.Answer
 
 let eval ?backend q = Engine.Executor.eval ?backend q
-let value ?backend q = A.scalar (eval ?backend q).A.points.(0)
+let value ?backend q = A.scalar (eval ?backend q) 0
 
 let grid_points = [ (1, 0.5); (2, 1.); (4, 2.); (6, 1.3); (8, 0.7) ]
 let exact_quantities = [ Q.Mean_cost; Q.Error_probability; Q.Log10_error ]
@@ -42,17 +42,17 @@ let test_sweep_matches_points () =
     (fun qty ->
       let sweep = eval (Q.r_sweep qty p ~n:4 ~rs) in
       Array.iteri
-        (fun i (pt : A.point) ->
+        (fun i _ ->
           let direct = value (Q.point qty p ~n:4 ~r:rs.(i)) in
-          if not (same_bits (A.scalar pt) direct) then
+          if not (same_bits (A.scalar sweep i) direct) then
             Alcotest.failf "r-sweep %s drifts at r = %g" (Q.quantity_name qty)
               rs.(i))
         sweep.A.points;
       let sweep = eval (Q.n_sweep qty p ~ns ~r:2.) in
       Array.iteri
-        (fun i (pt : A.point) ->
+        (fun i _ ->
           let direct = value (Q.point qty p ~n:ns.(i) ~r:2.) in
-          if not (same_bits (A.scalar pt) direct) then
+          if not (same_bits (A.scalar sweep i) direct) then
             Alcotest.failf "n-sweep %s drifts at n = %d" (Q.quantity_name qty)
               ns.(i))
         sweep.A.points)
@@ -65,10 +65,10 @@ let test_n_sweep_any_order () =
   let ns = [| 7; 2; 2; 9; 1 |] in
   let a = eval ~backend:"kernel" (Q.n_sweep Q.Mean_cost p ~ns ~r:1.5) in
   Array.iteri
-    (fun i (pt : A.point) ->
-      Alcotest.(check int) "sweep order preserved" ns.(i) pt.A.n;
+    (fun i (n, _r) ->
+      Alcotest.(check int) "sweep order preserved" ns.(i) n;
       let direct = value (Q.point Q.Mean_cost p ~n:ns.(i) ~r:1.5) in
-      Alcotest.(check bool) "value matches" true (same_bits (A.scalar pt) direct))
+      Alcotest.(check bool) "value matches" true (same_bits (A.scalar a i) direct))
     a.A.points
 
 (* ------------------------------------------------------------------ *)
@@ -126,11 +126,14 @@ let test_mc_within_ci () =
 (* ------------------------------------------------------------------ *)
 (* Monte Carlo shares one run per sampling stream, never more          *)
 
-let value_bits (pt : A.point) =
-  match pt.A.value with
-  | A.Scalar x -> [ Int64.bits_of_float x ]
-  | A.Interval { mean; ci_lo; ci_hi } ->
-      List.map Int64.bits_of_float [ mean; ci_lo; ci_hi ]
+let values_bits (a : A.t) =
+  match a.A.values with
+  | A.Scalars v -> Array.map (fun x -> [ Int64.bits_of_float x ]) v
+  | A.Intervals v ->
+      Array.map
+        (fun { A.mean; ci_lo; ci_hi } ->
+          List.map Int64.bits_of_float [ mean; ci_lo; ci_hi ])
+        v
 
 let mc_plan ?(trials = 2_000) ?(seed = 5) q =
   Engine.Plan.make ~route:Engine.Plan.Mc
@@ -150,7 +153,7 @@ let check_shared label plans =
       Array.iteri
         (fun i (b : A.t) ->
           let a = alone.(i) in
-          if Array.map value_bits b.A.points <> Array.map value_bits a.A.points
+          if values_bits b <> values_bits a
           then
             Alcotest.failf "%s: plan %d differs from its solo run at -j %d"
               label i jobs;
@@ -236,10 +239,10 @@ let test_provenance () =
   in
   Alcotest.(check string) "mc tag" "mc" mc.A.backend;
   Alcotest.(check int) "mc evals = trials" 250 mc.A.evals;
-  (match mc.A.points.(0).A.value with
-  | A.Interval { ci_lo; ci_hi; mean } ->
+  (match mc.A.values with
+  | A.Intervals [| { A.ci_lo; ci_hi; mean } |] ->
       Alcotest.(check bool) "ci ordered" true (ci_lo <= mean && mean <= ci_hi)
-  | A.Scalar _ -> Alcotest.fail "mc must report an interval")
+  | _ -> Alcotest.fail "mc must report one interval")
 
 let test_validation () =
   let p = Zeroconf.Params.figure2 in

@@ -7,28 +7,61 @@
 
    The property below drives that with qcheck: random scenarios, all
    five quantities, all three domain shapes, exact and sampled
-   accuracies, batch sizes 1-10, compared across jobs 1 and 8. *)
+   accuracies, batch sizes 1-10, compared across jobs 1 and 8.  Each
+   mix draws its r values from a small pool that holds 0 and -0, and
+   its n-sweeps may be unsorted and repeat an n, its r-sweeps repeat an
+   r: plans share kernel columns, and one plan may visit a column in
+   several runs.  Kernel answers' evals are checked against a
+   reference scan of the batch's columns. *)
 
 module Q = Engine.Query
 module A = Engine.Answer
 
 let bits = Int64.bits_of_float
 
-let value_eq (a : A.value) (b : A.value) =
-  match (a, b) with
-  | A.Scalar x, A.Scalar y -> bits x = bits y
-  | A.Interval i, A.Interval j ->
-      bits i.mean = bits j.mean
-      && bits i.ci_lo = bits j.ci_lo
-      && bits i.ci_hi = bits j.ci_hi
+let values_eq (a : A.t) (b : A.t) =
+  let same x y = bits x = bits y in
+  match (a.A.values, b.A.values) with
+  | A.Scalars x, A.Scalars y -> Array.for_all2 same x y
+  | A.Intervals x, A.Intervals y ->
+      Array.for_all2
+        (fun (i : A.interval) (j : A.interval) ->
+          same i.mean j.mean && same i.ci_lo j.ci_lo && same i.ci_hi j.ci_hi)
+        x y
   | _ -> false
 
 let points_eq (a : A.t) (b : A.t) =
-  Array.length a.A.points = Array.length b.A.points
+  A.size a = A.size b
   && Array.for_all2
-       (fun (p : A.point) (q : A.point) ->
-         p.A.n = q.A.n && bits p.A.r = bits q.A.r && value_eq p.A.value q.A.value)
+       (fun (n, r) (n', r') -> n = n' && bits r = bits r')
        a.A.points b.A.points
+  && values_eq a b
+
+(* The kernel's evals, by a reference scan: each (scenario, bits of r)
+   column visits its stops in (n, plan, point) order, and every advance
+   is charged to the later stop's plan. *)
+let reference_evals (plans : Engine.Plan.t array) =
+  let columns = Hashtbl.create 16 in
+  Array.iteri
+    (fun pi (pl : Engine.Plan.t) ->
+      Array.iteri
+        (fun qi (n, r) ->
+          let key = (pl.scenario_id, bits r) in
+          let stops = Option.value ~default:[] (Hashtbl.find_opt columns key) in
+          Hashtbl.replace columns key ((n, pi, qi) :: stops))
+        pl.points)
+    plans;
+  let evals = Array.make (Array.length plans) 0 in
+  Hashtbl.iter
+    (fun _ stops ->
+      ignore
+        (List.fold_left
+           (fun at (n, pi, _) ->
+             evals.(pi) <- evals.(pi) + n - at;
+             n)
+           0 (List.sort compare stops)))
+    columns;
+  evals
 
 (* -- random query mixes -------------------------------------------- *)
 
@@ -54,33 +87,44 @@ let scenario_gen =
    a scenario (exercising cursor/matrix sharing) with ones that don't *)
 let scenarios_gen = QCheck.Gen.(array_size (int_range 1 3) scenario_gen)
 
-let domain_gen =
+(* a few r values per mix, 0 and -0 among them, so queries of a mix
+   meet on shared (scenario, r) columns *)
+let r_pool_gen =
   QCheck.Gen.(
+    let* rs = array_size (int_range 1 3) (float_range 0. 4.) in
+    return (Array.append [| 0.; -0. |] rs))
+
+let domain_gen r_pool =
+  QCheck.Gen.(
+    let r_gen = oneofa r_pool in
     let* shape = int_range 0 2 in
     match shape with
     | 0 ->
         let* n = int_range 1 10 in
-        let* r = float_range 0. 4. in
+        let* r = r_gen in
         return (Q.Point { n; r })
     | 1 ->
-        let* len = int_range 1 5 in
-        let* lo = int_range 1 6 in
-        let* r = float_range 0. 4. in
-        return (Q.N_sweep { ns = Array.init len (fun i -> lo + i); r })
+        let* len = int_range 1 6 in
+        let* ns =
+          oneof
+            [ (let* lo = int_range 1 6 in
+               return (Array.init len (fun i -> lo + i)));
+              (* unsorted, with repeats *)
+              array_repeat len (int_range 1 10) ]
+        in
+        let* r = r_gen in
+        return (Q.N_sweep { ns; r })
     | _ ->
         let* n = int_range 1 10 in
-        let* len = int_range 1 5 in
-        let* lo = float_range 0. 2. in
-        let* step = float_range 0.1 1. in
-        return
-          (Q.R_sweep
-             { n; rs = Array.init len (fun i -> lo +. (float_of_int i *. step)) }))
+        let* rs = array_size (int_range 1 5) r_gen in
+        return (Q.R_sweep { n; rs }))
 
-let query_gen scenarios =
+let query_gen ?(kernel_only = false) scenarios r_pool =
   QCheck.Gen.(
     let* scenario = oneofl (Array.to_list scenarios) in
-    let* domain = domain_gen in
-    let* pick = int_range 0 8 in
+    let* domain = domain_gen r_pool in
+    (* picks 0-5 are the kernel's exact quantities *)
+    let* pick = int_range 0 (if kernel_only then 5 else 8) in
     (* weight the deterministic quantities; fold in sampled (Monte
        Carlo) and DRM-only (Cost_variance) mixes at lower rates *)
     let* quantity, accuracy =
@@ -98,17 +142,18 @@ let query_gen scenarios =
     in
     return { Q.quantity; scenario; domain; accuracy })
 
-let mix_gen =
+let mix_gen ?kernel_only () =
   QCheck.Gen.(
     let* scenarios = scenarios_gen in
-    array_size (int_range 1 10) (query_gen scenarios))
+    let* r_pool = r_pool_gen in
+    array_size (int_range 1 10) (query_gen ?kernel_only scenarios r_pool))
 
-let mix_arbitrary =
+let mix_arbitrary ?kernel_only () =
   QCheck.make
     ~print:(fun qs ->
       String.concat "; "
         (Array.to_list (Array.map (Format.asprintf "%a" Q.pp) qs)))
-    mix_gen
+    (mix_gen ?kernel_only ())
 
 (* -- the property --------------------------------------------------- *)
 
@@ -129,9 +174,28 @@ let check_same ~what reference answers =
     reference;
   true
 
+(* the kernel answers of a cache-off batch carry the reference scan's
+   evals; the kernel's batch is the mix's kernel-routed plans, in order *)
+let check_kernel_evals ~what queries (answers : A.t array) =
+  let plans = Array.map Engine.Planner.plan queries in
+  let kernel =
+    List.filter
+      (fun i -> plans.(i).Engine.Plan.route = Engine.Plan.Kernel)
+      (List.init (Array.length plans) Fun.id)
+  in
+  let expected =
+    reference_evals (Array.of_list (List.map (fun i -> plans.(i)) kernel))
+  in
+  List.iteri
+    (fun j i ->
+      if answers.(i).A.evals <> expected.(j) then
+        QCheck.Test.fail_reportf "%s: answer %d has %d kernel evals, not %d"
+          what i answers.(i).A.evals expected.(j))
+    kernel
+
 let prop_batch_equals_scalar =
   QCheck.Test.make ~name:"eval_batch = map eval, bitwise, any jobs/cache"
-    ~count:40 mix_arbitrary
+    ~count:40 (mix_arbitrary ())
     (fun queries ->
       (* reference: each query evaluated alone, no cache in play *)
       let reference =
@@ -145,10 +209,14 @@ let prop_batch_equals_scalar =
         Engine.Executor.eval_batch ?pool:jobs_pool
           ~cache:(Engine.Cache.create ()) queries
       in
-      ignore (check_same ~what:"jobs=1 cache=off" reference (batch_off None));
+      let off1 = batch_off None in
+      ignore (check_same ~what:"jobs=1 cache=off" reference off1);
+      check_kernel_evals ~what:"jobs=1 cache=off" queries off1;
       ignore (check_same ~what:"jobs=1 cache=on" reference (batch_on None));
       let p8 = Some (Lazy.force pool8) in
-      ignore (check_same ~what:"jobs=8 cache=off" reference (batch_off p8));
+      let off8 = batch_off p8 in
+      ignore (check_same ~what:"jobs=8 cache=off" reference off8);
+      check_kernel_evals ~what:"jobs=8 cache=off" queries off8;
       ignore (check_same ~what:"jobs=8 cache=on" reference (batch_on p8));
       (* warm cache: second run serves every answer from the cache,
          points still bitwise identical *)
@@ -164,6 +232,38 @@ let prop_batch_equals_scalar =
               "warm batch returned an answer not marked cached")
         warm;
       true)
+
+(* Shared work is never counted twice nor dropped: over a kernel batch
+   the evals sum to the scan work, each column's largest n. *)
+let prop_kernel_evals_sum =
+  QCheck.Test.make ~name:"kernel evals sum to each column's max n"
+    ~count:200 (mix_arbitrary ~kernel_only:true ())
+    (fun queries ->
+      let plans = Array.map (Engine.Plan.make ~route:Engine.Plan.Kernel) queries in
+      let col_max = Hashtbl.create 16 in
+      Array.iter
+        (fun (pl : Engine.Plan.t) ->
+          Array.iter
+            (fun (n, r) ->
+              let key = (pl.scenario_id, bits r) in
+              let m = Option.value ~default:0 (Hashtbl.find_opt col_max key) in
+              Hashtbl.replace col_max key (max m n))
+            pl.points)
+        plans;
+      let scan = Hashtbl.fold (fun _ n acc -> acc + n) col_max 0 in
+      let expected = reference_evals plans in
+      List.for_all
+        (fun pool ->
+          let answers = Engine.Backends.Kernel.eval_batch ?pool plans in
+          Array.iteri
+            (fun i (a : A.t) ->
+              if a.A.evals <> expected.(i) then
+                QCheck.Test.fail_reportf "plan %d: %d evals, reference %d" i
+                  a.A.evals expected.(i))
+            answers;
+          Array.fold_left (fun acc (a : A.t) -> acc + a.A.evals) 0 answers
+          = scan)
+        [ None; Some (Lazy.force pool8) ])
 
 (* -- deterministic corners the generator may under-sample ----------- *)
 
@@ -221,8 +321,8 @@ let near_twins () =
 let twin_query p = Q.point Q.Mean_cost p ~n:3 ~r:1.5
 
 let scalar_of (a : A.t) =
-  match a.A.points with
-  | [| { A.value = A.Scalar v; _ } |] -> v
+  match a.A.values with
+  | A.Scalars [| v |] -> v
   | _ -> Alcotest.fail "expected one scalar point"
 
 let test_near_twins_apart_in_cache () =
@@ -307,6 +407,7 @@ let () =
   Alcotest.run "executor"
     [ ( "batch equivalence",
         [ QCheck_alcotest.to_alcotest prop_batch_equals_scalar;
+          QCheck_alcotest.to_alcotest prop_kernel_evals_sum;
           Alcotest.test_case "duplicate plans in one batch" `Quick
             test_duplicate_plans_in_one_batch;
           Alcotest.test_case "within-batch duplicates hit the cache" `Quick
