@@ -3,8 +3,9 @@
    tiny sizes (on a 2-domain pool even when the host defaults to 1),
    the kernel scans against a point-wise rebuild, the planner and
    batch routes against direct evaluation, the batch front end's cost
-   against the executor's, and the kernel backend's cost against a bare
-   cursor scan.  The paper-reproduction report is
+   against the executor's, the kernel backend's cost against a bare
+   cursor scan, and the Monte-Carlo trial loop's allocation.  The
+   paper-reproduction report is
    `zeroconf_cli reproduce`; absolute timing lives in perfbench/.
 
    Usage: main.exe --smoke *)
@@ -372,11 +373,60 @@ let kernel_gate () =
     "smoke ok: Backends.Kernel.eval_batch at %.2fx a bare cursor scan (gate %gx)\n"
     ratio kernel_max_ratio
 
+(* A Monte-Carlo trial costs its arithmetic and nothing else: 20k
+   aggregate trials on figure2 at n = 4, r = 2 may allocate at most one
+   minor word per trial (what is left are the reply-delay draws of the
+   few occupied candidates; the sample's columns are born in the major
+   heap), and 10k [Rng.int] draws none at all.  The gate counts words
+   with [Gc.minor_words], which is deterministic, so it cannot flake on
+   a noisy host. *)
+let alloc_trials = 20_000
+and alloc_max_words_per_trial = 1.
+and alloc_draws = 10_000
+
+let alloc_gate () =
+  let p = fig2_scenario in
+  let config =
+    Netsim.Newcomer.drm_config ~n:4 ~r:2. ~probe_cost:p.Zeroconf.Params.probe_cost
+      ~error_cost:p.Zeroconf.Params.error_cost
+  in
+  let occupied =
+    int_of_float
+      (Float.round
+         (p.Zeroconf.Params.q *. float_of_int Zeroconf.Params.address_space_size))
+  in
+  let before = Gc.minor_words () in
+  let sample =
+    Netsim.Scenario.run_aggregate ~delay:p.Zeroconf.Params.delay ~occupied
+      ~config ~trials:alloc_trials ~rng:(Numerics.Rng.create 42) ()
+  in
+  let per_trial = (Gc.minor_words () -. before) /. float_of_int alloc_trials in
+  assert (Netsim.Metrics.length sample = alloc_trials);
+  if per_trial > alloc_max_words_per_trial then
+    failwith
+      (Printf.sprintf
+         "Scenario.run_aggregate allocates %.2f minor words per trial (gate %g)"
+         per_trial alloc_max_words_per_trial);
+  let rng = Numerics.Rng.create 2003 in
+  let before = Gc.minor_words () in
+  for _ = 1 to alloc_draws do
+    ignore (Sys.opaque_identity (Numerics.Rng.int rng 65024))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    failwith
+      (Printf.sprintf "%d Rng.int draws allocate %.0f minor words (gate 0)"
+         alloc_draws words);
+  Printf.printf
+    "smoke ok: Monte-Carlo trial at %.2f minor words (gate %g), Rng.int at 0\n"
+    per_trial alloc_max_words_per_trial
+
 let () =
   if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then begin
     smoke ();
     front_end_gate ();
-    kernel_gate ()
+    kernel_gate ();
+    alloc_gate ()
   end
   else begin
     prerr_endline

@@ -103,6 +103,16 @@ let check_positive option k =
     invalid_arg
       (Printf.sprintf "option '%s': %d is not a positive integer" option k)
 
+(* A trial count is bounded like a sweep size: a run keeps one sample
+   slot per trial, so a huge count fails with this message instead of
+   exhausting memory. *)
+let check_trials option k =
+  check_positive option k;
+  if k > Engine.Query.max_trials then
+    invalid_arg
+      (Printf.sprintf "option '%s': %d is more than %d trials" option k
+         Engine.Query.max_trials)
+
 let check_period option r =
   if not (Float.is_finite r && r >= 0.) then
     invalid_arg
@@ -210,7 +220,7 @@ let simulate_cmd =
   let check n r trials hosts pool =
     check_positive "-n" n;
     check_period "-r" r;
-    check_positive "--trials" trials;
+    check_trials "--trials" trials;
     check_positive "--pool" pool;
     if hosts < 0 || hosts >= pool then
       invalid_arg
@@ -223,7 +233,7 @@ let simulate_cmd =
       Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
         ~error_cost:p.Zeroconf.Params.error_cost
     in
-    let outcomes =
+    let sample =
       if detailed then
         Netsim.Scenario.run_detailed
           ~loss:(Zeroconf.Params.loss_probability p)
@@ -233,7 +243,7 @@ let simulate_cmd =
         Netsim.Scenario.run_aggregate ~delay:p.Zeroconf.Params.delay
           ~occupied:hosts ~pool_size:pool ~config ~trials ~rng ()
     in
-    let agg = Netsim.Metrics.aggregate outcomes in
+    let agg = Netsim.Metrics.aggregate sample in
     Format.printf "%a@." Netsim.Metrics.pp_aggregate agg;
     (* reference values at the simulated occupancy *)
     let q_sim = float_of_int hosts /. float_of_int pool in
@@ -767,7 +777,7 @@ let crosscheck_cmd =
     let crosscheck quantities =
       check_positive "-n" n;
       check_period "-r" r;
-      check_positive "--trials" trials;
+      check_trials "--trials" trials;
       Engine.Crosscheck.run ~trials ~seed
         (List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities)
     in

@@ -45,26 +45,26 @@ let () =
     Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
       ~error_cost:p.Zeroconf.Params.error_cost
   in
-  let outcomes =
+  let sample =
     Netsim.Scenario.run_aggregate ~delay ~occupied ~pool_size ~config
       ~trials:20_000 ~rng ()
   in
   Format.printf "F_X-sampling simulation:@.%a@.@." Netsim.Metrics.pp_aggregate
-    (Netsim.Metrics.aggregate outcomes);
+    (Netsim.Metrics.aggregate sample);
 
   (* Route 3c: the full packet-level network.  The combined probe-trip,
      processing and reply-trip stochastics are configured so the
      end-to-end reply behaviour matches F_X: one-way delays of d/2 each
      leg, exponential processing, and per-leg loss 1 - sqrt 0.9. *)
   let leg_loss = 1. -. sqrt 0.9 in
-  let outcomes =
+  let sample =
     Netsim.Scenario.run_detailed ~loss:leg_loss
       ~one_way:(Dist.Families.deterministic ~delay:0.25 ())
       ~processing:(Dist.Families.exponential ~rate:2. ())
       ~occupied ~pool_size ~config ~trials:4_000 ~rng ()
   in
   Format.printf "packet-level simulation:@.%a@." Netsim.Metrics.pp_aggregate
-    (Netsim.Metrics.aggregate outcomes);
+    (Netsim.Metrics.aggregate sample);
 
   (* And one fully traced run, to see the protocol at work. *)
   let outcome, log =

@@ -417,12 +417,12 @@ module Mc = struct
     Netsim.Scenario.run_aggregate ~delay:p.delay ~occupied:(occupied_of p)
       ~config ~trials ~rng ()
 
-  let read outcomes (q : Query.t) =
+  let read sample (q : Query.t) =
     let { Netsim.Metrics.mean; ci_lo; ci_hi } =
       match q.quantity with
-      | Query.Mean_cost -> Netsim.Metrics.cost_interval outcomes
-      | Query.Error_probability -> Netsim.Metrics.collision_interval outcomes
-      | Query.Latency_mean -> Netsim.Metrics.config_time_interval outcomes
+      | Query.Mean_cost -> Netsim.Metrics.cost_interval sample
+      | Query.Error_probability -> Netsim.Metrics.collision_interval sample
+      | Query.Latency_mean -> Netsim.Metrics.config_time_interval sample
       | _ -> invalid_arg "Backends.Mc: unsupported quantity"
     in
     { Answer.mean; ci_lo; ci_hi }
@@ -442,9 +442,9 @@ module Mc = struct
           (pl.scenario_id, n, Int64.bits_of_float r, trials, seed, qi))
     in
     let run ((pl0 : Plan.t), index, readers) =
-      let outcomes = run_stream pl0 index in
+      let sample = run_stream pl0 index in
       Array.map
-        (fun (pi, qi) -> (pi, qi, read outcomes plans.(pi).Plan.query))
+        (fun (pi, qi) -> (pi, qi, read sample plans.(pi).Plan.query))
         readers
     in
     let results, wall_ns =

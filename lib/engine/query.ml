@@ -29,6 +29,7 @@ let check_r r =
     invalid_arg (Printf.sprintf "Query: r = %g not non-negative and finite" r)
 
 let max_points = 1_048_576
+let max_trials = 1 lsl 24
 
 let size t =
   match t.domain with
@@ -55,7 +56,11 @@ let validate t =
   match t.accuracy with
   | Sampled { trials; _ } when trials < 1 ->
       invalid_arg (Printf.sprintf "Query: trials = %d < 1" trials)
-  | _ -> ()
+  | Sampled { trials; _ } when trials > max_trials ->
+      invalid_arg
+        (Printf.sprintf "Query: trials = %d > max_trials = %d" trials
+           max_trials)
+  | Sampled _ | Exact -> ()
 
 let make quantity scenario domain accuracy =
   let t = { quantity; scenario; domain; accuracy } in

@@ -54,12 +54,19 @@ val max_points : int
     Front ends check a requested sweep size against it before they
     allocate the sweep's grid. *)
 
+val max_trials : int
+(** The most Monte-Carlo trials one sampling stream may run: [2^24]
+    ([16_777_216]).  A run keeps one {!Netsim.Metrics.sample} slot per
+    trial, 48 bytes, so this bounds a stream's columns at about
+    0.8 GB.  Front ends check a requested trial count against it before
+    anything is sampled. *)
+
 val validate : t -> unit
 (** Raises [Invalid_argument] unless every probe count is at least 1,
     every listening period is non-negative and finite ([r = 0] is the
     paper's boundary case, where [C_n(0) = n c + q E]), sweeps are
     non-empty and hold at most {!max_points} points, and [Sampled]
-    demands at least one trial.  The smart constructors above call
+    demands between 1 and {!max_trials} trials.  The smart constructors above call
     this. *)
 
 val size : t -> int

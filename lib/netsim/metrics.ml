@@ -1,3 +1,12 @@
+type sample = {
+  cost : float array;
+  config_time : float array;
+  address : int array;
+  collided : bool array;
+  probes_sent : int array;
+  restarts : int array;
+}
+
 type outcome = {
   address : int;
   collided : bool;
@@ -21,38 +30,58 @@ type aggregate = {
   mean_restarts : float;
 }
 
-let cost_of (o : outcome) = o.cost
-let config_time_of (o : outcome) = o.config_time
+let create trials : sample =
+  if trials < 1 then invalid_arg "Metrics.create: trials < 1";
+  { cost = Array.create_float trials;
+    config_time = Array.create_float trials;
+    address = Array.make trials 0;
+    collided = Array.make trials false;
+    probes_sent = Array.make trials 0;
+    restarts = Array.make trials 0 }
 
-let mean_interval field outcomes =
-  let s = Numerics.Stats.summarize_by field outcomes in
+let length (s : sample) = Array.length s.cost
+
+let store (s : sample) i (o : outcome) =
+  s.cost.(i) <- o.cost;
+  s.config_time.(i) <- o.config_time;
+  s.address.(i) <- o.address;
+  s.collided.(i) <- o.collided;
+  s.probes_sent.(i) <- o.probes_sent;
+  s.restarts.(i) <- o.restarts
+
+let outcome (s : sample) i : outcome =
+  { address = s.address.(i);
+    collided = s.collided.(i);
+    probes_sent = s.probes_sent.(i);
+    restarts = s.restarts.(i);
+    config_time = s.config_time.(i);
+    cost = s.cost.(i) }
+
+let mean_interval column =
+  let s = Numerics.Stats.summarize column in
   let ci_lo, ci_hi = Numerics.Stats.summary_ci s in
   { mean = s.Numerics.Stats.mean; ci_lo; ci_hi }
 
-let cost_interval outcomes = mean_interval cost_of outcomes
-let config_time_interval outcomes = mean_interval config_time_of outcomes
+let cost_interval (s : sample) = mean_interval s.cost
+let config_time_interval (s : sample) = mean_interval s.config_time
 
-let count_collisions outcomes =
-  Array.fold_left
-    (fun acc (o : outcome) -> if o.collided then acc + 1 else acc)
-    0 outcomes
+let count_collisions (s : sample) =
+  Array.fold_left (fun acc hit -> if hit then acc + 1 else acc) 0 s.collided
 
-let collision_interval outcomes =
-  let trials = Array.length outcomes in
-  let collisions = count_collisions outcomes in
+let collision_interval s =
+  let trials = length s in
+  let collisions = count_collisions s in
   let ci_lo, ci_hi =
     Numerics.Stats.proportion_ci ~successes:collisions trials
   in
   { mean = float_of_int collisions /. float_of_int trials; ci_lo; ci_hi }
 
-let aggregate outcomes =
-  let trials = Array.length outcomes in
-  if trials = 0 then invalid_arg "Metrics.aggregate: no outcomes";
-  let collisions = count_collisions outcomes in
-  let cost = Numerics.Stats.summarize_by cost_of outcomes in
-  let mean_of count =
-    Numerics.Safe_float.sum_by (fun o -> float_of_int (count o)) outcomes
-    /. float_of_int trials
+let aggregate (s : sample) =
+  let trials = length s in
+  let collisions = count_collisions s in
+  let cost = Numerics.Stats.summarize s.cost in
+  let mean_of column =
+    Numerics.Safe_float.sum_by float_of_int column /. float_of_int trials
   in
   { trials;
     collisions;
@@ -60,9 +89,9 @@ let aggregate outcomes =
     collision_ci = Numerics.Stats.proportion_ci ~successes:collisions trials;
     cost;
     cost_ci = Numerics.Stats.summary_ci cost;
-    config_time = Numerics.Stats.summarize_by config_time_of outcomes;
-    mean_probes = mean_of (fun (o : outcome) -> o.probes_sent);
-    mean_restarts = mean_of (fun (o : outcome) -> o.restarts) }
+    config_time = Numerics.Stats.summarize s.config_time;
+    mean_probes = mean_of s.probes_sent;
+    mean_restarts = mean_of s.restarts }
 
 let pp_aggregate ppf a =
   let lo, hi = a.collision_ci and clo, chi = a.cost_ci in

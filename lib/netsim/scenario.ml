@@ -23,10 +23,12 @@ let reveal rv candidate busy =
    from F_X with the DRM's period-boundary semantics (Sec. 3.1).
    Occupancy is revealed one candidate at a time (the .mli says why the
    law is exact), so a trial's work is O(attempts), not O(occupied).
-   Attempts run in a loop over plain local refs, and the only values a
-   trial allocates are its outcome and the sampler's draws. *)
+   Attempts run in a loop over plain local refs, and the trial's result
+   goes straight into slot [i] of the sample's columns, so a trial
+   allocates nothing but the reply-delay sampler's draws (on occupied
+   candidates only). *)
 let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
-    ~(config : Newcomer.config) ~revealed =
+    ~(config : Newcomer.config) ~revealed (sample : Metrics.sample) i =
   let n = config.Newcomer.probes and r = config.Newcomer.listen in
   let step_cost = r +. config.Newcomer.probe_cost in
   let probes = ref 0 and restarts = ref 0 in
@@ -107,12 +109,12 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
       end
     end
   done;
-  { Metrics.address = !address;
-    collided = !collided;
-    probes_sent = !probes;
-    restarts = !restarts;
-    config_time = !time;
-    cost = !cost }
+  sample.cost.(i) <- !cost;
+  sample.config_time.(i) <- !time;
+  sample.address.(i) <- !address;
+  sample.collided.(i) <- !collided;
+  sample.probes_sent.(i) <- !probes;
+  sample.restarts.(i) <- !restarts
 
 let occupy_pool pool ~occupied ~rng =
   if occupied < 0 || occupied >= Address_pool.size pool then
@@ -130,8 +132,12 @@ let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
   if occupied < 0 || occupied >= pool_size then
     invalid_arg "Scenario.run_aggregate: occupied outside [0, pool size)";
   let revealed = { slots = Array.make 16 0; len = 0 } in
-  Array.init trials (fun _ ->
-      aggregate_trial ~delay ~size:pool_size ~occupied ~rng ~config ~revealed)
+  let sample = Metrics.create trials in
+  for i = 0 to trials - 1 do
+    aggregate_trial ~delay ~size:pool_size ~occupied ~rng ~config ~revealed
+      sample i
+  done;
+  sample
 
 let detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
     ~config ~rng ~tracer () =
@@ -158,9 +164,13 @@ let detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
 let run_detailed ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
     ~config ~trials ~rng () =
   if trials < 1 then invalid_arg "Scenario.run_detailed: trials < 1";
-  Array.init trials (fun _ ->
-      detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
-        ~config ~rng ~tracer:None ())
+  let sample = Metrics.create trials in
+  for i = 0 to trials - 1 do
+    Metrics.store sample i
+      (detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied
+         ?pool_size ~config ~rng ~tracer:None ())
+  done;
+  sample
 
 let trace_one ~loss ~one_way ?processing ~occupied ?pool_size ~config ~rng () =
   let log = ref [] in

@@ -1,5 +1,11 @@
 (** Trial runners: repeat configuration attempts and collect outcomes.
 
+    Both runners return one {!Metrics.sample}: trial [i] (in run order,
+    each drawing from [rng] after trial [i - 1]) fills slot [i] of every
+    column.  The aggregate runner writes the slots in its trial loop, so
+    no per-trial record exists; the packet-level runner stores each
+    newcomer's finished {!Metrics.outcome}.
+
     Two fidelity levels:
 
     - {!run_aggregate} samples reply round-trips directly from the
@@ -14,7 +20,7 @@
 val run_aggregate :
   delay:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
   config:Newcomer.config -> trials:int -> rng:Numerics.Rng.t -> unit ->
-  Metrics.outcome array
+  Metrics.sample
 (** Occupancy is [occupied / pool_size] (defaults to the real 65024
     space), so [q] matches {!Zeroconf.Params.q_of_hosts}.
 
@@ -30,6 +36,9 @@ val run_aggregate :
     O(attempts) instead of O(occupied).  A candidate drawn again (a
     restart or an [avoid_failed] redraw) reuses its stored answer.
 
+    Beyond the sample's columns and one small buffer per run, a trial
+    allocates only the reply-delay draws of its occupied candidates.
+
     Raises [Invalid_argument] when [trials < 1], [pool_size < 1] or
     [occupied] is outside [\[0, pool_size)]. *)
 
@@ -37,7 +46,7 @@ val run_detailed :
   loss:float -> one_way:Dist.Distribution.t ->
   ?processing:Dist.Distribution.t -> ?deaf_prob:float -> occupied:int ->
   ?pool_size:int -> config:Newcomer.config -> trials:int ->
-  rng:Numerics.Rng.t -> unit -> Metrics.outcome array
+  rng:Numerics.Rng.t -> unit -> Metrics.sample
 (** Each trial builds a fresh network of [occupied] configured hosts
     plus one newcomer and runs it to completion. *)
 

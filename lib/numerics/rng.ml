@@ -1,42 +1,53 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in 8 bytes, read and written as a native
+   int64 in place: a mutable [int64] field would box a fresh value on
+   every draw, while [Bytes.get_int64_ne]/[set_int64_ne] compile to plain
+   loads and stores of the unboxed word. *)
+type t = Bytes.t
 
 (* splitmix64 (Steele, Lea, Flood 2014): a tiny generator with excellent
    statistical behaviour for its cost, and trivially splittable. *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let uint64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t =
-  let seed = uint64 t in
-  { state = mix seed }
+(* Inlined into every draw below, so the state and the output stay
+   unboxed from load to use. *)
+let[@inline] next t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
-let copy t = { state = t.state }
+let uint64 t = next t
+let split t = of_state (mix (next t))
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   (* rejection sampling on the top 63 bits (non-negative) to avoid
-     modulo bias; a loop, not a closure, so a draw allocates only the
-     generator's state *)
+     modulo bias; a loop over an unboxed local, so a draw allocates
+     nothing *)
   let b = Int64.of_int bound in
   let max_fair = Int64.sub Int64.max_int (Int64.rem Int64.max_int b) in
-  let raw = ref (Int64.shift_right_logical (uint64 t) 1) in
+  let raw = ref (Int64.shift_right_logical (next t) 1) in
   while !raw >= max_fair do
-    raw := Int64.shift_right_logical (uint64 t) 1
+    raw := Int64.shift_right_logical (next t) 1
   done;
   Int64.to_int (Int64.rem !raw b)
 
-let float t =
+(* inlined into the transforms below, so only their results are boxed *)
+let[@inline] float t =
   (* top 53 bits -> [0, 1) *)
-  let bits = Int64.shift_right_logical (uint64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. 0x1p-53
 
 let uniform t ~lo ~hi =

@@ -2,11 +2,13 @@
 
     The network simulator and the Monte-Carlo validation of the Markov
     model need reproducible streams; this module provides a splitmix64
-    generator (for seeding and splitting) driving PCG-style output,
+    generator, whose output is both the stream and the seed of a split,
     plus the standard sampling transforms. *)
 
 type t
-(** Mutable generator state.  Not thread-safe; split instead. *)
+(** Mutable generator state: the 64-bit splitmix64 state, held unboxed,
+    so a draw allocates nothing ({!int}) or only its boxed result.  Not
+    thread-safe; split instead. *)
 
 val create : int -> t
 (** Seeded generator; equal seeds give equal streams. *)
@@ -15,6 +17,8 @@ val split : t -> t
 (** Derive an independent generator; advances the parent. *)
 
 val copy : t -> t
+(** A generator with the same state that advances on its own: drawing
+    from either never moves the other. *)
 
 val uint64 : t -> int64
 (** Next raw 64-bit output. *)

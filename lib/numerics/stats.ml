@@ -7,25 +7,36 @@ type summary = {
   max : float;
 }
 
-let summarize_by f xs =
+(* Neumaier sum of the squared deviations from [mean], in index order:
+   the additions [Safe_float.sum] makes over the mapped array, without
+   building it or boxing a value per element.  The deviations stay
+   [(x -. mean) ** 2.]: [pow] and [x *. x] differ in the last bit on
+   some inputs, and every Monte-Carlo bound rests on these bits. *)
+let sum_squared_deviations xs mean =
+  let s = ref 0. and comp = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    let x = (xs.(i) -. mean) ** 2. in
+    let t = !s +. x in
+    if Float.abs !s >= Float.abs x then comp := !comp +. ((!s -. t) +. x)
+    else comp := !comp +. ((x -. t) +. !s);
+    s := t
+  done;
+  !s +. !comp
+
+let summarize xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
-  let mean = Safe_float.sum_by f xs /. float_of_int n in
+  let mean = Safe_float.sum xs /. float_of_int n in
   let variance =
     if n < 2 then 0.
-    else
-      Safe_float.sum_by (fun x -> (f x -. mean) ** 2.) xs
-      /. float_of_int (n - 1)
+    else sum_squared_deviations xs mean /. float_of_int (n - 1)
   in
-  let x0 = f xs.(0) in
-  { n;
-    mean;
-    variance;
-    std = sqrt variance;
-    min = Array.fold_left (fun m x -> Float.min m (f x)) x0 xs;
-    max = Array.fold_left (fun m x -> Float.max m (f x)) x0 xs }
-
-let summarize xs = summarize_by Fun.id xs
+  let lo = ref xs.(0) and hi = ref xs.(0) in
+  for i = 0 to n - 1 do
+    lo := Float.min !lo xs.(i);
+    hi := Float.max !hi xs.(i)
+  done;
+  { n; mean; variance; std = sqrt variance; min = !lo; max = !hi }
 
 (* Inverse standard-normal CDF: Peter Acklam's rational approximation. *)
 let normal_quantile p =

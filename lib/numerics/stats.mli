@@ -11,11 +11,10 @@ type summary = {
 }
 
 val summarize : float array -> summary
-(** Raises [Invalid_argument] on an empty array. *)
-
-val summarize_by : ('a -> float) -> 'a array -> summary
-(** [summarize_by f xs] is [summarize (Array.map f xs)], bit for bit,
-    without building the mapped array. *)
+(** One pass for the mean (a {!Safe_float.sum}), one for the variance
+    (the same compensated sum over [(x -. mean) ** 2.]) and one for
+    [min]/[max]; nothing is allocated but the result.  Raises
+    [Invalid_argument] on an empty array. *)
 
 val summary_ci : ?confidence:float -> summary -> float * float
 (** Normal-approximation confidence interval for the mean of a

@@ -120,11 +120,11 @@ let test_matches_simulation () =
           Netsim.Newcomer.avoid_failed = avoid;
           Netsim.Newcomer.rate_limit }
       in
-      let outcomes =
+      let sample =
         Netsim.Scenario.run_aggregate ~delay ~occupied ~pool_size:pool ~config
           ~trials:15_000 ~rng ()
       in
-      let agg = Netsim.Metrics.aggregate outcomes in
+      let agg = Netsim.Metrics.aggregate sample in
       let lo, hi = agg.Netsim.Metrics.cost_ci in
       Alcotest.(check bool)
         (Printf.sprintf "blacklist=%b rl=%b: CI [%g, %g] covers %g" avoid

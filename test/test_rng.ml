@@ -80,6 +80,78 @@ let test_int_pinned () =
            3437469724683869241 |],
         -2239488871247451322 ) ]
 
+(* The raw stream, the float transform and split's seeding, pinned the
+   same way from seed 2003: the first four values and a fold
+   [h * 31 + x] (on int64, floats by their bits) of the next 100k.  For
+   [split], a value is the first draw of a fresh child, and each child
+   is split from the same parent.  Recorded from the boxed-state
+   generator, so they pin the unboxed state to the same stream. *)
+let fold_100k next =
+  let h = ref 0L in
+  for _ = 1 to 100_000 do
+    h := Int64.add (Int64.mul !h 31L) (next ())
+  done;
+  !h
+
+let test_uint64_pinned () =
+  let rng = Rng.create 2003 in
+  let first = Array.init 4 (fun _ -> Rng.uint64 rng) in
+  Alcotest.(check (array int64)) "first draws"
+    [| 7096296436637601017L; 4674664191467884442L; -6016591331827276000L;
+       6874939449367738483L |]
+    first;
+  Alcotest.(check int64) "fold of 100k draws" 5361121033537216134L
+    (fold_100k (fun () -> Rng.uint64 rng))
+
+let test_float_pinned () =
+  let rng = Rng.create 2003 in
+  let first = Array.init 4 (fun _ -> Int64.bits_of_float (Rng.float rng)) in
+  Alcotest.(check (array int64)) "first draws"
+    (Array.map Int64.bits_of_float
+       [| 0x1.89ec700b9a9e2p-2; 0x1.037ef94242ba2p-2; 0x1.59018c1f377b4p-1;
+          0x1.7da2c4044f88ep-2 |])
+    first;
+  Alcotest.(check int64) "fold of 100k draws" 2870222689495181803L
+    (fold_100k (fun () -> Int64.bits_of_float (Rng.float rng)))
+
+let test_split_pinned () =
+  let rng = Rng.create 2003 in
+  let child () = Rng.uint64 (Rng.split rng) in
+  let first = Array.init 4 (fun _ -> child ()) in
+  Alcotest.(check (array int64)) "first children"
+    [| -155824967853351431L; 4758182910683968605L; -2697308296961481803L;
+       492327893062399568L |]
+    first;
+  Alcotest.(check int64) "fold of 100k children" 7046130940244358118L
+    (fold_100k child)
+
+(* The state is a mutable buffer, so a copy or a child that shared it
+   with the original would move the original's stream.  Each side is
+   advanced alone and checked against an untouched replay. *)
+let test_no_aliasing () =
+  let draws rng k = Array.init k (fun _ -> Rng.uint64 rng) in
+  (* advancing a copy leaves the original where it was, and back *)
+  let original = Rng.create 31 and replay = Rng.create 31 in
+  let copy = Rng.copy original in
+  ignore (draws copy 1_000);
+  Alcotest.(check (array int64)) "copy advanced, original unmoved"
+    (draws replay 8) (draws original 8);
+  let copy_replay = Rng.copy copy in
+  ignore (draws original 1_000);
+  Alcotest.(check (array int64)) "original advanced, copy unmoved"
+    (draws copy_replay 8) (draws copy 8);
+  (* a split advances the parent by one draw and nothing else *)
+  let parent = Rng.create 37 and replay = Rng.create 37 in
+  let child = Rng.split parent in
+  ignore (Rng.uint64 replay);
+  ignore (draws child 1_000);
+  Alcotest.(check (array int64)) "child advanced, parent unmoved"
+    (draws replay 8) (draws parent 8);
+  let child_replay = Rng.copy child in
+  ignore (draws parent 1_000);
+  Alcotest.(check (array int64)) "parent advanced, child unmoved"
+    (draws child_replay 8) (draws child 8)
+
 let test_float_range () =
   let rng = Rng.create 5 in
   let ok = ref true in
@@ -178,12 +250,17 @@ let () =
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seeds differ" `Quick test_different_seeds_differ;
           Alcotest.test_case "split" `Quick test_split_independent;
-          Alcotest.test_case "copy" `Quick test_copy_replays ] );
+          Alcotest.test_case "copy" `Quick test_copy_replays;
+          Alcotest.test_case "uint64 draws pinned" `Quick test_uint64_pinned;
+          Alcotest.test_case "split children pinned" `Quick test_split_pinned;
+          Alcotest.test_case "copy and split never alias" `Quick
+            test_no_aliasing ] );
       ( "int/float",
         [ Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int coverage" `Quick test_int_covers_support;
           Alcotest.test_case "int draws pinned" `Quick test_int_pinned;
-          Alcotest.test_case "float range" `Quick test_float_range ] );
+          Alcotest.test_case "float range" `Quick test_float_range;
+          Alcotest.test_case "float draws pinned" `Quick test_float_pinned ] );
       ( "distributions",
         [ Alcotest.test_case "uniform mean" `Quick test_uniform_mean;
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;

@@ -18,6 +18,29 @@ let test_summarize_singleton () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty sample")
     (fun () -> ignore (S.summarize [||]))
 
+(* [summarize] against the copy-and-sum it replaced, bit for bit, on
+   2000 arrays of 8 uniform draws.  Squaring a deviation as [d *. d]
+   instead of [d ** 2.] changes the variance's last bit on a handful of
+   them (4 of these 2000), so this pins the [pow] that every
+   Monte-Carlo bound rests on. *)
+let test_summarize_bits () =
+  for seed = 1 to 2000 do
+    let rng = Numerics.Rng.create seed in
+    let xs = Array.init 8 (fun _ -> Numerics.Rng.float rng) in
+    let s = S.summarize xs in
+    let mean = Numerics.Safe_float.mean xs in
+    let variance =
+      Numerics.Safe_float.sum (Array.map (fun x -> (x -. mean) ** 2.) xs) /. 7.
+    in
+    let bits = List.map Int64.bits_of_float in
+    if
+      bits [ s.S.mean; s.S.variance; s.S.min; s.S.max ]
+      <> bits
+           [ mean; variance; Array.fold_left Float.min xs.(0) xs;
+             Array.fold_left Float.max xs.(0) xs ]
+    then Alcotest.failf "seed %d: summary differs from the reference" seed
+  done
+
 let test_normal_quantile () =
   check_close ~tol:1e-8 "median" 0. (S.normal_quantile 0.5);
   check_close ~tol:1e-6 "97.5%" 1.959963985 (S.normal_quantile 0.975);
@@ -102,7 +125,8 @@ let () =
   Alcotest.run "stats"
     [ ( "summary",
         [ Alcotest.test_case "summarize" `Quick test_summarize;
-          Alcotest.test_case "singleton/empty" `Quick test_summarize_singleton ] );
+          Alcotest.test_case "singleton/empty" `Quick test_summarize_singleton;
+          Alcotest.test_case "bits = copy and sum" `Quick test_summarize_bits ] );
       ( "normal quantile",
         [ Alcotest.test_case "values" `Quick test_normal_quantile;
           Alcotest.test_case "symmetry" `Quick test_normal_quantile_symmetry ] );
