@@ -88,14 +88,6 @@ let scenario_term =
   Term.(ret (const build $ Cli_common.jobs_term $ preset $ loss $ rate $ rtt
              $ hosts $ probe_cost $ error_cost))
 
-let n_term =
-  Arg.(value & opt int 4
-       & info [ "n"; "n-probes" ] ~docv:"N" ~doc:"Number of ARP probes.")
-
-let r_term =
-  Arg.(value & opt float 2.
-       & info [ "r"; "r-period" ] ~docv:"R" ~doc:"Listening period in seconds.")
-
 (* Option values a command needs in range, checked before it prints
    anything; the message names the option. *)
 let check_positive option k =
@@ -118,6 +110,27 @@ let check_period option r =
     invalid_arg
       (Printf.sprintf "option '%s': %g is not a non-negative finite number"
          option r)
+
+(* [checked check arg] is [arg] once [check] accepts its value; a value
+   it rejects ends the command with the check's message (exit 124). *)
+let checked check arg =
+  let accept v =
+    match check v with
+    | () -> `Ok v
+    | exception Invalid_argument msg -> `Error (false, msg)
+  in
+  Term.(ret (const accept $ arg))
+
+let n_term =
+  checked (check_positive "-n")
+    Arg.(value & opt int 4
+         & info [ "n"; "n-probes" ] ~docv:"N" ~doc:"Number of ARP probes.")
+
+let r_term =
+  checked (check_period "-r")
+    Arg.(value & opt float 2.
+         & info [ "r"; "r-period" ] ~docv:"R"
+             ~doc:"Listening period in seconds.")
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -217,9 +230,7 @@ let simulate_cmd =
     Arg.(value & opt int 1024
          & info [ "pool" ] ~doc:"Address-pool size for the simulation.")
   in
-  let check n r trials hosts pool =
-    check_positive "-n" n;
-    check_period "-r" r;
+  let check trials hosts pool =
     check_trials "--trials" trials;
     check_positive "--pool" pool;
     if hosts < 0 || hosts >= pool then
@@ -254,7 +265,7 @@ let simulate_cmd =
       q_sim
   in
   let run p n r trials seed detailed hosts pool =
-    match check n r trials hosts pool with
+    match check trials hosts pool with
     | exception Invalid_argument msg -> `Error (false, msg)
     | () -> `Ok (simulate p n r trials seed detailed hosts pool)
   in
@@ -265,34 +276,32 @@ let simulate_cmd =
 
 let curve_cmd =
   let points =
-    Arg.(value & opt int 60 & info [ "points" ] ~doc:"Grid resolution.")
+    checked
+      (fun k ->
+        check_positive "--points" k;
+        Cli_common.check_size (Printf.sprintf "--points %d" k) k)
+      Arg.(value & opt int 60 & info [ "points" ] ~doc:"Grid resolution.")
   in
   let r_max = Arg.(value & opt float 4. & info [ "r-max" ] ~doc:"Upper r bound.") in
   let run p n points r_max =
-    match
-      Cli_common.check_size (Printf.sprintf "--points %d" points) points
-    with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | () ->
-        let grid = Numerics.Grid.linspace 0.01 r_max points in
-        let table =
-          Output.Table.create
-            ~columns:
-              [ ("r", Output.Table.Right); ("C(n,r)", Output.Table.Right);
-                ("log10 E(n,r)", Output.Table.Right) ]
-        in
-        Array.iter
-          (fun r ->
-            Output.Table.add_row table
-              [ Printf.sprintf "%.4g" r;
-                Printf.sprintf "%.6g" (Zeroconf.Cost.mean p ~n ~r);
-                Printf.sprintf "%.3f" (Zeroconf.Reliability.log10_error_probability p ~n ~r) ])
-          grid;
-        print_string (Output.Table.to_text table);
-        `Ok ()
+    let grid = Numerics.Grid.linspace 0.01 r_max points in
+    let table =
+      Output.Table.create
+        ~columns:
+          [ ("r", Output.Table.Right); ("C(n,r)", Output.Table.Right);
+            ("log10 E(n,r)", Output.Table.Right) ]
+    in
+    Array.iter
+      (fun r ->
+        Output.Table.add_row table
+          [ Printf.sprintf "%.4g" r;
+            Printf.sprintf "%.6g" (Zeroconf.Cost.mean p ~n ~r);
+            Printf.sprintf "%.3f" (Zeroconf.Reliability.log10_error_probability p ~n ~r) ])
+      grid;
+    print_string (Output.Table.to_text table)
   in
   Cmd.v (Cmd.info "curve" ~doc:"Tabulate C_n(r) and E(n, r) over an r grid.")
-    Term.(ret (const run $ scenario_term $ n_term $ points $ r_max))
+    Term.(const run $ scenario_term $ n_term $ points $ r_max)
 
 let latency_cmd =
   let run p n r =
@@ -775,8 +784,6 @@ let crosscheck_cmd =
           | `Error _ as e -> e)
     in
     let crosscheck quantities =
-      check_positive "-n" n;
-      check_period "-r" r;
       check_trials "--trials" trials;
       Engine.Crosscheck.run ~trials ~seed
         (List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities)

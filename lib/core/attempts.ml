@@ -21,11 +21,6 @@ let no_refinement ~occupied ?(pool = Params.address_space_size) () =
   validate_refinement r;
   r
 
-let draft_refinement ~occupied ?(pool = Params.address_space_size) () =
-  let r = { blacklist = true; rate_limit = Some (10, 60.); occupied; pool } in
-  validate_refinement r;
-  r
-
 type analysis = {
   mean_cost : float;
   error_probability : float;

@@ -31,8 +31,6 @@ type refinement = {
 }
 
 val no_refinement : occupied:int -> ?pool:int -> unit -> refinement
-val draft_refinement : occupied:int -> ?pool:int -> unit -> refinement
-(** Blacklisting on, rate limit (10, 60 s) — the draft's behaviour. *)
 
 type analysis = {
   mean_cost : float;

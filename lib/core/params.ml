@@ -14,9 +14,12 @@ let q_of_hosts m =
   float_of_int m /. float_of_int address_space_size
 
 let v ~name ~delay ~q ~probe_cost ~error_cost =
+  (* each check is written so that a NaN fails it *)
   if not (q >= 0. && q < 1.) then invalid_arg "Params.v: q outside [0, 1)";
-  if probe_cost < 0. then invalid_arg "Params.v: probe_cost < 0";
-  if error_cost < 0. then invalid_arg "Params.v: error_cost < 0";
+  if not (probe_cost >= 0. && probe_cost < infinity) then
+    invalid_arg "Params.v: probe_cost outside [0, inf)";
+  if not (error_cost >= 0. && error_cost < infinity) then
+    invalid_arg "Params.v: error_cost outside [0, inf)";
   { name; delay; q; probe_cost; error_cost }
 
 let with_costs ?probe_cost ?error_cost t =

@@ -30,7 +30,8 @@ val q_of_hosts : int -> float
 val v :
   name:string -> delay:Dist.Distribution.t -> q:float ->
   probe_cost:float -> error_cost:float -> t
-(** Validates [0 <= q < 1], [probe_cost >= 0], [error_cost >= 0]. *)
+(** Validates [0 <= q < 1] and finite [probe_cost >= 0],
+    [error_cost >= 0]; a NaN fails every check. *)
 
 val with_costs : ?probe_cost:float -> ?error_cost:float -> t -> t
 val with_q : t -> float -> t

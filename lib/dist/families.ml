@@ -5,8 +5,18 @@ module Rng = Numerics.Rng
 let defective_sample mass conditional rng =
   if mass < 1. && Rng.float rng >= mass then None else Some (conditional rng)
 
+(* Every range check below is written so that a NaN fails it.  An
+   infinite rate is the deterministic-delay limit and stays legal; an
+   infinite delay or bound is not. *)
+let check_rate fn rate =
+  if not (rate > 0.) then invalid_arg (fn ^ ": rate outside (0, inf]")
+
+let check_delay fn delay =
+  if not (delay >= 0. && delay < infinity) then
+    invalid_arg (fn ^ ": delay outside [0, inf)")
+
 let exponential ?(mass = 1.) ~rate () =
-  if rate <= 0. then invalid_arg "Families.exponential: rate <= 0";
+  check_rate "Families.exponential" rate;
   let survival t = if t <= 0. then 1. else (1. -. mass) +. (mass *. exp (-.rate *. t)) in
   Distribution.v ~name:(Printf.sprintf "exp(rate=%g)" rate) ~mass
     ~density:(fun t -> if t < 0. then 0. else mass *. rate *. exp (-.rate *. t))
@@ -17,8 +27,8 @@ let exponential ?(mass = 1.) ~rate () =
     ()
 
 let shifted_exponential ?(mass = 1.) ~rate ~delay () =
-  if rate <= 0. then invalid_arg "Families.shifted_exponential: rate <= 0";
-  if delay < 0. then invalid_arg "Families.shifted_exponential: delay < 0";
+  check_rate "Families.shifted_exponential" rate;
+  check_delay "Families.shifted_exponential" delay;
   let cdf t =
     if t <= delay then 0. else mass *. (-.Float.expm1 (-.rate *. (t -. delay)))
   in
@@ -36,7 +46,7 @@ let shifted_exponential ?(mass = 1.) ~rate ~delay () =
     ()
 
 let deterministic ?(mass = 1.) ~delay () =
-  if delay < 0. then invalid_arg "Families.deterministic: delay < 0";
+  check_delay "Families.deterministic" delay;
   Distribution.v ~name:(Printf.sprintf "deterministic(d=%g)" delay) ~mass
     ~mean:delay
     ~cdf:(fun t -> if t >= delay then mass else 0.)
@@ -45,7 +55,8 @@ let deterministic ?(mass = 1.) ~delay () =
     ()
 
 let uniform ?(mass = 1.) ~lo ~hi () =
-  if lo < 0. || hi <= lo then invalid_arg "Families.uniform: need 0 <= lo < hi";
+  if not (0. <= lo && lo < hi && hi < infinity) then
+    invalid_arg "Families.uniform: need 0 <= lo < hi < inf";
   let width = hi -. lo in
   let cdf t =
     if t <= lo then 0.
@@ -61,9 +72,9 @@ let uniform ?(mass = 1.) ~lo ~hi () =
     ()
 
 let weibull ?(mass = 1.) ?(delay = 0.) ~shape ~scale () =
-  if shape <= 0. || scale <= 0. then
+  if not (shape > 0. && scale > 0.) then
     invalid_arg "Families.weibull: shape and scale must be positive";
-  if delay < 0. then invalid_arg "Families.weibull: delay < 0";
+  check_delay "Families.weibull" delay;
   let z t = ((t -. delay) /. scale) ** shape in
   let cdf t = if t <= delay then 0. else mass *. (-.Float.expm1 (-.z t)) in
   let survival t =
@@ -86,8 +97,9 @@ let weibull ?(mass = 1.) ?(delay = 0.) ~shape ~scale () =
 
 let erlang ?(mass = 1.) ?(delay = 0.) ~stages ~rate () =
   if stages < 1 then invalid_arg "Families.erlang: stages < 1";
-  if rate <= 0. then invalid_arg "Families.erlang: rate <= 0";
-  if delay < 0. then invalid_arg "Families.erlang: delay < 0";
+  if not (rate > 0. && rate < infinity) then
+    invalid_arg "Families.erlang: rate outside (0, inf)";
+  check_delay "Families.erlang" delay;
   (* Survival of Erlang-k: e^{-rt} * sum_{i<k} (rt)^i / i!, summed in
      increasing order so the partial sums stay accurate. *)
   let core_survival u =
@@ -138,7 +150,9 @@ let erlang ?(mass = 1.) ?(delay = 0.) ~stages ~rate () =
 let mixture components =
   if components = [] then invalid_arg "Families.mixture: empty mixture";
   List.iter
-    (fun (w, _) -> if w <= 0. then invalid_arg "Families.mixture: weight <= 0")
+    (fun (w, _) ->
+      if not (w > 0. && w < infinity) then
+        invalid_arg "Families.mixture: weight outside (0, inf)")
     components;
   let total = Numerics.Safe_float.sum_list (List.map fst components) in
   let weighted = List.map (fun (w, d) -> (w /. total, d)) components in

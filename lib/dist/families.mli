@@ -5,7 +5,11 @@
     round-trip delay [d], exponential tail with rate [lambda], and a
     permanent-loss probability [1 - l].  The others give alternative
     tail shapes for sensitivity studies, all supporting the same
-    defectiveness and shift parameters. *)
+    defectiveness and shift parameters.
+
+    Every constructor raises [Invalid_argument] on a NaN parameter or
+    an infinite delay.  [rate = infinity] is legal for {!exponential}
+    and {!shifted_exponential}: it is the deterministic-delay limit. *)
 
 val exponential : ?mass:float -> rate:float -> unit -> Distribution.t
 (** Memoryless delay with the given rate. *)

@@ -41,10 +41,6 @@ val expected_total_reward : Reward.t -> from:int -> float
     evaluated at [from], with [w] the one-step expected cost
     ({!Reward.one_step_expected}).  Zero when [from] is absorbing. *)
 
-val expected_total_reward_all : Reward.t -> Numerics.Vector.t
-(** The whole vector [a], indexed by original state index (zeros at
-    absorbing states). *)
-
 val variance_total_reward : Reward.t -> from:int -> float
 (** Variance of the accumulated reward until absorption, from the
     second-moment recursion

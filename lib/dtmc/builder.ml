@@ -6,14 +6,12 @@ type t = {
   mutable order : string list; (* reversed declaration order *)
   known : (string, unit) Hashtbl.t;
   edges : (string * string, edge) Hashtbl.t;
-  state_costs : (string, float) Hashtbl.t;
 }
 
 let create () =
   { order = [];
     known = Hashtbl.create 16;
-    edges = Hashtbl.create 16;
-    state_costs = Hashtbl.create 16 }
+    edges = Hashtbl.create 16 }
 
 let add_state t name =
   if not (Hashtbl.mem t.known name) then begin
@@ -33,10 +31,6 @@ let add_edge ?(cost = 0.) t ~src ~dst ~prob =
       e.prob <- e.prob +. prob
   | None -> Hashtbl.add t.edges (src, dst) { prob; cost }
 
-let set_state_cost t name cost =
-  add_state t name;
-  Hashtbl.replace t.state_costs name cost
-
 let build ?tol t =
   let names = List.rev t.order in
   if names = [] then invalid_arg "Builder.build: no states";
@@ -54,11 +48,6 @@ let build ?tol t =
   for i = 0 to n - 1 do
     if Numerics.Safe_float.sum (Matrix.row p i) = 0. then Matrix.set p i i 1.
   done;
-  let state_rewards =
-    Array.init n (fun i ->
-        Option.value ~default:0.
-          (Hashtbl.find_opt t.state_costs (State_space.label space i)))
-  in
   let chain = Chain.create ?tol ~states:space p in
-  let reward = Reward.create ~state_rewards ~transition_rewards:c chain in
+  let reward = Reward.create ~transition_rewards:c chain in
   (chain, reward)

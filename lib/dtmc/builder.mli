@@ -17,9 +17,6 @@ val add_edge : ?cost:float -> t -> src:string -> dst:string -> prob:float -> uni
     [Invalid_argument] on non-positive probability or conflicting
     costs. *)
 
-val set_state_cost : t -> string -> float -> unit
-(** Per-visit cost for a state. *)
-
 val build : ?tol:float -> t -> Chain.t * Reward.t
 (** Validates that out-probabilities sum to one for every state with
     edges, makes edge-less states absorbing, and returns the chain with

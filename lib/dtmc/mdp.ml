@@ -39,10 +39,6 @@ let create ~num_states ~actions =
 
 let num_states t = t.num_states
 
-let action_names t s =
-  if s < 0 || s >= t.num_states then invalid_arg "Mdp.action_names: bad state";
-  Array.to_list (Array.map fst t.actions.(s))
-
 let action_name t ~state ~action =
   if state < 0 || state >= t.num_states then invalid_arg "Mdp.action_name: bad state";
   if action < 0 || action >= Array.length t.actions.(state) then

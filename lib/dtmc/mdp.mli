@@ -23,7 +23,6 @@ val create :
     destinations are in range.  Raises [Invalid_argument] otherwise. *)
 
 val num_states : t -> int
-val action_names : t -> int -> string list
 
 type solution = {
   values : float array;        (** Minimal expected total cost per state. *)

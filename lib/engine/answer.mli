@@ -62,5 +62,4 @@ val value : t -> int -> value
 (** [value a k] boxes point [k]'s value.  It allocates; loops over a
     whole answer read {!values} or {!scalar} instead. *)
 
-val pp_value : Format.formatter -> value -> unit
 val pp : Format.formatter -> t -> unit

@@ -25,13 +25,11 @@ val enumerate :
     (default [12]), [r] on [r_points] (default [200]) points up to
     [r_max] (default [8.]). *)
 
-val pareto_front : design list -> design list
-(** Designs not dominated by any other (lower cost {e and} lower error).
-    Sorted by increasing cost (hence decreasing reliability). *)
-
 val front :
   ?n_max:int -> ?r_points:int -> ?r_max:float -> Params.t -> design list
-(** [pareto_front (enumerate p)]. *)
+(** The designs of [enumerate p] not dominated by any other (lower cost
+    {e and} lower error), sorted by increasing cost (hence decreasing
+    reliability). *)
 
 val knee : design list -> design option
 (** The "knee" of a front sorted by cost: the design maximizing the

@@ -19,9 +19,6 @@ val decompose : Matrix.t -> t
 val solve_vec : t -> Vector.t -> Vector.t
 (** Solve [A x = b] given the factorization of [A]. *)
 
-val solve_mat : t -> Matrix.t -> Matrix.t
-(** Solve [A X = B] column by column. *)
-
 val det : t -> float
 (** Determinant of the factorized matrix. *)
 

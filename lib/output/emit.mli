@@ -14,6 +14,3 @@
 
 val print_string : string -> unit
 (** Write to stdout, no newline, no flush. *)
-
-val prerr_line : string -> unit
-(** Write to stderr followed by a newline (diagnostics only). *)

@@ -48,7 +48,7 @@ let test_exponential () =
   check_close "survival complement" 0.5 (d.D.survival (Float.log 2. /. 2.));
   check_self d;
   Alcotest.check_raises "bad rate"
-    (Invalid_argument "Families.exponential: rate <= 0") (fun () ->
+    (Invalid_argument "Families.exponential: rate outside (0, inf]") (fun () ->
       ignore (F.exponential ~rate:0. ()))
 
 let test_deterministic () =
@@ -65,7 +65,7 @@ let test_uniform () =
   check_close "mean" 2. (Option.get d.D.mean);
   check_self d;
   Alcotest.check_raises "bad bounds"
-    (Invalid_argument "Families.uniform: need 0 <= lo < hi") (fun () ->
+    (Invalid_argument "Families.uniform: need 0 <= lo < hi < inf") (fun () ->
       ignore (F.uniform ~lo:3. ~hi:1. ()))
 
 let test_weibull_reduces_to_exponential () =
@@ -168,6 +168,32 @@ let test_constructor_guards () =
         (D.v ~name:"bad" ~mass:0. ~cdf:(fun _ -> 0.) ~survival:(fun _ -> 1.)
            ~sample:(fun _ -> None) ()))
 
+(* a NaN parameter, or an infinite delay, fails with a message instead
+   of yielding a law whose every value is NaN *)
+let test_nan_and_inf_rejected () =
+  let rejects msg f =
+    match f () with
+    | (_ : D.t) -> Alcotest.failf "%s accepted" msg
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "nan rate" (fun () -> F.shifted_exponential ~rate:nan ~delay:1. ());
+  rejects "nan delay" (fun () -> F.shifted_exponential ~rate:10. ~delay:nan ());
+  rejects "infinite delay" (fun () ->
+      F.shifted_exponential ~rate:10. ~delay:infinity ());
+  rejects "nan mass" (fun () ->
+      F.shifted_exponential ~mass:nan ~rate:10. ~delay:1. ());
+  rejects "exponential nan rate" (fun () -> F.exponential ~rate:nan ());
+  rejects "deterministic nan delay" (fun () -> F.deterministic ~delay:nan ());
+  rejects "uniform nan lo" (fun () -> F.uniform ~lo:nan ~hi:1. ());
+  rejects "uniform infinite hi" (fun () -> F.uniform ~lo:0. ~hi:infinity ());
+  rejects "weibull nan shape" (fun () -> F.weibull ~shape:nan ~scale:1. ());
+  rejects "erlang nan rate" (fun () -> F.erlang ~stages:2 ~rate:nan ());
+  rejects "mixture nan weight" (fun () -> F.mixture [ (nan, paper_fx) ]);
+  (* an infinite rate is the deterministic-delay limit: legal *)
+  let d = F.shifted_exponential ~rate:infinity ~delay:1. () in
+  check_close "all mass at d" 1. (d.D.cdf 1.000001);
+  check_close "mean d" 1. (Option.get d.D.mean)
+
 (* property: every family keeps cdf + survival = 1 and cdf monotone *)
 let family_gen =
   QCheck.Gen.(
@@ -185,6 +211,35 @@ let prop_families_well_formed =
   QCheck.Test.make ~name:"every family passes the self-check" ~count:100
     (QCheck.make family_gen)
     (fun d -> match D.check d with Ok () -> true | Error _ -> false)
+
+(* the stored closed-form mean (read by Optimize and Adaptive) against
+   the family's own sampler: the mean of the delays that arrive, within
+   five standard errors *)
+let prop_mean_matches_sampler =
+  let gen =
+    QCheck.Gen.(
+      let* mass = float_range 0.4 1.0 in
+      let* rate = float_range 0.5 10. in
+      let* delay = float_range 0. 2. in
+      oneofl
+        [ F.shifted_exponential ~mass ~rate ~delay ();
+          F.exponential ~mass ~rate ();
+          F.uniform ~mass ~lo:delay ~hi:(delay +. 2.) ();
+          F.erlang ~mass ~stages:3 ~rate () ])
+  in
+  QCheck.Test.make ~name:"sampled mean = closed-form mean" ~count:60
+    (QCheck.make ~print:(fun d -> d.D.name) gen)
+    (fun d ->
+      let rng = Numerics.Rng.create 2003 in
+      let arrivals =
+        Array.of_seq
+          (Seq.filter_map
+             (fun _ -> d.D.sample rng)
+             (Seq.init 20_000 Fun.id))
+      in
+      let s = Numerics.Stats.summarize arrivals in
+      let se = s.Numerics.Stats.std /. sqrt (float_of_int s.Numerics.Stats.n) in
+      Float.abs (s.Numerics.Stats.mean -. Option.get d.D.mean) <= 5. *. se)
 
 let prop_survival_monotone_decreasing =
   QCheck.Test.make ~name:"survival is non-increasing" ~count:100
@@ -217,10 +272,12 @@ let () =
           Alcotest.test_case "quantile defective tail" `Quick
             test_quantile_defective_tail_rejected;
           Alcotest.test_case "conditional cdf" `Quick test_conditional_cdf;
-          Alcotest.test_case "guards" `Quick test_constructor_guards ] );
+          Alcotest.test_case "guards" `Quick test_constructor_guards;
+          Alcotest.test_case "nan and inf" `Quick test_nan_and_inf_rejected ] );
       ( "sampling",
         [ Alcotest.test_case "matches cdf" `Quick test_sampling_matches_cdf;
           Alcotest.test_case "loss rate" `Quick test_sampling_loss_rate ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_families_well_formed; prop_survival_monotone_decreasing ] ) ]
+          [ prop_families_well_formed; prop_survival_monotone_decreasing;
+            prop_mean_matches_sampler ] ) ]

@@ -108,38 +108,6 @@ let prop_variance_non_negative =
         (fun s -> Dtmc.Absorbing.variance_total_reward reward ~from:s >= -1e-9)
         (Dtmc.Chain.transient_states chain))
 
-(* random irreducible lazy chains for the stationary solvers *)
-let irreducible_chain_gen =
-  QCheck.Gen.(
-    let* n = int_range 2 8 in
-    let* seed = int_range 0 1_000_000 in
-    return
-      (let rng = Numerics.Rng.create seed in
-       let m = M.create ~rows:n ~cols:n in
-       for i = 0 to n - 1 do
-         let weights = Array.init n (fun _ -> Numerics.Rng.float rng +. 0.05) in
-         (* laziness: self-weight boost makes the chain aperiodic *)
-         weights.(i) <- weights.(i) +. 0.5;
-         let total = Numerics.Safe_float.sum weights in
-         Array.iteri (fun j w -> M.set m i j (w /. total)) weights
-       done;
-       let labels = List.init n (fun i -> Printf.sprintf "s%d" i) in
-       C.create ~states:(Ss.of_labels labels) m))
-
-let prop_gth_is_stationary =
-  QCheck.Test.make ~name:"GTH result is a stationary distribution" ~count:200
-    (QCheck.make irreducible_chain_gen)
-    (fun chain ->
-      Dtmc.Stationary.is_stationary ~tol:1e-8 chain (Dtmc.Stationary.gth chain))
-
-let prop_gth_matches_power =
-  QCheck.Test.make ~name:"GTH = power iteration on lazy chains" ~count:100
-    (QCheck.make irreducible_chain_gen)
-    (fun chain ->
-      let gth = Dtmc.Stationary.gth chain in
-      let power = Dtmc.Stationary.power_iteration ~tol:1e-13 chain in
-      Numerics.Vector.approx_eq ~rtol:1e-6 ~atol:1e-9 gth power)
-
 let prop_simulation_consistent_with_absorption =
   QCheck.Test.make ~name:"simulated absorption inside Wilson CI (99% of runs)"
     ~count:30
@@ -167,8 +135,5 @@ let () =
             prop_expected_steps_positive_and_consistent;
             prop_reachability_of_all_absorbing_is_one;
             prop_reachability_matches_absorption; prop_variance_non_negative ] );
-      ( "stationary invariants",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_gth_is_stationary; prop_gth_matches_power ] );
       ( "simulation",
         [ QCheck_alcotest.to_alcotest prop_simulation_consistent_with_absorption ] ) ]

@@ -270,12 +270,12 @@ let shipped_allowlist () =
   (* [Rules] scoping is path-based, so entries must use repo-relative
      paths; every entry must carry a justification (enforced by the
      loader).  The file lives next to the lint, two directories up from
-     the test's cwd inside _build. *)
+     the test's cwd inside _build (test/dune declares it a dependency);
+     a missing file is a failure, not a pass. *)
   let path = "../tools/lint/allow.sexp" in
-  if Sys.file_exists path then
-    let entries = Allowlist.load path in
-    Alcotest.(check bool) "has entries" true (List.length entries > 0)
-  else ()
+  if not (Sys.file_exists path) then Alcotest.failf "%s is missing" path;
+  let entries = Allowlist.load path in
+  Alcotest.(check bool) "has entries" true (List.length entries > 0)
 
 let () =
   Alcotest.run "lint"

@@ -21,12 +21,31 @@ let test_validation () =
   Alcotest.check_raises "q = 1" (Invalid_argument "Params.v: q outside [0, 1)")
     (fun () ->
       ignore (P.v ~name:"bad" ~delay ~q:1. ~probe_cost:0. ~error_cost:0.));
-  Alcotest.check_raises "negative c" (Invalid_argument "Params.v: probe_cost < 0")
+  Alcotest.check_raises "negative c"
+    (Invalid_argument "Params.v: probe_cost outside [0, inf)")
     (fun () ->
       ignore (P.v ~name:"bad" ~delay ~q:0.5 ~probe_cost:(-1.) ~error_cost:0.));
-  Alcotest.check_raises "negative E" (Invalid_argument "Params.v: error_cost < 0")
+  Alcotest.check_raises "negative E"
+    (Invalid_argument "Params.v: error_cost outside [0, inf)")
     (fun () ->
-      ignore (P.v ~name:"bad" ~delay ~q:0.5 ~probe_cost:0. ~error_cost:(-1.)))
+      ignore (P.v ~name:"bad" ~delay ~q:0.5 ~probe_cost:0. ~error_cost:(-1.)));
+  (* NaN fails every check, and an infinite cost turns the DRM solve
+     into NaN: both are rejected *)
+  Alcotest.check_raises "nan q" (Invalid_argument "Params.v: q outside [0, 1)")
+    (fun () ->
+      ignore (P.v ~name:"bad" ~delay ~q:nan ~probe_cost:0. ~error_cost:0.));
+  Alcotest.check_raises "nan c"
+    (Invalid_argument "Params.v: probe_cost outside [0, inf)") (fun () ->
+      ignore (P.v ~name:"bad" ~delay ~q:0.5 ~probe_cost:nan ~error_cost:0.));
+  Alcotest.check_raises "infinite c"
+    (Invalid_argument "Params.v: probe_cost outside [0, inf)") (fun () ->
+      ignore (P.v ~name:"bad" ~delay ~q:0.5 ~probe_cost:infinity ~error_cost:0.));
+  Alcotest.check_raises "nan E"
+    (Invalid_argument "Params.v: error_cost outside [0, inf)") (fun () ->
+      ignore (P.with_costs ~error_cost:nan P.figure2));
+  Alcotest.check_raises "infinite E"
+    (Invalid_argument "Params.v: error_cost outside [0, inf)") (fun () ->
+      ignore (P.with_costs ~error_cost:infinity P.figure2))
 
 let test_updates_preserve_other_fields () =
   let base = P.figure2 in
