@@ -1,12 +1,12 @@
 (* Smoke gate for the multicore and kernel paths, run by
-   `dune build @bench-smoke`: every serial/parallel artifact pair at
-   tiny sizes (on a 2-domain pool even when the host defaults to 1),
-   the kernel scans against a point-wise rebuild, the planner and
-   batch routes against direct evaluation, the batch front end's cost
+   `dune build @bench-smoke`: the kernel scans against a point-wise
+   rebuild, the planner and batch routes against direct evaluation, a
+   batch of the fanned-out routes (analytic, DTMC, Monte Carlo) on a
+   2-domain pool against the serial run, the batch front end's cost
    against the executor's, the kernel backend's cost against a bare
    cursor scan, and the Monte-Carlo trial loop's allocation.  The
-   paper-reproduction report is
-   `zeroconf_cli reproduce`; absolute timing lives in perfbench/.
+   paper-reproduction report is `zeroconf_cli reproduce`; absolute
+   timing lives in perfbench/.
 
    Usage: main.exe --smoke *)
 
@@ -39,58 +39,6 @@ let optimal_n_direct ?(n_max = 4096) ?(patience = 24) (p : Zeroconf.Params.t) ~r
   done;
   (!best_n, !best_cost)
 
-(* Each artifact body takes the pool it runs on: the smoke runs it on a
-   one-domain pool (the pre-parallel code path, bit for bit) and on a
-   two-domain one, at 8 grid points and 3 Monte-Carlo trials. *)
-let serial_pool = Exec.Pool.create 1
-
-let points = 8
-and trials = 3
-
-let artifact_specs =
-  let grid = Numerics.Grid.linspace 0.05 6. points in
-  [ ( "fig2/cost-curves",
-      fun pool ->
-        for n = 1 to 8 do
-          ignore
-            (Exec.Parallel.map_sweep ~pool
-               (fun r -> Zeroconf.Cost.mean fig2_scenario ~n ~r)
-               grid)
-        done );
-    ( "fig3-4/optimal-n-sweep",
-      fun pool -> ignore (Zeroconf.Optimize.optimal_n_sweep ~pool fig2_scenario grid) );
-    ( "fig5/error-grid",
-      fun pool ->
-        for n = 1 to 8 do
-          ignore
-            (Exec.Parallel.map_sweep ~pool
-               (fun r ->
-                 Zeroconf.Reliability.log10_error_probability fig2_scenario ~n ~r)
-               grid)
-        done );
-    ( "fig6/error-envelope",
-      fun pool ->
-        ignore
-          (Exec.Parallel.map_sweep ~pool
-             (fun r -> Zeroconf.Optimize.error_under_optimal_n fig2_scenario ~r)
-             grid) );
-    ( "landscape/cost-surface",
-      fun pool ->
-        ignore
-          (Exec.Parallel.init ~pool (10 * points) (fun k ->
-               let n = (k / points) + 1 and r = grid.(k mod points) in
-               log10 (Zeroconf.Cost.mean fig2_scenario ~n ~r))) );
-    ( "netsim/multi-trials",
-      fun pool ->
-        let rng = Numerics.Rng.create 17 in
-        let config =
-          Netsim.Newcomer.drm_config ~n:3 ~r:0.3 ~probe_cost:0. ~error_cost:0.
-        in
-        ignore
-          (Netsim.Multi.run_trials ~domains:pool ~loss:0.1
-             ~one_way:(Dist.Families.uniform ~lo:0.005 ~hi:0.05 ())
-             ~occupied:8 ~pool_size:32 ~newcomers:4 ~config ~trials ~rng ()) ) ]
-
 (* The n-scan artifacts through the streaming kernel, at smoke sizes:
    the dense envelope starts at r = 1/4096, where the first useful
    probe count reaches n_max. *)
@@ -103,30 +51,12 @@ let kernel_specs =
           (fun r -> ignore (Zeroconf.Optimize.optimal_n fig2_scenario ~r))
           dense );
     ( "lower-envelope/dense-4096",
-      fun () ->
-        ignore (Zeroconf.Optimize.lower_envelope ~pool:serial_pool fig2_scenario dense)
-    );
+      fun () -> ignore (Zeroconf.Optimize.lower_envelope fig2_scenario dense) );
     ( "fig3-4/optimal-n-sweep",
       fun () ->
-        ignore
-          (Zeroconf.Optimize.optimal_n_sweep ~pool:serial_pool fig2_scenario
-             sweep_grid) ) ]
+        ignore (Zeroconf.Optimize.optimal_n_sweep fig2_scenario sweep_grid) ) ]
 
 let smoke () =
-  (* force a genuinely multi-domain pool even on a 1-core host *)
-  let pool2 = Exec.Pool.create 2 in
-  List.iter
-    (fun (name, body) ->
-      body serial_pool;
-      body pool2;
-      Printf.printf "smoke ok: %s\n" name)
-    artifact_specs;
-  let grid = Numerics.Grid.linspace 0.05 6. 8 in
-  let serial = Zeroconf.Optimize.optimal_n_sweep ~pool:serial_pool fig2_scenario grid in
-  let parallel = Zeroconf.Optimize.optimal_n_sweep ~pool:pool2 fig2_scenario grid in
-  assert (serial = parallel);
-  Exec.Pool.shutdown pool2;
-  print_endline "smoke ok: parallel sweep bit-identical to serial";
   (* the n-scan artifacts run through the kernel, and the streaming
      scan reproduces the point-wise rebuild bit for bit *)
   List.iter
@@ -199,8 +129,10 @@ let smoke () =
         (Engine.Crosscheck.run ~trials:500 queries))
     Zeroconf.Params.presets;
   (* batched execution: values bitwise equal to scalar evaluation at
-     any pool size, and a warm cache serves the whole workload without
-     a single backend eval *)
+     one and at two jobs, and a warm cache serves the whole workload
+     without a single backend eval; the workload holds several units
+     of each fanned-out route (analytic points, DTMC builds,
+     Monte-Carlo streams), so two domains really split them *)
   let grid8 = Numerics.Grid.linspace 0.05 6. 8 in
   let ns8 = Array.init 8 (fun i -> i + 1) in
   let workload =
@@ -208,11 +140,19 @@ let smoke () =
       [ Array.init 4 (fun i ->
             Q.r_sweep Q.Mean_cost fig2_scenario ~n:(i + 1) ~rs:grid8);
         Array.map (fun r -> Q.n_sweep Q.Log10_error fig2_scenario ~ns:ns8 ~r) grid8;
-        [| Q.point Q.Cost_variance fig2_scenario ~n:4 ~r:2.;
-           Q.point
+        [| Q.r_sweep Q.Latency_mean fig2_scenario ~n:4 ~rs:grid8;
+           Q.n_sweep Q.Cost_variance fig2_scenario ~ns:[| 1; 2; 3; 4 |] ~r:2.;
+           Q.r_sweep
              ~accuracy:(Q.Sampled { trials = 200; seed = 7 })
-             Q.Mean_cost fig2_scenario ~n:3 ~r:1. |] ]
+             Q.Mean_cost fig2_scenario ~n:3 ~rs:[| 0.5; 1.; 1.5 |] |] ]
   in
+  assert (
+    List.for_all
+      (fun route ->
+        Array.exists
+          (fun q -> (Engine.Planner.plan q).Engine.Plan.route = route)
+          workload)
+      Engine.Plan.[ Analytic; Dtmc; Mc ]);
   let cold = Engine.Cache.create () in
   let batched = Engine.Executor.eval_batch ~cache:cold workload in
   let scalar =
@@ -223,12 +163,12 @@ let smoke () =
   Array.iter2
     (fun a b -> assert (answer_bits a = answer_bits b))
     batched scalar;
-  let pool2 = Exec.Pool.create 2 in
+  (* a genuinely multi-domain pool even on a 1-core host *)
+  Exec.Pool.set_jobs 2;
   let batched_par =
-    Engine.Executor.eval_batch ~pool:pool2 ~cache:(Engine.Cache.create ())
-      workload
+    Engine.Executor.eval_batch ~cache:(Engine.Cache.create ()) workload
   in
-  Exec.Pool.shutdown pool2;
+  Exec.Pool.set_jobs 1;
   Array.iter2
     (fun a b -> assert (answer_bits a = answer_bits b))
     batched batched_par;
@@ -282,8 +222,7 @@ let front_end_gate () =
     let plans = Batch_input.plans next_line in
     let t1 = Monotonic_clock.now () in
     ignore
-      (Engine.Executor.run_batch ~pool:serial_pool
-         ~cache:(Engine.Cache.create ()) plans);
+      (Engine.Executor.run_batch ~cache:(Engine.Cache.create ()) plans);
     let t2 = Monotonic_clock.now () in
     assert (Array.length plans = front_end_lines);
     front := min !front (Int64.sub t1 t0);
@@ -350,7 +289,7 @@ let kernel_gate () =
   in
   let bare, bare_ns = time (fun () -> Array.map scan plans) in
   let answers, kernel_ns =
-    time (fun () -> Engine.Backends.Kernel.eval_batch ~pool:serial_pool plans)
+    time (fun () -> Engine.Backends.Kernel.eval_batch plans)
   in
   Array.iteri
     (fun i (a : Engine.Answer.t) ->
@@ -423,6 +362,7 @@ let alloc_gate () =
 
 let () =
   if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then begin
+    Exec.Pool.set_jobs 1;
     smoke ();
     front_end_gate ();
     kernel_gate ();

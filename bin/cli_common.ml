@@ -11,8 +11,8 @@ let jobs_term =
   Cmdliner.Arg.(
     value & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for parallel sweeps (default: \
-              $(b,ZEROCONF_JOBS) if set, else 1).")
+        ~doc:"Worker domains for the Monte-Carlo, DTMC and analytic \
+              routes (default: $(b,ZEROCONF_JOBS) if set, else 1).")
 
 (* [with_jobs jobs k] validates and applies the worker count, then runs
    [k]; returns a [`Error] for cmdliner's [Term.ret] on a bad count,

@@ -282,7 +282,16 @@ let curve_cmd =
         Cli_common.check_size (Printf.sprintf "--points %d" k) k)
       Arg.(value & opt int 60 & info [ "points" ] ~doc:"Grid resolution.")
   in
-  let r_max = Arg.(value & opt float 4. & info [ "r-max" ] ~doc:"Upper r bound.") in
+  (* the grid runs from 0.01 up to --r-max *)
+  let r_max =
+    checked
+      (fun r ->
+        if not (Float.is_finite r && r > 0.01) then
+          invalid_arg
+            (Printf.sprintf
+               "option '--r-max': %g is not a finite number above 0.01" r))
+      Arg.(value & opt float 4. & info [ "r-max" ] ~doc:"Upper r bound.")
+  in
   let run p n points r_max =
     let grid = Numerics.Grid.linspace 0.01 r_max points in
     let table =
@@ -330,7 +339,7 @@ let refine_cmd =
   let pool =
     Arg.(value & opt int 65024 & info [ "pool" ] ~doc:"Address-space size M.")
   in
-  let run p n r occupied pool =
+  let refine p n r occupied pool =
     let table =
       Output.Table.create
         ~columns:
@@ -349,10 +358,17 @@ let refine_cmd =
       (Zeroconf.Attempts.compare_refinements p ~occupied ~pool ~n ~r ());
     print_string (Output.Table.to_text table)
   in
+  (* --occupied and --pool are checked together, by the library's own
+     refinement check, before anything prints *)
+  let run p n r occupied pool =
+    match Zeroconf.Attempts.no_refinement ~occupied ~pool () with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | _ -> `Ok (refine p n r occupied pool)
+  in
   Cmd.v
     (Cmd.info "refine"
        ~doc:"The Sec. 3.1 refinements the paper abstracts away: blacklisting and rate limiting.")
-    Term.(const run $ scenario_term $ n_term $ r_term $ hosts $ pool)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ hosts $ pool))
 
 let pareto_cmd =
   let run p =

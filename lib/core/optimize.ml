@@ -85,16 +85,13 @@ let optimal_n ?n_max ?patience (p : Params.t) ~r =
 
 let min_cost ?n_max ?patience p ~r = snd (optimal_n ?n_max ?patience p ~r)
 
-(* Grid sweeps of the step function and its envelope: every point is an
-   independent scan over n, so they fan out across the Exec domains.
-   Slot-indexed writes keep the output bit-identical at any job count. *)
-let optimal_n_sweep ?pool ?n_max ?patience (p : Params.t) grid =
-  Exec.Parallel.map_sweep ?pool (fun r -> optimal_n ?n_max ?patience p ~r) grid
+let optimal_n_sweep ?n_max ?patience (p : Params.t) grid =
+  Numerics.Grid.map_sweep (fun r -> optimal_n ?n_max ?patience p ~r) grid
 
-let lower_envelope ?pool ?n_max ?patience (p : Params.t) grid =
+let lower_envelope ?n_max ?patience (p : Params.t) grid =
   Array.map
     (fun (r, (_, cost)) -> (r, cost))
-    (optimal_n_sweep ?pool ?n_max ?patience p grid)
+    (optimal_n_sweep ?n_max ?patience p grid)
 
 let error_under_optimal_n ?n_max (p : Params.t) ~r =
   (optimal_n_scan ?n_max p ~r).error_prob

@@ -52,16 +52,14 @@ val min_cost : ?n_max:int -> ?patience:int -> Params.t -> r:float -> float
 (** [C_min(r) = C(N(r), r)]. *)
 
 val optimal_n_sweep :
-  ?pool:Exec.Pool.t -> ?n_max:int -> ?patience:int -> Params.t ->
-  float array -> (float * (int * float)) array
+  ?n_max:int -> ?patience:int -> Params.t -> float array ->
+  (float * (int * float)) array
 (** {!optimal_n} at every grid point — the step function [N(r)] paired
-    with [C_min(r)] — evaluated in parallel on the [Exec] domain pool
-    (the default pool unless [pool] is given).  Bit-identical to the
-    pointwise serial calls at any job count. *)
+    with [C_min(r)] — in grid order. *)
 
 val lower_envelope :
-  ?pool:Exec.Pool.t -> ?n_max:int -> ?patience:int -> Params.t ->
-  float array -> (float * float) array
+  ?n_max:int -> ?patience:int -> Params.t -> float array ->
+  (float * float) array
 (** The Figure-4 envelope [C_min(r)] over a grid, via
     {!optimal_n_sweep}. *)
 

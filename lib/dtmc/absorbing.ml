@@ -109,16 +109,16 @@ let variance_total_reward reward ~from =
   else begin
     let d = decompose chain in
     let a = expected_total_reward_all reward in
-    (* second moment: s_i = sum_j p_ij (g_ij^2 + 2 g_ij a_j) + sum_{j in T} p_ij s_j
-       with g_ij = state_i + c_ij the cost of the step *)
+    (* second moment: s_i = sum_j p_ij (c_ij^2 + 2 c_ij a_j) + sum_{j in T} p_ij s_j
+       with c_ij the cost of the step *)
     let u =
       Array.map
         (fun i ->
           Numerics.Safe_float.sum_list
             (List.map
                (fun (j, p) ->
-                 let g = Reward.state reward i +. Reward.transition reward i j in
-                 p *. ((g *. g) +. (2. *. g *. a.(j))))
+                 let c = Reward.transition reward i j in
+                 p *. ((c *. c) +. (2. *. c *. a.(j))))
                (Chain.successors chain i)))
         d.transient
     in

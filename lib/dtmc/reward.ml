@@ -1,23 +1,11 @@
 module Matrix = Numerics.Matrix
 
-type t = {
-  chain : Chain.t;
-  transition_rewards : Matrix.t;
-  state_rewards : Numerics.Vector.t;
-}
+type t = { chain : Chain.t; transition_rewards : Matrix.t }
 
-let create ?state_rewards ~transition_rewards chain =
+let create ~transition_rewards chain =
   let n = Chain.size chain in
   if Matrix.rows transition_rewards <> n || Matrix.cols transition_rewards <> n
   then invalid_arg "Reward.create: transition reward shape mismatch";
-  let state_rewards =
-    match state_rewards with
-    | Some v ->
-        if Array.length v <> n then
-          invalid_arg "Reward.create: state reward length mismatch";
-        Array.copy v
-    | None -> Array.make n 0.
-  in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       let c = Matrix.get transition_rewards i j in
@@ -27,36 +15,25 @@ let create ?state_rewards ~transition_rewards chain =
              "Reward.create: nonzero cost %g on zero-probability edge (%d, %d)"
              c i j)
     done;
-    if Chain.is_absorbing chain i then begin
-      if Matrix.get transition_rewards i i <> 0. then
-        invalid_arg
-          (Printf.sprintf
-             "Reward.create: absorbing state %d has nonzero self-loop cost" i);
-      if state_rewards.(i) <> 0. then
-        invalid_arg
-          (Printf.sprintf
-             "Reward.create: absorbing state %d has nonzero state cost" i)
-    end
+    if Chain.is_absorbing chain i && Matrix.get transition_rewards i i <> 0. then
+      invalid_arg
+        (Printf.sprintf
+           "Reward.create: absorbing state %d has nonzero self-loop cost" i)
   done;
-  { chain; transition_rewards = Matrix.copy transition_rewards; state_rewards }
+  { chain; transition_rewards = Matrix.copy transition_rewards }
 
 let zero chain =
   let n = Chain.size chain in
-  { chain;
-    transition_rewards = Matrix.create ~rows:n ~cols:n;
-    state_rewards = Array.make n 0. }
+  { chain; transition_rewards = Matrix.create ~rows:n ~cols:n }
 
 let transition t i j = Matrix.get t.transition_rewards i j
-let state t i = t.state_rewards.(i)
 
 let one_step_expected t =
   let n = Chain.size t.chain in
   Array.init n (fun i ->
-      let edges =
-        List.map
-          (fun (j, p) -> p *. Matrix.get t.transition_rewards i j)
-          (Chain.successors t.chain i)
-      in
-      t.state_rewards.(i) +. Numerics.Safe_float.sum_list edges)
+      Numerics.Safe_float.sum_list
+        (List.map
+           (fun (j, p) -> p *. Matrix.get t.transition_rewards i j)
+           (Chain.successors t.chain i)))
 
 let chain t = t.chain

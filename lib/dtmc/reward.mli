@@ -1,14 +1,11 @@
 (** Reward (cost) structures attached to a chain, as in the paper's
-    Markov reward models: a cost on each transition, plus an optional
-    per-visit state cost. *)
+    Markov reward models: a cost on each transition. *)
 
 module Matrix = Numerics.Matrix
 
 type t
 
-val create :
-  ?state_rewards:Numerics.Vector.t -> transition_rewards:Matrix.t ->
-  Chain.t -> t
+val create : transition_rewards:Matrix.t -> Chain.t -> t
 (** Validates shapes against the chain.  The paper requires zero cost
     on transitions with zero probability and zero self-loop cost on
     absorbing states (otherwise total cost diverges); [create] enforces
@@ -17,11 +14,9 @@ val create :
 val zero : Chain.t -> t
 
 val transition : t -> int -> int -> float
-val state : t -> int -> float
 
 val one_step_expected : t -> Numerics.Vector.t
-(** The vector [w] with [w_i = state_i + sum_j p_ij * c_ij]: the
-    expected cost of one step out of each state (Sec. 4.1 of the
-    paper). *)
+(** The vector [w] with [w_i = sum_j p_ij * c_ij]: the expected cost of
+    one step out of each state (Sec. 4.1 of the paper). *)
 
 val chain : t -> Chain.t

@@ -12,8 +12,7 @@ let run ?(max_steps = 1_000_000) ~rng reward ~from =
       let weights = Array.of_list (List.map snd succs) in
       let picked = Numerics.Rng.choose_weighted rng weights in
       let next, _ = List.nth succs picked in
-      total :=
-        !total +. Reward.state reward state +. Reward.transition reward state next;
+      total := !total +. Reward.transition reward state next;
       visited := next :: !visited;
       go next (steps + 1)
     end

@@ -4,7 +4,7 @@
 
 type path = {
   states : int array;     (** Visited states, first is the start. *)
-  total_reward : float;   (** Accumulated transition + state rewards. *)
+  total_reward : float;   (** Accumulated transition rewards. *)
   absorbed : bool;        (** Whether the run ended in an absorbing state. *)
 }
 

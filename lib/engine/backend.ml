@@ -1,6 +1,6 @@
 module type S = sig
   val name : string
   val supports : Query.t -> bool
-  val eval : ?pool:Exec.Pool.t -> Query.t -> Answer.t
-  val eval_batch : ?pool:Exec.Pool.t -> Plan.t array -> Answer.t array
+  val eval : Query.t -> Answer.t
+  val eval_batch : Plan.t array -> Answer.t array
 end

@@ -10,13 +10,11 @@ module type S = sig
       accuracy demand all considered.  [eval] on an unsupported query
       raises [Invalid_argument]. *)
 
-  val eval : ?pool:Exec.Pool.t -> Query.t -> Answer.t
-  (** Answer the query.  Sweeps fan out over [pool] (default:
-      {!Exec.Pool.get}) where the route parallelizes; results are
-      bit-identical at every job count.  Exactly the singleton case of
+  val eval : Query.t -> Answer.t
+  (** Answer the query.  Exactly the singleton case of
       {!eval_batch}. *)
 
-  val eval_batch : ?pool:Exec.Pool.t -> Plan.t array -> Answer.t array
+  val eval_batch : Plan.t array -> Answer.t array
   (** Answer a batch of plans, all routed to this backend, amortizing
       shared work across them: the kernel streams one cursor per
       [(scenario, r)] column, the DTMC route builds each distinct
@@ -31,7 +29,13 @@ module type S = sig
       actually done; a Monte-Carlo answer's [evals] is its sample size,
       trials x points, shared run or not.  [wall_ns] is the backend's
       timed evaluation of the whole batch (for the kernel, the column
-      scans), the same in every answer of the batch.  Raises
-      [Invalid_argument] on a plan routed elsewhere or not
-      supported. *)
+      scans), the same in every answer of the batch.
+
+      The routes whose unit of work costs a millisecond or more fan it
+      out over the process-wide {!Exec.Pool} (sized by [--jobs] or
+      [ZEROCONF_JOBS]): Monte Carlo per sampling stream, the DTMC route
+      per matrix build, the analytic route per point.  The kernel runs
+      its columns serially.  Values are bit-identical at every job
+      count.  Raises [Invalid_argument] on a plan routed elsewhere or
+      not supported. *)
 end

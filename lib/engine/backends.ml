@@ -83,26 +83,34 @@ module Analytic = struct
     | Query.Cost_variance ->
         invalid_arg "Backends.Analytic: cost variance is DRM-only"
 
-  let eval_batch ?pool (plans : Plan.t array) =
+  (* Every point of the batch in one flat array, so the fan-out
+     balances across plans of uneven size; each plan's values are then
+     sliced back out in order. *)
+  let eval_batch (plans : Plan.t array) =
     check_batch ~name:"Analytic" ~route:Plan.Analytic ~supports plans;
-    let groups =
-      Array.map
-        (fun (pl : Plan.t) -> Array.map (fun (n, r) -> (pl.query, n, r)) pl.points)
-        plans
+    let flat =
+      Array.concat
+        (Array.to_list
+           (Array.map
+              (fun (pl : Plan.t) ->
+                Array.map (fun (n, r) -> (pl.query, n, r)) pl.points)
+              plans))
     in
     let values, wall_ns =
-      time_ns (fun () ->
-          Exec.Parallel.map_groups ?pool (fun (q, n, r) -> eval1 q n r) groups)
+      time_ns (fun () -> Exec.Parallel.map (fun (q, n, r) -> eval1 q n r) flat)
     in
-    Array.mapi
-      (fun pi (pl : Plan.t) ->
-        answer ~backend:name ~evals:(Array.length pl.points) ~wall_ns pl
-          (Answer.Scalars values.(pi)))
+    let lo = ref 0 in
+    Array.map
+      (fun (pl : Plan.t) ->
+        let len = Array.length pl.points in
+        let v = Array.sub values !lo len in
+        lo := !lo + len;
+        answer ~backend:name ~evals:len ~wall_ns pl (Answer.Scalars v))
       plans
 
-  let eval ?pool (q : Query.t) =
+  let eval (q : Query.t) =
     if not (supports q) then invalid_arg "Backends.Analytic: unsupported query";
-    (eval_batch ?pool [| Plan.make ~route:Plan.Analytic q |]).(0)
+    (eval_batch [| Plan.make ~route:Plan.Analytic q |]).(0)
 end
 
 module Kernel = struct
@@ -157,8 +165,9 @@ module Kernel = struct
   (* One streaming cursor per (scenario, r) column, amortized across
      every plan in the batch.  The cursor state at n does not depend on
      where reads happen, so merging plans' stops onto a shared scan is
-     bitwise identical to running each plan alone; columns fan out over
-     the pool.
+     bitwise identical to running each plan alone.  Columns run one
+     after another: a column costs microseconds, less than handing it
+     to another domain.
 
      The batch is indexed by runs: maximal runs of bit-equal r within
      a plan, numbered in batch order, each in one column.  The column
@@ -169,10 +178,8 @@ module Kernel = struct
      its stops, packed as above, in batch order, stable-sorts them by n
      if they are out of order, and so scans in (n, pi, qi) order.  An
      advance between consecutive stops is charged to the later stop's
-     run, so per-plan evals sum to the scan work actually done.  A
-     column writes only its own stops' value slots and its own runs'
-     work slots, so the result does not depend on the job count. *)
-  let eval_batch ?pool (plans : Plan.t array) =
+     run, so per-plan evals sum to the scan work actually done. *)
+  let eval_batch (plans : Plan.t array) =
     check_batch ~name:"Kernel" ~route:Plan.Kernel ~supports plans;
     let same_r (pts : (int * float) array) a b =
       Int64.equal (Int64.bits_of_float (snd pts.(a)))
@@ -298,8 +305,9 @@ module Kernel = struct
     in
     let (), wall_ns =
       time_ns (fun () ->
-          Exec.Parallel.iter_chunks ?pool (Array.iter run_column)
-            (Array.init ncols Fun.id))
+          for c = 0 to ncols - 1 do
+            run_column c
+          done)
     in
     let evals = Array.make (Array.length plans) 0 in
     Array.iteri
@@ -311,9 +319,9 @@ module Kernel = struct
           (Answer.Scalars values.(pi)))
       plans
 
-  let eval ?pool (q : Query.t) =
+  let eval (q : Query.t) =
     if not (supports q) then invalid_arg "Backends.Kernel: unsupported query";
-    (eval_batch ?pool [| Plan.make ~route:Plan.Kernel q |]).(0)
+    (eval_batch [| Plan.make ~route:Plan.Kernel q |]).(0)
 end
 
 module Dtmc = struct
@@ -342,7 +350,7 @@ module Dtmc = struct
      every requesting point reads its own quantity from the shared
      solve.  The build is attributed to the point that requested it
      first; later readers of the same matrix cost nothing. *)
-  let eval_batch ?pool (plans : Plan.t array) =
+  let eval_batch (plans : Plan.t array) =
     check_batch ~name:"Dtmc" ~route:Plan.Dtmc ~supports plans;
     let builds =
       group_points plans ~key:(fun (pl : Plan.t) _qi n r ->
@@ -360,7 +368,7 @@ module Dtmc = struct
         readers
     in
     let results, wall_ns =
-      time_ns (fun () -> Exec.Parallel.map ?pool run_build builds)
+      time_ns (fun () -> Exec.Parallel.map run_build builds)
     in
     let values =
       Array.map (fun (pl : Plan.t) -> Array.make (Array.length pl.points) 0.) plans
@@ -377,9 +385,9 @@ module Dtmc = struct
           (Answer.Scalars values.(pi)))
       plans
 
-  let eval ?pool (q : Query.t) =
+  let eval (q : Query.t) =
     if not (supports q) then invalid_arg "Backends.Dtmc: unsupported query";
-    (eval_batch ?pool [| Plan.make ~route:Plan.Dtmc q |]).(0)
+    (eval_batch [| Plan.make ~route:Plan.Dtmc q |]).(0)
 end
 
 module Mc = struct
@@ -434,7 +442,7 @@ module Mc = struct
      is never merged with another, so a batch is bitwise the same as
      evaluating each plan alone.  An answer's evals stay trials x
      points: the sample size it rests on, shared or not. *)
-  let eval_batch ?pool (plans : Plan.t array) =
+  let eval_batch (plans : Plan.t array) =
     check_batch ~name:"Mc" ~route:Plan.Mc ~supports plans;
     let streams =
       group_points plans ~key:(fun (pl : Plan.t) qi n r ->
@@ -448,7 +456,7 @@ module Mc = struct
         readers
     in
     let results, wall_ns =
-      time_ns (fun () -> Exec.Parallel.map ?pool run streams)
+      time_ns (fun () -> Exec.Parallel.map run streams)
     in
     let unset = { Answer.mean = 0.; ci_lo = 0.; ci_hi = 0. } in
     let values =
@@ -466,7 +474,7 @@ module Mc = struct
           ~wall_ns pl (Answer.Intervals values.(pi)))
       plans
 
-  let eval ?pool (q : Query.t) =
+  let eval (q : Query.t) =
     if not (supports q) then invalid_arg "Backends.Mc: unsupported query";
-    (eval_batch ?pool [| Plan.make ~route:Plan.Mc q |]).(0)
+    (eval_batch [| Plan.make ~route:Plan.Mc q |]).(0)
 end

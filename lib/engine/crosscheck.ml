@@ -58,7 +58,7 @@ let exact_routes : (module Backend.S) list =
   [ (module Backends.Analytic); (module Backends.Kernel);
     (module Backends.Dtmc) ]
 
-let run ?pool ?(trials = default_trials) ?(seed = default_seed) queries =
+let run ?(trials = default_trials) ?(seed = default_seed) queries =
   (* every query, at the Monte-Carlo accuracy, is checked before any
      route runs *)
   let mc_queries =
@@ -72,7 +72,7 @@ let run ?pool ?(trials = default_trials) ?(seed = default_seed) queries =
   (* every Monte-Carlo plan in one batch, so queries that sample the
      same stream (cost and error at one point) share one run *)
   let mc_answers =
-    Executor.run_batch ?pool
+    Executor.run_batch
       (Array.of_list
          (List.filter_map
             (fun q ->
@@ -94,7 +94,7 @@ let run ?pool ?(trials = default_trials) ?(seed = default_seed) queries =
         List.filter_map
           (fun (module B : Backend.S) ->
             if B.supports exact_q then
-              Some (Executor.eval ?pool ~backend:B.name exact_q)
+              Some (Executor.eval ~backend:B.name exact_q)
             else None)
           exact_routes
       in

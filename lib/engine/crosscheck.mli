@@ -33,13 +33,13 @@ val default_seed : int
 val rel_divergence : float -> float -> float
 (** The pairwise metric used for {!report.max_rel_divergence}. *)
 
-val run :
-  ?pool:Exec.Pool.t -> ?trials:int -> ?seed:int -> Query.t list -> report list
+val run : ?trials:int -> ?seed:int -> Query.t list -> report list
 (** One report per query, in order.  Each query's accuracy demand is
     ignored: deterministic routes run [Exact], Monte Carlo runs
     [Sampled] with [trials]/[seed].  Every Monte-Carlo plan of the list
     goes to one {!Executor.run_batch}, so queries on the same sampling
-    stream (e.g. cost and error at one point) share one run; the exact
+    stream (e.g. cost and error at one point) share one run, and the
+    streams fan out over the process-wide {!Exec.Pool}; the exact
     routes run query by query, so each report's [evals] are its own.
     Raises [Invalid_argument] before evaluating anything if a query,
     or its Monte-Carlo form, is invalid (e.g. [trials < 1]). *)

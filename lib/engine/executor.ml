@@ -6,7 +6,7 @@ let resolve_cache = function
    sees one eval_batch call per run_batch *)
 let routes = [ Plan.Kernel; Plan.Analytic; Plan.Dtmc; Plan.Mc ]
 
-let run_batch ?pool ?cache (plans : Plan.t array) =
+let run_batch ?cache (plans : Plan.t array) =
   let cache = resolve_cache cache in
   let out = Array.make (Array.length plans) None in
   let misses = ref [] in
@@ -40,9 +40,7 @@ let run_batch ?pool ?cache (plans : Plan.t array) =
       | [||] -> ()
       | idxs ->
           let (module B : Backend.S) = Planner.backend_of_route route in
-          let answers =
-            B.eval_batch ?pool (Array.map (fun i -> plans.(i)) idxs)
-          in
+          let answers = B.eval_batch (Array.map (fun i -> plans.(i)) idxs) in
           Array.iteri
             (fun j i ->
               let a = answers.(j) in
@@ -68,10 +66,10 @@ let run_batch ?pool ?cache (plans : Plan.t array) =
     (List.rev !followers);
   Array.map (function Some a -> a | None -> assert false) out
 
-let run ?pool ?cache plan = (run_batch ?pool ?cache [| plan |]).(0)
+let run ?cache plan = (run_batch ?cache [| plan |]).(0)
 
-let eval_batch ?pool ?cache ?backend queries =
-  run_batch ?pool ?cache (Array.map (Planner.plan ?backend) queries)
+let eval_batch ?cache ?backend queries =
+  run_batch ?cache (Array.map (Planner.plan ?backend) queries)
 
-let eval ?pool ?cache ?backend query =
-  run ?pool ?cache (Planner.plan ?backend query)
+let eval ?cache ?backend query =
+  run ?cache (Planner.plan ?backend query)

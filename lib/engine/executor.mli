@@ -17,28 +17,22 @@
     batch evaluate once; the other occurrences replay the stored
     answer and count as cache hits.  Answers return in input order
     and every point is bitwise identical to evaluating each query
-    alone, at any pool size, cache on or off. *)
+    alone, at any job count, cache on or off. *)
 
-val run : ?pool:Exec.Pool.t -> ?cache:Cache.t -> Plan.t -> Answer.t
+val run : ?cache:Cache.t -> Plan.t -> Answer.t
 (** Execute one compiled plan — the singleton case of {!run_batch}. *)
 
-val run_batch :
-  ?pool:Exec.Pool.t -> ?cache:Cache.t -> Plan.t array -> Answer.t array
+val run_batch : ?cache:Cache.t -> Plan.t array -> Answer.t array
 (** Execute a batch.  [cache] defaults to {!Cache.default} when
     {!Cache.enabled}, and to no caching otherwise; pass a cache
-    explicitly to use it regardless of the global switch.  [pool]
-    defaults to {!Exec.Pool.get}. *)
+    explicitly to use it regardless of the global switch.  The
+    backends that fan out use the process-wide {!Exec.Pool}. *)
 
-val eval :
-  ?pool:Exec.Pool.t -> ?cache:Cache.t -> ?backend:string -> Query.t -> Answer.t
+val eval : ?cache:Cache.t -> ?backend:string -> Query.t -> Answer.t
 (** [Planner.plan] then {!run}: the one-call convenience the CLI and
     experiment drivers use.  [backend] forces a route by name; raises
     {!Planner.Unsupported} as [Planner.plan] does. *)
 
 val eval_batch :
-  ?pool:Exec.Pool.t ->
-  ?cache:Cache.t ->
-  ?backend:string ->
-  Query.t array ->
-  Answer.t array
+  ?cache:Cache.t -> ?backend:string -> Query.t array -> Answer.t array
 (** Compile every query, then {!run_batch}. *)

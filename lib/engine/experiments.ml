@@ -20,12 +20,11 @@ let r_grid ~points ~lo ~hi = Numerics.Grid.linspace lo hi points
    The cost/error series route through the query engine as ONE batch
    per figure — the executor hands the kernel backend all per-n
    r-sweeps together, so it streams a single cursor per r-column
-   serving every n at once; outputs stay bit-identical at any job
-   count, cache on or off.  The optimizer sweeps (figures 3, 4 and the
-   fig. 6 envelope) stay on Optimize's kernel-backed n-scans, which
-   run under the same pool. *)
-let sweep f grid = Exec.Parallel.map_sweep f grid
-
+   serving every n at once; outputs stay bit-identical, cache on or
+   off.  The optimizer sweeps (figures 3, 4 and the fig. 6 envelope)
+   stay on Optimize's kernel-backed n-scans.  All of it runs serially:
+   a point costs microseconds, less than handing it to another
+   domain. *)
 let series_points (a : Answer.t) =
   Array.mapi (fun k (_n, r) -> (r, Answer.scalar a k)) a.points
 
@@ -106,7 +105,10 @@ let figure6 ?scenario ?(points = 400) () =
   let grid = r_grid ~points ~lo:0.02 ~hi:6. in
   let envelope =
     { label = "E(N(r), r)";
-      points = sweep (fun r -> Optimize.log10_error_under_optimal_n p ~r) grid }
+      points =
+        Numerics.Grid.map_sweep
+          (fun r -> Optimize.log10_error_under_optimal_n p ~r)
+          grid }
   in
   { base with
     id = "fig6";
@@ -130,8 +132,8 @@ let cost_landscape ?scenario ?(n_max = 10) ?(r_points = 24) ?(r_lo = 0.25)
   let rs = r_grid ~points:r_points ~lo:r_lo ~hi:r_hi in
   (* one n-sweep query per column, all submitted as one batch: the
      kernel backend streams a single cursor over each column's n-range
-     (n_max survival evaluations instead of O(n_max^2)), columns fan
-     out across the pool, and the answers transpose into n-major rows *)
+     (n_max survival evaluations instead of O(n_max^2)), and the
+     answers transpose into n-major rows *)
   let answers =
     Executor.eval_batch
       (Array.map (fun r -> Query.n_sweep Query.Mean_cost p ~ns ~r) rs)

@@ -54,7 +54,7 @@ val cost_landscape :
   ?r_hi:float -> unit -> landscape
 (** The [(n, r)] cost surface behind the figure generator's heatmap
     (defaults: [n = 1..10], 24 points of [r] in [0.25, 6]), evaluated
-    in parallel over the flattened grid. *)
+    as one engine batch of n-sweeps, one per [r]. *)
 
 val latency_figure : ?scenario:Params.t -> unit -> figure
 (** Extension figure: configuration-time CDFs for the draft's [(4, 2)],

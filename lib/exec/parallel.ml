@@ -1,67 +1,22 @@
-let resolve = function Some pool -> pool | None -> Pool.get ()
-
 (* About four chunks per worker: coarse enough to amortize queueing,
-   fine enough to balance sweeps whose per-point cost varies (e.g.
-   Optimize.optimal_n is much dearer at small r). *)
+   fine enough to balance elements whose cost varies (e.g. Monte-Carlo
+   streams of different trial counts). *)
 let chunk_count pool n = min n (4 * Pool.size pool)
 
-let init ?pool n f =
-  if n < 0 then invalid_arg "Parallel.init: negative length";
-  let pool = resolve pool in
-  if Pool.size pool = 1 || n < 2 then Array.init n f
+let map ?pool f xs =
+  let pool = match pool with Some pool -> pool | None -> Pool.get () in
+  let n = Array.length xs in
+  if Pool.size pool = 1 || n < 2 then Array.map f xs
   else begin
     let results = Array.make n None in
-    let indices = Array.init n Fun.id in
     let tasks =
       Array.map
-        (fun chunk () -> Array.iter (fun i -> results.(i) <- Some (f i)) chunk)
-        (Numerics.Grid.chunks (chunk_count pool n) indices)
+        (fun chunk () ->
+          Array.iter (fun i -> results.(i) <- Some (f xs.(i))) chunk)
+        (Numerics.Grid.chunks (chunk_count pool n) (Array.init n Fun.id))
     in
     Pool.run pool tasks;
     Array.map
       (function Some value -> value | None -> assert false (* all slots filled *))
       results
   end
-
-let map ?pool f xs = init ?pool (Array.length xs) (fun i -> f xs.(i))
-
-let map_sweep ?pool f xs =
-  init ?pool (Array.length xs) (fun i ->
-      let x = xs.(i) in
-      (x, f x))
-
-let map_groups ?pool f groups =
-  (* flatten into one index space so chunking balances across groups of
-     uneven size, then scatter back; results land by index, so output
-     is bit-identical to the serial nested map at every job count *)
-  let total = Array.fold_left (fun acc g -> acc + Array.length g) 0 groups in
-  let flat_in = Array.make total None in
-  let slot = ref 0 in
-  Array.iter
-    (Array.iter (fun x ->
-         flat_in.(!slot) <- Some x;
-         incr slot))
-    groups;
-  let flat_out =
-    init ?pool total (fun i ->
-        match flat_in.(i) with Some x -> f x | None -> assert false)
-  in
-  let slot = ref 0 in
-  Array.map
-    (fun g ->
-      Array.init (Array.length g) (fun _ ->
-          let y = flat_out.(!slot) in
-          incr slot;
-          y))
-    groups
-
-let iter_chunks ?pool f xs =
-  let pool = resolve pool in
-  let n = Array.length xs in
-  if n = 0 then ()
-  else if Pool.size pool = 1 || n = 1 then f xs
-  else
-    Pool.run pool
-      (Array.map
-         (fun chunk () -> f chunk)
-         (Numerics.Grid.chunks (chunk_count pool n) xs))

@@ -1,38 +1,20 @@
-(** Deterministic data-parallel maps over the {!Pool} domains.
+(** The one deterministic data-parallel map over the {!Pool} domains.
 
     Results are written into their output slot by index, so the output
     ordering is that of the input regardless of which domain computed
     which chunk — for a pure function the result is bit-identical to
-    the serial [Array.map]/[Array.init] at every job count.  Inputs are
-    split into contiguous chunks (about four per worker, via
-    {!Numerics.Grid.chunks}) so uneven per-point costs still balance.
+    the serial [Array.map] at every job count.  Inputs are split into
+    contiguous chunks (about four per worker, via
+    {!Numerics.Grid.chunks}) so uneven per-element costs still balance.
 
-    All functions take the process-wide default pool ({!Pool.get})
-    unless [?pool] is given, and fall back to the plain serial loop
-    when the pool size is [1] or the input has fewer than two
-    elements. *)
-
-val init : ?pool:Pool.t -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init].  Raises [Invalid_argument] on a negative
-    length.  If [f] raises, the first exception observed is re-raised
-    in the caller after the batch settles. *)
+    Fan out only work whose elements cost a millisecond or more (a
+    Monte-Carlo stream, a DTMC build, an O(n) closed-form point):
+    below that, queueing and waking the workers costs more than the
+    second domain saves. *)
 
 val map : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]. *)
-
-val map_sweep : ?pool:Pool.t -> (float -> 'a) -> float array -> (float * 'a) array
-(** Parallel variant of {!Numerics.Grid.map_sweep}: evaluate [f] over a
-    grid, pairing each abscissa with its value. *)
-
-val map_groups : ?pool:Pool.t -> ('a -> 'b) -> 'a array array -> 'b array array
-(** Batch scheduler: map [f] over every element of every group,
-    preserving the group structure.  Groups are flattened into one
-    index space before chunking, so a batch of many small sweeps
-    load-balances as well as one large sweep; each result is written
-    back to its own slot, so the output is bit-identical to the serial
-    nested map at every job count. *)
-
-val iter_chunks : ?pool:Pool.t -> ('a array -> unit) -> 'a array -> unit
-(** Run [f] on each contiguous chunk of the input, in parallel.  For
-    side-effecting consumers (accumulation into per-chunk state);
-    chunk boundaries follow {!Numerics.Grid.chunks}. *)
+(** Parallel [Array.map] on [pool] (default: the process-wide pool,
+    {!Pool.get}); the plain serial map when the pool size is [1] or
+    the input has fewer than two elements.  If [f] raises, the first
+    exception observed is re-raised in the caller after the batch
+    settles. *)

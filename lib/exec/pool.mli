@@ -1,9 +1,8 @@
 (** A reusable fixed-size pool of OCaml 5 domains.
 
-    Every parameter sweep in this repository (the figure grids, the
-    optimization scans, the Monte-Carlo replications) is embarrassingly
-    parallel; this pool is the one place that owns worker domains for
-    all of them.  Workers are spawned lazily on the first parallel
+    The one place that owns worker domains: {!Parallel.map} runs on it,
+    for the query engine's Monte-Carlo streams, DTMC builds and
+    analytic points.  Workers are spawned lazily on the first parallel
     batch and reused until {!shutdown} (registered automatically with
     [at_exit]), so the spawn cost is paid once per process.
 

@@ -55,24 +55,25 @@ let run ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers
         (fun acc (o : Metrics.outcome) -> Float.max acc o.Metrics.config_time)
         0. outcomes }
 
-let run_trials ?domains ~loss ~one_way ?processing ~occupied ?pool_size
-    ~newcomers ?spacing ~config ~trials ~rng () =
+let run_trials ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers
+    ?spacing ~config ~trials ~rng () =
   if trials < 1 then invalid_arg "Multi.run_trials: trials < 1";
-  (* One generator per replication, split from the root *serially* so
-     the streams — and hence every statistic — are identical whatever
-     the job count of the pool that then runs them. *)
+  (* one generator per replication, all split from the root before
+     any replication draws *)
   let rngs = Array.init trials (fun _ -> Numerics.Rng.split rng) in
-  Exec.Parallel.init ?pool:domains trials (fun i ->
+  Array.map
+    (fun rng ->
       run ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers ?spacing
-        ~config ~rng:rngs.(i) ())
+        ~config ~rng ())
+    rngs
 
-let collision_rate_vs_newcomers ?domains ~loss ~one_way ~occupied ?pool_size
-    ~config ~trials ~counts ~rng () =
+let collision_rate_vs_newcomers ~loss ~one_way ~occupied ?pool_size ~config
+    ~trials ~counts ~rng () =
   if trials < 1 then invalid_arg "Multi.collision_rate_vs_newcomers: trials < 1";
   List.map
     (fun count ->
       let results =
-        run_trials ?domains ~loss ~one_way ~occupied ?pool_size
+        run_trials ~loss ~one_way ~occupied ?pool_size
           ~newcomers:count ~config ~trials ~rng ()
       in
       let collided =

@@ -26,18 +26,16 @@ val run :
     arrivals. *)
 
 val run_trials :
-  ?domains:Exec.Pool.t -> loss:float -> one_way:Dist.Distribution.t ->
+  loss:float -> one_way:Dist.Distribution.t ->
   ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
   newcomers:int -> ?spacing:float -> config:Newcomer.config ->
   trials:int -> rng:Numerics.Rng.t -> unit -> result array
-(** [trials] independent replications of {!run}, fanned out across the
-    [Exec] domain pool ([domains], defaulting to the process-wide
-    pool).  Each replication gets its own generator split from [rng]
-    in trial order before any work starts, so the result array is
-    bit-identical at every job count (and to the serial run). *)
+(** [trials] independent replications of {!run}, in trial order.  Each
+    replication gets its own generator split from [rng] in trial order
+    before any replication draws. *)
 
 val collision_rate_vs_newcomers :
-  ?domains:Exec.Pool.t -> loss:float -> one_way:Dist.Distribution.t ->
+  loss:float -> one_way:Dist.Distribution.t ->
   occupied:int -> ?pool_size:int -> config:Newcomer.config -> trials:int ->
   counts:int list -> rng:Numerics.Rng.t -> unit -> (int * float) list
 (** Sweep the number of simultaneous newcomers and estimate the

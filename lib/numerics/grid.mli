@@ -20,8 +20,8 @@ val midpoints : float array -> float array
 (** Midpoints of consecutive entries; length shrinks by one. *)
 
 val map_sweep : (float -> 'a) -> float array -> (float * 'a) array
-(** Evaluate a function over a grid, pairing each abscissa with its
-    value.  [Exec.Parallel.map_sweep] is the multi-domain variant. *)
+(** Evaluate a function over a grid, in grid order, pairing each
+    abscissa with its value. *)
 
 val chunks : int -> 'a array -> 'a array array
 (** [chunks k xs] splits [xs] into at most [k] contiguous chunks whose

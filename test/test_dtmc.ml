@@ -145,15 +145,15 @@ let test_decompose_rejects_non_absorbing () =
 (* ---------------- rewards ---------------- *)
 
 let simple_reward () =
-  (* t -> a with prob 1, cost 5; plus a state cost of 2 on t *)
+  (* t -> a with prob 1, cost 7 *)
   let c =
     C.create
       ~states:(Ss.of_labels [ "t"; "a" ])
       (M.of_arrays [| [| 0.; 1. |]; [| 0.; 1. |] |])
   in
   let costs = M.create ~rows:2 ~cols:2 in
-  M.set costs 0 1 5.;
-  Dtmc.Reward.create ~state_rewards:[| 2.; 0. |] ~transition_rewards:costs c
+  M.set costs 0 1 7.;
+  Dtmc.Reward.create ~transition_rewards:costs c
 
 let test_reward_total () =
   let r = simple_reward () in

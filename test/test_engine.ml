@@ -143,27 +143,25 @@ let mc_plan ?(trials = 2_000) ?(seed = 5) q =
    at one and at two jobs *)
 let check_shared label plans =
   let module Mc = Engine.Backends.Mc in
-  let pool1 = Exec.Pool.create 1 and pool2 = Exec.Pool.create 2 in
-  let alone =
-    Array.map (fun pl -> (Mc.eval_batch ~pool:pool1 [| pl |]).(0)) plans
-  in
-  List.iter
-    (fun (jobs, pool) ->
-      let batch = Mc.eval_batch ~pool plans in
-      Array.iteri
-        (fun i (b : A.t) ->
-          let a = alone.(i) in
-          if values_bits b <> values_bits a
-          then
-            Alcotest.failf "%s: plan %d differs from its solo run at -j %d"
-              label i jobs;
-          Alcotest.(check int)
-            (Printf.sprintf "%s: plan %d evals = trials x points" label i)
-            a.A.evals b.A.evals)
-        batch)
-    [ (1, pool1); (2, pool2) ];
-  Exec.Pool.shutdown pool1;
-  Exec.Pool.shutdown pool2
+  Fun.protect ~finally:(fun () -> Exec.Pool.set_jobs 1) (fun () ->
+      Exec.Pool.set_jobs 1;
+      let alone = Array.map (fun pl -> (Mc.eval_batch [| pl |]).(0)) plans in
+      List.iter
+        (fun jobs ->
+          Exec.Pool.set_jobs jobs;
+          let batch = Mc.eval_batch plans in
+          Array.iteri
+            (fun i (b : A.t) ->
+              let a = alone.(i) in
+              if values_bits b <> values_bits a
+              then
+                Alcotest.failf "%s: plan %d differs from its solo run at -j %d"
+                  label i jobs;
+              Alcotest.(check int)
+                (Printf.sprintf "%s: plan %d evals = trials x points" label i)
+                a.A.evals b.A.evals)
+            batch)
+        [ 1; 2 ])
 
 let test_mc_shared_streams () =
   (* one probe, so collisions are common and error rates tell streams

@@ -1,7 +1,7 @@
 (* The execute stage's contract: batched evaluation is a pure
    amortization — for ANY mix of queries, [Executor.eval_batch] must
    return bitwise the same points as evaluating each query alone, at
-   any pool size, cache on or off.  This is the invariant that lets the
+   any job count, cache on or off.  This is the invariant that lets the
    figure drivers and the CLI batch subcommand share kernel cursors and
    DTMC matrix builds without anyone auditing the numerics again.
 
@@ -157,7 +157,10 @@ let mix_arbitrary ?kernel_only () =
 
 (* -- the property --------------------------------------------------- *)
 
-let pool8 = lazy (Exec.Pool.create 8)
+(* [f ()] on a process pool of [jobs], the pool back at one job after *)
+let at_jobs jobs f =
+  Exec.Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Exec.Pool.set_jobs 1) f
 
 let with_cache_disabled f =
   Engine.Cache.set_enabled false;
@@ -198,26 +201,26 @@ let prop_batch_equals_scalar =
     ~count:40 (mix_arbitrary ())
     (fun queries ->
       (* reference: each query evaluated alone, no cache in play *)
+      let batch_off () =
+        with_cache_disabled (fun () -> Engine.Executor.eval_batch queries)
+      in
+      let batch_on () =
+        Engine.Executor.eval_batch ~cache:(Engine.Cache.create ()) queries
+      in
+      let check_jobs jobs reference =
+        at_jobs jobs (fun () ->
+            let what cache = Printf.sprintf "jobs=%d cache=%s" jobs cache in
+            let off = batch_off () in
+            ignore (check_same ~what:(what "off") reference off);
+            check_kernel_evals ~what:(what "off") queries off;
+            ignore (check_same ~what:(what "on") reference (batch_on ())))
+      in
       let reference =
-        with_cache_disabled (fun () -> Array.map Engine.Executor.eval queries)
+        at_jobs 1 (fun () ->
+            with_cache_disabled (fun () -> Array.map Engine.Executor.eval queries))
       in
-      let batch_off jobs_pool =
-        with_cache_disabled (fun () ->
-            Engine.Executor.eval_batch ?pool:jobs_pool queries)
-      in
-      let batch_on jobs_pool =
-        Engine.Executor.eval_batch ?pool:jobs_pool
-          ~cache:(Engine.Cache.create ()) queries
-      in
-      let off1 = batch_off None in
-      ignore (check_same ~what:"jobs=1 cache=off" reference off1);
-      check_kernel_evals ~what:"jobs=1 cache=off" queries off1;
-      ignore (check_same ~what:"jobs=1 cache=on" reference (batch_on None));
-      let p8 = Some (Lazy.force pool8) in
-      let off8 = batch_off p8 in
-      ignore (check_same ~what:"jobs=8 cache=off" reference off8);
-      check_kernel_evals ~what:"jobs=8 cache=off" queries off8;
-      ignore (check_same ~what:"jobs=8 cache=on" reference (batch_on p8));
+      check_jobs 1 reference;
+      check_jobs 8 reference;
       (* warm cache: second run serves every answer from the cache,
          points still bitwise identical *)
       let cache = Engine.Cache.create () in
@@ -252,18 +255,14 @@ let prop_kernel_evals_sum =
         plans;
       let scan = Hashtbl.fold (fun _ n acc -> acc + n) col_max 0 in
       let expected = reference_evals plans in
-      List.for_all
-        (fun pool ->
-          let answers = Engine.Backends.Kernel.eval_batch ?pool plans in
-          Array.iteri
-            (fun i (a : A.t) ->
-              if a.A.evals <> expected.(i) then
-                QCheck.Test.fail_reportf "plan %d: %d evals, reference %d" i
-                  a.A.evals expected.(i))
-            answers;
-          Array.fold_left (fun acc (a : A.t) -> acc + a.A.evals) 0 answers
-          = scan)
-        [ None; Some (Lazy.force pool8) ])
+      let answers = Engine.Backends.Kernel.eval_batch plans in
+      Array.iteri
+        (fun i (a : A.t) ->
+          if a.A.evals <> expected.(i) then
+            QCheck.Test.fail_reportf "plan %d: %d evals, reference %d" i
+              a.A.evals expected.(i))
+        answers;
+      Array.fold_left (fun acc (a : A.t) -> acc + a.A.evals) 0 answers = scan)
 
 (* -- deterministic corners the generator may under-sample ----------- *)
 

@@ -276,7 +276,8 @@ let prop_optimal_n_matches_reference =
       optimal_n_direct ~n_max:256 p ~r = O.optimal_n ~n_max:256 p ~r)
 
 (* ------------------------------------------------------------------ *)
-(* job counts: kernel-backed sweeps stay bit-identical on Exec pools   *)
+(* job counts: kernel code on worker domains (the analytic route's     *)
+(* fan-out runs it there) stays bit-identical                          *)
 
 let with_pool jobs f =
   let pool = Exec.Pool.create jobs in
@@ -286,7 +287,6 @@ let job_counts = [ 1; 2; 8 ]
 
 let test_sweeps_bit_identical_across_jobs () =
   let grid = Numerics.Grid.linspace 0.05 6. 61 in
-  let serial_sweep = O.optimal_n_sweep ~pool:(Exec.Pool.create 1) fig2 grid in
   let cost r = Zeroconf.Cost.mean fig2 ~n:4 ~r in
   let log10_error r = Zeroconf.Reliability.log10_error_probability fig2 ~n:4 ~r in
   let serial_costs = Array.map cost grid in
@@ -294,10 +294,6 @@ let test_sweeps_bit_identical_across_jobs () =
   List.iter
     (fun jobs ->
       with_pool jobs (fun pool ->
-          Alcotest.(check bool)
-            (Printf.sprintf "optimal_n_sweep at jobs = %d" jobs)
-            true
-            (serial_sweep = O.optimal_n_sweep ~pool fig2 grid);
           Alcotest.(check bool)
             (Printf.sprintf "kernel cost sweep at jobs = %d" jobs)
             true

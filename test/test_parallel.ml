@@ -26,56 +26,6 @@ let test_map_matches_array_map () =
             inputs))
     job_counts
 
-let test_init_matches_array_init () =
-  let f i = float_of_int (i * i) -. 0.5 in
-  List.iter
-    (fun jobs ->
-      with_pool jobs (fun pool ->
-          List.iter
-            (fun n ->
-              Alcotest.(check (array (float 0.)))
-                (Printf.sprintf "jobs = %d, n = %d" jobs n)
-                (Array.init n f)
-                (Parallel.init ~pool n f))
-            [ 0; 1; 2; 17; 100 ]))
-    job_counts
-
-let test_init_negative_length () =
-  with_pool 2 (fun pool ->
-      Alcotest.check_raises "negative length"
-        (Invalid_argument "Parallel.init: negative length") (fun () ->
-          ignore (Parallel.init ~pool (-1) (fun i -> i))))
-
-let test_map_sweep_bit_identical () =
-  (* a real sweep from the figures: Eq. 3 over an r grid *)
-  let p = Zeroconf.Params.figure2 in
-  let grid = Numerics.Grid.linspace 0.05 6. 97 in
-  let f r = Zeroconf.Cost.mean p ~n:4 ~r in
-  let expected = Numerics.Grid.map_sweep f grid in
-  List.iter
-    (fun jobs ->
-      with_pool jobs (fun pool ->
-          let got = Parallel.map_sweep ~pool f grid in
-          Alcotest.(check bool)
-            (Printf.sprintf "bit-identical at jobs = %d" jobs)
-            true (expected = got)))
-    job_counts
-
-let test_optimal_n_sweep_bit_identical () =
-  let p = Zeroconf.Params.figure2 in
-  let grid = Numerics.Grid.linspace 0.1 6. 31 in
-  let expected =
-    Array.map (fun r -> (r, Zeroconf.Optimize.optimal_n p ~r)) grid
-  in
-  List.iter
-    (fun jobs ->
-      with_pool jobs (fun pool ->
-          Alcotest.(check bool)
-            (Printf.sprintf "envelope bit-identical at jobs = %d" jobs)
-            true
-            (expected = Zeroconf.Optimize.optimal_n_sweep ~pool p grid)))
-    job_counts
-
 let test_worker_exception_surfaces () =
   List.iter
     (fun jobs ->
@@ -84,17 +34,19 @@ let test_worker_exception_surfaces () =
             (Printf.sprintf "exception at jobs = %d" jobs)
             (Failure "boom") (fun () ->
               ignore
-                (Parallel.init ~pool 64 (fun i ->
-                     if i = 37 then failwith "boom" else i)))))
+                (Parallel.map ~pool
+                   (fun i -> if i = 37 then failwith "boom" else i)
+                   (Array.init 64 Fun.id)))))
     job_counts
 
 let test_pool_survives_failed_batch () =
   with_pool 2 (fun pool ->
-      (try ignore (Parallel.init ~pool 8 (fun _ -> failwith "first"))
+      (try
+         ignore (Parallel.map ~pool (fun _ -> failwith "first") (Array.make 8 ()))
        with Failure _ -> ());
       Alcotest.(check (array (float 0.)))
         "pool still works after a failure" [| 0.; 1.; 2.; 3. |]
-        (Parallel.init ~pool 4 float_of_int))
+        (Parallel.map ~pool float_of_int [| 0; 1; 2; 3 |]))
 
 let test_chunks_feed_every_index () =
   (* the pool's work-splitting primitive: concatenation restores the
@@ -113,58 +65,6 @@ let test_chunks_feed_every_index () =
         chunks)
     [ (1, 5); (2, 4); (3, 7); (4, 4); (8, 3); (16, 100) ]
 
-(* Multi-host Monte Carlo: same root seed must give identical statistics
-   at every job count (the per-trial streams are split serially). *)
-let multi_stats jobs =
-  with_pool jobs (fun pool ->
-      let rng = Numerics.Rng.create 99 in
-      let config =
-        Netsim.Newcomer.drm_config ~n:3 ~r:0.2 ~probe_cost:1. ~error_cost:100.
-      in
-      let results =
-        Netsim.Multi.run_trials ~domains:pool ~loss:0.1
-          ~one_way:(Dist.Families.deterministic ~delay:0.02 ())
-          ~occupied:8 ~pool_size:32 ~newcomers:4 ~config ~trials:12 ~rng ()
-      in
-      Array.map
-        (fun (r : Netsim.Multi.result) ->
-          ( r.Netsim.Multi.collisions,
-            r.Netsim.Multi.all_unique,
-            r.Netsim.Multi.makespan,
-            Array.map
-              (fun (o : Netsim.Metrics.outcome) -> o.Netsim.Metrics.address)
-              r.Netsim.Multi.outcomes ))
-        results)
-
-let test_multi_identical_across_jobs () =
-  let reference = multi_stats 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs = %d matches jobs = 1" jobs)
-        true
-        (reference = multi_stats jobs))
-    [ 2; 8 ]
-
-let test_collision_rates_identical_across_jobs () =
-  let rates jobs =
-    with_pool jobs (fun pool ->
-        Netsim.Multi.collision_rate_vs_newcomers ~domains:pool ~loss:0.2
-          ~one_way:(Dist.Families.deterministic ~delay:0.02 ())
-          ~occupied:8 ~pool_size:32
-          ~config:(Netsim.Newcomer.drm_config ~n:3 ~r:0.2 ~probe_cost:0. ~error_cost:0.)
-          ~trials:6 ~counts:[ 1; 2; 4 ]
-          ~rng:(Numerics.Rng.create 7) ())
-  in
-  let reference = rates 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "rates at jobs = %d" jobs)
-        true
-        (reference = rates jobs))
-    [ 2; 8 ]
-
 let test_pool_guards () =
   Alcotest.check_raises "zero size" (Invalid_argument "Pool.create: size < 1")
     (fun () -> ignore (Pool.create 0));
@@ -181,27 +81,15 @@ let test_set_jobs_resizes_default_pool () =
 let () =
   Alcotest.run "parallel"
     [ ( "determinism",
-        [ Alcotest.test_case "map = Array.map" `Quick test_map_matches_array_map;
-          Alcotest.test_case "init = Array.init" `Quick
-            test_init_matches_array_init;
-          Alcotest.test_case "map_sweep bit-identical" `Quick
-            test_map_sweep_bit_identical;
-          Alcotest.test_case "optimal_n_sweep bit-identical" `Quick
-            test_optimal_n_sweep_bit_identical ] );
+        [ Alcotest.test_case "map = Array.map" `Quick test_map_matches_array_map ] );
       ( "exceptions",
-        [ Alcotest.test_case "negative length" `Quick test_init_negative_length;
-          Alcotest.test_case "worker exception surfaces" `Quick
+        [ Alcotest.test_case "worker exception surfaces" `Quick
             test_worker_exception_surfaces;
           Alcotest.test_case "pool survives failure" `Quick
             test_pool_survives_failed_batch ] );
       ( "chunking",
         [ Alcotest.test_case "chunks feed every index" `Quick
             test_chunks_feed_every_index ] );
-      ( "netsim",
-        [ Alcotest.test_case "multi stats independent of jobs" `Quick
-            test_multi_identical_across_jobs;
-          Alcotest.test_case "collision rates independent of jobs" `Quick
-            test_collision_rates_identical_across_jobs ] );
       ( "pool",
         [ Alcotest.test_case "guards" `Quick test_pool_guards;
           Alcotest.test_case "set_jobs resizes" `Quick
