@@ -173,10 +173,12 @@ let optimal_n_cmd =
 
 let assess_cmd =
   let draft_n =
-    Arg.(value & opt int 4 & info [ "draft-n" ] ~doc:"Draft probe count to compare against.")
+    checked (check_positive "--draft-n")
+      Arg.(value & opt int 4 & info [ "draft-n" ] ~doc:"Draft probe count to compare against.")
   in
   let draft_r =
-    Arg.(value & opt float 2. & info [ "draft-r" ] ~doc:"Draft listening period to compare against.")
+    checked (check_period "--draft-r")
+      Arg.(value & opt float 2. & info [ "draft-r" ] ~doc:"Draft listening period to compare against.")
   in
   let run p draft_n draft_r =
     Format.printf "%a@." Zeroconf.Assessment.pp
@@ -279,6 +281,9 @@ let curve_cmd =
     checked
       (fun k ->
         check_positive "--points" k;
+        (* the grid needs both of its ends *)
+        if k < 2 then
+          invalid_arg (Printf.sprintf "option '--points': %d is fewer than 2 points" k);
         Cli_common.check_size (Printf.sprintf "--points %d" k) k)
       Arg.(value & opt int 60 & info [ "points" ] ~doc:"Grid resolution.")
   in
@@ -406,7 +411,8 @@ let pareto_cmd =
 
 let maintenance_cmd =
   let trials =
-    Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Simulated collisions.")
+    checked (check_trials "--trials")
+      Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Simulated collisions.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let run p n r trials seed =
@@ -509,7 +515,7 @@ let adaptive_cmd =
          & info [ "rate-limit" ] ~docv:"K,DELAY"
              ~doc:"Delay (seconds) before every attempt after K conflicts.")
   in
-  let run p occupied pool blacklist rate_limit =
+  let adapt p occupied pool blacklist rate_limit =
     let refinement =
       { Zeroconf.Attempts.blacklist; rate_limit; occupied; pool }
     in
@@ -531,10 +537,17 @@ let adaptive_cmd =
             c.Zeroconf.Adaptive.n c.Zeroconf.Adaptive.r)
       s.Zeroconf.Adaptive.per_attempt
   in
+  (* as in refine: --occupied and --pool are checked before the MDP is
+     built *)
+  let run p occupied pool blacklist rate_limit =
+    match Zeroconf.Attempts.no_refinement ~occupied ~pool () with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | _ -> `Ok (adapt p occupied pool blacklist rate_limit)
+  in
   Cmd.v
     (Cmd.info "adaptive"
        ~doc:"Optimal per-attempt (n, r) schedule via the MDP solver (beyond the paper).")
-    Term.(const run $ scenario_term $ hosts $ pool $ blacklist $ rate_limit)
+    Term.(ret (const run $ scenario_term $ hosts $ pool $ blacklist $ rate_limit))
 
 let fit_cmd =
   let file =
@@ -631,10 +644,12 @@ let check_cmd =
 
 let report_cmd =
   let draft_n =
-    Arg.(value & opt int 4 & info [ "draft-n" ] ~doc:"Draft probe count.")
+    checked (check_positive "--draft-n")
+      Arg.(value & opt int 4 & info [ "draft-n" ] ~doc:"Draft probe count.")
   in
   let draft_r =
-    Arg.(value & opt float 2. & info [ "draft-r" ] ~doc:"Draft listening period.")
+    checked (check_period "--draft-r")
+      Arg.(value & opt float 2. & info [ "draft-r" ] ~doc:"Draft listening period.")
   in
   let run p draft_n draft_r = Engine.Report.print ~draft_n ~draft_r p in
   Cmd.v

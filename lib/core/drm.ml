@@ -18,7 +18,8 @@ let build (p : Params.t) ~n ~r =
   if n < 1 then invalid_arg "Drm.build: n must be >= 1";
   if r < 0. then invalid_arg "Drm.build: negative listening period";
   let b = Dtmc.Builder.create () in
-  let probe_state i = ordinal i in
+  let labels = Array.init (n + 1) ordinal in
+  let probe_state i = labels.(i) in
   (* declare in the paper's row order: start, 1st .. nth, error, ok *)
   Dtmc.Builder.add_state b "start";
   for i = 1 to n do

@@ -11,8 +11,10 @@ let to_dot ?(rankdir = "LR") ?costs ?(highlight = []) chain =
          shape)
   done;
   for i = 0 to Chain.size chain - 1 do
-    List.iter
-      (fun (j, p) ->
+    let cols, probs = Chain.successors chain i in
+    Array.iteri
+      (fun e j ->
+        let p = probs.(e) in
         if not (Chain.is_absorbing chain i) || i <> j then begin
           let cost_label =
             match costs with
@@ -23,21 +25,23 @@ let to_dot ?(rankdir = "LR") ?costs ?(highlight = []) chain =
           Buffer.add_string buf
             (Printf.sprintf "  s%d -> s%d [label=\"%g%s\"];\n" i j p cost_label)
         end)
-      (Chain.successors chain i)
+      cols
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let to_tra chain =
   let buf = Buffer.create 1024 in
-  let transitions =
-    List.concat_map
-      (fun i -> List.map (fun (j, p) -> (i, j, p)) (Chain.successors chain i))
-      (List.init (Chain.size chain) Fun.id)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Chain.size chain) (List.length transitions));
-  List.iter
-    (fun (i, j, p) -> Buffer.add_string buf (Printf.sprintf "%d %d %.17g\n" i j p))
-    transitions;
+  let n = Chain.size chain in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    count := !count + Array.length (fst (Chain.successors chain i))
+  done;
+  Buffer.add_string buf (Printf.sprintf "%d %d\n" n !count);
+  for i = 0 to n - 1 do
+    let cols, probs = Chain.successors chain i in
+    Array.iteri
+      (fun e j -> Buffer.add_string buf (Printf.sprintf "%d %d %.17g\n" i j probs.(e)))
+      cols
+  done;
   Buffer.contents buf

@@ -1,41 +1,22 @@
-module Matrix = Numerics.Matrix
-
-let first_passage chain ~target ~one_step =
+(* h = b + Q h on the states that reach the target a.s. and are not in
+   it; 0 on the target, infinity elsewhere *)
+let first_passage chain ~target b =
   if target = [] then invalid_arg "Hitting: empty target";
   let n = Chain.size chain in
+  let is_target = Array.make n false in
   List.iter
     (fun t ->
-      if t < 0 || t >= n then invalid_arg "Hitting: target index out of range")
+      if t < 0 || t >= n then invalid_arg "Hitting: target index out of range";
+      is_target.(t) <- true)
     target;
   let certain = Reachability.certainly chain ~target in
-  let is_target = Array.make n false in
-  List.iter (fun t -> is_target.(t) <- true) target;
-  (* solve on the states that reach the target a.s. and are not in it *)
-  let solve_states =
-    Array.of_list
-      (List.filter
-         (fun i -> certain.(i) && not is_target.(i))
-         (List.init n Fun.id))
-  in
-  let pos = Array.make n (-1) in
-  Array.iteri (fun p i -> pos.(i) <- p) solve_states;
-  let m = Array.length solve_states in
-  let result = Array.init n (fun i -> if is_target.(i) then 0. else infinity) in
-  if m > 0 then begin
-    let q =
-      Matrix.init ~rows:m ~cols:m (fun a b ->
-          Chain.prob chain solve_states.(a) solve_states.(b))
-    in
-    let w = Array.map one_step solve_states in
-    let h = Numerics.Lu.solve (Matrix.sub (Matrix.identity m) q) w in
-    Array.iteri (fun p i -> result.(i) <- h.(p)) solve_states
-  end;
-  result
+  let unknown = Array.init n (fun i -> certain.(i) && not is_target.(i)) in
+  let h = Sparse.solve ~unknown ~row:(Chain.successors chain) b in
+  Array.init n (fun i ->
+      if is_target.(i) then 0. else if unknown.(i) then h.(i) else infinity)
 
 let expected_steps chain ~target =
-  first_passage chain ~target ~one_step:(fun _ -> 1.)
+  first_passage chain ~target (Array.make (Chain.size chain) 1.)
 
 let expected_reward reward ~target =
-  let chain = Reward.chain reward in
-  let w = Reward.one_step_expected reward in
-  first_passage chain ~target ~one_step:(fun i -> w.(i))
+  first_passage (Reward.chain reward) ~target (Reward.one_step_expected reward)

@@ -11,13 +11,13 @@ let check_absolute_continuity target proposal =
   if Chain.size target <> Chain.size proposal then
     invalid_arg "Importance: state-space size mismatch";
   for i = 0 to Chain.size target - 1 do
-    List.iter
-      (fun (j, p) ->
-        if p > 0. && Chain.prob proposal i j <= 0. then
+    Array.iter
+      (fun j ->
+        if Chain.prob proposal i j <= 0. then
           invalid_arg
             (Printf.sprintf
                "Importance: proposal gives zero mass to used edge %d -> %d" i j))
-      (Chain.successors target i)
+      (fst (Chain.successors target i))
   done
 
 let estimate_absorption ?(max_steps = 1_000_000) ~trials ~rng ~proposal chain
@@ -38,10 +38,9 @@ let estimate_absorption ?(max_steps = 1_000_000) ~trials ~rng ~proposal chain
       if !steps > max_steps then
         failwith "Importance.estimate_absorption: path too long";
       incr steps;
-      let succs = Chain.successors proposal !state in
-      let weights = Array.of_list (List.map snd succs) in
+      let cols, weights = Chain.successors proposal !state in
       let picked = Numerics.Rng.choose_weighted rng weights in
-      let next, q_prob = List.nth succs picked in
+      let next = cols.(picked) and q_prob = weights.(picked) in
       let p_prob = Chain.prob chain !state next in
       log_weight := !log_weight +. log p_prob -. log q_prob;
       state := next
@@ -76,7 +75,7 @@ let boosted_proposal ?(floor = 0.4) chain ~toward =
   let preds = Array.make n [] in
   for i = 0 to n - 1 do
     if not (Chain.is_absorbing chain i) then
-      List.iter (fun (j, _) -> preds.(j) <- i :: preds.(j)) (Chain.successors chain i)
+      Array.iter (fun j -> preds.(j) <- i :: preds.(j)) (fst (Chain.successors chain i))
   done;
   let queue = Queue.create () in
   Queue.add toward queue;
@@ -90,17 +89,15 @@ let boosted_proposal ?(floor = 0.4) chain ~toward =
         end)
       preds.(v)
   done;
-  let m = Numerics.Matrix.create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    if Chain.is_absorbing chain i then Numerics.Matrix.set m i i 1.
+  let row i =
+    if Chain.is_absorbing chain i then [ (i, 1.) ]
     else begin
-      let succs = Chain.successors chain i in
-      let improving =
-        List.filter (fun (j, _) -> dist.(j) < dist.(i)) succs
-      in
+      let cols, probs = Chain.successors chain i in
+      let succs = List.combine (Array.to_list cols) (Array.to_list probs) in
+      let improving = List.filter (fun (j, _) -> dist.(j) < dist.(i)) succs in
       if improving = [] || dist.(i) = max_int then
         (* cannot move closer: keep the original row *)
-        List.iter (fun (j, p) -> Numerics.Matrix.set m i j p) succs
+        succs
       else begin
         (* give the improving edges at least [floor] total mass, split
            proportionally to their original probabilities *)
@@ -112,15 +109,12 @@ let boosted_proposal ?(floor = 0.4) chain ~toward =
           if improving_mass >= 1. then 0.
           else (1. -. target_mass) /. (1. -. improving_mass)
         in
-        List.iter
+        List.map
           (fun (j, p) ->
-            let boosted =
-              if dist.(j) < dist.(i) then p /. improving_mass *. target_mass
-              else p *. other_scale
-            in
-            Numerics.Matrix.set m i j boosted)
+            if dist.(j) < dist.(i) then (j, p /. improving_mass *. target_mass)
+            else (j, p *. other_scale))
           succs
       end
     end
-  done;
-  Chain.create ~states:(Chain.states chain) m
+  in
+  Chain.create ~states:(Chain.states chain) (Array.init n row)

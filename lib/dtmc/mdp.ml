@@ -91,43 +91,25 @@ let value_iteration ?(tol = 1e-12) ?(max_iter = 1_000_000) t =
 let evaluate_policy t ~policy =
   if Array.length policy <> t.num_states then
     invalid_arg "Mdp.evaluate_policy: policy length mismatch";
-  let n = t.num_states in
-  (* v = c_pi + P_pi v over controlled states *)
-  let controlled =
-    Array.of_list
-      (List.filter (fun s -> Array.length t.actions.(s) > 0) (List.init n Fun.id))
-  in
-  Array.iter
-    (fun s ->
-      if policy.(s) < 0 || policy.(s) >= Array.length t.actions.(s) then
+  (* v = c_pi + P_pi v over the controlled states *)
+  let controlled = Array.map (fun acts -> Array.length acts > 0) t.actions in
+  Array.iteri
+    (fun s c ->
+      if c && (policy.(s) < 0 || policy.(s) >= Array.length t.actions.(s)) then
         invalid_arg "Mdp.evaluate_policy: action index out of range")
     controlled;
-  let pos = Array.make n (-1) in
-  Array.iteri (fun p s -> pos.(s) <- p) controlled;
-  let m = Array.length controlled in
-  let values = Array.make n 0. in
-  if m > 0 then begin
-    let a = Numerics.Matrix.identity m in
-    let b = Array.make m 0. in
-    Array.iteri
-      (fun p s ->
-        let _, transitions = t.actions.(s).(policy.(s)) in
-        List.iter
-          (fun tr ->
-            b.(p) <- b.(p) +. (tr.prob *. tr.cost);
-            if pos.(tr.dst) >= 0 then
-              Numerics.Matrix.set a p pos.(tr.dst)
-                (Numerics.Matrix.get a p pos.(tr.dst) -. tr.prob))
-          transitions)
-      controlled;
-    let x =
-      try Numerics.Lu.solve a b
-      with Numerics.Lu.Singular ->
-        failwith "Mdp.evaluate_policy: policy does not reach absorption"
-    in
-    Array.iteri (fun p s -> values.(s) <- x.(p)) controlled
-  end;
-  values
+  let chosen s = if controlled.(s) then snd t.actions.(s).(policy.(s)) else [] in
+  let row s =
+    let transitions = Array.of_list (chosen s) in
+    (Array.map (fun tr -> tr.dst) transitions, Array.map (fun tr -> tr.prob) transitions)
+  in
+  let b =
+    Array.init t.num_states (fun s ->
+        List.fold_left (fun acc tr -> acc +. (tr.prob *. tr.cost)) 0. (chosen s))
+  in
+  try Sparse.solve ~unknown:controlled ~row b
+  with Sparse.Singular ->
+    failwith "Mdp.evaluate_policy: policy does not reach absorption"
 
 let policy_iteration ?(max_rounds = 1_000) t =
   let policy = Array.init t.num_states (fun s -> if Array.length t.actions.(s) > 0 then 0 else -1) in

@@ -37,8 +37,8 @@ val value_iteration : ?tol:float -> ?max_iter:int -> t -> solution
     (some state cannot reach absorption under any action). *)
 
 val evaluate_policy : t -> policy:int array -> float array
-(** Exact expected total cost of a fixed policy (LU solve on the
-    induced chain).  Raises [Invalid_argument] on out-of-range action
+(** Exact expected total cost of a fixed policy (one {!Sparse.solve}
+    on the induced chain).  Raises [Invalid_argument] on out-of-range action
     indices and [Failure] when the induced chain is not absorbing from
     every state. *)
 

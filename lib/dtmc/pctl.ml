@@ -1,5 +1,3 @@
-module M = Numerics.Matrix
-
 type comparison = Ge | Gt | Le | Lt
 
 type formula =
@@ -21,91 +19,11 @@ and path =
 
 type labelling = string -> int -> bool
 
-(* backward reachability of [target] through states satisfying [via]
-   (target states themselves need not satisfy [via]) *)
-let backward_reach chain ~via ~target =
-  let n = Chain.size chain in
-  let preds = Array.make n [] in
-  for i = 0 to n - 1 do
-    List.iter (fun (j, _) -> preds.(j) <- i :: preds.(j)) (Chain.successors chain i)
-  done;
-  let reached = Array.make n false in
-  let rec dfs j =
-    List.iter
-      (fun i ->
-        if (not reached.(i)) && via.(i) then begin
-          reached.(i) <- true;
-          dfs i
-        end)
-      preds.(j)
-  in
-  for j = 0 to n - 1 do
-    if target.(j) then begin
-      (* the target itself counts as reached *)
-      if not reached.(j) then begin
-        reached.(j) <- true;
-        dfs j
-      end
-    end
-  done;
-  reached
-
-(* quantitative until: P(phi U psi) per state *)
-let prob_until chain ~phi ~psi =
-  let n = Chain.size chain in
-  (* can-reach: psi reachable through phi-states *)
-  let via = Array.init n (fun s -> phi.(s) && not psi.(s)) in
-  let can_reach = backward_reach chain ~via ~target:psi in
-  (* prob 0: everything else *)
-  let zero = Array.init n (fun s -> not can_reach.(s)) in
-  (* prob 1: cannot reach a zero-state while moving through phi\psi *)
-  let reaches_zero = backward_reach chain ~via ~target:zero in
-  let one = Array.init n (fun s -> psi.(s) || not reaches_zero.(s)) in
-  let result = Array.init n (fun s -> if one.(s) then 1. else 0.) in
-  let maybe =
-    Array.of_list
-      (List.filter (fun s -> (not zero.(s)) && not one.(s)) (List.init n Fun.id))
-  in
-  if Array.length maybe > 0 then begin
-    let pos = Array.make n (-1) in
-    Array.iteri (fun p s -> pos.(s) <- p) maybe;
-    let m = Array.length maybe in
-    let q = M.init ~rows:m ~cols:m (fun a b -> Chain.prob chain maybe.(a) maybe.(b)) in
-    let b =
-      Array.map
-        (fun s ->
-          Numerics.Safe_float.sum_list
-            (List.filter_map
-               (fun (j, p) -> if one.(j) then Some p else None)
-               (Chain.successors chain s)))
-        maybe
-    in
-    let x = Numerics.Lu.solve (M.sub (M.identity m) q) b in
-    Array.iteri
-      (fun p s -> result.(s) <- Numerics.Safe_float.clamp_probability x.(p))
-      maybe
-  end;
-  result
-
-let prob_bounded_until chain ~phi ~psi ~k =
-  if k < 0 then invalid_arg "Pctl: negative bound";
-  let n = Chain.size chain in
-  let v = ref (Array.init n (fun s -> if psi.(s) then 1. else 0.)) in
-  for _ = 1 to k do
-    let pv = M.mul_vec (Chain.matrix chain) !v in
-    v :=
-      Array.init n (fun s ->
-          if psi.(s) then 1. else if phi.(s) then pv.(s) else 0.)
-  done;
-  !v
-
 let prob_next chain ~phi =
-  let n = Chain.size chain in
-  Array.init n (fun s ->
-      Numerics.Safe_float.sum_list
-        (List.filter_map
-           (fun (j, p) -> if phi.(j) then Some p else None)
-           (Chain.successors chain s)))
+  Array.init (Chain.size chain) (fun s ->
+      let cols, probs = Chain.successors chain s in
+      Numerics.Safe_float.sum
+        (Array.mapi (fun e j -> if phi.(j) then probs.(e) else 0.) cols))
 
 (* the probabilities come out of a linear solve, so thresholds are
    compared with a relative epsilon: [Ge]/[Le] are forgiving, [Gt]/[Lt]
@@ -126,24 +44,24 @@ let rec path_probabilities chain labelling path =
   match path with
   | Next phi -> prob_next chain ~phi:(satisfaction chain labelling phi)
   | Until (phi, psi) ->
-      prob_until chain
+      Reachability.until chain
         ~phi:(satisfaction chain labelling phi)
         ~psi:(satisfaction chain labelling psi)
   | Bounded_until (phi, psi, k) ->
-      prob_bounded_until chain
+      Reachability.bounded_until chain
         ~phi:(satisfaction chain labelling phi)
         ~psi:(satisfaction chain labelling psi)
         ~k
   | Eventually phi ->
-      prob_until chain ~phi:(all_true n) ~psi:(satisfaction chain labelling phi)
+      Reachability.until chain ~phi:(all_true n) ~psi:(satisfaction chain labelling phi)
   | Bounded_eventually (phi, k) ->
-      prob_bounded_until chain ~phi:(all_true n)
+      Reachability.bounded_until chain ~phi:(all_true n)
         ~psi:(satisfaction chain labelling phi)
         ~k
   | Globally phi ->
       (* P(G phi) = 1 - P(F not phi) *)
       let complement =
-        prob_until chain ~phi:(all_true n)
+        Reachability.until chain ~phi:(all_true n)
           ~psi:(satisfaction chain labelling (Not phi))
       in
       Array.map (fun p -> 1. -. p) complement

@@ -1,107 +1,96 @@
-module Matrix = Numerics.Matrix
-
 let check_target chain target =
   if target = [] then invalid_arg "Reachability: empty target set";
+  let mask = Array.make (Chain.size chain) false in
   List.iter
     (fun t ->
       if t < 0 || t >= Chain.size chain then
-        invalid_arg "Reachability: target index out of range")
-    target
+        invalid_arg "Reachability: target index out of range";
+      mask.(t) <- true)
+    target;
+  mask
 
-(* Backward reachability over the positive-probability edge relation,
-   with target states treated as absorbing (paths through a target do
-   not count: once reached, reached). *)
-let can_reach_target chain target =
+(* States that reach a [target] state through [via]-states only; the
+   target states count as reached.  One backward search. *)
+let backward chain ~via ~target =
   let n = Chain.size chain in
-  let is_target = Array.make n false in
-  List.iter (fun t -> is_target.(t) <- true) target;
   let preds = Array.make n [] in
-  for i = 0 to n - 1 do
-    if not is_target.(i) then
-      List.iter (fun (j, _) -> preds.(j) <- i :: preds.(j)) (Chain.successors chain i)
+  for i = n - 1 downto 0 do
+    Array.iter (fun j -> preds.(j) <- i :: preds.(j)) (fst (Chain.successors chain i))
   done;
-  let seen = Array.make n false in
-  let rec dfs i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      List.iter dfs preds.(i)
-    end
+  let reached = Array.make n false in
+  let rec dfs j =
+    List.iter
+      (fun i ->
+        if via.(i) && not reached.(i) then begin
+          reached.(i) <- true;
+          dfs i
+        end)
+      preds.(j)
   in
-  List.iter dfs target;
-  seen
+  Array.iteri
+    (fun j t ->
+      if t && not reached.(j) then begin
+        reached.(j) <- true;
+        dfs j
+      end)
+    target;
+  reached
+
+(* The probability-0 and probability-1 sets of [phi U psi]. *)
+let qualitative chain ~phi ~psi =
+  let via = Array.map2 (fun p q -> p && not q) phi psi in
+  let zero = Array.map not (backward chain ~via ~target:psi) in
+  let reaches_zero = backward chain ~via ~target:zero in
+  (zero, Array.map2 (fun q r -> q || not r) psi reaches_zero)
+
+let until chain ~phi ~psi =
+  let zero, one = qualitative chain ~phi ~psi in
+  let unknown = Array.map2 (fun z o -> not (z || o)) zero one in
+  let b =
+    Array.init (Chain.size chain) (fun i ->
+        let cols, probs = Chain.successors chain i in
+        Numerics.Safe_float.sum
+          (Array.mapi (fun e j -> if one.(j) then probs.(e) else 0.) cols))
+  in
+  let x = Sparse.solve ~unknown ~row:(Chain.successors chain) b in
+  Array.mapi
+    (fun i o ->
+      if o then 1.
+      else if unknown.(i) then Numerics.Safe_float.clamp_probability x.(i)
+      else 0.)
+    one
+
+let bounded_until chain ~phi ~psi ~k =
+  if k < 0 then invalid_arg "Reachability.bounded_until: negative bound";
+  let v = ref (Array.map (fun q -> if q then 1. else 0.) psi) in
+  for _ = 1 to k do
+    let prev = !v in
+    v :=
+      Array.init (Chain.size chain) (fun i ->
+          if psi.(i) then 1.
+          else if phi.(i) then
+            let cols, probs = Chain.successors chain i in
+            Numerics.Safe_float.sum (Array.mapi (fun e j -> probs.(e) *. prev.(j)) cols)
+          else 0.)
+  done;
+  !v
+
+let everywhere chain = Array.make (Chain.size chain) true
 
 let never chain ~target =
-  check_target chain target;
-  Array.map not (can_reach_target chain target)
+  let psi = check_target chain target in
+  Array.map not (backward chain ~via:(Array.map not psi) ~target:psi)
 
 let certainly chain ~target =
-  check_target chain target;
-  let n = Chain.size chain in
-  let never_set = never chain ~target in
-  let is_target = Array.make n false in
-  List.iter (fun t -> is_target.(t) <- true) target;
-  (* a state fails prob-1 iff it can reach a never-state without first
-     passing through the target *)
-  let reaches_never = Array.make n false in
-  let preds = Array.make n [] in
-  for i = 0 to n - 1 do
-    if not is_target.(i) then
-      List.iter (fun (j, _) -> preds.(j) <- i :: preds.(j)) (Chain.successors chain i)
-  done;
-  let rec dfs i =
-    if not reaches_never.(i) then begin
-      reaches_never.(i) <- true;
-      List.iter dfs preds.(i)
-    end
-  in
-  for i = 0 to n - 1 do
-    if never_set.(i) && not reaches_never.(i) then dfs i
-  done;
-  Array.init n (fun i -> is_target.(i) || not reaches_never.(i))
+  let psi = check_target chain target in
+  snd (qualitative chain ~phi:(everywhere chain) ~psi)
 
 let prob chain ~target =
-  check_target chain target;
-  let n = Chain.size chain in
-  let zero = never chain ~target in
-  let one = certainly chain ~target in
-  let maybe =
-    Array.of_list
-      (List.filter (fun i -> (not zero.(i)) && not one.(i)) (List.init n Fun.id))
-  in
-  let result = Array.init n (fun i -> if one.(i) then 1. else 0.) in
-  if Array.length maybe > 0 then begin
-    let pos = Array.make n (-1) in
-    Array.iteri (fun p i -> pos.(i) <- p) maybe;
-    let m = Array.length maybe in
-    let q =
-      Matrix.init ~rows:m ~cols:m (fun a b ->
-          Chain.prob chain maybe.(a) maybe.(b))
-    in
-    let b =
-      Array.map
-        (fun i ->
-          Numerics.Safe_float.sum_list
-            (List.filter_map
-               (fun (j, p) -> if one.(j) then Some p else None)
-               (Chain.successors chain i)))
-        maybe
-    in
-    let x = Numerics.Lu.solve (Matrix.sub (Matrix.identity m) q) b in
-    Array.iteri (fun p i -> result.(i) <- Numerics.Safe_float.clamp_probability x.(p)) maybe
-  end;
-  result
+  until chain ~phi:(everywhere chain) ~psi:(check_target chain target)
 
 let prob_from chain ~from ~target = (prob chain ~target).(from)
 
 let bounded_prob chain ~target ~horizon =
-  check_target chain target;
   if horizon < 0 then invalid_arg "Reachability.bounded_prob: negative horizon";
-  let n = Chain.size chain in
-  let is_target = Array.make n false in
-  List.iter (fun t -> is_target.(t) <- true) target;
-  let v = ref (Array.init n (fun i -> if is_target.(i) then 1. else 0.)) in
-  for _ = 1 to horizon do
-    let pv = Matrix.mul_vec (Chain.matrix chain) !v in
-    v := Array.init n (fun i -> if is_target.(i) then 1. else pv.(i))
-  done;
-  !v
+  bounded_until chain ~phi:(everywhere chain) ~psi:(check_target chain target)
+    ~k:horizon

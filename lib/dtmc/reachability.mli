@@ -1,10 +1,21 @@
-(** Unbounded reachability probabilities — the core query of
-    probabilistic model checking ("P=? [F target]"), which is exactly
-    how the zeroconf model is phrased in the PRISM benchmark suite.
+(** Reachability probabilities — the core query of probabilistic model
+    checking ("P=? [F target]"), which is exactly how the zeroconf model
+    is phrased in the PRISM benchmark suite.
 
     The implementation does the standard qualitative precomputation
     (identify states that reach the target with probability 0, and with
-    probability 1) and solves a linear system only for the remainder. *)
+    probability 1) and solves a linear system ({!Sparse.solve}) only
+    for the remainder.  {!until} and {!bounded_until} are the general
+    forms that {!Pctl} checks; the rest fix [phi] to every state. *)
+
+val until : Chain.t -> phi:bool array -> psi:bool array -> Numerics.Vector.t
+(** Per state, the probability of reaching a [psi]-state along
+    [phi]-states ("P=? [phi U psi]"). *)
+
+val bounded_until :
+  Chain.t -> phi:bool array -> psi:bool array -> k:int -> Numerics.Vector.t
+(** The same within [k] steps ("P=? [phi U<=k psi]"), by [k] sparse
+    matrix-vector products.  Raises [Invalid_argument] when [k < 0]. *)
 
 val prob : Chain.t -> target:int list -> Numerics.Vector.t
 (** For every state, the probability of eventually reaching (any state

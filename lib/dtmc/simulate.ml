@@ -8,11 +8,10 @@ let run ?(max_steps = 1_000_000) ~rng reward ~from =
     if Chain.is_absorbing chain state then true
     else if steps >= max_steps then false
     else begin
-      let succs = Chain.successors chain state in
-      let weights = Array.of_list (List.map snd succs) in
+      let cols, weights = Chain.successors chain state in
       let picked = Numerics.Rng.choose_weighted rng weights in
-      let next, _ = List.nth succs picked in
-      total := !total +. Reward.transition reward state next;
+      let next = cols.(picked) in
+      total := !total +. (Reward.costs reward state).(picked);
       visited := next :: !visited;
       go next (steps + 1)
     end

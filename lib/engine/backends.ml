@@ -327,7 +327,11 @@ end
 module Dtmc = struct
   let name = "dtmc"
 
-  (* the (I - Q)^-1 solve is cubic in the state count n + 3 *)
+  (* An input-size guard, not a numerical limit: a point builds a
+     labelled chain of n + 3 states and eliminates it in O(n log n), so
+     an ns=1:N sweep costs O(N^2).  512 spans the n range the kernel is
+     swept over and checked against; beyond it the kernel answers mean
+     cost and error, and cost variance has no route. *)
   let max_n = 512
 
   let supports (q : Query.t) =

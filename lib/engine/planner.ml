@@ -10,7 +10,7 @@ let backend_of_name name =
   List.assoc_opt (String.lowercase_ascii name) backends
 
 (* cheapest first: the kernel's streaming cursors beat the per-point
-   closed forms, which beat the cubic matrix solve *)
+   closed forms, which beat building and solving the DRM chain *)
 let exact_order : (Plan.route * (module Backend.S)) list =
   [ (Plan.Kernel, (module Backends.Kernel));
     (Plan.Analytic, (module Backends.Analytic));

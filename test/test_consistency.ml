@@ -95,6 +95,35 @@ let test_phase_type_delay_consistency () =
   let p = Params.v ~name:"ph" ~delay ~q:0.2 ~probe_cost:1. ~error_cost:500. in
   routes_agree p ~n:3 ~r:1.
 
+(* The DTMC oracle checks the kernel over the whole n range the kernel
+   is swept on.  Error probabilities that both routes carry below the
+   normal range (down to 1e-320 here) are rounded differently in their
+   last subnormal digits, so there both need only be subnormal. *)
+let test_dtmc_kernel_sweeps () =
+  let agree what p ~n ~r expected actual =
+    if
+      not
+        (Numerics.Safe_float.approx_eq ~rtol:1e-9 expected actual
+        || (expected < Float.min_float && actual < Float.min_float))
+    then
+      Alcotest.failf "%s %s n=%d r=%g: kernel %.17g, DTMC %.17g" what p.Params.name n r
+        expected actual
+  in
+  List.iter
+    (fun (_, p) ->
+      List.iter
+        (fun r ->
+          let k = Zeroconf.Kernel.create p ~r in
+          for n = 1 to 512 do
+            Zeroconf.Kernel.advance k;
+            let drm = Zeroconf.Drm.build p ~n ~r in
+            agree "mean cost" p ~n ~r (Zeroconf.Kernel.cost k) (Zeroconf.Drm.mean_cost drm);
+            agree "error probability" p ~n ~r (Zeroconf.Kernel.error_probability k)
+              (Zeroconf.Drm.error_probability drm)
+          done)
+        [ 0.25; 1.; 2. ])
+    Params.presets
+
 let () =
   Alcotest.run "consistency"
     [ ( "all routes agree",
@@ -102,4 +131,5 @@ let () =
           Alcotest.test_case "randomized scenarios" `Quick
             test_randomized_scenarios;
           Alcotest.test_case "phase-type delay" `Quick
-            test_phase_type_delay_consistency ] ) ]
+            test_phase_type_delay_consistency;
+          Alcotest.test_case "DTMC = kernel, ns=1:512" `Quick test_dtmc_kernel_sweeps ] ) ]

@@ -95,6 +95,19 @@ let test_variance_positive_when_random () =
   let drm = Drm.build p ~n:3 ~r:1.2 in
   Alcotest.(check bool) "variance > 0" true (Drm.cost_variance drm > 0.)
 
+(* At figure2, r = 2 the no-answer probabilities are already constant by
+   i = 16, so the cost variance no longer depends on n.  A variance
+   computed as m2 - a^2 loses about 3e-9 of it by n = 512; the central
+   recursion keeps every n on the n = 16 value. *)
+let test_variance_flat_in_n () =
+  let at n = Drm.cost_variance (Drm.build fig2 ~n ~r:2.) in
+  let v16 = at 16 in
+  for n = 17 to 512 do
+    let v = at n in
+    if not (Numerics.Safe_float.approx_eq ~rtol:1e-11 v16 v) then
+      Alcotest.failf "n = %d: %.17g, n = 16: %.17g" n v v16
+  done
+
 let test_simulation_estimates_cover_truth () =
   let p =
     Params.v ~name:"sim"
@@ -141,7 +154,8 @@ let () =
             test_expected_steps_free_network;
           Alcotest.test_case "hopeless network" `Quick
             test_q_one_always_collides_eventually;
-          Alcotest.test_case "variance" `Quick test_variance_positive_when_random ] );
+          Alcotest.test_case "variance" `Quick test_variance_positive_when_random;
+          Alcotest.test_case "variance flat in n" `Quick test_variance_flat_in_n ] );
       ( "simulation",
         [ Alcotest.test_case "CIs cover truth" `Quick
             test_simulation_estimates_cover_truth;

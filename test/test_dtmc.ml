@@ -1,4 +1,3 @@
-module M = Numerics.Matrix
 module C = Dtmc.Chain
 module Ss = Dtmc.State_space
 
@@ -29,15 +28,15 @@ let two_state p q =
   (* a -> b with prob p, b -> a with prob q *)
   C.create
     ~states:(Ss.of_labels [ "a"; "b" ])
-    (M.of_arrays [| [| 1. -. p; p |]; [| q; 1. -. q |] |])
+    (Rows.of_dense [| [| 1. -. p; p |]; [| q; 1. -. q |] |])
 
 let test_chain_validation () =
   let s = Ss.of_labels [ "a"; "b" ] in
   Alcotest.check_raises "rows must sum to 1"
     (Invalid_argument "Chain.create: row 0 (a) sums to 0.5") (fun () ->
-      ignore (C.create ~states:s (M.of_arrays [| [| 0.5; 0. |]; [| 0.; 1. |] |])));
+      ignore (C.create ~states:s (Rows.of_dense [| [| 0.5; 0. |]; [| 0.; 1. |] |])));
   (try
-     ignore (C.create ~states:s (M.of_arrays [| [| -0.1; 1.1 |]; [| 0.; 1. |] |]));
+     ignore (C.create ~states:s (Rows.of_dense [| [| -0.1; 1.1 |]; [| 0.; 1. |] |]));
      Alcotest.fail "negative accepted"
    with Invalid_argument _ -> ())
 
@@ -46,23 +45,23 @@ let test_chain_renormalizes_rounding () =
   let eps = 1e-12 in
   let c =
     C.create ~states:s
-      (M.of_arrays [| [| 0.5 +. eps; 0.5 |]; [| 0.; 1. |] |])
+      (Rows.of_dense [| [| 0.5 +. eps; 0.5 |]; [| 0.; 1. |] |])
   in
   check_close "row renormalized" 1.
-    (Numerics.Safe_float.sum (M.row (C.matrix c) 0))
+    (Numerics.Safe_float.sum (snd (C.successors c 0)))
 
 let test_chain_accessors () =
   let c = two_state 0.3 0.7 in
   check_close "prob" 0.3 (C.prob c 0 1);
   check_close "prob by label" 0.7 (C.prob_by_label c "b" "a");
-  Alcotest.(check (list (pair int (float 1e-12))))
-    "successors" [ (0, 0.7); (1, 0.3) ] (C.successors c 0)
+  Alcotest.(check (pair (array int) (array (float 1e-12))))
+    "successors" ([| 0; 1 |], [| 0.7; 0.3 |]) (C.successors c 0)
 
 let test_absorbing_detection () =
   let c =
     C.create
       ~states:(Ss.of_labels [ "t"; "a" ])
-      (M.of_arrays [| [| 0.5; 0.5 |]; [| 0.; 1. |] |])
+      (Rows.of_dense [| [| 0.5; 0.5 |]; [| 0.; 1. |] |])
   in
   Alcotest.(check bool) "t not absorbing" false (C.is_absorbing c 0);
   Alcotest.(check bool) "a absorbing" true (C.is_absorbing c 1);
@@ -73,7 +72,7 @@ let test_reachable () =
   let c =
     C.create
       ~states:(Ss.of_labels [ "a"; "b"; "c" ])
-      (M.of_arrays
+      (Rows.of_dense
          [| [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |]; [| 0.; 0.; 1. |] |])
   in
   let r = C.reachable c ~from:0 in
@@ -85,15 +84,10 @@ let test_reachable () =
 
 (* states 0..4; 0 and 4 absorbing; fair coin *)
 let ruin =
-  let n = 5 in
-  let m = M.create ~rows:n ~cols:n in
-  M.set m 0 0 1.;
-  M.set m 4 4 1.;
-  for i = 1 to 3 do
-    M.set m i (i - 1) 0.5;
-    M.set m i (i + 1) 0.5
-  done;
-  C.create ~states:(Ss.of_labels [ "0"; "1"; "2"; "3"; "4" ]) m
+  C.create
+    ~states:(Ss.of_labels [ "0"; "1"; "2"; "3"; "4" ])
+    (Array.init 5 (fun i ->
+         if i = 0 || i = 4 then [ (i, 1.) ] else [ (i - 1, 0.5); (i + 1, 0.5) ]))
 
 let test_ruin_absorption_probabilities () =
   (* P(win from i) = i/4 for a fair game *)
@@ -117,30 +111,18 @@ let test_ruin_expected_steps () =
       (Dtmc.Absorbing.expected_steps ruin ~from:i)
   done
 
-let test_ruin_fundamental_matrix () =
-  let d = Dtmc.Absorbing.decompose ruin in
-  let n = Dtmc.Absorbing.fundamental d in
-  (* classic result: N = [[1.5, 1, .5], [1, 2, 1], [.5, 1, 1.5]] *)
-  let expected =
-    M.of_arrays [| [| 1.5; 1.; 0.5 |]; [| 1.; 2.; 1. |]; [| 0.5; 1.; 1.5 |] |]
-  in
-  Alcotest.(check bool) "fundamental matrix" true (M.approx_eq ~rtol:1e-9 expected n)
-
-let test_expected_visits () =
-  check_close "visits to 2 from 1" 1. (Dtmc.Absorbing.expected_visits ruin ~from:1 ~to_:2);
-  check_close "visits to 1 from 1" 1.5 (Dtmc.Absorbing.expected_visits ruin ~from:1 ~to_:1)
-
 let test_absorption_row_sums_one () =
-  let b = Dtmc.Absorbing.absorption_probabilities ruin in
-  for i = 0 to M.rows b - 1 do
-    check_close "row sums to 1" 1. (Numerics.Safe_float.sum (M.row b i))
+  for i = 0 to 4 do
+    check_close "row sums to 1" 1.
+      (Dtmc.Absorbing.absorption_probability ruin ~from:i ~into:0
+      +. Dtmc.Absorbing.absorption_probability ruin ~from:i ~into:4)
   done
 
 let test_decompose_rejects_non_absorbing () =
   let c = two_state 0.3 0.7 in
   Alcotest.check_raises "no absorbing states"
-    (Invalid_argument "Absorbing.decompose: chain has no absorbing state")
-    (fun () -> ignore (Dtmc.Absorbing.decompose c))
+    (Invalid_argument "Absorbing: chain has no absorbing state")
+    (fun () -> ignore (Dtmc.Absorbing.expected_steps c ~from:0))
 
 (* ---------------- rewards ---------------- *)
 
@@ -149,11 +131,9 @@ let simple_reward () =
   let c =
     C.create
       ~states:(Ss.of_labels [ "t"; "a" ])
-      (M.of_arrays [| [| 0.; 1. |]; [| 0.; 1. |] |])
+      (Rows.of_dense [| [| 0.; 1. |]; [| 0.; 1. |] |])
   in
-  let costs = M.create ~rows:2 ~cols:2 in
-  M.set costs 0 1 7.;
-  Dtmc.Reward.create ~transition_rewards:costs c
+  Dtmc.Reward.create ~transition_rewards:[| [ (1, 7.) ]; [] |] c
 
 let test_reward_total () =
   let r = simple_reward () in
@@ -165,20 +145,16 @@ let test_reward_validation () =
   let c =
     C.create
       ~states:(Ss.of_labels [ "t"; "a" ])
-      (M.of_arrays [| [| 0.; 1. |]; [| 0.; 1. |] |])
+      (Rows.of_dense [| [| 0.; 1. |]; [| 0.; 1. |] |])
   in
-  let bad = M.create ~rows:2 ~cols:2 in
-  M.set bad 0 0 3.;
   (* cost on a zero-probability edge *)
   (try
-     ignore (Dtmc.Reward.create ~transition_rewards:bad c);
+     ignore (Dtmc.Reward.create ~transition_rewards:[| [ (0, 3.) ]; [] |] c);
      Alcotest.fail "accepted cost on zero-prob edge"
    with Invalid_argument _ -> ());
-  let bad2 = M.create ~rows:2 ~cols:2 in
-  M.set bad2 1 1 1.;
   (* absorbing self-loop cost would diverge *)
   try
-    ignore (Dtmc.Reward.create ~transition_rewards:bad2 c);
+    ignore (Dtmc.Reward.create ~transition_rewards:[| []; [ (1, 1.) ] |] c);
     Alcotest.fail "accepted absorbing self-loop cost"
   with Invalid_argument _ -> ()
 
@@ -188,12 +164,9 @@ let test_geometric_accumulation () =
   let c =
     C.create
       ~states:(Ss.of_labels [ "s"; "done" ])
-      (M.of_arrays [| [| 0.9; 0.1 |]; [| 0.; 1. |] |])
+      (Rows.of_dense [| [| 0.9; 0.1 |]; [| 0.; 1. |] |])
   in
-  let costs = M.create ~rows:2 ~cols:2 in
-  M.set costs 0 0 1.;
-  M.set costs 0 1 1.;
-  let r = Dtmc.Reward.create ~transition_rewards:costs c in
+  let r = Dtmc.Reward.create ~transition_rewards:[| [ (0, 1.); (1, 1.) ]; [] |] c in
   check_close "geometric total" 10. (Dtmc.Absorbing.expected_total_reward r ~from:0)
 
 let test_variance_deterministic_is_zero () =
@@ -207,12 +180,9 @@ let test_variance_geometric () =
   let c =
     C.create
       ~states:(Ss.of_labels [ "s"; "done" ])
-      (M.of_arrays [| [| 0.9; 0.1 |]; [| 0.; 1. |] |])
+      (Rows.of_dense [| [| 0.9; 0.1 |]; [| 0.; 1. |] |])
   in
-  let costs = M.create ~rows:2 ~cols:2 in
-  M.set costs 0 0 1.;
-  M.set costs 0 1 1.;
-  let r = Dtmc.Reward.create ~transition_rewards:costs c in
+  let r = Dtmc.Reward.create ~transition_rewards:[| [ (0, 1.); (1, 1.) ]; [] |] c in
   check_close ~tol:1e-6 "geometric variance" 90.
     (Dtmc.Absorbing.variance_total_reward r ~from:0)
 
@@ -262,8 +232,6 @@ let () =
       ( "gambler's ruin",
         [ Alcotest.test_case "absorption probs" `Quick test_ruin_absorption_probabilities;
           Alcotest.test_case "expected steps" `Quick test_ruin_expected_steps;
-          Alcotest.test_case "fundamental matrix" `Quick test_ruin_fundamental_matrix;
-          Alcotest.test_case "expected visits" `Quick test_expected_visits;
           Alcotest.test_case "row sums" `Quick test_absorption_row_sums_one;
           Alcotest.test_case "rejects non-absorbing" `Quick
             test_decompose_rejects_non_absorbing ] );

@@ -1,4 +1,3 @@
-module M = Numerics.Matrix
 module C = Dtmc.Chain
 module Ss = Dtmc.State_space
 
@@ -6,7 +5,7 @@ let check_close ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
 
 let chain_of arrays labels =
-  C.create ~states:(Ss.of_labels labels) (M.of_arrays arrays)
+  C.create ~states:(Ss.of_labels labels) (Rows.of_dense arrays)
 
 (* ---------------- reachability ---------------- *)
 
@@ -74,10 +73,7 @@ let test_simulate_ruin () =
 let test_simulate_reward_matches_analytic () =
   let rng = Numerics.Rng.create 32 in
   let c = chain_of [| [| 0.8; 0.2 |]; [| 0.; 1. |] |] [ "s"; "a" ] in
-  let costs = M.create ~rows:2 ~cols:2 in
-  M.set costs 0 0 1.;
-  M.set costs 0 1 1.;
-  let r = Dtmc.Reward.create ~transition_rewards:costs c in
+  let r = Dtmc.Reward.create ~transition_rewards:[| [ (0, 1.); (1, 1.) ]; [] |] c in
   let est = Dtmc.Simulate.estimate_total_reward ~trials:20_000 ~rng r ~from:0 in
   let truth = Dtmc.Absorbing.expected_total_reward r ~from:0 in
   check_close "analytic is 5" 5. truth;

@@ -1,15 +1,10 @@
 module V = Numerics.Vector
-module M = Numerics.Matrix
-module Lu = Numerics.Lu
 
 let check_close ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
 
 let check_vec msg expected actual =
   Alcotest.(check bool) msg true (V.approx_eq ~rtol:1e-9 ~atol:1e-12 expected actual)
-
-let check_mat msg expected actual =
-  Alcotest.(check bool) msg true (M.approx_eq ~rtol:1e-9 ~atol:1e-12 expected actual)
 
 (* ---------------- vectors ---------------- *)
 
@@ -35,116 +30,73 @@ let test_vector_mismatch () =
     (Invalid_argument "Vector.add: dimension mismatch") (fun () ->
       ignore (V.add [| 1. |] [| 1.; 2. |]))
 
-(* ---------------- matrices ---------------- *)
+(* ---------------- sparse elimination ---------------- *)
 
-let a = M.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |]
-let b = M.of_arrays [| [| 5.; 6. |]; [| 7.; 8. |] |]
-
-let test_matrix_basics () =
-  Alcotest.(check int) "rows" 2 (M.rows a);
-  Alcotest.(check int) "cols" 2 (M.cols a);
-  check_close "get" 3. (M.get a 1 0);
-  let c = M.copy a in
-  M.set c 0 0 99.;
-  check_close "copy is deep" 1. (M.get a 0 0)
-
-let test_matrix_mul () =
-  check_mat "product" (M.of_arrays [| [| 19.; 22. |]; [| 43.; 50. |] |]) (M.mul a b);
-  check_mat "identity neutral" a (M.mul a (M.identity 2));
-  check_vec "mul_vec" [| 5.; 11. |] (M.mul_vec a [| 1.; 2. |]);
-  check_vec "vec_mul" [| 7.; 10. |] (M.vec_mul [| 1.; 2. |] a)
-
-let test_matrix_pow () =
-  check_mat "pow 0 is identity" (M.identity 2) (M.pow a 0);
-  check_mat "pow 1" a (M.pow a 1);
-  check_mat "pow 3 = a*a*a" (M.mul a (M.mul a a)) (M.pow a 3)
-
-let test_matrix_transpose_sub () =
-  check_mat "transpose" (M.of_arrays [| [| 1.; 3. |]; [| 2.; 4. |] |]) (M.transpose a);
-  let big = M.init ~rows:4 ~cols:4 (fun i j -> float_of_int ((4 * i) + j)) in
-  let sub = M.submatrix big ~row_lo:1 ~row_hi:2 ~col_lo:2 ~col_hi:3 in
-  check_mat "submatrix" (M.of_arrays [| [| 6.; 7. |]; [| 10.; 11. |] |]) sub
-
-let test_matrix_row_sums () =
-  check_vec "row sums" [| 3.; 7. |] (M.row_sums a);
-  check_close "norm_inf" 7. (M.norm_inf a)
-
-(* ---------------- LU ---------------- *)
-
-let test_lu_solve () =
-  let m = M.of_arrays [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let x = Lu.solve m [| 5.; 10. |] in
-  check_vec "2x + y = 5, x + 3y = 10" [| 1.; 3. |] x
-
-let test_lu_needs_pivoting () =
-  (* zero on the leading diagonal forces a row swap *)
-  let m = M.of_arrays [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  check_vec "swap solve" [| 2.; 1. |] (Lu.solve m [| 1.; 2. |])
-
-let test_lu_det () =
-  let f = Lu.decompose a in
-  check_close "det" (-2.) (Lu.det f);
-  let swap = M.of_arrays [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  check_close "det of permutation" (-1.) (Lu.det (Lu.decompose swap))
-
-let test_lu_inverse () =
-  let inv = Lu.inverse (Lu.decompose a) in
-  check_mat "a * a^-1 = I" (M.identity 2) (M.mul a inv)
-
-let test_lu_singular () =
-  let singular = M.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular" Lu.Singular (fun () ->
-      ignore (Lu.decompose singular))
-
-let test_lu_non_square () =
-  let rect = M.of_arrays [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-  Alcotest.check_raises "non-square"
-    (Invalid_argument "Lu.decompose: non-square matrix") (fun () ->
-      ignore (Lu.decompose rect))
-
-let test_lu_hilbert_with_refinement () =
-  (* 6x6 Hilbert: badly conditioned; refinement should not hurt *)
-  let n = 6 in
-  let h = M.init ~rows:n ~cols:n (fun i j -> 1. /. float_of_int (i + j + 1)) in
-  let x_true = Array.make n 1. in
-  let b = M.mul_vec h x_true in
-  let fact = Lu.decompose h in
-  let x = Lu.solve_vec fact b in
-  let x_refined = Lu.refine h fact b x in
-  let err v = V.norm_inf (V.sub v x_true) in
-  Alcotest.(check bool) "solve is decent" true (err x < 1e-6);
-  Alcotest.(check bool) "refinement no worse" true (err x_refined <= err x +. 1e-12)
-
-let rand_matrix_gen n =
+(* A random system x = b + Q x: [m] states, a random subset of them
+   unknown, each row a few random entries (repeats allowed) scaled to a
+   total in [0.5, 1), so I - Q on the unknowns is a nonsingular
+   M-matrix. *)
+let sparse_system_gen =
   QCheck.Gen.(
-    array_size (return (n * n)) (float_range (-10.) 10.)
-    |> map (fun data -> M.init ~rows:n ~cols:n (fun i j -> data.((n * i) + j))))
+    let* m = int_range 1 40 in
+    let* seed = int_range 0 1_000_000 in
+    return
+      (let rng = Numerics.Rng.create seed in
+       let unknown = Array.init m (fun _ -> Numerics.Rng.float rng < 0.8) in
+       let rows =
+         Array.init m (fun _ ->
+             let k = 1 + Numerics.Rng.int rng (min m 6) in
+             let cols = Array.init k (fun _ -> Numerics.Rng.int rng m) in
+             let w = Array.init k (fun _ -> Numerics.Rng.float rng +. 0.01) in
+             let scale =
+               (0.5 +. (0.499 *. Numerics.Rng.float rng)) /. Numerics.Safe_float.sum w
+             in
+             (cols, Array.map (fun v -> v *. scale) w))
+       in
+       let b = Array.init m (fun _ -> 10. *. Numerics.Rng.float rng) in
+       (unknown, rows, b)))
 
-let prop_lu_solve_residual =
-  QCheck.Test.make ~name:"LU solve has tiny residual on random 5x5" ~count:200
-    (QCheck.make (rand_matrix_gen 5))
-    (fun m ->
-      let b = Array.init 5 (fun i -> float_of_int (i + 1)) in
-      match Lu.solve m b with
-      | x ->
-          let residual = V.norm_inf (V.sub (M.mul_vec m x) b) in
-          residual < 1e-6
-      | exception Lu.Singular -> QCheck.assume_fail ())
+let prop_sparse_residual =
+  QCheck.Test.make ~name:"residual is tiny on random M-matrix systems" ~count:300
+    (QCheck.make sparse_system_gen)
+    (fun (unknown, rows, b) ->
+      let x = Dtmc.Sparse.solve ~unknown ~row:(Array.get rows) b in
+      let scale = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. x in
+      let ok = ref true in
+      Array.iteri
+        (fun i u ->
+          if u then begin
+            let cols, w = rows.(i) in
+            let r = ref (b.(i) -. x.(i)) in
+            Array.iteri (fun e j -> if unknown.(j) then r := !r +. (w.(e) *. x.(j))) cols;
+            if Float.abs !r > 1e-12 *. scale then ok := false
+          end
+          else if x.(i) <> 0. then ok := false)
+        unknown;
+      !ok)
 
-let prop_det_product =
-  QCheck.Test.make ~name:"det(AB) = det A * det B on random 4x4" ~count:100
-    QCheck.(make Gen.(pair (rand_matrix_gen 4) (rand_matrix_gen 4)))
-    (fun (x, y) ->
-      match (Lu.decompose x, Lu.decompose y, Lu.decompose (M.mul x y)) with
-      | fx, fy, fxy ->
-          Numerics.Safe_float.approx_eq ~rtol:1e-6
-            (Lu.det fx *. Lu.det fy) (Lu.det fxy)
-      | exception Lu.Singular -> QCheck.assume_fail ())
+let test_sparse_hand_solved () =
+  (* x0 = 1 + 0.5 x1, x1 = 2 + 0.5 x0 + 0.25 x1 (the 0.25 split in two
+     entries); x2 is known, so its column drops out *)
+  let rows =
+    [| ([| 1; 2 |], [| 0.5; 0.5 |]);
+       ([| 0; 1; 1; 2 |], [| 0.5; 0.125; 0.125; 0.25 |]);
+       ([| 2 |], [| 1. |]) |]
+  in
+  let x =
+    Dtmc.Sparse.solve ~unknown:[| true; true; false |] ~row:(Array.get rows)
+      [| 1.; 2.; 5. |]
+  in
+  check_vec "solution" [| 3.5; 5.; 0. |] x
 
-let prop_transpose_involution =
-  QCheck.Test.make ~name:"transpose is an involution" ~count:200
-    (QCheck.make (rand_matrix_gen 4))
-    (fun m -> M.approx_eq m (M.transpose (M.transpose m)))
+let test_sparse_zero_pivot () =
+  (* a closed cycle and a certain self-loop never leave the unknowns *)
+  let cycle = [| ([| 1 |], [| 1. |]); ([| 0 |], [| 1. |]) |] in
+  Alcotest.check_raises "cycle" Dtmc.Sparse.Singular (fun () ->
+      ignore (Dtmc.Sparse.solve ~unknown:[| true; true |] ~row:(Array.get cycle) [| 1.; 1. |]));
+  let loop = [| ([| 0 |], [| 1. |]) |] in
+  Alcotest.check_raises "self-loop" Dtmc.Sparse.Singular (fun () ->
+      ignore (Dtmc.Sparse.solve ~unknown:[| true |] ~row:(Array.get loop) [| 0. |]))
 
 let () =
   Alcotest.run "linalg"
@@ -153,20 +105,7 @@ let () =
           Alcotest.test_case "norms" `Quick test_vector_norms;
           Alcotest.test_case "max index" `Quick test_vector_max_index;
           Alcotest.test_case "mismatch" `Quick test_vector_mismatch ] );
-      ( "matrix",
-        [ Alcotest.test_case "basics" `Quick test_matrix_basics;
-          Alcotest.test_case "mul" `Quick test_matrix_mul;
-          Alcotest.test_case "pow" `Quick test_matrix_pow;
-          Alcotest.test_case "transpose/sub" `Quick test_matrix_transpose_sub;
-          Alcotest.test_case "row sums" `Quick test_matrix_row_sums ] );
-      ( "lu",
-        [ Alcotest.test_case "solve" `Quick test_lu_solve;
-          Alcotest.test_case "pivoting" `Quick test_lu_needs_pivoting;
-          Alcotest.test_case "det" `Quick test_lu_det;
-          Alcotest.test_case "inverse" `Quick test_lu_inverse;
-          Alcotest.test_case "singular" `Quick test_lu_singular;
-          Alcotest.test_case "non-square" `Quick test_lu_non_square;
-          Alcotest.test_case "hilbert + refinement" `Quick test_lu_hilbert_with_refinement ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_lu_solve_residual; prop_det_product; prop_transpose_involution ] ) ]
+      ( "sparse",
+        [ Alcotest.test_case "hand solved" `Quick test_sparse_hand_solved;
+          Alcotest.test_case "zero pivot" `Quick test_sparse_zero_pivot;
+          QCheck_alcotest.to_alcotest prop_sparse_residual ] ) ]

@@ -1,6 +1,5 @@
 module P = Dtmc.Pctl
 module C = Dtmc.Chain
-module M = Numerics.Matrix
 module Ss = Dtmc.State_space
 
 let check_close ?(tol = 1e-12) msg expected actual =
@@ -8,15 +7,10 @@ let check_close ?(tol = 1e-12) msg expected actual =
 
 (* fair gambler on 0..4 *)
 let ruin =
-  let n = 5 in
-  let m = M.create ~rows:n ~cols:n in
-  M.set m 0 0 1.;
-  M.set m 4 4 1.;
-  for i = 1 to 3 do
-    M.set m i (i - 1) 0.5;
-    M.set m i (i + 1) 0.5
-  done;
-  C.create ~states:(Ss.of_labels [ "broke"; "one"; "two"; "three"; "rich" ]) m
+  C.create
+    ~states:(Ss.of_labels [ "broke"; "one"; "two"; "three"; "rich" ])
+    (Array.init 5 (fun i ->
+         if i = 0 || i = 4 then [ (i, 1.) ] else [ (i - 1, 0.5); (i + 1, 0.5) ]))
 
 let labels = P.label_of_state ruin
 

@@ -1,9 +1,8 @@
-module M = Numerics.Matrix
 module C = Dtmc.Chain
 module Ss = Dtmc.State_space
 
 let chain_of arrays labels =
-  C.create ~states:(Ss.of_labels labels) (M.of_arrays arrays)
+  C.create ~states:(Ss.of_labels labels) (Rows.of_dense arrays)
 
 let check_close ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
@@ -56,12 +55,10 @@ let test_hitting_whole_absorbing_set_matches_expected_steps () =
 let test_hitting_reward () =
   (* pay 3 per step until the goal: expected reward = 3 x hitting time *)
   let c = chain_of [| [| 0.5; 0.5 |]; [| 1.; 0. |] |] [ "s"; "goal" ] in
-  let costs = M.create ~rows:2 ~cols:2 in
-  M.set costs 0 0 3.;
-  M.set costs 0 1 3.;
-  M.set costs 1 0 7.;
   (* cost on edges out of the target must not matter *)
-  let reward = Dtmc.Reward.create ~transition_rewards:costs c in
+  let reward =
+    Dtmc.Reward.create ~transition_rewards:[| [ (0, 3.); (1, 3.) ]; [ (0, 7.) ] |] c
+  in
   let h = Dtmc.Hitting.expected_reward reward ~target:[ 1 ] in
   check_close "3 x mean 2" 6. h.(0)
 
