@@ -75,10 +75,13 @@ let float_of st key a b =
   | exception Failure _ ->
       fail st (Printf.sprintf "%s=%s is not a number" key v)
 
-(* the sweep size check, against the whole token *)
+(* the sweep size check, against the whole token, before the grid is
+   allocated *)
 let check_size st tok b k =
-  try Cli_common.check_size (span st tok b) k
-  with Invalid_argument msg -> fail st msg
+  if k > Engine.Query.max_points then
+    fail st
+      (Printf.sprintf "%s: more than %d points" (span st tok b)
+         Engine.Query.max_points)
 
 let presets = Array.of_list Zeroconf.Params.presets
 

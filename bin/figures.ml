@@ -73,13 +73,11 @@ let render_landscape ~out_dir =
   Output.Heatmap.save heatmap path;
   Printf.printf "wrote %s\n" path
 
-let generate out_dir jobs =
-  Cli_common.with_jobs jobs @@ fun () ->
+let generate out_dir () =
   ensure_dir out_dir;
   List.iter (render_figure ~out_dir) (Engine.Experiments.all_figures ());
   List.iter (render_figure ~out_dir) (Engine.Experiments.extension_figures ());
-  render_landscape ~out_dir;
-  `Ok ()
+  render_landscape ~out_dir
 
 let () =
   let open Cmdliner in
@@ -90,6 +88,6 @@ let () =
   let cmd =
     Cmd.v
       (Cmd.info "figures" ~doc:"Regenerate every figure of the paper into OUT_DIR.")
-      Term.(ret (const generate $ out_dir $ Cli_common.jobs_term))
+      Term.(const generate $ out_dir $ Cli_common.jobs_term)
   in
   exit (Cmd.eval cmd)

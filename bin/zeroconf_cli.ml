@@ -6,10 +6,6 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Scenario construction from flags                                    *)
 
-(* Worker-domain count for the parallel sweeps lives in [Cli_common]
-   (shared with bin/figures.ml) and is folded into [scenario_term] so
-   every subcommand accepts it. *)
-
 let scenario_term =
   let preset =
     let doc =
@@ -20,117 +16,84 @@ let scenario_term =
          & info [ "scenario"; "preset" ] ~docv:"NAME" ~doc)
   in
   let loss =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Cli_common.probability) None
          & info [ "loss" ] ~docv:"P" ~doc:"Permanent packet-loss probability 1-l.")
   in
   (* long names deliberately avoid the 'r' prefix so that --r stays an
      unambiguous abbreviation of --r-period in every subcommand *)
   let rate =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Cli_common.rate) None
          & info [ "lambda" ] ~docv:"LAMBDA" ~doc:"Reply rate lambda (mean reply d + 1/lambda).")
   in
   let rtt =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Cli_common.duration) None
          & info [ "delay" ] ~docv:"D" ~doc:"Round-trip delay d in seconds.")
   in
   let hosts =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some Cli_common.hosts) None
          & info [ "hosts" ] ~docv:"M" ~doc:"Number of occupied addresses (sets q = m/65024).")
   in
   let probe_cost =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Cli_common.duration) None
          & info [ "probe-cost"; "c" ] ~docv:"C" ~doc:"Postage per ARP probe.")
   in
   let error_cost =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Cli_common.duration) None
          & info [ "error-cost"; "E" ] ~docv:"E" ~doc:"Cost of an accepted address collision.")
   in
-  let build jobs preset loss rate rtt hosts probe_cost error_cost =
-    Cli_common.with_jobs jobs @@ fun () ->
-    match (List.assoc_opt preset Zeroconf.Params.presets, hosts) with
-    | None, _ ->
+  let build preset loss rate rtt hosts probe_cost error_cost =
+    match List.assoc_opt preset Zeroconf.Params.presets with
+    | None ->
         `Error
           (false,
            Printf.sprintf "unknown scenario %s (try %s)" preset
              (String.concat ", " (List.map fst Zeroconf.Params.presets)))
-    | Some _, Some m when m < 0 || m >= Zeroconf.Params.address_space_size ->
-        `Error
-          (false,
-           Printf.sprintf "option '--hosts': %d outside [0, %d)" m
-             Zeroconf.Params.address_space_size)
-    | Some base, _ -> (
-        (* the scenario constructors reject out-of-range overrides
-           (a loss outside [0, 1), a negative cost or rate) *)
-        match
-          let p =
-            match hosts with
-            | Some m -> Zeroconf.Params.with_q base (Zeroconf.Params.q_of_hosts m)
-            | None -> base
-          in
-          let p = Zeroconf.Params.with_costs ?probe_cost ?error_cost p in
-          match (loss, rate, rtt) with
-          | None, None, None -> p
-          | _ ->
-              (* rebuild the shifted-exponential F_X around overrides,
-                 defaulting unspecified pieces to the figure2 values *)
-              let loss =
-                Option.value ~default:(Zeroconf.Params.loss_probability p) loss
-              in
-              let rate = Option.value ~default:10. rate in
-              let rtt = Option.value ~default:1. rtt in
-              Zeroconf.Params.with_delay p
-                (Dist.Families.shifted_exponential ~mass:(1. -. loss) ~rate
-                   ~delay:rtt ())
-        with
-        | p -> `Ok p
-        | exception Invalid_argument msg -> `Error (false, msg))
+    | Some base ->
+        (* the scenario constructors check the overrides together *)
+        Cli_common.validated @@ fun () ->
+        let p =
+          match hosts with
+          | Some m -> Zeroconf.Params.with_q base (Zeroconf.Params.q_of_hosts m)
+          | None -> base
+        in
+        let p = Zeroconf.Params.with_costs ?probe_cost ?error_cost p in
+        (match (loss, rate, rtt) with
+        | None, None, None -> p
+        | _ ->
+            (* rebuild the shifted-exponential F_X around overrides,
+               defaulting unspecified pieces to the figure2 values *)
+            let loss =
+              Option.value ~default:(Zeroconf.Params.loss_probability p) loss
+            in
+            let rate = Option.value ~default:10. rate in
+            let rtt = Option.value ~default:1. rtt in
+            Zeroconf.Params.with_delay p
+              (Dist.Families.shifted_exponential ~mass:(1. -. loss) ~rate
+                 ~delay:rtt ()))
   in
-  Term.(ret (const build $ Cli_common.jobs_term $ preset $ loss $ rate $ rtt
-             $ hosts $ probe_cost $ error_cost))
-
-(* Option values a command needs in range, checked before it prints
-   anything; the message names the option. *)
-let check_positive option k =
-  if k < 1 then
-    invalid_arg
-      (Printf.sprintf "option '%s': %d is not a positive integer" option k)
-
-(* A trial count is bounded like a sweep size: a run keeps one sample
-   slot per trial, so a huge count fails with this message instead of
-   exhausting memory. *)
-let check_trials option k =
-  check_positive option k;
-  if k > Engine.Query.max_trials then
-    invalid_arg
-      (Printf.sprintf "option '%s': %d is more than %d trials" option k
-         Engine.Query.max_trials)
-
-let check_period option r =
-  if not (Float.is_finite r && r >= 0.) then
-    invalid_arg
-      (Printf.sprintf "option '%s': %g is not a non-negative finite number"
-         option r)
-
-(* [checked check arg] is [arg] once [check] accepts its value; a value
-   it rejects ends the command with the check's message (exit 124). *)
-let checked check arg =
-  let accept v =
-    match check v with
-    | () -> `Ok v
-    | exception Invalid_argument msg -> `Error (false, msg)
-  in
-  Term.(ret (const accept $ arg))
+  Term.(ret (const build $ preset $ loss $ rate $ rtt $ hosts $ probe_cost
+             $ error_cost))
 
 let n_term =
-  checked (check_positive "-n")
-    Arg.(value & opt int 4
-         & info [ "n"; "n-probes" ] ~docv:"N" ~doc:"Number of ARP probes.")
+  Arg.(value & opt Cli_common.probe_count 4
+       & info [ "n"; "n-probes" ] ~docv:"N" ~doc:"Number of ARP probes.")
 
 let r_term =
-  checked (check_period "-r")
-    Arg.(value & opt float 2.
-         & info [ "r"; "r-period" ] ~docv:"R"
-             ~doc:"Listening period in seconds.")
+  Arg.(value & opt Cli_common.duration 2.
+       & info [ "r"; "r-period" ] ~docv:"R" ~doc:"Listening period in seconds.")
+
+(* Configured hosts and the address pool, with the blacklist and rate
+   limit of the Sec. 3.1 refinements, checked together by the library's
+   refinement check before anything prints. *)
+let refinement_term ?(blacklist = Term.const false)
+    ?(rate_limit = Term.const None) hosts pool =
+  let check blacklist rate_limit occupied pool =
+    Cli_common.validated @@ fun () ->
+    let r = { Zeroconf.Attempts.blacklist; rate_limit; occupied; pool } in
+    Zeroconf.Attempts.validate_refinement r;
+    r
+  in
+  Term.(ret (const check $ blacklist $ rate_limit $ hosts $ pool))
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -173,12 +136,12 @@ let optimal_n_cmd =
 
 let assess_cmd =
   let draft_n =
-    checked (check_positive "--draft-n")
-      Arg.(value & opt int 4 & info [ "draft-n" ] ~doc:"Draft probe count to compare against.")
+    Arg.(value & opt Cli_common.probe_count 4
+         & info [ "draft-n" ] ~doc:"Draft probe count to compare against.")
   in
   let draft_r =
-    checked (check_period "--draft-r")
-      Arg.(value & opt float 2. & info [ "draft-r" ] ~doc:"Draft listening period to compare against.")
+    Arg.(value & opt Cli_common.duration 2.
+         & info [ "draft-r" ] ~doc:"Draft listening period to compare against.")
   in
   let run p draft_n draft_r =
     Format.printf "%a@." Zeroconf.Assessment.pp
@@ -199,48 +162,47 @@ let nu_cmd =
 
 let calibrate_cmd =
   let run p n r =
-    let res = Zeroconf.Calibrate.run p ~n ~r in
-    Format.printf
-      "calibrated for (n = %d, r = %g):@.  E = %.4g@.  c = %.4g@.  global \
-       optimum under these costs: n = %d, r = %.4g@.  |r_opt - r| = %.2g@."
-      n r res.Zeroconf.Calibrate.error_cost res.Zeroconf.Calibrate.probe_cost
-      res.Zeroconf.Calibrate.optimum.Zeroconf.Optimize.n
-      res.Zeroconf.Calibrate.optimum.Zeroconf.Optimize.r
-      res.Zeroconf.Calibrate.r_residual
+    (* r = 0, or a scenario with no stationary point, has no answer *)
+    match Zeroconf.Calibrate.run p ~n ~r with
+    | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
+    | res ->
+        Format.printf
+          "calibrated for (n = %d, r = %g):@.  E = %.4g@.  c = %.4g@.  global \
+           optimum under these costs: n = %d, r = %.4g@.  |r_opt - r| = %.2g@."
+          n r res.Zeroconf.Calibrate.error_cost
+          res.Zeroconf.Calibrate.probe_cost
+          res.Zeroconf.Calibrate.optimum.Zeroconf.Optimize.n
+          res.Zeroconf.Calibrate.optimum.Zeroconf.Optimize.r
+          res.Zeroconf.Calibrate.r_residual;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "calibrate"
        ~doc:"Solve the Sec. 4.5 inverse problem: costs making (n, r) optimal.")
-    Term.(const run $ scenario_term $ n_term $ r_term)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term))
 
 let simulate_cmd =
   let trials =
-    Arg.(value & opt int 10_000 & info [ "trials" ] ~doc:"Number of configuration runs.")
+    Arg.(value & opt Cli_common.trials 10_000
+         & info [ "trials" ] ~doc:"Number of configuration runs.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
+  let seed = Arg.(value & opt Cli_common.seed 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let detailed =
     Arg.(value & flag
          & info [ "detailed" ]
              ~doc:"Packet-level simulation instead of the aggregate F_X sampler.")
   in
   let hosts_small =
-    Arg.(value & opt int 100
+    Arg.(value & opt Cli_common.count 100
          & info [ "sim-hosts" ]
              ~doc:"Configured hosts in the simulated network (detailed mode cost grows with this).")
   in
   let pool =
-    Arg.(value & opt int 1024
+    Arg.(value & opt Cli_common.pool_size 1024
          & info [ "pool" ] ~doc:"Address-pool size for the simulation.")
   in
-  let check trials hosts pool =
-    check_trials "--trials" trials;
-    check_positive "--pool" pool;
-    if hosts < 0 || hosts >= pool then
-      invalid_arg
-        (Printf.sprintf "option '--sim-hosts': %d outside [0, %d) (--pool)"
-           hosts pool)
-  in
-  let simulate p n r trials seed detailed hosts pool =
+  let run p n r trials seed detailed
+      { Zeroconf.Attempts.occupied = hosts; pool; _ } =
     let rng = Numerics.Rng.create seed in
     let config =
       Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
@@ -266,36 +228,19 @@ let simulate_cmd =
       (Zeroconf.Reliability.error_probability p_ref ~n ~r)
       q_sim
   in
-  let run p n r trials seed detailed hosts pool =
-    match check trials hosts pool with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | () -> `Ok (simulate p n r trials seed detailed hosts pool)
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte-Carlo the protocol and compare to the model.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ trials $ seed
-               $ detailed $ hosts_small $ pool))
+    Term.(const run $ scenario_term $ n_term $ r_term $ trials $ seed
+          $ detailed $ refinement_term hosts_small pool)
 
 let curve_cmd =
   let points =
-    checked
-      (fun k ->
-        check_positive "--points" k;
-        (* the grid needs both of its ends *)
-        if k < 2 then
-          invalid_arg (Printf.sprintf "option '--points': %d is fewer than 2 points" k);
-        Cli_common.check_size (Printf.sprintf "--points %d" k) k)
-      Arg.(value & opt int 60 & info [ "points" ] ~doc:"Grid resolution.")
+    Arg.(value & opt Cli_common.curve_points 60
+         & info [ "points" ] ~doc:"Grid resolution.")
   in
   (* the grid runs from 0.01 up to --r-max *)
   let r_max =
-    checked
-      (fun r ->
-        if not (Float.is_finite r && r > 0.01) then
-          invalid_arg
-            (Printf.sprintf
-               "option '--r-max': %g is not a finite number above 0.01" r))
-      Arg.(value & opt float 4. & info [ "r-max" ] ~doc:"Upper r bound.")
+    Arg.(value & opt Cli_common.r_max 4. & info [ "r-max" ] ~doc:"Upper r bound.")
   in
   let run p n points r_max =
     let grid = Numerics.Grid.linspace 0.01 r_max points in
@@ -339,12 +284,14 @@ let latency_cmd =
 
 let refine_cmd =
   let hosts =
-    Arg.(value & opt int 1000 & info [ "occupied" ] ~doc:"Configured hosts m.")
+    Arg.(value & opt Cli_common.count 1000
+         & info [ "occupied" ] ~doc:"Configured hosts m.")
   in
   let pool =
-    Arg.(value & opt int 65024 & info [ "pool" ] ~doc:"Address-space size M.")
+    Arg.(value & opt Cli_common.pool_size 65024
+         & info [ "pool" ] ~doc:"Address-space size M.")
   in
-  let refine p n r occupied pool =
+  let run p n r { Zeroconf.Attempts.occupied; pool; _ } =
     let table =
       Output.Table.create
         ~columns:
@@ -363,17 +310,10 @@ let refine_cmd =
       (Zeroconf.Attempts.compare_refinements p ~occupied ~pool ~n ~r ());
     print_string (Output.Table.to_text table)
   in
-  (* --occupied and --pool are checked together, by the library's own
-     refinement check, before anything prints *)
-  let run p n r occupied pool =
-    match Zeroconf.Attempts.no_refinement ~occupied ~pool () with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | _ -> `Ok (refine p n r occupied pool)
-  in
   Cmd.v
     (Cmd.info "refine"
        ~doc:"The Sec. 3.1 refinements the paper abstracts away: blacklisting and rate limiting.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ hosts $ pool))
+    Term.(const run $ scenario_term $ n_term $ r_term $ refinement_term hosts pool)
 
 let pareto_cmd =
   let run p =
@@ -411,32 +351,37 @@ let pareto_cmd =
 
 let maintenance_cmd =
   let trials =
-    checked (check_trials "--trials")
-      Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Simulated collisions.")
+    Arg.(value & opt Cli_common.trials 100
+         & info [ "trials" ] ~doc:"Simulated collisions.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
+  let seed = Arg.(value & opt Cli_common.seed 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let run p n r trials seed =
     let rng = Numerics.Rng.create seed in
-    let est =
+    (* a listening period so long that the defense never settles runs
+       out of the simulator's event budget *)
+    match
       Netsim.Maintenance.estimate_error_cost
         ~loss:(Zeroconf.Params.loss_probability p)
         ~one_way:(Dist.Families.exponential ~rate:20. ())
         ~occupied:100 ~pool_size:1024
         ~config:(Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost ~error_cost:0.)
         ~trials ~rng ()
-    in
-    Format.printf "simulated %d address collisions:@." est.Netsim.Maintenance.trials;
-    Format.printf "  mean disruption: %.2f s (max %.2f s)@."
-      est.Netsim.Maintenance.disruption.Numerics.Stats.mean
-      est.Netsim.Maintenance.disruption.Numerics.Stats.max;
-    Format.printf "  mean broken connections: %.2f@." est.Netsim.Maintenance.mean_broken;
-    Format.printf "  suggested error cost E ~ %.1f (on the waiting-seconds scale)@."
-      est.Netsim.Maintenance.suggested_error_cost
+    with
+    | exception Failure msg -> `Error (false, msg)
+    | est ->
+        Format.printf "simulated %d address collisions:@." est.Netsim.Maintenance.trials;
+        Format.printf "  mean disruption: %.2f s (max %.2f s)@."
+          est.Netsim.Maintenance.disruption.Numerics.Stats.mean
+          est.Netsim.Maintenance.disruption.Numerics.Stats.max;
+        Format.printf "  mean broken connections: %.2f@." est.Netsim.Maintenance.mean_broken;
+        Format.printf "  suggested error cost E ~ %.1f (on the waiting-seconds scale)@."
+          est.Netsim.Maintenance.suggested_error_cost;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "maintenance"
        ~doc:"Simulate the post-collision defense protocol: an operational reading of E.")
-    Term.(const run $ scenario_term $ n_term $ r_term $ trials $ seed)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ trials $ seed))
 
 let export_cmd =
   let format =
@@ -463,62 +408,76 @@ let workload_cmd =
     Arg.(value & opt (enum [ ("flash", `Flash); ("poisson", `Poisson); ("periodic", `Periodic) ]) `Flash
          & info [ "pattern" ] ~doc:"Arrival pattern: flash, poisson, or periodic.")
   in
-  let count = Arg.(value & opt int 40 & info [ "count" ] ~doc:"Hosts in a flash crowd.") in
-  let rate = Arg.(value & opt float 0.1 & info [ "arrival-rate" ] ~doc:"Arrivals per second (poisson/periodic).") in
-  let horizon = Arg.(value & opt float 600. & info [ "horizon" ] ~doc:"Arrival window in seconds.") in
-  let initial = Arg.(value & opt int 24 & info [ "initial" ] ~doc:"Hosts already configured.") in
-  let pool = Arg.(value & opt int 1024 & info [ "pool" ] ~doc:"Address-pool size.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
-  let run _p n r pattern count rate horizon initial pool seed =
-    let rng = Numerics.Rng.create seed in
-    let pattern =
-      match pattern with
-      | `Flash -> Netsim.Workload.Flash { count; within = Float.min horizon 5. }
-      | `Poisson -> Netsim.Workload.Poisson rate
-      | `Periodic -> Netsim.Workload.Periodic (1. /. rate)
+  let count = Arg.(value & opt Cli_common.count 40 & info [ "count" ] ~doc:"Hosts in a flash crowd.") in
+  let rate = Arg.(value & opt Cli_common.positive 0.1 & info [ "arrival-rate" ] ~doc:"Arrivals per second (poisson/periodic).") in
+  let horizon = Arg.(value & opt Cli_common.positive 600. & info [ "horizon" ] ~doc:"Arrival window in seconds.") in
+  let initial = Arg.(value & opt Cli_common.count 24 & info [ "initial" ] ~doc:"Hosts already configured.") in
+  let pool = Arg.(value & opt Cli_common.pool_size 1024 & info [ "pool" ] ~doc:"Address-pool size.") in
+  let seed = Arg.(value & opt Cli_common.seed 1 & info [ "seed" ] ~doc:"RNG seed.") in
+  (* the configured hosts and the arrivals must fit the pool: the
+     library's own check, before anything runs *)
+  let arrivals =
+    let check pattern count rate horizon initial pool =
+      let pattern =
+        match pattern with
+        | `Flash -> Netsim.Workload.Flash { count; within = Float.min horizon 5. }
+        | `Poisson -> Netsim.Workload.Poisson rate
+        | `Periodic -> Netsim.Workload.Periodic (1. /. rate)
+      in
+      Cli_common.validated @@ fun () ->
+      Netsim.Workload.check_capacity ~pattern ~horizon ~initial ~pool_size:pool;
+      (pattern, horizon, initial, pool)
     in
+    Term.(ret (const check $ pattern $ count $ rate $ horizon $ initial $ pool))
+  in
+  let run _p n r (pattern, horizon, initial, pool) seed =
+    let rng = Numerics.Rng.create seed in
     let config =
       { (Netsim.Newcomer.drm_config ~n ~r ~probe_cost:0. ~error_cost:0.) with
         Netsim.Newcomer.immediate_abort = true;
         Netsim.Newcomer.avoid_failed = true }
     in
-    let result =
+    (* a Poisson draw past its mean can still exhaust the pool, and a
+       newcomer that never settles the event budget *)
+    match
       Netsim.Workload.run ~pattern ~horizon ~loss:0.02
         ~one_way:(Dist.Families.uniform ~lo:0.005 ~hi:0.05 ())
         ~initial ~pool_size:pool ~config ~rng ()
-    in
-    Format.printf
-      "%d arrivals: %d collisions, unique = %b@.mean config time %.2f s; \
-       last completion at %.2f s@."
-      result.Netsim.Workload.arrivals result.Netsim.Workload.collisions
-      result.Netsim.Workload.all_unique result.Netsim.Workload.mean_config_time
-      result.Netsim.Workload.last_completion
+    with
+    | exception Failure msg -> `Error (false, msg)
+    | result ->
+        Format.printf
+          "%d arrivals: %d collisions, unique = %b@.mean config time %.2f s; \
+           last completion at %.2f s@."
+          result.Netsim.Workload.arrivals result.Netsim.Workload.collisions
+          result.Netsim.Workload.all_unique
+          result.Netsim.Workload.mean_config_time
+          result.Netsim.Workload.last_completion;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "workload"
        ~doc:"Long-horizon network life: arrival patterns through the simulator.")
-    Term.(const run $ scenario_term $ n_term $ r_term $ pattern $ count $ rate
-          $ horizon $ initial $ pool $ seed)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ arrivals $ seed))
 
 let adaptive_cmd =
   let hosts =
-    Arg.(value & opt int 200 & info [ "occupied" ] ~doc:"Configured hosts m.")
+    Arg.(value & opt Cli_common.count 200
+         & info [ "occupied" ] ~doc:"Configured hosts m.")
   in
   let pool =
-    Arg.(value & opt int 256 & info [ "pool" ] ~doc:"Address-space size M.")
+    Arg.(value & opt Cli_common.pool_size 256
+         & info [ "pool" ] ~doc:"Address-space size M.")
   in
   let blacklist =
     Arg.(value & flag & info [ "blacklist" ] ~doc:"Never retry failed addresses.")
   in
   let rate_limit =
-    Arg.(value & opt (some (pair int float)) None
+    Arg.(value & opt (some (pair Cli_common.count Cli_common.duration)) None
          & info [ "rate-limit" ] ~docv:"K,DELAY"
              ~doc:"Delay (seconds) before every attempt after K conflicts.")
   in
-  let adapt p occupied pool blacklist rate_limit =
-    let refinement =
-      { Zeroconf.Attempts.blacklist; rate_limit; occupied; pool }
-    in
+  let run p refinement =
     let s = Zeroconf.Adaptive.solve p ~refinement () in
     Format.printf "best fixed choice:  n = %d, r = %.3f  (cost %.4f)@."
       s.Zeroconf.Adaptive.fixed_best.Zeroconf.Adaptive.n
@@ -537,17 +496,11 @@ let adaptive_cmd =
             c.Zeroconf.Adaptive.n c.Zeroconf.Adaptive.r)
       s.Zeroconf.Adaptive.per_attempt
   in
-  (* as in refine: --occupied and --pool are checked before the MDP is
-     built *)
-  let run p occupied pool blacklist rate_limit =
-    match Zeroconf.Attempts.no_refinement ~occupied ~pool () with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | _ -> `Ok (adapt p occupied pool blacklist rate_limit)
-  in
   Cmd.v
     (Cmd.info "adaptive"
        ~doc:"Optimal per-attempt (n, r) schedule via the MDP solver (beyond the paper).")
-    Term.(ret (const run $ scenario_term $ hosts $ pool $ blacklist $ rate_limit))
+    Term.(const run $ scenario_term
+          $ refinement_term ~blacklist ~rate_limit hosts pool)
 
 let fit_cmd =
   let file =
@@ -555,59 +508,71 @@ let fit_cmd =
          & info [] ~docv:"DELAYS" ~doc:"File with one measured reply delay (seconds) per line.")
   in
   let losses =
-    Arg.(value & opt int 0 & info [ "losses" ] ~doc:"Probes that never got a reply.")
+    Arg.(value & opt Cli_common.count 0
+         & info [ "losses" ] ~doc:"Probes that never got a reply.")
   in
   let hosts =
-    Arg.(value & opt int 1000 & info [ "fit-hosts" ] ~doc:"Expected occupied addresses.")
+    Arg.(value & opt Cli_common.hosts 1000
+         & info [ "fit-hosts" ] ~doc:"Expected occupied addresses.")
+  in
+  (* one delay per line, blank lines skipped; a bad line fails with its
+     number, as in batch *)
+  let read_delays ic =
+    let delay i line =
+      let text = String.trim line in
+      match float_of_string_opt text with
+      | _ when text = "" -> None
+      | Some _ as x -> x
+      | None -> failwith (Printf.sprintf "line %d: %s is not a number" (i + 1) text)
+    in
+    match List.filter_map Fun.id (List.mapi delay (In_channel.input_lines ic)) with
+    | [] -> failwith "no delays in the file"
+    | delays -> Array.of_list delays
   in
   let run p file losses hosts =
-    let delays = ref [] in
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = String.trim (input_line ic) in
-            if line <> "" then delays := float_of_string line :: !delays
-          done
-        with End_of_file -> ());
-    let samples = Array.of_list (List.rev !delays) in
-    if Array.length samples = 0 then failwith "no delays in the file";
-    let fit = Dist.Fit.shifted_exponential_mle ~losses samples in
-    Format.printf
-      "fitted F_X: shifted exponential with d = %.4g s, lambda = %.4g, loss = %.3g@."
-      fit.Dist.Fit.delay fit.Dist.Fit.rate fit.Dist.Fit.loss;
-    let fitted = Dist.Fit.to_distribution fit in
-    let q = Dist.Fit.assess ~losses fitted samples in
-    Format.printf "fit quality: KS distance %.4f over %d samples@.@."
-      q.Dist.Fit.ks_statistic (Array.length samples);
-    let scenario =
-      Zeroconf.Params.v ~name:"fitted" ~delay:fitted
-        ~q:(Zeroconf.Params.q_of_hosts hosts)
-        ~probe_cost:p.Zeroconf.Params.probe_cost
-        ~error_cost:p.Zeroconf.Params.error_cost
-    in
-    let o = Zeroconf.Optimize.global_optimum scenario in
-    Format.printf
-      "recommended parameters for the measured network:@.\
-      \  n = %d, r = %.4f  (cost %.4g, error probability %.3g)@.@."
-      o.Zeroconf.Optimize.n o.Zeroconf.Optimize.r o.Zeroconf.Optimize.cost
-      o.Zeroconf.Optimize.error_prob;
-    (* how stable is that advice under measurement noise? *)
-    let boot =
-      Zeroconf.Uncertainty.bootstrap ~rounds:100 ~losses
-        ~rng:(Numerics.Rng.create 1) ~delays:samples
-        ~q:(Zeroconf.Params.q_of_hosts hosts)
-        ~probe_cost:p.Zeroconf.Params.probe_cost
-        ~error_cost:p.Zeroconf.Params.error_cost ()
-    in
-    Format.printf "%a@." Zeroconf.Uncertainty.pp boot
+    (* the fit refuses negative or infinite delays, and losses that
+       leave no reply mass *)
+    match
+      let samples = In_channel.with_open_text file read_delays in
+      let fit = Dist.Fit.shifted_exponential_mle ~losses samples in
+      (samples, fit, Dist.Fit.to_distribution fit)
+    with
+    | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
+        `Error (false, msg)
+    | samples, fit, fitted ->
+        Format.printf
+          "fitted F_X: shifted exponential with d = %.4g s, lambda = %.4g, loss = %.3g@."
+          fit.Dist.Fit.delay fit.Dist.Fit.rate fit.Dist.Fit.loss;
+        let q = Dist.Fit.assess ~losses fitted samples in
+        Format.printf "fit quality: KS distance %.4f over %d samples@.@."
+          q.Dist.Fit.ks_statistic (Array.length samples);
+        let scenario =
+          Zeroconf.Params.v ~name:"fitted" ~delay:fitted
+            ~q:(Zeroconf.Params.q_of_hosts hosts)
+            ~probe_cost:p.Zeroconf.Params.probe_cost
+            ~error_cost:p.Zeroconf.Params.error_cost
+        in
+        let o = Zeroconf.Optimize.global_optimum scenario in
+        Format.printf
+          "recommended parameters for the measured network:@.\
+          \  n = %d, r = %.4f  (cost %.4g, error probability %.3g)@.@."
+          o.Zeroconf.Optimize.n o.Zeroconf.Optimize.r o.Zeroconf.Optimize.cost
+          o.Zeroconf.Optimize.error_prob;
+        (* how stable is that advice under measurement noise? *)
+        let boot =
+          Zeroconf.Uncertainty.bootstrap ~rounds:100 ~losses
+            ~rng:(Numerics.Rng.create 1) ~delays:samples
+            ~q:(Zeroconf.Params.q_of_hosts hosts)
+            ~probe_cost:p.Zeroconf.Params.probe_cost
+            ~error_cost:p.Zeroconf.Params.error_cost ()
+        in
+        Format.printf "%a@." Zeroconf.Uncertainty.pp boot;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "fit"
        ~doc:"Fit F_X to measured reply delays and recommend (n, r) — the Sec. 3.2 workflow.")
-    Term.(const run $ scenario_term $ file $ losses $ hosts)
+    Term.(ret (const run $ scenario_term $ file $ losses $ hosts))
 
 let check_cmd =
   let formula_arg =
@@ -644,12 +609,12 @@ let check_cmd =
 
 let report_cmd =
   let draft_n =
-    checked (check_positive "--draft-n")
-      Arg.(value & opt int 4 & info [ "draft-n" ] ~doc:"Draft probe count.")
+    Arg.(value & opt Cli_common.probe_count 4
+         & info [ "draft-n" ] ~doc:"Draft probe count.")
   in
   let draft_r =
-    checked (check_period "--draft-r")
-      Arg.(value & opt float 2. & info [ "draft-r" ] ~doc:"Draft listening period.")
+    Arg.(value & opt Cli_common.duration 2.
+         & info [ "draft-r" ] ~doc:"Draft listening period.")
   in
   let run p draft_n draft_r = Engine.Report.print ~draft_n ~draft_r p in
   Cmd.v
@@ -719,26 +684,27 @@ let query_cmd =
                    letting the planner choose.")
   in
   let trials =
-    Arg.(value & opt int Engine.Crosscheck.default_trials
+    Arg.(value & opt Cli_common.trials Engine.Crosscheck.default_trials
          & info [ "trials" ] ~doc:"Monte-Carlo trials (mc backend).")
   in
   let seed =
-    Arg.(value & opt int Engine.Crosscheck.default_seed
+    Arg.(value & opt Cli_common.seed Engine.Crosscheck.default_seed
          & info [ "seed" ] ~doc:"Monte-Carlo RNG seed (mc backend).")
   in
   (* long names avoid the 'n'/'r' prefixes so that --n / --r stay
      unambiguous abbreviations of --n-probes / --r-period here *)
   let r_sweep =
-    Arg.(value & opt (some (t3 float float int)) None
+    Arg.(value
+         & opt (some Cli_common.(t3 duration duration grid_size)) None
          & info [ "sweep-r" ] ~docv:"LO,HI,POINTS"
              ~doc:"Sweep r over a linear grid instead of the single point.")
   in
   let n_max =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some Cli_common.grid_size) None
          & info [ "sweep-n" ] ~docv:"N"
              ~doc:"Sweep n over 1..N instead of the single point.")
   in
-  let run p n r quantity backend trials seed r_sweep n_max no_cache =
+  let run () p n r quantity backend trials seed r_sweep n_max no_cache =
     if no_cache then Engine.Cache.set_enabled false;
     let backend = Option.map String.lowercase_ascii backend in
     match quantity_conv quantity with
@@ -753,15 +719,9 @@ let query_cmd =
           let q =
             match (r_sweep, n_max) with
             | Some (lo, hi, points), _ ->
-                Cli_common.check_size
-                  (Printf.sprintf "--sweep-r %g,%g,%d" lo hi points)
-                  points;
                 Engine.Query.r_sweep ~accuracy qty p ~n
                   ~rs:(Numerics.Grid.linspace lo hi points)
             | None, Some n_max ->
-                Cli_common.check_size
-                  (Printf.sprintf "--sweep-n %d" n_max)
-                  n_max;
                 Engine.Query.n_sweep ~accuracy qty p
                   ~ns:(Array.init n_max (fun i -> i + 1))
                   ~r
@@ -787,8 +747,9 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Evaluate any model quantity through the backend-agnostic query \
              engine (with provenance).")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ quantity $ backend
-               $ trials $ seed $ r_sweep $ n_max $ no_cache_term))
+    Term.(ret (const run $ Cli_common.jobs_term $ scenario_term $ n_term
+               $ r_term $ quantity $ backend $ trials $ seed $ r_sweep $ n_max
+               $ no_cache_term))
 
 let crosscheck_cmd =
   let quantity =
@@ -797,14 +758,14 @@ let crosscheck_cmd =
              ~doc:"Single quantity to cross-check (default: cost and error).")
   in
   let trials =
-    Arg.(value & opt int Engine.Crosscheck.default_trials
+    Arg.(value & opt Cli_common.trials Engine.Crosscheck.default_trials
          & info [ "trials" ] ~doc:"Monte-Carlo trials.")
   in
   let seed =
-    Arg.(value & opt int Engine.Crosscheck.default_seed
+    Arg.(value & opt Cli_common.seed Engine.Crosscheck.default_seed
          & info [ "seed" ] ~doc:"Monte-Carlo RNG seed.")
   in
-  let run p n r quantity trials seed no_cache =
+  let run () p n r quantity trials seed no_cache =
     if no_cache then Engine.Cache.set_enabled false;
     let quantities =
       match quantity with
@@ -814,59 +775,52 @@ let crosscheck_cmd =
           | `Ok q -> `Ok [ q ]
           | `Error _ as e -> e)
     in
-    let crosscheck quantities =
-      check_trials "--trials" trials;
-      Engine.Crosscheck.run ~trials ~seed
-        (List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities)
-    in
     match quantities with
     | `Error _ as e -> e
-    | `Ok quantities -> (
-        match crosscheck quantities with
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | reports ->
+    | `Ok quantities ->
+        List.iter
+          (fun (rep : Engine.Crosscheck.report) ->
+            Format.printf "crosscheck: %a@." Engine.Query.pp
+              rep.Engine.Crosscheck.query;
+            let table =
+              Output.Table.create
+                ~columns:
+                  [ ("backend", Output.Table.Left);
+                    ("value", Output.Table.Right);
+                    ("evals", Output.Table.Right);
+                    ("wall (ms)", Output.Table.Right) ]
+            in
             List.iter
-              (fun (rep : Engine.Crosscheck.report) ->
-                Format.printf "crosscheck: %a@." Engine.Query.pp
-                  rep.Engine.Crosscheck.query;
-                let table =
-                  Output.Table.create
-                    ~columns:
-                      [ ("backend", Output.Table.Left);
-                        ("value", Output.Table.Right);
-                        ("evals", Output.Table.Right);
-                        ("wall (ms)", Output.Table.Right) ]
-                in
-                List.iter
-                  (fun (a : Engine.Answer.t) ->
-                    Output.Table.add_row table
-                      [ a.Engine.Answer.backend;
-                        Format.asprintf "%a" pp_answer_value
-                          (Engine.Answer.value a 0);
-                        string_of_int a.Engine.Answer.evals;
-                        Printf.sprintf "%.3f"
-                          (Int64.to_float a.Engine.Answer.wall_ns /. 1e6) ])
-                  rep.Engine.Crosscheck.answers;
-                print_string (Output.Table.to_text table);
+              (fun (a : Engine.Answer.t) ->
+                Output.Table.add_row table
+                  [ a.Engine.Answer.backend;
+                    Format.asprintf "%a" pp_answer_value
+                      (Engine.Answer.value a 0);
+                    string_of_int a.Engine.Answer.evals;
+                    Printf.sprintf "%.3f"
+                      (Int64.to_float a.Engine.Answer.wall_ns /. 1e6) ])
+              rep.Engine.Crosscheck.answers;
+            print_string (Output.Table.to_text table);
+            Format.printf
+              "max relative divergence (analytic/kernel/dtmc) = %.3g@."
+              rep.Engine.Crosscheck.max_rel_divergence;
+            (match rep.Engine.Crosscheck.mc_covered with
+            | Some covered ->
+                Format.printf "monte carlo inside its 95%% CI: %b@." covered
+            | None ->
                 Format.printf
-                  "max relative divergence (analytic/kernel/dtmc) = %.3g@."
-                  rep.Engine.Crosscheck.max_rel_divergence;
-                (match rep.Engine.Crosscheck.mc_covered with
-                | Some covered ->
-                    Format.printf "monte carlo inside its 95%% CI: %b@." covered
-                | None ->
-                    Format.printf
-                      "monte carlo: not applicable to this quantity@.");
-                Format.printf "@.")
-              reports;
-            `Ok ())
+                  "monte carlo: not applicable to this quantity@.");
+            Format.printf "@.")
+          (Engine.Crosscheck.run ~trials ~seed
+             (List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities));
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "crosscheck"
        ~doc:"Run one query on every capable backend and report the maximum \
              relative divergence.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ quantity $ trials
-               $ seed $ no_cache_term))
+    Term.(ret (const run $ Cli_common.jobs_term $ scenario_term $ n_term
+               $ r_term $ quantity $ trials $ seed $ no_cache_term))
 
 (* Batch output: one line per answered point,
    "QUANTITY SCENARIO n=N r=R VALUE", then a "# backend=B evals=E
@@ -963,8 +917,7 @@ let batch_cmd =
              ~doc:"Append the answer-cache hit/miss statistics as a trailing \
                    comment line.")
   in
-  let run jobs file no_cache stats =
-    Cli_common.with_jobs jobs @@ fun () ->
+  let run () file no_cache stats =
     if no_cache then Engine.Cache.set_enabled false;
     let read ic = Batch_input.plans (fun () -> In_channel.input_line ic) in
     match
@@ -986,17 +939,12 @@ let batch_cmd =
 (* Paper reproduction                                                  *)
 
 let reproduce_cmd =
-  let run jobs =
-    Cli_common.with_jobs jobs @@ fun () ->
-    Reproduce.reproduce_all ();
-    `Ok ()
-  in
   Cmd.v
     (Cmd.info "reproduce"
        ~doc:"Print every paper artifact (Figs. 2-6, Secs. 4.4, 4.5 and 6) \
              and the validation and extension experiments, next to the \
              paper's own numbers.")
-    Term.(ret (const run $ Cli_common.jobs_term))
+    Term.(const Reproduce.reproduce_all $ const ())
 
 let () =
   let info =

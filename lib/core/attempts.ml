@@ -13,7 +13,8 @@ let validate_refinement r =
     invalid_arg "Attempts: occupied outside [0, pool)";
   match r.rate_limit with
   | Some (threshold, delay) ->
-      if threshold < 0 || delay < 0. then invalid_arg "Attempts: bad rate limit"
+      if threshold < 0 || not (Float.is_finite delay && delay >= 0.) then
+        invalid_arg "Attempts: bad rate limit"
   | None -> ()
 
 let no_refinement ~occupied ?(pool = Params.address_space_size) () =

@@ -30,7 +30,13 @@ type refinement = {
   pool : int;      (** [M], the address-space size (65024). *)
 }
 
+val validate_refinement : refinement -> unit
+(** Raises [Invalid_argument] unless [pool >= 1], [0 <= occupied <
+    pool], and a rate limit has a threshold [>= 0] and a finite delay
+    [>= 0]. *)
+
 val no_refinement : occupied:int -> ?pool:int -> unit -> refinement
+(** Neither refinement, after {!validate_refinement}. *)
 
 type analysis = {
   mean_cost : float;

@@ -19,17 +19,22 @@ type t = {
   accuracy : accuracy;
 }
 
+let max_points = 1_048_576
+let max_trials = 1 lsl 24
+
+(* one point at n costs n kernel steps, as many as the largest n-sweep
+   allowed *)
 let check_n n =
-  if n < 1 then invalid_arg (Printf.sprintf "Query: n = %d < 1" n)
+  if n < 1 then invalid_arg (Printf.sprintf "Query: n = %d < 1" n);
+  if n > max_points then
+    invalid_arg
+      (Printf.sprintf "Query: n = %d > max_points = %d" n max_points)
 
 let check_r r =
   (* r = 0 is the paper's boundary case C_n(0) = n c + q E (pi_i = 1 for
      every i); every deterministic route below accepts it *)
   if not (Float.is_finite r && r >= 0.) then
     invalid_arg (Printf.sprintf "Query: r = %g not non-negative and finite" r)
-
-let max_points = 1_048_576
-let max_trials = 1 lsl 24
 
 let size t =
   match t.domain with

@@ -51,8 +51,8 @@ val r_sweep :
 val max_points : int
 (** The most points one query may hold: [1_048_576], 256 times the
     largest sweep the library runs itself ([Optimize]'s [n_max = 4096]).
-    Front ends check a requested sweep size against it before they
-    allocate the sweep's grid. *)
+    Front ends check a requested sweep size, and a probe count, against
+    it before they allocate the sweep's grid. *)
 
 val max_trials : int
 (** The most Monte-Carlo trials one sampling stream may run: [2^24]
@@ -62,12 +62,13 @@ val max_trials : int
     anything is sampled. *)
 
 val validate : t -> unit
-(** Raises [Invalid_argument] unless every probe count is at least 1,
-    every listening period is non-negative and finite ([r = 0] is the
-    paper's boundary case, where [C_n(0) = n c + q E]), sweeps are
-    non-empty and hold at most {!max_points} points, and [Sampled]
-    demands between 1 and {!max_trials} trials.  The smart constructors above call
-    this. *)
+(** Raises [Invalid_argument] unless every probe count is between 1
+    and {!max_points} (one point at [n] costs [n] kernel steps, as many
+    as the largest sweep allowed), every listening period is
+    non-negative and finite ([r = 0] is the paper's boundary case,
+    where [C_n(0) = n c + q E]), sweeps are non-empty and hold at most
+    {!max_points} points, and [Sampled] demands between 1 and
+    {!max_trials} trials.  The smart constructors above call this. *)
 
 val size : t -> int
 (** Number of evaluation points in the domain. *)

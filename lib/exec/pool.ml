@@ -110,18 +110,30 @@ let run t tasks =
 let requested_jobs = ref None
 let the_pool = ref None
 
+(* OCaml 5.1 runs at most 128 domains (Max_domains in caml/domain.h) *)
+let max_jobs = 128
+
+let jobs_error jobs =
+  if jobs < 1 then Some "is not a positive integer"
+  else if jobs > max_jobs then
+    Some (Printf.sprintf "is more than %d jobs" max_jobs)
+  else None
+
 let env_jobs () =
   match Sys.getenv_opt "ZEROCONF_JOBS" with
   | None -> Ok None
   | Some text -> (
+      let refuse why =
+        Error
+          (Printf.sprintf "environment variable 'ZEROCONF_JOBS': '%s' %s" text
+             why)
+      in
       match int_of_string_opt (String.trim text) with
-      | Some jobs when jobs >= 1 -> Ok (Some jobs)
-      | Some _ | None ->
-          Error
-            (Printf.sprintf
-               "environment variable 'ZEROCONF_JOBS': '%s' is not a positive \
-                integer"
-               text))
+      | None -> refuse "is not a positive integer"
+      | Some jobs -> (
+          match jobs_error jobs with
+          | None -> Ok (Some jobs)
+          | Some why -> refuse why))
 
 let default_jobs () =
   match !requested_jobs with
@@ -134,6 +146,7 @@ let default_jobs () =
 
 let set_jobs jobs =
   if jobs < 1 then invalid_arg "Pool.set_jobs: jobs < 1";
+  if jobs > max_jobs then invalid_arg "Pool.set_jobs: jobs > max_jobs";
   requested_jobs := Some jobs
 
 let get () =

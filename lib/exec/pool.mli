@@ -41,10 +41,17 @@ val shutdown : t -> unit
     else the [ZEROCONF_JOBS] environment variable, else
     [Domain.recommended_domain_count ()]. *)
 
+val max_jobs : int
+(** [128], the most domains OCaml 5.1 runs at once ([Max_domains]). *)
+
+val jobs_error : int -> string option
+(** [None] for a job count in [[1, max_jobs]], else why not, as a
+    phrase to follow the count (["is not a positive integer"]). *)
+
 val env_jobs : unit -> (int option, string) result
 (** [ZEROCONF_JOBS], parsed: [Ok None] when unset, [Ok (Some jobs)] for
-    a positive integer (surrounding blanks allowed, so [" 2 "] reads
-    as 2), and [Error message] for anything else. *)
+    an integer in [[1, max_jobs]] (surrounding blanks allowed, so
+    [" 2 "] reads as 2), and [Error message] for anything else. *)
 
 val default_jobs : unit -> int
 (** The job count the next {!get} will use.  Raises [Invalid_argument]
@@ -52,8 +59,9 @@ val default_jobs : unit -> int
 
 val set_jobs : int -> unit
 (** Pin the default job count (the [--jobs] CLI flag lands here).
-    Raises [Invalid_argument] if [jobs < 1].  An existing default pool
-    of a different size is shut down and replaced lazily. *)
+    Raises [Invalid_argument] unless [1 <= jobs <= max_jobs].  An
+    existing default pool of a different size is shut down and replaced
+    lazily. *)
 
 val get : unit -> t
 (** The process-wide pool at the current {!default_jobs} size,

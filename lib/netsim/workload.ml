@@ -30,6 +30,20 @@ let arrival_times ~pattern ~horizon ~rng =
       let n = int_of_float (horizon /. every) in
       List.init n (fun i -> float_of_int (i + 1) *. every)
 
+let check_capacity ~pattern ~horizon ~initial ~pool_size =
+  let arrivals =
+    match pattern with
+    | Poisson rate -> rate *. horizon
+    | Flash { count; _ } -> float_of_int count
+    | Periodic every -> horizon /. every
+  in
+  (* written so that a NaN count is refused too *)
+  if not (float_of_int initial +. arrivals < float_of_int pool_size) then
+    invalid_arg
+      (Printf.sprintf
+         "Workload: %d configured hosts and %g arrivals do not fit a pool of %d"
+         initial arrivals pool_size)
+
 let run ~pattern ~horizon ~loss ~one_way ?processing ?(initial = 0) ?pool_size
     ~config ~rng () =
   if horizon <= 0. then invalid_arg "Workload.run: horizon <= 0";

@@ -24,6 +24,14 @@ type result = {
   mean_config_time : float;
 }
 
+val check_capacity :
+  pattern:pattern -> horizon:float -> initial:int -> pool_size:int -> unit
+(** Raises [Invalid_argument] unless [initial] configured hosts plus
+    the arrivals the pattern brings within [horizon] (their expected
+    number, for [Poisson]) fit strictly inside a pool of [pool_size]
+    addresses.  Front ends check this before {!run}, which still fails
+    if a Poisson sample exceeds its expectation that far. *)
+
 val run :
   pattern:pattern -> horizon:float -> loss:float ->
   one_way:Dist.Distribution.t -> ?processing:Dist.Distribution.t ->

@@ -1,0 +1,311 @@
+(* The command-line boundary sweep: run every zeroconf_cli subcommand
+   with each of its numeric options set to each of six boundary values,
+   one process at a time under a kill timeout, and check that a bad
+   value fails with a message, never with a wrong number:
+
+   - the exit code is 0 or 124 (cmdliner's command-line error), never
+     125 (an uncaught exception) or a signal;
+   - no run times out;
+   - no run that exits 0 prints "nan";
+   - when stderr names the swept option, stdout is empty (the value was
+     refused before anything was printed).
+
+   Options are written --long=VALUE: with a space, cmdliner reads -1 as
+   an unknown option, and -n=-1 as the value "=-1".  --jobs is swept on
+   a one-point kernel query only, which never fans out, so even a
+   broken job-count check starts no domain.
+
+   Failures whose cause lies in the library, on values every option
+   accepts, are listed in [known] with their reason.  A listed case
+   must still fail: one that passes is reported as stale, so the table
+   shrinks as those are fixed.  Cases that do not finish are not run.
+
+   usage: sweep.exe ZEROCONF_CLI *)
+
+let values = [ "0"; "-1"; "nan"; "inf"; "1e308"; "4611686018427387903" ]
+
+(* seconds before a run is killed; a run that passes takes well under
+   one *)
+let timeout = 10.
+
+(* A swept option: its long name, and how the value sits in the
+   argument (most take it whole; a pair or triple takes it in one
+   slot). *)
+type option = { long : string; form : string -> string }
+
+let opt long = { long; form = Fun.id }
+let slot long form = { long; form }
+
+let scenario_options =
+  List.map opt
+    [ "--loss"; "--lambda"; "--delay"; "--hosts"; "--probe-cost";
+      "--error-cost" ]
+
+let n = opt "--n-probes"
+let r = opt "--r-period"
+
+(* A command: the name the tables use, its fixed arguments (options in
+   [base] are dropped while they are swept themselves), and the options
+   swept on it. *)
+type command = {
+  name : string;
+  args : string list;
+  base : (string * string) list;
+  options : option list;
+}
+
+let cmd ?(args = []) ?(base = []) ?(scenario = true) name options =
+  let words = String.split_on_char ' ' name in
+  { name;
+    args = words @ args;
+    base;
+    options = (if scenario then scenario_options else []) @ options }
+
+let commands ~delays =
+  [ cmd "cost" [ n; r ];
+    cmd "optimal-r" [ n ];
+    cmd "optimal-n" [ r ];
+    cmd "assess" [ opt "--draft-n"; opt "--draft-r" ];
+    cmd "nu" [];
+    cmd "calibrate" [ n; r ];
+    cmd "simulate"
+      [ n; r; opt "--trials"; opt "--seed"; opt "--sim-hosts"; opt "--pool" ];
+    cmd "curve" [ n; opt "--points"; opt "--r-max" ];
+    cmd "latency" [ n; r ];
+    cmd "refine" [ n; r; opt "--occupied"; opt "--pool" ];
+    cmd "pareto" [];
+    cmd "maintenance" ~base:[ ("--trials", "2") ]
+      [ n; r; opt "--trials"; opt "--seed" ];
+    cmd "export" [ n; r ];
+    cmd "workload"
+      [ n; r; opt "--count"; opt "--horizon"; opt "--initial"; opt "--pool";
+        opt "--seed" ];
+    cmd "workload --pattern poisson" ~scenario:false
+      [ opt "--arrival-rate"; opt "--horizon" ];
+    cmd "workload --pattern periodic" ~scenario:false
+      [ opt "--arrival-rate"; opt "--horizon" ];
+    cmd "adaptive"
+      [ opt "--occupied"; opt "--pool";
+        slot "--rate-limit" (fun v -> v ^ ",60");
+        slot "--rate-limit" (fun v -> "10," ^ v) ];
+    cmd "report" [ opt "--draft-n"; opt "--draft-r" ];
+    cmd "fit" ~args:[ delays ] [ opt "--losses"; opt "--fit-hosts" ];
+    cmd "check" ~args:[ "P>0.99 [ F ok ]" ] [ n; r ];
+    cmd "query"
+      [ n; r; opt "--jobs"; opt "--sweep-n";
+        slot "--sweep-r" (fun v -> v ^ ",2,5");
+        slot "--sweep-r" (fun v -> "0," ^ v ^ ",5");
+        slot "--sweep-r" (fun v -> "0,2," ^ v) ];
+    cmd "query --backend mc" ~scenario:false
+      [ n; r; opt "--trials"; opt "--seed" ];
+    cmd "crosscheck" [ n; r; opt "--trials"; opt "--seed" ] ]
+
+(* A failure that lives in the library, on a value the option's domain
+   admits: command, the swept option as written (--long=FORM with V for
+   the value), value, what the run does, why, and whether it
+   finishes. *)
+type known = {
+  k_command : string;
+  k_option : string;
+  k_value : string;
+  outcome : string;
+  reason : string;
+  finishes : bool;
+}
+
+let known =
+  let nan = "exit 0 printing nan" and hang = "no exit within 10s" in
+  let inf_minus_inf = "the mean overflows to inf - inf"
+  and full_scan = "the global optimum scans n up to 4096 at no probe cost"
+  and elasticity = "Derivative.log_elasticity of a quantity that is 0"
+  and row ?(finishes = true) k_command k_option k_value outcome reason =
+    { k_command; k_option; k_value; outcome; reason; finishes }
+  in
+  [ row "cost" "--probe-cost=V" "1e308" nan
+      ("DRM solve: " ^ inf_minus_inf);
+    row "cost" "--error-cost=V" "1e308" nan ("DRM solve: " ^ inf_minus_inf);
+    row "cost" "--r-period=V" "1e308" nan ("DRM solve: " ^ inf_minus_inf);
+    row "optimal-r" "--delay=V" "1e308" nan
+      "Optimize.optimal_r: cost at r = d + 1e308 overflows";
+    row "assess" "--delay=V" "1e308" nan
+      "Optimize.optimal_r: cost at r = d + 1e308 overflows";
+    row "assess" "--delay=V" "4611686018427387903" hang full_scan
+      ~finishes:false;
+    row "assess" "--probe-cost=V" "0" hang full_scan ~finishes:false;
+    row "simulate" "--probe-cost=V" "1e308" nan
+      ("Metrics.aggregate: " ^ inf_minus_inf);
+    row "simulate" "--r-period=V" "1e308" nan
+      ("Metrics.aggregate: " ^ inf_minus_inf);
+    row "latency" "--r-period=V" "1e308" nan
+      ("Latency.mean: " ^ inf_minus_inf);
+    row "workload" "--r-period=V" "1e308" nan
+      ("Workload.run, mean configuration time: " ^ inf_minus_inf);
+    row "report" "--delay=V" "1e308" nan
+      "Optimize.optimal_r: cost at r = d + 1e308 overflows";
+    row "report" "--delay=V" "4611686018427387903" hang full_scan
+      ~finishes:false;
+    row "report" "--hosts=V" "0" "exit 125" ("q = 0: " ^ elasticity);
+    row "report" "--probe-cost=V" "0" hang full_scan ~finishes:false;
+    row "report" "--probe-cost=V" "1e308" nan
+      ("Report.print, sensitivities: " ^ inf_minus_inf);
+    row "report" "--error-cost=V" "0" "exit 125" ("E = 0: " ^ elasticity);
+    row "report" "--draft-r=V" "1e308" nan
+      ("Report.print, sensitivities: " ^ inf_minus_inf);
+    row "fit" "--probe-cost=V" "0" hang full_scan ~finishes:false;
+    row "fit" "--probe-cost=V" "1e308" nan
+      ("Uncertainty.bootstrap: " ^ inf_minus_inf);
+    row "query --backend mc" "--r-period=V" "1e308" nan
+      ("Backends.Mc: " ^ inf_minus_inf);
+    row "crosscheck" "--probe-cost=V" "1e308" nan
+      ("Backends.Mc: " ^ inf_minus_inf);
+    row "crosscheck" "--r-period=V" "1e308" nan
+      ("Backends.Dtmc and Backends.Mc: " ^ inf_minus_inf) ]
+
+(* Job counts just past OCaml's 128 domains: the checks above let them
+   through if the cap is lost, so each must be refused outright (exit
+   124, nothing on stdout).  They go to a one-point kernel query, which
+   never fans out, so even a lost cap starts no domain. *)
+let past_cap = [ ([], [ "query"; "--jobs=129" ]); ([ "ZEROCONF_JOBS=129" ], [ "query" ]) ]
+
+(* -- running one case ---------------------------------------------- *)
+
+let environment =
+  Array.of_list
+    (List.filter
+       (fun kv -> not (String.starts_with ~prefix:"ZEROCONF_JOBS=" kv))
+       (Array.to_list (Unix.environment ())))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+type outcome = Exited of int | Signalled of int | Timed_out
+
+(* Run [argv] with stdout and stderr in files; the timer kills it at
+   [timeout]. *)
+let run ?(env = []) exe argv ~out ~err =
+  let fd path =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+  in
+  let out_fd = fd out and err_fd = fd err in
+  let pid =
+    Unix.create_process_env exe
+      (Array.of_list (exe :: argv))
+      (Array.append environment (Array.of_list env))
+      Unix.stdin out_fd err_fd
+  in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let timed_out = ref false in
+  Sys.set_signal Sys.sigalrm
+    (Sys.Signal_handle
+       (fun _ ->
+         timed_out := true;
+         Unix.kill pid Sys.sigkill));
+  ignore (Unix.setitimer Unix.ITIMER_REAL { it_interval = 0.; it_value = timeout });
+  let rec wait () =
+    match Unix.waitpid [] pid with
+    | _, status -> status
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+  in
+  let status = wait () in
+  ignore (Unix.setitimer Unix.ITIMER_REAL { it_interval = 0.; it_value = 0. });
+  match status with
+  | _ when !timed_out -> Timed_out
+  | Unix.WEXITED code -> Exited code
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signalled s
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* What is wrong with a run, or [None]. *)
+let fault ~long outcome ~stdout ~stderr =
+  match outcome with
+  | Timed_out -> Some (Printf.sprintf "no exit within %gs" timeout)
+  | Signalled s -> Some (Printf.sprintf "killed by signal %d" s)
+  | Exited code when code <> 0 && code <> 124 ->
+      Some (Printf.sprintf "exit %d: %s" code (String.trim stderr))
+  | Exited 0 when contains stdout "nan" -> Some "exit 0 printing nan"
+  | Exited _ when contains stderr ("'" ^ long ^ "'") && stdout <> "" ->
+      Some "refused after printing"
+  | Exited _ -> None
+
+let () =
+  match Sys.argv with
+  | [| _; exe |] ->
+      let dir = Filename.temp_dir "sweep" "" in
+      let delays = Filename.concat dir "delays.txt" in
+      Out_channel.with_open_text delays (fun oc ->
+          output_string oc "0.11\n0.12\n0.15\n0.13\n0.2\n");
+      let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+      let failures = ref [] and seen = Hashtbl.create 64 in
+      let runs = ref 0 in
+      List.iter
+        (fun c ->
+          List.iter
+            (fun o ->
+              List.iter
+                (fun v ->
+                  let arg = o.long ^ "=" ^ o.form v in
+                  let written = o.long ^ "=" ^ o.form "V" in
+                  let entry =
+                    List.find_opt
+                      (fun k ->
+                        k.k_command = c.name && k.k_option = written
+                        && k.k_value = v)
+                      known
+                  in
+                  match entry with
+                  | Some k when not k.finishes -> Hashtbl.replace seen k ()
+                  | _ -> (
+                      let base =
+                        List.concat_map
+                          (fun (b, bv) -> if b = o.long then [] else [ b; bv ])
+                          c.base
+                      in
+                      incr runs;
+                      let outcome = run exe (c.args @ base @ [ arg ]) ~out ~err in
+                      let stdout = read_file out and stderr = read_file err in
+                      let case = Printf.sprintf "%s %s" c.name arg in
+                      match (fault ~long:o.long outcome ~stdout ~stderr, entry) with
+                      | Some why, None ->
+                          failures := Printf.sprintf "%s: %s" case why :: !failures
+                      | Some _, Some k -> Hashtbl.replace seen k ()
+                      | None, Some _ ->
+                          failures :=
+                            Printf.sprintf
+                              "%s: passes now; remove its known-failure entry"
+                              case
+                            :: !failures
+                      | None, None -> ()))
+                values)
+            c.options)
+        (commands ~delays);
+      List.iter
+        (fun (env, argv) ->
+          incr runs;
+          let outcome = run ~env exe argv ~out ~err in
+          if outcome <> Exited 124 || read_file out <> "" then
+            failures :=
+              Printf.sprintf "%s: not refused" (String.concat " " (env @ argv))
+              :: !failures)
+        past_cap;
+      List.iter
+        (fun k ->
+          if not (Hashtbl.mem seen k) then
+            failures :=
+              Printf.sprintf "known failure %s %s %s matches no case"
+                k.k_command k.k_option k.k_value
+              :: !failures)
+        known;
+      List.iter Sys.remove [ delays; out; err ];
+      Sys.rmdir dir;
+      if !failures <> [] then begin
+        List.iter prerr_endline (List.rev !failures);
+        Printf.eprintf "%d of %d runs failed the sweep\n" (List.length !failures)
+          !runs;
+        exit 1
+      end
+  | _ ->
+      prerr_endline "usage: sweep.exe ZEROCONF_CLI";
+      exit 2

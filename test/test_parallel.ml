@@ -69,7 +69,15 @@ let test_pool_guards () =
   Alcotest.check_raises "zero size" (Invalid_argument "Pool.create: size < 1")
     (fun () -> ignore (Pool.create 0));
   Alcotest.check_raises "set_jobs 0" (Invalid_argument "Pool.set_jobs: jobs < 1")
-    (fun () -> Pool.set_jobs 0)
+    (fun () -> Pool.set_jobs 0);
+  (* refused before any domain is asked for *)
+  Alcotest.check_raises "set_jobs past the domain limit"
+    (Invalid_argument "Pool.set_jobs: jobs > max_jobs")
+    (fun () -> Pool.set_jobs (Pool.max_jobs + 1));
+  Alcotest.(check (option string)) "128 jobs accepted" None
+    (Pool.jobs_error Pool.max_jobs);
+  Alcotest.(check (option string)) "129 jobs refused"
+    (Some "is more than 128 jobs") (Pool.jobs_error 129)
 
 let test_set_jobs_resizes_default_pool () =
   Pool.set_jobs 3;
