@@ -3,8 +3,9 @@
    rebuild, the planner and batch routes against direct evaluation, a
    batch of the fanned-out routes (analytic, DTMC, Monte Carlo) on a
    2-domain pool against the serial run, the batch front end's cost
-   against the executor's, the kernel backend's cost against a bare
-   cursor scan, and the Monte-Carlo trial loop's allocation.  The
+   against the executor's, the executor's cost against the closed
+   forms, the kernel backend's cost against a bare cursor scan, and
+   the Monte-Carlo trial loop's allocation.  The
    paper-reproduction report is `zeroconf_cli reproduce`; absolute
    timing lives in perfbench/.
 
@@ -117,8 +118,7 @@ let smoke () =
           assert (rep.Engine.Crosscheck.max_rel_divergence <= 1e-9);
           let mc = List.nth rep.Engine.Crosscheck.answers 3 in
           let solo =
-            Engine.Executor.eval ~cache:(Engine.Cache.create ()) ~backend:"mc"
-              { q with Q.accuracy = sampled }
+            Engine.Executor.eval ~backend:"mc" { q with Q.accuracy = sampled }
           in
           assert (mc.A.backend = "mc");
           assert (answer_bits mc = answer_bits solo);
@@ -129,9 +129,8 @@ let smoke () =
         (Engine.Crosscheck.run ~trials:500 queries))
     Zeroconf.Params.presets;
   (* batched execution: values bitwise equal to scalar evaluation at
-     one and at two jobs, and a warm cache serves the whole workload
-     without a single backend eval; the workload holds several units
-     of each fanned-out route (analytic points, DTMC builds,
+     one and at two jobs; the workload holds several units of each
+     fanned-out route (analytic points, DTMC builds,
      Monte-Carlo streams), so two domains really split them *)
   let grid8 = Numerics.Grid.linspace 0.05 6. 8 in
   let ns8 = Array.init 8 (fun i -> i + 1) in
@@ -153,52 +152,40 @@ let smoke () =
           (fun q -> (Engine.Planner.plan q).Engine.Plan.route = route)
           workload)
       Engine.Plan.[ Analytic; Dtmc; Mc ]);
-  let cold = Engine.Cache.create () in
-  let batched = Engine.Executor.eval_batch ~cache:cold workload in
-  let scalar =
-    Array.map
-      (fun q -> Engine.Executor.eval ~cache:(Engine.Cache.create ()) q)
-      workload
-  in
+  let batched = Engine.Executor.eval_batch workload in
+  let scalar = Array.map Engine.Executor.eval workload in
   Array.iter2
     (fun a b -> assert (answer_bits a = answer_bits b))
     batched scalar;
   (* a genuinely multi-domain pool even on a 1-core host *)
   Exec.Pool.set_jobs 2;
-  let batched_par =
-    Engine.Executor.eval_batch ~cache:(Engine.Cache.create ()) workload
-  in
+  let batched_par = Engine.Executor.eval_batch workload in
   Exec.Pool.set_jobs 1;
   Array.iter2
     (fun a b -> assert (answer_bits a = answer_bits b))
     batched batched_par;
-  print_endline "smoke ok: batched evaluation bit-identical to scalar";
-  let warm = Engine.Executor.eval_batch ~cache:cold workload in
-  Array.iter2
-    (fun (w : A.t) (c : A.t) ->
-      assert w.A.cached;
-      assert (answer_bits w = answer_bits c))
-    warm batched;
-  let s = Engine.Cache.stats cold in
-  assert (s.Engine.Cache.hits = Array.length workload);
-  assert (s.Engine.Cache.misses = Array.length workload);
-  print_endline "smoke ok: warm cache serves the workload with zero backend evals"
+  print_endline "smoke ok: batched evaluation bit-identical to scalar"
 
-(* The batch front end (parse and plan) may cost at most what the
-   engine's [Executor.run_batch] costs on the plans it hands over:
-   20k distinct point lines in the benchmark's [points] format, each
-   stage timed in process at its best of 3 runs.  The gate is on the
-   ratio alone, never on an absolute time, so it holds on any host. *)
-let front_end_lines = 20_000
-and front_end_runs = 3
+(* Two gates on 20k distinct point lines in the benchmark's [points]
+   format, each stage timed in process at its best of 3 runs:
+   - the batch front end (parse and plan) may cost at most what the
+     engine's [Executor.run_batch] costs on the plans it hands over;
+   - [Executor.run_batch] may cost at most 3x the closed forms
+     ([Cost.mean], [Reliability]) on the same points, whose values it
+     must reproduce bit for bit.
+   The gates are on the ratios alone, never on an absolute time, so
+   they hold on any host. *)
+let point_lines_count = 20_000
+and point_runs = 3
 and front_end_max_ratio = 1.
+and engine_max_ratio = 3.
 
 let point_lines () =
   let rng = Numerics.Rng.create 2003 in
   let quantities = [| Engine.Query.Mean_cost; Engine.Query.Error_probability;
                       Engine.Query.Log10_error |]
   and presets = Array.of_list Zeroconf.Params.presets in
-  Array.init front_end_lines (fun _ ->
+  Array.init point_lines_count (fun _ ->
       let q = quantities.(Numerics.Rng.int rng (Array.length quantities)) in
       let name, _ = presets.(Numerics.Rng.int rng (Array.length presets)) in
       let n = 1 + Numerics.Rng.int rng 16 in
@@ -206,10 +193,39 @@ let point_lines () =
         (Engine.Query.quantity_name q) name n
         (Numerics.Rng.uniform rng ~lo:0.05 ~hi:6.))
 
-let front_end_gate () =
+let closed_forms (plans : Engine.Plan.t array) =
+  let module Q = Engine.Query in
+  Array.map
+    (fun (pl : Engine.Plan.t) ->
+      let p = pl.Engine.Plan.scenario and n, r = pl.Engine.Plan.points.(0) in
+      match pl.Engine.Plan.quantity with
+      | Q.Mean_cost -> Zeroconf.Cost.mean p ~n ~r
+      | Q.Error_probability -> Zeroconf.Reliability.error_probability p ~n ~r
+      | _ -> Zeroconf.Reliability.log10_error_probability p ~n ~r)
+    plans
+
+(* both ratios are printed before either gate fails *)
+let gates checks =
+  List.iter
+    (fun (what, base, ratio, max_ratio) ->
+      Printf.printf "smoke %s: %s at %.2fx %s (gate %gx)\n"
+        (if ratio > max_ratio then "FAIL" else "ok")
+        what ratio base max_ratio)
+    checks;
+  List.iter
+    (fun (what, base, ratio, max_ratio) ->
+      if ratio > max_ratio then
+        failwith
+          (Printf.sprintf "%s at %.2fx %s on %d point lines (gate %gx)" what
+             ratio base point_lines_count max_ratio))
+    checks
+
+let point_gates () =
   let lines = point_lines () in
-  let front = ref Int64.max_int and exec = ref Int64.max_int in
-  for _ = 1 to front_end_runs do
+  let front = ref Int64.max_int
+  and exec = ref Int64.max_int
+  and closed = ref Int64.max_int in
+  for _ = 1 to point_runs do
     let next = ref 0 in
     let next_line () =
       if !next = Array.length lines then None
@@ -221,23 +237,28 @@ let front_end_gate () =
     let t0 = Monotonic_clock.now () in
     let plans = Batch_input.plans next_line in
     let t1 = Monotonic_clock.now () in
-    ignore
-      (Engine.Executor.run_batch ~cache:(Engine.Cache.create ()) plans);
+    let answers = Engine.Executor.run_batch plans in
     let t2 = Monotonic_clock.now () in
-    assert (Array.length plans = front_end_lines);
+    let values = closed_forms plans in
+    let t3 = Monotonic_clock.now () in
+    assert (Array.length plans = point_lines_count);
+    Array.iteri
+      (fun i (a : Engine.Answer.t) ->
+        assert (
+          Int64.equal
+            (Int64.bits_of_float (Engine.Answer.scalar a 0))
+            (Int64.bits_of_float values.(i))))
+      answers;
     front := min !front (Int64.sub t1 t0);
-    exec := min !exec (Int64.sub t2 t1)
+    exec := min !exec (Int64.sub t2 t1);
+    closed := min !closed (Int64.sub t3 t2)
   done;
-  let ratio = Int64.to_float !front /. Int64.to_float !exec in
-  if ratio > front_end_max_ratio then
-    failwith
-      (Printf.sprintf
-         "batch front end at %.2fx Executor.run_batch on %d point lines \
-          (gate %gx)"
-         ratio front_end_lines front_end_max_ratio);
-  Printf.printf
-    "smoke ok: batch front end at %.2fx Executor.run_batch (gate %gx)\n" ratio
-    front_end_max_ratio
+  let ratio a b = Int64.to_float a /. Int64.to_float b in
+  gates
+    [ ("batch front end", "Executor.run_batch", ratio !front !exec,
+       front_end_max_ratio);
+      ("Executor.run_batch", "the closed forms", ratio !exec !closed,
+       engine_max_ratio) ]
 
 (* The kernel backend may cost at most twice a bare cursor scan of the
    same columns into float arrays: 200 n-sweeps ns=1:512, each at its
@@ -263,13 +284,15 @@ let kernel_gate () =
         Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep qty p ~ns ~r))
   in
   let scan (pl : Engine.Plan.t) =
-    let q = pl.Engine.Plan.query in
-    let k = Zeroconf.Kernel.create q.Q.scenario ~r:(snd pl.Engine.Plan.points.(0)) in
+    let k =
+      Zeroconf.Kernel.create pl.Engine.Plan.scenario
+        ~r:(snd pl.Engine.Plan.points.(0))
+    in
     let v = Array.create_float kernel_sweep_n in
     for i = 0 to kernel_sweep_n - 1 do
       Zeroconf.Kernel.advance k;
       v.(i) <-
-        (match q.Q.quantity with
+        (match pl.Engine.Plan.quantity with
         | Q.Mean_cost -> Zeroconf.Kernel.cost k
         | Q.Error_probability -> Zeroconf.Kernel.error_probability k
         | _ -> Zeroconf.Kernel.log10_error k)
@@ -364,7 +387,7 @@ let () =
   if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then begin
     Exec.Pool.set_jobs 1;
     smoke ();
-    front_end_gate ();
+    point_gates ();
     kernel_gate ();
     alloc_gate ()
   end

@@ -659,16 +659,9 @@ let pp_answer_value ppf v =
   Format.pp_print_string ppf (Buffer.contents b)
 
 let print_provenance (a : Engine.Answer.t) =
-  Format.printf "backend = %s, evals = %d, wall = %.3f ms%s@."
+  Format.printf "backend = %s, evals = %d, wall = %.3f ms@."
     a.Engine.Answer.backend a.Engine.Answer.evals
     (Int64.to_float a.Engine.Answer.wall_ns /. 1e6)
-    (if a.Engine.Answer.cached then " (cached)" else "")
-
-let no_cache_term =
-  Arg.(value & flag
-       & info [ "no-cache" ]
-           ~doc:"Disable the answer cache (values are identical either way; \
-                 only provenance and repeat-query cost change).")
 
 let query_cmd =
   let quantity =
@@ -704,8 +697,7 @@ let query_cmd =
          & info [ "sweep-n" ] ~docv:"N"
              ~doc:"Sweep n over 1..N instead of the single point.")
   in
-  let run () p n r quantity backend trials seed r_sweep n_max no_cache =
-    if no_cache then Engine.Cache.set_enabled false;
+  let run () p n r quantity backend trials seed r_sweep n_max =
     let backend = Option.map String.lowercase_ascii backend in
     match quantity_conv quantity with
     | `Error _ as e -> e
@@ -748,8 +740,7 @@ let query_cmd =
        ~doc:"Evaluate any model quantity through the backend-agnostic query \
              engine (with provenance).")
     Term.(ret (const run $ Cli_common.jobs_term $ scenario_term $ n_term
-               $ r_term $ quantity $ backend $ trials $ seed $ r_sweep $ n_max
-               $ no_cache_term))
+               $ r_term $ quantity $ backend $ trials $ seed $ r_sweep $ n_max))
 
 let crosscheck_cmd =
   let quantity =
@@ -765,8 +756,7 @@ let crosscheck_cmd =
     Arg.(value & opt Cli_common.seed Engine.Crosscheck.default_seed
          & info [ "seed" ] ~doc:"Monte-Carlo RNG seed.")
   in
-  let run () p n r quantity trials seed no_cache =
-    if no_cache then Engine.Cache.set_enabled false;
+  let run () p n r quantity trials seed =
     let quantities =
       match quantity with
       | None -> `Ok [ Engine.Query.Mean_cost; Engine.Query.Error_probability ]
@@ -820,11 +810,11 @@ let crosscheck_cmd =
        ~doc:"Run one query on every capable backend and report the maximum \
              relative divergence.")
     Term.(ret (const run $ Cli_common.jobs_term $ scenario_term $ n_term
-               $ r_term $ quantity $ trials $ seed $ no_cache_term))
+               $ r_term $ quantity $ trials $ seed))
 
 (* Batch output: one line per answered point,
-   "QUANTITY SCENARIO n=N r=R VALUE", then a "# backend=B evals=E
-   cached=C" trailer per query.  Every line goes into one buffer, which
+   "QUANTITY SCENARIO n=N r=R VALUE", then a "# backend=B evals=E"
+   trailer per query.  Every line goes into one buffer, which
    is written to stdout whenever it passes [spill_bytes] and once at the
    end; stdout is never flushed per line (exit flushes it).  The
    "QUANTITY SCENARIO n=" prefix is built once per run of equal
@@ -834,7 +824,7 @@ let crosscheck_cmd =
    through Output.Num_text, never through Printf. *)
 let spill_bytes = 65_536
 
-let emit_batch ~stats plans answers =
+let emit_batch plans answers =
   let b = Buffer.create 4096 in
   let r_bits = ref (Int64.bits_of_float 0.) and r_text = Buffer.create 32 in
   Buffer.add_string r_text " r=0 ";
@@ -845,17 +835,16 @@ let emit_batch ~stats plans answers =
   Array.iteri
     (fun i (pl : Engine.Plan.t) ->
       let a = answers.(i) in
-      let q = pl.Engine.Plan.query in
-      if q.Engine.Query.quantity <> !prefix_quantity
+      if pl.Engine.Plan.quantity <> !prefix_quantity
          || pl.Engine.Plan.scenario_id <> !prefix_scenario
       then begin
-        prefix_quantity := q.Engine.Query.quantity;
+        prefix_quantity := pl.Engine.Plan.quantity;
         prefix_scenario := pl.Engine.Plan.scenario_id;
         Buffer.clear prefix;
         Buffer.add_string prefix
-          (Engine.Query.quantity_name q.Engine.Query.quantity);
+          (Engine.Query.quantity_name pl.Engine.Plan.quantity);
         Buffer.add_char prefix ' ';
-        Buffer.add_string prefix q.Engine.Query.scenario.Zeroconf.Params.name;
+        Buffer.add_string prefix pl.Engine.Plan.scenario.Zeroconf.Params.name;
         Buffer.add_string prefix " n="
       end;
       (* one match per answer; the loop reads the flat values *)
@@ -888,16 +877,8 @@ let emit_batch ~stats plans answers =
       Buffer.add_string b a.Engine.Answer.backend;
       Buffer.add_string b " evals=";
       Output.Num_text.add_int b a.Engine.Answer.evals;
-      Buffer.add_string b
-        (if a.Engine.Answer.cached then " cached=true\n"
-         else " cached=false\n"))
+      Buffer.add_char b '\n')
     plans;
-  if stats then begin
-    Buffer.add_string b
-      (Format.asprintf "# cache: %a" Engine.Cache.pp_stats
-         (Engine.Cache.stats Engine.Cache.default));
-    Buffer.add_char b '\n'
-  end;
   Buffer.output_buffer stdout b
 
 let batch_cmd =
@@ -911,14 +892,7 @@ let batch_cmd =
                    rs, rs excludes r, and trials and seed need backend=mc. \
                    '#' starts a comment.")
   in
-  let stats =
-    Arg.(value & flag
-         & info [ "cache-stats" ]
-             ~doc:"Append the answer-cache hit/miss statistics as a trailing \
-                   comment line.")
-  in
-  let run () file no_cache stats =
-    if no_cache then Engine.Cache.set_enabled false;
+  let run () file =
     let read ic = Batch_input.plans (fun () -> In_channel.input_line ic) in
     match
       if file = "-" then read stdin else In_channel.with_open_text file read
@@ -926,14 +900,14 @@ let batch_cmd =
     | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
     | [||] -> `Error (false, "no queries in the input")
     | plans ->
-        emit_batch ~stats plans (Engine.Executor.run_batch plans);
+        emit_batch plans (Engine.Executor.run_batch plans);
         `Ok ()
   in
   Cmd.v
     (Cmd.info "batch"
-       ~doc:"Evaluate a list of queries as one batch: cache hits first, the \
-             rest grouped per backend so shared work amortizes.")
-    Term.(ret (const run $ Cli_common.jobs_term $ file $ no_cache_term $ stats))
+       ~doc:"Evaluate a list of queries as one batch, grouped per backend \
+             so shared work amortizes.")
+    Term.(ret (const run $ Cli_common.jobs_term $ file))
 
 (* ------------------------------------------------------------------ *)
 (* Paper reproduction                                                  *)

@@ -17,7 +17,16 @@ let () =
     @ Zeroconf.Sensitivity.shifted_exp_knobs ~loss:1e-5 ~rate:10. ~delay:1.
   in
 
-  (* Local elasticities: % change in output per % change in input. *)
+  (* Local elasticities: % change in output per % change in input.  The
+     error probability's goes through log10 E, which stays meaningful
+     where E itself underflows. *)
+  let error_elasticity (k : Zeroconf.Sensitivity.knob) =
+    let log10_error u =
+      Zeroconf.Reliability.log10_error_probability (k.apply scenario (exp u))
+        ~n ~r
+    in
+    Numerics.Derivative.central ~f:log10_error (log k.value) *. Float.log 10.
+  in
   Format.printf "Elasticities at the operating point:@.";
   let table =
     Output.Table.create
@@ -32,7 +41,7 @@ let () =
         [ k.name;
           Printf.sprintf "%.3g" k.value;
           Printf.sprintf "%+.4f" (Zeroconf.Sensitivity.cost_elasticity scenario k ~n ~r);
-          Printf.sprintf "%+.4f" (Zeroconf.Sensitivity.error_elasticity scenario k ~n ~r) ])
+          Printf.sprintf "%+.4f" (error_elasticity k) ])
     knobs;
   print_string (Output.Table.to_text table);
   print_newline ();

@@ -28,20 +28,13 @@ let shifted_exp_knobs ~loss ~rate ~delay =
       value = delay;
       apply = (fun p v -> rebuild ~loss ~rate ~delay:v p) } ]
 
-let elasticity_of output p knob =
-  Numerics.Derivative.log_elasticity ~f:(fun v -> output (knob.apply p v))
-    knob.value
-
 let cost_elasticity p knob ~n ~r =
-  elasticity_of (fun p -> Cost.mean p ~n ~r) p knob
-
-let error_elasticity p knob ~n ~r =
-  (* work on log10 E directly: E itself underflows for reliable nets *)
-  let log_err p = Reliability.log10_error_probability p ~n ~r in
-  let f v = log_err (knob.apply p v) in
-  (* d log10 E / d log x, converted to d ln E / d ln x *)
-  let g u = f (exp u) in
-  Numerics.Derivative.central ~f:g (log knob.value) *. Float.log 10.
+  let f v = Cost.mean (knob.apply p v) ~n ~r in
+  (* x f'(x) / f(x) is 0 at x = 0 wherever f(0) is finite and positive,
+     and log-space differencing cannot reach x = 0 *)
+  match knob.value with
+  | 0. when Float.is_finite (f 0.) && f 0. > 0. -> 0.
+  | x -> Numerics.Derivative.log_elasticity ~f x
 
 type tornado_entry = {
   knob_name : string;

@@ -29,11 +29,8 @@ val shifted_exp_knobs :
 
 val cost_elasticity : Params.t -> knob -> n:int -> r:float -> float
 (** Elasticity of [C(n, r)] with respect to the knob at its current
-    value. *)
-
-val error_elasticity : Params.t -> knob -> n:int -> r:float -> float
-(** Elasticity of [E(n, r)] (computed through the log-domain error
-    probability, so it remains meaningful at [1e-50]). *)
+    value: 0 for a knob at 0 whose cost there is finite and positive
+    (e.g. [q] with no other host, or [E = 0]). *)
 
 type tornado_entry = {
   knob_name : string;

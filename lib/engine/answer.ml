@@ -6,7 +6,6 @@ type t = {
   backend : string;
   evals : int;
   wall_ns : int64;
-  cached : bool;
   points : (int * float) array;
   values : values;
 }

@@ -33,11 +33,6 @@ type t = {
                           (for the kernel, the column scans), not of
                           this answer alone; a singleton batch times
                           just this answer. *)
-  cached : bool;      (** [true] when this answer was served from the
-                          {!Cache} instead of a backend run; every
-                          other field (including [evals] and
-                          [wall_ns]) describes the original run, so
-                          values are byte-identical either way. *)
   points : (int * float) array;
       (** The [(n, r)] domain points in sweep order: the plan's own
           {!Plan.points} array, shared, never copied. *)

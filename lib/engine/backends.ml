@@ -5,19 +5,19 @@ let time_ns f =
   (x, Int64.of_float (Float.max 0. ((t1 -. t0) *. 1e9)))
 
 let answer ~backend ~evals ~wall_ns (pl : Plan.t) values =
-  { Answer.backend; evals; wall_ns; cached = false; points = pl.points; values }
+  { Answer.backend; evals; wall_ns; points = pl.points; values }
 
-let not_sampled (q : Query.t) =
-  match q.accuracy with Query.Sampled _ -> false | _ -> true
+let not_sampled = function Query.Sampled _ -> false | Query.Exact -> true
 
-let check_batch ~name ~route ~supports (plans : Plan.t array) =
+(* [serves] is a backend's [supports] on a plan's parts *)
+let check_batch ~name ~route ~serves (plans : Plan.t array) =
   Array.iter
     (fun (pl : Plan.t) ->
       if pl.route <> route then
         invalid_arg
           (Printf.sprintf "Backends.%s: plan routed to %s" name
              (Plan.route_name pl.route));
-      if not (supports pl.query) then
+      if not (serves pl) then
         invalid_arg (Printf.sprintf "Backends.%s: unsupported query" name))
     plans
 
@@ -63,18 +63,20 @@ let group_points ~key (plans : Plan.t array) =
 module Analytic = struct
   let name = "analytic"
 
-  let supports (q : Query.t) =
-    not_sampled q
+  let serves quantity accuracy =
+    not_sampled accuracy
     &&
-    match q.quantity with
+    match quantity with
     | Query.Mean_cost | Query.Error_probability | Query.Log10_error
     | Query.Latency_mean ->
         true
     | Query.Cost_variance -> false
 
-  let eval1 (q : Query.t) n r =
-    let p = q.scenario in
-    match q.quantity with
+  let supports (q : Query.t) = serves q.quantity q.accuracy
+
+  let eval1 (pl : Plan.t) n r =
+    let p = pl.scenario in
+    match pl.quantity with
     | Query.Mean_cost -> Zeroconf.Cost.mean p ~n ~r
     | Query.Error_probability -> Zeroconf.Reliability.error_probability p ~n ~r
     | Query.Log10_error -> Zeroconf.Reliability.log10_error_probability p ~n ~r
@@ -87,17 +89,20 @@ module Analytic = struct
      balances across plans of uneven size; each plan's values are then
      sliced back out in order. *)
   let eval_batch (plans : Plan.t array) =
-    check_batch ~name:"Analytic" ~route:Plan.Analytic ~supports plans;
+    check_batch ~name:"Analytic" ~route:Plan.Analytic
+      ~serves:(fun pl -> serves pl.quantity pl.accuracy)
+      plans;
     let flat =
       Array.concat
         (Array.to_list
            (Array.map
               (fun (pl : Plan.t) ->
-                Array.map (fun (n, r) -> (pl.query, n, r)) pl.points)
+                Array.map (fun (n, r) -> (pl, n, r)) pl.points)
               plans))
     in
     let values, wall_ns =
-      time_ns (fun () -> Exec.Parallel.map (fun (q, n, r) -> eval1 q n r) flat)
+      time_ns (fun () ->
+          Exec.Parallel.map (fun (pl, n, r) -> eval1 pl n r) flat)
     in
     let lo = ref 0 in
     Array.map
@@ -116,15 +121,17 @@ end
 module Kernel = struct
   let name = "kernel"
 
-  let supports (q : Query.t) =
-    not_sampled q
+  let serves quantity accuracy =
+    not_sampled accuracy
     &&
-    match q.quantity with
+    match quantity with
     | Query.Mean_cost | Query.Error_probability | Query.Log10_error -> true
     | Query.Cost_variance | Query.Latency_mean -> false
 
-  let read (q : Query.t) k =
-    match q.quantity with
+  let supports (q : Query.t) = serves q.quantity q.accuracy
+
+  let read quantity k =
+    match quantity with
     | Query.Mean_cost -> Zeroconf.Kernel.cost k
     | Query.Error_probability -> Zeroconf.Kernel.error_probability k
     | Query.Log10_error -> Zeroconf.Kernel.log10_error k
@@ -180,7 +187,9 @@ module Kernel = struct
      advance between consecutive stops is charged to the later stop's
      run, so per-plan evals sum to the scan work actually done. *)
   let eval_batch (plans : Plan.t array) =
-    check_batch ~name:"Kernel" ~route:Plan.Kernel ~supports plans;
+    check_batch ~name:"Kernel" ~route:Plan.Kernel
+      ~serves:(fun pl -> serves pl.quantity pl.accuracy)
+      plans;
     let same_r (pts : (int * float) array) a b =
       Int64.equal (Int64.bits_of_float (snd pts.(a)))
         (Int64.bits_of_float (snd pts.(b)))
@@ -256,16 +265,16 @@ module Kernel = struct
       let t0 = order.(lo) in
       let pl0 = plans.(run_plan.(t0)) in
       let k =
-        Zeroconf.Kernel.create pl0.query.Query.scenario
+        Zeroconf.Kernel.create pl0.scenario
           ~r:(snd pl0.points.(run_lo.(t0)))
       in
       if hi - lo = 1 && nondecreasing pl0.points run_lo.(t0) run_hi.(t0)
       then begin
-        let q = pl0.query and pts = pl0.points
+        let quantity = pl0.quantity and pts = pl0.points
         and v = values.(run_plan.(t0)) in
         for qi = run_lo.(t0) to run_hi.(t0) - 1 do
           Zeroconf.Kernel.advance_to k ~n:(fst pts.(qi));
-          v.(qi) <- read q k
+          v.(qi) <- read quantity k
         done;
         run_work.(t0) <- Zeroconf.Kernel.n k
       end
@@ -299,7 +308,7 @@ module Kernel = struct
             let n = fst plans.(pi).Plan.points.(qi) in
             run_work.(t) <- run_work.(t) + n - Zeroconf.Kernel.n k;
             Zeroconf.Kernel.advance_to k ~n;
-            values.(pi).(qi) <- read plans.(pi).Plan.query k)
+            values.(pi).(qi) <- read plans.(pi).Plan.quantity k)
           stops
       end
     in
@@ -334,14 +343,19 @@ module Dtmc = struct
      cost and error, and cost variance has no route. *)
   let max_n = 512
 
+  let serves quantity accuracy =
+    not_sampled accuracy
+    &&
+    match quantity with
+    | Query.Mean_cost | Query.Error_probability | Query.Log10_error
+    | Query.Cost_variance ->
+        true
+    | Query.Latency_mean -> false
+
+  let fits points = Array.for_all (fun (n, _) -> n <= max_n) points
+
   let supports (q : Query.t) =
-    not_sampled q
-    && (match q.quantity with
-       | Query.Mean_cost | Query.Error_probability | Query.Log10_error
-       | Query.Cost_variance ->
-           true
-       | Query.Latency_mean -> false)
-    && Array.for_all (fun (n, _) -> n <= max_n) (Query.points q)
+    serves q.quantity q.accuracy && fits (Query.points q)
 
   let value_of drm = function
     | Query.Mean_cost -> Zeroconf.Drm.mean_cost drm
@@ -355,19 +369,21 @@ module Dtmc = struct
      solve.  The build is attributed to the point that requested it
      first; later readers of the same matrix cost nothing. *)
   let eval_batch (plans : Plan.t array) =
-    check_batch ~name:"Dtmc" ~route:Plan.Dtmc ~supports plans;
+    check_batch ~name:"Dtmc" ~route:Plan.Dtmc
+      ~serves:(fun pl -> serves pl.quantity pl.accuracy && fits pl.points)
+      plans;
     let builds =
       group_points plans ~key:(fun (pl : Plan.t) _qi n r ->
           (pl.scenario_id, n, Int64.bits_of_float r))
     in
     let run_build ((pl0 : Plan.t), qi0, readers) =
       let n, r = pl0.points.(qi0) in
-      let drm = Zeroconf.Drm.build pl0.query.Query.scenario ~n ~r in
+      let drm = Zeroconf.Drm.build pl0.scenario ~n ~r in
       Array.mapi
         (fun i (pi, qi) ->
           ( pi,
             qi,
-            value_of drm plans.(pi).Plan.query.Query.quantity,
+            value_of drm plans.(pi).Plan.quantity,
             if i = 0 then 1 else 0 ))
         readers
     in
@@ -397,12 +413,14 @@ end
 module Mc = struct
   let name = "mc"
 
-  let supports (q : Query.t) =
-    (match q.accuracy with Query.Sampled _ -> true | _ -> false)
+  let serves quantity accuracy =
+    (match accuracy with Query.Sampled _ -> true | Query.Exact -> false)
     &&
-    match q.quantity with
+    match quantity with
     | Query.Mean_cost | Query.Error_probability | Query.Latency_mean -> true
     | Query.Log10_error | Query.Cost_variance -> false
+
+  let supports (q : Query.t) = serves q.quantity q.accuracy
 
   let occupied_of (p : Zeroconf.Params.t) =
     let size = Zeroconf.Params.address_space_size in
@@ -410,7 +428,7 @@ module Mc = struct
     max 0 (min (size - 1) m)
 
   let accuracy_of (pl : Plan.t) =
-    match pl.query.Query.accuracy with
+    match pl.accuracy with
     | Query.Sampled { trials; seed } -> (trials, seed)
     | _ -> assert false (* supports demands Sampled *)
 
@@ -418,7 +436,7 @@ module Mc = struct
      deterministic stream per sweep point, so sweeps can fan out over
      the pool without sharing an rng. *)
   let run_stream (pl : Plan.t) index =
-    let p = pl.query.Query.scenario in
+    let p = pl.scenario in
     let trials, seed = accuracy_of pl in
     let n, r = pl.points.(index) in
     let rng = Numerics.Rng.create (seed + (7919 * index)) in
@@ -429,9 +447,9 @@ module Mc = struct
     Netsim.Scenario.run_aggregate ~delay:p.delay ~occupied:(occupied_of p)
       ~config ~trials ~rng ()
 
-  let read sample (q : Query.t) =
+  let read sample quantity =
     let { Netsim.Metrics.mean; ci_lo; ci_hi } =
-      match q.quantity with
+      match quantity with
       | Query.Mean_cost -> Netsim.Metrics.cost_interval sample
       | Query.Error_probability -> Netsim.Metrics.collision_interval sample
       | Query.Latency_mean -> Netsim.Metrics.config_time_interval sample
@@ -447,7 +465,9 @@ module Mc = struct
      evaluating each plan alone.  An answer's evals stay trials x
      points: the sample size it rests on, shared or not. *)
   let eval_batch (plans : Plan.t array) =
-    check_batch ~name:"Mc" ~route:Plan.Mc ~supports plans;
+    check_batch ~name:"Mc" ~route:Plan.Mc
+      ~serves:(fun pl -> serves pl.quantity pl.accuracy)
+      plans;
     let streams =
       group_points plans ~key:(fun (pl : Plan.t) qi n r ->
           let trials, seed = accuracy_of pl in
@@ -456,7 +476,7 @@ module Mc = struct
     let run ((pl0 : Plan.t), index, readers) =
       let sample = run_stream pl0 index in
       Array.map
-        (fun (pi, qi) -> (pi, qi, read sample plans.(pi).Plan.query))
+        (fun (pi, qi) -> (pi, qi, read sample plans.(pi).Plan.quantity))
         readers
     in
     let results, wall_ns =

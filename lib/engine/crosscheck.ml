@@ -84,11 +84,9 @@ let run ?(trials = default_trials) ?(seed = default_seed) queries =
   let next_mc = ref 0 in
   List.map2
     (fun (q : Query.t) mc_q ->
-      (* each exact route forced by name, query by query: plan keys
-         include the route, so the answer cache keeps the three exact
-         runs apart, and each report's evals are its own scan (one
-         batch would charge a shared kernel scan or DTMC build to its
-         first reader only) *)
+      (* each exact route forced by name, query by query, so each
+         report's evals are its own scan (one batch would charge a
+         shared kernel scan or DTMC build to its first reader only) *)
       let exact_q = { q with accuracy = Query.Exact } in
       let exact_answers =
         List.filter_map

@@ -1,75 +1,55 @@
-let resolve_cache = function
-  | Some _ as c -> c
-  | None -> if Cache.enabled () then Some Cache.default else None
+(* every route, in dispatch order: each backend sees one eval_batch
+   call per run_batch, on its plans in input order *)
+let routes = [| Plan.Kernel; Plan.Analytic; Plan.Dtmc; Plan.Mc |]
 
-(* every route, in dispatch order; misses are grouped so each backend
-   sees one eval_batch call per run_batch *)
-let routes = [ Plan.Kernel; Plan.Analytic; Plan.Dtmc; Plan.Mc ]
+let route_index = function
+  | Plan.Kernel -> 0
+  | Plan.Analytic -> 1
+  | Plan.Dtmc -> 2
+  | Plan.Mc -> 3
 
-let run_batch ?cache (plans : Plan.t array) =
-  let cache = resolve_cache cache in
-  let out = Array.make (Array.length plans) None in
-  let misses = ref [] in
-  let followers = ref [] in
-  (* key-duplicates within one batch: with a cache active only the
-     first occurrence is evaluated; the rest replay its stored answer
-     below, counted as hits.  Without a cache the backends still
-     amortize duplicates (shared cursor stops cost zero extra work). *)
-  let seen = Hashtbl.create (Array.length plans) in
-  Array.iteri
-    (fun i pl ->
-      match cache with
-      | Some c ->
-          let key = Plan.key pl in
-          if Hashtbl.mem seen key then followers := (i, key) :: !followers
-          else (
-            match Cache.lookup c pl with
-            | Some a -> out.(i) <- Some a
-            | None ->
-                Hashtbl.add seen key i;
-                misses := i :: !misses)
-      | None -> misses := i :: !misses)
-    plans;
-  let misses = List.rev !misses in
-  List.iter
-    (fun route ->
-      match
-        List.filter (fun i -> plans.(i).Plan.route = route) misses
-        |> Array.of_list
-      with
-      | [||] -> ()
-      | idxs ->
-          let (module B : Backend.S) = Planner.backend_of_route route in
-          let answers = B.eval_batch (Array.map (fun i -> plans.(i)) idxs) in
-          Array.iteri
-            (fun j i ->
-              let a = answers.(j) in
-              (match cache with
-              | Some c -> Cache.store c plans.(i) a
-              | None -> ());
-              out.(i) <- Some a)
-            idxs)
-    routes;
-  List.iter
-    (fun (i, key) ->
-      match cache with
-      | None -> assert false
-      | Some c -> (
-          match Cache.lookup c plans.(i) with
-          | Some a -> out.(i) <- Some a
-          | None -> (
-              (* capacity reset evicted the representative mid-batch:
-                 replay its in-flight answer directly *)
-              match out.(Hashtbl.find seen key) with
-              | Some a -> out.(i) <- Some { a with Answer.cached = true }
-              | None -> assert false)))
-    (List.rev !followers);
-  Array.map (function Some a -> a | None -> assert false) out
+let eval_route route plans =
+  let (module B : Backend.S) = Planner.backend_of_route route in
+  B.eval_batch plans
 
-let run ?cache plan = (run_batch ?cache [| plan |]).(0)
+let run_batch (plans : Plan.t array) =
+  let len = Array.length plans in
+  if len = 0 then [||]
+  else begin
+    let route = plans.(0).Plan.route in
+    if Array.for_all (fun (pl : Plan.t) -> pl.route = route) plans then
+      eval_route route plans
+    else begin
+      (* a stable counting sort by route: [slot.(i)] is plan i's index
+         within its route's batch *)
+      let count = Array.make (Array.length routes) 0
+      and slot = Array.make len 0 in
+      Array.iteri
+        (fun i (pl : Plan.t) ->
+          let g = route_index pl.route in
+          slot.(i) <- count.(g);
+          count.(g) <- count.(g) + 1)
+        plans;
+      let batches = Array.map (fun c -> Array.make c plans.(0)) count in
+      Array.iteri
+        (fun i (pl : Plan.t) ->
+          batches.(route_index pl.route).(slot.(i)) <- pl)
+        plans;
+      let answers =
+        Array.mapi
+          (fun g batch ->
+            if Array.length batch = 0 then [||] else eval_route routes.(g) batch)
+          batches
+      in
+      Array.mapi
+        (fun i (pl : Plan.t) -> answers.(route_index pl.route).(slot.(i)))
+        plans
+    end
+  end
 
-let eval_batch ?cache ?backend queries =
-  run_batch ?cache (Array.map (Planner.plan ?backend) queries)
+let run plan = (run_batch [| plan |]).(0)
 
-let eval ?cache ?backend query =
-  run ?cache (Planner.plan ?backend query)
+let eval_batch ?backend queries =
+  run_batch (Array.map (Planner.plan ?backend) queries)
+
+let eval ?backend query = run (Planner.plan ?backend query)

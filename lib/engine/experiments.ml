@@ -20,9 +20,9 @@ let r_grid ~points ~lo ~hi = Numerics.Grid.linspace lo hi points
    The cost/error series route through the query engine as ONE batch
    per figure — the executor hands the kernel backend all per-n
    r-sweeps together, so it streams a single cursor per r-column
-   serving every n at once; outputs stay bit-identical, cache on or
-   off.  The optimizer sweeps (figures 3, 4 and the fig. 6 envelope)
-   stay on Optimize's kernel-backed n-scans.  All of it runs serially:
+   serving every n at once; outputs stay bit-identical.  The optimizer
+   sweeps (figures 3, 4 and the fig. 6 envelope) stay on Optimize's
+   kernel-backed n-scans.  All of it runs serially:
    a point costs microseconds, less than handing it to another
    domain. *)
 let series_points (a : Answer.t) =

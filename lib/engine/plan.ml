@@ -1,11 +1,11 @@
-(* The compiled form of a query: validated, normalized, routed, keyed.
+(* The compiled form of a query: validated, normalized, routed.
 
-   Planning is separated from execution so that the executor and the
-   answer cache see one canonical object per request.  The key is
-   structural — two queries asking for the same quantity, on the same
-   interned scenario, over the same points, at the same accuracy,
-   through the same route, compile to the same key even when built
-   independently — which is what makes the cache deterministic. *)
+   Planning is separated from execution so that the executor sees one
+   canonical object per request, and the backends can group plans by
+   interned scenario and point.  A plan keeps what execution reads
+   (quantity, scenario, accuracy, points) and not the query itself: the
+   domain's shape is compiled away, so a point query leaves one record,
+   its points array and its pair behind, nothing more. *)
 
 type route = Kernel | Analytic | Dtmc | Mc
 
@@ -24,11 +24,12 @@ let route_of_name name =
   | _ -> None
 
 type t = {
-  query : Query.t;
+  quantity : Query.quantity;
+  scenario : Zeroconf.Params.t;
+  accuracy : Query.accuracy;
   route : route;
   scenario_id : int;
   points : (int * float) array;
-  key : string Lazy.t;
 }
 
 (* -- scenario interning --------------------------------------------- *)
@@ -46,13 +47,17 @@ type t = {
 
 let interned : (Zeroconf.Params.t * int) list ref = ref []
 
+let rec find_id p = function
+  | [] -> -1
+  | (p', id) :: rest -> if p' == p then id else find_id p rest
+
 let scenario_id (p : Zeroconf.Params.t) =
-  match List.assq_opt p !interned with
-  | Some id -> id
-  | None ->
+  match find_id p !interned with
+  | -1 ->
       let id = List.length !interned in
       interned := (p, id) :: !interned;
       id
+  | id -> id
 
 (* -- the structural key --------------------------------------------- *)
 
@@ -69,31 +74,36 @@ let add_float b x =
       hex_digits.[Int64.to_int (Int64.shift_right_logical bits (4 * i)) land 15]
   done
 
-let add_domain b (d : Query.domain) =
-  match d with
-  | Query.Point { n; r } ->
-      Buffer.add_string b "P:";
-      add_int b n;
-      Buffer.add_char b ':';
-      add_float b r
-  | Query.N_sweep { ns; r } ->
-      Buffer.add_string b "N:";
-      add_float b r;
-      Buffer.add_char b ':';
-      Array.iter
-        (fun n ->
-          add_int b n;
-          Buffer.add_char b ',')
-        ns
-  | Query.R_sweep { n; rs } ->
-      Buffer.add_string b "R:";
-      add_int b n;
-      Buffer.add_char b ':';
-      Array.iter
-        (fun r ->
-          add_float b r;
-          Buffer.add_char b ',')
-        rs
+(* The points as the domain they came from: one point, an n-sweep at
+   one r, or an r-sweep at one n (bit-equal r, so -0 and 0 differ). *)
+let add_points b (pts : (int * float) array) =
+  let n0, r0 = pts.(0) and bits r = Int64.bits_of_float r in
+  if Array.length pts = 1 then begin
+    Buffer.add_string b "P:";
+    add_int b n0;
+    Buffer.add_char b ':';
+    add_float b r0
+  end
+  else if Array.for_all (fun (_, r) -> bits r = bits r0) pts then begin
+    Buffer.add_string b "N:";
+    add_float b r0;
+    Buffer.add_char b ':';
+    Array.iter
+      (fun (n, _) ->
+        add_int b n;
+        Buffer.add_char b ',')
+      pts
+  end
+  else begin
+    Buffer.add_string b "R:";
+    add_int b n0;
+    Buffer.add_char b ':';
+    Array.iter
+      (fun (_, r) ->
+        add_float b r;
+        Buffer.add_char b ',')
+      pts
+  end
 
 let add_accuracy b (a : Query.accuracy) =
   match a with
@@ -104,37 +114,22 @@ let add_accuracy b (a : Query.accuracy) =
       Buffer.add_char b ':';
       add_int b seed
 
-let key_of ~route ~scenario_id (q : Query.t) =
+let key t =
   let b = Buffer.create 64 in
-  Buffer.add_string b (Query.quantity_name q.quantity);
+  Buffer.add_string b (Query.quantity_name t.quantity);
   Buffer.add_char b '|';
-  Buffer.add_string b (route_name route);
+  Buffer.add_string b (route_name t.route);
   Buffer.add_string b "|#";
-  add_int b scenario_id;
+  add_int b t.scenario_id;
   Buffer.add_char b '|';
-  add_domain b q.domain;
+  add_points b t.points;
   Buffer.add_char b '|';
-  add_accuracy b q.accuracy;
+  add_accuracy b t.accuracy;
   Buffer.contents b
 
 let make ~route (q : Query.t) =
   Query.validate q;
-  let scenario_id = scenario_id q.scenario in
-  { query = q;
-    route;
-    scenario_id;
-    points = Query.points q;
-    (* computed on demand: the key is only read when a cache is in
-       play, and rendering a long domain is a measurable share of
-       compile time on cache-off batch sweeps.  Forced only
-       from the caller's domain (executor partition, cache), never
-       from pool workers. *)
-    key = lazy (key_of ~route ~scenario_id q) }
+  { quantity = q.quantity; scenario = q.scenario; accuracy = q.accuracy;
+    route; scenario_id = scenario_id q.scenario; points = Query.points q }
 
-let key t = Lazy.force t.key
 let size t = Array.length t.points
-
-let pp ppf t =
-  Format.fprintf ppf "%a via %s [scenario #%d, %d point%s]" Query.pp t.query
-    (route_name t.route) t.scenario_id (size t)
-    (if size t = 1 then "" else "s")

@@ -1,12 +1,13 @@
 (** The compiled, executable form of a {!Query}.
 
-    The engine runs as a three-stage pipeline — compile, execute,
-    cache — and a plan is the hand-off between stages.  {!Planner.plan}
-    compiles a query into a plan: validated, its domain flattened to
-    concrete [(n, r)] points, its scenario interned, and its accuracy
-    resolved to a concrete {!route}.  The {!Executor} then dispatches
-    plans (singly or in batches) to backends; the {!Cache} indexes
-    answers by the plan's structural {!key}.
+    The engine runs as a two-stage pipeline — compile, execute — and a
+    plan is the hand-off between stages.  {!Planner.plan} compiles a
+    query into a plan: validated, its domain flattened to concrete
+    [(n, r)] points, its scenario interned, and its accuracy resolved
+    to a concrete {!route}.  The {!Executor} then dispatches plans
+    (singly or in batches) to backends.  A plan keeps the query's
+    quantity, scenario and accuracy, not the query: the domain's shape
+    is compiled into [points].
 
     A plan is pure data: building one performs no evaluation. *)
 
@@ -22,22 +23,22 @@ val route_name : route -> string
 val route_of_name : string -> route option
 
 type t = private {
-  query : Query.t;        (** The originating request, untouched. *)
+  quantity : Query.quantity;
+  scenario : Zeroconf.Params.t;
+  accuracy : Query.accuracy;  (** The query's three, untouched. *)
   route : route;          (** Where the executor will send it. *)
   scenario_id : int;      (** Interning id: plans with equal ids share
                               one physical scenario, which is what
                               batch execution groups on. *)
   points : (int * float) array;
       (** The domain flattened to [(n, r)] pairs, in sweep order —
-          same as {!Query.points} of [query]. *)
-  key : string Lazy.t;    (** Stable structural cache key, computed on
-                              first use; read it through {!key}. *)
+          {!Query.points} of the query. *)
 }
 
 val make : route:route -> Query.t -> t
 (** Compile [query] to run on [route].  Re-validates the query (so
-    plans built from hand-assembled records are still safe), interns
-    the scenario, and computes the key.  Pure: no evaluation happens.
+    plans built from hand-assembled records are still safe) and
+    interns the scenario.  Pure: no evaluation happens.
     Prefer {!Planner.plan}, which picks the route for you. *)
 
 val scenario_id : Zeroconf.Params.t -> int
@@ -46,8 +47,10 @@ val scenario_id : Zeroconf.Params.t -> int
     physical identity is the only exact equality available. *)
 
 val key : t -> string
-(** The structural key: quantity, route, interned scenario id, every
-    domain point, and the accuracy demand.  Ints are written in
+(** The structural key, built on each call (nothing in the engine reads
+    it; {!Cache} indexes by it): quantity, route, interned scenario id,
+    every point (written as the point, n-sweep or r-sweep it came from),
+    and the accuracy demand.  Ints are written in
     decimal and floats as the 16 hex digits of their IEEE bits, so no
     precision is lost and [-0.] and [0.] differ; no [Printf] is
     involved.  Two queries that would produce bitwise identical
@@ -57,5 +60,3 @@ val key : t -> string
 
 val size : t -> int
 (** Number of evaluation points. *)
-
-val pp : Format.formatter -> t -> unit

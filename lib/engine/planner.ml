@@ -16,19 +16,21 @@ let exact_order : (Plan.route * (module Backend.S)) list =
     (Plan.Analytic, (module Backends.Analytic));
     (Plan.Dtmc, (module Backends.Dtmc)) ]
 
+let sampled_order : (Plan.route * (module Backend.S)) list =
+  [ (Plan.Mc, (module Backends.Mc)) ]
+
+let rec first_supporting (q : Query.t) = function
+  | [] ->
+      raise (Unsupported (Format.asprintf "no backend supports: %a" Query.pp q))
+  | (route, (module B : Backend.S)) :: rest ->
+      if B.supports q then route else first_supporting q rest
+
 let route (q : Query.t) =
   Query.validate q;
-  let candidates =
-    match q.accuracy with
-    | Query.Sampled _ -> [ (Plan.Mc, (module Backends.Mc : Backend.S)) ]
-    | Query.Exact -> exact_order
-  in
-  match
-    List.find_opt (fun (_, (module B : Backend.S)) -> B.supports q) candidates
-  with
-  | Some (route, _) -> route
-  | None ->
-      raise (Unsupported (Format.asprintf "no backend supports: %a" Query.pp q))
+  first_supporting q
+    (match q.accuracy with
+    | Query.Sampled _ -> sampled_order
+    | Query.Exact -> exact_order)
 
 let forced_route name (q : Query.t) =
   match Plan.route_of_name name with

@@ -7,8 +7,7 @@
     {!Backends.Mc}.  The first backend whose [supports] accepts the
     query wins.
 
-    Planning is pure: it validates, routes, and keys — no backend
-    runs.  Execution belongs to the {!Executor}. *)
+    Planning is pure: it validates and routes — no backend runs.  Execution belongs to the {!Executor}. *)
 
 exception Unsupported of string
 (** No backend (or the named backend) can answer the query. *)
@@ -21,8 +20,8 @@ val backend_of_name : string -> (module Backend.S) option
 
 val plan : ?backend:string -> Query.t -> Plan.t
 (** Compile the query: validate, resolve the accuracy demand to a
-    concrete route (or force the named [backend]), intern the
-    scenario, and key the result.  Raises {!Unsupported} when no
+    concrete route (or force the named [backend]), and intern the
+    scenario.  Raises {!Unsupported} when no
     backend qualifies — or when the forced one cannot answer — and
     [Invalid_argument] on a malformed query. *)
 

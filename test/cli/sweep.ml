@@ -117,7 +117,6 @@ let known =
   let nan = "exit 0 printing nan" and hang = "no exit within 10s" in
   let inf_minus_inf = "the mean overflows to inf - inf"
   and full_scan = "the global optimum scans n up to 4096 at no probe cost"
-  and elasticity = "Derivative.log_elasticity of a quantity that is 0"
   and row ?(finishes = true) k_command k_option k_value outcome reason =
     { k_command; k_option; k_value; outcome; reason; finishes }
   in
@@ -144,11 +143,9 @@ let known =
       "Optimize.optimal_r: cost at r = d + 1e308 overflows";
     row "report" "--delay=V" "4611686018427387903" hang full_scan
       ~finishes:false;
-    row "report" "--hosts=V" "0" "exit 125" ("q = 0: " ^ elasticity);
     row "report" "--probe-cost=V" "0" hang full_scan ~finishes:false;
     row "report" "--probe-cost=V" "1e308" nan
       ("Report.print, sensitivities: " ^ inf_minus_inf);
-    row "report" "--error-cost=V" "0" "exit 125" ("E = 0: " ^ elasticity);
     row "report" "--draft-r=V" "1e308" nan
       ("Report.print, sensitivities: " ^ inf_minus_inf);
     row "fit" "--probe-cost=V" "0" hang full_scan ~finishes:false;

@@ -173,7 +173,8 @@ let int_text =
 let float_text =
   QCheck.Gen.oneofl
     [ "2"; "0.5"; "0"; "-0"; "1e3"; "1.5e-2"; "0x1p-2"; "0x1.8p1"; "nan";
-      "inf"; "-1"; "1_0.5"; "abc"; ""; "0.30000000000000004"; "2.\r" ]
+      "inf"; "-1"; "1_0.5"; "abc"; ""; "0.30000000000000004"; "2.\r";
+      "2.2675127252964629"; "9007199254740993.0"; ".5"; "5."; "1.2.3" ]
 
 let ns_text =
   QCheck.Gen.(
@@ -246,6 +247,40 @@ let prop_agree =
       agree expected got
       || QCheck.Test.fail_reportf "reference: %s@.one-pass: %s" (show expected)
            (show got))
+
+(* Plain decimals are read in place; the value must be the one
+   [float_of_string] gives, bit for bit: random digit strings with and
+   without a point, and random floats at 15 to 17 significant digits.
+   A decimal tie such as 9007199254740993.0 (halfway between two
+   floats) is left to [float_of_string], which rounds it to even. *)
+let decimal_gen =
+  QCheck.Gen.(
+    oneof
+      [ (let* digits = string_size ~gen:numeral (int_range 1 20) in
+         let* cut = int_range 0 (String.length digits) in
+         return
+           (if cut = 0 || cut = String.length digits then digits
+            else
+              String.sub digits 0 cut ^ "."
+              ^ String.sub digits cut (String.length digits - cut)));
+        (let* x = float_range 0. 1. in
+         let* e = int_range (-12) 17 in
+         let* digits = int_range 15 17 in
+         return (Printf.sprintf "%.*g" digits (x *. (10. ** float_of_int e))));
+        oneofl
+          [ "9007199254740993.0"; "9007199254740993"; "18014398509481985.0";
+            "0.1"; "6"; "0.0"; "999999999999999999"; "123456789012345678.9" ] ])
+
+let prop_decimals =
+  QCheck.Test.make ~name:"plain decimals = float_of_string" ~count:20000
+    (QCheck.make ~print:Fun.id decimal_gen)
+    (fun text ->
+      match Batch_input.parse_line 1 ("cost r=" ^ text) with
+      | Some ({ Q.domain = Q.Point { r; _ }; _ }, _) ->
+          bits r = bits (float_of_string text)
+          || QCheck.Test.fail_reportf "%s read as %h, not %h" text r
+               (float_of_string text)
+      | _ -> QCheck.Test.fail_report "not a point query")
 
 (* ---------------- fixed cases ---------------- *)
 
@@ -322,6 +357,7 @@ let () =
   Alcotest.run "batch_input"
     [ ( "parser",
         [ QCheck_alcotest.to_alcotest prop_agree;
+          QCheck_alcotest.to_alcotest prop_decimals;
           Alcotest.test_case "CRLF line" `Quick test_crlf;
           Alcotest.test_case "trials and seed need backend=mc" `Quick
             test_sampling_keys ] );

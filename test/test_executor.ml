@@ -1,7 +1,7 @@
 (* The execute stage's contract: batched evaluation is a pure
    amortization — for ANY mix of queries, [Executor.eval_batch] must
    return bitwise the same points as evaluating each query alone, at
-   any job count, cache on or off.  This is the invariant that lets the
+   any job count.  This is the invariant that lets the
    figure drivers and the CLI batch subcommand share kernel cursors and
    DTMC matrix builds without anyone auditing the numerics again.
 
@@ -162,10 +162,6 @@ let at_jobs jobs f =
   Exec.Pool.set_jobs jobs;
   Fun.protect ~finally:(fun () -> Exec.Pool.set_jobs 1) f
 
-let with_cache_disabled f =
-  Engine.Cache.set_enabled false;
-  Fun.protect ~finally:(fun () -> Engine.Cache.set_enabled true) f
-
 let check_same ~what reference answers =
   if Array.length reference <> Array.length answers then
     QCheck.Test.fail_reportf "%s: answer count mismatch" what;
@@ -177,8 +173,7 @@ let check_same ~what reference answers =
     reference;
   true
 
-(* the kernel answers of a cache-off batch carry the reference scan's
-   evals; the kernel's batch is the mix's kernel-routed plans, in order *)
+(* the kernel answers of a batch carry the reference scan's evals; the kernel's batch is the mix's kernel-routed plans, in order *)
 let check_kernel_evals ~what queries (answers : A.t array) =
   let plans = Array.map Engine.Planner.plan queries in
   let kernel =
@@ -197,43 +192,22 @@ let check_kernel_evals ~what queries (answers : A.t array) =
     kernel
 
 let prop_batch_equals_scalar =
-  QCheck.Test.make ~name:"eval_batch = map eval, bitwise, any jobs/cache"
+  QCheck.Test.make ~name:"eval_batch = map eval, bitwise, any jobs"
     ~count:40 (mix_arbitrary ())
     (fun queries ->
-      (* reference: each query evaluated alone, no cache in play *)
-      let batch_off () =
-        with_cache_disabled (fun () -> Engine.Executor.eval_batch queries)
-      in
-      let batch_on () =
-        Engine.Executor.eval_batch ~cache:(Engine.Cache.create ()) queries
-      in
       let check_jobs jobs reference =
         at_jobs jobs (fun () ->
-            let what cache = Printf.sprintf "jobs=%d cache=%s" jobs cache in
-            let off = batch_off () in
-            ignore (check_same ~what:(what "off") reference off);
-            check_kernel_evals ~what:(what "off") queries off;
-            ignore (check_same ~what:(what "on") reference (batch_on ())))
+            let what = Printf.sprintf "jobs=%d" jobs in
+            let batch = Engine.Executor.eval_batch queries in
+            ignore (check_same ~what reference batch);
+            check_kernel_evals ~what queries batch)
       in
+      (* reference: each query evaluated alone *)
       let reference =
-        at_jobs 1 (fun () ->
-            with_cache_disabled (fun () -> Array.map Engine.Executor.eval queries))
+        at_jobs 1 (fun () -> Array.map Engine.Executor.eval queries)
       in
       check_jobs 1 reference;
       check_jobs 8 reference;
-      (* warm cache: second run serves every answer from the cache,
-         points still bitwise identical *)
-      let cache = Engine.Cache.create () in
-      let cold = Engine.Executor.eval_batch ~cache queries in
-      let warm = Engine.Executor.eval_batch ~cache queries in
-      ignore (check_same ~what:"cold vs reference" reference cold);
-      ignore (check_same ~what:"warm vs reference" reference warm);
-      Array.iter
-        (fun (a : A.t) ->
-          if not a.A.cached then
-            QCheck.Test.fail_report
-              "warm batch returned an answer not marked cached")
-        warm;
       true)
 
 (* Shared work is never counted twice nor dropped: over a kernel batch
@@ -272,42 +246,54 @@ let test_duplicate_plans_in_one_batch () =
   (* the same query twice in one batch: both answers must carry the
      full value; the second may not be silently elided *)
   let q = Q.n_sweep Q.Mean_cost fig2 ~ns:[| 1; 2; 3; 4 |] ~r:2. in
-  let answers =
-    with_cache_disabled (fun () -> Engine.Executor.eval_batch [| q; q |])
-  in
+  let answers = Engine.Executor.eval_batch [| q; q |] in
   Alcotest.(check int) "two answers" 2 (Array.length answers);
   Alcotest.(check bool) "identical points" true (points_eq answers.(0) answers.(1))
 
-let test_within_batch_duplicates_hit_cache () =
-  (* with a cache active, key-duplicates inside one batch evaluate
-     once; the follower replays the stored answer as a counted hit *)
-  let q = Q.r_sweep Q.Mean_cost fig2 ~n:3 ~rs:[| 0.5; 1.; 2. |] in
-  let cache = Engine.Cache.create () in
-  let answers = Engine.Executor.eval_batch ~cache [| q; q; q |] in
-  Alcotest.(check bool) "first is the evaluation" false answers.(0).A.cached;
-  Alcotest.(check bool) "second is a replay" true answers.(1).A.cached;
-  Alcotest.(check bool) "third is a replay" true answers.(2).A.cached;
-  Alcotest.(check bool) "replays are bitwise identical" true
-    (points_eq answers.(0) answers.(1) && points_eq answers.(0) answers.(2));
-  let stats = Engine.Cache.stats cache in
-  Alcotest.(check int) "two hits counted" 2 stats.Engine.Cache.hits;
-  Alcotest.(check int) "one miss counted" 1 stats.Engine.Cache.misses
+let test_repeats_cost_no_kernel_evals () =
+  (* a query repeated in one batch is evaluated again, bitwise equal
+     to its first occurrence; on the kernel its stops sit on the first
+     occurrence's columns, so the repeat costs no scan step *)
+  let sweep = Q.r_sweep Q.Mean_cost fig2 ~n:3 ~rs:[| 0.5; 1.; 2. |]
+  and point = Q.point Q.Log10_error fig2 ~n:5 ~r:0.7 in
+  let answers = Engine.Executor.eval_batch [| sweep; point; sweep; point; sweep |] in
+  List.iter
+    (fun (first, repeat) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "answer %d bitwise equals answer %d" repeat first)
+        true
+        (points_eq answers.(first) answers.(repeat));
+      Alcotest.(check int)
+        (Printf.sprintf "answer %d costs no evals" repeat)
+        0 answers.(repeat).A.evals)
+    [ (0, 2); (1, 3); (0, 4) ];
+  Alcotest.(check int) "the sweep scans three columns to n = 3" 9
+    answers.(0).A.evals;
+  Alcotest.(check int) "the point scans its column to n = 5" 5
+    answers.(1).A.evals
 
-let test_cache_keys_keep_routes_apart () =
+let test_forced_routes_apart () =
+  (* one batch over three routes: each answer comes from its own
+     route, back in input order *)
   let q = Q.point Q.Mean_cost fig2 ~n:4 ~r:2. in
-  let cache = Engine.Cache.create () in
-  let a = Engine.Executor.eval ~cache ~backend:"kernel" q in
-  let b = Engine.Executor.eval ~cache ~backend:"dtmc" q in
-  Alcotest.(check string) "first ran on kernel" "kernel" a.A.backend;
-  Alcotest.(check string)
-    "forcing dtmc is not served the kernel's cache entry" "dtmc" b.A.backend;
-  Alcotest.(check bool) "dtmc answer is a miss" false b.A.cached
+  let plans =
+    Array.map
+      (fun backend -> Engine.Planner.plan ~backend q)
+      [| "dtmc"; "kernel"; "analytic"; "kernel" |]
+  in
+  let answers = Engine.Executor.run_batch plans in
+  Alcotest.(check (list string)) "routes in input order"
+    [ "dtmc"; "kernel"; "analytic"; "kernel" ]
+    (Array.to_list (Array.map (fun (a : A.t) -> a.A.backend) answers));
+  Alcotest.(check int) "the kernel's repeat costs nothing" 0
+    answers.(3).A.evals
 
 (* Two scenarios whose step delays differ in the seventh decimal print
    the same distribution name (%g) and survive every small abscissa
    alike, yet at n = 3, r = 1.5 the horizon 3r = 4.5 falls on opposite
    sides of the step: pi_3 is 0 for one and 1 for the other.  Neither
-   the cache nor batch grouping may treat them as one scenario. *)
+   the kernel's column grouping nor the DTMC route's build sharing may
+   treat them as one scenario. *)
 let near_twins () =
   let step delay =
     Zeroconf.Params.v ~name:"step"
@@ -324,36 +310,27 @@ let scalar_of (a : A.t) =
   | A.Scalars [| v |] -> v
   | _ -> Alcotest.fail "expected one scalar point"
 
-let test_near_twins_apart_in_cache () =
+let test_near_twins_apart_in_batch () =
   let a, b = near_twins () in
   let expected p = Zeroconf.Cost.mean p ~n:3 ~r:1.5 in
   Alcotest.(check bool) "the closed forms differ" false (expected a = expected b);
-  let cache = Engine.Cache.create () in
-  let ans_a = Engine.Executor.eval ~cache (twin_query a) in
-  let ans_b = Engine.Executor.eval ~cache (twin_query b) in
-  Alcotest.(check (float 0.)) "first scenario" (expected a) (scalar_of ans_a);
-  Alcotest.(check (float 0.)) "second scenario" (expected b) (scalar_of ans_b);
-  Alcotest.(check bool) "second is not a cache hit" false ans_b.A.cached
-
-let test_near_twins_apart_in_batch () =
-  let a, b = near_twins () in
-  let answers =
-    with_cache_disabled (fun () ->
-        Engine.Executor.eval_batch [| twin_query a; twin_query b |])
-  in
-  Alcotest.(check (float 0.)) "first scenario"
-    (Zeroconf.Cost.mean a ~n:3 ~r:1.5)
-    (scalar_of answers.(0));
-  Alcotest.(check (float 0.)) "second scenario"
-    (Zeroconf.Cost.mean b ~n:3 ~r:1.5)
-    (scalar_of answers.(1))
+  (* the kernel reads the closed forms bit for bit, the DTMC route
+     solves its own chain *)
+  List.iter
+    (fun (backend, tol) ->
+      let answers =
+        Engine.Executor.eval_batch ~backend [| twin_query a; twin_query b |]
+      in
+      Alcotest.(check (float tol)) (backend ^ ": first scenario") (expected a)
+        (scalar_of answers.(0));
+      Alcotest.(check (float tol)) (backend ^ ": second scenario") (expected b)
+        (scalar_of answers.(1)))
+    [ ("kernel", 0.); ("dtmc", 1e-9) ]
 
 let test_singleton_batch_matches_scalar_provenance () =
   let q = Q.n_sweep Q.Mean_cost fig2 ~ns:[| 1; 2; 3; 4 |] ~r:2. in
-  let scalar = with_cache_disabled (fun () -> Engine.Executor.eval q) in
-  let batch =
-    with_cache_disabled (fun () -> Engine.Executor.eval_batch [| q |])
-  in
+  let scalar = Engine.Executor.eval q in
+  let batch = Engine.Executor.eval_batch [| q |] in
   Alcotest.(check string) "backend" scalar.A.backend batch.(0).A.backend;
   Alcotest.(check int) "evals" scalar.A.evals batch.(0).A.evals
 
@@ -409,12 +386,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernel_evals_sum;
           Alcotest.test_case "duplicate plans in one batch" `Quick
             test_duplicate_plans_in_one_batch;
-          Alcotest.test_case "within-batch duplicates hit the cache" `Quick
-            test_within_batch_duplicates_hit_cache;
-          Alcotest.test_case "cache keys keep routes apart" `Quick
-            test_cache_keys_keep_routes_apart;
-          Alcotest.test_case "near-twin scenarios apart in the cache" `Quick
-            test_near_twins_apart_in_cache;
+          Alcotest.test_case "repeats cost no kernel evals" `Quick
+            test_repeats_cost_no_kernel_evals;
+          Alcotest.test_case "forced routes kept apart" `Quick
+            test_forced_routes_apart;
           Alcotest.test_case "near-twin scenarios apart in one batch" `Quick
             test_near_twins_apart_in_batch;
           Alcotest.test_case "singleton batch = scalar provenance" `Quick

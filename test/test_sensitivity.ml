@@ -6,6 +6,14 @@ let knob name knobs = List.find (fun (k : S.knob) -> k.S.name = name) knobs
 let standard = S.standard_knobs scenario
 let delay_knobs = S.shifted_exp_knobs ~loss:1e-5 ~rate:10. ~delay:1.
 
+(* Elasticity of E(n, r) through log10 E, so it stays meaningful where
+   E underflows: d log10 E / d ln x, times ln 10 *)
+let error_elasticity p (k : S.knob) ~n ~r =
+  let g u =
+    Zeroconf.Reliability.log10_error_probability (k.S.apply p (exp u)) ~n ~r
+  in
+  Numerics.Derivative.central ~f:g (log k.S.value) *. Float.log 10.
+
 let test_standard_knobs_roundtrip () =
   (* applying the current value must reproduce the scenario's outputs *)
   List.iter
@@ -33,22 +41,33 @@ let test_error_cost_elasticity_small () =
   Alcotest.(check bool) (Printf.sprintf "E elasticity %.4f < 0.05" e) true
     (e >= 0. && e < 0.05)
 
+let test_zero_knob_elasticity () =
+  (* q = 0 (no other host) and E = 0 leave a finite, positive cost, so
+     x C'(x) / C(x) is 0 there *)
+  List.iter
+    (fun (name, p) ->
+      let k = knob name (S.standard_knobs p) in
+      Alcotest.(check (float 0.)) (name ^ " = 0") 0.
+        (S.cost_elasticity p k ~n:4 ~r:2.))
+    [ ("q", Params.with_q scenario 0.);
+      ("E", Params.with_costs ~error_cost:0. scenario) ]
+
 let test_q_error_elasticity_is_one () =
   (* E(n, r) ~ q pi_n for small q: elasticity of error w.r.t. q ~ 1 *)
-  let e = S.error_elasticity scenario (knob "q" standard) ~n:4 ~r:2. in
+  let e = error_elasticity scenario (knob "q" standard) ~n:4 ~r:2. in
   Alcotest.(check bool) (Printf.sprintf "q error-elasticity %.4f ~ 1" e) true
     (Float.abs (e -. 1.) < 0.05)
 
 let test_c_error_elasticity_is_zero () =
   (* Eq. 4 does not mention c at all *)
-  let e = S.error_elasticity scenario (knob "c" standard) ~n:4 ~r:2. in
+  let e = error_elasticity scenario (knob "c" standard) ~n:4 ~r:2. in
   Alcotest.(check (float 1e-9)) "exactly zero" 0. e
 
 let test_rtt_lambda_antisymmetric () =
   (* for the shifted exponential, survival at the draft point depends on
      lambda (t - d); at t - d = 1 = d the two elasticities mirror *)
-  let e_rtt = S.error_elasticity scenario (knob "rtt" delay_knobs) ~n:4 ~r:2. in
-  let e_lam = S.error_elasticity scenario (knob "lambda" delay_knobs) ~n:4 ~r:2. in
+  let e_rtt = error_elasticity scenario (knob "rtt" delay_knobs) ~n:4 ~r:2. in
+  let e_lam = error_elasticity scenario (knob "lambda" delay_knobs) ~n:4 ~r:2. in
   Alcotest.(check bool) "rtt raises error" true (e_rtt > 0.);
   Alcotest.(check bool) "lambda lowers error" true (e_lam < 0.);
   Alcotest.(check bool)
@@ -57,7 +76,7 @@ let test_rtt_lambda_antisymmetric () =
     (Float.abs (e_rtt +. e_lam) < 0.05 *. Float.abs e_rtt)
 
 let test_loss_error_elasticity_positive () =
-  let e = S.error_elasticity scenario (knob "loss" delay_knobs) ~n:4 ~r:2. in
+  let e = error_elasticity scenario (knob "loss" delay_knobs) ~n:4 ~r:2. in
   Alcotest.(check bool) "more loss, more error" true (e > 0.)
 
 let test_tornado_sorted_and_consistent () =
@@ -100,7 +119,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_standard_knobs_roundtrip ] );
       ( "cost elasticities",
         [ Alcotest.test_case "postage" `Quick test_postage_elasticity_exact;
-          Alcotest.test_case "error cost" `Quick test_error_cost_elasticity_small ] );
+          Alcotest.test_case "error cost" `Quick test_error_cost_elasticity_small;
+          Alcotest.test_case "zero knob" `Quick test_zero_knob_elasticity ] );
       ( "error elasticities",
         [ Alcotest.test_case "q ~ 1" `Quick test_q_error_elasticity_is_one;
           Alcotest.test_case "c = 0" `Quick test_c_error_elasticity_is_zero;
