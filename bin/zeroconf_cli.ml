@@ -585,27 +585,28 @@ let check_cmd =
     let drm = Zeroconf.Drm.build p ~n ~r in
     let chain = drm.Zeroconf.Drm.chain in
     let labels = Dtmc.Pctl.label_of_state chain in
-    (match Dtmc.Pctl_parser.formula text with
+    match Dtmc.Pctl_parser.formula text with
     | formula ->
         let verdict =
           Dtmc.Pctl.holds chain labels ~from:drm.Zeroconf.Drm.start formula
         in
-        Format.printf "%s@.  |= %s@." (if verdict then "TRUE" else "FALSE") text
+        Format.printf "%s@.  |= %s@." (if verdict then "TRUE" else "FALSE") text;
+        `Ok ()
     | exception Dtmc.Pctl_parser.Parse_error msg -> (
         (* maybe it is a bare path formula: answer the P=? query *)
         match Dtmc.Pctl_parser.path text with
         | path ->
             Format.printf "P=? [ %s ] = %.6g@." text
               (Dtmc.Pctl.path_probability chain labels
-                 ~from:drm.Zeroconf.Drm.start path)
+                 ~from:drm.Zeroconf.Drm.start path);
+            `Ok ()
         | exception Dtmc.Pctl_parser.Parse_error _ ->
-            Format.printf "parse error: %s@." msg;
-            exit 1))
+            `Error (false, "parse error: " ^ msg))
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Model-check a PCTL formula on the DRM (or compute P=? for a bare path).")
-    Term.(const run $ scenario_term $ n_term $ r_term $ formula_arg)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ formula_arg))
 
 let report_cmd =
   let draft_n =

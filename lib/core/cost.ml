@@ -25,8 +25,6 @@ let asymptote (p : Params.t) ~n ~r =
     *. ((float_of_int n *. (1. -. p.q)) +. (p.q *. geometric)))
     (1. -. p.q)
 
-let at_zero (p : Params.t) = p.q *. p.error_cost
-
 let derivative p ~n ~r =
   check "Cost.derivative" n r;
   Numerics.Derivative.richardson ~f:(fun r -> mean p ~n ~r) r

@@ -20,9 +20,6 @@ val asymptote : Params.t -> n:int -> r:float -> float
     and, by continuity ([ (1-(1-l)^n)/l -> n ] as [l -> 1]), also for
     [l = 1]. *)
 
-val at_zero : Params.t -> float
-(** [C_n(0) = qE], independent of [n]. *)
-
 val derivative : Params.t -> n:int -> r:float -> float
 (** Numerical [dC_n/dr], via Richardson extrapolation; used by tests to
     confirm optimality of [r_opt] and by the calibration solver. *)

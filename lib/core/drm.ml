@@ -14,43 +14,43 @@ let ordinal i =
   in
   Printf.sprintf "%d%s" i suffix
 
+(* Row by row in the paper's order: start = 0, probe i = i,
+   error = n + 1, ok = n + 2; zero-probability hops are left out. *)
 let build (p : Params.t) ~n ~r =
   if n < 1 then invalid_arg "Drm.build: n must be >= 1";
   if r < 0. then invalid_arg "Drm.build: negative listening period";
-  let b = Dtmc.Builder.create () in
-  let labels = Array.init (n + 1) ordinal in
-  let probe_state i = labels.(i) in
-  (* declare in the paper's row order: start, 1st .. nth, error, ok *)
-  Dtmc.Builder.add_state b "start";
-  for i = 1 to n do
-    Dtmc.Builder.add_state b (probe_state i)
-  done;
-  Dtmc.Builder.add_state b "error";
-  Dtmc.Builder.add_state b "ok";
+  if Float.is_nan r then invalid_arg "Drm.build: listening period is nan";
+  let error = n + 1 and ok = n + 2 in
+  let labels =
+    Array.init (n + 3) (fun i ->
+        if i = 0 then "start"
+        else if i = error then "error"
+        else if i = ok then "ok"
+        else ordinal i)
+  in
+  let p_row = Array.make (n + 3) [] and c_row = Array.make (n + 3) [] in
+  let edge i j prob cost =
+    if prob > 0. then begin
+      p_row.(i) <- (j, prob) :: p_row.(i);
+      c_row.(i) <- (j, cost) :: c_row.(i)
+    end
+  in
   let step_cost = r +. p.probe_cost in
-  if p.q > 0. then
-    Dtmc.Builder.add_edge b ~src:"start" ~dst:(probe_state 1) ~prob:p.q
-      ~cost:step_cost;
-  if p.q < 1. then
-    Dtmc.Builder.add_edge b ~src:"start" ~dst:"ok" ~prob:(1. -. p.q)
-      ~cost:(float_of_int n *. step_cost);
+  edge 0 1 p.q step_cost;
+  edge 0 ok (1. -. p.q) (float_of_int n *. step_cost);
   for i = 1 to n do
     let p_i = Probes.no_answer p ~i ~r in
-    let dst = if i = n then "error" else probe_state (i + 1) in
-    let cost = if i = n then p.error_cost else step_cost in
-    if p_i > 0. then
-      Dtmc.Builder.add_edge b ~src:(probe_state i) ~dst ~prob:p_i ~cost;
-    if p_i < 1. then
-      Dtmc.Builder.add_edge b ~src:(probe_state i) ~dst:"start"
-        ~prob:(1. -. p_i)
+    edge i (i + 1) p_i (if i = n then p.error_cost else step_cost);
+    edge i 0 (1. -. p_i) 0.
   done;
-  let chain, reward = Dtmc.Builder.build b in
-  let states = Dtmc.Chain.states chain in
+  p_row.(error) <- [ (error, 1.) ];
+  p_row.(ok) <- [ (ok, 1.) ];
+  let chain = Dtmc.Chain.create ~labels p_row in
   { chain;
-    reward;
-    start = Dtmc.State_space.index states "start";
-    error = Dtmc.State_space.index states "error";
-    ok = Dtmc.State_space.index states "ok" }
+    reward = Dtmc.Reward.create ~transition_rewards:c_row chain;
+    start = 0;
+    error;
+    ok }
 
 let mean_cost t = Dtmc.Absorbing.expected_total_reward t.reward ~from:t.start
 

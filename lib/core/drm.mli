@@ -1,7 +1,7 @@
 (** The discrete-time Markov reward model of Sec. 3.1 / 4.1, built
-    explicitly as matrices over the state space
-    [start, 1st, ..., nth, error, ok] and analysed with the generic
-    {!Dtmc} machinery.
+    explicitly as sparse rows over the states
+    [start, 1st, ..., nth, error, ok] (indices [0], [1 .. n], [n + 1],
+    [n + 2]) and analysed with the generic {!Dtmc} machinery.
 
     This module is the bridge that lets the repository check the
     paper's closed forms (Eqs. 3 and 4) against an independent
@@ -23,7 +23,9 @@ val build : Params.t -> n:int -> r:float -> t
     [start -> ok] with probability [1 - q] and cost [n (r + c)];
     [ith -> (i+1)th] with probability [p_i(r)] and cost [r + c]
     (the final such hop, [nth -> error], costs [E] instead);
-    [ith -> start] with probability [1 - p_i(r)] and zero cost. *)
+    [ith -> start] with probability [1 - p_i(r)] and zero cost.
+    Hops of probability zero are left out of the rows.  Raises
+    [Invalid_argument] for [n < 1] and for a negative or NaN [r]. *)
 
 val mean_cost : t -> float
 (** Mean accumulated cost from [start] — the matrix route to

@@ -83,8 +83,6 @@ let optimal_n ?n_max ?patience (p : Params.t) ~r =
   let scan = optimal_n_scan ?n_max ?patience p ~r in
   (scan.n, scan.cost)
 
-let min_cost ?n_max ?patience p ~r = snd (optimal_n ?n_max ?patience p ~r)
-
 let optimal_n_sweep ?n_max ?patience (p : Params.t) grid =
   Numerics.Grid.map_sweep (fun r -> optimal_n ?n_max ?patience p ~r) grid
 

@@ -4,8 +4,7 @@
     - [r_opt(n)]: best listening period for a fixed probe count
       ({!optimal_r});
     - [N(r)]: best probe count for a fixed listening period
-      ({!optimal_n}), yielding the envelope [C_min(r) = C(N(r), r)]
-      ({!min_cost});
+      ({!optimal_n}), yielding the envelope [C_min(r) = C(N(r), r)];
     - the global optimum over both ({!global_optimum}). *)
 
 type point = {
@@ -47,9 +46,6 @@ val optimal_n : ?n_max:int -> ?patience:int -> Params.t -> r:float -> int * floa
     been non-improving for [patience] (default [24]) consecutive probe
     counts or [n_max] (default [4096]) is reached.  Ties break toward
     the smaller [n], matching the paper's definition of [N]. *)
-
-val min_cost : ?n_max:int -> ?patience:int -> Params.t -> r:float -> float
-(** [C_min(r) = C(N(r), r)]. *)
 
 val optimal_n_sweep :
   ?n_max:int -> ?patience:int -> Params.t -> float array ->

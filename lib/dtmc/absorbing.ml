@@ -8,7 +8,7 @@ let solve chain b =
       if stuck then
         invalid_arg
           (Printf.sprintf "Absorbing: state %s cannot reach absorption"
-             (State_space.label (Chain.states chain) i)))
+             (Chain.label chain i)))
     (Reachability.never chain ~target:absorbing);
   let unknown =
     Array.init (Chain.size chain) (fun i -> not (Chain.is_absorbing chain i))

@@ -1,7 +1,15 @@
-type t = { states : State_space.t; rows : (int array * float array) array }
+type t = { labels : string array; rows : (int array * float array) array }
 
-let create ?(tol = 1e-9) ~states rows =
-  let n = State_space.size states in
+let create ?(tol = 1e-9) ~labels rows =
+  let n = Array.length labels in
+  if n = 0 then invalid_arg "Chain.create: no states";
+  let seen = Hashtbl.create n in
+  Array.iter
+    (fun l ->
+      if l = "" then invalid_arg "Chain.create: empty label";
+      if Hashtbl.mem seen l then invalid_arg ("Chain.create: duplicate label " ^ l);
+      Hashtbl.add seen l ())
+    labels;
   if Array.length rows <> n then
     invalid_arg "Chain.create: rows do not match state space";
   let normalize i entries =
@@ -20,8 +28,8 @@ let create ?(tol = 1e-9) ~states rows =
       entries;
     if Float.abs (!row_sum -. 1.) > tol then
       invalid_arg
-        (Printf.sprintf "Chain.create: row %d (%s) sums to %.12g" i
-           (State_space.label states i) !row_sum);
+        (Printf.sprintf "Chain.create: row %d (%s) sums to %.12g" i labels.(i)
+           !row_sum);
     let kept =
       List.filter_map
         (fun (j, v) ->
@@ -31,10 +39,15 @@ let create ?(tol = 1e-9) ~states rows =
     in
     (Array.of_list (List.map fst kept), Array.of_list (List.map snd kept))
   in
-  { states; rows = Array.mapi normalize rows }
+  { labels = Array.copy labels; rows = Array.mapi normalize rows }
 
-let states t = t.states
-let size t = State_space.size t.states
+let size t = Array.length t.labels
+
+let label t i =
+  if i < 0 || i >= Array.length t.labels then
+    invalid_arg "Chain.label: index out of range";
+  t.labels.(i)
+
 let successors t i = t.rows.(i)
 
 let find t i j =
@@ -48,46 +61,7 @@ let prob t i j =
   let e = find t i j in
   if e < 0 then 0. else (snd t.rows.(i)).(e)
 
-let prob_by_label t a b =
-  prob t (State_space.index t.states a) (State_space.index t.states b)
-
 let is_absorbing t i = prob t i i = 1.
 
 let absorbing_states t =
   List.filter (is_absorbing t) (List.init (size t) Fun.id)
-
-let reachable t ~from =
-  let n = size t in
-  let seen = Array.make n false in
-  let rec dfs i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      Array.iter dfs (fst t.rows.(i))
-    end
-  in
-  dfs from;
-  seen
-
-let transient_states t =
-  let absorbing = absorbing_states t in
-  List.filter
-    (fun i ->
-      (not (is_absorbing t i))
-      &&
-      let r = reachable t ~from:i in
-      List.exists (fun a -> r.(a)) absorbing)
-    (List.init (size t) Fun.id)
-
-let pp ppf t =
-  let n = size t in
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to n - 1 do
-    Format.fprintf ppf "%s ->" (State_space.label t.states i);
-    let cols, probs = t.rows.(i) in
-    Array.iteri
-      (fun e j ->
-        Format.fprintf ppf " %s:%g" (State_space.label t.states j) probs.(e))
-      cols;
-    if i < n - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -1,25 +1,28 @@
-(** Discrete-time Markov chains over a labelled state space, stored as
-    sparse rows. *)
+(** Discrete-time Markov chains over labelled states, stored as sparse
+    rows.  States are dense integer indices; their labels print the way
+    the paper writes them ([start], [1st], ..., [nth], [error],
+    [ok]). *)
 
 type t
 (** A validated DTMC: every row is a probability distribution. *)
 
 val create :
-  ?tol:float -> states:State_space.t -> (int * float) list array -> t
-(** [create ~states rows]: [rows.(i)] lists the [(column, probability)]
-    entries of row [i], in any order.  Validates the row count, the
-    columns (in range, none repeated), non-negativity, and row sums
-    within [tol] (default [1e-9]); rows are then renormalized exactly
-    and zero entries dropped.  Raises [Invalid_argument] on
-    violation. *)
+  ?tol:float -> labels:string array -> (int * float) list array -> t
+(** [create ~labels rows]: state [i] is labelled [labels.(i)], and
+    [rows.(i)] lists the [(column, probability)] entries of row [i], in
+    any order.  Validates the labels (at least one, none empty, none
+    repeated), the row count, the columns (in range, none repeated),
+    non-negativity, and row sums within [tol] (default [1e-9]); rows
+    are then renormalized exactly and zero entries dropped.  Raises
+    [Invalid_argument] on violation. *)
 
-val states : t -> State_space.t
 val size : t -> int
+
+val label : t -> int -> string
+(** Raises [Invalid_argument] on an out-of-range index. *)
 
 val prob : t -> int -> int -> float
 (** One-step transition probability by index. *)
-
-val prob_by_label : t -> string -> string -> float
 
 val successors : t -> int -> int array * float array
 (** Row [i] as stored: the columns with positive probability, in
@@ -33,11 +36,3 @@ val is_absorbing : t -> int -> bool
 (** True when the state loops to itself with probability one. *)
 
 val absorbing_states : t -> int list
-val transient_states : t -> int list
-(** States from which an absorbing state is reachable.  For absorbing
-    chains this is the complement of {!absorbing_states}. *)
-
-val reachable : t -> from:int -> bool array
-(** Graph reachability (positive-probability paths). *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,13 +1,12 @@
 let to_dot ?(rankdir = "LR") ?costs ?(highlight = []) chain =
   let buf = Buffer.create 1024 in
-  let states = Chain.states chain in
   Buffer.add_string buf "digraph chain {\n";
   Buffer.add_string buf (Printf.sprintf "  rankdir=%s;\n" rankdir);
   Buffer.add_string buf "  node [shape=circle, fontsize=11];\n";
   for i = 0 to Chain.size chain - 1 do
     let shape = if List.mem i highlight then ", peripheries=2" else "" in
     Buffer.add_string buf
-      (Printf.sprintf "  s%d [label=\"%s\"%s];\n" i (State_space.label states i)
+      (Printf.sprintf "  s%d [label=\"%s\"%s];\n" i (Chain.label chain i)
          shape)
   done;
   for i = 0 to Chain.size chain - 1 do

@@ -117,4 +117,4 @@ let boosted_proposal ?(floor = 0.4) chain ~toward =
       end
     end
   in
-  Chain.create ~states:(Chain.states chain) (Array.init n row)
+  Chain.create ~labels:(Array.init n (Chain.label chain)) (Array.init n row)

@@ -92,7 +92,7 @@ let path_probability chain labelling ~from path =
   (path_probabilities chain labelling path).(from)
 
 let label_of_state chain name state =
-  State_space.label (Chain.states chain) state = name
+  Chain.label chain state = name
 
 let reward_to_reach reward labelling formula =
   let chain = Reward.chain reward in

@@ -7,7 +7,6 @@ type t = {
   one_way : Dist.Distribution.t;
   mutable stations : station list; (* newest first *)
   mutable next_id : int;
-  mutable sent : int;
   mutable delivered : int;
   mutable lost : int;
 }
@@ -21,7 +20,6 @@ let create ~engine ~rng ~loss ~one_way =
     one_way;
     stations = [];
     next_id = 0;
-    sent = 0;
     delivered = 0;
     lost = 0 }
 
@@ -35,7 +33,6 @@ let detach t id =
   List.iter (fun s -> if s.id = id then s.attached <- false) t.stations
 
 let broadcast t ~sender packet =
-  t.sent <- t.sent + 1;
   Engine.trace t.engine "host%d sends %s" sender
     (Format.asprintf "%a" Packet.pp packet);
   let deliver station =
@@ -57,6 +54,5 @@ let broadcast t ~sender packet =
   in
   List.iter deliver t.stations
 
-let packets_sent t = t.sent
 let packets_delivered t = t.delivered
 let packets_lost t = t.lost

@@ -1,7 +1,6 @@
 module Drm = Zeroconf.Drm
 module Params = Zeroconf.Params
 module C = Dtmc.Chain
-module Ss = Dtmc.State_space
 
 let check_rel ?(rtol = 1e-9) msg expected actual =
   Alcotest.(check bool)
@@ -14,54 +13,98 @@ let fig2 = Params.figure2
 let test_state_space_layout () =
   (* the paper's table: start, 1st, ..., nth, error, ok *)
   let drm = Drm.build fig2 ~n:4 ~r:2. in
-  let states = C.states drm.Drm.chain in
-  Alcotest.(check int) "n + 3 states" 7 (Ss.size states);
+  let c = drm.Drm.chain in
+  Alcotest.(check int) "n + 3 states" 7 (C.size c);
   Alcotest.(check (array string)) "labels in paper order"
     [| "start"; "1st"; "2nd"; "3rd"; "4th"; "error"; "ok" |]
-    (Ss.labels states);
+    (Array.init (C.size c) (C.label c));
   Alcotest.(check int) "start is row 1" 0 drm.Drm.start;
   Alcotest.(check int) "error is row n+2" 5 drm.Drm.error;
   Alcotest.(check int) "ok is row n+3" 6 drm.Drm.ok
 
 let test_ordinal_labels_beyond_ten () =
-  let drm = Drm.build fig2 ~n:13 ~r:0.3 in
-  let states = C.states drm.Drm.chain in
-  Alcotest.(check bool) "11th..13th present" true
-    (Ss.mem states "11th" && Ss.mem states "12th" && Ss.mem states "13th");
-  Alcotest.(check bool) "21st-style suffixes unused here" true
-    (not (Ss.mem states "13rd"))
+  let drm = Drm.build fig2 ~n:23 ~r:0.3 in
+  let c = drm.Drm.chain in
+  Alcotest.(check (list string)) "11th..13th, 21st..23rd"
+    [ "11th"; "12th"; "13th"; "21st"; "22nd"; "23rd" ]
+    (List.map (C.label c) [ 11; 12; 13; 21; 22; 23 ])
 
 let test_transition_probabilities_match_paper () =
   let n = 3 and r = 1.5 in
   let drm = Drm.build fig2 ~n ~r in
   let c = drm.Drm.chain in
-  check_rel "start -> 1st is q" fig2.Params.q (C.prob_by_label c "start" "1st");
-  check_rel "start -> ok is 1 - q" (1. -. fig2.Params.q)
-    (C.prob_by_label c "start" "ok");
+  let start = drm.Drm.start in
+  check_rel "start -> 1st is q" fig2.Params.q (C.prob c start 1);
+  check_rel "start -> ok is 1 - q" (1. -. fig2.Params.q) (C.prob c start drm.Drm.ok);
   for i = 1 to n do
     let p_i = Zeroconf.Probes.no_answer fig2 ~i ~r in
-    let src = [| "1st"; "2nd"; "3rd" |].(i - 1) in
-    let dst = if i = n then "error" else [| "1st"; "2nd"; "3rd" |].(i) in
-    check_rel (Printf.sprintf "%s forward" src) p_i (C.prob_by_label c src dst);
-    check_rel (Printf.sprintf "%s back to start" src) (1. -. p_i)
-      (C.prob_by_label c src "start")
+    let dst = if i = n then drm.Drm.error else i + 1 in
+    check_rel (Printf.sprintf "%s forward" (C.label c i)) p_i (C.prob c i dst);
+    check_rel
+      (Printf.sprintf "%s back to start" (C.label c i))
+      (1. -. p_i) (C.prob c i start)
   done
 
 let test_costs_match_paper () =
   let n = 3 and r = 1.5 in
   let drm = Drm.build fig2 ~n ~r in
   let reward = drm.Drm.reward in
-  let states = C.states drm.Drm.chain in
-  let idx = Ss.index states in
+  let start = drm.Drm.start in
   let step = r +. fig2.Params.probe_cost in
   check_rel "start -> ok costs n (r+c)" (float_of_int n *. step)
-    (Dtmc.Reward.transition reward (idx "start") (idx "ok"));
-  check_rel "start -> 1st costs r+c" step
-    (Dtmc.Reward.transition reward (idx "start") (idx "1st"));
+    (Dtmc.Reward.transition reward start drm.Drm.ok);
+  check_rel "start -> 1st costs r+c" step (Dtmc.Reward.transition reward start 1);
   check_rel "nth -> error costs E" fig2.Params.error_cost
-    (Dtmc.Reward.transition reward (idx "3rd") (idx "error"));
-  check_rel "abort transition is free" 0.
-    (Dtmc.Reward.transition reward (idx "2nd") (idx "start"))
+    (Dtmc.Reward.transition reward 3 drm.Drm.error);
+  check_rel "abort transition is free" 0. (Dtmc.Reward.transition reward 2 start)
+
+(* Every row against the Sec. 4.1 table, as (column, probability, cost)
+   in column order: start = 0, probe i = i, error = n + 1, ok = n + 2,
+   with the zero-probability hops absent (q = 0 drops start -> 1st,
+   r = 0 drops every abort). *)
+let test_rows_match_table () =
+  let table (p : Params.t) ~n ~r i =
+    let step = r +. p.probe_cost in
+    let keep = List.filter (fun (_, prob, _) -> prob > 0.) in
+    if i = 0 then
+      keep [ (1, p.q, step); (n + 2, 1. -. p.q, float_of_int n *. step) ]
+    else if i <= n then begin
+      let p_i = Zeroconf.Probes.no_answer p ~i ~r in
+      let forward = if i = n then p.error_cost else step in
+      keep [ (0, 1. -. p_i, 0.); (i + 1, p_i, forward) ]
+    end
+    else [ (i, 1., 0.) ]
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun r ->
+          for n = 1 to 64 do
+            let drm = Drm.build p ~n ~r in
+            Alcotest.(check int) "n + 3 rows" (n + 3) (C.size drm.Drm.chain);
+            for i = 0 to n + 2 do
+              let cols, probs = C.successors drm.Drm.chain i in
+              let costs = Dtmc.Reward.costs drm.Drm.reward i in
+              let row =
+                List.init (Array.length cols) (fun e ->
+                    (cols.(e), probs.(e), costs.(e)))
+              in
+              let expected = table p ~n ~r i in
+              let where =
+                Printf.sprintf "q=%g r=%g n=%d row %d" p.Params.q r n i
+              in
+              Alcotest.(check (list int)) (where ^ " columns")
+                (List.map (fun (j, _, _) -> j) expected)
+                (List.map (fun (j, _, _) -> j) row);
+              List.iter2
+                (fun (_, prob, cost) (_, prob', cost') ->
+                  check_rel ~rtol:1e-15 (where ^ " probability") prob prob';
+                  Alcotest.(check (float 0.)) (where ^ " cost") cost cost')
+                expected row
+            done
+          done)
+        [ 0.; 0.3; 2. ])
+    [ fig2; Params.with_q fig2 0. ]
 
 let test_absorption_partition () =
   let drm = Drm.build fig2 ~n:4 ~r:2. in
@@ -138,7 +181,10 @@ let test_guards () =
     (fun () -> ignore (Drm.build fig2 ~n:0 ~r:1.));
   Alcotest.check_raises "negative r"
     (Invalid_argument "Drm.build: negative listening period") (fun () ->
-      ignore (Drm.build fig2 ~n:1 ~r:(-1.)))
+      ignore (Drm.build fig2 ~n:1 ~r:(-1.)));
+  Alcotest.check_raises "nan r"
+    (Invalid_argument "Drm.build: listening period is nan") (fun () ->
+      ignore (Drm.build fig2 ~n:1 ~r:nan))
 
 let () =
   Alcotest.run "drm"
@@ -147,7 +193,8 @@ let () =
           Alcotest.test_case "ordinals" `Quick test_ordinal_labels_beyond_ten;
           Alcotest.test_case "probabilities" `Quick
             test_transition_probabilities_match_paper;
-          Alcotest.test_case "costs" `Quick test_costs_match_paper ] );
+          Alcotest.test_case "costs" `Quick test_costs_match_paper;
+          Alcotest.test_case "rows = Sec. 4.1 table" `Quick test_rows_match_table ] );
       ( "analysis",
         [ Alcotest.test_case "absorption partition" `Quick test_absorption_partition;
           Alcotest.test_case "free network steps" `Quick

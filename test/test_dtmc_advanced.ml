@@ -1,11 +1,10 @@
 module C = Dtmc.Chain
-module Ss = Dtmc.State_space
 
 let check_close ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
 
 let chain_of arrays labels =
-  C.create ~states:(Ss.of_labels labels) (Rows.of_dense arrays)
+  C.create ~labels (Rows.of_dense arrays)
 
 (* ---------------- reachability ---------------- *)
 
@@ -17,7 +16,7 @@ let diamond =
        [| 0.; 0.; 0.; 0.; 1. |];
        [| 0.; 0.; 0.; 1.; 0. |];
        [| 0.; 0.; 0.; 0.; 1. |] |]
-    [ "s"; "l"; "r"; "goal"; "trap" ]
+    [| "s"; "l"; "r"; "goal"; "trap" |]
 
 let test_reachability_prob () =
   let p = Dtmc.Reachability.prob diamond ~target:[ 3 ] in
@@ -48,7 +47,7 @@ let test_reachability_vs_absorption () =
 
 let test_bounded_reachability () =
   (* leave with prob 0.5 per step *)
-  let c = chain_of [| [| 0.5; 0.5 |]; [| 0.; 1. |] |] [ "s"; "a" ] in
+  let c = chain_of [| [| 0.5; 0.5 |]; [| 0.; 1. |] |] [| "s"; "a" |] in
   let v = Dtmc.Reachability.bounded_prob c ~target:[ 1 ] ~horizon:3 in
   check_close "within 3 steps" (1. -. 0.125) v.(0);
   let v0 = Dtmc.Reachability.bounded_prob c ~target:[ 1 ] ~horizon:0 in
@@ -62,7 +61,7 @@ let test_simulate_ruin () =
   let ruin =
     chain_of
       [| [| 1.; 0.; 0. |]; [| 0.5; 0.; 0.5 |]; [| 0.; 0.; 1. |] |]
-      [ "lose"; "play"; "win" ]
+      [| "lose"; "play"; "win" |]
   in
   let est =
     Dtmc.Simulate.estimate_absorption ~trials:20_000 ~rng ruin ~from:1 ~into:2
@@ -72,7 +71,7 @@ let test_simulate_ruin () =
 
 let test_simulate_reward_matches_analytic () =
   let rng = Numerics.Rng.create 32 in
-  let c = chain_of [| [| 0.8; 0.2 |]; [| 0.; 1. |] |] [ "s"; "a" ] in
+  let c = chain_of [| [| 0.8; 0.2 |]; [| 0.; 1. |] |] [| "s"; "a" |] in
   let r = Dtmc.Reward.create ~transition_rewards:[| [ (0, 1.); (1, 1.) ]; [] |] c in
   let est = Dtmc.Simulate.estimate_total_reward ~trials:20_000 ~rng r ~from:0 in
   let truth = Dtmc.Absorbing.expected_total_reward r ~from:0 in
@@ -82,7 +81,7 @@ let test_simulate_reward_matches_analytic () =
 
 let test_simulate_path_structure () =
   let rng = Numerics.Rng.create 33 in
-  let c = chain_of [| [| 0.; 1. |]; [| 0.; 1. |] |] [ "s"; "a" ] in
+  let c = chain_of [| [| 0.; 1. |]; [| 0.; 1. |] |] [| "s"; "a" |] in
   let p = Dtmc.Simulate.run ~rng (Dtmc.Reward.zero c) ~from:0 in
   Alcotest.(check bool) "absorbed" true p.Dtmc.Simulate.absorbed;
   Alcotest.(check (array int)) "path" [| 0; 1 |] p.Dtmc.Simulate.states

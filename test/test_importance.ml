@@ -1,15 +1,14 @@
 module I = Dtmc.Importance
 module C = Dtmc.Chain
-module Ss = Dtmc.State_space
 
 let chain_of arrays labels =
-  C.create ~states:(Ss.of_labels labels) (Rows.of_dense arrays)
+  C.create ~labels (Rows.of_dense arrays)
 
 (* rare route: s -> bad with prob 1e-6, else -> good *)
 let rare p_bad =
   chain_of
     [| [| 0.; p_bad; 1. -. p_bad |]; [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |] |]
-    [ "s"; "bad"; "good" ]
+    [| "s"; "bad"; "good" |]
 
 let test_unbiased_with_identity_proposal () =
   (* proposal = target chain: ordinary MC, must work on common events *)
@@ -47,7 +46,7 @@ let test_multistep_rare_route () =
          [| 0.; 0.; 1e-4; 1. -. 1e-4 |];
          [| 0.; 0.; 1.; 0. |];
          [| 0.; 0.; 0.; 1. |] |]
-      [ "s"; "half"; "bad"; "good" ]
+      [| "s"; "half"; "bad"; "good" |]
   in
   let proposal = I.boosted_proposal ~floor:0.5 c ~toward:2 in
   let est =
@@ -68,7 +67,7 @@ let test_absolute_continuity_checked () =
     chain_of
       [| [| 0.; 0.; 1. |] (* no mass on the used edge *); [| 0.; 1.; 0. |];
          [| 0.; 0.; 1. |] |]
-      [ "s"; "bad"; "good" ]
+      [| "s"; "bad"; "good" |]
   in
   try
     ignore

@@ -117,7 +117,7 @@ let test_optimal_n_non_increasing_in_r () =
 let test_min_cost_is_lower_envelope () =
   List.iter
     (fun r ->
-      let envelope = O.min_cost fig2 ~r in
+      let envelope = snd (O.optimal_n fig2 ~r) in
       List.iter
         (fun n ->
           Alcotest.(check bool)

@@ -1,6 +1,5 @@
 module P = Dtmc.Pctl
 module C = Dtmc.Chain
-module Ss = Dtmc.State_space
 
 let check_close ?(tol = 1e-12) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
@@ -8,7 +7,7 @@ let check_close ?(tol = 1e-12) msg expected actual =
 (* fair gambler on 0..4 *)
 let ruin =
   C.create
-    ~states:(Ss.of_labels [ "broke"; "one"; "two"; "three"; "rich" ])
+    ~labels:[| "broke"; "one"; "two"; "three"; "rich" |]
     (Array.init 5 (fun i ->
          if i = 0 || i = 4 then [ (i, 1.) ] else [ (i - 1, 0.5); (i + 1, 0.5) ]))
 

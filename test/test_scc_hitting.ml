@@ -1,8 +1,7 @@
 module C = Dtmc.Chain
-module Ss = Dtmc.State_space
 
 let chain_of arrays labels =
-  C.create ~states:(Ss.of_labels labels) (Rows.of_dense arrays)
+  C.create ~labels (Rows.of_dense arrays)
 
 let check_close ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
@@ -15,7 +14,7 @@ let test_hitting_on_cycle () =
   let c =
     chain_of
       [| [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |]; [| 1.; 0.; 0. |] |]
-      [ "a"; "b"; "c" ]
+      [| "a"; "b"; "c" |]
   in
   let h = Dtmc.Hitting.expected_steps c ~target:[ 2 ] in
   check_close "from a" 2. h.(0);
@@ -26,7 +25,7 @@ let test_hitting_geometric () =
   (* stay w.p. 0.75, move to the target w.p. 0.25; the target returns:
      hitting time is geometric with mean 4 even though nothing absorbs *)
   let c =
-    chain_of [| [| 0.75; 0.25 |]; [| 1.; 0. |] |] [ "s"; "goal" ]
+    chain_of [| [| 0.75; 0.25 |]; [| 1.; 0. |] |] [| "s"; "goal" |]
   in
   let h = Dtmc.Hitting.expected_steps c ~target:[ 1 ] in
   check_close "mean 4" 4. h.(0)
@@ -54,7 +53,7 @@ let test_hitting_whole_absorbing_set_matches_expected_steps () =
 
 let test_hitting_reward () =
   (* pay 3 per step until the goal: expected reward = 3 x hitting time *)
-  let c = chain_of [| [| 0.5; 0.5 |]; [| 1.; 0. |] |] [ "s"; "goal" ] in
+  let c = chain_of [| [| 0.5; 0.5 |]; [| 1.; 0. |] |] [| "s"; "goal" |] in
   (* cost on edges out of the target must not matter *)
   let reward =
     Dtmc.Reward.create ~transition_rewards:[| [ (0, 3.); (1, 3.) ]; [ (0, 7.) ] |] c
@@ -63,7 +62,7 @@ let test_hitting_reward () =
   check_close "3 x mean 2" 6. h.(0)
 
 let test_hitting_guards () =
-  let c = chain_of [| [| 1. |] |] [ "only" ] in
+  let c = chain_of [| [| 1. |] |] [| "only" |] in
   Alcotest.check_raises "empty target" (Invalid_argument "Hitting: empty target")
     (fun () -> ignore (Dtmc.Hitting.expected_steps c ~target:[]));
   Alcotest.check_raises "out of range"
