@@ -149,24 +149,43 @@ let reproduce_validation () =
         [ ("n", Output.Table.Right); ("r", Output.Table.Right);
           ("C eq3", Output.Table.Right); ("C matrix", Output.Table.Right);
           ("C sim 95% CI", Output.Table.Left); ("E eq4", Output.Table.Right);
-          ("E matrix", Output.Table.Right); ("E sim 95% CI", Output.Table.Left) ]
+          ("E matrix", Output.Table.Right); ("E sim 95% CI", Output.Table.Left);
+          ("covered", Output.Table.Left) ]
   in
-  List.iter
-    (fun (row : Engine.Experiments.validation_row) ->
-      Output.Table.add_row table
-        [ string_of_int row.Engine.Experiments.n;
-          Printf.sprintf "%.2f" row.Engine.Experiments.r;
-          Printf.sprintf "%.4f" row.Engine.Experiments.analytic_cost;
-          Printf.sprintf "%.4f" row.Engine.Experiments.matrix_cost;
-          Printf.sprintf "[%.4f, %.4f]"
-            row.Engine.Experiments.simulated_cost.Dtmc.Simulate.ci_lo
-            row.Engine.Experiments.simulated_cost.Dtmc.Simulate.ci_hi;
-          Printf.sprintf "%.5f" row.Engine.Experiments.analytic_error;
-          Printf.sprintf "%.5f" row.Engine.Experiments.matrix_error;
-          Printf.sprintf "[%.5f, %.5f]"
-            row.Engine.Experiments.simulated_error.Dtmc.Simulate.ci_lo
-            row.Engine.Experiments.simulated_error.Dtmc.Simulate.ci_hi ])
-    (Engine.Experiments.validation ~trials:10_000 ());
+  let answer (rep : Engine.Crosscheck.report) backend =
+    List.find
+      (fun (a : Engine.Answer.t) -> a.Engine.Answer.backend = backend)
+      rep.Engine.Crosscheck.answers
+  in
+  let exact fmt rep backend =
+    Printf.sprintf fmt (Engine.Answer.scalar (answer rep backend) 0)
+  in
+  let ci fmt rep =
+    match Engine.Answer.ci (answer rep "mc") 0 with
+    | Some (lo, hi) -> Printf.sprintf fmt lo hi
+    | None -> "-"
+  in
+  let covered (rep : Engine.Crosscheck.report) =
+    rep.Engine.Crosscheck.mc_covered = Some true
+  in
+  (* two reports per point: mean cost, then error probability *)
+  let rec rows = function
+    | cost :: error :: rest ->
+        let n, r = Engine.Query.(points cost.Engine.Crosscheck.query).(0) in
+        Output.Table.add_row table
+          [ string_of_int n;
+            Printf.sprintf "%.2f" r;
+            exact "%.4f" cost "analytic";
+            exact "%.4f" cost "dtmc";
+            ci "[%.4f, %.4f]" cost;
+            exact "%.5f" error "analytic";
+            exact "%.5f" error "dtmc";
+            ci "[%.5f, %.5f]" error;
+            (if covered cost && covered error then "yes" else "no") ];
+        rows rest
+    | _ -> ()
+  in
+  rows (Engine.Experiments.validation ());
   print_string (Output.Table.to_text table)
 
 let reproduce_refinements () =

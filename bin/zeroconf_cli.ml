@@ -317,37 +317,42 @@ let refine_cmd =
 
 let pareto_cmd =
   let run p =
-    let front = Engine.Tradeoff.front p in
-    Format.printf "Pareto front over (mean cost, error probability): %d designs@.@."
-      (List.length front);
-    let table =
-      Output.Table.create
-        ~columns:
-          [ ("n", Output.Table.Right); ("r", Output.Table.Right);
-            ("cost", Output.Table.Right); ("log10 error", Output.Table.Right) ]
-    in
-    let step = max 1 (List.length front / 20) in
-    List.iteri
-      (fun i (d : Engine.Tradeoff.design) ->
-        if i mod step = 0 then
-          Output.Table.add_row table
-            [ string_of_int d.Engine.Tradeoff.n;
-              Printf.sprintf "%.3f" d.Engine.Tradeoff.r;
-              Printf.sprintf "%.3f" d.Engine.Tradeoff.cost;
-              Printf.sprintf "%.1f" d.Engine.Tradeoff.log10_error ])
-      front;
-    print_string (Output.Table.to_text table);
-    match Engine.Tradeoff.knee front with
-    | Some k ->
-        Format.printf "@.knee (best compromise): n = %d, r = %.3f (cost %.3f, log10 error %.1f)@."
-          k.Engine.Tradeoff.n k.Engine.Tradeoff.r k.Engine.Tradeoff.cost
-          k.Engine.Tradeoff.log10_error
-    | None -> ()
+    match Cli_common.validated (fun () -> Engine.Tradeoff.front p) with
+    | `Error _ as e -> e
+    | `Ok front ->
+        Format.printf
+          "Pareto front over (mean cost, error probability): %d designs@.@."
+          (List.length front);
+        let table =
+          Output.Table.create
+            ~columns:
+              [ ("n", Output.Table.Right); ("r", Output.Table.Right);
+                ("cost", Output.Table.Right); ("log10 error", Output.Table.Right) ]
+        in
+        let step = max 1 (List.length front / 20) in
+        List.iteri
+          (fun i (d : Engine.Tradeoff.design) ->
+            if i mod step = 0 then
+              Output.Table.add_row table
+                [ string_of_int d.Engine.Tradeoff.n;
+                  Printf.sprintf "%.3f" d.Engine.Tradeoff.r;
+                  Printf.sprintf "%.3f" d.Engine.Tradeoff.cost;
+                  Printf.sprintf "%.1f" d.Engine.Tradeoff.log10_error ])
+          front;
+        print_string (Output.Table.to_text table);
+        (match Engine.Tradeoff.knee front with
+        | Some k ->
+            Format.printf
+              "@.knee (best compromise): n = %d, r = %.3f (cost %.3f, log10 error %.1f)@."
+              k.Engine.Tradeoff.n k.Engine.Tradeoff.r k.Engine.Tradeoff.cost
+              k.Engine.Tradeoff.log10_error
+        | None -> ());
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "pareto"
        ~doc:"Cost/reliability trade-off front: the paper's central tension, quantified.")
-    Term.(const run $ scenario_term)
+    Term.(ret (const run $ scenario_term))
 
 let maintenance_cmd =
   let trials =
@@ -617,11 +622,13 @@ let report_cmd =
     Arg.(value & opt Cli_common.duration 2.
          & info [ "draft-r" ] ~doc:"Draft listening period.")
   in
-  let run p draft_n draft_r = Engine.Report.print ~draft_n ~draft_r p in
+  let run p draft_n draft_r =
+    Cli_common.validated (fun () -> Engine.Report.print ~draft_n ~draft_r p)
+  in
   Cmd.v
     (Cmd.info "report"
        ~doc:"One-page Markdown design report for a scenario (optimum, frontier, sensitivities).")
-    Term.(const run $ scenario_term $ draft_n $ draft_r)
+    Term.(ret (const run $ scenario_term $ draft_n $ draft_r))
 
 (* ------------------------------------------------------------------ *)
 (* Query-engine commands                                               *)
@@ -766,9 +773,16 @@ let crosscheck_cmd =
           | `Ok q -> `Ok [ q ]
           | `Error _ as e -> e)
     in
-    match quantities with
+    let queries =
+      match quantities with
+      | `Error _ as e -> e
+      | `Ok quantities ->
+          Cli_common.validated (fun () ->
+              List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities)
+    in
+    match queries with
     | `Error _ as e -> e
-    | `Ok quantities ->
+    | `Ok queries ->
         List.iter
           (fun (rep : Engine.Crosscheck.report) ->
             Format.printf "crosscheck: %a@." Engine.Query.pp
@@ -802,8 +816,7 @@ let crosscheck_cmd =
                 Format.printf
                   "monte carlo: not applicable to this quantity@.");
             Format.printf "@.")
-          (Engine.Crosscheck.run ~trials ~seed
-             (List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities));
+          (Engine.Crosscheck.run ~trials ~seed queries);
         `Ok ()
   in
   Cmd.v

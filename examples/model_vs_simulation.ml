@@ -2,7 +2,8 @@
 
    1. the closed forms, Eqs. 3 and 4;
    2. a linear-algebra solve of the Sec. 4.1 DRM matrices;
-   3. Monte-Carlo simulation — both of the DRM chain and of the actual
+   3. Monte-Carlo simulation of the protocol itself: the query engine's
+      Monte-Carlo route, which samples reply delays from F_X, and the
       packet-level protocol on a lossy broadcast link.
 
      dune exec examples/model_vs_simulation.exe
@@ -29,33 +30,27 @@ let () =
     (Zeroconf.Reliability.error_probability p ~n ~r);
   Format.printf "matrix DRM error       = %.5f@.@." (Zeroconf.Drm.error_probability drm);
 
-  (* Route 3a: Monte-Carlo on the chain itself. *)
-  let rng = Numerics.Rng.create 7 in
-  let trials = 40_000 in
-  let cost_est = Zeroconf.Drm.simulate_cost ~trials ~rng drm in
-  let err_est = Zeroconf.Drm.simulate_error ~trials ~rng drm in
-  Format.printf "chain simulation (%d trials):@." trials;
-  Format.printf "  cost  = %.5f  [%.5f, %.5f]@." cost_est.Dtmc.Simulate.mean
-    cost_est.Dtmc.Simulate.ci_lo cost_est.Dtmc.Simulate.ci_hi;
-  Format.printf "  error = %.5f  [%.5f, %.5f]@.@." err_est.Dtmc.Simulate.mean
-    err_est.Dtmc.Simulate.ci_lo err_est.Dtmc.Simulate.ci_hi;
+  (* Route 3a: the query engine's Monte-Carlo route, sampling actual
+     reply delays from F_X; cost and error at one point share one
+     sampling stream. *)
+  let accuracy = Engine.Query.Sampled { trials = 20_000; seed = 7 } in
+  let mc quantity = Engine.Query.point ~accuracy quantity p ~n ~r in
+  Format.printf "F_X-sampling simulation (20000 trials):@.";
+  Array.iter
+    (fun (a : Engine.Answer.t) -> Format.printf "  %a@." Engine.Answer.pp a)
+    (Engine.Executor.eval_batch
+       [| mc Engine.Query.Mean_cost; mc Engine.Query.Error_probability |]);
+  Format.printf "@.";
 
-  (* Route 3b: sample actual reply delays from F_X (aggregate mode). *)
+  (* Route 3b: the full packet-level network.  The combined probe-trip,
+     processing and reply-trip stochastics are configured so the
+     end-to-end reply behaviour matches F_X: one-way delays of d/2 each
+     leg, exponential processing, and per-leg loss 1 - sqrt 0.9. *)
+  let rng = Numerics.Rng.create 7 in
   let config =
     Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
       ~error_cost:p.Zeroconf.Params.error_cost
   in
-  let sample =
-    Netsim.Scenario.run_aggregate ~delay ~occupied ~pool_size ~config
-      ~trials:20_000 ~rng ()
-  in
-  Format.printf "F_X-sampling simulation:@.%a@.@." Netsim.Metrics.pp_aggregate
-    (Netsim.Metrics.aggregate sample);
-
-  (* Route 3c: the full packet-level network.  The combined probe-trip,
-     processing and reply-trip stochastics are configured so the
-     end-to-end reply behaviour matches F_X: one-way delays of d/2 each
-     leg, exponential processing, and per-leg loss 1 - sqrt 0.9. *)
   let leg_loss = 1. -. sqrt 0.9 in
   let sample =
     Netsim.Scenario.run_detailed ~loss:leg_loss

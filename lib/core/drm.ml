@@ -59,10 +59,3 @@ let error_probability t =
 
 let cost_variance t = Dtmc.Absorbing.variance_total_reward t.reward ~from:t.start
 let expected_steps t = Dtmc.Absorbing.expected_steps t.chain ~from:t.start
-
-let simulate_cost ~trials ~rng t =
-  Dtmc.Simulate.estimate_total_reward ~trials ~rng t.reward ~from:t.start
-
-let simulate_error ~trials ~rng t =
-  Dtmc.Simulate.estimate_absorption ~trials ~rng t.chain ~from:t.start
-    ~into:t.error

@@ -41,11 +41,3 @@ val cost_variance : t -> float
 
 val expected_steps : t -> float
 (** Expected number of DRM transitions until absorption. *)
-
-val simulate_cost :
-  trials:int -> rng:Numerics.Rng.t -> t -> Dtmc.Simulate.estimate
-(** Monte-Carlo estimate of the mean cost (validation route 3). *)
-
-val simulate_error :
-  trials:int -> rng:Numerics.Rng.t -> t -> Dtmc.Simulate.estimate
-(** Monte-Carlo estimate of the error probability. *)

@@ -30,23 +30,27 @@ let report (q : Query.t) exact_answers mc_answer =
             done)
         exact_answers)
     exact_answers;
+  (* the interval must hold every deterministic answer, so a drift
+     between two exact routes shows as a miss *)
+  let covers (mc : Answer.t) (reference : Answer.t) =
+    let ok = ref true in
+    for k = 0 to size - 1 do
+      let x = Answer.scalar reference k in
+      match Answer.ci mc k with
+      | Some (lo, hi) ->
+          (* the Wilson lower bound at 0 successes is ~0 up to fp
+             noise; a hair of slack keeps exact-zero references in *)
+          let slack =
+            1e-12 *. Float.max 1. (Float.max (Float.abs lo) (Float.abs hi))
+          in
+          if not (x >= lo -. slack && x <= hi +. slack) then ok := false
+      | None -> ok := false
+    done;
+    !ok
+  in
   let mc_covered =
     match (mc_answer, exact_answers) with
-    | Some (mc : Answer.t), (reference : Answer.t) :: _ ->
-        let ok = ref true in
-        for k = 0 to size - 1 do
-          let x = Answer.scalar reference k in
-          match Answer.ci mc k with
-          | Some (lo, hi) ->
-              (* the Wilson lower bound at 0 successes is ~0 up to fp
-                 noise; a hair of slack keeps exact-zero references in *)
-              let slack =
-                1e-12 *. Float.max 1. (Float.max (Float.abs lo) (Float.abs hi))
-              in
-              if not (x >= lo -. slack && x <= hi +. slack) then ok := false
-          | None -> ok := false
-        done;
-        Some !ok
+    | Some mc, _ :: _ -> Some (List.for_all (covers mc) exact_answers)
     | _ -> None
   in
   { query = q;

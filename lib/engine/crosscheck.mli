@@ -1,10 +1,10 @@
 (** Multi-route agreement: run queries on every backend that can
     answer them and quantify how far the routes drift apart.
 
-    This generalizes the repository's historical three-way validation
-    table to {e any} query: the deterministic routes must agree to
-    float precision, and the Monte-Carlo estimate must cover the
-    deterministic value with its confidence interval. *)
+    It works for {e any} query, and the reproduction report's V1
+    validation table is one call of {!run}: the deterministic routes
+    must agree to float precision, and the Monte-Carlo estimate must
+    cover every deterministic value with its confidence interval. *)
 
 type report = {
   query : Query.t;
@@ -18,8 +18,9 @@ type report = {
           the values are equal; [infinity] if exactly one is
           non-finite). *)
   mc_covered : bool option;
-      (** Whether the first deterministic answer lies inside the
-          Monte-Carlo confidence interval at every domain point;
+      (** Whether every deterministic answer lies inside the
+          Monte-Carlo confidence interval at every domain point, so a
+          drift between two exact routes shows as [Some false];
           [None] when no Monte-Carlo route applies (e.g. log10 error,
           cost variance). *)
 }

@@ -230,35 +230,17 @@ let section_45 () =
 
 let section_6 () = Assessment.run Params.realistic_ethernet
 
-type validation_row = {
-  n : int;
-  r : float;
-  analytic_cost : float;
-  matrix_cost : float;
-  simulated_cost : Dtmc.Simulate.estimate;
-  analytic_error : float;
-  matrix_error : float;
-  simulated_error : Dtmc.Simulate.estimate;
-}
-
-let validation ?(trials = 20_000) ?(seed = 42) () =
+let validation () =
   (* Monte-Carlo-friendly scenario: frequent collisions, lossy probes,
-     moderate error cost, so simulation resolves both outputs. *)
+     moderate error cost, so the F_X sampler resolves both outputs. *)
   let p =
     Params.v ~name:"validation"
       ~delay:(Dist.Families.shifted_exponential ~mass:0.9 ~rate:2. ~delay:0.5 ())
       ~q:0.3 ~probe_cost:1. ~error_cost:100.
   in
-  let rng = Numerics.Rng.create seed in
-  let row (n, r) =
-    let drm = Drm.build p ~n ~r in
-    { n;
-      r;
-      analytic_cost = Cost.mean p ~n ~r;
-      matrix_cost = Drm.mean_cost drm;
-      simulated_cost = Drm.simulate_cost ~trials ~rng drm;
-      analytic_error = Reliability.error_probability p ~n ~r;
-      matrix_error = Drm.error_probability drm;
-      simulated_error = Drm.simulate_error ~trials ~rng drm }
-  in
-  List.map row [ (1, 0.8); (2, 0.8); (3, 0.6); (3, 1.5); (4, 1.) ]
+  Crosscheck.run ~trials:10_000 ~seed:42
+    (List.concat_map
+       (fun (n, r) ->
+         [ Query.point Query.Mean_cost p ~n ~r;
+           Query.point Query.Error_probability p ~n ~r ])
+       [ (1, 0.8); (2, 0.8); (3, 0.6); (3, 1.5); (4, 1.) ])

@@ -86,18 +86,10 @@ val section_6 : unit -> Assessment.t
 (** The realistic-ethernet assessment; the paper reports optimum
     [n = 2, r ~= 1.75] with error probability [~4e-22]. *)
 
-type validation_row = {
-  n : int;
-  r : float;
-  analytic_cost : float;       (** Eq. 3. *)
-  matrix_cost : float;         (** Generic DRM solve. *)
-  simulated_cost : Dtmc.Simulate.estimate;
-  analytic_error : float;      (** Eq. 4. *)
-  matrix_error : float;        (** Absorption probability. *)
-  simulated_error : Dtmc.Simulate.estimate;
-}
-
-val validation : ?trials:int -> ?seed:int -> unit -> validation_row list
-(** Three-way agreement check on a Monte-Carlo-friendly scenario
-    (moderate [E] and loss, so all three routes resolve the same
-    digits). *)
+val validation : unit -> Crosscheck.report list
+(** V1, the three-way agreement check: {!Crosscheck.run} at 10_000
+    trials and seed 42 on a Monte-Carlo-friendly scenario (moderate
+    [E] and loss, so all three routes resolve the same digits).  Two
+    reports per [(n, r)] point, mean cost then error probability, each
+    with the analytic (Eqs. 3/4), kernel, dtmc (DRM matrix solve) and
+    mc (the operational F_X sampler) answers. *)

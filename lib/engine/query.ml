@@ -36,6 +36,33 @@ let check_r r =
   if not (Float.is_finite r && r >= 0.) then
     invalid_arg (Printf.sprintf "Query: r = %g not non-negative and finite" r)
 
+let quantity_name = function
+  | Mean_cost -> "mean-cost"
+  | Error_probability -> "error-probability"
+  | Log10_error -> "log10-error"
+  | Cost_variance -> "cost-variance"
+  | Latency_mean -> "latency-mean"
+
+(* A trial's cost is a sum of attempts, each costing at most n (r + c)
+   + E.  Where that bound overflows, a cost sample holds inf and its
+   mean or variance comes out as inf - inf, so the cost quantities
+   refuse the point. *)
+let check_cost t n r =
+  match t.quantity with
+  | Mean_cost | Cost_variance ->
+      let p = t.scenario in
+      let bound =
+        (float_of_int n *. (r +. p.Zeroconf.Params.probe_cost))
+        +. p.Zeroconf.Params.error_cost
+      in
+      if not (Float.is_finite bound) then
+        invalid_arg
+          (Printf.sprintf
+             "Query: %s at n = %d, r = %g: the largest attempt cost \
+              n (r + c) + E = %g is not finite"
+             (quantity_name t.quantity) n r bound)
+  | Error_probability | Log10_error | Latency_mean -> ()
+
 let size t =
   match t.domain with
   | Point _ -> 1
@@ -46,15 +73,18 @@ let validate t =
   (match t.domain with
   | Point { n; r } ->
       check_n n;
-      check_r r
+      check_r r;
+      check_cost t n r
   | N_sweep { ns; r } ->
       if Array.length ns = 0 then invalid_arg "Query: empty n sweep";
       Array.iter check_n ns;
-      check_r r
+      check_r r;
+      Array.iter (fun n -> check_cost t n r) ns
   | R_sweep { n; rs } ->
       check_n n;
       if Array.length rs = 0 then invalid_arg "Query: empty r sweep";
-      Array.iter check_r rs);
+      Array.iter check_r rs;
+      Array.iter (fun r -> check_cost t n r) rs);
   if size t > max_points then
     invalid_arg
       (Printf.sprintf "Query: %d points > max_points = %d" (size t) max_points);
@@ -86,13 +116,6 @@ let points t =
   | Point { n; r } -> [| (n, r) |]
   | N_sweep { ns; r } -> Array.map (fun n -> (n, r)) ns
   | R_sweep { n; rs } -> Array.map (fun r -> (n, r)) rs
-
-let quantity_name = function
-  | Mean_cost -> "mean-cost"
-  | Error_probability -> "error-probability"
-  | Log10_error -> "log10-error"
-  | Cost_variance -> "cost-variance"
-  | Latency_mean -> "latency-mean"
 
 let quantity_of_name = function
   | "mean-cost" | "cost" -> Some Mean_cost

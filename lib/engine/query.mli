@@ -67,8 +67,11 @@ val validate : t -> unit
     as the largest sweep allowed), every listening period is
     non-negative and finite ([r = 0] is the paper's boundary case,
     where [C_n(0) = n c + q E]), sweeps are non-empty and hold at most
-    {!max_points} points, and [Sampled] demands between 1 and
-    {!max_trials} trials.  The smart constructors above call this. *)
+    {!max_points} points, [Sampled] demands between 1 and
+    {!max_trials} trials, and, for [Mean_cost] and [Cost_variance],
+    the largest cost of one attempt, [n (r + c) + E], is finite at
+    every point (where it overflows, a mean or variance of costs is
+    [inf - inf]).  The smart constructors above call this. *)
 
 val size : t -> int
 (** Number of evaluation points in the domain. *)

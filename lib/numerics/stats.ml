@@ -75,8 +75,6 @@ let summary_ci ?(confidence = 0.95) s =
     let half = z *. s.std /. sqrt (float_of_int s.n) in
     (s.mean -. half, s.mean +. half)
 
-let mean_ci ?confidence xs = summary_ci ?confidence (summarize xs)
-
 let proportion_ci ?(confidence = 0.95) ~successes trials =
   if trials <= 0 then invalid_arg "Stats.proportion_ci: trials <= 0";
   if successes < 0 || successes > trials then

@@ -21,9 +21,6 @@ val summary_ci : ?confidence:float -> summary -> float * float
     summarized sample (default [confidence = 0.95]).  Returns
     [(lo, hi)]; [(mean, mean)] when [n < 2]. *)
 
-val mean_ci : ?confidence:float -> float array -> float * float
-(** [summary_ci] of [summarize xs]. *)
-
 val proportion_ci : ?confidence:float -> successes:int -> int -> float * float
 (** Wilson score interval for a binomial proportion — well-behaved even
     when [successes] is 0, which matters for rare collision events. *)

@@ -151,31 +151,6 @@ let test_variance_flat_in_n () =
       Alcotest.failf "n = %d: %.17g, n = 16: %.17g" n v v16
   done
 
-let test_simulation_estimates_cover_truth () =
-  let p =
-    Params.v ~name:"sim"
-      ~delay:(Dist.Families.shifted_exponential ~mass:0.9 ~rate:2. ~delay:0.5 ())
-      ~q:0.3 ~probe_cost:1. ~error_cost:50.
-  in
-  let drm = Drm.build p ~n:3 ~r:1. in
-  let rng = Numerics.Rng.create 77 in
-  let cost_est = Drm.simulate_cost ~trials:30_000 ~rng drm in
-  let err_est = Drm.simulate_error ~trials:30_000 ~rng drm in
-  let cost_truth = Drm.mean_cost drm in
-  let err_truth = Drm.error_probability drm in
-  Alcotest.(check bool)
-    (Printf.sprintf "cost CI [%g, %g] covers %g" cost_est.Dtmc.Simulate.ci_lo
-       cost_est.Dtmc.Simulate.ci_hi cost_truth)
-    true
-    (cost_est.Dtmc.Simulate.ci_lo <= cost_truth
-    && cost_truth <= cost_est.Dtmc.Simulate.ci_hi);
-  Alcotest.(check bool)
-    (Printf.sprintf "error CI [%g, %g] covers %g" err_est.Dtmc.Simulate.ci_lo
-       err_est.Dtmc.Simulate.ci_hi err_truth)
-    true
-    (err_est.Dtmc.Simulate.ci_lo <= err_truth
-    && err_truth <= err_est.Dtmc.Simulate.ci_hi)
-
 let test_guards () =
   Alcotest.check_raises "n = 0" (Invalid_argument "Drm.build: n must be >= 1")
     (fun () -> ignore (Drm.build fig2 ~n:0 ~r:1.));
@@ -194,7 +169,8 @@ let () =
           Alcotest.test_case "probabilities" `Quick
             test_transition_probabilities_match_paper;
           Alcotest.test_case "costs" `Quick test_costs_match_paper;
-          Alcotest.test_case "rows = Sec. 4.1 table" `Quick test_rows_match_table ] );
+          Alcotest.test_case "rows = Sec. 4.1 table" `Quick test_rows_match_table;
+          Alcotest.test_case "guards" `Quick test_guards ] );
       ( "analysis",
         [ Alcotest.test_case "absorption partition" `Quick test_absorption_partition;
           Alcotest.test_case "free network steps" `Quick
@@ -202,8 +178,4 @@ let () =
           Alcotest.test_case "hopeless network" `Quick
             test_q_one_always_collides_eventually;
           Alcotest.test_case "variance" `Quick test_variance_positive_when_random;
-          Alcotest.test_case "variance flat in n" `Quick test_variance_flat_in_n ] );
-      ( "simulation",
-        [ Alcotest.test_case "CIs cover truth" `Quick
-            test_simulation_estimates_cover_truth;
-          Alcotest.test_case "guards" `Quick test_guards ] ) ]
+          Alcotest.test_case "variance flat in n" `Quick test_variance_flat_in_n ] ) ]

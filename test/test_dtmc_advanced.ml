@@ -54,46 +54,10 @@ let test_bounded_reachability () =
   check_close "horizon 0 from non-target" 0. v0.(0);
   check_close "horizon 0 from target" 1. v0.(1)
 
-(* ---------------- simulation ---------------- *)
-
-let test_simulate_ruin () =
-  let rng = Numerics.Rng.create 31 in
-  let ruin =
-    chain_of
-      [| [| 1.; 0.; 0. |]; [| 0.5; 0.; 0.5 |]; [| 0.; 0.; 1. |] |]
-      [| "lose"; "play"; "win" |]
-  in
-  let est =
-    Dtmc.Simulate.estimate_absorption ~trials:20_000 ~rng ruin ~from:1 ~into:2
-  in
-  Alcotest.(check bool) "win prob near 0.5" true
-    (est.Dtmc.Simulate.ci_lo <= 0.5 && 0.5 <= est.Dtmc.Simulate.ci_hi)
-
-let test_simulate_reward_matches_analytic () =
-  let rng = Numerics.Rng.create 32 in
-  let c = chain_of [| [| 0.8; 0.2 |]; [| 0.; 1. |] |] [| "s"; "a" |] in
-  let r = Dtmc.Reward.create ~transition_rewards:[| [ (0, 1.); (1, 1.) ]; [] |] c in
-  let est = Dtmc.Simulate.estimate_total_reward ~trials:20_000 ~rng r ~from:0 in
-  let truth = Dtmc.Absorbing.expected_total_reward r ~from:0 in
-  check_close "analytic is 5" 5. truth;
-  Alcotest.(check bool) "CI covers analytic" true
-    (est.Dtmc.Simulate.ci_lo <= truth && truth <= est.Dtmc.Simulate.ci_hi)
-
-let test_simulate_path_structure () =
-  let rng = Numerics.Rng.create 33 in
-  let c = chain_of [| [| 0.; 1. |]; [| 0.; 1. |] |] [| "s"; "a" |] in
-  let p = Dtmc.Simulate.run ~rng (Dtmc.Reward.zero c) ~from:0 in
-  Alcotest.(check bool) "absorbed" true p.Dtmc.Simulate.absorbed;
-  Alcotest.(check (array int)) "path" [| 0; 1 |] p.Dtmc.Simulate.states
-
 let () =
   Alcotest.run "dtmc_advanced"
     [ ( "reachability",
         [ Alcotest.test_case "probabilities" `Quick test_reachability_prob;
           Alcotest.test_case "qualitative" `Quick test_reachability_qualitative;
           Alcotest.test_case "vs absorption" `Quick test_reachability_vs_absorption;
-          Alcotest.test_case "bounded" `Quick test_bounded_reachability ] );
-      ( "simulation",
-        [ Alcotest.test_case "ruin" `Quick test_simulate_ruin;
-          Alcotest.test_case "reward" `Quick test_simulate_reward_matches_analytic;
-          Alcotest.test_case "path structure" `Quick test_simulate_path_structure ] ) ]
+          Alcotest.test_case "bounded" `Quick test_bounded_reachability ] ) ]

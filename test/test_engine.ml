@@ -244,6 +244,7 @@ let test_provenance () =
 
 let test_validation () =
   let p = Zeroconf.Params.figure2 in
+  let dear = Zeroconf.Params.with_costs ~probe_cost:1e308 p in
   List.iter
     (fun f -> Alcotest.(check bool) "rejected" true
         (match f () with
@@ -268,7 +269,25 @@ let test_validation () =
         ignore
           (Q.point
              ~accuracy:(Q.Sampled { trials = Q.max_trials + 1; seed = 1 })
-             Q.Mean_cost p ~n:4 ~r:2.)) ];
+             Q.Mean_cost p ~n:4 ~r:2.));
+      (* the largest attempt cost n (r + c) + E overflows *)
+      (fun () -> ignore (Q.point Q.Cost_variance dear ~n:4 ~r:2.));
+      (fun () -> ignore (Q.n_sweep Q.Mean_cost dear ~ns:[| 1; 2 |] ~r:2.));
+      (fun () -> ignore (Q.r_sweep Q.Mean_cost p ~n:4 ~rs:[| 1.; 1e308 |]));
+      (fun () ->
+        ignore
+          (Q.point ~accuracy:(Q.Sampled { trials = 10; seed = 1 }) Q.Mean_cost
+             p ~n:4 ~r:1e308)) ];
+  Alcotest.check_raises "the refusal names the quantity"
+    (Invalid_argument
+       "Query: mean-cost at n = 4, r = 2: the largest attempt cost n (r + c) \
+        + E = inf is not finite")
+    (fun () -> ignore (Q.point Q.Mean_cost dear ~n:4 ~r:2.));
+  (* one probe at c = 1e308 stays finite, and the probabilities are
+     defined wherever the cost overflows *)
+  ignore (Q.point Q.Mean_cost dear ~n:1 ~r:2.);
+  ignore (Q.point Q.Error_probability dear ~n:4 ~r:2.);
+  ignore (Q.point Q.Error_probability p ~n:4 ~r:1e308);
   (* the bounds themselves are accepted *)
   Alcotest.(check int) "max_points accepted" Q.max_points
     (Q.size (Q.r_sweep Q.Mean_cost p ~n:4 ~rs:(Array.make Q.max_points 1.)));

@@ -149,30 +149,42 @@ let test_sec6_matches_paper () =
 
 (* ---------------- validation experiment (V1) ---------------- *)
 
+(* At V1's fixed trials and seed, every Monte-Carlo interval holds
+   both the closed form and the matrix solve, with no slack: a drift of
+   either exact route out of the F_X sampler's interval fails here. *)
 let test_validation_three_way_agreement () =
-  let rows = E.validation ~trials:8_000 ~seed:5 () in
-  Alcotest.(check bool) "several operating points" true (List.length rows >= 4);
+  let reports = E.validation () in
+  Alcotest.(check int) "cost and error at five points" 10 (List.length reports);
   List.iter
-    (fun (row : E.validation_row) ->
-      let label = Printf.sprintf "n=%d r=%g" row.E.n row.E.r in
-      check_close ~tol:1e-8 (label ^ ": Eq.3 = matrix") row.E.analytic_cost
-        row.E.matrix_cost;
-      check_close ~tol:1e-10 (label ^ ": Eq.4 = matrix") row.E.analytic_error
-        row.E.matrix_error;
-      let c = row.E.simulated_cost in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: cost CI [%g, %g] covers %g" label
-           c.Dtmc.Simulate.ci_lo c.Dtmc.Simulate.ci_hi row.E.analytic_cost)
-        true
-        (row.E.analytic_cost > c.Dtmc.Simulate.ci_lo -. (0.03 *. row.E.analytic_cost)
-        && row.E.analytic_cost < c.Dtmc.Simulate.ci_hi +. (0.03 *. row.E.analytic_cost));
-      let e = row.E.simulated_error in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: error CI covers" label)
-        true
-        (row.E.analytic_error > e.Dtmc.Simulate.ci_lo -. 0.01
-        && row.E.analytic_error < e.Dtmc.Simulate.ci_hi +. 0.01))
-    rows
+    (fun (rep : Engine.Crosscheck.report) ->
+      let q = rep.Engine.Crosscheck.query in
+      let label = Format.asprintf "%a" Engine.Query.pp q in
+      let answer backend =
+        match
+          List.find_opt
+            (fun (a : Engine.Answer.t) -> a.Engine.Answer.backend = backend)
+            rep.Engine.Crosscheck.answers
+        with
+        | Some a -> a
+        | None -> Alcotest.failf "%s: no %s answer" label backend
+      in
+      let analytic = Engine.Answer.scalar (answer "analytic") 0
+      and matrix = Engine.Answer.scalar (answer "dtmc") 0 in
+      (match Engine.Answer.ci (answer "mc") 0 with
+      | None -> Alcotest.failf "%s: no Monte-Carlo interval" label
+      | Some (lo, hi) ->
+          List.iter
+            (fun (route, x) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: MC [%g, %g] covers %s %.17g" label lo hi
+                   route x)
+                true
+                (lo <= x && x <= hi))
+            [ ("analytic", analytic); ("dtmc", matrix) ]);
+      Alcotest.(check (option bool)) (label ^ ": covered") (Some true)
+        rep.Engine.Crosscheck.mc_covered;
+      check_close ~tol:1e-8 (label ^ ": closed form = matrix") analytic matrix)
+    reports
 
 let test_all_figures_enumerates_five () =
   Alcotest.(check (list string)) "ids"

@@ -58,10 +58,10 @@ let test_normal_quantile_symmetry () =
         (-.S.normal_quantile (1. -. p)))
     [ 0.001; 0.01; 0.1; 0.3; 0.45 ]
 
-let test_mean_ci () =
+let test_summary_ci () =
   let rng = Numerics.Rng.create 17 in
   let data = Array.init 10_000 (fun _ -> Numerics.Rng.normal rng ~mu:10. ~sigma:1.) in
-  let lo, hi = S.mean_ci data in
+  let lo, hi = S.summary_ci (S.summarize data) in
   Alcotest.(check bool) "interval contains truth" true (lo <= 10. && 10. <= hi);
   Alcotest.(check bool) "interval is tight" true (hi -. lo < 0.1)
 
@@ -131,7 +131,7 @@ let () =
         [ Alcotest.test_case "values" `Quick test_normal_quantile;
           Alcotest.test_case "symmetry" `Quick test_normal_quantile_symmetry ] );
       ( "intervals",
-        [ Alcotest.test_case "mean ci" `Quick test_mean_ci;
+        [ Alcotest.test_case "summary ci" `Quick test_summary_ci;
           Alcotest.test_case "proportion ci" `Quick test_proportion_ci ] );
       ( "order statistics",
         [ Alcotest.test_case "quantile" `Quick test_quantile;
