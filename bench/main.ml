@@ -4,8 +4,8 @@
    batch of the fanned-out routes (analytic, DTMC, Monte Carlo) on a
    2-domain pool against the serial run, the batch front end's cost
    against the executor's, the executor's cost against the closed
-   forms, the kernel backend's cost against a bare cursor scan, and
-   the Monte-Carlo trial loop's allocation.  The
+   forms, the words they promote, the kernel backend's cost against a
+   bare cursor scan, and the Monte-Carlo trial loop's allocation.  The
    paper-reproduction report is `zeroconf_cli reproduce`; absolute
    timing lives in perfbench/.
 
@@ -166,19 +166,26 @@ let smoke () =
     batched batched_par;
   print_endline "smoke ok: batched evaluation bit-identical to scalar"
 
-(* Two gates on 20k distinct point lines in the benchmark's [points]
-   format, each stage timed in process at its best of 3 runs:
-   - the batch front end (parse and plan) may cost at most what the
-     engine's [Executor.run_batch] costs on the plans it hands over;
-   - [Executor.run_batch] may cost at most 3x the closed forms
+(* Three gates on 20k distinct point lines in the benchmark's [points]
+   format, each stage timed in process at its best of 5 runs, each run
+   from a settled heap ([Gc.full_major]), so no stage pays for the
+   collection of another's garbage:
+   - the batch front end ([Batch_input.read]: parse, route, validate,
+     append to the columnar batch) may cost at most what the engine's
+     [Executor.execute] costs on the batch it hands over;
+   - [Executor.execute] may cost at most 3x the closed forms
      ([Cost.mean], [Reliability]) on the same points, whose values it
-     must reproduce bit for bit.
-   The gates are on the ratios alone, never on an absolute time, so
-   they hold on any host. *)
+     must reproduce bit for bit;
+   - parse and execute together may promote less than one word per
+     point line to the major heap, in every run ([Gc.quick_stat]): no
+     block per point survives a minor collection.
+   The timing gates are on the ratios alone, never on an absolute time,
+   so they hold on any host. *)
 let point_lines_count = 20_000
-and point_runs = 3
+and point_runs = 5
 and front_end_max_ratio = 1.
 and engine_max_ratio = 3.
+and max_promoted_per_line = 1.
 
 let point_lines () =
   let rng = Numerics.Rng.create 2003 in
@@ -193,16 +200,15 @@ let point_lines () =
         (Engine.Query.quantity_name q) name n
         (Numerics.Rng.uniform rng ~lo:0.05 ~hi:6.))
 
-let closed_forms (plans : Engine.Plan.t array) =
+let closed_forms (b : Engine.Batch.t) =
   let module Q = Engine.Query in
-  Array.map
-    (fun (pl : Engine.Plan.t) ->
-      let p = pl.Engine.Plan.scenario and n, r = pl.Engine.Plan.points.(0) in
-      match pl.Engine.Plan.quantity with
+  Array.init b.plans (fun pl ->
+      let k = b.off.(pl) in
+      let p = Engine.Batch.scenario b pl and n = b.n.(k) and r = b.r.(k) in
+      match b.quantity.(pl) with
       | Q.Mean_cost -> Zeroconf.Cost.mean p ~n ~r
       | Q.Error_probability -> Zeroconf.Reliability.error_probability p ~n ~r
       | _ -> Zeroconf.Reliability.log10_error_probability p ~n ~r)
-    plans
 
 (* both ratios are printed before either gate fails *)
 let gates checks =
@@ -221,51 +227,59 @@ let gates checks =
     checks
 
 let point_gates () =
-  let lines = point_lines () in
+  let text = String.concat "\n" (Array.to_list (point_lines ())) in
   let front = ref Int64.max_int
   and exec = ref Int64.max_int
-  and closed = ref Int64.max_int in
+  and closed = ref Int64.max_int
+  and promoted = ref 0. in
   for _ = 1 to point_runs do
-    let next = ref 0 in
-    let next_line () =
-      if !next = Array.length lines then None
-      else begin
-        incr next;
-        Some lines.(!next - 1)
-      end
-    in
+    Gc.full_major ();
+    let words0 = (Gc.quick_stat ()).Gc.promoted_words in
     let t0 = Monotonic_clock.now () in
-    let plans = Batch_input.plans next_line in
+    let b = Batch_input.read text in
     let t1 = Monotonic_clock.now () in
-    let answers = Engine.Executor.run_batch plans in
+    Engine.Executor.execute b;
     let t2 = Monotonic_clock.now () in
-    let values = closed_forms plans in
+    let words1 = (Gc.quick_stat ()).Gc.promoted_words in
+    let values = closed_forms b in
     let t3 = Monotonic_clock.now () in
-    assert (Array.length plans = point_lines_count);
+    assert (b.plans = point_lines_count && b.points = point_lines_count);
     Array.iteri
-      (fun i (a : Engine.Answer.t) ->
+      (fun pl v ->
         assert (
           Int64.equal
-            (Int64.bits_of_float (Engine.Answer.scalar a 0))
-            (Int64.bits_of_float values.(i))))
-      answers;
+            (Int64.bits_of_float b.value.(b.off.(pl)))
+            (Int64.bits_of_float v)))
+      values;
+    promoted := Float.max !promoted (words1 -. words0);
     front := min !front (Int64.sub t1 t0);
     exec := min !exec (Int64.sub t2 t1);
     closed := min !closed (Int64.sub t3 t2)
   done;
   let ratio a b = Int64.to_float a /. Int64.to_float b in
+  let per_line = !promoted /. float_of_int point_lines_count in
+  Printf.printf
+    "smoke %s: parse + execute promote %.3f words per point line (gate %g)\n"
+    (if per_line < max_promoted_per_line then "ok" else "FAIL")
+    per_line max_promoted_per_line;
   gates
-    [ ("batch front end", "Executor.run_batch", ratio !front !exec,
+    [ ("batch front end", "Executor.execute", ratio !front !exec,
        front_end_max_ratio);
-      ("Executor.run_batch", "the closed forms", ratio !exec !closed,
-       engine_max_ratio) ]
+      ("Executor.execute", "the closed forms", ratio !exec !closed,
+       engine_max_ratio) ];
+  if per_line >= max_promoted_per_line then
+    failwith
+      (Printf.sprintf
+         "parse + execute promote %.3f words per point line (gate %g)"
+         per_line max_promoted_per_line)
 
 (* The kernel backend may cost at most twice a bare cursor scan of the
    same columns into float arrays: 200 n-sweeps ns=1:512, each at its
    own r, across the four presets and the three kernel quantities, each
-   side timed in process at its best of 5 runs.  What the backend adds
-   to the scan is bookkeeping (runs, columns, answers); the gate is on
-   the ratio alone, never on an absolute time. *)
+   side timed in process at its best of 5 runs from a settled heap.
+   What the backend adds to the scan is bookkeeping (the plans copied
+   into a columnar batch, runs, columns, answers sliced back out); the
+   gate is on the ratio alone, never on an absolute time. *)
 let kernel_sweeps = 200
 and kernel_sweep_n = 512
 and kernel_runs = 5
@@ -302,6 +316,7 @@ let kernel_gate () =
   let time f =
     let best = ref Int64.max_int and out = ref None in
     for _ = 1 to kernel_runs do
+      Gc.full_major ();
       let t0 = Monotonic_clock.now () in
       let x = f () in
       let t1 = Monotonic_clock.now () in

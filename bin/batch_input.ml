@@ -1,74 +1,88 @@
-(* The [zeroconf_cli batch] front end: read, parse and plan one query
-   line at a time, in one pass over each line's bytes.
+(* The [zeroconf_cli batch] front end: parse, route and validate one
+   query line at a time, in one pass over its bytes, and append it to an
+   [Engine.Batch.t] in place.
 
-   A line is found by spans, not by splitting: tokens separated by ' '
-   or '\t' up to the first '#', without the blanks [String.trim] would
-   cut from either end, each cut at its first '=' into a key span and a
-   value span.  A token is scanned once: the key is matched against a
-   static table in place, as a name followed by '='.  A plain decimal
-   int or float is read in place; any other number span becomes a
-   string for [int_of_string] or [float_of_string], which keep their
-   liberal syntax (0x10, 1_000, hex floats).  Every message is the one
-   the list-based parser gave, with the same precedence inside a
-   line. *)
+   The input is one string: a line is the span up to its '\n', and its
+   tokens (separated by ' ' or '\t' up to the first '#', without the
+   blanks [String.trim] would cut from either end) are spans too, each
+   cut at its first '=' into a key and a value.  The key is matched
+   against a static table in place; a value that is a preset or
+   quantity name, a plain decimal int or a plain decimal float is read
+   where it stands, its end found by the read.  Any other value is cut
+   at the token's end first; a number there goes to [int_of_string] or
+   [float_of_string], which keep their liberal syntax (0x10, 1_000, hex
+   floats).  Every message is the one the list-based parser gave, with
+   the same precedence inside a line.  One settings record serves every
+   line, and numbers go into arrays, so nothing is built or boxed per
+   line but the grid of an rs= sweep. *)
 
-(* One line's settings, filled in by the key table's setters. *)
 type state = {
-  lineno : int;
-  line : string;
-  quantity : Engine.Query.quantity;
+  text : string;  (* the whole input *)
+  len : int;
+  mutable stop : int;  (* the line's end: its '\n', or [len] *)
+  mutable vend : int;  (* the end of the value read last, less blanks *)
+  mutable lineno : int;
+  mutable quantity : Engine.Query.quantity;
   mutable given : int;  (* bit k: keys.(k) appeared on the line *)
-  mutable scenario : Zeroconf.Params.t;
-  mutable n : int;
-  mutable r : float;
-  mutable ns : int array option;
-  mutable rs : float array option;
+  mutable preset : int;  (* the scenario's row of [presets] *)
+  ints : int array;  (* [| n; trials; seed |] *)
+  r : float array;  (* [| r; rs lo; rs hi |] *)
+  mutable ns_lo : int;
+  mutable ns_hi : int;
+  mutable rs : float array;
   mutable backend : string option;
-  mutable trials : int;
-  mutable seed : int;
 }
 
 let fail_at lineno msg = failwith (Printf.sprintf "line %d: %s" lineno msg)
 let fail st msg = fail_at st.lineno msg
-let span st a b = String.sub st.line a (b - a)
+let span st a b = String.sub st.text a (b - a)
 
 (* The helpers below are top-level functions with every variable passed
-   in, so the per-token path allocates no closure. *)
+   in, so the per-token path allocates no closure.  The scans take the
+   text's length [len] and stop there. *)
 
 let rec index_from line i stop c =
   if i >= stop then -1
   else if String.unsafe_get line i = c then i
   else index_from line (i + 1) stop c
 
-let is_sep c = c = ' ' || c = '\t'
+let[@inline] is_sep c = c = ' ' || c = '\t'
 
-(* String.trim's character set *)
-let is_blank c = is_sep c || c = '\n' || c = '\r' || c = '\012'
+(* String.trim's character set but '\n', which ends the line *)
+let[@inline] is_blank c = is_sep c || c = '\r' || c = '\012'
 
-(* The scans below take the line's length [len] as an argument. *)
-
-let rec skip_seps line len i =
-  if i < len && is_sep (String.unsafe_get line i) then
-    skip_seps line len (i + 1)
+let rec skip_seps text len i =
+  if i < len && is_sep (String.unsafe_get text i) then
+    skip_seps text len (i + 1)
   else i
 
-let rec skip_blanks line len i =
-  if i < len && is_blank (String.unsafe_get line i) then
-    skip_blanks line len (i + 1)
+let rec skip_blanks text len i =
+  if i < len && is_blank (String.unsafe_get text i) then
+    skip_blanks text len (i + 1)
   else i
 
-(* nothing but blanks and a comment from [i] on *)
-let at_end line len i =
-  let j = skip_blanks line len i in
-  j = len || String.unsafe_get line j = '#'
+(* nothing but blanks and a comment from [i] on: then [st.stop] is the
+   line's end *)
+let at_end st i =
+  let text = st.text and len = st.len in
+  let j = skip_blanks text len i in
+  (j = len || String.unsafe_get text j = '\n' || String.unsafe_get text j = '#')
+  && begin
+       st.stop <- index_from text j len '\n';
+       if st.stop < 0 then st.stop <- len;
+       true
+     end
 
-(* the first ' ', '\t' or '#' from [i] on, or [len] *)
-let rec token_end line len i =
-  if i < len then
-    match String.unsafe_get line i with
-    | ' ' | '\t' | '#' -> i
-    | _ -> token_end line len (i + 1)
-  else i
+(* a token ends at ' ', '\t', '#', '\n' or the text's end *)
+let[@inline] ends_token text len i =
+  i >= len
+  ||
+  match String.unsafe_get text i with
+  | ' ' | '\t' | '#' | '\n' -> true
+  | _ -> false
+
+let rec token_end text len i =
+  if ends_token text len i then i else token_end text len (i + 1)
 
 (* [e] without the blanks that end the line's last token *)
 let rec trim_end line a e =
@@ -76,14 +90,39 @@ let rec trim_end line a e =
     trim_end line a (e - 1)
   else e
 
-(* [line] from [a] holds [name] *)
-let rec span_is line a name i =
-  i >= String.length name
-  || String.unsafe_get line (a + i) = String.unsafe_get name i
-     && span_is line a name (i + 1)
+(* The end of the token from [a] on, and in [st.vend] the end of its
+   value: less the blanks that end the line's last token. *)
+let token st a =
+  let e = token_end st.text st.len a in
+  st.vend <-
+    (if at_end st (skip_seps st.text st.len e) then trim_end st.text a e
+     else e);
+  e
 
-let span_equal line a b name =
-  b - a = String.length name && span_is line a name 0
+(* [line] from [a] holds [name], whose length is [n], from its [i]th
+   character on, with [a + n] within [line]: eight bytes at a time *)
+let rec span_is line a name n i =
+  if i + 8 <= n then
+    String.get_int64_le line (a + i) = String.get_int64_le name i
+    && span_is line a name n (i + 8)
+  else
+    i >= n
+    || String.unsafe_get line (a + i) = String.unsafe_get name i
+       && span_is line a name n (i + 1)
+
+(* the row of [table] whose name stands as a whole token at [a] *)
+let rec name_at table text len a i =
+  if i = Array.length table then -1
+  else
+    let name = fst table.(i) in
+    let n = String.length name in
+    if
+      a + n <= len
+      && String.unsafe_get text a = String.unsafe_get name 0
+      && span_is text a name n 1
+      && ends_token text len (a + n)
+    then i
+    else name_at table text len a (i + 1)
 
 (* the digits of [line] on [i, b) as an int, or -1 at a non-digit *)
 let rec decimal line i b acc =
@@ -95,7 +134,7 @@ let rec decimal line i b acc =
 
 let int_of st key a b =
   (* 18 digits stay below max_int *)
-  let plain = if b > a && b - a <= 18 then decimal st.line a b 0 else -1 in
+  let plain = if b > a && b - a <= 18 then decimal st.text a b 0 else -1 in
   if plain >= 0 then plain
   else
     let v = span st a b in
@@ -104,34 +143,47 @@ let int_of st key a b =
     | exception Failure _ ->
         fail st (Printf.sprintf "%s=%s is not an integer" key v)
 
+let[@inline] is_digit c = c >= '0' && c <= '9'
+
+let rec digits_end text len i =
+  if i < len && is_digit (String.unsafe_get text i) then
+    digits_end text len (i + 1)
+  else i
+
+(* The int at [a] into st.ints.(slot); the token's end *)
+let int_token st key a slot =
+  let j = digits_end st.text st.len a in
+  if j > a && j - a <= 18 && ends_token st.text st.len j then begin
+    st.ints.(slot) <- decimal st.text a j 0;
+    j
+  end
+  else
+    let e = token st a in
+    st.ints.(slot) <- int_of st key a st.vend;
+    e
+
 (* 10^k for k = 0 .. 22, each exact in a float *)
 let powers_of_ten =
   Array.init 23 (fun k -> float_of_string ("1e" ^ string_of_int k))
 
-(* A plain decimal on [a, b) (DIGITS or DIGITS.DIGITS, its digits an
-   int w below 10^18, k of them after the point, k <= 22) as the float
-   nearest w / 10^k, which is what [float_of_string] returns; NaN for
-   any other span, and when the rounding is too close to call.  When w
-   is exact in a float, one division rounds w / 10^k correctly.  Else
-   w = hi + lo exactly, q = hi / 10^k rounded, and the fma gives the
-   division's exact remainder, so w / 10^k = q + c up to c's last bits;
-   r = q + c rounded is the answer when x - r (s, up to [slack]) lies
-   strictly inside r's rounding interval. *)
-let plain_float line a b =
-  let w = ref 0 and k = ref (-1) and ok = ref (b > a) and i = ref a in
-  while !ok && !i < b do
-    (match String.unsafe_get line !i with
-    | '0' .. '9' as c when !w < 100_000_000_000_000_000 ->
-        w := (10 * !w) + Char.code c - 48;
-        if !k >= 0 then incr k
-    | '.' when !k < 0 && !i > a && !i < b - 1 -> k := 0
-    | _ -> ok := false);
-    incr i
-  done;
-  if not !ok || !k > 22 then Float.nan
+(* The plain decimal w / 10^k on [a, j) (DIGITS or DIGITS.DIGITS, w an
+   int below 10^18, k <= 22 digits after the point) as the float nearest
+   it, which is what [float_of_string] returns, into [dst.(slot)]; [j],
+   or -1 for any other span and when the rounding is too close to call.
+   When w is exact in a float, one division rounds w / 10^k correctly.
+   Else w = hi + lo exactly, q = hi / 10^k rounded, and the fma gives
+   the division's exact remainder, so w / 10^k = q + c up to c's last
+   bits; r = q + c rounded is the answer when x - r (s, up to [slack],
+   q's ulp / 2^48) lies strictly inside r's rounding interval, whose
+   ends are halfway to r's neighbours, one step of its bits away. *)
+let float_of_digits a j w k dst slot =
+  if j = a || k = 0 || k > 22 then -1
   else
-    let w = !w and d = powers_of_ten.(max 0 !k) in
-    if w <= 1 lsl 53 then float_of_int w /. d
+    let d = powers_of_ten.(max 0 k) in
+    if w <= 1 lsl 53 then begin
+      dst.(slot) <- float_of_int w /. d;
+      j
+    end
     else
       let hi = float_of_int w in
       let lo = float_of_int (w - int_of_float hi) in
@@ -139,21 +191,52 @@ let plain_float line a b =
       let c = (Float.fma (-.q) d hi +. lo) /. d in
       let r = q +. c in
       let s = q -. r +. c in
-      let slack = (Float.succ q -. q) *. 0x1p-48 in
-      if s > ((Float.pred r -. r) *. 0.5) +. slack
-         && s < ((Float.succ r -. r) *. 0.5) -. slack
-      then r
-      else Float.nan
+      let[@inline] step x by =
+        Int64.float_of_bits (Int64.add (Int64.bits_of_float x) by)
+      in
+      let slack = (step q 1L -. q) *. 0x1p-48 in
+      if
+        s > ((step r (-1L) -. r) *. 0.5) +. slack
+        && s < ((step r 1L -. r) *. 0.5) -. slack
+      then begin
+        dst.(slot) <- r;
+        j
+      end
+      else -1
 
-let float_of st key a b =
-  let x = plain_float st.line a b in
-  if not (Float.is_nan x) then x
-  else
+(* The plain decimal from [a] on, read up to the first character that is
+   neither a digit nor its first point; [k] counts the digits after the
+   point, -1 before it. *)
+let rec plain_float line len a i w k dst slot =
+  let c = if i < len then String.unsafe_get line i else ' ' in
+  if is_digit c then
+    if w < 100_000_000_000_000_000 then
+      plain_float line len a (i + 1)
+        ((10 * w) + Char.code c - 48)
+        (if k < 0 then k else k + 1)
+        dst slot
+    else -1
+  else if c = '.' && k < 0 && i > a then
+    plain_float line len a (i + 1) w 0 dst slot
+  else float_of_digits a i w k dst slot
+
+(* the number on [a, b) into st.r.(slot) *)
+let float_of st key a b slot =
+  if plain_float st.text st.len a a 0 (-1) st.r slot <> b then
     let v = span st a b in
     match float_of_string v with
-    | x -> x
+    | x -> st.r.(slot) <- x
     | exception Failure _ ->
         fail st (Printf.sprintf "%s=%s is not a number" key v)
+
+(* The number at [a] into st.r.(slot); the token's end *)
+let float_token st key a slot =
+  let j = plain_float st.text st.len a a 0 (-1) st.r slot in
+  if j >= 0 && ends_token st.text st.len j then j
+  else
+    let e = token st a in
+    float_of st key a st.vend slot;
+    e
 
 (* the sweep size check, against the whole token, before the grid is
    allocated *)
@@ -165,10 +248,12 @@ let check_size st tok b k =
 
 let presets = Array.of_list Zeroconf.Params.presets
 
-let rec find_preset line a b i =
-  if i = Array.length presets then -1
-  else if span_equal line a b (fst presets.(i)) then i
-  else find_preset line a b (i + 1)
+(* the default scenario's row *)
+let figure2 =
+  let rec find i =
+    if snd presets.(i) == Zeroconf.Params.figure2 then i else find (i + 1)
+  in
+  find 0
 
 (* The canonical quantity names, matched in place; any other name (an
    alias such as [cost]) goes through [Query.quantity_of_name]. *)
@@ -179,24 +264,27 @@ let quantities =
       [| Mean_cost; Error_probability; Log10_error; Cost_variance;
          Latency_mean |]
 
-let rec find_quantity line a b i =
-  if i = Array.length quantities then -1
-  else if span_equal line a b (fst quantities.(i)) then i
-  else find_quantity line a b (i + 1)
+(* Setters: [set st tok a] reads the value at [a] of the token at [tok]
+   and returns the token's end. *)
 
-(* Setters: [set st tok a b] reads the value span [a, b) of the token
-   starting at [tok]. *)
+let set_scenario st _ a =
+  match name_at presets st.text st.len a 0 with
+  | -1 ->
+      let e = token st a in
+      let name = span st a st.vend in
+      st.preset <- Array.length presets - 1;
+      while st.preset >= 0 && fst presets.(st.preset) <> name do
+        st.preset <- st.preset - 1
+      done;
+      if st.preset < 0 then fail st (Printf.sprintf "unknown scenario %s" name);
+      e
+  | i ->
+      st.preset <- i;
+      a + String.length (fst presets.(i))
 
-let set_scenario st _ a b =
-  match find_preset st.line a b 0 with
-  | -1 -> fail st (Printf.sprintf "unknown scenario %s" (span st a b))
-  | i -> st.scenario <- snd presets.(i)
-
-let set_n st _ a b = st.n <- int_of st "n" a b
-let set_r st _ a b = st.r <- float_of st "r" a b
-
-let set_ns st tok a b =
-  let line = st.line in
+let set_ns st tok a =
+  let e = token st a in
+  let line = st.text and b = st.vend in
   let c = index_from line a b ':' in
   if c < 0 || index_from line (c + 1) b ':' >= 0 then
     fail st "ns expects LO:HI";
@@ -206,10 +294,13 @@ let set_ns st tok a b =
   (* past max_int, hi - lo + 1 wraps to a negative int *)
   let size = hi - lo + 1 in
   check_size st tok b (if size > 0 then size else max_int);
-  st.ns <- Some (Array.init size (fun i -> lo + i))
+  st.ns_lo <- lo;
+  st.ns_hi <- hi;
+  e
 
-let set_rs st tok a b =
-  let line = st.line in
+let set_rs st tok a =
+  let e = token st a in
+  let line = st.text and b = st.vend in
   let c1 = index_from line a b ':' in
   let c2 = if c1 < 0 then -1 else index_from line (c1 + 1) b ':' in
   if c2 < 0 || index_from line (c2 + 1) b ':' >= 0 then
@@ -217,21 +308,22 @@ let set_rs st tok a b =
   let points = int_of st "rs" (c2 + 1) b in
   check_size st tok b points;
   (* HI is read before LO, so a line with both malformed names HI *)
-  let hi = float_of st "rs" (c1 + 1) c2 in
-  let lo = float_of st "rs" a c1 in
-  match Numerics.Grid.linspace lo hi points with
-  | rs -> st.rs <- Some rs
+  float_of st "rs" (c1 + 1) c2 2;
+  float_of st "rs" a c1 1;
+  match Numerics.Grid.linspace st.r.(1) st.r.(2) points with
+  | rs ->
+      st.rs <- rs;
+      e
   | exception Invalid_argument msg -> fail st msg
 
-let set_backend st _ a b =
-  st.backend <- Some (String.lowercase_ascii (span st a b))
-
-let set_trials st _ a b = st.trials <- int_of st "trials" a b
-let set_seed st _ a b = st.seed <- int_of st "seed" a b
+let set_backend st _ a =
+  let e = token st a in
+  st.backend <- Some (String.lowercase_ascii (span st a st.vend));
+  e
 
 type key = {
   name : string;
-  set : state -> int -> int -> int -> unit;
+  set : state -> int -> int -> int;
   excludes : int;  (* the row this key cannot go with, or -1 *)
   sampling : bool;  (* only meaningful with backend=mc *)
 }
@@ -243,159 +335,214 @@ let keys =
     { name; set; excludes; sampling }
   in
   [| row "ns" set_ns ~excludes:3 (* rs *);
-     row "n" set_n ~excludes:0 (* ns *);
-     row "r" set_r ~excludes:3 (* rs *);
+     row "n" (fun st _ a -> int_token st "n" a 0) ~excludes:0 (* ns *);
+     row "r" (fun st _ a -> float_token st "r" a 0) ~excludes:3 (* rs *);
      row "rs" set_rs;
      row "scenario" set_scenario;
      row "backend" set_backend;
-     row "trials" set_trials ~sampling:true;
-     row "seed" set_seed ~sampling:true |]
+     row "trials" (fun st _ a -> int_token st "trials" a 1) ~sampling:true;
+     row "seed" (fun st _ a -> int_token st "seed" a 2) ~sampling:true |]
 
-let sampling_mask =
+let mask p =
   let mask = ref 0 in
-  Array.iteri
-    (fun k row -> if row.sampling then mask := !mask lor (1 lsl k))
-    keys;
+  Array.iteri (fun k row -> if p k row then mask := !mask lor (1 lsl k)) keys;
   !mask
 
-(* the key whose name and a '=' start the token [tok, stop): the '='
-   is then the token's first *)
-let rec find_key line tok stop k =
-  if k = Array.length keys then -1
-  else
-    let name = keys.(k).name in
-    let eq = tok + String.length name in
-    if eq < stop && String.unsafe_get line eq = '=' && span_is line tok name 0
-    then k
-    else find_key line tok stop (k + 1)
+let sampling_mask = mask (fun _ row -> row.sampling)
 
-(* One key=value token on [tok, stop) *)
-let parse_token st tok stop =
-  let line = st.line in
-  let k = find_key line tok stop 0 in
+(* the rows some key excludes: a line without one has no conflict *)
+let excluded_mask =
+  mask (fun k _ -> Array.exists (fun row -> row.excludes = k) keys)
+
+(* the rows of [keys] by the first character of their name *)
+let by_first =
+  let rows = Array.make 256 [] in
+  Array.iteri
+    (fun k row ->
+      let c = Char.code row.name.[0] in
+      rows.(c) <- rows.(c) @ [ k ])
+    keys;
+  rows
+
+(* the key whose name and a '=' start the token at [tok]; a name holds
+   no blank or delimiter, so the '=' is then the token's first *)
+let rec find_key line len tok = function
+  | [] -> -1
+  | k :: rest ->
+      let name = keys.(k).name in
+      let eq = tok + String.length name in
+      if
+        eq < len
+        && String.unsafe_get line eq = '='
+        && span_is line tok name (eq - tok) 1
+      then k
+      else find_key line len tok rest
+
+(* One key=value token from [tok] on; its end *)
+let parse_token st tok =
+  let line = st.text in
+  let k =
+    find_key line st.len tok by_first.(Char.code (String.unsafe_get line tok))
+  in
   if k < 0 then begin
-    let eq = index_from line tok stop '=' in
+    ignore (token st tok);
+    let eq = index_from line tok st.vend '=' in
     if eq < 0 then
-      fail st (Printf.sprintf "expected key=value, got %s" (span st tok stop));
+      fail st
+        (Printf.sprintf "expected key=value, got %s" (span st tok st.vend));
     fail st (Printf.sprintf "unknown key %s" (span st tok eq))
   end;
   let bit = 1 lsl k in
   if st.given land bit <> 0 then
     fail st (Printf.sprintf "key %s given twice" keys.(k).name);
   st.given <- st.given lor bit;
-  keys.(k).set st tok (tok + String.length keys.(k).name + 1) stop
+  keys.(k).set st tok (tok + String.length keys.(k).name + 1)
 
-(* The tokens from [tok] on, which starts one; the last token is the one
-   after which only blanks and a comment are left. *)
-let rec parse_tokens st len tok =
-  let line = st.line in
-  let e = token_end line len tok in
-  let next = skip_seps line len e in
-  if at_end line len next then parse_token st tok (trim_end line tok e)
-  else begin
-    parse_token st tok e;
-    parse_tokens st len next
-  end
+(* The tokens from [tok] on, which starts one, up to the one after which
+   only blanks and a comment are left. *)
+let rec parse_tokens st tok =
+  let next = skip_seps st.text st.len (parse_token st tok) in
+  if not (at_end st next) then parse_tokens st next
+
+let sampled st = match st.backend with Some "mc" -> true | _ -> false
 
 (* A key that would be ignored is an error, not a silent default. *)
 let check_keys st =
-  for k = 0 to Array.length keys - 1 do
-    let x = keys.(k).excludes in
-    if x >= 0 && st.given land (1 lsl k) <> 0 && st.given land (1 lsl x) <> 0
-    then
-      fail st
-        (Printf.sprintf "%s and %s are mutually exclusive" keys.(k).name
-           keys.(x).name)
-  done;
-  if st.given land sampling_mask <> 0 then
-    match st.backend with
-    | Some "mc" -> ()
-    | _ -> fail st "trials and seed need backend=mc"
+  if st.given land excluded_mask <> 0 then
+    for k = 0 to Array.length keys - 1 do
+      let x = keys.(k).excludes in
+      if
+        x >= 0 && st.given land (1 lsl k) <> 0 && st.given land (1 lsl x) <> 0
+      then
+        fail st
+          (Printf.sprintf "%s and %s are mutually exclusive" keys.(k).name
+             keys.(x).name)
+    done;
+  if st.given land sampling_mask <> 0 && not (sampled st) then
+    fail st "trials and seed need backend=mc"
 
-(* The line's query, not yet validated: [parse_line] validates it, and
-   [plans] leaves that to the planner, which validates before it
-   routes. *)
+let has st k = st.given land (1 lsl k) <> 0
+let ns_key = 0 and rs_key = 3
+
+(* The line's query, not yet validated: built only to check a single
+   line ([parse_line]) and for the planner's refusals. *)
 let query st =
   let accuracy =
-    match st.backend with
-    | Some "mc" -> Engine.Query.Sampled { trials = st.trials; seed = st.seed }
-    | _ -> Engine.Query.Exact
+    if sampled st then
+      Engine.Query.Sampled { trials = st.ints.(1); seed = st.ints.(2) }
+    else Engine.Query.Exact
   and domain =
-    match (st.ns, st.rs) with
-    | Some ns, _ -> Engine.Query.N_sweep { ns; r = st.r }
-    | None, Some rs -> Engine.Query.R_sweep { n = st.n; rs }
-    | None, None -> Engine.Query.Point { n = st.n; r = st.r }
+    if has st ns_key then
+      Engine.Query.N_sweep
+        { ns = Array.init (st.ns_hi - st.ns_lo + 1) (fun i -> st.ns_lo + i);
+          r = st.r.(0) }
+    else if has st rs_key then
+      Engine.Query.R_sweep { n = st.ints.(0); rs = st.rs }
+    else Engine.Query.Point { n = st.ints.(0); r = st.r.(0) }
   in
-  { Engine.Query.quantity = st.quantity; scenario = st.scenario; domain;
+  { Engine.Query.quantity = st.quantity; scenario = snd presets.(st.preset);
+    domain;
     accuracy }
 
-(* The settings of a line, or [None] for a blank or comment-only line *)
-let parse lineno line =
-  let len = String.length line in
-  let a = skip_blanks line len 0 in
-  if at_end line len a then None
-  else begin
-    let e = token_end line len a in
-    let next = skip_seps line len e in
-    let last = at_end line len next in
-    let e = if last then trim_end line a e else e in
-    let quantity =
-      match find_quantity line a e 0 with
-      | -1 -> (
-          let qname = String.sub line a (e - a) in
-          match Engine.Query.quantity_of_name qname with
-          | Some q -> q
-          | None -> fail_at lineno (Printf.sprintf "unknown quantity %s" qname))
-      | i -> snd quantities.(i)
-    in
-    let st =
-      { lineno; line; quantity; given = 0; scenario = Zeroconf.Params.figure2;
-        n = 4; r = 2.; ns = None; rs = None; backend = None;
-        trials = Engine.Crosscheck.default_trials;
-        seed = Engine.Crosscheck.default_seed }
-    in
-    if not last then parse_tokens st len next;
-    check_keys st;
-    Some st
-  end
+let fresh text =
+  { text; len = String.length text; stop = 0; vend = 0; lineno = 0;
+    quantity = Engine.Query.Mean_cost; given = 0;
+    preset = figure2; ints = [| 4; 0; 0 |];
+    r = [| 2.; 0.; 0. |]; ns_lo = 0; ns_hi = 0; rs = [||]; backend = None }
+
+(* [st] set to the settings of the line from [a0] on, or [false] for a
+   blank or comment-only line; [st.stop] is the line's end either
+   way *)
+let parse st lineno a0 =
+  let text = st.text and len = st.len in
+  let a = skip_blanks text len a0 in
+  (not (at_end st a))
+  && begin
+       st.lineno <- lineno;
+       let e =
+         match name_at quantities text len a 0 with
+         | -1 -> (
+             let e = token st a in
+             let name = span st a st.vend in
+             match Engine.Query.quantity_of_name name with
+             | Some q ->
+                 st.quantity <- q;
+                 e
+             | None -> fail st (Printf.sprintf "unknown quantity %s" name))
+         | i ->
+             st.quantity <- snd quantities.(i);
+             a + String.length (fst quantities.(i))
+       in
+       st.given <- 0;
+       st.preset <- figure2;
+       st.ints.(0) <- 4;
+       st.ints.(1) <- Engine.Crosscheck.default_trials;
+       st.ints.(2) <- Engine.Crosscheck.default_seed;
+       st.r.(0) <- 2.;
+       (* left alone when unchanged: no write barrier *)
+       if Option.is_some st.backend then st.backend <- None;
+       let next = skip_seps text len e in
+       if not (at_end st next) then parse_tokens st next;
+       check_keys st;
+       true
+     end
 
 let parse_line lineno line =
-  match parse lineno line with
-  | None -> None
-  | Some st -> (
-      let q = query st in
-      match Engine.Query.validate q with
-      | () -> Some (q, st.backend)
-      | exception Invalid_argument msg -> fail st msg)
+  let st = fresh line in
+  if not (parse st lineno 0) then None
+  else
+    let q = query st in
+    match Engine.Query.validate q with
+    | () -> Some (q, st.backend)
+    | exception Invalid_argument msg -> fail st msg
 
-let plan_line lineno line =
-  match parse lineno line with
-  | None -> None
-  | Some st -> (
-      match Engine.Planner.plan ?backend:st.backend (query st) with
-      | plan -> Some plan
-      | exception (Engine.Planner.Unsupported msg | Invalid_argument msg) ->
-          fail_at lineno msg)
+(* the planner's refusal of the line, with its message *)
+let refuse st =
+  match Engine.Planner.plan ?backend:st.backend (query st) with
+  | _ -> assert false (* the planner routes as [add] does *)
+  | exception (Engine.Planner.Unsupported msg | Invalid_argument msg) ->
+      fail st msg
 
-(* The plan array doubles as it fills; the first plan pads the slack. *)
-let plans next_line =
-  let acc = ref [||] and len = ref 0 and lineno = ref 0 in
-  let rec loop () =
-    match next_line () with
-    | None -> ()
-    | Some line ->
-        incr lineno;
-        (match plan_line !lineno line with
-        | None -> ()
-        | Some plan ->
-            if !len = Array.length !acc then begin
-              let grown = Array.make (max 64 (2 * !len)) plan in
-              Array.blit !acc 0 grown 0 !len;
-              acc := grown
-            end;
-            !acc.(!len) <- plan;
-            incr len);
-        loop ()
+(* The line's plan and points appended to [b], routed and validated as
+   [Engine.Planner.plan] does: a forced backend is checked before the
+   points, the cheapest route after them. *)
+let add st (b : Engine.Batch.t) =
+  let sampled = sampled st
+  and max_n = if has st ns_key then st.ns_hi else st.ints.(0) in
+  let route =
+    match st.backend with
+    | None -> Engine.Planner.route st.quantity ~sampled ~max_n
+    | Some name -> (
+        match Engine.Plan.route_of_name name with
+        | Some r as route
+          when Engine.Planner.serves r st.quantity ~sampled ~max_n ->
+            route
+        | _ -> refuse st)
   in
-  loop ();
-  Array.sub !acc 0 !len
+  let scenario = snd presets.(st.preset) in
+  Engine.Batch.add_plan b st.quantity scenario
+    (Option.value route ~default:Engine.Plan.Kernel)
+    ~trials:(if sampled then st.ints.(1) else 0)
+    ~seed:(if sampled then st.ints.(2) else 0);
+  if has st ns_key then
+    Engine.Batch.add_n_sweep b ~lo:st.ns_lo ~hi:st.ns_hi st.r 0
+  else if has st rs_key then Engine.Batch.add_r_sweep b st.ints.(0) st.rs
+  else Engine.Batch.add_n_sweep b ~lo:st.ints.(0) ~hi:st.ints.(0) st.r 0;
+  (try Engine.Batch.validate_last b scenario ~sampled
+   with Invalid_argument msg -> fail st msg);
+  if Option.is_none route then refuse st
+
+(* Room for a line of 60 bytes each: the benchmark's point lines are
+   longer, so they never make the batch grow. *)
+let read text =
+  let guess = String.length text / 60 in
+  let b = Engine.Batch.create ~plans:guess ~points:guess ()
+  and st = fresh text in
+  let rec loop lineno a =
+    if a <= st.len then begin
+      if parse st lineno a then add st b;
+      loop (lineno + 1) (st.stop + 1)
+    end
+  in
+  loop 1 0;
+  b

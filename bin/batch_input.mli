@@ -1,4 +1,5 @@
-(** The [zeroconf_cli batch] front end: query lines in, plans out.
+(** The [zeroconf_cli batch] front end: query lines in, one
+    {!Engine.Batch.t} out.
 
     One query per line: [QUANTITY [key=value ...]].  Keys:
     [scenario=NAME] (a {!Zeroconf.Params.presets} name), [n=INT],
@@ -15,9 +16,11 @@ val parse_line : int -> string -> (Engine.Query.t * string option) option
     or [None] for a blank or comment-only line.  Raises [Failure
     "line LINENO: ..."] on a malformed line. *)
 
-val plans : (unit -> string option) -> Engine.Plan.t array
-(** [plans next_line] parses and plans ({!Engine.Planner.plan}) every
-    line [next_line] returns until [None], numbering lines from 1.  No
-    line outlives its own planning.  Raises the [Failure] of the first
-    line that fails, in line order; the planner's [Unsupported] and
-    [Invalid_argument] become [Failure "line N: ..."] too. *)
+val read : string -> Engine.Batch.t
+(** [read text] parses every line of [text] ('\n'-separated, numbered
+    from 1) and appends each query to one batch in place: its plan
+    routed as {!Engine.Planner.plan} routes it, its points validated
+    once, as {!Engine.Query.validate} does.  Nothing is built per line.
+    Raises the [Failure] of the first line that fails, in line order;
+    the planner's refusals and the validation's [Invalid_argument]
+    become [Failure "line N: ..."] too. *)

@@ -362,8 +362,8 @@ let maintenance_cmd =
   let seed = Arg.(value & opt Cli_common.seed 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let run p n r trials seed =
     let rng = Numerics.Rng.create seed in
-    (* a listening period so long that the defense never settles runs
-       out of the simulator's event budget *)
+    (* a probe schedule past the simulated horizon is refused up front;
+       the event budget stays a backstop *)
     match
       Netsim.Maintenance.estimate_error_cost
         ~loss:(Zeroconf.Params.loss_probability p)
@@ -372,7 +372,7 @@ let maintenance_cmd =
         ~config:(Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost ~error_cost:0.)
         ~trials ~rng ()
     with
-    | exception Failure msg -> `Error (false, msg)
+    | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
     | est ->
         Format.printf "simulated %d address collisions:@." est.Netsim.Maintenance.trials;
         Format.printf "  mean disruption: %.2f s (max %.2f s)@."
@@ -828,72 +828,67 @@ let crosscheck_cmd =
 
 (* Batch output: one line per answered point,
    "QUANTITY SCENARIO n=N r=R VALUE", then a "# backend=B evals=E"
-   trailer per query.  Every line goes into one buffer, which
-   is written to stdout whenever it passes [spill_bytes] and once at the
-   end; stdout is never flushed per line (exit flushes it).  The
-   "QUANTITY SCENARIO n=" prefix is built once per run of equal
-   (quantity, scenario) pairs and the " r=R " text once per run of
-   equal r (compared by bits, so -0 and 0 stay apart), each in a buffer
-   of its own: an n-sweep renders its r once.  Numbers are appended
-   through Output.Num_text, never through Printf. *)
+   trailer per query, read straight from the batch's flat arrays.
+   Every line goes into one buffer, which is written to stdout whenever
+   it passes [spill_bytes] and once at the end; stdout is never flushed
+   per line (exit flushes it).  The "QUANTITY SCENARIO n=" prefix is
+   built once per run of equal (quantity, scenario) pairs and the
+   " r=R " text once per run of equal r (compared by bits, so -0 and 0
+   stay apart), each in a buffer of its own: an n-sweep renders its r
+   once.  Numbers are appended through Output.Num_text, never through
+   Printf. *)
 let spill_bytes = 65_536
 
-let emit_batch plans answers =
-  let b = Buffer.create 4096 in
-  let r_bits = ref (Int64.bits_of_float 0.) and r_text = Buffer.create 32 in
+let emit_batch (b : Engine.Batch.t) =
+  let buf = Buffer.create 4096 in
+  let r_last = ref 0. and r_text = Buffer.create 32 in
   Buffer.add_string r_text " r=0 ";
   (* the prefix's scenario by interned id; -1 before the first plan *)
   let prefix_quantity = ref Engine.Query.Mean_cost
   and prefix_scenario = ref (-1)
   and prefix = Buffer.create 64 in
-  Array.iteri
-    (fun i (pl : Engine.Plan.t) ->
-      let a = answers.(i) in
-      if pl.Engine.Plan.quantity <> !prefix_quantity
-         || pl.Engine.Plan.scenario_id <> !prefix_scenario
-      then begin
-        prefix_quantity := pl.Engine.Plan.quantity;
-        prefix_scenario := pl.Engine.Plan.scenario_id;
-        Buffer.clear prefix;
-        Buffer.add_string prefix
-          (Engine.Query.quantity_name pl.Engine.Plan.quantity);
-        Buffer.add_char prefix ' ';
-        Buffer.add_string prefix pl.Engine.Plan.scenario.Zeroconf.Params.name;
-        Buffer.add_string prefix " n="
+  for p = 0 to b.plans - 1 do
+    if b.quantity.(p) <> !prefix_quantity
+       || b.scenario_id.(p) <> !prefix_scenario
+    then begin
+      prefix_quantity := b.quantity.(p);
+      prefix_scenario := b.scenario_id.(p);
+      Buffer.clear prefix;
+      Buffer.add_string prefix (Engine.Query.quantity_name b.quantity.(p));
+      Buffer.add_char prefix ' ';
+      Buffer.add_string prefix (Engine.Batch.scenario b p).Zeroconf.Params.name;
+      Buffer.add_string prefix " n="
+    end;
+    let sampled = Engine.Batch.trials b p > 0 in
+    for k = b.off.(p) to b.off.(p + 1) - 1 do
+      if Int64.bits_of_float b.r.(k) <> Int64.bits_of_float !r_last then begin
+        r_last := b.r.(k);
+        Buffer.clear r_text;
+        Buffer.add_string r_text " r=";
+        add_g6 r_text b.r.(k);
+        Buffer.add_char r_text ' '
       end;
-      (* one match per answer; the loop reads the flat values *)
-      let add_value =
-        match a.Engine.Answer.values with
-        | Engine.Answer.Scalars v -> fun k -> add_g10 b v.(k)
-        | Engine.Answer.Intervals v -> fun k -> add_interval b v.(k)
-      in
-      Array.iteri
-        (fun k (n, r) ->
-          let bits = Int64.bits_of_float r in
-          if not (Int64.equal bits !r_bits) then begin
-            r_bits := bits;
-            Buffer.clear r_text;
-            Buffer.add_string r_text " r=";
-            add_g6 r_text r;
-            Buffer.add_char r_text ' '
-          end;
-          Buffer.add_buffer b prefix;
-          Output.Num_text.add_int b n;
-          Buffer.add_buffer b r_text;
-          add_value k;
-          Buffer.add_char b '\n';
-          if Buffer.length b >= spill_bytes then begin
-            Buffer.output_buffer stdout b;
-            Buffer.clear b
-          end)
-        a.Engine.Answer.points;
-      Buffer.add_string b "# backend=";
-      Buffer.add_string b a.Engine.Answer.backend;
-      Buffer.add_string b " evals=";
-      Output.Num_text.add_int b a.Engine.Answer.evals;
-      Buffer.add_char b '\n')
-    plans;
-  Buffer.output_buffer stdout b
+      Buffer.add_buffer buf prefix;
+      Output.Num_text.add_int buf b.n.(k);
+      Buffer.add_buffer buf r_text;
+      if sampled then
+        add_interval buf
+          { Engine.Answer.mean = b.value.(k); ci_lo = b.ci_lo.(k);
+            ci_hi = b.ci_hi.(k) }
+      else add_g10 buf b.value.(k);
+      Buffer.add_char buf '\n';
+      if Buffer.length buf >= spill_bytes then begin
+        Buffer.output_buffer stdout buf;
+        Buffer.clear buf
+      end
+    done;
+    Buffer.add_string buf "# backend=";
+    Buffer.add_string buf (Engine.Plan.route_name b.route.(p));
+    Buffer.add_string buf " evals=";
+    Output.Num_text.add_int buf b.evals.(p);
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.output_buffer stdout buf
 
 let batch_cmd =
   let file =
@@ -907,14 +902,15 @@ let batch_cmd =
                    '#' starts a comment.")
   in
   let run () file =
-    let read ic = Batch_input.plans (fun () -> In_channel.input_line ic) in
+    let read ic = Batch_input.read (In_channel.input_all ic) in
     match
       if file = "-" then read stdin else In_channel.with_open_text file read
     with
     | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
-    | [||] -> `Error (false, "no queries in the input")
-    | plans ->
-        emit_batch plans (Engine.Executor.run_batch plans);
+    | { Engine.Batch.plans = 0; _ } -> `Error (false, "no queries in the input")
+    | batch ->
+        Engine.Executor.execute batch;
+        emit_batch batch;
         `Ok ()
   in
   Cmd.v

@@ -5,7 +5,9 @@ type t = { n : int; r : float; pmf : float array; tail : float }
    entering probe state i costs one period; start -> ok costs n periods
    (all n probes are sent); aborts (probe state -> start) and the final
    nth -> error hop are instantaneous. *)
-let periods ?(horizon = 4096) (p : Params.t) ~n ~r =
+let default_horizon = 4096
+
+let periods ?(horizon = default_horizon) (p : Params.t) ~n ~r =
   if n < 1 then invalid_arg "Latency.periods: n < 1";
   if r < 0. then invalid_arg "Latency.periods: negative r";
   if horizon < n then invalid_arg "Latency.periods: horizon below n";

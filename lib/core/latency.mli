@@ -25,9 +25,12 @@ type t = {
       (** Mass beyond the horizon (not captured in [pmf]). *)
 }
 
+val default_horizon : int
+(** [4096] periods: {!periods}' default horizon. *)
+
 val periods : ?horizon:int -> Params.t -> n:int -> r:float -> t
-(** Distribution of the period count.  The default horizon ([4096])
-    leaves negligible tail for any realistic scenario. *)
+(** Distribution of the period count.  The default horizon leaves
+    negligible tail for any realistic scenario. *)
 
 val cdf : t -> float -> float
 (** [cdf dist seconds]: probability the host is configured within

@@ -19,15 +19,17 @@
        queries; occupancy is [round (q * 65024)] hosts so [q] matches
        {!Zeroconf.Params.q_of_hosts}.}}
 
-    Every route implements [eval_batch]: the kernel amortizes one
-    streaming cursor per [(scenario, r)] column across the batch,
-    indexed by runs of equal [r] within each plan and writing each
-    column's values straight into flat float arrays, the
-    DTMC route builds each distinct matrix once, the analytic route
-    flattens the batch into one balanced fan-out, and Monte Carlo runs
-    each sampling stream (scenario, n, r, trials, seed and the point's
-    stream index) once, however many quantities read it.  Batched
-    values are bitwise identical to scalar evaluation. *)
+    Each route's one evaluation is [eval_columns], on a {!Batch.t} and
+    a list of its plans.  The kernel groups runs of equal [r] within a
+    plan into [(scenario id, bits of r)] columns by open addressing
+    over flat arrays and scans one streaming cursor per column, writing
+    straight into the batch's value array; the DTMC route builds each
+    distinct matrix once, the analytic route evaluates every point in
+    one balanced fan-out, and Monte Carlo runs each sampling stream
+    (scenario, n, r, trials, seed and the point's index in its plan)
+    once, however many quantities read it.  [eval] and [eval_batch]
+    are adapters over [eval_columns].  Batched values are bitwise
+    identical to scalar evaluation. *)
 
 module Analytic : Backend.S
 module Kernel : Backend.S

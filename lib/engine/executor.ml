@@ -1,5 +1,3 @@
-(* every route, in dispatch order: each backend sees one eval_batch
-   call per run_batch, on its plans in input order *)
 let routes = [| Plan.Kernel; Plan.Analytic; Plan.Dtmc; Plan.Mc |]
 
 let route_index = function
@@ -8,44 +6,34 @@ let route_index = function
   | Plan.Dtmc -> 2
   | Plan.Mc -> 3
 
-let eval_route route plans =
-  let (module B : Backend.S) = Planner.backend_of_route route in
-  B.eval_batch plans
+(* a stable counting sort of the plans by route; each backend sees one
+   eval_columns call, on its plans in batch order *)
+let execute (b : Batch.t) =
+  Batch.prepare b;
+  let count = Array.make (Array.length routes) 0 in
+  for p = 0 to b.plans - 1 do
+    let g = route_index b.route.(p) in
+    count.(g) <- count.(g) + 1
+  done;
+  let routed = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 (Array.length count) 0;
+  for p = 0 to b.plans - 1 do
+    let g = route_index b.route.(p) in
+    routed.(g).(count.(g)) <- p;
+    count.(g) <- count.(g) + 1
+  done;
+  Array.iteri
+    (fun g plans ->
+      if Array.length plans > 0 then begin
+        let (module B : Backend.S) = Planner.backend_of_route routes.(g) in
+        B.eval_columns b plans
+      end)
+    routed
 
-let run_batch (plans : Plan.t array) =
-  let len = Array.length plans in
-  if len = 0 then [||]
-  else begin
-    let route = plans.(0).Plan.route in
-    if Array.for_all (fun (pl : Plan.t) -> pl.route = route) plans then
-      eval_route route plans
-    else begin
-      (* a stable counting sort by route: [slot.(i)] is plan i's index
-         within its route's batch *)
-      let count = Array.make (Array.length routes) 0
-      and slot = Array.make len 0 in
-      Array.iteri
-        (fun i (pl : Plan.t) ->
-          let g = route_index pl.route in
-          slot.(i) <- count.(g);
-          count.(g) <- count.(g) + 1)
-        plans;
-      let batches = Array.map (fun c -> Array.make c plans.(0)) count in
-      Array.iteri
-        (fun i (pl : Plan.t) ->
-          batches.(route_index pl.route).(slot.(i)) <- pl)
-        plans;
-      let answers =
-        Array.mapi
-          (fun g batch ->
-            if Array.length batch = 0 then [||] else eval_route routes.(g) batch)
-          batches
-      in
-      Array.mapi
-        (fun i (pl : Plan.t) -> answers.(route_index pl.route).(slot.(i)))
-        plans
-    end
-  end
+let run_batch plans =
+  let b = Batch.of_plans plans in
+  execute b;
+  Batch.answers b plans
 
 let run plan = (run_batch [| plan |]).(0)
 

@@ -1,27 +1,27 @@
-(** The execute stage: plans in, answers out.
-
-    The pipeline is [Planner.plan] (compile) — [Executor.run]
-    (execute):
+(** The execute stage: a batch in, its results written back.
 
     {v
-      Query ──plan──▶ Plan ──run──▶ Answer
+      lines ──Batch_input──▶ Batch.t ──execute──▶ results in the Batch.t
+      Query ──Planner.plan──▶ Plan.t ──run──▶ Answer.t
     v}
 
-    [run_batch] groups a batch by route and hands each backend ONE
-    [eval_batch] call, so shared work (kernel cursors per
-    [(scenario, r)] column, DTMC matrix builds, Monte-Carlo streams)
-    amortizes across the whole batch: a query repeated in a batch
-    costs nothing past its first occurrence on a shared kernel column.
-    Answers return in input order and every point is bitwise identical
-    to evaluating each query alone, at any job count.  No answer is
-    memoized across calls. *)
+    {!execute} partitions a {!Batch.t} by route and hands each backend
+    ONE [eval_columns] call on its plans, so shared work amortizes
+    across the whole batch: a query repeated in a batch costs nothing
+    past its first occurrence on a shared kernel column.  Every point
+    is bitwise identical to evaluating each query alone, at any job
+    count.  The plan-array entry points below are adapters: plans
+    copied into a batch, answers sliced out of it. *)
+
+val execute : Batch.t -> unit
+(** Evaluate a complete batch; the backends that fan out use the
+    process-wide {!Exec.Pool}. *)
 
 val run : Plan.t -> Answer.t
 (** Execute one compiled plan — the singleton case of {!run_batch}. *)
 
 val run_batch : Plan.t array -> Answer.t array
-(** Execute a batch.  The backends that fan out use the process-wide
-    {!Exec.Pool}. *)
+(** Execute a batch of plans; answers in input order. *)
 
 val eval : ?backend:string -> Query.t -> Answer.t
 (** [Planner.plan] then {!run}: the one-call convenience the CLI and

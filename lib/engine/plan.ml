@@ -36,28 +36,32 @@ type t = {
 
 (* Scenarios are records holding closures (the delay distribution), so
    no structural equality exists.  Interning assigns each physically
-   distinct Params.t a small id; only physically equal scenarios share
-   one, because two distinct records can agree on every printed field
-   and every sampled survival value and still differ between samples.
-   The common case (preset reuse) costs one list walk.
+   distinct Params.t a small id, its index in [interned]; only
+   physically equal scenarios share one, because two distinct records
+   can agree on every printed field and every sampled survival value
+   and still differ between samples.  The common case (preset reuse)
+   costs a scan of the first few entries.
 
-   The table is only ever touched from the domain that compiles plans
-   (the executor compiles before fanning out over the pool), so it
-   needs no lock and stays out of the R3 concurrency rule. *)
+   The table grows only in the domain that compiles plans, before the
+   executor fans out over the pool, whose workers then read it as it
+   stands; so it needs no lock and stays out of the R3 concurrency
+   rule. *)
 
-let interned : (Zeroconf.Params.t * int) list ref = ref []
+let interned = ref [||]
 
-let rec find_id p = function
-  | [] -> -1
-  | (p', id) :: rest -> if p' == p then id else find_id p rest
+let rec find_id table p i =
+  if i = Array.length table then -1
+  else if table.(i) == p then i
+  else find_id table p (i + 1)
 
 let scenario_id (p : Zeroconf.Params.t) =
-  match find_id p !interned with
+  match find_id !interned p 0 with
   | -1 ->
-      let id = List.length !interned in
-      interned := (p, id) :: !interned;
-      id
+      interned := Array.append !interned [| p |];
+      Array.length !interned - 1
   | id -> id
+
+let scenario_of_id id = !interned.(id)
 
 (* -- the structural key --------------------------------------------- *)
 

@@ -46,6 +46,9 @@ val scenario_id : Zeroconf.Params.t -> int
     same id and distinct values never do: scenarios hold closures, so
     physical identity is the only exact equality available. *)
 
+val scenario_of_id : int -> Zeroconf.Params.t
+(** The scenario an id was given to. *)
+
 val key : t -> string
 (** The structural key, built on each call (nothing in the engine reads
     it; {!Cache} indexes by it): quantity, route, interned scenario id,

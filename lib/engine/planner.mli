@@ -12,11 +12,9 @@
 exception Unsupported of string
 (** No backend (or the named backend) can answer the query. *)
 
-val backends : (string * (module Backend.S)) list
-(** All routes by name: [kernel], [analytic], [dtmc], [mc]. *)
-
 val backend_of_name : string -> (module Backend.S) option
-(** Case-insensitive lookup in {!backends}. *)
+(** The backend of a route name ({!Plan.route_of_name}: [kernel],
+    [analytic], [dtmc], [mc], any case). *)
 
 val plan : ?backend:string -> Query.t -> Plan.t
 (** Compile the query: validate, resolve the accuracy demand to a
@@ -27,3 +25,11 @@ val plan : ?backend:string -> Query.t -> Plan.t
 
 val backend_of_route : Plan.route -> (module Backend.S)
 (** The backend module serving a resolved route. *)
+
+val serves :
+  Plan.route -> Query.quantity -> sampled:bool -> max_n:int -> bool
+(** {!Backend.S.supports} on a query's parts, [max_n] its largest probe
+    count. *)
+
+val route : Query.quantity -> sampled:bool -> max_n:int -> Plan.route option
+(** The route {!plan} picks for such a query unforced, if any. *)

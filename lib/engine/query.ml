@@ -23,18 +23,21 @@ let max_points = 1_048_576
 let max_trials = 1 lsl 24
 
 (* one point at n costs n kernel steps, as many as the largest n-sweep
-   allowed *)
-let check_n n =
+   allowed.  The checks are inlined into the loops below and build
+   their message only on the way out, so a valid point allocates
+   nothing. *)
+let bad_n n =
   if n < 1 then invalid_arg (Printf.sprintf "Query: n = %d < 1" n);
-  if n > max_points then
-    invalid_arg
-      (Printf.sprintf "Query: n = %d > max_points = %d" n max_points)
+  invalid_arg (Printf.sprintf "Query: n = %d > max_points = %d" n max_points)
 
-let check_r r =
-  (* r = 0 is the paper's boundary case C_n(0) = n c + q E (pi_i = 1 for
-     every i); every deterministic route below accepts it *)
-  if not (Float.is_finite r && r >= 0.) then
-    invalid_arg (Printf.sprintf "Query: r = %g not non-negative and finite" r)
+let[@inline] check_n n = if n < 1 || n > max_points then bad_n n
+
+(* r = 0 is the paper's boundary case C_n(0) = n c + q E (pi_i = 1 for
+   every i); every deterministic route below accepts it *)
+let bad_r r =
+  invalid_arg (Printf.sprintf "Query: r = %g not non-negative and finite" r)
+
+let[@inline] check_r r = if not (Float.is_finite r && r >= 0.) then bad_r r
 
 let quantity_name = function
   | Mean_cost -> "mean-cost"
@@ -43,25 +46,59 @@ let quantity_name = function
   | Cost_variance -> "cost-variance"
   | Latency_mean -> "latency-mean"
 
-(* A trial's cost is a sum of attempts, each costing at most n (r + c)
+let overflow quantity n r what bound =
+  invalid_arg
+    (Printf.sprintf "Query: %s at n = %d, r = %g: the %s = %g is not finite"
+       (quantity_name quantity) n r what bound)
+
+let horizon = float_of_int Zeroconf.Latency.default_horizon
+
+(* Every n first, then every r, then the sample bounds: a plan with
+   several faults reports the one [validate] always reported.
+
+   A trial's cost is a sum of attempts, each costing at most n (r + c)
    + E.  Where that bound overflows, a cost sample holds inf and its
    mean or variance comes out as inf - inf, so the cost quantities
-   refuse the point. *)
-let check_cost t n r =
-  match t.quantity with
+   refuse the point.  The mean latency sums k r over every period count
+   k up to [Latency]'s horizon, weighted by its probability, so
+   k r = inf at a count of probability 0 gives inf * 0 = nan: the
+   latency refuses the point where horizon * r overflows. *)
+let validate_columns quantity (p : Zeroconf.Params.t) ~sampled ~trials ~n ~r
+    ~lo ~hi =
+  for k = lo to hi - 1 do
+    check_n n.(k)
+  done;
+  for k = lo to hi - 1 do
+    check_r r.(k)
+  done;
+  (match quantity with
   | Mean_cost | Cost_variance ->
-      let p = t.scenario in
-      let bound =
-        (float_of_int n *. (r +. p.Zeroconf.Params.probe_cost))
-        +. p.Zeroconf.Params.error_cost
-      in
-      if not (Float.is_finite bound) then
-        invalid_arg
-          (Printf.sprintf
-             "Query: %s at n = %d, r = %g: the largest attempt cost \
-              n (r + c) + E = %g is not finite"
-             (quantity_name t.quantity) n r bound)
-  | Error_probability | Log10_error | Latency_mean -> ()
+      for k = lo to hi - 1 do
+        let bound =
+          (float_of_int n.(k) *. (r.(k) +. p.probe_cost)) +. p.error_cost
+        in
+        if not (Float.is_finite bound) then
+          overflow quantity n.(k) r.(k)
+            "largest attempt cost n (r + c) + E" bound
+      done
+  | Latency_mean ->
+      for k = lo to hi - 1 do
+        let bound = horizon *. r.(k) in
+        if not (Float.is_finite bound) then
+          overflow quantity n.(k) r.(k)
+            (Printf.sprintf "configuration time at the horizon %.0f r" horizon)
+            bound
+      done
+  | Error_probability | Log10_error -> ());
+  if hi - lo > max_points then
+    invalid_arg
+      (Printf.sprintf "Query: %d points > max_points = %d" (hi - lo)
+         max_points);
+  if sampled && trials < 1 then
+    invalid_arg (Printf.sprintf "Query: trials = %d < 1" trials);
+  if sampled && trials > max_trials then
+    invalid_arg
+      (Printf.sprintf "Query: trials = %d > max_trials = %d" trials max_trials)
 
 let size t =
   match t.domain with
@@ -70,32 +107,24 @@ let size t =
   | R_sweep { rs; _ } -> Array.length rs
 
 let validate t =
-  (match t.domain with
-  | Point { n; r } ->
-      check_n n;
-      check_r r;
-      check_cost t n r
-  | N_sweep { ns; r } ->
-      if Array.length ns = 0 then invalid_arg "Query: empty n sweep";
-      Array.iter check_n ns;
-      check_r r;
-      Array.iter (fun n -> check_cost t n r) ns
-  | R_sweep { n; rs } ->
-      check_n n;
-      if Array.length rs = 0 then invalid_arg "Query: empty r sweep";
-      Array.iter check_r rs;
-      Array.iter (fun r -> check_cost t n r) rs);
-  if size t > max_points then
-    invalid_arg
-      (Printf.sprintf "Query: %d points > max_points = %d" (size t) max_points);
-  match t.accuracy with
-  | Sampled { trials; _ } when trials < 1 ->
-      invalid_arg (Printf.sprintf "Query: trials = %d < 1" trials)
-  | Sampled { trials; _ } when trials > max_trials ->
-      invalid_arg
-        (Printf.sprintf "Query: trials = %d > max_trials = %d" trials
-           max_trials)
-  | Sampled _ | Exact -> ()
+  let n, r =
+    match t.domain with
+    | Point { n; r } -> ([| n |], [| r |])
+    | N_sweep { ns; r } ->
+        if Array.length ns = 0 then invalid_arg "Query: empty n sweep";
+        (ns, Array.make (Array.length ns) r)
+    | R_sweep { n; rs } ->
+        check_n n;
+        if Array.length rs = 0 then invalid_arg "Query: empty r sweep";
+        (Array.make (Array.length rs) n, rs)
+  in
+  let sampled, trials =
+    match t.accuracy with
+    | Exact -> (false, 0)
+    | Sampled { trials; _ } -> (true, trials)
+  in
+  validate_columns t.quantity t.scenario ~sampled ~trials ~n ~r ~lo:0
+    ~hi:(Array.length n)
 
 let make quantity scenario domain accuracy =
   let t = { quantity; scenario; domain; accuracy } in

@@ -68,10 +68,27 @@ val validate : t -> unit
     non-negative and finite ([r = 0] is the paper's boundary case,
     where [C_n(0) = n c + q E]), sweeps are non-empty and hold at most
     {!max_points} points, [Sampled] demands between 1 and
-    {!max_trials} trials, and, for [Mean_cost] and [Cost_variance],
-    the largest cost of one attempt, [n (r + c) + E], is finite at
-    every point (where it overflows, a mean or variance of costs is
-    [inf - inf]).  The smart constructors above call this. *)
+    {!max_trials} trials, and every sample the quantity averages is
+    finite at every point: for [Mean_cost] and [Cost_variance] the
+    largest cost of one attempt, [n (r + c) + E], and for
+    [Latency_mean] the time [k r] of every period count [k] up to
+    {!Zeroconf.Latency.default_horizon} (where these overflow, a mean
+    or variance comes out as [inf - inf] or [inf * 0]).  The smart
+    constructors above call this. *)
+
+val validate_columns :
+  quantity ->
+  Zeroconf.Params.t ->
+  sampled:bool ->
+  trials:int ->
+  n:int array ->
+  r:float array ->
+  lo:int ->
+  hi:int ->
+  unit
+(** {!validate} on the points [(n.(k), r.(k))], [lo <= k < hi], of a
+    domain held in columns ([trials] read when [sampled]), allocating
+    nothing unless a check fails. *)
 
 val size : t -> int
 (** Number of evaluation points in the domain. *)

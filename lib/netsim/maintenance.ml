@@ -14,12 +14,25 @@ type resolution = {
    first such reply the colliding host receives reveals the conflict;
    it then abandons the address and runs the configuration protocol
    again for a fresh one. *)
+let horizon_cap = 1e7
+
 let simulate_collision ?(background_rate = 0.1) ?(connection_rate = 0.05)
     ~loss ~one_way ~occupied ?pool_size ~config ~rng () =
   if background_rate <= 0. then
     invalid_arg "Maintenance.simulate_collision: background_rate <= 0";
   if connection_rate < 0. then
     invalid_arg "Maintenance.simulate_collision: connection_rate < 0";
+  (* reconfiguring takes n listening periods at least, so a probe
+     schedule that reaches the horizon cap below never resolves the
+     conflict: refuse it before simulating until the event budget runs
+     out *)
+  let schedule = float_of_int config.Newcomer.probes *. config.Newcomer.listen in
+  if not (schedule < horizon_cap) then
+    invalid_arg
+      (Printf.sprintf
+         "Maintenance.simulate_collision: the probe schedule n r = %g s \
+          reaches the %g s horizon cap, so the conflict never resolves"
+         schedule horizon_cap);
   let engine = Engine.create () in
   let pool = Address_pool.create ?size:pool_size () in
   let link = Link.create ~engine ~rng ~loss ~one_way in
@@ -66,7 +79,7 @@ let simulate_collision ?(background_rate = 0.1) ?(connection_rate = 0.05)
   (* run until the collider has reconfigured (cap the horizon against
      pathological loss rates) *)
   let horizon = ref 1000. in
-  while !reconfiguration = None && !horizon < 1e7 do
+  while !reconfiguration = None && !horizon < horizon_cap do
     Engine.run ~until:!horizon engine;
     horizon := !horizon *. 10.
   done;

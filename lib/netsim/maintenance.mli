@@ -37,7 +37,10 @@ val simulate_collision :
 (** One latent collision, played out.  [background_rate] (default
     [0.1]/s) is the Poisson rate of ARP traffic touching the contested
     address; [connection_rate] (default [0.05]/s) the rate at which the
-    unsuspecting newcomer opens connections until detection. *)
+    unsuspecting newcomer opens connections until detection.  The run
+    stops at a simulated horizon of [1e7] s; raises [Invalid_argument]
+    up front when the probe schedule alone, [n r], reaches it, since
+    such a conflict can never resolve. *)
 
 type cost_estimate = {
   trials : int;

@@ -308,17 +308,10 @@ let test_sampling_keys () =
       ()
   | _ -> Alcotest.fail "backend=MC takes trials and seed"
 
-let lines_of list =
-  let rest = ref list in
-  fun () ->
-    match !rest with
-    | [] -> None
-    | l :: tl ->
-        rest := tl;
-        Some l
+let read lines = Batch_input.read (String.concat "\n" lines)
 
 let test_planner_errors () =
-  let plan_one line = Batch_input.plans (lines_of [ "cost"; ""; line ]) in
+  let plan_one line = read [ "cost"; ""; line ] in
   Alcotest.(check string) "forced backend that cannot answer"
     "line 3: dtmc cannot answer: latency-mean of figure2 at (n = 4, r = 2), \
      exact"
@@ -327,31 +320,21 @@ let test_planner_errors () =
     (failure_of (fun () -> plan_one "cost backend=foo"))
 
 let test_plans_stream () =
-  let plans =
-    Batch_input.plans
-      (lines_of [ "# header"; ""; "cost n=2"; "error ns=1:3 r=1"; "  " ])
-  in
-  Alcotest.(check int) "blank and comment lines skipped" 2 (Array.length plans);
-  Alcotest.(check int) "points" 4
-    (Array.fold_left (fun k p -> k + Engine.Plan.size p) 0 plans);
+  let b = read [ "# header"; ""; "cost n=2"; "error ns=1:3 r=1"; "  " ] in
+  Alcotest.(check int) "blank and comment lines skipped" 2 b.plans;
+  Alcotest.(check int) "points" 4 b.points;
   (* the first failing line wins, whichever stage it fails in *)
   Alcotest.(check string) "planner error before a later parse error"
     "line 2: unknown backend foo"
     (failure_of (fun () ->
-         Batch_input.plans
-           (lines_of [ "cost"; "cost backend=foo"; "cost r=-1" ])));
-  Alcotest.(check int) "empty input" 0
-    (Array.length (Batch_input.plans (lines_of [ "# nothing" ])))
+         read [ "cost"; "cost backend=foo"; "cost r=-1" ]));
+  Alcotest.(check int) "empty input" 0 (read [ "# nothing" ]).plans
 
 let test_growth () =
-  let lines = List.init 200 (fun i -> Printf.sprintf "cost n=%d" (i + 1)) in
-  let plans = Batch_input.plans (lines_of lines) in
+  let b = read (List.init 200 (fun i -> Printf.sprintf "cost n=%d" (i + 1))) in
   Alcotest.(check (list int)) "every line, in order"
     (List.init 200 (fun i -> i + 1))
-    (Array.to_list
-       (Array.map
-          (fun (p : Engine.Plan.t) -> fst p.Engine.Plan.points.(0))
-          plans))
+    (List.init b.plans (fun p -> b.n.(b.off.(p))))
 
 let () =
   Alcotest.run "batch_input"

@@ -277,7 +277,11 @@ let test_validation () =
       (fun () ->
         ignore
           (Q.point ~accuracy:(Q.Sampled { trials = 10; seed = 1 }) Q.Mean_cost
-             p ~n:4 ~r:1e308)) ];
+             p ~n:4 ~r:1e308));
+      (* the mean latency sums k r up to the period horizon *)
+      (fun () -> ignore (Q.point Q.Latency_mean p ~n:1 ~r:1e308));
+      (fun () -> ignore (Q.r_sweep Q.Latency_mean p ~n:4 ~rs:[| 2.; 5e304 |]))
+    ];
   Alcotest.check_raises "the refusal names the quantity"
     (Invalid_argument
        "Query: mean-cost at n = 4, r = 2: the largest attempt cost n (r + c) \
@@ -288,6 +292,12 @@ let test_validation () =
   ignore (Q.point Q.Mean_cost dear ~n:1 ~r:2.);
   ignore (Q.point Q.Error_probability dear ~n:4 ~r:2.);
   ignore (Q.point Q.Error_probability p ~n:4 ~r:1e308);
+  Alcotest.check_raises "the latency refusal names the quantity"
+    (Invalid_argument
+       "Query: latency-mean at n = 4, r = 1e+308: the configuration time at \
+        the horizon 4096 r = inf is not finite")
+    (fun () -> ignore (Q.point Q.Latency_mean p ~n:4 ~r:1e308));
+  ignore (Q.point Q.Latency_mean p ~n:4 ~r:4e304);
   (* the bounds themselves are accepted *)
   Alcotest.(check int) "max_points accepted" Q.max_points
     (Q.size (Q.r_sweep Q.Mean_cost p ~n:4 ~rs:(Array.make Q.max_points 1.)));

@@ -238,6 +238,131 @@ let prop_kernel_evals_sum =
         answers;
       Array.fold_left (fun acc (a : A.t) -> acc + a.A.evals) 0 answers = scan)
 
+(* -- the columnar batch against the plan-array path ------------------ *)
+
+(* Random [batch] inputs: all five quantities, the default route and
+   each forced one that serves the quantity (Monte Carlo with its own
+   trials and seed), point, ns= and rs= lines over a small r pool that
+   holds r=0 and r=-0, so plans share kernel columns, and each line
+   possibly repeated. *)
+let batch_line_gen =
+  QCheck.Gen.(
+    let r_text = oneofl [ "0"; "-0"; "0.5"; "2"; "2.000001" ] in
+    let* quantity =
+      oneofl
+        [ "mean-cost"; "error-probability"; "log10-error"; "cost-variance";
+          "latency-mean" ]
+    in
+    let backends =
+      match quantity with
+      | "mean-cost" | "error-probability" ->
+          [ ""; "kernel"; "analytic"; "dtmc"; "mc" ]
+      | "log10-error" -> [ ""; "kernel"; "analytic"; "dtmc" ]
+      | "cost-variance" -> [ ""; "dtmc" ]
+      | _ -> [ ""; "analytic"; "mc" ]
+    in
+    let* backend = oneofl backends in
+    let* scenario = oneofl (List.map fst Zeroconf.Params.presets) in
+    let* domain =
+      oneof
+        [ map2 (Printf.sprintf "n=%d r=%s") (int_range 1 10) r_text;
+          (let* lo = int_range 1 6 and* len = int_range 0 4 and* r = r_text in
+           return (Printf.sprintf "ns=%d:%d r=%s" lo (lo + len) r));
+          (let* n = int_range 1 10 and* lo = r_text and* hi = r_text in
+           let* points = if lo = hi then return 1 else int_range 2 4 in
+           return (Printf.sprintf "n=%d rs=%s:%s:%d" n lo hi points)) ]
+    in
+    let* sampling =
+      if backend = "mc" then
+        map2 (Printf.sprintf " trials=%d seed=%d") (int_range 5 20)
+          (int_range 0 50)
+      else return ""
+    in
+    let* copies = frequency [ (4, return 1); (1, return 2) ] in
+    return
+      (List.init copies (fun _ ->
+           Printf.sprintf "%s scenario=%s %s%s%s" quantity scenario domain
+             (if backend = "" then "" else " backend=" ^ backend)
+             sampling)))
+
+let batch_text_gen =
+  QCheck.Gen.(
+    map
+      (fun lines -> String.concat "\n" (List.concat lines))
+      (list_size (int_range 1 12) batch_line_gen))
+
+(* Each line's plan, through the per-query front end *)
+let plans_of_text text =
+  List.filter_map
+    (fun line ->
+      Option.map
+        (fun (q, backend) -> Engine.Planner.plan ?backend q)
+        (Batch_input.parse_line 1 line))
+    (String.split_on_char '\n' text)
+  |> Array.of_list
+
+(* [Batch_input.read] and [Executor.execute] on 2 domains give every
+   point the value and interval bits of [Executor.run_batch] on the
+   plans of the per-query front end, and of each plan run alone; every
+   plan the same route and evals; and the kernel plans the evals of the
+   reference scan. *)
+let prop_columnar_equals_plans =
+  QCheck.Test.make ~name:"columnar batch = plan-array batch, bitwise"
+    ~count:60
+    (QCheck.make ~print:Fun.id batch_text_gen)
+    (fun text ->
+      let b = at_jobs 2 (fun () ->
+          let b = Batch_input.read text in
+          Engine.Executor.execute b;
+          b)
+      in
+      let plans = plans_of_text text in
+      let answers = Engine.Executor.run_batch plans in
+      if b.plans <> Array.length plans then
+        QCheck.Test.fail_reportf "%d plans, not %d" b.plans
+          (Array.length plans);
+      let kernel =
+        List.filter
+          (fun p -> plans.(p).Engine.Plan.route = Engine.Plan.Kernel)
+          (List.init b.plans Fun.id)
+      in
+      let expected =
+        reference_evals (Array.of_list (List.map (fun p -> plans.(p)) kernel))
+      in
+      List.iteri
+        (fun j p ->
+          if b.evals.(p) <> expected.(j) then
+            QCheck.Test.fail_reportf "plan %d: %d kernel evals, reference %d" p
+              b.evals.(p) expected.(j))
+        kernel;
+      Array.iteri
+        (fun p (a : A.t) ->
+          let alone = Engine.Executor.run plans.(p) in
+          if
+            Engine.Plan.route_name b.route.(p) <> a.A.backend
+            || b.evals.(p) <> a.A.evals
+          then
+            QCheck.Test.fail_reportf "plan %d: %s evals=%d, not %s evals=%d" p
+              (Engine.Plan.route_name b.route.(p)) b.evals.(p) a.A.backend
+              a.A.evals;
+          for i = 0 to A.size a - 1 do
+            let k = b.off.(p) + i in
+            let column =
+              [ b.value.(k) ]
+              @ if Engine.Batch.trials b p > 0 then [ b.ci_lo.(k); b.ci_hi.(k) ]
+                else []
+            and view (a : A.t) =
+              match A.ci a i with
+              | Some (lo, hi) -> [ A.scalar a i; lo; hi ]
+              | None -> [ A.scalar a i ]
+            in
+            let same x y = List.map bits x = List.map bits y in
+            if not (same column (view a) && same column (view alone)) then
+              QCheck.Test.fail_reportf "plan %d, point %d differs bitwise" p i
+          done)
+        answers;
+      true)
+
 (* -- deterministic corners the generator may under-sample ----------- *)
 
 let fig2 = List.assoc "figure2" Zeroconf.Params.presets
@@ -384,6 +509,7 @@ let () =
     [ ( "batch equivalence",
         [ QCheck_alcotest.to_alcotest prop_batch_equals_scalar;
           QCheck_alcotest.to_alcotest prop_kernel_evals_sum;
+          QCheck_alcotest.to_alcotest prop_columnar_equals_plans;
           Alcotest.test_case "duplicate plans in one batch" `Quick
             test_duplicate_plans_in_one_batch;
           Alcotest.test_case "repeats cost no kernel evals" `Quick
