@@ -520,7 +520,7 @@ let add st (b : Engine.Batch.t) =
         | _ -> refuse st)
   in
   let scenario = snd presets.(st.preset) in
-  Engine.Batch.add_plan b st.quantity scenario
+  Engine.Batch.add_plan b st.quantity (Engine.Plan.scenario_id scenario)
     (Option.value route ~default:Engine.Plan.Kernel)
     ~trials:(if sampled then st.ints.(1) else 0)
     ~seed:(if sampled then st.ints.(2) else 0);

@@ -60,7 +60,7 @@ let grow a fill len =
     b
   end
 
-let add_plan b quantity scenario route ~trials ~seed =
+let add_plan b quantity sid route ~trials ~seed =
   let p = b.plans and len = b.plans + 1 in
   (* one test for all: [off] keeps room for one more than the rest *)
   if len > Array.length b.quantity then begin
@@ -71,7 +71,7 @@ let add_plan b quantity scenario route ~trials ~seed =
   end;
   b.quantity.(p) <- quantity;
   b.route.(p) <- route;
-  b.scenario_id.(p) <- Plan.scenario_id scenario;
+  b.scenario_id.(p) <- sid;
   if trials <> 0 || seed <> 0 then begin
     b.trials <- grow b.trials 0 len;
     b.seed <- grow b.seed 0 len;
@@ -142,7 +142,7 @@ let of_plans (plans : Plan.t array) =
         | Query.Exact -> (0, 0)
         | Query.Sampled { trials; seed } -> (trials, seed)
       in
-      add_plan b pl.quantity pl.scenario pl.route ~trials ~seed;
+      add_plan b pl.quantity pl.scenario_id pl.route ~trials ~seed;
       let k = b.points in
       Array.iteri
         (fun i (n, r) ->

@@ -38,9 +38,9 @@ val create : ?plans:int -> ?points:int -> unit -> t
 (** An empty batch with room for [plans] plans and [points] points. *)
 
 val add_plan :
-  t -> Query.quantity -> Zeroconf.Params.t -> Plan.route -> trials:int ->
-  seed:int -> unit
-(** Open a plan; the points added next are its own. *)
+  t -> Query.quantity -> int -> Plan.route -> trials:int -> seed:int -> unit
+(** [add_plan b quantity sid route ~trials ~seed] opens a plan on the
+    scenario interned as [sid]; the points added next are its own. *)
 
 val add_n_sweep : t -> lo:int -> hi:int -> float array -> int -> unit
 (** [add_n_sweep b ~lo ~hi rs i] adds the points [(lo, rs.(i))] to

@@ -49,13 +49,12 @@ type t = {
 
 let interned = ref [||]
 
+(* newest first: a caller that makes scenarios uses the latest *)
 let rec find_id table p i =
-  if i = Array.length table then -1
-  else if table.(i) == p then i
-  else find_id table p (i + 1)
+  if i < 0 || table.(i) == p then i else find_id table p (i - 1)
 
 let scenario_id (p : Zeroconf.Params.t) =
-  match find_id !interned p 0 with
+  match find_id !interned p (Array.length !interned - 1) with
   | -1 ->
       interned := Array.append !interned [| p |];
       Array.length !interned - 1
