@@ -41,7 +41,7 @@ let optimal_n_direct ?(n_max = 4096) ?(patience = 24) (p : Zeroconf.Params.t) ~r
   (!best_n, !best_cost)
 
 (* The n-scan artifacts through the streaming kernel, at smoke sizes:
-   the dense envelope starts at r = 1/4096, where the first useful
+   the dense lattice starts at r = 1/4096, where the first useful
    probe count reaches n_max. *)
 let kernel_specs =
   let dense = Array.init 8 (fun k -> float_of_int (k + 1) /. 4096.) in
@@ -51,8 +51,6 @@ let kernel_specs =
         Array.iter
           (fun r -> ignore (Zeroconf.Optimize.optimal_n fig2_scenario ~r))
           dense );
-    ( "lower-envelope/dense-4096",
-      fun () -> ignore (Zeroconf.Optimize.lower_envelope fig2_scenario dense) );
     ( "fig3-4/optimal-n-sweep",
       fun () ->
         ignore (Zeroconf.Optimize.optimal_n_sweep fig2_scenario sweep_grid) ) ]
@@ -398,13 +396,49 @@ let alloc_gate () =
     "smoke ok: Monte-Carlo trial at %.2f minor words (gate %g), Rng.int at 0\n"
     per_trial alloc_max_words_per_trial
 
+(* Numbers become text without allocating: 20k %.10g conversions of
+   values spread over 1e-300..1e300, both signs, appended to a presized
+   buffer, may allocate no minor word.  Every normal double takes
+   [Output.Num_text]'s scaled path but a near-tie (a subnormal or a
+   non-finite value aside), and only that runtime fallback returns a
+   fresh string.  The values are ten random significant digits at a
+   random decimal exponent, so none is a near-tie at ten digits; a
+   log-uniform draw holds about one in 10^4.  Counted with
+   [Gc.minor_words], like the gate above. *)
+let format_values = 20_000
+
+let format_gate () =
+  let rng = Numerics.Rng.create 2003 in
+  let values =
+    List.init format_values (fun _ ->
+        let digits = 1_000_000_000 + Numerics.Rng.int rng 9_000_000_000 in
+        float_of_string
+          (Printf.sprintf "%s%de%d"
+             (if Numerics.Rng.int rng 2 = 0 then "" else "-")
+             digits
+             (Numerics.Rng.int rng 601 - 309)))
+  in
+  let add = Output.Num_text.add_general ~digits:10 in
+  let b = Buffer.create (24 * format_values) in
+  (* the closure is allocated before the count starts *)
+  let append x = add b x in
+  let before = Gc.minor_words () in
+  List.iter append values;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    failwith
+      (Printf.sprintf "%d %%.10g conversions allocate %.0f minor words (gate 0)"
+         format_values words);
+  print_endline "smoke ok: %.10g formatting at 0 minor words per value (gate 0)"
+
 let () =
   if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then begin
     Exec.Pool.set_jobs 1;
     smoke ();
     point_gates ();
     kernel_gate ();
-    alloc_gate ()
+    alloc_gate ();
+    format_gate ()
   end
   else begin
     prerr_endline

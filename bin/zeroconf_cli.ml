@@ -263,7 +263,7 @@ let curve_cmd =
     Term.(const run $ scenario_term $ n_term $ points $ r_max)
 
 let latency_cmd =
-  let run p n r =
+  let print p n r =
     let dist = Zeroconf.Latency.periods p ~n ~r in
     Format.printf "configuration-time distribution at n = %d, r = %g:@." n r;
     Format.printf "  mean           = %.4f s@." (Zeroconf.Latency.mean dist);
@@ -277,10 +277,16 @@ let latency_cmd =
         Format.printf "  P(wait > %4.3gs) = %.3e@." t (Zeroconf.Latency.exceeds dist t))
       [ float_of_int n *. r; 2. *. float_of_int n *. r; 30. ]
   in
+  let run p n r =
+    (* past the horizon's overflow the mean would print as nan *)
+    match Engine.Query.check_latency_horizon ~n ~r with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | () -> `Ok (print p n r)
+  in
   Cmd.v
     (Cmd.info "latency"
        ~doc:"Exact distribution of the configuration time (beyond the paper's mean).")
-    Term.(const run $ scenario_term $ n_term $ r_term)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term))
 
 let refine_cmd =
   let hosts =

@@ -86,11 +86,6 @@ let optimal_n ?n_max ?patience (p : Params.t) ~r =
 let optimal_n_sweep ?n_max ?patience (p : Params.t) grid =
   Numerics.Grid.map_sweep (fun r -> optimal_n ?n_max ?patience p ~r) grid
 
-let lower_envelope ?n_max ?patience (p : Params.t) grid =
-  Array.map
-    (fun (r, (_, cost)) -> (r, cost))
-    (optimal_n_sweep ?n_max ?patience p grid)
-
 let error_under_optimal_n ?n_max (p : Params.t) ~r =
   (optimal_n_scan ?n_max p ~r).error_prob
 

@@ -53,12 +53,6 @@ val optimal_n_sweep :
 (** {!optimal_n} at every grid point — the step function [N(r)] paired
     with [C_min(r)] — in grid order. *)
 
-val lower_envelope :
-  ?n_max:int -> ?patience:int -> Params.t -> float array ->
-  (float * float) array
-(** The Figure-4 envelope [C_min(r)] over a grid, via
-    {!optimal_n_sweep}. *)
-
 val error_under_optimal_n : ?n_max:int -> Params.t -> r:float -> float
 (** [E(N(r), r)]: the sawtoothed error probability of Figure 6. *)
 

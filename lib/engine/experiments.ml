@@ -54,9 +54,14 @@ let figure2 ?scenario ?(points = 400) () =
         grid
         (List.init 8 (fun i -> i + 1)) }
 
-let figure3 ?scenario ?(points = 600) () =
-  let p = Option.value ~default:(default_scenario ()) scenario in
-  let grid = r_grid ~points ~lo:0.02 ~hi:6. in
+(* figures 3 to 6 share their r-range; 3 and 4 are two views of one
+   optimizer sweep, and 6 is 5 with one curve more, so [all_figures]
+   computes each of those once *)
+let optimum_grid points = r_grid ~points ~lo:0.02 ~hi:6.
+let optimum_points = 600
+let error_points = 400
+
+let figure3_of sweep =
   { id = "fig3";
     title = "N(r): optimal number of probes for given r";
     x_label = "r (s)";
@@ -66,14 +71,9 @@ let figure3 ?scenario ?(points = 600) () =
     y_max = None;
     series =
       [ { label = "N(r)";
-          points =
-            Array.map
-              (fun (r, (n, _)) -> (r, float_of_int n))
-              (Optimize.optimal_n_sweep p grid) } ] }
+          points = Array.map (fun (r, (n, _)) -> (r, float_of_int n)) sweep } ] }
 
-let figure4 ?scenario ?(points = 600) () =
-  let p = Option.value ~default:(default_scenario ()) scenario in
-  let grid = r_grid ~points ~lo:0.02 ~hi:6. in
+let figure4_of sweep =
   { id = "fig4";
     title = "Minimal-cost function C_min(r)";
     x_label = "r (s)";
@@ -81,11 +81,22 @@ let figure4 ?scenario ?(points = 600) () =
     log_y = false;
     y_min = Some 0.;
     y_max = Some 100.;
-    series = [ { label = "C_min"; points = Optimize.lower_envelope p grid } ] }
+    series =
+      [ { label = "C_min";
+          points = Array.map (fun (r, (_, cost)) -> (r, cost)) sweep } ] }
 
-let figure5 ?scenario ?(points = 400) () =
+let optimum_sweep ?scenario points =
   let p = Option.value ~default:(default_scenario ()) scenario in
-  let grid = r_grid ~points ~lo:0.02 ~hi:6. in
+  Optimize.optimal_n_sweep p (optimum_grid points)
+
+let figure3 ?scenario ?(points = optimum_points) () =
+  figure3_of (optimum_sweep ?scenario points)
+
+let figure4 ?scenario ?(points = optimum_points) () =
+  figure4_of (optimum_sweep ?scenario points)
+
+let figure5 ?scenario ?(points = error_points) () =
+  let p = Option.value ~default:(default_scenario ()) scenario in
   { id = "fig5";
     title = "Probability to reach state error";
     x_label = "r (s)";
@@ -96,27 +107,31 @@ let figure5 ?scenario ?(points = 400) () =
     series =
       series_batch Query.Log10_error p
         ~label:(Printf.sprintf "E(%d, r)")
-        grid
+        (optimum_grid points)
         (List.init 8 (fun i -> i + 1)) }
 
-let figure6 ?scenario ?(points = 400) () =
+(* figure 6 from the figure 5 it overlays, drawn at [points] *)
+let figure6_of ?scenario ~points fig5 =
   let p = Option.value ~default:(default_scenario ()) scenario in
-  let base = figure5 ?scenario ~points () in
-  let grid = r_grid ~points ~lo:0.02 ~hi:6. in
   let envelope =
     { label = "E(N(r), r)";
       points =
         Numerics.Grid.map_sweep
           (fun r -> Optimize.log10_error_under_optimal_n p ~r)
-          grid }
+          (optimum_grid points) }
   in
-  { base with
+  { fig5 with
     id = "fig6";
     title = "Error probability under cost-optimal n";
-    series = base.series @ [ envelope ] }
+    series = fig5.series @ [ envelope ] }
+
+let figure6 ?scenario ?(points = error_points) () =
+  figure6_of ?scenario ~points (figure5 ?scenario ~points ())
 
 let all_figures () =
-  [ figure2 (); figure3 (); figure4 (); figure5 (); figure6 () ]
+  let sweep = optimum_sweep optimum_points and fig5 = figure5 () in
+  [ figure2 (); figure3_of sweep; figure4_of sweep; fig5;
+    figure6_of ~points:error_points fig5 ]
 
 type landscape = {
   ns : int array;

@@ -53,6 +53,13 @@ let overflow quantity n r what bound =
 
 let horizon = float_of_int Zeroconf.Latency.default_horizon
 
+let[@inline] check_latency_horizon ~n ~r =
+  let bound = horizon *. r in
+  if not (Float.is_finite bound) then
+    overflow Latency_mean n r
+      (Printf.sprintf "configuration time at the horizon %.0f r" horizon)
+      bound
+
 (* Every n first, then every r, then the sample bounds: a plan with
    several faults reports the one [validate] always reported.
 
@@ -83,11 +90,7 @@ let validate_columns quantity (p : Zeroconf.Params.t) ~sampled ~trials ~n ~r
       done
   | Latency_mean ->
       for k = lo to hi - 1 do
-        let bound = horizon *. r.(k) in
-        if not (Float.is_finite bound) then
-          overflow quantity n.(k) r.(k)
-            (Printf.sprintf "configuration time at the horizon %.0f r" horizon)
-            bound
+        check_latency_horizon ~n:n.(k) ~r:r.(k)
       done
   | Error_probability | Log10_error -> ());
   if hi - lo > max_points then

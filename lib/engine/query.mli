@@ -90,6 +90,13 @@ val validate_columns :
     domain held in columns ([trials] read when [sampled]), allocating
     nothing unless a check fails. *)
 
+val check_latency_horizon : n:int -> r:float -> unit
+(** The mean-latency check of {!validate} at one point: raises
+    [Invalid_argument] with its message where the configuration time at
+    the horizon, {!Zeroconf.Latency.default_horizon} [*. r], is not
+    finite, since {!Zeroconf.Latency.mean} would come out as [nan]
+    there.  The [latency] command checks its point with it too. *)
+
 val size : t -> int
 (** Number of evaluation points in the domain. *)
 

@@ -7,15 +7,16 @@ type summary = {
   max : float;
 }
 
-(* Neumaier sum of the squared deviations from [mean], in index order:
-   the additions [Safe_float.sum] makes over the mapped array, without
-   building it or boxing a value per element.  The deviations stay
-   [(x -. mean) ** 2.]: [pow] and [x *. x] differ in the last bit on
+(* Neumaier sum of the squared deviations from [mean], each multiplied
+   by [unit] first, in index order: the additions [Safe_float.sum] makes
+   over the mapped array, without building it or boxing a value per
+   element.  The deviations stay [(x -. mean) ** 2.] (a product by
+   [unit = 1.] is exact): [pow] and [x *. x] differ in the last bit on
    some inputs, and every Monte-Carlo bound rests on these bits. *)
-let sum_squared_deviations xs mean =
+let sum_squared_deviations xs mean unit =
   let s = ref 0. and comp = ref 0. in
   for i = 0 to Array.length xs - 1 do
-    let x = (xs.(i) -. mean) ** 2. in
+    let x = ((xs.(i) -. mean) *. unit) ** 2. in
     let t = !s +. x in
     if Float.abs !s >= Float.abs x then comp := !comp +. ((!s -. t) +. x)
     else comp := !comp +. ((x -. t) +. !s);
@@ -23,20 +24,41 @@ let sum_squared_deviations xs mean =
   done;
   !s +. !comp
 
+(* the unbiased variance and its square root, for n >= 2.  Past about
+   1e154 the squares overflow (and the compensation turns their sum into
+   inf - inf = nan), so then, and only then, the sum is taken again over
+   the deviations scaled by the largest of them: the variance overflows
+   to infinity, but the standard deviation is the scale times a finite
+   root. *)
+let variance_std xs mean =
+  let n1 = float_of_int (Array.length xs - 1) in
+  let plain = sum_squared_deviations xs mean 1. /. n1 in
+  if Float.is_finite plain || not (Float.is_finite mean) then (plain, sqrt plain)
+  else begin
+    let scale = ref 0. in
+    for i = 0 to Array.length xs - 1 do
+      scale := Float.max !scale (Float.abs (xs.(i) -. mean))
+    done;
+    let scaled = sum_squared_deviations xs mean (1. /. !scale) /. n1 in
+    (!scale *. !scale *. scaled, !scale *. sqrt scaled)
+  end
+
 let summarize xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
   let mean = Safe_float.sum xs /. float_of_int n in
-  let variance =
-    if n < 2 then 0.
-    else sum_squared_deviations xs mean /. float_of_int (n - 1)
+  (* a sum past max_float is taken again over the values divided by n *)
+  let mean =
+    if Float.is_finite mean then mean
+    else Safe_float.sum_by (fun x -> x /. float_of_int n) xs
   in
+  let variance, std = if n < 2 then (0., 0.) else variance_std xs mean in
   let lo = ref xs.(0) and hi = ref xs.(0) in
   for i = 0 to n - 1 do
     lo := Float.min !lo xs.(i);
     hi := Float.max !hi xs.(i)
   done;
-  { n; mean; variance; std = sqrt variance; min = !lo; max = !hi }
+  { n; mean; variance; std; min = !lo; max = !hi }
 
 (* Inverse standard-normal CDF: Peter Acklam's rational approximation. *)
 let normal_quantile p =

@@ -4,8 +4,11 @@
 type summary = {
   n : int;
   mean : float;
-  variance : float;  (** Unbiased (n-1) sample variance; [0.] if n < 2. *)
+  variance : float;
+      (** Unbiased (n-1) sample variance; [0.] if n < 2; [infinity]
+          when it overflows a double. *)
   std : float;
+      (** Its square root, finite even when [variance] overflows. *)
   min : float;
   max : float;
 }
@@ -13,7 +16,10 @@ type summary = {
 val summarize : float array -> summary
 (** One pass for the mean (a {!Safe_float.sum}), one for the variance
     (the same compensated sum over [(x -. mean) ** 2.]) and one for
-    [min]/[max]; nothing is allocated but the result.  Raises
+    [min]/[max]; nothing is allocated but the result.  Only when that
+    sum of squares is not finite (deviations past about [1e154]) are the
+    deviations summed again, each divided by the largest, so [std] stays
+    finite; every other sample keeps the plain sum's bits.  Raises
     [Invalid_argument] on an empty array. *)
 
 val summary_ci : ?confidence:float -> summary -> float * float

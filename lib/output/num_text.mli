@@ -5,17 +5,22 @@
     into a [Buffer.t]; {!general} and {!fixed} return them as strings
     and are built on the same two functions.
 
-    Most values take an exact fast path: [|x|] is scaled by an exact
-    power of ten [10^s] ([|s| <= 22]) to an integer below [2^34], which
-    is rounded once, and its digits are laid out by C's rules.  The
-    scaled value is off by at most [2^-20], so its rounding equals that
-    of the exact decimal value unless its fraction lies within [1e-5]
-    of a half.  Every other value (a fraction within that margin, a
-    scale beyond [10^22] either way, a non-finite value, a precision of
-    0 or above 10) goes to the runtime primitive
-    [caml_format_float], which [Printf]'s [%g] and [%f] also end in,
-    with a conversion spec built once per precision.  {!add_int} writes
-    decimal digits without going through a string. *)
+    Every normal double takes one exact path: [|x|] is scaled by [10^s]
+    into an integer range below [10^10 < 2^34] and rounded once.  The
+    power comes from a table of [10^s] for [s] in [[-308, 317]], each
+    a mantissa in [[1, 2)] within half an ulp (it is built at start-up
+    by an exact double-double recurrence, in microseconds, and never
+    written again) times a power of two, which is applied exactly.  So
+    the scaled value carries two roundings and is off by less than
+    [2^-18]; its rounding equals that of the exact decimal value unless
+    its fraction lies within [1e-5] of a half.  The digits are laid out
+    by C's rules, eight at a time, and nothing is allocated.  Every
+    other value (a fraction within that margin, a subnormal, a
+    non-finite value, a precision of 0 or above 10) goes to the runtime
+    primitive [caml_format_float], which [Printf]'s [%g] and [%f] also
+    end in, with a conversion spec built once per precision.
+    {!add_int} writes decimal digits without going through a string.
+    The module holds no mutable state, so any domain may call it. *)
 
 val add_int : Buffer.t -> int -> unit
 (** Append [string_of_int n]: optional ['-'], then the decimal digits,
@@ -24,9 +29,9 @@ val add_int : Buffer.t -> int -> unit
 val add_general : digits:int -> Buffer.t -> float -> unit
 (** [add_general ~digits b x] appends [Printf.sprintf "%.<digits>g" x];
     [%g] is [~digits:6].  The fast path covers [1 <= digits <= 10] and
-    decimal exponents from about [digits - 23] to [digits + 21] (a zero
-    of either sign too).  Apply it to [~digits] once and keep the
-    resulting function: that is where the fallback's spec is built.
+    every normal double (a zero of either sign too).  Apply it to
+    [~digits] once and keep the resulting function: that is where the
+    fallback's spec is built.
     Raises [Invalid_argument] on a negative [digits]. *)
 
 val add_fixed : decimals:int -> Buffer.t -> float -> unit

@@ -144,8 +144,6 @@ let known =
       ("Metrics.aggregate: " ^ inf_minus_inf);
     row "simulate" "--r-period=V" "1e308" nan
       ("Metrics.aggregate: " ^ inf_minus_inf);
-    row "latency" "--r-period=V" "1e308" nan
-      ("Latency.mean: " ^ inf_minus_inf);
     row "workload" "--r-period=V" "1e308" nan
       ("Workload.run, mean configuration time: " ^ inf_minus_inf);
     row "report" "--delay=V" "1e308" nan
@@ -155,9 +153,7 @@ let known =
     row "report" "--probe-cost=V" "0" hang full_scan ~finishes:false;
     row "report" "--draft-r=V" "1e308" nan
       ("Report.print, sensitivities: " ^ inf_minus_inf);
-    row "fit" "--probe-cost=V" "0" hang full_scan ~finishes:false;
-    row "fit" "--probe-cost=V" "1e308" nan
-      ("Uncertainty.bootstrap: " ^ inf_minus_inf) ]
+    row "fit" "--probe-cost=V" "0" hang full_scan ~finishes:false ]
 
 (* Job counts just past OCaml's 128 domains: the checks above let them
    through if the cap is lost, so each must be refused outright (exit

@@ -301,8 +301,8 @@ let with_neighbours xs =
 
 let both_signs xs = List.concat_map (fun x -> [ x; -.x ]) xs
 
-(* draws inside the fast path's reach: mantissa in [1, 10), decimal
-   exponent -13..31 (the %.10g reach), both signs *)
+(* draws where most output lives: mantissa in [1, 10), decimal
+   exponent -13..31, both signs *)
 let fast_range_floats n =
   let rng = Numerics.Rng.create 614 in
   both_signs
@@ -403,6 +403,49 @@ let test_num_text_floats () =
         (Num_text.fixed ~decimals:2 x))
     special_floats
 
+(* The scaled fast path over the whole double range, at every precision
+   it takes (1..10), against Printf: its power-of-ten table spans every
+   normal double, so each row of it is reached here. *)
+
+(* m 2^e with a short odd m, for every binary exponent from the least
+   subnormal up: few significant bits, so where e is small the decimal
+   expansion ends in a 5 that falls on digit p + 1, an exact tie *)
+let binary_tie_floats =
+  List.concat_map
+    (fun m ->
+      List.init (1023 + 1074 + 1) (fun i -> Float.ldexp (float_of_int m) (i - 1074)))
+    [ 1; 3; 5; 7; 9; 15; 25; 125 ]
+  |> List.filter Float.is_finite
+
+(* the double nearest the decimal [text], and both of its neighbours *)
+let around text =
+  let x = float_of_string text in
+  [ Float.pred x; x; Float.succ x ]
+
+(* every 10^k a double holds, and at each precision p the value
+   (10 - 5 10^-p) 10^k that carries into the next decade *)
+let every_decade_floats p =
+  List.concat_map
+    (fun k ->
+      around (Printf.sprintf "1e%d" k)
+      @ around (Printf.sprintf "9.%s5e%d" (String.make (p - 1) '9') k))
+    (List.init (308 + 323 + 1) (fun i -> i - 323))
+
+let test_num_text_whole_range () =
+  let b = Buffer.create 64 in
+  for p = 1 to 10 do
+    let add = Num_text.add_general ~digits:p in
+    List.iter
+      (fun x ->
+        Buffer.clear b;
+        add b x;
+        let expected = Printf.sprintf "%.*g" p x in
+        if not (String.equal expected (Buffer.contents b)) then
+          Alcotest.failf "%%.%dg of %h: Printf %S, Num_text %S" p x expected
+            (Buffer.contents b))
+      (both_signs binary_tie_floats @ both_signs (every_decade_floats p))
+  done
+
 let test_num_text_ints () =
   let rng = Numerics.Rng.create 4242 in
   let ints =
@@ -457,6 +500,8 @@ let () =
           Alcotest.test_case "markdown" `Quick test_table_markdown ] );
       ( "num_text",
         [ Alcotest.test_case "floats = Printf" `Quick test_num_text_floats;
+          Alcotest.test_case "whole exponent range = Printf" `Quick
+            test_num_text_whole_range;
           Alcotest.test_case "add_int = string_of_int" `Quick test_num_text_ints;
           Alcotest.test_case "guards" `Quick test_num_text_guards ] );
       ( "csv",

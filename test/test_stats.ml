@@ -41,6 +41,27 @@ let test_summarize_bits () =
     then Alcotest.failf "seed %d: summary differs from the reference" seed
   done
 
+(* Past about 1e154 the squared deviations overflow, and past
+   max_float so does the plain sum for the mean: both are taken again,
+   scaled, so the mean and the standard deviation stay finite (the
+   variance itself is infinite) and an interval around them too. *)
+let test_summarize_huge () =
+  let check_rel msg expected actual =
+    if Float.abs (actual -. expected) > 1e-12 *. Float.abs expected then
+      Alcotest.failf "%s: expected %h, got %h" msg expected actual
+  in
+  let unit = S.summarize [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
+  let big = S.summarize (Array.map (fun x -> x *. 1e300) [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |]) in
+  check_rel "mean at 1e300" (unit.S.mean *. 1e300) big.S.mean;
+  check_rel "std at 1e300" (unit.S.std *. 1e300) big.S.std;
+  Alcotest.(check bool) "variance overflows" true (big.S.variance = infinity);
+  let s = S.summarize [| 1e308; 1.5e308 |] in
+  check_rel "mean past max_float" 1.25e308 s.S.mean;
+  check_rel "std past max_float" (0.25e308 *. sqrt 2.) s.S.std;
+  let lo, hi = S.summary_ci s in
+  Alcotest.(check bool) "finite interval" true
+    (Float.is_finite lo && Float.is_finite hi && lo < s.S.mean && s.S.mean < hi)
+
 let test_normal_quantile () =
   check_close ~tol:1e-8 "median" 0. (S.normal_quantile 0.5);
   check_close ~tol:1e-6 "97.5%" 1.959963985 (S.normal_quantile 0.975);
@@ -126,7 +147,8 @@ let () =
     [ ( "summary",
         [ Alcotest.test_case "summarize" `Quick test_summarize;
           Alcotest.test_case "singleton/empty" `Quick test_summarize_singleton;
-          Alcotest.test_case "bits = copy and sum" `Quick test_summarize_bits ] );
+          Alcotest.test_case "bits = copy and sum" `Quick test_summarize_bits;
+          Alcotest.test_case "huge values" `Quick test_summarize_huge ] );
       ( "normal quantile",
         [ Alcotest.test_case "values" `Quick test_normal_quantile;
           Alcotest.test_case "symmetry" `Quick test_normal_quantile_symmetry ] );
