@@ -98,22 +98,38 @@ let refinement_term ?(blacklist = Term.const false)
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
 
+(* The point must pass [Engine.Query.validate]'s mean-cost bound, as a
+   [query] of it would; the cost std dev also needs a finite DRM
+   variance. *)
 let cost_cmd =
   let run p n r =
-    Format.printf "%a@." Zeroconf.Params.pp p;
-    let analytic = Zeroconf.Cost.mean p ~n ~r in
-    let drm = Zeroconf.Drm.build p ~n ~r in
-    Format.printf "C(%d, %g)      = %.6g   (Eq. 3)@." n r analytic;
-    Format.printf "matrix solve  = %.6g   (Sec. 4.1 DRM)@." (Zeroconf.Drm.mean_cost drm);
-    Format.printf "cost std dev  = %.6g@." (sqrt (Zeroconf.Drm.cost_variance drm));
-    Format.printf "E(%d, %g)      = %.6g   (Eq. 4)@." n r
-      (Zeroconf.Reliability.error_probability p ~n ~r);
-    Format.printf "log10 E       = %.3f@."
-      (Zeroconf.Reliability.log10_error_probability p ~n ~r);
-    Format.printf "expected steps in DRM = %.4g@." (Zeroconf.Drm.expected_steps drm)
+    let checked () =
+      ignore (Engine.Query.point Engine.Query.Mean_cost p ~n ~r);
+      let drm = Zeroconf.Drm.build p ~n ~r in
+      let variance = Zeroconf.Drm.cost_variance drm in
+      if not (Float.is_finite variance) then
+        invalid_arg
+          (Printf.sprintf "cost: %s at n = %d, r = %g is not finite"
+             (Engine.Query.quantity_name Engine.Query.Cost_variance) n r);
+      (drm, variance)
+    in
+    match Cli_common.validated checked with
+    | `Error _ as e -> e
+    | `Ok (drm, variance) ->
+        Format.printf "%a@." Zeroconf.Params.pp p;
+        let analytic = Zeroconf.Cost.mean p ~n ~r in
+        Format.printf "C(%d, %g)      = %.6g   (Eq. 3)@." n r analytic;
+        Format.printf "matrix solve  = %.6g   (Sec. 4.1 DRM)@." (Zeroconf.Drm.mean_cost drm);
+        Format.printf "cost std dev  = %.6g@." (sqrt variance);
+        Format.printf "E(%d, %g)      = %.6g   (Eq. 4)@." n r
+          (Zeroconf.Reliability.error_probability p ~n ~r);
+        Format.printf "log10 E       = %.3f@."
+          (Zeroconf.Reliability.log10_error_probability p ~n ~r);
+        Format.printf "expected steps in DRM = %.4g@." (Zeroconf.Drm.expected_steps drm);
+        `Ok ()
   in
   Cmd.v (Cmd.info "cost" ~doc:"Evaluate mean cost and error probability at (n, r).")
-    Term.(const run $ scenario_term $ n_term $ r_term)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term))
 
 let optimal_r_cmd =
   let run p n =
@@ -203,35 +219,44 @@ let simulate_cmd =
   in
   let run p n r trials seed detailed
       { Zeroconf.Attempts.occupied = hosts; pool; _ } =
-    let rng = Numerics.Rng.create seed in
-    let config =
-      Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
-        ~error_cost:p.Zeroconf.Params.error_cost
-    in
-    let sample =
-      if detailed then
-        Netsim.Scenario.run_detailed
-          ~loss:(Zeroconf.Params.loss_probability p)
-          ~one_way:(Dist.Families.exponential ~rate:20. ())
-          ~occupied:hosts ~pool_size:pool ~config ~trials ~rng ()
-      else
-        Netsim.Scenario.run_aggregate ~delay:p.Zeroconf.Params.delay
-          ~occupied:hosts ~pool_size:pool ~config ~trials ~rng ()
-    in
-    let agg = Netsim.Metrics.aggregate sample in
-    Format.printf "%a@." Netsim.Metrics.pp_aggregate agg;
-    (* reference values at the simulated occupancy *)
-    let q_sim = float_of_int hosts /. float_of_int pool in
-    let p_ref = Zeroconf.Params.with_q p q_sim in
-    Format.printf "model: C(%d, %g) = %.6g, E = %.4g (at q = %g)@." n r
-      (Zeroconf.Cost.mean p_ref ~n ~r)
-      (Zeroconf.Reliability.error_probability p_ref ~n ~r)
-      q_sim
+    (* a trial's cost sums attempts of at most n (r + c) + E each: the
+       same bound a [query] of the point checks *)
+    match
+      Cli_common.validated (fun () ->
+          Engine.Query.point Engine.Query.Mean_cost p ~n ~r)
+    with
+    | `Error _ as e -> e
+    | `Ok _ ->
+        let rng = Numerics.Rng.create seed in
+        let config =
+          Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
+            ~error_cost:p.Zeroconf.Params.error_cost
+        in
+        let sample =
+          if detailed then
+            Netsim.Scenario.run_detailed
+              ~loss:(Zeroconf.Params.loss_probability p)
+              ~one_way:(Dist.Families.exponential ~rate:20. ())
+              ~occupied:hosts ~pool_size:pool ~config ~trials ~rng ()
+          else
+            Netsim.Scenario.run_aggregate ~delay:p.Zeroconf.Params.delay
+              ~occupied:hosts ~pool_size:pool ~config ~trials ~rng ()
+        in
+        let agg = Netsim.Metrics.aggregate sample in
+        Format.printf "%a@." Netsim.Metrics.pp_aggregate agg;
+        (* reference values at the simulated occupancy *)
+        let q_sim = float_of_int hosts /. float_of_int pool in
+        let p_ref = Zeroconf.Params.with_q p q_sim in
+        Format.printf "model: C(%d, %g) = %.6g, E = %.4g (at q = %g)@." n r
+          (Zeroconf.Cost.mean p_ref ~n ~r)
+          (Zeroconf.Reliability.error_probability p_ref ~n ~r)
+          q_sim;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte-Carlo the protocol and compare to the model.")
-    Term.(const run $ scenario_term $ n_term $ r_term $ trials $ seed
-          $ detailed $ refinement_term hosts_small pool)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ trials $ seed
+               $ detailed $ refinement_term hosts_small pool))
 
 let curve_cmd =
   let points =
@@ -914,10 +939,12 @@ let batch_cmd =
     with
     | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
     | { Engine.Batch.plans = 0; _ } -> `Error (false, "no queries in the input")
-    | batch ->
-        Engine.Executor.execute batch;
-        emit_batch batch;
-        `Ok ()
+    | batch -> (
+        match Engine.Executor.execute batch with
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | () ->
+            emit_batch batch;
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "batch"

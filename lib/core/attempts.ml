@@ -30,7 +30,9 @@ type analysis = {
   truncated_mass : float;
 }
 
-let analyze ?(max_attempts = 10_000) (p : Params.t) refinement ~n ~r =
+let max_attempts = 10_000
+
+let analyze (p : Params.t) refinement ~n ~r =
   validate_refinement refinement;
   if n < 1 then invalid_arg "Attempts.analyze: n < 1";
   if r < 0. then invalid_arg "Attempts.analyze: negative r";

@@ -35,7 +35,8 @@ let error_cost_for_stationarity (p : Params.t) ~n ~r =
          e);
   e
 
-let run ?(c_hi = 64.) ?(tol = 1e-3) (p : Params.t) ~n ~r =
+let run (p : Params.t) ~n ~r =
+  let c_hi = 64. and tol = 1e-3 in
   if n < 1 then invalid_arg "Calibrate.run: n < 1";
   if r <= 0. then invalid_arg "Calibrate.run: r <= 0";
   let scenario_with c =

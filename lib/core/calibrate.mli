@@ -37,10 +37,8 @@ val error_cost_for_stationarity : Params.t -> n:int -> r:float -> float
     condition has no positive solution (e.g. [r] below the round-trip
     delay, where the cost is locally flat). *)
 
-val run :
-  ?c_hi:float -> ?tol:float -> Params.t -> n:int -> r:float -> result
+val run : Params.t -> n:int -> r:float -> result
 (** Full calibration.  The scenario's own cost fields are ignored (they
-    are what is being solved for).  [c_hi] (default [64.]) caps the
-    postage search; [tol] (default [1e-3]) is the bisection tolerance
-    on [c].  Raises [Failure] if no postage in [(0, c_hi]] makes [n_t]
-    optimal. *)
+    are what is being solved for).  The postage search is capped at
+    [c = 64] and bisects [c] to [1e-3].  Raises [Failure] if no postage
+    in [(0, 64]] makes [n_t] optimal. *)

@@ -46,8 +46,6 @@ let create (p : Params.t) ~r =
    cursor it was taken from *)
 let copy k = { k with st = { k.st with r = k.st.r } }
 let n k = k.n
-let r k = k.st.r
-let params k = k.params
 let ratio k = k.st.ratio
 let pi k = k.st.pi
 let log_pi k = k.st.log_pi

@@ -44,12 +44,6 @@ val advance_to : t -> n:int -> unit
 val n : t -> int
 (** Current probe count. *)
 
-val r : t -> float
-(** The fixed listening period. *)
-
-val params : t -> Params.t
-(** The fixed scenario. *)
-
 val ratio : t -> float
 (** [p_n(r) = S(n r)/S(0)] from the latest step (Eq. 1 telescoped),
     [1.] at [n = 0]; equals [Probes.no_answer ~i:n]. *)

@@ -22,11 +22,11 @@ let default_r_hi (p : Params.t) ~n =
   in
   Float.max 1. (bulk *. Float.max 1. (SF.div 8. (float_of_int n)))
 
-let optimal_r ?r_hi ?(samples = 512) (p : Params.t) ~n =
+let optimal_r ?r_hi (p : Params.t) ~n =
   if n < 1 then invalid_arg "Optimize.optimal_r: n must be >= 1";
   let f r = Cost.mean p ~n ~r in
   let rec search hi attempts =
-    let result = Numerics.Minimize.grid_then_brent ~samples ~f 0. hi in
+    let result = Numerics.Minimize.grid_then_brent ~samples:512 ~f 0. hi in
     if result.x >= 0.95 *. hi && attempts < 60 then search (hi *. 2.) (attempts + 1)
     else result
   in
@@ -83,16 +83,14 @@ let optimal_n ?n_max ?patience (p : Params.t) ~r =
   let scan = optimal_n_scan ?n_max ?patience p ~r in
   (scan.n, scan.cost)
 
-let optimal_n_sweep ?n_max ?patience (p : Params.t) grid =
-  Numerics.Grid.map_sweep (fun r -> optimal_n ?n_max ?patience p ~r) grid
+let optimal_n_sweep (p : Params.t) grid =
+  Numerics.Grid.map_sweep (fun r -> optimal_n p ~r) grid
 
-let error_under_optimal_n ?n_max (p : Params.t) ~r =
-  (optimal_n_scan ?n_max p ~r).error_prob
+let log10_error_under_optimal_n (p : Params.t) ~r =
+  (optimal_n_scan p ~r).log10_error
 
-let log10_error_under_optimal_n ?n_max (p : Params.t) ~r =
-  (optimal_n_scan ?n_max p ~r).log10_error
-
-let global_optimum ?(n_max = 4096) ?(patience = 8) (p : Params.t) =
+let global_optimum (p : Params.t) =
+  let n_max = 4096 and patience = 8 in
   let evaluate n =
     let { Numerics.Minimize.x = r; fx = cost; _ } = optimal_r p ~n in
     { n; r; cost; error_prob = Reliability.error_probability p ~n ~r }
@@ -117,7 +115,7 @@ let global_optimum ?(n_max = 4096) ?(patience = 8) (p : Params.t) =
   done;
   !best
 
-let constrained_optimum ?(n_max = 32) ~budget (p : Params.t) =
+let constrained_optimum ~budget (p : Params.t) =
   if budget <= 0. then invalid_arg "Optimize.constrained_optimum: budget <= 0";
   let evaluate n =
     let r_cap = SF.div budget (float_of_int n) in
@@ -128,7 +126,7 @@ let constrained_optimum ?(n_max = 32) ~budget (p : Params.t) =
     { n; r; cost = Kernel.cost k; error_prob = Kernel.error_probability k }
   in
   let best = ref (evaluate 1) in
-  for n = 2 to n_max do
+  for n = 2 to 32 do
     let candidate = evaluate n in
     if candidate.cost < !best.cost then best := candidate
   done;

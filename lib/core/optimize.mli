@@ -20,11 +20,11 @@ val min_useful_probes : Params.t -> int
     stays enormous for every [r].  At least [1]; equals [1] when the
     delay distribution is non-defective. *)
 
-val optimal_r :
-  ?r_hi:float -> ?samples:int -> Params.t -> n:int -> Numerics.Minimize.result
-(** [r_opt^(n)]: minimizes [C_n] over [r >= 0].  The search interval
-    grows automatically until the minimum is interior; [r_hi] overrides
-    the initial upper bound. *)
+val optimal_r : ?r_hi:float -> Params.t -> n:int -> Numerics.Minimize.result
+(** [r_opt^(n)]: minimizes [C_n] over [r >= 0] by a 512-point grid
+    polished with Brent.  The search interval grows automatically until
+    the minimum is interior; [r_hi] overrides the initial upper
+    bound. *)
 
 type n_scan = {
   n : int;  (** [N(r)] *)
@@ -47,34 +47,29 @@ val optimal_n : ?n_max:int -> ?patience:int -> Params.t -> r:float -> int * floa
     counts or [n_max] (default [4096]) is reached.  Ties break toward
     the smaller [n], matching the paper's definition of [N]. *)
 
-val optimal_n_sweep :
-  ?n_max:int -> ?patience:int -> Params.t -> float array ->
-  (float * (int * float)) array
+val optimal_n_sweep : Params.t -> float array -> (float * (int * float)) array
 (** {!optimal_n} at every grid point — the step function [N(r)] paired
     with [C_min(r)] — in grid order. *)
 
-val error_under_optimal_n : ?n_max:int -> Params.t -> r:float -> float
-(** [E(N(r), r)]: the sawtoothed error probability of Figure 6. *)
+val log10_error_under_optimal_n : Params.t -> r:float -> float
+(** [log10 E(N(r), r)] from one {!optimal_n_scan}: the sawtoothed error
+    probability of Figure 6, finite where [E(N(r), r)] underflows. *)
 
-val log10_error_under_optimal_n : ?n_max:int -> Params.t -> r:float -> float
-(** [log10 E(N(r), r)], from the same single scan — stays finite where
-    [E(N(r), r)] underflows. *)
-
-val global_optimum : ?n_max:int -> ?patience:int -> Params.t -> point
+val global_optimum : Params.t -> point
 (** Minimizes [C(n, r)] over both parameters: computes [r_opt(n)] for
-    [n = 1, 2, ...] with early stopping, returns the best pair together
-    with its cost and error probability.  This is the computation
+    [n = 1, 2, ...] (up to 4096), stopping after 8 non-improving
+    probe counts, and returns the best pair together with its cost
+    and error probability.  This is the computation
     behind the paper's Sec. 6 claim that realistic networks want
     [n = 2, r ~= 1.75]. *)
 
-val constrained_optimum :
-  ?n_max:int -> budget:float -> Params.t -> point
+val constrained_optimum : budget:float -> Params.t -> point
 (** Cheapest design whose configuration time [n * r] stays within
     [budget] seconds — the impatient-user question from the paper's
     introduction ("a configuration time of 8 seconds may seem barely
-    acceptable").  Scans [n = 1 .. n_max] (default [32]) with [r]
-    capped at [budget / n].  Raises [Invalid_argument] on a
-    non-positive budget. *)
+    acceptable").  Scans [n = 1 .. 32] with [r] capped at
+    [budget / n].  Raises [Invalid_argument] on a non-positive
+    budget. *)
 
 val probes_for_error_target :
   ?n_max:int -> Params.t -> r:float -> target:float -> int option

@@ -4,9 +4,9 @@ type verification = {
   covered : bool;
 }
 
-let verify_error_probability ?(trials = 20_000) ?floor ~rng (p : Params.t) ~n ~r =
+let verify_error_probability ?(trials = 20_000) ~rng (p : Params.t) ~n ~r =
   let drm = Drm.build p ~n ~r in
-  let proposal = Dtmc.Importance.boosted_proposal ?floor drm.Drm.chain ~toward:drm.Drm.error in
+  let proposal = Dtmc.Importance.boosted_proposal drm.Drm.chain ~toward:drm.Drm.error in
   let estimate =
     Dtmc.Importance.estimate_absorption ~trials ~rng ~proposal drm.Drm.chain
       ~from:drm.Drm.start ~into:drm.Drm.error

@@ -13,7 +13,7 @@ type verification = {
 }
 
 val verify_error_probability :
-  ?trials:int -> ?floor:float -> rng:Numerics.Rng.t -> Params.t ->
-  n:int -> r:float -> verification
-(** Default [trials = 20_000]; [floor] is the proposal boost
-    (see {!Dtmc.Importance.boosted_proposal}). *)
+  ?trials:int -> rng:Numerics.Rng.t -> Params.t -> n:int -> r:float ->
+  verification
+(** Default [trials = 20_000]; the proposal is
+    {!Dtmc.Importance.boosted_proposal} at its default boost. *)

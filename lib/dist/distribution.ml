@@ -17,7 +17,7 @@ let is_defective d = d.mass < 1.
 let loss_probability d = 1. -. d.mass
 let conditional_cdf d t = d.cdf t /. d.mass
 
-let quantile ?(tol = 1e-12) d p =
+let quantile d p =
   if p < 0. then invalid_arg "Distribution.quantile: p < 0";
   if p >= d.mass then
     invalid_arg "Distribution.quantile: p >= mass (reply never arrives)";
@@ -31,12 +31,12 @@ let quantile ?(tol = 1e-12) d p =
       incr guard
     done;
     if d.cdf !hi < p then invalid_arg "Distribution.quantile: cannot bracket";
-    (Numerics.Roots.bisect ~tol ~f:(fun t -> d.cdf t -. p) 0. !hi).root
+    (Numerics.Roots.bisect ~f:(fun t -> d.cdf t -. p) 0. !hi).root
   end
 
-let check ?(samples = 200) ?(lo = 0.) ?(hi = 100.) d =
+let check d =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let grid = Numerics.Grid.linspace lo hi samples in
+  let grid = Numerics.Grid.linspace 0. 100. 200 in
   let rec scan i prev =
     if i >= Array.length grid then Ok ()
     else

@@ -28,18 +28,32 @@ let mean reward = solve (Reward.chain reward) (Reward.one_step_expected reward)
 
 let expected_total_reward reward ~from = (mean reward).(from)
 
+(* The central recursion's right-hand side with every cost and mean
+   divided by [s]. *)
+let variance_rhs reward a s =
+  let chain = Reward.chain reward in
+  Array.init (Chain.size chain) (fun i ->
+      let cols, probs = Chain.successors chain i in
+      let costs = Reward.costs reward i in
+      Numerics.Safe_float.sum
+        (Array.mapi
+           (fun e j ->
+             let d = (costs.(e) /. s) +. (a.(j) /. s) -. (a.(i) /. s) in
+             probs.(e) *. d *. d)
+           cols))
+
+(* Only when a hop's squared deviation overflows (costs past about
+   1e154) is the recursion solved again on costs and means divided by
+   the largest cost, and the result scaled back; a finite variance
+   keeps the plain solve's bits. *)
 let variance_total_reward reward ~from =
   let chain = Reward.chain reward in
   let a = mean reward in
-  let b =
-    Array.init (Chain.size chain) (fun i ->
-        let cols, probs = Chain.successors chain i in
-        let costs = Reward.costs reward i in
-        Numerics.Safe_float.sum
-          (Array.mapi
-             (fun e j ->
-               let d = costs.(e) +. a.(j) -. a.(i) in
-               probs.(e) *. d *. d)
-             cols))
-  in
-  (solve chain b).(from)
+  let v = (solve chain (variance_rhs reward a 1.)).(from) in
+  if Float.is_finite v then v
+  else
+    let s = ref 0. in
+    for i = 0 to Chain.size chain - 1 do
+      Array.iter (fun c -> s := Float.max !s (Float.abs c)) (Reward.costs reward i)
+    done;
+    (solve chain (variance_rhs reward a !s)).(from) *. !s *. !s

@@ -25,4 +25,8 @@ val variance_total_reward : Reward.t -> from:int -> float
     central recursion [v_i = sum_j p_ij ((c_ij + a_j - a_i)^2 + v_j)]
     with [a] the mean above.  Every term is non-negative, so nothing
     cancels: the second-moment form [m2 - a^2] loses digits as the
-    mean grows. *)
+    mean grows.  When a squared deviation overflows (costs past about
+    [1e154]), the recursion is solved again on costs and means divided
+    by the largest cost [s] and the result multiplied by [s] twice, so
+    the variance stays finite up to about [max_float]; a variance that
+    comes out finite the plain way keeps its bits. *)

@@ -1,6 +1,8 @@
 type t = { labels : string array; rows : (int array * float array) array }
 
-let create ?(tol = 1e-9) ~labels rows =
+let tol = 1e-9
+
+let create ~labels rows =
   let n = Array.length labels in
   if n = 0 then invalid_arg "Chain.create: no states";
   let seen = Hashtbl.create n in

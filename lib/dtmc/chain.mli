@@ -6,13 +6,12 @@
 type t
 (** A validated DTMC: every row is a probability distribution. *)
 
-val create :
-  ?tol:float -> labels:string array -> (int * float) list array -> t
+val create : labels:string array -> (int * float) list array -> t
 (** [create ~labels rows]: state [i] is labelled [labels.(i)], and
     [rows.(i)] lists the [(column, probability)] entries of row [i], in
     any order.  Validates the labels (at least one, none empty, none
     repeated), the row count, the columns (in range, none repeated),
-    non-negativity, and row sums within [tol] (default [1e-9]); rows
+    non-negativity, and row sums within [1e-9]; rows
     are then renormalized exactly and zero entries dropped.  Raises
     [Invalid_argument] on violation. *)
 

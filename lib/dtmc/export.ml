@@ -1,7 +1,7 @@
-let to_dot ?(rankdir = "LR") ?costs ?(highlight = []) chain =
+let to_dot ?costs ?(highlight = []) chain =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph chain {\n";
-  Buffer.add_string buf (Printf.sprintf "  rankdir=%s;\n" rankdir);
+  Buffer.add_string buf "  rankdir=LR;\n";
   Buffer.add_string buf "  node [shape=circle, fontsize=11];\n";
   for i = 0 to Chain.size chain - 1 do
     let shape = if List.mem i highlight then ", peripheries=2" else "" in

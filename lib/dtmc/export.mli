@@ -1,13 +1,11 @@
 (** Export chains to external tool formats. *)
 
-val to_dot :
-  ?rankdir:string -> ?costs:Reward.t -> ?highlight:int list -> Chain.t ->
-  string
-(** Graphviz digraph: one node per state (labelled), one edge per
+val to_dot : ?costs:Reward.t -> ?highlight:int list -> Chain.t -> string
+(** Graphviz digraph, laid out left to right: one node per state
+    (labelled), one edge per
     positive-probability transition annotated with its probability (and
     cost, when a reward structure is supplied).  [highlight] states are
-    drawn with a double border (e.g. absorbing states).  [rankdir]
-    defaults to ["LR"]. *)
+    drawn with a double border (e.g. absorbing states). *)
 
 val to_tra :
   Chain.t -> string

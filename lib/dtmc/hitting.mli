@@ -7,12 +7,12 @@
     [h_i = 1 + sum_j p_ij h_j] elsewhere, restricted to states that
     reach the target almost surely. *)
 
-val expected_steps : Chain.t -> target:int list -> Numerics.Vector.t
+val expected_steps : Chain.t -> target:int list -> float array
 (** Expected number of steps to first hit the target; [infinity] for
     states that fail to reach it with probability one.  Target states
     get [0.]. *)
 
 val expected_reward :
-  Reward.t -> target:int list -> Numerics.Vector.t
+  Reward.t -> target:int list -> float array
 (** Same first-passage solve, accumulating the reward structure instead
     of step counts. *)

@@ -20,8 +20,9 @@ let check_absolute_continuity target proposal =
       (fst (Chain.successors target i))
   done
 
-let estimate_absorption ?(max_steps = 1_000_000) ~trials ~rng ~proposal chain
-    ~from ~into =
+let max_steps = 1_000_000
+
+let estimate_absorption ~trials ~rng ~proposal chain ~from ~into =
   if trials < 1 then invalid_arg "Importance.estimate_absorption: trials < 1";
   check_absolute_continuity chain proposal;
   if not (Chain.is_absorbing chain into) then

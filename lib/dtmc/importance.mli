@@ -16,7 +16,7 @@ type estimate = {
 }
 
 val estimate_absorption :
-  ?max_steps:int -> trials:int -> rng:Numerics.Rng.t ->
+  trials:int -> rng:Numerics.Rng.t ->
   proposal:Chain.t -> Chain.t -> from:int -> into:int -> estimate
 (** Estimate the probability that [chain] started at [from] absorbs in
     [into], sampling paths from [proposal] and reweighting.
@@ -24,8 +24,8 @@ val estimate_absorption :
     Requirements checked at call time: the two chains share the state
     space size, and the proposal gives positive probability to every
     transition the target chain uses ([absolute continuity]); raises
-    [Invalid_argument] otherwise.  Paths longer than [max_steps]
-    (default [1_000_000]) abort the run with [Failure]. *)
+    [Invalid_argument] otherwise.  Paths longer than [1_000_000]
+    steps abort the run with [Failure]. *)
 
 val boosted_proposal : ?floor:float -> Chain.t -> toward:int -> Chain.t
 (** A generic proposal: in every transient state that can move closer

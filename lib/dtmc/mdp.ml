@@ -37,7 +37,6 @@ let create ~num_states ~actions =
   in
   { num_states; actions = table }
 
-let num_states t = t.num_states
 
 let action_name t ~state ~action =
   if state < 0 || state >= t.num_states then invalid_arg "Mdp.action_name: bad state";
@@ -67,7 +66,8 @@ let greedy t values s =
     (!best, !best_v)
   end
 
-let value_iteration ?(tol = 1e-12) ?(max_iter = 1_000_000) t =
+let value_iteration t =
+  let tol = 1e-12 and max_iter = 1_000_000 in
   let values = Array.make t.num_states 0. in
   let rec sweep k =
     if k >= max_iter then failwith "Mdp.value_iteration: no convergence";
@@ -111,7 +111,8 @@ let evaluate_policy t ~policy =
   with Sparse.Singular ->
     failwith "Mdp.evaluate_policy: policy does not reach absorption"
 
-let policy_iteration ?(max_rounds = 1_000) t =
+let policy_iteration t =
+  let max_rounds = 1_000 in
   let policy = Array.init t.num_states (fun s -> if Array.length t.actions.(s) > 0 then 0 else -1) in
   let rec round k =
     if k >= max_rounds then failwith "Mdp.policy_iteration: no convergence";

@@ -22,18 +22,16 @@ val create :
     each action's probabilities are positive and sum to one, and that
     destinations are in range.  Raises [Invalid_argument] otherwise. *)
 
-val num_states : t -> int
-
 type solution = {
   values : float array;        (** Minimal expected total cost per state. *)
   policy : int array;          (** Chosen action index per state ([-1] for absorbing). *)
   iterations : int;
 }
 
-val value_iteration : ?tol:float -> ?max_iter:int -> t -> solution
-(** Gauss–Seidel value iteration to [tol] (default [1e-12]) sup-norm
-    change; raises [Failure] on non-convergence within [max_iter]
-    (default [1_000_000]) sweeps — e.g. when no proper policy exists
+val value_iteration : t -> solution
+(** Gauss–Seidel value iteration to a relative sup-norm change of
+    [1e-12]; raises [Failure] on non-convergence within [1_000_000]
+    sweeps — e.g. when no proper policy exists
     (some state cannot reach absorption under any action). *)
 
 val evaluate_policy : t -> policy:int array -> float array
@@ -42,8 +40,9 @@ val evaluate_policy : t -> policy:int array -> float array
     indices and [Failure] when the induced chain is not absorbing from
     every state. *)
 
-val policy_iteration : ?max_rounds:int -> t -> solution
+val policy_iteration : t -> solution
 (** Howard's policy iteration: evaluate, improve greedily, repeat until
-    stable.  Must agree with {!value_iteration} (property-tested). *)
+    stable (at most 1_000 rounds, then [Failure]).  Must agree with
+    {!value_iteration} (property-tested). *)
 
 val action_name : t -> state:int -> action:int -> string

@@ -50,7 +50,7 @@ val label_of_state : Chain.t -> labelling
 
 (** {1 Reward queries (PRISM's R operator)} *)
 
-val reward_to_reach : Reward.t -> labelling -> formula -> Numerics.Vector.t
+val reward_to_reach : Reward.t -> labelling -> formula -> float array
 (** [R=? \[F phi\]]: expected reward accumulated until first reaching a
     [phi]-state — [infinity] where that is not almost sure, [0.] on
     [phi]-states themselves.  With the zeroconf DRM's cost rewards and

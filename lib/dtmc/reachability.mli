@@ -8,16 +8,16 @@
     for the remainder.  {!until} and {!bounded_until} are the general
     forms that {!Pctl} checks; the rest fix [phi] to every state. *)
 
-val until : Chain.t -> phi:bool array -> psi:bool array -> Numerics.Vector.t
+val until : Chain.t -> phi:bool array -> psi:bool array -> float array
 (** Per state, the probability of reaching a [psi]-state along
     [phi]-states ("P=? [phi U psi]"). *)
 
 val bounded_until :
-  Chain.t -> phi:bool array -> psi:bool array -> k:int -> Numerics.Vector.t
+  Chain.t -> phi:bool array -> psi:bool array -> k:int -> float array
 (** The same within [k] steps ("P=? [phi U<=k psi]"), by [k] sparse
     matrix-vector products.  Raises [Invalid_argument] when [k < 0]. *)
 
-val prob : Chain.t -> target:int list -> Numerics.Vector.t
+val prob : Chain.t -> target:int list -> float array
 (** For every state, the probability of eventually reaching (any state
     in) [target]. *)
 
@@ -29,6 +29,6 @@ val certainly : Chain.t -> target:int list -> bool array
 val never : Chain.t -> target:int list -> bool array
 (** States that cannot reach the target at all. *)
 
-val bounded_prob : Chain.t -> target:int list -> horizon:int -> Numerics.Vector.t
+val bounded_prob : Chain.t -> target:int list -> horizon:int -> float array
 (** Probability of reaching the target within [horizon] steps
     ("P=? [F<=k target]").  Target states count as reached at step 0. *)

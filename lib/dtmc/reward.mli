@@ -11,14 +11,12 @@ val create : transition_rewards:(int * float) list array -> Chain.t -> t
     on absorbing states (otherwise total cost diverges); [create]
     enforces both and raises [Invalid_argument] on violation. *)
 
-val zero : Chain.t -> t
-
 val transition : t -> int -> int -> float
 
 val costs : t -> int -> float array
 (** The costs of row [i], aligned with [Chain.successors]. *)
 
-val one_step_expected : t -> Numerics.Vector.t
+val one_step_expected : t -> float array
 (** The vector [w] with [w_i = sum_j p_ij * c_ij]: the expected cost of
     one step out of each state (Sec. 4.1 of the paper). *)
 

@@ -4,6 +4,5 @@ module type S = sig
   val max_n : int
   val supports : Query.t -> bool
   val eval_columns : Batch.t -> int array -> unit
-  val eval : Query.t -> Answer.t
   val eval_batch : Plan.t array -> Answer.t array
 end

@@ -14,8 +14,7 @@ module type S = sig
 
   val supports : Query.t -> bool
   (** {!serves} on the query's parts, every probe count at most
-      {!max_n}; [eval] on an unsupported query raises
-      [Invalid_argument]. *)
+      {!max_n}. *)
 
   val eval_columns : Batch.t -> int array -> unit
   (** [eval_columns b plans]: the route's one evaluation, of the plans
@@ -35,9 +34,6 @@ module type S = sig
       its columns serially.  Values are bit-identical at every job
       count.  Raises [Invalid_argument] on a plan routed elsewhere or
       not served. *)
-
-  val eval : Query.t -> Answer.t
-  (** The singleton case of {!eval_batch}. *)
 
   val eval_batch : Plan.t array -> Answer.t array
   (** {!eval_columns} on the plans as a batch, answers in plan order;

@@ -114,10 +114,6 @@ end) : Backend.S = struct
     Batch.prepare b;
     eval_columns b (Array.init (Array.length plans) Fun.id);
     Batch.answers b plans
-
-  let eval (q : Query.t) =
-    if not (supports q) then refuse ": unsupported query";
-    (eval_batch [| Plan.make ~route:C.route q |]).(0)
 end
 
 (* Every point in one fan-out, so it balances across plans of uneven
@@ -360,11 +356,20 @@ module Dtmc = Route (struct
         true
     | Query.Latency_mean -> false
 
-  let value_of drm = function
+  (* [Query.validate] bounds the cost itself, not its square: a
+     variance past [max_float] is refused here rather than printed as
+     inf *)
+  let value_of drm ~n ~r = function
     | Query.Mean_cost -> Zeroconf.Drm.mean_cost drm
     | Query.Error_probability -> Zeroconf.Drm.error_probability drm
     | Query.Log10_error -> Float.log10 (Zeroconf.Drm.error_probability drm)
-    | Query.Cost_variance -> Zeroconf.Drm.cost_variance drm
+    | Query.Cost_variance ->
+        let v = Zeroconf.Drm.cost_variance drm in
+        if Float.is_finite v then v
+        else
+          invalid_arg
+            (Printf.sprintf "Backends.Dtmc: %s at n = %d, r = %g is not finite"
+               (Query.quantity_name Query.Cost_variance) n r)
     | Query.Latency_mean -> invalid_arg "Backends.Dtmc: no latency route"
 
   (* One matrix build per distinct (scenario, n, bits of r) in the
@@ -381,10 +386,10 @@ module Dtmc = Route (struct
           b.scenario_id.(p) = b.scenario_id.(p')
           && b.n.(k) = b.n.(k') && same_bits b.r.(k) b.r.(k'))
         ~work:(fun k p readers ->
-          let drm =
-            Zeroconf.Drm.build (Batch.scenario b p) ~n:b.n.(k) ~r:b.r.(k)
-          in
-          Array.map (fun (_, p) -> [| value_of drm b.quantity.(p) |]) readers)
+          let n = b.n.(k) and r = b.r.(k) in
+          let drm = Zeroconf.Drm.build (Batch.scenario b p) ~n ~r in
+          Array.map (fun (_, p) -> [| value_of drm ~n ~r b.quantity.(p) |])
+            readers)
     in
     Array.iter (fun p -> b.evals.(p) <- b.evals.(p) + 1) firsts;
     Batch.set_wall b route wall_ns

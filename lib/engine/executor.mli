@@ -17,14 +17,11 @@ val execute : Batch.t -> unit
 (** Evaluate a complete batch; the backends that fan out use the
     process-wide {!Exec.Pool}. *)
 
-val run : Plan.t -> Answer.t
-(** Execute one compiled plan — the singleton case of {!run_batch}. *)
-
 val run_batch : Plan.t array -> Answer.t array
 (** Execute a batch of plans; answers in input order. *)
 
 val eval : ?backend:string -> Query.t -> Answer.t
-(** [Planner.plan] then {!run}: the one-call convenience the CLI and
+(** [Planner.plan] then {!run_batch} on the one plan: the one-call convenience the CLI and
     experiment drivers use.  [backend] forces a route by name; raises
     {!Planner.Unsupported} as [Planner.plan] does. *)
 

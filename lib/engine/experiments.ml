@@ -13,7 +13,6 @@ type figure = {
   series : series list;
 }
 
-let default_scenario () = Params.figure2
 let r_grid ~points ~lo ~hi = Numerics.Grid.linspace lo hi points
 
 (* Every figure below is a sweep of independent per-point evaluations.
@@ -37,9 +36,8 @@ let series_batch quantity p ~label grid ns =
     (fun i n -> { label = label n; points = series_points answers.(i) })
     ns
 
-let figure2 ?scenario ?(points = 400) () =
-  let p = Option.value ~default:(default_scenario ()) scenario in
-  let grid = r_grid ~points ~lo:0.01 ~hi:4. in
+let figure2 () =
+  let grid = r_grid ~points:400 ~lo:0.01 ~hi:4. in
   { id = "fig2";
     title = "Cost functions C_1 ... C_8";
     x_label = "r (s)";
@@ -49,7 +47,7 @@ let figure2 ?scenario ?(points = 400) () =
     (* the paper's frame cuts off the astronomical n = 1, 2 curves *)
     y_max = Some 100.;
     series =
-      series_batch Query.Mean_cost p
+      series_batch Query.Mean_cost Params.figure2
         ~label:(Printf.sprintf "C_%d")
         grid
         (List.init 8 (fun i -> i + 1)) }
@@ -58,8 +56,6 @@ let figure2 ?scenario ?(points = 400) () =
    optimizer sweep, and 6 is 5 with one curve more, so [all_figures]
    computes each of those once *)
 let optimum_grid points = r_grid ~points ~lo:0.02 ~hi:6.
-let optimum_points = 600
-let error_points = 400
 
 let figure3_of sweep =
   { id = "fig3";
@@ -85,18 +81,7 @@ let figure4_of sweep =
       [ { label = "C_min";
           points = Array.map (fun (r, (_, cost)) -> (r, cost)) sweep } ] }
 
-let optimum_sweep ?scenario points =
-  let p = Option.value ~default:(default_scenario ()) scenario in
-  Optimize.optimal_n_sweep p (optimum_grid points)
-
-let figure3 ?scenario ?(points = optimum_points) () =
-  figure3_of (optimum_sweep ?scenario points)
-
-let figure4 ?scenario ?(points = optimum_points) () =
-  figure4_of (optimum_sweep ?scenario points)
-
-let figure5 ?scenario ?(points = error_points) () =
-  let p = Option.value ~default:(default_scenario ()) scenario in
+let figure5 () =
   { id = "fig5";
     title = "Probability to reach state error";
     x_label = "r (s)";
@@ -105,33 +90,29 @@ let figure5 ?scenario ?(points = error_points) () =
     y_min = Some (-60.);
     y_max = Some 0.;
     series =
-      series_batch Query.Log10_error p
+      series_batch Query.Log10_error Params.figure2
         ~label:(Printf.sprintf "E(%d, r)")
-        (optimum_grid points)
+        (optimum_grid 400)
         (List.init 8 (fun i -> i + 1)) }
 
-(* figure 6 from the figure 5 it overlays, drawn at [points] *)
-let figure6_of ?scenario ~points fig5 =
-  let p = Option.value ~default:(default_scenario ()) scenario in
+(* figure 6 from the figure 5 it overlays *)
+let figure6_of fig5 =
   let envelope =
     { label = "E(N(r), r)";
       points =
         Numerics.Grid.map_sweep
-          (fun r -> Optimize.log10_error_under_optimal_n p ~r)
-          (optimum_grid points) }
+          (fun r -> Optimize.log10_error_under_optimal_n Params.figure2 ~r)
+          (optimum_grid 400) }
   in
   { fig5 with
     id = "fig6";
     title = "Error probability under cost-optimal n";
     series = fig5.series @ [ envelope ] }
 
-let figure6 ?scenario ?(points = error_points) () =
-  figure6_of ?scenario ~points (figure5 ?scenario ~points ())
-
 let all_figures () =
-  let sweep = optimum_sweep optimum_points and fig5 = figure5 () in
-  [ figure2 (); figure3_of sweep; figure4_of sweep; fig5;
-    figure6_of ~points:error_points fig5 ]
+  let sweep = Optimize.optimal_n_sweep Params.figure2 (optimum_grid 600)
+  and fig5 = figure5 () in
+  [ figure2 (); figure3_of sweep; figure4_of sweep; fig5; figure6_of fig5 ]
 
 type landscape = {
   ns : int array;
@@ -139,19 +120,17 @@ type landscape = {
   log10_cost : float array array;
 }
 
-let cost_landscape ?scenario ?(n_max = 10) ?(r_points = 24) ?(r_lo = 0.25)
-    ?(r_hi = 6.) () =
-  if n_max < 1 then invalid_arg "Experiments.cost_landscape: n_max < 1";
-  let p = Option.value ~default:(default_scenario ()) scenario in
+let cost_landscape () =
+  let n_max = 10 in
   let ns = Array.init n_max (fun i -> i + 1) in
-  let rs = r_grid ~points:r_points ~lo:r_lo ~hi:r_hi in
+  let rs = r_grid ~points:24 ~lo:0.25 ~hi:6. in
   (* one n-sweep query per column, all submitted as one batch: the
      kernel backend streams a single cursor over each column's n-range
      (n_max survival evaluations instead of O(n_max^2)), and the
      answers transpose into n-major rows *)
   let answers =
     Executor.eval_batch
-      (Array.map (fun r -> Query.n_sweep Query.Mean_cost p ~ns ~r) rs)
+      (Array.map (fun r -> Query.n_sweep Query.Mean_cost Params.figure2 ~ns ~r) rs)
   in
   let columns =
     Array.map
@@ -162,8 +141,8 @@ let cost_landscape ?scenario ?(n_max = 10) ?(r_points = 24) ?(r_lo = 0.25)
     rs;
     log10_cost = Array.init n_max (fun i -> Array.map (fun col -> col.(i)) columns) }
 
-let latency_figure ?scenario () =
-  let p = Option.value ~default:(default_scenario ()) scenario in
+let latency_figure () =
+  let p = Params.figure2 in
   let opt = Optimize.global_optimum p in
   let r8 = (Optimize.optimal_r p ~n:8).Numerics.Minimize.x in
   let designs =
@@ -189,9 +168,8 @@ let latency_figure ?scenario () =
     y_max = Some 1.02;
     series }
 
-let pareto_figure ?scenario () =
-  let p = Option.value ~default:(default_scenario ()) scenario in
-  let front = Tradeoff.front ~n_max:10 ~r_points:150 ~r_max:6. p in
+let pareto_figure () =
+  let front = Tradeoff.front ~n_max:10 ~r_points:150 ~r_max:6. Params.figure2 in
   let points =
     Array.of_list
       (List.map (fun (d : Tradeoff.design) -> (d.Tradeoff.cost, d.Tradeoff.log10_error)) front)
@@ -207,7 +185,7 @@ let pareto_figure ?scenario () =
 
 let extension_figures () = [ latency_figure (); pareto_figure () ]
 
-let section_44_nu () = Optimize.min_useful_probes (default_scenario ())
+let section_44_nu () = Optimize.min_useful_probes Params.figure2
 
 type calibration_row = {
   label : string;

@@ -24,24 +24,14 @@ type figure = {
   series : series list;
 }
 
-val figure2 : ?scenario:Params.t -> ?points:int -> unit -> figure
-(** Cost functions [C_1 .. C_8] against [r] (clipped like the paper's
-    plot, which hides the astronomically expensive [C_1], [C_2]). *)
-
-val figure3 : ?scenario:Params.t -> ?points:int -> unit -> figure
-(** The step function [N(r)]. *)
-
-val figure4 : ?scenario:Params.t -> ?points:int -> unit -> figure
-(** The lower envelope [C_min(r)]. *)
-
-val figure5 : ?scenario:Params.t -> ?points:int -> unit -> figure
-(** [log10 E(n, r)] for [n = 1 .. 8]. *)
-
-val figure6 : ?scenario:Params.t -> ?points:int -> unit -> figure
-(** The Figure-5 curves with the sawtoothed [E(N(r), r)] overlaid. *)
-
 val all_figures : unit -> figure list
-(** Figures 2–6, in order. *)
+(** Figures 2–6, in order: the cost functions [C_1 .. C_8] against [r]
+    at 400 points of [\[0.01, 4\]] (clipped like the paper's plot,
+    which hides the astronomically expensive [C_1], [C_2]); the step
+    function [N(r)] and the lower envelope [C_min(r)] from one
+    600-point optimizer sweep of [\[0.02, 6\]]; [log10 E(n, r)] for
+    [n = 1 .. 8] at 400 points of that range; and those curves with the
+    sawtoothed [E(N(r), r)] overlaid. *)
 
 type landscape = {
   ns : int array;               (** Row labels: probe counts. *)
@@ -49,18 +39,16 @@ type landscape = {
   log10_cost : float array array;  (** [log10 C(n, r)] per (row, col). *)
 }
 
-val cost_landscape :
-  ?scenario:Params.t -> ?n_max:int -> ?r_points:int -> ?r_lo:float ->
-  ?r_hi:float -> unit -> landscape
+val cost_landscape : unit -> landscape
 (** The [(n, r)] cost surface behind the figure generator's heatmap
-    (defaults: [n = 1..10], 24 points of [r] in [0.25, 6]), evaluated
-    as one engine batch of n-sweeps, one per [r]. *)
+    ([n = 1..10], 24 points of [r] in [0.25, 6]), evaluated as one
+    engine batch of n-sweeps, one per [r]. *)
 
-val latency_figure : ?scenario:Params.t -> unit -> figure
+val latency_figure : unit -> figure
 (** Extension figure: configuration-time CDFs for the draft's [(4, 2)],
-    the scenario's cost optimum, and a fast [(8, r_opt(8))] design. *)
+    the Figure-2 scenario's cost optimum, and a fast [(8, r_opt(8))] design. *)
 
-val pareto_figure : ?scenario:Params.t -> unit -> figure
+val pareto_figure : unit -> figure
 (** Extension figure: the cost/reliability Pareto front (log10 error
     against mean cost). *)
 

@@ -70,4 +70,3 @@ let pop t =
     Some (top.time, top.payload)
   end
 
-let clear t = t.size <- 0

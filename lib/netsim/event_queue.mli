@@ -17,5 +17,3 @@ val peek : 'a t -> (float * 'a) option
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
-
-val clear : 'a t -> unit

@@ -55,6 +55,4 @@ let create ~engine ~link ~rng ?processing ?(deaf_prob = 0.)
   t.station <- Link.attach link handle;
   t
 
-let address t = t.address
-let station_id t = t.station
 let replies_sent t = t.replies

@@ -16,6 +16,4 @@ val create :
     [0.], i.e. always defend) rate-limits defenses to one per window,
     the draft's DEFEND_INTERVAL behaviour. *)
 
-val address : t -> int
-val station_id : t -> int
 val replies_sent : t -> int

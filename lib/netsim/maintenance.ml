@@ -102,13 +102,12 @@ type cost_estimate = {
   suggested_error_cost : float;
 }
 
-let estimate_error_cost ?(per_connection = 30.) ?background_rate
-    ?connection_rate ~loss ~one_way ~occupied ?pool_size ~config ~trials ~rng
-    () =
+let estimate_error_cost ?(per_connection = 30.) ?background_rate ~loss
+    ~one_way ~occupied ?pool_size ~config ~trials ~rng () =
   if trials < 1 then invalid_arg "Maintenance.estimate_error_cost: trials < 1";
   let resolutions =
     Array.init trials (fun _ ->
-        simulate_collision ?background_rate ?connection_rate ~loss ~one_way
+        simulate_collision ?background_rate ~loss ~one_way
           ~occupied ?pool_size ~config ~rng ())
   in
   let disruptions = Array.map (fun r -> r.total_disruption) resolutions in

@@ -52,9 +52,10 @@ type cost_estimate = {
 }
 
 val estimate_error_cost :
-  ?per_connection:float -> ?background_rate:float -> ?connection_rate:float ->
-  loss:float -> one_way:Dist.Distribution.t -> occupied:int ->
-  ?pool_size:int -> config:Newcomer.config -> trials:int ->
+  ?per_connection:float -> ?background_rate:float -> loss:float ->
+  one_way:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
+  config:Newcomer.config -> trials:int ->
   rng:Numerics.Rng.t -> unit -> cost_estimate
-(** Monte-Carlo over collisions.  [per_connection] (default [30.])
-    prices one broken connection in waiting-seconds. *)
+(** Monte-Carlo over collisions at {!simulate_collision}'s default
+    connection rate.  [per_connection] (default [30.]) prices one broken
+    connection in waiting-seconds. *)

@@ -5,8 +5,8 @@ type result = {
   makespan : float;
 }
 
-let run ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers
-    ?(spacing = 0.) ~config ~rng () =
+let run ~loss ~one_way ~occupied ?pool_size ~newcomers ?(spacing = 0.) ~config
+    ~rng () =
   if newcomers < 1 then invalid_arg "Multi.run: newcomers < 1";
   if spacing < 0. then invalid_arg "Multi.run: negative spacing";
   let engine = Engine.create () in
@@ -14,7 +14,7 @@ let run ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers
   let link = Link.create ~engine ~rng ~loss ~one_way in
   for _ = 1 to occupied do
     let address = Address_pool.claim_random_free pool ~rng in
-    ignore (Host.create ~engine ~link ~rng ?processing ~address ())
+    ignore (Host.create ~engine ~link ~rng ~address ())
   done;
   let finished = ref [] in
   let launch i =
@@ -27,7 +27,7 @@ let run ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers
                   (unless it collided: then the original owner defends) *)
                if not outcome.Metrics.collided then
                  ignore
-                   (Host.create ~engine ~link ~rng ?processing
+                   (Host.create ~engine ~link ~rng
                       ~address:outcome.Metrics.address ()))
              ()))
   in
@@ -55,16 +55,13 @@ let run ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers
         (fun acc (o : Metrics.outcome) -> Float.max acc o.Metrics.config_time)
         0. outcomes }
 
-let run_trials ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers
-    ?spacing ~config ~trials ~rng () =
-  if trials < 1 then invalid_arg "Multi.run_trials: trials < 1";
-  (* one generator per replication, all split from the root before
-     any replication draws *)
+(* [trials] replications of [run], each with its own generator split
+   from [rng] before any replication draws *)
+let run_trials ~loss ~one_way ~occupied ?pool_size ~newcomers ~config ~trials
+    ~rng () =
   let rngs = Array.init trials (fun _ -> Numerics.Rng.split rng) in
   Array.map
-    (fun rng ->
-      run ~loss ~one_way ?processing ~occupied ?pool_size ~newcomers ?spacing
-        ~config ~rng ())
+    (fun rng -> run ~loss ~one_way ~occupied ?pool_size ~newcomers ~config ~rng ())
     rngs
 
 let collision_rate_vs_newcomers ~loss ~one_way ~occupied ?pool_size ~config

@@ -15,29 +15,20 @@ type result = {
 }
 
 val run :
-  loss:float -> one_way:Dist.Distribution.t ->
-  ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
-  newcomers:int -> ?spacing:float -> config:Newcomer.config ->
+  loss:float -> one_way:Dist.Distribution.t -> occupied:int ->
+  ?pool_size:int -> newcomers:int -> ?spacing:float -> config:Newcomer.config ->
   rng:Numerics.Rng.t -> unit -> result
 (** Start [newcomers] configuring hosts [spacing] seconds apart
     (default [0.]: all at once) on a link with [occupied] already-
-    configured responders.  Each accepted newcomer immediately becomes
-    a responder itself, defending its new address against later
-    arrivals. *)
-
-val run_trials :
-  loss:float -> one_way:Dist.Distribution.t ->
-  ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
-  newcomers:int -> ?spacing:float -> config:Newcomer.config ->
-  trials:int -> rng:Numerics.Rng.t -> unit -> result array
-(** [trials] independent replications of {!run}, in trial order.  Each
-    replication gets its own generator split from [rng] in trial order
-    before any replication draws. *)
+    configured, instantly responding hosts.  Each accepted newcomer
+    immediately becomes a responder itself, defending its new address
+    against later arrivals. *)
 
 val collision_rate_vs_newcomers :
   loss:float -> one_way:Dist.Distribution.t ->
   occupied:int -> ?pool_size:int -> config:Newcomer.config -> trials:int ->
   counts:int list -> rng:Numerics.Rng.t -> unit -> (int * float) list
 (** Sweep the number of simultaneous newcomers and estimate the
-    per-newcomer collision probability for each count; replications run
-    through {!run_trials}. *)
+    per-newcomer collision probability for each count: [trials]
+    replications of {!run} per count, each with its own generator split
+    from [rng] before any replication draws. *)

@@ -50,7 +50,6 @@ type t = {
          says to avoid them (draft detail (a), paper Sec. 3.1) *)
 }
 
-let station_id t = t.station
 
 let validate config =
   if config.probes < 1 then invalid_arg "Newcomer: probes < 1";

@@ -48,5 +48,3 @@ val start :
     time.  [on_done] fires exactly once, when an address is accepted
     (cleanly or collidingly); the newcomer detaches itself first, so
     the scenario can hand the address to a {!Host} responder. *)
-
-val station_id : t -> int

@@ -5,9 +5,6 @@ type t =
 let address = function
   | Arp_probe { address; _ } | Arp_reply { address; _ } -> address
 
-let sender = function
-  | Arp_probe { sender; _ } | Arp_reply { sender; _ } -> sender
-
 let pp ppf = function
   | Arp_probe { sender; address } ->
       Format.fprintf ppf "probe[host%d, %s]" sender (Address_pool.to_string address)

@@ -9,5 +9,4 @@ type t =
       (** "[address] is mine" — broadcast by its owner. *)
 
 val address : t -> int
-val sender : t -> int
 val pp : Format.formatter -> t -> unit

@@ -139,8 +139,8 @@ let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
   done;
   sample
 
-let detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
-    ~config ~rng ~tracer () =
+let detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
+    ~rng ~tracer () =
   let engine = Engine.create () in
   Engine.set_tracer engine tracer;
   let pool = Address_pool.create ?size:pool_size () in
@@ -148,7 +148,7 @@ let detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
   let addresses = occupy_pool pool ~occupied ~rng in
   List.iter
     (fun address ->
-      ignore (Host.create ~engine ~link ~rng ?processing ?deaf_prob ~address ()))
+      ignore (Host.create ~engine ~link ~rng ?processing ~address ()))
     addresses;
   let result = ref None in
   let _newcomer =
@@ -161,14 +161,14 @@ let detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
   | Some outcome -> outcome
   | None -> failwith "Scenario.detailed_trial: newcomer never finished"
 
-let run_detailed ~loss ~one_way ?processing ?deaf_prob ~occupied ?pool_size
-    ~config ~trials ~rng () =
+let run_detailed ~loss ~one_way ?processing ~occupied ?pool_size ~config
+    ~trials ~rng () =
   if trials < 1 then invalid_arg "Scenario.run_detailed: trials < 1";
   let sample = Metrics.create trials in
   for i = 0 to trials - 1 do
     Metrics.store sample i
-      (detailed_trial ~loss ~one_way ?processing ?deaf_prob ~occupied
-         ?pool_size ~config ~rng ~tracer:None ())
+      (detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
+         ~rng ~tracer:None ())
   done;
   sample
 

@@ -44,8 +44,8 @@ val run_aggregate :
 
 val run_detailed :
   loss:float -> one_way:Dist.Distribution.t ->
-  ?processing:Dist.Distribution.t -> ?deaf_prob:float -> occupied:int ->
-  ?pool_size:int -> config:Newcomer.config -> trials:int ->
+  ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
+  config:Newcomer.config -> trials:int ->
   rng:Numerics.Rng.t -> unit -> Metrics.sample
 (** Each trial builds a fresh network of [occupied] configured hosts
     plus one newcomer and runs it to completion. *)

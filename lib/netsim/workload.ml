@@ -44,15 +44,15 @@ let check_capacity ~pattern ~horizon ~initial ~pool_size =
          "Workload: %d configured hosts and %g arrivals do not fit a pool of %d"
          initial arrivals pool_size)
 
-let run ~pattern ~horizon ~loss ~one_way ?processing ?(initial = 0) ?pool_size
-    ~config ~rng () =
+let run ~pattern ~horizon ~loss ~one_way ?(initial = 0) ?pool_size ~config ~rng
+    () =
   if horizon <= 0. then invalid_arg "Workload.run: horizon <= 0";
   let engine = Engine.create () in
   let pool = Address_pool.create ?size:pool_size () in
   let link = Link.create ~engine ~rng ~loss ~one_way in
   for _ = 1 to initial do
     let address = Address_pool.claim_random_free pool ~rng in
-    ignore (Host.create ~engine ~link ~rng ?processing ~address ())
+    ignore (Host.create ~engine ~link ~rng ~address ())
   done;
   let times = arrival_times ~pattern ~horizon ~rng in
   if initial + List.length times >= Address_pool.size pool then
@@ -69,7 +69,7 @@ let run ~pattern ~horizon ~loss ~one_way ?processing ?(initial = 0) ?pool_size
                  finished := (outcome, Engine.now engine) :: !finished;
                  if not outcome.Metrics.collided then
                    ignore
-                     (Host.create ~engine ~link ~rng ?processing
+                     (Host.create ~engine ~link ~rng
                         ~address:outcome.Metrics.address ()))
                ())))
     times;

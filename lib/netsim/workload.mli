@@ -34,11 +34,11 @@ val check_capacity :
 
 val run :
   pattern:pattern -> horizon:float -> loss:float ->
-  one_way:Dist.Distribution.t -> ?processing:Dist.Distribution.t ->
-  ?initial:int -> ?pool_size:int -> config:Newcomer.config ->
+  one_way:Dist.Distribution.t -> ?initial:int -> ?pool_size:int ->
+  config:Newcomer.config ->
   rng:Numerics.Rng.t -> unit -> result
-(** Simulate a network that starts with [initial] (default [0])
-    configured hosts; arrivals follow [pattern] until [horizon] virtual
+(** Simulate a network of instantly responding hosts that starts with
+    [initial] (default [0]) configured hosts; arrivals follow [pattern] until [horizon] virtual
     seconds, and the simulation then runs to completion of every
     started configuration.  Raises [Failure] if the address pool would
     be exhausted. *)

@@ -1,11 +1,11 @@
 let default_h x = (Safe_float.epsilon ** (1. /. 3.)) *. Float.max 1. (Float.abs x)
 
-let central ?h ~f x =
-  let h = match h with Some h -> h | None -> default_h x in
+let central ~f x =
+  let h = default_h x in
   (f (x +. h) -. f (x -. h)) /. (2. *. h)
 
-let richardson ?h ?(levels = 4) ~f x =
-  let h0 = match h with Some h -> h | None -> default_h x *. 8. in
+let richardson ~f x =
+  let levels = 4 and h0 = default_h x *. 8. in
   (* Neville-style tableau on successively halved central differences. *)
   let d = Array.make levels 0. in
   for i = 0 to levels - 1 do
@@ -21,17 +21,9 @@ let richardson ?h ?(levels = 4) ~f x =
   done;
   tableau.(levels - 1)
 
-let second ?h ~f x =
-  let h =
-    match h with
-    | Some h -> h
-    | None -> (Safe_float.epsilon ** 0.25) *. Float.max 1. (Float.abs x)
-  in
-  (f (x +. h) -. (2. *. f x) +. f (x -. h)) /. (h *. h)
-
-let log_elasticity ?h ~f x =
+let log_elasticity ~f x =
   if x <= 0. then invalid_arg "Derivative.log_elasticity: x <= 0";
   let fx = f x in
   if fx <= 0. then invalid_arg "Derivative.log_elasticity: f x <= 0";
   let g u = log (f (exp u)) in
-  central ?h ~f:g (log x)
+  central ~f:g (log x)

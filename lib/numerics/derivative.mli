@@ -3,18 +3,15 @@
     to cross-check the optimizer (the derivative must vanish at
     [r_opt]). *)
 
-val central : ?h:float -> f:(float -> float) -> float -> float
-(** Central difference [ (f (x+h) - f (x-h)) / 2h ].  The default step
-    scales with [x]: [h = eps^(1/3) * max 1 |x|]. *)
+val central : f:(float -> float) -> float -> float
+(** Central difference [ (f (x+h) - f (x-h)) / 2h ].  The step scales
+    with [x]: [h = eps^(1/3) * max 1 |x|]. *)
 
-val richardson : ?h:float -> ?levels:int -> f:(float -> float) -> float -> float
-(** Richardson-extrapolated central differences ([levels] halvings,
-    default [4]); roughly [O(h^(2*levels))] accurate on smooth
+val richardson : f:(float -> float) -> float -> float
+(** Richardson-extrapolated central differences (four halvings from
+    [8 eps^(1/3) max 1 |x|]); roughly [O(h^8)] accurate on smooth
     functions. *)
 
-val second : ?h:float -> f:(float -> float) -> float -> float
-(** Central second derivative. *)
-
-val log_elasticity : ?h:float -> f:(float -> float) -> float -> float
+val log_elasticity : f:(float -> float) -> float -> float
 (** [log_elasticity ~f x] is [d log f / d log x] at [x]: the relative
     sensitivity of [f] to [x].  Requires [x > 0] and [f x > 0]. *)

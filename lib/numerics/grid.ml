@@ -6,23 +6,6 @@ let linspace a b n =
     let h = (b -. a) /. float_of_int (n - 1) in
     Array.init n (fun i -> if i = n - 1 then b else a +. (float_of_int i *. h))
 
-let logspace a b n = Array.map (fun e -> 10. ** e) (linspace a b n)
-
-let geomspace a b n =
-  if a <= 0. || b <= 0. then invalid_arg "Grid.geomspace: non-positive bound";
-  Array.map exp (linspace (log a) (log b) n)
-
-let arange ?(step = 1.) a b =
-  if step <= 0. then invalid_arg "Grid.arange: step <= 0";
-  let n = int_of_float (Float.ceil ((b -. a) /. step)) in
-  if n <= 0 then [||]
-  else Array.init n (fun i -> a +. (float_of_int i *. step))
-
-let midpoints xs =
-  let n = Array.length xs in
-  if n < 2 then [||]
-  else Array.init (n - 1) (fun i -> 0.5 *. (xs.(i) +. xs.(i + 1)))
-
 let map_sweep f xs = Array.map (fun x -> (x, f x)) xs
 
 let chunks k xs =

@@ -4,21 +4,6 @@ val linspace : float -> float -> int -> float array
 (** [linspace a b n] gives [n] points from [a] to [b] inclusive.
     Requires [n >= 2] (or [n = 1] with [a = b]). *)
 
-val logspace : float -> float -> int -> float array
-(** [logspace a b n] gives [n] points whose base-10 logarithms are
-    equispaced between [a] and [b]: from [10^a] to [10^b]. *)
-
-val geomspace : float -> float -> int -> float array
-(** [geomspace a b n] gives [n] geometrically-spaced points from [a]
-    to [b]; both must be strictly positive. *)
-
-val arange : ?step:float -> float -> float -> float array
-(** [arange a b] gives points [a, a+step, ...] strictly below [b]
-    (default [step = 1.]). *)
-
-val midpoints : float array -> float array
-(** Midpoints of consecutive entries; length shrinks by one. *)
-
 val map_sweep : (float -> 'a) -> float array -> (float * 'a) array
 (** Evaluate a function over a grid, in grid order, pairing each
     abscissa with its value. *)

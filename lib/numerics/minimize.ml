@@ -1,38 +1,9 @@
 type result = { x : float; fx : float; iterations : int }
 
-let invphi = (sqrt 5. -. 1.) /. 2. (* 1/φ *)
-
-let golden ?(tol = 1e-10) ?(max_iter = 200) ~f a b =
-  let a = ref (Float.min a b) and b = ref (Float.max a b) in
-  let c = ref (!b -. (invphi *. (!b -. !a))) in
-  let d = ref (!a +. (invphi *. (!b -. !a))) in
-  let fc = ref (f !c) and fd = ref (f !d) in
-  let iter = ref 0 in
-  while
-    Float.abs (!b -. !a) > tol *. (Float.abs !a +. Float.abs !b +. 1.)
-    && !iter < max_iter
-  do
-    incr iter;
-    if !fc < !fd then begin
-      b := !d;
-      d := !c;
-      fd := !fc;
-      c := !b -. (invphi *. (!b -. !a));
-      fc := f !c
-    end else begin
-      a := !c;
-      c := !d;
-      fc := !fd;
-      d := !a +. (invphi *. (!b -. !a));
-      fd := f !d
-    end
-  done;
-  let x = 0.5 *. (!a +. !b) in
-  { x; fx = f x; iterations = !iter }
-
 (* Brent's minimization, after Numerical Recipes' transcription of
    Brent (1973), ch. 5. *)
-let brent ?(tol = 1e-10) ?(max_iter = 200) ~f a b =
+let brent ~f a b =
+  let tol = 1e-10 and max_iter = 200 in
   let cgold = 0.381966 in
   let zeps = 1e-18 in
   let a = ref (Float.min a b) and b = ref (Float.max a b) in
@@ -104,7 +75,7 @@ let brent ?(tol = 1e-10) ?(max_iter = 200) ~f a b =
   | Some r -> r
   | None -> { x = !x; fx = !fx; iterations = !iter }
 
-let grid_then_brent ?(samples = 256) ?(tol = 1e-10) ~f a b =
+let grid_then_brent ?(samples = 256) ~f a b =
   if samples < 2 then invalid_arg "Minimize.grid_then_brent: samples < 2";
   let lo = Float.min a b and hi = Float.max a b in
   let h = (hi -. lo) /. float_of_int samples in
@@ -118,7 +89,7 @@ let grid_then_brent ?(samples = 256) ?(tol = 1e-10) ~f a b =
   done;
   let l = lo +. (h *. float_of_int (max 0 (!best_i - 1))) in
   let r = lo +. (h *. float_of_int (min samples (!best_i + 1))) in
-  let polished = brent ~tol ~f l r in
+  let polished = brent ~f l r in
   (* The polish can only improve on the grid incumbent; keep the grid
      point if Brent landed on a worse local feature. *)
   if polished.fx <= !best_f then polished
@@ -126,44 +97,3 @@ let grid_then_brent ?(samples = 256) ?(tol = 1e-10) ~f a b =
     { x = lo +. (h *. float_of_int !best_i);
       fx = !best_f;
       iterations = polished.iterations }
-
-let argmin_int ~lo ~hi f =
-  if lo > hi then invalid_arg "Minimize.argmin_int: lo > hi";
-  let best = ref lo and best_f = ref (f lo) in
-  for k = lo + 1 to hi do
-    let fk = f k in
-    if fk < !best_f then begin
-      best := k;
-      best_f := fk
-    end
-  done;
-  (!best, !best_f)
-
-let argmin_int_hull ~lo ?start ?(patience = 8) f =
-  let start = match start with Some s -> max lo s | None -> lo in
-  let best = ref start and best_f = ref (f start) in
-  (* walk down first, in case start overshoots the minimum *)
-  let k = ref (start - 1) in
-  let misses = ref 0 in
-  while !k >= lo && !misses < patience do
-    let fk = f !k in
-    if fk < !best_f then begin
-      best := !k;
-      best_f := fk;
-      misses := 0
-    end else incr misses;
-    decr k
-  done;
-  (* then walk up *)
-  let k = ref (start + 1) in
-  let misses = ref 0 in
-  while !misses < patience do
-    let fk = f !k in
-    if fk < !best_f then begin
-      best := !k;
-      best_f := fk;
-      misses := 0
-    end else incr misses;
-    incr k
-  done;
-  (!best, !best_f)

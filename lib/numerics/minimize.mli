@@ -2,9 +2,9 @@
 
     The heart of the paper's optimization problem: find
     [r_opt(n) = argmin_r C_n(r)] (Sec. 4.2).  The cost functions are
-    unimodal past their initial plateau, so golden-section / Brent on a
-    bracketed minimum is exact enough; a grid pre-scan makes the search
-    robust to the flat [qE] plateau at small [r]. *)
+    unimodal past their initial plateau, so Brent on a bracketed
+    minimum is exact enough; a grid pre-scan makes the search robust to
+    the flat [qE] plateau at small [r]. *)
 
 type result = {
   x : float;      (** Minimizer. *)
@@ -12,35 +12,13 @@ type result = {
   iterations : int;
 }
 
-val golden :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float ->
-  result
-(** Golden-section search on [\[a, b\]].  Converges linearly; requires
-    only unimodality on the interval.  [tol] (default [1e-10]) is
-    relative. *)
-
-val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float ->
-  result
+val brent : f:(float -> float) -> float -> float -> result
 (** Brent's minimization (golden section + successive parabolic
-    interpolation) on [\[a, b\]].  Superlinear on smooth functions. *)
+    interpolation) on [\[a, b\]], to a relative tolerance of [1e-10]
+    within 200 iterations.  Superlinear on smooth functions. *)
 
 val grid_then_brent :
-  ?samples:int -> ?tol:float -> f:(float -> float) -> float -> float ->
-  result
+  ?samples:int -> f:(float -> float) -> float -> float -> result
 (** Scan [samples] (default [256]) equispaced points, then polish the
     best grid cell with {!brent}.  Robust for functions with plateaus or
     multiple shallow local minima, such as [C_min(r)]. *)
-
-val argmin_int : lo:int -> hi:int -> (int -> float) -> int * float
-(** Exhaustive minimization over an integer range (used for the optimal
-    probe count [N(r)]).  Ties break toward the smaller argument, as in
-    the paper's definition of [N].  Raises [Invalid_argument] if
-    [lo > hi]. *)
-
-val argmin_int_hull :
-  lo:int -> ?start:int -> ?patience:int -> (int -> float) -> int * float
-(** Minimize over unbounded integers [>= lo] assuming the sequence is
-    eventually increasing: stops after [patience] (default [8])
-    consecutive non-improving values past the incumbent.  [start]
-    defaults to [lo]. *)

@@ -6,6 +6,9 @@ let gamma = 2.
 let rho = 0.5
 let sigma = 0.5
 
+let sub a b = Array.mapi (fun i x -> x -. b.(i)) a
+let norm_inf a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a
+
 let minimize ?(tol = 1e-10) ?max_iter ?scale ~f x0 =
   let dim = Array.length x0 in
   if dim = 0 then invalid_arg "Nelder_mead.minimize: empty starting point";
@@ -70,13 +73,10 @@ let minimize ?(tol = 1e-10) ?max_iter ?scale ~f x0 =
     let diameter =
       Array.fold_left
         (fun acc v ->
-          Float.max acc
-            (Vector.norm_inf (Vector.sub v vertices.(best))))
+          Float.max acc (norm_inf (sub v vertices.(best))))
         0. vertices
     in
-    let x_scale =
-      1. +. Vector.norm_inf vertices.(best)
-    in
+    let x_scale = 1. +. norm_inf vertices.(best) in
     if spread <= tol && diameter <= sqrt tol *. x_scale then converged := true
     else if spread <= tol then shrink_toward best
     else begin

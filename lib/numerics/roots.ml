@@ -1,34 +1,11 @@
-exception No_bracket
-
 type result = { root : float; value : float; iterations : int }
-
-let bracket ?(grow = 1.6) ?(max_iter = 60) ~f a b =
-  if a = b then invalid_arg "Roots.bracket: degenerate interval";
-  let a = ref (Float.min a b) and b = ref (Float.max a b) in
-  let fa = ref (f !a) and fb = ref (f !b) in
-  let rec loop k =
-    if !fa *. !fb <= 0. then (!a, !b)
-    else if k >= max_iter then raise No_bracket
-    else begin
-      (* Expand the endpoint whose function value is smaller in
-         magnitude: it is more likely to be on the root's side. *)
-      if Float.abs !fa < Float.abs !fb then begin
-        a := !a +. (grow *. (!a -. !b));
-        fa := f !a
-      end else begin
-        b := !b +. (grow *. (!b -. !a));
-        fb := f !b
-      end;
-      loop (k + 1)
-    end
-  in
-  loop 0
 
 let check_sign_change name fa fb =
   if fa *. fb > 0. then
     invalid_arg (name ^ ": endpoints do not bracket a root")
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f a b =
+let bisect ~f a b =
+  let tol = 1e-12 and max_iter = 200 in
   let fa = f a and fb = f b in
   check_sign_change "Roots.bisect" fa fb;
   if fa = 0. then { root = a; value = 0.; iterations = 0 }
@@ -44,109 +21,3 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f a b =
     in
     let a, fa, b = if a <= b then (a, fa, b) else (b, fb, a) in
     loop a fa b 0
-
-(* Brent's method, following the classical ALGOL 60 formulation
-   (Brent 1973, "Algorithms for Minimization without Derivatives"). *)
-let brent ?(tol = 1e-12) ?(max_iter = 200) ~f a b =
-  let fa = f a and fb = f b in
-  check_sign_change "Roots.brent" fa fb;
-  let a = ref a and b = ref b and fa = ref fa and fb = ref fb in
-  if Float.abs !fa < Float.abs !fb then begin
-    let t = !a in a := !b; b := t;
-    let t = !fa in fa := !fb; fb := t
-  end;
-  let c = ref !a and fc = ref !fa in
-  let d = ref (!b -. !a) and e = ref (!b -. !a) in
-  let result = ref None in
-  let iter = ref 0 in
-  while !result = None && !iter < max_iter do
-    incr iter;
-    if Float.abs !fc < Float.abs !fb then begin
-      a := !b; b := !c; c := !a;
-      fa := !fb; fb := !fc; fc := !fa
-    end;
-    let tol1 = (2. *. Safe_float.epsilon *. Float.abs !b) +. (0.5 *. tol) in
-    let xm = 0.5 *. (!c -. !b) in
-    if Float.abs xm <= tol1 || !fb = 0. then
-      result := Some { root = !b; value = !fb; iterations = !iter }
-    else begin
-      if Float.abs !e >= tol1 && Float.abs !fa > Float.abs !fb then begin
-        let s = !fb /. !fa in
-        let p, q =
-          if !a = !c then
-            (* secant *)
-            (2. *. xm *. s, 1. -. s)
-          else begin
-            (* inverse quadratic interpolation *)
-            let qq = !fa /. !fc and rr = !fb /. !fc in
-            ( s *. ((2. *. xm *. qq *. (qq -. rr)) -. ((!b -. !a) *. (rr -. 1.))),
-              (qq -. 1.) *. (rr -. 1.) *. (s -. 1.) )
-          end
-        in
-        let p, q = if p > 0. then (p, -.q) else (-.p, q) in
-        let min1 = (3. *. xm *. q) -. Float.abs (tol1 *. q) in
-        let min2 = Float.abs (!e *. q) in
-        if 2. *. p < Float.min min1 min2 then begin
-          e := !d;
-          d := p /. q
-        end else begin
-          d := xm;
-          e := xm
-        end
-      end else begin
-        d := xm;
-        e := xm
-      end;
-      a := !b;
-      fa := !fb;
-      if Float.abs !d > tol1 then b := !b +. !d
-      else b := !b +. (if xm >= 0. then tol1 else -.tol1);
-      fb := f !b;
-      if (!fb > 0. && !fc > 0.) || (!fb < 0. && !fc < 0.) then begin
-        c := !a; fc := !fa;
-        d := !b -. !a; e := !d
-      end
-    end
-  done;
-  match !result with
-  | Some r -> r
-  | None -> { root = !b; value = !fb; iterations = !iter }
-
-let newton ?(tol = 1e-12) ?(max_iter = 100) ~f ~df x0 =
-  let rec loop x k =
-    if k >= max_iter then failwith "Roots.newton: no convergence";
-    let fx = f x in
-    let dfx = df x in
-    if dfx = 0. then failwith "Roots.newton: zero derivative";
-    let step = fx /. dfx in
-    let x' = x -. step in
-    if Float.abs step <= tol *. (1. +. Float.abs x') then
-      { root = x'; value = f x'; iterations = k + 1 }
-    else loop x' (k + 1)
-  in
-  loop x0 0
-
-let find_all ?(samples = 512) ?(tol = 1e-12) ~f a b =
-  if samples < 1 then invalid_arg "Roots.find_all: samples < 1";
-  let lo = Float.min a b and hi = Float.max a b in
-  let h = (hi -. lo) /. float_of_int samples in
-  let roots = ref [] in
-  let push r =
-    match !roots with
-    | r' :: _ when Float.abs (r -. r') <= 10. *. tol -> ()
-    | _ -> roots := r :: !roots
-  in
-  let x_prev = ref lo and f_prev = ref (f lo) in
-  if !f_prev = 0. then push lo;
-  for i = 1 to samples do
-    let x = lo +. (float_of_int i *. h) in
-    let fx = f x in
-    if fx = 0. then push x
-    else if !f_prev *. fx < 0. then begin
-      let r = brent ~tol ~f !x_prev x in
-      push r.root
-    end;
-    x_prev := x;
-    f_prev := fx
-  done;
-  List.rev !roots

@@ -1,11 +1,5 @@
-(** One-dimensional root finding.
-
-    Used by the optimizer (zeroing the cost derivative) and by the
-    Section-4.5 calibration, which inverts the cost model for the error
-    cost [E]. *)
-
-exception No_bracket
-(** Raised when a sign-changing interval cannot be established. *)
+(** One-dimensional root finding: bisection, which inverts a CDF for
+    its quantiles ({!Dist.Distribution.quantile}). *)
 
 type result = {
   root : float;
@@ -13,40 +7,7 @@ type result = {
   iterations : int;
 }
 
-val bracket :
-  ?grow:float -> ?max_iter:int -> f:(float -> float) -> float -> float ->
-  float * float
-(** [bracket ~f a b] expands the interval [(a, b)] geometrically until
-    [f] changes sign across it.  [grow] (default [1.6]) is the expansion
-    factor; raises {!No_bracket} after [max_iter] (default [60])
-    expansions. *)
-
-val bisect :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float ->
-  result
-(** Plain bisection on a sign-changing interval.  [tol] (default
-    [1e-12]) is the absolute interval width at which iteration stops.
-    Raises [Invalid_argument] if [f a] and [f b] have the same strict
-    sign. *)
-
-val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float ->
-  result
-(** Brent's method (inverse quadratic interpolation with bisection
-    fallback).  Same preconditions as {!bisect}; typically converges
-    superlinearly. *)
-
-val newton :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) ->
-  df:(float -> float) -> float -> result
-(** Newton–Raphson from an initial guess.  Raises [Failure] when the
-    derivative vanishes or the iteration exceeds [max_iter] (default
-    [100]) without meeting [tol] (default [1e-12]) on the step size. *)
-
-val find_all :
-  ?samples:int -> ?tol:float -> f:(float -> float) -> float -> float ->
-  float list
-(** [find_all ~f a b] scans [\[a, b\]] on a uniform grid ([samples]
-    intervals, default [512]) and polishes every sign change with
-    {!brent}.  Returns roots in increasing order.  Roots of even
-    multiplicity (no sign change) are not detected. *)
+val bisect : f:(float -> float) -> float -> float -> result
+(** Plain bisection on a sign-changing interval, until the half-width
+    falls below [1e-12] or after 200 halvings.  Raises [Invalid_argument] if [f a] and [f b]
+    have the same strict sign. *)

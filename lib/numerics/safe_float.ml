@@ -30,24 +30,6 @@ let clamp ~lo ~hi x =
 
 let clamp_probability x = clamp ~lo:0. ~hi:1. x
 
-let log1mexp x =
-  if x >= 0. then invalid_arg "Safe_float.log1mexp: argument must be negative";
-  (* Mächler's recipe: switch branches at log 2 for best accuracy. *)
-  if x > -.Float.log 2. then log (-.Float.expm1 x) else Float.log1p (-.exp x)
-
-let log_sum_exp a b =
-  if a = neg_infinity then b
-  else if b = neg_infinity then a
-  else
-    let hi = Float.max a b and lo = Float.min a b in
-    hi +. Float.log1p (exp (lo -. hi))
-
-let log_diff_exp a b =
-  if b = neg_infinity then a
-  else if a < b then invalid_arg "Safe_float.log_diff_exp: a < b"
-  else if a = b then neg_infinity
-  else a +. log1mexp (b -. a)
-
 (* Neumaier's improvement of Kahan summation: track the compensation of
    whichever operand has the larger magnitude. *)
 let sum_prefix xs n =
@@ -98,4 +80,3 @@ let mean xs =
   sum xs /. float_of_int n
 
 let is_probability x = (not (Float.is_nan x)) && x >= 0. && x <= 1.
-let finite x = Float.is_finite x

@@ -51,18 +51,6 @@ val clamp_probability : float -> float
 (** Clamp into [\[0, 1\]]; intended for values that are probabilities up
     to rounding noise. *)
 
-val log1mexp : float -> float
-(** [log1mexp x] computes [log (1 - exp x)] accurately for [x < 0].
-    Raises [Invalid_argument] for [x >= 0]. *)
-
-val log_sum_exp : float -> float -> float
-(** [log_sum_exp a b = log (exp a + exp b)] without overflow; accepts
-    [neg_infinity] for either argument. *)
-
-val log_diff_exp : float -> float -> float
-(** [log_diff_exp a b = log (exp a - exp b)] for [a >= b]; raises
-    [Invalid_argument] when [a < b]. *)
-
 val sum : float array -> float
 (** Kahan–Babuska (Neumaier) compensated sum. *)
 
@@ -90,6 +78,3 @@ val mean : float array -> float
 
 val is_probability : float -> bool
 (** True when the value lies in [\[0, 1\]] (and is not [nan]). *)
-
-val finite : float -> bool
-(** True for neither [nan] nor infinite. *)

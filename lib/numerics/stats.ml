@@ -90,14 +90,16 @@ let normal_quantile p =
     *. q
     /. (((((b.(0) *. r +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4)) *. r +. 1.)
 
-let summary_ci ?(confidence = 0.95) s =
+let confidence = 0.95
+
+let summary_ci s =
   if s.n < 2 then (s.mean, s.mean)
   else
     let z = normal_quantile (0.5 +. (confidence /. 2.)) in
     let half = z *. s.std /. sqrt (float_of_int s.n) in
     (s.mean -. half, s.mean +. half)
 
-let proportion_ci ?(confidence = 0.95) ~successes trials =
+let proportion_ci ~successes trials =
   if trials <= 0 then invalid_arg "Stats.proportion_ci: trials <= 0";
   if successes < 0 || successes > trials then
     invalid_arg "Stats.proportion_ci: successes outside [0, trials]";
@@ -125,25 +127,6 @@ let quantile xs p =
   let hi = min (lo + 1) (n - 1) in
   let frac = h -. float_of_int lo in
   ((1. -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
-
-let median xs = quantile xs 0.5
-
-type histogram = { edges : float array; counts : int array }
-
-let histogram ?(bins = 20) xs =
-  if bins < 1 then invalid_arg "Stats.histogram: bins < 1";
-  let s = summarize xs in
-  let lo = s.min and hi = if s.max > s.min then s.max else s.min +. 1. in
-  let width = (hi -. lo) /. float_of_int bins in
-  let edges = Array.init (bins + 1) (fun i -> lo +. (float_of_int i *. width)) in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let b = int_of_float ((x -. lo) /. width) in
-      let b = if b >= bins then bins - 1 else if b < 0 then 0 else b in
-      counts.(b) <- counts.(b) + 1)
-    xs;
-  { edges; counts }
 
 let ecdf xs =
   let sorted = Array.copy xs in

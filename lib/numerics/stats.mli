@@ -22,28 +22,18 @@ val summarize : float array -> summary
     finite; every other sample keeps the plain sum's bits.  Raises
     [Invalid_argument] on an empty array. *)
 
-val summary_ci : ?confidence:float -> summary -> float * float
-(** Normal-approximation confidence interval for the mean of a
-    summarized sample (default [confidence = 0.95]).  Returns
+val summary_ci : summary -> float * float
+(** Normal-approximation 95% confidence interval for the mean of a
+    summarized sample.  Returns
     [(lo, hi)]; [(mean, mean)] when [n < 2]. *)
 
-val proportion_ci : ?confidence:float -> successes:int -> int -> float * float
-(** Wilson score interval for a binomial proportion — well-behaved even
+val proportion_ci : successes:int -> int -> float * float
+(** 95% Wilson score interval for a binomial proportion — well-behaved even
     when [successes] is 0, which matters for rare collision events. *)
 
 val quantile : float array -> float -> float
 (** [quantile xs p] with linear interpolation between order statistics;
     [p] in [\[0, 1\]].  Does not mutate the input. *)
-
-val median : float array -> float
-
-type histogram = {
-  edges : float array;   (** [bins + 1] bin edges. *)
-  counts : int array;    (** [bins] counts. *)
-}
-
-val histogram : ?bins:int -> float array -> histogram
-(** Equal-width histogram over the data range (default [bins = 20]). *)
 
 val ecdf : float array -> float -> float
 (** [ecdf xs] is the empirical CDF of the sample, as a function. *)

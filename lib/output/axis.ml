@@ -10,7 +10,6 @@ let create ?(scale = Linear) ~lo ~hi () =
 
 let lo t = t.lo
 let hi t = t.hi
-let scale t = t.scale
 
 let project t v =
   let frac =
@@ -37,7 +36,8 @@ let nice_step span target =
   let mult = if residual <= 1.5 then 1. else if residual <= 3.5 then 2. else if residual <= 7.5 then 5. else 10. in
   mult *. mag
 
-let ticks ?(target = 6) t =
+let ticks t =
+  let target = 6 in
   match t.scale with
   | Linear ->
       let step = nice_step (t.hi -. t.lo) target in
@@ -62,22 +62,11 @@ let ticks ?(target = 6) t =
           else None)
         (List.init count (fun i -> lo_exp + i))
 
-let of_data ?(scale = Linear) ?(pad = 0.05) data =
+let of_data ?(pad = 0.05) data =
   if Array.length data = 0 then invalid_arg "Axis.of_data: empty data";
   let finite = Array.of_list (List.filter Float.is_finite (Array.to_list data)) in
   if Array.length finite = 0 then invalid_arg "Axis.of_data: no finite data";
   let lo = Array.fold_left Float.min finite.(0) finite in
   let hi = Array.fold_left Float.max finite.(0) finite in
-  match scale with
-  | Linear ->
-      let span = if hi > lo then hi -. lo else Float.max 1. (Float.abs lo) in
-      create ~scale ~lo:(lo -. (pad *. span)) ~hi:(hi +. (pad *. span)) ()
-  | Log10 ->
-      if hi <= 0. then invalid_arg "Axis.of_data: log axis needs positive data";
-      let lo = if lo <= 0. then hi /. 1e6 else lo in
-      let llo = log10 lo and lhi = log10 hi in
-      let span = if lhi > llo then lhi -. llo else 1. in
-      create ~scale
-        ~lo:(10. ** (llo -. (pad *. span)))
-        ~hi:(10. ** (lhi +. (pad *. span)))
-        ()
+  let span = if hi > lo then hi -. lo else Float.max 1. (Float.abs lo) in
+  create ~lo:(lo -. (pad *. span)) ~hi:(hi +. (pad *. span)) ()

@@ -9,17 +9,15 @@ val create : ?scale:scale -> lo:float -> hi:float -> unit -> t
 
 val lo : t -> float
 val hi : t -> float
-val scale : t -> scale
 
 val project : t -> float -> float
 (** Map a data value into [\[0, 1\]] (clamped). *)
 
-val ticks : ?target:int -> t -> (float * string) list
+val ticks : t -> (float * string) list
 (** "Nice" tick positions (multiples of 1, 2, 5 x 10^k on linear axes;
-    decades on log axes) with compact labels; roughly [target]
-    (default [6]) of them. *)
+    decades on log axes) with compact labels; roughly 6 of them. *)
 
-val of_data : ?scale:scale -> ?pad:float -> float array -> t
-(** Axis spanning the data range, padded by [pad] (default [0.05]) of
-    the span on each side (log axes pad in log space).  Raises
-    [Invalid_argument] on empty or degenerate data it cannot span. *)
+val of_data : ?pad:float -> float array -> t
+(** Linear axis spanning the finite data, padded by [pad] (default
+    [0.05]) of the span on each side.  Raises [Invalid_argument] on
+    data with no finite value. *)

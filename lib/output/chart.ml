@@ -1,10 +1,6 @@
-type series = {
-  label : string;
-  points : (float * float) array;
-  style : [ `Solid | `Dashed | `Dotted ];
-}
+type series = { label : string; points : (float * float) array }
 
-let series ?(style = `Solid) ~label points = { label; points; style }
+let series ~label points = { label; points }
 
 type t = {
   title : string;
@@ -19,12 +15,10 @@ let palette =
   [| "#1f77b4"; "#d62728"; "#2ca02c"; "#9467bd"; "#ff7f0e"; "#8c564b";
      "#e377c2"; "#17becf"; "#bcbd22"; "#7f7f7f" |]
 
-let dash_of_style = function
-  | `Solid -> None
-  | `Dashed -> Some "6,4"
-  | `Dotted -> Some "2,3"
+let width = 720
+let height = 480
 
-let render ?(width = 720) ?(height = 480) t =
+let render t =
   let svg = Svg.create ~width ~height in
   let ml = 70. and mr = 150. and mt = 40. and mb = 55. in
   let plot_w = float_of_int width -. ml -. mr in
@@ -50,11 +44,10 @@ let render ?(width = 720) ?(height = 480) t =
   List.iteri
     (fun idx s ->
       let colour = palette.(idx mod Array.length palette) in
-      let dash = dash_of_style s.style in
       let flush segment =
         match segment with
         | [] | [ _ ] -> ()
-        | pts -> Svg.polyline svg ~stroke:colour ?dash (List.rev pts)
+        | pts -> Svg.polyline svg ~stroke:colour (List.rev pts)
       in
       let segment = ref [] in
       Array.iter
@@ -70,8 +63,7 @@ let render ?(width = 720) ?(height = 480) t =
       (* legend entry *)
       let ly = mt +. 10. +. (float_of_int idx *. 18.) in
       let lx = ml +. plot_w +. 12. in
-      Svg.line svg ~stroke:colour ~stroke_width:2. ?dash (lx, ly)
-        (lx +. 24., ly);
+      Svg.line svg ~stroke:colour ~stroke_width:2. (lx, ly) (lx +. 24., ly);
       Svg.text svg ~x:(lx +. 30.) ~y:(ly +. 4.) s.label)
     t.series;
   (* titles *)
@@ -83,4 +75,4 @@ let render ?(width = 720) ?(height = 480) t =
     t.y_label;
   svg
 
-let save ?width ?height t path = Svg.save (render ?width ?height t) path
+let save t path = Svg.save (render t) path

@@ -1,15 +1,10 @@
 (** Multi-series line charts rendered to SVG — the renderer behind the
     regenerated Figures 2–6. *)
 
-type series = {
-  label : string;
-  points : (float * float) array;
-  style : [ `Solid | `Dashed | `Dotted ];
-}
+type series = { label : string; points : (float * float) array }
 
-val series :
-  ?style:[ `Solid | `Dashed | `Dotted ] -> label:string ->
-  (float * float) array -> series
+val series : label:string -> (float * float) array -> series
+(** One solid polyline with a legend entry. *)
 
 type t = {
   title : string;
@@ -20,9 +15,9 @@ type t = {
   series : series list;
 }
 
-val render : ?width:int -> ?height:int -> t -> Svg.t
-(** Points outside the axis ranges are clipped (the polyline is broken
+val render : t -> Svg.t
+(** A 720 x 480 chart.  Points outside the axis ranges are clipped (the polyline is broken
     there), matching how the paper's plot frames hide the huge [C_1],
     [C_2] values. *)
 
-val save : ?width:int -> ?height:int -> t -> string -> unit
+val save : t -> string -> unit

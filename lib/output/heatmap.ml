@@ -30,7 +30,10 @@ let colour frac =
   let blue = int_of_float (205. *. (1. -. frac)) in
   Printf.sprintf "#%02x%02x%02x" red green blue
 
-let render ?(width = 720) ?(height = 480) t =
+let width = 720
+let height = 480
+
+let render t =
   let rows, cols = validate t in
   let svg = Svg.create ~width ~height in
   let ml = 80. and mr = 40. and mt = 40. and mb = 60. in
@@ -88,4 +91,4 @@ let render ?(width = 720) ?(height = 480) t =
     (Printf.sprintf "max %.3g" hi);
   svg
 
-let save ?width ?height t path = Svg.save (render ?width ?height t) path
+let save t path = Svg.save (render t) path

@@ -4,8 +4,6 @@ let create ~width ~height =
   if width < 1 || height < 1 then invalid_arg "Svg.create: non-positive size";
   { width; height; elements = [] }
 
-let width t = t.width
-let height t = t.height
 let push t e = t.elements <- e :: t.elements
 
 let add_escaped b s =
@@ -43,24 +41,22 @@ let str_attr b name v =
   Buffer.add_string b v;
   Buffer.add_char b '"'
 
-(* stroke, stroke-width and the optional dash pattern, then the tag's
-   end *)
-let add_stroke_end b stroke stroke_width dash =
+(* stroke and stroke-width, then the tag's end *)
+let add_stroke_end b stroke stroke_width =
   str_attr b "stroke" stroke;
   num_attr b "stroke-width" stroke_width;
-  Option.iter (str_attr b "stroke-dasharray") dash;
   Buffer.add_string b "/>"
 
-let line t ?(stroke = "#000") ?(stroke_width = 1.) ?dash (x1, y1) (x2, y2) =
+let line t ?(stroke = "#000") ?(stroke_width = 1.) (x1, y1) (x2, y2) =
   element t @@ fun b ->
   Buffer.add_string b "<line";
   num_attr b "x1" x1;
   num_attr b "y1" y1;
   num_attr b "x2" x2;
   num_attr b "y2" y2;
-  add_stroke_end b stroke stroke_width dash
+  add_stroke_end b stroke stroke_width
 
-let polyline t ?(stroke = "#000") ?(stroke_width = 1.5) ?dash points =
+let polyline t ?(stroke = "#000") points =
   match points with
   | [] | [ _ ] -> ()
   | _ ->
@@ -75,7 +71,7 @@ let polyline t ?(stroke = "#000") ?(stroke_width = 1.5) ?dash points =
         points;
       Buffer.add_char b '"';
       str_attr b "fill" "none";
-      add_stroke_end b stroke stroke_width dash
+      add_stroke_end b stroke 1.5
 
 let rect t ?(fill = "none") ?(stroke = "none") (x, y) (w, h) =
   element t @@ fun b ->
@@ -88,16 +84,16 @@ let rect t ?(fill = "none") ?(stroke = "none") (x, y) (w, h) =
   str_attr b "stroke" stroke;
   Buffer.add_string b "/>"
 
-let circle t ?(fill = "#000") (cx, cy) r =
+let circle t (cx, cy) r =
   element t @@ fun b ->
   Buffer.add_string b "<circle";
   num_attr b "cx" cx;
   num_attr b "cy" cy;
   num_attr b "r" r;
-  str_attr b "fill" fill;
+  str_attr b "fill" "#000";
   Buffer.add_string b "/>"
 
-let text t ?(size = 11) ?(anchor = "start") ?(fill = "#333") ~x ~y s =
+let text t ?(size = 11) ?(anchor = "start") ~x ~y s =
   element t @@ fun b ->
   Buffer.add_string b "<text";
   num_attr b "x" x;
@@ -107,7 +103,7 @@ let text t ?(size = 11) ?(anchor = "start") ?(fill = "#333") ~x ~y s =
   Buffer.add_char b '"';
   str_attr b "font-family" "sans-serif";
   str_attr b "text-anchor" anchor;
-  str_attr b "fill" fill;
+  str_attr b "fill" "#333";
   Buffer.add_char b '>';
   add_escaped b s;
   Buffer.add_string b "</text>"

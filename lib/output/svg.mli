@@ -1,35 +1,30 @@
 (** Minimal SVG document builder — enough vocabulary for line charts:
-    paths, lines, rectangles, text, and dash patterns.  Geometric
+    paths, lines, rectangles and text.  Geometric
     arguments are [(x, y)] pairs in user units. *)
 
 type t
 
 val create : width:int -> height:int -> t
-val width : t -> int
-val height : t -> int
 
 val line :
-  t -> ?stroke:string -> ?stroke_width:float -> ?dash:string ->
-  float * float -> float * float -> unit
+  t -> ?stroke:string -> ?stroke_width:float -> float * float ->
+  float * float -> unit
 (** [line t p1 p2]. *)
 
-val polyline :
-  t -> ?stroke:string -> ?stroke_width:float -> ?dash:string ->
-  (float * float) list -> unit
-(** Rendered as one open path. *)
+val polyline : t -> ?stroke:string -> (float * float) list -> unit
+(** Rendered as one open path, 1.5 units wide. *)
 
 val rect :
   t -> ?fill:string -> ?stroke:string -> float * float -> float * float -> unit
 (** [rect t (x, y) (w, h)]. *)
 
-val circle : t -> ?fill:string -> float * float -> float -> unit
-(** [circle t centre radius]. *)
+val circle : t -> float * float -> float -> unit
+(** [circle t centre radius], filled black. *)
 
 val text :
-  t -> ?size:int -> ?anchor:string -> ?fill:string -> x:float -> y:float ->
-  string -> unit
-(** [anchor] is an SVG [text-anchor]: ["start"], ["middle"], or
-    ["end"]. *)
+  t -> ?size:int -> ?anchor:string -> x:float -> y:float -> string -> unit
+(** Dark grey text; [anchor] is an SVG [text-anchor]: ["start"],
+    ["middle"], or ["end"]. *)
 
 val to_string : t -> string
 val save : t -> string -> unit

@@ -15,9 +15,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: column count mismatch";
   t.rows <- cells :: t.rows
 
-let add_float_row ?(fmt = Printf.sprintf "%.6g") t values =
-  add_row t (List.map fmt values)
-
 let column_widths t =
   let rows = t.headers :: List.rev t.rows in
   List.mapi
@@ -52,5 +49,3 @@ let to_markdown t =
   in
   String.concat "\n" (row t.headers :: sep :: List.map row (List.rev t.rows))
   ^ "\n"
-
-let pp ppf t = Format.pp_print_string ppf (to_text t)

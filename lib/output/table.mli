@@ -8,13 +8,7 @@ val create : columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] on a column-count mismatch. *)
 
-val add_float_row : ?fmt:(float -> string) -> t -> float list -> unit
-(** Formats with ["%.6g"] by default. *)
-
 val to_text : t -> string
 (** Box-drawing-free aligned plain text. *)
 
 val to_markdown : t -> string
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_text}. *)

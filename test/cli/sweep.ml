@@ -129,21 +129,13 @@ let known =
   and row ?(finishes = true) k_command k_option k_value outcome reason =
     { k_command; k_option; k_value; outcome; reason; finishes }
   in
-  [ row "cost" "--probe-cost=V" "1e308" nan
-      ("DRM solve: " ^ inf_minus_inf);
-    row "cost" "--error-cost=V" "1e308" nan ("DRM solve: " ^ inf_minus_inf);
-    row "cost" "--r-period=V" "1e308" nan ("DRM solve: " ^ inf_minus_inf);
-    row "optimal-r" "--delay=V" "1e308" nan
+  [ row "optimal-r" "--delay=V" "1e308" nan
       "Optimize.optimal_r: cost at r = d + 1e308 overflows";
     row "assess" "--delay=V" "1e308" nan
       "Optimize.optimal_r: cost at r = d + 1e308 overflows";
     row "assess" "--delay=V" "4611686018427387903" hang full_scan
       ~finishes:false;
     row "assess" "--probe-cost=V" "0" hang full_scan ~finishes:false;
-    row "simulate" "--probe-cost=V" "1e308" nan
-      ("Metrics.aggregate: " ^ inf_minus_inf);
-    row "simulate" "--r-period=V" "1e308" nan
-      ("Metrics.aggregate: " ^ inf_minus_inf);
     row "workload" "--r-period=V" "1e308" nan
       ("Workload.run, mean configuration time: " ^ inf_minus_inf);
     row "report" "--delay=V" "1e308" nan

@@ -25,10 +25,6 @@ let test_richardson_beats_central () =
 let test_richardson_high_accuracy () =
   check_close ~tol:1e-10 "d/dx log at 5" 0.2 (D.richardson ~f:log 5.)
 
-let test_second () =
-  check_close ~tol:1e-4 "d2/dx2 x^3 at 2" 12. (D.second ~f:(fun x -> x ** 3.) 2.);
-  check_close ~tol:1e-4 "d2/dx2 sin at pi/2" (-1.) (D.second ~f:sin (Float.pi /. 2.))
-
 let test_log_elasticity () =
   (* f = x^k has constant elasticity k *)
   check_close ~tol:1e-6 "power law k = 3" 3.
@@ -69,7 +65,6 @@ let () =
       ( "richardson",
         [ Alcotest.test_case "beats central" `Quick test_richardson_beats_central;
           Alcotest.test_case "high accuracy" `Quick test_richardson_high_accuracy ] );
-      ("second", [ Alcotest.test_case "second derivative" `Quick test_second ]);
       ( "elasticity",
         [ Alcotest.test_case "power laws" `Quick test_log_elasticity;
           Alcotest.test_case "guards" `Quick test_log_elasticity_guards ] );

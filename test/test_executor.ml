@@ -337,7 +337,7 @@ let prop_columnar_equals_plans =
         kernel;
       Array.iteri
         (fun p (a : A.t) ->
-          let alone = Engine.Executor.run plans.(p) in
+          let alone = (Engine.Executor.run_batch [| plans.(p) |]).(0) in
           if
             Engine.Plan.route_name b.route.(p) <> a.A.backend
             || b.evals.(p) <> a.A.evals

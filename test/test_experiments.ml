@@ -14,7 +14,9 @@ let ys (s : E.series) = Array.map snd s.E.points
 
 (* ---------------- Figure 2 ---------------- *)
 
-let fig2 = E.figure2 ~points:120 ()
+let figures = E.all_figures ()
+let figure id = List.find (fun (f : E.figure) -> f.E.id = id) figures
+let fig2 = figure "fig2"
 
 let test_fig2_has_eight_cost_curves () =
   Alcotest.(check int) "eight series" 8 (List.length fig2.E.series);
@@ -52,7 +54,7 @@ let test_fig2_curves_dip_then_rise () =
 
 (* ---------------- Figure 3 ---------------- *)
 
-let fig3 = E.figure3 ~points:150 ()
+let fig3 = figure "fig3"
 
 let test_fig3_step_function_decreasing () =
   let values = ys (series fig3 "N(r)") in
@@ -72,7 +74,7 @@ let test_fig3_never_below_nu () =
 
 (* ---------------- Figure 4 ---------------- *)
 
-let fig4 = E.figure4 ~points:150 ()
+let fig4 = figure "fig4"
 
 let test_fig4_envelope_below_each_curve () =
   let env = series fig4 "C_min" in
@@ -89,8 +91,8 @@ let test_fig4_envelope_below_each_curve () =
 
 (* ---------------- Figures 5 and 6 ---------------- *)
 
-let fig5 = E.figure5 ~points:120 ()
-let fig6 = E.figure6 ~points:120 ()
+let fig5 = figure "fig5"
+let fig6 = figure "fig6"
 
 let test_fig5_ordering_in_n () =
   (* more probes give lower error for every r *)
@@ -189,7 +191,7 @@ let test_validation_three_way_agreement () =
 let test_all_figures_enumerates_five () =
   Alcotest.(check (list string)) "ids"
     [ "fig2"; "fig3"; "fig4"; "fig5"; "fig6" ]
-    (List.map (fun (f : E.figure) -> f.E.id) (E.all_figures ()))
+    (List.map (fun (f : E.figure) -> f.E.id) figures)
 
 let test_latency_figure_shape () =
   let fig = E.latency_figure () in

@@ -22,27 +22,6 @@ let test_linspace_errors () =
       ignore (G.linspace 0. 1. 1));
   check_floats "n = 1 degenerate ok" [| 3. |] (G.linspace 3. 3. 1)
 
-let test_logspace () =
-  check_floats "decades" [| 1.; 10.; 100. |] (G.logspace 0. 2. 3)
-
-let test_geomspace () =
-  let g = G.geomspace 1. 8. 4 in
-  Alcotest.(check (array (float 1e-9))) "powers of two" [| 1.; 2.; 4.; 8. |] g;
-  Alcotest.check_raises "negative bound"
-    (Invalid_argument "Grid.geomspace: non-positive bound") (fun () ->
-      ignore (G.geomspace (-1.) 1. 3))
-
-let test_arange () =
-  check_floats "unit step" [| 0.; 1.; 2. |] (G.arange 0. 3.);
-  check_floats "fractional step" [| 0.; 0.5; 1.; 1.5 |] (G.arange ~step:0.5 0. 2.);
-  check_floats "empty" [||] (G.arange 5. 5.);
-  Alcotest.check_raises "bad step" (Invalid_argument "Grid.arange: step <= 0")
-    (fun () -> ignore (G.arange ~step:0. 0. 1.))
-
-let test_midpoints () =
-  check_floats "midpoints" [| 0.5; 1.5 |] (G.midpoints [| 0.; 1.; 2. |]);
-  check_floats "too short" [||] (G.midpoints [| 1. |])
-
 let test_map_sweep () =
   let swept = G.map_sweep (fun x -> x *. x) [| 1.; 2. |] in
   Alcotest.(check (array (pair (float 0.) (float 0.))))
@@ -92,16 +71,6 @@ let prop_linspace_monotone =
       Array.length g = n
       && Array.for_all Fun.id (Array.init (n - 1) (fun i -> g.(i) < g.(i + 1))))
 
-let prop_geomspace_ratios_constant =
-  QCheck.Test.make ~name:"geomspace has constant ratio" ~count:300
-    QCheck.(triple (float_range 0.01 10.) (float_range 11. 1000.) (int_range 3 50))
-    (fun (a, b, n) ->
-      let g = G.geomspace a b n in
-      let ratio = g.(1) /. g.(0) in
-      Array.for_all Fun.id
-        (Array.init (n - 1) (fun i ->
-             Numerics.Safe_float.approx_eq ~rtol:1e-9 (g.(i + 1) /. g.(i)) ratio)))
-
 let () =
   Alcotest.run "grid"
     [ ( "linspace",
@@ -109,13 +78,8 @@ let () =
           Alcotest.test_case "endpoints exact" `Quick test_linspace_endpoints_exact;
           Alcotest.test_case "descending" `Quick test_linspace_descending;
           Alcotest.test_case "errors" `Quick test_linspace_errors ] );
-      ( "log/geom",
-        [ Alcotest.test_case "logspace" `Quick test_logspace;
-          Alcotest.test_case "geomspace" `Quick test_geomspace ] );
       ( "arange/midpoints",
-        [ Alcotest.test_case "arange" `Quick test_arange;
-          Alcotest.test_case "midpoints" `Quick test_midpoints;
-          Alcotest.test_case "map_sweep" `Quick test_map_sweep ] );
+        [ Alcotest.test_case "map_sweep" `Quick test_map_sweep ] );
       ( "chunks",
         [ Alcotest.test_case "even" `Quick test_chunks_even;
           Alcotest.test_case "remainder" `Quick test_chunks_remainder;
@@ -125,5 +89,4 @@ let () =
           Alcotest.test_case "errors" `Quick test_chunks_errors ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_chunks_partition; prop_linspace_monotone;
-            prop_geomspace_ratios_constant ] ) ]
+          [ prop_chunks_partition; prop_linspace_monotone ] ) ]

@@ -180,16 +180,59 @@ let r6_reached () =
     []
     (unreached
        [ ("bin/main.ml",
-          "module M = Numerics.Matrix\n\
+          "module M = Numerics.Stats\n\
            open Zeroconf\n\
            let c = Cost.mean\n");
-         ("lib/numerics/matrix.ml", "let create = Vector.create\n");
-         ("lib/numerics/vector.ml", "let create () = [||]\n");
+         ("lib/numerics/stats.ml", "let create = Grid.create\n");
+         ("lib/numerics/grid.ml", "let create () = [||]\n");
          ("lib/core/cost.ml",
           "let mean (p : Params.t) = p\n\
            let run (module B : Backend.S) = B.name\n");
          ("lib/core/params.ml", "type t = float\n");
          ("lib/core/backend.ml", "module type S = sig val name : string end\n")
+       ])
+
+(* -- R6 for values: every exported val is named from another module -- *)
+
+let unused sources =
+  List.map
+    (fun (f : Finding.t) -> (f.rule, f.file, f.ident))
+    (Rules.unused_value_findings ~wrappers sources)
+
+let r6_value_unused () =
+  Alcotest.(check (list (triple string string string)))
+    "a val nothing names and a val named only from its own .ml are flagged"
+    [ ("R6", "lib/numerics/grid.mli", "Numerics.Grid.orphan");
+      ("R6", "lib/numerics/grid.mli", "Numerics.Grid.helper") ]
+    (unused
+       [ ("bin/main.ml", "let g = Numerics.Grid.linspace\n");
+         ("lib/numerics/grid.ml",
+          "let helper x = x\nlet linspace a = helper a\nlet orphan = 1\n\
+           let again = Grid.helper\n");
+         ("lib/numerics/grid.mli",
+          "val linspace : 'a -> 'a\nval orphan : int\nval helper : 'a -> 'a\n")
+       ])
+
+let r6_value_named () =
+  Alcotest.(check (list (triple string string string)))
+    "a W.M.v path, an own-library M.v, an open, a module alias and a \
+     module-type member all name their value"
+    []
+    (unused
+       [ ("test/test_grid.ml", "let g = Numerics.Grid.linspace\n");
+         ("lib/numerics/stats.ml",
+          "let q = Grid.chunks\n\
+           let s (module B : Backend.S) = B.name\n");
+         ("examples/main.ml",
+          "open Numerics.Grid\nlet m = map_sweep\n\
+           module R = Numerics.Rng\nlet d = R.int\n");
+         ("lib/numerics/grid.ml", "let linspace = 1 let chunks = 2 let map_sweep = 3\n");
+         ("lib/numerics/grid.mli",
+          "val linspace : int\nval chunks : int\nval map_sweep : int\n");
+         ("lib/numerics/rng.ml", "let int = 4\n");
+         ("lib/numerics/rng.mli", "val int : int\n");
+         ("lib/numerics/backend.ml", "module type S = sig val name : string end\n");
+         ("lib/numerics/backend.mli", "module type S = sig val name : string end\n")
        ])
 
 (* -- E0: parse failures are findings, not crashes ------------------ *)
@@ -296,6 +339,9 @@ let () =
           Alcotest.test_case "R6 unreached module" `Quick r6_unreached;
           Alcotest.test_case "R6 alias, open, same-library name, package" `Quick
             r6_reached;
+          Alcotest.test_case "R6 unused value" `Quick r6_value_unused;
+          Alcotest.test_case "R6 value named by path, open, alias, module type"
+            `Quick r6_value_named;
           Alcotest.test_case "E0 parse error" `Quick e0_parse_error ] );
       ( "allowlist",
         [ Alcotest.test_case "permits" `Quick allowlist_permits;

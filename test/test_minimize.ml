@@ -5,11 +5,6 @@ let check_close ?(tol = 1e-6) msg expected actual =
 
 let parabola x = ((x -. 3.) ** 2.) +. 1.
 
-let test_golden_parabola () =
-  let r = M.golden ~f:parabola 0. 10. in
-  check_close "minimizer" 3. r.M.x;
-  check_close "minimum" 1. r.M.fx
-
 let test_brent_parabola () =
   let r = M.brent ~f:parabola 0. 10. in
   check_close "minimizer" 3. r.M.x;
@@ -40,42 +35,6 @@ let test_grid_then_brent_plateau () =
   let r = M.grid_then_brent ~samples:300 ~f 0. 6. in
   check_close ~tol:1e-4 "dip after plateau" 3. r.M.x
 
-let test_argmin_int () =
-  let n, v = M.argmin_int ~lo:1 ~hi:20 (fun k -> Float.abs (float_of_int k -. 7.3)) in
-  Alcotest.(check int) "argmin" 7 n;
-  check_close "value" 0.3 v
-
-let test_argmin_int_ties_break_low () =
-  (* f(3) = f(4) are joint minima; definition of N(r) picks the smaller *)
-  let f k = Float.abs (float_of_int k -. 3.5) in
-  let n, _ = M.argmin_int ~lo:1 ~hi:10 f in
-  Alcotest.(check int) "first minimum wins" 3 n
-
-let test_argmin_int_rejects_bad_range () =
-  Alcotest.check_raises "lo > hi" (Invalid_argument "Minimize.argmin_int: lo > hi")
-    (fun () -> ignore (M.argmin_int ~lo:5 ~hi:1 float_of_int))
-
-let test_argmin_int_hull () =
-  (* convex in k with minimum at 13, far from the start *)
-  let f k = ((float_of_int k -. 13.) ** 2.) +. 5. in
-  let n, v = M.argmin_int_hull ~lo:1 f in
-  Alcotest.(check int) "found distant minimum" 13 n;
-  check_close "value" 5. v
-
-let test_argmin_int_hull_walks_down () =
-  let f k = ((float_of_int k -. 2.) ** 2.) in
-  let n, _ = M.argmin_int_hull ~lo:1 ~start:30 f in
-  Alcotest.(check int) "walked down from start" 2 n
-
-let prop_brent_at_most_golden =
-  QCheck.Test.make ~name:"brent matches golden on random quadratics" ~count:200
-    QCheck.(pair (float_range (-20.) 20.) (float_range 0.1 10.))
-    (fun (centre, width) ->
-      let f x = (x -. centre) ** 2. in
-      let lo = centre -. width and hi = centre +. (1.3 *. width) in
-      let g = M.golden ~f lo hi and b = M.brent ~f lo hi in
-      Float.abs (g.M.x -. b.M.x) < 1e-4)
-
 let prop_grid_then_brent_never_worse_than_grid =
   QCheck.Test.make ~name:"polish never loses to the raw grid" ~count:200
     QCheck.(float_range (-5.) 5.)
@@ -89,21 +48,13 @@ let prop_grid_then_brent_never_worse_than_grid =
 
 let () =
   Alcotest.run "minimize"
-    [ ( "golden",
-        [ Alcotest.test_case "parabola" `Quick test_golden_parabola ] );
-      ( "brent",
+    [ ( "brent",
         [ Alcotest.test_case "parabola" `Quick test_brent_parabola;
           Alcotest.test_case "non-smooth" `Quick test_brent_nonsmooth;
           Alcotest.test_case "boundary minimum" `Quick test_brent_boundary_minimum ] );
       ( "grid_then_brent",
         [ Alcotest.test_case "multimodal" `Quick test_grid_then_brent_multimodal;
           Alcotest.test_case "plateau" `Quick test_grid_then_brent_plateau ] );
-      ( "argmin_int",
-        [ Alcotest.test_case "basic" `Quick test_argmin_int;
-          Alcotest.test_case "tie-break" `Quick test_argmin_int_ties_break_low;
-          Alcotest.test_case "bad range" `Quick test_argmin_int_rejects_bad_range;
-          Alcotest.test_case "hull search" `Quick test_argmin_int_hull;
-          Alcotest.test_case "hull walks down" `Quick test_argmin_int_hull_walks_down ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_brent_at_most_golden; prop_grid_then_brent_never_worse_than_grid ] ) ]
+          [ prop_grid_then_brent_never_worse_than_grid ] ) ]

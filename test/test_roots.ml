@@ -21,70 +21,6 @@ let test_bisect_rejects_same_sign () =
     (Invalid_argument "Roots.bisect: endpoints do not bracket a root")
     (fun () -> ignore (R.bisect ~f:(fun x -> (x *. x) +. 1.) (-1.) 1.))
 
-let test_brent_polynomial () =
-  let f x = ((x -. 1.) *. (x -. 2.) *. (x -. 3.)) in
-  let r = R.brent ~f 1.5 2.9 in
-  check_close "middle root" 2. r.R.root
-
-let test_brent_transcendental () =
-  let r = R.brent ~f:(fun x -> cos x -. x) 0. 1. in
-  check_close "dottie number" 0.7390851332151607 r.R.root
-
-let test_brent_faster_than_bisect () =
-  let f x = exp x -. 2. in
-  let b = R.bisect ~tol:1e-14 ~f 0. 10. in
-  let br = R.brent ~tol:1e-14 ~f 0. 10. in
-  check_close "bisect finds log 2" (log 2.) b.R.root;
-  check_close "brent finds log 2" (log 2.) br.R.root;
-  Alcotest.(check bool) "brent needs fewer iterations" true
-    (br.R.iterations < b.R.iterations)
-
-let test_brent_steep () =
-  (* the zeroconf derivative shape: huge negative slope then gentle *)
-  let f x = if x < 1. then -1e10 *. (1. -. x) +. 1. else x in
-  (* f(0) < 0, f(2) > 0 (f jumps at 1 but is monotone) *)
-  Alcotest.(check bool) "converged on stiff function" true
-    (Float.abs (f (R.brent ~f 0. 2.).R.root) < 1e-3)
-
-let test_newton () =
-  let r = R.newton ~f:(fun x -> (x *. x) -. 2.) ~df:(fun x -> 2. *. x) 1. in
-  check_close "sqrt 2 by newton" (sqrt 2.) r.R.root;
-  Alcotest.(check bool) "few iterations" true (r.R.iterations <= 8)
-
-let test_newton_zero_derivative () =
-  Alcotest.check_raises "flat point" (Failure "Roots.newton: zero derivative")
-    (fun () ->
-      ignore (R.newton ~f:(fun x -> (x *. x) -. 2.) ~df:(fun _ -> 0.) 1.))
-
-let test_bracket () =
-  let a, b = R.bracket ~f:(fun x -> x -. 100.) 0. 1. in
-  Alcotest.(check bool) "expanded to contain root" true (a <= 100. && 100. <= b)
-
-let test_bracket_failure () =
-  Alcotest.check_raises "positive function never brackets" R.No_bracket
-    (fun () -> ignore (R.bracket ~max_iter:10 ~f:(fun x -> (x *. x) +. 1.) 0. 1.))
-
-let test_find_all () =
-  let f x = sin x in
-  let roots = R.find_all ~f 0.5 9.9 in
-  Alcotest.(check int) "three roots of sin in (0.5, 9.9)" 3 (List.length roots);
-  List.iter2
-    (fun expected actual -> check_close "pi multiple" expected actual)
-    [ Float.pi; 2. *. Float.pi; 3. *. Float.pi ]
-    roots
-
-let test_find_all_none () =
-  Alcotest.(check (list (float 1e-9))) "no roots" []
-    (R.find_all ~f:(fun x -> (x *. x) +. 1.) (-5.) 5.)
-
-let prop_brent_finds_planted_root =
-  QCheck.Test.make ~name:"brent recovers a planted root" ~count:300
-    QCheck.(float_range (-50.) 50.)
-    (fun root ->
-      let f x = (x -. root) *. ((x -. root) ** 2. +. 1.) in
-      let r = R.brent ~f (root -. 10.) (root +. 11.) in
-      Float.abs (r.R.root -. root) < 1e-6)
-
 let prop_bisect_respects_bracket =
   QCheck.Test.make ~name:"bisection result stays inside the bracket" ~count:300
     QCheck.(pair (float_range (-10.) 0.) (float_range 0.1 10.))
@@ -100,20 +36,6 @@ let () =
           Alcotest.test_case "endpoint root" `Quick test_bisect_endpoint_root;
           Alcotest.test_case "reversed interval" `Quick test_bisect_reversed_interval;
           Alcotest.test_case "rejects same sign" `Quick test_bisect_rejects_same_sign ] );
-      ( "brent",
-        [ Alcotest.test_case "polynomial" `Quick test_brent_polynomial;
-          Alcotest.test_case "transcendental" `Quick test_brent_transcendental;
-          Alcotest.test_case "beats bisection" `Quick test_brent_faster_than_bisect;
-          Alcotest.test_case "stiff function" `Quick test_brent_steep ] );
-      ( "newton",
-        [ Alcotest.test_case "sqrt" `Quick test_newton;
-          Alcotest.test_case "zero derivative" `Quick test_newton_zero_derivative ] );
-      ( "bracket",
-        [ Alcotest.test_case "expansion" `Quick test_bracket;
-          Alcotest.test_case "failure" `Quick test_bracket_failure ] );
-      ( "find_all",
-        [ Alcotest.test_case "sin roots" `Quick test_find_all;
-          Alcotest.test_case "no roots" `Quick test_find_all_none ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_brent_finds_planted_root; prop_bisect_respects_bracket ] ) ]
+          [ prop_bisect_respects_bracket ] ) ]

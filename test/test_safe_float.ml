@@ -26,30 +26,6 @@ let test_clamp_probability () =
   check_float "negative rounds to 0" 0. (Sf.clamp_probability (-1e-18));
   check_float "overshoot rounds to 1" 1. (Sf.clamp_probability (1. +. 1e-12))
 
-let test_log1mexp () =
-  (* log(1 - e^-1) *)
-  check_float "at -1" (log (1. -. exp (-1.))) (Sf.log1mexp (-1.));
-  (* very negative: log(1 - eps) ~ -eps *)
-  Alcotest.(check bool) "tiny tail"
-    true
-    (Sf.approx_eq ~rtol:1e-9 (Sf.log1mexp (-50.)) (-.exp (-50.)));
-  Alcotest.check_raises "rejects non-negative"
-    (Invalid_argument "Safe_float.log1mexp: argument must be negative")
-    (fun () -> ignore (Sf.log1mexp 0.))
-
-let test_log_sum_exp () =
-  check_float "symmetric" (log 2.) (Sf.log_sum_exp 0. 0.);
-  check_float "with neg_infinity" 3. (Sf.log_sum_exp neg_infinity 3.);
-  (* no overflow for large magnitudes *)
-  check_float "huge args" (1000. +. log 2.) (Sf.log_sum_exp 1000. 1000.)
-
-let test_log_diff_exp () =
-  check_float "log(e^2 - e^1)" (log (exp 2. -. exp 1.)) (Sf.log_diff_exp 2. 1.);
-  check_float "a = b gives -inf" neg_infinity (Sf.log_diff_exp 5. 5.);
-  Alcotest.check_raises "a < b rejected"
-    (Invalid_argument "Safe_float.log_diff_exp: a < b") (fun () ->
-      ignore (Sf.log_diff_exp 1. 2.))
-
 let test_sum_compensated () =
   (* classic cancellation case: 1 + 1e16 - 1e16 *)
   check_float "neumaier survives cancellation" 2.
@@ -89,16 +65,7 @@ let test_predicates () =
   Alcotest.(check bool) "0.5 is probability" true (Sf.is_probability 0.5);
   Alcotest.(check bool) "1 is probability" true (Sf.is_probability 1.);
   Alcotest.(check bool) "1.1 is not" false (Sf.is_probability 1.1);
-  Alcotest.(check bool) "nan is not" false (Sf.is_probability Float.nan);
-  Alcotest.(check bool) "finite" true (Sf.finite 1.);
-  Alcotest.(check bool) "inf not finite" false (Sf.finite infinity)
-
-let prop_log_sum_exp_matches =
-  QCheck.Test.make ~name:"log_sum_exp agrees with direct computation in range"
-    ~count:500
-    QCheck.(pair (float_range (-20.) 20.) (float_range (-20.) 20.))
-    (fun (a, b) ->
-      Sf.approx_eq ~rtol:1e-12 (Sf.log_sum_exp a b) (log (exp a +. exp b)))
+  Alcotest.(check bool) "nan is not" false (Sf.is_probability Float.nan)
 
 let prop_sum_permutation_invariant =
   QCheck.Test.make ~name:"compensated sum is permutation-invariant" ~count:200
@@ -123,10 +90,6 @@ let () =
       ( "clamp",
         [ Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "probability" `Quick test_clamp_probability ] );
-      ( "log-domain helpers",
-        [ Alcotest.test_case "log1mexp" `Quick test_log1mexp;
-          Alcotest.test_case "log_sum_exp" `Quick test_log_sum_exp;
-          Alcotest.test_case "log_diff_exp" `Quick test_log_diff_exp ] );
       ( "reductions",
         [ Alcotest.test_case "sum" `Quick test_sum_compensated;
           Alcotest.test_case "sum_by" `Quick test_sum_by;
@@ -135,5 +98,4 @@ let () =
       ("predicates", [ Alcotest.test_case "predicates" `Quick test_predicates ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_log_sum_exp_matches; prop_sum_permutation_invariant;
-            prop_clamp_idempotent ] ) ]
+          [ prop_sum_permutation_invariant; prop_clamp_idempotent ] ) ]

@@ -102,18 +102,10 @@ let test_quantile () =
   check_close "min" 1. (S.quantile xs 0.);
   check_close "max" 5. (S.quantile xs 1.);
   check_close "interpolated" 1.4 (S.quantile xs 0.1);
-  check_close "median fn" 3. (S.median xs);
   (* input not mutated *)
   let shuffled = [| 5.; 1.; 3.; 2.; 4. |] in
   ignore (S.quantile shuffled 0.5);
   Alcotest.(check (array (float 0.))) "input intact" [| 5.; 1.; 3.; 2.; 4. |] shuffled
-
-let test_histogram () =
-  let h = S.histogram ~bins:4 [| 0.; 1.; 2.; 3.; 4. |] in
-  Alcotest.(check int) "edges" 5 (Array.length h.S.edges);
-  Alcotest.(check int) "total count" 5 (Array.fold_left ( + ) 0 h.S.counts);
-  check_close "first edge" 0. h.S.edges.(0);
-  check_close "last edge" 4. h.S.edges.(4)
 
 let test_ecdf () =
   let f = S.ecdf [| 1.; 2.; 3. |] in
@@ -157,7 +149,6 @@ let () =
           Alcotest.test_case "proportion ci" `Quick test_proportion_ci ] );
       ( "order statistics",
         [ Alcotest.test_case "quantile" `Quick test_quantile;
-          Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "ecdf" `Quick test_ecdf ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

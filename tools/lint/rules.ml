@@ -23,7 +23,11 @@
    - R5 interface discipline: every [lib] module has an [.mli]; no
      [Obj.magic] family anywhere.
    - R6 product callers: every [lib] module is reached, through module
-     paths, from some [bin/] source. *)
+     paths, from some [bin/] source, and every [val] of a [lib] .mli is
+     named from some other module.
+
+   Sources under [test/], [examples/] and [perfbench/] are read for R6
+   references only; R1-R5 do not apply to them. *)
 
 (* -- path classification ------------------------------------------- *)
 
@@ -43,6 +47,11 @@ let in_lib path = starts_with ~prefix:"lib/" path
 let in_exec path = starts_with ~prefix:"lib/exec/" path
 let in_output path = starts_with ~prefix:"lib/output/" path
 let in_bench path = starts_with ~prefix:"bench/" path
+
+let reference_only path =
+  List.exists
+    (fun prefix -> starts_with ~prefix path)
+    [ "test/"; "examples/"; "perfbench/" ]
 
 (* The probability-carrying modules: everything that assembles Eq. 1-4
    quantities (pi_i, Eq. 3 cost, Eq. 4 error probability) out of raw
@@ -193,7 +202,7 @@ let parse_error_finding ~path exn =
    testable on synthetic sources. *)
 let lint_source ~path source =
   let path = normalize path in
-  if Filename.check_suffix path ".mli" then []
+  if Filename.check_suffix path ".mli" || reference_only path then []
   else
     let lexbuf = Lexing.from_string source in
     Location.init lexbuf path;
@@ -238,16 +247,30 @@ let missing_mli_findings files =
       else None)
     files
 
-(* -- R6, tree level: every lib module has a product caller ---------- *)
+(* -- R6, tree level: product callers for lib modules and values ----- *)
 
 (* The module paths an implementation mentions (values, constructors,
    fields, types, module expressions and types), and the paths it
    opens.  An open counts for the whole file: over-approximating what a
-   file reaches can hide an unreached module, never invent one.  A
-   source that does not parse mentions nothing; E0 reports it. *)
+   file reaches can hide an unreached module, never invent one.  A path
+   through a module alias ([module R = W.M], [let module R = W.M in])
+   is read as the aliased path.  A source that does not parse mentions
+   nothing; E0 reports it. *)
 let module_paths ~path source =
-  let paths = ref [] and opens = ref [] in
-  let add { Location.txt; _ } = paths := Longident.flatten txt :: !paths in
+  let paths = ref [] and opens = ref [] and aliases = ref [] in
+  let expand = function
+    | m :: rest when List.mem_assoc m !aliases -> List.assoc m !aliases @ rest
+    | p -> p
+  in
+  let add { Location.txt; _ } =
+    paths := expand (Longident.flatten txt) :: !paths
+  in
+  let alias name (m : Parsetree.module_expr) =
+    match (name, m.pmod_desc) with
+    | Some name, Pmod_ident { txt; _ } ->
+        aliases := (name, expand (Longident.flatten txt)) :: !aliases
+    | _ -> ()
+  in
   let open Ast_iterator in
   let expr this (e : Parsetree.expression) =
     (match e.pexp_desc with
@@ -255,6 +278,7 @@ let module_paths ~path source =
     | Pexp_setfield (_, l, _) ->
         add l
     | Pexp_record (fields, _) -> List.iter (fun (l, _) -> add l) fields
+    | Pexp_letmodule ({ txt; _ }, m, _) -> alias txt m
     | _ -> ());
     default_iterator.expr this e
   in
@@ -275,19 +299,24 @@ let module_paths ~path source =
     (match m.pmod_desc with Pmod_ident l -> add l | _ -> ());
     default_iterator.module_expr this m
   in
+  let module_binding this (b : Parsetree.module_binding) =
+    alias b.pmb_name.txt b.pmb_expr;
+    default_iterator.module_binding this b
+  in
   let module_type this (m : Parsetree.module_type) =
     (match m.pmty_desc with Pmty_ident l | Pmty_alias l -> add l | _ -> ());
     default_iterator.module_type this m
   in
   let open_declaration this (o : Parsetree.open_declaration) =
     (match o.popen_expr.pmod_desc with
-    | Pmod_ident { txt; _ } -> opens := Longident.flatten txt :: !opens
+    | Pmod_ident { txt; _ } -> opens := expand (Longident.flatten txt) :: !opens
     | _ -> ());
     default_iterator.open_declaration this o
   in
   let it =
     { default_iterator with
-      expr; pat; typ; module_expr; module_type; open_declaration }
+      expr; pat; typ; module_expr; module_binding; module_type;
+      open_declaration }
   in
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf path;
@@ -322,53 +351,71 @@ let library_wrappers files =
           (Lint_sexp.parse_string (read_file dune)))
     dirs
 
-(* [unreached_findings ~wrappers sources] flags every lib module (a
-   lib/ .ml file in a directory listed in [wrappers] as (dir, wrapper
-   module)) that no bin/ implementation reaches, directly or through
-   other lib modules.  A path [W.M...] names module M of the library
-   wrapped as W; a bare [M...] names M of the file's own library or of
-   a library the file opens.  [sources] are (path, contents) pairs; an
-   .mli adds nothing its .ml does not.  Without a bin/ source there is
+(* The lib module (wrapper, module) of a lib/ .ml or .mli file in a
+   directory listed in [wrappers] as (dir, wrapper module). *)
+let module_of ~wrappers f =
+  match List.assoc_opt (Filename.dirname f) wrappers with
+  | Some w when in_lib f ->
+      let base = Filename.remove_extension (Filename.basename f) in
+      Some (w, String.capitalize_ascii base)
+  | _ -> None
+
+(* The implementations among (path, contents) [sources]; an .mli adds
+   nothing its .ml does not reach. *)
+let implementations sources =
+  List.filter_map
+    (fun (f, src) ->
+      let f = normalize f in
+      if Filename.check_suffix f ".ml" then Some (f, src) else None)
+    sources
+
+(* Every path of an implementation that names a lib module among
+   [modules], as (module, rest of the path).  A path [W.M...] names module
+   M of the library wrapped as W; a bare [M...] names M of the file's own
+   library or of a library the file opens; a bare [v] names v of every lib
+   module the file opens. *)
+let references ~wrappers ~modules (f, src) =
+  let paths, opens = module_paths ~path:f src in
+  let is_wrapper w = List.exists (fun (_, w') -> w' = w) wrappers in
+  let scopes =
+    Option.to_list (Option.map fst (module_of ~wrappers f))
+    @ List.filter_map
+        (function [ w ] when is_wrapper w -> Some w | _ -> None)
+        opens
+  in
+  let resolve = function
+    | w :: m :: rest when List.mem (w, m) modules -> Some ((w, m), rest)
+    | m :: rest ->
+        List.find_map
+          (fun w -> if List.mem (w, m) modules then Some ((w, m), rest) else None)
+          scopes
+    | [] -> None
+  in
+  let opened =
+    List.filter_map
+      (fun o -> match resolve o with Some (m, []) -> Some m | _ -> None)
+      opens
+  in
+  List.concat_map
+    (fun p ->
+      match (resolve p, p) with
+      | Some r, _ -> [ r ]
+      | None, [ v ] -> List.map (fun m -> (m, [ v ])) opened
+      | None, _ -> [])
+    paths
+
+(* [unreached_findings ~wrappers sources] flags every lib module that no
+   bin/ implementation reaches, directly or through other lib modules.
+   [sources] are (path, contents) pairs.  Without a bin/ source there is
    no root to measure from, and nothing is flagged. *)
 let unreached_findings ~wrappers sources =
-  let sources =
-    List.filter_map
-      (fun (f, src) ->
-        let f = normalize f in
-        if Filename.check_suffix f ".ml" then Some (f, src) else None)
-      sources
-  in
-  let module_of f =
-    match List.assoc_opt (Filename.dirname f) wrappers with
-    | Some w when in_lib f ->
-        let base = Filename.remove_extension (Filename.basename f) in
-        Some (w, String.capitalize_ascii base)
-    | _ -> None
-  in
-  let modules = List.filter_map (fun (f, _) -> module_of f) sources in
-  let is_wrapper w = List.exists (fun (_, w') -> w' = w) wrappers in
-  let references (f, src) =
-    let paths, opens = module_paths ~path:f src in
-    let scopes =
-      Option.to_list (Option.map fst (module_of f))
-      @ List.filter_map
-          (function [ w ] when is_wrapper w -> Some w | _ -> None)
-          opens
-    in
-    List.filter_map
-      (function
-        | w :: m :: _ when List.mem (w, m) modules -> Some (w, m)
-        | m :: _ ->
-            List.find_map
-              (fun w -> if List.mem (w, m) modules then Some (w, m) else None)
-              scopes
-        | [] -> None)
-      paths
-  in
+  let sources = implementations sources in
+  let modules = List.filter_map (fun (f, _) -> module_of ~wrappers f) sources in
+  let targets source = List.map fst (references ~wrappers ~modules source) in
   let edges =
     List.filter_map
       (fun ((f, _) as source) ->
-        Option.map (fun node -> (node, references source)) (module_of f))
+        Option.map (fun node -> (node, targets source)) (module_of ~wrappers f))
       sources
   in
   let reached = Hashtbl.create 64 in
@@ -383,10 +430,10 @@ let unreached_findings ~wrappers sources =
   match List.filter (fun (f, _) -> starts_with ~prefix:"bin/" f) sources with
   | [] -> []
   | bin ->
-      List.iter visit (List.concat_map references bin);
+      List.iter visit (List.concat_map targets bin);
       List.filter_map
         (fun (f, _) ->
-          match module_of f with
+          match module_of ~wrappers f with
           | Some ((w, m) as node) when not (Hashtbl.mem reached node) ->
               Some
                 (Finding.v ~rule:"R6" ~file:f ~line:0 ~col:0
@@ -397,12 +444,72 @@ let unreached_findings ~wrappers sources =
           | _ -> None)
         sources
 
+(* The [val]s of an interface as (name that must be named elsewhere,
+   value, location): a top-level [val v] must be named itself, a [val v]
+   of [module type S] counts as named whenever S is. *)
+let interface_values ~path source =
+  let rec vals owner items =
+    List.concat_map
+      (fun (i : Parsetree.signature_item) ->
+        match i.psig_desc with
+        | Psig_value { pval_name = { txt; _ }; pval_loc; _ } ->
+            [ (Option.value owner ~default:txt, txt, pval_loc) ]
+        | Psig_modtype
+            { pmtd_name = { txt; _ };
+              pmtd_type = Some { pmty_desc = Pmty_signature items; _ };
+              _ } ->
+            vals (Some txt) items
+        | _ -> [])
+      items
+  in
+  let lexbuf = Lexing.from_string source in
+  Location.init lexbuf path;
+  try vals None (Parse.interface lexbuf) with _ -> []
+
+(* [unused_value_findings ~wrappers sources] flags every [val] of a lib
+   .mli that no implementation outside its own module names. *)
+let unused_value_findings ~wrappers sources =
+  let impls = implementations sources in
+  let modules = List.filter_map (fun (f, _) -> module_of ~wrappers f) impls in
+  let named = Hashtbl.create 512 in
+  List.iter
+    (fun ((f, _) as source) ->
+      let self = module_of ~wrappers f in
+      List.iter
+        (function
+          | m, v :: _ when Some m <> self -> Hashtbl.replace named (m, v) ()
+          | _ -> ())
+        (references ~wrappers ~modules source))
+    impls;
+  List.concat_map
+    (fun (f, src) ->
+      let f = normalize f in
+      match module_of ~wrappers f with
+      | Some ((w, m) as node) when Filename.check_suffix f ".mli" ->
+          List.filter_map
+            (fun (name, v, (loc : Location.t)) ->
+              if Hashtbl.mem named (node, name) then None
+              else
+                let pos = loc.loc_start and ident = String.concat "." [ w; m; v ] in
+                Some
+                  (Finding.v ~rule:"R6" ~file:f ~line:pos.pos_lnum
+                     ~col:(pos.pos_cnum - pos.pos_bol) ~ident
+                     ~message:("exported value " ^ ident ^ " that no other \
+                                module names")
+                     ~hint:"delete it with its tests, or drop it from the \
+                            .mli"))
+            (interface_values ~path:f src)
+      | _ -> [])
+    sources
+
 let lint_files files =
   let sources = List.map (fun f -> (f, read_file f)) files in
   let ast_findings =
     List.concat_map (fun (path, source) -> lint_source ~path source) sources
   in
+  let wrappers = library_wrappers files in
   List.sort Finding.compare
     (ast_findings
     @ missing_mli_findings files
-    @ unreached_findings ~wrappers:(library_wrappers files) sources)
+    @ unreached_findings ~wrappers sources
+    @ unused_value_findings ~wrappers sources)
