@@ -26,6 +26,25 @@ let test_clamp_probability () =
   check_float "negative rounds to 0" 0. (Sf.clamp_probability (-1e-18));
   check_float "overshoot rounds to 1" 1. (Sf.clamp_probability (1. +. 1e-12))
 
+let test_sanctioned_bit_identical () =
+  (* log / exp / pow / div are re-declared Stdlib primitives: same bits,
+     NaN and infinities included *)
+  let bits = Int64.bits_of_float in
+  let same name expected got =
+    Alcotest.(check int64) name (bits expected) (bits got)
+  in
+  let xs = [ 0.; 1e-300; 0.5; 1.; 2.; 1e35; infinity; Float.nan ] in
+  List.iter
+    (fun x ->
+      same "log" (Stdlib.log x) (Sf.log x);
+      same "exp" (Stdlib.exp (-.x)) (Sf.exp (-.x));
+      List.iter
+        (fun y ->
+          same "pow" (x ** y) (Sf.pow x y);
+          same "div" (x /. y) (Sf.div x y))
+        xs)
+    xs
+
 let test_sum_compensated () =
   (* classic cancellation case: 1 + 1e16 - 1e16 *)
   check_float "neumaier survives cancellation" 2.
@@ -90,6 +109,13 @@ let () =
       ( "clamp",
         [ Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "probability" `Quick test_clamp_probability ] );
+      (* Alcotest sizes its group column to the longest group name and
+         truncates test names to fit; this 18-character name keeps the
+         printed names of the properties below as earlier runs recorded
+         them. *)
+      ( "sanctioned aliases",
+        [ Alcotest.test_case "bit-identical to Stdlib" `Quick
+            test_sanctioned_bit_identical ] );
       ( "reductions",
         [ Alcotest.test_case "sum" `Quick test_sum_compensated;
           Alcotest.test_case "sum_by" `Quick test_sum_by;
