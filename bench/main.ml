@@ -4,10 +4,11 @@
    batch of the fanned-out routes (analytic, DTMC, Monte Carlo) on a
    2-domain pool against the serial run, the batch front end's cost
    against the executor's, the executor's cost against the closed
-   forms, the words they promote, the kernel backend's cost against a
-   bare cursor scan, and the Monte-Carlo trial loop's allocation.  The
-   paper-reproduction report is `zeroconf_cli reproduce`; absolute
-   timing lives in perfbench/.
+   forms, the words they promote, the words the front end allocates on
+   n-sweeps and the batch output on point lines, the kernel backend's
+   cost against a bare cursor scan, and the Monte-Carlo trial loop's
+   allocation.  The paper-reproduction report is `zeroconf_cli
+   reproduce`; absolute timing lives in perfbench/.
 
    Usage: main.exe --smoke *)
 
@@ -201,8 +202,8 @@ let point_lines () =
 let closed_forms (b : Engine.Batch.t) =
   let module Q = Engine.Query in
   Array.init b.plans (fun pl ->
-      let k = b.off.(pl) in
-      let p = Engine.Batch.scenario b pl and n = b.n.(k) and r = b.r.(k) in
+      let t = b.run.(pl) in
+      let p = Engine.Batch.scenario b pl and n = b.n_lo.(t) and r = b.r.(t) in
       match b.quantity.(pl) with
       | Q.Mean_cost -> Zeroconf.Cost.mean p ~n ~r
       | Q.Error_probability -> Zeroconf.Reliability.error_probability p ~n ~r
@@ -246,7 +247,7 @@ let point_gates () =
       (fun pl v ->
         assert (
           Int64.equal
-            (Int64.bits_of_float b.value.(b.off.(pl)))
+            (Int64.bits_of_float b.value.(Engine.Batch.first_point b pl))
             (Int64.bits_of_float v)))
       values;
     promoted := Float.max !promoted (words1 -. words0);
@@ -270,6 +271,62 @@ let point_gates () =
       (Printf.sprintf
          "parse + execute promote %.3f words per point line (gate %g)"
          per_line max_promoted_per_line)
+
+(* Two counts, with the [Gc] counters, which are deterministic, so
+   they cannot flake on a noisy host:
+   - the front end keeps an n-sweep as one run: [Batch_input.read] of
+     400 [ns=1:512] lines (204,800 points) may allocate at most 64
+     words per line, minor and major alike (large arrays skip the minor
+     heap), where a column per point takes two words a point;
+   - [Batch_output.emit] of the 20k point lines' batch may allocate
+     less than half a minor word per line: a float boxed on its way to
+     the formatter costs two. *)
+let sweep_lines_count = 400
+and max_words_per_sweep_line = 64.
+and max_emit_words_per_line = 0.5
+
+let count_gates () =
+  let rng = Numerics.Rng.create 2003
+  and presets = Array.of_list Zeroconf.Params.presets in
+  let text =
+    String.concat "\n"
+      (List.init sweep_lines_count (fun _ ->
+           let name, _ = presets.(Numerics.Rng.int rng (Array.length presets)) in
+           Printf.sprintf "mean-cost scenario=%s ns=1:512 r=%.17g" name
+             (Numerics.Rng.uniform rng ~lo:0.05 ~hi:6.)))
+  in
+  let before = Gc.allocated_bytes () in
+  let b = Batch_input.read text in
+  let parse =
+    (Gc.allocated_bytes () -. before)
+    /. float_of_int (Sys.word_size / 8)
+    /. float_of_int sweep_lines_count
+  in
+  assert (b.points = 512 * sweep_lines_count);
+  let b = Batch_input.read (String.concat "\n" (Array.to_list (point_lines ()))) in
+  Engine.Executor.execute b;
+  let null = open_out_bin Filename.null in
+  let before = Gc.minor_words () in
+  Batch_output.emit null b;
+  let emit = (Gc.minor_words () -. before) /. float_of_int point_lines_count in
+  close_out null;
+  Printf.printf
+    "smoke %s: Batch_input.read at %.1f words per ns=1:512 line (gate %g)\n\
+     smoke %s: Batch_output.emit at %.3f minor words per point line (gate %g)\n"
+    (if parse <= max_words_per_sweep_line then "ok" else "FAIL")
+    parse max_words_per_sweep_line
+    (if emit < max_emit_words_per_line then "ok" else "FAIL")
+    emit max_emit_words_per_line;
+  if parse > max_words_per_sweep_line then
+    failwith
+      (Printf.sprintf
+         "Batch_input.read allocates %.1f words per ns=1:512 line (gate %g)"
+         parse max_words_per_sweep_line);
+  if emit >= max_emit_words_per_line then
+    failwith
+      (Printf.sprintf
+         "Batch_output.emit allocates %.3f minor words per point line (gate %g)"
+         emit max_emit_words_per_line)
 
 (* The kernel backend may cost at most twice a bare cursor scan of the
    same columns into float arrays: 200 n-sweeps ns=1:512, each at its
@@ -436,6 +493,7 @@ let () =
     Exec.Pool.set_jobs 1;
     smoke ();
     point_gates ();
+    count_gates ();
     kernel_gate ();
     alloc_gate ();
     format_gate ()

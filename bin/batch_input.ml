@@ -525,18 +525,22 @@ let add st (b : Engine.Batch.t) =
     ~trials:(if sampled then st.ints.(1) else 0)
     ~seed:(if sampled then st.ints.(2) else 0);
   if has st ns_key then
-    Engine.Batch.add_n_sweep b ~lo:st.ns_lo ~hi:st.ns_hi st.r 0
-  else if has st rs_key then Engine.Batch.add_r_sweep b st.ints.(0) st.rs
-  else Engine.Batch.add_n_sweep b ~lo:st.ints.(0) ~hi:st.ints.(0) st.r 0;
+    Engine.Batch.add_run b ~lo:st.ns_lo ~hi:st.ns_hi st.r 0
+  else if has st rs_key then
+    for i = 0 to Array.length st.rs - 1 do
+      Engine.Batch.add_run b ~lo:st.ints.(0) ~hi:st.ints.(0) st.rs i
+    done
+  else Engine.Batch.add_run b ~lo:st.ints.(0) ~hi:st.ints.(0) st.r 0;
   (try Engine.Batch.validate_last b scenario ~sampled
    with Invalid_argument msg -> fail st msg);
   if Option.is_none route then refuse st
 
-(* Room for a line of 60 bytes each: the benchmark's point lines are
-   longer, so they never make the batch grow. *)
+(* Room for a plan and a run per 60 bytes: the benchmark's point and
+   n-sweep lines are longer, so they never make the batch grow; an rs=
+   line adds a run per grid value. *)
 let read text =
   let guess = String.length text / 60 in
-  let b = Engine.Batch.create ~plans:guess ~points:guess ()
+  let b = Engine.Batch.create ~plans:guess ~runs:guess
   and st = fresh text in
   let rec loop lineno a =
     if a <= st.len then begin

@@ -804,16 +804,18 @@ let crosscheck_cmd =
           | `Ok q -> `Ok [ q ]
           | `Error _ as e -> e)
     in
-    let queries =
+    let reports =
       match quantities with
       | `Error _ as e -> e
       | `Ok quantities ->
+          (* the queries' checks, then a route's refusal as it evaluates *)
           Cli_common.validated (fun () ->
-              List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities)
+              Engine.Crosscheck.run ~trials ~seed
+                (List.map (fun qty -> Engine.Query.point qty p ~n ~r) quantities))
     in
-    match queries with
+    match reports with
     | `Error _ as e -> e
-    | `Ok queries ->
+    | `Ok reports ->
         List.iter
           (fun (rep : Engine.Crosscheck.report) ->
             Format.printf "crosscheck: %a@." Engine.Query.pp
@@ -847,7 +849,7 @@ let crosscheck_cmd =
                 Format.printf
                   "monte carlo: not applicable to this quantity@.");
             Format.printf "@.")
-          (Engine.Crosscheck.run ~trials ~seed queries);
+          reports;
         `Ok ()
   in
   Cmd.v
@@ -856,70 +858,6 @@ let crosscheck_cmd =
              relative divergence.")
     Term.(ret (const run $ Cli_common.jobs_term $ scenario_term $ n_term
                $ r_term $ quantity $ trials $ seed))
-
-(* Batch output: one line per answered point,
-   "QUANTITY SCENARIO n=N r=R VALUE", then a "# backend=B evals=E"
-   trailer per query, read straight from the batch's flat arrays.
-   Every line goes into one buffer, which is written to stdout whenever
-   it passes [spill_bytes] and once at the end; stdout is never flushed
-   per line (exit flushes it).  The "QUANTITY SCENARIO n=" prefix is
-   built once per run of equal (quantity, scenario) pairs and the
-   " r=R " text once per run of equal r (compared by bits, so -0 and 0
-   stay apart), each in a buffer of its own: an n-sweep renders its r
-   once.  Numbers are appended through Output.Num_text, never through
-   Printf. *)
-let spill_bytes = 65_536
-
-let emit_batch (b : Engine.Batch.t) =
-  let buf = Buffer.create 4096 in
-  let r_last = ref 0. and r_text = Buffer.create 32 in
-  Buffer.add_string r_text " r=0 ";
-  (* the prefix's scenario by interned id; -1 before the first plan *)
-  let prefix_quantity = ref Engine.Query.Mean_cost
-  and prefix_scenario = ref (-1)
-  and prefix = Buffer.create 64 in
-  for p = 0 to b.plans - 1 do
-    if b.quantity.(p) <> !prefix_quantity
-       || b.scenario_id.(p) <> !prefix_scenario
-    then begin
-      prefix_quantity := b.quantity.(p);
-      prefix_scenario := b.scenario_id.(p);
-      Buffer.clear prefix;
-      Buffer.add_string prefix (Engine.Query.quantity_name b.quantity.(p));
-      Buffer.add_char prefix ' ';
-      Buffer.add_string prefix (Engine.Batch.scenario b p).Zeroconf.Params.name;
-      Buffer.add_string prefix " n="
-    end;
-    let sampled = Engine.Batch.trials b p > 0 in
-    for k = b.off.(p) to b.off.(p + 1) - 1 do
-      if Int64.bits_of_float b.r.(k) <> Int64.bits_of_float !r_last then begin
-        r_last := b.r.(k);
-        Buffer.clear r_text;
-        Buffer.add_string r_text " r=";
-        add_g6 r_text b.r.(k);
-        Buffer.add_char r_text ' '
-      end;
-      Buffer.add_buffer buf prefix;
-      Output.Num_text.add_int buf b.n.(k);
-      Buffer.add_buffer buf r_text;
-      if sampled then
-        add_interval buf
-          { Engine.Answer.mean = b.value.(k); ci_lo = b.ci_lo.(k);
-            ci_hi = b.ci_hi.(k) }
-      else add_g10 buf b.value.(k);
-      Buffer.add_char buf '\n';
-      if Buffer.length buf >= spill_bytes then begin
-        Buffer.output_buffer stdout buf;
-        Buffer.clear buf
-      end
-    done;
-    Buffer.add_string buf "# backend=";
-    Buffer.add_string buf (Engine.Plan.route_name b.route.(p));
-    Buffer.add_string buf " evals=";
-    Output.Num_text.add_int buf b.evals.(p);
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.output_buffer stdout buf
 
 let batch_cmd =
   let file =
@@ -943,7 +881,7 @@ let batch_cmd =
         match Engine.Executor.execute batch with
         | exception Invalid_argument msg -> `Error (false, msg)
         | () ->
-            emit_batch batch;
+            Batch_output.emit stdout batch;
             `Ok ())
   in
   Cmd.v

@@ -60,19 +60,47 @@ let by_group gid count =
     gid;
   (seg, order)
 
-(* The points of [plans] in batch order, and the plan of each *)
-let points_of (b : Batch.t) plans =
-  let m = Array.fold_left (fun m p -> m + b.off.(p + 1) - b.off.(p)) 0 plans in
-  let pts = Array.make m 0 and owner = Array.make m 0 and j = ref 0 in
+(* The runs of [plans] in batch order, and the plan of each *)
+let runs_of (b : Batch.t) plans =
+  let m = Array.fold_left (fun m p -> m + b.run.(p + 1) - b.run.(p)) 0 plans in
+  let runs = Array.make m 0 and owner = Array.make m 0 and j = ref 0 in
   Array.iter
     (fun p ->
-      for k = b.off.(p) to b.off.(p + 1) - 1 do
-        pts.(!j) <- k;
+      for t = b.run.(p) to b.run.(p + 1) - 1 do
+        runs.(!j) <- t;
         owner.(!j) <- p;
         incr j
       done)
     plans;
-  (pts, owner)
+  (runs, owner)
+
+(* The points of [plans] in batch order: point j is (n.(j), r.(j)) of
+   plan plan.(j), at offset at.(j) *)
+type points = { at : int array; n : int array; r : float array; plan : int array }
+
+let points_of (b : Batch.t) plans =
+  let m =
+    Array.fold_left
+      (fun m p -> m + Batch.first_point b (p + 1) - Batch.first_point b p)
+      0 plans
+  in
+  let pt =
+    { at = Array.make m 0; n = Array.make m 0; r = Array.create_float m;
+      plan = Array.make m 0 }
+  and j = ref 0 in
+  Array.iter
+    (fun p ->
+      for t = b.run.(p) to b.run.(p + 1) - 1 do
+        for k = b.off.(t) to b.off.(t + 1) - 1 do
+          pt.at.(!j) <- k;
+          pt.n.(!j) <- b.n_lo.(t) + k - b.off.(t);
+          pt.r.(!j) <- b.r.(t);
+          pt.plan.(!j) <- p;
+          incr j
+        done
+      done)
+    plans;
+  pt
 
 (* One route: its columnar evaluation, and the adapters over it. *)
 module Route (C : sig
@@ -133,8 +161,8 @@ module Analytic = Route (struct
         true
     | Query.Cost_variance -> false
 
-  let eval1 (b : Batch.t) p k =
-    let s = Batch.scenario b p and n = b.n.(k) and r = b.r.(k) in
+  let eval1 (b : Batch.t) p n r =
+    let s = Batch.scenario b p in
     match b.quantity.(p) with
     | Query.Mean_cost -> Zeroconf.Cost.mean s ~n ~r
     | Query.Error_probability -> Zeroconf.Reliability.error_probability s ~n ~r
@@ -145,18 +173,18 @@ module Analytic = Route (struct
         invalid_arg "Backends.Analytic: cost variance is DRM-only"
 
   let eval (b : Batch.t) plans =
-    let pts, owner = points_of b plans in
+    let pt = points_of b plans in
     let values, wall_ns =
       time_ns (fun () ->
           Exec.Parallel.map
-            (fun j -> eval1 b owner.(j) pts.(j))
-            (Array.init (Array.length pts) Fun.id))
+            (fun j -> eval1 b pt.plan.(j) pt.n.(j) pt.r.(j))
+            (Array.init (Array.length pt.at) Fun.id))
     in
     Array.iteri
       (fun j k ->
         b.value.(k) <- values.(j);
-        b.evals.(owner.(j)) <- b.evals.(owner.(j)) + 1)
-      pts;
+        b.evals.(pt.plan.(j)) <- b.evals.(pt.plan.(j)) + 1)
+      pt.at;
     Batch.set_wall b route wall_ns
 end)
 
@@ -167,15 +195,14 @@ end)
    another: a column costs microseconds, less than handing it to
    another domain.
 
-   The batch is indexed by runs: maximal runs of bit-equal r within a
-   plan, numbered in batch order, grouped into columns by (scenario id,
-   bits of r) and listed per column in batch order.  A column of one
-   run with nondecreasing n (every point, every ascending n-sweep)
-   scans straight into the value array.  Any other column gathers its
-   stops in batch order, sorts them by n if they are out of order
-   (ties keep batch order), and so scans in (n, plan, point) order.  An
-   advance between consecutive stops is charged to the later stop's
-   plan, so per-plan evals sum to the scan work actually done. *)
+   The batch's runs (each one r and an ascending n-range) are grouped
+   into columns by (scenario id, bits of r) and listed per column in
+   batch order.  A column of one run scans straight into the value
+   array.  Any other column gathers its stops in batch order, sorts
+   them by n if they are out of order (ties keep batch order), and so
+   scans in (n, plan, point) order.  An advance between consecutive
+   stops is charged to the later stop's plan, so per-plan evals sum to
+   the scan work actually done. *)
 module Kernel = Route (struct
   let name = "kernel"
   let route = Plan.Kernel
@@ -203,61 +230,28 @@ module Kernel = Route (struct
   let () = assert (Query.max_points < 1 lsl (62 - pos_bits))
 
   let eval (b : Batch.t) plans =
-    let nruns = ref 0 in
-    Array.iter
-      (fun p ->
-        for k = b.off.(p) to b.off.(p + 1) - 1 do
-          if k = b.off.(p) || not (same_bits b.r.(k - 1) b.r.(k)) then
-            incr nruns
-        done)
-      plans;
-    let nruns = !nruns in
-    let run_plan = Array.make nruns 0 and run_lo = Array.make nruns 0 in
-    let t = ref 0 in
-    Array.iter
-      (fun p ->
-        for k = b.off.(p) to b.off.(p + 1) - 1 do
-          if k = b.off.(p) || not (same_bits b.r.(k - 1) b.r.(k)) then begin
-            run_plan.(!t) <- p;
-            run_lo.(!t) <- k;
-            incr t
-          end
-        done)
-      plans;
-    let run_hi t =
-      if t + 1 < nruns && run_plan.(t + 1) = run_plan.(t) then run_lo.(t + 1)
-      else b.off.(run_plan.(t) + 1)
-    and r_of t = b.r.(run_lo.(t)) in
+    let runs, owner = runs_of b plans in
+    let nruns = Array.length runs in
     let col, ncols =
       group nruns
-        ~hash:(fun t ->
-          mix b.scenario_id.(run_plan.(t)) (hash_bits b.r.(run_lo.(t))))
-        ~same:(fun t u ->
-          b.scenario_id.(run_plan.(t)) = b.scenario_id.(run_plan.(u))
-          && same_bits b.r.(run_lo.(t)) b.r.(run_lo.(u)))
+        ~hash:(fun j -> mix b.scenario_id.(owner.(j)) (hash_bits b.r.(runs.(j))))
+        ~same:(fun i j ->
+          b.scenario_id.(owner.(i)) = b.scenario_id.(owner.(j))
+          && same_bits b.r.(runs.(i)) b.r.(runs.(j)))
     in
-    (* when every column is one run, column t is run t *)
+    (* when every column is one run, column c is item c *)
     let single = ncols = nruns in
     let seg, order = if single then ([||], [||]) else by_group col ncols in
     let first c = if single then c else seg.(c)
     and stop c = if single then c + 1 else seg.(c + 1)
-    and run j = if single then j else order.(j) in
-    let nondecreasing lo hi =
-      let ok = ref true in
-      for k = lo + 1 to hi - 1 do
-        if b.n.(k) < b.n.(k - 1) then ok := false
-      done;
-      !ok
-    in
+    and item j = if single then j else order.(j) in
     let run_column c =
-      let t0 = run (first c) in
-      let p0 = run_plan.(t0) in
-      let k = Zeroconf.Kernel.create (Batch.scenario b p0) ~r:(r_of t0) in
-      if stop c - first c = 1 && nondecreasing run_lo.(t0) (run_hi t0)
-      then begin
-        let quantity = b.quantity.(p0) in
-        for i = run_lo.(t0) to run_hi t0 - 1 do
-          Zeroconf.Kernel.advance_to k ~n:b.n.(i);
+      let t0 = runs.(item (first c)) and p0 = owner.(item (first c)) in
+      let k = Zeroconf.Kernel.create (Batch.scenario b p0) ~r:b.r.(t0) in
+      if stop c - first c = 1 then begin
+        let quantity = b.quantity.(p0) and lo = b.off.(t0) in
+        for i = lo to b.off.(t0 + 1) - 1 do
+          Zeroconf.Kernel.advance_to k ~n:(b.n_lo.(t0) + i - lo);
           b.value.(i) <- read quantity k
         done;
         b.evals.(p0) <- b.evals.(p0) + Zeroconf.Kernel.n k
@@ -265,7 +259,8 @@ module Kernel = Route (struct
       else begin
         let m = ref 0 in
         for j = first c to stop c - 1 do
-          m := !m + run_hi (run j) - run_lo.(run j)
+          let t = runs.(item j) in
+          m := !m + b.off.(t + 1) - b.off.(t)
         done;
         let stop_point = Array.make !m 0
         and stop_plan = Array.make !m 0
@@ -273,11 +268,11 @@ module Kernel = Route (struct
         and s = ref 0
         and sorted = ref true in
         for j = first c to stop c - 1 do
-          let t = run j in
-          for i = run_lo.(t) to run_hi t - 1 do
+          let t = runs.(item j) in
+          for i = b.off.(t) to b.off.(t + 1) - 1 do
             stop_point.(!s) <- i;
-            stop_plan.(!s) <- run_plan.(t);
-            key.(!s) <- (b.n.(i) lsl pos_bits) lor !s;
+            stop_plan.(!s) <- owner.(item j);
+            key.(!s) <- ((b.n_lo.(t) + i - b.off.(t)) lsl pos_bits) lor !s;
             if !s > 0 && key.(!s) < key.(!s - 1) then sorted := false;
             incr s
           done
@@ -285,10 +280,10 @@ module Kernel = Route (struct
         if not !sorted then Array.sort Int.compare key;
         Array.iter
           (fun key ->
-            let s = key land pos_mask in
+            let s = key land pos_mask and n = key lsr pos_bits in
             let i = stop_point.(s) and p = stop_plan.(s) in
-            b.evals.(p) <- b.evals.(p) + b.n.(i) - Zeroconf.Kernel.n k;
-            Zeroconf.Kernel.advance_to k ~n:b.n.(i);
+            b.evals.(p) <- b.evals.(p) + n - Zeroconf.Kernel.n k;
+            Zeroconf.Kernel.advance_to k ~n;
             b.value.(i) <- read b.quantity.(p) k)
           key
       end
@@ -302,18 +297,16 @@ module Kernel = Route (struct
     Batch.set_wall b route wall_ns
 end)
 
-(* The points of [plans] grouped by [hash] and [same] on (point, plan)
-   pairs: [work k p readers] runs the unit of work of the group whose
-   first point, in batch order, is [k] of plan [p], on the pool, and
-   returns one float per array of [into] for each of its readers (the
-   group's points, as (point, plan) pairs), written at their offsets.
+(* The points of [plans] grouped by [hash] and [same] on their
+   positions in [points_of]: [work pt j readers] runs the unit of work
+   of the group whose first point, in batch order, is [j], on the pool,
+   and returns one float per array of [into] for each of its readers
+   (the plans of the group's points), written at the points' offsets.
    Returns each group's first plan and the wall time. *)
 let shared_work (b : Batch.t) plans ~hash ~same ~work ~into =
-  let pts, owner = points_of b plans in
+  let pt = points_of b plans in
   let gid, count =
-    group (Array.length pts)
-      ~hash:(fun j -> hash pts.(j) owner.(j))
-      ~same:(fun i j -> same pts.(i) owner.(i) pts.(j) owner.(j))
+    group (Array.length pt.at) ~hash:(hash pt) ~same:(same pt)
   in
   let seg, order = by_group gid count in
   let members g = Array.sub order seg.(g) (seg.(g + 1) - seg.(g)) in
@@ -322,19 +315,18 @@ let shared_work (b : Batch.t) plans ~hash ~same ~work ~into =
         Exec.Parallel.map
           (fun g ->
             let ms = members g in
-            work pts.(ms.(0)) owner.(ms.(0))
-              (Array.map (fun j -> (pts.(j), owner.(j))) ms))
+            work pt ms.(0) (Array.map (fun j -> pt.plan.(j)) ms))
           (Array.init count Fun.id))
   in
   Array.iteri
     (fun g values ->
       Array.iteri
         (fun i v ->
-          let k = pts.(order.(seg.(g) + i)) in
+          let k = pt.at.(order.(seg.(g) + i)) in
           Array.iteri (fun x dst -> dst.(k) <- v.(x)) into)
         values)
     results;
-  (Array.init count (fun g -> owner.(order.(seg.(g)))), wall_ns)
+  (Array.init count (fun g -> pt.plan.(order.(seg.(g)))), wall_ns)
 
 module Dtmc = Route (struct
   let name = "dtmc"
@@ -380,16 +372,15 @@ module Dtmc = Route (struct
   let eval (b : Batch.t) plans =
     let firsts, wall_ns =
       shared_work b plans ~into:[| b.value |]
-        ~hash:(fun k p ->
-          mix (mix b.scenario_id.(p) b.n.(k)) (hash_bits b.r.(k)))
-        ~same:(fun k p k' p' ->
-          b.scenario_id.(p) = b.scenario_id.(p')
-          && b.n.(k) = b.n.(k') && same_bits b.r.(k) b.r.(k'))
-        ~work:(fun k p readers ->
-          let n = b.n.(k) and r = b.r.(k) in
-          let drm = Zeroconf.Drm.build (Batch.scenario b p) ~n ~r in
-          Array.map (fun (_, p) -> [| value_of drm ~n ~r b.quantity.(p) |])
-            readers)
+        ~hash:(fun pt j ->
+          mix (mix b.scenario_id.(pt.plan.(j)) pt.n.(j)) (hash_bits pt.r.(j)))
+        ~same:(fun pt i j ->
+          b.scenario_id.(pt.plan.(i)) = b.scenario_id.(pt.plan.(j))
+          && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j))
+        ~work:(fun pt j readers ->
+          let n = pt.n.(j) and r = pt.r.(j) in
+          let drm = Zeroconf.Drm.build (Batch.scenario b pt.plan.(j)) ~n ~r in
+          Array.map (fun p -> [| value_of drm ~n ~r b.quantity.(p) |]) readers)
     in
     Array.iter (fun p -> b.evals.(p) <- b.evals.(p) + 1) firsts;
     Batch.set_wall b route wall_ns
@@ -413,25 +404,35 @@ module Mc = Route (struct
     let m = int_of_float (Float.round (p.q *. float_of_int size)) in
     max 0 (min (size - 1) m)
 
-  (* The trials of point [k], the [index]th of its plan: an independent
+  (* The trials of point [j], the [index]th of its plan: an independent
      deterministic stream per sweep point, so sweeps can fan out over
      the pool without sharing an rng. *)
-  let run_stream (b : Batch.t) k p =
-    let s = Batch.scenario b p and index = k - b.off.(p) in
+  let run_stream (b : Batch.t) (pt : points) j =
+    let p = pt.plan.(j) in
+    let s = Batch.scenario b p and index = pt.at.(j) - Batch.first_point b p in
     let rng = Numerics.Rng.create (Batch.seed b p + (7919 * index)) in
     let config =
-      Netsim.Newcomer.drm_config ~n:b.n.(k) ~r:b.r.(k) ~probe_cost:s.probe_cost
+      Netsim.Newcomer.drm_config ~n:pt.n.(j) ~r:pt.r.(j) ~probe_cost:s.probe_cost
         ~error_cost:s.error_cost
     in
     Netsim.Scenario.run_aggregate ~delay:s.delay ~occupied:(occupied_of s)
       ~config ~trials:(Batch.trials b p) ~rng ()
 
-  let read sample quantity =
-    match quantity with
-    | Query.Mean_cost -> Netsim.Metrics.cost_interval sample
-    | Query.Error_probability -> Netsim.Metrics.collision_interval sample
-    | Query.Latency_mean -> Netsim.Metrics.config_time_interval sample
-    | _ -> invalid_arg "Backends.Mc: unsupported quantity"
+  (* [Query.validate] bounds one attempt's cost, but a trial restarts
+     without bound: a mean past [max_float] is refused, not printed *)
+  let read sample quantity ~n ~r =
+    let iv =
+      match quantity with
+      | Query.Mean_cost -> Netsim.Metrics.cost_interval sample
+      | Query.Error_probability -> Netsim.Metrics.collision_interval sample
+      | Query.Latency_mean -> Netsim.Metrics.config_time_interval sample
+      | _ -> invalid_arg "Backends.Mc: unsupported quantity"
+    in
+    if not (Float.is_finite iv.Netsim.Metrics.mean) then
+      invalid_arg
+        (Printf.sprintf "Backends.Mc: %s at n = %d, r = %g is not finite"
+           (Query.quantity_name quantity) n r);
+    iv
 
   (* One run per sampling stream in the whole batch: points that agree
      on scenario (interned, so physically the same), n, the bits of r,
@@ -440,32 +441,36 @@ module Mc = Route (struct
      is never merged with another, so a batch is bitwise the same as
      evaluating each plan alone. *)
   let eval (b : Batch.t) plans =
-    let index k p = k - b.off.(p) in
+    let index (pt : points) j = pt.at.(j) - Batch.first_point b pt.plan.(j) in
     let _, wall_ns =
       shared_work b plans ~into:[| b.value; b.ci_lo; b.ci_hi |]
-        ~hash:(fun k p ->
+        ~hash:(fun pt j ->
+          let p = pt.plan.(j) in
           mix
-            (mix (mix (mix b.scenario_id.(p) b.n.(k)) (hash_bits b.r.(k)))
+            (mix (mix (mix b.scenario_id.(p) pt.n.(j)) (hash_bits pt.r.(j)))
                (Batch.seed b p))
-            (index k p))
-        ~same:(fun k p k' p' ->
+            (index pt j))
+        ~same:(fun pt i j ->
+          let p = pt.plan.(i) and p' = pt.plan.(j) in
           b.scenario_id.(p) = b.scenario_id.(p')
-          && b.n.(k) = b.n.(k') && same_bits b.r.(k) b.r.(k')
+          && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j)
           && Batch.trials b p = Batch.trials b p'
           && Batch.seed b p = Batch.seed b p'
-          && index k p = index k' p')
-        ~work:(fun k p readers ->
-          let sample = run_stream b k p in
+          && index pt i = index pt j)
+        ~work:(fun pt j readers ->
+          let sample = run_stream b pt j in
           Array.map
-            (fun (_, p) ->
+            (fun p ->
               let { Netsim.Metrics.mean; ci_lo; ci_hi } =
-                read sample b.quantity.(p)
+                read sample b.quantity.(p) ~n:pt.n.(j) ~r:pt.r.(j)
               in
               [| mean; ci_lo; ci_hi |])
             readers)
     in
     Array.iter
-      (fun p -> b.evals.(p) <- Batch.trials b p * (b.off.(p + 1) - b.off.(p)))
+      (fun p ->
+        b.evals.(p) <-
+          Batch.trials b p * (Batch.first_point b (p + 1) - Batch.first_point b p))
       plans;
     Batch.set_wall b route wall_ns
 end)

@@ -1,7 +1,8 @@
-(* The batch front end appends each line's plan and points here in
+(* The batch front end appends each line's plan and runs here in
    place, the backends write their results at the points' offsets, and
    the CLI prints straight from the arrays: no record, pair or boxed
-   float per point from parse to emit. *)
+   float per point from parse to emit, and an n-sweep is one run, not
+   one entry per point. *)
 
 type t = {
   mutable plans : int;
@@ -10,10 +11,12 @@ type t = {
   mutable scenario_id : int array;
   mutable trials : int array;
   mutable seed : int array;
+  mutable run : int array;
+  mutable runs : int;
+  mutable n_lo : int array;
+  mutable r : float array;
   mutable off : int array;
   mutable points : int;
-  mutable n : int array;
-  mutable r : float array;
   mutable value : float array;
   mutable ci_lo : float array;
   mutable ci_hi : float array;
@@ -33,18 +36,22 @@ let route_index : Plan.route -> int = function
   | Dtmc -> 2
   | Mc -> 3
 
-let create ?(plans = 64) ?(points = 64) () =
-  let plans = max 1 plans and points = max 1 points in
+let first_point b p = b.off.(b.run.(p))
+
+let create ~plans ~runs =
+  let plans = max 1 plans and runs = max 1 runs in
   { plans = 0;
     quantity = Array.make plans Query.Mean_cost;
     route = Array.make plans Plan.Kernel;
     scenario_id = Array.make plans 0;
     trials = [||];
     seed = [||];
-    off = Array.make (plans + 1) 0;
+    run = Array.make (plans + 1) 0;
+    runs = 0;
+    n_lo = Array.make runs 0;
+    r = Array.create_float runs;
+    off = Array.make (runs + 1) 0;
     points = 0;
-    n = Array.make points 0;
-    r = Array.create_float points;
     value = [||];
     ci_lo = [||];
     ci_hi = [||];
@@ -62,12 +69,12 @@ let grow a fill len =
 
 let add_plan b quantity sid route ~trials ~seed =
   let p = b.plans and len = b.plans + 1 in
-  (* one test for all: [off] keeps room for one more than the rest *)
+  (* one test for all: [run] keeps room for one more than the rest *)
   if len > Array.length b.quantity then begin
     b.quantity <- grow b.quantity Query.Mean_cost len;
     b.route <- grow b.route Plan.Kernel len;
     b.scenario_id <- grow b.scenario_id 0 len;
-    b.off <- grow b.off 0 (Array.length b.quantity + 1)
+    b.run <- grow b.run 0 (Array.length b.quantity + 1)
   end;
   b.quantity.(p) <- quantity;
   b.route.(p) <- route;
@@ -79,42 +86,31 @@ let add_plan b quantity sid route ~trials ~seed =
     b.seed.(p) <- seed
   end;
   b.plans <- len;
-  b.off.(len) <- b.points
+  b.run.(len) <- b.runs
 
-(* room for [k] more points *)
-let reserve b k =
-  if b.points + k > Array.length b.n then begin
-    b.n <- grow b.n 0 (b.points + k);
-    b.r <- grow b.r 0. (b.points + k)
-  end
-
-let add_n_sweep b ~lo ~hi rs i =
-  reserve b (hi - lo + 1);
-  let k = b.points in
-  for n = lo to hi do
-    b.n.(k + n - lo) <- n;
-    b.r.(k + n - lo) <- rs.(i)
-  done;
-  b.points <- k + hi - lo + 1;
-  b.off.(b.plans) <- b.points
-
-let add_r_sweep b n rs =
-  let len = Array.length rs in
-  reserve b len;
-  Array.fill b.n b.points len n;
-  Array.blit rs 0 b.r b.points len;
-  b.points <- b.points + len;
-  b.off.(b.plans) <- b.points
+let add_run b ~lo ~hi rs i =
+  let t = b.runs and runs = b.runs + 1 in
+  if runs > Array.length b.n_lo then begin
+    b.n_lo <- grow b.n_lo 0 runs;
+    b.r <- grow b.r 0. runs;
+    b.off <- grow b.off 0 (Array.length b.n_lo + 1)
+  end;
+  b.n_lo.(t) <- lo;
+  b.r.(t) <- rs.(i);
+  b.points <- b.points + hi - lo + 1;
+  b.off.(runs) <- b.points;
+  b.runs <- runs;
+  b.run.(b.plans) <- runs
 
 let validate_last b scenario ~sampled =
   let p = b.plans - 1 in
-  Query.validate_columns b.quantity.(p) scenario ~sampled
-    ~trials:(trials b p) ~n:b.n ~r:b.r ~lo:b.off.(p) ~hi:b.off.(p + 1)
+  Query.validate_runs b.quantity.(p) scenario ~sampled ~trials:(trials b p)
+    ~n_lo:b.n_lo ~off:b.off ~r:b.r ~lo:b.run.(p) ~hi:b.run.(p + 1)
 
 let max_n b p =
   let m = ref 0 in
-  for k = b.off.(p) to b.off.(p + 1) - 1 do
-    m := max !m b.n.(k)
+  for t = b.run.(p) to b.run.(p + 1) - 1 do
+    m := max !m (b.n_lo.(t) + b.off.(t + 1) - b.off.(t) - 1)
   done;
   !m
 
@@ -132,9 +128,8 @@ let prepare b =
 let of_plans (plans : Plan.t array) =
   let b =
     create ~plans:(Array.length plans)
-      ~points:(Array.fold_left (fun k pl -> k + Plan.size pl) 0 plans)
-      ()
-  in
+      ~runs:(Array.fold_left (fun k pl -> k + Plan.size pl) 0 plans)
+  and r = Array.create_float 1 in
   Array.iter
     (fun (pl : Plan.t) ->
       let trials, seed =
@@ -143,21 +138,30 @@ let of_plans (plans : Plan.t array) =
         | Query.Sampled { trials; seed } -> (trials, seed)
       in
       add_plan b pl.quantity pl.scenario_id pl.route ~trials ~seed;
-      let k = b.points in
-      Array.iteri
-        (fun i (n, r) ->
-          b.n.(k + i) <- n;
-          b.r.(k + i) <- r)
-        pl.points;
-      b.points <- k + Array.length pl.points;
-      b.off.(b.plans) <- b.points)
+      let pts = pl.points and i = ref 0 in
+      while !i < Array.length pts do
+        let n, x = pts.(!i) in
+        (* the longest run from point i: the bits of r kept, n up by one *)
+        let j = ref (!i + 1) in
+        while
+          !j < Array.length pts
+          && fst pts.(!j) = n + !j - !i
+          && Int64.bits_of_float (snd pts.(!j)) = Int64.bits_of_float x
+        do
+          incr j
+        done;
+        r.(0) <- x;
+        add_run b ~lo:n ~hi:(n + !j - !i - 1) r 0;
+        i := !j
+      done)
     plans;
   b
 
 let answers b (plans : Plan.t array) =
   Array.mapi
     (fun p (pl : Plan.t) ->
-      let lo = b.off.(p) and len = b.off.(p + 1) - b.off.(p) in
+      let lo = first_point b p in
+      let len = first_point b (p + 1) - lo in
       let values =
         if trials b p > 0 then
           Answer.Intervals

@@ -69,34 +69,46 @@ let[@inline] check_latency_horizon ~n ~r =
    refuse the point.  The mean latency sums k r over every period count
    k up to [Latency]'s horizon, weighted by its probability, so
    k r = inf at a count of probability 0 gives inf * 0 = nan: the
-   latency refuses the point where horizon * r overflows. *)
-let validate_columns quantity (p : Zeroconf.Params.t) ~sampled ~trials ~n ~r
-    ~lo ~hi =
-  for k = lo to hi - 1 do
-    check_n n.(k)
+   latency refuses the point where horizon * r overflows.
+
+   Run t's points are n_lo.(t) .. last t at r.(t).  A check that holds
+   at the run's ends holds throughout (the cost bound's magnitude grows
+   with n), so only a run failing there is walked, to name its first
+   failing point. *)
+let validate_runs quantity (p : Zeroconf.Params.t) ~sampled ~trials ~n_lo ~off
+    ~r ~lo ~hi =
+  let last t = n_lo.(t) + off.(t + 1) - off.(t) - 1 in
+  for t = lo to hi - 1 do
+    if n_lo.(t) < 1 || last t > max_points then
+      for n = n_lo.(t) to last t do
+        check_n n
+      done
   done;
-  for k = lo to hi - 1 do
-    check_r r.(k)
+  for t = lo to hi - 1 do
+    check_r r.(t)
   done;
   (match quantity with
   | Mean_cost | Cost_variance ->
-      for k = lo to hi - 1 do
-        let bound =
-          (float_of_int n.(k) *. (r.(k) +. p.probe_cost)) +. p.error_cost
-        in
-        if not (Float.is_finite bound) then
-          overflow quantity n.(k) r.(k)
-            "largest attempt cost n (r + c) + E" bound
+      for t = lo to hi - 1 do
+        let x = r.(t) +. p.probe_cost in
+        if not (Float.is_finite ((float_of_int (last t) *. x) +. p.error_cost))
+        then
+          for n = n_lo.(t) to last t do
+            let bound = (float_of_int n *. x) +. p.error_cost in
+            if not (Float.is_finite bound) then
+              overflow quantity n r.(t) "largest attempt cost n (r + c) + E"
+                bound
+          done
       done
   | Latency_mean ->
-      for k = lo to hi - 1 do
-        check_latency_horizon ~n:n.(k) ~r:r.(k)
+      for t = lo to hi - 1 do
+        check_latency_horizon ~n:n_lo.(t) ~r:r.(t)
       done
   | Error_probability | Log10_error -> ());
-  if hi - lo > max_points then
+  let points = off.(hi) - off.(lo) in
+  if points > max_points then
     invalid_arg
-      (Printf.sprintf "Query: %d points > max_points = %d" (hi - lo)
-         max_points);
+      (Printf.sprintf "Query: %d points > max_points = %d" points max_points);
   if sampled && trials < 1 then
     invalid_arg (Printf.sprintf "Query: trials = %d < 1" trials);
   if sampled && trials > max_trials then
@@ -110,7 +122,8 @@ let size t =
   | R_sweep { rs; _ } -> Array.length rs
 
 let validate t =
-  let n, r =
+  (* each point a run of its own *)
+  let n_lo, r =
     match t.domain with
     | Point { n; r } -> ([| n |], [| r |])
     | N_sweep { ns; r } ->
@@ -126,8 +139,9 @@ let validate t =
     | Exact -> (false, 0)
     | Sampled { trials; _ } -> (true, trials)
   in
-  validate_columns t.quantity t.scenario ~sampled ~trials ~n ~r ~lo:0
-    ~hi:(Array.length n)
+  validate_runs t.quantity t.scenario ~sampled ~trials ~n_lo
+    ~off:(Array.init (Array.length n_lo + 1) Fun.id)
+    ~r ~lo:0 ~hi:(Array.length n_lo)
 
 let make quantity scenario domain accuracy =
   let t = { quantity; scenario; domain; accuracy } in

@@ -76,19 +76,22 @@ val validate : t -> unit
     or variance comes out as [inf - inf] or [inf * 0]).  The smart
     constructors above call this. *)
 
-val validate_columns :
+val validate_runs :
   quantity ->
   Zeroconf.Params.t ->
   sampled:bool ->
   trials:int ->
-  n:int array ->
+  n_lo:int array ->
+  off:int array ->
   r:float array ->
   lo:int ->
   hi:int ->
   unit
-(** {!validate} on the points [(n.(k), r.(k))], [lo <= k < hi], of a
-    domain held in columns ([trials] read when [sampled]), allocating
-    nothing unless a check fails. *)
+(** {!validate} on the runs [lo <= t < hi] of a domain held in runs:
+    run [t] holds the points [(n_lo.(t) + i, r.(t))] for
+    [0 <= i < off.(t + 1) - off.(t)] ([trials] read when [sampled]).
+    A run is walked point by point only where a check fails at its
+    ends; nothing is allocated unless a check fails. *)
 
 val check_latency_horizon : n:int -> r:float -> unit
 (** The mean-latency check of {!validate} at one point: raises

@@ -155,19 +155,20 @@ let add_g_layout b p d k e =
 (* y = |x| 10^s, from the bits of |x|: adding the table's binary
    exponent to the exponent field is the exact product by its power of
    two (y / mantissa lies in [10^(p-2), 10^(p+1)), far from both ends of
-   the normal range), which leaves the one rounding of the product *)
-let[@inline] scaled bits s =
+   the normal range), which leaves the one rounding of the product.
+   The bits are an int, the low 63 of the double's: all but the sign. *)
+let[@inline] scaled abits s =
   let i = s - min_scale in
   Int64.float_of_bits
-    (Int64.add bits (Int64.shift_left (Int64.of_int exponent.(i)) 52))
+    (Int64.logand (Int64.of_int (abits + (exponent.(i) lsl 52))) Int64.max_int)
   *. mantissa.(i)
 
-(* %.<p>g for 1 <= p <= max_digits and non-zero [x]; false when the
-   value needs the fallback (a non-finite value, a subnormal, or a
-   tie) *)
-let add_general_fast b p x =
-  let bits = Int64.logand (Int64.bits_of_float x) Int64.max_int in
-  let biased = Int64.to_int (Int64.shift_right_logical bits 52) in
+(* %.<p>g for 1 <= p <= max_digits and non-zero x, given as its sign
+   and the bits of |x| (ints, so passing them boxes nothing); false
+   when the value needs the fallback (a non-finite value, a subnormal,
+   or a tie) *)
+let add_general_fast b p neg abits =
+  let biased = abits lsr 52 in
   biased > 0 && biased < 0x7ff
   &&
   (* floor (e2 log10 2) for the binary exponent e2 ((e2 * 78913) asr 18
@@ -175,10 +176,10 @@ let add_general_fast b p x =
      y = |x| 10^s >= 10^(p-1); when the estimate was one short,
      y >= 10^p and one step down puts it back *)
   let s = p - 1 - (((biased - 1023) * 78913) asr 18) in
-  let y = scaled bits s in
+  let y = scaled abits s in
   let top = Float.of_int ipow10.(p) in
   let s = if y >= top then s - 1 else s in
-  let d = round_scaled (if y >= top then scaled bits s else y) in
+  let d = round_scaled (if y >= top then scaled abits s else y) in
   if d < ipow10.(p - 1) || d > ipow10.(p) then false
   else begin
     (* a carry to 10^p moves the exponent up by one *)
@@ -189,7 +190,7 @@ let add_general_fast b p x =
       d := !d / 10;
       decr k
     done;
-    if x < 0. then Buffer.add_char b '-';
+    if neg then Buffer.add_char b '-';
     add_g_layout b p !d !k e;
     true
   end
@@ -211,13 +212,26 @@ let add_fixed_fast b decimals x =
     true
   end
 
+(* inlined into both entry points, so a float read out of an array
+   is boxed only on the way to the fallback *)
+let[@inline] general spec fast digits b x =
+  if x = 0. then Buffer.add_string b (if Float.sign_bit x then "-0" else "0")
+  else if
+    not
+      (fast
+      && add_general_fast b digits (x < 0.)
+           (Int64.to_int (Int64.bits_of_float x)))
+  then Buffer.add_string b (format_float spec x)
+
 let add_general ~digits =
   let spec = spec "general" "g" digits in
   let fast = digits >= 1 && digits <= max_digits in
-  fun b x ->
-    if x = 0. then Buffer.add_string b (if Float.sign_bit x then "-0" else "0")
-    else if not (fast && add_general_fast b digits x) then
-      Buffer.add_string b (format_float spec x)
+  fun b x -> general spec fast digits b x
+
+let add_general_at ~digits =
+  let spec = spec "general" "g" digits in
+  let fast = digits >= 1 && digits <= max_digits in
+  fun b a i -> general spec fast digits b a.(i)
 
 let add_fixed ~decimals =
   let spec = spec "fixed" "f" decimals in
@@ -226,11 +240,3 @@ let add_fixed ~decimals =
     (* a NaN fails y < 10^max_digits, and so does an infinity *)
     if not (fast && add_fixed_fast b decimals x) then
       Buffer.add_string b (format_float spec x)
-
-let to_string add x =
-  let b = Buffer.create 24 in
-  add b x;
-  Buffer.contents b
-
-let general ~digits = to_string (add_general ~digits)
-let fixed ~decimals = to_string (add_fixed ~decimals)

@@ -1,9 +1,8 @@
 (** The one place numbers become output text.
 
     The renderings are the bytes [Printf] produces for the same
-    conversion.  {!add_general} and {!add_fixed} append them straight
-    into a [Buffer.t]; {!general} and {!fixed} return them as strings
-    and are built on the same two functions.
+    conversion.  {!add_general}, {!add_general_at} and {!add_fixed}
+    append them straight into a [Buffer.t].
 
     Every normal double takes one exact path: [|x|] is scaled by [10^s]
     into an integer range below [10^10 < 2^34] and rounded once.  The
@@ -34,6 +33,12 @@ val add_general : digits:int -> Buffer.t -> float -> unit
     fallback's spec is built.
     Raises [Invalid_argument] on a negative [digits]. *)
 
+val add_general_at : digits:int -> Buffer.t -> float array -> int -> unit
+(** [add_general_at ~digits b a i] is [add_general ~digits b a.(i)],
+    read out of the array where it stands: on the fast path the value
+    is never boxed, so a column of floats becomes text without
+    allocating.  Apply it to [~digits] once, as {!add_general}. *)
+
 val add_fixed : decimals:int -> Buffer.t -> float -> unit
 (** [add_fixed ~decimals b x] appends [Printf.sprintf "%.<decimals>f" x].
     The fast path covers [decimals <= 10] and [|x| 10^decimals < 10^10];
@@ -41,12 +46,3 @@ val add_fixed : decimals:int -> Buffer.t -> float -> unit
     ([-0.001] at two decimals is ["-0.00"]).  Apply it to [~decimals]
     once, as {!add_general}.  Raises [Invalid_argument] on a negative
     [decimals]. *)
-
-val general : digits:int -> float -> string
-(** [general ~digits x] is the text {!add_general} appends, as a
-    string.  Apply it to [~digits] once and keep the resulting
-    function. *)
-
-val fixed : decimals:int -> float -> string
-(** [fixed ~decimals x] is the text {!add_fixed} appends, as a
-    string. *)

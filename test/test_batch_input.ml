@@ -334,7 +334,7 @@ let test_growth () =
   let b = read (List.init 200 (fun i -> Printf.sprintf "cost n=%d" (i + 1))) in
   Alcotest.(check (list int)) "every line, in order"
     (List.init 200 (fun i -> i + 1))
-    (List.init b.plans (fun p -> b.n.(b.off.(p))))
+    (List.init b.plans (fun p -> b.n_lo.(b.run.(p))))
 
 let () =
   Alcotest.run "batch_input"

@@ -346,7 +346,7 @@ let prop_columnar_equals_plans =
               (Engine.Plan.route_name b.route.(p)) b.evals.(p) a.A.backend
               a.A.evals;
           for i = 0 to A.size a - 1 do
-            let k = b.off.(p) + i in
+            let k = Engine.Batch.first_point b p + i in
             let column =
               [ b.value.(k) ]
               @ if Engine.Batch.trials b p > 0 then [ b.ci_lo.(k); b.ci_hi.(k) ]
@@ -362,6 +362,116 @@ let prop_columnar_equals_plans =
           done)
         answers;
       true)
+
+(* -- plans as runs ---------------------------------------------------- *)
+
+(* Plan [p]'s points as [Batch.of_plans] holds them: its runs, each
+   read back point by point *)
+let points_of_runs (b : Engine.Batch.t) p =
+  List.concat_map
+    (fun t ->
+      List.init (b.off.(t + 1) - b.off.(t)) (fun i -> (b.n_lo.(t) + i, b.r.(t))))
+    (List.init (b.run.(p + 1) - b.run.(p)) (fun i -> b.run.(p) + i))
+
+(* n-sweeps in every shape the run splitter meets: contiguous, gapped,
+   descending, one n repeated, and random; r-sweeps over a pool with
+   repeats and 0 next to -0 *)
+let runs_domain_gen r_pool =
+  QCheck.Gen.(
+    let* len = int_range 1 6 and* lo = int_range 1 6 and* step = int_range 2 3 in
+    let* ns =
+      oneofl
+        [ Array.init len (fun i -> lo + i);
+          Array.init len (fun i -> lo + (step * i));
+          Array.init len (fun i -> lo + len - 1 - i);
+          Array.make len lo ]
+    in
+    oneof
+      [ map (fun r -> Q.N_sweep { ns; r }) (oneofa r_pool);
+        map2 (fun ns r -> Q.N_sweep { ns; r })
+          (array_repeat len (int_range 1 10))
+          (oneofa r_pool);
+        map2 (fun n r -> Q.Point { n; r }) (int_range 1 10) (oneofa r_pool);
+        map2 (fun n rs -> Q.R_sweep { n; rs }) (int_range 1 10)
+          (array_size (int_range 1 6) (oneofa r_pool)) ])
+
+let runs_plans_gen =
+  QCheck.Gen.(
+    let* scenarios = scenarios_gen in
+    let r_pool = [| 0.; -0.; 0.5; 2. |] in
+    array_size (int_range 1 10)
+      (let* scenario = oneofa scenarios and* domain = runs_domain_gen r_pool in
+       let* quantity =
+         oneofl
+           [ Q.Mean_cost; Q.Error_probability; Q.Log10_error; Q.Cost_variance;
+             Q.Latency_mean ]
+       in
+       return
+         (Engine.Planner.plan
+            { Q.quantity; scenario; domain; accuracy = Q.Exact })))
+
+(* [Batch.of_plans] holds every plan's points as maximal runs, read
+   back equal to [Plan.points] (r by its bits), and the batch's values
+   are bitwise those of each plan alone. *)
+let prop_runs_hold_points =
+  QCheck.Test.make ~name:"of_plans runs = Plan.points, values = each alone"
+    ~count:100
+    (QCheck.make
+       ~print:(fun plans ->
+         String.concat "; "
+           (Array.to_list
+              (Array.map
+                 (fun (pl : Engine.Plan.t) ->
+                   String.concat ","
+                     (Array.to_list
+                        (Array.map
+                           (fun (n, r) -> Printf.sprintf "(%d,%h)" n r)
+                           pl.Engine.Plan.points)))
+                 plans)))
+       runs_plans_gen)
+    (fun plans ->
+      let b = Engine.Batch.of_plans plans in
+      Array.iteri
+        (fun p (pl : Engine.Plan.t) ->
+          let got = points_of_runs b p in
+          if
+            List.map (fun (n, r) -> (n, bits r)) got
+            <> List.map (fun (n, r) -> (n, bits r)) (Array.to_list pl.points)
+          then QCheck.Test.fail_reportf "plan %d: runs read back other points" p;
+          for t = b.run.(p) + 1 to b.run.(p + 1) - 1 do
+            if
+              b.n_lo.(t) = b.n_lo.(t - 1) + b.off.(t) - b.off.(t - 1)
+              && bits b.r.(t) = bits b.r.(t - 1)
+            then QCheck.Test.fail_reportf "plan %d: run %d is not maximal" p t
+          done)
+        plans;
+      let answers = Engine.Executor.run_batch plans in
+      Array.iteri
+        (fun p a ->
+          if not (points_eq a (Engine.Executor.run_batch [| plans.(p) |]).(0))
+          then QCheck.Test.fail_reportf "plan %d differs from its plan alone" p)
+        answers;
+      true)
+
+let test_signed_zeros_apart () =
+  (* r = 0 and r = -0 in one batch: an n-sweep at each (n = 1, 2,
+     then n = 3, 4) and an r-sweep over both at n = 1.  Each run keeps
+     its r's bits, and the kernel scans the two signs as two columns,
+     so the -0 sweep pays its own scan from n = 1. *)
+  let fig2 = List.assoc "figure2" Zeroconf.Params.presets in
+  let plans =
+    Array.map
+      (fun (ns, r) -> Engine.Planner.plan (Q.n_sweep Q.Mean_cost fig2 ~ns ~r))
+      [| ([| 1; 2 |], 0.); ([| 3; 4 |], -0.) |]
+  and rs = Engine.Planner.plan (Q.r_sweep Q.Mean_cost fig2 ~n:1 ~rs:[| 0.; -0. |]) in
+  let b = Engine.Batch.of_plans (Array.append plans [| rs |]) in
+  Alcotest.(check int) "four runs" 4 b.runs;
+  Alcotest.(check (list int64)) "r per run, by its bits"
+    (List.map bits [ 0.; -0.; 0.; -0. ])
+    (List.init 4 (fun t -> bits b.r.(t)));
+  let answers = Engine.Executor.run_batch plans in
+  Alcotest.(check (list int)) "the -0 column scans from n = 1" [ 2; 4 ]
+    (Array.to_list (Array.map (fun (a : A.t) -> a.A.evals) answers))
 
 (* -- deterministic corners the generator may under-sample ----------- *)
 
@@ -510,6 +620,9 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_batch_equals_scalar;
           QCheck_alcotest.to_alcotest prop_kernel_evals_sum;
           QCheck_alcotest.to_alcotest prop_columnar_equals_plans;
+          QCheck_alcotest.to_alcotest prop_runs_hold_points;
+          Alcotest.test_case "-0 and 0 never share a run" `Quick
+            test_signed_zeros_apart;
           Alcotest.test_case "duplicate plans in one batch" `Quick
             test_duplicate_plans_in_one_batch;
           Alcotest.test_case "repeats cost no kernel evals" `Quick

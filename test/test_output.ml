@@ -359,6 +359,10 @@ let float_specs =
       [ ( Printf.sprintf "%%.%dg" p,
           Num_text.add_general ~digits:p,
           Printf.sprintf "%.*g" p );
+        ( Printf.sprintf "%%.%dg at" p,
+          (let add = Num_text.add_general_at ~digits:p in
+           fun b x -> add b [| x |] 0),
+          Printf.sprintf "%.*g" p );
         ( Printf.sprintf "%%.%df" p,
           Num_text.add_fixed ~decimals:p,
           Printf.sprintf "%.*f" p ) ])
@@ -377,7 +381,7 @@ let test_num_text_floats () =
      through Printf, and a %f of a huge one is hundreds of digits *)
   let xs_in_use = xs random
   and xs_other = xs (List.filteri (fun i _ -> i < 1_000) random) in
-  let in_use = [ "%.6g"; "%.9g"; "%.10g"; "%.2f" ] in
+  let in_use = [ "%.6g"; "%.9g"; "%.10g"; "%.6g at"; "%.10g at"; "%.2f" ] in
   let b = Buffer.create 64 in
   List.iter
     (fun (name, add, printf) ->
@@ -393,15 +397,7 @@ let test_num_text_floats () =
             Alcotest.failf "%s of %h: Printf %S, Num_text %S" name x expected
               got)
         xs)
-    float_specs;
-  (* the string forms are the appended text *)
-  List.iter
-    (fun x ->
-      Alcotest.(check string) "general" (Printf.sprintf "%.10g" x)
-        (Num_text.general ~digits:10 x);
-      Alcotest.(check string) "fixed" (Printf.sprintf "%.2f" x)
-        (Num_text.fixed ~decimals:2 x))
-    special_floats
+    float_specs
 
 (* The scaled fast path over the whole double range, at every precision
    it takes (1..10), against Printf: its power-of-ten table spans every
@@ -465,10 +461,10 @@ let test_num_text_ints () =
 let test_num_text_guards () =
   Alcotest.check_raises "negative digits"
     (Invalid_argument "Num_text.general: negative precision") (fun () ->
-      ignore (Num_text.general ~digits:(-1) : float -> string));
+      ignore (Num_text.add_general ~digits:(-1) : Buffer.t -> float -> unit));
   Alcotest.check_raises "negative decimals"
     (Invalid_argument "Num_text.fixed: negative precision") (fun () ->
-      ignore (Num_text.fixed ~decimals:(-1) : float -> string))
+      ignore (Num_text.add_fixed ~decimals:(-1) : Buffer.t -> float -> unit))
 
 let () =
   Alcotest.run "output"
