@@ -6,8 +6,8 @@
    against the executor's, the executor's cost against the closed
    forms, the words they promote, the words the front end allocates on
    n-sweeps and the batch output on point lines, the kernel backend's
-   cost against a bare cursor scan, and the Monte-Carlo trial loop's
-   allocation.  The paper-reproduction report is `zeroconf_cli
+   cost against a bare cursor scan and its survival calls per step, and
+   the Monte-Carlo trial loop's allocation.  The paper-reproduction report is `zeroconf_cli
    reproduce`; absolute timing lives in perfbench/.
 
    Usage: main.exe --smoke *)
@@ -352,10 +352,12 @@ let kernel_gate () =
         let r = 0.05 +. (6. *. float_of_int i /. float_of_int kernel_sweeps) in
         Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep qty p ~ns ~r))
   in
+  (* the backend's reader-set work: the log twin for log10 reads only *)
   let scan (pl : Engine.Plan.t) =
     let k =
-      Zeroconf.Kernel.create pl.Engine.Plan.scenario
-        ~r:(snd pl.Engine.Plan.points.(0))
+      Zeroconf.Kernel.create
+        ~log_twin:(pl.Engine.Plan.quantity = Q.Log10_error)
+        pl.Engine.Plan.scenario ~r:(snd pl.Engine.Plan.points.(0))
     in
     let v = Array.create_float kernel_sweep_n in
     for i = 0 to kernel_sweep_n - 1 do
@@ -404,6 +406,51 @@ let kernel_gate () =
   Printf.printf
     "smoke ok: Backends.Kernel.eval_batch at %.2fx a bare cursor scan (gate %gx)\n"
     ratio kernel_max_ratio
+
+(* A kernel cursor steps only what its readers read: on 400 n-sweeps
+   ns=1:512 of mean cost and error probability (no log10 reader, so no
+   log twin) at random r over a counting copy of wireless-worst-case's
+   delay, whose 1e-5 loss floor is the slowest preset to underflow,
+   [Backends.Kernel.eval_batch] may call the survival function at most
+   0.5 times per kernel step (an eval): once pi_n is +0 a step is an
+   increment.  A survival call per step reads 1.0.  Counted, not timed,
+   so it cannot flake on a noisy host. *)
+let survival_sweeps = 400
+and max_survival_per_step = 0.5
+
+let survival_gate () =
+  let module Q = Engine.Query in
+  let base = Zeroconf.Params.wireless_worst_case in
+  let calls = ref 0 and d = base.Zeroconf.Params.delay in
+  let counting =
+    Zeroconf.Params.with_delay base
+      { d with
+        Dist.Distribution.survival =
+          (fun t ->
+            incr calls;
+            d.Dist.Distribution.survival t) }
+  in
+  let rng = Numerics.Rng.create 2003 and ns = Array.init 512 (fun i -> i + 1) in
+  let plans =
+    Array.init survival_sweeps (fun i ->
+        let qty = if i mod 2 = 0 then Q.Mean_cost else Q.Error_probability in
+        let r = Numerics.Rng.uniform rng ~lo:0.05 ~hi:6. in
+        Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep qty counting ~ns ~r))
+  in
+  let answers = Engine.Backends.Kernel.eval_batch plans in
+  let steps =
+    Array.fold_left (fun k (a : Engine.Answer.t) -> k + a.Engine.Answer.evals) 0 answers
+  in
+  assert (steps = 512 * survival_sweeps);
+  let per_step = float_of_int !calls /. float_of_int steps in
+  if per_step > max_survival_per_step then
+    failwith
+      (Printf.sprintf
+         "Backends.Kernel.eval_batch calls survival %.3f times per step (gate %g)"
+         per_step max_survival_per_step);
+  Printf.printf
+    "smoke ok: Backends.Kernel.eval_batch at %.3f survival calls per step (gate %g)\n"
+    per_step max_survival_per_step
 
 (* A Monte-Carlo trial costs its arithmetic and nothing else: 20k
    aggregate trials on figure2 at n = 4, r = 2 may allocate at most one
@@ -495,6 +542,7 @@ let () =
     point_gates ();
     count_gates ();
     kernel_gate ();
+    survival_gate ();
     alloc_gate ();
     format_gate ()
   end

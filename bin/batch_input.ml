@@ -73,6 +73,14 @@ let at_end st i =
        true
      end
 
+(* a printable character other than '#' starts a token: the line goes
+   on there, without [at_end]'s scan *)
+let[@inline] more st i =
+  i < st.len
+  &&
+  let c = String.unsafe_get st.text i in
+  c > ' ' && c <> '#'
+
 (* a token ends at ' ', '\t', '#', '\n' or the text's end *)
 let[@inline] ends_token text len i =
   i >= len
@@ -99,30 +107,98 @@ let token st a =
      else e);
   e
 
-(* [line] from [a] holds [name], whose length is [n], from its [i]th
-   character on, with [a + n] within [line]: eight bytes at a time *)
-let rec span_is line a name n i =
-  if i + 8 <= n then
-    String.get_int64_le line (a + i) = String.get_int64_le name i
-    && span_is line a name n (i + 8)
-  else
-    i >= n
-    || String.unsafe_get line (a + i) = String.unsafe_get name i
-       && span_is line a name n (i + 1)
+(* The 8 bytes of [s] at [i] as a little-endian int64, unchecked: the
+   caller has checked [i + 8 <= String.length s] *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
 
-(* the row of [table] whose name stands as a whole token at [a] *)
-let rec name_at table text len a i =
-  if i = Array.length table then -1
-  else
-    let name = fst table.(i) in
-    let n = String.length name in
+let[@inline] word64 s i =
+  if Sys.big_endian then swap64 (get64u s i) else get64u s i
+
+(* The 7 bytes of [s] at [i] as one int, the first in the low byte,
+   unchecked as [word64] *)
+let[@inline] word7 s i = Int64.to_int (word64 s i) land 0xFF_FFFF_FFFF_FFFF
+
+(* A table of names of at most 21 bytes, looked up by their first
+   bytes: the shortest prefix of them that tells the names apart, masked
+   by [pmask], is hashed by [mult] into [slot], a row or -1.  Row i's
+   name is the bytes [7k, 7k + 7) for k < 3, each as [word7] reads it
+   under its mask: [words.(3i + k)] and [masks.(3i + k)].  A match is
+   then three compares, whatever the name. *)
+type table = {
+  words : int array;
+  masks : int array;
+  lens : int array;
+  pmask : int;
+  mult : int;
+  slot : int array;
+}
+
+let slot_bits = 6
+let[@inline] slot_of t w = ((w land t.pmask) * t.mult) lsr (63 - slot_bits)
+
+(* the mask of the first [n] bytes of a word, n clamped to [0, 7] *)
+let byte_mask n = (1 lsl (8 * Int.max 0 (Int.min 7 n))) - 1
+
+let table names =
+  let lens = Array.map String.length names in
+  assert (Array.for_all (fun n -> n >= 1 && n <= 21) lens);
+  let part f =
+    Array.init (3 * Array.length names) (fun j ->
+        let s = names.(j / 3) and k = 7 * (j mod 3) in
+        f s k (byte_mask (String.length s - k)))
+  in
+  let masks = part (fun _ _ m -> m) in
+  (* each name zero-padded, so that its words can be read whole *)
+  let words = part (fun s k m -> word7 (s ^ String.make 22 '\000') k land m) in
+  let heads = Array.init (Array.length names) (fun i -> words.(3 * i)) in
+  let distinct f =
+    let xs = Array.to_list (Array.map f heads) in
+    List.length (List.sort_uniq compare xs) = List.length xs
+  in
+  (* else no prefix tells the names apart, and no [mult] either *)
+  assert (distinct Fun.id);
+  let rec prefix p =
     if
-      a + n <= len
-      && String.unsafe_get text a = String.unsafe_get name 0
-      && span_is text a name n 1
-      && ends_token text len (a + n)
-    then i
-    else name_at table text len a (i + 1)
+      p >= Array.fold_left Int.min 7 lens
+      || distinct (fun w -> w land byte_mask p)
+    then p
+    else prefix (p + 1)
+  in
+  let rec search t =
+    if distinct (slot_of t) then t else search { t with mult = t.mult + 2 }
+  in
+  let t =
+    search
+      { words; masks; lens; pmask = byte_mask (prefix 1);
+        mult = 0x9E3779B97F4A7C1; slot = Array.make (1 lsl slot_bits) (-1) }
+  in
+  Array.iteri (fun i w -> t.slot.(slot_of t w) <- i) heads;
+  t
+
+(* The row of [t] whose name starts the text at [a], and stands as a
+   whole token there if [whole]; -1 if none.  [name_in] reads the 22
+   bytes from [a] unchecked, so within 22 bytes of the text's end a
+   zero-padded copy of the rest stands in: no name holds a 0 byte. *)
+let name_in t whole text len a =
+  let w = word7 text a in
+  let i = Array.unsafe_get t.slot (slot_of t w) in
+  if
+    i >= 0
+    && w land Array.unsafe_get t.masks (3 * i) = Array.unsafe_get t.words (3 * i)
+    && word7 text (a + 7) land Array.unsafe_get t.masks ((3 * i) + 1)
+       = Array.unsafe_get t.words ((3 * i) + 1)
+    && word7 text (a + 14) land Array.unsafe_get t.masks ((3 * i) + 2)
+       = Array.unsafe_get t.words ((3 * i) + 2)
+    && ((not whole) || ends_token text len (a + Array.unsafe_get t.lens i))
+  then i
+  else -1
+
+let name_at t ~whole text len a =
+  if a + 22 <= len then name_in t whole text len a
+  else
+    name_in t whole (String.sub text a (len - a) ^ String.make 22 '\000')
+      (len - a) 0
 
 (* the digits of [line] on [i, b) as an int, or -1 at a non-digit *)
 let rec decimal line i b acc =
@@ -179,7 +255,7 @@ let powers_of_ten =
 let float_of_digits a j w k dst slot =
   if j = a || k = 0 || k > 22 then -1
   else
-    let d = powers_of_ten.(max 0 k) in
+    let d = powers_of_ten.(if k < 0 then 0 else k) in
     if w <= 1 lsl 53 then begin
       dst.(slot) <- float_of_int w /. d;
       j
@@ -204,13 +280,44 @@ let float_of_digits a j w k dst slot =
       end
       else -1
 
+(* The eight bytes of [line] at [i] as the int they spell when they
+   are all decimal digits, else -1: the digit test and the conversion of
+   all eight at once, in three multiplies *)
+let digits8 line len i =
+  if i + 8 > len then -1
+  else
+    let v = word64 line i in
+    let open Int64 in
+    let high = 0xF0F0F0F0F0F0F0F0L in
+    if
+      logor (logand v high)
+        (shift_right_logical (logand (add v 0x0606060606060606L) high) 4)
+      <> 0x3333333333333333L
+    then -1
+    else
+      let v = shift_right_logical (mul (logand v 0x0F0F0F0F0F0F0F0FL) 2561L) 8 in
+      let v =
+        shift_right_logical (mul (logand v 0x00FF00FF00FF00FFL) 6553601L) 16
+      in
+      to_int
+        (shift_right_logical
+           (mul (logand v 0x0000FFFF0000FFFFL) 42949672960001L)
+           32)
+
 (* The plain decimal from [a] on, read up to the first character that is
    neither a digit nor its first point; [k] counts the digits after the
-   point, -1 before it. *)
+   point, -1 before it.  Eight digits at a time while [w] stays below
+   10^17 after them, as it does one digit at a time. *)
 let rec plain_float line len a i w k dst slot =
   let c = if i < len then String.unsafe_get line i else ' ' in
   if is_digit c then
-    if w < 100_000_000_000_000_000 then
+    let d = if w < 1_000_000_000 then digits8 line len i else -1 in
+    if d >= 0 then
+      plain_float line len a (i + 8)
+        ((100_000_000 * w) + d)
+        (if k < 0 then k else k + 8)
+        dst slot
+    else if w < 100_000_000_000_000_000 then
       plain_float line len a (i + 1)
         ((10 * w) + Char.code c - 48)
         (if k < 0 then k else k + 1)
@@ -247,6 +354,10 @@ let check_size st tok b k =
          Engine.Query.max_points)
 
 let presets = Array.of_list Zeroconf.Params.presets
+let preset_names = table (Array.map fst presets)
+
+(* the presets' interned ids, by row *)
+let preset_ids = Array.map (fun (_, p) -> Engine.Plan.scenario_id p) presets
 
 (* the default scenario's row *)
 let figure2 =
@@ -264,11 +375,13 @@ let quantities =
       [| Mean_cost; Error_probability; Log10_error; Cost_variance;
          Latency_mean |]
 
+let quantity_names = table (Array.map fst quantities)
+
 (* Setters: [set st tok a] reads the value at [a] of the token at [tok]
    and returns the token's end. *)
 
 let set_scenario st _ a =
-  match name_at presets st.text st.len a 0 with
+  match name_at preset_names ~whole:true st.text st.len a with
   | -1 ->
       let e = token st a in
       let name = span st a st.vend in
@@ -354,36 +467,14 @@ let sampling_mask = mask (fun _ row -> row.sampling)
 let excluded_mask =
   mask (fun k _ -> Array.exists (fun row -> row.excludes = k) keys)
 
-(* the rows of [keys] by the first character of their name *)
-let by_first =
-  let rows = Array.make 256 [] in
-  Array.iteri
-    (fun k row ->
-      let c = Char.code row.name.[0] in
-      rows.(c) <- rows.(c) @ [ k ])
-    keys;
-  rows
-
-(* the key whose name and a '=' start the token at [tok]; a name holds
-   no blank or delimiter, so the '=' is then the token's first *)
-let rec find_key line len tok = function
-  | [] -> -1
-  | k :: rest ->
-      let name = keys.(k).name in
-      let eq = tok + String.length name in
-      if
-        eq < len
-        && String.unsafe_get line eq = '='
-        && span_is line tok name (eq - tok) 1
-      then k
-      else find_key line len tok rest
+(* each key's name and its '=': a name holds no blank or delimiter, so
+   the '=' is then the token's first *)
+let key_names = table (Array.map (fun row -> row.name ^ "=") keys)
 
 (* One key=value token from [tok] on; its end *)
 let parse_token st tok =
   let line = st.text in
-  let k =
-    find_key line st.len tok by_first.(Char.code (String.unsafe_get line tok))
-  in
+  let k = name_at key_names ~whole:false line st.len tok in
   if k < 0 then begin
     ignore (token st tok);
     let eq = index_from line tok st.vend '=' in
@@ -402,7 +493,7 @@ let parse_token st tok =
    only blanks and a comment are left. *)
 let rec parse_tokens st tok =
   let next = skip_seps st.text st.len (parse_token st tok) in
-  if not (at_end st next) then parse_tokens st next
+  if more st next || not (at_end st next) then parse_tokens st next
 
 let sampled st = match st.backend with Some "mc" -> true | _ -> false
 
@@ -456,11 +547,11 @@ let fresh text =
 let parse st lineno a0 =
   let text = st.text and len = st.len in
   let a = skip_blanks text len a0 in
-  (not (at_end st a))
+  (more st a || not (at_end st a))
   && begin
        st.lineno <- lineno;
        let e =
-         match name_at quantities text len a 0 with
+         match name_at quantity_names ~whole:true text len a with
          | -1 -> (
              let e = token st a in
              let name = span st a st.vend in
@@ -482,7 +573,7 @@ let parse st lineno a0 =
        (* left alone when unchanged: no write barrier *)
        if Option.is_some st.backend then st.backend <- None;
        let next = skip_seps text len e in
-       if not (at_end st next) then parse_tokens st next;
+       if more st next || not (at_end st next) then parse_tokens st next;
        check_keys st;
        true
      end
@@ -520,10 +611,11 @@ let add st (b : Engine.Batch.t) =
         | _ -> refuse st)
   in
   let scenario = snd presets.(st.preset) in
-  Engine.Batch.add_plan b st.quantity (Engine.Plan.scenario_id scenario)
+  Engine.Batch.add_plan b st.quantity preset_ids.(st.preset)
     (Option.value route ~default:Engine.Plan.Kernel)
     ~trials:(if sampled then st.ints.(1) else 0)
-    ~seed:(if sampled then st.ints.(2) else 0);
+    ~seed:(if sampled then st.ints.(2) else 0)
+    ~line:st.lineno;
   if has st ns_key then
     Engine.Batch.add_run b ~lo:st.ns_lo ~hi:st.ns_hi st.r 0
   else if has st rs_key then

@@ -1,14 +1,6 @@
-(* The single implementation of Eqs. 1, 3 and 4.
-
-   Every quantity the paper derives from the no-answer probabilities —
-   Eq. 3's mean cost and Eq. 4's error probability — depends on n only
-   through the telescoped no-answer products pi_n = prod_{i<=n} S(ir)/S(0),
-   their prefix sum sum_{i<n} pi_i, and the log-space twin of pi_n.  All
-   three obey O(1) recurrences in n, so a scan to n_max needs one
-   survival evaluation per step, and a point read ([Cost.mean],
-   [Reliability]) is a cursor advanced to n and read once.  Because
-   every reader goes through this file, a swept value and a point value
-   are the same float by construction. *)
+(* The single implementation of Eqs. 1, 3 and 4, documented in
+   kernel.mli.  Every reader goes through this file, so a swept value
+   and a point value are the same float by construction. *)
 module SF = Numerics.Safe_float
 
 (* The recurrence state is an all-float record, which OCaml stores
@@ -25,13 +17,18 @@ type state = {
      array pi_0 .. pi_(n-1). *)
   mutable sum : float;
   mutable comp : float;
+  (* [log10_error]'s logs: q's, and the last denominator's *)
+  log_q : float;
+  mutable denom : float;
+  mutable log_denom : float;
 }
 
-type t = { params : Params.t; mutable n : int; st : state }
+type t = { params : Params.t; log_twin : bool; mutable n : int; st : state }
 
-let create (p : Params.t) ~r =
+let create ?(log_twin = false) (p : Params.t) ~r =
   if r < 0. then invalid_arg "Kernel.create: negative listening period";
   { params = p;
+    log_twin;
     n = 0;
     st =
       { r;
@@ -40,40 +37,55 @@ let create (p : Params.t) ~r =
         pi = 1.;
         log_pi = 0.;
         sum = 0.;
-        comp = 0. } }
+        comp = 0.;
+        log_q = (if log_twin then SF.log p.q else nan);
+        denom = nan;
+        log_denom = nan } }
 
 (* the float state is copied too: a snapshot must not move with the
    cursor it was taken from *)
 let copy k = { k with st = { k.st with r = k.st.r } }
 let n k = k.n
-let ratio k = k.st.ratio
 let pi k = k.st.pi
-let log_pi k = k.st.log_pi
 let sum_pi k = k.st.sum +. k.st.comp
+
+let log_pi k =
+  if k.log_twin then k.st.log_pi else invalid_arg "Kernel.log_pi: no log twin"
+
+(* S(i r)/S(0) unguarded, as the log twin divides *)
+let[@inline] si k i =
+  SF.div (k.params.delay.survival (float_of_int i *. k.st.r)) k.st.s0
+
+(* the ratio guards S(0) = 0 (a reply certain at time 0); past the
+   early-out the stored one is stale *)
+let ratio k =
+  if k.log_twin || k.st.pi <> 0. then k.st.ratio
+  else if k.st.s0 <= 0. then 0.
+  else si k k.n
 
 let advance k =
   let st = k.st in
-  (* pi_n joins the prefix sum before the step to n + 1 *)
-  let x = st.pi in
-  let t = st.sum +. x in
-  if Float.abs st.sum >= Float.abs x then
-    st.comp <- st.comp +. ((st.sum -. t) +. x)
-  else st.comp <- st.comp +. ((x -. t) +. st.sum);
-  st.sum <- t;
-  let i = k.n + 1 in
-  let s_ir = k.params.delay.survival (float_of_int i *. st.r) in
-  (* the ratio guards S(0) = 0 (a reply certain at time 0); the log
-     twin divides unguarded *)
-  let si = SF.div s_ir st.s0 in
-  st.ratio <- (if st.s0 <= 0. then 0. else si);
-  st.pi <- st.pi *. st.ratio;
-  (* [si = 1.] skips the transcendental on the pre-round-trip plateau;
-     IEEE guarantees [log 1. = +0.], so the sum is unchanged bit for
-     bit *)
-  st.log_pi <-
-    (st.log_pi
-    +. (if si <= 0. then neg_infinity else if si = 1. then 0. else SF.log si));
-  k.n <- i
+  (* past pi_n = +0 only n moves, bit-exactly: see kernel.mli *)
+  if st.pi <> 0. || k.log_twin then begin
+    (* pi_n joins the prefix sum before the step to n + 1 *)
+    let x = st.pi in
+    let t = st.sum +. x in
+    if Float.abs st.sum >= Float.abs x then
+      st.comp <- st.comp +. ((st.sum -. t) +. x)
+    else st.comp <- st.comp +. ((x -. t) +. st.sum);
+    st.sum <- t;
+    let si = si k (k.n + 1) in
+    st.ratio <- (if st.s0 <= 0. then 0. else si);
+    st.pi <- st.pi *. st.ratio;
+    (* [si = 1.] skips the transcendental on the pre-round-trip plateau;
+       IEEE guarantees [log 1. = +0.], so the sum is unchanged bit for
+       bit *)
+    if k.log_twin then
+      st.log_pi <-
+        (st.log_pi
+        +. (if si <= 0. then neg_infinity else if si = 1. then 0. else SF.log si))
+  end;
+  k.n <- k.n + 1
 
 let advance_to k ~n =
   if n < k.n then invalid_arg "Kernel.advance_to: cursor already past n";
@@ -97,20 +109,28 @@ let cost k =
   in
   SF.div numerator (1. -. (p.q *. (1. -. pi_n)))
 
-(* Eq. 4 *)
-let error_of_pi (p : Params.t) pi_n =
-  SF.clamp_probability (SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))))
+(* Eq. 4, with [Safe_float.clamp_probability] written out, so a cursor
+   read boxes no float on the way *)
+let[@inline] error_of_pi (p : Params.t) pi_n =
+  let e = SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))) in
+  if e < 0. then 0. else if e > 1. then 1. else e
 
 let error_probability k =
   require_step "Kernel.error_probability" k;
   error_of_pi k.params k.st.pi
 
+let ln10 = SF.log 10.
+
 (* Eq. 4 in the log domain: pi_n may underflow, but the denominator
-   stays near 1 - q, so it is evaluated with the rounded pi_n *)
+   stays near 1 - q, so it is evaluated with the rounded pi_n, and its
+   log taken again only when it moves *)
 let log10_error k =
   require_step "Kernel.log10_error" k;
-  let p = k.params in
-  let log_pi = k.st.log_pi in
-  let pi_n = SF.exp log_pi in
-  let denom = 1. -. (p.q *. (1. -. pi_n)) in
-  SF.div (SF.log p.q +. log_pi -. SF.log denom) (SF.log 10.)
+  if not k.log_twin then invalid_arg "Kernel.log10_error: no log twin";
+  let p = k.params and st = k.st in
+  let denom = 1. -. (p.q *. (1. -. SF.exp st.log_pi)) in
+  if denom <> st.denom then begin
+    st.denom <- denom;
+    st.log_denom <- SF.log denom
+  end;
+  SF.div (st.log_q +. st.log_pi -. st.log_denom) ln10

@@ -8,8 +8,18 @@
        log pi_n = log pi_(n-1) + log (S(n r) / S(0)) ]}
 
     so that after [n] calls to {!advance} it can emit Eq. 3's mean cost,
-    Eq. 4's error probability, and the log10 error in O(1) — one
-    survival evaluation per step.
+    Eq. 4's error probability, and the log10 error in O(1).
+
+    {b Readers.}  Only a cursor created [~log_twin:true] keeps [log pi_n]
+    (a [log] per step) for {!log_pi} and {!log10_error}; without it they
+    raise [Invalid_argument].  The other reads need [n], [pi_n] and the
+    sum alone, so once [pi_n] is [+0.] a cursor without the twin steps
+    by incrementing [n] and reads the bits a full step would give: [+0.]
+    times a ratio in [[+0, 1]] is [+0.], and adding [+0.] to a sum that
+    holds [pi_0 = 1] keeps [sum +. comp] (only a [-0.] [comp] turns
+    [+0.]).  Precondition: [survival] is finite, non-increasing and in
+    [[+0, 1]], never [-0.], as {!Dist.Distribution.check} tests on a
+    grid.  Past that point {!ratio} is computed when read.
 
     This module is the only implementation of these quantities.  The
     optimizers' n-scans ({!Optimize.optimal_n}, the Fig. 4 envelope)
@@ -25,16 +35,17 @@ type t
 (** A streaming cursor: scenario, listening period, and the recurrence
     state at the current probe count [n]. *)
 
-val create : Params.t -> r:float -> t
-(** Cursor at [n = 0] ([pi_0 = 1], empty prefix sum).  Raises
-    [Invalid_argument] on a negative [r]. *)
+val create : ?log_twin:bool -> Params.t -> r:float -> t
+(** Cursor at [n = 0] ([pi_0 = 1], empty prefix sum), with the log twin
+    if [log_twin] (default [false]).  Raises [Invalid_argument] on a
+    negative [r]. *)
 
 val copy : t -> t
 (** An independent cursor at the same state: a snapshot. *)
 
 val advance : t -> unit
 (** Step [n] to [n + 1]: folds [pi_n] into the prefix sum and performs
-    the single survival evaluation at [(n + 1) r]. *)
+    the single survival evaluation at [(n + 1) r], if any. *)
 
 val advance_to : t -> n:int -> unit
 (** {!advance} until the cursor sits at [n].  Raises
@@ -45,8 +56,8 @@ val n : t -> int
 (** Current probe count. *)
 
 val ratio : t -> float
-(** [p_n(r) = S(n r)/S(0)] from the latest step (Eq. 1 telescoped),
-    [1.] at [n = 0]; equals [Probes.no_answer ~i:n]. *)
+(** [p_n(r) = S(n r)/S(0)] (Eq. 1 telescoped), [1.] at [n = 0];
+    equals [Probes.no_answer ~i:n]. *)
 
 val pi : t -> float
 (** [pi_n(r) = prod_(i=0..n) p_i(r)]. *)
@@ -69,7 +80,8 @@ val error_probability : t -> float
 
 val log10_error : t -> float
 (** [log10 E(n, r)] from {!log_pi}, finite far below float underflow
-    of [E].  Raises [Invalid_argument] at [n = 0]. *)
+    of [E]: [log q] taken once, the denominator's log when it moves.
+    Raises [Invalid_argument] at [n = 0]. *)
 
 val error_of_pi : Params.t -> float -> float
 (** Eq. 4 as a function of the no-answer product:

@@ -42,7 +42,7 @@ let optimal_n_scan ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
      the winner all read off the same O(1)-per-step recurrences, so the
      scan costs one survival evaluation per candidate n instead of the
      former O(n) rebuild per candidate. *)
-  let k = Kernel.create p ~r in
+  let k = Kernel.create ~log_twin:true p ~r in
   Kernel.advance k;
   let best = ref (Kernel.copy k) in
   let best_cost = ref (Kernel.cost k) in

@@ -3,8 +3,8 @@ let check name n r =
   if r < 0. then invalid_arg (name ^ ": negative listening period")
 
 (* Eq. 4 lives in [Kernel]: a point value is a cursor advanced to n *)
-let at (p : Params.t) ~n ~r =
-  let k = Kernel.create p ~r in
+let at ?log_twin (p : Params.t) ~n ~r =
+  let k = Kernel.create ?log_twin p ~r in
   Kernel.advance_to k ~n;
   k
 
@@ -14,7 +14,7 @@ let error_probability p ~n ~r =
 
 let log10_error_probability p ~n ~r =
   check "Reliability.log10_error_probability" n r;
-  Kernel.log10_error (at p ~n ~r)
+  Kernel.log10_error (at ~log_twin:true p ~n ~r)
 
 let reliability p ~n ~r = 1. -. error_probability p ~n ~r
 

@@ -44,6 +44,8 @@ let check d =
       let c = d.cdf t and s = d.survival t in
       if Float.is_nan c || c < -1e-12 || c > d.mass +. 1e-9 then
         err "%s: cdf %g out of [0, %g] at t=%g" d.name c d.mass t
+      else if not (s >= 0. && s <= 1.) || Float.sign_bit s then
+        err "%s: survival %g out of [+0, 1] at t=%g" d.name s t
       else if c +. 1e-9 < prev then
         err "%s: cdf not monotone at t=%g (%g < %g)" d.name t c prev
       else if not (Numerics.Safe_float.approx_eq ~rtol:1e-6 ~atol:1e-12 (c +. s) 1.)

@@ -247,7 +247,11 @@ module Kernel = Route (struct
     and item j = if single then j else order.(j) in
     let run_column c =
       let t0 = runs.(item (first c)) and p0 = owner.(item (first c)) in
-      let k = Zeroconf.Kernel.create (Batch.scenario b p0) ~r:b.r.(t0) in
+      let log_twin = ref false and s = Batch.scenario b p0 in
+      for j = first c to stop c - 1 do
+        log_twin := !log_twin || b.quantity.(owner.(item j)) = Query.Log10_error
+      done;
+      let k = Zeroconf.Kernel.create ~log_twin:!log_twin s ~r:b.r.(t0) in
       if stop c - first c = 1 then begin
         let quantity = b.quantity.(p0) and lo = b.off.(t0) in
         for i = lo to b.off.(t0 + 1) - 1 do
@@ -351,7 +355,8 @@ module Dtmc = Route (struct
   (* [Query.validate] bounds the cost itself, not its square: a
      variance past [max_float] is refused here rather than printed as
      inf *)
-  let value_of drm ~n ~r = function
+  let value_of (b : Batch.t) p drm ~n ~r =
+    match b.quantity.(p) with
     | Query.Mean_cost -> Zeroconf.Drm.mean_cost drm
     | Query.Error_probability -> Zeroconf.Drm.error_probability drm
     | Query.Log10_error -> Float.log10 (Zeroconf.Drm.error_probability drm)
@@ -359,7 +364,7 @@ module Dtmc = Route (struct
         let v = Zeroconf.Drm.cost_variance drm in
         if Float.is_finite v then v
         else
-          invalid_arg
+          Batch.refuse b p
             (Printf.sprintf "Backends.Dtmc: %s at n = %d, r = %g is not finite"
                (Query.quantity_name Query.Cost_variance) n r)
     | Query.Latency_mean -> invalid_arg "Backends.Dtmc: no latency route"
@@ -380,7 +385,7 @@ module Dtmc = Route (struct
         ~work:(fun pt j readers ->
           let n = pt.n.(j) and r = pt.r.(j) in
           let drm = Zeroconf.Drm.build (Batch.scenario b pt.plan.(j)) ~n ~r in
-          Array.map (fun p -> [| value_of drm ~n ~r b.quantity.(p) |]) readers)
+          Array.map (fun p -> [| value_of b p drm ~n ~r |]) readers)
     in
     Array.iter (fun p -> b.evals.(p) <- b.evals.(p) + 1) firsts;
     Batch.set_wall b route wall_ns
@@ -420,18 +425,18 @@ module Mc = Route (struct
 
   (* [Query.validate] bounds one attempt's cost, but a trial restarts
      without bound: a mean past [max_float] is refused, not printed *)
-  let read sample quantity ~n ~r =
+  let read (b : Batch.t) p sample ~n ~r =
     let iv =
-      match quantity with
+      match b.quantity.(p) with
       | Query.Mean_cost -> Netsim.Metrics.cost_interval sample
       | Query.Error_probability -> Netsim.Metrics.collision_interval sample
       | Query.Latency_mean -> Netsim.Metrics.config_time_interval sample
       | _ -> invalid_arg "Backends.Mc: unsupported quantity"
     in
     if not (Float.is_finite iv.Netsim.Metrics.mean) then
-      invalid_arg
+      Batch.refuse b p
         (Printf.sprintf "Backends.Mc: %s at n = %d, r = %g is not finite"
-           (Query.quantity_name quantity) n r);
+           (Query.quantity_name b.quantity.(p)) n r);
     iv
 
   (* One run per sampling stream in the whole batch: points that agree
@@ -462,7 +467,7 @@ module Mc = Route (struct
           Array.map
             (fun p ->
               let { Netsim.Metrics.mean; ci_lo; ci_hi } =
-                read sample b.quantity.(p) ~n:pt.n.(j) ~r:pt.r.(j)
+                read b p sample ~n:pt.n.(j) ~r:pt.r.(j)
               in
               [| mean; ci_lo; ci_hi |])
             readers)

@@ -11,6 +11,7 @@ type t = {
   mutable scenario_id : int array;
   mutable trials : int array;
   mutable seed : int array;
+  mutable line : int array;
   mutable run : int array;
   mutable runs : int;
   mutable n_lo : int array;
@@ -46,6 +47,7 @@ let create ~plans ~runs =
     scenario_id = Array.make plans 0;
     trials = [||];
     seed = [||];
+    line = Array.make plans 0;
     run = Array.make (plans + 1) 0;
     runs = 0;
     n_lo = Array.make runs 0;
@@ -67,16 +69,18 @@ let grow a fill len =
     b
   end
 
-let add_plan b quantity sid route ~trials ~seed =
+let add_plan b quantity sid route ~trials ~seed ~line =
   let p = b.plans and len = b.plans + 1 in
   (* one test for all: [run] keeps room for one more than the rest *)
   if len > Array.length b.quantity then begin
     b.quantity <- grow b.quantity Query.Mean_cost len;
     b.route <- grow b.route Plan.Kernel len;
     b.scenario_id <- grow b.scenario_id 0 len;
+    b.line <- grow b.line 0 len;
     b.run <- grow b.run 0 (Array.length b.quantity + 1)
   end;
   b.quantity.(p) <- quantity;
+  b.line.(p) <- line;
   b.route.(p) <- route;
   b.scenario_id.(p) <- sid;
   if trials <> 0 || seed <> 0 then begin
@@ -114,6 +118,10 @@ let max_n b p =
   done;
   !m
 
+let refuse b p msg =
+  invalid_arg
+    (if b.line.(p) > 0 then Printf.sprintf "line %d: %s" b.line.(p) msg else msg)
+
 let set_wall b route ns = b.wall_ns.(route_index route) <- ns
 
 let prepare b =
@@ -125,10 +133,10 @@ let prepare b =
   b.evals <- Array.make b.plans 0;
   Array.fill b.wall_ns 0 4 0L
 
+(* the run arrays start at one run per plan, an n-sweep's count, and
+   grow by doubling: an r-sweep adds a run per point *)
 let of_plans (plans : Plan.t array) =
-  let b =
-    create ~plans:(Array.length plans)
-      ~runs:(Array.fold_left (fun k pl -> k + Plan.size pl) 0 plans)
+  let b = create ~plans:(Array.length plans) ~runs:(Array.length plans)
   and r = Array.create_float 1 in
   Array.iter
     (fun (pl : Plan.t) ->
@@ -137,16 +145,18 @@ let of_plans (plans : Plan.t array) =
         | Query.Exact -> (0, 0)
         | Query.Sampled { trials; seed } -> (trials, seed)
       in
-      add_plan b pl.quantity pl.scenario_id pl.route ~trials ~seed;
+      add_plan b pl.quantity pl.scenario_id pl.route ~trials ~seed ~line:0;
       let pts = pl.points and i = ref 0 in
       while !i < Array.length pts do
         let n, x = pts.(!i) in
-        (* the longest run from point i: the bits of r kept, n up by one *)
+        (* the longest run from point i: the bits of r kept (a nonzero r
+           equal to x has its bits), n up by one *)
         let j = ref (!i + 1) in
         while
           !j < Array.length pts
           && fst pts.(!j) = n + !j - !i
-          && Int64.bits_of_float (snd pts.(!j)) = Int64.bits_of_float x
+          && ((snd pts.(!j) = x && x <> 0.)
+             || Int64.bits_of_float (snd pts.(!j)) = Int64.bits_of_float x)
         do
           incr j
         done;

@@ -4,7 +4,8 @@
     Plan [p] ([0 <= p < plans]) keeps its quantity, route and interned
     scenario id ({!Plan.scenario_id}), and its Monte-Carlo trials and
     seed (0 for an exact plan; their arrays stay short until a plan
-    samples, so read them with {!trials} and {!seed}).  Its points come
+    samples, so read them with {!trials} and {!seed}), and the input
+    line it was read from (0 for none).  Its points come
     in runs [run.(p) <= t < run.(p + 1)], in sweep order.  A run is one
     [r] and a contiguous ascending n-range: run [t] holds the points
     [(n_lo.(t) + k - off.(t), r.(t))] for [off.(t) <= k < off.(t + 1)],
@@ -22,6 +23,7 @@ type t = private {
   mutable scenario_id : int array;
   mutable trials : int array;
   mutable seed : int array;
+  mutable line : int array;
   mutable run : int array;
   mutable runs : int;
   mutable n_lo : int array;
@@ -47,9 +49,11 @@ val create : plans:int -> runs:int -> t
 (** An empty batch with room for [plans] plans and [runs] runs. *)
 
 val add_plan :
-  t -> Query.quantity -> int -> Plan.route -> trials:int -> seed:int -> unit
-(** [add_plan b quantity sid route ~trials ~seed] opens a plan on the
-    scenario interned as [sid]; the runs added next are its own. *)
+  t -> Query.quantity -> int -> Plan.route -> trials:int -> seed:int ->
+  line:int -> unit
+(** [add_plan b quantity sid route ~trials ~seed ~line] opens a plan on
+    the scenario interned as [sid], read from input line [line] (0 for
+    none); the runs added next are its own. *)
 
 val add_run : t -> lo:int -> hi:int -> float array -> int -> unit
 (** [add_run b ~lo ~hi rs i] adds the run of the points [(lo, rs.(i))]
@@ -66,6 +70,10 @@ val max_n : t -> int -> int
 
 val prepare : t -> unit
 (** Size the result arrays to the complete batch. *)
+
+val refuse : t -> int -> string -> 'a
+(** [refuse b p msg] raises [Invalid_argument msg] for plan [p], after
+    [line N: ] when the plan has an input line. *)
 
 val set_wall : t -> Plan.route -> int64 -> unit
 

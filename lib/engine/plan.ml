@@ -134,5 +134,3 @@ let make ~route (q : Query.t) =
   Query.validate q;
   { quantity = q.quantity; scenario = q.scenario; accuracy = q.accuracy;
     route; scenario_id = scenario_id q.scenario; points = Query.points q }
-
-let size t = Array.length t.points

@@ -60,6 +60,3 @@ val key : t -> string
     answers through the same route compile to equal keys; anything
     that could change a single output bit — including the route, since
     a forced backend may answer differently — changes the key. *)
-
-val size : t -> int
-(** Number of evaluation points. *)

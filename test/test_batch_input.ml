@@ -319,6 +319,22 @@ let test_planner_errors () =
   Alcotest.(check string) "unknown backend" "line 3: unknown backend foo"
     (failure_of (fun () -> plan_one "cost backend=foo"))
 
+(* a refusal raised while the batch evaluates names its line too; a
+   batch of plans, which has no lines, keeps the bare message *)
+let test_evaluation_refusals () =
+  let huge = "mean-cost n=4 r=3e307 backend=mc trials=2000" in
+  let refusal f =
+    match f () with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument msg -> msg
+  in
+  let bare = "Backends.Mc: mean-cost at n = 4, r = 3e+307 is not finite" in
+  Alcotest.(check string) "line of the refused plan" ("line 3: " ^ bare)
+    (refusal (fun () -> Engine.Executor.execute (read [ "cost"; "# c"; huge ])));
+  let q, backend = Option.get (Batch_input.parse_line 1 huge) in
+  Alcotest.(check string) "no line without one" bare
+    (refusal (fun () -> Engine.Executor.eval ?backend q))
+
 let test_plans_stream () =
   let b = read [ "# header"; ""; "cost n=2"; "error ns=1:3 r=1"; "  " ] in
   Alcotest.(check int) "blank and comment lines skipped" 2 b.plans;
@@ -347,5 +363,7 @@ let () =
       ( "planning",
         [ Alcotest.test_case "planner errors name their line" `Quick
             test_planner_errors;
+          Alcotest.test_case "evaluation refusals name their line" `Quick
+            test_evaluation_refusals;
           Alcotest.test_case "streamed lines" `Quick test_plans_stream;
           Alcotest.test_case "plan array growth" `Quick test_growth ] ) ]

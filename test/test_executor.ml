@@ -473,6 +473,19 @@ let test_signed_zeros_apart () =
   Alcotest.(check (list int)) "the -0 column scans from n = 1" [ 2; 4 ]
     (Array.to_list (Array.map (fun (a : A.t) -> a.A.evals) answers))
 
+(* an adapter batch holds a run per n-sweep, not a slot per point *)
+let test_runs_sized_to_runs () =
+  let fig2 = List.assoc "figure2" Zeroconf.Params.presets
+  and ns = Array.init 512 (fun i -> i + 1) in
+  let b =
+    Engine.Batch.of_plans
+      (Array.map
+         (fun r -> Engine.Planner.plan (Q.n_sweep Q.Mean_cost fig2 ~ns ~r))
+         [| 0.5; 1.; 2. |])
+  in
+  Alcotest.(check (list int)) "runs, run slots, points" [ 3; 3; 1536 ]
+    [ b.runs; Array.length b.n_lo; b.points ]
+
 (* -- deterministic corners the generator may under-sample ----------- *)
 
 let fig2 = List.assoc "figure2" Zeroconf.Params.presets
@@ -623,6 +636,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_runs_hold_points;
           Alcotest.test_case "-0 and 0 never share a run" `Quick
             test_signed_zeros_apart;
+          Alcotest.test_case "run arrays sized to the runs" `Quick
+            test_runs_sized_to_runs;
           Alcotest.test_case "duplicate plans in one batch" `Quick
             test_duplicate_plans_in_one_batch;
           Alcotest.test_case "repeats cost no kernel evals" `Quick

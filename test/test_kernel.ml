@@ -80,7 +80,7 @@ end
 
 let test_cursor_matches_probes () =
   let r = 1.3 in
-  let k = K.create fig2 ~r in
+  let k = K.create ~log_twin:true fig2 ~r in
   Alcotest.(check int) "starts at n = 0" 0 (K.n k);
   Alcotest.(check (float 0.)) "pi_0" 1. (K.pi k);
   for n = 1 to 12 do
@@ -102,7 +102,7 @@ let test_cursor_matches_probes () =
 let test_readers_match_direct () =
   List.iter
     (fun r ->
-      let k = K.create fig2 ~r in
+      let k = K.create ~log_twin:true fig2 ~r in
       for n = 1 to 16 do
         K.advance k;
         Alcotest.(check (float 0.)) "cost" (Reference.cost fig2 ~n ~r) (K.cost k);
@@ -240,7 +240,7 @@ let prop_swept_values_agree =
     ~count:60
     QCheck.(triple (make scenario_gen) (int_range 1 4096) (float_range 0.01 8.))
     (fun (p, n_max, r) ->
-      let k = K.create p ~r in
+      let k = K.create ~log_twin:true p ~r in
       let ok = ref true in
       let checkpoint = ref 1 in
       for n = 1 to n_max do
@@ -274,6 +274,104 @@ let prop_optimal_n_matches_reference =
     QCheck.(pair (make scenario_gen) (float_range 0. 6.))
     (fun (p, r) ->
       optimal_n_direct ~n_max:256 p ~r = O.optimal_n ~n_max:256 p ~r)
+
+(* ------------------------------------------------------------------ *)
+(* reader sets: a cursor without the log twin stops calling survival   *)
+(* once pi_n is +0, and every value keeps its bits                     *)
+
+module Q = Engine.Query
+
+let bits = Int64.bits_of_float
+
+(* the kernel route's values for [quantities], all n-sweeps ns=1:n_max
+   at one (p, r), so they share one column *)
+let kernel_route p ~r ~n_max quantities =
+  let ns = Array.init n_max (fun i -> i + 1) in
+  Engine.Backends.Kernel.eval_batch
+    (Array.of_list
+       (List.map
+          (fun q -> Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep q p ~ns ~r))
+          quantities))
+  |> Array.map (fun (a : Engine.Answer.t) ->
+         match a.Engine.Answer.values with
+         | Engine.Answer.Scalars v -> v
+         | Engine.Answer.Intervals _ -> assert false)
+
+(* Each point read, and a cursor with the log twin, which never takes
+   the early-out: a value frozen too early differs from its full step *)
+let point_read p ~n ~r = function
+  | Q.Mean_cost -> Zeroconf.Cost.mean p ~n ~r
+  | Q.Error_probability -> Zeroconf.Reliability.error_probability p ~n ~r
+  | _ -> Zeroconf.Reliability.log10_error_probability p ~n ~r
+
+let twin_read k = function
+  | Q.Mean_cost -> K.cost k
+  | Q.Error_probability -> K.error_probability k
+  | _ -> K.log10_error k
+
+let column_bits p ~r ~n_max quantities =
+  let columns = kernel_route p ~r ~n_max quantities in
+  let twin = K.create ~log_twin:true p ~r in
+  let ok = ref true in
+  for n = 1 to n_max do
+    K.advance twin;
+    List.iteri
+      (fun j q ->
+        let v = bits columns.(j).(n - 1) in
+        ok := !ok && v = bits (point_read p ~n ~r q) && v = bits (twin_read twin q))
+      quantities
+  done;
+  !ok
+
+let reader_sets =
+  Q.
+    [ [ Mean_cost ]; [ Error_probability ]; [ Log10_error ];
+      [ Mean_cost; Log10_error ]; [ Error_probability; Log10_error; Mean_cost ] ]
+
+let prop_reader_sets_bit_identical =
+  QCheck.Test.make
+    ~name:"kernel route = point reads past underflow, per reader set (bits)"
+    ~count:30
+    QCheck.(
+      triple
+        (make
+           Gen.(
+             oneof
+               [ map snd (oneofl Params.presets); scenario_gen ]))
+        (make Gen.(oneof [ oneofl [ 0.; 1e-9; 6. ]; float_range 0.01 8. ]))
+        (int_range 1 512))
+    (fun (p, r, n_max) ->
+      List.for_all (column_bits p ~r ~n_max) reader_sets
+      && column_bits p ~r ~n_max:512 [ Q.Mean_cost; Q.Log10_error ])
+
+let test_early_out_survival_calls () =
+  let p, count = counting_scenario () in
+  (* the step at which pi_n reaches +0 *)
+  let k = K.create p ~r:2. in
+  while K.pi k <> 0. && K.n k < 512 do
+    K.advance k
+  done;
+  let zero_at = K.n k in
+  count := 0;
+  let v = (kernel_route p ~r:2. ~n_max:512 [ Q.Mean_cost ]).(0) in
+  Alcotest.(check bool) "pi_n reaches +0 before n = 512" true (zero_at < 512);
+  Alcotest.(check bool)
+    (Printf.sprintf "ns=1:512 mean-cost calls survival %d times (at most %d)"
+       !count (zero_at + 2))
+    true
+    (!count <= zero_at + 2);
+  Alcotest.(check bool) "values are the point reads" true
+    (Array.for_all Fun.id
+       (Array.mapi (fun i x -> bits x = bits (Zeroconf.Cost.mean p ~n:(i + 1) ~r:2.)) v))
+
+let test_log_twin_guards () =
+  let k = K.create fig2 ~r:2. in
+  K.advance k;
+  Alcotest.check_raises "log10_error without the twin"
+    (Invalid_argument "Kernel.log10_error: no log twin") (fun () ->
+      ignore (K.log10_error k));
+  Alcotest.check_raises "log_pi without the twin"
+    (Invalid_argument "Kernel.log_pi: no log twin") (fun () -> ignore (K.log_pi k))
 
 (* ------------------------------------------------------------------ *)
 (* job counts: kernel code on worker domains (the analytic route's     *)
@@ -331,10 +429,15 @@ let () =
           Alcotest.test_case "scan error fields" `Quick test_scan_error_fields;
           Alcotest.test_case "O(n_max) survival evaluations" `Quick
             test_optimal_n_is_linear_in_n_max ] );
+      ( "reader sets",
+        [ Alcotest.test_case "early-out stops survival calls" `Quick
+            test_early_out_survival_calls;
+          Alcotest.test_case "log twin guards" `Quick test_log_twin_guards ] );
       ( "parallel",
         [ Alcotest.test_case "bit-identical across job counts" `Quick
             test_sweeps_bit_identical_across_jobs ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_swept_values_agree; prop_one_shots_agree;
+            prop_reader_sets_bit_identical;
             prop_optimal_n_matches_reference; prop_parallel_scan_agrees ] ) ]

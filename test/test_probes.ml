@@ -8,7 +8,7 @@ let fig2 = Params.figure2
 
 (* pi_n(r) and log pi_n(r) are read off a kernel cursor *)
 let cursor p ~n ~r =
-  let k = Zeroconf.Kernel.create p ~r in
+  let k = Zeroconf.Kernel.create ~log_twin:true p ~r in
   Zeroconf.Kernel.advance_to k ~n;
   k
 
