@@ -429,7 +429,7 @@ let () =
           Alcotest.test_case "scan error fields" `Quick test_scan_error_fields;
           Alcotest.test_case "O(n_max) survival evaluations" `Quick
             test_optimal_n_is_linear_in_n_max ] );
-      ( "reader sets",
+      ( "reader set",
         [ Alcotest.test_case "early-out stops survival calls" `Quick
             test_early_out_survival_calls;
           Alcotest.test_case "log twin guards" `Quick test_log_twin_guards ] );
