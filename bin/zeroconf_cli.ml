@@ -106,21 +106,27 @@ let cost_cmd =
     let checked () =
       ignore (Engine.Query.point Engine.Query.Mean_cost p ~n ~r);
       let drm = Zeroconf.Drm.build p ~n ~r in
-      let variance = Zeroconf.Drm.cost_variance drm in
-      if not (Float.is_finite variance) then
+      (* the std dev from the rescaled variance solve: finite where the
+         variance itself overflows, the plain sqrt where it does not *)
+      let v, s =
+        Dtmc.Absorbing.scaled_variance_total_reward drm.Zeroconf.Drm.reward
+          ~from:drm.Zeroconf.Drm.start
+      in
+      let std_dev = sqrt v *. s in
+      if not (Float.is_finite std_dev) then
         invalid_arg
-          (Printf.sprintf "cost: %s at n = %d, r = %g is not finite"
-             (Engine.Query.quantity_name Engine.Query.Cost_variance) n r);
-      (drm, variance)
+          (Printf.sprintf "cost: cost std dev at n = %d, r = %g is not finite"
+             n r);
+      (drm, std_dev)
     in
     match Cli_common.validated checked with
     | `Error _ as e -> e
-    | `Ok (drm, variance) ->
+    | `Ok (drm, std_dev) ->
         Format.printf "%a@." Zeroconf.Params.pp p;
         let analytic = Zeroconf.Cost.mean p ~n ~r in
         Format.printf "C(%d, %g)      = %.6g   (Eq. 3)@." n r analytic;
         Format.printf "matrix solve  = %.6g   (Sec. 4.1 DRM)@." (Zeroconf.Drm.mean_cost drm);
-        Format.printf "cost std dev  = %.6g@." (sqrt variance);
+        Format.printf "cost std dev  = %.6g@." std_dev;
         Format.printf "E(%d, %g)      = %.6g   (Eq. 4)@." n r
           (Zeroconf.Reliability.error_probability p ~n ~r);
         Format.printf "log10 E       = %.3f@."
@@ -654,7 +660,8 @@ let report_cmd =
          & info [ "draft-r" ] ~doc:"Draft listening period.")
   in
   let run p draft_n draft_r =
-    Cli_common.validated (fun () -> Engine.Report.print ~draft_n ~draft_r p)
+    Cli_common.validated (fun () ->
+        print_string (Engine.Report.markdown ~draft_n ~draft_r p))
   in
   Cmd.v
     (Cmd.info "report"

@@ -47,12 +47,6 @@ type analysis = {
       (** Probability mass beyond the attempt cutoff (should be ~0). *)
 }
 
-val analyze : Params.t -> refinement -> n:int -> r:float -> analysis
-(** Evaluate the refined model.  The scenario's own [q] is ignored in
-    favour of [occupied / pool] so blacklisting can update it per
-    attempt.  The attempt series is truncated after 10_000 attempts;
-    the leftover mass is reported. *)
-
 val compare_refinements :
   Params.t -> occupied:int -> ?pool:int -> n:int -> r:float -> unit ->
   (string * analysis) list

@@ -9,8 +9,6 @@ type result = {
    A = (r+c) G,  G = n(1-q) + q sum_{i<n} pi_i,
    B = q pi_n,   D = 1 - q (1 - pi_n). *)
 let error_cost_for_stationarity (p : Params.t) ~n ~r =
-  if n < 1 then invalid_arg "Calibrate.error_cost_for_stationarity: n < 1";
-  if r <= 0. then invalid_arg "Calibrate.error_cost_for_stationarity: r <= 0";
   let at r =
     let k = Kernel.create p ~r in
     Kernel.advance_to k ~n;

@@ -31,14 +31,10 @@ type result = {
       (** [|r_opt(n_t) - r_t|] under the calibrated costs. *)
 }
 
-val error_cost_for_stationarity : Params.t -> n:int -> r:float -> float
-(** The [E] making [r] a stationary point of [C_n] (uses the scenario's
-    current [probe_cost]).  Raises [Failure] when the stationarity
-    condition has no positive solution (e.g. [r] below the round-trip
-    delay, where the cost is locally flat). *)
-
 val run : Params.t -> n:int -> r:float -> result
 (** Full calibration.  The scenario's own cost fields are ignored (they
     are what is being solved for).  The postage search is capped at
     [c = 64] and bisects [c] to [1e-3].  Raises [Failure] if no postage
-    in [(0, 64]] makes [n_t] optimal. *)
+    in [(0, 64]] makes [n_t] optimal, or when the stationarity condition
+    has no positive solution (e.g. [r] below the round-trip delay, where
+    the cost is locally flat). *)

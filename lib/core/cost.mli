@@ -13,13 +13,3 @@
 val mean : Params.t -> n:int -> r:float -> float
 (** [C(n, r)], read off a {!Kernel} cursor advanced to [n].  Requires
     [n >= 1], [r >= 0]. *)
-
-val asymptote : Params.t -> n:int -> r:float -> float
-(** [A_n(r)]: the linear function [C_n] approaches for large [r]
-    (Sec. 4.2).  Defined for defective delay distributions ([l < 1])
-    and, by continuity ([ (1-(1-l)^n)/l -> n ] as [l -> 1]), also for
-    [l = 1]. *)
-
-val derivative : Params.t -> n:int -> r:float -> float
-(** Numerical [dC_n/dr], via Richardson extrapolation; used by tests to
-    confirm optimality of [r_opt] and by the calibration solver. *)

@@ -49,9 +49,6 @@ let n k = k.n
 let pi k = k.st.pi
 let sum_pi k = k.st.sum +. k.st.comp
 
-let log_pi k =
-  if k.log_twin then k.st.log_pi else invalid_arg "Kernel.log_pi: no log twin"
-
 (* S(i r)/S(0) unguarded, as the log twin divides *)
 let[@inline] si k i =
   SF.div (k.params.delay.survival (float_of_int i *. k.st.r)) k.st.s0

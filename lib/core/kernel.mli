@@ -11,15 +11,15 @@
     Eq. 4's error probability, and the log10 error in O(1).
 
     {b Readers.}  Only a cursor created [~log_twin:true] keeps [log pi_n]
-    (a [log] per step) for {!log_pi} and {!log10_error}; without it they
-    raise [Invalid_argument].  The other reads need [n], [pi_n] and the
+    (a [log] per step) for {!log10_error}; without it that read raises
+    [Invalid_argument].  The other reads need [n], [pi_n] and the
     sum alone, so once [pi_n] is [+0.] a cursor without the twin steps
     by incrementing [n] and reads the bits a full step would give: [+0.]
     times a ratio in [[+0, 1]] is [+0.], and adding [+0.] to a sum that
     holds [pi_0 = 1] keeps [sum +. comp] (only a [-0.] [comp] turns
     [+0.]).  Precondition: [survival] is finite, non-increasing and in
-    [[+0, 1]], never [-0.], as {!Dist.Distribution.check} tests on a
-    grid.  Past that point {!ratio} is computed when read.
+    [[+0, 1]], never [-0.], as the test suite's distribution
+    self-check tests on a grid.  Past that point {!ratio} is computed when read.
 
     This module is the only implementation of these quantities.  The
     optimizers' n-scans ({!Optimize.optimal_n}, the Fig. 4 envelope)
@@ -28,8 +28,9 @@
     {!Reliability.log10_error_probability}) create a cursor, advance it
     to [n] and read it once.  A swept value therefore equals the point
     value bit for bit by construction.  The independent oracles for
-    Eq. 1 are {!Probes.no_answer_literal}, the DTMC of {!Drm} and the
-    Monte-Carlo simulator. *)
+    Eq. 1 are the literal product of the paper (a test-side oracle
+    beside {!Probes.no_answer}), the DTMC of {!Drm} and the Monte-Carlo
+    simulator. *)
 
 type t
 (** A streaming cursor: scenario, listening period, and the recurrence
@@ -62,10 +63,6 @@ val ratio : t -> float
 val pi : t -> float
 (** [pi_n(r) = prod_(i=0..n) p_i(r)]. *)
 
-val log_pi : t -> float
-(** [log pi_n(r)], accumulated in the log domain so it stays finite far
-    past float underflow of [pi_n]. *)
-
 val sum_pi : t -> float
 (** [pi_0 + ... + pi_(n-1)], compensated: equals
     [Safe_float.sum [| pi_0; ...; pi_(n-1) |]] bit for bit. *)
@@ -75,16 +72,10 @@ val cost : t -> float
     [n = 0]. *)
 
 val error_probability : t -> float
-(** Eq. 4's [E(n, r)] at the cursor: [error_of_pi (params k) (pi k)].
-    Raises [Invalid_argument] at [n = 0]. *)
+(** Eq. 4's [E(n, r)] at the cursor: [q pi_n / (1 - q (1 - pi_n))],
+    clamped to [[0, 1]].  Raises [Invalid_argument] at [n = 0]. *)
 
 val log10_error : t -> float
-(** [log10 E(n, r)] from {!log_pi}, finite far below float underflow
-    of [E]: [log q] taken once, the denominator's log when it moves.
+(** [log10 E(n, r)] from the log twin [log pi_n], finite far below
+    float underflow of [E]: [log q] taken once, the denominator's log when it moves.
     Raises [Invalid_argument] at [n = 0]. *)
-
-val error_of_pi : Params.t -> float -> float
-(** Eq. 4 as a function of the no-answer product:
-    [q pi / (1 - q (1 - pi))], clamped to [[0, 1]].  The cursor reads
-    it at [pi_n(r)]; {!Reliability.error_bound} at the [r -> inf]
-    limit. *)

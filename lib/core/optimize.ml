@@ -33,7 +33,7 @@ let optimal_r ?r_hi (p : Params.t) ~n =
   let hi = match r_hi with Some h -> h | None -> default_r_hi p ~n in
   search hi 0
 
-type n_scan = { n : int; cost : float; error_prob : float; log10_error : float }
+type n_scan = { n : int; cost : float; log10_error : float }
 
 let optimal_n_scan ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
   if r < 0. then invalid_arg "Optimize.optimal_n: negative r";
@@ -74,10 +74,7 @@ let optimal_n_scan ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
   done;
   (* the winner's Eq. 4 readings come off its snapshot *)
   let best = !best in
-  { n = Kernel.n best;
-    cost = !best_cost;
-    error_prob = Kernel.error_probability best;
-    log10_error = Kernel.log10_error best }
+  { n = Kernel.n best; cost = !best_cost; log10_error = Kernel.log10_error best }
 
 let optimal_n ?n_max ?patience (p : Params.t) ~r =
   let scan = optimal_n_scan ?n_max ?patience p ~r in

@@ -26,34 +26,21 @@ val optimal_r : ?r_hi:float -> Params.t -> n:int -> Numerics.Minimize.result
     the minimum is interior; [r_hi] overrides the initial upper
     bound. *)
 
-type n_scan = {
-  n : int;  (** [N(r)] *)
-  cost : float;  (** [C_min(r) = C(N(r), r)] *)
-  error_prob : float;  (** [E(N(r), r)] *)
-  log10_error : float;  (** [log10 E(N(r), r)], finite deep in the tail *)
-}
-(** Everything a single streaming scan over [n] knows about its
-    winner. *)
-
-val optimal_n_scan : ?n_max:int -> ?patience:int -> Params.t -> r:float -> n_scan
-(** One pass of the {!Kernel} cursor over [n = 1, 2, ...] with early
-    stopping: [N(r)], its cost, and its error probabilities, at one
-    survival evaluation per candidate [n].  The projections below are
-    bit-identical to the historical per-point computations. *)
-
 val optimal_n : ?n_max:int -> ?patience:int -> Params.t -> r:float -> int * float
 (** [N(r)] and [C_min(r)]: scans [n = 1, 2, ...] until the cost has
     been non-improving for [patience] (default [24]) consecutive probe
     counts or [n_max] (default [4096]) is reached.  Ties break toward
-    the smaller [n], matching the paper's definition of [N]. *)
+    the smaller [n], matching the paper's definition of [N].  One pass
+    of a {!Kernel} cursor: one survival evaluation per candidate [n]. *)
 
 val optimal_n_sweep : Params.t -> float array -> (float * (int * float)) array
 (** {!optimal_n} at every grid point — the step function [N(r)] paired
     with [C_min(r)] — in grid order. *)
 
 val log10_error_under_optimal_n : Params.t -> r:float -> float
-(** [log10 E(N(r), r)] from one {!optimal_n_scan}: the sawtoothed error
-    probability of Figure 6, finite where [E(N(r), r)] underflows. *)
+(** [log10 E(N(r), r)], read off the winner of the same streaming scan
+    as {!optimal_n}: the sawtoothed error probability of Figure 6,
+    finite where [E(N(r), r)] underflows. *)
 
 val global_optimum : Params.t -> point
 (** Minimizes [C(n, r)] over both parameters: computes [r_opt(n)] for

@@ -52,10 +52,6 @@ val wireless_worst_case : t
     [lambda = 10], [q = 1000/65024], with the derived costs
     [E = 5e20], [c = 3.5]. *)
 
-val wired_worst_case : t
-(** Sec. 4.5, [r = 0.2] derivation: [1 - l = 1e-10], [d = 0.1],
-    [lambda = 100], with the derived costs [E = 1e35], [c = 0.5]. *)
-
 val realistic_ethernet : t
 (** Sec. 6 assessment: [1 - l = 1e-12], [d = 1 ms], [lambda = 10],
     keeping [E = 5e20], [c = 3.5], [q = 1000/65024]. *)

@@ -7,19 +7,13 @@
 
     Eq. 1 telescopes: each factor equals the survival ratio
     [S(jr) / S((j-1) r)] with [S = 1 - F_X], so
-    [P(i, r) = S(i r) / S(0)].  Both the literal product (as printed in
-    the paper) and the telescoped form are provided; they agree up to
-    rounding (a property test asserts this), but the telescoped form is
-    faster and immune to the cancellation in [F(jr) - F((j-1) r)].  The
-    products [pi_n(r)] and their logs are read off a {!Kernel} cursor. *)
+    [P(i, r) = S(i r) / S(0)].  This is the telescoped form: it is
+    faster than the literal product as printed in the paper and immune
+    to the cancellation in [F(jr) - F((j-1) r)].  The literal product is
+    the test suite's oracle for Eq. 1, and a property test asserts that
+    the two agree up to rounding.  The products [pi_n(r)] and their logs
+    are read off a {!Kernel} cursor. *)
 
 val no_answer : Params.t -> i:int -> r:float -> float
 (** [p_i(r)], telescoped form.  [p_0(r) = 1] by convention.  Requires
     [i >= 0] and [r >= 0]. *)
-
-val no_answer_literal : Params.t -> i:int -> r:float -> float
-(** [p_i(r)] evaluated exactly as Eq. 1 is written — conditional CDF
-    increments — kept for the ablation study and cross-validation. *)
-
-val pi_limit : Params.t -> n:int -> float
-(** [lim_(r -> inf) pi_n(r) = (1 - l)^n] (Sec. 4.2). *)

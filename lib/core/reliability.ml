@@ -15,9 +15,3 @@ let error_probability p ~n ~r =
 let log10_error_probability p ~n ~r =
   check "Reliability.log10_error_probability" n r;
   Kernel.log10_error (at ~log_twin:true p ~n ~r)
-
-let reliability p ~n ~r = 1. -. error_probability p ~n ~r
-
-let error_bound p ~n =
-  if n < 1 then invalid_arg "Reliability.error_bound: n must be >= 1";
-  Kernel.error_of_pi p (Probes.pi_limit p ~n)

@@ -20,12 +20,3 @@ val error_probability : Params.t -> n:int -> r:float -> float
 val log10_error_probability : Params.t -> n:int -> r:float -> float
 (** Base-10 log of [E(n, r)], computed in the log domain: the
     figure-5/6 ordinate, finite down to [10^-300] and beyond. *)
-
-val reliability : Params.t -> n:int -> r:float -> float
-(** [1 - E(n, r)]: probability the configured address is genuinely
-    free. *)
-
-val error_bound : Params.t -> n:int -> float
-(** The [r -> inf] floor of the error probability,
-    [E_inf = q (1-l)^n / (1 - q (1 - (1-l)^n))]: no amount of waiting
-    gets below this (driven purely by permanent message loss). *)

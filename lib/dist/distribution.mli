@@ -34,9 +34,6 @@ val v :
   sample:(Numerics.Rng.t -> float option) -> unit -> t
 (** Smart constructor; validates [mass] in [(0, 1]]. *)
 
-val is_defective : t -> bool
-(** True when [mass < 1.]. *)
-
 val loss_probability : t -> float
 (** [1. -. mass]. *)
 
@@ -49,10 +46,5 @@ val quantile : t -> float -> float
     bisection to [1e-12], for [p < mass]; raises [Invalid_argument]
     when [p >= mass] (that far into the tail the reply never
     arrives). *)
-
-val check : t -> (unit, string) result
-(** Self-test used by the property suite: CDF monotone, within
-    [\[0, mass\]], consistent with survival on 200 points of
-    [\[0, 100\]]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -71,30 +71,6 @@ let uniform ?(mass = 1.) ~lo ~hi () =
     ~sample:(defective_sample mass (fun rng -> Rng.uniform rng ~lo ~hi))
     ()
 
-let weibull ?(mass = 1.) ?(delay = 0.) ~shape ~scale () =
-  if not (shape > 0. && scale > 0.) then
-    invalid_arg "Families.weibull: shape and scale must be positive";
-  check_delay "Families.weibull" delay;
-  let z t = ((t -. delay) /. scale) ** shape in
-  let cdf t = if t <= delay then 0. else mass *. (-.Float.expm1 (-.z t)) in
-  let survival t =
-    if t <= delay then 1. else (1. -. mass) +. (mass *. exp (-.z t))
-  in
-  let density t =
-    if t <= delay then 0.
-    else
-      let u = (t -. delay) /. scale in
-      mass *. (shape /. scale) *. (u ** (shape -. 1.)) *. exp (-.(u ** shape))
-  in
-  let conditional rng =
-    delay +. (scale *. ((-.Float.log1p (-.Rng.float rng)) ** (1. /. shape)))
-  in
-  Distribution.v
-    ~name:(Printf.sprintf "weibull(k=%g, scale=%g, d=%g)" shape scale delay)
-    ~mass ~density ~cdf ~survival
-    ~sample:(defective_sample mass conditional)
-    ()
-
 let erlang ?(mass = 1.) ?(delay = 0.) ~stages ~rate () =
   if stages < 1 then invalid_arg "Families.erlang: stages < 1";
   if not (rate > 0. && rate < infinity) then
@@ -146,37 +122,3 @@ let erlang ?(mass = 1.) ?(delay = 0.) ~stages ~rate () =
     ~cdf ~survival
     ~sample:(defective_sample mass conditional)
     ()
-
-let mixture components =
-  if components = [] then invalid_arg "Families.mixture: empty mixture";
-  List.iter
-    (fun (w, _) ->
-      if not (w > 0. && w < infinity) then
-        invalid_arg "Families.mixture: weight outside (0, inf)")
-    components;
-  let total = Numerics.Safe_float.sum_list (List.map fst components) in
-  let weighted = List.map (fun (w, d) -> (w /. total, d)) components in
-  let mass =
-    Numerics.Safe_float.sum_list
-      (List.map (fun (w, (d : Distribution.t)) -> w *. d.mass) weighted)
-  in
-  let combine f t =
-    Numerics.Safe_float.sum_list
-      (List.map (fun (w, d) -> w *. f d t) weighted)
-  in
-  let sample rng =
-    let weights = Array.of_list (List.map fst weighted) in
-    let picked = Numerics.Rng.choose_weighted rng weights in
-    let _, (d : Distribution.t) = List.nth weighted picked in
-    d.sample rng
-  in
-  let name =
-    String.concat " + "
-      (List.map
-         (fun (w, (d : Distribution.t)) -> Printf.sprintf "%.2f*%s" w d.name)
-         weighted)
-  in
-  Distribution.v ~name ~mass
-    ~cdf:(combine (fun (d : Distribution.t) -> d.cdf))
-    ~survival:(combine (fun (d : Distribution.t) -> d.survival))
-    ~sample ()

@@ -28,19 +28,8 @@ val deterministic : ?mass:float -> delay:float -> unit -> Distribution.t
 val uniform : ?mass:float -> lo:float -> hi:float -> unit -> Distribution.t
 (** Delay uniform on [\[lo, hi\]]. *)
 
-val weibull :
-  ?mass:float -> ?delay:float -> shape:float -> scale:float -> unit ->
-  Distribution.t
-(** Weibull delay shifted by [delay]; [shape < 1] gives heavy tails
-    (bursty congestion), [shape > 1] light tails. *)
-
 val erlang :
   ?mass:float -> ?delay:float -> stages:int -> rate:float -> unit ->
   Distribution.t
 (** Erlang-[stages] delay (sum of [stages] exponentials): concentrates
     around [stages/rate], modelling multi-hop store-and-forward. *)
-
-val mixture : (float * Distribution.t) list -> Distribution.t
-(** Finite mixture; weights must be positive and are normalized.  The
-    mixture's mass is the weighted mass of its components.  Raises
-    [Invalid_argument] on an empty list. *)

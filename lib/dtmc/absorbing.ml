@@ -46,14 +46,18 @@ let variance_rhs reward a s =
    1e154) is the recursion solved again on costs and means divided by
    the largest cost, and the result scaled back; a finite variance
    keeps the plain solve's bits. *)
-let variance_total_reward reward ~from =
+let scaled_variance_total_reward reward ~from =
   let chain = Reward.chain reward in
   let a = mean reward in
   let v = (solve chain (variance_rhs reward a 1.)).(from) in
-  if Float.is_finite v then v
+  if Float.is_finite v then (v, 1.)
   else
     let s = ref 0. in
     for i = 0 to Chain.size chain - 1 do
       Array.iter (fun c -> s := Float.max !s (Float.abs c)) (Reward.costs reward i)
     done;
-    (solve chain (variance_rhs reward a !s)).(from) *. !s *. !s
+    ((solve chain (variance_rhs reward a !s)).(from), !s)
+
+let variance_total_reward reward ~from =
+  let v, s = scaled_variance_total_reward reward ~from in
+  v *. s *. s

@@ -30,3 +30,9 @@ val variance_total_reward : Reward.t -> from:int -> float
     by the largest cost [s] and the result multiplied by [s] twice, so
     the variance stays finite up to about [max_float]; a variance that
     comes out finite the plain way keeps its bits. *)
+
+val scaled_variance_total_reward : Reward.t -> from:int -> float * float
+(** [(v, s)] with the variance above equal to [v s^2]: [s = 1.] and [v]
+    the plain solve when that is finite, else the rescaled solve and
+    the largest cost.  The standard deviation [sqrt v *. s] stays finite
+    where the variance itself overflows. *)

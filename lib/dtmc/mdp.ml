@@ -37,13 +37,6 @@ let create ~num_states ~actions =
   in
   { num_states; actions = table }
 
-
-let action_name t ~state ~action =
-  if state < 0 || state >= t.num_states then invalid_arg "Mdp.action_name: bad state";
-  if action < 0 || action >= Array.length t.actions.(state) then
-    invalid_arg "Mdp.action_name: bad action";
-  fst t.actions.(state).(action)
-
 type solution = { values : float array; policy : int array; iterations : int }
 
 let q_value t values s a =
@@ -110,29 +103,3 @@ let evaluate_policy t ~policy =
   try Sparse.solve ~unknown:controlled ~row b
   with Sparse.Singular ->
     failwith "Mdp.evaluate_policy: policy does not reach absorption"
-
-let policy_iteration t =
-  let max_rounds = 1_000 in
-  let policy = Array.init t.num_states (fun s -> if Array.length t.actions.(s) > 0 then 0 else -1) in
-  let rec round k =
-    if k >= max_rounds then failwith "Mdp.policy_iteration: no convergence";
-    let values = evaluate_policy t ~policy in
-    let changed = ref false in
-    for s = 0 to t.num_states - 1 do
-      if Array.length t.actions.(s) > 0 then begin
-        let best, _ = greedy t values s in
-        if best <> policy.(s) then begin
-          (* strict improvement check to avoid oscillation on ties *)
-          let current = q_value t values s policy.(s) in
-          let candidate = q_value t values s best in
-          if candidate < current -. 1e-15 *. (1. +. Float.abs current) then begin
-            policy.(s) <- best;
-            changed := true
-          end
-        end
-      end
-    done;
-    if !changed then round (k + 1)
-    else { values; policy = Array.copy policy; iterations = k + 1 }
-  in
-  round 0

@@ -39,10 +39,3 @@ val evaluate_policy : t -> policy:int array -> float array
     on the induced chain).  Raises [Invalid_argument] on out-of-range action
     indices and [Failure] when the induced chain is not absorbing from
     every state. *)
-
-val policy_iteration : t -> solution
-(** Howard's policy iteration: evaluate, improve greedily, repeat until
-    stable (at most 1_000 rounds, then [Failure]).  Must agree with
-    {!value_iteration} (property-tested). *)
-
-val action_name : t -> state:int -> action:int -> string

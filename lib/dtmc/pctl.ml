@@ -93,18 +93,3 @@ let path_probability chain labelling ~from path =
 
 let label_of_state chain name state =
   Chain.label chain state = name
-
-let reward_to_reach reward labelling formula =
-  let chain = Reward.chain reward in
-  let sat = satisfaction chain labelling formula in
-  let target =
-    List.filter (fun s -> sat.(s)) (List.init (Chain.size chain) Fun.id)
-  in
-  if target = [] then
-    Array.make (Chain.size chain) infinity
-  else Hitting.expected_reward reward ~target
-
-let reward_holds reward labelling ~from comparison bound formula =
-  let v = (reward_to_reach reward labelling formula).(from) in
-  if Float.is_finite v then compare_with comparison bound v
-  else match comparison with Ge | Gt -> true | Le | Lt -> false

@@ -33,12 +33,6 @@ type labelling = string -> int -> bool
 (** [labelling ap state] decides the atomic propositions.  Unknown
     proposition names should raise [Not_found]. *)
 
-val satisfaction : Chain.t -> labelling -> formula -> bool array
-(** The satisfying states.  Probability thresholds are compared with a
-    relative epsilon ([1e-9]), so a solver result equal to the bound up
-    to rounding counts as equal: [Ge]/[Le] are forgiving, [Gt]/[Lt]
-    conservative. *)
-
 val holds : Chain.t -> labelling -> from:int -> formula -> bool
 
 val path_probability : Chain.t -> labelling -> from:int -> path -> float
@@ -47,16 +41,3 @@ val path_probability : Chain.t -> labelling -> from:int -> path -> float
 val label_of_state : Chain.t -> labelling
 (** The default labelling: each state's own label in the chain's state
     space is an atomic proposition true exactly there. *)
-
-(** {1 Reward queries (PRISM's R operator)} *)
-
-val reward_to_reach : Reward.t -> labelling -> formula -> float array
-(** [R=? \[F phi\]]: expected reward accumulated until first reaching a
-    [phi]-state — [infinity] where that is not almost sure, [0.] on
-    [phi]-states themselves.  With the zeroconf DRM's cost rewards and
-    [phi = error | ok] this is exactly Eq. 3. *)
-
-val reward_holds :
-  Reward.t -> labelling -> from:int -> comparison -> float -> formula -> bool
-(** [R ⋈ bound \[F phi\]] at one state, with the same epsilon policy as
-    the probability thresholds ([infinity] compares plainly). *)

@@ -75,22 +75,6 @@ let bounded_until chain ~phi ~psi ~k =
   done;
   !v
 
-let everywhere chain = Array.make (Chain.size chain) true
-
 let never chain ~target =
   let psi = check_target chain target in
   Array.map not (backward chain ~via:(Array.map not psi) ~target:psi)
-
-let certainly chain ~target =
-  let psi = check_target chain target in
-  snd (qualitative chain ~phi:(everywhere chain) ~psi)
-
-let prob chain ~target =
-  until chain ~phi:(everywhere chain) ~psi:(check_target chain target)
-
-let prob_from chain ~from ~target = (prob chain ~target).(from)
-
-let bounded_prob chain ~target ~horizon =
-  if horizon < 0 then invalid_arg "Reachability.bounded_prob: negative horizon";
-  bounded_until chain ~phi:(everywhere chain) ~psi:(check_target chain target)
-    ~k:horizon

@@ -5,8 +5,9 @@
     The implementation does the standard qualitative precomputation
     (identify states that reach the target with probability 0, and with
     probability 1) and solves a linear system ({!Sparse.solve}) only
-    for the remainder.  {!until} and {!bounded_until} are the general
-    forms that {!Pctl} checks; the rest fix [phi] to every state. *)
+    for the remainder.  {!until} and {!bounded_until} are the forms
+    that {!Pctl} checks; {!never} is the qualitative question
+    {!Absorbing} asks. *)
 
 val until : Chain.t -> phi:bool array -> psi:bool array -> float array
 (** Per state, the probability of reaching a [psi]-state along
@@ -17,18 +18,5 @@ val bounded_until :
 (** The same within [k] steps ("P=? [phi U<=k psi]"), by [k] sparse
     matrix-vector products.  Raises [Invalid_argument] when [k < 0]. *)
 
-val prob : Chain.t -> target:int list -> float array
-(** For every state, the probability of eventually reaching (any state
-    in) [target]. *)
-
-val prob_from : Chain.t -> from:int -> target:int list -> float
-
-val certainly : Chain.t -> target:int list -> bool array
-(** States reaching the target with probability one. *)
-
 val never : Chain.t -> target:int list -> bool array
 (** States that cannot reach the target at all. *)
-
-val bounded_prob : Chain.t -> target:int list -> horizon:int -> float array
-(** Probability of reaching the target within [horizon] steps
-    ("P=? [F<=k target]").  Target states count as reached at step 0. *)

@@ -1,7 +1,7 @@
 (** The one linear solve behind every DTMC quantity: [x = b + Q x] over
     a subset of the states, by sparse Gaussian elimination.
 
-    Every caller ({!Absorbing}, {!Hitting}, {!Reachability}, {!Mdp})
+    Every caller ({!Absorbing}, {!Reachability}, {!Mdp})
     restricts [Q] to states that leave the subset with positive
     probability, so [I - Q] is a nonsingular M-matrix: elimination needs
     no pivoting, and every update adds non-negative terms.  The pivot

@@ -31,9 +31,6 @@ val default_trials : int
 val default_seed : int
 (** 42. *)
 
-val rel_divergence : float -> float -> float
-(** The pairwise metric used for {!report.max_rel_divergence}. *)
-
 val run : ?trials:int -> ?seed:int -> Query.t list -> report list
 (** One report per query, in order.  Each query's accuracy demand is
     ignored: deterministic routes run [Exact], Monte Carlo runs

@@ -44,14 +44,6 @@ val cost_landscape : unit -> landscape
     ([n = 1..10], 24 points of [r] in [0.25, 6]), evaluated as one
     engine batch of n-sweeps, one per [r]. *)
 
-val latency_figure : unit -> figure
-(** Extension figure: configuration-time CDFs for the draft's [(4, 2)],
-    the Figure-2 scenario's cost optimum, and a fast [(8, r_opt(8))] design. *)
-
-val pareto_figure : unit -> figure
-(** Extension figure: the cost/reliability Pareto front (log10 error
-    against mean cost). *)
-
 val extension_figures : unit -> figure list
 
 val section_44_nu : unit -> int

@@ -57,6 +57,3 @@ let markdown ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
     (Sensitivity.standard_knobs p);
   add "\n*Generated by the zeroconf-cost reproduction of Bohnenkamp et al., DSN 2003.*\n";
   Buffer.contents buf
-
-let print ?draft_n ?draft_r p =
-  Output.Emit.print_string (markdown ?draft_n ?draft_r p)

@@ -12,6 +12,3 @@ open Zeroconf
 val markdown : ?draft_n:int -> ?draft_r:float -> Params.t -> string
 (** The report.  [draft_n], [draft_r] default to the Internet-draft's
     [4] and [2.]. *)
-
-val print : ?draft_n:int -> ?draft_r:float -> Params.t -> unit
-(** [markdown] to stdout. *)

@@ -19,12 +19,6 @@ type design = {
           plots it. *)
 }
 
-val enumerate :
-  ?n_max:int -> ?r_points:int -> ?r_max:float -> Params.t -> design list
-(** All candidate designs on an [(n, r)] grid: [n = 1 .. n_max]
-    (default [12]), [r] on [r_points] (default [200]) points up to
-    [r_max] (default [8.]). *)
-
 val front :
   ?n_max:int -> ?r_points:int -> ?r_max:float -> Params.t -> design list
 (** The designs of [enumerate p] not dominated by any other (lower cost

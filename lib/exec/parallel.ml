@@ -3,8 +3,8 @@
    streams of different trial counts). *)
 let chunk_count pool n = min n (4 * Pool.size pool)
 
-let map ?pool f xs =
-  let pool = match pool with Some pool -> pool | None -> Pool.get () in
+let map f xs =
+  let pool = Pool.get () in
   let n = Array.length xs in
   if Pool.size pool = 1 || n < 2 then Array.map f xs
   else begin

@@ -12,9 +12,9 @@
     below that, queueing and waking the workers costs more than the
     second domain saves. *)
 
-val map : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] on [pool] (default: the process-wide pool,
-    {!Pool.get}); the plain serial map when the pool size is [1] or
-    the input has fewer than two elements.  If [f] raises, the first
+val map : ('a -> 'b) -> 'a array -> 'b array
+(** Parallel [Array.map] on the process-wide pool ({!Pool.get}, sized
+    by {!Pool.set_jobs}); the plain serial map when the pool size is
+    [1] or the input has fewer than two elements.  If [f] raises, the first
     exception observed is re-raised in the caller after the batch
     settles. *)

@@ -9,7 +9,6 @@ type t = {
 }
 
 let create size =
-  if size < 1 then invalid_arg "Pool.create: size < 1";
   { size;
     mutex = Mutex.create ();
     nonempty = Condition.create ();

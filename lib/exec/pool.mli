@@ -2,8 +2,9 @@
 
     The one place that owns worker domains: {!Parallel.map} runs on it,
     for the query engine's Monte-Carlo streams, DTMC builds and
-    analytic points.  Workers are spawned lazily on the first parallel
-    batch and reused until {!shutdown} (registered automatically with
+    analytic points.  There is one pool per process ({!get}).  Its
+    workers are spawned lazily on the first parallel batch and reused
+    until the pool is resized or the process exits (they are joined
     [at_exit]), so the spawn cost is paid once per process.
 
     A pool of size [1] never spawns a domain: {!run} degrades to a
@@ -15,11 +16,6 @@ type t
     different domains interleave correctly (tasks must not themselves
     call {!run} on the same pool — no nested parallelism). *)
 
-val create : int -> t
-(** [create jobs] makes a pool of total parallelism [jobs] (the caller
-    counts as one worker, so [jobs - 1] domains are spawned, lazily).
-    Raises [Invalid_argument] if [jobs < 1]. *)
-
 val size : t -> int
 (** Total parallelism, including the calling domain. *)
 
@@ -30,39 +26,29 @@ val run : t -> (unit -> unit) array -> unit
     order) is re-raised in the caller with its backtrace after the
     whole batch has settled. *)
 
-val shutdown : t -> unit
-(** Join all worker domains.  The pool remains usable afterwards
-    (workers respawn lazily); called automatically at exit for pools
-    with live workers. *)
-
 (** {2 The process-wide default pool}
 
     Resolution order for the default job count: {!set_jobs} if called,
     else the [ZEROCONF_JOBS] environment variable, else
     [Domain.recommended_domain_count ()]. *)
 
-val max_jobs : int
-(** [128], the most domains OCaml 5.1 runs at once ([Max_domains]). *)
-
 val jobs_error : int -> string option
-(** [None] for a job count in [[1, max_jobs]], else why not, as a
-    phrase to follow the count (["is not a positive integer"]). *)
+(** [None] for a job count in [[1, 128]] (128 is the most domains
+    OCaml 5.1 runs at once), else why not, as a phrase to follow the
+    count (["is not a positive integer"]). *)
 
 val env_jobs : unit -> (int option, string) result
 (** [ZEROCONF_JOBS], parsed: [Ok None] when unset, [Ok (Some jobs)] for
-    an integer in [[1, max_jobs]] (surrounding blanks allowed, so
+    an integer in [[1, 128]] (surrounding blanks allowed, so
     [" 2 "] reads as 2), and [Error message] for anything else. *)
-
-val default_jobs : unit -> int
-(** The job count the next {!get} will use.  Raises [Invalid_argument]
-    if it would come from a malformed [ZEROCONF_JOBS]. *)
 
 val set_jobs : int -> unit
 (** Pin the default job count (the [--jobs] CLI flag lands here).
-    Raises [Invalid_argument] unless [1 <= jobs <= max_jobs].  An
+    Raises [Invalid_argument] unless [1 <= jobs <= 128].  An
     existing default pool of a different size is shut down and replaced
     lazily. *)
 
 val get : unit -> t
-(** The process-wide pool at the current {!default_jobs} size,
-    (re)created on demand. *)
+(** The process-wide pool at the current default job count,
+    (re)created on demand.  Raises [Invalid_argument] if that count
+    would come from a malformed [ZEROCONF_JOBS]. *)

@@ -7,7 +7,6 @@ let create ?(size = default_size) () =
   { size; occupied = Bytes.make size '\000'; count = 0 }
 
 let size t = t.size
-let occupied_count t = t.count
 
 let check t a name =
   if a < 0 || a >= t.size then invalid_arg (name ^ ": address out of range")
@@ -21,12 +20,6 @@ let claim t a =
   if is_occupied t a then invalid_arg "Address_pool.claim: already occupied";
   Bytes.set t.occupied a '\001';
   t.count <- t.count + 1
-
-let release t a =
-  check t a "Address_pool.release";
-  if not (is_occupied t a) then invalid_arg "Address_pool.release: not occupied";
-  Bytes.set t.occupied a '\000';
-  t.count <- t.count - 1
 
 let random_candidate t ~rng = Numerics.Rng.int rng t.size
 

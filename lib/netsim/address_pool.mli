@@ -11,13 +11,11 @@ val create : ?size:int -> unit -> t
     tests to provoke collisions. *)
 
 val size : t -> int
-val occupied_count : t -> int
 
 val claim : t -> int -> unit
 (** Mark an address occupied.  Raises [Invalid_argument] if out of
     range or already claimed. *)
 
-val release : t -> int -> unit
 val is_occupied : t -> int -> bool
 
 val claim_random_free : t -> rng:Numerics.Rng.t -> int

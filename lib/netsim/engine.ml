@@ -37,7 +37,6 @@ let run ?until ?(max_events = 10_000_000) t =
                 thunk ()))
   done
 
-let pending t = Event_queue.size t.queue
 let set_tracer t tracer = t.tracer <- tracer
 
 let trace t fmt =

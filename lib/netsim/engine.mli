@@ -20,8 +20,6 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     events have fired (guarding against runaway schedules; raises
     [Failure] in that case). *)
 
-val pending : t -> int
-
 val set_tracer : t -> (float -> string -> unit) option -> unit
 (** Install (or remove) an event tracer; {!trace} calls become visible
     to it. *)

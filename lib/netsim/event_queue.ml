@@ -7,8 +7,6 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
-let is_empty t = t.size = 0
-let size t = t.size
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 

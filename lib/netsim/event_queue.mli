@@ -6,8 +6,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
 
 val add : 'a t -> time:float -> 'a -> unit
 (** Raises [Invalid_argument] on a [nan] timestamp. *)

@@ -7,7 +7,6 @@ type t = {
   defend_interval : float;
   address : int;
   mutable station : int;
-  mutable replies : int;
   mutable last_defense : float;
 }
 
@@ -25,7 +24,6 @@ let create ~engine ~link ~rng ?processing ?(deaf_prob = 0.)
       defend_interval;
       address;
       station = -1;
-      replies = 0;
       last_defense = neg_infinity }
   in
   let handle packet =
@@ -39,7 +37,6 @@ let create ~engine ~link ~rng ?processing ?(deaf_prob = 0.)
         then begin
           t.last_defense <- Engine.now t.engine;
           let send () =
-            t.replies <- t.replies + 1;
             Link.broadcast t.link ~sender:t.station
               (Packet.Arp_reply { sender = t.station; address = t.address })
           in
@@ -54,5 +51,3 @@ let create ~engine ~link ~rng ?processing ?(deaf_prob = 0.)
   in
   t.station <- Link.attach link handle;
   t
-
-let replies_sent t = t.replies

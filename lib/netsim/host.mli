@@ -15,5 +15,3 @@ val create :
     (busy beyond the listening horizon); [defend_interval] (default
     [0.], i.e. always defend) rate-limits defenses to one per window,
     the draft's DEFEND_INTERVAL behaviour. *)
-
-val replies_sent : t -> int

@@ -7,8 +7,6 @@ type t = {
   one_way : Dist.Distribution.t;
   mutable stations : station list; (* newest first *)
   mutable next_id : int;
-  mutable delivered : int;
-  mutable lost : int;
 }
 
 let create ~engine ~rng ~loss ~one_way =
@@ -19,9 +17,7 @@ let create ~engine ~rng ~loss ~one_way =
     loss;
     one_way;
     stations = [];
-    next_id = 0;
-    delivered = 0;
-    lost = 0 }
+    next_id = 0 }
 
 let attach t handler =
   let id = t.next_id in
@@ -37,22 +33,15 @@ let broadcast t ~sender packet =
     (Format.asprintf "%a" Packet.pp packet);
   let deliver station =
     if station.attached && station.id <> sender then begin
-      if Numerics.Rng.bool t.rng t.loss then begin
-        t.lost <- t.lost + 1;
+      if Numerics.Rng.bool t.rng t.loss then
         Engine.trace t.engine "  lost on the way to host%d" station.id
-      end
       else
         match t.one_way.sample t.rng with
         | None ->
-            t.lost <- t.lost + 1;
             Engine.trace t.engine "  lost (delay defect) to host%d" station.id
         | Some delay ->
-            t.delivered <- t.delivered + 1;
             Engine.schedule t.engine ~after:delay (fun () ->
                 if station.attached then station.handler packet)
     end
   in
   List.iter deliver t.stations
-
-let packets_delivered t = t.delivered
-let packets_lost t = t.lost

@@ -24,6 +24,3 @@ val detach : t -> int -> unit
 
 val broadcast : t -> sender:int -> Packet.t -> unit
 (** Transmit to every other attached station. *)
-
-val packets_delivered : t -> int
-val packets_lost : t -> int

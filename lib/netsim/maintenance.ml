@@ -1,10 +1,3 @@
-type resolution = {
-  detection_time : float;
-  reconfiguration_time : float;
-  total_disruption : float;
-  broken_connections : int;
-}
-
 (* One collision, played out on the packet level.
 
    Setup: the contested address has an incumbent owner (a Host, which
@@ -13,15 +6,17 @@ type resolution = {
    times; each makes the incumbent broadcast a defence reply.  The
    first such reply the colliding host receives reveals the conflict;
    it then abandons the address and runs the configuration protocol
-   again for a fresh one. *)
+   again for a fresh one.  Returns the outage window (detection latency
+   plus reconfiguration time) and the connections the newcomer opened,
+   at [connection_rate] per second, while the collision was latent. *)
 let horizon_cap = 1e7
 
-let simulate_collision ?(background_rate = 0.1) ?(connection_rate = 0.05)
-    ~loss ~one_way ~occupied ?pool_size ~config ~rng () =
+let connection_rate = 0.05
+
+let simulate_collision ?(background_rate = 0.1) ~loss ~one_way ~occupied
+    ?pool_size ~config ~rng () =
   if background_rate <= 0. then
     invalid_arg "Maintenance.simulate_collision: background_rate <= 0";
-  if connection_rate < 0. then
-    invalid_arg "Maintenance.simulate_collision: connection_rate < 0";
   (* reconfiguring takes n listening periods at least, so a probe
      schedule that reaches the horizon cap below never resolves the
      conflict: refuse it before simulating until the event budget runs
@@ -89,10 +84,7 @@ let simulate_collision ?(background_rate = 0.1) ?(connection_rate = 0.05)
         (* connections opened while the collision was latent *)
         int_of_float (Float.round (detected *. connection_rate))
       in
-      { detection_time = detected;
-        reconfiguration_time = reconf_time;
-        total_disruption = detected +. reconf_time;
-        broken_connections = connections }
+      (detected +. reconf_time, connections)
   | _ -> failwith "Maintenance.simulate_collision: conflict never resolved"
 
 type cost_estimate = {
@@ -110,10 +102,8 @@ let estimate_error_cost ?(per_connection = 30.) ?background_rate ~loss
         simulate_collision ?background_rate ~loss ~one_way
           ~occupied ?pool_size ~config ~rng ())
   in
-  let disruptions = Array.map (fun r -> r.total_disruption) resolutions in
-  let broken =
-    Array.map (fun r -> float_of_int r.broken_connections) resolutions
-  in
+  let disruptions = Array.map fst resolutions in
+  let broken = Array.map (fun (_, b) -> float_of_int b) resolutions in
   let disruption = Numerics.Stats.summarize disruptions in
   let mean_broken = Numerics.Safe_float.mean broken in
   { trials;

@@ -17,35 +17,15 @@
     by the connections torn down — is the measurable counterpart of
     [E]. *)
 
-type resolution = {
-  detection_time : float;
-      (** Virtual seconds from the collision until the newcomer learns
-          of it. *)
-  reconfiguration_time : float;
-      (** Zeroconf run time for the replacement address. *)
-  total_disruption : float;
-      (** [detection_time + reconfiguration_time]: the outage window. *)
-  broken_connections : int;
-      (** Connections the newcomer had established on the colliding
-          address (all torn down). *)
-}
-
-val simulate_collision :
-  ?background_rate:float -> ?connection_rate:float -> loss:float ->
-  one_way:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
-  config:Newcomer.config -> rng:Numerics.Rng.t -> unit -> resolution
-(** One latent collision, played out.  [background_rate] (default
-    [0.1]/s) is the Poisson rate of ARP traffic touching the contested
-    address; [connection_rate] (default [0.05]/s) the rate at which the
-    unsuspecting newcomer opens connections until detection.  The run
-    stops at a simulated horizon of [1e7] s; raises [Invalid_argument]
-    up front when the probe schedule alone, [n r], reaches it, since
-    such a conflict can never resolve. *)
-
 type cost_estimate = {
   trials : int;
   disruption : Numerics.Stats.summary;
+      (** Per collision, the outage window: virtual seconds from the
+          collision until the newcomer learns of it, plus the zeroconf
+          run time for its replacement address. *)
   mean_broken : float;
+      (** Connections the newcomer had established on the colliding
+          address (all torn down), per collision. *)
   suggested_error_cost : float;
       (** Mean disruption plus [per_connection] per broken connection —
           on the paper's scale where one second of waiting costs 1. *)
@@ -56,6 +36,12 @@ val estimate_error_cost :
   one_way:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
   config:Newcomer.config -> trials:int ->
   rng:Numerics.Rng.t -> unit -> cost_estimate
-(** Monte-Carlo over collisions at {!simulate_collision}'s default
-    connection rate.  [per_connection] (default [30.]) prices one broken
-    connection in waiting-seconds. *)
+(** Monte-Carlo over [trials] latent collisions, each played out on
+    the packet level.  [background_rate] (default [0.1]/s) is the
+    Poisson rate of ARP traffic touching the contested address; the
+    unsuspecting newcomer opens connections at [0.05]/s until
+    detection.  [per_connection] (default [30.]) prices one broken
+    connection in waiting-seconds.  Each run stops at a simulated
+    horizon of [1e7] s; raises [Invalid_argument] up front when the
+    probe schedule alone, [n r], reaches it, since such a conflict can
+    never resolve. *)

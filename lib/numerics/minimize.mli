@@ -12,13 +12,11 @@ type result = {
   iterations : int;
 }
 
-val brent : f:(float -> float) -> float -> float -> result
-(** Brent's minimization (golden section + successive parabolic
-    interpolation) on [\[a, b\]], to a relative tolerance of [1e-10]
-    within 200 iterations.  Superlinear on smooth functions. *)
-
 val grid_then_brent :
   ?samples:int -> f:(float -> float) -> float -> float -> result
 (** Scan [samples] (default [256]) equispaced points, then polish the
-    best grid cell with {!brent}.  Robust for functions with plateaus or
-    multiple shallow local minima, such as [C_min(r)]. *)
+    best grid cell with Brent's minimization (golden section plus
+    successive parabolic interpolation, to a relative tolerance of
+    [1e-10] within 200 iterations; superlinear on smooth functions).
+    Robust for functions with plateaus or multiple shallow local
+    minima, such as [C_min(r)]. *)

@@ -9,10 +9,10 @@ let sigma = 0.5
 let sub a b = Array.mapi (fun i x -> x -. b.(i)) a
 let norm_inf a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a
 
-let minimize ?(tol = 1e-10) ?max_iter ?scale ~f x0 =
+let minimize ?(tol = 1e-10) ?scale ~f x0 =
   let dim = Array.length x0 in
   if dim = 0 then invalid_arg "Nelder_mead.minimize: empty starting point";
-  let max_iter = match max_iter with Some m -> m | None -> 200 * dim in
+  let max_iter = 200 * dim in
   let scale =
     match scale with
     | Some s ->

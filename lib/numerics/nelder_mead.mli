@@ -9,24 +9,21 @@ type result = {
   x : float array;     (** Minimizer. *)
   fx : float;          (** Minimum value. *)
   iterations : int;
-  converged : bool;    (** False when [max_iter] was exhausted. *)
+  converged : bool;
+      (** False when all [rounds] runs improved the value and the last
+          one exhausted its [200 * dim] iterations. *)
 }
-
-val minimize :
-  ?tol:float -> ?max_iter:int -> ?scale:float array ->
-  f:(float array -> float) -> float array -> result
-(** [minimize ~f x0] from the initial point [x0].  [scale] sets the
-    initial simplex edge per coordinate (default: 10% of each
-    coordinate's magnitude, or 0.1); [tol] (default [1e-10]) bounds the
-    simplex's relative function spread at termination; [max_iter]
-    defaults to [200 * dim].  The objective may return [infinity] to
-    encode constraints (the simplex retreats).  Raises
-    [Invalid_argument] on an empty starting point or non-finite initial
-    objective. *)
 
 val restarted :
   ?tol:float -> ?rounds:int -> ?scale:float array ->
   f:(float array -> float) -> float array -> result
-(** Re-run {!minimize} from each result until the value stops improving
-    (at most [rounds], default [4]) — the standard cheap defence against
-    premature simplex collapse. *)
+(** Nelder–Mead from [x0], re-run from each result until the value
+    stops improving (at most [rounds], default [4]) — the standard cheap
+    defence against premature simplex collapse.  Each run starts from a
+    simplex whose edge per coordinate is [scale] (default: 10% of each
+    coordinate's magnitude, or 0.1) and stops when the simplex's
+    relative function spread is at most [tol] (default [1e-10]) or
+    after [200 * dim] iterations.  The objective may return [infinity]
+    to encode constraints (the simplex retreats).  Raises
+    [Invalid_argument] on an empty starting point or non-finite initial
+    objective. *)

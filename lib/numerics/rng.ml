@@ -27,9 +27,7 @@ let[@inline] next t =
   Bytes.set_int64_ne t 0 state;
   mix state
 
-let uint64 t = next t
 let split t = of_state (mix (next t))
-let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
@@ -62,11 +60,6 @@ let exponential t ~rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate <= 0";
   (* -log U / rate; use 1 - float to exclude 0 *)
   -.Float.log1p (-.float t) /. rate
-
-let normal t ~mu ~sigma =
-  let u1 = 1. -. float t (* in (0, 1] so log is safe *) in
-  let u2 = float t in
-  mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
 
 let choose_weighted t weights =
   let total =

@@ -16,13 +16,6 @@ val create : int -> t
 val split : t -> t
 (** Derive an independent generator; advances the parent. *)
 
-val copy : t -> t
-(** A generator with the same state that advances on its own: drawing
-    from either never moves the other. *)
-
-val uint64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform on [\[0, bound)]; [bound > 0].  Uses
     rejection sampling, so the distribution is exactly uniform. *)
@@ -36,9 +29,6 @@ val bool : t -> float -> bool
 
 val exponential : t -> rate:float -> float
 (** Exponential variate, [rate > 0]. *)
-
-val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian variate via Box–Muller. *)
 
 val choose_weighted : t -> float array -> int
 (** Sample an index proportional to the (non-negative) weights; raises

@@ -13,9 +13,6 @@ external log : float -> float = "caml_log_float" "log"
 external exp : float -> float = "caml_exp_float" "exp"
 [@@unboxed] [@@noalloc]
 
-external pow : float -> float -> float = "caml_power_float" "pow"
-[@@unboxed] [@@noalloc]
-
 external div : float -> float -> float = "%divfloat"
 
 let approx_eq ?(rtol = 1e-9) ?(atol = 0.) a b =
@@ -32,11 +29,9 @@ let clamp_probability x = clamp ~lo:0. ~hi:1. x
 
 (* Neumaier's improvement of Kahan summation: track the compensation of
    whichever operand has the larger magnitude. *)
-let sum_prefix xs n =
-  if n < 0 || n > Array.length xs then
-    invalid_arg "Safe_float.sum_prefix: prefix length out of range";
+let sum xs =
   let s = ref 0. and comp = ref 0. in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length xs - 1 do
     let x = xs.(i) in
     let t = !s +. x in
     if Float.abs !s >= Float.abs x then comp := !comp +. ((!s -. t) +. x)
@@ -44,8 +39,6 @@ let sum_prefix xs n =
     s := t
   done;
   !s +. !comp
-
-let sum xs = sum_prefix xs (Array.length xs)
 
 let sum_by f xs =
   let s = ref 0. and comp = ref 0. in
@@ -68,11 +61,6 @@ let sum_list xs =
       s := t)
     xs;
   !s +. !comp
-
-let dot a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Safe_float.dot: length mismatch";
-  sum (Array.init n (fun i -> a.(i) *. b.(i)))
 
 let mean xs =
   let n = Array.length xs in

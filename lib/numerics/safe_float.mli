@@ -14,7 +14,7 @@ val epsilon : float
     DESIGN.md "Static analysis") forbids raw [log] / [exp] / [( ** )] /
     [( /. )] in the probability-carrying modules: those quantities mix
     magnitudes from [1e-120] to [1e35], and a stray [log 0.] or [0./.0.]
-    silently poisons everything downstream.  The four names below are
+    silently poisons everything downstream.  The three names below are
     the sanctioned spellings — re-declared externals and a [%divfloat]
     alias, so they compile to exactly the Stdlib instruction and results
     are bit-identical — giving every NaN-capable primitive on the
@@ -28,11 +28,6 @@ external log : float -> float = "caml_log_float" "log"
 external exp : float -> float = "caml_exp_float" "exp"
 [@@unboxed] [@@noalloc]
 (** [Stdlib.exp], sanctioned. *)
-
-external pow : float -> float -> float = "caml_power_float" "pow"
-[@@unboxed] [@@noalloc]
-(** [( ** )], sanctioned.  Callers own the domain obligation (base
-    [>= 0.] in this codebase). *)
 
 external div : float -> float -> float = "%divfloat"
 (** [( /. )], sanctioned.  Callers own the zero-divisor guard. *)
@@ -54,12 +49,6 @@ val clamp_probability : float -> float
 val sum : float array -> float
 (** Kahan–Babuska (Neumaier) compensated sum. *)
 
-val sum_prefix : float array -> int -> float
-(** [sum_prefix xs n] is the compensated sum of [xs.(0) .. xs.(n - 1)],
-    without copying the prefix; equal to [sum (Array.sub xs 0 n)] bit
-    for bit.  Raises [Invalid_argument] when [n] is negative or exceeds
-    the array length. *)
-
 val sum_by : ('a -> float) -> 'a array -> float
 (** [sum_by f xs] is the compensated sum of [f xs.(0) .. f xs.(n - 1)],
     without building the mapped array; equal to [sum (Array.map f xs)]
@@ -67,10 +56,6 @@ val sum_by : ('a -> float) -> 'a array -> float
 
 val sum_list : float list -> float
 (** Compensated sum over a list. *)
-
-val dot : float array -> float array -> float
-(** Compensated dot product.  Raises [Invalid_argument] on length
-    mismatch. *)
 
 val mean : float array -> float
 (** Compensated arithmetic mean.  Raises [Invalid_argument] on an empty

@@ -34,10 +34,3 @@ val proportion_ci : successes:int -> int -> float * float
 val quantile : float array -> float -> float
 (** [quantile xs p] with linear interpolation between order statistics;
     [p] in [\[0, 1\]].  Does not mutate the input. *)
-
-val ecdf : float array -> float -> float
-(** [ecdf xs] is the empirical CDF of the sample, as a function. *)
-
-val normal_quantile : float -> float
-(** Inverse standard-normal CDF (Acklam's rational approximation,
-    |error| < 1.15e-9).  Argument in (0, 1). *)

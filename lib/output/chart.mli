@@ -15,9 +15,4 @@ type t = {
   series : series list;
 }
 
-val render : t -> Svg.t
-(** A 720 x 480 chart.  Points outside the axis ranges are clipped (the polyline is broken
-    there), matching how the paper's plot frames hide the huge [C_1],
-    [C_2] values. *)
-
 val save : t -> string -> unit

@@ -25,14 +25,6 @@ let save path b =
     ~finally:(fun () -> close_out oc)
     (fun () -> Buffer.output_buffer oc b)
 
-let write ~path ~header rows =
-  let width = List.length header in
-  if List.exists (fun row -> List.length row <> width) rows then
-    invalid_arg "Csv.write: row width mismatch";
-  let b = Buffer.create 4096 in
-  List.iter (add_row b) (header :: rows);
-  save path b
-
 let write_series ~path ~x_label series =
   match series with
   | [] -> invalid_arg "Csv.write_series: no series"

@@ -1,7 +1,5 @@
 (** CSV export of experiment series (RFC-4180 quoting). *)
 
-val write : path:string -> header:string list -> string list list -> unit
-
 val write_series :
   path:string -> x_label:string -> (string * (float * float) array) list -> unit
 (** Join several (x, y) series on their x values (which must agree

@@ -12,10 +12,4 @@ type t = {
           sits at the bottom, matching axis convention. *)
 }
 
-val render : t -> Svg.t
-(** A 720 x 480 heatmap.  Colours run from light (minimum) to dark red (maximum) over the
-    finite values; non-finite cells render grey.  A min/max legend is
-    included.  Raises [Invalid_argument] on ragged or empty data or
-    label-dimension mismatches. *)
-
 val save : t -> string -> unit

@@ -84,15 +84,6 @@ let rect t ?(fill = "none") ?(stroke = "none") (x, y) (w, h) =
   str_attr b "stroke" stroke;
   Buffer.add_string b "/>"
 
-let circle t (cx, cy) r =
-  element t @@ fun b ->
-  Buffer.add_string b "<circle";
-  num_attr b "cx" cx;
-  num_attr b "cy" cy;
-  num_attr b "r" r;
-  str_attr b "fill" "#000";
-  Buffer.add_string b "/>"
-
 let text t ?(size = 11) ?(anchor = "start") ~x ~y s =
   element t @@ fun b ->
   Buffer.add_string b "<text";

@@ -18,14 +18,10 @@ val rect :
   t -> ?fill:string -> ?stroke:string -> float * float -> float * float -> unit
 (** [rect t (x, y) (w, h)]. *)
 
-val circle : t -> float * float -> float -> unit
-(** [circle t centre radius], filled black. *)
-
 val text :
   t -> ?size:int -> ?anchor:string -> x:float -> y:float -> string -> unit
 (** Dark grey text; [anchor] is an SVG [text-anchor]: ["start"],
     ["middle"], or ["end"]. *)
 
-val to_string : t -> string
 val save : t -> string -> unit
 (** Write the document to a file. *)

@@ -38,14 +38,3 @@ let to_text t =
   String.concat "\n"
     (render_row t.headers :: sep :: List.map render_row (List.rev t.rows))
   ^ "\n"
-
-let to_markdown t =
-  let row cells = "| " ^ String.concat " | " cells ^ " |" in
-  let sep =
-    row
-      (List.map
-         (function Left -> ":---" | Right -> "---:")
-         t.aligns)
-  in
-  String.concat "\n" (row t.headers :: sep :: List.map row (List.rev t.rows))
-  ^ "\n"

@@ -10,5 +10,3 @@ val add_row : t -> string list -> unit
 
 val to_text : t -> string
 (** Box-drawing-free aligned plain text. *)
-
-val to_markdown : t -> string

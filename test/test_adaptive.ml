@@ -72,10 +72,13 @@ let test_blacklist_value_matches_attempts_analysis () =
   let refinement = { base with Zeroconf.Attempts.blacklist = true } in
   let s = A.solve crowded ~refinement () in
   let analysis =
-    Zeroconf.Attempts.analyze crowded refinement ~n:s.A.fixed_best.A.n
-      ~r:s.A.fixed_best.A.r
+    List.assoc "blacklist"
+      (Zeroconf.Attempts.compare_refinements crowded
+         ~occupied:refinement.Zeroconf.Attempts.occupied
+         ~pool:refinement.Zeroconf.Attempts.pool ~n:s.A.fixed_best.A.n
+         ~r:s.A.fixed_best.A.r ())
   in
-  check_rel ~rtol:1e-6 "MDP fixed value = Attempts.analyze"
+  check_rel ~rtol:1e-6 "MDP fixed value = Attempts blacklist row"
     analysis.Zeroconf.Attempts.mean_cost s.A.fixed_cost
 
 let test_explicit_candidates_respected () =

@@ -44,7 +44,7 @@ let test_draft_never_beats_optimum () =
         (p.Params.name ^ ": ratio >= 1")
         true
         (a.A.cost_ratio >= 1. -. 1e-9))
-    [ Params.figure2; Params.wireless_worst_case; Params.wired_worst_case;
+    [ Params.figure2; Params.wireless_worst_case; List.assoc "wired-worst-case" Params.presets;
       Params.realistic_ethernet ]
 
 let test_custom_draft_point () =

@@ -16,13 +16,19 @@ let crowded =
 let occupied = 200
 let pool = 256
 
+(* The refined model's rows for one scenario: baseline, blacklist only,
+   rate limit only (10 conflicts, 60 s), both *)
+let rows ?(occupied = occupied) ?(pool = pool) p ~n ~r =
+  A.compare_refinements p ~occupied ~pool ~n ~r ()
+
+let row label rows = List.assoc label rows
+
 let test_baseline_reproduces_eq3_eq4 () =
   (* the headline consistency check: with no refinement the attempt
      decomposition is algebraically identical to the closed forms *)
   List.iter
     (fun (n, r) ->
-      let refinement = A.no_refinement ~occupied ~pool () in
-      let a = A.analyze crowded refinement ~n ~r in
+      let a = row "baseline" (rows crowded ~n ~r) in
       let q = float_of_int occupied /. float_of_int pool in
       let p = Params.with_q crowded q in
       check_rel (Printf.sprintf "cost n=%d r=%g" n r) (Zeroconf.Cost.mean p ~n ~r)
@@ -34,17 +40,18 @@ let test_baseline_reproduces_eq3_eq4 () =
     [ (1, 0.6); (2, 1.); (3, 1.); (4, 2.); (6, 0.3) ]
 
 let test_baseline_on_paper_scenario () =
-  let refinement = A.no_refinement ~occupied:1000 () in
-  let a = A.analyze Params.figure2 refinement ~n:4 ~r:2. in
+  let a =
+    row "baseline"
+      (A.compare_refinements Params.figure2 ~occupied:1000 ~n:4 ~r:2. ())
+  in
   check_rel "figure2 draft cost" (Zeroconf.Cost.mean Params.figure2 ~n:4 ~r:2.)
     a.A.mean_cost
 
 let test_mean_attempts_geometric () =
   (* baseline attempts are geometric with restart prob q (1 - pi_n):
      mean = 1 / (1 - q (1 - pi_n)) *)
-  let refinement = A.no_refinement ~occupied ~pool () in
   let n = 3 and r = 1. in
-  let a = A.analyze crowded refinement ~n ~r in
+  let a = row "baseline" (rows crowded ~n ~r) in
   let q = float_of_int occupied /. float_of_int pool in
   let pi_n =
     let k = Zeroconf.Kernel.create crowded ~r in
@@ -55,11 +62,8 @@ let test_mean_attempts_geometric () =
     a.A.mean_attempts
 
 let test_blacklist_reduces_attempts_and_cost () =
-  let base = A.no_refinement ~occupied ~pool () in
-  let black = { base with A.blacklist = true } in
-  let n = 3 and r = 1. in
-  let a0 = A.analyze crowded base ~n ~r in
-  let a1 = A.analyze crowded black ~n ~r in
+  let rows = rows crowded ~n:3 ~r:1. in
+  let a0 = row "baseline" rows and a1 = row "blacklist" rows in
   Alcotest.(check bool) "fewer attempts" true (a1.A.mean_attempts < a0.A.mean_attempts);
   Alcotest.(check bool) "cheaper" true (a1.A.mean_cost < a0.A.mean_cost);
   Alcotest.(check bool) "no less reliable" true
@@ -68,10 +72,7 @@ let test_blacklist_reduces_attempts_and_cost () =
 let test_blacklist_terminates_on_tiny_pool () =
   (* 3 occupied out of 4: after three aborts the next draw is free for
      sure, so attempts are bounded by 4 *)
-  let refinement =
-    { A.blacklist = true; rate_limit = None; occupied = 3; pool = 4 }
-  in
-  let a = A.analyze crowded refinement ~n:2 ~r:1. in
+  let a = row "blacklist" (rows ~occupied:3 ~pool:4 crowded ~n:2 ~r:1.) in
   Alcotest.(check bool)
     (Printf.sprintf "attempts %.3f <= 4" a.A.mean_attempts)
     true
@@ -79,11 +80,8 @@ let test_blacklist_terminates_on_tiny_pool () =
   Alcotest.(check (float 1e-12)) "no truncation" 0. a.A.truncated_mass
 
 let test_rate_limit_adds_delay_only () =
-  let base = A.no_refinement ~occupied ~pool () in
-  let limited = { base with A.rate_limit = Some (2, 10.) } in
-  let n = 3 and r = 1. in
-  let a0 = A.analyze crowded base ~n ~r in
-  let a1 = A.analyze crowded limited ~n ~r in
+  let rows = rows crowded ~n:3 ~r:1. in
+  let a0 = row "baseline" rows and a1 = row "rate-limit" rows in
   check_rel "error probability unchanged" a0.A.error_probability
     a1.A.error_probability;
   check_rel "attempts unchanged" a0.A.mean_attempts a1.A.mean_attempts;
@@ -93,16 +91,16 @@ let test_rate_limit_adds_delay_only () =
     (a1.A.mean_time -. a0.A.mean_time)
     (a1.A.mean_cost -. a0.A.mean_cost)
 
-let test_rate_limit_threshold_zero_charges_from_second_attempt () =
-  let refinement =
-    { A.blacklist = false; rate_limit = Some (0, 100.); occupied; pool }
-  in
-  let no_limit = A.no_refinement ~occupied ~pool () in
-  let n = 2 and r = 0.5 in
-  let a = A.analyze crowded refinement ~n ~r in
-  let a0 = A.analyze crowded no_limit ~n ~r in
-  (* every attempt after the first pays 100: extra = 100 (E[attempts] - 1) *)
-  check_rel "delay accounting" (100. *. (a0.A.mean_attempts -. 1.))
+let test_rate_limit_threshold_accounting () =
+  let rows = rows crowded ~n:2 ~r:0.5 in
+  let a0 = row "baseline" rows and a = row "rate-limit" rows in
+  (* without blacklisting, attempts are geometric with restart
+     probability p = 1 - 1 / E[attempts]; attempt k + 1 follows k
+     conflicts and happens with probability p^k, and it pays 60 s once
+     k >= 10: extra = 60 sum_(k >= 10) p^k = 60 p^10 E[attempts] *)
+  let m = a0.A.mean_attempts in
+  let p = 1. -. (1. /. m) in
+  check_rel ~rtol:1e-6 "delay accounting" (60. *. (p ** 10.) *. m)
     (a.A.mean_time -. a0.A.mean_time)
 
 let test_matches_simulation () =
@@ -112,9 +110,8 @@ let test_matches_simulation () =
   let n = 3 and r = 1. in
   let rng = Numerics.Rng.create 99 in
   List.iter
-    (fun (avoid, rate_limit) ->
-      let refinement = { A.blacklist = avoid; rate_limit; occupied; pool } in
-      let a = A.analyze crowded refinement ~n ~r in
+    (fun (label, avoid, rate_limit) ->
+      let a = row label (rows crowded ~n ~r) in
       let config =
         { (Netsim.Newcomer.drm_config ~n ~r ~probe_cost:1. ~error_cost:100.) with
           Netsim.Newcomer.avoid_failed = avoid;
@@ -132,7 +129,8 @@ let test_matches_simulation () =
         true
         (a.A.mean_cost > lo -. (0.03 *. a.A.mean_cost)
         && a.A.mean_cost < hi +. (0.03 *. a.A.mean_cost)))
-    [ (false, None); (true, None); (false, Some (2, 10.)); (true, Some (2, 10.)) ]
+    [ ("baseline", false, None); ("blacklist", true, None);
+      ("rate-limit", false, Some (10, 60.)); ("draft (both)", true, Some (10, 60.)) ]
 
 let test_compare_refinements_structure () =
   let rows = A.compare_refinements crowded ~occupied ~pool ~n:3 ~r:1. () in
@@ -144,9 +142,8 @@ let test_guards () =
   Alcotest.check_raises "occupied >= pool"
     (Invalid_argument "Attempts: occupied outside [0, pool)") (fun () ->
       ignore (A.no_refinement ~occupied:10 ~pool:10 ()));
-  let refinement = A.no_refinement ~occupied:10 ~pool:100 () in
   Alcotest.check_raises "n = 0" (Invalid_argument "Attempts.analyze: n < 1")
-    (fun () -> ignore (A.analyze crowded refinement ~n:0 ~r:1.))
+    (fun () -> ignore (rows ~occupied:10 ~pool:100 crowded ~n:0 ~r:1.))
 
 let () =
   Alcotest.run "attempts"
@@ -163,7 +160,7 @@ let () =
       ( "rate limiting",
         [ Alcotest.test_case "adds delay only" `Quick test_rate_limit_adds_delay_only;
           Alcotest.test_case "threshold accounting" `Quick
-            test_rate_limit_threshold_zero_charges_from_second_attempt ] );
+            test_rate_limit_threshold_accounting ] );
       ( "validation",
         [ Alcotest.test_case "matches simulation (4 variants)" `Slow
             test_matches_simulation;

@@ -14,11 +14,16 @@ let wired_network =
     ~delay:(Dist.Families.shifted_exponential ~mass:(1. -. 1e-10) ~rate:100. ~delay:0.1 ())
     ~q:(Params.q_of_hosts 1000) ~probe_cost:0. ~error_cost:0.
 
+(* The calibrations, run once: [Calibrate.run] solves the stationarity
+   condition for E at every postage it tries, and returns the E of the
+   threshold postage *)
+let wireless = lazy (Cal.run wireless_network ~n:4 ~r:2.)
+let wired = lazy (Cal.run wired_network ~n:4 ~r:0.2)
+
 let test_stationarity_e_wireless () =
   (* the paper derives E_{r=2} = 5e20 "by simple numerical
      approximation"; the exact stationarity solution is 5.66e20 *)
-  let p = Params.with_costs ~probe_cost:3.5 wireless_network in
-  let e = Cal.error_cost_for_stationarity p ~n:4 ~r:2. in
+  let e = (Lazy.force wireless).Cal.error_cost in
   Alcotest.(check bool)
     (Printf.sprintf "E = %.3g within [4e20, 7e20]" e)
     true
@@ -26,24 +31,29 @@ let test_stationarity_e_wireless () =
 
 let test_stationarity_e_wired () =
   (* paper: E_{r=0.2} = 1e35; exact stationarity gives 5.6e34 *)
-  let p = Params.with_costs ~probe_cost:0.5 wired_network in
-  let e = Cal.error_cost_for_stationarity p ~n:4 ~r:0.2 in
+  let e = (Lazy.force wired).Cal.error_cost in
   Alcotest.(check bool)
     (Printf.sprintf "E = %.3g within [3e34, 2e35]" e)
     true
     (e > 3e34 && e < 2e35)
 
 let test_stationarity_e_barely_depends_on_c () =
-  let e_at c =
-    Cal.error_cost_for_stationarity
-      (Params.with_costs ~probe_cost:c wireless_network)
-      ~n:4 ~r:2.
-  in
-  Alcotest.(check bool) "c moves E by < 1%" true
-    (Float.abs ((e_at 0.5 /. e_at 5.) -. 1.) < 0.01)
+  (* the stationarity E is (nearly) independent of c: under the
+     calibrated E, r_t stays the optimum of C_4 at postages an order of
+     magnitude apart *)
+  let e = (Lazy.force wireless).Cal.error_cost in
+  List.iter
+    (fun c ->
+      let p = Params.with_costs ~probe_cost:c ~error_cost:e wireless_network in
+      let r = (Zeroconf.Optimize.optimal_r p ~n:4).Numerics.Minimize.x in
+      Alcotest.(check bool)
+        (Printf.sprintf "c = %g moves r_opt(4) = %g by < 1%%" c r)
+        true
+        (Float.abs ((r /. 2.) -. 1.) < 0.01))
+    [ 0.5; 5. ]
 
 let test_full_calibration_wireless () =
-  let res = Cal.run wireless_network ~n:4 ~r:2. in
+  let res = Lazy.force wireless in
   (* threshold postage just below the paper's rounded 3.5 *)
   Alcotest.(check bool)
     (Printf.sprintf "c = %.3f in [2.5, 3.5]" res.Cal.probe_cost)
@@ -54,7 +64,7 @@ let test_full_calibration_wireless () =
   Alcotest.(check bool) "r residual small" true (res.Cal.r_residual < 0.02)
 
 let test_full_calibration_wired () =
-  let res = Cal.run wired_network ~n:4 ~r:0.2 in
+  let res = Lazy.force wired in
   Alcotest.(check bool)
     (Printf.sprintf "c = %.3f in [0.2, 0.5]" res.Cal.probe_cost)
     true

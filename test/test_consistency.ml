@@ -25,14 +25,11 @@ let routes_agree (p : Params.t) ~n ~r =
      let pool = 65536 in
      let occupied = int_of_float (Float.round (p.Params.q *. float_of_int pool)) in
      if occupied > 0 && occupied < pool then begin
-       let refinement =
-         { Zeroconf.Attempts.blacklist = false;
-           rate_limit = None;
-           occupied;
-           pool }
-       in
        let snapped = Params.with_q p (float_of_int occupied /. float_of_int pool) in
-       let a = Zeroconf.Attempts.analyze snapped refinement ~n ~r in
+       let a =
+         List.assoc "baseline"
+           (Zeroconf.Attempts.compare_refinements snapped ~occupied ~pool ~n ~r ())
+       in
        check_rel (label ^ " attempts") (Zeroconf.Cost.mean snapped ~n ~r)
          a.Zeroconf.Attempts.mean_cost
      end
@@ -40,18 +37,16 @@ let routes_agree (p : Params.t) ~n ~r =
   (* error: closed form = matrix = reachability = PCTL *)
   check_rel ~rtol:1e-8 ~atol:1e-16 (label ^ " absorption") eq4 (Zeroconf.Drm.error_probability drm);
   check_rel ~rtol:1e-8 ~atol:1e-16 (label ^ " reachability") eq4
-    (Dtmc.Reachability.prob_from drm.Zeroconf.Drm.chain
-       ~from:drm.Zeroconf.Drm.start
-       ~target:[ drm.Zeroconf.Drm.error ]);
+    (Oracle.reach drm.Zeroconf.Drm.chain ~target:[ drm.Zeroconf.Drm.error ]).(drm.Zeroconf.Drm.start);
   let labels = Dtmc.Pctl.label_of_state drm.Zeroconf.Drm.chain in
   check_rel ~rtol:1e-8 ~atol:1e-16 (label ^ " pctl") eq4
     (Dtmc.Pctl.path_probability drm.Zeroconf.Drm.chain labels
        ~from:drm.Zeroconf.Drm.start
        (Dtmc.Pctl.Eventually (Dtmc.Pctl.Ap "error")));
-  (* reward operator = Eq. 3 *)
+  (* reward to first passage into error | ok = Eq. 3 *)
   check_rel ~rtol:1e-8 (label ^ " R operator") eq3
-    (Dtmc.Pctl.reward_to_reach drm.Zeroconf.Drm.reward labels
-       (Dtmc.Pctl.Or (Dtmc.Pctl.Ap "error", Dtmc.Pctl.Ap "ok"))).(drm.Zeroconf.Drm.start);
+    (Oracle.expected_reward drm.Zeroconf.Drm.reward
+       ~target:[ drm.Zeroconf.Drm.error; drm.Zeroconf.Drm.ok ]).(drm.Zeroconf.Drm.start);
   (* latency mean = time-reward DRM solve *)
   let timed = Params.with_costs ~probe_cost:0. ~error_cost:0. p in
   let time_drm = Zeroconf.Drm.build timed ~n ~r in
@@ -88,7 +83,7 @@ let test_randomized_scenarios () =
 let test_phase_type_delay_consistency () =
   (* a two-branch hyperexponential delay flows through every route too *)
   let delay =
-    Dist.Families.mixture
+    Oracle.mixture
       [ (0.6, Dist.Families.exponential ~mass:0.9 ~rate:8. ());
         (0.4, Dist.Families.exponential ~mass:0.9 ~rate:1.5 ()) ]
   in

@@ -8,6 +8,12 @@ let chain_of arrays labels =
 
 (* ---------------- reachability ---------------- *)
 
+(* P=? [F<=k target] per state *)
+let reach_within chain ~target ~k =
+  let n = C.size chain in
+  Dtmc.Reachability.bounded_until chain ~phi:(Array.make n true)
+    ~psi:(Array.init n (fun i -> List.mem i target)) ~k
+
 (* diamond: s -> l (0.3) / r (0.7); l -> goal; r -> trap *)
 let diamond =
   chain_of
@@ -19,7 +25,7 @@ let diamond =
     [| "s"; "l"; "r"; "goal"; "trap" |]
 
 let test_reachability_prob () =
-  let p = Dtmc.Reachability.prob diamond ~target:[ 3 ] in
+  let p = Oracle.reach diamond ~target:[ 3 ] in
   check_close "from s" 0.3 p.(0);
   check_close "from l" 1. p.(1);
   check_close "from r" 0. p.(2);
@@ -30,7 +36,8 @@ let test_reachability_qualitative () =
   let never = Dtmc.Reachability.never diamond ~target:[ 3 ] in
   Alcotest.(check (array bool)) "never set"
     [| false; false; true; false; true |] never;
-  let certain = Dtmc.Reachability.certainly diamond ~target:[ 3 ] in
+  (* the probability-one set comes out of the precomputation as exact 1s *)
+  let certain = Array.map (fun p -> p = 1.) (Oracle.reach diamond ~target:[ 3 ]) in
   Alcotest.(check (array bool)) "certain set"
     [| false; true; false; true; false |] certain
 
@@ -39,8 +46,7 @@ let test_reachability_vs_absorption () =
      absorption probability into it *)
   let drm = Zeroconf.Drm.build Zeroconf.Params.figure2 ~n:3 ~r:1.5 in
   let via_reach =
-    Dtmc.Reachability.prob_from drm.Zeroconf.Drm.chain ~from:drm.Zeroconf.Drm.start
-      ~target:[ drm.Zeroconf.Drm.error ]
+    (Oracle.reach drm.Zeroconf.Drm.chain ~target:[ drm.Zeroconf.Drm.error ]).(drm.Zeroconf.Drm.start)
   in
   let via_absorb = Zeroconf.Drm.error_probability drm in
   check_close ~tol:1e-12 "agree" via_absorb via_reach
@@ -48,9 +54,9 @@ let test_reachability_vs_absorption () =
 let test_bounded_reachability () =
   (* leave with prob 0.5 per step *)
   let c = chain_of [| [| 0.5; 0.5 |]; [| 0.; 1. |] |] [| "s"; "a" |] in
-  let v = Dtmc.Reachability.bounded_prob c ~target:[ 1 ] ~horizon:3 in
+  let v = reach_within c ~target:[ 1 ] ~k:3 in
   check_close "within 3 steps" (1. -. 0.125) v.(0);
-  let v0 = Dtmc.Reachability.bounded_prob c ~target:[ 1 ] ~horizon:0 in
+  let v0 = reach_within c ~target:[ 1 ] ~k:0 in
   check_close "horizon 0 from non-target" 0. v0.(0);
   check_close "horizon 0 from target" 1. v0.(1)
 

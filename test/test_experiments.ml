@@ -193,8 +193,12 @@ let test_all_figures_enumerates_five () =
     [ "fig2"; "fig3"; "fig4"; "fig5"; "fig6" ]
     (List.map (fun (f : E.figure) -> f.E.id) figures)
 
+(* the extension figures, as [figures] renders them *)
+let extension id =
+  List.find (fun (f : E.figure) -> f.E.id = id) (E.extension_figures ())
+
 let test_latency_figure_shape () =
-  let fig = E.latency_figure () in
+  let fig = extension "ext-latency" in
   Alcotest.(check int) "three designs" 3 (List.length fig.E.series);
   List.iter
     (fun (s : E.series) ->
@@ -220,7 +224,7 @@ let test_latency_figure_shape () =
   Alcotest.(check (float 1e-9)) "draft has nothing by 4 s" 0. (at "draft (4, 2)" 4.)
 
 let test_pareto_figure_shape () =
-  let fig = E.pareto_figure () in
+  let fig = extension "ext-pareto" in
   match fig.E.series with
   | [ front ] ->
       let points = front.E.points in

@@ -50,9 +50,7 @@ module Reference = struct
 
   let cost (p : Params.t) ~n ~r =
     let pis = pi_all p ~n ~r in
-    let sum_pi =
-      SF.sum_prefix pis n (* pi_0 .. pi_{n-1}, no copy *)
-    in
+    let sum_pi = SF.sum (Array.sub pis 0 n) (* pi_0 .. pi_{n-1} *) in
     let pi_n = pis.(n) in
     let numerator =
       ((r +. p.probe_cost)
@@ -91,12 +89,9 @@ let test_cursor_matches_probes () =
       (K.ratio k);
     Alcotest.(check (float 0.)) "pi = reference pi"
       (Reference.pi fig2 ~n ~r) (K.pi k);
-    Alcotest.(check (float 0.)) "log_pi = reference log_pi"
-      (Reference.log_pi fig2 ~n ~r)
-      (K.log_pi k);
     let pis = Reference.pi_all fig2 ~n ~r in
     Alcotest.(check (float 0.)) "sum_pi = compensated prefix sum"
-      (SF.sum_prefix pis n) (K.sum_pi k)
+      (SF.sum (Array.sub pis 0 n)) (K.sum_pi k)
   done
 
 let test_readers_match_direct () =
@@ -173,16 +168,13 @@ let test_optimal_n_matches_reference () =
     [ (4096, 24); (64, 24); (4096, 1); (1, 24); (0, 24); (4096, 0) ]
 
 let test_scan_error_fields () =
+  (* the winner's log10 error comes off the scan's own cursor *)
   Array.iter
     (fun r ->
-      let scan = O.optimal_n_scan fig2 ~r in
-      let n = scan.O.n in
-      Alcotest.(check (float 0.)) "error_prob"
-        (Reference.error_probability fig2 ~n ~r)
-        scan.O.error_prob;
+      let n, _ = O.optimal_n fig2 ~r in
       Alcotest.(check (float 0.)) "log10_error"
         (Reference.log10_error_probability fig2 ~n ~r)
-        scan.O.log10_error)
+        (O.log10_error_under_optimal_n fig2 ~r))
     (Numerics.Grid.linspace 0.3 6. 20)
 
 (* ------------------------------------------------------------------ *)
@@ -369,17 +361,16 @@ let test_log_twin_guards () =
   K.advance k;
   Alcotest.check_raises "log10_error without the twin"
     (Invalid_argument "Kernel.log10_error: no log twin") (fun () ->
-      ignore (K.log10_error k));
-  Alcotest.check_raises "log_pi without the twin"
-    (Invalid_argument "Kernel.log_pi: no log twin") (fun () -> ignore (K.log_pi k))
+      ignore (K.log10_error k))
 
 (* ------------------------------------------------------------------ *)
 (* job counts: kernel code on worker domains (the analytic route's     *)
 (* fan-out runs it there) stays bit-identical                          *)
 
-let with_pool jobs f =
-  let pool = Exec.Pool.create jobs in
-  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () -> f pool)
+(* the default pool at [jobs], back to serial afterwards *)
+let with_jobs jobs f =
+  Exec.Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Exec.Pool.set_jobs 1) f
 
 let job_counts = [ 1; 2; 8 ]
 
@@ -391,15 +382,15 @@ let test_sweeps_bit_identical_across_jobs () =
   let serial_errors = Array.map log10_error grid in
   List.iter
     (fun jobs ->
-      with_pool jobs (fun pool ->
+      with_jobs jobs (fun () ->
           Alcotest.(check bool)
             (Printf.sprintf "kernel cost sweep at jobs = %d" jobs)
             true
-            (serial_costs = Exec.Parallel.map ~pool cost grid);
+            (serial_costs = Exec.Parallel.map cost grid);
           Alcotest.(check bool)
             (Printf.sprintf "kernel error sweep at jobs = %d" jobs)
             true
-            (serial_errors = Exec.Parallel.map ~pool log10_error grid)))
+            (serial_errors = Exec.Parallel.map log10_error grid)))
     job_counts
 
 let prop_parallel_scan_agrees =
@@ -409,12 +400,10 @@ let prop_parallel_scan_agrees =
     QCheck.(pair (make scenario_gen) (int_range 2 32))
     (fun (p, points) ->
       let grid = Numerics.Grid.linspace 0.05 6. points in
-      let reference = Array.map (fun r -> O.optimal_n_scan ~n_max:256 p ~r) grid in
+      let scan r = O.optimal_n ~n_max:256 p ~r in
+      let reference = Array.map scan grid in
       List.for_all
-        (fun jobs ->
-          with_pool jobs (fun pool ->
-              reference
-              = Exec.Parallel.map ~pool (fun r -> O.optimal_n_scan ~n_max:256 p ~r) grid))
+        (fun jobs -> with_jobs jobs (fun () -> reference = Exec.Parallel.map scan grid))
         job_counts)
 
 let () =

@@ -213,13 +213,28 @@ let r6_value_unused () =
           "val linspace : 'a -> 'a\nval orphan : int\nval helper : 'a -> 'a\n")
        ])
 
+let r6_value_test_only () =
+  Alcotest.(check (list (triple string string string)))
+    "a val that only a test/ source names is flagged, though that source \
+     is passed in"
+    [ ("R6", "lib/numerics/grid.mli", "Numerics.Grid.oracle") ]
+    (unused
+       [ ("bin/main.ml", "let g = Numerics.Grid.linspace\n");
+         ("test/test_grid.ml",
+          "let o = Numerics.Grid.oracle\n\
+           open Numerics.Grid\nlet p = oracle\n\
+           module G = Numerics.Grid\nlet q = G.oracle\n");
+         ("lib/numerics/grid.ml", "let linspace = 1 let oracle = 2\n");
+         ("lib/numerics/grid.mli", "val linspace : int\nval oracle : int\n")
+       ])
+
 let r6_value_named () =
   Alcotest.(check (list (triple string string string)))
     "a W.M.v path, an own-library M.v, an open, a module alias and a \
      module-type member all name their value"
     []
     (unused
-       [ ("test/test_grid.ml", "let g = Numerics.Grid.linspace\n");
+       [ ("bin/main.ml", "let g = Numerics.Grid.linspace\n");
          ("lib/numerics/stats.ml",
           "let q = Grid.chunks\n\
            let s (module B : Backend.S) = B.name\n");
@@ -340,6 +355,8 @@ let () =
           Alcotest.test_case "R6 alias, open, same-library name, package" `Quick
             r6_reached;
           Alcotest.test_case "R6 unused value" `Quick r6_value_unused;
+          Alcotest.test_case "R6 value named only by a test" `Quick
+            r6_value_test_only;
           Alcotest.test_case "R6 value named by path, open, alias, module type"
             `Quick r6_value_named;
           Alcotest.test_case "E0 parse error" `Quick e0_parse_error ] );

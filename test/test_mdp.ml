@@ -12,11 +12,13 @@ let two_roads =
     | 0 -> [ ("cheap", [ tr 1 1. 5. ]); ("dear", [ tr 1 1. 9. ]) ]
     | _ -> [])
 
+(* a policy names an action by its index in the state's action list *)
+let check_action msg expected actual = Alcotest.(check int) msg expected actual
+
 let test_picks_cheaper_road () =
   let s = Mdp.value_iteration two_roads in
   check_close "value" 5. s.Mdp.values.(0);
-  Alcotest.(check string) "action" "cheap"
-    (Mdp.action_name two_roads ~state:0 ~action:s.Mdp.policy.(0));
+  check_action "action cheap" 0 s.Mdp.policy.(0);
   Alcotest.(check int) "absorbing has no action" (-1) s.Mdp.policy.(1)
 
 let test_lookahead_beats_greedy_first_step () =
@@ -31,7 +33,7 @@ let test_lookahead_beats_greedy_first_step () =
   in
   let s = Mdp.value_iteration m in
   check_close "optimal value" 3. s.Mdp.values.(0);
-  Alcotest.(check string) "chooses b" "b" (Mdp.action_name m ~state:0 ~action:s.Mdp.policy.(0))
+  check_action "chooses b" 1 s.Mdp.policy.(0)
 
 let test_stochastic_restart_loop () =
   (* pay 2 to try; success 0.25, else back to the start: expected
@@ -56,12 +58,10 @@ let test_chooses_between_risky_and_safe () =
       | _ -> [])
   in
   let s1 = Mdp.value_iteration (build 0.5) in
-  Alcotest.(check string) "risky wins at 0.5" "risky"
-    (Mdp.action_name (build 0.5) ~state:0 ~action:s1.Mdp.policy.(0));
+  check_action "risky wins at 0.5" 1 s1.Mdp.policy.(0);
   check_close "value 2" 2. s1.Mdp.values.(0);
   let s2 = Mdp.value_iteration (build 0.2) in
-  Alcotest.(check string) "safe wins at 0.2" "safe"
-    (Mdp.action_name (build 0.2) ~state:0 ~action:s2.Mdp.policy.(0));
+  check_action "safe wins at 0.2" 0 s2.Mdp.policy.(0);
   check_close "value 4" 4. s2.Mdp.values.(0)
 
 let test_evaluate_policy_exact () =
@@ -74,19 +74,19 @@ let test_evaluate_policy_exact () =
   check_close "exact 10" 10. v.(0)
 
 let test_policy_iteration_agrees () =
-  let m =
-    Mdp.create ~num_states:4 ~actions:(function
-      | 0 -> [ ("l", [ tr 1 0.7 2.; tr 2 0.3 1. ]); ("r", [ tr 2 1. 2.5 ]) ]
-      | 1 -> [ ("go", [ tr 3 0.5 1.; tr 0 0.5 1. ]) ]
-      | 2 -> [ ("go", [ tr 3 1. 2. ]) ]
-      | _ -> [])
+  let actions = function
+    | 0 -> [ ("l", [ tr 1 0.7 2.; tr 2 0.3 1. ]); ("r", [ tr 2 1. 2.5 ]) ]
+    | 1 -> [ ("go", [ tr 3 0.5 1.; tr 0 0.5 1. ]) ]
+    | 2 -> [ ("go", [ tr 3 1. 2. ]) ]
+    | _ -> []
   in
+  let m = Mdp.create ~num_states:4 ~actions in
   let vi = Mdp.value_iteration m in
-  let pi = Mdp.policy_iteration m in
+  let pi_values, pi_policy = Oracle.policy_iteration ~num_states:4 ~actions m in
   Array.iteri
-    (fun s v -> check_close ~tol:1e-8 (Printf.sprintf "state %d" s) v pi.Mdp.values.(s))
+    (fun s v -> check_close ~tol:1e-8 (Printf.sprintf "state %d" s) v pi_values.(s))
     vi.Mdp.values;
-  Alcotest.(check (array int)) "same policy" vi.Mdp.policy pi.Mdp.policy
+  Alcotest.(check (array int)) "same policy" vi.Mdp.policy pi_policy
 
 let test_gamblers_choice () =
   (* states 0..4 of capital; goal: reach 4 with minimal expected number
@@ -96,35 +96,34 @@ let test_gamblers_choice () =
      counting as termination too).  We only assert consistency: VI = PI
      and values are finite and positive for interior states. *)
   let stake_targets capital stake = (capital + stake, capital - stake) in
-  let m =
-    Mdp.create ~num_states:5 ~actions:(fun s ->
-        if s = 0 || s = 4 then []
-        else
-          let actions = ref [] in
-          List.iter
-            (fun stake ->
-              if stake >= 1 && stake <= min s (4 - s) then begin
-                let win, lose = stake_targets s stake in
-                actions :=
-                  ( Printf.sprintf "bet%d" stake,
-                    [ tr win 0.5 1.; tr lose 0.5 1. ] )
-                  :: !actions
-              end)
-            [ 1; 2 ];
-          List.rev !actions)
+  let actions s =
+    if s = 0 || s = 4 then []
+    else
+      let actions = ref [] in
+      List.iter
+        (fun stake ->
+          if stake >= 1 && stake <= min s (4 - s) then begin
+            let win, lose = stake_targets s stake in
+            actions :=
+              ( Printf.sprintf "bet%d" stake,
+                [ tr win 0.5 1.; tr lose 0.5 1. ] )
+              :: !actions
+          end)
+        [ 1; 2 ];
+      List.rev !actions
   in
+  let m = Mdp.create ~num_states:5 ~actions in
   let vi = Mdp.value_iteration m in
-  let pi = Mdp.policy_iteration m in
+  let pi_values, _ = Oracle.policy_iteration ~num_states:5 ~actions m in
   for s = 1 to 3 do
     Alcotest.(check bool) "finite positive" true
       (Float.is_finite vi.Mdp.values.(s) && vi.Mdp.values.(s) > 0.);
     check_close ~tol:1e-8 (Printf.sprintf "vi = pi at %d" s) vi.Mdp.values.(s)
-      pi.Mdp.values.(s)
+      pi_values.(s)
   done;
   (* at capital 2, the all-in bet ends the game in exactly one step *)
   check_close ~tol:1e-8 "all-in from 2" 1. vi.Mdp.values.(2);
-  Alcotest.(check string) "bold at 2" "bet2"
-    (Mdp.action_name m ~state:2 ~action:vi.Mdp.policy.(2))
+  check_action "bold at 2: bet2" 1 vi.Mdp.policy.(2)
 
 let test_validation () =
   (try

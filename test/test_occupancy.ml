@@ -231,7 +231,7 @@ let reference_mean_ci xs =
   if s.Stats.n < 2 then (s.Stats.mean, s.Stats.mean)
   else
     let half =
-      Stats.normal_quantile 0.975 *. s.Stats.std /. sqrt (float_of_int s.Stats.n)
+      Oracle.normal_quantile 0.975 *. s.Stats.std /. sqrt (float_of_int s.Stats.n)
     in
     (s.Stats.mean -. half, s.Stats.mean +. half)
 
@@ -261,7 +261,7 @@ let reference_aggregate outcomes =
 (* ---------------- two-sample tests ---------------- *)
 
 let alpha = 0.001
-let z_crit = Stats.normal_quantile (1. -. (alpha /. 2.))
+let z_crit = Oracle.normal_quantile (1. -. (alpha /. 2.))
 
 let count p xs = Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 xs
 
@@ -329,7 +329,7 @@ let chi_square a b =
 (* upper-alpha quantile of chi-square(df), Wilson-Hilferty *)
 let chi_square_crit df =
   let k = float_of_int df in
-  let z = Stats.normal_quantile (1. -. alpha) in
+  let z = Oracle.normal_quantile (1. -. alpha) in
   let h = 2. /. (9. *. k) in
   k *. ((1. -. h +. (z *. Float.sqrt h)) ** 3.)
 

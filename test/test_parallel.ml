@@ -1,9 +1,10 @@
 module Pool = Exec.Pool
 module Parallel = Exec.Parallel
 
-let with_pool jobs f =
-  let pool = Pool.create jobs in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+(* the process-wide pool at [jobs], back to serial afterwards *)
+let with_jobs jobs f =
+  Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs 1) f
 
 let job_counts = [ 1; 2; 8 ]
 
@@ -16,37 +17,37 @@ let test_map_matches_array_map () =
   let f x = (x *. x) +. 1. in
   List.iter
     (fun jobs ->
-      with_pool jobs (fun pool ->
+      with_jobs jobs (fun () ->
           List.iter
             (fun xs ->
               Alcotest.(check (array (float 0.)))
                 (Printf.sprintf "jobs = %d, length %d" jobs (Array.length xs))
                 (Array.map f xs)
-                (Parallel.map ~pool f xs))
+                (Parallel.map f xs))
             inputs))
     job_counts
 
 let test_worker_exception_surfaces () =
   List.iter
     (fun jobs ->
-      with_pool jobs (fun pool ->
+      with_jobs jobs (fun () ->
           Alcotest.check_raises
             (Printf.sprintf "exception at jobs = %d" jobs)
             (Failure "boom") (fun () ->
               ignore
-                (Parallel.map ~pool
+                (Parallel.map
                    (fun i -> if i = 37 then failwith "boom" else i)
                    (Array.init 64 Fun.id)))))
     job_counts
 
 let test_pool_survives_failed_batch () =
-  with_pool 2 (fun pool ->
+  with_jobs 2 (fun () ->
       (try
-         ignore (Parallel.map ~pool (fun _ -> failwith "first") (Array.make 8 ()))
+         ignore (Parallel.map (fun _ -> failwith "first") (Array.make 8 ()))
        with Failure _ -> ());
       Alcotest.(check (array (float 0.)))
         "pool still works after a failure" [| 0.; 1.; 2.; 3. |]
-        (Parallel.map ~pool float_of_int [| 0; 1; 2; 3 |]))
+        (Parallel.map float_of_int [| 0; 1; 2; 3 |]))
 
 let test_chunks_feed_every_index () =
   (* the pool's work-splitting primitive: concatenation restores the
@@ -66,22 +67,19 @@ let test_chunks_feed_every_index () =
     [ (1, 5); (2, 4); (3, 7); (4, 4); (8, 3); (16, 100) ]
 
 let test_pool_guards () =
-  Alcotest.check_raises "zero size" (Invalid_argument "Pool.create: size < 1")
-    (fun () -> ignore (Pool.create 0));
   Alcotest.check_raises "set_jobs 0" (Invalid_argument "Pool.set_jobs: jobs < 1")
     (fun () -> Pool.set_jobs 0);
   (* refused before any domain is asked for *)
   Alcotest.check_raises "set_jobs past the domain limit"
     (Invalid_argument "Pool.set_jobs: jobs > max_jobs")
-    (fun () -> Pool.set_jobs (Pool.max_jobs + 1));
+    (fun () -> Pool.set_jobs 129);
   Alcotest.(check (option string)) "128 jobs accepted" None
-    (Pool.jobs_error Pool.max_jobs);
+    (Pool.jobs_error 128);
   Alcotest.(check (option string)) "129 jobs refused"
     (Some "is more than 128 jobs") (Pool.jobs_error 129)
 
 let test_set_jobs_resizes_default_pool () =
   Pool.set_jobs 3;
-  Alcotest.(check int) "default_jobs follows set_jobs" 3 (Pool.default_jobs ());
   Alcotest.(check int) "default pool resized" 3 (Pool.size (Pool.get ()));
   Pool.set_jobs 1;
   Alcotest.(check int) "shrunk back to serial" 1 (Pool.size (Pool.get ()))

@@ -77,7 +77,7 @@ let test_presets_match_paper () =
   check_close "wireless c" 3.5 w.P.probe_cost;
   check_close ~tol:1e-9 "wireless loss" 1e-5 (P.loss_probability w);
   (* wired worst case: Sec. 4.5 r = 0.2 *)
-  let d = P.wired_worst_case in
+  let d = List.assoc "wired-worst-case" P.presets in
   check_close "wired E" 1e35 d.P.error_cost;
   check_close "wired c" 0.5 d.P.probe_cost;
   check_close "wired mean reply" 0.11 (Option.get d.P.delay.Dist.Distribution.mean);

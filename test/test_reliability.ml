@@ -24,8 +24,13 @@ let test_free_network_never_errs () =
     (R.error_probability p ~n:4 ~r:2.)
 
 let test_complement () =
+  (* every run ends in error or ok: the reliability, absorption into ok,
+     is the complement of Eq. 4 *)
   let e = R.error_probability fig2 ~n:3 ~r:1.5 in
-  check_rel "reliability complements" (1. -. e) (R.reliability fig2 ~n:3 ~r:1.5)
+  let drm = Zeroconf.Drm.build fig2 ~n:3 ~r:1.5 in
+  check_rel "reliability complements" (1. -. e)
+    (Dtmc.Absorbing.absorption_probability drm.Zeroconf.Drm.chain
+       ~from:drm.Zeroconf.Drm.start ~into:drm.Zeroconf.Drm.ok)
 
 let test_log10_matches_linear () =
   List.iter
@@ -46,7 +51,7 @@ let test_log10_below_float_underflow () =
 let test_error_bound_is_floor () =
   let p = Params.wireless_worst_case in
   let n = 4 in
-  let floor = R.error_bound p ~n in
+  let floor = Oracle.error_floor p ~n in
   List.iter
     (fun r ->
       Alcotest.(check bool)

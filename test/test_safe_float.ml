@@ -27,7 +27,7 @@ let test_clamp_probability () =
   check_float "overshoot rounds to 1" 1. (Sf.clamp_probability (1. +. 1e-12))
 
 let test_sanctioned_bit_identical () =
-  (* log / exp / pow / div are re-declared Stdlib primitives: same bits,
+  (* log / exp / div are re-declared Stdlib primitives: same bits,
      NaN and infinities included *)
   let bits = Int64.bits_of_float in
   let same name expected got =
@@ -39,9 +39,7 @@ let test_sanctioned_bit_identical () =
       same "log" (Stdlib.log x) (Sf.log x);
       same "exp" (Stdlib.exp (-.x)) (Sf.exp (-.x));
       List.iter
-        (fun y ->
-          same "pow" (x ** y) (Sf.pow x y);
-          same "div" (x /. y) (Sf.div x y))
+        (fun y -> same "div" (x /. y) (Sf.div x y))
         xs)
     xs
 
@@ -66,13 +64,6 @@ let test_sum_by () =
         (Int64.bits_of_float (Sf.sum_by f xs)))
     [ Fun.id; (fun x -> (x -. 0.5) ** 2.); (fun x -> -.x *. 1e16) ];
   check_float "empty" 0. (Sf.sum_by Fun.id [||])
-
-let test_dot () =
-  check_float "orthogonal" 0. (Sf.dot [| 1.; 0. |] [| 0.; 1. |]);
-  check_float "simple" 11. (Sf.dot [| 1.; 2. |] [| 3.; 4. |]);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Safe_float.dot: length mismatch") (fun () ->
-      ignore (Sf.dot [| 1. |] [| 1.; 2. |]))
 
 let test_mean () =
   check_float "mean" 2. (Sf.mean [| 1.; 2.; 3. |]);
@@ -119,7 +110,6 @@ let () =
       ( "reductions",
         [ Alcotest.test_case "sum" `Quick test_sum_compensated;
           Alcotest.test_case "sum_by" `Quick test_sum_by;
-          Alcotest.test_case "dot" `Quick test_dot;
           Alcotest.test_case "mean" `Quick test_mean ] );
       ("predicates", [ Alcotest.test_case "predicates" `Quick test_predicates ]);
       ( "properties",

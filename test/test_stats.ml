@@ -63,25 +63,33 @@ let test_summarize_huge () =
     (Float.is_finite lo && Float.is_finite hi && lo < s.S.mean && s.S.mean < hi)
 
 let test_normal_quantile () =
-  check_close ~tol:1e-8 "median" 0. (S.normal_quantile 0.5);
-  check_close ~tol:1e-6 "97.5%" 1.959963985 (S.normal_quantile 0.975);
-  check_close ~tol:1e-6 "2.5%" (-1.959963985) (S.normal_quantile 0.025);
-  check_close ~tol:1e-5 "99.9%" 3.090232306 (S.normal_quantile 0.999);
+  check_close ~tol:1e-8 "median" 0. (Oracle.normal_quantile 0.5);
+  check_close ~tol:1e-6 "97.5%" 1.959963985 (Oracle.normal_quantile 0.975);
+  check_close ~tol:1e-6 "2.5%" (-1.959963985) (Oracle.normal_quantile 0.025);
+  check_close ~tol:1e-5 "99.9%" 3.090232306 (Oracle.normal_quantile 0.999);
   Alcotest.check_raises "p = 0"
-    (Invalid_argument "Stats.normal_quantile: p outside (0,1)") (fun () ->
-      ignore (S.normal_quantile 0.))
+    (Invalid_argument "Oracle.normal_quantile: p outside (0,1)") (fun () ->
+      ignore (Oracle.normal_quantile 0.));
+  (* the 95% intervals use the 97.5% quantile, bit for bit *)
+  let s = S.summarize [| 1.; 2.; 4.; 8. |] in
+  let z = Oracle.normal_quantile 0.975 in
+  let lo, hi = S.summary_ci s in
+  Alcotest.(check (pair (float 0.) (float 0.))) "summary_ci half-width"
+    (let half = z *. s.S.std /. sqrt 4. in
+     (s.S.mean -. half, s.S.mean +. half))
+    (lo, hi)
 
 let test_normal_quantile_symmetry () =
   List.iter
     (fun p ->
       check_close ~tol:1e-7 (Printf.sprintf "symmetry at %g" p)
-        (S.normal_quantile p)
-        (-.S.normal_quantile (1. -. p)))
+        (Oracle.normal_quantile p)
+        (-.Oracle.normal_quantile (1. -. p)))
     [ 0.001; 0.01; 0.1; 0.3; 0.45 ]
 
 let test_summary_ci () =
   let rng = Numerics.Rng.create 17 in
-  let data = Array.init 10_000 (fun _ -> Numerics.Rng.normal rng ~mu:10. ~sigma:1.) in
+  let data = Array.init 10_000 (fun _ -> Oracle.normal rng ~mu:10. ~sigma:1.) in
   let lo, hi = S.summary_ci (S.summarize data) in
   Alcotest.(check bool) "interval contains truth" true (lo <= 10. && 10. <= hi);
   Alcotest.(check bool) "interval is tight" true (hi -. lo < 0.1)
@@ -108,7 +116,7 @@ let test_quantile () =
   Alcotest.(check (array (float 0.))) "input intact" [| 5.; 1.; 3.; 2.; 4. |] shuffled
 
 let test_ecdf () =
-  let f = S.ecdf [| 1.; 2.; 3. |] in
+  let f = Oracle.ecdf [| 1.; 2.; 3. |] in
   check_close "below all" 0. (f 0.5);
   check_close "at first" (1. /. 3.) (f 1.);
   check_close "between" (2. /. 3.) (f 2.5);
@@ -132,7 +140,7 @@ let prop_ecdf_matches_quantile =
     (fun (xs, p) ->
       let xs = Array.of_list xs in
       let slack = 1. /. float_of_int (Array.length xs) in
-      S.ecdf xs (S.quantile xs p) >= p -. slack -. 1e-9)
+      Oracle.ecdf xs (S.quantile xs p) >= p -. slack -. 1e-9)
 
 let () =
   Alcotest.run "stats"

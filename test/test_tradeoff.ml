@@ -4,6 +4,25 @@ module Params = Zeroconf.Params
 let fig2 = Params.figure2
 let front = T.front ~n_max:8 ~r_points:100 ~r_max:6. fig2
 
+(* every design [front] chooses from: n = 1 .. n_max against r_points
+   periods up to r_max, from the point-wise closed forms (the kernel
+   route gives the same bits) *)
+let grid ~r_points ~r_max =
+  Numerics.Grid.linspace (r_max /. float_of_int r_points) r_max r_points
+
+let designs ~n_max ~r_points ~r_max p =
+  List.concat_map
+    (fun n ->
+      Array.to_list
+        (Array.map
+           (fun r ->
+             { T.n;
+               r;
+               cost = Zeroconf.Cost.mean p ~n ~r;
+               log10_error = Zeroconf.Reliability.log10_error_probability p ~n ~r })
+           (grid ~r_points ~r_max)))
+    (List.init n_max (fun i -> i + 1))
+
 let test_front_nonempty_and_sorted () =
   Alcotest.(check bool) "non-empty" true (front <> []);
   let rec sorted = function
@@ -21,7 +40,7 @@ let test_front_error_strictly_decreasing () =
   Alcotest.(check bool) "strictly improving reliability" true (strict front)
 
 let test_front_members_undominated () =
-  let all = T.enumerate ~n_max:8 ~r_points:100 ~r_max:6. fig2 in
+  let all = designs ~n_max:8 ~r_points:100 ~r_max:6. fig2 in
   List.iter
     (fun (f : T.design) ->
       List.iter
@@ -61,8 +80,16 @@ let test_global_optimum_on_front () =
   | [] -> Alcotest.fail "empty front"
 
 let test_enumerate_size () =
-  let designs = T.enumerate ~n_max:5 ~r_points:40 ~r_max:4. fig2 in
-  Alcotest.(check int) "n_max * r_points" 200 (List.length designs)
+  (* the front is drawn from the n_max * r_points grid designs *)
+  let front = T.front ~n_max:5 ~r_points:40 ~r_max:4. fig2 in
+  let all = designs ~n_max:5 ~r_points:40 ~r_max:4. fig2 in
+  Alcotest.(check int) "n_max * r_points" 200 (List.length all);
+  List.iter
+    (fun (d : T.design) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "(n=%d, r=%g) is a grid design" d.T.n d.T.r)
+        true (List.mem d all))
+    front
 
 let test_knee_is_interior () =
   match T.knee front with
@@ -81,7 +108,7 @@ let test_knee_degenerate_fronts () =
 let test_guards () =
   Alcotest.check_raises "n_max = 0"
     (Invalid_argument "Tradeoff.enumerate: n_max < 1") (fun () ->
-      ignore (T.enumerate ~n_max:0 fig2))
+      ignore (T.front ~n_max:0 fig2))
 
 let () =
   Alcotest.run "tradeoff"

@@ -24,10 +24,12 @@
      [Obj.magic] family anywhere.
    - R6 product callers: every [lib] module is reached, through module
      paths, from some [bin/] source, and every [val] of a [lib] .mli is
-     named from some other module.
+     named from some other module of lib/ or of a product root: bin/,
+     bench/, examples/ or perfbench/.  A test is no caller.
 
-   Sources under [test/], [examples/] and [perfbench/] are read for R6
-   references only; R1-R5 do not apply to them. *)
+   Sources under [examples/] and [perfbench/] are read for R6 references
+   only; R1-R5 do not apply to them.  Sources under [test/] are read for
+   nothing: R6 ignores them even when they are passed in. *)
 
 (* -- path classification ------------------------------------------- *)
 
@@ -47,6 +49,8 @@ let in_lib path = starts_with ~prefix:"lib/" path
 let in_exec path = starts_with ~prefix:"lib/exec/" path
 let in_output path = starts_with ~prefix:"lib/output/" path
 let in_bench path = starts_with ~prefix:"bench/" path
+
+let in_test path = starts_with ~prefix:"test/" path
 
 let reference_only path =
   List.exists
@@ -113,7 +117,7 @@ let check_ident ~path ident : (string * string * string) option =
       ( "R1",
         Printf.sprintf
           "raw float primitive `%s` in a probability-carrying module" ident,
-        "spell it via Numerics.Safe_float.{log,exp,pow,div}" )
+        "spell it via Numerics.Safe_float.{log,exp,div}" )
   else if head ident = "Random" then
     Some
       ( "R2",
@@ -141,8 +145,8 @@ let check_ident ~path ident : (string * string * string) option =
     Some
       ( "R4",
         Printf.sprintf "`%s` writes to the console from inside lib/" ident,
-        "return the string, or emit through lib/output (Output.Emit) or \
-         Logs" )
+        "return the string and let the executable print it, or log \
+         through Logs" )
   else if List.mem ident r5_obj then
     Some
       ( "R5",
@@ -467,9 +471,13 @@ let interface_values ~path source =
   try vals None (Parse.interface lexbuf) with _ -> []
 
 (* [unused_value_findings ~wrappers sources] flags every [val] of a lib
-   .mli that no implementation outside its own module names. *)
+   .mli that no implementation outside its own module names.  Sources
+   under test/ do not count: a value only a test names has no product
+   caller. *)
 let unused_value_findings ~wrappers sources =
-  let impls = implementations sources in
+  let impls =
+    List.filter (fun (f, _) -> not (in_test f)) (implementations sources)
+  in
   let modules = List.filter_map (fun (f, _) -> module_of ~wrappers f) impls in
   let named = Hashtbl.create 512 in
   List.iter
@@ -496,8 +504,8 @@ let unused_value_findings ~wrappers sources =
                      ~col:(pos.pos_cnum - pos.pos_bol) ~ident
                      ~message:("exported value " ^ ident ^ " that no other \
                                 module names")
-                     ~hint:"delete it with its tests, or drop it from the \
-                            .mli"))
+                     ~hint:"delete it with its tests, drop it from the .mli, \
+                            or move a test oracle into test/"))
             (interface_values ~path:f src)
       | _ -> [])
     sources

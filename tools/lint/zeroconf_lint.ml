@@ -3,14 +3,15 @@
    Usage: zeroconf-lint [--json] [--allow FILE] [PATH ...]
 
    Scans every .ml/.mli under the given paths (default: lib bin bench
-   test examples perfbench, resolved from the current directory, which
-   must be the repo root), applies the R1-R6 rule catalogue from
-   [Rules], subtracts the reviewed exceptions in the allowlist, and
-   exits 1 when any new finding remains or any allowlist entry matches
-   nothing.  R1-R5 apply to lib, bin and bench; test, examples and
-   perfbench are read only as callers for R6, which flags every lib
-   module no bin/ executable reaches and every [val] of a lib .mli that
-   no module other than its own names.  [--json] emits a
+   examples perfbench, resolved from the current directory, which must
+   be the repo root), applies the R1-R6 rule catalogue from [Rules],
+   subtracts the reviewed exceptions in the allowlist, and exits 1 when
+   any new finding remains or any allowlist entry matches nothing.
+   R1-R5 apply to lib, bin and bench; examples and perfbench are read
+   only as callers for R6, which flags every lib module no bin/
+   executable reaches and every [val] of a lib .mli that no module
+   other than its own names.  test/ is no caller: a path under it adds
+   nothing, so passing it cannot keep a value alive.  [--json] emits a
    machine-readable report on stdout. *)
 
 open Lint_core
@@ -30,7 +31,7 @@ let () =
   Arg.parse (Arg.align spec) (fun p -> paths := p :: !paths) usage;
   let roots =
     match List.rev !paths with
-    | [] -> [ "lib"; "bin"; "bench"; "test"; "examples"; "perfbench" ]
+    | [] -> [ "lib"; "bin"; "bench"; "examples"; "perfbench" ]
     | ps -> ps
   in
   let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
