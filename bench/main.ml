@@ -6,9 +6,10 @@
    against the executor's, the executor's cost against the closed
    forms, the words they promote, the words the front end allocates on
    n-sweeps and the batch output on point lines, the kernel backend's
-   cost against a bare cursor scan and its survival calls per step, and
-   the Monte-Carlo trial loop's allocation.  The paper-reproduction report is `zeroconf_cli
-   reproduce`; absolute timing lives in perfbench/.
+   cost against a bare cursor scan and its survival calls per step, the
+   Monte-Carlo trial loop's allocation, and the words the figure render
+   allocates per plotted point.  The paper-reproduction report is
+   `zeroconf_cli reproduce`; absolute timing lives in perfbench/.
 
    Usage: main.exe --smoke *)
 
@@ -535,6 +536,88 @@ let format_gate () =
          format_values words);
   print_endline "smoke ok: %.10g formatting at 0 minor words per value (gate 0)"
 
+(* Rendering every figure and the cost landscape, as the figures
+   executable renders them (Chart.save, Csv.write_series,
+   Ascii_chart.plot, Heatmap.save, into a temporary directory), may
+   allocate at most 24 words per plotted point: the numbers' text and
+   the buffers it grows in, not a list, pair or boxed float per point.
+   The figures are computed and their axes drawn before the count
+   starts.  Counted with [Gc.allocated_bytes], which is deterministic,
+   so the gate cannot flake. *)
+let max_render_words_per_point = 24.
+
+let render_gate () =
+  let module E = Engine.Experiments in
+  let figures = E.all_figures () @ E.extension_figures ()
+  and surface = E.cost_landscape () in
+  let coords f (fig : E.figure) =
+    Array.concat (List.map (fun (s : E.series) -> Array.map f s.points) fig.series)
+  in
+  let charts =
+    List.map
+      (fun (fig : E.figure) ->
+        let data = Output.Axis.of_data (coords snd fig) in
+        let y_axis =
+          Output.Axis.create
+            ~lo:(Option.value fig.y_min ~default:(Output.Axis.lo data))
+            ~hi:(Option.value fig.y_max ~default:(Output.Axis.hi data))
+            ()
+        in
+        ( fig,
+          { Output.Chart.title = fig.title;
+            x_label = fig.x_label;
+            y_label = fig.y_label;
+            x_axis = Output.Axis.of_data ~pad:0. (coords fst fig);
+            y_axis;
+            series =
+              List.map
+                (fun (s : E.series) -> Output.Chart.series ~label:s.label s.points)
+                fig.series },
+          List.map (fun (s : E.series) -> (s.label, s.points)) fig.series ))
+      figures
+  and heatmap =
+    { Output.Heatmap.title = "log10 C(n, r) landscape (figure2 scenario)";
+      x_label = "r (s)";
+      y_label = "n";
+      x_ticks = Array.map (Printf.sprintf "%.2g") surface.rs;
+      y_ticks = Array.map string_of_int surface.ns;
+      values = surface.log10_cost }
+  and dir = Filename.temp_dir "smoke_render" "" in
+  let points =
+    List.fold_left
+      (fun acc (_, _, named) ->
+        List.fold_left (fun acc (_, pts) -> acc + Array.length pts) acc named)
+      (Array.length surface.ns * Array.length surface.rs)
+      charts
+  and path name = Filename.concat dir name in
+  let before = Gc.allocated_bytes () in
+  List.iter
+    (fun ((fig : E.figure), chart, named) ->
+      Output.Chart.save chart (path (fig.id ^ ".svg"));
+      Output.Csv.write_series ~path:(path (fig.id ^ ".csv")) ~x_label:fig.x_label
+        named;
+      ignore
+        (Output.Ascii_chart.plot ~x_axis:chart.x_axis ~y_axis:chart.y_axis
+           ~title:fig.title named))
+    charts;
+  Output.Heatmap.save heatmap (path "cost_landscape.svg");
+  let words =
+    (Gc.allocated_bytes () -. before)
+    /. float_of_int (Sys.word_size / 8)
+    /. float_of_int points
+  in
+  Array.iter (fun name -> Sys.remove (path name)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Printf.printf
+    "smoke %s: figure render at %.1f words per plotted point, %d points (gate %g)\n"
+    (if words <= max_render_words_per_point then "ok" else "FAIL")
+    words points max_render_words_per_point;
+  if words > max_render_words_per_point then
+    failwith
+      (Printf.sprintf
+         "the figure render allocates %.1f words per plotted point (gate %g)"
+         words max_render_words_per_point)
+
 let () =
   if Array.to_list Sys.argv = [ Sys.argv.(0); "--smoke" ] then begin
     Exec.Pool.set_jobs 1;
@@ -544,7 +627,8 @@ let () =
     kernel_gate ();
     survival_gate ();
     alloc_gate ();
-    format_gate ()
+    format_gate ();
+    render_gate ()
   end
   else begin
     prerr_endline

@@ -4,26 +4,33 @@
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
+(* one coordinate of every point of the figure, filled into one float
+   array: no array per series, no concatenation *)
+let coords f (fig : Engine.Experiments.figure) =
+  let count =
+    List.fold_left
+      (fun n (s : Engine.Experiments.series) -> n + Array.length s.points)
+      0 fig.series
+  in
+  let a = Array.create_float count and k = ref 0 in
+  List.iter
+    (fun (s : Engine.Experiments.series) ->
+      Array.iter
+        (fun p ->
+          a.(!k) <- f p;
+          incr k)
+        s.points)
+    fig.series;
+  a
+
 let axis_of_figure (fig : Engine.Experiments.figure) =
-  let xs =
-    Array.concat
-      (List.map
-         (fun (s : Engine.Experiments.series) -> Array.map fst s.points)
-         fig.series)
-  in
-  let ys =
-    Array.concat
-      (List.map
-         (fun (s : Engine.Experiments.series) -> Array.map snd s.points)
-         fig.series)
-  in
-  let x_axis = Output.Axis.of_data ~pad:0. xs in
+  let x_axis = Output.Axis.of_data ~pad:0. (coords fst fig) in
   let y_axis =
     match (fig.y_min, fig.y_max) with
     | Some lo, Some hi -> Output.Axis.create ~lo ~hi ()
     | _ ->
-        let finite = Array.of_list (List.filter Float.is_finite (Array.to_list ys)) in
-        let data_axis = Output.Axis.of_data finite in
+        (* [of_data] spans the finite values alone *)
+        let data_axis = Output.Axis.of_data (coords snd fig) in
         let lo = Option.value ~default:(Output.Axis.lo data_axis) fig.y_min in
         let hi = Option.value ~default:(Output.Axis.hi data_axis) fig.y_max in
         Output.Axis.create ~lo ~hi ()
@@ -46,16 +53,15 @@ let render_figure ~out_dir (fig : Engine.Experiments.figure) =
   in
   let svg_path = Filename.concat out_dir (fig.id ^ ".svg") in
   let csv_path = Filename.concat out_dir (fig.id ^ ".csv") in
+  let named =
+    List.map
+      (fun (s : Engine.Experiments.series) -> (s.label, s.points))
+      fig.series
+  in
   Output.Chart.save chart svg_path;
-  Output.Csv.write_series ~path:csv_path ~x_label:fig.x_label
-    (List.map
-       (fun (s : Engine.Experiments.series) -> (s.label, s.points))
-       fig.series);
+  Output.Csv.write_series ~path:csv_path ~x_label:fig.x_label named;
   print_string
-    (Output.Ascii_chart.plot ~x_axis ~y_axis ~title:fig.title
-       (List.map
-          (fun (s : Engine.Experiments.series) -> (s.label, s.points))
-          fig.series));
+    (Output.Ascii_chart.plot ~x_axis ~y_axis ~title:fig.title named);
   Printf.printf "wrote %s and %s\n\n" svg_path csv_path
 
 (* bonus: the (n, r) cost landscape as a heatmap (log10 of Eq. 3) *)

@@ -39,9 +39,6 @@ type t = {
   values : values;    (** One value per point, in the same order. *)
 }
 
-val size : t -> int
-(** Number of points (and values). *)
-
 val scalar : t -> int -> float
 (** [scalar a k] is point [k]'s estimate: the value itself, or the
     interval's mean. *)

@@ -16,25 +16,19 @@ type figure = {
 let r_grid ~points ~lo ~hi = Numerics.Grid.linspace lo hi points
 
 (* Every figure below is a sweep of independent per-point evaluations.
-   The cost/error series route through the query engine as ONE batch
-   per figure — the executor hands the kernel backend all per-n
-   r-sweeps together, so it streams a single cursor per r-column
-   serving every n at once; outputs stay bit-identical.  The optimizer
-   sweeps (figures 3, 4 and the fig. 6 envelope) stay on Optimize's
-   kernel-backed n-scans.  All of it runs serially:
-   a point costs microseconds, less than handing it to another
-   domain. *)
-let series_points (a : Answer.t) =
-  Array.mapi (fun k (_n, r) -> (r, Answer.scalar a k)) a.points
-
-let series_batch quantity p ~label grid ns =
-  let queries =
-    Array.map (fun n -> Query.r_sweep quantity p ~n ~rs:grid) (Array.of_list ns)
-  in
-  let answers = Executor.eval_batch queries in
-  List.mapi
-    (fun i n -> { label = label n; points = series_points answers.(i) })
-    ns
+   The cost/error series and the landscape are ONE columnar batch per
+   figure ({!Executor.n_sweeps}): one plan per grid r holding the n-sweep
+   1 .. n_max, so the kernel backend streams a single cursor per r
+   serving every n at once, and the values transpose out of the batch's
+   value array; outputs stay bit-identical.  The optimizer sweeps
+   (figures 3, 4 and the fig. 6 envelope) stay on Optimize's
+   kernel-backed n-scans.  All of it runs serially: a point costs
+   microseconds, less than handing it to another domain. *)
+let series_batch quantity p ~label grid ~n_max =
+  let v = Executor.n_sweeps [| quantity |] p ~n_max grid in
+  List.init n_max (fun i ->
+      { label = label (i + 1);
+        points = Array.mapi (fun j r -> (r, v.((j * n_max) + i))) grid })
 
 let figure2 () =
   let grid = r_grid ~points:400 ~lo:0.01 ~hi:4. in
@@ -49,8 +43,7 @@ let figure2 () =
     series =
       series_batch Query.Mean_cost Params.figure2
         ~label:(Printf.sprintf "C_%d")
-        grid
-        (List.init 8 (fun i -> i + 1)) }
+        grid ~n_max:8 }
 
 (* figures 3 to 6 share their r-range; 3 and 4 are two views of one
    optimizer sweep, and 6 is 5 with one curve more, so [all_figures]
@@ -92,8 +85,7 @@ let figure5 () =
     series =
       series_batch Query.Log10_error Params.figure2
         ~label:(Printf.sprintf "E(%d, r)")
-        (optimum_grid 400)
-        (List.init 8 (fun i -> i + 1)) }
+        (optimum_grid 400) ~n_max:8 }
 
 (* figure 6 from the figure 5 it overlays *)
 let figure6_of fig5 =
@@ -124,22 +116,12 @@ let cost_landscape () =
   let n_max = 10 in
   let ns = Array.init n_max (fun i -> i + 1) in
   let rs = r_grid ~points:24 ~lo:0.25 ~hi:6. in
-  (* one n-sweep query per column, all submitted as one batch: the
-     kernel backend streams a single cursor over each column's n-range
-     (n_max survival evaluations instead of O(n_max^2)), and the
-     answers transpose into n-major rows *)
-  let answers =
-    Executor.eval_batch
-      (Array.map (fun r -> Query.n_sweep Query.Mean_cost Params.figure2 ~ns ~r) rs)
-  in
-  let columns =
-    Array.map
-      (fun a -> Array.init (Answer.size a) (fun k -> log10 (Answer.scalar a k)))
-      answers
-  in
+  let v = Executor.n_sweeps [| Query.Mean_cost |] Params.figure2 ~n_max rs in
   { ns;
     rs;
-    log10_cost = Array.init n_max (fun i -> Array.map (fun col -> col.(i)) columns) }
+    log10_cost =
+      Array.init n_max (fun i ->
+          Array.init (Array.length rs) (fun j -> log10 v.((j * n_max) + i))) }
 
 let latency_figure () =
   let p = Params.figure2 in

@@ -4,10 +4,9 @@
     experiment.  The CLI, the figure generator and the bench harness
     all consume these definitions, so "what Figure 4 is" lives in
     exactly one place.  The cost/error sweeps and the landscape are
-    issued as engine queries ({!Query}/{!Planner}), so every figure
-    carries the same provenance and cross-checking surface as ad-hoc
-    queries — with values bit-identical to the historical direct
-    sweeps. *)
+    each one columnar engine batch ({!Executor.n_sweeps}), routed as
+    ad-hoc queries are, with values bit-identical to the closed forms
+    at every [(n, r)]. *)
 
 open Zeroconf
 

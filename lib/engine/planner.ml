@@ -9,9 +9,17 @@ let backend_of_route (r : Plan.route) : (module Backend.S) =
 
 let backend_of_name name = Option.map backend_of_route (Plan.route_of_name name)
 
+(* the route's own module, named: no first-class module to unpack *)
 let serves route quantity ~sampled ~max_n =
-  let (module B : Backend.S) = backend_of_route route in
-  B.serves quantity ~sampled && max_n <= B.max_n
+  match (route : Plan.route) with
+  | Plan.Kernel ->
+      Backends.Kernel.serves quantity ~sampled && max_n <= Backends.Kernel.max_n
+  | Plan.Analytic ->
+      Backends.Analytic.serves quantity ~sampled
+      && max_n <= Backends.Analytic.max_n
+  | Plan.Dtmc ->
+      Backends.Dtmc.serves quantity ~sampled && max_n <= Backends.Dtmc.max_n
+  | Plan.Mc -> Backends.Mc.serves quantity ~sampled && max_n <= Backends.Mc.max_n
 
 (* cheapest first: the kernel's streaming cursors beat the per-point
    closed forms, which beat building and solving the DRM chain *)

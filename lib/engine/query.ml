@@ -75,12 +75,13 @@ let[@inline] check_latency_horizon ~n ~r =
    at the run's ends holds throughout (the cost bound's magnitude grows
    with n), so only a run failing there is walked, to name its first
    failing point. *)
+let last n_lo off t = n_lo.(t) + off.(t + 1) - off.(t) - 1
+
 let validate_runs quantity (p : Zeroconf.Params.t) ~sampled ~trials ~n_lo ~off
     ~r ~lo ~hi =
-  let last t = n_lo.(t) + off.(t + 1) - off.(t) - 1 in
   for t = lo to hi - 1 do
-    if n_lo.(t) < 1 || last t > max_points then
-      for n = n_lo.(t) to last t do
+    if n_lo.(t) < 1 || last n_lo off t > max_points then
+      for n = n_lo.(t) to last n_lo off t do
         check_n n
       done
   done;
@@ -91,9 +92,12 @@ let validate_runs quantity (p : Zeroconf.Params.t) ~sampled ~trials ~n_lo ~off
   | Mean_cost | Cost_variance ->
       for t = lo to hi - 1 do
         let x = r.(t) +. p.probe_cost in
-        if not (Float.is_finite ((float_of_int (last t) *. x) +. p.error_cost))
+        if
+          not
+            (Float.is_finite
+               ((float_of_int (last n_lo off t) *. x) +. p.error_cost))
         then
-          for n = n_lo.(t) to last t do
+          for n = n_lo.(t) to last n_lo off t do
             let bound = (float_of_int n *. x) +. p.error_cost in
             if not (Float.is_finite bound) then
               overflow quantity n r.(t) "largest attempt cost n (r + c) + E"

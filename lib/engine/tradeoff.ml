@@ -4,33 +4,21 @@ let enumerate ?(n_max = 12) ?(r_points = 200) ?(r_max = 8.)
     (p : Zeroconf.Params.t) =
   if n_max < 1 then invalid_arg "Tradeoff.enumerate: n_max < 1";
   let grid = Numerics.Grid.linspace (r_max /. float_of_int r_points) r_max r_points in
-  let ns = Array.init n_max (fun i -> i + 1) in
-  (* one pair of n-sweep queries per r-column, all submitted as a
-     single batch: the kernel backend merges each column's cost and
-     error sweeps onto ONE forward cursor (cursor state is independent
-     of where reads happen), so the columns match the historical
-     single-cursor enumeration bit for bit, in the same n-major
-     layout *)
-  let cost_qs = Array.map (fun r -> Query.n_sweep Query.Mean_cost p ~ns ~r) grid in
-  let err_qs =
-    Array.map (fun r -> Query.n_sweep Query.Log10_error p ~ns ~r) grid
-  in
-  let answers = Executor.eval_batch (Array.append cost_qs err_qs) in
-  let columns =
-    Array.mapi
-      (fun j _r ->
-        let costs = answers.(j) and errors = answers.(j + Array.length grid) in
-        Array.init n_max (fun i ->
-            (Answer.scalar costs i, Answer.scalar errors i)))
-      grid
-  in
+  (* one batch: a cost and an error plan per r-column, each the n-sweep
+     1 .. n_max, so the kernel backend merges each column's two onto
+     ONE forward cursor (cursor state is independent of where reads
+     happen) and the columns match the historical single-cursor
+     enumeration bit for bit; the designs come out n-major *)
+  let v =
+    Executor.n_sweeps [| Query.Mean_cost; Query.Log10_error |] p ~n_max grid
+  and errors = Array.length grid * n_max in
   List.concat_map
     (fun n ->
       Array.to_list
         (Array.mapi
            (fun j r ->
-             let cost, log10_error = columns.(j).(n - 1) in
-             { n; r; cost; log10_error })
+             let k = (j * n_max) + n - 1 in
+             { n; r; cost = v.(k); log10_error = v.(errors + k) })
            grid))
     (List.init n_max (fun i -> i + 1))
 

@@ -6,7 +6,8 @@
     other).  This module makes the claim quantitative by enumerating
     [(n, r)] designs and extracting the Pareto-optimal set over
     (mean cost, error probability).  The design grid is evaluated
-    through the query engine (kernel-backed n-sweeps). *)
+    as one columnar engine batch ({!Executor.n_sweeps}): a cost and an
+    error n-sweep per [r], sharing a kernel cursor. *)
 
 open Zeroconf
 

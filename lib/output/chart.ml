@@ -39,27 +39,35 @@ let render t =
       Svg.line svg ~stroke:"#ddd" (ml, y) (ml +. plot_w, y);
       Svg.text svg ~anchor:"end" ~x:(ml -. 6.) ~y:(y +. 4.) lbl)
     (Axis.ticks t.y_axis);
-  (* series, clipped to the frame by breaking the polyline *)
-  let in_range axis v = v >= Axis.lo axis && v <= Axis.hi axis in
+  (* series, clipped to the frame by breaking the polyline: each
+     segment's points are projected in place, [Axis.project]'s
+     expression and clamp, into arrays that every series reuses *)
+  let x_lo = Axis.lo t.x_axis and x_hi = Axis.hi t.x_axis
+  and y_lo = Axis.lo t.y_axis and y_hi = Axis.hi t.y_axis in
+  let clamp f = if f < 0. then 0. else if f > 1. then 1. else f in
+  let longest =
+    List.fold_left (fun m s -> max m (Array.length s.points)) 0 t.series
+  in
+  let xs = Array.create_float longest and ys = Array.create_float longest in
   List.iteri
     (fun idx s ->
       let colour = palette.(idx mod Array.length palette) in
-      let flush segment =
-        match segment with
-        | [] | [ _ ] -> ()
-        | pts -> Svg.polyline svg ~stroke:colour (List.rev pts)
-      in
-      let segment = ref [] in
-      Array.iter
-        (fun (x, y) ->
-          if Float.is_finite y && in_range t.x_axis x && in_range t.y_axis y
-          then segment := (px x, py y) :: !segment
-          else begin
-            flush !segment;
-            segment := []
-          end)
-        s.points;
-      flush !segment;
+      let len = ref 0 in
+      for i = 0 to Array.length s.points - 1 do
+        let x, y = s.points.(i) in
+        if Float.is_finite y && x >= x_lo && x <= x_hi && y >= y_lo && y <= y_hi
+        then begin
+          xs.(!len) <- ml +. (clamp ((x -. x_lo) /. (x_hi -. x_lo)) *. plot_w);
+          ys.(!len) <-
+            mt +. plot_h -. (clamp ((y -. y_lo) /. (y_hi -. y_lo)) *. plot_h);
+          incr len
+        end
+        else begin
+          Svg.polyline svg ~stroke:colour xs ys !len;
+          len := 0
+        end
+      done;
+      Svg.polyline svg ~stroke:colour xs ys !len;
       (* legend entry *)
       let ly = mt +. 10. +. (float_of_int idx *. 18.) in
       let lx = ml +. plot_w +. 12. in

@@ -9,17 +9,17 @@ type t = {
 
 let validate t =
   let rows = Array.length t.values in
-  if rows = 0 then invalid_arg "Heatmap.render: no rows";
+  if rows = 0 then invalid_arg "Heatmap.save: no rows";
   let cols = Array.length t.values.(0) in
-  if cols = 0 then invalid_arg "Heatmap.render: empty rows";
+  if cols = 0 then invalid_arg "Heatmap.save: empty rows";
   Array.iter
     (fun row ->
-      if Array.length row <> cols then invalid_arg "Heatmap.render: ragged data")
+      if Array.length row <> cols then invalid_arg "Heatmap.save: ragged data")
     t.values;
   if Array.length t.x_ticks <> cols then
-    invalid_arg "Heatmap.render: x_ticks/columns mismatch";
+    invalid_arg "Heatmap.save: x_ticks/columns mismatch";
   if Array.length t.y_ticks <> rows then
-    invalid_arg "Heatmap.render: y_ticks/rows mismatch";
+    invalid_arg "Heatmap.save: y_ticks/rows mismatch";
   (rows, cols)
 
 (* light yellow -> red colour ramp *)
@@ -41,14 +41,16 @@ let render t =
   let plot_h = float_of_int height -. mt -. mb in
   let cell_w = plot_w /. float_of_int cols in
   let cell_h = plot_h /. float_of_int rows in
-  let finite =
-    Array.to_list t.values
-    |> List.concat_map Array.to_list
-    |> List.filter Float.is_finite
-  in
-  if finite = [] then invalid_arg "Heatmap.render: no finite values";
-  let lo = List.fold_left Float.min (List.hd finite) finite in
-  let hi = List.fold_left Float.max (List.hd finite) finite in
+  let lo = ref infinity and hi = ref neg_infinity in
+  Array.iter
+    (Array.iter (fun v ->
+         if Float.is_finite v then begin
+           lo := Float.min !lo v;
+           hi := Float.max !hi v
+         end))
+    t.values;
+  let lo = !lo and hi = !hi in
+  if lo > hi then invalid_arg "Heatmap.save: no finite values";
   let span = if hi > lo then hi -. lo else 1. in
   for row = 0 to rows - 1 do
     for col = 0 to cols - 1 do

@@ -1,10 +1,18 @@
-type t = { width : int; height : int; mutable elements : string list (* reversed *) }
+(* The document is written into one buffer as it is built: the header
+   at [create], each element on a line of its own, the closing tag at
+   [save]. *)
+type t = { buf : Buffer.t; mutable empty : bool }
 
 let create ~width ~height =
   if width < 1 || height < 1 then invalid_arg "Svg.create: non-positive size";
-  { width; height; elements = [] }
-
-let push t e = t.elements <- e :: t.elements
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf
+    {|<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">
+<rect width="%d" height="%d" fill="white"/>
+|}
+    width height width height width height;
+  { buf; empty = true }
 
 let add_escaped b s =
   String.iter
@@ -16,15 +24,13 @@ let add_escaped b s =
       | c -> Buffer.add_char b c)
     s
 
-(* Every element is built in one buffer: its numbers are appended by
-   Num_text at two decimals, the [%.2f] of every coordinate, size and
-   stroke width. *)
+(* Every element's numbers are appended by Num_text at two decimals,
+   the [%.2f] of every coordinate, size and stroke width. *)
 let add_coord = Num_text.add_fixed ~decimals:2
 
 let element t build =
-  let b = Buffer.create 128 in
-  build b;
-  push t (Buffer.contents b)
+  if t.empty then t.empty <- false else Buffer.add_char t.buf '\n';
+  build t.buf
 
 (* [ name="v"] with [v] at two decimals *)
 let num_attr b name v =
@@ -56,22 +62,20 @@ let line t ?(stroke = "#000") ?(stroke_width = 1.) (x1, y1) (x2, y2) =
   num_attr b "y2" y2;
   add_stroke_end b stroke stroke_width
 
-let polyline t ?(stroke = "#000") points =
-  match points with
-  | [] | [ _ ] -> ()
-  | _ ->
-      element t @@ fun b ->
-      Buffer.add_string b "<polyline points=\"";
-      List.iteri
-        (fun i (x, y) ->
-          if i > 0 then Buffer.add_char b ' ';
-          add_coord b x;
-          Buffer.add_char b ',';
-          add_coord b y)
-        points;
-      Buffer.add_char b '"';
-      str_attr b "fill" "none";
-      add_stroke_end b stroke 1.5
+let polyline t ?(stroke = "#000") xs ys len =
+  if len >= 2 then begin
+    element t @@ fun b ->
+    Buffer.add_string b "<polyline points=\"";
+    for i = 0 to len - 1 do
+      if i > 0 then Buffer.add_char b ' ';
+      add_coord b xs.(i);
+      Buffer.add_char b ',';
+      add_coord b ys.(i)
+    done;
+    Buffer.add_char b '"';
+    str_attr b "fill" "none";
+    add_stroke_end b stroke 1.5
+  end
 
 let rect t ?(fill = "none") ?(stroke = "none") (x, y) (w, h) =
   element t @@ fun b ->
@@ -99,19 +103,10 @@ let text t ?(size = 11) ?(anchor = "start") ~x ~y s =
   add_escaped b s;
   Buffer.add_string b "</text>"
 
-let to_string t =
-  Printf.sprintf
-    {|<?xml version="1.0" encoding="UTF-8"?>
-<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">
-<rect width="%d" height="%d" fill="white"/>
-%s
-</svg>
-|}
-    t.width t.height t.width t.height t.width t.height
-    (String.concat "\n" (List.rev t.elements))
-
 let save t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
+    (fun () ->
+      Buffer.output_buffer oc t.buf;
+      output_string oc "\n</svg>\n")

@@ -11,8 +11,10 @@ val line :
   float * float -> unit
 (** [line t p1 p2]. *)
 
-val polyline : t -> ?stroke:string -> (float * float) list -> unit
-(** Rendered as one open path, 1.5 units wide. *)
+val polyline : t -> ?stroke:string -> float array -> float array -> int -> unit
+(** [polyline t xs ys len]: the points [(xs.(i), ys.(i))] for
+    [i < len], rendered as one open path, 1.5 units wide; nothing for
+    fewer than two points. *)
 
 val rect :
   t -> ?fill:string -> ?stroke:string -> float * float -> float * float -> unit

@@ -31,7 +31,7 @@ let values_eq (a : A.t) (b : A.t) =
   | _ -> false
 
 let points_eq (a : A.t) (b : A.t) =
-  A.size a = A.size b
+  Array.length a.A.points = Array.length b.A.points
   && Array.for_all2
        (fun (n, r) (n', r') -> n = n' && bits r = bits r')
        a.A.points b.A.points
@@ -345,7 +345,7 @@ let prop_columnar_equals_plans =
             QCheck.Test.fail_reportf "plan %d: %s evals=%d, not %s evals=%d" p
               (Engine.Plan.route_name b.route.(p)) b.evals.(p) a.A.backend
               a.A.evals;
-          for i = 0 to A.size a - 1 do
+          for i = 0 to Array.length a.A.points - 1 do
             let k = Engine.Batch.first_point b p + i in
             let column =
               [ b.value.(k) ]
@@ -627,6 +627,46 @@ let test_key_injective () =
     (key (Q.r_sweep Q.Error_probability fig2 ~n:3 ~rs:[| 0.; 0.5; 1. |]))
     (key (Q.r_sweep Q.Error_probability fig2 ~n:3 ~rs:[| 0.; 0.5; 1. |]))
 
+(* quantity i at (n, rs.(j)) sits at (i |rs| + j) n_max + n - 1, on
+   every route the quantities take, bitwise equal to each n-sweep
+   alone *)
+let test_n_sweeps_layout () =
+  let quantities = [| Q.Mean_cost; Q.Log10_error; Q.Cost_variance |]
+  and rs = [| 0.; 0.4; 2.5 |]
+  and n_max = 6 in
+  let v = Engine.Executor.n_sweeps quantities fig2 ~n_max rs in
+  Alcotest.(check int) "one value per point"
+    (Array.length quantities * Array.length rs * n_max)
+    (Array.length v);
+  Array.iteri
+    (fun i quantity ->
+      Array.iteri
+        (fun j r ->
+          let alone =
+            Engine.Executor.eval
+              (Q.n_sweep quantity fig2 ~ns:(Array.init n_max succ) ~r)
+          in
+          for n = 1 to n_max do
+            let got = v.((((i * Array.length rs) + j) * n_max) + n - 1) in
+            if bits got <> bits (A.scalar alone (n - 1)) then
+              Alcotest.failf "%s at (n = %d, r = %g): %h, alone %h"
+                (Q.quantity_name quantity) n r got (A.scalar alone (n - 1))
+          done)
+        rs)
+    quantities
+
+let test_n_sweeps_refusals () =
+  Alcotest.check_raises "no route"
+    (Invalid_argument "Executor.n_sweeps: no route serves cost-variance")
+    (fun () ->
+      ignore
+        (Engine.Executor.n_sweeps [| Q.Cost_variance |] fig2 ~n_max:513
+           [| 1. |]));
+  Alcotest.check_raises "bad r"
+    (Invalid_argument "Query: r = nan not non-negative and finite") (fun () ->
+      ignore
+        (Engine.Executor.n_sweeps [| Q.Mean_cost |] fig2 ~n_max:4 [| nan |]))
+
 let () =
   Alcotest.run "executor"
     [ ( "batch equivalence",
@@ -648,5 +688,9 @@ let () =
             test_near_twins_apart_in_batch;
           Alcotest.test_case "singleton batch = scalar provenance" `Quick
             test_singleton_batch_matches_scalar_provenance ] );
+      ( "n-sweep grid",
+        [ Alcotest.test_case "layout = each n-sweep alone" `Quick
+            test_n_sweeps_layout;
+          Alcotest.test_case "refusals" `Quick test_n_sweeps_refusals ] );
       ( "plan key",
         [ Alcotest.test_case "injective" `Quick test_key_injective ] ) ]

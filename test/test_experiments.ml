@@ -131,6 +131,43 @@ let test_fig6_envelope_sawtooth_and_bounds () =
 let test_fig6_includes_fig5_series () =
   Alcotest.(check int) "eight curves + envelope" 9 (List.length fig6.E.series)
 
+(* ---------------- batch-built values ---------------- *)
+
+let bits = Int64.bits_of_float
+
+let check_bits what expected actual =
+  if bits expected <> bits actual then
+    Alcotest.failf "%s: closed form %h, batch %h" what expected actual
+
+(* every value read out of a figure's columnar batch is, in bits, the
+   closed form at its own (n, r): a transpose that reads a neighbour's
+   slot fails here *)
+let test_series_bits () =
+  let p = Zeroconf.Params.figure2 in
+  List.iter
+    (fun (fig, label, closed_form) ->
+      for n = 1 to 8 do
+        Array.iter
+          (fun (r, v) ->
+            check_bits (Printf.sprintf "%s n = %d, r = %h" fig.E.id n r)
+              (closed_form p ~n ~r) v)
+          (series fig (label n)).E.points
+      done)
+    [ (fig2, Printf.sprintf "C_%d", Zeroconf.Cost.mean);
+      (fig5, Printf.sprintf "E(%d, r)", Zeroconf.Reliability.log10_error_probability) ]
+
+let test_landscape_bits () =
+  let l = E.cost_landscape () in
+  Array.iteri
+    (fun i n ->
+      Array.iteri
+        (fun j r ->
+          check_bits (Printf.sprintf "landscape n = %d, r = %h" n r)
+            (log10 (Zeroconf.Cost.mean Zeroconf.Params.figure2 ~n ~r))
+            l.E.log10_cost.(i).(j))
+        l.E.rs)
+    l.E.ns
+
 (* ---------------- Sec. 4.4 / 4.5 / 6 anchors ---------------- *)
 
 let test_sec44_nu_is_three () =
@@ -255,6 +292,11 @@ let () =
           Alcotest.test_case "sawtooth in band" `Quick
             test_fig6_envelope_sawtooth_and_bounds;
           Alcotest.test_case "fig6 contains fig5" `Quick test_fig6_includes_fig5_series ] );
+      ( "batch values",
+        [ Alcotest.test_case "series = closed forms, bitwise" `Quick
+            test_series_bits;
+          Alcotest.test_case "landscape = closed form, bitwise" `Quick
+            test_landscape_bits ] );
       ( "section anchors",
         [ Alcotest.test_case "Sec. 4.4: nu = 3" `Quick test_sec44_nu_is_three;
           Alcotest.test_case "Sec. 6 headline" `Quick test_sec6_matches_paper ] );

@@ -91,6 +91,26 @@ let test_enumerate_size () =
         true (List.mem d all))
     front
 
+(* every design of a front, on grids of several shapes, is in bits the
+   closed forms at its own (n, r): the cost and error plans share one
+   columnar batch, and a transpose that reads a neighbour's slot fails
+   here *)
+let test_designs_bits () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (p, n_max, r_points, r_max) ->
+      List.iter
+        (fun (d : T.design) ->
+          let n = d.T.n and r = d.T.r in
+          if
+            bits d.T.cost <> bits (Zeroconf.Cost.mean p ~n ~r)
+            || bits d.T.log10_error
+               <> bits (Zeroconf.Reliability.log10_error_probability p ~n ~r)
+          then Alcotest.failf "%s (n = %d, r = %h)" p.Params.name n r)
+        (T.front ~n_max ~r_points ~r_max p))
+    [ (fig2, 8, 100, 6.); (fig2, 1, 7, 3.); (fig2, 12, 37, 8.);
+      (Params.realistic_ethernet, 5, 40, 4.) ]
+
 let test_knee_is_interior () =
   match T.knee front with
   | None -> Alcotest.fail "expected a knee on a substantial front"
@@ -117,7 +137,9 @@ let () =
           Alcotest.test_case "strictly improving" `Quick
             test_front_error_strictly_decreasing;
           Alcotest.test_case "undominated" `Quick test_front_members_undominated;
-          Alcotest.test_case "enumerate size" `Quick test_enumerate_size ] );
+          Alcotest.test_case "enumerate size" `Quick test_enumerate_size;
+          Alcotest.test_case "designs = closed forms, bitwise" `Quick
+            test_designs_bits ] );
       ( "paper claims",
         [ Alcotest.test_case "cost/reliability tension" `Quick
             test_paper_tension_on_front;
