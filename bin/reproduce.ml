@@ -343,7 +343,7 @@ let reproduce_multi () =
       Netsim.Newcomer.announce = Some (2, 0.5) }
   in
   let rates =
-    Netsim.Multi.collision_rate_vs_newcomers ~loss:0.1
+    Netsim.Workload.collision_rate_vs_newcomers ~loss:0.1
       ~one_way:(Dist.Families.uniform ~lo:0.005 ~hi:0.05 ())
       ~occupied:8 ~pool_size:32 ~config ~trials:60 ~counts:[ 1; 2; 4; 8; 16 ]
       ~rng ()

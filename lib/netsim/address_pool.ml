@@ -37,3 +37,5 @@ let claim_random_free t ~rng =
 let to_string a =
   let third = 1 + (a / 256) and fourth = a mod 256 in
   Printf.sprintf "169.254.%d.%d" third fourth
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)

@@ -28,3 +28,6 @@ val random_candidate : t -> rng:Numerics.Rng.t -> int
 
 val to_string : int -> string
 (** Render an index as its dotted IPv4 in the 169.254/16 range. *)
+
+val pp : Format.formatter -> int -> unit
+(** {!to_string} as a printer. *)

@@ -41,5 +41,5 @@ let set_tracer t tracer = t.tracer <- tracer
 
 let trace t fmt =
   match t.tracer with
-  | None -> Printf.ikfprintf ignore () fmt
-  | Some f -> Printf.ksprintf (fun s -> f t.clock s) fmt
+  | None -> Format.ikfprintf ignore Format.str_formatter fmt
+  | Some f -> Format.kasprintf (fun s -> f t.clock s) fmt

@@ -24,6 +24,7 @@ val set_tracer : t -> (float -> string -> unit) option -> unit
 (** Install (or remove) an event tracer; {!trace} calls become visible
     to it. *)
 
-val trace : t -> ('a, unit, string, unit) format4 -> 'a
-(** Emit a trace line at the current virtual time (no-op without a
-    tracer). *)
+val trace : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Emit a trace line at the current virtual time.  Without a tracer
+    nothing is formatted: pass values that need rendering through [%a],
+    so that their printers do not run either. *)

@@ -29,8 +29,7 @@ let detach t id =
   List.iter (fun s -> if s.id = id then s.attached <- false) t.stations
 
 let broadcast t ~sender packet =
-  Engine.trace t.engine "host%d sends %s" sender
-    (Format.asprintf "%a" Packet.pp packet);
+  Engine.trace t.engine "host%d sends %a" sender Packet.pp packet;
   let deliver station =
     if station.attached && station.id <> sender then begin
       if Numerics.Rng.bool t.rng t.loss then

@@ -28,17 +28,10 @@ let simulate_collision ?(background_rate = 0.1) ~loss ~one_way ~occupied
          "Maintenance.simulate_collision: the probe schedule n r = %g s \
           reaches the %g s horizon cap, so the conflict never resolves"
          schedule horizon_cap);
-  let engine = Engine.create () in
-  let pool = Address_pool.create ?size:pool_size () in
-  let link = Link.create ~engine ~rng ~loss ~one_way in
-  (* populate the network *)
-  for _ = 1 to occupied do
-    let address = Address_pool.claim_random_free pool ~rng in
-    ignore (Host.create ~engine ~link ~rng ~address ())
-  done;
+  let net = Network.create ~loss ~one_way ~occupied ?pool_size ~rng () in
+  let engine = net.engine and link = net.link in
   (* the contested address: give it an incumbent... *)
-  let contested = Address_pool.claim_random_free pool ~rng in
-  ignore (Host.create ~engine ~link ~rng ~address:contested ());
+  let contested = Network.claim net in
   (* ...and a requester that keeps asking for it (background traffic) *)
   let requester = Link.attach link (fun _ -> ()) in
   let rec background () =
@@ -63,7 +56,7 @@ let simulate_collision ?(background_rate = 0.1) ~loss ~one_way ~occupied
         Link.detach link !collider;
         let started = Engine.now engine in
         ignore
-          (Newcomer.start ~engine ~link ~pool ~rng ~config
+          (Newcomer.start ~engine ~link ~pool:net.pool ~rng ~config
              ~on_done:(fun outcome ->
                reconfiguration :=
                  Some (Engine.now engine -. started, outcome))
@@ -94,8 +87,11 @@ type cost_estimate = {
   suggested_error_cost : float;
 }
 
-let estimate_error_cost ?(per_connection = 30.) ?background_rate ~loss
-    ~one_way ~occupied ?pool_size ~config ~trials ~rng () =
+(* the price of one broken connection, in waiting-seconds *)
+let per_connection = 30.
+
+let estimate_error_cost ?background_rate ~loss ~one_way ~occupied ?pool_size
+    ~config ~trials ~rng () =
   if trials < 1 then invalid_arg "Maintenance.estimate_error_cost: trials < 1";
   let resolutions =
     Array.init trials (fun _ ->

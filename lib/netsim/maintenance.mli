@@ -27,12 +27,13 @@ type cost_estimate = {
       (** Connections the newcomer had established on the colliding
           address (all torn down), per collision. *)
   suggested_error_cost : float;
-      (** Mean disruption plus [per_connection] per broken connection —
-          on the paper's scale where one second of waiting costs 1. *)
+      (** Mean disruption plus 30 per broken connection — on the
+          paper's scale where one second of waiting costs 1, a broken
+          connection costs as much as 30 s of waiting. *)
 }
 
 val estimate_error_cost :
-  ?per_connection:float -> ?background_rate:float -> loss:float ->
+  ?background_rate:float -> loss:float ->
   one_way:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
   config:Newcomer.config -> trials:int ->
   rng:Numerics.Rng.t -> unit -> cost_estimate
@@ -40,8 +41,7 @@ val estimate_error_cost :
     the packet level.  [background_rate] (default [0.1]/s) is the
     Poisson rate of ARP traffic touching the contested address; the
     unsuspecting newcomer opens connections at [0.05]/s until
-    detection.  [per_connection] (default [30.]) prices one broken
-    connection in waiting-seconds.  Each run stops at a simulated
-    horizon of [1e7] s; raises [Invalid_argument] up front when the
-    probe schedule alone, [n r], reaches it, since such a conflict can
-    never resolve. *)
+    detection.  Each run stops at a simulated horizon of [1e7] s;
+    raises [Invalid_argument] up front when the probe schedule alone,
+    [n r], reaches it, since such a conflict can never resolve, and
+    unless [occupied] is in [\[0, pool_size)]. *)

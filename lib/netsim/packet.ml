@@ -7,6 +7,6 @@ let address = function
 
 let pp ppf = function
   | Arp_probe { sender; address } ->
-      Format.fprintf ppf "probe[host%d, %s]" sender (Address_pool.to_string address)
+      Format.fprintf ppf "probe[host%d, %a]" sender Address_pool.pp address
   | Arp_reply { sender; address } ->
-      Format.fprintf ppf "reply[host%d, %s]" sender (Address_pool.to_string address)
+      Format.fprintf ppf "reply[host%d, %a]" sender Address_pool.pp address

@@ -116,15 +116,6 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
   sample.probes_sent.(i) <- !probes;
   sample.restarts.(i) <- !restarts
 
-let occupy_pool pool ~occupied ~rng =
-  if occupied < 0 || occupied >= Address_pool.size pool then
-    invalid_arg "Scenario: occupied outside [0, pool size)";
-  let addresses = ref [] in
-  for _ = 1 to occupied do
-    addresses := Address_pool.claim_random_free pool ~rng :: !addresses
-  done;
-  !addresses
-
 let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
     ~config ~trials ~rng () =
   if trials < 1 then invalid_arg "Scenario.run_aggregate: trials < 1";
@@ -141,22 +132,18 @@ let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
 
 let detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
     ~rng ~tracer () =
-  let engine = Engine.create () in
-  Engine.set_tracer engine tracer;
-  let pool = Address_pool.create ?size:pool_size () in
-  let link = Link.create ~engine ~rng ~loss ~one_way in
-  let addresses = occupy_pool pool ~occupied ~rng in
-  List.iter
-    (fun address ->
-      ignore (Host.create ~engine ~link ~rng ?processing ~address ()))
-    addresses;
+  let net =
+    Network.create ~loss ~one_way ?processing ~occupied ?pool_size ~rng ()
+  in
+  Engine.set_tracer net.engine tracer;
   let result = ref None in
   let _newcomer =
-    Newcomer.start ~engine ~link ~pool ~rng ~config
+    Newcomer.start ~engine:net.engine ~link:net.link ~pool:net.pool ~rng
+      ~config
       ~on_done:(fun outcome -> result := Some outcome)
       ()
   in
-  Engine.run engine;
+  Engine.run net.engine;
   match !result with
   | Some outcome -> outcome
   | None -> failwith "Scenario.detailed_trial: newcomer never finished"

@@ -47,8 +47,10 @@ val run_detailed :
   ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
   config:Newcomer.config -> trials:int ->
   rng:Numerics.Rng.t -> unit -> Metrics.sample
-(** Each trial builds a fresh network of [occupied] configured hosts
-    plus one newcomer and runs it to completion. *)
+(** Each trial builds a fresh {!Network} of [occupied] configured
+    hosts plus one newcomer and runs it to completion.  Raises
+    [Invalid_argument] when [trials < 1] or [occupied] is outside
+    [\[0, pool_size)]. *)
 
 val trace_one :
   loss:float -> one_way:Dist.Distribution.t ->

@@ -44,57 +44,84 @@ let check_capacity ~pattern ~horizon ~initial ~pool_size =
          "Workload: %d configured hosts and %g arrivals do not fit a pool of %d"
          initial arrivals pool_size)
 
-let run ~pattern ~horizon ~loss ~one_way ?(initial = 0) ?pool_size ~config ~rng
-    () =
-  if horizon <= 0. then invalid_arg "Workload.run: horizon <= 0";
-  let engine = Engine.create () in
-  let pool = Address_pool.create ?size:pool_size () in
-  let link = Link.create ~engine ~rng ~loss ~one_way in
-  for _ = 1 to initial do
-    let address = Address_pool.claim_random_free pool ~rng in
-    ignore (Host.create ~engine ~link ~rng ~address ())
-  done;
-  let times = arrival_times ~pattern ~horizon ~rng in
-  if initial + List.length times >= Address_pool.size pool then
-    failwith "Workload.run: address pool would be exhausted";
+(* Start a newcomer at each of the ascending virtual times [times] on
+   [net]; an accepted newcomer that did not collide starts defending its
+   address (when it collided, the original owner defends it). *)
+let arrive (net : Network.t) ~config times =
   let finished = ref [] in
-  let completions = ref 0 in
   List.iter
     (fun time ->
-      Engine.schedule_at engine ~time (fun () ->
+      Engine.schedule_at net.engine ~time (fun () ->
           ignore
-            (Newcomer.start ~engine ~link ~pool ~rng ~config
+            (Newcomer.start ~engine:net.engine ~link:net.link ~pool:net.pool
+               ~rng:net.rng ~config
                ~on_done:(fun outcome ->
-                 incr completions;
-                 finished := (outcome, Engine.now engine) :: !finished;
+                 finished := (outcome, Engine.now net.engine) :: !finished;
                  if not outcome.Metrics.collided then
-                   ignore
-                     (Host.create ~engine ~link ~rng
-                        ~address:outcome.Metrics.address ()))
+                   Network.defend net outcome.Metrics.address)
                ())))
     times;
-  Engine.run engine;
+  Engine.run net.engine;
   let entries = Array.of_list (List.rev !finished) in
+  let arrivals = List.length times in
+  if Array.length entries <> arrivals then
+    failwith "Workload: some newcomer never finished";
   let outcomes = Array.map fst entries in
-  let collisions =
-    Array.fold_left
-      (fun acc (o : Metrics.outcome) -> if o.Metrics.collided then acc + 1 else acc)
-      0 outcomes
-  in
   let module Iset = Set.Make (Int) in
   let accepted =
-    Array.fold_left
-      (fun acc (o : Metrics.outcome) -> Iset.add o.Metrics.address acc)
-      Iset.empty outcomes
+    Iset.of_seq
+      (Seq.map (fun (o : Metrics.outcome) -> o.Metrics.address) (Array.to_seq outcomes))
   in
-  { arrivals = List.length times;
+  { arrivals;
     outcomes;
-    collisions;
-    all_unique = Iset.cardinal accepted = Array.length outcomes;
+    collisions =
+      Array.fold_left
+        (fun acc (o : Metrics.outcome) -> acc + Bool.to_int o.Metrics.collided)
+        0 outcomes;
+    all_unique = Iset.cardinal accepted = arrivals;
     last_completion =
       Array.fold_left (fun acc (_, t) -> Float.max acc t) 0. entries;
     mean_config_time =
-      (if Array.length outcomes = 0 then 0.
+      (if arrivals = 0 then 0.
        else
          Numerics.Safe_float.mean
            (Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) outcomes)) }
+
+let run ~pattern ~horizon ~loss ~one_way ?(initial = 0) ?pool_size ~config ~rng
+    () =
+  if horizon <= 0. then invalid_arg "Workload.run: horizon <= 0";
+  let net = Network.create ~loss ~one_way ~occupied:initial ?pool_size ~rng () in
+  (* drawn after the configured hosts have claimed their addresses *)
+  let times = arrival_times ~pattern ~horizon ~rng in
+  if initial + List.length times >= Address_pool.size net.pool then
+    failwith "Workload.run: address pool would be exhausted";
+  arrive net ~config times
+
+let spaced ~loss ~one_way ~occupied ?pool_size ~newcomers ?(spacing = 0.) ~config
+    ~rng () =
+  if newcomers < 1 then invalid_arg "Workload.spaced: newcomers < 1";
+  if spacing < 0. then invalid_arg "Workload.spaced: negative spacing";
+  arrive
+    (Network.create ~loss ~one_way ~occupied ?pool_size ~rng ())
+    ~config
+    (List.init newcomers (fun i -> float_of_int i *. spacing))
+
+let collision_rate_vs_newcomers ~loss ~one_way ~occupied ?pool_size ~config
+    ~trials ~counts ~rng () =
+  if trials < 1 then
+    invalid_arg "Workload.collision_rate_vs_newcomers: trials < 1";
+  List.map
+    (fun newcomers ->
+      (* every replication's generator is split before any draws *)
+      let rngs = Array.init trials (fun _ -> Numerics.Rng.split rng) in
+      let collided =
+        Array.fold_left
+          (fun acc rng ->
+            let r =
+              spaced ~loss ~one_way ~occupied ?pool_size ~newcomers ~config ~rng ()
+            in
+            acc + r.collisions)
+          0 rngs
+      in
+      (newcomers, float_of_int collided /. float_of_int (trials * newcomers)))
+    counts

@@ -1,9 +1,15 @@
-(** Long-horizon workloads: hosts joining a link-local network over
-    time, each configuring via zeroconf and then defending its address.
+(** Hosts joining a link-local network over time, each configuring
+    via zeroconf and then defending its address: the deployment stories
+    of the paper's introduction (home networks accreting appliances,
+    ad-hoc networks forming), and several hosts configuring at once, the
+    setting of the companion Uppaal study (Zhang & Vaandrager [7]) that
+    the paper's single-host model abstracts away.
 
-    These are the deployment stories from the paper's introduction —
-    home networks accreting appliances, ad-hoc networks forming — as
-    repeatable workload patterns for the simulator. *)
+    Every runner builds one {!Network} and starts a newcomer at each
+    arrival time; an accepted newcomer that did not collide becomes a
+    responder, defending its address against later arrivals.  Rivals
+    may probe the same candidate at once: the draft's rule that such a
+    probe is a conflict ({!Newcomer}) is what keeps them apart. *)
 
 type pattern =
   | Poisson of float
@@ -18,10 +24,10 @@ type result = {
   arrivals : int;          (** Hosts that started configuring. *)
   outcomes : Metrics.outcome array;
       (** One per completed configuration, completion order. *)
-  collisions : int;
+  collisions : int;        (** Outcomes flagged as collided. *)
   all_unique : bool;       (** All accepted addresses distinct. *)
   last_completion : float; (** Virtual time of the last acceptance. *)
-  mean_config_time : float;
+  mean_config_time : float; (** Over the outcomes; [0.] without any. *)
 }
 
 val check_capacity :
@@ -38,7 +44,25 @@ val run :
   config:Newcomer.config ->
   rng:Numerics.Rng.t -> unit -> result
 (** Simulate a network of instantly responding hosts that starts with
-    [initial] (default [0]) configured hosts; arrivals follow [pattern] until [horizon] virtual
-    seconds, and the simulation then runs to completion of every
-    started configuration.  Raises [Failure] if the address pool would
-    be exhausted. *)
+    [initial] (default [0]) configured hosts; arrivals follow [pattern]
+    until [horizon] virtual seconds (drawn after the configured hosts
+    claim their addresses), and the simulation then runs to completion
+    of every started configuration.  Raises [Failure] if the address
+    pool would be exhausted. *)
+
+val spaced :
+  loss:float -> one_way:Dist.Distribution.t -> occupied:int ->
+  ?pool_size:int -> newcomers:int -> ?spacing:float ->
+  config:Newcomer.config -> rng:Numerics.Rng.t -> unit -> result
+(** Start [newcomers] configuring hosts [spacing] seconds apart
+    (default [0.]: all at once), the first at time 0, on a network of
+    [occupied] instantly responding hosts. *)
+
+val collision_rate_vs_newcomers :
+  loss:float -> one_way:Dist.Distribution.t ->
+  occupied:int -> ?pool_size:int -> config:Newcomer.config -> trials:int ->
+  counts:int list -> rng:Numerics.Rng.t -> unit -> (int * float) list
+(** Sweep the number of simultaneous newcomers and estimate the
+    per-newcomer collision probability for each count: [trials]
+    replications of {!spaced} at spacing [0.] per count, each with its
+    own generator split from [rng] before any replication draws. *)

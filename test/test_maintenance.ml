@@ -51,7 +51,7 @@ let test_more_connections_on_slow_detection () =
 let test_estimate_error_cost () =
   let rng = Numerics.Rng.create 9 in
   let est =
-    Mnt.estimate_error_cost ~per_connection:30. ~background_rate:1. ~loss:0.
+    Mnt.estimate_error_cost ~background_rate:1. ~loss:0.
       ~one_way ~occupied:20 ~pool_size:64 ~config ~trials:20 ~rng ()
   in
   Alcotest.(check int) "trials recorded" 20 est.Mnt.trials;

@@ -160,6 +160,17 @@ let test_engine_tracer () =
   Engine.set_tracer e None;
   Engine.trace e "silent %d" 1
 
+let test_engine_tracer_off_prints_nothing () =
+  (* without a tracer, a [%a] argument's printer never runs *)
+  let e = Engine.create () in
+  let printed = ref 0 in
+  let pp ppf () = incr printed; Format.pp_print_string ppf "x" in
+  Engine.trace e "off %a" pp ();
+  Alcotest.(check int) "printer skipped" 0 !printed;
+  Engine.set_tracer e (Some (fun _ _ -> ()));
+  Engine.trace e "on %a" pp ();
+  Alcotest.(check int) "printer run once traced" 1 !printed
+
 (* ---------------- address pool ---------------- *)
 
 (* the occupied addresses of a pool, in order *)
@@ -338,6 +349,156 @@ let test_host_defend_interval () =
   Engine.run engine;
   Alcotest.(check int) "two defenses for three probes" 2 !replies
 
+(* ---------------- seeded runs, pinned ---------------- *)
+
+(* Every packet-level runner's seeded output, bit for bit: an outcome
+   array is pinned by the MD5 of one line per outcome with its floats
+   in [%h].  A change to the draw order of any runner (which station a
+   broadcast serves first, when arrival times are drawn, how
+   replications split the generator) moves these values. *)
+
+module M = Netsim.Metrics
+module W = Netsim.Workload
+
+let outcome_line (o : M.outcome) =
+  Printf.sprintf "%d %b %d %d %h %h\n" o.M.address o.M.collided
+    o.M.probes_sent o.M.restarts o.M.config_time o.M.cost
+
+let fingerprint outcomes =
+  Digest.to_hex
+    (Digest.string (String.concat "" (Array.to_list (Array.map outcome_line outcomes))))
+
+let hex = Printf.sprintf "%h"
+let pinned_one_way = Dist.Families.uniform ~lo:0.005 ~hi:0.05 ()
+
+let pinned_config =
+  { (Netsim.Newcomer.drm_config ~n:3 ~r:0.3 ~probe_cost:1. ~error_cost:50.) with
+    Netsim.Newcomer.immediate_abort = true;
+    Netsim.Newcomer.avoid_failed = true;
+    Netsim.Newcomer.announce = Some (2, 0.5) }
+
+let detailed_config =
+  Netsim.Newcomer.drm_config ~n:2 ~r:0.5 ~probe_cost:1. ~error_cost:100.
+
+let processing = Dist.Families.exponential ~rate:4. ()
+
+let test_pinned_spaced () =
+  List.iter
+    (fun (spacing, digest, collisions) ->
+      let r =
+        W.spaced ~loss:0.1 ~one_way:pinned_one_way ~occupied:8 ~pool_size:32
+          ~newcomers:6 ~spacing ~config:pinned_config
+          ~rng:(Numerics.Rng.create 21) ()
+      in
+      let label = Printf.sprintf "spacing %g" spacing in
+      Alcotest.(check string) label digest (fingerprint r.W.outcomes);
+      Alcotest.(check int) label collisions r.W.collisions;
+      Alcotest.(check bool) label true r.W.all_unique)
+    [ (0., "929c794323e9fabf3c1afc3e9569a1d4", 0);
+      (0.2, "3bc139aacaa537e222a30d0b223eecf0", 1) ]
+
+let test_pinned_patterns () =
+  List.iter
+    (fun (pattern, digest, arrivals, last, mean) ->
+      let r =
+        W.run ~pattern ~horizon:20. ~loss:0.05 ~one_way:pinned_one_way
+          ~initial:6 ~pool_size:64 ~config:pinned_config
+          ~rng:(Numerics.Rng.create 22) ()
+      in
+      Alcotest.(check string) "outcomes" digest (fingerprint r.W.outcomes);
+      Alcotest.(check int) "arrivals" arrivals r.W.arrivals;
+      Alcotest.(check int) "collisions" 0 r.W.collisions;
+      Alcotest.(check string) "last completion" last (hex r.W.last_completion);
+      Alcotest.(check string) "mean config time" mean (hex r.W.mean_config_time))
+    [ ( W.Poisson 0.5, "8c4305452f567bee99815657ff129cff", 5,
+        "0x1.a988a7c22990ep+3", "0x1.d7e0adc962036p-1" );
+      ( W.Flash { count = 12; within = 1. }, "8b2198b8ca6dac48b88c44adae9c1530",
+        12, "0x1.e3f88bfe35ddbp+0", "0x1.ce95ee6a81e2bp-1" );
+      ( W.Periodic 1.5, "bdfbb3f483a7618609671430590ee7cd", 13,
+        "0x1.4666666666667p+4", "0x1.d028fc03fa5a6p-1" ) ]
+
+let test_pinned_collision_rate () =
+  let rates =
+    W.collision_rate_vs_newcomers ~loss:0.3 ~one_way:pinned_one_way ~occupied:8
+      ~pool_size:32 ~config:pinned_config ~trials:5 ~counts:[ 1; 2; 4 ]
+      ~rng:(Numerics.Rng.create 23) ()
+  in
+  Alcotest.(check (list (pair int string))) "rates"
+    [ (1, "0x0p+0"); (2, "0x1.999999999999ap-4"); (4, "0x0p+0") ]
+    (List.map (fun (c, r) -> (c, hex r)) rates)
+
+let test_pinned_maintenance () =
+  let module Mn = Netsim.Maintenance in
+  let est =
+    Mn.estimate_error_cost ~background_rate:0.05 ~loss:0.1
+      ~one_way:pinned_one_way ~occupied:20 ~pool_size:64
+      ~config:(Netsim.Newcomer.drm_config ~n:2 ~r:0.5 ~probe_cost:0. ~error_cost:0.)
+      ~trials:3 ~rng:(Numerics.Rng.create 24) ()
+  in
+  Alcotest.(check (list string)) "mean, max, broken, E"
+    [ "0x1.445fdb76e38bbp+3"; "0x1.1be01720e0282p+4"; "0x1.5555555555555p-2";
+      "0x1.422fedbb71c5ep+4" ]
+    (List.map hex
+       [ est.Mn.disruption.Numerics.Stats.mean;
+         est.Mn.disruption.Numerics.Stats.max; est.Mn.mean_broken;
+         est.Mn.suggested_error_cost ])
+
+let test_pinned_detailed () =
+  let s =
+    Netsim.Scenario.run_detailed ~loss:0.3 ~one_way:pinned_one_way ~processing
+      ~occupied:12 ~pool_size:16 ~config:detailed_config ~trials:20
+      ~rng:(Numerics.Rng.create 25) ()
+  in
+  Alcotest.(check string) "trials" "792e626fdc20c1db455c27312ed52cef"
+    (fingerprint (Array.init (M.length s) (M.outcome s)))
+
+let test_pinned_trace () =
+  let o, log =
+    Netsim.Scenario.trace_one ~loss:0.3 ~one_way:pinned_one_way ~processing
+      ~occupied:12 ~pool_size:16 ~config:detailed_config
+      ~rng:(Numerics.Rng.create 26) ()
+  in
+  let text =
+    String.concat "" (List.map (fun (t, l) -> Printf.sprintf "%h %s\n" t l) log)
+  in
+  Alcotest.(check string) "outcome" "0862329107e062d3193acd75d9f70807"
+    (fingerprint [| o |]);
+  Alcotest.(check int) "lines" 35 (List.length log);
+  Alcotest.(check string) "log" "11eba7d824dfbc4524b62d3999042491"
+    (Digest.to_hex (Digest.string text))
+
+(* ---------------- one door for occupancy ---------------- *)
+
+let test_occupancy_refused () =
+  let refused label f =
+    List.iter
+      (fun occupied ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s, occupied %d" label occupied)
+          (Invalid_argument "Network.create: occupied outside [0, pool size)")
+          (fun () -> ignore (f occupied (Numerics.Rng.create 1))))
+      [ -1; 16; 17 ]
+  in
+  let one_way = pinned_one_way and config = detailed_config in
+  refused "Workload.run" (fun initial rng ->
+      W.run ~pattern:(W.Periodic 1.) ~horizon:1. ~loss:0. ~one_way ~initial
+        ~pool_size:16 ~config ~rng ());
+  refused "Workload.spaced" (fun occupied rng ->
+      W.spaced ~loss:0. ~one_way ~occupied ~pool_size:16 ~newcomers:1 ~config
+        ~rng ());
+  refused "Workload.collision_rate_vs_newcomers" (fun occupied rng ->
+      W.collision_rate_vs_newcomers ~loss:0. ~one_way ~occupied ~pool_size:16
+        ~config ~trials:1 ~counts:[ 1 ] ~rng ());
+  refused "Maintenance.estimate_error_cost" (fun occupied rng ->
+      Netsim.Maintenance.estimate_error_cost ~loss:0. ~one_way ~occupied
+        ~pool_size:16 ~config ~trials:1 ~rng ());
+  refused "Scenario.run_detailed" (fun occupied rng ->
+      Netsim.Scenario.run_detailed ~loss:0. ~one_way ~occupied ~pool_size:16
+        ~config ~trials:1 ~rng ());
+  refused "Scenario.trace_one" (fun occupied rng ->
+      Netsim.Scenario.trace_one ~loss:0. ~one_way ~occupied ~pool_size:16
+        ~config ~rng ())
+
 let () =
   Alcotest.run "netsim"
     [ ( "event queue",
@@ -354,7 +515,9 @@ let () =
           Alcotest.test_case "horizon" `Quick test_engine_until_horizon;
           Alcotest.test_case "budget" `Quick test_engine_event_budget;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
-          Alcotest.test_case "tracer" `Quick test_engine_tracer ] );
+          Alcotest.test_case "tracer" `Quick test_engine_tracer;
+          Alcotest.test_case "tracer off" `Quick
+            test_engine_tracer_off_prints_nothing ] );
       ( "address pool",
         [ Alcotest.test_case "claim/release" `Quick test_pool_claim_release;
           Alcotest.test_case "paper size" `Quick test_pool_default_size_is_paper;
@@ -372,4 +535,13 @@ let () =
             test_host_replies_to_own_address_only;
           Alcotest.test_case "processing delay" `Quick test_host_processing_delay;
           Alcotest.test_case "deafness" `Quick test_host_deafness;
-          Alcotest.test_case "defend interval" `Quick test_host_defend_interval ] ) ]
+          Alcotest.test_case "defend interval" `Quick test_host_defend_interval ] );
+      ( "seeded runs",
+        [ Alcotest.test_case "spaced newcomers" `Quick test_pinned_spaced;
+          Alcotest.test_case "workload patterns" `Quick test_pinned_patterns;
+          Alcotest.test_case "collision rate" `Quick test_pinned_collision_rate;
+          Alcotest.test_case "maintenance" `Quick test_pinned_maintenance;
+          Alcotest.test_case "detailed" `Quick test_pinned_detailed;
+          Alcotest.test_case "trace" `Quick test_pinned_trace ] );
+      ( "network",
+        [ Alcotest.test_case "occupancy refused" `Quick test_occupancy_refused ] ) ]

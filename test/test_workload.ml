@@ -75,6 +75,170 @@ let test_pattern_guards () =
       with Invalid_argument _ -> ())
     [ W.Poisson 0.; W.Periodic 0.; W.Flash { count = -1; within = 1. } ]
 
+(* -- spaced newcomers -------------------------------------------------- *)
+
+let spaced_one_way = Dist.Families.deterministic ~delay:0.02 ()
+
+let spaced_config =
+  Netsim.Newcomer.drm_config ~n:3 ~r:0.2 ~probe_cost:1. ~error_cost:100.
+
+let fast_config = { spaced_config with Netsim.Newcomer.immediate_abort = true }
+
+let spaced ?(loss = 0.) ?(config = spaced_config) ~occupied ~pool_size
+    ~newcomers ?spacing ~rng () =
+  W.spaced ~loss ~one_way:spaced_one_way ~occupied ~pool_size ~newcomers
+    ?spacing ~config ~rng ()
+
+let test_single_newcomer_reduces_to_scenario () =
+  let r =
+    spaced ~occupied:4 ~pool_size:16 ~newcomers:1
+      ~rng:(Numerics.Rng.create 1) ()
+  in
+  Alcotest.(check int) "one outcome" 1 (Array.length r.W.outcomes);
+  Alcotest.(check bool) "unique trivially" true r.W.all_unique;
+  Alcotest.(check int) "no collision on perfect link" 0 r.W.collisions
+
+let test_staggered_newcomers_all_unique () =
+  (* spaced arrivals on a perfect link: earlier hosts defend their new
+     addresses, so everyone ends up distinct *)
+  let r =
+    spaced ~occupied:8 ~pool_size:32 ~newcomers:6
+      ~spacing:1. ~rng:(Numerics.Rng.create 2) ()
+  in
+  Alcotest.(check int) "all finished" 6 (Array.length r.W.outcomes);
+  Alcotest.(check bool) "all unique" true r.W.all_unique;
+  Alcotest.(check int) "no collisions" 0 r.W.collisions
+
+let test_simultaneous_newcomers_rival_probe_rule () =
+  (* all start at t = 0 on a tiny pool with a perfect link: the draft's
+     rival-probe rule must still keep them apart *)
+  let trials = 30 in
+  let rng = Numerics.Rng.create 3 in
+  let all_unique = ref 0 in
+  for _ = 1 to trials do
+    let r =
+      spaced ~occupied:2 ~pool_size:8 ~newcomers:4
+        ~config:fast_config ~rng ()
+    in
+    if r.W.all_unique && r.W.collisions = 0 then incr all_unique
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "%d/%d runs perfectly separated" !all_unique trials)
+    trials !all_unique
+
+let test_makespan_positive_and_bounded () =
+  let r =
+    spaced ~occupied:4 ~pool_size:32 ~newcomers:3
+      ~spacing:0.5 ~rng:(Numerics.Rng.create 4) ()
+  in
+  (* each run takes at least n*r = 0.6 s *)
+  let makespan =
+    Array.fold_left
+      (fun acc (o : Netsim.Metrics.outcome) ->
+        Float.max acc o.Netsim.Metrics.config_time)
+      0. r.W.outcomes
+  in
+  Alcotest.(check bool) "makespan at least one full run" true (makespan >= 0.6)
+
+let test_accepted_newcomers_defend () =
+  (* newcomer A grabs an address; a later newcomer probing the same
+     address must be rebuffed by A (not only by the original hosts).
+     Pool of 2 with 1 occupied: A takes the only free one; B then cycles
+     between the two occupied addresses forever... so bound by the rate
+     limiter we give B few options — instead use pool 3 with 1 occupied:
+     A takes one of 2 free; B must end on the last free one. *)
+  let r =
+    spaced ~occupied:1 ~pool_size:3 ~newcomers:2
+      ~spacing:2. ~rng:(Numerics.Rng.create 5) ()
+  in
+  Alcotest.(check bool) "distinct addresses" true r.W.all_unique;
+  Alcotest.(check int) "no collision" 0 r.W.collisions
+
+let test_lossy_link_occasionally_collides () =
+  (* sanity for the statistics plumbing: with heavy loss and a crowded
+     pool, collisions do occur and are counted *)
+  let rng = Numerics.Rng.create 6 in
+  let total_collisions = ref 0 in
+  for _ = 1 to 40 do
+    let r =
+      spaced ~loss:0.95 ~occupied:28 ~pool_size:32 ~newcomers:2
+        ~rng ()
+    in
+    total_collisions := !total_collisions + r.W.collisions
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "collisions observed (%d)" !total_collisions)
+    true (!total_collisions > 0)
+
+let test_sweep_shapes () =
+  let rates =
+    W.collision_rate_vs_newcomers ~loss:0.1 ~one_way:spaced_one_way ~occupied:8
+      ~pool_size:32 ~config:spaced_config ~trials:5 ~counts:[ 1; 2; 4 ]
+      ~rng:(Numerics.Rng.create 7) ()
+  in
+  Alcotest.(check (list int)) "counts echoed" [ 1; 2; 4 ] (List.map fst rates);
+  List.iter
+    (fun (_, rate) ->
+      Alcotest.(check bool) "rate is a probability" true
+        (Numerics.Safe_float.is_probability rate))
+    rates
+
+let test_announcements_broadcast_after_acceptance () =
+  (* deterministic mechanism check: a clean acceptance with
+     announce = (2, 0.5) must broadcast exactly two gratuitous replies
+     for the accepted address, half a second apart *)
+  let engine = Netsim.Engine.create () in
+  let rng = Numerics.Rng.create 42 in
+  let link =
+    Netsim.Link.create ~engine ~rng ~loss:0.
+      ~one_way:(Dist.Families.deterministic ~delay:0.01 ())
+  in
+  let pool = Netsim.Address_pool.create ~size:8 () in
+  let announcements = ref [] in
+  let _observer =
+    Netsim.Link.attach link (fun packet ->
+        match packet with
+        | Netsim.Packet.Arp_reply { address; _ } ->
+            announcements := (Netsim.Engine.now engine, address) :: !announcements
+        | Netsim.Packet.Arp_probe _ -> ())
+  in
+  let accepted = ref None in
+  let _newcomer =
+    Netsim.Newcomer.start ~engine ~link ~pool ~rng
+      ~config:
+        { (Netsim.Newcomer.drm_config ~n:2 ~r:0.2 ~probe_cost:0. ~error_cost:0.) with
+          Netsim.Newcomer.announce = Some (2, 0.5) }
+      ~on_done:(fun o -> accepted := Some o)
+      ()
+  in
+  Netsim.Engine.run engine;
+  match !accepted with
+  | None -> Alcotest.fail "newcomer never finished"
+  | Some o ->
+      let ann = List.rev !announcements in
+      Alcotest.(check int) "two announcements" 2 (List.length ann);
+      List.iter
+        (fun (_, address) ->
+          Alcotest.(check int) "announce the accepted address"
+            o.Netsim.Metrics.address address)
+        ann;
+      (match ann with
+      | [ (t1, _); (t2, _) ] ->
+          Alcotest.(check (float 1e-9)) "spaced by the interval" 0.5 (t2 -. t1)
+      | _ -> Alcotest.fail "expected exactly two")
+
+let test_spaced_guards () =
+  Alcotest.check_raises "zero newcomers" (Invalid_argument "Workload.spaced: newcomers < 1")
+    (fun () ->
+      ignore
+        (spaced ~occupied:1 ~pool_size:8 ~newcomers:0
+           ~rng:(Numerics.Rng.create 8) ()));
+  Alcotest.check_raises "negative spacing"
+    (Invalid_argument "Workload.spaced: negative spacing") (fun () ->
+      ignore
+        (spaced ~occupied:1 ~pool_size:8 ~newcomers:1
+           ~spacing:(-1.) ~rng:(Numerics.Rng.create 9) ()))
+
 let () =
   Alcotest.run "workload"
     [ ( "patterns",
@@ -88,4 +252,20 @@ let () =
           Alcotest.test_case "lossy collides" `Quick test_lossy_flash_collides_sometimes ] );
       ( "guards",
         [ Alcotest.test_case "pool exhaustion" `Quick test_pool_exhaustion_guard;
-          Alcotest.test_case "pattern validation" `Quick test_pattern_guards ] ) ]
+          Alcotest.test_case "pattern validation" `Quick test_pattern_guards ] );
+      ( "uniqueness",
+        [ Alcotest.test_case "single reduces" `Quick
+            test_single_newcomer_reduces_to_scenario;
+          Alcotest.test_case "staggered unique" `Quick
+            test_staggered_newcomers_all_unique;
+          Alcotest.test_case "simultaneous rival-probe rule" `Quick
+            test_simultaneous_newcomers_rival_probe_rule;
+          Alcotest.test_case "accepted defend" `Quick test_accepted_newcomers_defend ] );
+      ( "statistics",
+        [ Alcotest.test_case "makespan" `Quick test_makespan_positive_and_bounded;
+          Alcotest.test_case "lossy collides" `Quick
+            test_lossy_link_occasionally_collides;
+          Alcotest.test_case "announcements" `Quick
+            test_announcements_broadcast_after_acceptance;
+          Alcotest.test_case "sweep" `Quick test_sweep_shapes;
+          Alcotest.test_case "guards" `Quick test_spaced_guards ] ) ]
