@@ -165,14 +165,16 @@ let assess_cmd =
     Arg.(value & opt Cli_common.duration 2.
          & info [ "draft-r" ] ~doc:"Draft listening period to compare against.")
   in
+  (* a scenario whose optimum scan has no stop is refused *)
   let run p draft_n draft_r =
-    Format.printf "%a@." Zeroconf.Assessment.pp
-      (Zeroconf.Assessment.run ~draft_n ~draft_r p)
+    Cli_common.validated (fun () ->
+        Format.printf "%a@." Zeroconf.Assessment.pp
+          (Zeroconf.Assessment.run ~draft_n ~draft_r p))
   in
   Cmd.v
     (Cmd.info "assess"
        ~doc:"Global optimum vs the Internet-draft parameters (Sec. 6).")
-    Term.(const run $ scenario_term $ draft_n $ draft_r)
+    Term.(ret (const run $ scenario_term $ draft_n $ draft_r))
 
 let nu_cmd =
   let run p =
@@ -573,41 +575,43 @@ let fit_cmd =
   in
   let run p file losses hosts =
     (* the fit refuses negative or infinite delays, and losses that
-       leave no reply mass *)
+       leave no reply mass; the optimum, a scenario whose scan has no
+       stop.  All of it runs before anything prints. *)
     match
       let samples = In_channel.with_open_text file read_delays in
       let fit = Dist.Fit.shifted_exponential_mle ~losses samples in
-      (samples, fit, Dist.Fit.to_distribution fit)
+      let fitted = Dist.Fit.to_distribution fit in
+      let q = Zeroconf.Params.q_of_hosts hosts
+      and probe_cost = p.Zeroconf.Params.probe_cost
+      and error_cost = p.Zeroconf.Params.error_cost in
+      let scenario =
+        Zeroconf.Params.v ~name:"fitted" ~delay:fitted ~q ~probe_cost ~error_cost
+      in
+      (* how stable is the advice under measurement noise? *)
+      let boot =
+        Zeroconf.Uncertainty.bootstrap ~rounds:100 ~losses
+          ~rng:(Numerics.Rng.create 1) ~delays:samples ~q ~probe_cost
+          ~error_cost ()
+      in
+      ( samples,
+        fit,
+        Dist.Fit.assess ~losses fitted samples,
+        Zeroconf.Optimize.global_optimum scenario,
+        boot )
     with
     | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
         `Error (false, msg)
-    | samples, fit, fitted ->
+    | samples, fit, q, o, boot ->
         Format.printf
           "fitted F_X: shifted exponential with d = %.4g s, lambda = %.4g, loss = %.3g@."
           fit.Dist.Fit.delay fit.Dist.Fit.rate fit.Dist.Fit.loss;
-        let q = Dist.Fit.assess ~losses fitted samples in
         Format.printf "fit quality: KS distance %.4f over %d samples@.@."
           q.Dist.Fit.ks_statistic (Array.length samples);
-        let scenario =
-          Zeroconf.Params.v ~name:"fitted" ~delay:fitted
-            ~q:(Zeroconf.Params.q_of_hosts hosts)
-            ~probe_cost:p.Zeroconf.Params.probe_cost
-            ~error_cost:p.Zeroconf.Params.error_cost
-        in
-        let o = Zeroconf.Optimize.global_optimum scenario in
         Format.printf
           "recommended parameters for the measured network:@.\
           \  n = %d, r = %.4f  (cost %.4g, error probability %.3g)@.@."
           o.Zeroconf.Optimize.n o.Zeroconf.Optimize.r o.Zeroconf.Optimize.cost
           o.Zeroconf.Optimize.error_prob;
-        (* how stable is that advice under measurement noise? *)
-        let boot =
-          Zeroconf.Uncertainty.bootstrap ~rounds:100 ~losses
-            ~rng:(Numerics.Rng.create 1) ~delays:samples
-            ~q:(Zeroconf.Params.q_of_hosts hosts)
-            ~probe_cost:p.Zeroconf.Params.probe_cost
-            ~error_cost:p.Zeroconf.Params.error_cost ()
-        in
         Format.printf "%a@." Zeroconf.Uncertainty.pp boot;
         `Ok ()
   in

@@ -9,7 +9,6 @@ module SF = Numerics.Safe_float
 type state = {
   r : float;
   s0 : float;
-  mutable ratio : float;
   mutable pi : float;
   mutable log_pi : float;
   (* Neumaier running state for sum_{i < n} pi_i, read as [sum +. comp]:
@@ -33,7 +32,6 @@ let create ?(log_twin = false) (p : Params.t) ~r =
     st =
       { r;
         s0 = p.delay.survival 0.;
-        ratio = 1.;
         pi = 1.;
         log_pi = 0.;
         sum = 0.;
@@ -42,23 +40,9 @@ let create ?(log_twin = false) (p : Params.t) ~r =
         denom = nan;
         log_denom = nan } }
 
-(* the float state is copied too: a snapshot must not move with the
-   cursor it was taken from *)
-let copy k = { k with st = { k.st with r = k.st.r } }
 let n k = k.n
 let pi k = k.st.pi
 let sum_pi k = k.st.sum +. k.st.comp
-
-(* S(i r)/S(0) unguarded, as the log twin divides *)
-let[@inline] si k i =
-  SF.div (k.params.delay.survival (float_of_int i *. k.st.r)) k.st.s0
-
-(* the ratio guards S(0) = 0 (a reply certain at time 0); past the
-   early-out the stored one is stale *)
-let ratio k =
-  if k.log_twin || k.st.pi <> 0. then k.st.ratio
-  else if k.st.s0 <= 0. then 0.
-  else si k k.n
 
 let advance k =
   let st = k.st in
@@ -71,9 +55,10 @@ let advance k =
       st.comp <- st.comp +. ((st.sum -. t) +. x)
     else st.comp <- st.comp +. ((x -. t) +. st.sum);
     st.sum <- t;
-    let si = si k (k.n + 1) in
-    st.ratio <- (if st.s0 <= 0. then 0. else si);
-    st.pi <- st.pi *. st.ratio;
+    (* S((n+1) r)/S(0); the ratio guards S(0) = 0 (a reply certain at
+       time 0), the log twin divides unguarded *)
+    let si = SF.div (k.params.delay.survival (float_of_int (k.n + 1) *. st.r)) st.s0 in
+    st.pi <- st.pi *. (if st.s0 <= 0. then 0. else si);
     (* [si = 1.] skips the transcendental on the pre-round-trip plateau;
        IEEE guarantees [log 1. = +0.], so the sum is unchanged bit for
        bit *)

@@ -19,7 +19,7 @@
     holds [pi_0 = 1] keeps [sum +. comp] (only a [-0.] [comp] turns
     [+0.]).  Precondition: [survival] is finite, non-increasing and in
     [[+0, 1]], never [-0.], as the test suite's distribution
-    self-check tests on a grid.  Past that point {!ratio} is computed when read.
+    self-check tests on a grid.
 
     This module is the only implementation of these quantities.  The
     optimizers' n-scans ({!Optimize.optimal_n}, the Fig. 4 envelope)
@@ -41,9 +41,6 @@ val create : ?log_twin:bool -> Params.t -> r:float -> t
     if [log_twin] (default [false]).  Raises [Invalid_argument] on a
     negative [r]. *)
 
-val copy : t -> t
-(** An independent cursor at the same state: a snapshot. *)
-
 val advance : t -> unit
 (** Step [n] to [n + 1]: folds [pi_n] into the prefix sum and performs
     the single survival evaluation at [(n + 1) r], if any. *)
@@ -55,10 +52,6 @@ val advance_to : t -> n:int -> unit
 
 val n : t -> int
 (** Current probe count. *)
-
-val ratio : t -> float
-(** [p_n(r) = S(n r)/S(0)] (Eq. 1 telescoped), [1.] at [n = 0];
-    equals [Probes.no_answer ~i:n]. *)
 
 val pi : t -> float
 (** [pi_n(r) = prod_(i=0..n) p_i(r)]. *)

@@ -22,95 +22,108 @@ let default_r_hi (p : Params.t) ~n =
   in
   Float.max 1. (bulk *. Float.max 1. (SF.div 8. (float_of_int n)))
 
-let optimal_r ?r_hi (p : Params.t) ~n =
-  if n < 1 then invalid_arg "Optimize.optimal_r: n must be >= 1";
+(* The r grids of an n-scan, by upper end.  A grid read once takes
+   [Cost.mean] per point; from its second n on it keeps one kernel
+   cursor per point and steps it to n, so the n that share a grid pay
+   one step per point, not a walk from 1.  Both read the same bits. *)
+type grid = { hi : float; rs : float array; mutable cursors : Kernel.t array }
+
+let grid_costs grids (p : Params.t) ~n hi =
+  match List.find_opt (fun g -> g.hi = hi) !grids with
+  | None ->
+      let rs = Numerics.Minimize.grid ~samples:512 0. hi in
+      grids := { hi; rs; cursors = [||] } :: !grids;
+      (rs, Array.map (fun r -> Cost.mean p ~n ~r) rs)
+  | Some g ->
+      if g.cursors = [||] then g.cursors <- Array.map (fun r -> Kernel.create p ~r) g.rs;
+      (g.rs, Array.map (fun k -> Kernel.advance_to k ~n; Kernel.cost k) g.cursors)
+
+(* the grid's best cell polished with Brent; the interval doubles until
+   the minimum is interior *)
+let r_opt grids (p : Params.t) ~n hi =
   let f r = Cost.mean p ~n ~r in
   let rec search hi attempts =
-    let result = Numerics.Minimize.grid_then_brent ~samples:512 ~f 0. hi in
+    let rs, costs = grid_costs grids p ~n hi in
+    let result = Numerics.Minimize.grid_then_brent ~f rs costs in
     if result.x >= 0.95 *. hi && attempts < 60 then search (hi *. 2.) (attempts + 1)
     else result
   in
-  let hi = match r_hi with Some h -> h | None -> default_r_hi p ~n in
   search hi 0
 
-type n_scan = { n : int; cost : float; log10_error : float }
+let optimal_r ?r_hi (p : Params.t) ~n =
+  if n < 1 then invalid_arg "Optimize.optimal_r: n must be >= 1";
+  r_opt (ref []) p ~n (match r_hi with Some h -> h | None -> default_r_hi p ~n)
 
-let optimal_n_scan ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
+(* An n-scan goes on while n <= 4096 and the bound at n (optimize.mli),
+   less a relative margin of 1e-9, may beat the incumbent (not NaN). *)
+let n_cap = 4096
+let may_beat bound best = bound *. (1. -. 1e-9) <= best
+
+let optimal_n (p : Params.t) ~r =
   if r < 0. then invalid_arg "Optimize.optimal_n: negative r";
-  (* One streaming kernel cursor serves the whole scan: the first-useful
-     probe search, every cost evaluation, and the error probability of
-     the winner all read off the same O(1)-per-step recurrences, so the
-     scan costs one survival evaluation per candidate n instead of the
-     former O(n) rebuild per candidate. *)
-  let k = Kernel.create ~log_twin:true p ~r in
+  (* no log twin: one survival call per step until pi_n is +0 *)
+  let k = Kernel.create p ~r and per_probe = (1. -. p.q) *. (r +. p.probe_cost) in
   Kernel.advance k;
-  let best = ref (Kernel.copy k) in
-  let best_cost = ref (Kernel.cost k) in
-  (* While i*r is below the round-trip delay, p_i(r) = 1 and the cost
-     rises linearly in n on a plateau at height ~ qE; the first n whose
-     horizon can see a reply is where the descent can start.  Below that
-     point n = 1 is the (bad) optimum of the plateau.  [ratio] is
-     exactly [Probes.no_answer ~i:n], so the cursor walks the old
-     first-useful search; at r = 0 no horizon ever sees a reply and the
-     scan starts at n_max, as before. *)
-  if r = 0. then
-    while Kernel.n k < n_max do
-      Kernel.advance k
-    done
-  else
-    while (not (Kernel.ratio k < 1.)) && Kernel.n k < n_max do
-      Kernel.advance k
-    done;
-  let misses = ref 0 in
-  let at_end = ref false in
-  while (not !at_end) && !misses < patience && Kernel.n k <= n_max do
+  let best_n = ref 1 and best_cost = ref (Kernel.cost k) in
+  while Kernel.n k < n_cap && may_beat (per_probe *. float_of_int (Kernel.n k + 1)) !best_cost do
+    Kernel.advance k;
     let c = Kernel.cost k in
-    if c < !best_cost then begin
-      best := Kernel.copy k;
-      best_cost := c;
-      misses := 0
-    end else incr misses;
-    if Kernel.n k < n_max then Kernel.advance k else at_end := true
+    if c < !best_cost then (best_n := Kernel.n k; best_cost := c)
   done;
-  (* the winner's Eq. 4 readings come off its snapshot *)
-  let best = !best in
-  { n = Kernel.n best; cost = !best_cost; log10_error = Kernel.log10_error best }
-
-let optimal_n ?n_max ?patience (p : Params.t) ~r =
-  let scan = optimal_n_scan ?n_max ?patience p ~r in
-  (scan.n, scan.cost)
+  (!best_n, !best_cost)
 
 let optimal_n_sweep (p : Params.t) grid =
   Numerics.Grid.map_sweep (fun r -> optimal_n p ~r) grid
 
+(* a log-twin cursor at the winner reads the bits a twin scan would *)
 let log10_error_under_optimal_n (p : Params.t) ~r =
-  (optimal_n_scan p ~r).log10_error
+  let n, _ = optimal_n p ~r in
+  Reliability.log10_error_probability p ~n ~r
+
+(* the first cheapest of [evaluate n] for n = 1, 2, ... while [go n best] *)
+let first_best evaluate go =
+  let rec scan best n =
+    if not (go n best) then best
+    else
+      let candidate = evaluate n in
+      scan (if candidate.cost < best.cost then candidate else best) (n + 1)
+  in
+  scan (evaluate 1) 2
+
+(* The largest t with S(t) = S(0), by bisection on the bit patterns,
+   which order non-negative floats; 0 if S(0) = 0, where the kernel's
+   ratios are 0, not S(t)/S(0). *)
+let reply_free_span (d : Dist.Distribution.t) =
+  let s0 = d.survival 0. in
+  let flat b = d.survival (Int64.float_of_bits b) >= s0 in
+  let rec bisect lo hi =
+    let mid = Int64.add lo (Int64.shift_right (Int64.sub hi lo) 1) in
+    if mid = lo then Int64.float_of_bits lo
+    else if flat mid then bisect mid hi
+    else bisect lo mid
+  in
+  let top = Int64.bits_of_float max_float in
+  if s0 <= 0. then 0. else if flat top then max_float else bisect 0L top
 
 let global_optimum (p : Params.t) =
-  let n_max = 4096 and patience = 8 in
+  let c = p.probe_cost and q = p.q and t0 = reply_free_span p.delay in
+  let bound n =
+    let postage = float_of_int n *. c in
+    Float.min ((q *. p.error_cost) +. postage) ((1. -. q) *. (t0 +. postage))
+  in
+  let cap_postage = (1. -. q) *. float_of_int n_cap *. c in
+  if may_beat cap_postage (bound 1) then
+    invalid_arg
+      (Printf.sprintf
+         "Optimize.global_optimum: the postage of %d probes at c = %g, %g, is \
+          not above the least cost %g (no reply before %g s): no bound ends the n-scan"
+         n_cap c cap_postage (bound 1) t0);
+  let grids = ref [] in
   let evaluate n =
-    let { Numerics.Minimize.x = r; fx = cost; _ } = optimal_r p ~n in
+    let { Numerics.Minimize.x = r; fx = cost } = r_opt grids p ~n (default_r_hi p ~n) in
     { n; r; cost; error_prob = Reliability.error_probability p ~n ~r }
   in
-  let best = ref (evaluate 1) in
-  let misses = ref 0 in
-  let n = ref 2 in
-  (* skip straight to nu when it prunes a long useless prefix *)
-  let nu = min_useful_probes p in
-  if nu > 8 then begin
-    let at_nu = evaluate nu in
-    if at_nu.cost < !best.cost then best := at_nu;
-    n := nu + 1
-  end;
-  while !misses < patience && !n <= n_max do
-    let candidate = evaluate !n in
-    if candidate.cost < !best.cost then begin
-      best := candidate;
-      misses := 0
-    end else incr misses;
-    incr n
-  done;
-  !best
+  first_best evaluate (fun n best -> n <= n_cap && may_beat (bound n) best.cost)
 
 let constrained_optimum ~budget (p : Params.t) =
   if budget <= 0. then invalid_arg "Optimize.constrained_optimum: budget <= 0";
@@ -118,16 +131,9 @@ let constrained_optimum ~budget (p : Params.t) =
     let r_cap = SF.div budget (float_of_int n) in
     let unconstrained = optimal_r ~r_hi:r_cap p ~n in
     let r = Float.min unconstrained.Numerics.Minimize.x r_cap in
-    let k = Kernel.create p ~r in
-    Kernel.advance_to k ~n;
-    { n; r; cost = Kernel.cost k; error_prob = Kernel.error_probability k }
+    { n; r; cost = Cost.mean p ~n ~r; error_prob = Reliability.error_probability p ~n ~r }
   in
-  let best = ref (evaluate 1) in
-  for n = 2 to 32 do
-    let candidate = evaluate n in
-    if candidate.cost < !best.cost then best := candidate
-  done;
-  !best
+  first_best evaluate (fun n _ -> n <= 32)
 
 let probes_for_error_target ?(n_max = 256) (p : Params.t) ~r ~target =
   if not (SF.is_probability target) then

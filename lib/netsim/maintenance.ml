@@ -29,6 +29,9 @@ let simulate_collision ?(background_rate = 0.1) ~loss ~one_way ~occupied
           reaches the %g s horizon cap, so the conflict never resolves"
          schedule horizon_cap);
   let net = Network.create ~loss ~one_way ~occupied ?pool_size ~rng () in
+  (* without loss the collider needs a second free address, or restarts forever *)
+  if loss = 0. && occupied + 2 > Address_pool.size net.pool then
+    invalid_arg "Maintenance.simulate_collision: no free address to reconfigure to";
   let engine = net.engine and link = net.link in
   (* the contested address: give it an incumbent... *)
   let contested = Network.claim net in

@@ -43,5 +43,6 @@ val estimate_error_cost :
     unsuspecting newcomer opens connections at [0.05]/s until
     detection.  Each run stops at a simulated horizon of [1e7] s;
     raises [Invalid_argument] up front when the probe schedule alone,
-    [n r], reaches it, since such a conflict can never resolve, and
-    unless [occupied] is in [\[0, pool_size)]. *)
+    [n r], reaches it, since such a conflict can never resolve, unless
+    [occupied] is in [\[0, pool_size)], and at [loss = 0] unless
+    [occupied + 2 <= pool_size]. *)

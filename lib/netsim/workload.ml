@@ -101,10 +101,11 @@ let spaced ~loss ~one_way ~occupied ?pool_size ~newcomers ?(spacing = 0.) ~confi
     ~rng () =
   if newcomers < 1 then invalid_arg "Workload.spaced: newcomers < 1";
   if spacing < 0. then invalid_arg "Workload.spaced: negative spacing";
-  arrive
-    (Network.create ~loss ~one_way ~occupied ?pool_size ~rng ())
-    ~config
-    (List.init newcomers (fun i -> float_of_int i *. spacing))
+  let net = Network.create ~loss ~one_way ~occupied ?pool_size ~rng () in
+  (* each newcomer needs a free address, or the last restart forever *)
+  if occupied + newcomers > Address_pool.size net.pool then
+    invalid_arg "Workload.spaced: address pool would be exhausted";
+  arrive net ~config (List.init newcomers (fun i -> float_of_int i *. spacing))
 
 let collision_rate_vs_newcomers ~loss ~one_way ~occupied ?pool_size ~config
     ~trials ~counts ~rng () =

@@ -56,7 +56,8 @@ val spaced :
   config:Newcomer.config -> rng:Numerics.Rng.t -> unit -> result
 (** Start [newcomers] configuring hosts [spacing] seconds apart
     (default [0.]: all at once), the first at time 0, on a network of
-    [occupied] instantly responding hosts. *)
+    [occupied] instantly responding hosts.  Raises [Invalid_argument]
+    if [occupied + newcomers] exceeds the pool size. *)
 
 val collision_rate_vs_newcomers :
   loss:float -> one_way:Dist.Distribution.t ->

@@ -1,4 +1,4 @@
-type result = { x : float; fx : float; iterations : int }
+type result = { x : float; fx : float }
 
 (* Brent's minimization, after Numerical Recipes' transcription of
    Brent (1973), ch. 5. *)
@@ -20,7 +20,7 @@ let brent ~f a b =
     let tol1 = (tol *. Float.abs !x) +. zeps in
     let tol2 = 2. *. tol1 in
     if Float.abs (!x -. xm) <= tol2 -. (0.5 *. (!b -. !a)) then
-      result := Some { x = !x; fx = !fx; iterations = !iter }
+      result := Some { x = !x; fx = !fx }
     else begin
       let use_golden = ref true in
       if Float.abs !e > tol1 then begin
@@ -73,27 +73,22 @@ let brent ~f a b =
   done;
   match !result with
   | Some r -> r
-  | None -> { x = !x; fx = !fx; iterations = !iter }
+  | None -> { x = !x; fx = !fx }
 
-let grid_then_brent ?(samples = 256) ~f a b =
-  if samples < 2 then invalid_arg "Minimize.grid_then_brent: samples < 2";
+let grid ~samples a b =
+  if samples < 2 then invalid_arg "Minimize.grid: samples < 2";
   let lo = Float.min a b and hi = Float.max a b in
   let h = (hi -. lo) /. float_of_int samples in
-  let best_i = ref 0 and best_f = ref (f lo) in
-  for i = 1 to samples do
-    let fx = f (lo +. (float_of_int i *. h)) in
-    if fx < !best_f then begin
-      best_f := fx;
-      best_i := i
-    end
+  Array.init (samples + 1) (fun i -> if i = 0 then lo else lo +. (float_of_int i *. h))
+
+let grid_then_brent ~f xs fxs =
+  let best_i = ref 0 in
+  for i = 1 to Array.length fxs - 1 do
+    if fxs.(i) < fxs.(!best_i) then best_i := i
   done;
-  let l = lo +. (h *. float_of_int (max 0 (!best_i - 1))) in
-  let r = lo +. (h *. float_of_int (min samples (!best_i + 1))) in
-  let polished = brent ~f l r in
+  let i = !best_i in
+  let polished = brent ~f xs.(max 0 (i - 1)) xs.(min (Array.length xs - 1) (i + 1)) in
   (* The polish can only improve on the grid incumbent; keep the grid
      point if Brent landed on a worse local feature. *)
-  if polished.fx <= !best_f then polished
-  else
-    { x = lo +. (h *. float_of_int !best_i);
-      fx = !best_f;
-      iterations = polished.iterations }
+  if polished.fx <= fxs.(i) then polished
+  else { x = xs.(i); fx = fxs.(i) }

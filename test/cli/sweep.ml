@@ -123,29 +123,15 @@ type known = {
 }
 
 let known =
-  let nan = "exit 0 printing nan" and hang = "no exit within 10s" in
+  let nan = "exit 0 printing nan" in
   let inf_minus_inf = "the mean overflows to inf - inf"
-  and full_scan = "the global optimum scans n up to 4096 at no probe cost"
   and row ?(finishes = true) k_command k_option k_value outcome reason =
     { k_command; k_option; k_value; outcome; reason; finishes }
   in
-  [ row "optimal-r" "--delay=V" "1e308" nan
-      "Optimize.optimal_r: cost at r = d + 1e308 overflows";
-    row "assess" "--delay=V" "1e308" nan
-      "Optimize.optimal_r: cost at r = d + 1e308 overflows";
-    row "assess" "--delay=V" "4611686018427387903" hang full_scan
-      ~finishes:false;
-    row "assess" "--probe-cost=V" "0" hang full_scan ~finishes:false;
-    row "workload" "--r-period=V" "1e308" nan
+  [ row "workload" "--r-period=V" "1e308" nan
       ("Workload.run, mean configuration time: " ^ inf_minus_inf);
-    row "report" "--delay=V" "1e308" nan
-      "Optimize.optimal_r: cost at r = d + 1e308 overflows";
-    row "report" "--delay=V" "4611686018427387903" hang full_scan
-      ~finishes:false;
-    row "report" "--probe-cost=V" "0" hang full_scan ~finishes:false;
     row "report" "--draft-r=V" "1e308" nan
-      ("Report.print, sensitivities: " ^ inf_minus_inf);
-    row "fit" "--probe-cost=V" "0" hang full_scan ~finishes:false ]
+      ("Report.print, sensitivities: " ^ inf_minus_inf) ]
 
 (* Job counts just past OCaml's 128 domains: the checks above let them
    through if the cap is lost, so each must be refused outright (exit

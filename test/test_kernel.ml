@@ -84,9 +84,6 @@ let test_cursor_matches_probes () =
   for n = 1 to 12 do
     K.advance k;
     Alcotest.(check int) "n" n (K.n k);
-    Alcotest.(check (float 0.)) "ratio = no_answer"
-      (Zeroconf.Probes.no_answer fig2 ~i:n ~r)
-      (K.ratio k);
     Alcotest.(check (float 0.)) "pi = reference pi"
       (Reference.pi fig2 ~n ~r) (K.pi k);
     let pis = Reference.pi_all fig2 ~n ~r in
@@ -130,45 +127,36 @@ let test_guards () =
     (fun () -> ignore (Zeroconf.Reliability.error_probability fig2 ~n:1 ~r:(-1.)))
 
 (* ------------------------------------------------------------------ *)
-(* the old optimal_n algorithm, verbatim over the reference cost      *)
+(* the full-scan oracle: every n up to the optimizer's cap             *)
 
-let optimal_n_direct ?(n_max = 4096) ?(patience = 24) (p : Params.t) ~r =
-  let first_useful =
-    let rec find i =
-      if i > n_max then n_max
-      else if Zeroconf.Probes.no_answer p ~i ~r < 1. then i
-      else find (i + 1)
-    in
-    if r = 0. then n_max else find 1
-  in
-  let best_n = ref 1 and best_cost = ref (Reference.cost p ~n:1 ~r) in
-  let misses = ref 0 in
-  let n = ref (max 1 first_useful) in
-  while !misses < patience && !n <= n_max do
-    let c = Reference.cost p ~n:!n ~r in
-    if c < !best_cost then begin
-      best_n := !n;
-      best_cost := c;
-      misses := 0
-    end else incr misses;
-    incr n
+(* first argmin of C_n(r) over n = 1 .. 4096, the optimizer's cap, one
+   cursor stepped through every n *)
+let full_scan (p : Params.t) ~r =
+  let k = K.create p ~r in
+  K.advance k;
+  let best_n = ref 1 and best_cost = ref (K.cost k) in
+  for n = 2 to 4096 do
+    K.advance k;
+    if K.cost k < !best_cost then begin
+      best_n := n;
+      best_cost := K.cost k
+    end
   done;
   (!best_n, !best_cost)
 
-let test_optimal_n_matches_reference () =
+let test_optimal_n_matches_full_scan () =
   List.iter
-    (fun (n_max, patience) ->
+    (fun (name, p) ->
       Array.iter
         (fun r ->
           Alcotest.(check (pair int (float 0.)))
-            (Printf.sprintf "r = %g, n_max = %d, patience = %d" r n_max patience)
-            (optimal_n_direct ~n_max ~patience fig2 ~r)
-            (O.optimal_n ~n_max ~patience fig2 ~r))
-        (Array.append [| 0.; 0.02 |] (Numerics.Grid.linspace 0.05 6. 40)))
-    [ (4096, 24); (64, 24); (4096, 1); (1, 24); (0, 24); (4096, 0) ]
+            (Printf.sprintf "%s, r = %g" name r)
+            (full_scan p ~r) (O.optimal_n p ~r))
+        (Array.append [| 0.; 1e-9; 0.02 |] (Numerics.Grid.linspace 0.05 6. 40)))
+    Params.presets
 
 let test_scan_error_fields () =
-  (* the winner's log10 error comes off the scan's own cursor *)
+  (* the winner's log10 error is the reference's at the winner *)
   Array.iter
     (fun r ->
       let n, _ = O.optimal_n fig2 ~r in
@@ -194,17 +182,28 @@ let counting_scenario () =
   ( Params.v ~name:"counting" ~delay:dist ~q:0.01 ~probe_cost:1. ~error_cost:1e6,
     count )
 
+(* the scan stops at the first n whose bound (1-q) n (r + c), less the
+   margin, passes C_min(r), or at the cap: one survival call per step
+   up to there, and none past it *)
 let test_optimal_n_is_linear_in_n_max () =
   let p, count = counting_scenario () in
-  let n_max = 512 in
-  (* patience = n_max forces the scan all the way to n_max *)
-  ignore (O.optimal_n ~n_max ~patience:n_max p ~r:0.5);
-  let evals = !count in
-  Alcotest.(check bool)
-    (Printf.sprintf "scan to %d costs <= %d evaluations (got %d)" n_max
-       (n_max + 2) evals)
-    true
-    (evals > 0 && evals <= n_max + 2)
+  List.iter
+    (fun r ->
+      let _, c_min = O.optimal_n p ~r in
+      let per_probe = (1. -. p.q) *. (r +. p.probe_cost) in
+      let rec stop n =
+        if n >= 4096 || per_probe *. float_of_int n *. (1. -. 1e-9) > c_min then n
+        else stop (n + 1)
+      in
+      count := 0;
+      ignore (O.optimal_n p ~r);
+      let evals = !count and stop = stop 1 in
+      Alcotest.(check bool)
+        (Printf.sprintf "r = %g: scan to %d costs <= %d evaluations (got %d)" r
+           stop (stop + 2) evals)
+        true
+        (evals > 0 && evals <= stop + 2))
+    [ 0.; 0.5; 3. ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: kernel sweeps vs the reference on random scenarios         *)
@@ -260,12 +259,70 @@ let prop_one_shots_agree =
       && Zeroconf.Reliability.log10_error_probability p ~n ~r
          = Reference.log10_error_probability p ~n ~r)
 
-let prop_optimal_n_matches_reference =
-  QCheck.Test.make ~name:"kernel optimal_n = historical algorithm (exact)"
+let prop_optimal_n_matches_full_scan =
+  QCheck.Test.make ~name:"kernel optimal_n = full-scan first argmin"
     ~count:100
     QCheck.(pair (make scenario_gen) (float_range 0. 6.))
-    (fun (p, r) ->
-      optimal_n_direct ~n_max:256 p ~r = O.optimal_n ~n_max:256 p ~r)
+    (fun (p, r) -> full_scan p ~r = O.optimal_n p ~r)
+
+(* Eq. 3's floors: C_n(r) >= (1-q) n (r + c) everywhere, and, with no
+   reply before the shift d, C_n(r) >= min (q E + n c, (1-q) (d + n c));
+   the computed cost may sit a few ulps below, never 1e-9 *)
+let floors_hold (p : Params.t) ~d ~r ~n_max =
+  let k = K.create p ~r in
+  let c = p.probe_cost and q = p.q in
+  let ok = ref (p.delay.survival d = p.delay.survival 0.) in
+  for n = 1 to n_max do
+    K.advance k;
+    let cost = K.cost k and postage = float_of_int n *. c in
+    let floor =
+      Float.max
+        ((1. -. q) *. float_of_int n *. (r +. c))
+        (Float.min ((q *. p.error_cost) +. postage) ((1. -. q) *. (d +. postage)))
+    in
+    ok := !ok && cost >= floor *. (1. -. 1e-9)
+  done;
+  !ok
+
+(* each preset's shift d, from Params *)
+let preset_shifts =
+  [ ("figure2", 1.); ("wireless-worst-case", 1.); ("wired-worst-case", 0.1);
+    ("realistic-ethernet", 0.001) ]
+
+let test_floors_on_presets () =
+  List.iter
+    (fun (name, p) ->
+      let d = List.assoc name preset_shifts in
+      Array.iter
+        (fun r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, r = %g" name r)
+            true
+            (floors_hold p ~d ~r ~n_max:600))
+        (Array.append [| 0.; 1e-9; 0.02 |] (Numerics.Grid.linspace 0.05 6. 40)))
+    Params.presets
+
+let prop_floors_hold =
+  QCheck.Test.make ~name:"Eq. 3 floors hold on random scenarios" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          let* loss = float_range 0. 0.5 in
+          let* rate = float_range 0.5 20. in
+          let* d = float_range 0. 2. in
+          let* q = float_range 0.01 0.85 in
+          let* error_cost = float_range 10. 1e8 in
+          let* probe_cost = float_range 0. 2. in
+          let* r = float_range 0. 8. in
+          return
+            ( Params.v ~name:"prop"
+                ~delay:
+                  (Dist.Families.shifted_exponential ~mass:(1. -. loss) ~rate
+                     ~delay:d ())
+                ~q ~probe_cost ~error_cost,
+              d,
+              r )))
+    (fun (p, d, r) -> floors_hold p ~d ~r ~n_max:256)
 
 (* ------------------------------------------------------------------ *)
 (* reader sets: a cursor without the log twin stops calling survival   *)
@@ -400,7 +457,7 @@ let prop_parallel_scan_agrees =
     QCheck.(pair (make scenario_gen) (int_range 2 32))
     (fun (p, points) ->
       let grid = Numerics.Grid.linspace 0.05 6. points in
-      let scan r = O.optimal_n ~n_max:256 p ~r in
+      let scan r = O.optimal_n p ~r in
       let reference = Array.map scan grid in
       List.for_all
         (fun jobs -> with_jobs jobs (fun () -> reference = Exec.Parallel.map scan grid))
@@ -413,11 +470,12 @@ let () =
           Alcotest.test_case "readers" `Quick test_readers_match_direct;
           Alcotest.test_case "guards" `Quick test_guards ] );
       ( "optimal n",
-        [ Alcotest.test_case "matches historical algorithm" `Quick
-            test_optimal_n_matches_reference;
+        [ Alcotest.test_case "matches full scan" `Quick
+            test_optimal_n_matches_full_scan;
           Alcotest.test_case "scan error fields" `Quick test_scan_error_fields;
           Alcotest.test_case "O(n_max) survival evaluations" `Quick
-            test_optimal_n_is_linear_in_n_max ] );
+            test_optimal_n_is_linear_in_n_max;
+          Alcotest.test_case "cost floors on presets" `Quick test_floors_on_presets ] );
       ( "reader set",
         [ Alcotest.test_case "early-out stops survival calls" `Quick
             test_early_out_survival_calls;
@@ -429,4 +487,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_swept_values_agree; prop_one_shots_agree;
             prop_reader_sets_bit_identical;
-            prop_optimal_n_matches_reference; prop_parallel_scan_agrees ] ) ]
+            prop_optimal_n_matches_full_scan; prop_floors_hold;
+            prop_parallel_scan_agrees ] ) ]

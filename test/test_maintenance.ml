@@ -72,6 +72,20 @@ let test_guards () =
         (Mnt.estimate_error_cost ~loss:0. ~one_way ~occupied:20 ~pool_size:64
            ~config ~trials:0 ~rng ()))
 
+(* without loss the reconfiguring collider needs a free address: the
+   incumbent takes the last of 16, so 15 occupied are refused at once *)
+let test_no_free_address () =
+  Alcotest.check_raises "15 occupied of 16"
+    (Invalid_argument "Maintenance.simulate_collision: no free address to reconfigure to")
+    (fun () ->
+      ignore
+        (Mnt.estimate_error_cost ~loss:0. ~one_way ~occupied:15 ~pool_size:16
+           ~config ~trials:1 ~rng:(Numerics.Rng.create 1) ()));
+  (* 14 occupied leave it one *)
+  ignore
+    (Mnt.estimate_error_cost ~background_rate:1. ~loss:0. ~one_way ~occupied:14
+       ~pool_size:16 ~config ~trials:1 ~rng:(Numerics.Rng.create 1) ())
+
 let () =
   Alcotest.run "maintenance"
     [ ( "resolution",
@@ -83,4 +97,6 @@ let () =
             test_more_connections_on_slow_detection ] );
       ( "cost estimate",
         [ Alcotest.test_case "aggregation" `Quick test_estimate_error_cost;
-          Alcotest.test_case "guards" `Quick test_guards ] ) ]
+          Alcotest.test_case "guards" `Quick test_guards;
+          Alcotest.test_case "no free address refused" `Quick test_no_free_address
+        ] ) ]

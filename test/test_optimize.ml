@@ -167,6 +167,51 @@ let test_global_optimum_dominates_grid () =
         (Numerics.Grid.linspace 0.1 6. 25))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
+(* a full scan of r_opt(n) over n = 1 .. 48: the first best pair, and
+   the floor (1-q) 49 c that rules out every larger n; on the presets,
+   and on figure2 at c = 0.1, whose optimum sits at n = 12 *)
+let test_global_optimum_matches_full_scan () =
+  List.iter
+    (fun (name, (p : Params.t)) ->
+      let best = ref None in
+      for n = 1 to 48 do
+        let { Numerics.Minimize.x = r; fx = cost } = O.optimal_r p ~n in
+        match !best with
+        | Some (_, _, c) when c <= cost -> ()
+        | _ -> best := Some (n, r, cost)
+      done;
+      let n, r, cost = Option.get !best in
+      Alcotest.(check bool)
+        (name ^ ": n > 48 cannot win") true
+        ((1. -. p.q) *. 49. *. p.probe_cost > cost);
+      let o = O.global_optimum p in
+      Alcotest.(check (triple int (float 0.) (float 0.)))
+        (name ^ ": same (n, r, cost)") (n, r, cost) (o.O.n, o.O.r, o.O.cost);
+      Alcotest.(check (float 0.))
+        (name ^ ": error probability")
+        (Zeroconf.Reliability.error_probability p ~n ~r)
+        o.O.error_prob)
+    (("figure2, c = 0.1", Params.with_costs ~probe_cost:0.1 fig2) :: Params.presets)
+
+(* no bound can end the scan by n = 4096: no postage, or no reply for so
+   long that 4096 probes' postage stays below every cost *)
+let test_global_optimum_refusals () =
+  let refused what p prefix =
+    match O.global_optimum p with
+    | _ -> Alcotest.failf "%s was not refused" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) msg true (String.starts_with ~prefix msg)
+  in
+  refused "c = 0"
+    (Params.with_costs ~probe_cost:0. fig2)
+    "Optimize.global_optimum: the postage of 4096 probes at c = 0, 0, is not above";
+  refused "a reply-free 4.6e18 s"
+    (Params.with_delay fig2
+       (Dist.Families.shifted_exponential ~mass:(1. -. 1e-15) ~rate:10.
+          ~delay:4611686018427387903. ()))
+    "Optimize.global_optimum: the postage of 4096 probes at c = 2, 8066.02, is not \
+     above the least cost 4.54076e+18 (no reply before 4.61169e+18 s)"
+
 (* ---------------- constrained / inverse queries ---------------- *)
 
 let test_constrained_respects_budget () =
@@ -245,7 +290,10 @@ let () =
         [ Alcotest.test_case "Sec. 6 headline" `Quick
             test_global_optimum_realistic_matches_paper;
           Alcotest.test_case "figure2" `Quick test_global_optimum_figure2;
-          Alcotest.test_case "dominates grid" `Quick test_global_optimum_dominates_grid ] );
+          Alcotest.test_case "dominates grid" `Quick test_global_optimum_dominates_grid;
+          Alcotest.test_case "matches full scan" `Quick
+            test_global_optimum_matches_full_scan;
+          Alcotest.test_case "refusals" `Quick test_global_optimum_refusals ] );
       ( "constrained and inverse",
         [ Alcotest.test_case "budget respected" `Quick test_constrained_respects_budget;
           Alcotest.test_case "matches global when loose" `Quick

@@ -239,6 +239,16 @@ let test_spaced_guards () =
         (spaced ~occupied:1 ~pool_size:8 ~newcomers:1
            ~spacing:(-1.) ~rng:(Numerics.Rng.create 9) ()))
 
+(* the last newcomer would find no free address: refused at once, not
+   after the event budget runs out *)
+let test_spaced_exhausted_pool () =
+  Alcotest.check_raises "15 occupied + 2 newcomers in 16 addresses"
+    (Invalid_argument "Workload.spaced: address pool would be exhausted")
+    (fun () ->
+      ignore
+        (spaced ~occupied:15 ~pool_size:16 ~newcomers:2
+           ~rng:(Numerics.Rng.create 10) ()))
+
 let () =
   Alcotest.run "workload"
     [ ( "patterns",
@@ -268,4 +278,6 @@ let () =
           Alcotest.test_case "announcements" `Quick
             test_announcements_broadcast_after_acceptance;
           Alcotest.test_case "sweep" `Quick test_sweep_shapes;
-          Alcotest.test_case "guards" `Quick test_spaced_guards ] ) ]
+          Alcotest.test_case "guards" `Quick test_spaced_guards;
+          Alcotest.test_case "exhausted pool refused" `Quick
+            test_spaced_exhausted_pool ] ) ]
