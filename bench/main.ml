@@ -7,7 +7,8 @@
    forms, the words they promote, the words the front end allocates on
    n-sweeps and the batch output on point lines, the kernel backend's
    cost against a bare cursor scan and its survival calls per step, the
-   Sec. 4.4 optimizers' allocation, the Monte-Carlo trial loop's, and
+   words the executor allocates per kernel sweep point, the Sec. 4.4
+   optimizers' allocation, the Monte-Carlo trial loop's, and
    the words the figure render allocates per plotted point.  The
    paper-reproduction report is `zeroconf_cli reproduce`; absolute
    timing lives in perfbench/.
@@ -445,6 +446,59 @@ let survival_gate () =
     "smoke ok: Backends.Kernel.eval_batch at %.3f survival calls per step (gate %g)\n"
     per_step max_survival_per_step
 
+(* Kernel columns are written in place: [Executor.execute] on 400
+   n-sweeps ns=1:512 of figure2 at random r, one batch per kernel
+   quantity, may allocate at most 0.5 minor words per point for mean
+   cost and error probability and 4.5 for the log10 error.  What is
+   left is the survival closure's boxed argument and result on each
+   step that calls it: a cursor with the log twin calls it on every
+   step, one without it stops once pi_n is +0.  A float boxed per point
+   read adds two words.  Counted with [Gc.minor_words], which is
+   deterministic, so the gate cannot flake. *)
+let execute_sweeps = 400
+
+let max_execute_words =
+  [ ("mean-cost", 0.5); ("error-probability", 0.5); ("log10-error", 4.5) ]
+
+let execute_gate () =
+  let counts =
+    List.map
+      (fun (quantity, _) ->
+        let rng = Numerics.Rng.create 2003 in
+        let b =
+          Batch_input.read
+            (String.concat "\n"
+               (List.init execute_sweeps (fun _ ->
+                    Printf.sprintf "%s scenario=figure2 ns=1:512 r=%.17g" quantity
+                      (Numerics.Rng.uniform rng ~lo:0.05 ~hi:6.))))
+        in
+        assert (b.points = 512 * execute_sweeps);
+        for p = 0 to b.plans - 1 do
+          assert (b.route.(p) = Engine.Plan.Kernel)
+        done;
+        let before = Gc.minor_words () in
+        Engine.Executor.execute b;
+        (Gc.minor_words () -. before) /. float_of_int b.points)
+      max_execute_words
+  in
+  List.iter2
+    (fun (quantity, gate) words ->
+      Printf.printf
+        "smoke %s: Executor.execute on %s sweeps at %.2f minor words per point \
+         (gate %g)\n"
+        (if words <= gate then "ok" else "FAIL")
+        quantity words gate)
+    max_execute_words counts;
+  List.iter2
+    (fun (quantity, gate) words ->
+      if words > gate then
+        failwith
+          (Printf.sprintf
+             "Executor.execute on %s sweeps allocates %.2f minor words per point \
+              (gate %g)"
+             quantity words gate))
+    max_execute_words counts
+
 (* The Sec. 4.4 optimizers stop at a proven bound, not after a run of
    misses: Figs. 3/4's optimal-n sweep over its 600-r grid and the
    global optimum on figure2 may each allocate at most half the minor
@@ -653,6 +707,7 @@ let () =
     count_gates ();
     kernel_gate ();
     survival_gate ();
+    execute_gate ();
     optimizer_gate ();
     alloc_gate ();
     format_gate ();

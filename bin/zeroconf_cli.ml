@@ -482,13 +482,14 @@ let workload_cmd =
         Netsim.Newcomer.avoid_failed = true }
     in
     (* a Poisson draw past its mean can still exhaust the pool, and a
-       newcomer that never settles the event budget *)
+       newcomer that never settles the event budget; an [n r] past
+       max_float is refused before any event runs *)
     match
       Netsim.Workload.run ~pattern ~horizon ~loss:0.02
         ~one_way:(Dist.Families.uniform ~lo:0.005 ~hi:0.05 ())
         ~initial ~pool_size:pool ~config ~rng ()
     with
-    | exception Failure msg -> `Error (false, msg)
+    | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
     | result ->
         Format.printf
           "%d arrivals: %d collisions, unique = %b@.mean config time %.2f s; \

@@ -20,6 +20,8 @@ type state = {
   log_q : float;
   mutable denom : float;
   mutable log_denom : float;
+  mutable si : float; (* the log twin's last ratio, and its log *)
+  mutable log_si : float;
 }
 
 type t = { params : Params.t; log_twin : bool; mutable n : int; st : state }
@@ -38,7 +40,8 @@ let create ?(log_twin = false) (p : Params.t) ~r =
         comp = 0.;
         log_q = (if log_twin then SF.log p.q else nan);
         denom = nan;
-        log_denom = nan } }
+        log_denom = nan;
+        si = 1.; log_si = 0. } }
 
 let n k = k.n
 let pi k = k.st.pi
@@ -59,13 +62,12 @@ let advance k =
        time 0), the log twin divides unguarded *)
     let si = SF.div (k.params.delay.survival (float_of_int (k.n + 1) *. st.r)) st.s0 in
     st.pi <- st.pi *. (if st.s0 <= 0. then 0. else si);
-    (* [si = 1.] skips the transcendental on the pre-round-trip plateau;
-       IEEE guarantees [log 1. = +0.], so the sum is unchanged bit for
-       bit *)
-    if k.log_twin then
-      st.log_pi <-
-        (st.log_pi
-        +. (if si <= 0. then neg_infinity else if si = 1. then 0. else SF.log si))
+    (* a ratio equal to the last one reuses its log (see kernel.mli);
+       [=] and equal bits differ only on zeros, both of log -inf *)
+    if k.log_twin then begin
+      if si <> st.si then (st.si <- si; st.log_si <- SF.log si);
+      st.log_pi <- st.log_pi +. st.log_si
+    end
   end;
   k.n <- k.n + 1
 
@@ -78,41 +80,56 @@ let advance_to k ~n =
 let require_step name k =
   if k.n < 1 then invalid_arg (name ^ ": n must be >= 1 (advance first)")
 
-(* Eq. 3 *)
+let ln10 = SF.log 10.
+
+type reader = Cost | Error | Log10
+
+(* one expression per reader, inlined: a column read boxes no float *)
+let[@inline] read k reader =
+  let p = k.params and st = k.st in
+  match reader with
+  | Cost ->
+      (* Eq. 3 *)
+      let sum_pi = st.sum +. st.comp and pi_n = st.pi in
+      let numerator =
+        ((st.r +. p.probe_cost)
+         *. ((float_of_int k.n *. (1. -. p.q)) +. (p.q *. sum_pi)))
+        +. (p.q *. p.error_cost *. pi_n)
+      in
+      SF.div numerator (1. -. (p.q *. (1. -. pi_n)))
+  | Error ->
+      (* Eq. 4, with [Safe_float.clamp_probability] written out *)
+      let e = SF.div (p.q *. st.pi) (1. -. (p.q *. (1. -. st.pi))) in
+      if e < 0. then 0. else if e > 1. then 1. else e
+  | Log10 ->
+      (* Eq. 4 in the log domain: pi_n may underflow, but the
+         denominator stays near 1 - q, so it is evaluated with the
+         rounded pi_n, and its log taken again only when it moves *)
+      let denom = 1. -. (p.q *. (1. -. SF.exp st.log_pi)) in
+      if denom <> st.denom then begin
+        st.denom <- denom;
+        st.log_denom <- SF.log denom
+      end;
+      SF.div (st.log_q +. st.log_pi -. st.log_denom) ln10
+
 let cost k =
   require_step "Kernel.cost" k;
-  let p = k.params and st = k.st in
-  let sum_pi = st.sum +. st.comp in
-  let pi_n = st.pi in
-  let numerator =
-    ((st.r +. p.probe_cost)
-     *. ((float_of_int k.n *. (1. -. p.q)) +. (p.q *. sum_pi)))
-    +. (p.q *. p.error_cost *. pi_n)
-  in
-  SF.div numerator (1. -. (p.q *. (1. -. pi_n)))
-
-(* Eq. 4, with [Safe_float.clamp_probability] written out, so a cursor
-   read boxes no float on the way *)
-let[@inline] error_of_pi (p : Params.t) pi_n =
-  let e = SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))) in
-  if e < 0. then 0. else if e > 1. then 1. else e
+  read k Cost
 
 let error_probability k =
   require_step "Kernel.error_probability" k;
-  error_of_pi k.params k.st.pi
+  read k Error
 
-let ln10 = SF.log 10.
-
-(* Eq. 4 in the log domain: pi_n may underflow, but the denominator
-   stays near 1 - q, so it is evaluated with the rounded pi_n, and its
-   log taken again only when it moves *)
 let log10_error k =
   require_step "Kernel.log10_error" k;
   if not k.log_twin then invalid_arg "Kernel.log10_error: no log twin";
-  let p = k.params and st = k.st in
-  let denom = 1. -. (p.q *. (1. -. SF.exp st.log_pi)) in
-  if denom <> st.denom then begin
-    st.denom <- denom;
-    st.log_denom <- SF.log denom
-  end;
-  SF.div (st.log_q +. st.log_pi -. st.log_denom) ln10
+  read k Log10
+
+let column k reader ~lo ~hi dst off =
+  if lo < max 1 k.n || hi < lo || off < 0 || off > Array.length dst - (hi - lo + 1)
+  then invalid_arg "Kernel.column: n range or slots out of bounds";
+  if reader = Log10 && not k.log_twin then invalid_arg "Kernel.column: no log twin";
+  for n = lo to hi do
+    advance_to k ~n;
+    dst.(off + n - lo) <- read k reader
+  done

@@ -19,7 +19,9 @@
     holds [pi_0 = 1] keeps [sum +. comp] (only a [-0.] [comp] turns
     [+0.]).  Precondition: [survival] is finite, non-increasing and in
     [[+0, 1]], never [-0.], as the test suite's distribution
-    self-check tests on a grid.
+    self-check tests on a grid.  A step whose ratio [S(n r)/S(0)] has
+    the bits of the last one (at first [1.]) reuses its log, bit for
+    bit in one scenario at one [r], so a loss plateau takes one [log].
 
     This module is the only implementation of these quantities.  The
     optimizers' n-scans ({!Optimize.optimal_n}, the Fig. 4 envelope)
@@ -72,3 +74,12 @@ val log10_error : t -> float
 (** [log10 E(n, r)] from the log twin [log pi_n], finite far below
     float underflow of [E]: [log q] taken once, the denominator's log when it moves.
     Raises [Invalid_argument] at [n = 0]. *)
+
+type reader = Cost | Error | Log10  (** The three readers above. *)
+
+val column : t -> reader -> lo:int -> hi:int -> float array -> int -> unit
+(** [column k reader ~lo ~hi dst off] advances [k] over [n = lo .. hi],
+    writing the reading at [n], in the point reader's bits, into
+    [dst.(off + n - lo)], with no float boxed.  Raises
+    [Invalid_argument], before [k] moves, unless [max 1 (n k) <= lo <=
+    hi], those slots lie in [dst], and a [Log10] cursor has the twin. *)

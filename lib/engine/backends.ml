@@ -216,11 +216,10 @@ module Kernel = Route (struct
     | Query.Mean_cost | Query.Error_probability | Query.Log10_error -> true
     | Query.Cost_variance | Query.Latency_mean -> false
 
-  let read quantity k =
-    match quantity with
-    | Query.Mean_cost -> Zeroconf.Kernel.cost k
-    | Query.Error_probability -> Zeroconf.Kernel.error_probability k
-    | Query.Log10_error -> Zeroconf.Kernel.log10_error k
+  let reader = function
+    | Query.Mean_cost -> Zeroconf.Kernel.Cost
+    | Query.Error_probability -> Zeroconf.Kernel.Error
+    | Query.Log10_error -> Zeroconf.Kernel.Log10
     | _ -> invalid_arg "Backends.Kernel: unsupported quantity"
 
   (* a stop's n above its position in the column's gather: the packed
@@ -253,11 +252,9 @@ module Kernel = Route (struct
       done;
       let k = Zeroconf.Kernel.create ~log_twin:!log_twin s ~r:b.r.(t0) in
       if stop c - first c = 1 then begin
-        let quantity = b.quantity.(p0) and lo = b.off.(t0) in
-        for i = lo to b.off.(t0 + 1) - 1 do
-          Zeroconf.Kernel.advance_to k ~n:(b.n_lo.(t0) + i - lo);
-          b.value.(i) <- read quantity k
-        done;
+        let lo = b.n_lo.(t0) and off = b.off.(t0) in
+        Zeroconf.Kernel.column k (reader b.quantity.(p0)) ~lo
+          ~hi:(lo + b.off.(t0 + 1) - 1 - off) b.value off;
         b.evals.(p0) <- b.evals.(p0) + Zeroconf.Kernel.n k
       end
       else begin
@@ -287,8 +284,7 @@ module Kernel = Route (struct
             let s = key land pos_mask and n = key lsr pos_bits in
             let i = stop_point.(s) and p = stop_plan.(s) in
             b.evals.(p) <- b.evals.(p) + n - Zeroconf.Kernel.n k;
-            Zeroconf.Kernel.advance_to k ~n;
-            b.value.(i) <- read b.quantity.(p) k)
+            Zeroconf.Kernel.column k (reader b.quantity.(p)) ~lo:n ~hi:n b.value i)
           key
       end
     in

@@ -1,6 +1,8 @@
 open Zeroconf
 
 let markdown ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
+  (* past a mean-cost query's bound the elasticities are inf - inf *)
+  ignore (Query.point Query.Mean_cost p ~n:draft_n ~r:draft_r);
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let assessment = Assessment.run ~draft_n ~draft_r p in

@@ -11,4 +11,5 @@ open Zeroconf
 
 val markdown : ?draft_n:int -> ?draft_r:float -> Params.t -> string
 (** The report.  [draft_n], [draft_r] default to the Internet-draft's
-    [4] and [2.]. *)
+    [4] and [2.].  Raises [Invalid_argument] where {!Query.validate}
+    refuses a mean-cost query at the draft point. *)

@@ -48,6 +48,10 @@ let check_capacity ~pattern ~horizon ~initial ~pool_size =
    [net]; an accepted newcomer that did not collide starts defending its
    address (when it collided, the original owner defends it). *)
 let arrive (net : Network.t) ~config times =
+  (* past max_float the mean configuration time would be inf - inf *)
+  let n = config.Newcomer.probes and r = config.Newcomer.listen in
+  if not (Float.is_finite (float_of_int n *. r)) then
+    invalid_arg (Printf.sprintf "Workload: the listening time n r = %d * %g is not finite" n r);
   let finished = ref [] in
   List.iter
     (fun time ->

@@ -48,7 +48,8 @@ val run :
     until [horizon] virtual seconds (drawn after the configured hosts
     claim their addresses), and the simulation then runs to completion
     of every started configuration.  Raises [Failure] if the address
-    pool would be exhausted. *)
+    pool would be exhausted, and [Invalid_argument], before any event
+    runs, where the listening time [n r] of [config] is not finite. *)
 
 val spaced :
   loss:float -> one_way:Dist.Distribution.t -> occupied:int ->
@@ -57,7 +58,7 @@ val spaced :
 (** Start [newcomers] configuring hosts [spacing] seconds apart
     (default [0.]: all at once), the first at time 0, on a network of
     [occupied] instantly responding hosts.  Raises [Invalid_argument]
-    if [occupied + newcomers] exceeds the pool size. *)
+    if [occupied + newcomers] exceeds the pool size, or on [n r]. *)
 
 val collision_rate_vs_newcomers :
   loss:float -> one_way:Dist.Distribution.t ->

@@ -4,7 +4,11 @@ let linspace a b n =
     if a = b then [| a |] else invalid_arg "Grid.linspace: n = 1 with a <> b"
   else
     let h = (b -. a) /. float_of_int (n - 1) in
-    Array.init n (fun i -> if i = n - 1 then b else a +. (float_of_int i *. h))
+    let xs = Array.create_float n (* a loop boxes no point *) in
+    for i = 0 to n - 1 do
+      xs.(i) <- (if i = n - 1 then b else a +. (float_of_int i *. h))
+    done;
+    xs
 
 let map_sweep f xs = Array.map (fun x -> (x, f x)) xs
 

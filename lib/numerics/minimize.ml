@@ -79,7 +79,11 @@ let grid ~samples a b =
   if samples < 2 then invalid_arg "Minimize.grid: samples < 2";
   let lo = Float.min a b and hi = Float.max a b in
   let h = (hi -. lo) /. float_of_int samples in
-  Array.init (samples + 1) (fun i -> if i = 0 then lo else lo +. (float_of_int i *. h))
+  let xs = Array.create_float (samples + 1) (* a loop boxes no point *) in
+  for i = 0 to samples do
+    xs.(i) <- (if i = 0 then lo else lo +. (float_of_int i *. h))
+  done;
+  xs
 
 let grid_then_brent ~f xs fxs =
   let best_i = ref 0 in

@@ -64,13 +64,15 @@ module Reference = struct
     SF.clamp_probability
       (SF.div (p.q *. pi_n) (1. -. (p.q *. (1. -. pi_n))))
 
-  let log10_error_probability (p : Params.t) ~n ~r =
-    let log_pi = log_pi p ~n ~r in
+  let log10_of_log_pi (p : Params.t) log_pi =
     (* denominator 1 - q(1 - pi_n): pi_n may underflow but the denominator
        stays near 1 - q, so evaluate it with the clamped pi_n *)
     let pi_n = SF.exp log_pi in
     let denom = 1. -. (p.q *. (1. -. pi_n)) in
     SF.div (SF.log p.q +. log_pi -. SF.log denom) (SF.log 10.)
+
+  let log10_error_probability (p : Params.t) ~n ~r =
+    log10_of_log_pi p (log_pi p ~n ~r)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -119,6 +121,21 @@ let test_guards () =
       let k = K.create fig2 ~r:1. in
       K.advance_to k ~n:3;
       K.advance_to k ~n:2);
+  (* a refused column leaves the cursor where it was *)
+  let k = K.create fig2 ~r:1. and dst = Array.make 4 0. in
+  K.advance_to k ~n:3;
+  List.iter
+    (fun (what, lo, hi, off) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Kernel.column: n range or slots out of bounds")
+        (fun () -> K.column k K.Cost ~lo ~hi dst off);
+      Alcotest.(check int) (what ^ ": cursor unmoved") 3 (K.n k))
+    [ ("column from n = 0", 0, 4, 0); ("column hi < lo", 5, 4, 0);
+      ("column behind the cursor", 2, 4, 0); ("column past the array", 3, 6, 1);
+      ("column before the array", 3, 4, -1) ];
+  K.column k K.Cost ~lo:3 ~hi:6 dst 0;
+  Alcotest.(check (float 0.)) "column = point read" (Zeroconf.Cost.mean fig2 ~n:6 ~r:1.)
+    dst.(3);
   Alcotest.check_raises "one-shot n = 0"
     (Invalid_argument "Cost.mean: n must be >= 1") (fun () ->
       ignore (Zeroconf.Cost.mean fig2 ~n:0 ~r:1.));
@@ -332,22 +349,20 @@ module Q = Engine.Query
 
 let bits = Int64.bits_of_float
 
-(* the kernel route's values for [quantities], all n-sweeps ns=1:n_max
-   at one (p, r), so they share one column *)
-let kernel_route p ~r ~n_max quantities =
-  let ns = Array.init n_max (fun i -> i + 1) in
+(* the kernel route's values for [plans], each a quantity and its
+   probe counts at one (p, r), so they share one column *)
+let kernel_route p ~r plans =
   Engine.Backends.Kernel.eval_batch
     (Array.of_list
        (List.map
-          (fun q -> Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep q p ~ns ~r))
-          quantities))
+          (fun (q, ns) ->
+            Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep q p ~ns ~r))
+          plans))
   |> Array.map (fun (a : Engine.Answer.t) ->
          match a.Engine.Answer.values with
          | Engine.Answer.Scalars v -> v
          | Engine.Answer.Intervals _ -> assert false)
 
-(* Each point read, and a cursor with the log twin, which never takes
-   the early-out: a value frozen too early differs from its full step *)
 let point_read p ~n ~r = function
   | Q.Mean_cost -> Zeroconf.Cost.mean p ~n ~r
   | Q.Error_probability -> Zeroconf.Reliability.error_probability p ~n ~r
@@ -358,24 +373,68 @@ let twin_read k = function
   | Q.Error_probability -> K.error_probability k
   | _ -> K.log10_error k
 
-let column_bits p ~r ~n_max quantities =
-  let columns = kernel_route p ~r ~n_max quantities in
-  let twin = K.create ~log_twin:true p ~r in
-  let ok = ref true in
+let quantities = Q.[ Mean_cost; Error_probability; Log10_error ]
+let index = function Q.Mean_cost -> 0 | Q.Error_probability -> 1 | _ -> 2
+
+(* Each quantity at n = 1 .. n_max from point reads, and whether they
+   agree with a cursor with the log twin, which never takes the
+   early-out (a value frozen too early differs from its full step),
+   and, for the log10 error, with the reference's formula on logs
+   taken afresh at every step, so a log memo that hands back another
+   ratio's log shows. *)
+let expected (p : Params.t) ~r ~n_max =
+  let e = Array.init 3 (fun _ -> Array.create_float (n_max + 1))
+  and twin = K.create ~log_twin:true p ~r
+  and s0 = p.delay.survival 0.
+  and log_pi = ref 0.
+  and ok = ref true in
   for n = 1 to n_max do
     K.advance twin;
-    List.iteri
-      (fun j q ->
-        let v = bits columns.(j).(n - 1) in
-        ok := !ok && v = bits (point_read p ~n ~r q) && v = bits (twin_read twin q))
-      quantities
+    let si = SF.div (p.delay.survival (float_of_int n *. r)) s0 in
+    log_pi := !log_pi +. (if si <= 0. then neg_infinity else SF.log si);
+    List.iter
+      (fun q ->
+        let v = point_read p ~n ~r q in
+        e.(index q).(n) <- v;
+        ok := !ok && bits v = bits (twin_read twin q))
+      quantities;
+    ok := !ok && bits e.(2).(n) = bits (Reference.log10_of_log_pi p !log_pi)
   done;
-  !ok
+  (e, !ok)
+
+(* Probe counts in each shape a column's stops take: one run from
+   n = 1, one from n_lo > 1, and runs out of order that overlap *)
+let layouts n_max =
+  let range lo hi = Array.init (hi - lo + 1) (fun i -> lo + i) in
+  let h = (n_max + 1) / 2 in
+  [| range 1 n_max;
+     range h n_max;
+     Array.concat
+       [ range h n_max; range 1 h; range (max 1 (h / 2)) (min n_max (h + (h / 2))) ] |]
 
 let reader_sets =
   Q.
     [ [ Mean_cost ]; [ Error_probability ]; [ Log10_error ];
       [ Mean_cost; Log10_error ]; [ Error_probability; Log10_error; Mean_cost ] ]
+
+(* every reader set in every layout, the i-th plan of a set in layout
+   i + j, so a shared column mixes them: each value has the expected
+   bits at its n *)
+let column_bits p ~r ~n_max =
+  let e, ok = expected p ~r ~n_max and shapes = layouts n_max in
+  ok
+  && List.for_all
+       (fun set ->
+         List.for_all
+           (fun j ->
+             let plans = List.mapi (fun i q -> (q, shapes.((i + j) mod 3))) set in
+             List.for_all2
+               (fun (q, ns) v ->
+                 Array.for_all2 (fun n x -> bits x = bits e.(index q).(n)) ns v)
+               plans
+               (Array.to_list (kernel_route p ~r plans)))
+           [ 0; 1; 2 ])
+       reader_sets
 
 let prop_reader_sets_bit_identical =
   QCheck.Test.make
@@ -390,8 +449,35 @@ let prop_reader_sets_bit_identical =
         (make Gen.(oneof [ oneofl [ 0.; 1e-9; 6. ]; float_range 0.01 8. ]))
         (int_range 1 512))
     (fun (p, r, n_max) ->
-      List.for_all (column_bits p ~r ~n_max) reader_sets
-      && column_bits p ~r ~n_max:512 [ Q.Mean_cost; Q.Log10_error ])
+      column_bits p ~r ~n_max && column_bits p ~r ~n_max:512)
+
+(* The same check on the two tails a random case may miss: a loss-free
+   delay, whose ratio reaches +0 (pi_n = +0 for good, log pi_n = -inf),
+   and wireless-worst-case, whose pi_n underflows to +0 on a loss floor
+   of 1e-5 while its ratio repeats, bit for bit, for most of the
+   sweep *)
+let test_column_tails () =
+  let loss_free =
+    Params.v ~name:"loss-free"
+      ~delay:(Dist.Families.shifted_exponential ~mass:1. ~rate:10. ~delay:1. ())
+      ~q:0.01 ~probe_cost:1. ~error_cost:1e6
+  in
+  List.iter
+    (fun ((p : Params.t), r) ->
+      let k = K.create p ~r and repeats = ref 0 and last = ref nan in
+      for n = 1 to 512 do
+        K.advance k;
+        let si = SF.div (p.delay.survival (float_of_int n *. r)) (p.delay.survival 0.) in
+        if si = !last then incr repeats;
+        last := si
+      done;
+      Alcotest.(check bool) (p.name ^ ": pi_n reaches +0") true (K.pi k = 0.);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the ratio repeats (%d of 512 steps)" p.name !repeats)
+        true (!repeats > 256);
+      Alcotest.(check bool) (p.name ^ ": kernel route = point reads (bits)") true
+        (column_bits p ~r ~n_max:512))
+    [ (loss_free, 1.); (Params.wireless_worst_case, 2.) ]
 
 let test_early_out_survival_calls () =
   let p, count = counting_scenario () in
@@ -402,7 +488,7 @@ let test_early_out_survival_calls () =
   done;
   let zero_at = K.n k in
   count := 0;
-  let v = (kernel_route p ~r:2. ~n_max:512 [ Q.Mean_cost ]).(0) in
+  let v = (kernel_route p ~r:2. [ (Q.Mean_cost, Array.init 512 (fun i -> i + 1)) ]).(0) in
   Alcotest.(check bool) "pi_n reaches +0 before n = 512" true (zero_at < 512);
   Alcotest.(check bool)
     (Printf.sprintf "ns=1:512 mean-cost calls survival %d times (at most %d)"
@@ -418,7 +504,10 @@ let test_log_twin_guards () =
   K.advance k;
   Alcotest.check_raises "log10_error without the twin"
     (Invalid_argument "Kernel.log10_error: no log twin") (fun () ->
-      ignore (K.log10_error k))
+      ignore (K.log10_error k));
+  Alcotest.check_raises "log10 column without the twin"
+    (Invalid_argument "Kernel.column: no log twin") (fun () ->
+      K.column k K.Log10 ~lo:1 ~hi:1 [| 0. |] 0)
 
 (* ------------------------------------------------------------------ *)
 (* job counts: kernel code on worker domains (the analytic route's     *)
@@ -479,13 +568,16 @@ let () =
       ( "reader set",
         [ Alcotest.test_case "early-out stops survival calls" `Quick
             test_early_out_survival_calls;
-          Alcotest.test_case "log twin guards" `Quick test_log_twin_guards ] );
-      ( "parallel",
-        [ Alcotest.test_case "bit-identical across job counts" `Quick
-            test_sweeps_bit_identical_across_jobs ] );
+          Alcotest.test_case "log twin guards" `Quick test_log_twin_guards;
+          Alcotest.test_case "column on the +0 tail and a log plateau" `Quick
+            test_column_tails ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_swept_values_agree; prop_one_shots_agree;
             prop_reader_sets_bit_identical;
             prop_optimal_n_matches_full_scan; prop_floors_hold;
-            prop_parallel_scan_agrees ] ) ]
+            prop_parallel_scan_agrees ] );
+      (* last: the pools it starts slow every later minor collection *)
+      ( "parallel",
+        [ Alcotest.test_case "bit-identical across job counts" `Quick
+            test_sweeps_bit_identical_across_jobs ] ) ]

@@ -45,6 +45,15 @@ let test_custom_draft_point () =
   let r = Engine.Report.markdown ~draft_n:2 ~draft_r:0.5 Zeroconf.Params.figure2 in
   Alcotest.(check bool) "custom draft row" true (contains r "| draft | 2 | 0.500")
 
+(* the draft point passes a mean-cost query's bound, or no report:
+   past it the sensitivities were inf - inf *)
+let test_huge_draft_refused () =
+  Alcotest.check_raises "draft r = 1e308"
+    (Invalid_argument
+       "Query: mean-cost at n = 4, r = 1e+308: the largest attempt cost n (r + \
+        c) + E = inf is not finite")
+    (fun () -> ignore (Engine.Report.markdown ~draft_r:1e308 Zeroconf.Params.figure2))
+
 let () =
   Alcotest.run "report"
     [ ( "structure",
@@ -52,4 +61,5 @@ let () =
           Alcotest.test_case "headline numbers" `Quick test_headline_numbers_present;
           Alcotest.test_case "well-formed tables" `Quick
             test_markdown_tables_well_formed;
-          Alcotest.test_case "custom draft" `Quick test_custom_draft_point ] ) ]
+          Alcotest.test_case "custom draft" `Quick test_custom_draft_point;
+          Alcotest.test_case "huge draft refused" `Quick test_huge_draft_refused ] ) ]

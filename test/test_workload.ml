@@ -75,6 +75,18 @@ let test_pattern_guards () =
       with Invalid_argument _ -> ())
     [ W.Poisson 0.; W.Periodic 0.; W.Flash { count = -1; within = 1. } ]
 
+(* n r past max_float: refused before any event runs, where the mean
+   configuration time came out as inf - inf *)
+let test_listening_time_guard () =
+  Alcotest.check_raises "n r = 4 * 1e308"
+    (Invalid_argument "Workload: the listening time n r = 4 * 1e+308 is not finite")
+    (fun () ->
+      ignore
+        (W.run ~pattern:(W.Flash { count = 2; within = 1. }) ~horizon:10.
+           ~loss:0. ~one_way ~pool_size:64
+           ~config:{ config with Netsim.Newcomer.probes = 4; listen = 1e308 }
+           ~rng:(Numerics.Rng.create 11) ()))
+
 (* -- spaced newcomers -------------------------------------------------- *)
 
 let spaced_one_way = Dist.Families.deterministic ~delay:0.02 ()
@@ -262,7 +274,9 @@ let () =
           Alcotest.test_case "lossy collides" `Quick test_lossy_flash_collides_sometimes ] );
       ( "guards",
         [ Alcotest.test_case "pool exhaustion" `Quick test_pool_exhaustion_guard;
-          Alcotest.test_case "pattern validation" `Quick test_pattern_guards ] );
+          Alcotest.test_case "pattern validation" `Quick test_pattern_guards;
+          Alcotest.test_case "listening time refused" `Quick
+            test_listening_time_guard ] );
       ( "uniqueness",
         [ Alcotest.test_case "single reduces" `Quick
             test_single_newcomer_reduces_to_scenario;
