@@ -1,8 +1,8 @@
 (* Smoke gate for the multicore and kernel paths, run by
    `dune build @bench-smoke`: the kernel scans against a point-wise
    full scan, the planner and batch routes against direct evaluation, a
-   batch of the fanned-out routes (analytic, DTMC, Monte Carlo) on a
-   2-domain pool against the serial run, the batch front end's cost
+   batch of the fanned-out routes (analytic, DTMC, Monte Carlo) at 2
+   jobs against the serial run, the batch front end's cost
    against the executor's, the executor's cost against the closed
    forms, the words they promote, the words the front end allocates on
    n-sweeps and the batch output on point lines, the kernel backend's
@@ -150,7 +150,7 @@ let smoke () =
   Array.iter2
     (fun a b -> assert (answer_bits a = answer_bits b))
     batched scalar;
-  (* a genuinely multi-domain pool even on a 1-core host *)
+  (* two domains even on a 1-core host *)
   Exec.Pool.set_jobs 2;
   let batched_par = Engine.Executor.eval_batch workload in
   Exec.Pool.set_jobs 1;

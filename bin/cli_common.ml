@@ -63,12 +63,30 @@ let rate = floats (fun x -> if x > 0. then None else fail "%g outside (0, inf]" 
 let probability =
   floats (fun x -> if x >= 0. && x < 1. then None else fail "%g outside [0, 1)" x)
 
+(* ZEROCONF_JOBS, parsed: [Ok None] when unset, [Ok (Some jobs)] for a
+   job count (surrounding blanks allowed), [Error message] otherwise. *)
+let env_jobs () =
+  match Sys.getenv_opt "ZEROCONF_JOBS" with
+  | None -> Ok None
+  | Some text -> (
+      let refuse why =
+        Error
+          (Printf.sprintf "environment variable 'ZEROCONF_JOBS': '%s' %s" text
+             why)
+      in
+      match int_of_string_opt (String.trim text) with
+      | None -> refuse "is not a positive integer"
+      | Some jobs -> (
+          match Exec.Pool.jobs_error jobs with
+          | None -> Ok (Some jobs)
+          | Some why -> refuse why))
+
 (* --jobs, on the commands whose routes fan out over domains: the count
    from the flag, else from ZEROCONF_JOBS, else 1, so that no domain is
    spawned unless asked for. *)
 let jobs_term =
   let apply jobs =
-    match (jobs, Exec.Pool.env_jobs ()) with
+    match (jobs, env_jobs ()) with
     | Some jobs, _ | None, Ok (Some jobs) -> `Ok (Exec.Pool.set_jobs jobs)
     | None, Ok None -> `Ok (Exec.Pool.set_jobs 1)
     | None, Error msg -> `Error (false, msg)

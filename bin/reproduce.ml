@@ -315,7 +315,7 @@ let reproduce_adaptive () =
   in
   let base = Zeroconf.Attempts.no_refinement ~occupied:200 ~pool:256 () in
   let report label refinement =
-    let s = Zeroconf.Adaptive.solve crowded ~refinement () in
+    let s = Zeroconf.Adaptive.solve crowded ~refinement in
     Printf.printf "%-22s fixed %.4f  adaptive %.4f  improvement %.4f\n" label
       s.Zeroconf.Adaptive.fixed_cost s.Zeroconf.Adaptive.expected_cost
       s.Zeroconf.Adaptive.improvement

@@ -523,7 +523,7 @@ let adaptive_cmd =
              ~doc:"Delay (seconds) before every attempt after K conflicts.")
   in
   let run p refinement =
-    let s = Zeroconf.Adaptive.solve p ~refinement () in
+    let s = Zeroconf.Adaptive.solve p ~refinement in
     Format.printf "best fixed choice:  n = %d, r = %.3f  (cost %.4f)@."
       s.Zeroconf.Adaptive.fixed_best.Zeroconf.Adaptive.n
       s.Zeroconf.Adaptive.fixed_best.Zeroconf.Adaptive.r

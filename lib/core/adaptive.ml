@@ -35,18 +35,11 @@ let delay_before (refinement : Attempts.refinement) i =
   | Some (threshold, delay) when i - 1 >= threshold && i > 1 -> delay
   | Some _ | None -> 0.
 
-let solve ?(stages = 64) ?candidates (p : Params.t) ~refinement () =
-  if stages < 1 then invalid_arg "Adaptive.solve: stages < 1";
-  let candidates =
-    match candidates with
-    | Some [] -> invalid_arg "Adaptive.solve: empty candidate set"
-    | Some cs -> cs
-    | None -> default_candidates p
-  in
-  List.iter
-    (fun c ->
-      if c.n < 1 || c.r < 0. then invalid_arg "Adaptive.solve: bad candidate")
-    candidates;
+(* distinguished attempt stages; past the last the occupancy is frozen *)
+let stages = 64
+
+let solve (p : Params.t) ~refinement =
+  let candidates = default_candidates p in
   let done_state = stages in
   let num_states = stages + 1 in
   (* per-candidate, per-occupancy transition data *)

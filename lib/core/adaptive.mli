@@ -28,13 +28,10 @@ type schedule = {
   improvement : float;  (** [fixed_cost - expected_cost >= 0]. *)
 }
 
-val solve :
-  ?stages:int -> ?candidates:choice list -> Params.t ->
-  refinement:Attempts.refinement -> unit -> schedule
-(** Solve the adaptive design problem over a candidate grid (default:
-    [n] in 1–8 crossed with a small [r] grid scaled to the scenario's
-    delay distribution).  [stages] (default [64]) caps the number of
-    distinguished attempt stages; beyond it the occupancy is frozen,
-    which is exact for non-blacklisting refinements and a lower-order
-    approximation otherwise.  Rate limiting is honoured as per-stage
-    delay costs. *)
+val solve : Params.t -> refinement:Attempts.refinement -> schedule
+(** Solve the adaptive design problem over a candidate grid: [n] in
+    1–8 crossed with a small [r] grid scaled to the scenario's delay
+    distribution.  The first 64 attempts are distinguished stages;
+    beyond them the occupancy is frozen, which is exact for
+    non-blacklisting refinements and a lower-order approximation
+    otherwise.  Rate limiting is honoured as per-stage delay costs. *)

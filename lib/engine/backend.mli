@@ -28,12 +28,12 @@ module type S = sig
       Monte-Carlo plan's are trials x points, shared run or not.
 
       The routes whose unit of work costs a millisecond or more fan it
-      out over the process-wide {!Exec.Pool} (sized by [--jobs] or
-      [ZEROCONF_JOBS]): Monte Carlo per sampling stream, the DTMC route
-      per matrix build, the analytic route per point.  The kernel runs
-      its columns serially.  Values are bit-identical at every job
-      count.  Raises [Invalid_argument] on a plan routed elsewhere or
-      not served. *)
+      out with {!Exec.Parallel.map} at the process-wide job count
+      ({!Exec.Pool.set_jobs}, which the CLI's [--jobs] sets): Monte
+      Carlo per sampling stream, the DTMC route per matrix build, the
+      analytic route per point.  The kernel runs its columns serially.
+      Values are bit-identical at every job count.  Raises
+      [Invalid_argument] on a plan routed elsewhere or not served. *)
 
   val eval_batch : Plan.t array -> Answer.t array
   (** {!eval_columns} on the plans as a batch, answers in plan order;

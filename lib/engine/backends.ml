@@ -299,9 +299,10 @@ end)
 
 (* The points of [plans] grouped by [hash] and [same] on their
    positions in [points_of]: [work pt j readers] runs the unit of work
-   of the group whose first point, in batch order, is [j], on the pool,
-   and returns one float per array of [into] for each of its readers
-   (the plans of the group's points), written at the points' offsets.
+   of the group whose first point, in batch order, is [j], one
+   [Exec.Parallel.map] element per group, and returns one float per
+   array of [into] for each of its readers (the plans of the group's
+   points), written at the points' offsets.
    Returns each group's first plan and the wall time. *)
 let shared_work (b : Batch.t) plans ~hash ~same ~work ~into =
   let pt = points_of b plans in
@@ -407,7 +408,7 @@ module Mc = Route (struct
 
   (* The trials of point [j], the [index]th of its plan: an independent
      deterministic stream per sweep point, so sweeps can fan out over
-     the pool without sharing an rng. *)
+     domains without sharing an rng. *)
   let run_stream (b : Batch.t) (pt : points) j =
     let p = pt.plan.(j) in
     let s = Batch.scenario b p and index = pt.at.(j) - Batch.first_point b p in

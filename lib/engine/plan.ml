@@ -43,7 +43,7 @@ type t = {
    costs a scan of the first few entries.
 
    The table grows only in the domain that compiles plans, before the
-   executor fans out over the pool, whose workers then read it as it
+   executor fans out to helper domains, which then read it as it
    stands; so it needs no lock and stays out of the R3 concurrency
    rule. *)
 

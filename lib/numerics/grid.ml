@@ -11,19 +11,3 @@ let linspace a b n =
     xs
 
 let map_sweep f xs = Array.map (fun x -> (x, f x)) xs
-
-let chunks k xs =
-  if k < 1 then invalid_arg "Grid.chunks: k < 1";
-  let n = Array.length xs in
-  let count = min k n in
-  if count = 0 then [||]
-  else
-    (* the first [n mod count] chunks carry one extra element, so
-       lengths differ by at most one and every element appears once *)
-    let base = n / count and extra = n mod count in
-    let start = ref 0 in
-    Array.init count (fun i ->
-        let len = base + if i < extra then 1 else 0 in
-        let chunk = Array.sub xs !start len in
-        start := !start + len;
-        chunk)

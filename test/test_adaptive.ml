@@ -20,7 +20,7 @@ let test_constant_q_policy_is_stationary () =
   (* the theorem: with memoryless occupancy every attempt stage looks
      alike, so the optimal adaptive schedule repeats one choice and its
      value equals the best fixed value *)
-  let s = A.solve crowded ~refinement:base () in
+  let s = A.solve crowded ~refinement:base in
   check_rel "adaptive = fixed" s.A.fixed_cost s.A.expected_cost;
   let first = s.A.per_attempt.(0) in
   Array.iter
@@ -31,7 +31,7 @@ let test_constant_q_policy_is_stationary () =
 
 let test_constant_q_matches_eq3 () =
   (* the fixed value on the grid equals Eq. 3 at the chosen candidate *)
-  let s = A.solve crowded ~refinement:base () in
+  let s = A.solve crowded ~refinement:base in
   let q = float_of_int occupied /. float_of_int pool in
   let p = Params.with_q crowded q in
   check_rel "Eq. 3 at fixed_best"
@@ -41,7 +41,7 @@ let test_constant_q_matches_eq3 () =
 let test_adaptive_never_worse () =
   List.iter
     (fun refinement ->
-      let s = A.solve crowded ~refinement () in
+      let s = A.solve crowded ~refinement in
       Alcotest.(check bool) "improvement >= 0" true (s.A.improvement >= 0.);
       Alcotest.(check bool) "adaptive <= fixed" true
         (s.A.expected_cost <= s.A.fixed_cost +. 1e-9))
@@ -56,7 +56,7 @@ let test_rate_limit_makes_adaptivity_pay () =
   (* with a harsh rate limiter, switching strategy near the threshold
      beats any fixed choice by a real margin *)
   let refinement = { base with Zeroconf.Attempts.rate_limit = Some (2, 30.) } in
-  let s = A.solve crowded ~refinement () in
+  let s = A.solve crowded ~refinement in
   Alcotest.(check bool)
     (Printf.sprintf "improvement %.3f substantial" s.A.improvement)
     true
@@ -70,7 +70,7 @@ let test_blacklist_value_matches_attempts_analysis () =
   (* restricted to the fixed candidate it prefers, the MDP's fixed value
      must agree with the attempt-indexed closed-form analysis *)
   let refinement = { base with Zeroconf.Attempts.blacklist = true } in
-  let s = A.solve crowded ~refinement () in
+  let s = A.solve crowded ~refinement in
   let analysis =
     List.assoc "blacklist"
       (Zeroconf.Attempts.compare_refinements crowded
@@ -80,25 +80,6 @@ let test_blacklist_value_matches_attempts_analysis () =
   in
   check_rel ~rtol:1e-6 "MDP fixed value = Attempts blacklist row"
     analysis.Zeroconf.Attempts.mean_cost s.A.fixed_cost
-
-let test_explicit_candidates_respected () =
-  let candidates = [ { A.n = 4; r = 2. }; { A.n = 2; r = 1. } ] in
-  let s = A.solve ~candidates crowded ~refinement:base () in
-  Array.iter
-    (fun (c : A.choice) ->
-      Alcotest.(check bool) "choice from the grid" true (List.mem c candidates))
-    s.A.per_attempt
-
-let test_guards () =
-  Alcotest.check_raises "empty candidates"
-    (Invalid_argument "Adaptive.solve: empty candidate set") (fun () ->
-      ignore (A.solve ~candidates:[] crowded ~refinement:base ()));
-  Alcotest.check_raises "bad candidate"
-    (Invalid_argument "Adaptive.solve: bad candidate") (fun () ->
-      ignore
-        (A.solve ~candidates:[ { A.n = 0; r = 1. } ] crowded ~refinement:base ()));
-  Alcotest.check_raises "stages" (Invalid_argument "Adaptive.solve: stages < 1")
-    (fun () -> ignore (A.solve ~stages:0 crowded ~refinement:base ()))
 
 let () =
   Alcotest.run "adaptive"
@@ -111,8 +92,4 @@ let () =
           Alcotest.test_case "rate limit rewards adaptivity" `Quick
             test_rate_limit_makes_adaptivity_pay;
           Alcotest.test_case "agrees with Attempts" `Quick
-            test_blacklist_value_matches_attempts_analysis ] );
-      ( "interface",
-        [ Alcotest.test_case "explicit candidates" `Quick
-            test_explicit_candidates_respected;
-          Alcotest.test_case "guards" `Quick test_guards ] ) ]
+            test_blacklist_value_matches_attempts_analysis ] ) ]

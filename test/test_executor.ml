@@ -157,7 +157,7 @@ let mix_arbitrary ?kernel_only () =
 
 (* -- the property --------------------------------------------------- *)
 
-(* [f ()] on a process pool of [jobs], the pool back at one job after *)
+(* [f ()] at [jobs] jobs, back at one job after *)
 let at_jobs jobs f =
   Exec.Pool.set_jobs jobs;
   Fun.protect ~finally:(fun () -> Exec.Pool.set_jobs 1) f

@@ -225,6 +225,24 @@ let test_validation_three_way_agreement () =
       check_close ~tol:1e-8 (label ^ ": closed form = matrix") analytic matrix)
     reports
 
+(* V1 is how [reproduce], which has no --jobs, reaches the Monte-Carlo
+   route: the library reads no environment, so a malformed
+   ZEROCONF_JOBS changes nothing there.  This executable sets no job
+   count, so both runs are at the default. *)
+let test_validation_ignores_jobs_env () =
+  let values reports =
+    List.map
+      (fun (rep : Engine.Crosscheck.report) ->
+        List.map
+          (fun (a : Engine.Answer.t) -> (a.Engine.Answer.backend, a.Engine.Answer.values))
+          rep.Engine.Crosscheck.answers)
+      reports
+  in
+  let reference = values (E.validation ()) in
+  Unix.putenv "ZEROCONF_JOBS" "abc";
+  Alcotest.(check bool) "same values with ZEROCONF_JOBS=abc" true
+    (compare reference (values (E.validation ())) = 0)
+
 let test_all_figures_enumerates_five () =
   Alcotest.(check (list string)) "ids"
     [ "fig2"; "fig3"; "fig4"; "fig5"; "fig6" ]
@@ -303,6 +321,8 @@ let () =
       ( "validation",
         [ Alcotest.test_case "three-way agreement" `Slow
             test_validation_three_way_agreement;
+          Alcotest.test_case "ZEROCONF_JOBS not read" `Slow
+            test_validation_ignores_jobs_env;
           Alcotest.test_case "figure inventory" `Quick test_all_figures_enumerates_five ] );
       ( "extension figures",
         [ Alcotest.test_case "latency CDFs" `Quick test_latency_figure_shape;

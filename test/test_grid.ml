@@ -27,42 +27,6 @@ let test_map_sweep () =
   Alcotest.(check (array (pair (float 0.) (float 0.))))
     "pairs" [| (1., 1.); (2., 4.) |] swept
 
-let check_chunks = Alcotest.(check (array (array int)))
-
-let test_chunks_even () =
-  check_chunks "even split" [| [| 1; 2 |]; [| 3; 4 |] |]
-    (G.chunks 2 [| 1; 2; 3; 4 |])
-
-let test_chunks_remainder () =
-  (* 7 into 3: the leading chunks absorb the remainder *)
-  check_chunks "remainder up front" [| [| 0; 1; 2 |]; [| 3; 4 |]; [| 5; 6 |] |]
-    (G.chunks 3 (Array.init 7 Fun.id));
-  check_chunks "one chunk" [| [| 9; 8; 7 |] |] (G.chunks 1 [| 9; 8; 7 |])
-
-let test_chunks_count_exceeds_length () =
-  check_chunks "singletons only" [| [| 1 |]; [| 2 |]; [| 3 |] |]
-    (G.chunks 10 [| 1; 2; 3 |])
-
-let test_chunks_empty () =
-  check_chunks "empty input" [||] (G.chunks 4 [||])
-
-let test_chunks_errors () =
-  Alcotest.check_raises "k = 0" (Invalid_argument "Grid.chunks: k < 1")
-    (fun () -> ignore (G.chunks 0 [| 1 |]))
-
-let prop_chunks_partition =
-  QCheck.Test.make ~name:"chunks concatenate back and balance" ~count:300
-    QCheck.(pair (int_range 1 20) (int_range 0 200))
-    (fun (k, n) ->
-      let xs = Array.init n Fun.id in
-      let chunks = G.chunks k xs in
-      let lengths = Array.map Array.length chunks in
-      Array.concat (Array.to_list chunks) = xs
-      && Array.for_all (fun l -> l > 0) lengths
-      && (n = 0
-         || Array.fold_left max 0 lengths - Array.fold_left min max_int lengths
-            <= 1))
-
 let prop_linspace_monotone =
   QCheck.Test.make ~name:"linspace is monotone for a < b" ~count:300
     QCheck.(triple (float_range (-100.) 0.) (float_range 0.1 100.) (int_range 2 200))
@@ -80,13 +44,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_linspace_errors ] );
       ( "arange/midpoints",
         [ Alcotest.test_case "map_sweep" `Quick test_map_sweep ] );
-      ( "chunks",
-        [ Alcotest.test_case "even" `Quick test_chunks_even;
-          Alcotest.test_case "remainder" `Quick test_chunks_remainder;
-          Alcotest.test_case "count exceeds length" `Quick
-            test_chunks_count_exceeds_length;
-          Alcotest.test_case "empty" `Quick test_chunks_empty;
-          Alcotest.test_case "errors" `Quick test_chunks_errors ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_chunks_partition; prop_linspace_monotone ] ) ]
+          [ prop_linspace_monotone ] ) ]

@@ -513,7 +513,7 @@ let test_log_twin_guards () =
 (* job counts: kernel code on worker domains (the analytic route's     *)
 (* fan-out runs it there) stays bit-identical                          *)
 
-(* the default pool at [jobs], back to serial afterwards *)
+(* the job count at [jobs], back to serial afterwards *)
 let with_jobs jobs f =
   Exec.Pool.set_jobs jobs;
   Fun.protect ~finally:(fun () -> Exec.Pool.set_jobs 1) f
@@ -577,7 +577,6 @@ let () =
             prop_reader_sets_bit_identical;
             prop_optimal_n_matches_full_scan; prop_floors_hold;
             prop_parallel_scan_agrees ] );
-      (* last: the pools it starts slow every later minor collection *)
       ( "parallel",
         [ Alcotest.test_case "bit-identical across job counts" `Quick
             test_sweeps_bit_identical_across_jobs ] ) ]

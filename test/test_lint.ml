@@ -69,6 +69,23 @@ let r2_scoped () =
   check_hits "Numerics.Rng is the sanctioned RNG" ~path:"lib/netsim/multi.ml"
     ~source:"let draw rng = Numerics.Rng.float rng\n" []
 
+let r2_environment () =
+  check_hits "environment reads inside lib/ are flagged"
+    ~path:"lib/exec/pool.ml"
+    ~source:
+      "let a = Sys.getenv \"A\"\n\
+       let b = Sys.getenv_opt \"B\"\n\
+       let c = Unix.getenv \"C\"\n\
+       let d = Unix.environment ()\n"
+    [ ("R2", 1, "Sys.getenv");
+      ("R2", 2, "Sys.getenv_opt");
+      ("R2", 3, "Unix.getenv");
+      ("R2", 4, "Unix.environment") ];
+  check_hits "executables may read the environment" ~path:"bin/cli_common.ml"
+    ~source:"let j = Sys.getenv_opt \"ZEROCONF_JOBS\"\n" [];
+  check_hits "a library setting is no environment read"
+    ~path:"lib/exec/parallel.ml" ~source:"let j = Pool.jobs ()\n" []
+
 let r2_cache_timestamps () =
   (* a clock read in the cache trips the wall-clock rule; a waiver for
      it would live in allow.sexp and cover that one file only *)
@@ -344,6 +361,7 @@ let () =
             r1_engine_pipeline;
           Alcotest.test_case "R2 seeded" `Quick r2_seeded;
           Alcotest.test_case "R2 scoping" `Quick r2_scoped;
+          Alcotest.test_case "R2 environment" `Quick r2_environment;
           Alcotest.test_case "R2 cache timestamps" `Quick r2_cache_timestamps;
           Alcotest.test_case "R3 seeded" `Quick r3_seeded;
           Alcotest.test_case "R3 scoping" `Quick r3_scoped;

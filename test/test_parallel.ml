@@ -1,15 +1,15 @@
 module Pool = Exec.Pool
 module Parallel = Exec.Parallel
 
-(* the process-wide pool at [jobs], back to serial afterwards *)
+(* the process-wide job count at [jobs], back to serial afterwards *)
 let with_jobs jobs f =
   Pool.set_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_jobs 1) f
 
 let job_counts = [ 1; 2; 8 ]
 
-(* Inputs exercising the serial fallback (empty, singleton), a grid
-   shorter than the chunk count, and one that splits properly. *)
+(* Inputs exercising the serial fallback (empty, singleton), one
+   shorter than the job count, and one much longer. *)
 let inputs =
   [ [||]; [| 3. |]; Numerics.Grid.linspace 0. 1. 7; Array.init 100 float_of_int ]
 
@@ -40,31 +40,14 @@ let test_worker_exception_surfaces () =
                    (Array.init 64 Fun.id)))))
     job_counts
 
-let test_pool_survives_failed_batch () =
+let test_map_after_failed_map () =
   with_jobs 2 (fun () ->
       (try
          ignore (Parallel.map (fun _ -> failwith "first") (Array.make 8 ()))
        with Failure _ -> ());
       Alcotest.(check (array (float 0.)))
-        "pool still works after a failure" [| 0.; 1.; 2.; 3. |]
+        "map still works after a failure" [| 0.; 1.; 2.; 3. |]
         (Parallel.map float_of_int [| 0; 1; 2; 3 |]))
-
-let test_chunks_feed_every_index () =
-  (* the pool's work-splitting primitive: concatenation restores the
-     input and lengths are near-equal, for awkward sizes too *)
-  List.iter
-    (fun (k, n) ->
-      let xs = Array.init n Fun.id in
-      let chunks = Numerics.Grid.chunks k xs in
-      Alcotest.(check (array int))
-        (Printf.sprintf "concat restores (k = %d, n = %d)" k n)
-        xs
-        (Array.concat (Array.to_list chunks));
-      Array.iter
-        (fun chunk ->
-          Alcotest.(check bool) "no empty chunk" true (Array.length chunk > 0))
-        chunks)
-    [ (1, 5); (2, 4); (3, 7); (4, 4); (8, 3); (16, 100) ]
 
 let test_pool_guards () =
   Alcotest.check_raises "set_jobs 0" (Invalid_argument "Pool.set_jobs: jobs < 1")
@@ -78,11 +61,12 @@ let test_pool_guards () =
   Alcotest.(check (option string)) "129 jobs refused"
     (Some "is more than 128 jobs") (Pool.jobs_error 129)
 
-let test_set_jobs_resizes_default_pool () =
+let test_jobs_follows_set_jobs () =
   Pool.set_jobs 3;
-  Alcotest.(check int) "default pool resized" 3 (Pool.size (Pool.get ()));
+  (try Pool.set_jobs 0 with Invalid_argument _ -> ());
+  Alcotest.(check int) "last accepted count" 3 (Pool.jobs ());
   Pool.set_jobs 1;
-  Alcotest.(check int) "shrunk back to serial" 1 (Pool.size (Pool.get ()))
+  Alcotest.(check int) "back to serial" 1 (Pool.jobs ())
 
 let () =
   Alcotest.run "parallel"
@@ -91,12 +75,9 @@ let () =
       ( "exceptions",
         [ Alcotest.test_case "worker exception surfaces" `Quick
             test_worker_exception_surfaces;
-          Alcotest.test_case "pool survives failure" `Quick
-            test_pool_survives_failed_batch ] );
-      ( "chunking",
-        [ Alcotest.test_case "chunks feed every index" `Quick
-            test_chunks_feed_every_index ] );
+          Alcotest.test_case "map after a failed map" `Quick
+            test_map_after_failed_map ] );
       ( "pool",
         [ Alcotest.test_case "guards" `Quick test_pool_guards;
-          Alcotest.test_case "set_jobs resizes" `Quick
-            test_set_jobs_resizes_default_pool ] ) ]
+          Alcotest.test_case "jobs follows set_jobs" `Quick
+            test_jobs_follows_set_jobs ] ) ]

@@ -15,7 +15,9 @@
      through [Numerics.Safe_float] so every NaN-capable primitive on
      the Eq. 3/4 path has one audit point.
    - R2 determinism: no [Random.*] anywhere (RNG only via
-     [Numerics.Rng]); no wall-clock reads outside [bench/].
+     [Numerics.Rng]); no wall-clock reads outside [bench/]; no
+     environment reads under [lib/] (settings reach the library as
+     arguments).
    - R3 concurrency containment: [Domain]/[Atomic]/[Mutex]/[Condition]/
      [Thread] only under [lib/exec/].
    - R4 I/O containment: no stdout/stderr writes inside [lib/] except
@@ -89,6 +91,8 @@ let r1_banned =
 
 let r2_clock = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
 
+let r2_env = [ "Sys.getenv"; "Sys.getenv_opt"; "Unix.getenv"; "Unix.environment" ]
+
 let r3_heads = [ "Domain"; "Atomic"; "Mutex"; "Condition"; "Thread" ]
 
 let r4_banned =
@@ -133,6 +137,11 @@ let check_ident ~path ident : (string * string * string) option =
         Printf.sprintf "wall-clock read `%s` outside bench/" ident,
         "timing belongs in bench/ or behind a reviewed provenance entry in \
          tools/lint/allow.sexp" )
+  else if List.mem ident r2_env && in_lib path then
+    Some
+      ( "R2",
+        Printf.sprintf "environment read `%s` inside lib/" ident,
+        "read it in the executable and pass the value in as an argument" )
   else if List.mem (head ident) r3_heads && not (in_exec path) then
     Some
       ( "R3",
