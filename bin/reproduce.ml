@@ -25,15 +25,18 @@ let reproduce_fig2 () =
           ("C_n(r_opt)", Output.Table.Right); ("C_n(1)", Output.Table.Right);
           ("C_n(2)", Output.Table.Right); ("C_n(4)", Output.Table.Right) ]
   in
+  (* C_n(r) for n = 1 .. 8 at r = 1, 2, 4: the j-th r's at 8 j + n - 1 *)
+  let costs =
+    Engine.Executor.n_sweeps Engine.Query.[| Mean_cost |] fig2_scenario ~lo:1 ~hi:8
+      [| 1.; 2.; 4. |]
+  in
   for n = 1 to 8 do
     let opt = Zeroconf.Optimize.optimal_r fig2_scenario ~n in
     Output.Table.add_row table
-      [ string_of_int n;
-        Printf.sprintf "%.4f" opt.Numerics.Minimize.x;
-        Printf.sprintf "%.6g" opt.Numerics.Minimize.fx;
-        Printf.sprintf "%.6g" (Zeroconf.Cost.mean fig2_scenario ~n ~r:1.);
-        Printf.sprintf "%.6g" (Zeroconf.Cost.mean fig2_scenario ~n ~r:2.);
-        Printf.sprintf "%.6g" (Zeroconf.Cost.mean fig2_scenario ~n ~r:4.) ]
+      ([ string_of_int n;
+         Printf.sprintf "%.4f" opt.Numerics.Minimize.x;
+         Printf.sprintf "%.6g" opt.Numerics.Minimize.fx ]
+      @ List.map (fun j -> Printf.sprintf "%.6g" costs.((8 * j) + n - 1)) [ 0; 1; 2 ])
   done;
   print_string (Output.Table.to_text table)
 
@@ -82,30 +85,25 @@ let reproduce_fig5_6 () =
             [ 1; 2; 3; 4; 5; 6; 7; 8 ]
         @ [ ("N(r)", Output.Table.Right); ("env", Output.Table.Right) ])
   in
-  List.iter
-    (fun r ->
-      let cells =
-        List.map
-          (fun n ->
-            Printf.sprintf "%.1f"
-              (Zeroconf.Reliability.log10_error_probability fig2_scenario ~n ~r))
-          [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-      in
+  (* log10 E(n, rs.(j)) for n = 1 .. 8 at 8 j + n - 1 *)
+  let rs = [| 0.5; 1.; 1.5; 2.; 3.; 4.; 5.; 6. |] in
+  let log10_e =
+    Engine.Executor.n_sweeps Engine.Query.[| Log10_error |] fig2_scenario ~lo:1 ~hi:8 rs
+  and envelope r = Zeroconf.Optimize.log10_error_under_optimal_n fig2_scenario ~r in
+  Array.iteri
+    (fun j r ->
+      let cells = List.init 8 (fun i -> Printf.sprintf "%.1f" log10_e.((8 * j) + i)) in
       let n_opt, _ = Zeroconf.Optimize.optimal_n fig2_scenario ~r in
       Output.Table.add_row table
         ((Printf.sprintf "%.2f" r :: cells)
-        @ [ string_of_int n_opt;
-            Printf.sprintf "%.1f"
-              (Zeroconf.Reliability.log10_error_probability fig2_scenario
-                 ~n:n_opt ~r) ]))
-    [ 0.5; 1.; 1.5; 2.; 3.; 4.; 5.; 6. ];
+        @ [ string_of_int n_opt; Printf.sprintf "%.1f" (envelope r) ]))
+    rs;
   print_string (Output.Table.to_text table);
   (* the paper's band claim, checked on a fine grid *)
   let env_min = ref 0. and env_max = ref (-1000.) in
   Array.iter
     (fun r ->
-      let n, _ = Zeroconf.Optimize.optimal_n fig2_scenario ~r in
-      let v = Zeroconf.Reliability.log10_error_probability fig2_scenario ~n ~r in
+      let v = envelope r in
       if v < !env_min then env_min := v;
       if v > !env_max then env_max := v)
     (Numerics.Grid.linspace 0.4 6. 300);

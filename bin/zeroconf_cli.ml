@@ -98,13 +98,16 @@ let refinement_term ?(blacklist = Term.const false)
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
 
-(* The point must pass [Engine.Query.validate]'s mean-cost bound, as a
-   [query] of it would; the cost std dev also needs a finite DRM
-   variance. *)
+(* Eqs. 3 and 4 at n for every r of [rs], through the engine, which
+   refuses a point as a [query] of it would *)
+let at_n quantities p ~n rs = Engine.Executor.n_sweeps quantities p ~lo:n ~hi:n rs
+let c_and_e = Engine.Query.[| Mean_cost; Error_probability |]
+
+(* the cost std dev also needs a finite DRM variance *)
 let cost_cmd =
   let run p n r =
     let checked () =
-      ignore (Engine.Query.point Engine.Query.Mean_cost p ~n ~r);
+      let eqs = at_n Engine.Query.[| Mean_cost; Error_probability; Log10_error |] p ~n [| r |] in
       let drm = Zeroconf.Drm.build p ~n ~r in
       (* the std dev from the rescaled variance solve: finite where the
          variance itself overflows, the plain sqrt where it does not *)
@@ -117,20 +120,17 @@ let cost_cmd =
         invalid_arg
           (Printf.sprintf "cost: cost std dev at n = %d, r = %g is not finite"
              n r);
-      (drm, std_dev)
+      (eqs, drm, std_dev)
     in
     match Cli_common.validated checked with
     | `Error _ as e -> e
-    | `Ok (drm, std_dev) ->
+    | `Ok (eqs, drm, std_dev) ->
         Format.printf "%a@." Zeroconf.Params.pp p;
-        let analytic = Zeroconf.Cost.mean p ~n ~r in
-        Format.printf "C(%d, %g)      = %.6g   (Eq. 3)@." n r analytic;
+        Format.printf "C(%d, %g)      = %.6g   (Eq. 3)@." n r eqs.(0);
         Format.printf "matrix solve  = %.6g   (Sec. 4.1 DRM)@." (Zeroconf.Drm.mean_cost drm);
         Format.printf "cost std dev  = %.6g@." std_dev;
-        Format.printf "E(%d, %g)      = %.6g   (Eq. 4)@." n r
-          (Zeroconf.Reliability.error_probability p ~n ~r);
-        Format.printf "log10 E       = %.3f@."
-          (Zeroconf.Reliability.log10_error_probability p ~n ~r);
+        Format.printf "E(%d, %g)      = %.6g   (Eq. 4)@." n r eqs.(1);
+        Format.printf "log10 E       = %.3f@." eqs.(2);
         Format.printf "expected steps in DRM = %.4g@." (Zeroconf.Drm.expected_steps drm);
         `Ok ()
   in
@@ -139,22 +139,23 @@ let cost_cmd =
 
 let optimal_r_cmd =
   let run p n =
-    let res = Zeroconf.Optimize.optimal_r p ~n in
-    Format.printf "r_opt(%d) = %.6g  with C = %.6g, error prob = %.3g@." n
-      res.Numerics.Minimize.x res.Numerics.Minimize.fx
-      (Zeroconf.Reliability.error_probability p ~n ~r:res.Numerics.Minimize.x)
+    Cli_common.validated @@ fun () ->
+    let r = (Zeroconf.Optimize.optimal_r p ~n).Numerics.Minimize.x in
+    let v = at_n c_and_e p ~n [| r |] in
+    Format.printf "r_opt(%d) = %.6g  with C = %.6g, error prob = %.3g@." n r v.(0) v.(1)
   in
   Cmd.v (Cmd.info "optimal-r" ~doc:"Best listening period for a fixed probe count.")
-    Term.(const run $ scenario_term $ n_term)
+    Term.(ret (const run $ scenario_term $ n_term))
 
 let optimal_n_cmd =
   let run p r =
-    let n, cost = Zeroconf.Optimize.optimal_n p ~r in
-    Format.printf "N(%g) = %d  with C = %.6g, error prob = %.3g@." r n cost
-      (Zeroconf.Reliability.error_probability p ~n ~r)
+    Cli_common.validated @@ fun () ->
+    let n, _ = Zeroconf.Optimize.optimal_n p ~r in
+    let v = at_n c_and_e p ~n [| r |] in
+    Format.printf "N(%g) = %d  with C = %.6g, error prob = %.3g@." r n v.(0) v.(1)
   in
   Cmd.v (Cmd.info "optimal-n" ~doc:"Best probe count for a fixed listening period.")
-    Term.(const run $ scenario_term $ r_term)
+    Term.(ret (const run $ scenario_term $ r_term))
 
 let assess_cmd =
   let draft_n =
@@ -227,14 +228,15 @@ let simulate_cmd =
   in
   let run p n r trials seed detailed
       { Zeroconf.Attempts.occupied = hosts; pool; _ } =
-    (* a trial's cost sums attempts of at most n (r + c) + E each: the
-       same bound a [query] of the point checks *)
+    (* the model at the simulated occupancy, read first: a trial's cost
+       sums attempts of at most n (r + c) + E each, the engine's bound *)
+    let q_sim = float_of_int hosts /. float_of_int pool in
     match
       Cli_common.validated (fun () ->
-          Engine.Query.point Engine.Query.Mean_cost p ~n ~r)
+          at_n c_and_e (Zeroconf.Params.with_q p q_sim) ~n [| r |])
     with
     | `Error _ as e -> e
-    | `Ok _ ->
+    | `Ok model ->
         let rng = Numerics.Rng.create seed in
         let config =
           Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost
@@ -252,13 +254,8 @@ let simulate_cmd =
         in
         let agg = Netsim.Metrics.aggregate sample in
         Format.printf "%a@." Netsim.Metrics.pp_aggregate agg;
-        (* reference values at the simulated occupancy *)
-        let q_sim = float_of_int hosts /. float_of_int pool in
-        let p_ref = Zeroconf.Params.with_q p q_sim in
         Format.printf "model: C(%d, %g) = %.6g, E = %.4g (at q = %g)@." n r
-          (Zeroconf.Cost.mean p_ref ~n ~r)
-          (Zeroconf.Reliability.error_probability p_ref ~n ~r)
-          q_sim;
+          model.(0) model.(1) q_sim;
         `Ok ()
   in
   Cmd.v
@@ -275,25 +272,28 @@ let curve_cmd =
   let r_max =
     Arg.(value & opt Cli_common.r_max 4. & info [ "r-max" ] ~doc:"Upper r bound.")
   in
+  (* the whole grid is one engine batch: costs, then log10 errors *)
   let run p n points r_max =
     let grid = Numerics.Grid.linspace 0.01 r_max points in
+    Cli_common.validated @@ fun () ->
+    let v = at_n Engine.Query.[| Mean_cost; Log10_error |] p ~n grid in
     let table =
       Output.Table.create
         ~columns:
           [ ("r", Output.Table.Right); ("C(n,r)", Output.Table.Right);
             ("log10 E(n,r)", Output.Table.Right) ]
     in
-    Array.iter
-      (fun r ->
+    Array.iteri
+      (fun j r ->
         Output.Table.add_row table
           [ Printf.sprintf "%.4g" r;
-            Printf.sprintf "%.6g" (Zeroconf.Cost.mean p ~n ~r);
-            Printf.sprintf "%.3f" (Zeroconf.Reliability.log10_error_probability p ~n ~r) ])
+            Printf.sprintf "%.6g" v.(j);
+            Printf.sprintf "%.3f" v.(points + j) ])
       grid;
     print_string (Output.Table.to_text table)
   in
   Cmd.v (Cmd.info "curve" ~doc:"Tabulate C_n(r) and E(n, r) over an r grid.")
-    Term.(const run $ scenario_term $ n_term $ points $ r_max)
+    Term.(ret (const run $ scenario_term $ n_term $ points $ r_max))
 
 let latency_cmd =
   let print p n r =

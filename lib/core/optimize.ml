@@ -50,9 +50,9 @@ let r_opt grids (p : Params.t) ~n hi =
   in
   search hi 0
 
-let optimal_r ?r_hi (p : Params.t) ~n =
+let optimal_r (p : Params.t) ~n =
   if n < 1 then invalid_arg "Optimize.optimal_r: n must be >= 1";
-  r_opt (ref []) p ~n (match r_hi with Some h -> h | None -> default_r_hi p ~n)
+  r_opt (ref []) p ~n (default_r_hi p ~n)
 
 (* An n-scan goes on while n <= 4096 and the bound at n (optimize.mli),
    less a relative margin of 1e-9, may beat the incumbent (not NaN). *)
@@ -129,7 +129,7 @@ let constrained_optimum ~budget (p : Params.t) =
   if budget <= 0. then invalid_arg "Optimize.constrained_optimum: budget <= 0";
   let evaluate n =
     let r_cap = SF.div budget (float_of_int n) in
-    let unconstrained = optimal_r ~r_hi:r_cap p ~n in
+    let unconstrained = r_opt (ref []) p ~n r_cap in
     let r = Float.min unconstrained.Numerics.Minimize.x r_cap in
     { n; r; cost = Cost.mean p ~n ~r; error_prob = Reliability.error_probability p ~n ~r }
   in

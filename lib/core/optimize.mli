@@ -15,11 +15,10 @@ val min_useful_probes : Params.t -> int
     stays enormous for every [r].  At least [1]; equals [1] when the
     delay distribution is non-defective. *)
 
-val optimal_r : ?r_hi:float -> Params.t -> n:int -> Numerics.Minimize.result
+val optimal_r : Params.t -> n:int -> Numerics.Minimize.result
 (** [r_opt^(n)]: minimizes [C_n] over [r >= 0] by a 512-point grid
     polished with Brent.  The search interval grows automatically until
-    the minimum is interior; [r_hi] overrides the initial upper
-    bound. *)
+    the minimum is interior. *)
 
 (** {1 Where the n-scans stop}
 

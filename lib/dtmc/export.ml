@@ -1,4 +1,4 @@
-let to_dot ?costs ?(highlight = []) chain =
+let to_dot ~costs ~highlight chain =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph chain {\n";
   Buffer.add_string buf "  rankdir=LR;\n";
@@ -15,12 +15,8 @@ let to_dot ?costs ?(highlight = []) chain =
       (fun e j ->
         let p = probs.(e) in
         if not (Chain.is_absorbing chain i) || i <> j then begin
-          let cost_label =
-            match costs with
-            | Some r when Reward.transition r i j <> 0. ->
-                Printf.sprintf " / %g" (Reward.transition r i j)
-            | Some _ | None -> ""
-          in
+          let cost = Reward.transition costs i j in
+          let cost_label = if cost <> 0. then Printf.sprintf " / %g" cost else "" in
           Buffer.add_string buf
             (Printf.sprintf "  s%d -> s%d [label=\"%g%s\"];\n" i j p cost_label)
         end)

@@ -30,15 +30,16 @@ let execute (b : Batch.t) =
       end)
     routed
 
-(* one plan per (quantity, r), each one run n = 1 .. n_max: every
-   kernel column's runs are the quantities at one r *)
-let n_sweeps quantities p ~n_max rs =
+(* one plan per (quantity, r), each one run n = lo .. hi: every kernel
+   column's runs are the quantities at one r *)
+let n_sweeps quantities p ~lo ~hi rs =
+  if hi < lo then invalid_arg "Executor.n_sweeps: empty n range";
   let plans = Array.length quantities * Array.length rs in
   let b = Batch.create ~plans ~runs:plans and sid = Plan.scenario_id p in
   Array.iter
     (fun quantity ->
       let route =
-        match Planner.route quantity ~sampled:false ~max_n:n_max with
+        match Planner.route quantity ~sampled:false ~max_n:hi with
         | Some route -> route
         | None ->
             invalid_arg
@@ -47,7 +48,7 @@ let n_sweeps quantities p ~n_max rs =
       in
       for j = 0 to Array.length rs - 1 do
         Batch.add_plan b quantity sid route ~trials:0 ~seed:0 ~line:0;
-        Batch.add_run b ~lo:1 ~hi:n_max rs j;
+        Batch.add_run b ~lo ~hi rs j;
         Batch.validate_last b p ~sampled:false
       done)
     quantities;

@@ -2,7 +2,7 @@
 
     {v
       lines ──Batch_input──▶ Batch.t ──execute──▶ results in the Batch.t
-      quantities × r grid ──n_sweeps──▶ Batch.t ──execute──▶ its values
+      quantities × n range × r grid ──n_sweeps──▶ Batch.t ──execute──▶ its values
       Query ──Planner.plan──▶ Plan.t ──run──▶ Answer.t
     v}
 
@@ -12,23 +12,25 @@
     past its first occurrence on a shared kernel column.  Every point
     is bitwise identical to evaluating each query alone, at any job
     count.  {!n_sweeps} builds its batch directly, for the figure
-    sweeps; the plan-array entry points below are adapters: plans
-    copied into a batch, answers sliced out of it. *)
+    sweeps and the CLI's reads of Eqs. 3 and 4; the plan-array entry
+    points below are adapters: plans copied into a batch, answers sliced
+    out of it. *)
 
 val execute : Batch.t -> unit
 (** Evaluate a complete batch; the backends that fan out use the
     process-wide {!Exec.Pool}. *)
 
 val n_sweeps :
-  Query.quantity array -> Zeroconf.Params.t -> n_max:int -> float array ->
-  float array
-(** [n_sweeps quantities p ~n_max rs] evaluates each quantity exactly at
-    [n = 1 .. n_max] for every [r] of [rs], as one batch of one plan per
-    quantity and [r], and returns the batch's values: quantity [i] at
-    [(n, rs.(j))] sits at [(i * length rs + j) * n_max + n - 1].  The
-    plans at one [r] share a kernel column.  Raises [Invalid_argument]
-    when no route serves a quantity or a point is invalid, as
-    {!Query.validate} does. *)
+  Query.quantity array -> Zeroconf.Params.t -> lo:int -> hi:int ->
+  float array -> float array
+(** [n_sweeps quantities p ~lo ~hi rs] evaluates each quantity exactly
+    at [n = lo .. hi] for every [r] of [rs], as one batch of one plan
+    per quantity and [r], and returns the batch's values: quantity [i]
+    at [(n, rs.(j))] sits at [(i * length rs + j) * (hi - lo + 1) + n -
+    lo].  The plans at one [r] share a kernel column; [lo = hi] reads
+    one point per [r].  Raises [Invalid_argument] when [hi < lo], when
+    no route serves a quantity, or when a point is invalid, as
+    {!Query.validate} does, before anything is evaluated. *)
 
 val run_batch : Plan.t array -> Answer.t array
 (** Execute a batch of plans; answers in input order. *)

@@ -25,7 +25,7 @@ let r_grid ~points ~lo ~hi = Numerics.Grid.linspace lo hi points
    kernel-backed n-scans.  All of it runs serially: a point costs
    microseconds, less than handing it to another domain. *)
 let series_batch quantity p ~label grid ~n_max =
-  let v = Executor.n_sweeps [| quantity |] p ~n_max grid in
+  let v = Executor.n_sweeps [| quantity |] p ~lo:1 ~hi:n_max grid in
   List.init n_max (fun i ->
       { label = label (i + 1);
         points = Array.mapi (fun j r -> (r, v.((j * n_max) + i))) grid })
@@ -116,7 +116,9 @@ let cost_landscape () =
   let n_max = 10 in
   let ns = Array.init n_max (fun i -> i + 1) in
   let rs = r_grid ~points:24 ~lo:0.25 ~hi:6. in
-  let v = Executor.n_sweeps [| Query.Mean_cost |] Params.figure2 ~n_max rs in
+  let v =
+    Executor.n_sweeps [| Query.Mean_cost |] Params.figure2 ~lo:1 ~hi:n_max rs
+  in
   { ns;
     rs;
     log10_cost =

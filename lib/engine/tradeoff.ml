@@ -10,7 +10,8 @@ let enumerate ?(n_max = 12) ?(r_points = 200) ?(r_max = 8.)
      happen) and the columns match the historical single-cursor
      enumeration bit for bit; the designs come out n-major *)
   let v =
-    Executor.n_sweeps [| Query.Mean_cost; Query.Log10_error |] p ~n_max grid
+    Executor.n_sweeps [| Query.Mean_cost; Query.Log10_error |] p ~lo:1
+      ~hi:n_max grid
   and errors = Array.length grid * n_max in
   List.concat_map
     (fun n ->

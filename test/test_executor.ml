@@ -627,45 +627,76 @@ let test_key_injective () =
     (key (Q.r_sweep Q.Error_probability fig2 ~n:3 ~rs:[| 0.; 0.5; 1. |]))
     (key (Q.r_sweep Q.Error_probability fig2 ~n:3 ~rs:[| 0.; 0.5; 1. |]))
 
-(* quantity i at (n, rs.(j)) sits at (i |rs| + j) n_max + n - 1, on
-   every route the quantities take, bitwise equal to each n-sweep
-   alone *)
+(* quantity i at (n, rs.(j)) sits at (i |rs| + j) (hi - lo + 1) + n -
+   lo, on every route the quantities take, bitwise equal to each n-sweep
+   alone and, for Eqs. 3 and 4, to the closed forms; ranges from 1, from
+   past 1, and a single point *)
 let test_n_sweeps_layout () =
-  let quantities = [| Q.Mean_cost; Q.Log10_error; Q.Cost_variance |]
-  and rs = [| 0.; 0.4; 2.5 |]
-  and n_max = 6 in
-  let v = Engine.Executor.n_sweeps quantities fig2 ~n_max rs in
-  Alcotest.(check int) "one value per point"
-    (Array.length quantities * Array.length rs * n_max)
-    (Array.length v);
-  Array.iteri
-    (fun i quantity ->
+  let quantities =
+    [| Q.Mean_cost; Q.Error_probability; Q.Log10_error; Q.Cost_variance |]
+  and rs = [| 0.; 0.4; 2.5 |] in
+  let closed_form quantity ~n ~r =
+    match quantity with
+    | Q.Mean_cost -> Some (Zeroconf.Cost.mean fig2 ~n ~r)
+    | Q.Error_probability ->
+        Some (Zeroconf.Reliability.error_probability fig2 ~n ~r)
+    | Q.Log10_error ->
+        Some (Zeroconf.Reliability.log10_error_probability fig2 ~n ~r)
+    | Q.Cost_variance | Q.Latency_mean -> None
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let v = Engine.Executor.n_sweeps quantities fig2 ~lo ~hi rs
+      and len = hi - lo + 1 in
+      Alcotest.(check int) "one value per point"
+        (Array.length quantities * Array.length rs * len)
+        (Array.length v);
       Array.iteri
-        (fun j r ->
-          let alone =
-            Engine.Executor.eval
-              (Q.n_sweep quantity fig2 ~ns:(Array.init n_max succ) ~r)
-          in
-          for n = 1 to n_max do
-            let got = v.((((i * Array.length rs) + j) * n_max) + n - 1) in
-            if bits got <> bits (A.scalar alone (n - 1)) then
-              Alcotest.failf "%s at (n = %d, r = %g): %h, alone %h"
-                (Q.quantity_name quantity) n r got (A.scalar alone (n - 1))
-          done)
-        rs)
-    quantities
+        (fun i quantity ->
+          Array.iteri
+            (fun j r ->
+              let alone =
+                Engine.Executor.eval
+                  (Q.n_sweep quantity fig2 ~ns:(Array.init len (( + ) lo)) ~r)
+              in
+              for n = lo to hi do
+                let got = v.((((i * Array.length rs) + j) * len) + n - lo) in
+                let check what want =
+                  if bits got <> bits want then
+                    Alcotest.failf "%s at (n = %d, r = %g) in %d .. %d: %h, %s %h"
+                      (Q.quantity_name quantity) n r lo hi got what want
+                in
+                check "alone" (A.scalar alone (n - lo));
+                Option.iter (check "closed form") (closed_form quantity ~n ~r)
+              done)
+            rs)
+        quantities)
+    [ (1, 6); (3, 9); (5, 5) ]
 
 let test_n_sweeps_refusals () =
   Alcotest.check_raises "no route"
     (Invalid_argument "Executor.n_sweeps: no route serves cost-variance")
     (fun () ->
       ignore
-        (Engine.Executor.n_sweeps [| Q.Cost_variance |] fig2 ~n_max:513
+        (Engine.Executor.n_sweeps [| Q.Cost_variance |] fig2 ~lo:1 ~hi:513
            [| 1. |]));
   Alcotest.check_raises "bad r"
     (Invalid_argument "Query: r = nan not non-negative and finite") (fun () ->
       ignore
-        (Engine.Executor.n_sweeps [| Q.Mean_cost |] fig2 ~n_max:4 [| nan |]))
+        (Engine.Executor.n_sweeps [| Q.Mean_cost |] fig2 ~lo:1 ~hi:4 [| nan |]));
+  Alcotest.check_raises "empty range"
+    (Invalid_argument "Executor.n_sweeps: empty n range") (fun () ->
+      ignore (Engine.Executor.n_sweeps [| Q.Mean_cost |] fig2 ~lo:5 ~hi:4 [| 1. |]));
+  Alcotest.check_raises "n below 1"
+    (Invalid_argument "Query: n = 0 < 1") (fun () ->
+      ignore (Engine.Executor.n_sweeps [| Q.Mean_cost |] fig2 ~lo:0 ~hi:4 [| 1. |]));
+  Alcotest.check_raises "overflowing attempt cost"
+    (Invalid_argument
+       "Query: mean-cost at n = 4, r = 1e+308: the largest attempt cost n (r + \
+        c) + E = inf is not finite") (fun () ->
+      ignore
+        (Engine.Executor.n_sweeps [| Q.Error_probability; Q.Mean_cost |] fig2
+           ~lo:4 ~hi:4 [| 1e308 |]))
 
 let () =
   Alcotest.run "executor"

@@ -267,6 +267,56 @@ let r6_value_named () =
          ("lib/numerics/backend.mli", "module type S = sig val name : string end\n")
        ])
 
+(* -- R8: bin/ reaches Eqs. 3 and 4 only through the engine ----------- *)
+
+let closed_forms sources =
+  List.map
+    (fun (f : Finding.t) -> (f.rule, f.file, f.ident))
+    (Rules.closed_form_findings ~wrappers sources)
+
+let r8_flagged () =
+  Alcotest.(check (list (triple string string string)))
+    "a path, an open, a module alias and a local open each name a closed \
+     form, once per module and file"
+    [ ("R8", "bin/a.ml", "Zeroconf.Cost");
+      ("R8", "bin/b.ml", "Zeroconf.Reliability");
+      ("R8", "bin/c.ml", "Zeroconf.Kernel");
+      ("R8", "bin/d.ml", "Zeroconf.Cost") ]
+    (closed_forms
+       [ ("bin/a.ml", "let c = Zeroconf.Cost.mean
+let d = Zeroconf.Cost.mean
+");
+         ("bin/b.ml", "open Zeroconf
+let e = Reliability.error_probability
+");
+         ("bin/c.ml", "module K = Zeroconf.Kernel
+let k = K.create
+");
+         ("bin/d.ml", "let c p = let open Zeroconf in Cost.mean p ~n:4 ~r:2.
+")
+       ])
+
+let r8_exempt () =
+  let names =
+    "let c = Zeroconf.Cost.mean
+     open Zeroconf
+let e = Reliability.error_probability
+     module K = Zeroconf.Kernel
+"
+  in
+  Alcotest.(check (list (triple string string string)))
+    "lib/ and examples/ may name the closed forms, bin/ the other modules"
+    []
+    (closed_forms
+       [ ("lib/core/optimize.ml", names);
+         ("examples/quickstart.ml", names);
+         ("bin/main.ml",
+          "let d = Zeroconf.Drm.build
+let l = Zeroconf.Latency.periods
+           open Zeroconf
+let o = Optimize.optimal_n
+") ])
+
 (* -- E0: parse failures are findings, not crashes ------------------ *)
 
 let e0_parse_error () =
@@ -377,6 +427,9 @@ let () =
             r6_value_test_only;
           Alcotest.test_case "R6 value named by path, open, alias, module type"
             `Quick r6_value_named;
+          Alcotest.test_case "R8 closed forms named in bin/" `Quick r8_flagged;
+          Alcotest.test_case "R8 lib/, examples/ and other modules" `Quick
+            r8_exempt;
           Alcotest.test_case "E0 parse error" `Quick e0_parse_error ] );
       ( "allowlist",
         [ Alcotest.test_case "permits" `Quick allowlist_permits;

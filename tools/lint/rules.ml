@@ -28,9 +28,14 @@
      paths, from some [bin/] source, and every [val] of a [lib] .mli is
      named from some other module of lib/ or of a product root: bin/,
      bench/, examples/ or perfbench/.  A test is no caller.
+   - R8 one door to Eqs. 3 and 4: no [bin/] module names
+     [Zeroconf.Cost], [Zeroconf.Reliability] or [Zeroconf.Kernel], by
+     path, open or alias (R6's reference walk); the executables read
+     those values through the engine, which validates every point.
+     lib/ and examples/ are exempt.
 
    Sources under [examples/] and [perfbench/] are read for R6 references
-   only; R1-R5 do not apply to them.  Sources under [test/] are read for
+   only; R1-R5 and R8 do not apply to them.  Sources under [test/] are read for
    nothing: R6 ignores them even when they are passed in. *)
 
 (* -- path classification ------------------------------------------- *)
@@ -519,6 +524,28 @@ let unused_value_findings ~wrappers sources =
       | _ -> [])
     sources
 
+(* -- R8, file level: bin/ reaches Eqs. 3 and 4 only through the engine *)
+
+let closed_forms =
+  [ ("Zeroconf", "Cost"); ("Zeroconf", "Reliability"); ("Zeroconf", "Kernel") ]
+
+(* [closed_form_findings ~wrappers sources] flags, once per bin/
+   implementation and module, every closed form of [closed_forms] that
+   the implementation names. *)
+let closed_form_findings ~wrappers sources =
+  List.concat_map
+    (fun ((f, _) as source) ->
+      if not (starts_with ~prefix:"bin/" f) then []
+      else
+        List.sort_uniq compare
+          (List.map fst (references ~wrappers ~modules:closed_forms source))
+        |> List.map (fun (w, m) ->
+               Finding.v ~rule:"R8" ~file:f ~line:0 ~col:0 ~ident:(w ^ "." ^ m)
+                 ~message:"bin/ module naming a closed form of Eqs. 3/4"
+                 ~hint:"read the values through Engine.Executor.n_sweeps, \
+                        which validates every point"))
+    (implementations sources)
+
 let lint_files files =
   let sources = List.map (fun f -> (f, read_file f)) files in
   let ast_findings =
@@ -529,4 +556,5 @@ let lint_files files =
     (ast_findings
     @ missing_mli_findings files
     @ unreached_findings ~wrappers sources
-    @ unused_value_findings ~wrappers sources)
+    @ unused_value_findings ~wrappers sources
+    @ closed_form_findings ~wrappers sources)
