@@ -5,8 +5,9 @@
    jobs against the serial run, the batch front end's cost
    against the executor's, the executor's cost against the closed
    forms, the words they promote, the words the front end allocates on
-   n-sweeps and the batch output on point lines, the kernel backend's
-   cost against a bare cursor scan and its survival calls per step, the
+   n-sweeps and the batch output on point and sweep lines, the kernel
+   backend's cost against a bare cursor scan and its survival calls per
+   step, the
    words the executor allocates per kernel sweep point, the Sec. 4.4
    optimizers' allocation, the Monte-Carlo trial loop's, and
    the words the figure render allocates per plotted point.  The
@@ -266,15 +267,16 @@ let point_gates () =
          "parse + execute promote %.3f words per point line (gate %g)"
          per_line max_promoted_per_line)
 
-(* Two counts, with the [Gc] counters, which are deterministic, so
+(* Three counts, with the [Gc] counters, which are deterministic, so
    they cannot flake on a noisy host:
    - the front end keeps an n-sweep as one run: [Batch_input.read] of
      400 [ns=1:512] lines (204,800 points) may allocate at most 64
      words per line, minor and major alike (large arrays skip the minor
      heap), where a column per point takes two words a point;
-   - [Batch_output.emit] of the 20k point lines' batch may allocate
-     less than half a minor word per line: a float boxed on its way to
-     the formatter costs two. *)
+   - [Batch_output.emit] of the 20k point lines' batch, and of those
+     400 sweeps' 204,800 lines, may allocate less than half a minor
+     word per output line: a float boxed on its way to the formatter
+     costs two. *)
 let sweep_lines_count = 400
 and max_words_per_sweep_line = 64.
 and max_emit_words_per_line = 0.5
@@ -297,20 +299,31 @@ let count_gates () =
     /. float_of_int sweep_lines_count
   in
   assert (b.points = 512 * sweep_lines_count);
-  let b = Batch_input.read (String.concat "\n" (Array.to_list (point_lines ()))) in
-  Engine.Executor.execute b;
   let null = open_out_bin Filename.null in
-  let before = Gc.minor_words () in
-  Batch_output.emit null b;
-  let emit = (Gc.minor_words () -. before) /. float_of_int point_lines_count in
+  (* minor words per output line of [b]'s emit, after its execution *)
+  let emit_words (b : Engine.Batch.t) =
+    Engine.Executor.execute b;
+    let before = Gc.minor_words () in
+    Batch_output.emit null b;
+    (Gc.minor_words () -. before) /. float_of_int b.points
+  in
+  let sweep_emit = emit_words b in
+  let emit =
+    emit_words
+      (Batch_input.read (String.concat "\n" (Array.to_list (point_lines ()))))
+  in
   close_out null;
   Printf.printf
     "smoke %s: Batch_input.read at %.1f words per ns=1:512 line (gate %g)\n\
-     smoke %s: Batch_output.emit at %.3f minor words per point line (gate %g)\n"
+     smoke %s: Batch_output.emit at %.3f minor words per point line (gate %g)\n\
+     smoke %s: Batch_output.emit at %.3f minor words per ns=1:512 output line \
+     (gate %g)\n"
     (if parse <= max_words_per_sweep_line then "ok" else "FAIL")
     parse max_words_per_sweep_line
     (if emit < max_emit_words_per_line then "ok" else "FAIL")
-    emit max_emit_words_per_line;
+    emit max_emit_words_per_line
+    (if sweep_emit < max_emit_words_per_line then "ok" else "FAIL")
+    sweep_emit max_emit_words_per_line;
   if parse > max_words_per_sweep_line then
     failwith
       (Printf.sprintf
@@ -320,7 +333,13 @@ let count_gates () =
     failwith
       (Printf.sprintf
          "Batch_output.emit allocates %.3f minor words per point line (gate %g)"
-         emit max_emit_words_per_line)
+         emit max_emit_words_per_line);
+  if sweep_emit >= max_emit_words_per_line then
+    failwith
+      (Printf.sprintf
+         "Batch_output.emit allocates %.3f minor words per ns=1:512 output line \
+          (gate %g)"
+         sweep_emit max_emit_words_per_line)
 
 (* The kernel backend may cost at most twice a bare cursor scan of the
    same columns into float arrays: 200 n-sweeps ns=1:512, each at its
@@ -583,8 +602,8 @@ let alloc_gate () =
     per_trial alloc_max_words_per_trial
 
 (* Numbers become text without allocating: 20k %.10g conversions of
-   values spread over 1e-300..1e300, both signs, appended to a presized
-   buffer, may allocate no minor word.  Every normal double takes
+   values spread over 1e-300..1e300, both signs, written into a
+   presized block, may allocate no minor word.  Every normal double takes
    [Output.Num_text]'s scaled path but a near-tie (a subnormal or a
    non-finite value aside), and only that runtime fallback returns a
    fresh string.  The values are ten random significant digits at a
@@ -604,10 +623,10 @@ let format_gate () =
              digits
              (Numerics.Rng.int rng 601 - 309)))
   in
-  let add = Output.Num_text.add_general ~digits:10 in
-  let b = Buffer.create (24 * format_values) in
+  let write = Output.Num_text.write_general ~digits:10 in
+  let blk = Output.Num_text.block (24 * format_values) and pos = ref 0 in
   (* the closure is allocated before the count starts *)
-  let append x = add b x in
+  let append x = pos := write blk !pos x in
   let before = Gc.minor_words () in
   List.iter append values;
   let words = Gc.minor_words () -. before in

@@ -166,11 +166,12 @@ let assess_cmd =
     Arg.(value & opt Cli_common.duration 2.
          & info [ "draft-r" ] ~doc:"Draft listening period to compare against.")
   in
-  (* a scenario whose optimum scan has no stop is refused *)
+  (* a scenario whose optimum scan has no stop is refused, and so is a
+     draft point a mean-cost query refuses *)
   let run p draft_n draft_r =
     Cli_common.validated (fun () ->
         Format.printf "%a@." Zeroconf.Assessment.pp
-          (Zeroconf.Assessment.run ~draft_n ~draft_r p))
+          (Engine.Report.assessment ~draft_n ~draft_r p))
   in
   Cmd.v
     (Cmd.info "assess"
@@ -331,28 +332,35 @@ let refine_cmd =
          & info [ "pool" ] ~doc:"Address-space size M.")
   in
   let run p n r { Zeroconf.Attempts.occupied; pool; _ } =
-    let table =
-      Output.Table.create
-        ~columns:
-          [ ("refinement", Output.Table.Left); ("mean cost", Output.Table.Right);
-            ("error prob", Output.Table.Right); ("mean time (s)", Output.Table.Right);
-            ("mean attempts", Output.Table.Right) ]
-    in
-    List.iter
-      (fun (label, (a : Zeroconf.Attempts.analysis)) ->
-        Output.Table.add_row table
-          [ label;
-            Printf.sprintf "%.4f" a.Zeroconf.Attempts.mean_cost;
-            Printf.sprintf "%.3e" a.Zeroconf.Attempts.error_probability;
-            Printf.sprintf "%.4f" a.Zeroconf.Attempts.mean_time;
-            Printf.sprintf "%.4f" a.Zeroconf.Attempts.mean_attempts ])
-      (Zeroconf.Attempts.compare_refinements p ~occupied ~pool ~n ~r ());
-    print_string (Output.Table.to_text table)
+    match
+      Cli_common.validated (fun () ->
+          Zeroconf.Attempts.compare_refinements p ~occupied ~pool ~n ~r ())
+    with
+    | `Error _ as e -> e
+    | `Ok rows ->
+        let table =
+          Output.Table.create
+            ~columns:
+              [ ("refinement", Output.Table.Left); ("mean cost", Output.Table.Right);
+                ("error prob", Output.Table.Right); ("mean time (s)", Output.Table.Right);
+                ("mean attempts", Output.Table.Right) ]
+        in
+        List.iter
+          (fun (label, (a : Zeroconf.Attempts.analysis)) ->
+            Output.Table.add_row table
+              [ label;
+                Printf.sprintf "%.4f" a.Zeroconf.Attempts.mean_cost;
+                Printf.sprintf "%.3e" a.Zeroconf.Attempts.error_probability;
+                Printf.sprintf "%.4f" a.Zeroconf.Attempts.mean_time;
+                Printf.sprintf "%.4f" a.Zeroconf.Attempts.mean_attempts ])
+          rows;
+        print_string (Output.Table.to_text table);
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "refine"
        ~doc:"The Sec. 3.1 refinements the paper abstracts away: blacklisting and rate limiting.")
-    Term.(const run $ scenario_term $ n_term $ r_term $ refinement_term hosts pool)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ refinement_term hosts pool))
 
 let pareto_cmd =
   let run p =
@@ -687,27 +695,26 @@ let quantity_conv name =
             latency)"
            name)
 
-let add_g6 = Output.Num_text.add_general ~digits:6
-let add_g10 = Output.Num_text.add_general ~digits:10
+module N = Output.Num_text
+
+let write_g6 = N.write_general ~digits:6
+let write_g10 = N.write_general ~digits:10
 
 (* The CLI's one rendering of an answer value: %.10g for an exact
    value, the mean and its 95% interval at %.6g for a sampled one. *)
-let add_interval b { Engine.Answer.mean; ci_lo; ci_hi } =
-  add_g6 b mean;
-  Buffer.add_string b " [";
-  add_g6 b ci_lo;
-  Buffer.add_string b ", ";
-  add_g6 b ci_hi;
-  Buffer.add_char b ']'
+let write_interval blk pos { Engine.Answer.mean; ci_lo; ci_hi } =
+  let pos = N.write_string blk (write_g6 blk pos mean) " [" in
+  let pos = N.write_string blk (write_g6 blk pos ci_lo) ", " in
+  N.write_char blk (write_g6 blk pos ci_hi) ']'
 
-let add_answer_value b = function
-  | Engine.Answer.Scalar x -> add_g10 b x
-  | Engine.Answer.Interval iv -> add_interval b iv
+let write_answer_value blk pos = function
+  | Engine.Answer.Scalar x -> write_g10 blk pos x
+  | Engine.Answer.Interval iv -> write_interval blk pos iv
 
 let pp_answer_value ppf v =
-  let b = Buffer.create 32 in
-  add_answer_value b v;
-  Format.pp_print_string ppf (Buffer.contents b)
+  let blk = N.block 64 in
+  let len = write_answer_value blk 0 v in
+  Format.pp_print_string ppf (Bytes.sub_string blk.N.bytes 0 len)
 
 let print_provenance (a : Engine.Answer.t) =
   Format.printf "backend = %s, evals = %d, wall = %.3f ms@."

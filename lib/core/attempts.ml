@@ -36,6 +36,15 @@ let analyze (p : Params.t) refinement ~n ~r =
   validate_refinement refinement;
   if n < 1 then invalid_arg "Attempts.analyze: n < 1";
   if r < 0. then invalid_arg "Attempts.analyze: negative r";
+  (* an attempt costs at most n (r + c) + E: past that bound every mean
+     cost is inf *)
+  let bound = (float_of_int n *. (r +. p.Params.probe_cost)) +. p.Params.error_cost in
+  if not (Float.is_finite bound) then
+    invalid_arg
+      (Printf.sprintf
+         "Attempts.analyze: the largest attempt cost n (r + c) + E = %g is not \
+          finite"
+         bound);
   let k = Kernel.create p ~r in
   Kernel.advance_to k ~n;
   let pi_n = Kernel.pi k in

@@ -51,4 +51,5 @@ val compare_refinements :
   Params.t -> occupied:int -> ?pool:int -> n:int -> r:float -> unit ->
   (string * analysis) list
 (** The ablation table: baseline, blacklist only, rate limit only,
-    both. *)
+    both.  Raises [Invalid_argument] when an attempt's largest cost
+    [n (r + c) + E] is not finite, before any refinement runs. *)

@@ -65,70 +65,58 @@ let scenario_of_id id = !interned.(id)
 (* -- the structural key --------------------------------------------- *)
 
 (* Ints as decimal digits and floats as the 16 hex digits of their IEEE
-   bits: both exact and injective (-0 and 0 differ), and no Printf. *)
-let add_int = Output.Num_text.add_int
+   bits: both exact and injective (-0 and 0 differ), and no Printf.
+   Each key is composed in a block of its own. *)
+module N = Output.Num_text
 
 let hex_digits = "0123456789abcdef"
 
-let add_float b x =
-  let bits = Int64.bits_of_float x in
-  for i = 15 downto 0 do
-    Buffer.add_char b
-      hex_digits.[Int64.to_int (Int64.shift_right_logical bits (4 * i)) land 15]
-  done
+let write_float blk pos x =
+  let s = N.reserve blk pos 16 and bits = Int64.bits_of_float x in
+  for i = 0 to 15 do
+    Bytes.set s (pos + i)
+      hex_digits.[Int64.to_int (Int64.shift_right_logical bits (4 * (15 - i)))
+                  land 15]
+  done;
+  pos + 16
 
 (* The points as the domain they came from: one point, an n-sweep at
    one r, or an r-sweep at one n (bit-equal r, so -0 and 0 differ). *)
-let add_points b (pts : (int * float) array) =
+let write_points blk pos (pts : (int * float) array) =
   let n0, r0 = pts.(0) and bits r = Int64.bits_of_float r in
   if Array.length pts = 1 then begin
-    Buffer.add_string b "P:";
-    add_int b n0;
-    Buffer.add_char b ':';
-    add_float b r0
+    let pos = N.write_int blk (N.write_string blk pos "P:") n0 in
+    write_float blk (N.write_char blk pos ':') r0
   end
   else if Array.for_all (fun (_, r) -> bits r = bits r0) pts then begin
-    Buffer.add_string b "N:";
-    add_float b r0;
-    Buffer.add_char b ':';
-    Array.iter
-      (fun (n, _) ->
-        add_int b n;
-        Buffer.add_char b ',')
-      pts
+    let pos = write_float blk (N.write_string blk pos "N:") r0 in
+    Array.fold_left
+      (fun pos (n, _) -> N.write_char blk (N.write_int blk pos n) ',')
+      (N.write_char blk pos ':') pts
   end
   else begin
-    Buffer.add_string b "R:";
-    add_int b n0;
-    Buffer.add_char b ':';
-    Array.iter
-      (fun (_, r) ->
-        add_float b r;
-        Buffer.add_char b ',')
-      pts
+    let pos = N.write_int blk (N.write_string blk pos "R:") n0 in
+    Array.fold_left
+      (fun pos (_, r) -> N.write_char blk (write_float blk pos r) ',')
+      (N.write_char blk pos ':') pts
   end
 
-let add_accuracy b (a : Query.accuracy) =
+let write_accuracy blk pos (a : Query.accuracy) =
   match a with
-  | Query.Exact -> Buffer.add_string b "exact"
+  | Query.Exact -> N.write_string blk pos "exact"
   | Query.Sampled { trials; seed } ->
-      Buffer.add_string b "sampled:";
-      add_int b trials;
-      Buffer.add_char b ':';
-      add_int b seed
+      let pos = N.write_int blk (N.write_string blk pos "sampled:") trials in
+      N.write_int blk (N.write_char blk pos ':') seed
 
 let key t =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (Query.quantity_name t.quantity);
-  Buffer.add_char b '|';
-  Buffer.add_string b (route_name t.route);
-  Buffer.add_string b "|#";
-  add_int b t.scenario_id;
-  Buffer.add_char b '|';
-  add_points b t.points;
-  Buffer.add_char b '|';
-  add_accuracy b t.accuracy;
-  Buffer.contents b
+  let blk = N.block 64 in
+  let pos = N.write_string blk 0 (Query.quantity_name t.quantity) in
+  let pos = N.write_char blk pos '|' in
+  let pos = N.write_string blk pos (route_name t.route) in
+  let pos = N.write_int blk (N.write_string blk pos "|#") t.scenario_id in
+  let pos = write_points blk (N.write_char blk pos '|') t.points in
+  let pos = write_accuracy blk (N.write_char blk pos '|') t.accuracy in
+  Bytes.sub_string blk.N.bytes 0 pos
 
 let make ~route (q : Query.t) =
   Query.validate q;

@@ -1,11 +1,15 @@
 open Zeroconf
 
-let markdown ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
-  (* past a mean-cost query's bound the elasticities are inf - inf *)
+(* past a mean-cost query's bound the draft's cost is inf, its ratio
+   to the optimum too, and the report's elasticities inf - inf *)
+let assessment ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
   ignore (Query.point Query.Mean_cost p ~n:draft_n ~r:draft_r);
+  Assessment.run ~draft_n ~draft_r p
+
+let markdown ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
+  let assessment = assessment ~draft_n ~draft_r p in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let assessment = Assessment.run ~draft_n ~draft_r p in
   let opt = assessment.Assessment.optimum in
   add "# Zeroconf design report: %s\n\n" p.Params.name;
   add "## Scenario\n\n";

@@ -9,6 +9,11 @@
 
 open Zeroconf
 
+val assessment : ?draft_n:int -> ?draft_r:float -> Params.t -> Assessment.t
+(** {!Zeroconf.Assessment.run}, its draft point first checked as a
+    mean-cost query: raises [Invalid_argument] where {!Query.validate}
+    refuses that query, past whose bound the draft's cost is [inf]. *)
+
 val markdown : ?draft_n:int -> ?draft_r:float -> Params.t -> string
 (** The report.  [draft_n], [draft_r] default to the Internet-draft's
     [4] and [2.].  Raises [Invalid_argument] where {!Query.validate}

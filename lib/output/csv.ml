@@ -1,29 +1,33 @@
-let add_field b field =
+(* The whole file is composed in one block of its own and written at
+   once. *)
+module N = Num_text
+
+let write_field blk pos field =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') field then begin
-    Buffer.add_char b '"';
+    let pos = ref (N.write_char blk pos '"') in
     String.iter
       (fun c ->
-        if c = '"' then Buffer.add_char b '"';
-        Buffer.add_char b c)
+        if c = '"' then pos := N.write_char blk !pos '"';
+        pos := N.write_char blk !pos c)
       field;
-    Buffer.add_char b '"'
+    N.write_char blk !pos '"'
   end
-  else Buffer.add_string b field
+  else N.write_string blk pos field
 
-let add_row b row =
+let write_row blk pos row =
+  let pos = ref pos in
   List.iteri
     (fun i field ->
-      if i > 0 then Buffer.add_char b ',';
-      add_field b field)
+      if i > 0 then pos := N.write_char blk !pos ',';
+      pos := write_field blk !pos field)
     row;
-  Buffer.add_char b '\n'
+  N.write_char blk !pos '\n'
 
-(* the whole file is built in memory and written at once *)
-let save path b =
+let save path blk len =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc b)
+    (fun () -> output oc blk.N.bytes 0 len)
 
 let write_series ~path ~x_label series =
   match series with
@@ -40,18 +44,17 @@ let write_series ~path ~x_label series =
                     pts xs)
           then invalid_arg "Csv.write_series: mismatched grids")
         rest;
-      let b = Buffer.create 4096 in
-      add_row b (x_label :: List.map fst series);
+      let blk = N.block 4096 in
+      let pos = ref (write_row blk 0 (x_label :: List.map fst series)) in
       (* numeric cells never need quoting: they go straight in *)
-      let cell = Num_text.add_general ~digits:9 in
+      let cell = N.write_general ~digits:9 in
       Array.iteri
         (fun i x ->
-          cell b x;
+          pos := cell blk !pos x;
           List.iter
             (fun (_, pts) ->
-              Buffer.add_char b ',';
-              cell b (snd pts.(i)))
+              pos := cell blk (N.write_char blk !pos ',') (snd pts.(i)))
             series;
-          Buffer.add_char b '\n')
+          pos := N.write_char blk !pos '\n')
         xs;
-      save path b
+      save path blk !pos

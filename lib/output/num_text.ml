@@ -6,10 +6,61 @@
    the same). *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* The layout below stores without bounds checks: every writer first
+   reserves [room] bytes at its position, and no fast rendering reaches
+   past them (the bounds are stated at each function).  The stores are
+   little-endian on any host, as Stdlib.Bytes spells them. *)
+external unsafe_set_int64_ne : Bytes.t -> int -> int64 -> unit
+  = "%caml_bytes_set64u"
+external unsafe_set_int16_ne : Bytes.t -> int -> int -> unit
+  = "%caml_bytes_set16u"
+external big_endian : unit -> bool = "%big_endian"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external swap16 : int -> int = "%bswap16"
+
+let[@inline] unsafe_set_int64_le s i x =
+  unsafe_set_int64_ne s i (if big_endian () then swap64 x else x)
+
+let[@inline] unsafe_set_int16_le s i x =
+  unsafe_set_int16_ne s i (if big_endian () then swap16 x else x)
+
+(* -- the caller's block --------------------------------------------- *)
+
+type block = { mutable bytes : Bytes.t }
+
+let room = 32
+let block n = { bytes = Bytes.create (max n room) }
+
+(* [blk] grown to hold [pos + n] bytes, at least doubled, its first
+   [pos] kept *)
+let grow blk pos n =
+  let s = Bytes.create (max (pos + n) (2 * Bytes.length blk.bytes)) in
+  Bytes.blit blk.bytes 0 s 0 pos;
+  blk.bytes <- s;
+  s
+
+let[@inline] reserve blk pos n =
+  let s = blk.bytes in
+  if pos + n <= Bytes.length s then s else grow blk pos n
+
+let write_string blk pos str =
+  let n = String.length str in
+  Bytes.blit_string str 0 (reserve blk pos n) pos n;
+  pos + n
+
+let write_char blk pos c =
+  Bytes.set (reserve blk pos 1) pos c;
+  pos + 1
+
+(* -- digits as words ------------------------------------------------ *)
+
 let max_digits = 10
 let ipow10 =
   [| 1; 10; 100; 1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000;
-     1_000_000_000; 10_000_000_000 |]
+     1_000_000_000; 10_000_000_000; 100_000_000_000; 1_000_000_000_000;
+     10_000_000_000_000; 100_000_000_000_000; 1_000_000_000_000_000;
+     10_000_000_000_000_000; 100_000_000_000_000_000;
+     1_000_000_000_000_000_000 |]
 
 (* The eight decimal digits of 0 <= v < 10^8, zero-padded, as ASCII
    bytes in memory order (the first digit in the lowest byte).  Each
@@ -25,30 +76,66 @@ let[@inline] ascii8 v =
   let x = Int64.(logor q (shift_left (sub x (mul q 10L)) 8)) in
   Int64.logor x 0x3030_3030_3030_3030L
 
-(* the [n] lowest decimal digits of [v >= 0], zero-padded (1 <= n <= 16,
-   v < 10^n): eight bytes at a time, the unused tail truncated away *)
-let rec add_run b v n =
-  if n > 8 then begin
-    add_run b (v / 100_000_000) (n - 8);
-    add_run b (v mod 100_000_000) 8
+(* The [k] lowest decimal digits of [m >= 0] (m < 10^k, 1 <= k <= 16),
+   zero-padded, at [pos] of [s], as one or two ascii8 words: the first
+   k - 8 digits as the head of a word (of a 16-bit store when they are
+   one or two, as at ten significant digits), then the last eight over
+   its tail.  It writes [max 8 k] bytes from [pos]: past the k digits,
+   only the zeros of a short word. *)
+let[@inline] put_digits s pos m k =
+  if k <= 8 then unsafe_set_int64_le s pos (ascii8 (m * ipow10.(8 - k)))
+  else if k <= 10 then begin
+    let h = m / 100_000_000 * ipow10.(10 - k) in
+    unsafe_set_int16_le s pos (0x3030 lor (h / 10) lor ((h mod 10) lsl 8));
+    unsafe_set_int64_le s (pos + k - 8) (ascii8 (m mod 100_000_000))
   end
   else begin
-    Buffer.add_int64_le b (ascii8 (v * ipow10.(8 - n)));
-    Buffer.truncate b (Buffer.length b - 8 + n)
+    unsafe_set_int64_le s pos (ascii8 (m / 100_000_000 * ipow10.(16 - k)));
+    unsafe_set_int64_le s (pos + k - 8) (ascii8 (m mod 100_000_000))
   end
 
-(* digits of a non-positive [m], most significant first: working on
-   the non-positive side covers [min_int], whose negation overflows *)
-let rec add_nonpos b m =
-  if m <= -10 then add_nonpos b (m / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+(* the same [k] digits with a point after the first [i] of them
+   (1 <= i < k): laid out one byte to the right, then the first [i]
+   moved back over the point's place *)
+let[@inline] put_pointed s pos m k i =
+  put_digits s (pos + 1) m k;
+  for j = pos to pos + i - 1 do
+    Bytes.unsafe_set s j (Bytes.unsafe_get s (j + 1))
+  done;
+  Bytes.unsafe_set s (pos + i) '.'
 
-let add_int b n =
-  if n < 0 then begin
-    Buffer.add_char b '-';
-    add_nonpos b n
+(* -- integers ------------------------------------------------------- *)
+
+(* the digits of [m >= 0] at [pos]; the end (at most 19 digits, and at
+   most 19 bytes written) *)
+let put_nonneg s pos m =
+  let k = ref 1 in
+  while !k < 19 && m >= ipow10.(!k) do
+    incr k
+  done;
+  let k = !k in
+  if k <= 16 then put_digits s pos m k
+  else begin
+    put_digits s pos (m / ipow10.(16)) (k - 16);
+    put_digits s (pos + k - 16) (m mod ipow10.(16)) 16
+  end;
+  pos + k
+
+let write_int blk pos n =
+  let s = reserve blk pos room in
+  if n >= 0 then put_nonneg s pos n
+  else begin
+    Bytes.set s pos '-';
+    if n > min_int then put_nonneg s (pos + 1) (-n)
+    else begin
+      (* -min_int overflows: its last digit goes apart *)
+      let e = put_nonneg s (pos + 1) (-(n / 10)) in
+      Bytes.set s e (Char.unsafe_chr (48 - (n mod 10)));
+      e + 1
+    end
   end
-  else add_nonpos b (-n)
+
+(* -- floats --------------------------------------------------------- *)
 
 let spec name conv p =
   if p < 0 then invalid_arg ("Num_text." ^ name ^ ": negative precision");
@@ -123,120 +210,173 @@ let[@inline] round_scaled y =
   else if f > 0.5 then d + 1
   else d
 
-(* the [k] lowest decimal digits of [m >= 0], zero-padded, with a '.'
-   after the first [point] of them when [point < k] *)
-let add_digits b m k point =
-  if point >= k then add_run b m k
-  else begin
-    let t = ipow10.(k - point) in
-    add_run b (m / t) point;
-    Buffer.add_char b '.';
-    add_run b (m mod t) (k - point)
-  end
-
-(* C's %.<p>g of the [k] significant digits [d] (no trailing zero
-   unless k = 1) with decimal exponent [e]: fixed notation when
-   p > e >= -4, d.ddde+XX otherwise *)
-let add_g_layout b p d k e =
-  if e < p && e >= -4 then
-    if e < 0 then begin
-      Buffer.add_string b "0.";
-      if e < -1 then add_run b 0 (-e - 1);
-      add_run b d k
-    end
-    else if k <= e + 1 then add_run b (d * ipow10.(e + 1 - k)) (e + 1)
-    else add_digits b d k (e + 1)
-  else begin
-    add_digits b d k 1;
-    Buffer.add_string b (if e < 0 then "e-" else "e+");
-    add_run b (abs e) (if abs e < 100 then 2 else 3)
-  end
-
 (* y = |x| 10^s, from the bits of |x|: adding the table's binary
    exponent to the exponent field is the exact product by its power of
    two (y / mantissa lies in [10^(p-2), 10^(p+1)), far from both ends of
    the normal range), which leaves the one rounding of the product.
-   The bits are an int, the low 63 of the double's: all but the sign. *)
+   The bits are an int, the low 63 of the double's: all but the sign.
+   [s] lies in the table's range for every normal double at every fast
+   precision (see above), so it is read unchecked. *)
 let[@inline] scaled abits s =
   let i = s - min_scale in
   Int64.float_of_bits
-    (Int64.logand (Int64.of_int (abits + (exponent.(i) lsl 52))) Int64.max_int)
-  *. mantissa.(i)
+    (Int64.logand
+       (Int64.of_int (abits + (Array.unsafe_get exponent i lsl 52)))
+       Int64.max_int)
+  *. Array.unsafe_get mantissa i
 
-(* %.<p>g for 1 <= p <= max_digits and non-zero x, given as its sign
-   and the bits of |x| (ints, so passing them boxes nothing); false
-   when the value needs the fallback (a non-finite value, a subnormal,
-   or a tie) *)
-let add_general_fast b p neg abits =
-  let biased = abits lsr 52 in
-  biased > 0 && biased < 0x7ff
-  &&
-  (* floor (e2 log10 2) for the binary exponent e2 ((e2 * 78913) asr 18
-     is exact for |e2| <= 1100) is floor (log10 |x|) or one less, so
-     y = |x| 10^s >= 10^(p-1); when the estimate was one short,
-     y >= 10^p and one step down puts it back *)
-  let s = p - 1 - (((biased - 1023) * 78913) asr 18) in
-  let y = scaled abits s in
-  let top = Float.of_int ipow10.(p) in
-  let s = if y >= top then s - 1 else s in
-  let d = round_scaled (if y >= top then scaled abits s else y) in
-  if d < ipow10.(p - 1) || d > ipow10.(p) then false
-  else begin
-    (* a carry to 10^p moves the exponent up by one *)
-    let carry = d = ipow10.(p) in
-    let e = if carry then p - s else p - 1 - s in
-    let d = ref (if carry then ipow10.(p - 1) else d) and k = ref p in
-    while !k > 1 && !d mod 10 = 0 do
-      d := !d / 10;
-      decr k
+(* C's %.<p>g of the [p] significant digits [d] (10^(p-1) <= d <
+   10^p) with decimal exponent [e], at [pos]; the end.  The digits go
+   out as one block, and the point, the trim of trailing zeros (the
+   point with them when no fraction is left) and the exponent are byte
+   moves around it: fixed notation when p > e >= -4, d.ddde+XX
+   otherwise.  It writes at most 16 bytes from [pos]. *)
+let[@inline] put_g s pos p d e =
+  if e < 0 && e >= -4 then begin
+    (* "0.000000", of which the first 1 - e bytes stay *)
+    unsafe_set_int64_le s pos 0x3030_3030_3030_2e30L;
+    let first = pos + 1 - e in
+    put_digits s first d p;
+    let j = ref (first + p) in
+    while Bytes.unsafe_get s (!j - 1) = '0' do
+      decr j
     done;
-    if neg then Buffer.add_char b '-';
-    add_g_layout b p !d !k e;
-    true
+    !j
+  end
+  else begin
+    let fixed = e >= 0 && e < p in
+    let i = if fixed then e + 1 else 1 in
+    let j =
+      if i = p then begin
+        put_digits s pos d p;
+        pos + p
+      end
+      else begin
+        put_pointed s pos d p i;
+        let j = ref (pos + p + 1) in
+        while Bytes.unsafe_get s (!j - 1) = '0' do
+          decr j
+        done;
+        (* a point with no digit after it goes too *)
+        if !j = pos + i + 1 then pos + i else !j
+      end
+    in
+    if fixed then j
+    else begin
+      let a = abs e in
+      Bytes.unsafe_set s j 'e';
+      Bytes.unsafe_set s (j + 1) (if e < 0 then '-' else '+');
+      let j =
+        if a < 100 then j + 2
+        else begin
+          Bytes.unsafe_set s (j + 2) (Char.unsafe_chr (48 + (a / 100)));
+          j + 3
+        end
+      in
+      Bytes.unsafe_set s j (Char.unsafe_chr (48 + (a / 10 mod 10)));
+      Bytes.unsafe_set s (j + 1) (Char.unsafe_chr (48 + (a mod 10)));
+      j + 2
+    end
   end
 
-(* %.<decimals>f for decimals <= max_digits and |x| 10^decimals below
-   10^max_digits; false when the value needs the fallback *)
-let add_fixed_fast b decimals x =
+(* %.<p>g at [pos] for 1 <= p <= max_digits and non-zero x, given as
+   its sign and the bits of |x| (ints, so passing them boxes nothing);
+   the end, or -1 when the value needs the fallback (a non-finite value,
+   a subnormal, or a tie), nothing written then *)
+let[@inline] general_fast s pos p neg abits =
+  let biased = abits lsr 52 in
+  if biased = 0 || biased = 0x7ff then -1
+  else
+    (* floor (e2 log10 2) for the binary exponent e2 ((e2 * 78913) asr 18
+       is exact for |e2| <= 1100) is floor (log10 |x|) or one less, so
+       y = |x| 10^s >= 10^(p-1); when the estimate was one short,
+       y >= 10^p and one step down puts it back *)
+    let s10 = p - 1 - (((biased - 1023) * 78913) asr 18) in
+    let y = scaled abits s10 in
+    let top = Float.of_int ipow10.(p) in
+    let s10 = if y >= top then s10 - 1 else s10 in
+    let d = round_scaled (if y >= top then scaled abits s10 else y) in
+    if d < ipow10.(p - 1) || d > ipow10.(p) then -1
+    else begin
+      (* a carry to 10^p moves the exponent up by one *)
+      let carry = d = ipow10.(p) in
+      let e = if carry then p - s10 else p - 1 - s10 in
+      let d = if carry then ipow10.(p - 1) else d in
+      if neg then begin
+        Bytes.set s pos '-';
+        put_g s (pos + 1) p d e
+      end
+      else put_g s pos p d e
+    end
+
+(* %.<decimals>f at [pos] for decimals <= max_digits and |x| 10^decimals
+   below 10^max_digits (at most 12 bytes); the end, or -1 when the value
+   needs the fallback, nothing written then *)
+let fixed_fast s pos decimals x =
   let y = Float.abs x *. Float.of_int ipow10.(decimals) in
   let m = if y < Float.of_int ipow10.(max_digits) then round_scaled y else -1 in
-  if m < 0 then false
+  if m < 0 then -1
   else begin
     (* at least one digit before the point *)
     let k = ref (decimals + 1) in
     while !k <= max_digits && m >= ipow10.(!k) do
       incr k
     done;
-    if Float.sign_bit x then Buffer.add_char b '-';
-    add_digits b m !k (!k - decimals);
-    true
+    let k = !k in
+    let pos =
+      if Float.sign_bit x then begin
+        Bytes.set s pos '-';
+        pos + 1
+      end
+      else pos
+    in
+    if decimals = 0 then begin
+      put_digits s pos m k;
+      pos + k
+    end
+    else begin
+      put_pointed s pos m k (k - decimals);
+      pos + k + 1
+    end
   end
 
 (* inlined into both entry points, so a float read out of an array
    is boxed only on the way to the fallback *)
-let[@inline] general spec fast digits b x =
-  if x = 0. then Buffer.add_string b (if Float.sign_bit x then "-0" else "0")
-  else if
-    not
-      (fast
-      && add_general_fast b digits (x < 0.)
-           (Int64.to_int (Int64.bits_of_float x)))
-  then Buffer.add_string b (format_float spec x)
+let[@inline] general spec fast digits blk pos x =
+  let s = reserve blk pos room in
+  if x = 0. then
+    if Float.sign_bit x then begin
+      Bytes.set s pos '-';
+      Bytes.set s (pos + 1) '0';
+      pos + 2
+    end
+    else begin
+      Bytes.set s pos '0';
+      pos + 1
+    end
+  else
+    let j =
+      if fast then
+        general_fast s pos digits (x < 0.)
+          (Int64.to_int (Int64.bits_of_float x))
+      else -1
+    in
+    if j >= 0 then j else write_string blk pos (format_float spec x)
 
-let add_general ~digits =
+let write_general ~digits =
   let spec = spec "general" "g" digits in
   let fast = digits >= 1 && digits <= max_digits in
-  fun b x -> general spec fast digits b x
+  fun blk pos x -> general spec fast digits blk pos x
 
-let add_general_at ~digits =
+let write_general_at ~digits =
   let spec = spec "general" "g" digits in
   let fast = digits >= 1 && digits <= max_digits in
-  fun b a i -> general spec fast digits b a.(i)
+  fun blk pos a i -> general spec fast digits blk pos a.(i)
 
-let add_fixed ~decimals =
+let write_fixed ~decimals =
   let spec = spec "fixed" "f" decimals in
   let fast = decimals <= max_digits in
-  fun b x ->
+  fun blk pos x ->
     (* a NaN fails y < 10^max_digits, and so does an infinity *)
-    if not (fast && add_fixed_fast b decimals x) then
-      Buffer.add_string b (format_float spec x)
+    let j = if fast then fixed_fast (reserve blk pos room) pos decimals x else -1 in
+    if j >= 0 then j else write_string blk pos (format_float spec x)

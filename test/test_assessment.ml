@@ -77,6 +77,17 @@ let test_pp () =
   Alcotest.(check bool) "mentions optimal" true (contains "optimal");
   Alcotest.(check bool) "mentions nu" true (contains "nu")
 
+(* a probe cost whose attempt cost n (r + c) + E overflows at the draft
+   point is refused as the mean-cost query there: the draft's cost and
+   its ratio to the optimum would be inf *)
+let test_huge_probe_cost_refused () =
+  let p = { Params.figure2 with Params.probe_cost = 1e308 } in
+  Alcotest.check_raises "refused as the draft's mean-cost query"
+    (Invalid_argument
+       "Query: mean-cost at n = 4, r = 2: the largest attempt cost n (r + c) \
+        + E = inf is not finite") (fun () ->
+      ignore (Engine.Report.assessment p : A.t))
+
 let () =
   Alcotest.run "assessment"
     [ ( "values",
@@ -87,4 +98,6 @@ let () =
         [ Alcotest.test_case "ratio >= 1" `Quick test_draft_never_beats_optimum;
           Alcotest.test_case "self comparison" `Quick test_custom_draft_point;
           Alcotest.test_case "Sec. 4.5 forward" `Quick test_wireless_draft_is_optimal;
-          Alcotest.test_case "printer" `Quick test_pp ] ) ]
+          Alcotest.test_case "printer" `Quick test_pp;
+          Alcotest.test_case "huge probe cost refused" `Quick
+            test_huge_probe_cost_refused ] ) ]

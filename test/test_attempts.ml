@@ -145,6 +145,16 @@ let test_guards () =
   Alcotest.check_raises "n = 0" (Invalid_argument "Attempts.analyze: n < 1")
     (fun () -> ignore (rows ~occupied:10 ~pool:100 crowded ~n:0 ~r:1.))
 
+(* an attempt cost n (r + c) + E that overflows is refused before any
+   refinement runs: past it every mean cost is inf *)
+let test_huge_probe_cost_refused () =
+  let p = { Params.figure2 with Params.probe_cost = 1e308 } in
+  Alcotest.check_raises "attempt cost overflows"
+    (Invalid_argument
+       "Attempts.analyze: the largest attempt cost n (r + c) + E = inf is not \
+        finite") (fun () ->
+      ignore (A.compare_refinements p ~occupied:1000 ~n:4 ~r:2. ()))
+
 let () =
   Alcotest.run "attempts"
     [ ( "baseline consistency",
@@ -165,4 +175,6 @@ let () =
         [ Alcotest.test_case "matches simulation (4 variants)" `Slow
             test_matches_simulation;
           Alcotest.test_case "comparison table" `Quick test_compare_refinements_structure;
-          Alcotest.test_case "guards" `Quick test_guards ] ) ]
+          Alcotest.test_case "guards" `Quick test_guards;
+          Alcotest.test_case "huge probe cost refused" `Quick
+            test_huge_probe_cost_refused ] ) ]

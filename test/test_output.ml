@@ -342,16 +342,52 @@ let float_specs =
   List.concat_map
     (fun p ->
       [ ( Printf.sprintf "%%.%dg" p,
-          Num_text.add_general ~digits:p,
+          Num_text.write_general ~digits:p,
           Printf.sprintf "%.*g" p );
         ( Printf.sprintf "%%.%dg at" p,
-          (let add = Num_text.add_general_at ~digits:p in
-           fun b x -> add b [| x |] 0),
+          (let write = Num_text.write_general_at ~digits:p in
+           fun blk pos x -> write blk pos [| x |] 0),
           Printf.sprintf "%.*g" p );
         ( Printf.sprintf "%%.%df" p,
-          Num_text.add_fixed ~decimals:p,
+          Num_text.write_fixed ~decimals:p,
           Printf.sprintf "%.*f" p ) ])
     (List.init 18 Fun.id)
+
+(* Where a writer is called: (block size, position).  After one byte
+   and at an odd offset in a roomy block; with exactly [room] bytes
+   left, and with [room] and eight more; and at a block's very end,
+   where it must grow the block and keep the bytes before the position.
+   The blocks are filled with letters, so a stray store shows. *)
+let placements =
+  List.map
+    (fun (size, pos) ->
+      (size, pos, Bytes.init size (fun i -> Char.chr (97 + (i mod 26)))))
+    [ (64, 1); (64, 7); (45, 45 - Num_text.room); (53, 45 - Num_text.room);
+      (41, 41) ]
+
+(* [write blk pos v] at every placement must leave the bytes before
+   [pos] as they were, write [expected] after them, and return its end;
+   where the block did not grow, no byte past [pos + room] may change *)
+let check_placed name write v expected =
+  List.iter
+    (fun (size, pos, fill) ->
+      let blk = { Num_text.bytes = Bytes.copy fill } in
+      let stop = write blk pos v in
+      let got = Bytes.sub_string blk.bytes 0 stop in
+      if not (String.equal (Bytes.sub_string fill 0 pos ^ expected) got) then
+        Alcotest.failf "%s at %d of %d: Printf %S, Num_text %S" name pos size
+          expected
+          (String.sub got pos (String.length got - pos));
+      let past = max stop (pos + Num_text.room) in
+      if
+        Bytes.length blk.bytes = size
+        && past < size
+        && not
+             (Bytes.equal
+                (Bytes.sub blk.bytes past (size - past))
+                (Bytes.sub fill past (size - past)))
+      then Alcotest.failf "%s at %d of %d: a store past room" name pos size)
+    placements
 
 let test_num_text_floats () =
   let random = random_floats 20_000 in
@@ -367,20 +403,11 @@ let test_num_text_floats () =
   let xs_in_use = xs random
   and xs_other = xs (List.filteri (fun i _ -> i < 1_000) random) in
   let in_use = [ "%.6g"; "%.9g"; "%.10g"; "%.6g at"; "%.10g at"; "%.2f" ] in
-  let b = Buffer.create 64 in
   List.iter
-    (fun (name, add, printf) ->
+    (fun (name, write, printf) ->
       let xs = if List.mem name in_use then xs_in_use else xs_other in
       List.iter
-        (fun x ->
-          (* appended after existing text, as every caller does *)
-          Buffer.clear b;
-          Buffer.add_char b '|';
-          add b x;
-          let expected = "|" ^ printf x and got = Buffer.contents b in
-          if not (String.equal expected got) then
-            Alcotest.failf "%s of %h: Printf %S, Num_text %S" name x expected
-              got)
+        (fun x -> check_placed (Printf.sprintf "%s of %h" name x) write x (printf x))
         xs)
     float_specs
 
@@ -413,43 +440,77 @@ let every_decade_floats p =
     (List.init (308 + 323 + 1) (fun i -> i - 323))
 
 let test_num_text_whole_range () =
-  let b = Buffer.create 64 in
   for p = 1 to 10 do
-    let add = Num_text.add_general ~digits:p in
+    let write = Num_text.write_general ~digits:p in
     List.iter
       (fun x ->
-        Buffer.clear b;
-        add b x;
-        let expected = Printf.sprintf "%.*g" p x in
-        if not (String.equal expected (Buffer.contents b)) then
-          Alcotest.failf "%%.%dg of %h: Printf %S, Num_text %S" p x expected
-            (Buffer.contents b))
+        check_placed (Printf.sprintf "%%.%dg of %h" p x) write x
+          (Printf.sprintf "%.*g" p x))
       (both_signs binary_tie_floats @ both_signs (every_decade_floats p))
   done
+
+(* The cases each layout step turns on, with the text they must give:
+   the all-nines carry into the next decade, signed zeros, subnormals,
+   ties, non-finite values, and fallbacks longer than [room], written
+   where fewer bytes than they need are left. *)
+let test_num_text_edges () =
+  let g p = Num_text.write_general ~digits:p
+  and f d = Num_text.write_fixed ~decimals:d in
+  List.iter
+    (fun (name, write, x, expected) ->
+      Alcotest.(check string) (name ^ " = Printf") expected
+        (Printf.sprintf (Scanf.format_from_string name "%f") x);
+      check_placed (Printf.sprintf "%s of %h" name x) write x expected)
+    [ ("%.10g", g 10, 9.9999999996, "10");
+      ("%.10g", g 10, -9.9999999996, "-10");
+      ("%.6g", g 6, 999999.5, "1e+06");
+      ("%.10g", g 10, -0., "-0");
+      ("%.10g", g 10, 0., "0");
+      ("%.2f", f 2, -0.001, "-0.00");
+      ("%.10g", g 10, Int64.float_of_bits 1L, "4.940656458e-324");
+      ("%.6g", g 6, -.Float.min_float /. 3., "-7.41691e-309");
+      ("%.17g", g 17, Int64.float_of_bits 1L, "4.9406564584124654e-324");
+      ("%.17g", g 17, -.Int64.float_of_bits 0xFFFFFFFFFFFFFL,
+       "-2.2250738585072009e-308");
+      ("%.1g", g 1, 0.25, "0.2");
+      ("%.1g", g 1, 0.35, "0.3");
+      ("%.2f", f 2, 2.675, "2.67");
+      ("%.6g", g 6, 1234565., "1.23456e+06");
+      ("%.10g", g 10, nan, "nan");
+      ("%.10g", g 10, infinity, "inf");
+      ("%.6g", g 6, neg_infinity, "-inf");
+      ("%.2f", f 2, neg_infinity, "-inf");
+      ("%.2f", f 2, 1e300, Printf.sprintf "%.2f" 1e300);
+      ("%.2f", f 2, -1e30, Printf.sprintf "%.2f" (-1e30)) ]
 
 let test_num_text_ints () =
   let rng = Numerics.Rng.create 4242 in
   let ints =
     [ 0; -1; 1; 9; 10; -10; 99; 100; min_int; max_int; min_int + 1;
       max_int - 1 ]
+    @ List.init 19 (fun k -> int_of_string ("1" ^ String.make k '0'))
     @ List.init 2001 (fun i -> i - 1000)
     @ List.init 20_000 (fun _ -> Int64.to_int (Oracle.bits64 rng))
   in
-  let b = Buffer.create 32 in
   List.iter
     (fun n ->
-      Buffer.clear b;
-      Num_text.add_int b n;
-      Alcotest.(check string) "add_int" (string_of_int n) (Buffer.contents b))
-    ints
+      check_placed (Printf.sprintf "write_int %d" n) Num_text.write_int n
+        (string_of_int n))
+    ints;
+  check_placed "write_int min_int" Num_text.write_int min_int
+    "-4611686018427387904"
 
 let test_num_text_guards () =
   Alcotest.check_raises "negative digits"
     (Invalid_argument "Num_text.general: negative precision") (fun () ->
-      ignore (Num_text.add_general ~digits:(-1) : Buffer.t -> float -> unit));
+      ignore
+        (Num_text.write_general ~digits:(-1)
+          : Num_text.block -> int -> float -> int));
   Alcotest.check_raises "negative decimals"
     (Invalid_argument "Num_text.fixed: negative precision") (fun () ->
-      ignore (Num_text.add_fixed ~decimals:(-1) : Buffer.t -> float -> unit))
+      ignore
+        (Num_text.write_fixed ~decimals:(-1)
+          : Num_text.block -> int -> float -> int))
 
 let () =
   Alcotest.run "output"
@@ -480,7 +541,10 @@ let () =
         [ Alcotest.test_case "floats = Printf" `Quick test_num_text_floats;
           Alcotest.test_case "whole exponent range = Printf" `Quick
             test_num_text_whole_range;
-          Alcotest.test_case "add_int = string_of_int" `Quick test_num_text_ints;
+          Alcotest.test_case "edges at a block's end = Printf" `Quick
+            test_num_text_edges;
+          Alcotest.test_case "write_int = string_of_int" `Quick
+            test_num_text_ints;
           Alcotest.test_case "guards" `Quick test_num_text_guards ] );
       ( "csv",
         [ Alcotest.test_case "quoting" `Quick test_csv_quoting;
