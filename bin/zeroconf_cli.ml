@@ -6,21 +6,25 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Scenario construction from flags                                    *)
 
-let scenario_term =
-  let preset =
-    let doc =
-      "Named scenario: figure2, wireless-worst-case, wired-worst-case, or \
-       realistic-ethernet.  Individual flags below override its fields."
-    in
-    Arg.(value & opt string "figure2"
-         & info [ "scenario"; "preset" ] ~docv:"NAME" ~doc)
+(* A preset and the flags that override its fields, in the groups a
+   command may read: the permanent loss, the reply delay (rate and round
+   trip), the occupancy and the costs.  Each command takes only the
+   groups it reads, so no flag it accepts is ignored. *)
+let preset =
+  let doc =
+    "Named scenario: figure2, wireless-worst-case, wired-worst-case, or \
+     realistic-ethernet.  Individual flags below override its fields."
   in
-  let loss =
-    Arg.(value & opt (some Cli_common.probability) None
-         & info [ "loss" ] ~docv:"P" ~doc:"Permanent packet-loss probability 1-l.")
-  in
-  (* long names deliberately avoid the 'r' prefix so that --r stays an
-     unambiguous abbreviation of --r-period in every subcommand *)
+  Arg.(value & opt string "figure2"
+       & info [ "scenario"; "preset" ] ~docv:"NAME" ~doc)
+
+let loss =
+  Arg.(value & opt (some Cli_common.probability) None
+       & info [ "loss" ] ~docv:"P" ~doc:"Permanent packet-loss probability 1-l.")
+
+(* long names deliberately avoid the 'r' prefix so that --r stays an
+   unambiguous abbreviation of --r-period in every subcommand *)
+let reply =
   let rate =
     Arg.(value & opt (some Cli_common.rate) None
          & info [ "lambda" ] ~docv:"LAMBDA" ~doc:"Reply rate lambda (mean reply d + 1/lambda).")
@@ -29,10 +33,13 @@ let scenario_term =
     Arg.(value & opt (some Cli_common.duration) None
          & info [ "delay" ] ~docv:"D" ~doc:"Round-trip delay d in seconds.")
   in
-  let hosts =
-    Arg.(value & opt (some Cli_common.hosts) None
-         & info [ "hosts" ] ~docv:"M" ~doc:"Number of occupied addresses (sets q = m/65024).")
-  in
+  Term.(const (fun rate rtt -> (rate, rtt)) $ rate $ rtt)
+
+let hosts =
+  Arg.(value & opt (some Cli_common.hosts) None
+       & info [ "hosts" ] ~docv:"M" ~doc:"Number of occupied addresses (sets q = m/65024).")
+
+let costs =
   let probe_cost =
     Arg.(value & opt (some Cli_common.duration) None
          & info [ "probe-cost"; "c" ] ~docv:"C" ~doc:"Postage per ARP probe.")
@@ -41,38 +48,45 @@ let scenario_term =
     Arg.(value & opt (some Cli_common.duration) None
          & info [ "error-cost"; "E" ] ~docv:"E" ~doc:"Cost of an accepted address collision.")
   in
-  let build preset loss rate rtt hosts probe_cost error_cost =
-    match List.assoc_opt preset Zeroconf.Params.presets with
-    | None ->
-        `Error
-          (false,
-           Printf.sprintf "unknown scenario %s (try %s)" preset
-             (String.concat ", " (List.map fst Zeroconf.Params.presets)))
-    | Some base ->
-        (* the scenario constructors check the overrides together *)
-        Cli_common.validated @@ fun () ->
-        let p =
-          match hosts with
-          | Some m -> Zeroconf.Params.with_q base (Zeroconf.Params.q_of_hosts m)
-          | None -> base
-        in
-        let p = Zeroconf.Params.with_costs ?probe_cost ?error_cost p in
-        (match (loss, rate, rtt) with
-        | None, None, None -> p
-        | _ ->
-            (* rebuild the shifted-exponential F_X around overrides,
-               defaulting unspecified pieces to the figure2 values *)
-            let loss =
-              Option.value ~default:(Zeroconf.Params.loss_probability p) loss
-            in
-            let rate = Option.value ~default:10. rate in
-            let rtt = Option.value ~default:1. rtt in
-            Zeroconf.Params.with_delay p
-              (Dist.Families.shifted_exponential ~mass:(1. -. loss) ~rate
-                 ~delay:rtt ()))
-  in
-  Term.(ret (const build $ preset $ loss $ rate $ rtt $ hosts $ probe_cost
-             $ error_cost))
+  Term.(const (fun c e -> (c, e)) $ probe_cost $ error_cost)
+
+let build preset loss (rate, rtt) hosts (probe_cost, error_cost) =
+  match List.assoc_opt preset Zeroconf.Params.presets with
+  | None ->
+      `Error
+        (false,
+         Printf.sprintf "unknown scenario %s (try %s)" preset
+           (String.concat ", " (List.map fst Zeroconf.Params.presets)))
+  | Some base ->
+      (* the scenario constructors check the overrides together *)
+      Cli_common.validated @@ fun () ->
+      let p =
+        match hosts with
+        | Some m -> Zeroconf.Params.with_q base (Zeroconf.Params.q_of_hosts m)
+        | None -> base
+      in
+      let p = Zeroconf.Params.with_costs ?probe_cost ?error_cost p in
+      (match (loss, rate, rtt) with
+      | None, None, None -> p
+      | _ ->
+          (* rebuild the shifted-exponential F_X around overrides,
+             defaulting unspecified pieces to the figure2 values *)
+          let loss =
+            Option.value ~default:(Zeroconf.Params.loss_probability p) loss
+          in
+          let rate = Option.value ~default:10. rate in
+          let rtt = Option.value ~default:1. rtt in
+          Zeroconf.Params.with_delay p
+            (Dist.Families.shifted_exponential ~mass:(1. -. loss) ~rate
+               ~delay:rtt ()))
+
+(* the preset with the override groups given; a group left out keeps
+   the preset's fields *)
+let scenario ?(loss = Term.const None) ?(reply = Term.const (None, None))
+    ?(hosts = Term.const None) ?(costs = Term.const (None, None)) () =
+  Term.(ret (const build $ preset $ loss $ reply $ hosts $ costs))
+
+let scenario_term = scenario ~loss ~reply ~hosts ~costs ()
 
 let n_term =
   Arg.(value & opt Cli_common.probe_count 4
@@ -205,7 +219,7 @@ let calibrate_cmd =
   Cmd.v
     (Cmd.info "calibrate"
        ~doc:"Solve the Sec. 4.5 inverse problem: costs making (n, r) optimal.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term))
+    Term.(ret (const run $ scenario ~loss ~reply ~hosts () $ n_term $ r_term))
 
 let simulate_cmd =
   let trials =
@@ -261,8 +275,8 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte-Carlo the protocol and compare to the model.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ trials $ seed
-               $ detailed $ refinement_term hosts_small pool))
+    Term.(ret (const run $ scenario ~loss ~reply ~costs () $ n_term $ r_term
+               $ trials $ seed $ detailed $ refinement_term hosts_small pool))
 
 let curve_cmd =
   let points =
@@ -360,7 +374,8 @@ let refine_cmd =
   Cmd.v
     (Cmd.info "refine"
        ~doc:"The Sec. 3.1 refinements the paper abstracts away: blacklisting and rate limiting.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ refinement_term hosts pool))
+    Term.(ret (const run $ scenario ~loss ~reply ~costs () $ n_term $ r_term
+               $ refinement_term hosts pool))
 
 let pareto_cmd =
   let run p =
@@ -416,7 +431,7 @@ let maintenance_cmd =
         ~loss:(Zeroconf.Params.loss_probability p)
         ~one_way:(Dist.Families.exponential ~rate:20. ())
         ~occupied:100 ~pool_size:1024
-        ~config:(Netsim.Newcomer.drm_config ~n ~r ~probe_cost:p.Zeroconf.Params.probe_cost ~error_cost:0.)
+        ~config:(Netsim.Newcomer.drm_config ~n ~r ~probe_cost:0. ~error_cost:0.)
         ~trials ~rng ()
     with
     | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
@@ -433,7 +448,7 @@ let maintenance_cmd =
   Cmd.v
     (Cmd.info "maintenance"
        ~doc:"Simulate the post-collision defense protocol: an operational reading of E.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ trials $ seed))
+    Term.(ret (const run $ scenario ~loss () $ n_term $ r_term $ trials $ seed))
 
 let export_cmd =
   let format =
@@ -441,7 +456,12 @@ let export_cmd =
          & info [ "format" ] ~docv:"FMT"
              ~doc:"Output format: prism (model), props (properties), dot (Graphviz), tra (explicit transitions).")
   in
+  (* a model of the scenario is checked as a mean-cost query first, so
+     export refuses what cost refuses *)
   let run p n r format =
+    Cli_common.validated @@ fun () ->
+    if format <> `Props then
+      ignore (Engine.Query.point Engine.Query.Mean_cost p ~n ~r);
     match format with
     | `Prism -> print_string (Zeroconf.Export.to_prism p ~n ~r)
     | `Props -> print_string (Zeroconf.Export.prism_properties ~n)
@@ -453,7 +473,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Emit the DRM for PRISM/Storm or Graphviz cross-validation.")
-    Term.(const run $ scenario_term $ n_term $ r_term $ format)
+    Term.(ret (const run $ scenario_term $ n_term $ r_term $ format))
 
 let workload_cmd =
   let pattern =
@@ -482,7 +502,7 @@ let workload_cmd =
     in
     Term.(ret (const check $ pattern $ count $ rate $ horizon $ initial $ pool))
   in
-  let run _p n r (pattern, horizon, initial, pool) seed =
+  let run n r (pattern, horizon, initial, pool) seed =
     let rng = Numerics.Rng.create seed in
     let config =
       { (Netsim.Newcomer.drm_config ~n ~r ~probe_cost:0. ~error_cost:0.) with
@@ -511,7 +531,7 @@ let workload_cmd =
   Cmd.v
     (Cmd.info "workload"
        ~doc:"Long-horizon network life: arrival patterns through the simulator.")
-    Term.(ret (const run $ scenario_term $ n_term $ r_term $ arrivals $ seed))
+    Term.(ret (const run $ n_term $ r_term $ arrivals $ seed))
 
 let adaptive_cmd =
   let hosts =
@@ -552,7 +572,7 @@ let adaptive_cmd =
   Cmd.v
     (Cmd.info "adaptive"
        ~doc:"Optimal per-attempt (n, r) schedule via the MDP solver (beyond the paper).")
-    Term.(const run $ scenario_term
+    Term.(const run $ scenario ~loss ~reply ~costs ()
           $ refinement_term ~blacklist ~rate_limit hosts pool)
 
 let fit_cmd =
@@ -568,6 +588,12 @@ let fit_cmd =
     Arg.(value & opt Cli_common.hosts 1000
          & info [ "fit-hosts" ] ~doc:"Expected occupied addresses.")
   in
+  (* cmdliner would read --loss as an abbreviation of --losses *)
+  let no_loss =
+    let refuse _ = Cli_common.fail "fit estimates the loss from --losses" in
+    Arg.(value & opt (some (Cli_common.checked ~docv:"P" string refuse)) None
+         & info [ "loss" ] ~docs:Manpage.s_none)
+  in
   (* one delay per line, blank lines skipped; a bad line fails with its
      number, as in batch *)
   let read_delays ic =
@@ -582,7 +608,7 @@ let fit_cmd =
     | [] -> failwith "no delays in the file"
     | delays -> Array.of_list delays
   in
-  let run p file losses hosts =
+  let run p _ file losses hosts =
     (* the fit refuses negative or infinite delays, and losses that
        leave no reply mass; the optimum, a scenario whose scan has no
        stop.  All of it runs before anything prints. *)
@@ -627,7 +653,7 @@ let fit_cmd =
   Cmd.v
     (Cmd.info "fit"
        ~doc:"Fit F_X to measured reply delays and recommend (n, r) — the Sec. 3.2 workflow.")
-    Term.(ret (const run $ scenario_term $ file $ losses $ hosts))
+    Term.(ret (const run $ scenario ~costs () $ no_loss $ file $ losses $ hosts))
 
 let check_cmd =
   let formula_arg =

@@ -7,7 +7,8 @@ type t = { n : int; r : float; pmf : float array; tail : float }
    nth -> error hop are instantaneous. *)
 let default_horizon = 4096
 
-let periods ?(horizon = default_horizon) (p : Params.t) ~n ~r =
+let periods (p : Params.t) ~n ~r =
+  let horizon = default_horizon in
   if n < 1 then invalid_arg "Latency.periods: n < 1";
   if r < 0. then invalid_arg "Latency.periods: negative r";
   if horizon < n then invalid_arg "Latency.periods: horizon below n";

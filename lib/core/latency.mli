@@ -26,11 +26,12 @@ type t = {
 }
 
 val default_horizon : int
-(** [4096] periods: {!periods}' default horizon. *)
+(** [4096] periods: {!periods}' horizon. *)
 
-val periods : ?horizon:int -> Params.t -> n:int -> r:float -> t
-(** Distribution of the period count.  The default horizon leaves
-    negligible tail for any realistic scenario. *)
+val periods : Params.t -> n:int -> r:float -> t
+(** Distribution of the period count over the first {!default_horizon}
+    periods, which leaves negligible tail for any realistic scenario.
+    Raises [Invalid_argument] when [n] exceeds the horizon. *)
 
 val cdf : t -> float -> float
 (** [cdf dist seconds]: probability the host is configured within

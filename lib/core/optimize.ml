@@ -135,7 +135,7 @@ let constrained_optimum ~budget (p : Params.t) =
   in
   first_best evaluate (fun n _ -> n <= 32)
 
-let probes_for_error_target ?(n_max = 256) (p : Params.t) ~r ~target =
+let probes_for_error_target (p : Params.t) ~r ~target =
   if not (SF.is_probability target) then
     invalid_arg "Optimize.probes_for_error_target: target outside [0, 1]";
   if r < 0. then
@@ -143,7 +143,7 @@ let probes_for_error_target ?(n_max = 256) (p : Params.t) ~r ~target =
   (* one cursor instead of an O(n) rebuild per tested n *)
   let k = Kernel.create p ~r in
   let rec search () =
-    if Kernel.n k >= n_max then None
+    if Kernel.n k >= 256 then None
     else begin
       Kernel.advance k;
       if Kernel.error_probability k <= target then Some (Kernel.n k)

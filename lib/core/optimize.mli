@@ -70,8 +70,8 @@ val constrained_optimum : budget:float -> Params.t -> point
     budget. *)
 
 val probes_for_error_target :
-  ?n_max:int -> Params.t -> r:float -> target:float -> int option
+  Params.t -> r:float -> target:float -> int option
 (** Smallest [n] with [E(n, r) <= target] ("how many probes buy six
-    nines at this listening period?"); [None] if even [n_max] (default
-    [256]) probes cannot reach it — e.g. when permanent loss floors the
+    nines at this listening period?"); [None] if even [256] probes
+    cannot reach it — e.g. when permanent loss floors the
     error above the target. *)

@@ -15,15 +15,14 @@ let check_delay fn delay =
   if not (delay >= 0. && delay < infinity) then
     invalid_arg (fn ^ ": delay outside [0, inf)")
 
-let exponential ?(mass = 1.) ~rate () =
+let exponential ~rate () =
   check_rate "Families.exponential" rate;
-  let survival t = if t <= 0. then 1. else (1. -. mass) +. (mass *. exp (-.rate *. t)) in
-  Distribution.v ~name:(Printf.sprintf "exp(rate=%g)" rate) ~mass
-    ~density:(fun t -> if t < 0. then 0. else mass *. rate *. exp (-.rate *. t))
+  Distribution.v ~name:(Printf.sprintf "exp(rate=%g)" rate)
+    ~density:(fun t -> if t < 0. then 0. else rate *. exp (-.rate *. t))
     ~mean:(1. /. rate)
-    ~cdf:(fun t -> if t <= 0. then 0. else mass *. (-.Float.expm1 (-.rate *. t)))
-    ~survival
-    ~sample:(defective_sample mass (fun rng -> Rng.exponential rng ~rate))
+    ~cdf:(fun t -> if t <= 0. then 0. else -.Float.expm1 (-.rate *. t))
+    ~survival:(fun t -> if t <= 0. then 1. else exp (-.rate *. t))
+    ~sample:(fun rng -> Some (Rng.exponential rng ~rate))
     ()
 
 let shifted_exponential ?(mass = 1.) ~rate ~delay () =
@@ -45,37 +44,34 @@ let shifted_exponential ?(mass = 1.) ~rate ~delay () =
     ~sample:(defective_sample mass (fun rng -> delay +. Rng.exponential rng ~rate))
     ()
 
-let deterministic ?(mass = 1.) ~delay () =
+let deterministic ~delay () =
   check_delay "Families.deterministic" delay;
-  Distribution.v ~name:(Printf.sprintf "deterministic(d=%g)" delay) ~mass
+  Distribution.v ~name:(Printf.sprintf "deterministic(d=%g)" delay)
     ~mean:delay
-    ~cdf:(fun t -> if t >= delay then mass else 0.)
-    ~survival:(fun t -> if t >= delay then 1. -. mass else 1.)
-    ~sample:(defective_sample mass (fun _ -> delay))
+    ~cdf:(fun t -> if t >= delay then 1. else 0.)
+    ~survival:(fun t -> if t >= delay then 0. else 1.)
+    ~sample:(fun _ -> Some delay)
     ()
 
-let uniform ?(mass = 1.) ~lo ~hi () =
+let uniform ~lo ~hi () =
   if not (0. <= lo && lo < hi && hi < infinity) then
     invalid_arg "Families.uniform: need 0 <= lo < hi < inf";
   let width = hi -. lo in
   let cdf t =
-    if t <= lo then 0.
-    else if t >= hi then mass
-    else mass *. (t -. lo) /. width
+    if t <= lo then 0. else if t >= hi then 1. else (t -. lo) /. width
   in
-  Distribution.v ~name:(Printf.sprintf "uniform[%g, %g]" lo hi) ~mass
-    ~density:(fun t -> if t < lo || t > hi then 0. else mass /. width)
+  Distribution.v ~name:(Printf.sprintf "uniform[%g, %g]" lo hi)
+    ~density:(fun t -> if t < lo || t > hi then 0. else 1. /. width)
     ~mean:(0.5 *. (lo +. hi))
     ~cdf
     ~survival:(fun t -> 1. -. cdf t)
-    ~sample:(defective_sample mass (fun rng -> Rng.uniform rng ~lo ~hi))
+    ~sample:(fun rng -> Some (Rng.uniform rng ~lo ~hi))
     ()
 
-let erlang ?(mass = 1.) ?(delay = 0.) ~stages ~rate () =
+let erlang ?(mass = 1.) ~stages ~rate () =
   if stages < 1 then invalid_arg "Families.erlang: stages < 1";
   if not (rate > 0. && rate < infinity) then
     invalid_arg "Families.erlang: rate outside (0, inf)";
-  check_delay "Families.erlang" delay;
   (* Survival of Erlang-k: e^{-rt} * sum_{i<k} (rt)^i / i!, summed in
      increasing order so the partial sums stay accurate. *)
   let core_survival u =
@@ -91,15 +87,13 @@ let erlang ?(mass = 1.) ?(delay = 0.) ~stages ~rate () =
     end
   in
   let survival t =
-    if t <= delay then 1.
-    else (1. -. mass) +. (mass *. core_survival (t -. delay))
+    if t <= 0. then 1. else (1. -. mass) +. (mass *. core_survival t)
   in
-  let cdf t = if t <= delay then 0. else mass *. (1. -. core_survival (t -. delay)) in
+  let cdf t = if t <= 0. then 0. else mass *. (1. -. core_survival t) in
   let density t =
-    if t <= delay then 0.
+    if t <= 0. then 0.
     else begin
-      let u = t -. delay in
-      let x = rate *. u in
+      let x = rate *. t in
       (* rate * x^(k-1) e^{-x} / (k-1)! *)
       let log_fact = ref 0. in
       for i = 2 to stages - 1 do
@@ -109,16 +103,16 @@ let erlang ?(mass = 1.) ?(delay = 0.) ~stages ~rate () =
     end
   in
   let conditional rng =
-    let acc = ref delay in
+    let acc = ref 0. in
     for _ = 1 to stages do
       acc := !acc +. Rng.exponential rng ~rate
     done;
     !acc
   in
   Distribution.v
-    ~name:(Printf.sprintf "erlang(k=%d, rate=%g, d=%g)" stages rate delay)
+    ~name:(Printf.sprintf "erlang(k=%d, rate=%g, d=0)" stages rate)
     ~mass ~density
-    ~mean:(delay +. (float_of_int stages /. rate))
+    ~mean:(float_of_int stages /. rate)
     ~cdf ~survival
     ~sample:(defective_sample mass conditional)
     ()

@@ -4,14 +4,15 @@
     [F_X(t) = l (1 - e^(-lambda (t - d)))] for [t >= d], i.e. a hard
     round-trip delay [d], exponential tail with rate [lambda], and a
     permanent-loss probability [1 - l].  The others give alternative
-    tail shapes for sensitivity studies, all supporting the same
-    defectiveness and shift parameters.
+    tail shapes for sensitivity studies; of them only {!erlang} (the
+    fitted alternative) can be defective.  A lossy exponential is
+    [shifted_exponential ~delay:0. ~mass].
 
     Every constructor raises [Invalid_argument] on a NaN parameter or
     an infinite delay.  [rate = infinity] is legal for {!exponential}
     and {!shifted_exponential}: it is the deterministic-delay limit. *)
 
-val exponential : ?mass:float -> rate:float -> unit -> Distribution.t
+val exponential : rate:float -> unit -> Distribution.t
 (** Memoryless delay with the given rate. *)
 
 val shifted_exponential :
@@ -21,15 +22,14 @@ val shifted_exponential :
     after it, total mass [mass] ([l], default [1.]).  Conditional mean
     is [delay + 1/rate], matching the paper's "[d + 1/lambda]". *)
 
-val deterministic : ?mass:float -> delay:float -> unit -> Distribution.t
-(** Replies arrive exactly [delay] seconds after the probe (or never,
-    with probability [1 - mass]). *)
+val deterministic : delay:float -> unit -> Distribution.t
+(** Replies arrive exactly [delay] seconds after the probe. *)
 
-val uniform : ?mass:float -> lo:float -> hi:float -> unit -> Distribution.t
+val uniform : lo:float -> hi:float -> unit -> Distribution.t
 (** Delay uniform on [\[lo, hi\]]. *)
 
 val erlang :
-  ?mass:float -> ?delay:float -> stages:int -> rate:float -> unit ->
-  Distribution.t
-(** Erlang-[stages] delay (sum of [stages] exponentials): concentrates
-    around [stages/rate], modelling multi-hop store-and-forward. *)
+  ?mass:float -> stages:int -> rate:float -> unit -> Distribution.t
+(** Erlang-[stages] delay (sum of [stages] exponentials), reply mass
+    [mass] (default [1.]): concentrates around [stages/rate], modelling
+    multi-hop store-and-forward. *)

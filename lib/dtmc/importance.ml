@@ -64,9 +64,7 @@ let estimate_absorption ~trials ~rng ~proposal chain ~from ~into =
     ci_hi = mean +. half;
     hits = !hits }
 
-let boosted_proposal ?(floor = 0.4) chain ~toward =
-  if not (Numerics.Safe_float.is_probability floor) then
-    invalid_arg "Importance.boosted_proposal: floor outside [0, 1]";
+let boosted_proposal chain ~toward =
   let n = Chain.size chain in
   if toward < 0 || toward >= n then
     invalid_arg "Importance.boosted_proposal: bad target";
@@ -100,12 +98,12 @@ let boosted_proposal ?(floor = 0.4) chain ~toward =
         (* cannot move closer: keep the original row *)
         succs
       else begin
-        (* give the improving edges at least [floor] total mass, split
+        (* give the improving edges at least 0.4 total mass, split
            proportionally to their original probabilities *)
         let improving_mass =
           Numerics.Safe_float.sum_list (List.map snd improving)
         in
-        let target_mass = Float.max improving_mass floor in
+        let target_mass = Float.max improving_mass 0.4 in
         let other_scale =
           if improving_mass >= 1. then 0.
           else (1. -. target_mass) /. (1. -. improving_mass)

@@ -27,9 +27,10 @@ val estimate_absorption :
     [Invalid_argument] otherwise.  Paths longer than [1_000_000]
     steps abort the run with [Failure]. *)
 
-val boosted_proposal : ?floor:float -> Chain.t -> toward:int -> Chain.t
+val boosted_proposal : Chain.t -> toward:int -> Chain.t
 (** A generic proposal: in every transient state that can move closer
-    to [toward] (by graph distance), shift probability so each such
-    edge gets at least [floor] (default [0.4]) of the row, renormalizing
-    the rest.  Leaves absorbing states alone.  Good enough for chains
-    with a single rare forward route, like the zeroconf DRM. *)
+    to [toward] (by graph distance), shift probability so those edges
+    together get at least [0.4] of the row, split in proportion to
+    their original probabilities, renormalizing the rest.  Leaves
+    absorbing states alone.  Good enough for chains with a single rare
+    forward route, like the zeroconf DRM. *)

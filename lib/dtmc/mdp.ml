@@ -27,7 +27,7 @@ let create ~num_states ~actions =
                      tr.prob)
                    transitions)
             in
-            if not (Numerics.Safe_float.approx_eq ~rtol:1e-9 total 1.) then
+            if not (Numerics.Safe_float.approx_eq total 1.) then
               invalid_arg
                 (Printf.sprintf
                    "Mdp.create: action %s of state %d has probability mass %.12g"

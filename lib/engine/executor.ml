@@ -62,7 +62,6 @@ let run_batch plans =
 
 let run plan = (run_batch [| plan |]).(0)
 
-let eval_batch ?backend queries =
-  run_batch (Array.map (Planner.plan ?backend) queries)
+let eval_batch queries = run_batch (Array.map Planner.plan queries)
 
 let eval ?backend query = run (Planner.plan ?backend query)

@@ -40,5 +40,5 @@ val eval : ?backend:string -> Query.t -> Answer.t
     experiment drivers use.  [backend] forces a route by name; raises
     {!Planner.Unsupported} as [Planner.plan] does. *)
 
-val eval_batch : ?backend:string -> Query.t array -> Answer.t array
+val eval_batch : Query.t array -> Answer.t array
 (** Compile every query, then {!run_batch}. *)

@@ -6,6 +6,11 @@ let assessment ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
   ignore (Query.point Query.Mean_cost p ~n:draft_n ~r:draft_r);
   Assessment.run ~draft_n ~draft_r p
 
+(* an error probability from its log10, to the nearest power of ten;
+   an exact zero prints as 0, not 1e-inf *)
+let power_of_ten log10 =
+  if log10 = neg_infinity then "0" else Printf.sprintf "1e%.0f" log10
+
 let markdown ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
   let assessment = assessment ~draft_n ~draft_r p in
   let buf = Buffer.create 4096 in
@@ -42,17 +47,18 @@ let markdown ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
   let front = Tradeoff.front ~n_max:10 ~r_points:120 ~r_max:8. p in
   (match (front, List.rev front) with
   | cheapest :: _, safest :: _ ->
-      add "- cheapest: n = %d, r = %.2f (cost %.4g, error 1e%.0f)\n"
+      add "- cheapest: n = %d, r = %.2f (cost %.4g, error %s)\n"
         cheapest.Tradeoff.n cheapest.Tradeoff.r cheapest.Tradeoff.cost
-        cheapest.Tradeoff.log10_error;
-      add "- safest considered: n = %d, r = %.2f (cost %.4g, error 1e%.0f)\n"
+        (power_of_ten cheapest.Tradeoff.log10_error);
+      add "- safest considered: n = %d, r = %.2f (cost %.4g, error %s)\n"
         safest.Tradeoff.n safest.Tradeoff.r safest.Tradeoff.cost
-        safest.Tradeoff.log10_error
+        (power_of_ten safest.Tradeoff.log10_error)
   | _ -> ());
   (match Tradeoff.knee front with
   | Some k ->
-      add "- knee (balanced compromise): **n = %d, r = %.2f** (cost %.4g, error 1e%.0f)\n\n"
-        k.Tradeoff.n k.Tradeoff.r k.Tradeoff.cost k.Tradeoff.log10_error
+      add "- knee (balanced compromise): **n = %d, r = %.2f** (cost %.4g, error %s)\n\n"
+        k.Tradeoff.n k.Tradeoff.r k.Tradeoff.cost
+        (power_of_ten k.Tradeoff.log10_error)
   | None -> add "\n");
   add "## Sensitivity (elasticities of cost at the draft point)\n\n";
   add "| parameter | d ln C / d ln x |\n|---|---|\n";

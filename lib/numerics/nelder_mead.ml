@@ -122,9 +122,9 @@ let minimize ?(tol = 1e-10) ?scale ~f x0 =
     iterations = !iterations;
     converged = !converged }
 
-let restarted ?tol ?(rounds = 4) ?scale ~f x0 =
+let restarted ?tol ?scale ~f x0 =
   let rec go round incumbent =
-    if round >= rounds then incumbent
+    if round >= 4 then incumbent
     else begin
       let next = minimize ?tol ?scale ~f incumbent.x in
       if next.fx < incumbent.fx -. (1e-12 *. (1. +. Float.abs incumbent.fx)) then

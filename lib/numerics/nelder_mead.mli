@@ -10,15 +10,15 @@ type result = {
   fx : float;          (** Minimum value. *)
   iterations : int;
   converged : bool;
-      (** False when all [rounds] runs improved the value and the last
+      (** False when all four runs improved the value and the last
           one exhausted its [200 * dim] iterations. *)
 }
 
 val restarted :
-  ?tol:float -> ?rounds:int -> ?scale:float array ->
+  ?tol:float -> ?scale:float array ->
   f:(float array -> float) -> float array -> result
 (** Nelder–Mead from [x0], re-run from each result until the value
-    stops improving (at most [rounds], default [4]) — the standard cheap
+    stops improving (at most four runs) — the standard cheap
     defence against premature simplex collapse.  Each run starts from a
     simplex whose edge per coordinate is [scale] (default: 10% of each
     coordinate's magnitude, or 0.1) and stops when the simplex's

@@ -15,11 +15,11 @@ external exp : float -> float = "caml_exp_float" "exp"
 
 external div : float -> float -> float = "%divfloat"
 
-let approx_eq ?(rtol = 1e-9) ?(atol = 0.) a b =
+let approx_eq a b =
   if Float.is_nan a || Float.is_nan b then false
   else if a = b then true (* covers equal infinities *)
   else if not (Float.is_finite a && Float.is_finite b) then false
-  else Float.abs (a -. b) <= atol +. (rtol *. Float.max (Float.abs a) (Float.abs b))
+  else Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
 
 let clamp ~lo ~hi x =
   if lo > hi then invalid_arg "Safe_float.clamp: lo > hi";

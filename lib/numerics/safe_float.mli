@@ -32,11 +32,9 @@ external exp : float -> float = "caml_exp_float" "exp"
 external div : float -> float -> float = "%divfloat"
 (** [( /. )], sanctioned.  Callers own the zero-divisor guard. *)
 
-val approx_eq : ?rtol:float -> ?atol:float -> float -> float -> bool
-(** [approx_eq ~rtol ~atol a b] holds when
-    [|a - b| <= atol + rtol * max |a| |b|].  Defaults: [rtol = 1e-9],
-    [atol = 0.].  [nan] is never approximately equal to anything;
-    equal infinities are. *)
+val approx_eq : float -> float -> bool
+(** [approx_eq a b] holds when [|a - b| <= 1e-9 * max |a| |b|].  [nan]
+    is never approximately equal to anything; equal infinities are. *)
 
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] bounds [x] into [\[lo, hi\]].  Raises

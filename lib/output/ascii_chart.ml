@@ -1,5 +1,7 @@
-let plot ?(width = 72) ?(height = 20) ~x_axis ~y_axis ~title series =
-  if width < 16 || height < 4 then invalid_arg "Ascii_chart.plot: too small";
+(* the canvas, in characters *)
+let width = 72 and height = 20
+
+let plot ~x_axis ~y_axis ~title series =
   let finite (x, y) = Float.is_finite x && Float.is_finite y in
   if not (List.exists (fun (_, pts) -> Array.exists finite pts) series) then
     invalid_arg "Ascii_chart.plot: no finite points";

@@ -6,7 +6,9 @@
    - the exit code is 0 or 124 (cmdliner's command-line error), never
      125 (an uncaught exception) or a signal;
    - no run times out;
-   - no run that exits 0 prints "nan";
+   - no run that exits 0 prints "nan", or "inf" as a word;
+   - no run is refused as an unknown option (the tables below name only
+     options the command takes);
    - when stderr names the swept option, stdout is empty (the value was
      refused before anything was printed).
 
@@ -19,6 +21,9 @@
    accepts, are listed in [known] with their reason.  A listed case
    must still fail: one that passes is reported as stale, so the table
    shrinks as those are fixed.  Cases that do not finish are not run.
+   Runs that print an infinity on purpose are listed in [infinite]
+   with their reason; a listed case that no longer prints one is stale
+   too.
 
    The sweep runs in two shards, one process each, so that two cores
    share it: shard 1 sweeps [maintenance], whose two largest periods
@@ -42,10 +47,12 @@ type option = { long : string; form : string -> string }
 let opt long = { long; form = Fun.id }
 let slot long form = { long; form }
 
-let scenario_options =
-  List.map opt
-    [ "--loss"; "--lambda"; "--delay"; "--hosts"; "--probe-cost";
-      "--error-cost" ]
+(* the groups of scenario overrides, as the commands take them *)
+let loss = [ opt "--loss" ]
+let reply = List.map opt [ "--lambda"; "--delay" ]
+let hosts = [ opt "--hosts" ]
+let costs = List.map opt [ "--probe-cost"; "--error-cost" ]
+let scenario_options = loss @ reply @ hosts @ costs
 
 let n = opt "--n-probes"
 let r = opt "--r-period"
@@ -60,12 +67,9 @@ type command = {
   options : option list;
 }
 
-let cmd ?(args = []) ?(base = []) ?(scenario = true) name options =
+let cmd ?(args = []) ?(base = []) ?(scenario = scenario_options) name options =
   let words = String.split_on_char ' ' name in
-  { name;
-    args = words @ args;
-    base;
-    options = (if scenario then scenario_options else []) @ options }
+  { name; args = words @ args; base; options = scenario @ options }
 
 (* The commands of shard 1; shard 2 takes the rest. *)
 let shard_one = [ "maintenance" ]
@@ -76,36 +80,40 @@ let commands ~delays =
     cmd "optimal-n" [ r ];
     cmd "assess" [ opt "--draft-n"; opt "--draft-r" ];
     cmd "nu" [];
-    cmd "calibrate" [ n; r ];
-    cmd "simulate"
+    cmd "calibrate" ~scenario:(loss @ reply @ hosts) [ n; r ];
+    cmd "simulate" ~scenario:(loss @ reply @ costs)
       [ n; r; opt "--trials"; opt "--seed"; opt "--sim-hosts"; opt "--pool" ];
     cmd "curve" [ n; opt "--points"; opt "--r-max" ];
     cmd "latency" [ n; r ];
-    cmd "refine" [ n; r; opt "--occupied"; opt "--pool" ];
+    cmd "refine" ~scenario:(loss @ reply @ costs)
+      [ n; r; opt "--occupied"; opt "--pool" ];
     cmd "pareto" [];
-    cmd "maintenance" ~base:[ ("--trials", "2") ]
+    cmd "maintenance" ~base:[ ("--trials", "2") ] ~scenario:loss
       [ n; r; opt "--trials"; opt "--seed" ];
     cmd "export" [ n; r ];
-    cmd "workload"
+    cmd "workload" ~scenario:[]
       [ n; r; opt "--count"; opt "--horizon"; opt "--initial"; opt "--pool";
         opt "--seed" ];
-    cmd "workload --pattern poisson" ~scenario:false
+    cmd "workload --pattern poisson" ~scenario:[]
       [ opt "--arrival-rate"; opt "--horizon" ];
-    cmd "workload --pattern periodic" ~scenario:false
+    cmd "workload --pattern periodic" ~scenario:[]
       [ opt "--arrival-rate"; opt "--horizon" ];
-    cmd "adaptive"
+    cmd "adaptive" ~scenario:(loss @ reply @ costs)
       [ opt "--occupied"; opt "--pool";
         slot "--rate-limit" (fun v -> v ^ ",60");
         slot "--rate-limit" (fun v -> "10," ^ v) ];
     cmd "report" [ opt "--draft-n"; opt "--draft-r" ];
-    cmd "fit" ~args:[ delays ] [ opt "--losses"; opt "--fit-hosts" ];
+    (* fit refuses --loss with a message: cmdliner would read it as
+       --losses *)
+    cmd "fit" ~args:[ delays ] ~scenario:(loss @ costs)
+      [ opt "--losses"; opt "--fit-hosts" ];
     cmd "check" ~args:[ "P>0.99 [ F ok ]" ] [ n; r ];
     cmd "query"
       [ n; r; opt "--jobs"; opt "--sweep-n";
         slot "--sweep-r" (fun v -> v ^ ",2,5");
         slot "--sweep-r" (fun v -> "0," ^ v ^ ",5");
         slot "--sweep-r" (fun v -> "0,2," ^ v) ];
-    cmd "query --backend mc" ~scenario:false
+    cmd "query --backend mc" ~scenario:[]
       [ n; r; opt "--trials"; opt "--seed" ];
     cmd "crosscheck" [ n; r; opt "--trials"; opt "--seed" ] ]
 
@@ -123,6 +131,35 @@ type known = {
 }
 
 let known : known list = []
+
+(* An exit-0 run that prints an infinity on purpose: command, option as
+   written, value and why the infinity is the right answer. *)
+type infinite = {
+  i_command : string;
+  i_option : string;
+  i_value : string;
+  why : string;
+}
+
+let infinite : infinite list =
+  let echoed command =
+    { i_command = command;
+      i_option = "--lambda=V";
+      i_value = "inf";
+      why =
+        "the scenario line echoes F_X's name, shifted-exp(d=1, rate=inf, \
+         l=1): an infinite rate is the legal deterministic-delay limit" }
+  and no_host command what =
+    { i_command = command;
+      i_option = "--hosts=V";
+      i_value = "0";
+      why = "with no host E is exactly 0, and " ^ what ^ " is its log10, -inf" }
+  in
+  [ echoed "cost";
+    no_host "cost" "log10 E";
+    no_host "curve" "the log10 E(n,r) column";
+    no_host "pareto" "the log10 error column";
+    echoed "report" ]
 
 (* Job counts just past OCaml's 128 domains: the checks above let them
    through if the cap is lost, so each must be refused outright (exit
@@ -181,14 +218,35 @@ let contains s sub =
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   at 0
 
-(* What is wrong with a run, or [None]. *)
-let fault ~long outcome ~stdout ~stderr =
+(* whether [s] has "inf" or "infinity" as a word (a maximal run of
+   letters), as a printed infinity reads: "-inf", "1e-inf", "infinity" *)
+let prints_inf s =
+  let is_letter = function 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false in
+  let n = String.length s in
+  let rec scan i =
+    if i >= n then false
+    else if not (is_letter s.[i]) then scan (i + 1)
+    else
+      let j = ref i in
+      while !j < n && is_letter s.[!j] do incr j done;
+      match String.lowercase_ascii (String.sub s i (!j - i)) with
+      | "inf" | "infinity" -> true
+      | _ -> scan !j
+  in
+  scan 0
+
+(* What is wrong with a run, or [None]; an infinity at exit 0 is wrong
+   unless [inf_ok]. *)
+let fault ~long ~inf_ok outcome ~stdout ~stderr =
   match outcome with
   | Timed_out -> Some (Printf.sprintf "no exit within %gs" timeout)
   | Signalled s -> Some (Printf.sprintf "killed by signal %d" s)
   | Exited code when code <> 0 && code <> 124 ->
       Some (Printf.sprintf "exit %d: %s" code (String.trim stderr))
+  | Exited _ when contains stderr "unknown option" ->
+      Some (List.hd (String.split_on_char '\n' stderr))
   | Exited 0 when contains stdout "nan" -> Some "exit 0 printing nan"
+  | Exited 0 when prints_inf stdout && not inf_ok -> Some "exit 0 printing inf"
   | Exited _ when contains stderr ("'" ^ long ^ "'") && stdout <> "" ->
       Some "refused after printing"
   | Exited _ -> None
@@ -198,13 +256,15 @@ let () =
   | [| _; exe; ("1" | "2" as shard) |] ->
       let mine name = List.mem name shard_one = (shard = "1") in
       let known = List.filter (fun k -> mine k.k_command) known
+      and infinite = List.filter (fun i -> mine i.i_command) infinite
       and past_cap = if shard = "2" then past_cap else [] in
       let dir = Filename.temp_dir "sweep" "" in
       let delays = Filename.concat dir "delays.txt" in
       Out_channel.with_open_text delays (fun oc ->
           output_string oc "0.11\n0.12\n0.15\n0.13\n0.2\n");
       let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
-      let failures = ref [] and seen = Hashtbl.create 64 in
+      let failures = ref [] and seen = Hashtbl.create 64
+      and inf_seen = Hashtbl.create 64 in
       let runs = ref 0 in
       List.iter
         (fun c ->
@@ -233,7 +293,22 @@ let () =
                       let outcome = run exe (c.args @ base @ [ arg ]) ~out ~err in
                       let stdout = read_file out and stderr = read_file err in
                       let case = Printf.sprintf "%s %s" c.name arg in
-                      match (fault ~long:o.long outcome ~stdout ~stderr, entry) with
+                      let inf_ok =
+                        List.find_opt
+                          (fun i ->
+                            i.i_command = c.name && i.i_option = written
+                            && i.i_value = v)
+                          infinite
+                      in
+                      (match inf_ok with
+                      | Some i when outcome = Exited 0 && prints_inf stdout ->
+                          Hashtbl.replace inf_seen i ()
+                      | _ -> ());
+                      match
+                        ( fault ~long:o.long ~inf_ok:(inf_ok <> None) outcome
+                            ~stdout ~stderr,
+                          entry )
+                      with
                       | Some why, None ->
                           failures := Printf.sprintf "%s: %s" case why :: !failures
                       | Some _, Some k -> Hashtbl.replace seen k ()
@@ -264,6 +339,16 @@ let () =
                 k.k_command k.k_option k.k_value
               :: !failures)
         known;
+      List.iter
+        (fun i ->
+          if not (Hashtbl.mem inf_seen i) then
+            failures :=
+              Printf.sprintf
+                "infinity %s %s %s: no infinity printed at exit 0; remove \
+                 its entry"
+                i.i_command i.i_option i.i_value
+              :: !failures)
+        infinite;
       List.iter Sys.remove [ delays; out; err ];
       Sys.rmdir dir;
       if !failures <> [] then begin

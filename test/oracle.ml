@@ -10,6 +10,17 @@ module Params = Zeroconf.Params
 module D = Dist.Distribution
 module SF = Numerics.Safe_float
 
+(* -- tolerances ---------------------------------------------------- *)
+
+(* [Safe_float.approx_eq] with the test's own tolerances:
+   [|a - b| <= atol + rtol * max |a| |b|]; [nan] equals nothing, equal
+   infinities are equal. *)
+let approx_eq ?(rtol = 1e-9) ?(atol = 0.) a b =
+  if Float.is_nan a || Float.is_nan b then false
+  else if a = b then true
+  else if not (Float.is_finite a && Float.is_finite b) then false
+  else Float.abs (a -. b) <= atol +. (rtol *. Float.max (Float.abs a) (Float.abs b))
+
 (* -- Eq. 1 and the Sec. 4.2 limits -------------------------------- *)
 
 (* [p_i(r)] evaluated exactly as Eq. 1 is printed: a product of
@@ -70,7 +81,7 @@ let check (d : D.t) =
         err "%s: survival %g out of [+0, 1] at t=%g" d.name s t
       else if c +. 1e-9 < prev then
         err "%s: cdf not monotone at t=%g (%g < %g)" d.name t c prev
-      else if not (SF.approx_eq ~rtol:1e-6 ~atol:1e-12 (c +. s) 1.) then
+      else if not (approx_eq ~rtol:1e-6 ~atol:1e-12 (c +. s) 1.) then
         err "%s: cdf + survival = %g <> 1 at t=%g" d.name (c +. s) t
       else scan (i + 1) c
   in

@@ -5,7 +5,7 @@ let check_rel ?(rtol = 1e-8) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.12g vs %.12g" msg expected actual)
     true
-    (Numerics.Safe_float.approx_eq ~rtol expected actual)
+    (Oracle.approx_eq ~rtol expected actual)
 
 let crowded =
   Params.v ~name:"crowded"

@@ -5,7 +5,7 @@ let check_rel ?(rtol = 1e-9) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.12g vs %.12g" msg expected actual)
     true
-    (Numerics.Safe_float.approx_eq ~rtol expected actual)
+    (Oracle.approx_eq ~rtol expected actual)
 
 (* a crowded scenario where the refinements actually bite *)
 let crowded =

@@ -9,7 +9,7 @@ let check_rel ?(rtol = 1e-8) ?(atol = 0.) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.12g vs %.12g" msg expected actual)
     true
-    (Numerics.Safe_float.approx_eq ~rtol ~atol expected actual)
+    (Oracle.approx_eq ~rtol ~atol expected actual)
 
 let operating_points = [ (1, 0.5); (2, 1.5); (3, 2.); (4, 2.); (6, 0.8) ]
 
@@ -84,8 +84,8 @@ let test_phase_type_delay_consistency () =
   (* a two-branch hyperexponential delay flows through every route too *)
   let delay =
     Oracle.mixture
-      [ (0.6, Dist.Families.exponential ~mass:0.9 ~rate:8. ());
-        (0.4, Dist.Families.exponential ~mass:0.9 ~rate:1.5 ()) ]
+      [ (0.6, Dist.Families.shifted_exponential ~mass:0.9 ~rate:8. ~delay:0. ());
+        (0.4, Dist.Families.shifted_exponential ~mass:0.9 ~rate:1.5 ~delay:0. ()) ]
   in
   let p = Params.v ~name:"ph" ~delay ~q:0.2 ~probe_cost:1. ~error_cost:500. in
   routes_agree p ~n:3 ~r:1.
@@ -98,7 +98,7 @@ let test_dtmc_kernel_sweeps () =
   let agree what p ~n ~r expected actual =
     if
       not
-        (Numerics.Safe_float.approx_eq ~rtol:1e-9 expected actual
+        (Oracle.approx_eq ~rtol:1e-9 expected actual
         || (expected < Float.min_float && actual < Float.min_float))
     then
       Alcotest.failf "%s %s n=%d r=%g: kernel %.17g, DTMC %.17g" what p.Params.name n r

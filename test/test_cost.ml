@@ -8,7 +8,7 @@ let check_rel msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.12g vs %.12g" msg expected actual)
     true
-    (Numerics.Safe_float.approx_eq ~rtol:1e-9 expected actual)
+    (Oracle.approx_eq ~rtol:1e-9 expected actual)
 
 let fig2 = Params.figure2
 
@@ -97,7 +97,7 @@ let prop_eq3_matches_matrix_solution =
     QCheck.(triple (make scenario_gen) (int_range 1 8) (float_range 0. 6.))
     (fun (p, n, r) ->
       let drm = Zeroconf.Drm.build p ~n ~r in
-      Numerics.Safe_float.approx_eq ~rtol:1e-8 ~atol:1e-9
+      Oracle.approx_eq ~rtol:1e-8 ~atol:1e-9
         (Cost.mean p ~n ~r)
         (Zeroconf.Drm.mean_cost drm))
 

@@ -51,13 +51,19 @@ let test_exponential () =
     (Invalid_argument "Families.exponential: rate outside (0, inf]") (fun () ->
       ignore (F.exponential ~rate:0. ()))
 
+(* a reply after exactly 1 s, half of the time: the deterministic-delay
+   limit of the lossy shifted exponential *)
+let coin = F.shifted_exponential ~mass:0.5 ~rate:infinity ~delay:1. ()
+
 let test_deterministic () =
-  let d = F.deterministic ~mass:0.8 ~delay:3. () in
+  let d = F.deterministic ~delay:3. () in
   check_close "before" 0. (d.D.cdf 2.999);
-  check_close "after" 0.8 (d.D.cdf 3.);
+  check_close "after" 1. (d.D.cdf 3.);
   check_close "survival before" 1. (d.D.survival 2.9);
-  check_close "survival after" 0.2 (d.D.survival 3.5);
-  Alcotest.(check bool) "defective" true (d.D.mass < 1.)
+  check_close "survival after" 0. (d.D.survival 3.5);
+  Alcotest.(check bool) "not defective" true (d.D.mass = 1.);
+  check_close "lossy limit after" 0.5 (coin.D.cdf 1.5);
+  check_close "lossy limit survival after" 0.5 (coin.D.survival 1.5)
 
 let test_uniform () =
   let d = F.uniform ~lo:1. ~hi:3. () in
@@ -89,8 +95,8 @@ let test_erlang_stages_one_is_exponential () =
     [ 0.1; 1.; 2. ]
 
 let test_erlang_mean_and_self () =
-  let d = F.erlang ~stages:4 ~rate:2. ~delay:0.5 () in
-  check_close "mean = d + k/rate" 2.5 (Option.get d.D.mean);
+  let d = F.erlang ~mass:0.9 ~stages:4 ~rate:2. () in
+  check_close "mean = k/rate" 2. (Option.get d.D.mean);
   check_self d
 
 let test_mixture () =
@@ -106,8 +112,7 @@ let test_mixture () =
 let test_mixture_defective_mass () =
   let d =
     Oracle.mixture
-      [ (3., F.deterministic ~mass:0.5 ~delay:1. ());
-        (1., F.deterministic ~mass:1.0 ~delay:2. ()) ]
+      [ (3., coin); (1., F.deterministic ~delay:2. ()) ]
   in
   check_close "weighted mass" ((0.75 *. 0.5) +. (0.25 *. 1.)) d.D.mass
 
@@ -122,14 +127,12 @@ let test_quantile_inverts_cdf () =
     [ 0.1; 0.5; 0.9; 0.99 ]
 
 let test_quantile_defective_tail_rejected () =
-  let d = F.deterministic ~mass:0.5 ~delay:1. () in
   Alcotest.check_raises "beyond mass"
     (Invalid_argument "Distribution.quantile: p >= mass (reply never arrives)")
-    (fun () -> ignore (D.quantile d 0.7))
+    (fun () -> ignore (D.quantile coin 0.7))
 
 let test_conditional_cdf () =
-  let d = F.deterministic ~mass:0.5 ~delay:1. () in
-  check_close "conditional saturates at 1" 1. (D.conditional_cdf d 2.)
+  check_close "conditional saturates at 1" 1. (D.conditional_cdf coin 2.)
 
 let test_sampling_matches_cdf () =
   (* Kolmogorov-style check: ECDF of samples close to the cdf *)
@@ -150,7 +153,7 @@ let test_sampling_matches_cdf () =
     [ 0.35; 0.5; 0.8; 1.5 ]
 
 let test_sampling_loss_rate () =
-  let d = F.deterministic ~mass:0.7 ~delay:1. () in
+  let d = F.shifted_exponential ~mass:0.7 ~rate:infinity ~delay:1. () in
   let rng = Numerics.Rng.create 5 in
   let n = 20_000 in
   let lost = ref 0 in
@@ -201,10 +204,10 @@ let family_gen =
     let* delay = float_range 0. 2. in
     oneofl
       [ F.shifted_exponential ~mass ~rate ~delay ();
-        F.exponential ~mass ~rate ();
-        F.uniform ~mass ~lo:delay ~hi:(delay +. 1.) ();
+        F.exponential ~rate ();
+        F.uniform ~lo:delay ~hi:(delay +. 1.) ();
         Oracle.weibull ~mass ~delay ~shape:1.5 ~scale:(1. /. rate) ();
-        F.erlang ~mass ~delay ~stages:3 ~rate () ])
+        F.erlang ~mass ~stages:3 ~rate () ])
 
 let prop_families_well_formed =
   QCheck.Test.make ~name:"every family passes the self-check" ~count:100
@@ -222,8 +225,8 @@ let prop_mean_matches_sampler =
       let* delay = float_range 0. 2. in
       oneofl
         [ F.shifted_exponential ~mass ~rate ~delay ();
-          F.exponential ~mass ~rate ();
-          F.uniform ~mass ~lo:delay ~hi:(delay +. 2.) ();
+          F.exponential ~rate ();
+          F.uniform ~lo:delay ~hi:(delay +. 2.) ();
           F.erlang ~mass ~stages:3 ~rate () ])
   in
   QCheck.Test.make ~name:"sampled mean = closed-form mean" ~count:60

@@ -6,7 +6,7 @@ let check_rel ?(rtol = 1e-9) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.12g vs %.12g" msg expected actual)
     true
-    (Numerics.Safe_float.approx_eq ~rtol expected actual)
+    (Oracle.approx_eq ~rtol expected actual)
 
 let fig2 = Params.figure2
 
@@ -147,7 +147,7 @@ let test_variance_flat_in_n () =
   let v16 = at 16 in
   for n = 17 to 512 do
     let v = at n in
-    if not (Numerics.Safe_float.approx_eq ~rtol:1e-11 v16 v) then
+    if not (Oracle.approx_eq ~rtol:1e-11 v16 v) then
       Alcotest.failf "n = %d: %.17g, n = 16: %.17g" n v v16
   done
 

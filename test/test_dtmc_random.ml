@@ -42,7 +42,7 @@ let prop_absorption_rows_sum_to_one =
     (fun chain ->
       List.for_all
         (fun s ->
-          Numerics.Safe_float.approx_eq ~rtol:1e-9
+          Oracle.approx_eq ~rtol:1e-9
             (Numerics.Safe_float.sum_list
                (List.map
                   (fun a -> Dtmc.Absorbing.absorption_probability chain ~from:s ~into:a)
@@ -56,7 +56,7 @@ let prop_reachability_of_all_absorbing_is_one =
     (fun chain ->
       let target = Dtmc.Chain.absorbing_states chain in
       let p = Oracle.reach chain ~target in
-      Array.for_all (fun v -> Numerics.Safe_float.approx_eq ~rtol:1e-9 v 1.) p)
+      Array.for_all (fun v -> Oracle.approx_eq ~rtol:1e-9 v 1.) p)
 
 let prop_reachability_matches_absorption =
   QCheck.Test.make ~name:"reachability of one absorbing state = absorption prob"
@@ -68,7 +68,7 @@ let prop_reachability_matches_absorption =
           let reach = Oracle.reach chain ~target:[ a ] in
           List.for_all
             (fun s ->
-              Numerics.Safe_float.approx_eq ~rtol:1e-8 ~atol:1e-12 reach.(s)
+              Oracle.approx_eq ~rtol:1e-8 ~atol:1e-12 reach.(s)
                 (Dtmc.Absorbing.absorption_probability chain ~from:s ~into:a))
             (transient_states chain)
       | [] -> false)

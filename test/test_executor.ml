@@ -567,7 +567,8 @@ let test_near_twins_apart_in_batch () =
   List.iter
     (fun (backend, tol) ->
       let answers =
-        Engine.Executor.eval_batch ~backend [| twin_query a; twin_query b |]
+        Engine.Executor.run_batch
+          (Array.map (Engine.Planner.plan ~backend) [| twin_query a; twin_query b |])
       in
       Alcotest.(check (float tol)) (backend ^ ": first scenario") (expected a)
         (scalar_of answers.(0));

@@ -119,7 +119,7 @@ let test_tra_rows_sum_to_one () =
       Alcotest.(check bool)
         (Printf.sprintf "state %d outflow 1" s)
         true
-        (Numerics.Safe_float.approx_eq ~rtol:1e-12 total 1.))
+        (Oracle.approx_eq ~rtol:1e-12 total 1.))
     sums
 
 let () =

@@ -48,7 +48,7 @@ let test_multistep_rare_route () =
          [| 0.; 0.; 0.; 1. |] |]
       [| "s"; "half"; "bad"; "good" |]
   in
-  let proposal = I.boosted_proposal ~floor:0.5 c ~toward:2 in
+  let proposal = I.boosted_proposal c ~toward:2 in
   let est =
     I.estimate_absorption ~trials:30_000 ~rng:(Numerics.Rng.create 3) ~proposal c
       ~from:0 ~into:2

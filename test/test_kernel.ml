@@ -239,7 +239,7 @@ let scenario_gen =
 
 let agree ?(rtol = 1e-12) a b =
   a = b (* covers infinities and bit-identical floats *)
-  || Numerics.Safe_float.approx_eq ~rtol a b
+  || Oracle.approx_eq ~rtol a b
 
 (* stream one cursor to n_max, checking every power-of-two checkpoint
    plus n_max itself against the reference *)

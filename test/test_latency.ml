@@ -8,7 +8,7 @@ let check_rel ?(rtol = 1e-9) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.12g vs %.12g" msg expected actual)
     true
-    (Numerics.Safe_float.approx_eq ~rtol expected actual)
+    (Oracle.approx_eq ~rtol expected actual)
 
 let fig2 = Params.figure2
 
@@ -120,25 +120,22 @@ let test_exceeds_draft_threshold () =
     true
     (Float.abs (p_restart -. (q *. (1. -. pi_n))) < 1e-3 *. q)
 
+(* a hopeless scenario (q = 0.9999, replies certain): an attempt
+   succeeds with probability 1e-4, so about 0.9999^4096 = 0.66 of the
+   mass lies past the horizon *)
+let hopeless =
+  Params.v ~name:"hopeless"
+    ~delay:(Dist.Families.deterministic ~delay:0.1 ())
+    ~q:0.9999 ~probe_cost:0. ~error_cost:0.
+
 let test_horizon_tail_reported () =
-  (* a hopeless scenario (q = 0.99, replies certain) with a tiny horizon
-     must push mass into the tail rather than lose it *)
-  let p =
-    Params.v ~name:"hopeless"
-      ~delay:(Dist.Families.deterministic ~delay:0.1 ())
-      ~q:0.99 ~probe_cost:0. ~error_cost:0.
-  in
-  let d = L.periods ~horizon:10 p ~n:2 ~r:1. in
+  (* mass past the horizon goes into the tail rather than being lost *)
+  let d = L.periods hopeless ~n:2 ~r:1. in
   Alcotest.(check bool) "tail mass present" true (d.L.tail > 0.01);
   check_rel "mass conservation" 1. (Numerics.Safe_float.sum d.L.pmf +. d.L.tail)
 
 let test_quantile_beyond_mass_rejected () =
-  let p =
-    Params.v ~name:"hopeless"
-      ~delay:(Dist.Families.deterministic ~delay:0.1 ())
-      ~q:0.99 ~probe_cost:0. ~error_cost:0.
-  in
-  let d = L.periods ~horizon:10 p ~n:2 ~r:1. in
+  let d = L.periods hopeless ~n:2 ~r:1. in
   try
     ignore (L.quantile d 0.9999);
     Alcotest.fail "accepted a quantile beyond the captured mass"
@@ -149,7 +146,7 @@ let test_guards () =
     (fun () -> ignore (L.periods fig2 ~n:0 ~r:1.));
   Alcotest.check_raises "horizon below n"
     (Invalid_argument "Latency.periods: horizon below n") (fun () ->
-      ignore (L.periods ~horizon:2 fig2 ~n:4 ~r:1.))
+      ignore (L.periods fig2 ~n:(L.default_horizon + 1) ~r:1.))
 
 let () =
   Alcotest.run "latency"

@@ -2,7 +2,7 @@ let check_vec msg expected actual =
   Alcotest.(check bool) msg true
     (Array.length expected = Array.length actual
     && Array.for_all2
-         (Numerics.Safe_float.approx_eq ~rtol:1e-9 ~atol:1e-12)
+         (Oracle.approx_eq ~rtol:1e-9 ~atol:1e-12)
          expected actual)
 
 (* ---------------- sparse elimination ---------------- *)

@@ -267,6 +267,59 @@ let r6_value_named () =
          ("lib/numerics/backend.mli", "module type S = sig val name : string end\n")
        ])
 
+(* -- R9: every optional argument of a lib val is passed somewhere ---- *)
+
+let unpassed sources =
+  List.map
+    (fun (f : Finding.t) -> (f.rule, f.file, f.ident))
+    (Rules.unpassed_option_findings ~wrappers sources)
+
+let grid_mli =
+  ( "lib/numerics/grid.mli",
+    "val linspace : ?pad:int -> ?step:int -> ?unused:int -> int -> int\n\
+     val chunks : ?size:int -> unit -> int\n\
+     val map_sweep : ?f:int -> unit -> int\n\
+     val scan : ?dir:int -> unit -> int\n" )
+
+let r9_unpassed () =
+  Alcotest.(check (list (triple string string string)))
+    "an option passed only from its own module, only from a test, or not \
+     at all is flagged; one another module passes is not"
+    [ ("R9", "lib/numerics/grid.mli", "Numerics.Grid.linspace?pad");
+      ("R9", "lib/numerics/grid.mli", "Numerics.Grid.linspace?step");
+      ("R9", "lib/numerics/grid.mli", "Numerics.Grid.linspace?unused") ]
+    (unpassed
+       [ ("bin/main.ml",
+          "let g = Numerics.Grid.linspace 3\n\
+           let c = Numerics.Grid.chunks ~size:2 ()\n\
+           let m = Numerics.Grid.map_sweep ~f:1 ()\n\
+           let s = Numerics.Grid.scan ~dir:1 ()\n");
+         ("lib/numerics/grid.ml",
+          "let linspace ?(pad = 0) ?(step = 1) ?(unused = 0) n = n + pad\n\
+           let again = linspace ~pad:1 2\nlet twice = Grid.linspace ~pad:2 3\n");
+         grid_mli;
+         ("test/test_grid.ml",
+          "let s = Numerics.Grid.linspace ~step:2 4\n\
+           open Numerics.Grid\nlet t = linspace ~step:3 5\n\
+           module G = Numerics.Grid\nlet u = G.linspace ?step:None 6\n") ])
+
+let r9_passed () =
+  Alcotest.(check (list (triple string string string)))
+    "a qualified call, a module alias, an open and a ?x pass-through each \
+     pass their option"
+    []
+    (unpassed
+       [ ("bin/main.ml", "let g = Numerics.Grid.linspace ~pad:1 ~step:2 3\n");
+         ("examples/main.ml",
+          "module G = Numerics.Grid\nlet c = G.chunks ~size:2 ()\n\
+           let u = G.linspace ~unused:0 1\n");
+         ("bench/main.ml", "open Numerics.Grid\nlet m = map_sweep ~f:1 ()\n");
+         ("lib/numerics/stats.ml", "let s ?dir () = Grid.scan ?dir ()\n");
+         ("lib/numerics/grid.ml",
+          "let linspace ?pad ?step ?unused n = n\nlet chunks ?size () = 0\n\
+           let map_sweep ?f () = 0\nlet scan ?dir () = 0\n");
+         grid_mli ])
+
 (* -- R8: bin/ reaches Eqs. 3 and 4 only through the engine ----------- *)
 
 let closed_forms sources =
@@ -427,6 +480,10 @@ let () =
             r6_value_test_only;
           Alcotest.test_case "R6 value named by path, open, alias, module type"
             `Quick r6_value_named;
+          Alcotest.test_case "R9 option no other module passes" `Quick
+            r9_unpassed;
+          Alcotest.test_case "R9 option passed by path, alias, open, ?x" `Quick
+            r9_passed;
           Alcotest.test_case "R8 closed forms named in bin/" `Quick r8_flagged;
           Alcotest.test_case "R8 lib/, examples/ and other modules" `Quick
             r8_exempt;

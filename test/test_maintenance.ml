@@ -56,7 +56,7 @@ let test_estimate_error_cost () =
   in
   Alcotest.(check int) "trials recorded" 20 est.Mnt.trials;
   Alcotest.(check bool) "suggested E consistent" true
-    (Numerics.Safe_float.approx_eq ~rtol:1e-9
+    (Oracle.approx_eq ~rtol:1e-9
        (est.Mnt.disruption.Numerics.Stats.mean +. (30. *. est.Mnt.mean_broken))
        est.Mnt.suggested_error_cost);
   Alcotest.(check bool) "E positive" true (est.Mnt.suggested_error_cost > 0.)

@@ -47,12 +47,13 @@ let test_infinity_as_constraint () =
   check_close ~tol:1e-5 "constrained optimum at the boundary" 1. r.Nm.x.(0)
 
 let test_respects_max_iter () =
-  (* a plane has no minimum: one run walks downhill until its budget of
+  (* a line has no minimum: each of the four runs walks downhill (by
+     about 1e60, so the last one still ends finite) until its budget of
      200 iterations per coordinate is spent *)
-  let f x = x.(0) +. x.(1) in
-  let r = Nm.restarted ~rounds:1 ~f [| 10.; 10. |] in
+  let f x = x.(0) in
+  let r = Nm.restarted ~f [| 10. |] in
   Alcotest.(check bool) "not converged" false r.Nm.converged;
-  Alcotest.(check int) "stopped at budget" 400 r.Nm.iterations
+  Alcotest.(check int) "stopped at budget" (4 * 200) r.Nm.iterations
 
 let test_guards () =
   Alcotest.check_raises "empty start"
@@ -88,7 +89,7 @@ let test_calibration_cross_check () =
       ((r4 -. 2.) ** 2.) +. (((c4 -. c5) /. c4) ** 2.)
     end
   in
-  let r = Nm.restarted ~rounds:2 ~f:objective [| log 1e20; 2. |] in
+  let r = Nm.restarted ~f:objective [| log 1e20; 2. |] in
   let e = exp r.Nm.x.(0) and c = r.Nm.x.(1) in
   Alcotest.(check bool)
     (Printf.sprintf "E = %.3g in [1e20, 2e21]" e)

@@ -317,38 +317,6 @@ let test_host_processing_delay () =
   (* probe 0.1 one way + 0.5 processing + 0.1 reply = 0.7 *)
   check_close "round trip" 0.7 !reply_time
 
-let test_host_deafness () =
-  let engine = Engine.create () in
-  let rng = Numerics.Rng.create 9 in
-  let link = Link.create ~engine ~rng ~loss:0. ~one_way:perfect_delay in
-  let _host = Netsim.Host.create ~engine ~link ~rng ~deaf_prob:1. ~address:5 () in
-  let replies = ref 0 in
-  let observer = Link.attach link (fun _ -> incr replies) in
-  Link.broadcast link ~sender:observer
-    (Netsim.Packet.Arp_probe { sender = observer; address = 5 });
-  Engine.run engine;
-  Alcotest.(check int) "fully deaf host never replies" 0 !replies
-
-let test_host_defend_interval () =
-  (* two probes within the window: only the first draws a defense *)
-  let engine = Engine.create () in
-  let rng = Numerics.Rng.create 10 in
-  let link = Link.create ~engine ~rng ~loss:0. ~one_way:perfect_delay in
-  let _host =
-    Netsim.Host.create ~engine ~link ~rng ~defend_interval:10. ~address:5 ()
-  in
-  let replies = ref 0 in
-  let observer = Link.attach link (fun _ -> incr replies) in
-  let probe () =
-    Link.broadcast link ~sender:observer
-      (Netsim.Packet.Arp_probe { sender = observer; address = 5 })
-  in
-  Engine.schedule engine ~after:0. probe;
-  Engine.schedule engine ~after:5. probe;   (* inside the window *)
-  Engine.schedule engine ~after:20. probe;  (* outside: defended again *)
-  Engine.run engine;
-  Alcotest.(check int) "two defenses for three probes" 2 !replies
-
 (* ---------------- seeded runs, pinned ---------------- *)
 
 (* Every packet-level runner's seeded output, bit for bit: an outcome
@@ -533,9 +501,7 @@ let () =
       ( "host",
         [ Alcotest.test_case "replies to own address" `Quick
             test_host_replies_to_own_address_only;
-          Alcotest.test_case "processing delay" `Quick test_host_processing_delay;
-          Alcotest.test_case "deafness" `Quick test_host_deafness;
-          Alcotest.test_case "defend interval" `Quick test_host_defend_interval ] );
+          Alcotest.test_case "processing delay" `Quick test_host_processing_delay ] );
       ( "seeded runs",
         [ Alcotest.test_case "spaced newcomers" `Quick test_pinned_spaced;
           Alcotest.test_case "workload patterns" `Quick test_pinned_patterns;

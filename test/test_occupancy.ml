@@ -531,7 +531,8 @@ let test_half_occupied_first_candidate () =
 (* One probe, answered half of the time: on pool {0, 1} with one host an
    attempt accepts the free address (1/2), collides on the occupied one
    (1/4) or restarts (1/4). *)
-let coin_reply = Dist.Families.deterministic ~mass:0.5 ~delay:0.1 ()
+let coin_reply =
+  Dist.Families.shifted_exponential ~mass:0.5 ~rate:infinity ~delay:0.1 ()
 let one_probe = Newcomer.drm_config ~n:1 ~r:1. ~probe_cost:1. ~error_cost:100.
 
 let test_revealed_answer_is_reused () =

@@ -263,10 +263,10 @@ let test_probes_for_unreachable_target () =
       ~delay:(Dist.Families.shifted_exponential ~mass:0.5 ~rate:10. ~delay:0.1 ())
       ~q:0.5 ~probe_cost:1. ~error_cost:10.
   in
-  (* floor per probe is 0.5: E(n, r) >= q * 0.5^n / ... but with n_max 8
-     it cannot reach 1e-30 *)
+  (* floor per probe is 0.5: E(n, r) is about 0.5^n, so even the 256
+     probes scanned (about 1e-77) cannot reach 1e-100 *)
   Alcotest.(check (option int)) "unreachable" None
-    (O.probes_for_error_target ~n_max:8 lossy ~r:1. ~target:1e-30)
+    (O.probes_for_error_target lossy ~r:1. ~target:1e-100)
 
 let () =
   Alcotest.run "optimize"

@@ -107,7 +107,7 @@ let prop_literal_equals_telescoped =
     ~count:300
     QCheck.(triple (make scenario_gen) (int_range 1 10) (float_range 0.01 8.))
     (fun (p, i, r) ->
-      Numerics.Safe_float.approx_eq ~rtol:1e-6 ~atol:1e-12
+      Oracle.approx_eq ~rtol:1e-6 ~atol:1e-12
         (Oracle.no_answer_literal p ~i ~r)
         (P.no_answer p ~i ~r))
 
@@ -135,7 +135,7 @@ let prop_pi_approaches_loss_floor =
     (fun (p, n) ->
       let floor = Oracle.pi_limit p ~n in
       let at_large = pi p ~n ~r:1e4 in
-      Numerics.Safe_float.approx_eq ~rtol:1e-3 ~atol:1e-15 at_large floor)
+      Oracle.approx_eq ~rtol:1e-3 ~atol:1e-15 at_large floor)
 
 let () =
   Alcotest.run "probes"

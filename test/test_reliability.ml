@@ -5,7 +5,7 @@ let check_rel ?(rtol = 1e-9) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.12g vs %.12g" msg expected actual)
     true
-    (Numerics.Safe_float.approx_eq ~rtol expected actual)
+    (Oracle.approx_eq ~rtol expected actual)
 
 let fig2 = Params.figure2
 
@@ -78,7 +78,7 @@ let prop_eq4_matches_matrix =
     QCheck.(triple (make scenario_gen) (int_range 1 8) (float_range 0. 6.))
     (fun (p, n, r) ->
       let drm = Zeroconf.Drm.build p ~n ~r in
-      Numerics.Safe_float.approx_eq ~rtol:1e-8 ~atol:1e-12
+      Oracle.approx_eq ~rtol:1e-8 ~atol:1e-12
         (R.error_probability p ~n ~r)
         (Zeroconf.Drm.error_probability drm))
 

@@ -4,9 +4,11 @@ let check_float = Alcotest.(check (float 1e-12))
 
 let test_approx_eq_basic () =
   Alcotest.(check bool) "equal values" true (Sf.approx_eq 1. 1.);
-  Alcotest.(check bool) "close values" true (Sf.approx_eq ~rtol:1e-6 1. (1. +. 1e-9));
+  Alcotest.(check bool) "close values" true (Sf.approx_eq 1. (1. +. 1e-10));
+  Alcotest.(check bool) "tolerance scales" true (Sf.approx_eq 1e12 (1e12 +. 1.));
   Alcotest.(check bool) "far values" false (Sf.approx_eq 1. 2.);
-  Alcotest.(check bool) "atol catches tiny" true (Sf.approx_eq ~atol:1e-6 0. 1e-9);
+  Alcotest.(check bool) "just past 1e-9" false (Sf.approx_eq 1. (1. +. 2e-9));
+  Alcotest.(check bool) "no absolute tolerance" false (Sf.approx_eq 0. 1e-300);
   Alcotest.(check bool) "zero vs zero" true (Sf.approx_eq 0. 0.)
 
 let test_approx_eq_special () =
@@ -83,7 +85,7 @@ let prop_sum_permutation_invariant =
     (fun xs ->
       let a = Sf.sum (Array.of_list xs) in
       let b = Sf.sum (Array.of_list (List.rev xs)) in
-      Sf.approx_eq ~rtol:1e-12 ~atol:1e-9 a b)
+      Oracle.approx_eq ~rtol:1e-12 ~atol:1e-9 a b)
 
 let prop_clamp_idempotent =
   QCheck.Test.make ~name:"clamp is idempotent" ~count:500

@@ -22,7 +22,7 @@ let test_standard_knobs_roundtrip () =
       Alcotest.(check bool)
         (Printf.sprintf "%s roundtrip" k.S.name)
         true
-        (Numerics.Safe_float.approx_eq ~rtol:1e-12
+        (Oracle.approx_eq ~rtol:1e-12
            (Zeroconf.Cost.mean scenario ~n:4 ~r:2.)
            (Zeroconf.Cost.mean rebuilt ~n:4 ~r:2.)))
     (standard @ delay_knobs)
@@ -96,7 +96,7 @@ let test_tornado_sorted_and_consistent () =
   List.iter
     (fun (e : S.tornado_entry) ->
       Alcotest.(check bool) (e.S.knob_name ^ " base") true
-        (Numerics.Safe_float.approx_eq ~rtol:1e-12 e.S.base (output scenario)))
+        (Oracle.approx_eq ~rtol:1e-12 e.S.base (output scenario)))
     entries
 
 let test_tornado_rtt_dominates_at_fixed_point () =

@@ -3,7 +3,7 @@
    and JSON) need no further context. *)
 
 type t = {
-  rule : string;  (** rule id: "R1".."R6", "R8", or "E0" for parse failures *)
+  rule : string;  (** rule id: "R1".."R6", "R8", "R9", or "E0" for parse failures *)
   file : string;  (** repo-relative path, '/'-separated *)
   line : int;     (** 1-based; 0 when the finding is file-level *)
   col : int;      (** 0-based column *)

@@ -33,10 +33,13 @@
      path, open or alias (R6's reference walk); the executables read
      those values through the engine, which validates every point.
      lib/ and examples/ are exempt.
+   - R9 no option that changes nothing: every optional argument [?x] of
+     a [val] of a [lib] .mli is passed, as [~x] or [?x], at some call
+     outside its own module (R6's reference walk and callers).
 
-   Sources under [examples/] and [perfbench/] are read for R6 references
-   only; R1-R5 and R8 do not apply to them.  Sources under [test/] are read for
-   nothing: R6 ignores them even when they are passed in. *)
+   Sources under [examples/] and [perfbench/] are read for R6 and R9
+   references only; R1-R5 and R8 do not apply to them.  Sources under [test/] are read for
+   nothing: R6 and R9 ignore them even when they are passed in. *)
 
 (* -- path classification ------------------------------------------- *)
 
@@ -268,14 +271,16 @@ let missing_mli_findings files =
 (* -- R6, tree level: product callers for lib modules and values ----- *)
 
 (* The module paths an implementation mentions (values, constructors,
-   fields, types, module expressions and types), and the paths it
-   opens.  An open counts for the whole file: over-approximating what a
-   file reaches can hide an unreached module, never invent one.  A path
+   fields, types, module expressions and types), the paths it opens,
+   and each application of a named function as (path, labels passed).
+   An open counts for the whole file: over-approximating what a file
+   reaches can hide an unreached module, never invent one.  A path
    through a module alias ([module R = W.M], [let module R = W.M in])
    is read as the aliased path.  A source that does not parse mentions
    nothing; E0 reports it. *)
 let module_paths ~path source =
-  let paths = ref [] and opens = ref [] and aliases = ref [] in
+  let paths = ref [] and opens = ref [] and aliases = ref []
+  and calls = ref [] in
   let expand = function
     | m :: rest when List.mem_assoc m !aliases -> List.assoc m !aliases @ rest
     | p -> p
@@ -297,6 +302,14 @@ let module_paths ~path source =
         add l
     | Pexp_record (fields, _) -> List.iter (fun (l, _) -> add l) fields
     | Pexp_letmodule ({ txt; _ }, m, _) -> alias txt m
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+        let label = function
+          | (Asttypes.Labelled l | Optional l), _ -> Some l
+          | Nolabel, _ -> None
+        in
+        calls :=
+          (expand (Longident.flatten txt), List.filter_map label args)
+          :: !calls
     | _ -> ());
     default_iterator.expr this e
   in
@@ -339,7 +352,7 @@ let module_paths ~path source =
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf path;
   (try it.structure it (Parse.implementation lexbuf) with _ -> ());
-  (!paths, !opens)
+  (!paths, !opens, !calls)
 
 (* The library wrapper module of each lib/ directory among [files], from
    the [(name ...)] of its [(library ...)] stanza in [dir/dune]. *)
@@ -388,12 +401,13 @@ let implementations sources =
     sources
 
 (* Every path of an implementation that names a lib module among
-   [modules], as (module, rest of the path).  A path [W.M...] names module
+   [modules], as (module, rest of the path), and every call of a lib
+   value as (module, value, labels passed).  A path [W.M...] names module
    M of the library wrapped as W; a bare [M...] names M of the file's own
    library or of a library the file opens; a bare [v] names v of every lib
    module the file opens. *)
-let references ~wrappers ~modules (f, src) =
-  let paths, opens = module_paths ~path:f src in
+let resolved ~wrappers ~modules (f, src) =
+  let paths, opens, calls = module_paths ~path:f src in
   let is_wrapper w = List.exists (fun (_, w') -> w' = w) wrappers in
   let scopes =
     Option.to_list (Option.map fst (module_of ~wrappers f))
@@ -414,13 +428,22 @@ let references ~wrappers ~modules (f, src) =
       (fun o -> match resolve o with Some (m, []) -> Some m | _ -> None)
       opens
   in
-  List.concat_map
-    (fun p ->
-      match (resolve p, p) with
-      | Some r, _ -> [ r ]
-      | None, [ v ] -> List.map (fun m -> (m, [ v ])) opened
-      | None, _ -> [])
-    paths
+  let targets p =
+    match (resolve p, p) with
+    | Some r, _ -> [ r ]
+    | None, [ v ] -> List.map (fun m -> (m, [ v ])) opened
+    | None, _ -> []
+  in
+  ( List.concat_map targets paths,
+    List.concat_map
+      (fun (p, labels) ->
+        List.filter_map
+          (function m, [ v ] -> Some (m, v, labels) | _ -> None)
+          (targets p))
+      calls )
+
+let references ~wrappers ~modules source =
+  fst (resolved ~wrappers ~modules source)
 
 (* [unreached_findings ~wrappers sources] flags every lib module that no
    bin/ implementation reaches, directly or through other lib modules.
@@ -524,6 +547,71 @@ let unused_value_findings ~wrappers sources =
       | _ -> [])
     sources
 
+(* -- R9, tree level: every optional argument of a lib val is passed -- *)
+
+(* The optional arguments of the top-level [val]s of an interface, as
+   (value, label, location). *)
+let interface_optionals ~path source =
+  let rec optionals (t : Parsetree.core_type) =
+    match t.ptyp_desc with
+    | Ptyp_arrow (Optional l, _, rest) -> l :: optionals rest
+    | Ptyp_arrow (_, _, rest) | Ptyp_poly (_, rest) -> optionals rest
+    | _ -> []
+  in
+  let lexbuf = Lexing.from_string source in
+  Location.init lexbuf path;
+  try
+    List.concat_map
+      (fun (i : Parsetree.signature_item) ->
+        match i.psig_desc with
+        | Psig_value { pval_name = { txt; _ }; pval_type; pval_loc; _ } ->
+            List.map (fun l -> (txt, l, pval_loc)) (optionals pval_type)
+        | _ -> [])
+      (Parse.interface lexbuf)
+  with _ -> []
+
+(* [unpassed_option_findings ~wrappers sources] flags every optional
+   argument [?x] of a [val] of a lib .mli that no call outside the
+   value's own module passes as [~x] or [?x].  Sources under test/ do
+   not count: an option only a test passes changes nothing a product
+   does. *)
+let unpassed_option_findings ~wrappers sources =
+  let impls =
+    List.filter (fun (f, _) -> not (in_test f)) (implementations sources)
+  in
+  let modules = List.filter_map (fun (f, _) -> module_of ~wrappers f) impls in
+  let passed = Hashtbl.create 256 in
+  List.iter
+    (fun ((f, _) as source) ->
+      let self = module_of ~wrappers f in
+      List.iter
+        (fun (m, v, labels) ->
+          if Some m <> self then
+            List.iter (fun l -> Hashtbl.replace passed (m, v, l) ()) labels)
+        (snd (resolved ~wrappers ~modules source)))
+    impls;
+  List.concat_map
+    (fun (f, src) ->
+      let f = normalize f in
+      match module_of ~wrappers f with
+      | Some ((w, m) as node) when Filename.check_suffix f ".mli" ->
+          List.filter_map
+            (fun (v, l, (loc : Location.t)) ->
+              if Hashtbl.mem passed (node, v, l) then None
+              else
+                let pos = loc.loc_start in
+                let ident = String.concat "." [ w; m; v ] ^ "?" ^ l in
+                Some
+                  (Finding.v ~rule:"R9" ~file:f ~line:pos.pos_lnum
+                     ~col:(pos.pos_cnum - pos.pos_bol) ~ident
+                     ~message:("optional argument ?" ^ l ^ " of " ^ w ^ "."
+                              ^ m ^ "." ^ v ^ " that no caller outside its \
+                                module passes")
+                     ~hint:"delete it and use its default as a constant"))
+            (interface_optionals ~path:f src)
+      | _ -> [])
+    sources
+
 (* -- R8, file level: bin/ reaches Eqs. 3 and 4 only through the engine *)
 
 let closed_forms =
@@ -557,4 +645,5 @@ let lint_files files =
     @ missing_mli_findings files
     @ unreached_findings ~wrappers sources
     @ unused_value_findings ~wrappers sources
+    @ unpassed_option_findings ~wrappers sources
     @ closed_form_findings ~wrappers sources)

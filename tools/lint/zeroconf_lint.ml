@@ -4,15 +4,18 @@
 
    Scans every .ml/.mli under the given paths (default: lib bin bench
    examples perfbench, resolved from the current directory, which must
-   be the repo root), applies the R1-R6 and R8 rule catalogue from
+   be the repo root), applies the R1-R6, R8 and R9 rule catalogue from
    [Rules], subtracts the reviewed exceptions in the allowlist, and
    exits 1 when any new finding remains or any allowlist entry matches
    nothing.  R1-R5 apply to lib, bin and bench; examples and perfbench
    are read only as callers for R6, which flags every lib module no bin/
    executable reaches and every [val] of a lib .mli that no module
-   other than its own names.  R8 flags every bin/ module that names
+   other than its own names, and for R9, which flags every optional
+   argument of such a [val] that no module other than its own passes.
+   R8 flags every bin/ module that names
    [Zeroconf.{Cost, Reliability, Kernel}].  test/ is no caller: a path
-   under it adds nothing, so passing it cannot keep a value alive.
+   under it adds nothing, so passing it cannot keep a value or an
+   option alive.
    [--json] emits a machine-readable report on stdout. *)
 
 open Lint_core
