@@ -5,7 +5,8 @@
    jobs against the serial run, the batch front end's cost
    against the executor's, the executor's cost against the closed
    forms, the words they promote, the words the front end allocates on
-   n-sweeps and the batch output on point and sweep lines, the kernel
+   n-sweeps and the batch output on point and sweep lines, the major
+   and minor words of the whole batch path from a file, the kernel
    backend's cost against a bare cursor scan and its survival calls per
    step, the
    words the executor allocates per kernel sweep point, the Sec. 4.4
@@ -340,6 +341,65 @@ let count_gates () =
          "Batch_output.emit allocates %.3f minor words per ns=1:512 output line \
           (gate %g)"
          sweep_emit max_emit_words_per_line)
+
+(* Two counts on the CLI's whole [batch] path over the 20k point lines,
+   written to a file (one line each, '\n'-terminated) and then read
+   back through [Batch_input.read_channel], executed by
+   [Executor.execute] and printed by [Batch_output.emit] to the null
+   device, from a settled heap ([Gc.full_major]):
+   - at most 16 words per line reach the major heap, promoted or
+     allocated there (the batch's columns, the results, the kernel's
+     probe table, the read and write buffers; it reads about 12.6):
+     reading the whole file into one string first took about 24;
+   - at most 40 minor words per line: what is left (about 26) is the
+     survival closure's boxed argument and result on each kernel step;
+     a fresh cursor per column took about 52 in all.
+   Counted with [Gc.quick_stat], which is deterministic, so the gates
+   cannot flake on a noisy host. *)
+let pipeline_max_major_words = 16.
+and pipeline_max_minor_words = 40.
+
+let pipeline_gate () =
+  let path = Filename.temp_file "smoke_points" ".txt" in
+  Out_channel.with_open_bin path (fun oc ->
+      Array.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        (point_lines ()));
+  let null = open_out_bin Filename.null in
+  Gc.full_major ();
+  let before = Gc.quick_stat () in
+  let b = In_channel.with_open_bin path Batch_input.read_channel in
+  Engine.Executor.execute b;
+  Batch_output.emit null b;
+  let after = Gc.quick_stat () in
+  close_out null;
+  Sys.remove path;
+  assert (b.plans = point_lines_count);
+  let per_line words = words /. float_of_int point_lines_count in
+  let major = per_line (after.Gc.major_words -. before.Gc.major_words)
+  and minor = per_line (after.Gc.minor_words -. before.Gc.minor_words) in
+  let checks =
+    [ ("major", major, pipeline_max_major_words);
+      ("minor", minor, pipeline_max_minor_words) ]
+  in
+  List.iter
+    (fun (what, words, gate) ->
+      Printf.printf
+        "smoke %s: batch file -> read_channel -> execute -> emit at %.1f %s \
+         words per point line (gate %g)\n"
+        (if words <= gate then "ok" else "FAIL")
+        words what gate)
+    checks;
+  List.iter
+    (fun (what, words, gate) ->
+      if words > gate then
+        failwith
+          (Printf.sprintf
+             "the batch path allocates %.1f %s words per point line (gate %g)"
+             words what gate))
+    checks
 
 (* The kernel backend may cost at most twice a bare cursor scan of the
    same columns into float arrays: 200 n-sweeps ns=1:512, each at its
@@ -724,6 +784,7 @@ let () =
     smoke ();
     point_gates ();
     count_gates ();
+    pipeline_gate ();
     kernel_gate ();
     survival_gate ();
     execute_gate ();

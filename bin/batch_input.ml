@@ -2,7 +2,9 @@
    query line at a time, in one pass over its bytes, and append it to an
    [Engine.Batch.t] in place.
 
-   The input is one string: a line is the span up to its '\n', and its
+   The input is one byte buffer, the whole text or a chunk read from a
+   channel (of which only the lines a '\n' ends are parsed, until the
+   input ends): a line is the span up to its '\n', and its
    tokens (separated by ' ' or '\t' up to the first '#', without the
    blanks [String.trim] would cut from either end) are spans too, each
    cut at its first '=' into a key and a value.  The key is matched
@@ -17,8 +19,8 @@
    line but the grid of an rs= sweep. *)
 
 type state = {
-  text : string;  (* the whole input *)
-  len : int;
+  mutable text : bytes;  (* the input, or a chunk of it *)
+  mutable len : int;  (* the end of its bytes *)
   mutable stop : int;  (* the line's end: its '\n', or [len] *)
   mutable vend : int;  (* the end of the value read last, less blanks *)
   mutable lineno : int;
@@ -35,7 +37,7 @@ type state = {
 
 let fail_at lineno msg = failwith (Printf.sprintf "line %d: %s" lineno msg)
 let fail st msg = fail_at st.lineno msg
-let span st a b = String.sub st.text a (b - a)
+let span st a b = Bytes.sub_string st.text a (b - a)
 
 (* The helpers below are top-level functions with every variable passed
    in, so the per-token path allocates no closure.  The scans take the
@@ -43,7 +45,7 @@ let span st a b = String.sub st.text a (b - a)
 
 let rec index_from line i stop c =
   if i >= stop then -1
-  else if String.unsafe_get line i = c then i
+  else if Bytes.unsafe_get line i = c then i
   else index_from line (i + 1) stop c
 
 let[@inline] is_sep c = c = ' ' || c = '\t'
@@ -52,12 +54,12 @@ let[@inline] is_sep c = c = ' ' || c = '\t'
 let[@inline] is_blank c = is_sep c || c = '\r' || c = '\012'
 
 let rec skip_seps text len i =
-  if i < len && is_sep (String.unsafe_get text i) then
+  if i < len && is_sep (Bytes.unsafe_get text i) then
     skip_seps text len (i + 1)
   else i
 
 let rec skip_blanks text len i =
-  if i < len && is_blank (String.unsafe_get text i) then
+  if i < len && is_blank (Bytes.unsafe_get text i) then
     skip_blanks text len (i + 1)
   else i
 
@@ -66,7 +68,7 @@ let rec skip_blanks text len i =
 let at_end st i =
   let text = st.text and len = st.len in
   let j = skip_blanks text len i in
-  (j = len || String.unsafe_get text j = '\n' || String.unsafe_get text j = '#')
+  (j = len || Bytes.unsafe_get text j = '\n' || Bytes.unsafe_get text j = '#')
   && begin
        st.stop <- index_from text j len '\n';
        if st.stop < 0 then st.stop <- len;
@@ -78,14 +80,14 @@ let at_end st i =
 let[@inline] more st i =
   i < st.len
   &&
-  let c = String.unsafe_get st.text i in
+  let c = Bytes.unsafe_get st.text i in
   c > ' ' && c <> '#'
 
 (* a token ends at ' ', '\t', '#', '\n' or the text's end *)
 let[@inline] ends_token text len i =
   i >= len
   ||
-  match String.unsafe_get text i with
+  match Bytes.unsafe_get text i with
   | ' ' | '\t' | '#' | '\n' -> true
   | _ -> false
 
@@ -94,7 +96,7 @@ let rec token_end text len i =
 
 (* [e] without the blanks that end the line's last token *)
 let rec trim_end line a e =
-  if e > a && is_blank (String.unsafe_get line (e - 1)) then
+  if e > a && is_blank (Bytes.unsafe_get line (e - 1)) then
     trim_end line a (e - 1)
   else e
 
@@ -108,8 +110,8 @@ let token st a =
   e
 
 (* The 8 bytes of [s] at [i] as a little-endian int64, unchecked: the
-   caller has checked [i + 8 <= String.length s] *)
-external get64u : string -> int -> int64 = "%caml_string_get64u"
+   caller has checked [i + 8 <= Bytes.length s] *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
 let[@inline] word64 s i =
@@ -150,7 +152,10 @@ let table names =
   in
   let masks = part (fun _ _ m -> m) in
   (* each name zero-padded, so that its words can be read whole *)
-  let words = part (fun s k m -> word7 (s ^ String.make 22 '\000') k land m) in
+  let words =
+    part (fun s k m ->
+        word7 (Bytes.of_string (s ^ String.make 22 '\000')) k land m)
+  in
   let heads = Array.init (Array.length names) (fun i -> words.(3 * i)) in
   let distinct f =
     let xs = Array.to_list (Array.map f heads) in
@@ -197,14 +202,15 @@ let name_in t whole text len a =
 let name_at t ~whole text len a =
   if a + 22 <= len then name_in t whole text len a
   else
-    name_in t whole (String.sub text a (len - a) ^ String.make 22 '\000')
-      (len - a) 0
+    let padded = Bytes.make (len - a + 22) '\000' in
+    Bytes.blit text a padded 0 (len - a);
+    name_in t whole padded (len - a) 0
 
 (* the digits of [line] on [i, b) as an int, or -1 at a non-digit *)
 let rec decimal line i b acc =
   if i = b then acc
   else
-    match String.unsafe_get line i with
+    match Bytes.unsafe_get line i with
     | '0' .. '9' as c -> decimal line (i + 1) b ((10 * acc) + Char.code c - 48)
     | _ -> -1
 
@@ -222,7 +228,7 @@ let int_of st key a b =
 let[@inline] is_digit c = c >= '0' && c <= '9'
 
 let rec digits_end text len i =
-  if i < len && is_digit (String.unsafe_get text i) then
+  if i < len && is_digit (Bytes.unsafe_get text i) then
     digits_end text len (i + 1)
   else i
 
@@ -309,7 +315,7 @@ let digits8 line len i =
    point, -1 before it.  Eight digits at a time while [w] stays below
    10^17 after them, as it does one digit at a time. *)
 let rec plain_float line len a i w k dst slot =
-  let c = if i < len then String.unsafe_get line i else ' ' in
+  let c = if i < len then Bytes.unsafe_get line i else ' ' in
   if is_digit c then
     let d = if w < 1_000_000_000 then digits8 line len i else -1 in
     if d >= 0 then
@@ -535,8 +541,8 @@ let query st =
     domain;
     accuracy }
 
-let fresh text =
-  { text; len = String.length text; stop = 0; vend = 0; lineno = 0;
+let fresh text len =
+  { text; len; stop = 0; vend = 0; lineno = 0;
     quantity = Engine.Query.Mean_cost; given = 0;
     preset = figure2; ints = [| 4; 0; 0 |];
     r = [| 2.; 0.; 0. |]; ns_lo = 0; ns_hi = 0; rs = [||]; backend = None }
@@ -578,8 +584,12 @@ let parse st lineno a0 =
        true
      end
 
+(* the parser never writes to [st.text], so a string can stand in for
+   its bytes *)
+let of_string text = fresh (Bytes.unsafe_of_string text) (String.length text)
+
 let parse_line lineno line =
-  let st = fresh line in
+  let st = of_string line in
   if not (parse st lineno 0) then None
   else
     let q = query st in
@@ -630,15 +640,78 @@ let add st (b : Engine.Batch.t) =
 (* Room for a plan and a run per 60 bytes: the benchmark's point and
    n-sweep lines are longer, so they never make the batch grow; an rs=
    line adds a run per grid value. *)
+let batch_for bytes = Engine.Batch.create ~plans:(bytes / 60) ~runs:(bytes / 60)
+
+(* The lines of [st.text] that start on [a, last] into [b], numbered
+   from [lineno]; the number of the next line.  Each of them ends by
+   [last]: at its '\n', or at [st.len] when [last] is [st.len]. *)
+let rec lines st b lineno a last =
+  if a > last then lineno
+  else begin
+    if parse st lineno a then add st b;
+    lines st b (lineno + 1) (st.stop + 1) last
+  end
+
+(* the span after the last '\n' (empty when the text ends in one) is a
+   line too *)
 let read text =
-  let guess = String.length text / 60 in
-  let b = Engine.Batch.create ~plans:guess ~runs:guess
-  and st = fresh text in
-  let rec loop lineno a =
-    if a <= st.len then begin
-      if parse st lineno a then add st b;
-      loop (lineno + 1) (st.stop + 1)
-    end
-  in
-  loop 1 0;
+  let st = of_string text and b = batch_for (String.length text) in
+  ignore (lines st b 1 0 st.len : int);
   b
+
+let chunk_bytes = 65_536
+
+(* [want] bytes of [ic] into [buf] at [pos], fewer only at the end of
+   the input; how many *)
+let rec fill ic buf pos want got =
+  if got = want then got
+  else
+    match In_channel.input ic buf (pos + got) (want - got) with
+    | 0 -> got
+    | k -> fill ic buf pos want (got + k)
+
+let rec last_newline text i stop =
+  if i < stop then -1
+  else if Bytes.unsafe_get text i = '\n' then i
+  else last_newline text (i - 1) stop
+
+(* The chunk loop: [st.text] holds, on [0, used), the start of line
+   [lineno], which no '\n' ends yet. *)
+let rec read_chunks ic st b lineno used =
+  if used = Bytes.length st.text then begin
+    (* a line longer than the buffer: double it *)
+    let text = Bytes.create (2 * used) in
+    Bytes.blit st.text 0 text 0 used;
+    st.text <- text
+  end;
+  let got =
+    fill ic st.text used (Int.min chunk_bytes (Bytes.length st.text - used)) 0
+  in
+  st.len <- used + got;
+  if got = 0 then begin
+    (* the end of the input: what is left is the last line *)
+    if parse st lineno 0 then add st b;
+    b
+  end
+  else
+    let last = last_newline st.text (st.len - 1) used in
+    if last < 0 then read_chunks ic st b lineno st.len
+    else begin
+      let lineno = lines st b lineno 0 last in
+      let rest = st.len - last - 1 in
+      Bytes.blit st.text (last + 1) st.text 0 rest;
+      read_chunks ic st b lineno rest
+    end
+
+(* A pipe has no length, and a file of length 0 may still hold bytes
+   (procfs): both are sized as 64 KiB. *)
+let read_channel ic =
+  let size =
+    match In_channel.length ic with
+    | len -> Int64.to_int (Int64.sub len (In_channel.pos ic))
+    | exception Sys_error _ -> 0
+  in
+  let size = if size <= 0 then chunk_bytes else size in
+  read_chunks ic
+    (fresh (Bytes.create (Int.min chunk_bytes size)) 0)
+    (batch_for size) 1 0

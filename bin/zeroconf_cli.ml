@@ -916,9 +916,9 @@ let batch_cmd =
                    '#' starts a comment.")
   in
   let run () file =
-    let read ic = Batch_input.read (In_channel.input_all ic) in
     match
-      if file = "-" then read stdin else In_channel.with_open_text file read
+      if file = "-" then Batch_input.read_channel stdin
+      else In_channel.with_open_text file Batch_input.read_channel
     with
     | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
     | { Engine.Batch.plans = 0; _ } -> `Error (false, "no queries in the input")

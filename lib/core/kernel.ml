@@ -7,7 +7,7 @@ module SF = Numerics.Safe_float
    flat: [advance] overwrites its fields in place instead of boxing a
    fresh float per field and step. *)
 type state = {
-  r : float;
+  mutable r : float;
   s0 : float;
   mutable pi : float;
   mutable log_pi : float;
@@ -42,6 +42,22 @@ let create ?(log_twin = false) (p : Params.t) ~r =
         denom = nan;
         log_denom = nan;
         si = 1.; log_si = 0. } }
+
+(* every mutable field back to [create]'s value; [s0] and [log_q]
+   depend on the scenario alone *)
+let reset k rs i =
+  let r = rs.(i) and st = k.st in
+  if r < 0. then invalid_arg "Kernel.reset: negative listening period";
+  k.n <- 0;
+  st.r <- r;
+  st.pi <- 1.;
+  st.log_pi <- 0.;
+  st.sum <- 0.;
+  st.comp <- 0.;
+  st.denom <- nan;
+  st.log_denom <- nan;
+  st.si <- 1.;
+  st.log_si <- 0.
 
 let n k = k.n
 let pi k = k.st.pi

@@ -43,6 +43,18 @@ val create : ?log_twin:bool -> Params.t -> r:float -> t
     if [log_twin] (default [false]).  Raises [Invalid_argument] on a
     negative [r]. *)
 
+val reset : t -> float array -> int -> unit
+(** [reset k rs i] puts [k] back at [n = 0] at the listening period [r
+    = rs.(i)], for the same scenario and log twin: every bit of state a
+    read or a step uses ([pi_n], its log, the prefix sum and its
+    Neumaier compensation, the log twin's last ratio and denominator
+    with their logs) takes the value {!create} gives, so [k] then reads
+    and steps exactly as [create ~log_twin p ~r] would.  It allocates
+    nothing and calls no [survival]: [S(0)] and [log q] depend on the
+    scenario alone, and [r] is read out of an array, so passing it
+    boxes nothing.  Raises [Invalid_argument] on a negative [r], before
+    [k] changes. *)
+
 val advance : t -> unit
 (** Step [n] to [n + 1]: folds [pi_n] into the prefix sum and performs
     the single survival evaluation at [(n + 1) r], if any. *)

@@ -3,6 +3,6 @@ module type S = sig
   val serves : Query.quantity -> sampled:bool -> bool
   val max_n : int
   val supports : Query.t -> bool
-  val eval_columns : Batch.t -> int array -> unit
+  val eval_columns : Batch.t -> unit
   val eval_batch : Plan.t array -> Answer.t array
 end

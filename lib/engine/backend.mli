@@ -16,10 +16,10 @@ module type S = sig
   (** {!serves} on the query's parts, every probe count at most
       {!max_n}. *)
 
-  val eval_columns : Batch.t -> int array -> unit
-  (** [eval_columns b plans]: the route's one evaluation, of the plans
-      of [b] (prepared) that [plans] lists in batch order, written into
-      [b]'s results.  Shared work amortizes across them: the kernel
+  val eval_columns : Batch.t -> unit
+  (** [eval_columns b]: the route's one evaluation, of every plan of
+      [b] (prepared) routed to it, written into [b]'s results.  Shared
+      work amortizes across them: the kernel
       streams one cursor per [(scenario, bits of r)] column, the DTMC
       route builds each distinct matrix once, Monte Carlo runs each
       sampling stream once for every quantity that reads it; every
@@ -33,9 +33,11 @@ module type S = sig
       Carlo per sampling stream, the DTMC route per matrix build, the
       analytic route per point.  The kernel runs its columns serially.
       Values are bit-identical at every job count.  Raises
-      [Invalid_argument] on a plan routed elsewhere or not served. *)
+      [Invalid_argument] on a plan routed here that it does not
+      serve. *)
 
   val eval_batch : Plan.t array -> Answer.t array
-  (** {!eval_columns} on the plans as a batch, answers in plan order;
+  (** {!eval_columns} on the plans as a batch, answers in plan order
+      (raises [Invalid_argument] on a plan routed elsewhere);
       [wall_ns] times the whole batch (for the kernel, the scans). *)
 end

@@ -60,19 +60,20 @@ let by_group gid count =
     gid;
   (seg, order)
 
-(* The runs of [plans] in batch order, and the plan of each *)
-let runs_of (b : Batch.t) plans =
-  let m = Array.fold_left (fun m p -> m + b.run.(p + 1) - b.run.(p)) 0 plans in
-  let runs = Array.make m 0 and owner = Array.make m 0 and j = ref 0 in
-  Array.iter
-    (fun p ->
-      for t = b.run.(p) to b.run.(p + 1) - 1 do
-        runs.(!j) <- t;
-        owner.(!j) <- p;
-        incr j
-      done)
-    plans;
-  (runs, owner)
+(* The plans of [b] routed to [route], in batch order *)
+let routed (b : Batch.t) route =
+  let m = ref 0 in
+  for p = 0 to b.plans - 1 do
+    if b.route.(p) = route then incr m
+  done;
+  let plans = Array.make !m 0 and j = ref 0 in
+  for p = 0 to b.plans - 1 do
+    if b.route.(p) = route then begin
+      plans.(!j) <- p;
+      incr j
+    end
+  done;
+  plans
 
 (* The points of [plans] in batch order: point j is (n.(j), r.(j)) of
    plan plan.(j), at offset at.(j) *)
@@ -108,7 +109,7 @@ module Route (C : sig
   val route : Plan.route
   val serves : Query.quantity -> sampled:bool -> bool
   val max_n : int
-  val eval : Batch.t -> int array -> unit
+  val eval : Batch.t -> unit
 end) : Backend.S = struct
   let name = C.name
   let serves = C.serves
@@ -124,23 +125,26 @@ end) : Backend.S = struct
     | Query.Point { n; _ } | Query.R_sweep { n; _ } -> n <= max_n
     | Query.N_sweep { ns; _ } -> Array.for_all (fun n -> n <= max_n) ns
 
-  let eval_columns (b : Batch.t) plans =
-    Array.iter
-      (fun p ->
-        if b.route.(p) <> C.route then
-          refuse (": plan routed to " ^ Plan.route_name b.route.(p));
-        if
-          not
-            (serves b.quantity.(p) ~sampled:(Batch.trials b p > 0)
-            && (max_n = max_int || Batch.max_n b p <= max_n))
-        then refuse ": unsupported query")
-      plans;
-    C.eval b plans
+  let eval_columns (b : Batch.t) =
+    for p = 0 to b.plans - 1 do
+      if
+        b.route.(p) = C.route
+        && not
+             (serves b.quantity.(p) ~sampled:(Batch.trials b p > 0)
+             && (max_n = max_int || Batch.max_n b p <= max_n))
+      then refuse ": unsupported query"
+    done;
+    C.eval b
 
   let eval_batch plans =
+    Array.iter
+      (fun (pl : Plan.t) ->
+        if pl.route <> C.route then
+          refuse (": plan routed to " ^ Plan.route_name pl.route))
+      plans;
     let b = Batch.of_plans plans in
     Batch.prepare b;
-    eval_columns b (Array.init (Array.length plans) Fun.id);
+    eval_columns b;
     Batch.answers b plans
 end
 
@@ -172,8 +176,8 @@ module Analytic = Route (struct
     | Query.Cost_variance ->
         invalid_arg "Backends.Analytic: cost variance is DRM-only"
 
-  let eval (b : Batch.t) plans =
-    let pt = points_of b plans in
+  let eval (b : Batch.t) =
+    let pt = points_of b (routed b route) in
     let values, wall_ns =
       time_ns (fun () ->
           Exec.Parallel.map
@@ -195,14 +199,21 @@ end)
    another: a column costs microseconds, less than handing it to
    another domain.
 
-   The batch's runs (each one r and an ascending n-range) are grouped
-   into columns by (scenario id, bits of r) and listed per column in
-   batch order.  A column of one run scans straight into the value
-   array.  Any other column gathers its stops in batch order, sorts
-   them by n if they are out of order (ties keep batch order), and so
-   scans in (n, plan, point) order.  An advance between consecutive
-   stops is charged to the later stop's plan, so per-plan evals sum to
-   the scan work actually done. *)
+   The kernel plans' runs (each one r and an ascending n-range) are
+   grouped into columns by (scenario id, bits of r) in one probe table
+   over (plan, run) pairs.  When no column holds two runs, as on a
+   batch of distinct points, each run scans straight into the value
+   array in batch order, and nothing else is built.  Otherwise the
+   columns are numbered by first appearance and their runs listed in
+   batch order; a column of one run scans straight, and any other
+   gathers its stops in batch order, sorts them by n if they are out
+   of order (ties keep batch order), and so scans in (n, plan, point)
+   order.  An advance between consecutive stops is charged to the later
+   stop's plan, so per-plan evals sum to the scan work actually done.
+
+   A column's cursor is the one cursor of its (scenario, log twin),
+   created on first use and then {!Zeroconf.Kernel.reset} to the
+   column's r, which reads and steps exactly as a fresh one. *)
 module Kernel = Route (struct
   let name = "kernel"
   let route = Plan.Kernel
@@ -228,72 +239,151 @@ module Kernel = Route (struct
   let pos_mask = (1 lsl pos_bits) - 1
   let () = assert (Query.max_points < 1 lsl (62 - pos_bits))
 
-  let eval (b : Batch.t) plans =
-    let runs, owner = runs_of b plans in
-    let nruns = Array.length runs in
-    let col, ncols =
-      group nruns
-        ~hash:(fun j -> mix b.scenario_id.(owner.(j)) (hash_bits b.r.(runs.(j))))
-        ~same:(fun i j ->
-          b.scenario_id.(owner.(i)) = b.scenario_id.(owner.(j))
-          && same_bits b.r.(runs.(i)) b.r.(runs.(j)))
+  (* run [t] of plan [p] as one int, the plan above the run: a batch
+     holds fewer than 2^31 runs, whose arrays alone would take 48 GB *)
+  let run_bits = 31
+  let pack p t = (p lsl run_bits) lor t
+  let plan_of x = x lsr run_bits
+  let run_of x = x land ((1 lsl run_bits) - 1)
+
+  let eval (b : Batch.t) =
+    let cursors = ref [||] in
+    (* the cursor of (scenario id, log twin), at r = b.r.(t) *)
+    let cursor sid log_twin t =
+      let i = (2 * sid) + Bool.to_int log_twin in
+      if i >= Array.length !cursors then begin
+        let grown = Array.make (2 * (sid + 1)) None in
+        Array.blit !cursors 0 grown 0 (Array.length !cursors);
+        cursors := grown
+      end;
+      match !cursors.(i) with
+      | Some k ->
+          Zeroconf.Kernel.reset k b.r t;
+          k
+      | None ->
+          let k =
+            Zeroconf.Kernel.create ~log_twin (Plan.scenario_of_id sid)
+              ~r:b.r.(t)
+          in
+          !cursors.(i) <- Some k;
+          k
     in
-    (* when every column is one run, column c is item c *)
-    let single = ncols = nruns in
-    let seg, order = if single then ([||], [||]) else by_group col ncols in
-    let first c = if single then c else seg.(c)
-    and stop c = if single then c + 1 else seg.(c + 1)
-    and item j = if single then j else order.(j) in
-    let run_column c =
-      let t0 = runs.(item (first c)) and p0 = owner.(item (first c)) in
-      let log_twin = ref false and s = Batch.scenario b p0 in
-      for j = first c to stop c - 1 do
-        log_twin := !log_twin || b.quantity.(owner.(item j)) = Query.Log10_error
-      done;
-      let k = Zeroconf.Kernel.create ~log_twin:!log_twin s ~r:b.r.(t0) in
-      if stop c - first c = 1 then begin
-        let lo = b.n_lo.(t0) and off = b.off.(t0) in
-        Zeroconf.Kernel.column k (reader b.quantity.(p0)) ~lo
-          ~hi:(lo + b.off.(t0 + 1) - 1 - off) b.value off;
-        b.evals.(p0) <- b.evals.(p0) + Zeroconf.Kernel.n k
-      end
-      else begin
-        let m = ref 0 in
-        for j = first c to stop c - 1 do
-          let t = runs.(item j) in
-          m := !m + b.off.(t + 1) - b.off.(t)
-        done;
-        let stop_point = Array.make !m 0
-        and stop_plan = Array.make !m 0
-        and key = Array.make !m 0
-        and s = ref 0
-        and sorted = ref true in
-        for j = first c to stop c - 1 do
-          let t = runs.(item j) in
-          for i = b.off.(t) to b.off.(t + 1) - 1 do
-            stop_point.(!s) <- i;
-            stop_plan.(!s) <- owner.(item j);
-            key.(!s) <- ((b.n_lo.(t) + i - b.off.(t)) lsl pos_bits) lor !s;
-            if !s > 0 && key.(!s) < key.(!s - 1) then sorted := false;
-            incr s
+    (* run t of plan p alone on its column *)
+    let scan_run p t =
+      let k =
+        cursor b.scenario_id.(p) (b.quantity.(p) = Query.Log10_error) t
+      and lo = b.n_lo.(t)
+      and off = b.off.(t) in
+      Zeroconf.Kernel.column k (reader b.quantity.(p)) ~lo
+        ~hi:(lo + b.off.(t + 1) - 1 - off) b.value off;
+      b.evals.(p) <- b.evals.(p) + Zeroconf.Kernel.n k
+    in
+    (* every run t of every kernel plan p, in batch order *)
+    let iter_runs f =
+      for p = 0 to b.plans - 1 do
+        if b.route.(p) = route then
+          for t = b.run.(p) to b.run.(p + 1) - 1 do
+            f p t
           done
-        done;
-        if not !sorted then Array.sort Int.compare key;
-        Array.iter
-          (fun key ->
-            let s = key land pos_mask and n = key lsr pos_bits in
-            let i = stop_point.(s) and p = stop_plan.(s) in
-            b.evals.(p) <- b.evals.(p) + n - Zeroconf.Kernel.n k;
-            Zeroconf.Kernel.column k (reader b.quantity.(p)) ~lo:n ~hi:n b.value i)
-          key
-      end
+      done
     in
-    let (), wall_ns =
-      time_ns (fun () ->
-          for c = 0 to ncols - 1 do
-            run_column c
-          done)
+    let m = ref 0 in
+    iter_runs (fun _ _ -> incr m);
+    let m = !m and cap = ref 16 in
+    while !cap < m + (m / 2) do
+      cap := 2 * !cap
+    done;
+    (* open addressing with linear probing, at most two thirds full: a
+       slot holds the packed first run of its column, or -1 *)
+    let mask = !cap - 1 and slot = Array.make !cap (-1) in
+    let rec find h p t =
+      let x = slot.(h) in
+      if
+        x < 0
+        || b.scenario_id.(plan_of x) = b.scenario_id.(p)
+           && same_bits b.r.(run_of x) b.r.(t)
+      then h
+      else find ((h + 1) land mask) p t
     in
+    let slot_of p t =
+      find (mix b.scenario_id.(p) (hash_bits b.r.(t)) land mask) p t
+    in
+    let shared = ref false in
+    iter_runs (fun p t ->
+        let h = slot_of p t in
+        if slot.(h) < 0 then slot.(h) <- pack p t else shared := true);
+    (* column ids by first appearance, and a stable counting sort of
+       the runs by column: column c's runs, in batch order, are
+       order.(seg.(c)) .. order.(seg.(c + 1) - 1) *)
+    let columns () =
+      let cid = Array.make !cap (-1)
+      and seg = Array.make (m + 1) 0
+      and ncols = ref 0 in
+      iter_runs (fun p t ->
+          let h = slot_of p t in
+          if cid.(h) < 0 then begin
+            cid.(h) <- !ncols;
+            incr ncols
+          end;
+          seg.(cid.(h) + 1) <- seg.(cid.(h) + 1) + 1);
+      for c = 1 to !ncols do
+        seg.(c) <- seg.(c) + seg.(c - 1)
+      done;
+      let fill = Array.sub seg 0 !ncols and order = Array.make m 0 in
+      iter_runs (fun p t ->
+          let c = cid.(slot_of p t) in
+          order.(fill.(c)) <- pack p t;
+          fill.(c) <- fill.(c) + 1);
+      (Array.sub seg 0 (!ncols + 1), order)
+    in
+    (* the column of the runs order.(first) .. order.(stop - 1), more
+       than one *)
+    let scan_shared order first stop =
+      let log_twin = ref false and points = ref 0 in
+      for j = first to stop - 1 do
+        let p = plan_of order.(j) and t = run_of order.(j) in
+        log_twin := !log_twin || b.quantity.(p) = Query.Log10_error;
+        points := !points + b.off.(t + 1) - b.off.(t)
+      done;
+      let x0 = order.(first) in
+      let k = cursor b.scenario_id.(plan_of x0) !log_twin (run_of x0)
+      and stop_point = Array.make !points 0
+      and stop_plan = Array.make !points 0
+      and key = Array.make !points 0
+      and s = ref 0
+      and sorted = ref true in
+      for j = first to stop - 1 do
+        let p = plan_of order.(j) and t = run_of order.(j) in
+        for i = b.off.(t) to b.off.(t + 1) - 1 do
+          stop_point.(!s) <- i;
+          stop_plan.(!s) <- p;
+          key.(!s) <- ((b.n_lo.(t) + i - b.off.(t)) lsl pos_bits) lor !s;
+          if !s > 0 && key.(!s) < key.(!s - 1) then sorted := false;
+          incr s
+        done
+      done;
+      if not !sorted then Array.sort Int.compare key;
+      Array.iter
+        (fun key ->
+          let s = key land pos_mask and n = key lsr pos_bits in
+          let i = stop_point.(s) and p = stop_plan.(s) in
+          b.evals.(p) <- b.evals.(p) + n - Zeroconf.Kernel.n k;
+          Zeroconf.Kernel.column k (reader b.quantity.(p)) ~lo:n ~hi:n b.value
+            i)
+        key
+    in
+    let scan_all =
+      if not !shared then fun () -> iter_runs scan_run
+      else
+        let seg, order = columns () in
+        fun () ->
+          for c = 0 to Array.length seg - 2 do
+            if seg.(c + 1) - seg.(c) = 1 then
+              scan_run (plan_of order.(seg.(c))) (run_of order.(seg.(c)))
+            else scan_shared order seg.(c) seg.(c + 1)
+          done
+    in
+    let (), wall_ns = time_ns scan_all in
     Batch.set_wall b route wall_ns
 end)
 
@@ -371,9 +461,9 @@ module Dtmc = Route (struct
      the shared solve.  The build is attributed to the point that
      requested it first; later readers of the same matrix cost
      nothing. *)
-  let eval (b : Batch.t) plans =
+  let eval (b : Batch.t) =
     let firsts, wall_ns =
-      shared_work b plans ~into:[| b.value |]
+      shared_work b (routed b route) ~into:[| b.value |]
         ~hash:(fun pt j ->
           mix (mix b.scenario_id.(pt.plan.(j)) pt.n.(j)) (hash_bits pt.r.(j)))
         ~same:(fun pt i j ->
@@ -442,7 +532,8 @@ module Mc = Route (struct
      share one run and each reads its own quantity from it.  A stream
      is never merged with another, so a batch is bitwise the same as
      evaluating each plan alone. *)
-  let eval (b : Batch.t) plans =
+  let eval (b : Batch.t) =
+    let plans = routed b route in
     let index (pt : points) j = pt.at.(j) - Batch.first_point b pt.plan.(j) in
     let _, wall_ns =
       shared_work b plans ~into:[| b.value; b.ci_lo; b.ci_hi |]

@@ -19,10 +19,11 @@
        queries; occupancy is [round (q * 65024)] hosts so [q] matches
        {!Zeroconf.Params.q_of_hosts}.}}
 
-    Each route's one evaluation is [eval_columns], on a {!Batch.t} and
-    a list of its plans.  The kernel groups runs of equal [r] within a
-    plan into [(scenario id, bits of r)] columns by open addressing
-    over flat arrays and scans one streaming cursor per column, writing
+    Each route's one evaluation is [eval_columns], on the plans of a
+    {!Batch.t} routed to it.  The kernel groups their runs into
+    [(scenario id, bits of r)] columns with one open-addressing table
+    over (plan, run) pairs, and scans each column with the one cursor
+    of its (scenario, log twin), reset to the column's [r], writing
     straight into the batch's value array; the DTMC route builds each
     distinct matrix once, the analytic route evaluates every point in
     one balanced fan-out, and Monte Carlo runs each sampling stream

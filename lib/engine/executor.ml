@@ -6,29 +6,21 @@ let route_index = function
   | Plan.Dtmc -> 2
   | Plan.Mc -> 3
 
-(* a stable counting sort of the plans by route; each backend sees one
-   eval_columns call, on its plans in batch order *)
+(* each backend sees one eval_columns call, on its plans in batch
+   order, after a pass that finds the routes in use *)
 let execute (b : Batch.t) =
   Batch.prepare b;
-  let count = Array.make (Array.length routes) 0 in
+  let used = ref 0 in
   for p = 0 to b.plans - 1 do
-    let g = route_index b.route.(p) in
-    count.(g) <- count.(g) + 1
-  done;
-  let routed = Array.map (fun c -> Array.make c 0) count in
-  Array.fill count 0 (Array.length count) 0;
-  for p = 0 to b.plans - 1 do
-    let g = route_index b.route.(p) in
-    routed.(g).(count.(g)) <- p;
-    count.(g) <- count.(g) + 1
+    used := !used lor (1 lsl route_index b.route.(p))
   done;
   Array.iteri
-    (fun g plans ->
-      if Array.length plans > 0 then begin
-        let (module B : Backend.S) = Planner.backend_of_route routes.(g) in
-        B.eval_columns b plans
+    (fun g route ->
+      if !used land (1 lsl g) <> 0 then begin
+        let (module B : Backend.S) = Planner.backend_of_route route in
+        B.eval_columns b
       end)
-    routed
+    routes
 
 (* one plan per (quantity, r), each one run n = lo .. hi: every kernel
    column's runs are the quantities at one r *)

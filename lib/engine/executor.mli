@@ -6,8 +6,9 @@
       Query ──Planner.plan──▶ Plan.t ──run──▶ Answer.t
     v}
 
-    {!execute} partitions a {!Batch.t} by route and hands each backend
-    ONE [eval_columns] call on its plans, so shared work amortizes
+    {!execute} hands each backend that a plan of the {!Batch.t} is
+    routed to ONE [eval_columns] call, which evaluates all those plans,
+    so shared work amortizes
     across the whole batch: a query repeated in a batch costs nothing
     past its first occurrence on a shared kernel column.  Every point
     is bitwise identical to evaluating each query alone, at any job

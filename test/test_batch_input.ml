@@ -352,6 +352,131 @@ let test_growth () =
     (List.init 200 (fun i -> i + 1))
     (List.init b.plans (fun p -> b.n_lo.(b.run.(p))))
 
+(* ---------------- the channel reader across chunk boundaries ---------------- *)
+
+(* [Batch_input.read_channel] reads 64 KiB chunks: on a longer file the
+   first one ends at byte [chunk], where each case below puts the
+   feature it names, behind comment padding.  Each input must give the
+   batch [read] gives on the whole string, bits of r included, or the
+   same [line N:] message. *)
+let chunk = 65_536
+
+(* A batch as plain data: [=] on it compares r by its bits *)
+let view (b : Engine.Batch.t) =
+  ( b.points,
+    List.init b.plans (fun p ->
+        ( (b.quantity.(p), b.route.(p), b.scenario_id.(p)),
+          (Engine.Batch.trials b p, Engine.Batch.seed b p, b.line.(p)),
+          List.init (b.run.(p + 1) - b.run.(p)) (fun i ->
+              let t = b.run.(p) + i in
+              (b.n_lo.(t), bits b.r.(t), b.off.(t + 1) - b.off.(t))) )) )
+
+let batch_outcome read text =
+  match read text with
+  | b -> Ok (view b)
+  | exception Failure msg -> Error msg
+
+let with_file text f =
+  let path = Filename.temp_file "batch_input" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let via_file text =
+  with_file text (fun path ->
+      In_channel.with_open_bin path Batch_input.read_channel)
+
+(* through a pipe, which has no length, written by another domain *)
+let via_pipe text =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr w in
+        output_string oc text;
+        close_out oc)
+  in
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join writer;
+      close_in ic)
+    (fun () -> Batch_input.read_channel ic)
+
+(* [bytes] of comment and blank lines *)
+let padding bytes =
+  let line = "# padding " ^ String.make 53 '.' ^ "\n" in
+  let full = bytes / String.length line and rest = bytes mod String.length line in
+  String.concat "" (List.init full (fun _ -> line))
+  ^
+  match rest with
+  | 0 -> ""
+  | 1 -> "\n"
+  | k -> "#" ^ String.make (k - 2) '-' ^ "\n"
+
+let head = "cost n=3\nerror scenario=wired-worst-case ns=1:4 r=0.5\n"
+
+(* [head], padding, then [line] with its byte [k] at the boundary, then
+   [tail] *)
+let across line k tail =
+  head ^ padding (chunk - String.length head - k) ^ line ^ tail
+
+let tail = "\nlog10-error rs=0.5:2:4 n=6\n"
+
+let cases =
+  let cut line sub off =
+    (* the byte [off] into the first [sub] of [line] *)
+    let rec find i =
+      if String.sub line i (String.length sub) = sub then i else find (i + 1)
+    in
+    find 0 + off
+  in
+  let line = "mean-cost scenario=realistic-ethernet n=7 r=0.123456789" in
+  let long =
+    "error-probability scenario=figure2" ^ String.make (chunk + 1000) ' '
+    ^ "n=6 r=1.25 # after a blank run longer than a chunk"
+  in
+  (* name, input, and whether [read] fails on it *)
+  [ ("a line", across line 20 tail, false);
+    ("a key", across line (cut line "scenario=" 4) tail, false);
+    ("a number", across line (cut line "0.123" 3) tail, false);
+    ("a \\r\\n pair", across "cost n=2 r=1\r" 13 tail, false);
+    ("a comment", across "error n=5 # a comment across the boundary" 20 tail, false);
+    ("a final line without newline", across line 30 "", false);
+    ("a line longer than a chunk", across long 100 tail, false);
+    ("a line longer than a chunk, last", head ^ long, false);
+    ("the empty input", "", false);
+    ("a bad number", across "cost r=1.2.3 n=2" 9 tail, true);
+    ("an unknown key", across "cost n=2 colour=3" 12 tail, true);
+    ("a bad line after the boundary", across line 20 "\ncost n=0\n", true);
+    ("a bad final line", across line 20 "\ncost ns=3:1", true) ]
+
+let test_chunks () =
+  List.iter
+    (fun (name, text, fails) ->
+      let whole = batch_outcome Batch_input.read text in
+      if Result.is_error whole <> fails then
+        Alcotest.failf "%s: read %s" name
+          (if fails then "does not fail" else "fails");
+      List.iter
+        (fun (how, read) ->
+          let got = batch_outcome read text in
+          if got <> whole then
+            Alcotest.failf "%s, through a %s: %s where read gives %s" name how
+              (match got with Ok _ -> "a batch" | Error m -> m)
+              (match whole with Ok _ -> "another batch" | Error m -> m))
+        [ ("file", via_file); ("pipe", via_pipe) ])
+    cases
+
+let test_channel_position () =
+  (* read_channel reads from the channel's position on: the sizing
+     counts only what is left *)
+  let text = across "cost n=5 r=0.25" 6 tail in
+  with_file ("error n=1\n" ^ text) (fun path ->
+      In_channel.with_open_bin path (fun ic ->
+          ignore (In_channel.input_line ic);
+          Alcotest.(check bool)
+            "rest of the file" true
+            (view (Batch_input.read_channel ic) = view (Batch_input.read text))))
+
 let () =
   Alcotest.run "batch_input"
     [ ( "parser",
@@ -366,4 +491,9 @@ let () =
           Alcotest.test_case "evaluation refusals name their line" `Quick
             test_evaluation_refusals;
           Alcotest.test_case "streamed lines" `Quick test_plans_stream;
-          Alcotest.test_case "plan array growth" `Quick test_growth ] ) ]
+          Alcotest.test_case "plan array growth" `Quick test_growth ] );
+      ( "channel",
+        [ Alcotest.test_case "chunk boundaries = whole string" `Quick
+            test_chunks;
+          Alcotest.test_case "from the channel's position" `Quick
+            test_channel_position ] ) ]

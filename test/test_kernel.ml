@@ -552,6 +552,84 @@ let prop_parallel_scan_agrees =
         (fun jobs -> with_jobs jobs (fun () -> reference = Exec.Parallel.map scan grid))
         job_counts)
 
+(* The kernel route keeps one cursor per (scenario, log twin) and
+   resets it to each column's r.  One batch of n-sweeps in which those
+   cursors serve, in turn: every preset; log10 columns and mean cost and
+   error columns; wireless-worst-case at r = 2, whose pi_n reaches +0 by
+   n = 150, then other r.  Every value must be the bits a fresh cursor
+   gives.  The twin's columns run at r = 2.5, 3.5 and 0, so a reset
+   that left the last ratio (its loss plateau) in place beside a zero
+   log, or a zero r's ratio of 1 beside the plateau's log, would hand a
+   column the wrong log.  The first mean cost column runs at r = 0.001,
+   where pi_n stays near 1: its prefix sum nears n = 150 and leaves a
+   Neumaier compensation far above the last bit of the next column's
+   sum, near 1, so a stale one shows.  The same columns again, each
+   listed twice, take the route's shared-column path. *)
+let test_reused_cursors () =
+  let n_max = 150 in
+  let ns = Array.init n_max (fun i -> i + 1) in
+  let columns =
+    Q.
+      [ (Mean_cost, 0.001); (Log10_error, 2.5); (Mean_cost, 2.);
+        (Log10_error, 3.5); (Error_probability, 0.4); (Log10_error, 0.);
+        (Mean_cost, 5.); (Error_probability, 2.) ]
+  in
+  let plans =
+    List.concat_map
+      (fun (q, r) ->
+        List.map
+          (fun (_, p) ->
+            Engine.Plan.make ~route:Engine.Plan.Kernel (Q.n_sweep q p ~ns ~r))
+          Params.presets)
+      columns
+  in
+  assert (
+    let k = K.create Params.wireless_worst_case ~r:2. in
+    K.advance_to k ~n:n_max;
+    K.pi k = 0.);
+  let fresh (pl : Engine.Plan.t) =
+    let k =
+      K.create ~log_twin:(pl.quantity = Q.Log10_error) pl.scenario
+        ~r:(snd pl.points.(0))
+    and v = Array.create_float n_max in
+    K.column k
+      (match pl.quantity with
+      | Q.Mean_cost -> K.Cost
+      | Q.Error_probability -> K.Error
+      | _ -> K.Log10)
+      ~lo:1 ~hi:n_max v 0;
+    v
+  in
+  List.iter
+    (fun (path, plans) ->
+      let answers = Engine.Backends.Kernel.eval_batch (Array.of_list plans) in
+      List.iteri
+        (fun i (pl : Engine.Plan.t) ->
+          let want = fresh pl in
+          Array.iteri
+            (fun j v ->
+              if bits v <> bits want.(j) then
+                Alcotest.failf
+                  "%s: %s of %s at n = %d, r = %g reads %h, a fresh cursor %h"
+                  path (Q.quantity_name pl.quantity) pl.scenario.Params.name
+                  (j + 1) (snd pl.points.(0)) v want.(j))
+            (match answers.(i).Engine.Answer.values with
+            | Engine.Answer.Scalars v -> v
+            | Engine.Answer.Intervals _ -> assert false))
+        plans)
+    [ ("one run per column", plans);
+      ("shared columns", List.concat_map (fun pl -> [ pl; pl ]) plans) ]
+
+let test_reset_guard () =
+  let k = K.create Params.figure2 ~r:1. in
+  K.advance_to k ~n:3;
+  (match K.reset k [| -1. |] 0 with
+  | () -> Alcotest.fail "a negative r is refused"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "refused before the cursor moves" 3 (K.n k);
+  K.reset k [| 0.5 |] 0;
+  Alcotest.(check int) "back at n = 0" 0 (K.n k)
+
 let () =
   Alcotest.run "kernel"
     [ ( "cursor",
@@ -570,7 +648,10 @@ let () =
             test_early_out_survival_calls;
           Alcotest.test_case "log twin guards" `Quick test_log_twin_guards;
           Alcotest.test_case "column on the +0 tail and a log plateau" `Quick
-            test_column_tails ] );
+            test_column_tails;
+          Alcotest.test_case "reused cursor = fresh cursor" `Quick
+            test_reused_cursors;
+          Alcotest.test_case "reset guard" `Quick test_reset_guard ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_swept_values_agree; prop_one_shots_agree;
