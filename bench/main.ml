@@ -7,8 +7,8 @@
    forms, the words they promote, the words the front end allocates on
    n-sweeps and the batch output on point and sweep lines, the major
    and minor words of the whole batch path from a file, the kernel
-   backend's cost against a bare cursor scan and its survival calls per
-   step, the
+   backend's cost and evals against a bare cursor scan and its survival
+   calls per step, the
    words the executor allocates per kernel sweep point, the Sec. 4.4
    optimizers' allocation, the Monte-Carlo trial loop's, and
    the words the figure render allocates per plotted point.  The
@@ -407,7 +407,10 @@ let pipeline_gate () =
    side timed in process at its best of 5 runs from a settled heap.
    What the backend adds to the scan is bookkeeping (the plans copied
    into a columnar batch, runs, columns, answers sliced back out); the
-   gate is on the ratio alone, never on an absolute time. *)
+   gate is on the ratio alone, never on an absolute time.  Beside it, a
+   count: the backend's evals sum to exactly the bare scan's cursor
+   steps, so a ratio that moves while the count holds is the host, not
+   more work. *)
 let kernel_sweeps = 200
 and kernel_sweep_n = 512
 and kernel_runs = 5
@@ -441,7 +444,7 @@ let kernel_gate () =
         | Q.Error_probability -> Zeroconf.Kernel.error_probability k
         | _ -> Zeroconf.Kernel.log10_error k)
     done;
-    v
+    (v, Zeroconf.Kernel.n k)
   in
   let time f =
     let best = ref Int64.max_int and out = ref None in
@@ -466,9 +469,23 @@ let kernel_gate () =
           assert (
             Array.for_all2
               (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-              v bare.(i))
+              v (fst bare.(i)))
       | Engine.Answer.Intervals _ -> assert false)
     answers;
+  let evals =
+    Array.fold_left (fun s (a : Engine.Answer.t) -> s + a.Engine.Answer.evals) 0
+      answers
+  and steps = Array.fold_left (fun s (_, n) -> s + n) 0 bare in
+  if evals <> steps then
+    failwith
+      (Printf.sprintf
+         "Backends.Kernel.eval_batch counts %d evals, the bare scan %d cursor \
+          steps"
+         evals steps);
+  Printf.printf
+    "smoke ok: Backends.Kernel.eval_batch at %d evals = the bare scan's %d \
+     cursor steps\n"
+    evals steps;
   let ratio = kernel_ns /. bare_ns in
   if ratio > kernel_max_ratio then
     failwith

@@ -19,22 +19,24 @@ module type S = sig
   val eval_columns : Batch.t -> unit
   (** [eval_columns b]: the route's one evaluation, of every plan of
       [b] (prepared) routed to it, written into [b]'s results.  Shared
-      work amortizes across them: the kernel
-      streams one cursor per [(scenario, bits of r)] column, the DTMC
-      route builds each distinct matrix once, Monte Carlo runs each
-      sampling stream once for every quantity that reads it; every
-      value is bitwise that of each plan alone.  An exact plan's evals
+      work amortizes across them, grouped by one open-addressing table
+      for every route: the kernel streams one cursor per
+      [(scenario, bits of r)] column, the DTMC route builds each
+      distinct matrix once, Monte Carlo runs each sampling stream once
+      for every quantity that reads it, and the analytic route's points
+      each key a group of their own; every value is bitwise that of
+      each plan alone.  An exact plan's evals
       count the work it triggered, so they sum to the work done; a
       Monte-Carlo plan's are trials x points, shared run or not.
 
       The routes whose unit of work costs a millisecond or more fan it
-      out with {!Exec.Parallel.map} at the process-wide job count
-      ({!Exec.Pool.set_jobs}, which the CLI's [--jobs] sets): Monte
-      Carlo per sampling stream, the DTMC route per matrix build, the
-      analytic route per point.  The kernel runs its columns serially.
-      Values are bit-identical at every job count.  Raises
-      [Invalid_argument] on a plan routed here that it does not
-      serve. *)
+      out, one {!Exec.Parallel.map} element per group, at the
+      process-wide job count ({!Exec.Pool.set_jobs}, which the CLI's
+      [--jobs] sets): Monte Carlo per sampling stream, the DTMC route
+      per matrix build, the analytic route per point.  The kernel runs
+      its columns serially.  Values are bit-identical at every job
+      count.  Raises [Invalid_argument] on a plan routed here that it
+      does not serve. *)
 
   val eval_batch : Plan.t array -> Answer.t array
   (** {!eval_columns} on the plans as a batch, answers in plan order

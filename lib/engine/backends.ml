@@ -17,80 +17,72 @@ let mix h x =
 
 let hash_bits (x : float) = Int64.to_int (Int64.bits_of_float x)
 
-(* Group items 0 .. m - 1 by key ([hash i] and [same i j] on item
-   indices), the groups numbered by first appearance: each item's
-   group, and the group count.  Open addressing with linear probing
-   over flat arrays, at most two thirds full; nothing is allocated per
-   item. *)
-let group m ~hash ~same =
-  let cap = ref 16 in
+(* Group the items [iter] yields (ints >= 0) by key, [hash x] and
+   [same x y] on items: [None] when no two items share a key, else
+   [Some (seg, order)], the groups numbered by first appearance and
+   group g's items, in [iter] order, order.(seg.(g)) ..
+   order.(seg.(g + 1) - 1).  Open addressing with linear probing, at
+   most two thirds full: a slot holds the first item of its key, or -1.
+   Only the table is built until a key repeats, and nothing is
+   allocated per item. *)
+let group iter ~hash ~same =
+  let m = ref 0 in
+  iter (fun _ -> incr m);
+  let m = !m and cap = ref 16 in
   while !cap < m + (m / 2) do
     cap := 2 * !cap
   done;
-  let mask = !cap - 1 in
-  let slot = Array.make !cap (-1) and gid = Array.make m 0 and count = ref 0 in
-  for i = 0 to m - 1 do
-    let h = ref (hash i land mask) in
-    while slot.(!h) >= 0 && not (same slot.(!h) i) do
-      h := (!h + 1) land mask
+  let mask = !cap - 1 and slot = Array.make !cap (-1) in
+  let rec find h x =
+    let y = slot.(h) in
+    if y < 0 || same y x then h else find ((h + 1) land mask) x
+  in
+  let slot_of x = find (hash x land mask) x in
+  let shared = ref false in
+  iter (fun x ->
+      let h = slot_of x in
+      if slot.(h) < 0 then slot.(h) <- x else shared := true);
+  if not !shared then None
+  else begin
+    (* group ids by slot, and a stable counting sort of the items *)
+    let gid = Array.make !cap (-1)
+    and seg = Array.make (m + 1) 0
+    and count = ref 0 in
+    iter (fun x ->
+        let h = slot_of x in
+        if gid.(h) < 0 then begin
+          gid.(h) <- !count;
+          incr count
+        end;
+        seg.(gid.(h) + 1) <- seg.(gid.(h) + 1) + 1);
+    for g = 1 to !count do
+      seg.(g) <- seg.(g) + seg.(g - 1)
     done;
-    if slot.(!h) < 0 then begin
-      slot.(!h) <- i;
-      gid.(i) <- !count;
-      incr count
-    end
-    else gid.(i) <- gid.(slot.(!h))
-  done;
-  (gid, !count)
+    let fill = Array.sub seg 0 !count and order = Array.make m 0 in
+    iter (fun x ->
+        let g = gid.(slot_of x) in
+        order.(fill.(g)) <- x;
+        fill.(g) <- fill.(g) + 1);
+    Some (Array.sub seg 0 (!count + 1), order)
+  end
 
-(* A stable counting sort of items by group: group g's items, in item
-   order, are order.(seg.(g)) .. order.(seg.(g + 1) - 1). *)
-let by_group gid count =
-  let seg = Array.make (count + 1) 0 in
-  Array.iter (fun g -> seg.(g + 1) <- seg.(g + 1) + 1) gid;
-  for g = 1 to count do
-    seg.(g) <- seg.(g) + seg.(g - 1)
-  done;
-  let fill = Array.sub seg 0 count
-  and order = Array.make (Array.length gid) 0 in
-  Array.iteri
-    (fun i g ->
-      order.(fill.(g)) <- i;
-      fill.(g) <- fill.(g) + 1)
-    gid;
-  (seg, order)
-
-(* The plans of [b] routed to [route], in batch order *)
-let routed (b : Batch.t) route =
-  let m = ref 0 in
-  for p = 0 to b.plans - 1 do
-    if b.route.(p) = route then incr m
-  done;
-  let plans = Array.make !m 0 and j = ref 0 in
-  for p = 0 to b.plans - 1 do
-    if b.route.(p) = route then begin
-      plans.(!j) <- p;
-      incr j
-    end
-  done;
-  plans
-
-(* The points of [plans] in batch order: point j is (n.(j), r.(j)) of
-   plan plan.(j), at offset at.(j) *)
+(* The points of the plans routed to [route], in batch order: point j
+   is (n.(j), r.(j)) of plan plan.(j), at offset at.(j) *)
 type points = { at : int array; n : int array; r : float array; plan : int array }
 
-let points_of (b : Batch.t) plans =
-  let m =
-    Array.fold_left
-      (fun m p -> m + Batch.first_point b (p + 1) - Batch.first_point b p)
-      0 plans
-  in
+let points_of (b : Batch.t) route =
+  let m = ref 0 in
+  for p = 0 to b.plans - 1 do
+    if b.route.(p) = route then
+      m := !m + Batch.first_point b (p + 1) - Batch.first_point b p
+  done;
+  let m = !m in
   let pt =
     { at = Array.make m 0; n = Array.make m 0; r = Array.create_float m;
       plan = Array.make m 0 }
   and j = ref 0 in
-  Array.iter
-    (fun p ->
+  for p = 0 to b.plans - 1 do
+    if b.route.(p) = route then
       for t = b.run.(p) to b.run.(p + 1) - 1 do
         for k = b.off.(t) to b.off.(t + 1) - 1 do
           pt.at.(!j) <- k;
@@ -99,9 +91,49 @@ let points_of (b : Batch.t) plans =
           pt.plan.(!j) <- p;
           incr j
         done
-      done)
-    plans;
+      done
+  done;
   pt
+
+(* The points of [route] grouped by [hash] and [same] on their
+   positions in [points_of], one [Exec.Parallel.map] element per group:
+   [work pt j] runs the unit of work of the group whose first point, in
+   batch order, is [j], and [read x pt i] writes the values of each of
+   the group's points [i] from its result [x] at the point's offset.
+   No two points share an offset, so the domains write disjoint slots.
+   Each unit of work is one eval of the group's first plan; sets the
+   route's wall time. *)
+let shared_work (b : Batch.t) route ~hash ~same ~work ~read =
+  let pt = points_of b route in
+  let m = Array.length pt.at in
+  let seg, order =
+    match
+      group
+        (fun f ->
+          for j = 0 to m - 1 do
+            f j
+          done)
+        ~hash:(hash pt) ~same:(same pt)
+    with
+    | Some groups -> groups
+    | None -> (Array.init (m + 1) Fun.id, Array.init m Fun.id)
+  in
+  let count = Array.length seg - 1 in
+  let (_ : unit array), wall_ns =
+    time_ns (fun () ->
+        Exec.Parallel.map
+          (fun g ->
+            let x = work pt order.(seg.(g)) in
+            for i = seg.(g) to seg.(g + 1) - 1 do
+              read x pt order.(i)
+            done)
+          (Array.init count Fun.id))
+  in
+  for g = 0 to count - 1 do
+    let p = pt.plan.(order.(seg.(g))) in
+    b.evals.(p) <- b.evals.(p) + 1
+  done;
+  Batch.set_wall b route wall_ns
 
 (* One route: its columnar evaluation, and the adapters over it. *)
 module Route (C : sig
@@ -148,8 +180,9 @@ end) : Backend.S = struct
     Batch.answers b plans
 end
 
-(* Every point in one fan-out, so it balances across plans of uneven
-   size; each value goes back to its point's offset. *)
+(* Every point its own unit of work, in one fan-out, so it balances
+   across plans of uneven size; each value goes back to its point's
+   offset. *)
 module Analytic = Route (struct
   let name = "analytic"
   let route = Plan.Analytic
@@ -177,19 +210,11 @@ module Analytic = Route (struct
         invalid_arg "Backends.Analytic: cost variance is DRM-only"
 
   let eval (b : Batch.t) =
-    let pt = points_of b (routed b route) in
-    let values, wall_ns =
-      time_ns (fun () ->
-          Exec.Parallel.map
-            (fun j -> eval1 b pt.plan.(j) pt.n.(j) pt.r.(j))
-            (Array.init (Array.length pt.at) Fun.id))
-    in
-    Array.iteri
-      (fun j k ->
-        b.value.(k) <- values.(j);
-        b.evals.(pt.plan.(j)) <- b.evals.(pt.plan.(j)) + 1)
-      pt.at;
-    Batch.set_wall b route wall_ns
+    shared_work b route
+      ~hash:(fun _ j -> j)
+      ~same:(fun _ i j -> i = j)
+      ~work:(fun pt j -> eval1 b pt.plan.(j) pt.n.(j) pt.r.(j))
+      ~read:(fun v pt j -> b.value.(pt.at.(j)) <- v)
 end)
 
 (* One streaming cursor per (scenario, r) column, amortized across
@@ -200,16 +225,15 @@ end)
    another domain.
 
    The kernel plans' runs (each one r and an ascending n-range) are
-   grouped into columns by (scenario id, bits of r) in one probe table
-   over (plan, run) pairs.  When no column holds two runs, as on a
+   grouped into columns by (scenario id, bits of r) with [group] over
+   packed (plan, run) items.  When no column holds two runs, as on a
    batch of distinct points, each run scans straight into the value
-   array in batch order, and nothing else is built.  Otherwise the
-   columns are numbered by first appearance and their runs listed in
-   batch order; a column of one run scans straight, and any other
-   gathers its stops in batch order, sorts them by n if they are out
-   of order (ties keep batch order), and so scans in (n, plan, point)
-   order.  An advance between consecutive stops is charged to the later
-   stop's plan, so per-plan evals sum to the scan work actually done.
+   array in batch order, and nothing but the table is built.  Otherwise
+   a column of one run scans straight, and any other gathers its stops
+   in batch order, sorts them by n if they are out of order (ties keep
+   batch order), and so scans in (n, plan, point) order.  An advance
+   between consecutive stops is charged to the later stop's plan, so
+   per-plan evals sum to the scan work actually done.
 
    A column's cursor is the one cursor of its (scenario, log twin),
    created on first use and then {!Zeroconf.Kernel.reset} to the
@@ -268,8 +292,9 @@ module Kernel = Route (struct
           !cursors.(i) <- Some k;
           k
     in
-    (* run t of plan p alone on its column *)
-    let scan_run p t =
+    (* the packed run alone on its column *)
+    let scan_run x =
+      let p = plan_of x and t = run_of x in
       let k =
         cursor b.scenario_id.(p) (b.quantity.(p) = Query.Log10_error) t
       and lo = b.n_lo.(t)
@@ -278,63 +303,22 @@ module Kernel = Route (struct
         ~hi:(lo + b.off.(t + 1) - 1 - off) b.value off;
       b.evals.(p) <- b.evals.(p) + Zeroconf.Kernel.n k
     in
-    (* every run t of every kernel plan p, in batch order *)
+    (* every run t of every kernel plan p, in batch order, packed *)
     let iter_runs f =
       for p = 0 to b.plans - 1 do
         if b.route.(p) = route then
           for t = b.run.(p) to b.run.(p + 1) - 1 do
-            f p t
+            f (pack p t)
           done
       done
     in
-    let m = ref 0 in
-    iter_runs (fun _ _ -> incr m);
-    let m = !m and cap = ref 16 in
-    while !cap < m + (m / 2) do
-      cap := 2 * !cap
-    done;
-    (* open addressing with linear probing, at most two thirds full: a
-       slot holds the packed first run of its column, or -1 *)
-    let mask = !cap - 1 and slot = Array.make !cap (-1) in
-    let rec find h p t =
-      let x = slot.(h) in
-      if
-        x < 0
-        || b.scenario_id.(plan_of x) = b.scenario_id.(p)
-           && same_bits b.r.(run_of x) b.r.(t)
-      then h
-      else find ((h + 1) land mask) p t
-    in
-    let slot_of p t =
-      find (mix b.scenario_id.(p) (hash_bits b.r.(t)) land mask) p t
-    in
-    let shared = ref false in
-    iter_runs (fun p t ->
-        let h = slot_of p t in
-        if slot.(h) < 0 then slot.(h) <- pack p t else shared := true);
-    (* column ids by first appearance, and a stable counting sort of
-       the runs by column: column c's runs, in batch order, are
-       order.(seg.(c)) .. order.(seg.(c + 1) - 1) *)
-    let columns () =
-      let cid = Array.make !cap (-1)
-      and seg = Array.make (m + 1) 0
-      and ncols = ref 0 in
-      iter_runs (fun p t ->
-          let h = slot_of p t in
-          if cid.(h) < 0 then begin
-            cid.(h) <- !ncols;
-            incr ncols
-          end;
-          seg.(cid.(h) + 1) <- seg.(cid.(h) + 1) + 1);
-      for c = 1 to !ncols do
-        seg.(c) <- seg.(c) + seg.(c - 1)
-      done;
-      let fill = Array.sub seg 0 !ncols and order = Array.make m 0 in
-      iter_runs (fun p t ->
-          let c = cid.(slot_of p t) in
-          order.(fill.(c)) <- pack p t;
-          fill.(c) <- fill.(c) + 1);
-      (Array.sub seg 0 (!ncols + 1), order)
+    let columns =
+      group iter_runs
+        ~hash:(fun x ->
+          mix b.scenario_id.(plan_of x) (hash_bits b.r.(run_of x)))
+        ~same:(fun x y ->
+          b.scenario_id.(plan_of x) = b.scenario_id.(plan_of y)
+          && same_bits b.r.(run_of x) b.r.(run_of y))
     in
     (* the column of the runs order.(first) .. order.(stop - 1), more
        than one *)
@@ -372,52 +356,18 @@ module Kernel = Route (struct
             i)
         key
     in
-    let scan_all =
-      if not !shared then fun () -> iter_runs scan_run
-      else
-        let seg, order = columns () in
-        fun () ->
+    let scan_all () =
+      match columns with
+      | None -> iter_runs scan_run
+      | Some (seg, order) ->
           for c = 0 to Array.length seg - 2 do
-            if seg.(c + 1) - seg.(c) = 1 then
-              scan_run (plan_of order.(seg.(c))) (run_of order.(seg.(c)))
+            if seg.(c + 1) - seg.(c) = 1 then scan_run order.(seg.(c))
             else scan_shared order seg.(c) seg.(c + 1)
           done
     in
     let (), wall_ns = time_ns scan_all in
     Batch.set_wall b route wall_ns
 end)
-
-(* The points of [plans] grouped by [hash] and [same] on their
-   positions in [points_of]: [work pt j readers] runs the unit of work
-   of the group whose first point, in batch order, is [j], one
-   [Exec.Parallel.map] element per group, and returns one float per
-   array of [into] for each of its readers (the plans of the group's
-   points), written at the points' offsets.
-   Returns each group's first plan and the wall time. *)
-let shared_work (b : Batch.t) plans ~hash ~same ~work ~into =
-  let pt = points_of b plans in
-  let gid, count =
-    group (Array.length pt.at) ~hash:(hash pt) ~same:(same pt)
-  in
-  let seg, order = by_group gid count in
-  let members g = Array.sub order seg.(g) (seg.(g + 1) - seg.(g)) in
-  let results, wall_ns =
-    time_ns (fun () ->
-        Exec.Parallel.map
-          (fun g ->
-            let ms = members g in
-            work pt ms.(0) (Array.map (fun j -> pt.plan.(j)) ms))
-          (Array.init count Fun.id))
-  in
-  Array.iteri
-    (fun g values ->
-      Array.iteri
-        (fun i v ->
-          let k = pt.at.(order.(seg.(g) + i)) in
-          Array.iteri (fun x dst -> dst.(k) <- v.(x)) into)
-        values)
-    results;
-  (Array.init count (fun g -> pt.plan.(order.(seg.(g)))), wall_ns)
 
 module Dtmc = Route (struct
   let name = "dtmc"
@@ -462,20 +412,18 @@ module Dtmc = Route (struct
      requested it first; later readers of the same matrix cost
      nothing. *)
   let eval (b : Batch.t) =
-    let firsts, wall_ns =
-      shared_work b (routed b route) ~into:[| b.value |]
-        ~hash:(fun pt j ->
-          mix (mix b.scenario_id.(pt.plan.(j)) pt.n.(j)) (hash_bits pt.r.(j)))
-        ~same:(fun pt i j ->
-          b.scenario_id.(pt.plan.(i)) = b.scenario_id.(pt.plan.(j))
-          && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j))
-        ~work:(fun pt j readers ->
-          let n = pt.n.(j) and r = pt.r.(j) in
-          let drm = Zeroconf.Drm.build (Batch.scenario b pt.plan.(j)) ~n ~r in
-          Array.map (fun p -> [| value_of b p drm ~n ~r |]) readers)
-    in
-    Array.iter (fun p -> b.evals.(p) <- b.evals.(p) + 1) firsts;
-    Batch.set_wall b route wall_ns
+    shared_work b route
+      ~hash:(fun pt j ->
+        mix (mix b.scenario_id.(pt.plan.(j)) pt.n.(j)) (hash_bits pt.r.(j)))
+      ~same:(fun pt i j ->
+        b.scenario_id.(pt.plan.(i)) = b.scenario_id.(pt.plan.(j))
+        && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j))
+      ~work:(fun pt j ->
+        Zeroconf.Drm.build (Batch.scenario b pt.plan.(j)) ~n:pt.n.(j)
+          ~r:pt.r.(j))
+      ~read:(fun drm pt j ->
+        b.value.(pt.at.(j)) <-
+          value_of b pt.plan.(j) drm ~n:pt.n.(j) ~r:pt.r.(j))
 end)
 
 module Mc = Route (struct
@@ -512,7 +460,7 @@ module Mc = Route (struct
 
   (* [Query.validate] bounds one attempt's cost, but a trial restarts
      without bound: a mean past [max_float] is refused, not printed *)
-  let read (b : Batch.t) p sample ~n ~r =
+  let interval (b : Batch.t) p sample ~n ~r =
     let iv =
       match b.quantity.(p) with
       | Query.Mean_cost -> Netsim.Metrics.cost_interval sample
@@ -533,37 +481,34 @@ module Mc = Route (struct
      is never merged with another, so a batch is bitwise the same as
      evaluating each plan alone. *)
   let eval (b : Batch.t) =
-    let plans = routed b route in
     let index (pt : points) j = pt.at.(j) - Batch.first_point b pt.plan.(j) in
-    let _, wall_ns =
-      shared_work b plans ~into:[| b.value; b.ci_lo; b.ci_hi |]
-        ~hash:(fun pt j ->
-          let p = pt.plan.(j) in
-          mix
-            (mix (mix (mix b.scenario_id.(p) pt.n.(j)) (hash_bits pt.r.(j)))
-               (Batch.seed b p))
-            (index pt j))
-        ~same:(fun pt i j ->
-          let p = pt.plan.(i) and p' = pt.plan.(j) in
-          b.scenario_id.(p) = b.scenario_id.(p')
-          && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j)
-          && Batch.trials b p = Batch.trials b p'
-          && Batch.seed b p = Batch.seed b p'
-          && index pt i = index pt j)
-        ~work:(fun pt j readers ->
-          let sample = run_stream b pt j in
-          Array.map
-            (fun p ->
-              let { Netsim.Metrics.mean; ci_lo; ci_hi } =
-                read b p sample ~n:pt.n.(j) ~r:pt.r.(j)
-              in
-              [| mean; ci_lo; ci_hi |])
-            readers)
-    in
-    Array.iter
-      (fun p ->
+    shared_work b route
+      ~hash:(fun pt j ->
+        let p = pt.plan.(j) in
+        mix
+          (mix (mix (mix b.scenario_id.(p) pt.n.(j)) (hash_bits pt.r.(j)))
+             (Batch.seed b p))
+          (index pt j))
+      ~same:(fun pt i j ->
+        let p = pt.plan.(i) and p' = pt.plan.(j) in
+        b.scenario_id.(p) = b.scenario_id.(p')
+        && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j)
+        && Batch.trials b p = Batch.trials b p'
+        && Batch.seed b p = Batch.seed b p'
+        && index pt i = index pt j)
+      ~work:(run_stream b)
+      ~read:(fun sample pt j ->
+        let k = pt.at.(j)
+        and { Netsim.Metrics.mean; ci_lo; ci_hi } =
+          interval b pt.plan.(j) sample ~n:pt.n.(j) ~r:pt.r.(j)
+        in
+        b.value.(k) <- mean;
+        b.ci_lo.(k) <- ci_lo;
+        b.ci_hi.(k) <- ci_hi);
+    (* trials x points per plan, shared run or not *)
+    for p = 0 to b.plans - 1 do
+      if b.route.(p) = route then
         b.evals.(p) <-
-          Batch.trials b p * (Batch.first_point b (p + 1) - Batch.first_point b p))
-      plans;
-    Batch.set_wall b route wall_ns
+          Batch.trials b p * (Batch.first_point b (p + 1) - Batch.first_point b p)
+    done
 end)

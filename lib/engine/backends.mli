@@ -20,17 +20,20 @@
        {!Zeroconf.Params.q_of_hosts}.}}
 
     Each route's one evaluation is [eval_columns], on the plans of a
-    {!Batch.t} routed to it.  The kernel groups their runs into
-    [(scenario id, bits of r)] columns with one open-addressing table
-    over (plan, run) pairs, and scans each column with the one cursor
-    of its (scenario, log twin), reset to the column's [r], writing
-    straight into the batch's value array; the DTMC route builds each
-    distinct matrix once, the analytic route evaluates every point in
-    one balanced fan-out, and Monte Carlo runs each sampling stream
-    (scenario, n, r, trials, seed and the point's index in its plan)
-    once, however many quantities read it.  [eval] and [eval_batch]
-    are adapters over [eval_columns].  Batched values are bitwise
-    identical to scalar evaluation. *)
+    {!Batch.t} routed to it.  All four group their work with one
+    open-addressing table over int items.  The kernel groups its runs,
+    as (plan, run) items, into [(scenario id, bits of r)] columns, and
+    scans each column with the one cursor of its (scenario, log twin),
+    reset to the column's [r], writing straight into the batch's value
+    array.  The other three group their points and fan one unit of work
+    per group out in one map: the DTMC route builds each distinct
+    [(scenario, n, bits of r)] matrix once, Monte Carlo runs each
+    sampling stream (scenario, n, r, trials, seed and the point's index
+    in its plan) once, however many quantities read it, and the
+    analytic route keys each point by itself, so every point is its
+    own unit of work.  [eval_batch] is an adapter over
+    [eval_columns].  Batched values are bitwise identical to scalar
+    evaluation. *)
 
 module Analytic : Backend.S
 module Kernel : Backend.S

@@ -31,12 +31,6 @@ let scenario b p = Plan.scenario_of_id b.scenario_id.(p)
 let trials b p = if p < Array.length b.trials then b.trials.(p) else 0
 let seed b p = if p < Array.length b.seed then b.seed.(p) else 0
 
-let route_index : Plan.route -> int = function
-  | Kernel -> 0
-  | Analytic -> 1
-  | Dtmc -> 2
-  | Mc -> 3
-
 let first_point b p = b.off.(b.run.(p))
 
 let create ~plans ~runs =
@@ -122,7 +116,7 @@ let refuse b p msg =
   invalid_arg
     (if b.line.(p) > 0 then Printf.sprintf "line %d: %s" b.line.(p) msg else msg)
 
-let set_wall b route ns = b.wall_ns.(route_index route) <- ns
+let set_wall b route ns = b.wall_ns.(Plan.route_index route) <- ns
 
 let prepare b =
   b.value <- Array.create_float b.points;
@@ -183,7 +177,7 @@ let answers b (plans : Plan.t array) =
       in
       { Answer.backend = Plan.route_name b.route.(p);
         evals = b.evals.(p);
-        wall_ns = b.wall_ns.(route_index b.route.(p));
+        wall_ns = b.wall_ns.(Plan.route_index b.route.(p));
         points = pl.points;
         values })
     plans

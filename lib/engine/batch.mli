@@ -34,7 +34,7 @@ type t = private {
   mutable ci_lo : float array;
   mutable ci_hi : float array;
   mutable evals : int array;
-  wall_ns : int64 array;  (** per route, in {!Plan.route} order *)
+  wall_ns : int64 array;  (** per route, at {!Plan.route_index} *)
 }
 
 val scenario : t -> int -> Zeroconf.Params.t

@@ -1,22 +1,16 @@
 let routes = [| Plan.Kernel; Plan.Analytic; Plan.Dtmc; Plan.Mc |]
 
-let route_index = function
-  | Plan.Kernel -> 0
-  | Plan.Analytic -> 1
-  | Plan.Dtmc -> 2
-  | Plan.Mc -> 3
-
 (* each backend sees one eval_columns call, on its plans in batch
    order, after a pass that finds the routes in use *)
 let execute (b : Batch.t) =
   Batch.prepare b;
   let used = ref 0 in
   for p = 0 to b.plans - 1 do
-    used := !used lor (1 lsl route_index b.route.(p))
+    used := !used lor (1 lsl Plan.route_index b.route.(p))
   done;
-  Array.iteri
-    (fun g route ->
-      if !used land (1 lsl g) <> 0 then begin
+  Array.iter
+    (fun route ->
+      if !used land (1 lsl Plan.route_index route) <> 0 then begin
         let (module B : Backend.S) = Planner.backend_of_route route in
         B.eval_columns b
       end)

@@ -15,6 +15,12 @@ let route_name = function
   | Dtmc -> "dtmc"
   | Mc -> "mc"
 
+let route_index = function
+  | Kernel -> 0
+  | Analytic -> 1
+  | Dtmc -> 2
+  | Mc -> 3
+
 let route_of_name name =
   match String.lowercase_ascii name with
   | "kernel" -> Some Kernel

@@ -22,6 +22,10 @@ val route_name : route -> string
 
 val route_of_name : string -> route option
 
+val route_index : route -> int
+(** The route's place in the order [Kernel], [Analytic], [Dtmc], [Mc]:
+    0 .. 3, the index per-route arrays and bit sets use. *)
+
 type t = private {
   quantity : Query.quantity;
   scenario : Zeroconf.Params.t;

@@ -562,8 +562,8 @@ let test_near_twins_apart_in_batch () =
   let a, b = near_twins () in
   let expected p = Zeroconf.Cost.mean p ~n:3 ~r:1.5 in
   Alcotest.(check bool) "the closed forms differ" false (expected a = expected b);
-  (* the kernel reads the closed forms bit for bit, the DTMC route
-     solves its own chain *)
+  (* the kernel and the analytic route read the closed forms bit for
+     bit, the DTMC route solves its own chain *)
   List.iter
     (fun (backend, tol) ->
       let answers =
@@ -574,7 +574,30 @@ let test_near_twins_apart_in_batch () =
         (scalar_of answers.(0));
       Alcotest.(check (float tol)) (backend ^ ": second scenario") (expected b)
         (scalar_of answers.(1)))
-    [ ("kernel", 0.); ("dtmc", 1e-9) ]
+    [ ("kernel", 0.); ("analytic", 0.); ("dtmc", 1e-9) ];
+  (* at one seed the twins draw the same delays: a reply at 4.5 comes
+     within the n r = 4.5 listening time and one just past it does
+     not, so the means differ unless one stream serves both *)
+  let sampled p =
+    Engine.Planner.plan ~backend:"mc"
+      (Q.point ~accuracy:(Q.Sampled { trials = 2000; seed = 5 }) Q.Mean_cost p
+         ~n:3 ~r:1.5)
+  in
+  let mean (x : A.t) =
+    match x.A.values with
+    | A.Intervals [| i |] -> i.A.mean
+    | _ -> Alcotest.fail "expected one interval"
+  in
+  let answers = Engine.Executor.run_batch [| sampled a; sampled b |] in
+  Alcotest.(check bool) "mc: the twins' means differ" false
+    (bits (mean answers.(0)) = bits (mean answers.(1)));
+  List.iteri
+    (fun i p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "mc: twin %d = its plan alone" i)
+        true
+        (values_eq answers.(i) (Engine.Executor.run_batch [| sampled p |]).(0)))
+    [ a; b ]
 
 let test_singleton_batch_matches_scalar_provenance () =
   let q = Q.n_sweep Q.Mean_cost fig2 ~ns:[| 1; 2; 3; 4 |] ~r:2. in
