@@ -633,12 +633,14 @@ let optimizer_gate () =
 (* A Monte-Carlo trial costs its arithmetic and nothing else: 20k
    aggregate trials on figure2 at n = 4, r = 2 may allocate at most one
    minor word per trial (what is left are the reply-delay draws of the
-   few occupied candidates; the sample's columns are born in the major
-   heap), and 10k [Rng.int] draws none at all.  The gate counts words
-   with [Gc.minor_words], which is deterministic, so it cannot flake on
-   a noisy host. *)
+   few occupied candidates) and 2.1 major words per trial (the sample's
+   two float columns, born in the major heap; six columns read about
+   6), and 10k [Rng.int] draws none at all.  The gates count words with
+   [Gc.minor_words] and [Gc.counters], which are deterministic, so they
+   cannot flake on a noisy host. *)
 let alloc_trials = 20_000
 and alloc_max_words_per_trial = 1.
+and alloc_max_major_words_per_trial = 2.1
 and alloc_draws = 10_000
 
 let alloc_gate () =
@@ -652,18 +654,27 @@ let alloc_gate () =
       (Float.round
          (p.Zeroconf.Params.q *. float_of_int Zeroconf.Params.address_space_size))
   in
-  let before = Gc.minor_words () in
+  let _, _, major = Gc.counters () in
+  let minor = Gc.minor_words () in
   let sample =
     Netsim.Scenario.run_aggregate ~delay:p.Zeroconf.Params.delay ~occupied
       ~config ~trials:alloc_trials ~rng:(Numerics.Rng.create 42) ()
   in
-  let per_trial = (Gc.minor_words () -. before) /. float_of_int alloc_trials in
+  let minor' = Gc.minor_words () in
+  let _, _, major' = Gc.counters () in
+  let per_trial = (minor' -. minor) /. float_of_int alloc_trials
+  and major_per_trial = (major' -. major) /. float_of_int alloc_trials in
   assert (Netsim.Metrics.length sample = alloc_trials);
   if per_trial > alloc_max_words_per_trial then
     failwith
       (Printf.sprintf
          "Scenario.run_aggregate allocates %.2f minor words per trial (gate %g)"
          per_trial alloc_max_words_per_trial);
+  if major_per_trial > alloc_max_major_words_per_trial then
+    failwith
+      (Printf.sprintf
+         "Scenario.run_aggregate allocates %.2f major words per trial (gate %g)"
+         major_per_trial alloc_max_major_words_per_trial);
   let rng = Numerics.Rng.create 2003 in
   let before = Gc.minor_words () in
   for _ = 1 to alloc_draws do
@@ -675,8 +686,10 @@ let alloc_gate () =
       (Printf.sprintf "%d Rng.int draws allocate %.0f minor words (gate 0)"
          alloc_draws words);
   Printf.printf
-    "smoke ok: Monte-Carlo trial at %.2f minor words (gate %g), Rng.int at 0\n"
-    per_trial alloc_max_words_per_trial
+    "smoke ok: Monte-Carlo trial at %.2f minor words (gate %g) and %.2f \
+     major words (gate %g), Rng.int at 0\n"
+    per_trial alloc_max_words_per_trial major_per_trial
+    alloc_max_major_words_per_trial
 
 (* Numbers become text without allocating: 20k %.10g conversions of
    values spread over 1e-300..1e300, both signs, written into a

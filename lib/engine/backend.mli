@@ -19,15 +19,15 @@ module type S = sig
   val eval_columns : Batch.t -> unit
   (** [eval_columns b]: the route's one evaluation, of every plan of
       [b] (prepared) routed to it, written into [b]'s results.  Shared
-      work amortizes across them, grouped by one open-addressing table
-      for every route: the kernel streams one cursor per
-      [(scenario, bits of r)] column, the DTMC route builds each
-      distinct matrix once, Monte Carlo runs each sampling stream once
-      for every quantity that reads it, and the analytic route's points
-      each key a group of their own; every value is bitwise that of
-      each plan alone.  An exact plan's evals
-      count the work it triggered, so they sum to the work done; a
-      Monte-Carlo plan's are trials x points, shared run or not.
+      work amortizes across them, grouped by one open-addressing table:
+      the kernel streams one cursor per [(scenario, bits of r)] column,
+      the DTMC route builds each distinct matrix once, and Monte Carlo
+      runs each sampling stream once for every quantity that reads it;
+      the analytic route groups nothing, since no two of its points
+      share work.  Every value is bitwise that of each plan alone.  An
+      exact plan's evals count the work it triggered, so they sum to the
+      work done; a Monte-Carlo plan's are trials x points, shared run or
+      not.
 
       The routes whose unit of work costs a millisecond or more fan it
       out, one {!Exec.Parallel.map} element per group, at the

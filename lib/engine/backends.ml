@@ -95,42 +95,44 @@ let points_of (b : Batch.t) route =
   done;
   pt
 
-(* The points of [route] grouped by [hash] and [same] on their
-   positions in [points_of], one [Exec.Parallel.map] element per group:
-   [work pt j] runs the unit of work of the group whose first point, in
-   batch order, is [j], and [read x pt i] writes the values of each of
-   the group's points [i] from its result [x] at the point's offset.
-   No two points share an offset, so the domains write disjoint slots.
-   Each unit of work is one eval of the group's first plan; sets the
-   route's wall time. *)
-let shared_work (b : Batch.t) route ~hash ~same ~work ~read =
+(* The points of [route] grouped by [key], a [(hash, same)] pair on
+   their positions in [points_of], one [Exec.Parallel.map] element per
+   group: [work pt j] runs the unit of work of the group whose first
+   point, in batch order, is [j], and [read x pt i] writes the values of
+   each of the group's points [i] from its result [x] at the point's
+   offset.  Without a key, or when no key repeats, every point is its
+   own group and is mapped over directly.  No two points share an
+   offset, so the domains write disjoint slots.  Each unit of work is
+   one eval of the group's first plan; sets the route's wall time. *)
+let shared_work ?key (b : Batch.t) route ~work ~read =
   let pt = points_of b route in
   let m = Array.length pt.at in
-  let seg, order =
-    match
-      group
-        (fun f ->
-          for j = 0 to m - 1 do
-            f j
-          done)
-        ~hash:(hash pt) ~same:(same pt)
-    with
-    | Some groups -> groups
-    | None -> (Array.init (m + 1) Fun.id, Array.init m Fun.id)
+  let groups =
+    Option.bind key (fun (hash, same) ->
+        group
+          (fun f ->
+            for j = 0 to m - 1 do
+              f j
+            done)
+          ~hash:(hash pt) ~same:(same pt))
   in
-  let count = Array.length seg - 1 in
-  let (_ : unit array), wall_ns =
-    time_ns (fun () ->
-        Exec.Parallel.map
-          (fun g ->
+  let count, first, run =
+    match groups with
+    | None -> (m, Fun.id, fun j -> read (work pt j) pt j)
+    | Some (seg, order) ->
+        ( Array.length seg - 1,
+          (fun g -> order.(seg.(g))),
+          fun g ->
             let x = work pt order.(seg.(g)) in
             for i = seg.(g) to seg.(g + 1) - 1 do
               read x pt order.(i)
-            done)
-          (Array.init count Fun.id))
+            done )
+  in
+  let (_ : unit array), wall_ns =
+    time_ns (fun () -> Exec.Parallel.map run (Array.init count Fun.id))
   in
   for g = 0 to count - 1 do
-    let p = pt.plan.(order.(seg.(g))) in
+    let p = pt.plan.(first g) in
     b.evals.(p) <- b.evals.(p) + 1
   done;
   Batch.set_wall b route wall_ns
@@ -211,8 +213,6 @@ module Analytic = Route (struct
 
   let eval (b : Batch.t) =
     shared_work b route
-      ~hash:(fun _ j -> j)
-      ~same:(fun _ i j -> i = j)
       ~work:(fun pt j -> eval1 b pt.plan.(j) pt.n.(j) pt.r.(j))
       ~read:(fun v pt j -> b.value.(pt.at.(j)) <- v)
 end)
@@ -413,11 +413,12 @@ module Dtmc = Route (struct
      nothing. *)
   let eval (b : Batch.t) =
     shared_work b route
-      ~hash:(fun pt j ->
-        mix (mix b.scenario_id.(pt.plan.(j)) pt.n.(j)) (hash_bits pt.r.(j)))
-      ~same:(fun pt i j ->
-        b.scenario_id.(pt.plan.(i)) = b.scenario_id.(pt.plan.(j))
-        && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j))
+      ~key:
+        ( (fun pt j ->
+            mix (mix b.scenario_id.(pt.plan.(j)) pt.n.(j)) (hash_bits pt.r.(j))),
+          fun pt i j ->
+            b.scenario_id.(pt.plan.(i)) = b.scenario_id.(pt.plan.(j))
+            && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j) )
       ~work:(fun pt j ->
         Zeroconf.Drm.build (Batch.scenario b pt.plan.(j)) ~n:pt.n.(j)
           ~r:pt.r.(j))
@@ -483,19 +484,20 @@ module Mc = Route (struct
   let eval (b : Batch.t) =
     let index (pt : points) j = pt.at.(j) - Batch.first_point b pt.plan.(j) in
     shared_work b route
-      ~hash:(fun pt j ->
-        let p = pt.plan.(j) in
-        mix
-          (mix (mix (mix b.scenario_id.(p) pt.n.(j)) (hash_bits pt.r.(j)))
-             (Batch.seed b p))
-          (index pt j))
-      ~same:(fun pt i j ->
-        let p = pt.plan.(i) and p' = pt.plan.(j) in
-        b.scenario_id.(p) = b.scenario_id.(p')
-        && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j)
-        && Batch.trials b p = Batch.trials b p'
-        && Batch.seed b p = Batch.seed b p'
-        && index pt i = index pt j)
+      ~key:
+        ( (fun pt j ->
+            let p = pt.plan.(j) in
+            mix
+              (mix (mix (mix b.scenario_id.(p) pt.n.(j)) (hash_bits pt.r.(j)))
+                 (Batch.seed b p))
+              (index pt j)),
+          fun pt i j ->
+            let p = pt.plan.(i) and p' = pt.plan.(j) in
+            b.scenario_id.(p) = b.scenario_id.(p')
+            && pt.n.(i) = pt.n.(j) && same_bits pt.r.(i) pt.r.(j)
+            && Batch.trials b p = Batch.trials b p'
+            && Batch.seed b p = Batch.seed b p'
+            && index pt i = index pt j )
       ~work:(run_stream b)
       ~read:(fun sample pt j ->
         let k = pt.at.(j)

@@ -57,8 +57,8 @@ val max_points : int
 val max_trials : int
 (** The most Monte-Carlo trials one sampling stream may run: [2^24]
     ([16_777_216]).  A run keeps one {!Netsim.Metrics.sample} slot per
-    trial, 48 bytes, so this bounds a stream's columns at about
-    0.8 GB.  Front ends check a requested trial count against it before
+    trial, 16 bytes, so this bounds a stream's columns at about
+    0.27 GB.  Front ends check a requested trial count against it before
     anything is sampled. *)
 
 val validate : t -> unit

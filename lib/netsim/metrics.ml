@@ -1,10 +1,8 @@
 type sample = {
   cost : float array;
   config_time : float array;
-  address : int array;
-  collided : bool array;
-  probes_sent : int array;
-  restarts : int array;
+  mutable collisions : int;
+  sums : float array;
 }
 
 type outcome = {
@@ -34,28 +32,30 @@ let create trials : sample =
   if trials < 1 then invalid_arg "Metrics.create: trials < 1";
   { cost = Array.create_float trials;
     config_time = Array.create_float trials;
-    address = Array.make trials 0;
-    collided = Array.make trials false;
-    probes_sent = Array.make trials 0;
-    restarts = Array.make trials 0 }
+    collisions = 0;
+    sums = Array.make 4 0. }
 
 let length (s : sample) = Array.length s.cost
+
+(* One step of [Safe_float.sum_by]'s Neumaier sum, on the (sum,
+   compensation) pair at [k], [k + 1] of a flat float array, so the
+   running total boxes nothing *)
+let[@inline] add sums k x =
+  let s = sums.(k) in
+  let t = s +. x in
+  let c = if Float.abs s >= Float.abs x then (s -. t) +. x else (x -. t) +. s in
+  sums.(k + 1) <- sums.(k + 1) +. c;
+  sums.(k) <- t
+
+let tally (s : sample) ~collided ~probes ~restarts =
+  if collided then s.collisions <- s.collisions + 1;
+  add s.sums 0 (float_of_int probes);
+  add s.sums 2 (float_of_int restarts)
 
 let store (s : sample) i (o : outcome) =
   s.cost.(i) <- o.cost;
   s.config_time.(i) <- o.config_time;
-  s.address.(i) <- o.address;
-  s.collided.(i) <- o.collided;
-  s.probes_sent.(i) <- o.probes_sent;
-  s.restarts.(i) <- o.restarts
-
-let outcome (s : sample) i : outcome =
-  { address = s.address.(i);
-    collided = s.collided.(i);
-    probes_sent = s.probes_sent.(i);
-    restarts = s.restarts.(i);
-    config_time = s.config_time.(i);
-    cost = s.cost.(i) }
+  tally s ~collided:o.collided ~probes:o.probes_sent ~restarts:o.restarts
 
 let mean_interval column =
   let s = Numerics.Stats.summarize column in
@@ -65,24 +65,17 @@ let mean_interval column =
 let cost_interval (s : sample) = mean_interval s.cost
 let config_time_interval (s : sample) = mean_interval s.config_time
 
-let count_collisions (s : sample) =
-  Array.fold_left (fun acc hit -> if hit then acc + 1 else acc) 0 s.collided
-
-let collision_interval s =
+let collision_interval (s : sample) =
   let trials = length s in
-  let collisions = count_collisions s in
   let ci_lo, ci_hi =
-    Numerics.Stats.proportion_ci ~successes:collisions trials
+    Numerics.Stats.proportion_ci ~successes:s.collisions trials
   in
-  { mean = float_of_int collisions /. float_of_int trials; ci_lo; ci_hi }
+  { mean = float_of_int s.collisions /. float_of_int trials; ci_lo; ci_hi }
 
 let aggregate (s : sample) =
-  let trials = length s in
-  let collisions = count_collisions s in
+  let trials = length s and collisions = s.collisions in
   let cost = Numerics.Stats.summarize s.cost in
-  let mean_of column =
-    Numerics.Safe_float.sum_by float_of_int column /. float_of_int trials
-  in
+  let mean_of k = (s.sums.(k) +. s.sums.(k + 1)) /. float_of_int trials in
   { trials;
     collisions;
     collision_rate = float_of_int collisions /. float_of_int trials;
@@ -90,8 +83,8 @@ let aggregate (s : sample) =
     cost;
     cost_ci = Numerics.Stats.summary_ci cost;
     config_time = Numerics.Stats.summarize s.config_time;
-    mean_probes = mean_of s.probes_sent;
-    mean_restarts = mean_of s.restarts }
+    mean_probes = mean_of 0;
+    mean_restarts = mean_of 2 }
 
 let pp_aggregate ppf a =
   let lo, hi = a.collision_ci and clo, chi = a.cost_ci in

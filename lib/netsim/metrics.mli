@@ -1,21 +1,22 @@
-(** Per-trial outcomes of a configuration attempt, a run's trials as
-    columns, and their statistics. *)
+(** Per-trial outcomes of a configuration attempt, a run's trials, and
+    their statistics. *)
 
 type sample = private {
   cost : float array;
   config_time : float array;
-  address : int array;
-  collided : bool array;
-  probes_sent : int array;
-  restarts : int array;
+  mutable collisions : int;
+  sums : float array;
 }
-(** One run's trials, column by column: trial [i]'s outcome is slot [i]
-    of every column, and every column has one slot per trial.  The two
-    float columns are flat float arrays and the others hold immediates,
-    so a runner fills a trial's slots without allocating, and a
-    statistic reads one column straight through.  The type is private:
-    a sample comes from {!create} and is filled by the runners of
-    {!Scenario}, which write the columns in place. *)
+(** One run's trials.  Per trial it keeps only the two values whose
+    variance is summarized, in two passes that re-read every value:
+    trial [i]'s cost and time are slot [i] of the flat float arrays
+    [cost] and [config_time].  The counts are totals: [collisions], and
+    in [sums] Neumaier (sum, compensation) pairs, probes at 0, 1 and
+    restarts at 2, 3, that take, trial by trial, the steps of
+    [Safe_float.sum_by float_of_int] over a count column, so
+    {!aggregate} reads that column's bits.  A trial allocates nothing.
+    The type is private: the runners of {!Scenario} fill a {!create}d
+    sample's trials in order, each once, by {!tally} or {!store}. *)
 
 type outcome = {
   address : int;        (** Finally accepted address. *)
@@ -33,12 +34,12 @@ val create : int -> sample
 val length : sample -> int
 (** The number of trials. *)
 
-val store : sample -> int -> outcome -> unit
-(** [store s i o] writes [o] into slot [i]. *)
+val tally : sample -> collided:bool -> probes:int -> restarts:int -> unit
+(** Adds a trial's counts to the totals. *)
 
-val outcome : sample -> int -> outcome
-(** [outcome s i] is trial [i] as a record (allocates one; for tests,
-    examples and printing, not for reductions). *)
+val store : sample -> int -> outcome -> unit
+(** [store s i o] writes [o]'s cost and time into slot [i] and tallies
+    its counts; its address is not kept. *)
 
 type interval = { mean : float; ci_lo : float; ci_hi : float }
 (** A sample estimate and its 95% confidence interval. *)
@@ -58,7 +59,7 @@ type aggregate = {
 (** {1 One statistic at a time}
 
     Each reads its own column in place ({!Numerics.Stats.summarize} of
-    [cost] or [config_time], or a count of [collided]), and each equals
+    [cost] or [config_time]) or the collision total, and each equals
     the matching {!aggregate} fields bit for bit. *)
 
 val cost_interval : sample -> interval
@@ -75,6 +76,6 @@ val config_time_interval : sample -> interval
 
 val aggregate : sample -> aggregate
 (** Every statistic at once.  [mean_probes] and [mean_restarts] are
-    compensated sums of the count columns over [trials]. *)
+    the compensated sums of the counts over [trials]. *)
 
 val pp_aggregate : Format.formatter -> aggregate -> unit

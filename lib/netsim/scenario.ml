@@ -23,10 +23,10 @@ let reveal rv candidate busy =
    from F_X with the DRM's period-boundary semantics (Sec. 3.1).
    Occupancy is revealed one candidate at a time (the .mli says why the
    law is exact), so a trial's work is O(attempts), not O(occupied).
-   Attempts run in a loop over plain local refs, and the trial's result
-   goes straight into slot [i] of the sample's columns, so a trial
-   allocates nothing but the reply-delay sampler's draws (on occupied
-   candidates only). *)
+   Attempts run in a loop over plain local refs, and the trial's cost
+   and time go straight into slot [i] of the sample's columns and its
+   counts into the sample's totals, so a trial allocates nothing but
+   the reply-delay sampler's draws (on occupied candidates only). *)
 let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
     ~(config : Newcomer.config) ~revealed (sample : Metrics.sample) i =
   let n = config.Newcomer.probes and r = config.Newcomer.listen in
@@ -35,8 +35,8 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
   let cost = ref 0. and time = ref 0. in
   revealed.len <- 0;
   let seen_occupied = ref 0 in
-  let address = ref (-1) and collided = ref false in
-  while !address < 0 do
+  let accepted = ref false and collided = ref false in
+  while not !accepted do
     let candidate = ref (Numerics.Rng.int rng size) in
     (* every occupied candidate but an accepted one drew a defence, so
        "failed" is "revealed occupied" while the trial runs *)
@@ -66,7 +66,7 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
       probes := !probes + n;
       cost := !cost +. (float_of_int n *. step_cost);
       time := !time +. (float_of_int n *. r);
-      address := candidate
+      accepted := true
     end
     else begin
       (* the owner may answer any of the n probes; probe i goes out at
@@ -84,7 +84,7 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
         probes := !probes + n;
         cost := !cost +. (float_of_int n *. step_cost) +. config.Newcomer.error_cost;
         time := !time +. (float_of_int n *. r);
-        address := candidate;
+        accepted := true;
         collided := true
       end
       else begin
@@ -111,10 +111,7 @@ let aggregate_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
   done;
   sample.cost.(i) <- !cost;
   sample.config_time.(i) <- !time;
-  sample.address.(i) <- !address;
-  sample.collided.(i) <- !collided;
-  sample.probes_sent.(i) <- !probes;
-  sample.restarts.(i) <- !restarts
+  Metrics.tally sample ~collided:!collided ~probes:!probes ~restarts:!restarts
 
 let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
     ~config ~trials ~rng () =

@@ -1,10 +1,11 @@
 (** Trial runners: repeat configuration attempts and collect outcomes.
 
     Both runners return one {!Metrics.sample}: trial [i] (in run order,
-    each drawing from [rng] after trial [i - 1]) fills slot [i] of every
-    column.  The aggregate runner writes the slots in its trial loop, so
-    no per-trial record exists; the packet-level runner stores each
-    newcomer's finished {!Metrics.outcome}.
+    each drawing from [rng] after trial [i - 1]) fills slot [i] of the
+    cost and time columns and adds its counts to the run's totals.  The
+    aggregate runner writes them in its trial loop, so no per-trial
+    record exists; the packet-level runner stores each newcomer's
+    finished {!Metrics.outcome}.
 
     Two fidelity levels:
 

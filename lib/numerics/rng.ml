@@ -31,16 +31,21 @@ let split t = of_state (mix (next t))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  (* rejection sampling on the top 63 bits (non-negative) to avoid
-     modulo bias; a loop over an unboxed local, so a draw allocates
-     nothing *)
+  (* Rejection sampling on the top 63 bits against modulo bias, one
+     division per draw: [raw - rem], the multiple of [b] at or below
+     [raw], is [max_fair] (the largest multiple not above 2^63 - 1)
+     exactly when adding [b] passes 2^63 - 1, so these rejections are
+     the two-division test's [raw >= max_fair], powers of two included.
+     A loop over unboxed locals, so a draw allocates nothing. *)
   let b = Int64.of_int bound in
-  let max_fair = Int64.sub Int64.max_int (Int64.rem Int64.max_int b) in
+  let top = Int64.sub Int64.max_int b in
   let raw = ref (Int64.shift_right_logical (next t) 1) in
-  while !raw >= max_fair do
-    raw := Int64.shift_right_logical (next t) 1
+  let rem = ref (Int64.rem !raw b) in
+  while Int64.sub !raw !rem > top do
+    raw := Int64.shift_right_logical (next t) 1;
+    rem := Int64.rem !raw b
   done;
-  Int64.to_int (Int64.rem !raw b)
+  Int64.to_int !rem
 
 (* inlined into the transforms below, so only their results are boxed *)
 let[@inline] float t =

@@ -174,6 +174,55 @@ let normal_quantile p =
     *. q
     /. (((((b.(0) *. r +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4)) *. r +. 1.)
 
+(* [Rng.int] as first written, over its own splitmix64 state: the top
+   63 bits of a raw output, rejected at or above [max_fair], the largest
+   multiple of the bound not above 2^63 - 1 (one division for the
+   threshold, one for the draw) *)
+let splitmix_mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let splitmix seed = ref (splitmix_mix (Int64.of_int seed))
+
+let splitmix_next state =
+  state := Int64.add !state 0x9E3779B97F4A7C15L;
+  splitmix_mix !state
+
+let int_two_divisions state bound =
+  let b = Int64.of_int bound in
+  let max_fair = Int64.sub Int64.max_int (Int64.rem Int64.max_int b) in
+  let rec draw () =
+    let raw = Int64.shift_right_logical (splitmix_next state) 1 in
+    if raw >= max_fair then draw () else Int64.to_int (Int64.rem raw b)
+  in
+  draw ()
+
+(* Where a Monte-Carlo sample departs from its trials as records: the
+   first slot whose cost or time bits differ, or a total (collisions,
+   probes, restarts) that is not the sum over the records *)
+let sample_mismatch (s : Netsim.Metrics.sample) (trials : Netsim.Metrics.outcome array) =
+  let module M = Netsim.Metrics in
+  let bits = Int64.bits_of_float in
+  let total f = Array.fold_left (fun acc o -> acc + f o) 0 trials in
+  let sum k = s.M.sums.(k) +. s.M.sums.(k + 1) in
+  let differs i =
+    bits s.M.cost.(i) <> bits trials.(i).M.cost
+    || bits s.M.config_time.(i) <> bits trials.(i).M.config_time
+  in
+  if M.length s <> Array.length trials then Some "trial count"
+  else
+    match List.find_opt differs (List.init (Array.length trials) Fun.id) with
+    | Some i -> Some (Printf.sprintf "trial %d's cost or time" i)
+    | None ->
+        if s.M.collisions <> total (fun o -> Bool.to_int o.M.collided) then
+          Some "collisions"
+        else if sum 0 <> float_of_int (total (fun o -> o.M.probes_sent)) then
+          Some "probes"
+        else if sum 2 <> float_of_int (total (fun o -> o.M.restarts)) then
+          Some "restarts"
+        else None
+
 (* The empirical CDF of a sample, as a function *)
 let ecdf xs =
   let sorted = Array.copy xs in

@@ -411,14 +411,25 @@ let test_pinned_maintenance () =
          est.Mn.disruption.Numerics.Stats.max; est.Mn.mean_broken;
          est.Mn.suggested_error_cost ])
 
+(* The detailed runner's trials are pinned as the traced trials of the
+   same stream (tracing draws nothing), which its sample must hold *)
 let test_pinned_detailed () =
-  let s =
+  let run rng =
     Netsim.Scenario.run_detailed ~loss:0.3 ~one_way:pinned_one_way ~processing
-      ~occupied:12 ~pool_size:16 ~config:detailed_config ~trials:20
-      ~rng:(Numerics.Rng.create 25) ()
+      ~occupied:12 ~pool_size:16 ~config:detailed_config ~trials:20 ~rng ()
+  and trace rng =
+    fst
+      (Netsim.Scenario.trace_one ~loss:0.3 ~one_way:pinned_one_way ~processing
+         ~occupied:12 ~pool_size:16 ~config:detailed_config ~rng ())
+  in
+  let traced =
+    let rng = Numerics.Rng.create 25 in
+    Array.init 20 (fun _ -> trace rng)
   in
   Alcotest.(check string) "trials" "792e626fdc20c1db455c27312ed52cef"
-    (fingerprint (Array.init (M.length s) (M.outcome s)))
+    (fingerprint traced);
+  Alcotest.(check (option string)) "sample" None
+    (Oracle.sample_mismatch (run (Numerics.Rng.create 25)) traced)
 
 let test_pinned_trace () =
   let o, log =

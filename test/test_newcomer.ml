@@ -9,8 +9,6 @@ module Scenario = Netsim.Scenario
 module Newcomer = Netsim.Newcomer
 module Metrics = Netsim.Metrics
 
-let outcomes sample = Array.init (Metrics.length sample) (Metrics.outcome sample)
-
 let mc_scenario =
   Params.v ~name:"mc"
     ~delay:(Dist.Families.shifted_exponential ~mass:0.9 ~rate:2. ~delay:0.5 ())
@@ -59,13 +57,11 @@ let test_aggregate_config_time_free_network () =
     Scenario.run_aggregate ~delay:mc_scenario.Params.delay ~occupied:0 ~pool_size
       ~config:(config ~n ~r) ~trials:50 ~rng:(Numerics.Rng.create 3) ()
   in
-  Array.iter
-    (fun (o : Metrics.outcome) ->
-      Alcotest.(check (float 1e-12)) "time" 2. o.Metrics.config_time;
-      Alcotest.(check (float 1e-12)) "cost" 6. o.Metrics.cost;
-      Alcotest.(check int) "probes" 4 o.Metrics.probes_sent;
-      Alcotest.(check bool) "no collision" false o.Metrics.collided)
-    (outcomes sample)
+  Array.iter (Alcotest.(check (float 1e-12)) "time" 2.) sample.Metrics.config_time;
+  Array.iter (Alcotest.(check (float 1e-12)) "cost" 6.) sample.Metrics.cost;
+  let agg = Metrics.aggregate sample in
+  Alcotest.(check (float 0.)) "probes" 4. agg.Metrics.mean_probes;
+  Alcotest.(check int) "no collision" 0 agg.Metrics.collisions
 
 let test_aggregate_immediate_abort_never_slower () =
   (* immediate abort can only shorten configuration time *)
@@ -93,12 +89,10 @@ let test_detailed_free_network () =
     Scenario.run_detailed ~loss:0. ~one_way ~occupied:0 ~pool_size:64
       ~config:(config ~n:3 ~r:0.5) ~trials:20 ~rng:(Numerics.Rng.create 5) ()
   in
-  Array.iter
-    (fun (o : Metrics.outcome) ->
-      Alcotest.(check bool) "clean" false o.Metrics.collided;
-      Alcotest.(check int) "3 probes" 3 o.Metrics.probes_sent;
-      Alcotest.(check int) "no restarts" 0 o.Metrics.restarts)
-    (outcomes sample)
+  let agg = Metrics.aggregate sample in
+  Alcotest.(check int) "clean" 0 agg.Metrics.collisions;
+  Alcotest.(check (float 0.)) "3 probes" 3. agg.Metrics.mean_probes;
+  Alcotest.(check (float 0.)) "no restarts" 0. agg.Metrics.mean_restarts
 
 let test_detailed_certain_conflict_with_perfect_link () =
   (* one free address in a pool of 2, perfect link: the newcomer may hit
@@ -107,11 +101,8 @@ let test_detailed_certain_conflict_with_perfect_link () =
     Scenario.run_detailed ~loss:0. ~one_way ~occupied:1 ~pool_size:2
       ~config:(config ~n:2 ~r:0.5) ~trials:50 ~rng:(Numerics.Rng.create 6) ()
   in
-  Array.iter
-    (fun (o : Metrics.outcome) ->
-      Alcotest.(check bool) "never collides on a perfect link" false
-        o.Metrics.collided)
-    (outcomes sample)
+  Alcotest.(check int) "never collides on a perfect link" 0
+    sample.Metrics.collisions
 
 let test_detailed_total_loss_always_collides () =
   (* loss = 1: replies never arrive, so picking an occupied address is
@@ -161,8 +152,7 @@ let test_rate_limit_slows_retries () =
       ~config:cfg ~trials:100 ~rng:(Numerics.Rng.create 9) ()
   in
   let slow =
-    Array.exists (fun (o : Metrics.outcome) -> o.Metrics.config_time > 59.)
-      (outcomes sample)
+    Array.exists (fun time -> time > 59.) sample.Metrics.config_time
   in
   Alcotest.(check bool) "some trial hit the rate limiter" true slow
 

@@ -6,9 +6,10 @@
    rewrite: it fills a real Address_pool with [occupied] uniformly
    random hosts, then draws candidates from it.  Both samplers must have
    the same law; on small, high-occupancy pools (where collisions and
-   restarts are common) their collision rates, probe-count histograms
+   restarts are common) their collision rates, per-trial cost histograms
    and mean costs are compared with two-sample tests at a fixed
-   significance level. *)
+   significance level.  A sample keeps each trial's cost and time and
+   the run's count totals, so per-trial checks read the cost column. *)
 
 module Scenario = Netsim.Scenario
 module Newcomer = Netsim.Newcomer
@@ -192,17 +193,6 @@ let reference_trial ~(delay : Dist.Distribution.t) ~size ~occupied ~rng
     config_time = !time;
     cost = !cost }
 
-(* A sample's trials as records, through the allocating accessor *)
-let outcomes sample = Array.init (Metrics.length sample) (Metrics.outcome sample)
-
-let outcome_bits (o : Metrics.outcome) =
-  ( o.Metrics.address,
-    o.Metrics.collided,
-    o.Metrics.probes_sent,
-    o.Metrics.restarts,
-    Int64.bits_of_float o.Metrics.config_time,
-    Int64.bits_of_float o.Metrics.cost )
-
 (* [Stats.summarize] and [Metrics.aggregate] as they were first written,
    over arrays copied out of outcome records *)
 let reference_summarize xs =
@@ -333,6 +323,15 @@ let chi_square_crit df =
   let h = 2. /. (9. *. k) in
   k *. ((1. -. h +. (z *. Float.sqrt h)) ** 3.)
 
+(* Two float samples as integer categories for [chi_square]: each value
+   becomes its rank among the distinct values of both *)
+let ranks a b =
+  let rank = Hashtbl.create 64 in
+  List.iteri
+    (fun i x -> Hashtbl.replace rank x i)
+    (List.sort_uniq Float.compare (Array.to_list (Array.append a b)));
+  (Array.map (Hashtbl.find rank) a, Array.map (Hashtbl.find rank) b)
+
 (* ---------------- eager vs lazy ---------------- *)
 
 let delay = Dist.Families.shifted_exponential ~mass:0.6 ~rate:2. ~delay:0.5 ()
@@ -350,15 +349,14 @@ let draft =
 
 let compare_samplers ~pool_size ~occupied ~config ~seed () =
   let lazy_ =
-    outcomes
-      (Scenario.run_aggregate ~delay ~occupied ~pool_size ~config ~trials
-         ~rng:(Rng.create seed) ())
+    Scenario.run_aggregate ~delay ~occupied ~pool_size ~config ~trials
+      ~rng:(Rng.create seed) ()
   and eager =
     eager_run ~delay ~occupied ~pool_size ~config ~trials
       ~rng:(Rng.create (seed + 1_000_003))
   in
-  let collided (o : Metrics.outcome) = o.Metrics.collided in
-  let x1 = count collided lazy_ and x2 = count collided eager in
+  let x1 = lazy_.Metrics.collisions
+  and x2 = count (fun (o : Metrics.outcome) -> o.Metrics.collided) eager in
   let z = proportion_z ~x1 ~n1:trials ~x2 ~n2:trials in
   Alcotest.(check bool)
     (Printf.sprintf "collision rate %d vs %d of %d: |z| = %.2f < %.2f" x1 x2
@@ -367,15 +365,17 @@ let compare_samplers ~pool_size ~occupied ~config ~seed () =
     (Float.abs z < z_crit);
   (* collisions must be common, or the comparison says nothing *)
   Alcotest.(check bool) "collisions are common" true (x2 > trials / 100);
-  let probes xs = Array.map (fun (o : Metrics.outcome) -> o.Metrics.probes_sent) xs in
-  let stat, df = chi_square (probes lazy_) (probes eager) in
+  let eager_costs = Array.map (fun (o : Metrics.outcome) -> o.Metrics.cost) eager in
+  let stat, df =
+    let a, b = ranks lazy_.Metrics.cost eager_costs in
+    chi_square a b
+  in
   let crit = chi_square_crit df in
   Alcotest.(check bool)
-    (Printf.sprintf "probes_sent chi2 = %.2f < %.2f (df %d)" stat crit df)
+    (Printf.sprintf "per-trial cost chi2 = %.2f < %.2f (df %d)" stat crit df)
     true
     (df >= 2 && stat < crit);
-  let costs xs = Array.map (fun (o : Metrics.outcome) -> o.Metrics.cost) xs in
-  let z = mean_z (costs lazy_) (costs eager) in
+  let z = mean_z lazy_.Metrics.cost eager_costs in
   Alcotest.(check bool)
     (Printf.sprintf "mean cost: |z| = %.2f < %.2f" (Float.abs z) z_crit)
     true
@@ -410,6 +410,7 @@ let lean_run ~delay ~pool_size ~occupied ~config ~trials ~seed =
   Scenario.run_aggregate ~delay ~occupied ~pool_size ~config ~trials
     ~rng:(Rng.create seed) ()
 
+(* every trial's cost and time bits, and the run's totals *)
 let test_lean_equals_reference (label, delay, pool_size, occupied) () =
   List.iter
     (fun (sem, config) ->
@@ -418,10 +419,10 @@ let test_lean_equals_reference (label, delay, pool_size, occupied) () =
           let reference =
             reference_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed
           and lean = lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed in
-          if Array.map outcome_bits (outcomes lean) <> Array.map outcome_bits reference
-          then
-            Alcotest.failf "%s, %s, seed %d: outcomes differ from the reference"
-              label sem seed)
+          Option.iter
+            (Alcotest.failf "%s, %s, seed %d: %s differs from the reference"
+               label sem seed)
+            (Oracle.sample_mismatch lean reference))
         [ 1; 2; 3 ])
     semantics
 
@@ -437,8 +438,7 @@ let interval_bits (i : Metrics.interval) =
 
 (* [Metrics.aggregate] and the three interval functions on a sample
    against the reference aggregate over its trials as records *)
-let check_metrics what sample =
-  let trials = outcomes sample in
+let check_metrics what sample trials =
   let old = reference_aggregate trials and now = Metrics.aggregate sample in
   let same field a b = if a <> b then Alcotest.failf "%s: %s differs" what field in
   same "trials" old.Metrics.trials now.Metrics.trials;
@@ -474,33 +474,62 @@ let test_metrics_equal_reference () =
   List.iter
     (fun ((label, delay, pool_size, occupied), (sem, config)) ->
       check_metrics (label ^ ", " ^ sem)
-        (lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed:7))
+        (lean_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed:7)
+        (reference_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed:7))
     (List.concat_map (fun s -> List.map (fun c -> (s, c)) semantics) settings)
 
-(* The packet-level runner on a small crowded pool: every slot is the
-   outcome of a traced trial drawn from the same stream (tracing draws
-   nothing), and the statistics equal the reference aggregate. *)
-let test_detailed_sample () =
-  let one_way = Dist.Families.deterministic ~delay:0.05 ()
-  and config = Newcomer.drm_config ~n:2 ~r:0.2 ~probe_cost:1. ~error_cost:100. in
-  let trials = 60 in
+(* The packet-level runner on a small crowded pool, beside the traced
+   trials of the same stream (tracing draws nothing) *)
+let detailed ~loss ~occupied ~config ~trials ~seed =
+  let one_way = Dist.Families.deterministic ~delay:0.05 () in
   let sample =
-    Scenario.run_detailed ~loss:0.3 ~one_way ~occupied:12 ~pool_size:16 ~config
-      ~trials ~rng:(Rng.create 21) ()
+    Scenario.run_detailed ~loss ~one_way ~occupied ~pool_size:16 ~config ~trials
+      ~rng:(Rng.create seed) ()
   in
-  let rng = Rng.create 21 in
+  let rng = Rng.create seed in
   let traced =
     Array.init trials (fun _ ->
         fst
-          (Scenario.trace_one ~loss:0.3 ~one_way ~occupied:12 ~pool_size:16
-             ~config ~rng ()))
+          (Scenario.trace_one ~loss ~one_way ~occupied ~pool_size:16 ~config
+             ~rng ()))
   in
-  if Array.map outcome_bits (outcomes sample) <> Array.map outcome_bits traced
-  then Alcotest.fail "run_detailed's slots differ from traced trials";
+  (sample, traced)
+
+(* every slot holds its traced trial's cost and time, and the
+   statistics equal the reference aggregate *)
+let test_detailed_sample () =
+  let config = Newcomer.drm_config ~n:2 ~r:0.2 ~probe_cost:1. ~error_cost:100. in
+  let sample, traced = detailed ~loss:0.3 ~occupied:12 ~config ~trials:60 ~seed:21 in
+  Option.iter
+    (Alcotest.failf "run_detailed: %s differs from the traced trials")
+    (Oracle.sample_mismatch sample traced);
   Alcotest.(check bool) "collisions and restarts both occur" true
     (Array.exists (fun (o : Metrics.outcome) -> o.Metrics.collided) traced
     && Array.exists (fun (o : Metrics.outcome) -> o.Metrics.restarts > 0) traced);
-  check_metrics "run_detailed" sample
+  check_metrics "run_detailed" sample traced
+
+(* [Metrics.store] tallies as it stores: a detailed run's collision,
+   probe and restart totals are the sums over its traced outcomes, on
+   runs where each count is zero in some trials and large in others *)
+let test_detailed_totals () =
+  List.iter
+    (fun (loss, occupied, config, seed) ->
+      let sample, traced = detailed ~loss ~occupied ~config ~trials:40 ~seed in
+      let total f = Array.fold_left (fun acc o -> acc + f o) 0 traced in
+      let sum k = sample.Metrics.sums.(k) +. sample.Metrics.sums.(k + 1) in
+      let what = Printf.sprintf "loss %g, %d hosts, seed %d" loss occupied seed in
+      Alcotest.(check int) (what ^ ": collisions")
+        (total (fun (o : Metrics.outcome) -> Bool.to_int o.Metrics.collided))
+        sample.Metrics.collisions;
+      Alcotest.(check (float 0.)) (what ^ ": probes")
+        (float_of_int (total (fun (o : Metrics.outcome) -> o.Metrics.probes_sent)))
+        (sum 0);
+      Alcotest.(check (float 0.)) (what ^ ": restarts")
+        (float_of_int (total (fun (o : Metrics.outcome) -> o.Metrics.restarts)))
+        (sum 2))
+    [ (0.3, 12, Newcomer.drm_config ~n:2 ~r:0.2 ~probe_cost:1. ~error_cost:100., 31);
+      (0., 15, Newcomer.drm_config ~n:3 ~r:0.5 ~probe_cost:1. ~error_cost:100., 32);
+      (0.9, 14, { paper with Newcomer.rate_limit = Some (1, 5.) }, 33) ]
 
 (* ---------------- exact small pools ---------------- *)
 
@@ -516,17 +545,15 @@ let check_rate name ~trials ~expected successes =
 let test_half_occupied_first_candidate () =
   (* pool {0, 1} with one host: the first candidate is occupied with
      probability exactly 1/2, and an occupied first candidate shows up
-     as a restart or a collision *)
+     as a restart or a collision, each of which costs more than the
+     n (r + c) = 3.6 of a free first candidate *)
   let trials = 20_000 in
-  let outcomes =
-    outcomes
-      (Scenario.run_aggregate ~delay ~occupied:1 ~pool_size:2 ~config:drm
-         ~trials ~rng:(Rng.create 11) ())
+  let sample =
+    Scenario.run_aggregate ~delay ~occupied:1 ~pool_size:2 ~config:drm ~trials
+      ~rng:(Rng.create 11) ()
   in
   check_rate "P(first occupied)" ~trials ~expected:0.5
-    (count
-       (fun (o : Metrics.outcome) -> o.Metrics.restarts > 0 || o.Metrics.collided)
-       outcomes)
+    (count (fun cost -> cost <> 3.6) sample.Metrics.cost)
 
 (* One probe, answered half of the time: on pool {0, 1} with one host an
    attempt accepts the free address (1/2), collides on the occupied one
@@ -539,32 +566,35 @@ let test_revealed_answer_is_reused () =
   (* a redraw of the occupied address must find it occupied again, so
      the trial ends in a collision with probability (1/4) / (3/4) *)
   let trials = 30_000 in
-  let outcomes =
-    outcomes
-      (Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
-         ~config:one_probe ~trials ~rng:(Rng.create 12) ())
+  let sample =
+    Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
+      ~config:one_probe ~trials ~rng:(Rng.create 12) ()
   in
-  check_rate "collision rate" ~trials ~expected:(1. /. 3.)
-    (count (fun (o : Metrics.outcome) -> o.Metrics.collided) outcomes)
+  check_rate "collision rate" ~trials ~expected:(1. /. 3.) sample.Metrics.collisions
 
 let test_avoid_failed_never_retries () =
   (* with blacklisting, a defended address is never drawn again: at most
-     one restart, after which the free address is accepted *)
+     one restart, after which the free address is accepted.  An attempt
+     costs r + c = 2 and a collision 100 more, so a trial costs 2 (free
+     at once), 102 (collision at once) or 4 (one restart, then free);
+     a second restart or a collision after one would cost more *)
   let trials = 30_000 in
-  let outcomes =
-    outcomes
-      (Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
-         ~config:{ one_probe with Newcomer.avoid_failed = true }
-         ~trials ~rng:(Rng.create 13) ())
+  let sample =
+    Scenario.run_aggregate ~delay:coin_reply ~occupied:1 ~pool_size:2
+      ~config:{ one_probe with Newcomer.avoid_failed = true }
+      ~trials ~rng:(Rng.create 13) ()
   in
   Array.iter
-    (fun (o : Metrics.outcome) ->
-      Alcotest.(check bool) "at most one restart" true (o.Metrics.restarts <= 1);
-      if o.Metrics.restarts = 1 then
-        Alcotest.(check bool) "free after a restart" false o.Metrics.collided)
-    outcomes;
-  check_rate "collision rate" ~trials ~expected:0.25
-    (count (fun (o : Metrics.outcome) -> o.Metrics.collided) outcomes)
+    (fun cost ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cost %g in {2, 4, 102}" cost)
+        true
+        (cost = 2. || cost = 4. || cost = 102.))
+    sample.Metrics.cost;
+  Alcotest.(check (float 0.)) "one restart per trial that costs 4"
+    (float_of_int (count (fun cost -> cost = 4.) sample.Metrics.cost))
+    (sample.Metrics.sums.(2) +. sample.Metrics.sums.(3));
+  check_rate "collision rate" ~trials ~expected:0.25 sample.Metrics.collisions
 
 (* ---------------- input validation ---------------- *)
 
@@ -616,7 +646,9 @@ let () =
         @ [ Alcotest.test_case "metrics = reference aggregate" `Quick
               test_metrics_equal_reference;
             Alcotest.test_case "detailed sample = traced trials" `Quick
-              test_detailed_sample ] );
+              test_detailed_sample;
+            Alcotest.test_case "detailed totals = sums over outcomes" `Quick
+              test_detailed_totals ] );
       ( "exact",
         [ Alcotest.test_case "first candidate half occupied" `Quick
             test_half_occupied_first_candidate;

@@ -82,6 +82,24 @@ let test_int_pinned () =
            3437469724683869241 |],
         -2239488871247451322 ) ]
 
+(* [Rng.int]'s one division per draw against the two-division rejection
+   test it replaced, over an independent splitmix64 from the same seed:
+   200k draws per bound, including powers of two and bounds either side
+   of where a rejection becomes likely *)
+let test_int_one_division () =
+  List.iter
+    (fun bound ->
+      let rng = Rng.create 2003 and state = Oracle.splitmix 2003 in
+      for k = 1 to 200_000 do
+        let got = Rng.int rng bound
+        and want = Oracle.int_two_divisions state bound in
+        if got <> want then
+          Alcotest.failf "bound %d, draw %d: %d, two divisions give %d" bound k
+            got want
+      done)
+    [ 1; 2; 3; 7; 64; 1024; 65023; 65024; 1 lsl 40; 1 lsl 61; max_int - 5;
+      max_int ]
+
 (* The float transform and split's seeding, pinned the same way from
    seed 2003: the first four values and a fold [h * 31 + x] (on int64,
    floats by their bits) of the next 100k; the raw stream by its first
@@ -255,6 +273,7 @@ let () =
         [ Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int coverage" `Quick test_int_covers_support;
           Alcotest.test_case "int draws pinned" `Quick test_int_pinned;
+          Alcotest.test_case "int: one division = two" `Quick test_int_one_division;
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "float draws pinned" `Quick test_float_pinned ] );
       ( "distributions",
