@@ -257,7 +257,17 @@ let powers_of_ten =
    the division's exact remainder, so w / 10^k = q + c up to c's last
    bits; r = q + c rounded is the answer when x - r (s, up to [slack],
    q's ulp / 2^48) lies strictly inside r's rounding interval, whose
-   ends are halfway to r's neighbours, one step of its bits away. *)
+   ends are halfway to r's neighbours: ulp r / 2 above, and below too
+   unless r is a power of two, where the gap below is half as wide. *)
+
+(* The unit in the first place of x > 0 (the power of two in
+   [x / 2, x]), exact for x below 2^970 (Rump, Ogita and Oishi 2008,
+   "Accurate floating-point summation", ufp): float products only, no
+   C call to read the bits.  An ulp is ufp x / 2^52. *)
+let[@inline] ufp x =
+  let q = x *. 0x1.0000000000001p52 in
+  Float.abs (q -. (0x1.fffffffffffffp-1 *. q))
+
 let float_of_digits a j w k dst slot =
   if j = a || k = 0 || k > 22 then -1
   else
@@ -273,14 +283,10 @@ let float_of_digits a j w k dst slot =
       let c = (Float.fma (-.q) d hi +. lo) /. d in
       let r = q +. c in
       let s = q -. r +. c in
-      let[@inline] step x by =
-        Int64.float_of_bits (Int64.add (Int64.bits_of_float x) by)
-      in
-      let slack = (step q 1L -. q) *. 0x1p-48 in
-      if
-        s > ((step r (-1L) -. r) *. 0.5) +. slack
-        && s < ((step r 1L -. r) *. 0.5) -. slack
-      then begin
+      let slack = ufp q *. 0x1p-100 and u = ufp r in
+      let above = u *. 0x1p-53 in
+      let below = if u = r then above *. 0.5 else above in
+      if s > -.below +. slack && s < above -. slack then begin
         dst.(slot) <- r;
         j
       end
@@ -383,8 +389,8 @@ let quantities =
 
 let quantity_names = table (Array.map fst quantities)
 
-(* Setters: [set st tok a] reads the value at [a] of the token at [tok]
-   and returns the token's end. *)
+(* Setters: [set_K st tok a] reads the value at [a] of the token at
+   [tok] and returns the token's end. *)
 
 let set_scenario st _ a =
   match name_at preset_names ~whole:true st.text st.len a with
@@ -442,25 +448,39 @@ let set_backend st _ a =
 
 type key = {
   name : string;
-  set : state -> int -> int -> int;
   excludes : int;  (* the row this key cannot go with, or -1 *)
   sampling : bool;  (* only meaningful with backend=mc *)
 }
 
 (* The exclusion checks run in row order, so a line with several
-   conflicts reports (ns, rs) first, then (n, ns), then (r, rs). *)
+   conflicts reports (ns, rs) first, then (n, ns), then (r, rs).  A
+   row's setter is picked by [set] below. *)
 let keys =
-  let row ?(excludes = -1) ?(sampling = false) name set =
-    { name; set; excludes; sampling }
+  let row ?(excludes = -1) ?(sampling = false) name =
+    { name; excludes; sampling }
   in
-  [| row "ns" set_ns ~excludes:3 (* rs *);
-     row "n" (fun st _ a -> int_token st "n" a 0) ~excludes:0 (* ns *);
-     row "r" (fun st _ a -> float_token st "r" a 0) ~excludes:3 (* rs *);
-     row "rs" set_rs;
-     row "scenario" set_scenario;
-     row "backend" set_backend;
-     row "trials" (fun st _ a -> int_token st "trials" a 1) ~sampling:true;
-     row "seed" (fun st _ a -> int_token st "seed" a 2) ~sampling:true |]
+  [| row "ns" ~excludes:3 (* rs *);
+     row "n" ~excludes:0 (* ns *);
+     row "r" ~excludes:3 (* rs *);
+     row "rs";
+     row "scenario";
+     row "backend";
+     row "trials" ~sampling:true;
+     row "seed" ~sampling:true |]
+
+let ns_key = 0 and n_key = 1 and r_key = 2 and rs_key = 3
+
+(* row k's setter, picked by a match: a direct call, not a closure's *)
+let set st k tok a =
+  match k with
+  | 0 -> set_ns st tok a
+  | 1 -> int_token st "n" a 0
+  | 2 -> float_token st "r" a 0
+  | 3 -> set_rs st tok a
+  | 4 -> set_scenario st tok a
+  | 5 -> set_backend st tok a
+  | 6 -> int_token st "trials" a 1
+  | _ -> int_token st "seed" a 2
 
 let mask p =
   let mask = ref 0 in
@@ -477,10 +497,22 @@ let excluded_mask =
    the '=' is then the token's first *)
 let key_names = table (Array.map (fun row -> row.name ^ "=") keys)
 
+(* The row of the key at [tok], or -1: the one-letter keys of every
+   point line, n= and r=, told by their two bytes, any other looked up
+   in [key_names] *)
+let key_at st tok =
+  let line = st.text in
+  if tok + 1 < st.len && Bytes.unsafe_get line (tok + 1) = '=' then
+    match Bytes.unsafe_get line tok with
+    | 'n' -> n_key
+    | 'r' -> r_key
+    | _ -> name_at key_names ~whole:false line st.len tok
+  else name_at key_names ~whole:false line st.len tok
+
 (* One key=value token from [tok] on; its end *)
 let parse_token st tok =
   let line = st.text in
-  let k = name_at key_names ~whole:false line st.len tok in
+  let k = key_at st tok in
   if k < 0 then begin
     ignore (token st tok);
     let eq = index_from line tok st.vend '=' in
@@ -493,7 +525,7 @@ let parse_token st tok =
   if st.given land bit <> 0 then
     fail st (Printf.sprintf "key %s given twice" keys.(k).name);
   st.given <- st.given lor bit;
-  keys.(k).set st tok (tok + String.length keys.(k).name + 1)
+  set st k tok (tok + String.length keys.(k).name + 1)
 
 (* The tokens from [tok] on, which starts one, up to the one after which
    only blanks and a comment are left. *)
@@ -519,7 +551,6 @@ let check_keys st =
     fail st "trials and seed need backend=mc"
 
 let has st k = st.given land (1 lsl k) <> 0
-let ns_key = 0 and rs_key = 3
 
 (* The line's query, not yet validated: built only to check a single
    line ([parse_line]) and for the planner's refusals. *)
@@ -620,20 +651,29 @@ let add st (b : Engine.Batch.t) =
             route
         | _ -> refuse st)
   in
-  let scenario = snd presets.(st.preset) in
-  Engine.Batch.add_plan b st.quantity preset_ids.(st.preset)
-    (Option.value route ~default:Engine.Plan.Kernel)
-    ~trials:(if sampled then st.ints.(1) else 0)
-    ~seed:(if sampled then st.ints.(2) else 0)
-    ~line:st.lineno;
-  if has st ns_key then
-    Engine.Batch.add_run b ~lo:st.ns_lo ~hi:st.ns_hi st.r 0
-  else if has st rs_key then
-    for i = 0 to Array.length st.rs - 1 do
-      Engine.Batch.add_run b ~lo:st.ints.(0) ~hi:st.ints.(0) st.rs i
-    done
-  else Engine.Batch.add_run b ~lo:st.ints.(0) ~hi:st.ints.(0) st.r 0;
-  (try Engine.Batch.validate_last b scenario ~sampled
+  let scenario = snd presets.(st.preset)
+  and sid = preset_ids.(st.preset)
+  (* a stand-in when no route serves: the refusal comes after the
+     points' checks *)
+  and planned = match route with Some r -> r | None -> Engine.Plan.Kernel
+  and trials = if sampled then st.ints.(1) else 0
+  and seed = if sampled then st.ints.(2) else 0 in
+  (try
+     if has st rs_key then begin
+       Engine.Batch.add_plan b st.quantity sid planned ~trials ~seed
+         ~line:st.lineno;
+       for i = 0 to Array.length st.rs - 1 do
+         Engine.Batch.add_run b ~lo:st.ints.(0) ~hi:st.ints.(0) st.rs i
+       done;
+       Engine.Batch.validate_last b scenario ~sampled
+     end
+     else
+       (* a point or an n-sweep: one run, appended and validated in one
+          call *)
+       let lo = if has st ns_key then st.ns_lo else st.ints.(0)
+       and hi = if has st ns_key then st.ns_hi else st.ints.(0) in
+       Engine.Batch.add_plan_with_run b st.quantity sid planned ~trials ~seed
+         ~line:st.lineno ~lo ~hi st.r 0 scenario ~sampled
    with Invalid_argument msg -> fail st msg);
   if Option.is_none route then refuse st
 

@@ -31,8 +31,7 @@ let pp_value ppf = function
       Format.fprintf ppf "%.6g [%.6g, %.6g]" mean ci_lo ci_hi
 
 let pp ppf t =
-  Format.fprintf ppf "%s: %d point%s, %d evals, %.3f ms" t.backend (size t)
+  Format.fprintf ppf "%s: %d point%s, %d evals" t.backend (size t)
     (if size t = 1 then "" else "s")
-    t.evals
-    (Int64.to_float t.wall_ns /. 1e6);
+    t.evals;
   if size t = 1 then Format.fprintf ppf " -> %a" pp_value (value t 0)

@@ -55,3 +55,5 @@ val value : t -> int -> value
     whole answer read {!values} or {!scalar} instead. *)
 
 val pp : Format.formatter -> t -> unit
+(** The backend, the point count, the evals and, for one point, its
+    value.  No time: the same answer prints the same bytes. *)

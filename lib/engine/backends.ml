@@ -1,8 +1,8 @@
+(* monotonic, so a duration is never negative *)
 let time_ns f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let x = f () in
-  let t1 = Unix.gettimeofday () in
-  (x, Int64.of_float (Float.max 0. ((t1 -. t0) *. 1e9)))
+  (x, Int64.sub (Monotonic_clock.now ()) t0)
 
 (* IEEE bits of r, so -0 and 0 are two keys *)
 let same_bits (x : float) (y : float) =

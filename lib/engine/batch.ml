@@ -63,7 +63,7 @@ let grow a fill len =
     b
   end
 
-let add_plan b quantity sid route ~trials ~seed ~line =
+let[@inline] add_plan b quantity sid route ~trials ~seed ~line =
   let p = b.plans and len = b.plans + 1 in
   (* one test for all: [run] keeps room for one more than the rest *)
   if len > Array.length b.quantity then begin
@@ -86,7 +86,7 @@ let add_plan b quantity sid route ~trials ~seed ~line =
   b.plans <- len;
   b.run.(len) <- b.runs
 
-let add_run b ~lo ~hi rs i =
+let[@inline] add_run b ~lo ~hi rs i =
   let t = b.runs and runs = b.runs + 1 in
   if runs > Array.length b.n_lo then begin
     b.n_lo <- grow b.n_lo 0 runs;
@@ -100,10 +100,16 @@ let add_run b ~lo ~hi rs i =
   b.runs <- runs;
   b.run.(b.plans) <- runs
 
-let validate_last b scenario ~sampled =
+let[@inline] validate_last b scenario ~sampled =
   let p = b.plans - 1 in
   Query.validate_runs b.quantity.(p) scenario ~sampled ~trials:(trials b p)
     ~n_lo:b.n_lo ~off:b.off ~r:b.r ~lo:b.run.(p) ~hi:b.run.(p + 1)
+
+let add_plan_with_run b quantity sid route ~trials ~seed ~line ~lo ~hi rs i
+    scenario ~sampled =
+  add_plan b quantity sid route ~trials ~seed ~line;
+  add_run b ~lo ~hi rs i;
+  validate_last b scenario ~sampled
 
 let max_n b p =
   let m = ref 0 in

@@ -65,6 +65,14 @@ val validate_last : t -> Zeroconf.Params.t -> sampled:bool -> unit
 (** {!Query.validate_runs} on the last plan, added with this
     scenario. *)
 
+val add_plan_with_run :
+  t -> Query.quantity -> int -> Plan.route -> trials:int -> seed:int ->
+  line:int -> lo:int -> hi:int -> float array -> int -> Zeroconf.Params.t ->
+  sampled:bool -> unit
+(** [add_plan], [add_run] and [validate_last] of a plan of one run (a
+    point or an n-sweep), in one call: the batch front end's per-line
+    path. *)
+
 val max_n : t -> int -> int
 (** A plan's largest probe count. *)
 

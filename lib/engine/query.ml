@@ -75,7 +75,7 @@ let[@inline] check_latency_horizon ~n ~r =
    at the run's ends holds throughout (the cost bound's magnitude grows
    with n), so only a run failing there is walked, to name its first
    failing point. *)
-let last n_lo off t = n_lo.(t) + off.(t + 1) - off.(t) - 1
+let[@inline] last n_lo off t = n_lo.(t) + off.(t + 1) - off.(t) - 1
 
 let validate_runs quantity (p : Zeroconf.Params.t) ~sampled ~trials ~n_lo ~off
     ~r ~lo ~hi =

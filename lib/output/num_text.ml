@@ -142,11 +142,10 @@ let spec name conv p =
   "%." ^ string_of_int p ^ conv
 
 (* The fast paths scale |x| by 10^s into an integer range and round
-   once.  [mantissa.(i)] 2^[exponent.(i)] is 10^s for s = i + min_scale,
-   the mantissa in [1, 2) and off by at most half an ulp and 2^-95 (see
-   below), so |x| 10^s is |x| 2^exponent, exact, times the mantissa,
-   rounded once: y carries two roundings, and below 10^10 < 2^34 it is
-   off by less than 2^-18 (3.8e-6).  Rounding y therefore gives the
+   once.  10^s is m 2^e for s = i + min_scale, the mantissa m in [1, 2)
+   and off by at most half an ulp and 2^-95 (see below), so |x| 10^s is
+   |x| 2^e, exact, times m, rounded once: y carries two roundings, and
+   below 10^10 < 2^34 it is off by less than 2^-18 (3.8e-6).  Rounding y therefore gives the
    digits of the exact decimal value unless y's fraction lies within
    [tie_margin] of 1/2, where the two could straddle the tie.  The scales
    cover every normal double at every fast precision: s = p - 1 -
@@ -155,8 +154,15 @@ let min_scale = -308
 let max_scale = 317
 let tie_margin = 1e-5
 
-let mantissa = Array.create_float (max_scale - min_scale + 1)
-let exponent = Array.make (max_scale - min_scale + 1) 0
+(* The scaling multiplies floats only (turning bits back into a double
+   is a C call in OCaml 5.1): |x| by [shift.(i)] = 2^k, then by
+   [power.(i)] = m 2^(e - k).  Both factors are exact doubles, and so is
+   the first product, so y is the same product rounded once.  k is 0
+   where 10^s is a normal double; at the table's ends, where it is not
+   (s = -308, s > 308), k = -64 or 64 keeps the factor normal, and the
+   first product too (|x| is then above 1e307 or below 1e-298). *)
+let power = Array.create_float (max_scale - min_scale + 1)
+let shift = Array.create_float (max_scale - min_scale + 1)
 
 (* 10^s as a double-double (hi + lo) 2^e, hi in [1, 2), from 10^0 by
    exact steps: a product by 10 (or a quotient) whose rounding error
@@ -167,8 +173,9 @@ let exponent = Array.make (max_scale - min_scale + 1) 0
    microseconds, allocating nothing, and never written again. *)
 let () =
   let[@inline] put s hi e =
-    mantissa.(s - min_scale) <- hi;
-    exponent.(s - min_scale) <- e
+    let k = if e < -1022 then -64 else if e > 1023 then 64 else 0 in
+    power.(s - min_scale) <- Float.ldexp hi (e - k);
+    shift.(s - min_scale) <- Float.ldexp 1. k
   in
   put 0 1. 0;
   let hi = ref 1. and lo = ref 0. and e = ref 0 in
@@ -210,20 +217,14 @@ let[@inline] round_scaled y =
   else if f > 0.5 then d + 1
   else d
 
-(* y = |x| 10^s, from the bits of |x|: adding the table's binary
-   exponent to the exponent field is the exact product by its power of
-   two (y / mantissa lies in [10^(p-2), 10^(p+1)), far from both ends of
-   the normal range), which leaves the one rounding of the product.
-   The bits are an int, the low 63 of the double's: all but the sign.
-   [s] lies in the table's range for every normal double at every fast
-   precision (see above), so it is read unchecked. *)
-let[@inline] scaled abits s =
+(* y = |x| 10^s: the product by [shift] is exact (y / m lies in
+   [10^(p-2), 10^(p+1)), far from both ends of the normal range), which
+   leaves the one rounding of the product by [power].  [s] lies in the
+   table's range for every normal double at every fast precision (see
+   above), so it is read unchecked. *)
+let[@inline] scaled ax s =
   let i = s - min_scale in
-  Int64.float_of_bits
-    (Int64.logand
-       (Int64.of_int (abits + (Array.unsafe_get exponent i lsl 52)))
-       Int64.max_int)
-  *. Array.unsafe_get mantissa i
+  ax *. Array.unsafe_get shift i *. Array.unsafe_get power i
 
 (* C's %.<p>g of the [p] significant digits [d] (10^(p-1) <= d <
    10^p) with decimal exponent [e], at [pos]; the end.  The digits go
@@ -280,10 +281,11 @@ let[@inline] put_g s pos p d e =
   end
 
 (* %.<p>g at [pos] for 1 <= p <= max_digits and non-zero x, given as
-   its sign and the bits of |x| (ints, so passing them boxes nothing);
-   the end, or -1 when the value needs the fallback (a non-finite value,
-   a subnormal, or a tie), nothing written then *)
-let[@inline] general_fast s pos p neg abits =
+   its sign, |x| and the bits of |x| (an int: the low 63 of the
+   double's, all but the sign), for its binary exponent; the end, or -1
+   when the value needs the fallback (a non-finite value, a subnormal,
+   or a tie), nothing written then *)
+let[@inline] general_fast s pos p neg ax abits =
   let biased = abits lsr 52 in
   if biased = 0 || biased = 0x7ff then -1
   else
@@ -292,10 +294,10 @@ let[@inline] general_fast s pos p neg abits =
        y = |x| 10^s >= 10^(p-1); when the estimate was one short,
        y >= 10^p and one step down puts it back *)
     let s10 = p - 1 - (((biased - 1023) * 78913) asr 18) in
-    let y = scaled abits s10 in
+    let y = scaled ax s10 in
     let top = Float.of_int ipow10.(p) in
     let s10 = if y >= top then s10 - 1 else s10 in
-    let d = round_scaled (if y >= top then scaled abits s10 else y) in
+    let d = round_scaled (if y >= top then scaled ax s10 else y) in
     if d < ipow10.(p - 1) || d > ipow10.(p) then -1
     else begin
       (* a carry to 10^p moves the exponent up by one *)
@@ -357,7 +359,7 @@ let[@inline] general spec fast digits blk pos x =
   else
     let j =
       if fast then
-        general_fast s pos digits (x < 0.)
+        general_fast s pos digits (x < 0.) (Float.abs x)
           (Int64.to_int (Int64.bits_of_float x))
       else -1
     in

@@ -9,7 +9,9 @@
     power comes from a table of [10^s] for [s] in [[-308, 317]], each
     a mantissa in [[1, 2)] within half an ulp (it is built at start-up
     by an exact double-double recurrence, in microseconds, and never
-    written again) times a power of two, which is applied exactly.  So
+    written again) times a power of two, which is applied exactly: the
+    table holds each power as float factors whose products are exact,
+    so no bits are turned back into a double.  So
     the scaled value carries two roundings and is off by less than
     [2^-18]; its rounding equals that of the exact decimal value unless
     its fraction lies within [1e-5] of a half.  The digits go out as one

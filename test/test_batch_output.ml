@@ -7,7 +7,11 @@
    emitted, and every line is compared with the one Printf makes from
    the batch's arrays: n-sweeps across 9 -> 10, 99 -> 100 and
    999 -> 1000 (where the head is rendered again), exponents in both
-   directions, an r-sweep, and a Monte-Carlo plan's interval lines. *)
+   directions, an r-sweep, and a Monte-Carlo plan's interval lines.
+   Then the benchmark's line shape, one point per plan (whose head and
+   trailer come from templates): every quantity on every preset through
+   every exact route that serves it, with evals of one to three
+   digits, over more than one block. *)
 
 let queries =
   String.concat "\n"
@@ -67,8 +71,100 @@ let test_emit_equals_printf () =
         Alcotest.failf "line %d: Printf %S, emit %S" (i + 1) e g)
     (List.combine expected got)
 
+(* One point per line, cycling through every (quantity, preset, exact
+   route) the planner serves: the default route (the kernel where it
+   serves), backend=analytic and backend=dtmc.  A kernel point at n
+   costs n evals, so n up to 999 gives one to three digits; distinct
+   random r keep every point on a column of its own.  The other routes
+   count one eval or none per point. *)
+let point_lines count =
+  let rng = Random.State.make [| 46 |] in
+  let quantities =
+    Engine.Query.
+      [ Mean_cost; Error_probability; Log10_error; Cost_variance;
+        Latency_mean ]
+  and routes = [ None; Some Engine.Plan.Analytic; Some Engine.Plan.Dtmc ] in
+  let combos =
+    List.concat_map
+      (fun q ->
+        List.concat_map
+          (fun (preset, _) ->
+            List.filter_map
+              (fun forced ->
+                let route, backend =
+                  match forced with
+                  | None -> (Engine.Planner.route q ~sampled:false ~max_n:60, "")
+                  | Some r ->
+                      ( (if Engine.Planner.serves r q ~sampled:false ~max_n:60
+                         then Some r
+                         else None),
+                        " backend=" ^ Engine.Plan.route_name r )
+                in
+                (* only the kernel's evals count steps; elsewhere a point
+                   costs O(n) and n stays small *)
+                Option.map
+                  (fun r ->
+                    (q, preset, backend, if r = Engine.Plan.Kernel then 999 else 60))
+                  route)
+              routes)
+          Zeroconf.Params.presets)
+      quantities
+    |> Array.of_list
+  in
+  let lines =
+    List.init count (fun i ->
+        let q, preset, backend, n_max = combos.(i mod Array.length combos) in
+        Printf.sprintf "%s scenario=%s n=%d r=%.17g%s"
+          (Engine.Query.quantity_name q)
+          preset
+          (1 + Random.State.int rng n_max)
+          (0.05 +. Random.State.float rng 6.)
+          backend)
+  in
+  (Array.length combos, String.concat "\n" lines)
+
+let test_points_equal_printf () =
+  let combos, text = point_lines 2400 in
+  let b = Batch_input.read text in
+  Engine.Executor.execute b;
+  let got = emitted b and expected = printf_rendering b in
+  Alcotest.(check int) "one plan per line" 2400 b.plans;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d (quantity, preset, route)s, each several times" combos)
+    true
+    (combos >= 40 && 2400 >= 10 * combos);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes span a block boundary" (String.length got))
+    true
+    (String.length got > Batch_output.block_bytes);
+  let digits e = String.length (string_of_int e) in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "some plan has %d-digit evals" d)
+        true
+        (Array.exists (fun e -> digits e = d) (Array.sub b.evals 0 b.plans)))
+    [ 1; 2; 3 ];
+  List.iter
+    (fun route ->
+      Alcotest.(check bool)
+        ("some plan ran on " ^ Engine.Plan.route_name route)
+        true
+        (Array.exists (( = ) route) (Array.sub b.route 0 b.plans)))
+    Engine.Plan.[ Kernel; Analytic; Dtmc ];
+  if not (String.equal got expected) then
+    List.iteri
+      (fun i (e, g) ->
+        if not (String.equal e g) then
+          Alcotest.failf "line %d: Printf %S, emit %S" (i + 1) e g)
+      (List.combine
+         (String.split_on_char '\n' expected)
+         (String.split_on_char '\n' got))
+
 let () =
   Alcotest.run "batch_output"
     [ ( "emit",
         [ Alcotest.test_case "every line = Printf across blocks" `Quick
-            test_emit_equals_printf ] ) ]
+            test_emit_equals_printf;
+          Alcotest.test_case "one-point plans = Printf across blocks" `Quick
+            test_points_equal_printf ] ) ]

@@ -63,6 +63,14 @@ let r2_seeded () =
       ("R2", 2, "Random.float");
       ("R2", 3, "Unix.gettimeofday") ]
 
+let r2_monotonic () =
+  check_hits "a monotonic clock read outside bench/ is flagged too"
+    ~path:"lib/engine/executor.ml"
+    ~source:"let t () = Monotonic_clock.now ()\n"
+    [ ("R2", 1, "Monotonic_clock.now") ];
+  check_hits "bench may read the monotonic clock" ~path:"bench/main.ml"
+    ~source:"let t () = Monotonic_clock.now ()\n" []
+
 let r2_scoped () =
   check_hits "bench may read the wall clock" ~path:"bench/main.ml"
     ~source:"let t () = Unix.gettimeofday ()\n" [];
@@ -464,6 +472,7 @@ let () =
             r1_engine_pipeline;
           Alcotest.test_case "R2 seeded" `Quick r2_seeded;
           Alcotest.test_case "R2 scoping" `Quick r2_scoped;
+          Alcotest.test_case "R2 monotonic clock" `Quick r2_monotonic;
           Alcotest.test_case "R2 environment" `Quick r2_environment;
           Alcotest.test_case "R2 cache timestamps" `Quick r2_cache_timestamps;
           Alcotest.test_case "R3 seeded" `Quick r3_seeded;

@@ -123,6 +123,35 @@ let test_orphan_result () =
   Alcotest.(check bool) "a result line needs its record" true
     (Result.is_error (T.lines_of_string result))
 
+(* a run in a [git archive] copy names no commit; the tag names it *)
+let test_commit_tag () =
+  let record commit =
+    Printf.sprintf
+      {|{"workload": "points", "provenance": {"commit": %s, "source_sha256": "ab12", "nproc": 2}, "metrics": {"points_per_s": 1.0}}|}
+      commit
+  and result =
+    {|{"correct": true, "attempted": 1, "failed": 0, "metrics": {"cpu_s": {"value": 1.0, "unit": "s"}}}|}
+  in
+  let tag ?commit l = T.tag ?commit ~pr:7 ~side:T.Parent ~pair:0 ~cpu:"x" l in
+  let code text =
+    match T.lines_of_string text with
+    | Ok ({ body = T.Record r; _ } :: _) -> r.code
+    | Ok _ -> Alcotest.fail "no record"
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check string) "untagged: the source hash" "ab12"
+    (code (tag (record "null")));
+  Alcotest.(check string) "tagged: the commit" "ff63536"
+    (code
+       (tag ~commit:"ff63536" (record "null")
+       ^ "\n" ^ tag ~commit:"ff63536" result));
+  Alcotest.(check string) "the same commit again" "ff63536"
+    (code (tag ~commit:"ff63536" (record {|"ff63536"|})));
+  Alcotest.(check bool) "another commit is refused" true
+    (match tag ~commit:"ff63536" (record {|"53195e2"|}) with
+    | _ -> false
+    | exception T.Bad _ -> true)
+
 let () =
   Alcotest.run "trajectory"
     [ ( "BENCH_trajectory.jsonl",
@@ -132,4 +161,6 @@ let () =
           Alcotest.test_case "every pair has both sides" `Quick test_pairs ] );
       ( "benchcmp",
         [ Alcotest.test_case "claim verdict" `Quick test_verdict;
-          Alcotest.test_case "result after its record" `Quick test_orphan_result ] ) ]
+          Alcotest.test_case "result after its record" `Quick test_orphan_result;
+          Alcotest.test_case "--commit names the commit" `Quick
+            test_commit_tag ] ) ]

@@ -12,9 +12,12 @@
        and bound, to BENCHMARK.json.  Exits 1 when the claim fails.
 
      perfbench/run.py ... | benchcmp --tag --pr N --side SIDE --pair I
+                            [--commit C]
        copies run.py's record and result lines to standard output, each
        with the tags "pr", "side" (parent or child), "pair" and "cpu"
-       (the "model name" of /proc/cpuinfo) in front. *)
+       (the "model name" of /proc/cpuinfo) in front.  With C, a record
+       whose provenance names no commit (run.py run in a copy made by
+       [git archive], outside git) names C there. *)
 
 module T = Trajectory
 
@@ -93,20 +96,21 @@ let compare_runs ~file ~spec ~pr ~workload ~metric =
         bound;
       if not v.claim then exit 1
 
-let tag_lines ~pr ~side ~pair =
+let tag_lines ?commit ~pr ~side ~pair () =
   let cpu = cpu_model () in
   In_channel.input_lines stdin
   |> List.iter (fun l ->
          if String.trim l <> "" then
-           print_endline (T.tag ~pr ~side ~pair ~cpu l))
+           print_endline (T.tag ?commit ~pr ~side ~pair ~cpu l))
 
 let () =
   let pr = ref (-1) and workload = ref "" and metric = ref "" in
-  let tag = ref false and side = ref "" and pair = ref (-1)
+  let tag = ref false and side = ref "" and pair = ref (-1) and commit = ref ""
   and file = ref "BENCH_trajectory.jsonl" and spec = ref "BENCHMARK.json" in
   let usage =
     "benchcmp --pr N --workload W --metric M [--file F] [--spec S]\n\
-     benchcmp --tag --pr N --side parent|child --pair I < run.py output"
+     benchcmp --tag --pr N --side parent|child --pair I [--commit C] < \
+     run.py output"
   in
   Arg.parse
     [ ("--pr", Arg.Set_int pr, "N the PR");
@@ -116,7 +120,8 @@ let () =
       ("--spec", Arg.Set_string spec, "S the benchmark spec");
       ("--tag", Arg.Set tag, " tag run.py's lines from standard input");
       ("--side", Arg.Set_string side, "SIDE parent or child");
-      ("--pair", Arg.Set_int pair, "I the pair index") ]
+      ("--pair", Arg.Set_int pair, "I the pair index");
+      ("--commit", Arg.Set_string commit, "C the commit the run measured") ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
   let fail msg =
@@ -127,7 +132,10 @@ let () =
   match
     if !tag then
       match T.side_of_name !side with
-      | Some side when !pair >= 0 -> tag_lines ~pr:!pr ~side ~pair:!pair
+      | Some side when !pair >= 0 ->
+          tag_lines
+            ?commit:(if !commit = "" then None else Some !commit)
+            ~pr:!pr ~side ~pair:!pair ()
       | _ -> fail "--tag needs --side parent|child and --pair"
     else if !workload = "" || !metric = "" then
       fail "--workload and --metric are required"

@@ -260,11 +260,41 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-(* [line], an object of run.py's, with the tags first *)
-let tag ~pr ~side ~pair ~cpu line =
+(* the first index of [sub] in [s] at or after [i], if any *)
+let rec find_sub s sub i =
+  if i + String.length sub > String.length s then None
+  else if String.sub s i (String.length sub) = sub then Some i
+  else find_sub s sub (i + 1)
+
+(* [line] naming [commit] in its provenance: run.py, run outside a git
+   checkout (a [git archive] copy of the parent), prints
+   ["commit": null] there.  A result line has no provenance and stays
+   as it is; a record naming another commit is refused. *)
+let with_commit commit line =
+  match member "provenance" (parse line) with
+  | None -> line
+  | Some prov -> (
+      match member "commit" prov with
+      | Some (Str c) when c = commit -> line
+      | Some Null -> (
+          let null = "\"commit\": null" in
+          match
+            Option.bind (find_sub line "\"provenance\"" 0) (find_sub line null)
+          with
+          | None -> raise (Bad "the provenance's commit is not spelt null")
+          | Some i ->
+              let j = i + String.length null in
+              String.sub line 0 i ^ "\"commit\": " ^ json_string commit
+              ^ String.sub line j (String.length line - j))
+      | _ -> raise (Bad "the record names another commit"))
+
+(* [line], an object of run.py's, with the tags first, and [commit] in
+   its provenance when given *)
+let tag ?commit ~pr ~side ~pair ~cpu line =
   let line = String.trim line in
   if String.length line < 2 || line.[0] <> '{' then
     raise (Bad "not a JSON object");
+  let line = match commit with Some c -> with_commit c line | None -> line in
   Printf.sprintf "{\"pr\": %d, \"side\": %s, \"pair\": %d, \"cpu\": %s, %s" pr
     (json_string (side_name side))
     pair (json_string cpu)
