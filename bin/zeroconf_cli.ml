@@ -259,10 +259,13 @@ let simulate_cmd =
         in
         let sample =
           if detailed then
-            Netsim.Scenario.run_detailed
-              ~loss:(Zeroconf.Params.loss_probability p)
-              ~one_way:(Dist.Families.exponential ~rate:20. ())
-              ~occupied:hosts ~pool_size:pool ~config ~trials ~rng ()
+            (* instant, lossless legs: each responder replies after one
+               draw from the scenario's F_X, and its defect is a reply
+               that never comes *)
+            Netsim.Scenario.run_detailed ~loss:0.
+              ~one_way:(Dist.Families.deterministic ~delay:0. ())
+              ~processing:p.Zeroconf.Params.delay ~occupied:hosts
+              ~pool_size:pool ~config ~trials ~rng ()
           else
             Netsim.Scenario.run_aggregate ~delay:p.Zeroconf.Params.delay
               ~occupied:hosts ~pool_size:pool ~config ~trials ~rng ()

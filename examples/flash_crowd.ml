@@ -24,9 +24,14 @@ let () =
       r.Netsim.Workload.mean_config_time r.Netsim.Workload.last_completion
   in
   Format.printf "Flash crowd: 40 devices within 2 s on a 256-address link@.@.";
-  (* the draft, verbatim: n = 4, r = 2, immediate abort, rate limiting *)
+  (* the draft, verbatim: n = 4, r = 2, immediate abort, a 60 s wait
+     after 10 conflicts, failed addresses avoided, two announcements *)
   run "draft (n=4, r=2):"
-    { Netsim.Newcomer.default_config with Netsim.Newcomer.probes = 4 };
+    { (Netsim.Newcomer.drm_config ~n:4 ~r:2. ~probe_cost:0. ~error_cost:0.) with
+      Netsim.Newcomer.immediate_abort = true;
+      rate_limit = Some (10, 60.);
+      avoid_failed = true;
+      announce = Some (2, 2.) };
   (* the model's optimum for a reliable low-latency link (cf. Sec. 6) *)
   run "optimized (n=2, r=0.5):"
     { (Netsim.Newcomer.drm_config ~n:2 ~r:0.5 ~probe_cost:0. ~error_cost:0.) with

@@ -37,7 +37,10 @@ let () =
   let mc quantity = Engine.Query.point ~accuracy quantity p ~n ~r in
   Format.printf "F_X-sampling simulation (20000 trials):@.";
   Array.iter
-    (fun (a : Engine.Answer.t) -> Format.printf "  %a@." Engine.Answer.pp a)
+    (fun (a : Engine.Answer.t) ->
+      let lo, hi = Option.get (Engine.Answer.ci a 0) in
+      Format.printf "  %s: 1 point, %d evals -> %.6g [%.6g, %.6g]@." a.backend
+        a.evals (Engine.Answer.scalar a 0) lo hi)
     (Engine.Executor.eval_batch
        [| mc Engine.Query.Mean_cost; mc Engine.Query.Error_probability |]);
   Format.printf "@.";
@@ -59,28 +62,4 @@ let () =
       ~occupied ~pool_size ~config ~trials:4_000 ~rng ()
   in
   Format.printf "packet-level simulation:@.%a@." Netsim.Metrics.pp_aggregate
-    (Netsim.Metrics.aggregate sample);
-
-  (* And one fully traced run, to see the protocol at work. *)
-  let outcome, log =
-    Netsim.Scenario.trace_one ~loss:0.4
-      ~one_way:(Dist.Families.deterministic ~delay:0.25 ())
-      ~processing:(Dist.Families.exponential ~rate:2. ())
-      ~occupied:200 ~pool_size:256
-      ~config:(Netsim.Newcomer.drm_config ~n:2 ~r:1. ~probe_cost:1. ~error_cost:100.)
-      ~rng ()
-  in
-  Format.printf "@.One traced run (crowded 256-address pool):@.";
-  let is_loss_chatter line =
-    (* per-receiver delivery/loss lines start with two spaces *)
-    String.length line > 0 && line.[0] = ' '
-  in
-  List.iter
-    (fun (t, line) ->
-      if not (is_loss_chatter line) then Format.printf "  %7.3f  %s@." t line)
-    log;
-  Format.printf "  -> %s after %d probes, %d restarts, %.2f s%s@."
-    (Netsim.Address_pool.to_string outcome.Netsim.Metrics.address)
-    outcome.Netsim.Metrics.probes_sent outcome.Netsim.Metrics.restarts
-    outcome.Netsim.Metrics.config_time
-    (if outcome.Netsim.Metrics.collided then " (COLLISION!)" else "")
+    (Netsim.Metrics.aggregate sample)

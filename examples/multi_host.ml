@@ -15,13 +15,15 @@ let () =
   in
 
   (* A tiny 64-address pool with 32 occupied: deliberately brutal, so
-     collisions are observable. *)
+     collisions are observable.  The newcomers power on 0.2 s apart. *)
   Format.printf
     "8 newcomers, 32/64 addresses taken, loss 5%%, immediate abort:@.@.";
   let result =
-    Netsim.Workload.spaced ~loss:0.05 ~one_way ~occupied:32 ~pool_size:64
-      ~newcomers:8 ~spacing:0.2 ~config ~rng ()
+    Netsim.Workload.run ~pattern:(Netsim.Workload.Periodic 0.2) ~horizon:1.7
+      ~loss:0.05 ~one_way ~initial:32 ~pool_size:64 ~config ~rng ()
   in
+  (* address index 0 is 169.254.1.0 *)
+  let dotted a = Printf.sprintf "169.254.%d.%d" (1 + (a / 256)) (a mod 256) in
   let outcomes = result.Netsim.Workload.outcomes in
   Format.printf "  all addresses unique: %b@." result.Netsim.Workload.all_unique;
   Format.printf "  collisions with existing hosts: %d@."
@@ -36,7 +38,7 @@ let () =
     (fun i (o : Netsim.Metrics.outcome) ->
       Format.printf "  newcomer %d -> %s  (%d probes, %d restarts, %.2f s)%s@."
         i
-        (Netsim.Address_pool.to_string o.Netsim.Metrics.address)
+        (dotted o.Netsim.Metrics.address)
         o.Netsim.Metrics.probes_sent o.Netsim.Metrics.restarts
         o.Netsim.Metrics.config_time
         (if o.Netsim.Metrics.collided then "  COLLISION" else ""))

@@ -38,21 +38,15 @@ let () =
   Format.printf "%a@.@." Zeroconf.Assessment.pp
     (Zeroconf.Assessment.run ~draft_n:4 ~draft_r:2. scenario);
 
-  (* What if the user is impatient?  Cap the configuration time n*r. *)
-  Format.printf "Cost of impatience (best (n, r) with n*r <= budget):@.";
-  List.iter
-    (fun budget ->
-      let best = Zeroconf.Optimize.constrained_optimum ~budget scenario in
-      Format.printf "  budget %5.1f s -> n = %d, r = %.3f, cost %.3f@." budget
-        best.Zeroconf.Optimize.n best.Zeroconf.Optimize.r
-        best.Zeroconf.Optimize.cost)
-    [ 2.; 4.; 8.; 16. ];
-  Format.printf "@.Probes needed for an error target (at r = 2):@.";
+  (* How many probes buy a given reliability?  The least n with
+     E(n, 2) <= target, up to 256 probes. *)
+  Format.printf "Probes needed for an error target (at r = 2):@.";
   List.iter
     (fun target ->
-      match
-        Zeroconf.Optimize.probes_for_error_target scenario ~r:2. ~target
-      with
+      let meets n =
+        Zeroconf.Reliability.error_probability scenario ~n ~r:2. <= target
+      in
+      match List.find_opt meets (List.init 256 succ) with
       | Some n -> Format.printf "  E(n, 2) <= %.0e needs n = %d@." target n
       | None -> Format.printf "  E(n, 2) <= %.0e is unreachable@." target)
     [ 1e-6; 1e-12; 1e-21; 1e-40 ]

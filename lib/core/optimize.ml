@@ -124,30 +124,3 @@ let global_optimum (p : Params.t) =
     { n; r; cost; error_prob = Reliability.error_probability p ~n ~r }
   in
   first_best evaluate (fun n best -> n <= n_cap && may_beat (bound n) best.cost)
-
-let constrained_optimum ~budget (p : Params.t) =
-  if budget <= 0. then invalid_arg "Optimize.constrained_optimum: budget <= 0";
-  let evaluate n =
-    let r_cap = SF.div budget (float_of_int n) in
-    let unconstrained = r_opt (ref []) p ~n r_cap in
-    let r = Float.min unconstrained.Numerics.Minimize.x r_cap in
-    { n; r; cost = Cost.mean p ~n ~r; error_prob = Reliability.error_probability p ~n ~r }
-  in
-  first_best evaluate (fun n _ -> n <= 32)
-
-let probes_for_error_target (p : Params.t) ~r ~target =
-  if not (SF.is_probability target) then
-    invalid_arg "Optimize.probes_for_error_target: target outside [0, 1]";
-  if r < 0. then
-    invalid_arg "Optimize.probes_for_error_target: negative listening period";
-  (* one cursor instead of an O(n) rebuild per tested n *)
-  let k = Kernel.create p ~r in
-  let rec search () =
-    if Kernel.n k >= 256 then None
-    else begin
-      Kernel.advance k;
-      if Kernel.error_probability k <= target then Some (Kernel.n k)
-      else search ()
-    end
-  in
-  search ()

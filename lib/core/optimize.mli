@@ -60,18 +60,3 @@ val global_optimum : Params.t -> point
     probes, [(1-q) 4096 c], is at most the floor [min (q E, (1-q) (t0 +
     c))] under every cost, so the bound cannot be relied on to end the
     scan by then: at [c = 0], and for a delay with a long [t0]. *)
-
-val constrained_optimum : budget:float -> Params.t -> point
-(** Cheapest design whose configuration time [n * r] stays within
-    [budget] seconds — the impatient-user question from the paper's
-    introduction ("a configuration time of 8 seconds may seem barely
-    acceptable").  Scans [n = 1 .. 32] with [r] capped at
-    [budget / n].  Raises [Invalid_argument] on a non-positive
-    budget. *)
-
-val probes_for_error_target :
-  Params.t -> r:float -> target:float -> int option
-(** Smallest [n] with [E(n, r) <= target] ("how many probes buy six
-    nines at this listening period?"); [None] if even [256] probes
-    cannot reach it — e.g. when permanent loss floors the
-    error above the target. *)

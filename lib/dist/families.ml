@@ -68,51 +68,3 @@ let uniform ~lo ~hi () =
     ~sample:(fun rng -> Some (Rng.uniform rng ~lo ~hi))
     ()
 
-let erlang ?(mass = 1.) ~stages ~rate () =
-  if stages < 1 then invalid_arg "Families.erlang: stages < 1";
-  if not (rate > 0. && rate < infinity) then
-    invalid_arg "Families.erlang: rate outside (0, inf)";
-  (* Survival of Erlang-k: e^{-rt} * sum_{i<k} (rt)^i / i!, summed in
-     increasing order so the partial sums stay accurate. *)
-  let core_survival u =
-    if u <= 0. then 1.
-    else begin
-      let x = rate *. u in
-      let term = ref 1. and acc = ref 1. in
-      for i = 1 to stages - 1 do
-        term := !term *. x /. float_of_int i;
-        acc := !acc +. !term
-      done;
-      exp (-.x) *. !acc
-    end
-  in
-  let survival t =
-    if t <= 0. then 1. else (1. -. mass) +. (mass *. core_survival t)
-  in
-  let cdf t = if t <= 0. then 0. else mass *. (1. -. core_survival t) in
-  let density t =
-    if t <= 0. then 0.
-    else begin
-      let x = rate *. t in
-      (* rate * x^(k-1) e^{-x} / (k-1)! *)
-      let log_fact = ref 0. in
-      for i = 2 to stages - 1 do
-        log_fact := !log_fact +. log (float_of_int i)
-      done;
-      mass *. rate *. exp ((float_of_int (stages - 1) *. log x) -. x -. !log_fact)
-    end
-  in
-  let conditional rng =
-    let acc = ref 0. in
-    for _ = 1 to stages do
-      acc := !acc +. Rng.exponential rng ~rate
-    done;
-    !acc
-  in
-  Distribution.v
-    ~name:(Printf.sprintf "erlang(k=%d, rate=%g, d=0)" stages rate)
-    ~mass ~density
-    ~mean:(float_of_int stages /. rate)
-    ~cdf ~survival
-    ~sample:(defective_sample mass conditional)
-    ()

@@ -4,9 +4,8 @@
     [F_X(t) = l (1 - e^(-lambda (t - d)))] for [t >= d], i.e. a hard
     round-trip delay [d], exponential tail with rate [lambda], and a
     permanent-loss probability [1 - l].  The others give alternative
-    tail shapes for sensitivity studies; of them only {!erlang} (the
-    fitted alternative) can be defective.  A lossy exponential is
-    [shifted_exponential ~delay:0. ~mass].
+    tail shapes for sensitivity studies, and none of them is defective.
+    A lossy exponential is [shifted_exponential ~delay:0. ~mass].
 
     Every constructor raises [Invalid_argument] on a NaN parameter or
     an infinite delay.  [rate = infinity] is legal for {!exponential}
@@ -27,9 +26,3 @@ val deterministic : delay:float -> unit -> Distribution.t
 
 val uniform : lo:float -> hi:float -> unit -> Distribution.t
 (** Delay uniform on [\[lo, hi\]]. *)
-
-val erlang :
-  ?mass:float -> stages:int -> rate:float -> unit -> Distribution.t
-(** Erlang-[stages] delay (sum of [stages] exponentials), reply mass
-    [mass] (default [1.]): concentrates around [stages/rate], modelling
-    multi-hop store-and-forward. *)

@@ -21,60 +21,6 @@ let shifted_exponential_mle ?(losses = 0) samples =
 let to_distribution { loss; delay; rate } =
   Families.shifted_exponential ~mass:(1. -. loss) ~rate ~delay ()
 
-let erlang_moment_match ?(losses = 0) samples =
-  check_sample "Fit.erlang_moment_match" ~losses samples;
-  let s = Numerics.Stats.summarize samples in
-  let mean = s.Numerics.Stats.mean in
-  if mean <= 0. then invalid_arg "Fit.erlang_moment_match: zero mean";
-  let variance = Float.max 1e-12 s.Numerics.Stats.variance in
-  let stages =
-    Numerics.Safe_float.clamp ~lo:1. ~hi:64.
-      (Float.round (mean *. mean /. variance))
-  in
-  let stages = int_of_float stages in
-  let rate = float_of_int stages /. mean in
-  Families.erlang
-    ~mass:(1. -. loss_fraction ~losses (Array.length samples))
-    ~stages ~rate ()
-
-(* negative log-likelihood of the conditional shifted-exp density *)
-let neg_log_likelihood samples ~delay ~rate =
-  if rate <= 0. then infinity
-  else begin
-    let n = Array.length samples in
-    let acc = ref 0. in
-    (try
-       Array.iter
-         (fun x ->
-           if x < delay then raise Exit
-           else acc := !acc +. (rate *. (x -. delay)))
-         samples
-     with Exit -> acc := infinity);
-    if Float.is_finite !acc then !acc -. (float_of_int n *. log rate)
-    else infinity
-  end
-
-let shifted_exponential_nm ?(losses = 0) samples =
-  check_sample "Fit.shifted_exponential_nm" ~losses samples;
-  let n = Array.length samples in
-  let d0 = Array.fold_left Float.min samples.(0) samples in
-  let mean = Numerics.Safe_float.mean samples in
-  (* optimize over (delay, log rate); start slightly inside the feasible
-     region so the simplex has room *)
-  let f x =
-    let delay = x.(0) and rate = exp x.(1) in
-    if delay < 0. then infinity else neg_log_likelihood samples ~delay ~rate
-  in
-  let start = [| 0.95 *. d0; log (1. /. Float.max 1e-6 (mean -. (0.95 *. d0))) |] in
-  let result =
-    Numerics.Nelder_mead.restarted ~tol:1e-14
-      ~scale:[| Float.max 1e-3 (0.05 *. (d0 +. 0.01)); 0.25 |]
-      ~f start
-  in
-  { loss = loss_fraction ~losses n;
-    delay = result.Numerics.Nelder_mead.x.(0);
-    rate = exp result.Numerics.Nelder_mead.x.(1) }
-
 type quality = { ks_statistic : float; log_likelihood : float }
 
 let assess ?(losses = 0) (d : Distribution.t) samples =

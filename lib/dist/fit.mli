@@ -5,7 +5,7 @@
     Measurements are reply delays with losses recorded either
     explicitly (count of probes that never got an answer) or as
     timeouts.  The fitted object is the paper's defective shifted
-    exponential, or a moment-matched Erlang / phase-type alternative. *)
+    exponential; {!assess} scores any candidate on the same sample. *)
 
 type shifted_exp = {
   loss : float;   (** [1 - l]. *)
@@ -21,19 +21,6 @@ val shifted_exponential_mle :
     empty sample. *)
 
 val to_distribution : shifted_exp -> Distribution.t
-
-val erlang_moment_match :
-  ?losses:int -> float array -> Distribution.t
-(** Match mean and variance with an Erlang: the stage count is
-    [round (mean^2 / variance)] clamped to [1, 64], the rate is
-    [stages / mean].  Good for unimodal delays without a hard floor. *)
-
-val shifted_exponential_nm :
-  ?losses:int -> float array -> shifted_exp
-(** Same family as {!shifted_exponential_mle} but fitted by minimizing
-    the negative log-likelihood with Nelder–Mead — a cross-check of the
-    closed form, and the template for families without closed-form
-    MLEs.  Agrees with the MLE (property-tested). *)
 
 type quality = {
   ks_statistic : float;

@@ -10,8 +10,6 @@ type t = {
   values : values;
 }
 
-let size t = Array.length t.points
-
 let scalar t k =
   match t.values with Scalars v -> v.(k) | Intervals v -> v.(k).mean
 
@@ -24,14 +22,3 @@ let value t k =
   match t.values with
   | Scalars v -> Scalar v.(k)
   | Intervals v -> Interval v.(k)
-
-let pp_value ppf = function
-  | Scalar x -> Format.fprintf ppf "%.17g" x
-  | Interval { mean; ci_lo; ci_hi } ->
-      Format.fprintf ppf "%.6g [%.6g, %.6g]" mean ci_lo ci_hi
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d point%s, %d evals" t.backend (size t)
-    (if size t = 1 then "" else "s")
-    t.evals;
-  if size t = 1 then Format.fprintf ppf " -> %a" pp_value (value t 0)

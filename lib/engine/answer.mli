@@ -53,7 +53,3 @@ type value = Scalar of float | Interval of interval
 val value : t -> int -> value
 (** [value a k] boxes point [k]'s value.  It allocates; loops over a
     whole answer read {!values} or {!scalar} instead. *)
-
-val pp : Format.formatter -> t -> unit
-(** The backend, the point count, the evals and, for one point, its
-    value.  No time: the same answer prints the same bytes. *)

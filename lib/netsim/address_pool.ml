@@ -32,10 +32,3 @@ let claim_random_free t ~rng =
   let a = draw () in
   claim t a;
   a
-
-(* 169.254.1.0 .. 169.254.254.255: index 0 is 169.254.1.0 *)
-let to_string a =
-  let third = 1 + (a / 256) and fourth = a mod 256 in
-  Printf.sprintf "169.254.%d.%d" third fourth
-
-let pp ppf a = Format.pp_print_string ppf (to_string a)

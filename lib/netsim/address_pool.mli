@@ -25,9 +25,3 @@ val claim_random_free : t -> rng:Numerics.Rng.t -> int
 val random_candidate : t -> rng:Numerics.Rng.t -> int
 (** Uniform draw over the whole space — occupied or not — exactly the
     protocol's blind selection step. *)
-
-val to_string : int -> string
-(** Render an index as its dotted IPv4 in the 169.254/16 range. *)
-
-val pp : Format.formatter -> int -> unit
-(** {!to_string} as a printer. *)

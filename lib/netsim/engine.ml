@@ -1,10 +1,6 @@
-type t = {
-  queue : (unit -> unit) Event_queue.t;
-  mutable clock : float;
-  mutable tracer : (float -> string -> unit) option;
-}
+type t = { queue : (unit -> unit) Event_queue.t; mutable clock : float }
 
-let create () = { queue = Event_queue.create (); clock = 0.; tracer = None }
+let create () = { queue = Event_queue.create (); clock = 0. }
 let now t = t.clock
 
 let schedule t ~after thunk =
@@ -36,10 +32,3 @@ let run ?until ?(max_events = 10_000_000) t =
                   failwith "Engine.run: event budget exceeded";
                 thunk ()))
   done
-
-let set_tracer t tracer = t.tracer <- tracer
-
-let trace t fmt =
-  match t.tracer with
-  | None -> Format.ikfprintf ignore Format.str_formatter fmt
-  | Some f -> Format.kasprintf (fun s -> f t.clock s) fmt

@@ -19,12 +19,3 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     clock passes [until], or [max_events] (default [10_000_000])
     events have fired (guarding against runaway schedules; raises
     [Failure] in that case). *)
-
-val set_tracer : t -> (float -> string -> unit) option -> unit
-(** Install (or remove) an event tracer; {!trace} calls become visible
-    to it. *)
-
-val trace : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Emit a trace line at the current virtual time.  Without a tracer
-    nothing is formatted: pass values that need rendering through [%a],
-    so that their printers do not run either. *)

@@ -29,18 +29,14 @@ let detach t id =
   List.iter (fun s -> if s.id = id then s.attached <- false) t.stations
 
 let broadcast t ~sender packet =
-  Engine.trace t.engine "host%d sends %a" sender Packet.pp packet;
   let deliver station =
-    if station.attached && station.id <> sender then begin
-      if Numerics.Rng.bool t.rng t.loss then
-        Engine.trace t.engine "  lost on the way to host%d" station.id
-      else
-        match t.one_way.sample t.rng with
-        | None ->
-            Engine.trace t.engine "  lost (delay defect) to host%d" station.id
-        | Some delay ->
-            Engine.schedule t.engine ~after:delay (fun () ->
-                if station.attached then station.handler packet)
-    end
+    if station.attached && station.id <> sender
+       && not (Numerics.Rng.bool t.rng t.loss)
+    then
+      match t.one_way.sample t.rng with
+      | None -> () (* the delay's defect: lost in transit *)
+      | Some delay ->
+          Engine.schedule t.engine ~after:delay (fun () ->
+              if station.attached then station.handler packet)
   in
   List.iter deliver t.stations

@@ -9,16 +9,6 @@ type config = {
   announce : (int * float) option;
 }
 
-let default_config =
-  { probes = 4;
-    listen = 2.;
-    probe_cost = 0.;
-    error_cost = 0.;
-    immediate_abort = true;
-    rate_limit = Some (10, 60.);
-    avoid_failed = true;
-    announce = Some (2, 2.) }
-
 let drm_config ~n ~r ~probe_cost ~error_cost =
   { probes = n;
     listen = r;
@@ -78,9 +68,6 @@ let finish t =
     let collided = Address_pool.is_occupied t.pool t.candidate in
     if collided then t.cost <- t.cost +. t.config.error_cost
     else Address_pool.claim t.pool t.candidate;
-    Engine.trace t.engine "host%d accepts %a%s" t.station
-      Address_pool.pp t.candidate
-      (if collided then " (COLLISION)" else "");
     if not collided then announce t;
     t.on_done
       { Metrics.address = t.candidate;
@@ -106,8 +93,6 @@ let rec begin_attempt t =
     done
   end;
   t.candidate <- !candidate;
-  Engine.trace t.engine "host%d tries %a" t.station
-    Address_pool.pp t.candidate;
   send_probe t ~epoch:t.epoch ~k:1
 
 and send_probe t ~epoch ~k =
@@ -153,16 +138,12 @@ let handle_packet t packet =
     | Packet.Arp_reply _ ->
         if not t.conflict then begin
           t.conflict <- true;
-          Engine.trace t.engine "host%d hears a defence of %a" t.station
-            Address_pool.pp t.candidate;
           if t.config.immediate_abort then restart t
         end
     | Packet.Arp_probe { sender; _ } when sender <> t.station ->
         (* someone else is probing for our candidate: conflict per draft *)
         if not t.conflict then begin
           t.conflict <- true;
-          Engine.trace t.engine "host%d sees a rival probe for %a" t.station
-            Address_pool.pp t.candidate;
           if t.config.immediate_abort then restart t
         end
     | Packet.Arp_probe _ -> ()

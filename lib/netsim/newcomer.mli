@@ -30,10 +30,6 @@ type config = {
           warns hosts still probing for the same address. *)
 }
 
-val default_config : config
-(** Draft defaults: [n = 4], [r = 2], zero costs, immediate abort,
-    rate limit of 60 s after 10 conflicts, failed addresses avoided. *)
-
 val drm_config : n:int -> r:float -> probe_cost:float -> error_cost:float -> config
 (** Paper-faithful semantics: period-boundary aborts, no rate limit, no
     blacklisting. *)

@@ -4,9 +4,3 @@ type t =
 
 let address = function
   | Arp_probe { address; _ } | Arp_reply { address; _ } -> address
-
-let pp ppf = function
-  | Arp_probe { sender; address } ->
-      Format.fprintf ppf "probe[host%d, %a]" sender Address_pool.pp address
-  | Arp_reply { sender; address } ->
-      Format.fprintf ppf "reply[host%d, %a]" sender Address_pool.pp address

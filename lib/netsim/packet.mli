@@ -9,4 +9,3 @@ type t =
       (** "[address] is mine" — broadcast by its owner. *)
 
 val address : t -> int
-val pp : Format.formatter -> t -> unit

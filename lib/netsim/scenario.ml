@@ -128,11 +128,10 @@ let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
   sample
 
 let detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
-    ~rng ~tracer () =
+    ~rng () =
   let net =
     Network.create ~loss ~one_way ?processing ~occupied ?pool_size ~rng ()
   in
-  Engine.set_tracer net.engine tracer;
   let result = ref None in
   let _newcomer =
     Newcomer.start ~engine:net.engine ~link:net.link ~pool:net.pool ~rng
@@ -152,15 +151,6 @@ let run_detailed ~loss ~one_way ?processing ~occupied ?pool_size ~config
   for i = 0 to trials - 1 do
     Metrics.store sample i
       (detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
-         ~rng ~tracer:None ())
+         ~rng ())
   done;
   sample
-
-let trace_one ~loss ~one_way ?processing ~occupied ?pool_size ~config ~rng () =
-  let log = ref [] in
-  let tracer = Some (fun time line -> log := (time, line) :: !log) in
-  let outcome =
-    detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config ~rng
-      ~tracer ()
-  in
-  (outcome, List.rev !log)

@@ -52,12 +52,3 @@ val run_detailed :
     hosts plus one newcomer and runs it to completion.  Raises
     [Invalid_argument] when [trials < 1] or [occupied] is outside
     [\[0, pool_size)]. *)
-
-val trace_one :
-  loss:float -> one_way:Dist.Distribution.t ->
-  ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
-  config:Newcomer.config -> rng:Numerics.Rng.t -> unit ->
-  Metrics.outcome * (float * string) list
-(** Run a single detailed trial with tracing on; returns the outcome
-    and the timestamped event log (for the examples and for
-    debugging). *)

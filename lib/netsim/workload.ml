@@ -101,15 +101,15 @@ let run ~pattern ~horizon ~loss ~one_way ?(initial = 0) ?pool_size ~config ~rng
     failwith "Workload.run: address pool would be exhausted";
   arrive net ~config times
 
-let spaced ~loss ~one_way ~occupied ?pool_size ~newcomers ?(spacing = 0.) ~config
-    ~rng () =
+(* [newcomers] hosts start configuring at once, at time 0, on a network
+   of [occupied] instantly responding hosts *)
+let spaced ~loss ~one_way ~occupied ?pool_size ~newcomers ~config ~rng () =
   if newcomers < 1 then invalid_arg "Workload.spaced: newcomers < 1";
-  if spacing < 0. then invalid_arg "Workload.spaced: negative spacing";
   let net = Network.create ~loss ~one_way ~occupied ?pool_size ~rng () in
   (* each newcomer needs a free address, or the last restart forever *)
   if occupied + newcomers > Address_pool.size net.pool then
     invalid_arg "Workload.spaced: address pool would be exhausted";
-  arrive net ~config (List.init newcomers (fun i -> float_of_int i *. spacing))
+  arrive net ~config (List.init newcomers (fun _ -> 0.))
 
 let collision_rate_vs_newcomers ~loss ~one_way ~occupied ?pool_size ~config
     ~trials ~counts ~rng () =

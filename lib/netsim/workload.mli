@@ -51,20 +51,14 @@ val run :
     pool would be exhausted, and [Invalid_argument], before any event
     runs, where the listening time [n r] of [config] is not finite. *)
 
-val spaced :
-  loss:float -> one_way:Dist.Distribution.t -> occupied:int ->
-  ?pool_size:int -> newcomers:int -> ?spacing:float ->
-  config:Newcomer.config -> rng:Numerics.Rng.t -> unit -> result
-(** Start [newcomers] configuring hosts [spacing] seconds apart
-    (default [0.]: all at once), the first at time 0, on a network of
-    [occupied] instantly responding hosts.  Raises [Invalid_argument]
-    if [occupied + newcomers] exceeds the pool size, or on [n r]. *)
-
 val collision_rate_vs_newcomers :
   loss:float -> one_way:Dist.Distribution.t ->
   occupied:int -> ?pool_size:int -> config:Newcomer.config -> trials:int ->
   counts:int list -> rng:Numerics.Rng.t -> unit -> (int * float) list
 (** Sweep the number of simultaneous newcomers and estimate the
     per-newcomer collision probability for each count: [trials]
-    replications of {!spaced} at spacing [0.] per count, each with its
-    own generator split from [rng] before any replication draws. *)
+    replications per count of that many newcomers starting at time 0
+    on a network of [occupied] instantly responding hosts, each with
+    its own generator split from [rng] before any replication draws.
+    Raises [Invalid_argument] on a count below 1, where [occupied] plus
+    a count exceeds the pool size, and on [n r] as {!run} does. *)

@@ -332,6 +332,16 @@ let policy_iteration ~num_states ~actions mdp =
   in
   round 0
 
+(* -- derivatives ---------------------------------------------------- *)
+
+(* The plain central difference [(f (x + h) - f (x - h)) / 2h], step
+   [h = eps^(1/3) max 1 |x|]: the reference derivative of the
+   sensitivity tests, against which [Derivative.richardson] must do
+   better *)
+let central ~f x =
+  let h = (SF.epsilon ** (1. /. 3.)) *. Float.max 1. (Float.abs x) in
+  (f (x +. h) -. f (x -. h)) /. (2. *. h)
+
 (* -- input builders ----------------------------------------------- *)
 
 (* 64 uniformly random bits, from two 32-bit draws *)

@@ -86,18 +86,6 @@ let test_weibull_reduces_to_exponential () =
 let test_weibull_self () =
   check_self (Oracle.weibull ~mass:0.95 ~delay:0.2 ~shape:1.7 ~scale:0.8 ())
 
-let test_erlang_stages_one_is_exponential () =
-  let er = F.erlang ~stages:1 ~rate:3. () in
-  let ex = F.exponential ~rate:3. () in
-  List.iter
-    (fun t ->
-      check_close ~tol:1e-12 (Printf.sprintf "cdf at %g" t) (ex.D.cdf t) (er.D.cdf t))
-    [ 0.1; 1.; 2. ]
-
-let test_erlang_mean_and_self () =
-  let d = F.erlang ~mass:0.9 ~stages:4 ~rate:2. () in
-  check_close "mean = k/rate" 2. (Option.get d.D.mean);
-  check_self d
 
 let test_mixture () =
   let d =
@@ -189,7 +177,6 @@ let test_nan_and_inf_rejected () =
   rejects "deterministic nan delay" (fun () -> F.deterministic ~delay:nan ());
   rejects "uniform nan lo" (fun () -> F.uniform ~lo:nan ~hi:1. ());
   rejects "uniform infinite hi" (fun () -> F.uniform ~lo:0. ~hi:infinity ());
-  rejects "erlang nan rate" (fun () -> F.erlang ~stages:2 ~rate:nan ());
   rejects "mixture nan weight" (fun () -> Oracle.mixture [ (nan, paper_fx) ]);
   (* an infinite rate is the deterministic-delay limit: legal *)
   let d = F.shifted_exponential ~rate:infinity ~delay:1. () in
@@ -206,8 +193,7 @@ let family_gen =
       [ F.shifted_exponential ~mass ~rate ~delay ();
         F.exponential ~rate ();
         F.uniform ~lo:delay ~hi:(delay +. 1.) ();
-        Oracle.weibull ~mass ~delay ~shape:1.5 ~scale:(1. /. rate) ();
-        F.erlang ~mass ~stages:3 ~rate () ])
+        Oracle.weibull ~mass ~delay ~shape:1.5 ~scale:(1. /. rate) () ])
 
 let prop_families_well_formed =
   QCheck.Test.make ~name:"every family passes the self-check" ~count:100
@@ -226,8 +212,7 @@ let prop_mean_matches_sampler =
       oneofl
         [ F.shifted_exponential ~mass ~rate ~delay ();
           F.exponential ~rate ();
-          F.uniform ~lo:delay ~hi:(delay +. 2.) ();
-          F.erlang ~mass ~stages:3 ~rate () ])
+          F.uniform ~lo:delay ~hi:(delay +. 2.) () ])
   in
   QCheck.Test.make ~name:"sampled mean = closed-form mean" ~count:60
     (QCheck.make ~print:(fun d -> d.D.name) gen)
@@ -264,9 +249,6 @@ let () =
           Alcotest.test_case "weibull = exp at shape 1" `Quick
             test_weibull_reduces_to_exponential;
           Alcotest.test_case "weibull self-check" `Quick test_weibull_self;
-          Alcotest.test_case "erlang-1 = exp" `Quick
-            test_erlang_stages_one_is_exponential;
-          Alcotest.test_case "erlang mean" `Quick test_erlang_mean_and_self;
           Alcotest.test_case "mixture" `Quick test_mixture;
           Alcotest.test_case "mixture mass" `Quick test_mixture_defective_mass ] );
       ( "operations",

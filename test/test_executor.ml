@@ -168,8 +168,8 @@ let check_same ~what reference answers =
   Array.iteri
     (fun i r ->
       if not (points_eq r answers.(i)) then
-        QCheck.Test.fail_reportf "%s: answer %d differs bitwise:@.%a@.vs@.%a"
-          what i A.pp r A.pp answers.(i))
+        QCheck.Test.fail_reportf "%s: answer %d differs bitwise (%s, %d points)"
+          what i r.A.backend (Array.length r.A.points))
     reference;
   true
 

@@ -47,45 +47,14 @@ let test_to_distribution_roundtrip () =
   check_close "mean" 1.0 (Option.get d.D.mean);
   check_close "no mass before the floor" 0. (d.D.cdf 0.49)
 
-let test_nm_agrees_with_mle () =
-  let truth = F.shifted_exponential ~rate:4. ~delay:1.2 () in
-  let samples, _ = draw_samples truth ~count:5_000 ~seed:2 in
-  let mle = Fit.shifted_exponential_mle samples in
-  let nm = Fit.shifted_exponential_nm samples in
-  Alcotest.(check bool)
-    (Printf.sprintf "delay %.4f ~ %.4f" nm.Fit.delay mle.Fit.delay)
-    true
-    (Float.abs (nm.Fit.delay -. mle.Fit.delay) < 0.01);
-  Alcotest.(check bool)
-    (Printf.sprintf "rate %.3f ~ %.3f" nm.Fit.rate mle.Fit.rate)
-    true
-    (Float.abs (nm.Fit.rate -. mle.Fit.rate) /. mle.Fit.rate < 0.05)
-
-let test_erlang_moment_match () =
-  let truth = F.erlang ~stages:5 ~rate:2. () in
-  let samples, _ = draw_samples truth ~count:30_000 ~seed:3 in
-  let fitted = Fit.erlang_moment_match samples in
-  (* recover the stage count and rate approximately *)
-  Alcotest.(check bool)
-    ("recovered " ^ fitted.D.name)
-    true
-    (let has_k k =
-       let name = fitted.D.name in
-       let needle = Printf.sprintf "k=%d" k in
-       let nl = String.length needle and ll = String.length name in
-       let rec scan i = i + nl <= ll && (String.sub name i nl = needle || scan (i + 1)) in
-       scan 0
-     in
-     has_k 4 || has_k 5 || has_k 6);
-  check_close ~tol:0.1 "mean preserved" 2.5 (Option.get fitted.D.mean)
-
 let test_assess_prefers_the_right_family () =
-  (* data from a shifted exponential: the correct family must beat the
-     erlang alternative on KS distance *)
+  (* data from a shifted exponential: the correct family must beat an
+     exponential of the same mean, which has no round-trip floor, on KS
+     distance *)
   let truth = F.shifted_exponential ~rate:8. ~delay:0.3 () in
   let samples, _ = draw_samples truth ~count:5_000 ~seed:4 in
   let good = Fit.to_distribution (Fit.shifted_exponential_mle samples) in
-  let alt = Fit.erlang_moment_match samples in
+  let alt = F.exponential ~rate:(1. /. Numerics.Safe_float.mean samples) () in
   let q_good = Fit.assess good samples in
   let q_alt = Fit.assess alt samples in
   Alcotest.(check bool)
@@ -109,8 +78,8 @@ let test_guards () =
     (Invalid_argument "Fit.shifted_exponential_mle: empty sample") (fun () ->
       ignore (Fit.shifted_exponential_mle [||]));
   Alcotest.check_raises "negative delay"
-    (Invalid_argument "Fit.erlang_moment_match: bad delay") (fun () ->
-      ignore (Fit.erlang_moment_match [| -1. |]))
+    (Invalid_argument "Fit.assess: bad delay") (fun () ->
+      ignore (Fit.assess (F.exponential ~rate:1. ()) [| -1. |]))
 
 let prop_fit_regret_small =
   (* end-to-end: fitting from the distribution's own samples and
@@ -139,10 +108,7 @@ let () =
     [ ( "shifted exponential",
         [ Alcotest.test_case "recovers parameters" `Quick test_mle_recovers_parameters;
           Alcotest.test_case "exact structure" `Quick test_mle_exact_structure;
-          Alcotest.test_case "to_distribution" `Quick test_to_distribution_roundtrip;
-          Alcotest.test_case "NM agrees with MLE" `Quick test_nm_agrees_with_mle ] );
-      ( "alternatives",
-        [ Alcotest.test_case "erlang moment match" `Quick test_erlang_moment_match ] );
+          Alcotest.test_case "to_distribution" `Quick test_to_distribution_roundtrip ] );
       ( "assessment",
         [ Alcotest.test_case "right family wins" `Quick
             test_assess_prefers_the_right_family;

@@ -263,7 +263,7 @@ let r6_value_named () =
          ("lib/numerics/stats.ml",
           "let q = Grid.chunks\n\
            let s (module B : Backend.S) = B.name\n");
-         ("examples/main.ml",
+         ("perfbench/main.ml",
           "open Numerics.Grid\nlet m = map_sweep\n\
            module R = Numerics.Rng\nlet d = R.int\n");
          ("lib/numerics/grid.ml", "let linspace = 1 let chunks = 2 let map_sweep = 3\n");
@@ -274,6 +274,26 @@ let r6_value_named () =
          ("lib/numerics/backend.ml", "module type S = sig val name : string end\n");
          ("lib/numerics/backend.mli", "module type S = sig val name : string end\n")
        ])
+
+(* The same naming source, read once from examples/ and once from
+   perfbench/ *)
+let example_only_sources root =
+  [ ("bin/main.ml", "let g = Numerics.Grid.linspace\n");
+    ( root ^ "/main.ml",
+      "let o = Numerics.Grid.oracle\n\
+       open Numerics.Grid\nlet p = oracle\n\
+       module G = Numerics.Grid\nlet q = G.oracle\n" );
+    ("lib/numerics/grid.ml", "let linspace = 1 let oracle = 2\n");
+    ("lib/numerics/grid.mli", "val linspace : int\nval oracle : int\n") ]
+
+let r6_value_example_only () =
+  Alcotest.(check (list (triple string string string)))
+    "a val that only an examples/ source names is flagged"
+    [ ("R6", "lib/numerics/grid.mli", "Numerics.Grid.oracle") ]
+    (unused (example_only_sources "examples"));
+  Alcotest.(check (list (triple string string string)))
+    "the same val named from perfbench/ is not" []
+    (unused (example_only_sources "perfbench"))
 
 (* -- R9: every optional argument of a lib val is passed somewhere ---- *)
 
@@ -318,7 +338,7 @@ let r9_passed () =
     []
     (unpassed
        [ ("bin/main.ml", "let g = Numerics.Grid.linspace ~pad:1 ~step:2 3\n");
-         ("examples/main.ml",
+         ("perfbench/main.ml",
           "module G = Numerics.Grid\nlet c = G.chunks ~size:2 ()\n\
            let u = G.linspace ~unused:0 1\n");
          ("bench/main.ml", "open Numerics.Grid\nlet m = map_sweep ~f:1 ()\n");
@@ -327,6 +347,28 @@ let r9_passed () =
           "let linspace ?pad ?step ?unused n = n\nlet chunks ?size () = 0\n\
            let map_sweep ?f () = 0\nlet scan ?dir () = 0\n");
          grid_mli ])
+
+let r9_example_only () =
+  let sources root =
+    [ ("bin/main.ml",
+       "let g = Numerics.Grid.linspace ~pad:1 ~step:2 ~unused:3 4\n\
+        let m = Numerics.Grid.map_sweep ~f:1 ()\n\
+        let s = Numerics.Grid.scan ~dir:1 ()\n");
+      ( root ^ "/main.ml",
+        "let c = Numerics.Grid.chunks ~size:2 ()\n\
+         module G = Numerics.Grid\nlet d = G.chunks ?size:None ()\n" );
+      ("lib/numerics/grid.ml",
+       "let linspace ?pad ?step ?unused n = n\nlet chunks ?size () = 0\n\
+        let map_sweep ?f () = 0\nlet scan ?dir () = 0\n");
+      grid_mli ]
+  in
+  Alcotest.(check (list (triple string string string)))
+    "an option that only an examples/ source passes is flagged"
+    [ ("R9", "lib/numerics/grid.mli", "Numerics.Grid.chunks?size") ]
+    (unpassed (sources "examples"));
+  Alcotest.(check (list (triple string string string)))
+    "the same option passed from perfbench/ is not" []
+    (unpassed (sources "perfbench"))
 
 (* -- R8: bin/ reaches Eqs. 3 and 4 only through the engine ----------- *)
 
@@ -489,10 +531,14 @@ let () =
             r6_value_test_only;
           Alcotest.test_case "R6 value named by path, open, alias, module type"
             `Quick r6_value_named;
+          Alcotest.test_case "R6 value named only by an example" `Quick
+            r6_value_example_only;
           Alcotest.test_case "R9 option no other module passes" `Quick
             r9_unpassed;
           Alcotest.test_case "R9 option passed by path, alias, open, ?x" `Quick
             r9_passed;
+          Alcotest.test_case "R9 option passed only by an example" `Quick
+            r9_example_only;
           Alcotest.test_case "R8 closed forms named in bin/" `Quick r8_flagged;
           Alcotest.test_case "R8 lib/, examples/ and other modules" `Quick
             r8_exempt;

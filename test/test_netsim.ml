@@ -150,27 +150,6 @@ let test_engine_rejects_past () =
     (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
       Engine.schedule_at e ~time:0.5 (fun () -> ()))
 
-let test_engine_tracer () =
-  let e = Engine.create () in
-  let lines = ref [] in
-  Engine.set_tracer e (Some (fun t s -> lines := (t, s) :: !lines));
-  Engine.schedule e ~after:1.5 (fun () -> Engine.trace e "fired %d" 42);
-  Engine.run e;
-  Alcotest.(check (list (pair (float 0.) string))) "traced" [ (1.5, "fired 42") ] !lines;
-  Engine.set_tracer e None;
-  Engine.trace e "silent %d" 1
-
-let test_engine_tracer_off_prints_nothing () =
-  (* without a tracer, a [%a] argument's printer never runs *)
-  let e = Engine.create () in
-  let printed = ref 0 in
-  let pp ppf () = incr printed; Format.pp_print_string ppf "x" in
-  Engine.trace e "off %a" pp ();
-  Alcotest.(check int) "printer skipped" 0 !printed;
-  Engine.set_tracer e (Some (fun _ _ -> ()));
-  Engine.trace e "on %a" pp ();
-  Alcotest.(check int) "printer run once traced" 1 !printed
-
 (* ---------------- address pool ---------------- *)
 
 (* the occupied addresses of a pool, in order *)
@@ -200,11 +179,6 @@ let test_pool_random_free () =
   Alcotest.(check int) "filled" 8 (List.length (occupied p));
   Alcotest.check_raises "full" (Failure "Address_pool.claim_random_free: pool full")
     (fun () -> ignore (Pool.claim_random_free p ~rng))
-
-let test_pool_to_string () =
-  Alcotest.(check string) "first" "169.254.1.0" (Pool.to_string 0);
-  Alcotest.(check string) "second octet rollover" "169.254.2.0" (Pool.to_string 256);
-  Alcotest.(check string) "last" "169.254.254.255" (Pool.to_string 65023)
 
 let test_pool_candidate_uniform () =
   let p = Pool.create ~size:4 () in
@@ -350,20 +324,22 @@ let detailed_config =
 
 let processing = Dist.Families.exponential ~rate:4. ()
 
+(* Six newcomers on one network, started at once (a flash crowd with no
+   spread) and 0.2 s apart *)
 let test_pinned_spaced () =
   List.iter
-    (fun (spacing, digest, collisions) ->
+    (fun (pattern, horizon, digest, collisions) ->
       let r =
-        W.spaced ~loss:0.1 ~one_way:pinned_one_way ~occupied:8 ~pool_size:32
-          ~newcomers:6 ~spacing ~config:pinned_config
-          ~rng:(Numerics.Rng.create 21) ()
+        W.run ~pattern ~horizon ~loss:0.1 ~one_way:pinned_one_way ~initial:8
+          ~pool_size:32 ~config:pinned_config ~rng:(Numerics.Rng.create 21) ()
       in
-      let label = Printf.sprintf "spacing %g" spacing in
-      Alcotest.(check string) label digest (fingerprint r.W.outcomes);
-      Alcotest.(check int) label collisions r.W.collisions;
-      Alcotest.(check bool) label true r.W.all_unique)
-    [ (0., "929c794323e9fabf3c1afc3e9569a1d4", 0);
-      (0.2, "3bc139aacaa537e222a30d0b223eecf0", 1) ]
+      Alcotest.(check int) "arrivals" 6 r.W.arrivals;
+      Alcotest.(check string) "outcomes" digest (fingerprint r.W.outcomes);
+      Alcotest.(check int) "collisions" collisions r.W.collisions;
+      Alcotest.(check bool) "unique" true r.W.all_unique)
+    [ ( W.Flash { count = 6; within = 0. }, 1., "d0077e2d0783af09b5ec8b50fb728cb2",
+        0 );
+      (W.Periodic 0.2, 1.25, "fadbbfa5890e1d33a4f1cdd5fce802ab", 1) ]
 
 let test_pinned_patterns () =
   List.iter
@@ -411,40 +387,22 @@ let test_pinned_maintenance () =
          est.Mn.disruption.Numerics.Stats.max; est.Mn.mean_broken;
          est.Mn.suggested_error_cost ])
 
-(* The detailed runner's trials are pinned as the traced trials of the
-   same stream (tracing draws nothing), which its sample must hold *)
+(* The detailed runner's sample: both columns in [%h], and the totals *)
 let test_pinned_detailed () =
-  let run rng =
+  let s =
     Netsim.Scenario.run_detailed ~loss:0.3 ~one_way:pinned_one_way ~processing
-      ~occupied:12 ~pool_size:16 ~config:detailed_config ~trials:20 ~rng ()
-  and trace rng =
-    fst
-      (Netsim.Scenario.trace_one ~loss:0.3 ~one_way:pinned_one_way ~processing
-         ~occupied:12 ~pool_size:16 ~config:detailed_config ~rng ())
+      ~occupied:12 ~pool_size:16 ~config:detailed_config ~trials:20
+      ~rng:(Numerics.Rng.create 25) ()
   in
-  let traced =
-    let rng = Numerics.Rng.create 25 in
-    Array.init 20 (fun _ -> trace rng)
+  let columns =
+    List.init (M.length s) (fun i -> Printf.sprintf "%h %h\n" s.M.cost.(i) s.M.config_time.(i))
   in
-  Alcotest.(check string) "trials" "792e626fdc20c1db455c27312ed52cef"
-    (fingerprint traced);
-  Alcotest.(check (option string)) "sample" None
-    (Oracle.sample_mismatch (run (Numerics.Rng.create 25)) traced)
-
-let test_pinned_trace () =
-  let o, log =
-    Netsim.Scenario.trace_one ~loss:0.3 ~one_way:pinned_one_way ~processing
-      ~occupied:12 ~pool_size:16 ~config:detailed_config
-      ~rng:(Numerics.Rng.create 26) ()
-  in
-  let text =
-    String.concat "" (List.map (fun (t, l) -> Printf.sprintf "%h %s\n" t l) log)
-  in
-  Alcotest.(check string) "outcome" "0862329107e062d3193acd75d9f70807"
-    (fingerprint [| o |]);
-  Alcotest.(check int) "lines" 35 (List.length log);
-  Alcotest.(check string) "log" "11eba7d824dfbc4524b62d3999042491"
-    (Digest.to_hex (Digest.string text))
+  Alcotest.(check string) "cost and time" "6996dfd1466845ea667003b3b5e80051"
+    (Digest.to_hex (Digest.string (String.concat "" columns)));
+  Alcotest.(check int) "collisions" 11 s.M.collisions;
+  Alcotest.(check (list string)) "probe and restart sums"
+    [ "0x1.4cp+6"; "0x0p+0"; "0x1.ep+4"; "0x0p+0" ]
+    (Array.to_list (Array.map hex s.M.sums))
 
 (* ---------------- one door for occupancy ---------------- *)
 
@@ -462,9 +420,6 @@ let test_occupancy_refused () =
   refused "Workload.run" (fun initial rng ->
       W.run ~pattern:(W.Periodic 1.) ~horizon:1. ~loss:0. ~one_way ~initial
         ~pool_size:16 ~config ~rng ());
-  refused "Workload.spaced" (fun occupied rng ->
-      W.spaced ~loss:0. ~one_way ~occupied ~pool_size:16 ~newcomers:1 ~config
-        ~rng ());
   refused "Workload.collision_rate_vs_newcomers" (fun occupied rng ->
       W.collision_rate_vs_newcomers ~loss:0. ~one_way ~occupied ~pool_size:16
         ~config ~trials:1 ~counts:[ 1 ] ~rng ());
@@ -473,10 +428,7 @@ let test_occupancy_refused () =
         ~pool_size:16 ~config ~trials:1 ~rng ());
   refused "Scenario.run_detailed" (fun occupied rng ->
       Netsim.Scenario.run_detailed ~loss:0. ~one_way ~occupied ~pool_size:16
-        ~config ~trials:1 ~rng ());
-  refused "Scenario.trace_one" (fun occupied rng ->
-      Netsim.Scenario.trace_one ~loss:0. ~one_way ~occupied ~pool_size:16
-        ~config ~rng ())
+        ~config ~trials:1 ~rng ())
 
 let () =
   Alcotest.run "netsim"
@@ -493,15 +445,11 @@ let () =
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "horizon" `Quick test_engine_until_horizon;
           Alcotest.test_case "budget" `Quick test_engine_event_budget;
-          Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
-          Alcotest.test_case "tracer" `Quick test_engine_tracer;
-          Alcotest.test_case "tracer off" `Quick
-            test_engine_tracer_off_prints_nothing ] );
+          Alcotest.test_case "rejects past" `Quick test_engine_rejects_past ] );
       ( "address pool",
         [ Alcotest.test_case "claim/release" `Quick test_pool_claim_release;
           Alcotest.test_case "paper size" `Quick test_pool_default_size_is_paper;
           Alcotest.test_case "random free" `Quick test_pool_random_free;
-          Alcotest.test_case "rendering" `Quick test_pool_to_string;
           Alcotest.test_case "uniform candidates" `Quick test_pool_candidate_uniform ] );
       ( "link",
         [ Alcotest.test_case "broadcast semantics" `Quick
@@ -518,7 +466,6 @@ let () =
           Alcotest.test_case "workload patterns" `Quick test_pinned_patterns;
           Alcotest.test_case "collision rate" `Quick test_pinned_collision_rate;
           Alcotest.test_case "maintenance" `Quick test_pinned_maintenance;
-          Alcotest.test_case "detailed" `Quick test_pinned_detailed;
-          Alcotest.test_case "trace" `Quick test_pinned_trace ] );
+          Alcotest.test_case "detailed" `Quick test_pinned_detailed ] );
       ( "network",
         [ Alcotest.test_case "occupancy refused" `Quick test_occupancy_refused ] ) ]

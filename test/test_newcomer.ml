@@ -156,24 +156,6 @@ let test_rate_limit_slows_retries () =
   in
   Alcotest.(check bool) "some trial hit the rate limiter" true slow
 
-let test_trace_records_protocol_steps () =
-  let _, log =
-    Scenario.trace_one ~loss:0. ~one_way ~occupied:8 ~pool_size:16
-      ~config:(config ~n:2 ~r:0.5) ~rng:(Numerics.Rng.create 10) ()
-  in
-  Alcotest.(check bool) "trace non-empty" true (log <> []);
-  let has_substring needle (_, line) =
-    let nl = String.length needle and ll = String.length line in
-    let rec scan i = i + nl <= ll && (String.sub line i nl = needle || scan (i + 1)) in
-    scan 0
-  in
-  Alcotest.(check bool) "someone tried an address" true
-    (List.exists (has_substring "tries") log);
-  Alcotest.(check bool) "a probe was sent" true
-    (List.exists (has_substring "probe") log);
-  Alcotest.(check bool) "an address was accepted" true
-    (List.exists (has_substring "accepts") log)
-
 let test_config_validation () =
   let engine = Netsim.Engine.create () in
   let rng = Numerics.Rng.create 11 in
@@ -204,5 +186,4 @@ let () =
           Alcotest.test_case "matches Eq. 3 end-to-end" `Quick
             test_detailed_matches_aggregate_and_eq3;
           Alcotest.test_case "rate limiting" `Quick test_rate_limit_slows_retries;
-          Alcotest.test_case "tracing" `Quick test_trace_records_protocol_steps;
           Alcotest.test_case "validation" `Quick test_config_validation ] ) ]

@@ -478,44 +478,49 @@ let test_metrics_equal_reference () =
         (reference_run ~delay ~pool_size ~occupied ~config ~trials:2_000 ~seed:7))
     (List.concat_map (fun s -> List.map (fun c -> (s, c)) semantics) settings)
 
-(* The packet-level runner on a small crowded pool, beside the traced
-   trials of the same stream (tracing draws nothing) *)
+(* The packet-level runner on a small crowded pool, beside one-trial
+   runs on one generator, which draw the same stream: each one's trial
+   as an outcome record (no run keeps the address) *)
 let detailed ~loss ~occupied ~config ~trials ~seed =
   let one_way = Dist.Families.deterministic ~delay:0.05 () in
-  let sample =
+  let run ~trials rng =
     Scenario.run_detailed ~loss ~one_way ~occupied ~pool_size:16 ~config ~trials
-      ~rng:(Rng.create seed) ()
+      ~rng ()
   in
+  let sample = run ~trials (Rng.create seed) in
   let rng = Rng.create seed in
-  let traced =
-    Array.init trials (fun _ ->
-        fst
-          (Scenario.trace_one ~loss ~one_way ~occupied ~pool_size:16 ~config
-             ~rng ()))
+  let single _ =
+    let s = run ~trials:1 rng in
+    { Metrics.address = 0;
+      collided = s.Metrics.collisions = 1;
+      probes_sent = int_of_float s.Metrics.sums.(0);
+      restarts = int_of_float s.Metrics.sums.(2);
+      config_time = s.Metrics.config_time.(0);
+      cost = s.Metrics.cost.(0) }
   in
-  (sample, traced)
+  (sample, Array.init trials single)
 
-(* every slot holds its traced trial's cost and time, and the
+(* every slot holds its one-trial run's cost and time, and the
    statistics equal the reference aggregate *)
 let test_detailed_sample () =
   let config = Newcomer.drm_config ~n:2 ~r:0.2 ~probe_cost:1. ~error_cost:100. in
-  let sample, traced = detailed ~loss:0.3 ~occupied:12 ~config ~trials:60 ~seed:21 in
+  let sample, singles = detailed ~loss:0.3 ~occupied:12 ~config ~trials:60 ~seed:21 in
   Option.iter
-    (Alcotest.failf "run_detailed: %s differs from the traced trials")
-    (Oracle.sample_mismatch sample traced);
+    (Alcotest.failf "run_detailed: %s differs from the one-trial runs")
+    (Oracle.sample_mismatch sample singles);
   Alcotest.(check bool) "collisions and restarts both occur" true
-    (Array.exists (fun (o : Metrics.outcome) -> o.Metrics.collided) traced
-    && Array.exists (fun (o : Metrics.outcome) -> o.Metrics.restarts > 0) traced);
-  check_metrics "run_detailed" sample traced
+    (Array.exists (fun (o : Metrics.outcome) -> o.Metrics.collided) singles
+    && Array.exists (fun (o : Metrics.outcome) -> o.Metrics.restarts > 0) singles);
+  check_metrics "run_detailed" sample singles
 
 (* [Metrics.store] tallies as it stores: a detailed run's collision,
-   probe and restart totals are the sums over its traced outcomes, on
+   probe and restart totals are the sums over its one-trial runs, on
    runs where each count is zero in some trials and large in others *)
 let test_detailed_totals () =
   List.iter
     (fun (loss, occupied, config, seed) ->
-      let sample, traced = detailed ~loss ~occupied ~config ~trials:40 ~seed in
-      let total f = Array.fold_left (fun acc o -> acc + f o) 0 traced in
+      let sample, singles = detailed ~loss ~occupied ~config ~trials:40 ~seed in
+      let total f = Array.fold_left (fun acc o -> acc + f o) 0 singles in
       let sum k = sample.Metrics.sums.(k) +. sample.Metrics.sums.(k + 1) in
       let what = Printf.sprintf "loss %g, %d hosts, seed %d" loss occupied seed in
       Alcotest.(check int) (what ^ ": collisions")

@@ -212,62 +212,6 @@ let test_global_optimum_refusals () =
     "Optimize.global_optimum: the postage of 4096 probes at c = 2, 8066.02, is not \
      above the least cost 4.54076e+18 (no reply before 4.61169e+18 s)"
 
-(* ---------------- constrained / inverse queries ---------------- *)
-
-let test_constrained_respects_budget () =
-  List.iter
-    (fun budget ->
-      let o = O.constrained_optimum ~budget fig2 in
-      Alcotest.(check bool)
-        (Printf.sprintf "n*r = %g within %g" (float_of_int o.O.n *. o.O.r) budget)
-        true
-        (float_of_int o.O.n *. o.O.r <= budget +. 1e-9))
-    [ 1.; 2.; 4.; 8.; 20. ]
-
-let test_constrained_converges_to_global () =
-  (* a generous budget reproduces the unconstrained optimum *)
-  let free = O.global_optimum fig2 in
-  let capped = O.constrained_optimum ~budget:100. fig2 in
-  Alcotest.(check int) "same n" free.O.n capped.O.n;
-  check_close ~tol:1e-3 "same r" free.O.r capped.O.r
-
-let test_constrained_monotone_in_budget () =
-  let cost budget = (O.constrained_optimum ~budget fig2).O.cost in
-  Alcotest.(check bool) "looser budget never hurts" true
-    (cost 8. <= cost 4. +. 1e-9 && cost 4. <= cost 2. +. 1e-9)
-
-let test_constrained_guard () =
-  Alcotest.check_raises "budget <= 0"
-    (Invalid_argument "Optimize.constrained_optimum: budget <= 0") (fun () ->
-      ignore (O.constrained_optimum ~budget:0. fig2))
-
-let test_probes_for_error_target () =
-  (* minimality: the found n meets the target, n - 1 does not *)
-  List.iter
-    (fun target ->
-      match O.probes_for_error_target fig2 ~r:2. ~target with
-      | None -> Alcotest.fail "expected a solution"
-      | Some n ->
-          Alcotest.(check bool) "meets the target" true
-            (Zeroconf.Reliability.error_probability fig2 ~n ~r:2. <= target);
-          if n > 1 then
-            Alcotest.(check bool) "minimal" true
-              (Zeroconf.Reliability.error_probability fig2 ~n:(n - 1) ~r:2.
-              > target))
-    [ 1e-6; 1e-12; 1e-30 ]
-
-let test_probes_for_unreachable_target () =
-  (* with heavy permanent loss the error floor blocks deep targets *)
-  let lossy =
-    Params.v ~name:"lossy"
-      ~delay:(Dist.Families.shifted_exponential ~mass:0.5 ~rate:10. ~delay:0.1 ())
-      ~q:0.5 ~probe_cost:1. ~error_cost:10.
-  in
-  (* floor per probe is 0.5: E(n, r) is about 0.5^n, so even the 256
-     probes scanned (about 1e-77) cannot reach 1e-100 *)
-  Alcotest.(check (option int)) "unreachable" None
-    (O.probes_for_error_target lossy ~r:1. ~target:1e-100)
-
 let () =
   Alcotest.run "optimize"
     [ ( "nu",
@@ -293,14 +237,4 @@ let () =
           Alcotest.test_case "dominates grid" `Quick test_global_optimum_dominates_grid;
           Alcotest.test_case "matches full scan" `Quick
             test_global_optimum_matches_full_scan;
-          Alcotest.test_case "refusals" `Quick test_global_optimum_refusals ] );
-      ( "constrained and inverse",
-        [ Alcotest.test_case "budget respected" `Quick test_constrained_respects_budget;
-          Alcotest.test_case "matches global when loose" `Quick
-            test_constrained_converges_to_global;
-          Alcotest.test_case "monotone in budget" `Quick
-            test_constrained_monotone_in_budget;
-          Alcotest.test_case "guard" `Quick test_constrained_guard;
-          Alcotest.test_case "probes for target" `Quick test_probes_for_error_target;
-          Alcotest.test_case "unreachable target" `Quick
-            test_probes_for_unreachable_target ] ) ]
+          Alcotest.test_case "refusals" `Quick test_global_optimum_refusals ] ) ]

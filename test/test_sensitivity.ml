@@ -4,7 +4,23 @@ module Params = Zeroconf.Params
 let scenario = Params.wireless_worst_case
 let knob name knobs = List.find (fun (k : S.knob) -> k.S.name = name) knobs
 let standard = S.standard_knobs scenario
-let delay_knobs = S.shifted_exp_knobs ~loss:1e-5 ~rate:10. ~delay:1.
+
+(* Knobs for the scenario's shifted-exponential F_X: the loss
+   probability [1 - l], the reply rate [lambda] and the round trip [d],
+   each rebuilding the distribution around a moved value with the other
+   two at their baselines *)
+let delay_knobs =
+  let loss = 1e-5 and rate = 10. and delay = 1. in
+  let rebuild ~loss ~rate ~delay p =
+    Params.with_delay p
+      (Dist.Families.shifted_exponential ~mass:(1. -. loss) ~rate ~delay ())
+  in
+  [ { S.name = "loss"; value = loss;
+      apply = (fun p v -> rebuild ~loss:v ~rate ~delay p) };
+    { S.name = "lambda"; value = rate;
+      apply = (fun p v -> rebuild ~loss ~rate:v ~delay p) };
+    { S.name = "rtt"; value = delay;
+      apply = (fun p v -> rebuild ~loss ~rate ~delay:v p) } ]
 
 (* Elasticity of E(n, r) through log10 E, so it stays meaningful where
    E underflows: d log10 E / d ln x, times ln 10 *)
@@ -12,7 +28,7 @@ let error_elasticity p (k : S.knob) ~n ~r =
   let g u =
     Zeroconf.Reliability.log10_error_probability (k.S.apply p (exp u)) ~n ~r
   in
-  Numerics.Derivative.central ~f:g (log k.S.value) *. Float.log 10.
+  Oracle.central ~f:g (log k.S.value) *. Float.log 10.
 
 let test_standard_knobs_roundtrip () =
   (* applying the current value must reproduce the scenario's outputs *)
@@ -79,40 +95,6 @@ let test_loss_error_elasticity_positive () =
   let e = error_elasticity scenario (knob "loss" delay_knobs) ~n:4 ~r:2. in
   Alcotest.(check bool) "more loss, more error" true (e > 0.)
 
-let test_tornado_sorted_and_consistent () =
-  let output p = Zeroconf.Cost.mean p ~n:4 ~r:2. in
-  let entries = S.tornado ~swing:2. ~output scenario (standard @ delay_knobs) in
-  Alcotest.(check int) "all knobs present" 6 (List.length entries);
-  (* sorted by descending range *)
-  let ranges =
-    List.map (fun (e : S.tornado_entry) -> Float.abs (e.S.high -. e.S.low)) entries
-  in
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> a >= b && sorted rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "descending" true (sorted ranges);
-  (* every base equals the unperturbed output *)
-  List.iter
-    (fun (e : S.tornado_entry) ->
-      Alcotest.(check bool) (e.S.knob_name ^ " base") true
-        (Oracle.approx_eq ~rtol:1e-12 e.S.base (output scenario)))
-    entries
-
-let test_tornado_rtt_dominates_at_fixed_point () =
-  (* at a FIXED (4, 2), doubling the round trip to d = 2 s pushes every
-     reply past the first listening period and the cost explodes: the
-     delay knobs must dominate the pure cost knobs *)
-  let output p = Zeroconf.Cost.mean p ~n:4 ~r:2. in
-  match S.tornado ~swing:2. ~output scenario (standard @ delay_knobs) with
-  | top :: _ -> Alcotest.(check string) "round trip first" "rtt" top.S.knob_name
-  | [] -> Alcotest.fail "empty tornado"
-
-let test_tornado_guard () =
-  Alcotest.check_raises "swing must exceed 1"
-    (Invalid_argument "Sensitivity.tornado: swing must exceed 1") (fun () ->
-      ignore (S.tornado ~swing:1. ~output:(fun _ -> 0.) scenario standard))
-
 let () =
   Alcotest.run "sensitivity"
     [ ( "knobs",
@@ -125,9 +107,4 @@ let () =
         [ Alcotest.test_case "q ~ 1" `Quick test_q_error_elasticity_is_one;
           Alcotest.test_case "c = 0" `Quick test_c_error_elasticity_is_zero;
           Alcotest.test_case "rtt vs lambda" `Quick test_rtt_lambda_antisymmetric;
-          Alcotest.test_case "loss positive" `Quick test_loss_error_elasticity_positive ] );
-      ( "tornado",
-        [ Alcotest.test_case "sorted/consistent" `Quick test_tornado_sorted_and_consistent;
-          Alcotest.test_case "rtt dominates" `Quick
-            test_tornado_rtt_dominates_at_fixed_point;
-          Alcotest.test_case "guard" `Quick test_tornado_guard ] ) ]
+          Alcotest.test_case "loss positive" `Quick test_loss_error_elasticity_positive ] ) ]

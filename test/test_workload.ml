@@ -87,7 +87,7 @@ let test_listening_time_guard () =
            ~config:{ config with Netsim.Newcomer.probes = 4; listen = 1e308 }
            ~rng:(Numerics.Rng.create 11) ()))
 
-(* -- spaced newcomers -------------------------------------------------- *)
+(* -- several newcomers -------------------------------------------------- *)
 
 let spaced_one_way = Dist.Families.deterministic ~delay:0.02 ()
 
@@ -96,10 +96,18 @@ let spaced_config =
 
 let fast_config = { spaced_config with Netsim.Newcomer.immediate_abort = true }
 
+(* [newcomers] hosts on a network of [occupied] ones: [spacing] seconds
+   apart from time [spacing] (a periodic pattern), or without it all at
+   time 0 (a flash crowd with no spread) *)
 let spaced ?(loss = 0.) ?(config = spaced_config) ~occupied ~pool_size
     ~newcomers ?spacing ~rng () =
-  W.spaced ~loss ~one_way:spaced_one_way ~occupied ~pool_size ~newcomers
-    ?spacing ~config ~rng ()
+  let pattern, horizon =
+    match spacing with
+    | Some s -> (W.Periodic s, (float_of_int newcomers +. 0.5) *. s)
+    | None -> (W.Flash { count = newcomers; within = 0. }, 1.)
+  in
+  W.run ~pattern ~horizon ~loss ~one_way:spaced_one_way ~initial:occupied
+    ~pool_size ~config ~rng ()
 
 let test_single_newcomer_reduces_to_scenario () =
   let r =
@@ -154,15 +162,14 @@ let test_makespan_positive_and_bounded () =
 
 let test_accepted_newcomers_defend () =
   (* newcomer A grabs an address; a later newcomer probing the same
-     address must be rebuffed by A (not only by the original hosts).
-     Pool of 2 with 1 occupied: A takes the only free one; B then cycles
-     between the two occupied addresses forever... so bound by the rate
-     limiter we give B few options — instead use pool 3 with 1 occupied:
-     A takes one of 2 free; B must end on the last free one. *)
+     address must be rebuffed by A.  Pool of 3 with none occupied: A
+     takes one; only A can defend it against B. *)
   let r =
-    spaced ~occupied:1 ~pool_size:3 ~newcomers:2
+    spaced ~occupied:0 ~pool_size:3 ~newcomers:2
       ~spacing:2. ~rng:(Numerics.Rng.create 5) ()
   in
+  Alcotest.(check bool) "B was rebuffed" true
+    (r.W.outcomes.(1).Netsim.Metrics.restarts > 0);
   Alcotest.(check bool) "distinct addresses" true r.W.all_unique;
   Alcotest.(check int) "no collision" 0 r.W.collisions
 
@@ -239,27 +246,22 @@ let test_announcements_broadcast_after_acceptance () =
           Alcotest.(check (float 1e-9)) "spaced by the interval" 0.5 (t2 -. t1)
       | _ -> Alcotest.fail "expected exactly two")
 
+(* a sweep over [counts] of simultaneous newcomers *)
+let sweep ~occupied ~pool_size ~counts =
+  W.collision_rate_vs_newcomers ~loss:0. ~one_way:spaced_one_way ~occupied
+    ~pool_size ~config:spaced_config ~trials:1 ~counts
+    ~rng:(Numerics.Rng.create 8) ()
+
 let test_spaced_guards () =
   Alcotest.check_raises "zero newcomers" (Invalid_argument "Workload.spaced: newcomers < 1")
-    (fun () ->
-      ignore
-        (spaced ~occupied:1 ~pool_size:8 ~newcomers:0
-           ~rng:(Numerics.Rng.create 8) ()));
-  Alcotest.check_raises "negative spacing"
-    (Invalid_argument "Workload.spaced: negative spacing") (fun () ->
-      ignore
-        (spaced ~occupied:1 ~pool_size:8 ~newcomers:1
-           ~spacing:(-1.) ~rng:(Numerics.Rng.create 9) ()))
+    (fun () -> ignore (sweep ~occupied:1 ~pool_size:8 ~counts:[ 0 ]))
 
 (* the last newcomer would find no free address: refused at once, not
    after the event budget runs out *)
 let test_spaced_exhausted_pool () =
   Alcotest.check_raises "15 occupied + 2 newcomers in 16 addresses"
     (Invalid_argument "Workload.spaced: address pool would be exhausted")
-    (fun () ->
-      ignore
-        (spaced ~occupied:15 ~pool_size:16 ~newcomers:2
-           ~rng:(Numerics.Rng.create 10) ()))
+    (fun () -> ignore (sweep ~occupied:15 ~pool_size:16 ~counts:[ 2 ]))
 
 let () =
   Alcotest.run "workload"

@@ -27,7 +27,7 @@
    - R6 product callers: every [lib] module is reached, through module
      paths, from some [bin/] source, and every [val] of a [lib] .mli is
      named from some other module of lib/ or of a product root: bin/,
-     bench/, examples/ or perfbench/.  A test is no caller.
+     bench/ or perfbench/.  A test or an example is no caller.
    - R8 one door to Eqs. 3 and 4: no [bin/] module names
      [Zeroconf.Cost], [Zeroconf.Reliability] or [Zeroconf.Kernel], by
      path, open or alias (R6's reference walk); the executables read
@@ -35,11 +35,14 @@
      lib/ and examples/ are exempt.
    - R9 no option that changes nothing: every optional argument [?x] of
      a [val] of a [lib] .mli is passed, as [~x] or [?x], at some call
-     outside its own module (R6's reference walk and callers).
+     outside its own module, in lib/ or a product root (R6's reference
+     walk and callers).
 
-   Sources under [examples/] and [perfbench/] are read for R6 and R9
-   references only; R1-R5 and R8 do not apply to them.  Sources under [test/] are read for
-   nothing: R6 and R9 ignore them even when they are passed in. *)
+   Sources under [perfbench/] are read for R6 and R9 references only;
+   R1-R5 and R8 do not apply to them.  Sources under [test/] and
+   [examples/] are read for nothing: R6 and R9 ignore them even when
+   they are passed in, so no test or example keeps a value or an option
+   alive. *)
 
 (* -- path classification ------------------------------------------- *)
 
@@ -60,12 +63,11 @@ let in_exec path = starts_with ~prefix:"lib/exec/" path
 let in_output path = starts_with ~prefix:"lib/output/" path
 let in_bench path = starts_with ~prefix:"bench/" path
 
-let in_test path = starts_with ~prefix:"test/" path
+(* a test or an example: no rule reads it, and it is no caller *)
+let no_caller path =
+  starts_with ~prefix:"test/" path || starts_with ~prefix:"examples/" path
 
-let reference_only path =
-  List.exists
-    (fun prefix -> starts_with ~prefix path)
-    [ "test/"; "examples/"; "perfbench/" ]
+let reference_only path = no_caller path || starts_with ~prefix:"perfbench/" path
 
 (* The probability-carrying modules: everything that assembles Eq. 1-4
    quantities (pi_i, Eq. 3 cost, Eq. 4 error probability) out of raw
@@ -510,11 +512,11 @@ let interface_values ~path source =
 
 (* [unused_value_findings ~wrappers sources] flags every [val] of a lib
    .mli that no implementation outside its own module names.  Sources
-   under test/ do not count: a value only a test names has no product
-   caller. *)
+   under test/ and examples/ do not count: a value only a test or an
+   example names has no product caller. *)
 let unused_value_findings ~wrappers sources =
   let impls =
-    List.filter (fun (f, _) -> not (in_test f)) (implementations sources)
+    List.filter (fun (f, _) -> not (no_caller f)) (implementations sources)
   in
   let modules = List.filter_map (fun (f, _) -> module_of ~wrappers f) impls in
   let named = Hashtbl.create 512 in
@@ -573,12 +575,12 @@ let interface_optionals ~path source =
 
 (* [unpassed_option_findings ~wrappers sources] flags every optional
    argument [?x] of a [val] of a lib .mli that no call outside the
-   value's own module passes as [~x] or [?x].  Sources under test/ do
-   not count: an option only a test passes changes nothing a product
-   does. *)
+   value's own module passes as [~x] or [?x].  Sources under test/ and
+   examples/ do not count: an option only a test or an example passes
+   changes nothing a product does. *)
 let unpassed_option_findings ~wrappers sources =
   let impls =
-    List.filter (fun (f, _) -> not (in_test f)) (implementations sources)
+    List.filter (fun (f, _) -> not (no_caller f)) (implementations sources)
   in
   let modules = List.filter_map (fun (f, _) -> module_of ~wrappers f) impls in
   let passed = Hashtbl.create 256 in

@@ -3,19 +3,18 @@
    Usage: zeroconf-lint [--json] [--allow FILE] [PATH ...]
 
    Scans every .ml/.mli under the given paths (default: lib bin bench
-   examples perfbench, resolved from the current directory, which must
-   be the repo root), applies the R1-R6, R8 and R9 rule catalogue from
+   perfbench, resolved from the current directory, which must be the
+   repo root), applies the R1-R6, R8 and R9 rule catalogue from
    [Rules], subtracts the reviewed exceptions in the allowlist, and
    exits 1 when any new finding remains or any allowlist entry matches
-   nothing.  R1-R5 apply to lib, bin and bench; examples and perfbench
-   are read only as callers for R6, which flags every lib module no bin/
-   executable reaches and every [val] of a lib .mli that no module
-   other than its own names, and for R9, which flags every optional
-   argument of such a [val] that no module other than its own passes.
-   R8 flags every bin/ module that names
-   [Zeroconf.{Cost, Reliability, Kernel}].  test/ is no caller: a path
-   under it adds nothing, so passing it cannot keep a value or an
-   option alive.
+   nothing.  R1-R5 apply to lib, bin and bench; perfbench is read only
+   as a caller for R6, which flags every lib module no bin/ executable
+   reaches and every [val] of a lib .mli that no module other than its
+   own names, and for R9, which flags every optional argument of such a
+   [val] that no module other than its own passes.  R8 flags every bin/
+   module that names [Zeroconf.{Cost, Reliability, Kernel}].  test/ and
+   examples/ are no callers: a path under them adds nothing, so passing
+   one cannot keep a value or an option alive.
    [--json] emits a machine-readable report on stdout. *)
 
 open Lint_core
@@ -35,7 +34,7 @@ let () =
   Arg.parse (Arg.align spec) (fun p -> paths := p :: !paths) usage;
   let roots =
     match List.rev !paths with
-    | [] -> [ "lib"; "bin"; "bench"; "examples"; "perfbench" ]
+    | [] -> [ "lib"; "bin"; "bench"; "perfbench" ]
     | ps -> ps
   in
   let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
