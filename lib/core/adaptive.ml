@@ -9,9 +9,7 @@ type schedule = {
 }
 
 let default_candidates (p : Params.t) =
-  let base =
-    match p.Params.delay.Dist.Distribution.mean with Some m -> m | None -> 1.
-  in
+  let base = p.Params.delay.Dist.Distribution.mean in
   List.concat_map
     (fun n ->
       List.map

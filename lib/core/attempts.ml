@@ -17,7 +17,7 @@ let validate_refinement r =
         invalid_arg "Attempts: bad rate limit"
   | None -> ()
 
-let no_refinement ~occupied ?(pool = Params.address_space_size) () =
+let no_refinement ~occupied ~pool () =
   let r = { blacklist = false; rate_limit = None; occupied; pool } in
   validate_refinement r;
   r
@@ -97,7 +97,7 @@ let analyze (p : Params.t) refinement ~n ~r =
     mean_attempts = !attempts;
     truncated_mass = !reach }
 
-let compare_refinements p ~occupied ?(pool = Params.address_space_size) ~n ~r () =
+let compare_refinements p ~occupied ~pool ~n ~r () =
   let base = { blacklist = false; rate_limit = None; occupied; pool } in
   [ ("baseline", analyze p base ~n ~r);
     ("blacklist", analyze p { base with blacklist = true } ~n ~r);

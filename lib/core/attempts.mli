@@ -35,7 +35,7 @@ val validate_refinement : refinement -> unit
     pool], and a rate limit has a threshold [>= 0] and a finite delay
     [>= 0]. *)
 
-val no_refinement : occupied:int -> ?pool:int -> unit -> refinement
+val no_refinement : occupied:int -> pool:int -> unit -> refinement
 (** Neither refinement, after {!validate_refinement}. *)
 
 type analysis = {
@@ -48,7 +48,7 @@ type analysis = {
 }
 
 val compare_refinements :
-  Params.t -> occupied:int -> ?pool:int -> n:int -> r:float -> unit ->
+  Params.t -> occupied:int -> pool:int -> n:int -> r:float -> unit ->
   (string * analysis) list
 (** The ablation table: baseline, blacklist only, rate limit only,
     both.  Raises [Invalid_argument] when an attempt's largest cost

@@ -10,16 +10,10 @@ let min_useful_probes (p : Params.t) =
     max 1 (int_of_float nu)
 
 (* Initial search scale for r: past the round-trip bulk of the delay
-   distribution the polynomial term is already decaying, so a high
-   quantile of the conditional delay is a sound starting point. *)
+   distribution, four conditional means, the polynomial term is
+   already decaying, so that is a sound starting point. *)
 let default_r_hi (p : Params.t) ~n =
-  let bulk =
-    match p.delay.mean with
-    | Some m -> 4. *. m
-    | None -> (
-        try Dist.Distribution.quantile p.delay (0.99 *. p.delay.mass)
-        with Invalid_argument _ -> 1.)
-  in
+  let bulk = 4. *. p.delay.mean in
   Float.max 1. (bulk *. Float.max 1. (SF.div 8. (float_of_int n)))
 
 (* The r grids of an n-scan, by upper end.  A grid read once takes

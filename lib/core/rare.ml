@@ -4,7 +4,7 @@ type verification = {
   covered : bool;
 }
 
-let verify_error_probability ?(trials = 20_000) ~rng (p : Params.t) ~n ~r =
+let verify_error_probability ~trials ~rng (p : Params.t) ~n ~r =
   let drm = Drm.build p ~n ~r in
   let proposal = Dtmc.Importance.boosted_proposal drm.Drm.chain ~toward:drm.Drm.error in
   let estimate =

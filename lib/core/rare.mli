@@ -13,7 +13,7 @@ type verification = {
 }
 
 val verify_error_probability :
-  ?trials:int -> rng:Numerics.Rng.t -> Params.t -> n:int -> r:float ->
+  trials:int -> rng:Numerics.Rng.t -> Params.t -> n:int -> r:float ->
   verification
-(** Default [trials = 20_000]; the proposal is
+(** [trials] weighted paths; the proposal is
     {!Dtmc.Importance.boosted_proposal} at its default boost. *)

@@ -7,7 +7,7 @@ type recommendation_distribution = {
   cost_summary : Numerics.Stats.summary;
 }
 
-let bootstrap ?(rounds = 200) ?(losses = 0) ~rng ~delays ~q ~probe_cost
+let bootstrap ~rounds ~losses ~rng ~delays ~q ~probe_cost
     ~error_cost () =
   let n = Array.length delays in
   if n = 0 then invalid_arg "Uncertainty.bootstrap: empty sample";

@@ -22,11 +22,11 @@ type recommendation_distribution = {
 }
 
 val bootstrap :
-  ?rounds:int -> ?losses:int -> rng:Numerics.Rng.t ->
+  rounds:int -> losses:int -> rng:Numerics.Rng.t ->
   delays:float array -> q:float -> probe_cost:float -> error_cost:float ->
   unit -> recommendation_distribution
-(** [rounds] (default [200]) bootstrap resamples of the delay
-    measurements (losses resampled binomially alongside).  Raises
+(** [rounds] bootstrap resamples of the delay measurements, with the
+    [losses] among them resampled binomially alongside.  Raises
     [Invalid_argument] on an empty sample. *)
 
 val pp : Format.formatter -> recommendation_distribution -> unit

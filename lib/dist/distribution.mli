@@ -21,16 +21,16 @@ type t = {
           to [1 - mass] as [t -> infinity]. *)
   density : (float -> float) option;
       (** Density of the non-defective part where it exists. *)
-  mean : float option;
-      (** Mean delay conditional on the reply arriving, when finite and
-          known in closed form. *)
+  mean : float;
+      (** Mean delay conditional on the reply arriving, in closed
+          form. *)
   sample : Numerics.Rng.t -> float option;
       (** Draw a reply delay; [None] means the reply is lost forever. *)
 }
 
 val v :
   name:string -> ?mass:float -> ?density:(float -> float) ->
-  ?mean:float -> cdf:(float -> float) -> survival:(float -> float) ->
+  mean:float -> cdf:(float -> float) -> survival:(float -> float) ->
   sample:(Numerics.Rng.t -> float option) -> unit -> t
 (** Smart constructor; validates [mass] in [(0, 1]]. *)
 
@@ -40,11 +40,5 @@ val loss_probability : t -> float
 val conditional_cdf : t -> float -> float
 (** CDF of the delay given that the reply arrives: [cdf t /. mass]
     (the paper's [F(t) = D(t) / l]). *)
-
-val quantile : t -> float -> float
-(** [quantile d p] inverts the (unconditional) CDF numerically, by
-    bisection to [1e-12], for [p < mass]; raises [Invalid_argument]
-    when [p >= mass] (that far into the tail the reply never
-    arrives). *)
 
 val pp : Format.formatter -> t -> unit

@@ -25,7 +25,7 @@ let exponential ~rate () =
     ~sample:(fun rng -> Some (Rng.exponential rng ~rate))
     ()
 
-let shifted_exponential ?(mass = 1.) ~rate ~delay () =
+let shifted_exponential ~mass ~rate ~delay () =
   check_rate "Families.shifted_exponential" rate;
   check_delay "Families.shifted_exponential" delay;
   let cdf t =

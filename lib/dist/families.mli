@@ -15,10 +15,10 @@ val exponential : rate:float -> unit -> Distribution.t
 (** Memoryless delay with the given rate. *)
 
 val shifted_exponential :
-  ?mass:float -> rate:float -> delay:float -> unit -> Distribution.t
+  mass:float -> rate:float -> delay:float -> unit -> Distribution.t
 (** The paper's [F_X]: zero probability before the round-trip delay
     [delay] ([d] in the paper), exponential with [rate] ([lambda])
-    after it, total mass [mass] ([l], default [1.]).  Conditional mean
+    after it, total mass [mass] ([l]).  Conditional mean
     is [delay + 1/rate], matching the paper's "[d + 1/lambda]". *)
 
 val deterministic : delay:float -> unit -> Distribution.t

@@ -1,6 +1,6 @@
 type shifted_exp = { loss : float; delay : float; rate : float }
 
-let check_sample name ?(losses = 0) samples =
+let check_sample name ~losses samples =
   if Array.length samples = 0 then invalid_arg (name ^ ": empty sample");
   if losses < 0 then invalid_arg (name ^ ": negative losses");
   Array.iter
@@ -10,7 +10,7 @@ let check_sample name ?(losses = 0) samples =
 let loss_fraction ~losses n =
   float_of_int losses /. float_of_int (n + losses)
 
-let shifted_exponential_mle ?(losses = 0) samples =
+let shifted_exponential_mle ~losses samples =
   check_sample "Fit.shifted_exponential_mle" ~losses samples;
   let n = Array.length samples in
   let d = Array.fold_left Float.min samples.(0) samples in
@@ -23,7 +23,7 @@ let to_distribution { loss; delay; rate } =
 
 type quality = { ks_statistic : float; log_likelihood : float }
 
-let assess ?(losses = 0) (d : Distribution.t) samples =
+let assess ~losses (d : Distribution.t) samples =
   check_sample "Fit.assess" ~losses samples;
   ignore losses;
   let sorted = Array.copy samples in

@@ -14,7 +14,7 @@ type shifted_exp = {
 }
 
 val shifted_exponential_mle :
-  ?losses:int -> float array -> shifted_exp
+  losses:int -> float array -> shifted_exp
 (** Maximum likelihood for the defective shifted exponential:
     [loss = losses / (n + losses)], [d = min sample] (the MLE of a
     shift), [lambda = 1 / (mean - d)].  Raises [Invalid_argument] on an
@@ -29,5 +29,5 @@ type quality = {
   log_likelihood : float;
 }
 
-val assess : ?losses:int -> Distribution.t -> float array -> quality
+val assess : losses:int -> Distribution.t -> float array -> quality
 (** Fit quality of any candidate distribution on the sample. *)

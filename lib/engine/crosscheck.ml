@@ -62,7 +62,7 @@ let exact_routes : (module Backend.S) list =
   [ (module Backends.Analytic); (module Backends.Kernel);
     (module Backends.Dtmc) ]
 
-let run ?(trials = default_trials) ?(seed = default_seed) queries =
+let run ~trials ?(seed = default_seed) queries =
   (* every query, at the Monte-Carlo accuracy, is checked before any
      route runs *)
   let mc_queries =

@@ -31,7 +31,7 @@ val default_trials : int
 val default_seed : int
 (** 42. *)
 
-val run : ?trials:int -> ?seed:int -> Query.t list -> report list
+val run : trials:int -> ?seed:int -> Query.t list -> report list
 (** One report per query, in order.  Each query's accuracy demand is
     ignored: deterministic routes run [Exact], Monte Carlo runs
     [Sampled] with [trials]/[seed].  Every Monte-Carlo plan of the list

@@ -2,7 +2,7 @@ open Zeroconf
 
 (* past a mean-cost query's bound the draft's cost is inf, its ratio
    to the optimum too, and the report's elasticities inf - inf *)
-let assessment ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
+let assessment ~draft_n ~draft_r (p : Params.t) =
   ignore (Query.point Query.Mean_cost p ~n:draft_n ~r:draft_r);
   Assessment.run ~draft_n ~draft_r p
 
@@ -11,7 +11,7 @@ let assessment ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
 let power_of_ten log10 =
   if log10 = neg_infinity then "0" else Printf.sprintf "1e%.0f" log10
 
-let markdown ?(draft_n = 4) ?(draft_r = 2.) (p : Params.t) =
+let markdown ~draft_n ~draft_r (p : Params.t) =
   let assessment = assessment ~draft_n ~draft_r p in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

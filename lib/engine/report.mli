@@ -9,12 +9,13 @@
 
 open Zeroconf
 
-val assessment : ?draft_n:int -> ?draft_r:float -> Params.t -> Assessment.t
+val assessment : draft_n:int -> draft_r:float -> Params.t -> Assessment.t
 (** {!Zeroconf.Assessment.run}, its draft point first checked as a
     mean-cost query: raises [Invalid_argument] where {!Query.validate}
     refuses that query, past whose bound the draft's cost is [inf]. *)
 
-val markdown : ?draft_n:int -> ?draft_r:float -> Params.t -> string
-(** The report.  [draft_n], [draft_r] default to the Internet-draft's
-    [4] and [2.].  Raises [Invalid_argument] where {!Query.validate}
-    refuses a mean-cost query at the draft point. *)
+val markdown : draft_n:int -> draft_r:float -> Params.t -> string
+(** The report, comparing the optimum with the draft point [draft_n],
+    [draft_r] (the Internet draft's are [4] and [2.]).  Raises
+    [Invalid_argument] where {!Query.validate} refuses a mean-cost query
+    at the draft point. *)

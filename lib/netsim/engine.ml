@@ -11,7 +11,10 @@ let schedule_at t ~time thunk =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   Event_queue.add t.queue ~time thunk
 
-let run ?until ?(max_events = 10_000_000) t =
+(* a backstop against runaway schedules: no product run comes near it *)
+let max_events = 10_000_000
+
+let run ?until t =
   let fired = ref 0 in
   let continue = ref true in
   while !continue do

@@ -14,8 +14,7 @@ val schedule : t -> after:float -> (unit -> unit) -> unit
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant; [time] must not lie in the past. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Process events in timestamp order until the queue drains, the
-    clock passes [until], or [max_events] (default [10_000_000])
-    events have fired (guarding against runaway schedules; raises
-    [Failure] in that case). *)
+val run : ?until:float -> t -> unit
+(** Process events in timestamp order until the queue drains or the
+    clock passes [until].  Raises [Failure] once [10_000_000] events
+    have fired in one run (guarding against runaway schedules). *)

@@ -14,7 +14,7 @@ let horizon_cap = 1e7
 let connection_rate = 0.05
 
 let simulate_collision ?(background_rate = 0.1) ~loss ~one_way ~occupied
-    ?pool_size ~config ~rng () =
+    ~pool_size ~config ~rng () =
   if background_rate <= 0. then
     invalid_arg "Maintenance.simulate_collision: background_rate <= 0";
   (* reconfiguring takes n listening periods at least, so a probe
@@ -28,7 +28,7 @@ let simulate_collision ?(background_rate = 0.1) ~loss ~one_way ~occupied
          "Maintenance.simulate_collision: the probe schedule n r = %g s \
           reaches the %g s horizon cap, so the conflict never resolves"
          schedule horizon_cap);
-  let net = Network.create ~loss ~one_way ~occupied ?pool_size ~rng () in
+  let net = Network.create ~loss ~one_way ~occupied ~pool_size ~rng () in
   (* without loss the collider needs a second free address, or restarts forever *)
   if loss = 0. && occupied + 2 > Address_pool.size net.pool then
     invalid_arg "Maintenance.simulate_collision: no free address to reconfigure to";
@@ -93,13 +93,13 @@ type cost_estimate = {
 (* the price of one broken connection, in waiting-seconds *)
 let per_connection = 30.
 
-let estimate_error_cost ?background_rate ~loss ~one_way ~occupied ?pool_size
+let estimate_error_cost ?background_rate ~loss ~one_way ~occupied ~pool_size
     ~config ~trials ~rng () =
   if trials < 1 then invalid_arg "Maintenance.estimate_error_cost: trials < 1";
   let resolutions =
     Array.init trials (fun _ ->
         simulate_collision ?background_rate ~loss ~one_way
-          ~occupied ?pool_size ~config ~rng ())
+          ~occupied ~pool_size ~config ~rng ())
   in
   let disruptions = Array.map fst resolutions in
   let broken = Array.map (fun (_, b) -> float_of_int b) resolutions in

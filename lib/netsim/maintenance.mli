@@ -34,7 +34,7 @@ type cost_estimate = {
 
 val estimate_error_cost :
   ?background_rate:float -> loss:float ->
-  one_way:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
+  one_way:Dist.Distribution.t -> occupied:int -> pool_size:int ->
   config:Newcomer.config -> trials:int ->
   rng:Numerics.Rng.t -> unit -> cost_estimate
 (** Monte-Carlo over [trials] latent collisions, each played out on

@@ -16,8 +16,8 @@ let claim t =
   defend t address;
   address
 
-let create ~loss ~one_way ?processing ~occupied ?pool_size ~rng () =
-  let pool = Address_pool.create ?size:pool_size () in
+let create ~loss ~one_way ?processing ~occupied ~pool_size ~rng () =
+  let pool = Address_pool.create ~size:pool_size () in
   if occupied < 0 || occupied >= Address_pool.size pool then
     invalid_arg "Network.create: occupied outside [0, pool size)";
   let engine = Engine.create () in

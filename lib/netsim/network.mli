@@ -14,13 +14,13 @@ type t = {
 
 val create :
   loss:float -> one_way:Dist.Distribution.t ->
-  ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
+  ?processing:Dist.Distribution.t -> occupied:int -> pool_size:int ->
   rng:Numerics.Rng.t -> unit -> t
-(** Claims [occupied] uniformly random addresses one at a time, each
-    defended by a responder attached as soon as it is claimed (so the
-    link's stations are in claim order).  [pool_size] defaults to
-    {!Address_pool.default_size}.  Raises [Invalid_argument] unless
-    [occupied] is in [\[0, pool_size)]. *)
+(** Claims [occupied] uniformly random addresses of a pool of
+    [pool_size] one at a time, each defended by a responder attached as
+    soon as it is claimed (so the link's stations are in claim order).
+    Raises [Invalid_argument] unless [occupied] is in
+    [\[0, pool_size)]. *)
 
 val claim : t -> int
 (** Claim one more uniformly random free address and attach a

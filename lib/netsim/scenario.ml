@@ -127,10 +127,10 @@ let run_aggregate ~delay ~occupied ?(pool_size = Address_pool.default_size)
   done;
   sample
 
-let detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
+let detailed_trial ~loss ~one_way ~processing ~occupied ~pool_size ~config
     ~rng () =
   let net =
-    Network.create ~loss ~one_way ?processing ~occupied ?pool_size ~rng ()
+    Network.create ~loss ~one_way ~processing ~occupied ~pool_size ~rng ()
   in
   let result = ref None in
   let _newcomer =
@@ -144,13 +144,13 @@ let detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
   | Some outcome -> outcome
   | None -> failwith "Scenario.detailed_trial: newcomer never finished"
 
-let run_detailed ~loss ~one_way ?processing ~occupied ?pool_size ~config
+let run_detailed ~loss ~one_way ~processing ~occupied ~pool_size ~config
     ~trials ~rng () =
   if trials < 1 then invalid_arg "Scenario.run_detailed: trials < 1";
   let sample = Metrics.create trials in
   for i = 0 to trials - 1 do
     Metrics.store sample i
-      (detailed_trial ~loss ~one_way ?processing ~occupied ?pool_size ~config
+      (detailed_trial ~loss ~one_way ~processing ~occupied ~pool_size ~config
          ~rng ())
   done;
   sample

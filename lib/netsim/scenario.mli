@@ -45,10 +45,12 @@ val run_aggregate :
 
 val run_detailed :
   loss:float -> one_way:Dist.Distribution.t ->
-  ?processing:Dist.Distribution.t -> occupied:int -> ?pool_size:int ->
+  processing:Dist.Distribution.t -> occupied:int -> pool_size:int ->
   config:Newcomer.config -> trials:int ->
   rng:Numerics.Rng.t -> unit -> Metrics.sample
 (** Each trial builds a fresh {!Network} of [occupied] configured
-    hosts plus one newcomer and runs it to completion.  Raises
+    hosts in a pool of [pool_size] addresses, each replying after one
+    [processing] draw, plus one newcomer, and runs it to completion.
+    Raises
     [Invalid_argument] when [trials < 1] or [occupied] is outside
     [\[0, pool_size)]. *)

@@ -91,27 +91,26 @@ let arrive (net : Network.t) ~config times =
          Numerics.Safe_float.mean
            (Array.map (fun (o : Metrics.outcome) -> o.Metrics.config_time) outcomes)) }
 
-let run ~pattern ~horizon ~loss ~one_way ?(initial = 0) ?pool_size ~config ~rng
-    () =
+let run ~pattern ~horizon ~loss ~one_way ~initial ~pool_size ~config ~rng () =
   if horizon <= 0. then invalid_arg "Workload.run: horizon <= 0";
-  let net = Network.create ~loss ~one_way ~occupied:initial ?pool_size ~rng () in
+  let net = Network.create ~loss ~one_way ~occupied:initial ~pool_size ~rng () in
   (* drawn after the configured hosts have claimed their addresses *)
   let times = arrival_times ~pattern ~horizon ~rng in
   if initial + List.length times >= Address_pool.size net.pool then
-    failwith "Workload.run: address pool would be exhausted";
+    invalid_arg "Workload.run: address pool would be exhausted";
   arrive net ~config times
 
 (* [newcomers] hosts start configuring at once, at time 0, on a network
    of [occupied] instantly responding hosts *)
-let spaced ~loss ~one_way ~occupied ?pool_size ~newcomers ~config ~rng () =
+let spaced ~loss ~one_way ~occupied ~pool_size ~newcomers ~config ~rng () =
   if newcomers < 1 then invalid_arg "Workload.spaced: newcomers < 1";
-  let net = Network.create ~loss ~one_way ~occupied ?pool_size ~rng () in
+  let net = Network.create ~loss ~one_way ~occupied ~pool_size ~rng () in
   (* each newcomer needs a free address, or the last restart forever *)
   if occupied + newcomers > Address_pool.size net.pool then
     invalid_arg "Workload.spaced: address pool would be exhausted";
   arrive net ~config (List.init newcomers (fun _ -> 0.))
 
-let collision_rate_vs_newcomers ~loss ~one_way ~occupied ?pool_size ~config
+let collision_rate_vs_newcomers ~loss ~one_way ~occupied ~pool_size ~config
     ~trials ~counts ~rng () =
   if trials < 1 then
     invalid_arg "Workload.collision_rate_vs_newcomers: trials < 1";
@@ -123,7 +122,7 @@ let collision_rate_vs_newcomers ~loss ~one_way ~occupied ?pool_size ~config
         Array.fold_left
           (fun acc rng ->
             let r =
-              spaced ~loss ~one_way ~occupied ?pool_size ~newcomers ~config ~rng ()
+              spaced ~loss ~one_way ~occupied ~pool_size ~newcomers ~config ~rng ()
             in
             acc + r.collisions)
           0 rngs

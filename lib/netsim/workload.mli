@@ -35,25 +35,27 @@ val check_capacity :
 (** Raises [Invalid_argument] unless [initial] configured hosts plus
     the arrivals the pattern brings within [horizon] (their expected
     number, for [Poisson]) fit strictly inside a pool of [pool_size]
-    addresses.  Front ends check this before {!run}, which still fails
-    if a Poisson sample exceeds its expectation that far. *)
+    addresses.  Front ends check this before {!run}, which still
+    refuses a Poisson draw that exceeds its expectation that far. *)
 
 val run :
   pattern:pattern -> horizon:float -> loss:float ->
-  one_way:Dist.Distribution.t -> ?initial:int -> ?pool_size:int ->
+  one_way:Dist.Distribution.t -> initial:int -> pool_size:int ->
   config:Newcomer.config ->
   rng:Numerics.Rng.t -> unit -> result
 (** Simulate a network of instantly responding hosts that starts with
-    [initial] (default [0]) configured hosts; arrivals follow [pattern]
-    until [horizon] virtual seconds (drawn after the configured hosts
-    claim their addresses), and the simulation then runs to completion
-    of every started configuration.  Raises [Failure] if the address
-    pool would be exhausted, and [Invalid_argument], before any event
-    runs, where the listening time [n r] of [config] is not finite. *)
+    [initial] configured hosts in a pool of [pool_size] addresses;
+    arrivals follow [pattern] until [horizon] virtual seconds (drawn
+    after the configured hosts claim their addresses), and the
+    simulation then runs to completion of every started configuration.
+    Raises [Invalid_argument], before any event runs, where the
+    arrivals drawn would exhaust the address pool (a Poisson draw can
+    exceed the expectation that {!check_capacity} bounds) and where the
+    listening time [n r] of [config] is not finite. *)
 
 val collision_rate_vs_newcomers :
   loss:float -> one_way:Dist.Distribution.t ->
-  occupied:int -> ?pool_size:int -> config:Newcomer.config -> trials:int ->
+  occupied:int -> pool_size:int -> config:Newcomer.config -> trials:int ->
   counts:int list -> rng:Numerics.Rng.t -> unit -> (int * float) list
 (** Sweep the number of simultaneous newcomers and estimate the
     per-newcomer collision probability for each count: [trials]

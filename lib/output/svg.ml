@@ -58,7 +58,7 @@ let write_stroke_end blk pos stroke stroke_width =
   let pos = num_attr blk pos "stroke-width" stroke_width in
   N.write_string blk pos "/>"
 
-let line t ?(stroke = "#000") ?(stroke_width = 1.) (x1, y1) (x2, y2) =
+let line t ~stroke ?(stroke_width = 1.) (x1, y1) (x2, y2) =
   element t @@ fun blk pos ->
   let pos = N.write_string blk pos "<line" in
   let pos = num_attr blk pos "x1" x1 in
@@ -67,7 +67,7 @@ let line t ?(stroke = "#000") ?(stroke_width = 1.) (x1, y1) (x2, y2) =
   let pos = num_attr blk pos "y2" y2 in
   write_stroke_end blk pos stroke stroke_width
 
-let polyline t ?(stroke = "#000") xs ys len =
+let polyline t ~stroke xs ys len =
   if len >= 2 then begin
     element t @@ fun blk pos ->
     let pos = ref (N.write_string blk pos "<polyline points=\"") in

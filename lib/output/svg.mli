@@ -7,11 +7,11 @@ type t
 val create : width:int -> height:int -> t
 
 val line :
-  t -> ?stroke:string -> ?stroke_width:float -> float * float ->
+  t -> stroke:string -> ?stroke_width:float -> float * float ->
   float * float -> unit
 (** [line t p1 p2]. *)
 
-val polyline : t -> ?stroke:string -> float array -> float array -> int -> unit
+val polyline : t -> stroke:string -> float array -> float array -> int -> unit
 (** [polyline t xs ys len]: the points [(xs.(i), ys.(i))] for
     [i < len], rendered as one open path, 1.5 units wide; nothing for
     fewer than two points. *)

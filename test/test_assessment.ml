@@ -86,7 +86,7 @@ let test_huge_probe_cost_refused () =
     (Invalid_argument
        "Query: mean-cost at n = 4, r = 2: the largest attempt cost n (r + c) \
         + E = inf is not finite") (fun () ->
-      ignore (Engine.Report.assessment p : A.t))
+      ignore (Engine.Report.assessment ~draft_n:4 ~draft_r:2. p : A.t))
 
 let () =
   Alcotest.run "assessment"

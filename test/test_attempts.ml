@@ -42,7 +42,8 @@ let test_baseline_reproduces_eq3_eq4 () =
 let test_baseline_on_paper_scenario () =
   let a =
     row "baseline"
-      (A.compare_refinements Params.figure2 ~occupied:1000 ~n:4 ~r:2. ())
+      (A.compare_refinements Params.figure2 ~occupied:1000
+         ~pool:Params.address_space_size ~n:4 ~r:2. ())
   in
   check_rel "figure2 draft cost" (Zeroconf.Cost.mean Params.figure2 ~n:4 ~r:2.)
     a.A.mean_cost
@@ -153,7 +154,9 @@ let test_huge_probe_cost_refused () =
     (Invalid_argument
        "Attempts.analyze: the largest attempt cost n (r + c) + E = inf is not \
         finite") (fun () ->
-      ignore (A.compare_refinements p ~occupied:1000 ~n:4 ~r:2. ()))
+      ignore
+        (A.compare_refinements p ~occupied:1000 ~pool:Params.address_space_size
+           ~n:4 ~r:2. ()))
 
 let () =
   Alcotest.run "attempts"

@@ -51,7 +51,7 @@ let test_asymptote_non_defective_limit () =
   (* with l = 1 the geometric factor (1-(1-l)^n)/l degenerates to n *)
   let p =
     Params.v ~name:"lossless"
-      ~delay:(Dist.Families.shifted_exponential ~rate:10. ~delay:1. ())
+      ~delay:(Dist.Families.shifted_exponential ~mass:1. ~rate:10. ~delay:1. ())
       ~q:0.1 ~probe_cost:1. ~error_cost:10.
   in
   let n = 3 and r = 5. in

@@ -33,10 +33,7 @@ let test_paper_fx_survival_tail () =
     (1. -. paper_fx.D.mass)
     (paper_fx.D.survival 1e4)
 
-let test_paper_fx_mean () =
-  match paper_fx.D.mean with
-  | Some m -> check_close "mean d + 1/lambda" 1.1 m
-  | None -> Alcotest.fail "mean should be known"
+let test_paper_fx_mean () = check_close "mean d + 1/lambda" 1.1 paper_fx.D.mean
 
 let test_paper_fx_self () = check_self paper_fx
 
@@ -68,7 +65,7 @@ let test_deterministic () =
 let test_uniform () =
   let d = F.uniform ~lo:1. ~hi:3. () in
   check_close "midpoint" 0.5 (d.D.cdf 2.);
-  check_close "mean" 2. (Option.get d.D.mean);
+  check_close "mean" 2. d.D.mean;
   check_self d;
   Alcotest.check_raises "bad bounds"
     (Invalid_argument "Families.uniform: need 0 <= lo < hi < inf") (fun () ->
@@ -81,7 +78,8 @@ let test_weibull_reduces_to_exponential () =
   List.iter
     (fun t ->
       check_close ~tol:1e-12 (Printf.sprintf "cdf at %g" t) (e.D.cdf t) (w.D.cdf t))
-    [ 0.1; 0.5; 1.; 3. ]
+    [ 0.1; 0.5; 1.; 3. ];
+  check_close ~tol:1e-12 "mean" e.D.mean w.D.mean
 
 let test_weibull_self () =
   check_self (Oracle.weibull ~mass:0.95 ~delay:0.2 ~shape:1.7 ~scale:0.8 ())
@@ -94,6 +92,7 @@ let test_mixture () =
   check_close "mass" 1. d.D.mass;
   check_close "between the atoms" 0.5 (d.D.cdf 2.);
   check_close "after both" 1. (d.D.cdf 4.);
+  check_close "mean between the atoms" 2. d.D.mean;
   Alcotest.check_raises "empty" (Invalid_argument "Oracle.mixture: empty mixture")
     (fun () -> ignore (Oracle.mixture []))
 
@@ -102,29 +101,20 @@ let test_mixture_defective_mass () =
     Oracle.mixture
       [ (3., coin); (1., F.deterministic ~delay:2. ()) ]
   in
-  check_close "weighted mass" ((0.75 *. 0.5) +. (0.25 *. 1.)) d.D.mass
+  check_close "weighted mass" ((0.75 *. 0.5) +. (0.25 *. 1.)) d.D.mass;
+  (* a reply comes from coin (mean 1) with weight 0.375, from the atom
+     at 2 with weight 0.25 *)
+  check_close "mean given a reply" (((0.375 *. 1.) +. (0.25 *. 2.)) /. 0.625)
+    d.D.mean
 
 (* ------------- generic Distribution operations ------------- *)
-
-let test_quantile_inverts_cdf () =
-  let d = F.shifted_exponential ~rate:5. ~delay:0.5 () in
-  List.iter
-    (fun p ->
-      let t = D.quantile d p in
-      check_close ~tol:1e-8 (Printf.sprintf "cdf (quantile %g)" p) p (d.D.cdf t))
-    [ 0.1; 0.5; 0.9; 0.99 ]
-
-let test_quantile_defective_tail_rejected () =
-  Alcotest.check_raises "beyond mass"
-    (Invalid_argument "Distribution.quantile: p >= mass (reply never arrives)")
-    (fun () -> ignore (D.quantile coin 0.7))
 
 let test_conditional_cdf () =
   check_close "conditional saturates at 1" 1. (D.conditional_cdf coin 2.)
 
 let test_sampling_matches_cdf () =
   (* Kolmogorov-style check: ECDF of samples close to the cdf *)
-  let d = F.shifted_exponential ~rate:4. ~delay:0.3 () in
+  let d = F.shifted_exponential ~mass:1. ~rate:4. ~delay:0.3 () in
   let rng = Numerics.Rng.create 99 in
   let n = 20_000 in
   let samples =
@@ -156,7 +146,7 @@ let test_constructor_guards () =
   Alcotest.check_raises "mass 0" (Invalid_argument "Distribution.v: mass must lie in (0, 1]")
     (fun () ->
       ignore
-        (D.v ~name:"bad" ~mass:0. ~cdf:(fun _ -> 0.) ~survival:(fun _ -> 1.)
+        (D.v ~name:"bad" ~mass:0. ~mean:1. ~cdf:(fun _ -> 0.) ~survival:(fun _ -> 1.)
            ~sample:(fun _ -> None) ()))
 
 (* a NaN parameter, or an infinite delay, fails with a message instead
@@ -167,10 +157,10 @@ let test_nan_and_inf_rejected () =
     | (_ : D.t) -> Alcotest.failf "%s accepted" msg
     | exception Invalid_argument _ -> ()
   in
-  rejects "nan rate" (fun () -> F.shifted_exponential ~rate:nan ~delay:1. ());
-  rejects "nan delay" (fun () -> F.shifted_exponential ~rate:10. ~delay:nan ());
+  rejects "nan rate" (fun () -> F.shifted_exponential ~mass:1. ~rate:nan ~delay:1. ());
+  rejects "nan delay" (fun () -> F.shifted_exponential ~mass:1. ~rate:10. ~delay:nan ());
   rejects "infinite delay" (fun () ->
-      F.shifted_exponential ~rate:10. ~delay:infinity ());
+      F.shifted_exponential ~mass:1. ~rate:10. ~delay:infinity ());
   rejects "nan mass" (fun () ->
       F.shifted_exponential ~mass:nan ~rate:10. ~delay:1. ());
   rejects "exponential nan rate" (fun () -> F.exponential ~rate:nan ());
@@ -179,9 +169,9 @@ let test_nan_and_inf_rejected () =
   rejects "uniform infinite hi" (fun () -> F.uniform ~lo:0. ~hi:infinity ());
   rejects "mixture nan weight" (fun () -> Oracle.mixture [ (nan, paper_fx) ]);
   (* an infinite rate is the deterministic-delay limit: legal *)
-  let d = F.shifted_exponential ~rate:infinity ~delay:1. () in
+  let d = F.shifted_exponential ~mass:1. ~rate:infinity ~delay:1. () in
   check_close "all mass at d" 1. (d.D.cdf 1.000001);
-  check_close "mean d" 1. (Option.get d.D.mean)
+  check_close "mean d" 1. d.D.mean
 
 (* property: every family keeps cdf + survival = 1 and cdf monotone *)
 let family_gen =
@@ -202,17 +192,23 @@ let prop_families_well_formed =
 
 (* the stored closed-form mean (read by Optimize and Adaptive) against
    the family's own sampler: the mean of the delays that arrive, within
-   five standard errors *)
+   five standard errors; the test oracles' Weibull and mixture too *)
 let prop_mean_matches_sampler =
   let gen =
     QCheck.Gen.(
       let* mass = float_range 0.4 1.0 in
       let* rate = float_range 0.5 10. in
       let* delay = float_range 0. 2. in
+      let* shape = float_range 0.7 3. in
+      let* weight = float_range 0.1 0.9 in
       oneofl
         [ F.shifted_exponential ~mass ~rate ~delay ();
           F.exponential ~rate ();
-          F.uniform ~lo:delay ~hi:(delay +. 2.) () ])
+          F.uniform ~lo:delay ~hi:(delay +. 2.) ();
+          Oracle.weibull ~mass ~delay ~shape ~scale:(1. /. rate) ();
+          Oracle.mixture
+            [ (weight, F.shifted_exponential ~mass ~rate ~delay ());
+              (1. -. weight, F.uniform ~lo:delay ~hi:(delay +. 2.) ()) ] ])
   in
   QCheck.Test.make ~name:"sampled mean = closed-form mean" ~count:60
     (QCheck.make ~print:(fun d -> d.D.name) gen)
@@ -226,7 +222,7 @@ let prop_mean_matches_sampler =
       in
       let s = Numerics.Stats.summarize arrivals in
       let se = s.Numerics.Stats.std /. sqrt (float_of_int s.Numerics.Stats.n) in
-      Float.abs (s.Numerics.Stats.mean -. Option.get d.D.mean) <= 5. *. se)
+      Float.abs (s.Numerics.Stats.mean -. d.D.mean) <= 5. *. se)
 
 let prop_survival_monotone_decreasing =
   QCheck.Test.make ~name:"survival is non-increasing" ~count:100
@@ -252,10 +248,7 @@ let () =
           Alcotest.test_case "mixture" `Quick test_mixture;
           Alcotest.test_case "mixture mass" `Quick test_mixture_defective_mass ] );
       ( "operations",
-        [ Alcotest.test_case "quantile inverts cdf" `Quick test_quantile_inverts_cdf;
-          Alcotest.test_case "quantile defective tail" `Quick
-            test_quantile_defective_tail_rejected;
-          Alcotest.test_case "conditional cdf" `Quick test_conditional_cdf;
+        [ Alcotest.test_case "conditional cdf" `Quick test_conditional_cdf;
           Alcotest.test_case "guards" `Quick test_constructor_guards;
           Alcotest.test_case "nan and inf" `Quick test_nan_and_inf_rejected ] );
       ( "sampling",

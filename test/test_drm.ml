@@ -127,7 +127,7 @@ let test_q_one_always_collides_eventually () =
      arrives, so the first attempt errors *)
   let p =
     Params.v ~name:"hopeless"
-      ~delay:(Dist.Families.shifted_exponential ~rate:10. ~delay:1. ())
+      ~delay:(Dist.Families.shifted_exponential ~mass:1. ~rate:10. ~delay:1. ())
       ~q:0.99 ~probe_cost:1. ~error_cost:10.
   in
   let drm = Drm.build p ~n:2 ~r:0.3 in

@@ -351,7 +351,7 @@ let test_crosscheck_acceptance () =
         (rep.Engine.Crosscheck.max_rel_divergence <= 1e-9);
       Alcotest.(check (option bool)) "mc covered" (Some true)
         rep.Engine.Crosscheck.mc_covered)
-    (Engine.Crosscheck.run
+    (Engine.Crosscheck.run ~trials:Engine.Crosscheck.default_trials
        (List.map
           (fun qty -> Q.point qty Zeroconf.Params.figure2 ~n:4 ~r:2.)
           [ Q.Mean_cost; Q.Error_probability ]))

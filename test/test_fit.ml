@@ -35,7 +35,7 @@ let test_mle_recovers_parameters () =
 let test_mle_exact_structure () =
   (* the closed form is exact on tiny inputs: d = min, rate = 1/(mean-d) *)
   let samples = [| 1.; 2.; 3. |] in
-  let fit = Fit.shifted_exponential_mle samples in
+  let fit = Fit.shifted_exponential_mle ~losses:0 samples in
   check_close "delay is min" 1. fit.Fit.delay;
   check_close "rate" 1. fit.Fit.rate;
   check_close "no loss" 0. fit.Fit.loss
@@ -44,19 +44,19 @@ let test_to_distribution_roundtrip () =
   let fit = { Fit.loss = 0.1; delay = 0.5; rate = 2. } in
   let d = Fit.to_distribution fit in
   check_close "mass" 0.9 d.D.mass;
-  check_close "mean" 1.0 (Option.get d.D.mean);
+  check_close "mean" 1.0 d.D.mean;
   check_close "no mass before the floor" 0. (d.D.cdf 0.49)
 
 let test_assess_prefers_the_right_family () =
   (* data from a shifted exponential: the correct family must beat an
      exponential of the same mean, which has no round-trip floor, on KS
      distance *)
-  let truth = F.shifted_exponential ~rate:8. ~delay:0.3 () in
+  let truth = F.shifted_exponential ~mass:1. ~rate:8. ~delay:0.3 () in
   let samples, _ = draw_samples truth ~count:5_000 ~seed:4 in
-  let good = Fit.to_distribution (Fit.shifted_exponential_mle samples) in
+  let good = Fit.to_distribution (Fit.shifted_exponential_mle ~losses:0 samples) in
   let alt = F.exponential ~rate:(1. /. Numerics.Safe_float.mean samples) () in
-  let q_good = Fit.assess good samples in
-  let q_alt = Fit.assess alt samples in
+  let q_good = Fit.assess ~losses:0 good samples in
+  let q_alt = Fit.assess ~losses:0 alt samples in
   Alcotest.(check bool)
     (Printf.sprintf "KS %.4f < %.4f" q_good.Fit.ks_statistic q_alt.Fit.ks_statistic)
     true
@@ -67,7 +67,7 @@ let test_assess_prefers_the_right_family () =
 let test_assess_ks_small_on_own_sample () =
   let truth = F.exponential ~rate:3. () in
   let samples, _ = draw_samples truth ~count:10_000 ~seed:5 in
-  let q = Fit.assess truth samples in
+  let q = Fit.assess ~losses:0 truth samples in
   Alcotest.(check bool)
     (Printf.sprintf "KS %.4f below 0.02" q.Fit.ks_statistic)
     true
@@ -76,10 +76,10 @@ let test_assess_ks_small_on_own_sample () =
 let test_guards () =
   Alcotest.check_raises "empty"
     (Invalid_argument "Fit.shifted_exponential_mle: empty sample") (fun () ->
-      ignore (Fit.shifted_exponential_mle [||]));
+      ignore (Fit.shifted_exponential_mle ~losses:0 [||]));
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Fit.assess: bad delay") (fun () ->
-      ignore (Fit.assess (F.exponential ~rate:1. ()) [| -1. |]))
+      ignore (Fit.assess ~losses:0 (F.exponential ~rate:1. ()) [| -1. |]))
 
 let prop_fit_regret_small =
   (* end-to-end: fitting from the distribution's own samples and

@@ -190,7 +190,7 @@ let counting_scenario () =
   let count = ref 0 in
   let dist =
     Dist.Distribution.v ~name:"counting" ~mass:base.Dist.Distribution.mass
-      ~cdf:base.Dist.Distribution.cdf
+      ~mean:base.Dist.Distribution.mean ~cdf:base.Dist.Distribution.cdf
       ~survival:(fun t ->
         incr count;
         base.Dist.Distribution.survival t)

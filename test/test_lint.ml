@@ -321,7 +321,9 @@ let r9_unpassed () =
           "let g = Numerics.Grid.linspace 3\n\
            let c = Numerics.Grid.chunks ~size:2 ()\n\
            let m = Numerics.Grid.map_sweep ~f:1 ()\n\
-           let s = Numerics.Grid.scan ~dir:1 ()\n");
+           let s = Numerics.Grid.scan ~dir:1 ()\n\
+           let d = (Numerics.Grid.chunks (), Numerics.Grid.map_sweep ())\n\
+           let t = Numerics.Grid.scan ()\n");
          ("lib/numerics/grid.ml",
           "let linspace ?(pad = 0) ?(step = 1) ?(unused = 0) n = n + pad\n\
            let again = linspace ~pad:1 2\nlet twice = Grid.linspace ~pad:2 3\n");
@@ -340,8 +342,9 @@ let r9_passed () =
        [ ("bin/main.ml", "let g = Numerics.Grid.linspace ~pad:1 ~step:2 3\n");
          ("perfbench/main.ml",
           "module G = Numerics.Grid\nlet c = G.chunks ~size:2 ()\n\
-           let u = G.linspace ~unused:0 1\n");
-         ("bench/main.ml", "open Numerics.Grid\nlet m = map_sweep ~f:1 ()\n");
+           let u = G.linspace ~unused:0 1\nlet d = G.chunks ()\n");
+         ("bench/main.ml",
+          "open Numerics.Grid\nlet m = map_sweep ~f:1 ()\nlet n = map_sweep ()\n");
          ("lib/numerics/stats.ml", "let s ?dir () = Grid.scan ?dir ()\n");
          ("lib/numerics/grid.ml",
           "let linspace ?pad ?step ?unused n = n\nlet chunks ?size () = 0\n\
@@ -353,7 +356,9 @@ let r9_example_only () =
     [ ("bin/main.ml",
        "let g = Numerics.Grid.linspace ~pad:1 ~step:2 ~unused:3 4\n\
         let m = Numerics.Grid.map_sweep ~f:1 ()\n\
-        let s = Numerics.Grid.scan ~dir:1 ()\n");
+        let s = Numerics.Grid.scan ~dir:1 ()\n\
+        let h = Numerics.Grid.linspace 5\n\
+        let n = (Numerics.Grid.map_sweep (), Numerics.Grid.scan ())\n");
       ( root ^ "/main.ml",
         "let c = Numerics.Grid.chunks ~size:2 ()\n\
          module G = Numerics.Grid\nlet d = G.chunks ?size:None ()\n" );
@@ -369,6 +374,98 @@ let r9_example_only () =
   Alcotest.(check (list (triple string string string)))
     "the same option passed from perfbench/ is not" []
     (unpassed (sources "perfbench"))
+
+(* R9's second half: an option that every product call passes as [~x]
+   is a required argument.  [chunks] and [map_sweep] are called from
+   bin/ and perfbench/, [scan] from bin/ and lib/ *)
+let r9_defaults_sources ?(extra = []) bin =
+  [ ("bin/main.ml", bin);
+    ("perfbench/main.ml",
+     "module G = Numerics.Grid\nlet c = G.chunks ~size:2 ()\n\
+      let m = G.map_sweep ~f:1 ()\nlet g = G.linspace ~pad:1 ~step:2 ~unused:3 4\n");
+    ("lib/numerics/stats.ml", "let s () = Grid.scan ~dir:1 ()\n");
+    ("lib/numerics/grid.ml",
+     "let linspace ?pad ?step ?unused n = n\nlet chunks ?size () = 0\n\
+      let map_sweep ?f () = 0\nlet scan ?dir () = 0\n\
+      let own = (chunks (), map_sweep (), scan ())\n");
+    grid_mli ]
+  @ extra
+
+let every_call_passes =
+  "let c = Numerics.Grid.chunks ~size:4 ()\n\
+   let m = Numerics.Grid.map_sweep ~f:2 ()\n\
+   let s = Numerics.Grid.scan ~dir:2 ()\n\
+   let g = Numerics.Grid.linspace ~pad:0 ~step:1 ~unused:0 5\n"
+
+let r9_every_call_passes () =
+  let required =
+    [ ("R9", "lib/numerics/grid.mli", "Numerics.Grid.linspace?pad");
+      ("R9", "lib/numerics/grid.mli", "Numerics.Grid.linspace?step");
+      ("R9", "lib/numerics/grid.mli", "Numerics.Grid.linspace?unused");
+      ("R9", "lib/numerics/grid.mli", "Numerics.Grid.chunks?size");
+      ("R9", "lib/numerics/grid.mli", "Numerics.Grid.map_sweep?f");
+      ("R9", "lib/numerics/grid.mli", "Numerics.Grid.scan?dir") ]
+  in
+  Alcotest.(check (list (triple string string string)))
+    "an option every call outside its module passes as ~x is flagged, \
+     though its own module omits it"
+    required
+    (unpassed (r9_defaults_sources every_call_passes));
+  Alcotest.(check (list (triple string string string)))
+    "a test or an example that omits it, forwards it or names the val \
+     keeps nothing optional"
+    required
+    (unpassed
+       (r9_defaults_sources every_call_passes
+          ~extra:
+            (List.map
+               (fun root ->
+                 ( root ^ "/main.ml",
+                   "let c = Numerics.Grid.chunks ()\n\
+                    let m ?f () = Numerics.Grid.map_sweep ?f ()\n\
+                    let s = List.map Numerics.Grid.scan [ () ]\n\
+                    let g = Numerics.Grid.linspace 5\n" ))
+               [ "test"; "examples" ])))
+
+let r9_some_call_defaults () =
+  Alcotest.(check (list (triple string string string)))
+    "a product call that omits x, forwards ?x or names the val unapplied \
+     takes the default"
+    []
+    (unpassed
+       (r9_defaults_sources
+          "let c = Numerics.Grid.chunks ()\n\
+           let m ?f () = Numerics.Grid.map_sweep ?f ()\n\
+           open Numerics.Grid\nlet s = List.map scan [ () ]\n\
+           let g = linspace 5\n"))
+
+let r9_stale_waiver () =
+  let waiver =
+    Allowlist.of_string
+      "((rule R9) (file lib/numerics/grid.mli) (ident Numerics.Grid.chunks?size)\n\
+      \ (why \"a test hook\"))\n"
+  in
+  let findings =
+    Rules.unpassed_option_findings ~wrappers
+      (r9_defaults_sources "let c = Numerics.Grid.chunks ()\n\
+                            let m = Numerics.Grid.map_sweep ()\n\
+                            let s = Numerics.Grid.scan ()\n\
+                            let g = Numerics.Grid.linspace 5\n")
+  in
+  let v = Allowlist.verdict waiver findings in
+  Alcotest.(check int) "no finding left to waive" 0 (List.length findings);
+  Alcotest.(check int) "the waiver is stale" 1 (List.length v.Allowlist.stale);
+  Alcotest.(check int) "a stale R9 waiver fails the gate" 1
+    (Allowlist.exit_code v)
+
+(* -- R10: exact allocation counts in bench/ -------------------------- *)
+
+let r10_quick_stat () =
+  check_hits "Gc.quick_stat is flagged in bench/" ~path:"bench/main.ml"
+    ~source:"let s = Gc.quick_stat ()\nlet w = s.Gc.minor_words\n"
+    [ ("R10", 1, "Gc.quick_stat") ];
+  check_hits "the exact counters are clean" ~path:"bench/main.ml"
+    ~source:"let m = Gc.minor_words ()\nlet _, p, j = Gc.counters ()\n" []
 
 (* -- R8: bin/ reaches Eqs. 3 and 4 only through the engine ----------- *)
 
@@ -539,6 +636,12 @@ let () =
             r9_passed;
           Alcotest.test_case "R9 option passed only by an example" `Quick
             r9_example_only;
+          Alcotest.test_case "R9 option every product call passes" `Quick
+            r9_every_call_passes;
+          Alcotest.test_case "R9 option a product call defaults" `Quick
+            r9_some_call_defaults;
+          Alcotest.test_case "R9 stale waiver" `Quick r9_stale_waiver;
+          Alcotest.test_case "R10 Gc.quick_stat in bench" `Quick r10_quick_stat;
           Alcotest.test_case "R8 closed forms named in bin/" `Quick r8_flagged;
           Alcotest.test_case "R8 lib/, examples/ and other modules" `Quick
             r8_exempt;

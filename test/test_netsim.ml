@@ -132,12 +132,13 @@ let test_engine_until_horizon () =
   Engine.run e;
   Alcotest.(check int) "late event still queued" 2 !fired
 
+(* a schedule that never ends reaches the 10M-event budget *)
 let test_engine_event_budget () =
   let e = Engine.create () in
   let rec loop () = Engine.schedule e ~after:0. loop in
   Engine.schedule e ~after:0. loop;
   Alcotest.check_raises "runaway guarded" (Failure "Engine.run: event budget exceeded")
-    (fun () -> Engine.run ~max_events:1000 e)
+    (fun () -> Engine.run e)
 
 let test_engine_rejects_past () =
   let e = Engine.create () in
@@ -427,8 +428,8 @@ let test_occupancy_refused () =
       Netsim.Maintenance.estimate_error_cost ~loss:0. ~one_way ~occupied
         ~pool_size:16 ~config ~trials:1 ~rng ());
   refused "Scenario.run_detailed" (fun occupied rng ->
-      Netsim.Scenario.run_detailed ~loss:0. ~one_way ~occupied ~pool_size:16
-        ~config ~trials:1 ~rng ())
+      Netsim.Scenario.run_detailed ~loss:0. ~one_way ~processing ~occupied
+        ~pool_size:16 ~config ~trials:1 ~rng ())
 
 let () =
   Alcotest.run "netsim"

@@ -84,9 +84,12 @@ let test_aggregate_immediate_abort_never_slower () =
 
 let one_way = Dist.Families.deterministic ~delay:0.05 ()
 
+(* responders that reply as soon as a probe reaches them *)
+let processing = Dist.Families.deterministic ~delay:0. ()
+
 let test_detailed_free_network () =
   let sample =
-    Scenario.run_detailed ~loss:0. ~one_way ~occupied:0 ~pool_size:64
+    Scenario.run_detailed ~loss:0. ~one_way ~processing ~occupied:0 ~pool_size:64
       ~config:(config ~n:3 ~r:0.5) ~trials:20 ~rng:(Numerics.Rng.create 5) ()
   in
   let agg = Metrics.aggregate sample in
@@ -98,7 +101,7 @@ let test_detailed_certain_conflict_with_perfect_link () =
   (* one free address in a pool of 2, perfect link: the newcomer may hit
      the occupied address but can never accept it *)
   let sample =
-    Scenario.run_detailed ~loss:0. ~one_way ~occupied:1 ~pool_size:2
+    Scenario.run_detailed ~loss:0. ~one_way ~processing ~occupied:1 ~pool_size:2
       ~config:(config ~n:2 ~r:0.5) ~trials:50 ~rng:(Numerics.Rng.create 6) ()
   in
   Alcotest.(check int) "never collides on a perfect link" 0
@@ -109,7 +112,7 @@ let test_detailed_total_loss_always_collides () =
      always accepted erroneously.  With 63/64 occupied that's almost
      every trial. *)
   let sample =
-    Scenario.run_detailed ~loss:1. ~one_way ~occupied:63 ~pool_size:64
+    Scenario.run_detailed ~loss:1. ~one_way ~processing ~occupied:63 ~pool_size:64
       ~config:(config ~n:2 ~r:0.2) ~trials:200 ~rng:(Numerics.Rng.create 7) ()
   in
   let agg = Metrics.aggregate sample in
@@ -148,7 +151,7 @@ let test_rate_limit_slows_retries () =
     { (config ~n:2 ~r:0.2) with Newcomer.rate_limit = Some (1, 60.) }
   in
   let sample =
-    Scenario.run_detailed ~loss:0. ~one_way ~occupied:60 ~pool_size:64
+    Scenario.run_detailed ~loss:0. ~one_way ~processing ~occupied:60 ~pool_size:64
       ~config:cfg ~trials:100 ~rng:(Numerics.Rng.create 9) ()
   in
   let slow =

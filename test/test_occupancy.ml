@@ -483,9 +483,10 @@ let test_metrics_equal_reference () =
    as an outcome record (no run keeps the address) *)
 let detailed ~loss ~occupied ~config ~trials ~seed =
   let one_way = Dist.Families.deterministic ~delay:0.05 () in
+  let processing = Dist.Families.deterministic ~delay:0. () in
   let run ~trials rng =
-    Scenario.run_detailed ~loss ~one_way ~occupied ~pool_size:16 ~config ~trials
-      ~rng ()
+    Scenario.run_detailed ~loss ~one_way ~processing ~occupied ~pool_size:16
+      ~config ~trials ~rng ()
   in
   let sample = run ~trials (Rng.create seed) in
   let rng = Rng.create seed in

@@ -21,7 +21,7 @@ let test_nu_realistic () =
 let test_nu_lossless_is_one () =
   let p =
     Params.v ~name:"lossless"
-      ~delay:(Dist.Families.shifted_exponential ~rate:10. ~delay:1. ())
+      ~delay:(Dist.Families.shifted_exponential ~mass:1. ~rate:10. ~delay:1. ())
       ~q:0.1 ~probe_cost:1. ~error_cost:1e20
   in
   Alcotest.(check int) "no loss -> one probe suffices" 1 (O.min_useful_probes p)

@@ -63,8 +63,8 @@ let svg_text = saved Svg.save
 
 let test_svg_document_structure () =
   let s = Svg.create ~width:100 ~height:50 in
-  Svg.line s (0., 0.) (10., 10.);
-  Svg.polyline s [| 0.; 5.; 10. |] [| 0.; 5.; 0. |] 3;
+  Svg.line s ~stroke:"#000" (0., 0.) (10., 10.);
+  Svg.polyline s ~stroke:"#000" [| 0.; 5.; 10. |] [| 0.; 5.; 0. |] 3;
   Svg.rect s ~fill:"red" (1., 1.) (5., 5.);
   Svg.text s ~x:2. ~y:2. "hello";
   let doc = svg_text s in
@@ -84,7 +84,7 @@ let test_svg_escaping () =
 
 let test_svg_degenerate_polyline_dropped () =
   let s = Svg.create ~width:10 ~height:10 in
-  Svg.polyline s [| 1.; 2. |] [| 1.; 2. |] 1;
+  Svg.polyline s ~stroke:"#000" [| 1.; 2. |] [| 1.; 2. |] 1;
   Alcotest.(check bool) "no polyline emitted" false
     (contains (svg_text s) "<polyline")
 

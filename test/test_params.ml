@@ -70,7 +70,7 @@ let test_presets_match_paper () =
   check_close "c" 2. p.P.probe_cost;
   check_close "E" 1e35 p.P.error_cost;
   check_close ~tol:1e-18 "loss" 1e-15 (P.loss_probability p);
-  check_close "mean reply d + 1/lambda" 1.1 (Option.get p.P.delay.Dist.Distribution.mean);
+  check_close "mean reply d + 1/lambda" 1.1 p.P.delay.Dist.Distribution.mean;
   (* wireless worst case: Sec. 4.5 r = 2 *)
   let w = P.wireless_worst_case in
   check_close "wireless E" 5e20 w.P.error_cost;
@@ -80,15 +80,16 @@ let test_presets_match_paper () =
   let d = List.assoc "wired-worst-case" P.presets in
   check_close "wired E" 1e35 d.P.error_cost;
   check_close "wired c" 0.5 d.P.probe_cost;
-  check_close "wired mean reply" 0.11 (Option.get d.P.delay.Dist.Distribution.mean);
+  check_close "wired mean reply" 0.11 d.P.delay.Dist.Distribution.mean;
   (* realistic: Sec. 6 *)
   let r = P.realistic_ethernet in
   check_close "realistic E" 5e20 r.P.error_cost;
   check_close ~tol:1e-15 "realistic loss" 1e-12 (P.loss_probability r);
-  check_close "realistic rtt" 0.001
-    (let d = r.P.delay in
-     (* the floor is where the cdf first leaves zero *)
-     Dist.Distribution.quantile d 1e-12)
+  (* the 1 ms floor is where the cdf first leaves zero *)
+  let cdf = r.P.delay.Dist.Distribution.cdf in
+  check_close ~tol:0. "realistic rtt: no reply by the floor" 0. (cdf 0.001);
+  Alcotest.(check bool) "realistic rtt: replies just past the floor" true
+    (cdf (0.001 *. (1. +. 1e-9)) > 0.)
 
 let test_presets_list_complete () =
   Alcotest.(check (list string)) "names"

@@ -3,7 +3,8 @@ let contains haystack needle =
   let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
   scan 0
 
-let report = Engine.Report.markdown Zeroconf.Params.realistic_ethernet
+let report =
+  Engine.Report.markdown ~draft_n:4 ~draft_r:2. Zeroconf.Params.realistic_ethernet
 
 let test_sections_present () =
   List.iter
@@ -52,7 +53,8 @@ let test_huge_draft_refused () =
     (Invalid_argument
        "Query: mean-cost at n = 4, r = 1e+308: the largest attempt cost n (r + \
         c) + E = inf is not finite")
-    (fun () -> ignore (Engine.Report.markdown ~draft_r:1e308 Zeroconf.Params.figure2))
+    (fun () ->
+      ignore (Engine.Report.markdown ~draft_n:4 ~draft_r:1e308 Zeroconf.Params.figure2))
 
 let () =
   Alcotest.run "report"

@@ -62,7 +62,7 @@ let test_guards () =
   Alcotest.check_raises "empty" (Invalid_argument "Uncertainty.bootstrap: empty sample")
     (fun () ->
       ignore
-        (U.bootstrap ~rng:(Numerics.Rng.create 1) ~delays:[||] ~q:0.1
+        (U.bootstrap ~rounds:200 ~losses:0 ~rng:(Numerics.Rng.create 1) ~delays:[||] ~q:0.1
            ~probe_cost:1. ~error_cost:1. ()))
 
 let test_pp () =

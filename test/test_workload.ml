@@ -60,11 +60,19 @@ let test_lossy_flash_collides_sometimes () =
     (Printf.sprintf "collisions under heavy loss (%d)" !total)
     true (!total > 0)
 
+let exhausted = Invalid_argument "Workload.run: address pool would be exhausted"
+
 let test_pool_exhaustion_guard () =
-  try
-    ignore (run ~pattern:(W.Flash { count = 100; within = 1. }) ~pool:64 ~seed:6 ());
-    Alcotest.fail "accepted a workload exceeding the pool"
-  with Failure _ -> ()
+  Alcotest.check_raises "100 arrivals in a pool of 64" exhausted (fun () ->
+      ignore (run ~pattern:(W.Flash { count = 100; within = 1. }) ~pool:64 ~seed:6 ()))
+
+(* 14 expected arrivals fit a pool of 16, so the front ends' capacity
+   check passes; seed 2 draws 16 or more of them *)
+let test_poisson_draw_overfills () =
+  let pattern = W.Poisson 1.4 and horizon = 10. in
+  W.check_capacity ~pattern ~horizon ~initial:0 ~pool_size:16;
+  Alcotest.check_raises "the draw, not the expectation, overfills" exhausted
+    (fun () -> ignore (run ~pattern ~horizon ~initial:0 ~pool:16 ~seed:2 ()))
 
 let test_pattern_guards () =
   List.iter
@@ -83,7 +91,7 @@ let test_listening_time_guard () =
     (fun () ->
       ignore
         (W.run ~pattern:(W.Flash { count = 2; within = 1. }) ~horizon:10.
-           ~loss:0. ~one_way ~pool_size:64
+           ~loss:0. ~one_way ~initial:0 ~pool_size:64
            ~config:{ config with Netsim.Newcomer.probes = 4; listen = 1e308 }
            ~rng:(Numerics.Rng.create 11) ()))
 
@@ -276,6 +284,8 @@ let () =
           Alcotest.test_case "lossy collides" `Quick test_lossy_flash_collides_sometimes ] );
       ( "guards",
         [ Alcotest.test_case "pool exhaustion" `Quick test_pool_exhaustion_guard;
+          Alcotest.test_case "poisson draw overfills" `Quick
+            test_poisson_draw_overfills;
           Alcotest.test_case "pattern validation" `Quick test_pattern_guards;
           Alcotest.test_case "listening time refused" `Quick
             test_listening_time_guard ] );

@@ -36,10 +36,15 @@
    - R9 no option that changes nothing: every optional argument [?x] of
      a [val] of a [lib] .mli is passed, as [~x] or [?x], at some call
      outside its own module, in lib/ or a product root (R6's reference
-     walk and callers).
+     walk and callers), and some such use takes its default: it omits
+     [x], forwards [?x] or names the [val] without applying it.  An
+     option every product call passes as [~x] is a required argument.
+   - R10 exact counts: no [Gc.quick_stat] in [bench/]; in OCaml 5.1 it
+     lags the allocation, so a word gate reads [Gc.minor_words] and
+     [Gc.counters].
 
    Sources under [perfbench/] are read for R6 and R9 references only;
-   R1-R5 and R8 do not apply to them.  Sources under [test/] and
+   R1-R5, R8 and R10 do not apply to them.  Sources under [test/] and
    [examples/] are read for nothing: R6 and R9 ignore them even when
    they are passed in, so no test or example keeps a value or an option
    alive. *)
@@ -172,6 +177,12 @@ let check_ident ~path ident : (string * string * string) option =
       ( "R5",
         Printf.sprintf "`%s` defeats the type system" ident,
         "restructure the types; Obj is never sanctioned in this repo" )
+  else if in_bench path && ident = "Gc.quick_stat" then
+    Some
+      ( "R10",
+        "`Gc.quick_stat` in bench/ lags the allocation it counts",
+        "count minor words with Gc.minor_words and major and promoted \
+         words with Gc.counters" )
   else None
 
 (* -- AST walk ------------------------------------------------------ *)
@@ -275,7 +286,9 @@ let missing_mli_findings files =
 
 (* The module paths an implementation mentions (values, constructors,
    fields, types, module expressions and types), the paths it opens,
-   and each application of a named function as (path, labels passed).
+   and each use of a named value as (path, labels passed): an
+   application passes its [~x] and [?x] labels, an unapplied reference
+   none.
    An open counts for the whole file: over-approximating what a file
    reaches can hide an unreached module, never invent one.  A path
    through a module alias ([module R = W.M], [let module R = W.M in])
@@ -305,16 +318,19 @@ let module_paths ~path source =
         add l
     | Pexp_record (fields, _) -> List.iter (fun (l, _) -> add l) fields
     | Pexp_letmodule ({ txt; _ }, m, _) -> alias txt m
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-        let label = function
-          | (Asttypes.Labelled l | Optional l), _ -> Some l
-          | Nolabel, _ -> None
-        in
-        calls :=
-          (expand (Longident.flatten txt), List.filter_map label args)
-          :: !calls
     | _ -> ());
-    default_iterator.expr this e
+    match e.pexp_desc with
+    | Pexp_apply ({ pexp_desc = Pexp_ident l; _ }, args) ->
+        add l;
+        calls :=
+          ( expand (Longident.flatten l.txt),
+            List.filter (fun a -> a <> Asttypes.Nolabel) (List.map fst args) )
+          :: !calls;
+        List.iter (fun (_, a) -> this.expr this a) args
+    | Pexp_ident { txt; _ } ->
+        (* an unapplied reference takes every default *)
+        calls := (expand (Longident.flatten txt), []) :: !calls
+    | _ -> default_iterator.expr this e
   in
   let pat this (p : Parsetree.pattern) =
     (match p.ppat_desc with
@@ -550,7 +566,7 @@ let unused_value_findings ~wrappers sources =
       | _ -> [])
     sources
 
-(* -- R9, tree level: every optional argument of a lib val is passed -- *)
+(* -- R9, tree level: every optional argument is passed and defaulted -- *)
 
 (* The optional arguments of the top-level [val]s of an interface, as
    (value, label, location). *)
@@ -574,23 +590,25 @@ let interface_optionals ~path source =
   with _ -> []
 
 (* [unpassed_option_findings ~wrappers sources] flags every optional
-   argument [?x] of a [val] of a lib .mli that no call outside the
-   value's own module passes as [~x] or [?x].  Sources under test/ and
-   examples/ do not count: an option only a test or an example passes
-   changes nothing a product does. *)
+   argument [?x] of a [val] of a lib .mli that the uses outside the
+   value's own module never pass, as [~x] or [?x], or always pass as
+   [~x]: its default is all a product gets, or nothing a product gets.
+   A use that omits [x], forwards [?x] or names the [val] unapplied
+   takes the default.  Sources under test/ and examples/ do not count:
+   an option only a test or an example passes, or omits, changes
+   nothing a product does. *)
 let unpassed_option_findings ~wrappers sources =
   let impls =
     List.filter (fun (f, _) -> not (no_caller f)) (implementations sources)
   in
   let modules = List.filter_map (fun (f, _) -> module_of ~wrappers f) impls in
-  let passed = Hashtbl.create 256 in
+  let uses = Hashtbl.create 256 in
   List.iter
     (fun ((f, _) as source) ->
       let self = module_of ~wrappers f in
       List.iter
         (fun (m, v, labels) ->
-          if Some m <> self then
-            List.iter (fun l -> Hashtbl.replace passed (m, v, l) ()) labels)
+          if Some m <> self then Hashtbl.add uses (m, v) labels)
         (snd (resolved ~wrappers ~modules source)))
     impls;
   List.concat_map
@@ -600,17 +618,30 @@ let unpassed_option_findings ~wrappers sources =
       | Some ((w, m) as node) when Filename.check_suffix f ".mli" ->
           List.filter_map
             (fun (v, l, (loc : Location.t)) ->
-              if Hashtbl.mem passed (node, v, l) then None
-              else
+              let uses = Hashtbl.find_all uses (node, v) in
+              let given = List.mem (Asttypes.Labelled l) in
+              let passed =
+                List.exists (fun u -> given u || List.mem (Asttypes.Optional l) u)
+                  uses
+              in
+              let finding message hint =
                 let pos = loc.loc_start in
-                let ident = String.concat "." [ w; m; v ] ^ "?" ^ l in
+                let name = String.concat "." [ w; m; v ] in
                 Some
                   (Finding.v ~rule:"R9" ~file:f ~line:pos.pos_lnum
-                     ~col:(pos.pos_cnum - pos.pos_bol) ~ident
-                     ~message:("optional argument ?" ^ l ^ " of " ^ w ^ "."
-                              ^ m ^ "." ^ v ^ " that no caller outside its \
-                                module passes")
-                     ~hint:"delete it and use its default as a constant"))
+                     ~col:(pos.pos_cnum - pos.pos_bol) ~ident:(name ^ "?" ^ l)
+                     ~message:(Printf.sprintf "optional argument ?%s of %s %s"
+                                 l name message)
+                     ~hint)
+              in
+              if not passed then
+                finding "that no caller outside its module passes"
+                  "delete it and use its default as a constant"
+              else if List.for_all given uses then
+                finding
+                  ("that every caller outside its module passes as ~" ^ l)
+                  "make it a required labelled argument with no default"
+              else None)
             (interface_optionals ~path:f src)
       | _ -> [])
     sources

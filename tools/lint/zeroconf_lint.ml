@@ -4,15 +4,17 @@
 
    Scans every .ml/.mli under the given paths (default: lib bin bench
    perfbench, resolved from the current directory, which must be the
-   repo root), applies the R1-R6, R8 and R9 rule catalogue from
+   repo root), applies the R1-R6 and R8-R10 rule catalogue from
    [Rules], subtracts the reviewed exceptions in the allowlist, and
    exits 1 when any new finding remains or any allowlist entry matches
-   nothing.  R1-R5 apply to lib, bin and bench; perfbench is read only
-   as a caller for R6, which flags every lib module no bin/ executable
-   reaches and every [val] of a lib .mli that no module other than its
-   own names, and for R9, which flags every optional argument of such a
-   [val] that no module other than its own passes.  R8 flags every bin/
-   module that names [Zeroconf.{Cost, Reliability, Kernel}].  test/ and
+   nothing.  R1-R5 apply to lib, bin and bench, R10 ([Gc.quick_stat])
+   to bench; perfbench is read only as a caller for R6, which flags
+   every lib module no bin/ executable reaches and every [val] of a lib
+   .mli that no module other than its own names, and for R9, which
+   flags every optional argument of such a [val] that no module other
+   than its own passes, or that every such use passes as [~x].  R8
+   flags every bin/ module that names
+   [Zeroconf.{Cost, Reliability, Kernel}].  test/ and
    examples/ are no callers: a path under them adds nothing, so passing
    one cannot keep a value or an option alive.
    [--json] emits a machine-readable report on stdout. *)
